@@ -1,7 +1,9 @@
 package omcast_test
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -237,5 +239,66 @@ func TestSpanStreamingTraceByteIdentical(t *testing.T) {
 		if got != serial {
 			t.Fatalf("concurrent run %d diverged from the serial trace", i)
 		}
+	}
+}
+
+// TestStreamingTraceGolden pins the full JSONL of two traced packet-level
+// runs across commits. The byte-identity tests above compare a build with
+// itself; these hashes were taken before the traced and untraced episode
+// paths were fused, so they fail if the spans an operator reads (IDs,
+// creation order on a member's track, fetch shares, stall windows,
+// outcomes) ever drift from what that build emitted. The first
+// configuration is CI's traced smoke run (`omcast-trace -seed 1 -size 300
+// -small -warmup 10m -measure 20m -sample 5m -stream -spans`: 184 repair,
+// 489 fetch, 168 stall spans, all fully striped); the second drops
+// sampling and runs groups of one, which forces striped + backlog fetches
+// and partial and abandoned outcomes.
+func TestStreamingTraceGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Arrival times are float arithmetic; architectures on which the
+		// compiler fuses multiply-add round differently.
+		t.Skipf("golden hashes were taken on amd64, not %s", runtime.GOARCH)
+	}
+	cfg := omcast.Config{
+		Seed:       1,
+		Algorithm:  omcast.ROST,
+		TargetSize: 300,
+		Topology:   omcast.SmallTopology(),
+		Warmup:     10 * time.Minute,
+		Measure:    20 * time.Minute,
+	}
+	for _, tc := range []struct {
+		name   string
+		scfg   omcast.StreamConfig
+		opts   omcast.TraceOptions
+		sha256 string
+		lines  int
+	}{
+		{
+			name:   "sampled-group3",
+			scfg:   omcast.StreamConfig{GroupSize: 3},
+			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute, Spans: true},
+			sha256: "34a82eacb6308f4d238f5c58a2632bc52c3907e2e3b58f62e8a83392f56c65af",
+			lines:  3214,
+		},
+		{
+			name:   "group1",
+			scfg:   omcast.StreamConfig{GroupSize: 1},
+			opts:   omcast.TraceOptions{Spans: true},
+			sha256: "13537deeeaf0b5987c1b4bd25464f4ad4f99858573931157a4b1a68539f62c04",
+			lines:  3062,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf strings.Builder
+			if _, err := omcast.RunStreamingWithTrace(cfg, tc.scfg, &buf, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%x", sha256.Sum256([]byte(buf.String())))
+			if got != tc.sha256 {
+				t.Fatalf("trace sha256 = %s (%d lines), want %s (%d lines)",
+					got, strings.Count(buf.String(), "\n"), tc.sha256, tc.lines)
+			}
+		})
 	}
 }

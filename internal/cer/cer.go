@@ -17,10 +17,14 @@
 //     second the next slice, and so on until the slices cover the full rate
 //     or the group is exhausted.
 //
-// PlanRecovery turns an outage episode into per-packet repair arrival times;
-// the stream package folds those into playback accounting. The single-source
-// baseline of Figure 14 (recovery list used one node at a time, no striping)
-// is planned by the same code with Striped=false.
+// Planning is one path: AppendServers turns a selected group into an
+// episode's server list, layoutStripes divides the missing sequence space
+// among those servers, and PlanRecoveryInto turns that into per-packet repair
+// arrival times, which the stream and multitree packages fold into playback
+// accounting. A traced run also asks ServerPlans how the same arrivals split
+// by server. The single-source baseline of Figure 14 (recovery list used one
+// node at a time, no striping) is planned by the same code with
+// Striped=false.
 package cer
 
 import (
@@ -270,7 +274,6 @@ func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []*overlay.Member 
 			if len(lv) > len(pt.levels[widest]) {
 				widest = i
 			}
-			_ = i
 		}
 		roots := append([]*overlay.Member(nil), pt.levels[widest]...)
 		rng.Shuffle(len(roots), func(i, j int) { roots[i], roots[j] = roots[j], roots[i] })
@@ -358,10 +361,9 @@ func (pt *partialTree) usableFallback(rng *xrand.Source, n int, chosen []*overla
 // root paths of a and b (the paper's loss-correlation function). Exported
 // for tests and the MLC-vs-random ablation.
 func LossCorrelation(a, b *overlay.Member) int {
-	depthOf := func(m *overlay.Member) int { return m.Depth() }
 	// Walk both up to equal depth, then in lockstep until the paths merge;
 	// every step after the merge point is a shared edge.
-	da, db := depthOf(a), depthOf(b)
+	da, db := a.Depth(), b.Depth()
 	x, y := a, b
 	for da > db {
 		x = x.Parent()
@@ -427,10 +429,6 @@ type Episode struct {
 	Striped bool
 }
 
-// Plan maps missing sequence numbers to their repair arrival times at the
-// requester; packets absent from the map are lost.
-type Plan map[int64]time.Duration
-
 // ServerPlan is one recovery server's share of a planned episode: the
 // per-peer fetch detail behind a repair span. Phase is "striped" for the
 // sequence-space slice a server supplies directly and "backlog" for the
@@ -444,7 +442,101 @@ type ServerPlan struct {
 	First, Last time.Duration
 }
 
-// PlanRecovery computes repair arrivals for an episode.
+// Lost marks a packet with no repair arrival in a PlanRecoveryInto result.
+const Lost time.Duration = -1
+
+// AppendServers walks a recovery group in NACK-chain order (requester ->
+// g1 -> g2 -> ..., Section 4.2) and appends the members that can serve to
+// dst. The chain delay accumulates over every hop: a member whose own feed
+// is down still forwards the request. residual reports a member's residual
+// bandwidth as a fraction of the stream rate, or false if it cannot help.
+func AppendServers(dst []Server, self *overlay.Member, group []*overlay.Member, delay func(a, b topology.NodeID) time.Duration, residual func(g *overlay.Member) (epsilon float64, ok bool)) []Server {
+	chain := time.Duration(0)
+	prev := self
+	for _, g := range group {
+		chain += delay(prev.Attach, g.Attach)
+		prev = g
+		if eps, ok := residual(g); ok {
+			dst = append(dst, Server{
+				Member:     g,
+				Epsilon:    eps,
+				ChainDelay: chain,
+				Transfer:   delay(g.Attach, self.Attach),
+			})
+		}
+	}
+	return dst
+}
+
+// stripeSlice is one server's share [lo, hi) of the (n mod 100)/100 space.
+type stripeSlice struct {
+	lo, hi float64
+	srv    Server
+}
+
+// stripeLayout divides an episode's missing sequence space among its
+// servers: the striped slices in server order, then the lead server and
+// aggregate residual rate (packets per second) that drain what the slices
+// leave uncovered once the live feed resumes. A zero rate means nobody has
+// bandwidth to spare: every packet is lost.
+type stripeLayout struct {
+	slices []stripeSlice
+	lead   Server
+	rate   float64
+}
+
+func layoutStripes(ep Episode, servers []Server) stripeLayout {
+	var l stripeLayout
+	if ep.Rate <= 0 {
+		return l
+	}
+	usable := servers
+	if !ep.Striped {
+		// Single-source baseline: the request walks the list until a node
+		// with spare bandwidth answers; only that node's residual bandwidth
+		// is used.
+		usable = nil
+		for i, s := range servers {
+			if s.Epsilon > 0 {
+				usable = servers[i : i+1]
+				break
+			}
+		}
+	}
+	cum, aggregate := 0.0, 0.0
+	for _, s := range usable {
+		if s.Epsilon <= 0 {
+			continue
+		}
+		aggregate += s.Epsilon
+		if cum < 1 {
+			hi := math.Min(1, cum+s.Epsilon)
+			l.slices = append(l.slices, stripeSlice{lo: cum, hi: hi, srv: s})
+			cum = hi
+		}
+	}
+	if aggregate > 0 {
+		l.lead = usable[0]
+		l.rate = aggregate * ep.Rate
+	}
+	return l
+}
+
+// sliceOf returns the index of the striped slice that supplies packet n, or
+// -1 when n is left to the backlog phase.
+func (l *stripeLayout) sliceOf(n int64) int {
+	frac := float64(n%100) / 100
+	for i := range l.slices {
+		if frac >= l.slices[i].lo && frac < l.slices[i].hi {
+			return i
+		}
+	}
+	return -1
+}
+
+// PlanRecoveryInto computes repair arrivals for an episode: element i of the
+// returned slice holds the repair arrival time of packet FirstMissing+i, or
+// Lost for packets the group cannot supply. buf is reused when large enough.
 //
 // Striped phase: the missing-sequence space is partitioned by (n mod 100)
 // slices proportional to each server's epsilon, in server order. A covered
@@ -456,28 +548,6 @@ type ServerPlan struct {
 // resumes, at the group's aggregate residual rate; their arrival times grow
 // linearly with queue position. Whether they beat their playback deadlines
 // is the buffer-size trade-off of Figure 13.
-func PlanRecovery(ep Episode, servers []Server) Plan {
-	plan, _ := planRecovery(ep, servers, false)
-	return plan
-}
-
-// PlanRecoveryDetail is PlanRecovery returning, additionally, the
-// per-server breakdown (tracing only — the hot path calls PlanRecovery and
-// pays nothing for the detail).
-func PlanRecoveryDetail(ep Episode, servers []Server) (Plan, []ServerPlan) {
-	return planRecovery(ep, servers, true)
-}
-
-// Lost marks a packet with no repair arrival in a PlanRecoveryInto result.
-const Lost time.Duration = -1
-
-// PlanRecoveryInto is PlanRecovery with dense output for the streaming hot
-// path: element i of the returned slice holds the repair arrival time of
-// packet FirstMissing+i, or Lost for packets the group cannot supply. buf is
-// reused when large enough, so steady-state episodes allocate nothing. The
-// arithmetic mirrors PlanRecovery expression for expression; the two are
-// equivalence-tested, which is what lets the interval accounting in stream
-// replace the per-packet map without disturbing any figure output.
 func PlanRecoveryInto(ep Episode, servers []Server, buf []time.Duration) []time.Duration {
 	count := ep.LastMissing - ep.FirstMissing + 1
 	if count <= 0 {
@@ -491,111 +561,49 @@ func PlanRecoveryInto(ep Episode, servers []Server, buf []time.Duration) []time.
 	for i := range buf {
 		buf[i] = Lost
 	}
-	if len(servers) == 0 || ep.Rate <= 0 {
+	l := layoutStripes(ep, servers)
+	if l.rate <= 0 {
 		return buf
 	}
-	usable := servers
-	if !ep.Striped {
-		usable = nil
-		for _, s := range servers {
-			if s.Epsilon > 0 {
-				usable = []Server{s}
-				break
-			}
-		}
-		if len(usable) == 0 {
-			return buf
-		}
-	}
-	type slice struct {
-		lo, hi float64
-		srv    Server
-	}
-	var slices []slice
-	cum := 0.0
-	for _, s := range usable {
-		if cum >= 1 || s.Epsilon <= 0 {
-			continue
-		}
-		hi := math.Min(1, cum+s.Epsilon)
-		slices = append(slices, slice{lo: cum, hi: hi, srv: s})
-		cum = hi
-	}
-	aggregate := 0.0
-	for _, s := range usable {
-		if s.Epsilon > 0 {
-			aggregate += s.Epsilon
-		}
-	}
-	rate := aggregate * ep.Rate // packets per second
 	backlog := int64(0)
 	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		frac := float64(n%100) / 100
-		covered := false
-		for _, sl := range slices {
-			if frac >= sl.lo && frac < sl.hi {
-				at := ep.RequestAt + sl.srv.ChainDelay
-				if g := ep.Gen(n); g > at {
-					at = g // live forwarding of not-yet-generated packets
-				}
-				buf[n-ep.FirstMissing] = at + sl.srv.Transfer
-				covered = true
-				break
+		if i := l.sliceOf(n); i >= 0 {
+			srv := &l.slices[i].srv
+			at := ep.RequestAt + srv.ChainDelay
+			if g := ep.Gen(n); g > at {
+				at = g // live forwarding of not-yet-generated packets
 			}
+			buf[n-ep.FirstMissing] = at + srv.Transfer
+			continue
 		}
-		if !covered && aggregate > 0 {
-			service := time.Duration(float64(backlog+1) / rate * float64(time.Second))
-			buf[n-ep.FirstMissing] = ep.ResumeAt + service + usable[0].Transfer
-			backlog++
-		}
+		service := time.Duration(float64(backlog+1) / l.rate * float64(time.Second))
+		buf[n-ep.FirstMissing] = ep.ResumeAt + service + l.lead.Transfer
+		backlog++
 	}
 	return buf
 }
 
-func planRecovery(ep Episode, servers []Server, detail bool) (Plan, []ServerPlan) {
-	plan := make(Plan, ep.LastMissing-ep.FirstMissing+1)
-	if len(servers) == 0 || ep.Rate <= 0 {
-		return plan, nil
+// ServerPlans breaks the arrivals PlanRecoveryInto produced for (ep,
+// servers) down by supplying server: the striped shares in server order,
+// then the backlog share, omitting shares with no packet (an episode can be
+// narrower than the stripe layout). Tracing only.
+func ServerPlans(ep Episode, servers []Server, arrivals []time.Duration) []ServerPlan {
+	l := layoutStripes(ep, servers)
+	if l.rate <= 0 {
+		return nil
 	}
-	usable := servers
-	if !ep.Striped {
-		// Single-source baseline: the request walks the list until a node
-		// with spare bandwidth answers; only that node's residual bandwidth
-		// is used.
-		usable = nil
-		for _, s := range servers {
-			if s.Epsilon > 0 {
-				usable = []Server{s}
-				break
-			}
+	backlog := len(l.slices)
+	shares := make([]ServerPlan, backlog+1)
+	for i := range l.slices {
+		shares[i] = ServerPlan{Server: l.slices[i].srv, Phase: "striped"}
+	}
+	shares[backlog] = ServerPlan{Server: l.lead, Phase: "backlog"}
+	for k, at := range arrivals {
+		i := l.sliceOf(ep.FirstMissing + int64(k))
+		if i < 0 {
+			i = backlog
 		}
-		if len(usable) == 0 {
-			return plan, nil
-		}
-	}
-	// Striped ranges over [0,1) of the (n mod 100)/100 space.
-	type slice struct {
-		lo, hi float64
-		srv    Server
-	}
-	var slices []slice
-	cum := 0.0
-	for _, s := range usable {
-		if cum >= 1 || s.Epsilon <= 0 {
-			continue
-		}
-		hi := math.Min(1, cum+s.Epsilon)
-		slices = append(slices, slice{lo: cum, hi: hi, srv: s})
-		cum = hi
-	}
-	var det []ServerPlan
-	if detail {
-		det = make([]ServerPlan, len(slices))
-		for i := range slices {
-			det[i] = ServerPlan{Server: slices[i].srv, Phase: "striped"}
-		}
-	}
-	record := func(sp *ServerPlan, at time.Duration) {
+		sp := &shares[i]
 		if sp.Packets == 0 || at < sp.First {
 			sp.First = at
 		}
@@ -604,66 +612,10 @@ func planRecovery(ep Episode, servers []Server, detail bool) (Plan, []ServerPlan
 		}
 		sp.Packets++
 	}
-	var backlog []int64
-	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		frac := float64(n%100) / 100
-		covered := false
-		for i, sl := range slices {
-			if frac >= sl.lo && frac < sl.hi {
-				at := ep.RequestAt + sl.srv.ChainDelay
-				if g := ep.Gen(n); g > at {
-					at = g // live forwarding of not-yet-generated packets
-				}
-				plan[n] = at + sl.srv.Transfer
-				if detail {
-					record(&det[i], plan[n])
-				}
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			backlog = append(backlog, n)
-		}
-	}
-	// Aggregate residual rate for the backlog phase.
-	aggregate := 0.0
-	for _, s := range usable {
-		if s.Epsilon > 0 {
-			aggregate += s.Epsilon
-		}
-	}
-	if aggregate <= 0 {
-		return plan, compactDetail(det)
-	}
-	rate := aggregate * ep.Rate // packets per second
-	var back ServerPlan
-	if detail {
-		back = ServerPlan{Server: usable[0], Phase: "backlog"}
-	}
-	for k, n := range backlog {
-		service := time.Duration(float64(k+1) / rate * float64(time.Second))
-		plan[n] = ep.ResumeAt + service + usable[0].Transfer
-		if detail {
-			record(&back, plan[n])
-		}
-	}
-	if detail && back.Packets > 0 {
-		det = append(det, back)
-	}
-	return plan, compactDetail(det)
-}
-
-// compactDetail drops servers whose slice covered no packets (an episode
-// narrower than the stripe layout).
-func compactDetail(det []ServerPlan) []ServerPlan {
-	if det == nil {
-		return nil
-	}
-	out := det[:0]
-	for _, d := range det {
-		if d.Packets > 0 {
-			out = append(out, d)
+	out := shares[:0]
+	for _, sp := range shares {
+		if sp.Packets > 0 {
+			out = append(out, sp)
 		}
 	}
 	return out

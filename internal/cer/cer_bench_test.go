@@ -73,9 +73,11 @@ func BenchmarkPlanRecovery(b *testing.B) {
 		mkServer(0.4, 20*time.Millisecond, 15*time.Millisecond),
 		mkServer(0.2, 30*time.Millisecond, 20*time.Millisecond),
 	}
+	var buf []time.Duration // reused across episodes, as stream.Model does
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if plan := PlanRecovery(ep, servers); len(plan) == 0 {
+		buf = PlanRecoveryInto(ep, servers, buf)
+		if len(buf) == 0 {
 			b.Fatal("empty plan")
 		}
 	}

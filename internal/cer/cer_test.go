@@ -247,7 +247,34 @@ func TestSelectDegenerate(t *testing.T) {
 	}
 }
 
-// ----- PlanRecovery -----
+// ----- PlanRecoveryInto -----
+
+// densePlan indexes a PlanRecoveryInto result by sequence number.
+type densePlan struct {
+	first    int64
+	arrivals []time.Duration
+}
+
+func planFor(ep Episode, servers []Server) densePlan {
+	return densePlan{first: ep.FirstMissing, arrivals: PlanRecoveryInto(ep, servers, nil)}
+}
+
+// arrival returns packet n's repair arrival and whether it is repaired at all.
+func (p densePlan) arrival(n int64) (time.Duration, bool) {
+	at := p.arrivals[n-p.first]
+	return at, at != Lost
+}
+
+// repaired counts the packets with a repair arrival.
+func (p densePlan) repaired() int {
+	n := 0
+	for _, at := range p.arrivals {
+		if at != Lost {
+			n++
+		}
+	}
+	return n
+}
 
 func testEpisode(striped bool) Episode {
 	rate := 10.0
@@ -269,25 +296,25 @@ func mkServer(eps float64, chain, transfer time.Duration) Server {
 }
 
 func TestPlanNoServers(t *testing.T) {
-	plan := PlanRecovery(testEpisode(true), nil)
-	if len(plan) != 0 {
-		t.Fatalf("plan with no servers has %d entries", len(plan))
+	plan := planFor(testEpisode(true), nil)
+	if plan.repaired() != 0 {
+		t.Fatalf("plan with no servers has %d entries", plan.repaired())
 	}
 }
 
 func TestPlanFullCoverage(t *testing.T) {
 	// Two servers covering the full rate: every packet is repaired in the
 	// striped phase.
-	plan := PlanRecovery(testEpisode(true), []Server{
+	plan := planFor(testEpisode(true), []Server{
 		mkServer(0.6, 10*time.Millisecond, 10*time.Millisecond),
 		mkServer(0.5, 20*time.Millisecond, 12*time.Millisecond),
 	})
 	ep := testEpisode(true)
-	if len(plan) != 150 {
-		t.Fatalf("full-coverage plan has %d entries, want 150", len(plan))
+	if plan.repaired() != 150 {
+		t.Fatalf("full-coverage plan has %d entries, want 150", plan.repaired())
 	}
 	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		at, ok := plan[n]
+		at, ok := plan.arrival(n)
 		if !ok {
 			t.Fatalf("packet %d missing from full-coverage plan", n)
 		}
@@ -302,13 +329,13 @@ func TestPlanFullCoverage(t *testing.T) {
 func TestPlanStripedPartialCoverage(t *testing.T) {
 	// epsilon 0.4: packets with (n mod 100) in [0,40) repaired promptly; the
 	// rest queue behind the resume point.
-	plan := PlanRecovery(testEpisode(true), []Server{
+	plan := planFor(testEpisode(true), []Server{
 		mkServer(0.4, 10*time.Millisecond, 10*time.Millisecond),
 	})
 	ep := testEpisode(true)
 	prompt, backlog := 0, 0
 	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		at, ok := plan[n]
+		at, ok := plan.arrival(n)
 		if !ok {
 			t.Fatalf("packet %d absent; the backlog phase should cover it", n)
 		}
@@ -334,7 +361,7 @@ func TestPlanStripedPartialCoverage(t *testing.T) {
 func TestPlanBacklogPacing(t *testing.T) {
 	// The backlog drains at the aggregate residual rate: with epsilon 0.5
 	// (5 pkt/s) the k-th backlog packet arrives ~ (k+1)/5 s after resume.
-	plan := PlanRecovery(testEpisode(true), []Server{
+	plan := planFor(testEpisode(true), []Server{
 		mkServer(0.5, 0, 0),
 	})
 	ep := testEpisode(true)
@@ -346,7 +373,7 @@ func TestPlanBacklogPacing(t *testing.T) {
 	}
 	for k, n := range backlog {
 		want := ep.ResumeAt + time.Duration(float64(k+1)/5.0*float64(time.Second))
-		if got := plan[n]; got != want {
+		if got, _ := plan.arrival(n); got != want {
 			t.Fatalf("backlog packet %d arrives %v, want %v", n, got, want)
 		}
 	}
@@ -355,19 +382,19 @@ func TestPlanBacklogPacing(t *testing.T) {
 func TestPlanSingleSourceBaseline(t *testing.T) {
 	// Three servers but no striping: only the first non-empty server's
 	// bandwidth counts.
-	striped := PlanRecovery(testEpisode(true), []Server{
+	striped := planFor(testEpisode(true), []Server{
 		mkServer(0.3, 0, 0), mkServer(0.3, 0, 0), mkServer(0.3, 0, 0),
 	})
-	single := PlanRecovery(testEpisode(false), []Server{
+	single := planFor(testEpisode(false), []Server{
 		mkServer(0.3, 0, 0), mkServer(0.3, 0, 0), mkServer(0.3, 0, 0),
 	})
 	ep := testEpisode(true)
 	stripedPrompt, singlePrompt := 0, 0
 	for n := ep.FirstMissing; n <= ep.LastMissing; n++ {
-		if at, ok := striped[n]; ok && at < ep.ResumeAt {
+		if at, ok := striped.arrival(n); ok && at < ep.ResumeAt {
 			stripedPrompt++
 		}
-		if at, ok := single[n]; ok && at < ep.ResumeAt {
+		if at, ok := single.arrival(n); ok && at < ep.ResumeAt {
 			singlePrompt++
 		}
 	}
@@ -375,14 +402,14 @@ func TestPlanSingleSourceBaseline(t *testing.T) {
 		t.Fatalf("striped prompt repairs %d not above single-source %d", stripedPrompt, singlePrompt)
 	}
 	// Single-source skips zero-bandwidth heads of the list.
-	skip := PlanRecovery(testEpisode(false), []Server{
+	skip := planFor(testEpisode(false), []Server{
 		mkServer(0, 0, 0), mkServer(0.5, 0, 0),
 	})
-	if len(skip) == 0 {
+	if skip.repaired() == 0 {
 		t.Fatal("single-source did not walk past an empty server")
 	}
 	// All-zero group: nothing repaired.
-	if p := PlanRecovery(testEpisode(false), []Server{mkServer(0, 0, 0)}); len(p) != 0 {
+	if p := planFor(testEpisode(false), []Server{mkServer(0, 0, 0)}); p.repaired() != 0 {
 		t.Fatal("zero-bandwidth group repaired packets")
 	}
 }
@@ -390,18 +417,18 @@ func TestPlanSingleSourceBaseline(t *testing.T) {
 func TestPlanChainDelayPropagates(t *testing.T) {
 	chain := 200 * time.Millisecond
 	transfer := 100 * time.Millisecond
-	plan := PlanRecovery(testEpisode(true), []Server{mkServer(1.0, chain, transfer)})
+	plan := planFor(testEpisode(true), []Server{mkServer(1.0, chain, transfer)})
 	ep := testEpisode(true)
 	// A packet generated before the request arrives at request+chain+transfer.
 	n := ep.FirstMissing
 	want := ep.RequestAt + chain + transfer
-	if got := plan[n]; got != want {
+	if got, _ := plan.arrival(n); got != want {
 		t.Fatalf("old packet arrival %v, want %v", got, want)
 	}
 	// A packet generated after the request is forwarded live.
 	late := ep.LastMissing
 	wantLate := ep.Gen(late) + transfer
-	if got := plan[late]; got != wantLate {
+	if got, _ := plan.arrival(late); got != wantLate {
 		t.Fatalf("live packet arrival %v, want %v", got, wantLate)
 	}
 }
@@ -453,10 +480,10 @@ func TestPlanRecoveryProperties(t *testing.T) {
 				}
 			}
 		}
-		plan := PlanRecovery(ep, servers)
+		plan := planFor(ep, servers)
 		var prevBacklog time.Duration
 		for n := first; n <= last; n++ {
-			at, ok := plan[n]
+			at, ok := plan.arrival(n)
 			if !ok {
 				// Only legal when no usable bandwidth exists at all.
 				if aggregate > 0 {

@@ -181,6 +181,9 @@ type Session struct {
 	envs  []*construct.Env
 	joins []construct.Strategy
 	rosts []*rostDriver
+	// selectors[t] picks recovery groups in stripe tree t; all of them draw
+	// from the one selectRng, in episode order.
+	selectors []*cer.MLCSelector
 
 	arrivalRng  *xrand.Source
 	lifetimeRng *xrand.Source
@@ -290,6 +293,7 @@ func NewSession(cfg Config) (*Session, error) {
 		s.envs = append(s.envs, env)
 		s.joins = append(s.joins, &construct.MinDepth{Env: env})
 		s.rosts = append(s.rosts, nil)
+		s.selectors = append(s.selectors, &cer.MLCSelector{Tree: tree, Rng: s.selectRng, Delay: topo.Delay})
 	}
 	if cfg.UseROST {
 		s.enableROST()
@@ -517,8 +521,7 @@ func (s *Session) onStripeFailure(t int, failed *overlay.Member, now time.Durati
 	for _, c := range failed.Children() {
 		s.Episodes++
 		s.treeEpisodes[t]++
-		cp := s.byNode[t][c.ID]
-		if cp == nil {
+		if s.byNode[t][c.ID] == nil {
 			continue
 		}
 		first := s.stripePacketAfter(t, now)
@@ -526,7 +529,7 @@ func (s *Session) onStripeFailure(t int, failed *overlay.Member, now time.Durati
 		if last < first {
 			continue
 		}
-		arrivals := s.planRecovery(t, c, cp, first, last, now+s.cfg.DetectDelay, outageEnd, stripeRate)
+		arrivals := s.planRecovery(t, c, first, last, now+s.cfg.DetectDelay, outageEnd, stripeRate)
 		s.applyEpisode(t, c, first, last, arrivals, now)
 	}
 }
@@ -549,30 +552,22 @@ func (s *Session) stripePacketAfter(t int, at time.Duration) int64 {
 	return k
 }
 
+// recoveryGroupSize is the CER recovery group size K of every stripe episode.
+const recoveryGroupSize = 3
+
 // planRecovery selects an MLC group in stripe tree t and plans repairs.
 // Members of OTHER stripe trees are natural low-correlation helpers, so the
 // group is drawn from the same participant population but checked for
 // health on this stripe.
-func (s *Session) planRecovery(t int, c *overlay.Member, cp *participant, first, last int64, requestAt, resumeAt time.Duration, stripeRate float64) []time.Duration {
-	selector := &cer.MLCSelector{Tree: s.trees[t], Rng: s.selectRng, Delay: s.topo.Delay}
-	group := selector.Select(c, 3)
-	servers := make([]cer.Server, 0, len(group))
-	chain := time.Duration(0)
-	prev := c
-	for _, g := range group {
-		chain += s.topo.Delay(prev.Attach, g.Attach)
-		prev = g
+func (s *Session) planRecovery(t int, c *overlay.Member, first, last int64, requestAt, resumeAt time.Duration, stripeRate float64) []time.Duration {
+	group := s.selectors[t].Select(c, recoveryGroupSize)
+	servers := cer.AppendServers(make([]cer.Server, 0, len(group)), c, group, s.topo.Delay, func(g *overlay.Member) (float64, bool) {
 		gp := s.byNode[t][g.ID]
 		if gp == nil || gp.outageUntil[t] > requestAt {
-			continue
+			return 0, false
 		}
-		servers = append(servers, cer.Server{
-			Member:     g,
-			Epsilon:    gp.residual / float64(s.cfg.Stripes) / stripeRate,
-			ChainDelay: chain,
-			Transfer:   s.topo.Delay(g.Attach, c.Attach),
-		})
-	}
+		return gp.residual / float64(s.cfg.Stripes) / stripeRate, true
+	})
 	s.arrivalBuf = cer.PlanRecoveryInto(cer.Episode{
 		FirstMissing: first,
 		LastMissing:  last,

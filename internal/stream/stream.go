@@ -17,9 +17,13 @@
 // missed-packet count falls out of one binary search over the sorted slacks
 // — a member at repair-hop distance h misses exactly the packets with slack
 // below h. Per-member loss state is a watermark plus a small set of
-// accounted [from,to) spans (spanSet), never per-packet. The historical
-// per-packet loop survives only on the tracing path, which needs individual
-// stall spans; the two paths are equivalence-tested.
+// accounted [from,to) spans (spanSet), never per-packet.
+//
+// There is one episode loop, traced or not: with Config.Trace set it also
+// records each episode as a repair span with detect, fetch and stall
+// children, so the spans an operator reads describe the accounting the
+// figures execute. The per-packet loop that interval accounting replaced
+// survives only as a test oracle (equivalence_test.go).
 package stream
 
 import (
@@ -82,8 +86,8 @@ type Config struct {
 	// orphan that planned recovery and its per-packet outcome (tracing).
 	OnEpisode func(orphan *overlay.Member, failedAt time.Duration, repaired, lost int)
 	// Trace, if non-nil, records each outage as a causal "repair" span
-	// with detect/fetch/stall children (see internal/tracing). The nil
-	// default adds one pointer check to the episode path and nothing else.
+	// with detect/fetch/stall children (see internal/tracing). The episode
+	// path is the same either way; nil makes its span calls no-ops.
 	Trace *tracing.Tracer
 }
 
@@ -313,7 +317,9 @@ func (m *Model) OnFailure(failed *overlay.Member, now time.Duration) {
 	}
 }
 
-// runEpisode handles one orphan's outage.
+// runEpisode handles one orphan's outage. The span calls are no-ops on the
+// nil builder an untraced run gets: tracing observes this loop, it never
+// replaces it.
 func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration) {
 	m.Episodes++
 	m.met.episodes.Inc()
@@ -323,15 +329,26 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 		return
 	}
 	requestAt := failedAt + m.cfg.DetectDelay
-	if m.cfg.Trace != nil {
-		// Tracing needs individual stall spans and the per-server fetch
-		// detail, so it keeps the historical per-packet loop.
-		m.runEpisodeTraced(c, failedAt, outageEnd, first, last, requestAt)
-		return
-	}
+	// The episode span covers the service-interruption window (the paper's
+	// resilience metric); its children decompose it causally.
+	sp := m.cfg.Trace.Start(tracing.KindRepair, int64(c.ID), failedAt).
+		AttrInt("first", first).AttrInt("last", last)
+	sp.Child(tracing.KindDetect, int64(c.ID), failedAt).End(requestAt, "gap-detected")
 	servers, ep := m.episodeInputs(c, first, last, requestAt, outageEnd)
 	m.arrivalBuf = cer.PlanRecoveryInto(ep, servers, m.arrivalBuf)
 	arrivals := m.arrivalBuf
+	if sp != nil {
+		for _, fd := range cer.ServerPlans(ep, servers, arrivals) {
+			start := requestAt + fd.Server.ChainDelay
+			if fd.Phase == "backlog" {
+				start = outageEnd
+			}
+			sp.Child(tracing.KindFetch, int64(c.ID), start).
+				AttrInt("server", int64(fd.Server.Member.ID)).
+				AttrInt("packets", int64(fd.Packets)).
+				End(fd.Last, fd.Phase)
+		}
+	}
 	// slack(n) = playback deadline minus repair arrival: a member whose
 	// repairs travel one extra hop h misses exactly the packets with
 	// slack < h. Lost packets get a -inf slack. One sort, then each
@@ -353,6 +370,8 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	m.sortedBuf = sorted
 	slot := time.Duration(float64(time.Second) / m.cfg.Rate)
 	repairedTotal, lostTotal := 0, 0
+	// Fold into the subtree. ELN: c's loss notifications walk the subtree
+	// edges so descendants wait for upstream repair instead of re-requesting.
 	m.tree.VisitSubtree(c, func(d *overlay.Member) {
 		if d != c {
 			m.ELNMessages++
@@ -388,6 +407,9 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 		if d == c {
 			repairedTotal += int(total) - missed
 			lostTotal += missed
+			if sp != nil && missed > 0 {
+				m.traceStall(sp, c, first, slacks, missed, slot)
+			}
 		}
 		st.acc.add(first, last+1)
 		st.acc.seal(first) // failure times are monotone: forget everything below
@@ -396,100 +418,39 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	m.PacketsLost += lostTotal
 	m.met.repaired.Add(float64(repairedTotal))
 	m.met.lost.Add(float64(lostTotal))
+	outcome := "filled"
+	switch {
+	case lostTotal > 0 && repairedTotal > 0:
+		outcome = "partial"
+	case lostTotal > 0:
+		outcome = "abandoned"
+	}
+	sp.AttrInt("repaired", int64(repairedTotal)).AttrInt("lost", int64(lostTotal)).
+		End(outageEnd, outcome)
 	if m.cfg.OnEpisode != nil {
 		m.cfg.OnEpisode(c, failedAt, repairedTotal, lostTotal)
 	}
 }
 
-// runEpisodeTraced is the per-packet episode path behind Config.Trace: same
-// outcomes as the interval path (equivalence-tested), plus the causal span
-// with per-server fetch children and stall spans that need individual
-// packet deadlines.
-func (m *Model) runEpisodeTraced(c *overlay.Member, failedAt, outageEnd time.Duration, first, last int64, requestAt time.Duration) {
-	repairedBefore, lostBefore := m.PacketsRepaired, m.PacketsLost
-	// The episode span covers the service-interruption window (the paper's
-	// resilience metric); its children decompose it causally.
-	sp := m.cfg.Trace.Start(tracing.KindRepair, int64(c.ID), failedAt).
-		AttrInt("first", first).AttrInt("last", last)
-	sp.Child(tracing.KindDetect, int64(c.ID), failedAt).End(requestAt, "gap-detected")
-	servers, ep := m.episodeInputs(c, first, last, requestAt, outageEnd)
-	plan, detail := cer.PlanRecoveryDetail(ep, servers)
-	for _, fd := range detail {
-		start := requestAt + fd.Server.ChainDelay
-		if fd.Phase == "backlog" {
-			start = outageEnd
-		}
-		sp.Child(tracing.KindFetch, int64(c.ID), start).
-			AttrInt("server", int64(fd.Server.Member.ID)).
-			AttrInt("packets", int64(fd.Packets)).
-			End(fd.Last, fd.Phase)
-	}
-	var stallFirst, stallLast time.Duration
-	stallSlots := 0
-	// Fold into the subtree. ELN: c's loss notifications walk the subtree
-	// edges so descendants wait for upstream repair instead of re-requesting.
-	m.tree.VisitSubtree(c, func(d *overlay.Member) {
-		if d != c {
-			m.ELNMessages++
-			m.met.eln.Inc()
-		}
-		st := m.stateOf(d.ID)
-		if st == nil || st.viewStart > failedAt {
-			return
-		}
-		hop := time.Duration(0)
-		if d != c {
-			hop = m.delay(c.Attach, d.Attach)
-		}
-		// Walk the same uncovered ranges the interval path accounts, so the
-		// two paths charge identical packet sets.
-		m.uncovBuf = st.acc.appendUncovered(m.uncovBuf[:0], first, last+1)
-		for _, u := range m.uncovBuf {
-			for n := u.from; n < u.to; n++ {
-				deadline := m.gen(n) + m.cfg.Buffer
-				arrival, repaired := plan[n]
-				if !repaired || arrival+hop > deadline {
-					st.starved += time.Duration(float64(time.Second) / m.cfg.Rate)
+// traceStall records the orphan's starving window as a stall child of its
+// repair span: from the playback deadline of the first packet it missed to
+// one slot past that of the last. m.uncovBuf still holds the orphan's
+// uncovered ranges; at hop 0 a missed packet is one with negative slack.
+func (m *Model) traceStall(sp *tracing.SpanBuilder, c *overlay.Member, first int64, slacks []time.Duration, missed int, slot time.Duration) {
+	firstMiss, lastMiss := int64(-1), int64(-1)
+	for _, u := range m.uncovBuf {
+		for n := u.from; n < u.to; n++ {
+			if slacks[n-first] < 0 {
+				if firstMiss < 0 {
+					firstMiss = n
 				}
-				if d == c {
-					if repaired && arrival <= deadline {
-						m.PacketsRepaired++
-					} else {
-						m.PacketsLost++
-						if stallSlots == 0 {
-							stallFirst = deadline
-						}
-						stallLast = deadline
-						stallSlots++
-					}
-				}
+				lastMiss = n
 			}
 		}
-		st.acc.add(first, last+1)
-		st.acc.seal(first) // mirror the interval path's monotone forgetting
-	})
-	repaired := m.PacketsRepaired - repairedBefore
-	lost := m.PacketsLost - lostBefore
-	m.met.repaired.Add(float64(repaired))
-	m.met.lost.Add(float64(lost))
-	if stallSlots > 0 {
-		slot := time.Duration(float64(time.Second) / m.cfg.Rate)
-		sp.Child(tracing.KindStall, int64(c.ID), stallFirst).
-			AttrInt("slots", int64(stallSlots)).
-			End(stallLast+slot, "starved")
 	}
-	outcome := "filled"
-	switch {
-	case lost > 0 && repaired > 0:
-		outcome = "partial"
-	case lost > 0:
-		outcome = "abandoned"
-	}
-	sp.AttrInt("repaired", int64(repaired)).AttrInt("lost", int64(lost)).
-		End(outageEnd, outcome)
-	if m.cfg.OnEpisode != nil {
-		m.cfg.OnEpisode(c, failedAt, repaired, lost)
-	}
+	sp.Child(tracing.KindStall, int64(c.ID), m.gen(firstMiss)+m.cfg.Buffer).
+		AttrInt("slots", int64(missed)).
+		End(m.gen(lastMiss)+m.cfg.Buffer+slot, "starved")
 }
 
 // episodeInputs selects the recovery group for orphan c and assembles the
@@ -499,24 +460,13 @@ func (m *Model) episodeInputs(c *overlay.Member, first, last int64, requestAt, r
 	group := m.selector.Select(c, m.cfg.GroupSize)
 	m.RepairRequests++
 	m.met.requests.Inc()
-	servers := m.serverBuf[:0]
-	chain := time.Duration(0)
-	prev := c
-	for _, g := range group {
-		// The NACK chain hops requester -> g1 -> g2 -> ...
-		chain += m.delay(prev.Attach, g.Attach)
-		prev = g
+	servers := cer.AppendServers(m.serverBuf[:0], c, group, m.delay, func(g *overlay.Member) (float64, bool) {
 		st := m.stateOf(g.ID)
 		if st == nil || st.outageUntil > requestAt {
-			continue // the server's own feed is down: it cannot help
+			return 0, false // the server's own feed is down: it cannot help
 		}
-		servers = append(servers, cer.Server{
-			Member:     g,
-			Epsilon:    st.residual / m.cfg.Rate,
-			ChainDelay: chain,
-			Transfer:   m.delay(g.Attach, c.Attach),
-		})
-	}
+		return st.residual / m.cfg.Rate, true
+	})
 	m.serverBuf = servers
 	ep := cer.Episode{
 		FirstMissing: first,

@@ -355,3 +355,33 @@ func TestPacketAfter(t *testing.T) {
 		t.Fatalf("packetAfter(1s) = %d (gen %v)", n, m.gen(n))
 	}
 }
+
+// TestUntracedEpisodeAllocs pins the allocations of one outage episode with
+// no tracer attached — the path every figure and the stream-cer benchmark
+// run. The ceilings are the values measured before the traced episode loop
+// was folded into this one: emitting spans from the shared loop must cost an
+// untraced run nothing.
+func TestUntracedEpisodeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		striped bool
+		ceiling float64
+	}{
+		{striped: true, ceiling: 5},
+		{striped: false, ceiling: 4},
+	} {
+		w := buildWorld(t, 3)
+		m := newModel(t, w, Config{GroupSize: 3, Striped: tc.striped})
+		now := 100 * time.Second
+		fail := func() {
+			m.OnFailure(w.relay, now)
+			now += 20 * time.Second // past the 15 s outage: no overlap
+		}
+		fail() // size the episode scratch buffers
+		if got := testing.AllocsPerRun(200, fail); got > tc.ceiling {
+			t.Errorf("striped=%v: OnFailure allocates %v per episode, ceiling %v", tc.striped, got, tc.ceiling)
+		}
+		if m.PacketsRepaired == 0 {
+			t.Errorf("striped=%v: no packet repaired; the episodes did no planning", tc.striped)
+		}
+	}
+}

@@ -659,7 +659,7 @@ type StreamResult struct {
 // RunStreaming executes one packet-level experiment on top of a tree-level
 // session.
 func RunStreaming(cfg Config, scfg StreamConfig) (StreamResult, error) {
-	return runStreaming(cfg, scfg, nil, TraceOptions{})
+	return RunStreamingWithTrace(cfg, scfg, nil, TraceOptions{})
 }
 
 // TrackedSeries is the Figure 6/9 time series of one long-lived "typical

@@ -91,46 +91,68 @@ type TraceOptions struct {
 func intPtr(v int) *int       { return &v }
 func int64Ptr(v int64) *int64 { return &v }
 
-// tracer serialises events to a writer; encoding errors surface once.
+// tracer serialises events to a writer; encoding errors surface once. A nil
+// *tracer is the untraced run: every method is a no-op that builds nothing.
 type tracer struct {
 	enc *json.Encoder
 	err error
 }
 
-func newTracer(w io.Writer) *tracer {
-	return &tracer{enc: json.NewEncoder(w)}
-}
-
 func (tr *tracer) emit(ev TraceEvent) {
-	if tr.err != nil {
+	if tr == nil || tr.err != nil {
 		return
 	}
 	ev.V = TraceSchemaVersion
 	tr.err = tr.enc.Encode(ev)
 }
 
+// writeErr reports the first encoding error, wrapped for the caller.
+func (tr *tracer) writeErr() error {
+	if tr == nil || tr.err == nil {
+		return nil
+	}
+	return fmt.Errorf("omcast: writing trace: %w", tr.err)
+}
+
 // spanTrace manages the causal span layer of a traced run: a deterministic
 // tracer whose completed spans re-enter the JSONL stream as "span" events,
 // plus the rejoin episodes still open (keyed by orphan; opened at parent
 // failure, closed at reattachment or departure). Episodes still open when
-// the run ends are simply never emitted.
+// the run ends are simply never emitted. The zero spanTrace is the layer
+// switched off: t is the disabled tracer and no episode is ever open.
 type spanTrace struct {
 	t    *tracing.Tracer
 	open map[overlay.MemberID]*tracing.SpanBuilder
 }
 
-func newSpanTrace(tr *tracer, seed int64) *spanTrace {
-	st := &spanTrace{open: make(map[overlay.MemberID]*tracing.SpanBuilder)}
-	st.t = tracing.New(seed, tracing.RecorderFunc(func(sp tracing.Span) {
-		s := sp
-		tr.emit(TraceEvent{T: sp.End, Event: "span", Member: sp.Member, Span: &s})
-	}))
-	return st
+// newTrace builds the event tracer and span layer of a run writing to w: a
+// nil tracer for a nil writer, a zero span layer without opts.Spans.
+// Sampling needs a registry to snapshot, so one is created if cfg has none.
+func newTrace(w io.Writer, cfg *Config, opts TraceOptions) (*tracer, *spanTrace) {
+	st := &spanTrace{}
+	if w == nil {
+		return nil, st
+	}
+	tr := &tracer{enc: json.NewEncoder(w)}
+	if opts.SampleEvery > 0 && cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
+	}
+	if opts.Spans {
+		st.open = make(map[overlay.MemberID]*tracing.SpanBuilder)
+		st.t = tracing.New(cfg.Seed, tracing.RecorderFunc(func(sp tracing.Span) {
+			s := sp
+			tr.emit(TraceEvent{T: sp.End, Event: "span", Member: sp.Member, Span: &s})
+		}))
+	}
+	return tr, st
 }
 
 // onFailure opens one rejoin episode per orphaned child of the failed
 // member. Call before the tree removes it.
 func (st *spanTrace) onFailure(now time.Duration, failed *overlay.Member) {
+	if st.t == nil {
+		return
+	}
 	for _, c := range failed.Children() {
 		if _, ok := st.open[c.ID]; ok {
 			continue // already orphaned by an overlapping failure
@@ -180,116 +202,89 @@ func RunWithTrace(cfg Config, w io.Writer) (TreeResult, error) {
 // RunWithTraceOptions is RunWithTrace with trace tuning: opts.SampleEvery
 // interleaves periodic metric snapshots with the event stream.
 func RunWithTraceOptions(cfg Config, w io.Writer, opts TraceOptions) (TreeResult, error) {
-	if w == nil {
-		return Run(cfg)
-	}
-	tr := newTracer(w)
-	if opts.SampleEvery > 0 && cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	var st *spanTrace
-	if opts.Spans {
-		st = newSpanTrace(tr, cfg.Seed)
-	}
+	tr, st := newTrace(w, &cfg, opts)
 	var s *session
 	var err error
-	s, err = newSession(cfg, tracedHooks(tr, &s, st))
+	s, err = newSession(cfg, traceHooks(tr, &s, st))
 	if err != nil {
 		return TreeResult{}, err
 	}
-	attachSwitchTrace(s, tr, st)
-	if opts.SampleEvery > 0 {
-		scheduleSampling(s, tr, cfg.Metrics, opts.SampleEvery)
-	}
+	attachTrace(s, tr, st, opts)
 	if err := s.run(); err != nil {
 		return TreeResult{}, err
 	}
-	if tr.err != nil {
-		return TreeResult{}, fmt.Errorf("omcast: writing trace: %w", tr.err)
+	if err := tr.writeErr(); err != nil {
+		return TreeResult{}, err
 	}
 	return s.treeResult(), nil
 }
 
-// RunStreamingWithTrace executes a packet-level run like RunStreaming while
-// streaming overlay events to w, including "repair" events carrying each
-// recovery episode's per-packet outcome.
-func RunStreamingWithTrace(cfg Config, scfg StreamConfig, w io.Writer, opts TraceOptions) (StreamResult, error) {
-	if w == nil {
-		return runStreaming(cfg, scfg, nil, opts)
-	}
-	return runStreaming(cfg, scfg, newTracer(w), opts)
-}
-
-// tracedHooks builds churn hooks that emit join/rejoin/failure/depart
-// events. sp dereferences to the session once newSession returns (the
-// failure hook needs the tree for the disrupted-descendant count). st is
-// the optional span layer (nil when TraceOptions.Spans is off).
-func tracedHooks(tr *tracer, sp **session, st *spanTrace) churn.Hooks {
-	h := churn.Hooks{
+// traceHooks builds the churn hooks that emit join/rejoin/failure/depart
+// events and drive the rejoin-episode spans; with a nil tr and a zero st
+// (the untraced run) they are the same hooks with nothing behind them. sp
+// dereferences to the session once newSession returns (the failure hook
+// needs the tree for the disrupted-descendant count).
+func traceHooks(tr *tracer, sp **session, st *spanTrace) churn.Hooks {
+	return churn.Hooks{
 		OnJoin: func(sim *eventsim.Simulator, m *overlay.Member) {
-			tr.emit(joinEvent("join", sim.Now(), m))
+			tr.join("join", sim.Now(), m)
 		},
 		OnRejoin: func(sim *eventsim.Simulator, m *overlay.Member) {
-			tr.emit(joinEvent("rejoin", sim.Now(), m))
-			if st != nil {
-				st.onRejoin(sim.Now(), m)
-			}
+			tr.join("rejoin", sim.Now(), m)
+			st.onRejoin(sim.Now(), m)
 		},
 		OnFailure: func(sim *eventsim.Simulator, failed *overlay.Member) {
-			tr.emit(failureEvent(sim.Now(), *sp, failed))
-			if st != nil {
-				st.onFailure(sim.Now(), failed)
-			}
+			tr.failure(sim.Now(), (*sp).tree, failed)
+			st.onFailure(sim.Now(), failed)
 		},
 		OnDepart: func(sim *eventsim.Simulator, id overlay.MemberID) {
 			tr.emit(TraceEvent{T: sim.Now().Seconds(), Event: "depart", Member: int64(id)})
-			if st != nil {
-				st.onDepart(sim.Now(), id)
-			}
+			st.onDepart(sim.Now(), id)
+		},
+		OnRejoinBlocked: func(sim *eventsim.Simulator, id overlay.MemberID) {
+			st.onBlocked(sim.Now(), id)
 		},
 	}
-	if st != nil {
-		h.OnRejoinBlocked = func(sim *eventsim.Simulator, id overlay.MemberID) {
-			st.onBlocked(sim.Now(), id)
-		}
-	}
-	return h
 }
 
-// attachSwitchTrace emits "switch" events from the ROST protocol, when the
-// session runs one, and (with spans on) switch-decision spans.
-func attachSwitchTrace(s *session, tr *tracer, st *spanTrace) {
-	if s.protocol == nil {
-		return
-	}
-	s.protocol.SetOnSwitch(func(now time.Duration, promoted, demoted overlay.MemberID) {
-		tr.emit(TraceEvent{
-			T:       now.Seconds(),
-			Event:   "switch",
-			Member:  int64(promoted),
-			Demoted: int64(demoted),
-		})
-	})
-	if st != nil {
-		s.protocol.SetTrace(st.t)
-	}
-}
-
-// scheduleSampling interleaves "sample" events into the trace: a full
-// registry snapshot at t=0 and then every interval of virtual time. The
+// attachTrace wires what a trace takes from the built session rather than
+// the churn hooks: "switch" events and switch-decision spans from the ROST
+// protocol, when the session runs one, and "sample" events — a full registry
+// snapshot at t=0 and then every opts.SampleEvery of virtual time. The
 // sampler is an ordinary simulation event, so samples sit deterministically
 // ordered among the protocol events they describe.
-func scheduleSampling(s *session, tr *tracer, reg *metrics.Registry, interval time.Duration) {
-	var sample eventsim.Handler
-	sample = func(sim *eventsim.Simulator) {
-		snap := reg.Snapshot(sim.Now().Seconds())
-		tr.emit(TraceEvent{T: snap.T, Event: "sample", Metrics: snap.Metrics})
-		sim.ScheduleAfter(interval, sample)
+func attachTrace(s *session, tr *tracer, st *spanTrace, opts TraceOptions) {
+	if tr == nil {
+		return
 	}
-	s.sim.Schedule(0, sample)
+	if s.protocol != nil {
+		s.protocol.SetOnSwitch(func(now time.Duration, promoted, demoted overlay.MemberID) {
+			tr.emit(TraceEvent{
+				T:       now.Seconds(),
+				Event:   "switch",
+				Member:  int64(promoted),
+				Demoted: int64(demoted),
+			})
+		})
+		s.protocol.SetTrace(st.t)
+	}
+	if opts.SampleEvery > 0 {
+		reg := s.cfg.Metrics
+		var sample eventsim.Handler
+		sample = func(sim *eventsim.Simulator) {
+			snap := reg.Snapshot(sim.Now().Seconds())
+			tr.emit(TraceEvent{T: snap.T, Event: "sample", Metrics: snap.Metrics})
+			sim.ScheduleAfter(opts.SampleEvery, sample)
+		}
+		s.sim.Schedule(0, sample)
+	}
 }
 
-func joinEvent(kind string, now time.Duration, m *overlay.Member) TraceEvent {
+// join emits a "join" or "rejoin" event for m.
+func (tr *tracer) join(kind string, now time.Duration, m *overlay.Member) {
+	if tr == nil {
+		return
+	}
 	ev := TraceEvent{
 		T:         now.Seconds(),
 		Event:     kind,
@@ -300,78 +295,67 @@ func joinEvent(kind string, now time.Duration, m *overlay.Member) TraceEvent {
 	if p := m.Parent(); p != nil {
 		ev.Parent = int64Ptr(int64(p.ID))
 	}
-	return ev
+	tr.emit(ev)
 }
 
-func failureEvent(now time.Duration, s *session, failed *overlay.Member) TraceEvent {
+// failure emits a "failure" event with the descendant count it disrupts.
+func (tr *tracer) failure(now time.Duration, tree *overlay.Tree, failed *overlay.Member) {
+	if tr == nil {
+		return
+	}
 	disrupted := 0
 	if failed.Attached() {
-		disrupted = s.tree.SubtreeSize(failed) - 1
+		disrupted = tree.SubtreeSize(failed) - 1
 	}
-	return TraceEvent{
+	tr.emit(TraceEvent{
 		T:         now.Seconds(),
 		Event:     "failure",
 		Member:    int64(failed.ID),
 		Disrupted: intPtr(disrupted),
-	}
+	})
 }
 
-// runStreaming is the shared body of RunStreaming and RunStreamingWithTrace;
-// tr is nil for untraced runs.
-func runStreaming(cfg Config, scfg StreamConfig, tr *tracer, opts TraceOptions) (StreamResult, error) {
+// repair emits a "repair" event: one orphan's per-packet episode outcome.
+func (tr *tracer) repair(orphan *overlay.Member, failedAt time.Duration, repaired, lost int) {
+	if tr == nil {
+		return
+	}
+	tr.emit(TraceEvent{
+		T:        failedAt.Seconds(),
+		Event:    "repair",
+		Member:   int64(orphan.ID),
+		Repaired: intPtr(repaired),
+		Lost:     intPtr(lost),
+	})
+}
+
+// RunStreamingWithTrace executes a packet-level run like RunStreaming while
+// streaming overlay events to w, including "repair" events carrying each
+// recovery episode's per-packet outcome. A nil w is the untraced run:
+// RunStreaming itself.
+func RunStreamingWithTrace(cfg Config, scfg StreamConfig, w io.Writer, opts TraceOptions) (StreamResult, error) {
 	if scfg.Recovery == 0 {
 		scfg.Recovery = CER
 	}
 	cfg = cfg.withDefaults()
-	if tr != nil && opts.SampleEvery > 0 && cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	var st *spanTrace
-	if tr != nil && opts.Spans {
-		st = newSpanTrace(tr, cfg.Seed)
-	}
+	tr, st := newTrace(w, &cfg, opts)
 	var model *stream.Model
 	var s *session
-	hooks := churn.Hooks{
-		OnJoin: func(sim *eventsim.Simulator, m *overlay.Member) {
-			model.Register(m, sim.Now())
-			if tr != nil {
-				tr.emit(joinEvent("join", sim.Now(), m))
-			}
-		},
-		OnRejoin: func(sim *eventsim.Simulator, m *overlay.Member) {
-			if tr != nil {
-				tr.emit(joinEvent("rejoin", sim.Now(), m))
-			}
-			if st != nil {
-				st.onRejoin(sim.Now(), m)
-			}
-		},
-		OnFailure: func(sim *eventsim.Simulator, failed *overlay.Member) {
-			// Emit before the model folds the episode so the failure line
-			// precedes its repair line in the stream.
-			if tr != nil {
-				tr.emit(failureEvent(sim.Now(), s, failed))
-			}
-			if st != nil {
-				st.onFailure(sim.Now(), failed)
-			}
-			model.OnFailure(failed, sim.Now())
-		},
-		OnDepart: func(sim *eventsim.Simulator, id overlay.MemberID) {
-			model.Depart(id, sim.Now())
-			if tr != nil {
-				tr.emit(TraceEvent{T: sim.Now().Seconds(), Event: "depart", Member: int64(id)})
-			}
-			if st != nil {
-				st.onDepart(sim.Now(), id)
-			}
-		},
+	// The model wraps the shared hooks; a failure line must precede the
+	// repair lines its episodes emit.
+	hooks := traceHooks(tr, &s, st)
+	join, failure, depart := hooks.OnJoin, hooks.OnFailure, hooks.OnDepart
+	hooks.OnJoin = func(sim *eventsim.Simulator, m *overlay.Member) {
+		model.Register(m, sim.Now())
+		join(sim, m)
 	}
-	if st != nil {
-		hooks.OnRejoinBlocked = func(sim *eventsim.Simulator, id overlay.MemberID) {
-			st.onBlocked(sim.Now(), id)
-		}
+	hooks.OnFailure = func(sim *eventsim.Simulator, failed *overlay.Member) {
+		failure(sim, failed)
+		model.OnFailure(failed, sim.Now())
+	}
+	hooks.OnDepart = func(sim *eventsim.Simulator, id overlay.MemberID) {
+		model.Depart(id, sim.Now())
+		depart(sim, id)
 	}
 	var err error
 	s, err = newSession(cfg, hooks)
@@ -395,37 +379,20 @@ func runStreaming(cfg Config, scfg StreamConfig, tr *tracer, opts TraceOptions) 
 		Striped:     scfg.Recovery != SingleSource,
 		ResidualMax: scfg.ResidualMax,
 		MeasureFrom: cfg.Warmup,
-	}
-	if tr != nil {
-		streamCfg.OnEpisode = func(orphan *overlay.Member, failedAt time.Duration, repaired, lost int) {
-			tr.emit(TraceEvent{
-				T:        failedAt.Seconds(),
-				Event:    "repair",
-				Member:   int64(orphan.ID),
-				Repaired: intPtr(repaired),
-				Lost:     intPtr(lost),
-			})
-		}
-	}
-	if st != nil {
-		streamCfg.Trace = st.t
+		OnEpisode:   tr.repair,
+		Trace:       st.t,
 	}
 	model = stream.NewModel(s.tree, s.topo.Delay, selector, xrand.NewNamed(cfg.Seed, "stream.residual"), streamCfg)
 	if cfg.Metrics != nil {
 		model.Instrument(cfg.Metrics)
 	}
-	if tr != nil {
-		attachSwitchTrace(s, tr, st)
-		if opts.SampleEvery > 0 {
-			scheduleSampling(s, tr, cfg.Metrics, opts.SampleEvery)
-		}
-	}
+	attachTrace(s, tr, st, opts)
 	if err := s.run(); err != nil {
 		return StreamResult{}, err
 	}
 	model.Finish(s.sim.Now())
-	if tr != nil && tr.err != nil {
-		return StreamResult{}, fmt.Errorf("omcast: writing trace: %w", tr.err)
+	if err := tr.writeErr(); err != nil {
+		return StreamResult{}, err
 	}
 	sr := model.Result()
 	return StreamResult{
