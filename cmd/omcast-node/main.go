@@ -14,9 +14,8 @@
 // Each node prints a status line every few seconds; SIGINT leaves
 // gracefully (children re-attach immediately).
 //
-// Sends default to the compact binary wire codec; -codec=json switches to
-// the JSON debug codec. Receives always auto-detect the framing, so mixed
-// fleets interoperate during a codec migration. Control-class messages
+// Datagrams are binary v1 envelopes (internal/wire); anything else arriving
+// on the socket is counted as a malformed reject. Control-class messages
 // (joins, accepts, membership, switches, repair requests) ride a retransmit
 // shim tuned by -retx-attempts, -retx-base and -retx-inflight.
 //
@@ -132,7 +131,6 @@ func run() int {
 		guardRate  = flag.Float64("guard-rate", 0, "per-peer request rate limit in requests/second (0 = default)")
 		guardScore = flag.Float64("guard-score", 0, "misbehavior score that triggers quarantine (0 = default)")
 		traceBuf   = flag.Int("trace-buf", flight.DefaultSize, "span flight-recorder capacity served on /debug/trace (0 = disable span tracing)")
-		codecName  = flag.String("codec", "", "wire codec for sends: "+strings.Join(wire.CodecNames(), " or ")+" (default binary; receives auto-detect)")
 		retxN      = flag.Int("retx-attempts", 0, "max transmissions per control message (0 = default of 4, negative = disable the retransmit shim)")
 		retxBase   = flag.Duration("retx-base", 0, "first retransmit backoff (0 = default of heartbeat/2)")
 		retxCap    = flag.Int("retx-inflight", 0, "max unacked control messages per peer (0 = default of 32)")
@@ -141,11 +139,6 @@ func run() int {
 
 	if !*source && *bootstrap == "" {
 		fmt.Fprintln(os.Stderr, "omcast-node: members need -bootstrap")
-		return 2
-	}
-	if *codecName != "" && wire.CodecByName(*codecName) == nil {
-		fmt.Fprintf(os.Stderr, "omcast-node: unknown codec %q (want %s)\n",
-			*codecName, strings.Join(wire.CodecNames(), " or "))
 		return 2
 	}
 	var boots []wire.Addr
@@ -189,7 +182,6 @@ func run() int {
 		DisableGuard:         *noGuard,
 		GuardRequestRate:     *guardRate,
 		GuardQuarantineScore: *guardScore,
-		Codec:                *codecName,
 		RetxAttempts:         *retxN,
 		RetxBackoffBase:      *retxBase,
 		RetxInflight:         *retxCap,
@@ -206,8 +198,7 @@ func run() int {
 	if *source {
 		role = "source"
 	}
-	fmt.Printf("omcast-node: %s listening on %s (codec %s)\n",
-		role, n.Addr(), wire.CodecByName(*codecName).Name())
+	fmt.Printf("omcast-node: %s listening on %s\n", role, n.Addr())
 	if *httpAddr != "" {
 		srv := &http.Server{Addr: *httpAddr, Handler: newMux(n, reg, ring)}
 		go func() {

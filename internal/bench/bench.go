@@ -58,10 +58,8 @@ func Suite(quick bool) []Case {
 		{Name: "topology/delay", Bench: benchDelay},
 		{Name: "tracing/span-emit", Bench: benchSpanEmit},
 		{Name: "fleet/assign", Bench: benchFleetAssign},
-		{Name: "wire/encode-binary", Bench: benchWireEncode(wire.BinaryV1)},
-		{Name: "wire/decode-binary", Bench: benchWireDecode(wire.BinaryV1)},
-		{Name: "wire/encode-json", Bench: benchWireEncode(wire.JSONDebug)},
-		{Name: "wire/decode-json", Bench: benchWireDecode(wire.JSONDebug)},
+		{Name: "wire/encode-binary", Bench: benchWireEncode},
+		{Name: "wire/decode-binary", Bench: benchWireDecode},
 		{Name: "node/attach-retx", Bench: benchAttachRetx},
 		{Name: "experiments/fig11-tiny", Bench: benchFig11Tiny},
 	}
@@ -300,9 +298,9 @@ func benchFleetAssign(b *testing.B) {
 	}
 }
 
-// benchEnvelope is the codec benchmark workload: a stream packet with a
+// benchEnvelope is the wire benchmark workload: a stream packet with a
 // 256-byte payload — the by-volume hot path of a live overlay, and the shape
-// where the binary codec's zero-copy payload decode matters most.
+// where the zero-copy payload decode matters most.
 func benchEnvelope() wire.Envelope {
 	payload := make([]byte, 256)
 	for i := range payload {
@@ -311,31 +309,27 @@ func benchEnvelope() wire.Envelope {
 	return wire.Envelope{Type: wire.TypePacket, From: "10.0.0.1:7000", Packet: 123456, Payload: payload}
 }
 
-func benchWireEncode(c wire.Codec) func(b *testing.B) {
-	return func(b *testing.B) {
-		env := benchEnvelope()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Encode(env); err != nil {
-				b.Fatal(err)
-			}
+func benchWireEncode(b *testing.B) {
+	env := benchEnvelope()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.EncodeBinary(env); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-func benchWireDecode(c wire.Codec) func(b *testing.B) {
-	return func(b *testing.B) {
-		data, err := c.Encode(benchEnvelope())
-		if err != nil {
+func benchWireDecode(b *testing.B) {
+	data, err := wire.EncodeBinary(benchEnvelope())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.DecodeBinary(data); err != nil {
 			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Decode(data); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

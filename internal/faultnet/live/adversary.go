@@ -15,15 +15,13 @@ const defaultForgeFactor = 50
 // It returns the forged datagram and whether anything changed. Datagrams that
 // do not decode, or whose type the forge kind does not target, pass through
 // untouched — the forger is a protocol-aware attacker, not a fuzzer (Corrupt
-// models the latter). The forgery is codec-preserving: a binary datagram is
-// re-forged as binary, a JSON one as JSON, so the rewrite stays invisible at
-// the framing layer.
+// models the latter). The forged envelope is re-encoded canonically, so the
+// rewrite is invisible at the framing layer.
 func forgeBytes(rule faultnet.Rule, data []byte) ([]byte, bool) {
 	if rule.Forge == "" {
 		return data, false
 	}
-	codec := wire.Detect(data)
-	env, err := codec.Decode(data)
+	env, err := wire.DecodeBinary(data)
 	if err != nil {
 		return data, false
 	}
@@ -49,7 +47,7 @@ func forgeBytes(rule faultnet.Rule, data []byte) ([]byte, bool) {
 	default:
 		return data, false
 	}
-	forged, err := codec.Encode(env)
+	forged, err := wire.EncodeBinary(env)
 	if err != nil {
 		return data, false
 	}
@@ -61,7 +59,7 @@ func forgeBytes(rule faultnet.Rule, data []byte) ([]byte, bool) {
 // acks (the reverse leg of the same exchange); everything else — including
 // datagrams too mangled to decode — is data.
 func datagramClass(data []byte) string {
-	env, err := wire.Detect(data).DecodeRaw(data)
+	env, err := wire.DecodeBinaryRaw(data)
 	if err != nil {
 		return faultnet.ClassData
 	}

@@ -215,9 +215,9 @@ var Scenarios = []Scenario{
 		About: "a quarter of one peer's datagrams get a deterministic bit flipped in flight; wire validation must shed the garbage and the honest overlay must not notice",
 		Nodes: 9,
 		Seed:  1010,
-		// Corruption is unattributable (a flipped byte usually breaks the JSON
-		// before From can be trusted), so the bound is containment plus
-		// rejection counts — not a quarantine conviction.
+		// Corruption is unattributable (a flipped bit can land in the magic or
+		// in From itself, so the claimed sender cannot be trusted): the bound
+		// is containment plus rejection counts — not a quarantine conviction.
 		BootDelay: 30 * time.Millisecond,
 		Warmup:    5 * time.Second,
 		Duration:  3 * time.Second,

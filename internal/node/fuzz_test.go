@@ -74,25 +74,9 @@ func checkInvariants(t *testing.T, n *Node, what string) {
 // sandboxed nodes — one attached member, one source — and asserts the state
 // invariants hold after every delivery: no panic, no unbounded growth, no
 // stream ingestion at the origin, counters coherent. This is the
-// defense-in-depth check behind wire validation: whatever Decode lets
+// defense-in-depth check behind wire validation: whatever DecodeBinary lets
 // through, the handlers must survive.
 func FuzzHandlers(f *testing.F) {
-	f.Add([]byte(`{"type":6,"from":"p","packet":1,"payload":"AQID"}`),
-		[]byte(`{"type":8,"from":"x","first_missing":0,"last_missing":9}`),
-		[]byte(`{"type":5,"from":"p","bandwidth":3,"depth":1,"btp":1e9}`))
-	f.Add([]byte(`{"type":10,"from":"x","limit":1024,"members":[{"addr":"m","depth":1,"spare":1,"bandwidth":3}]}`),
-		[]byte(`{"type":7,"from":"p","first_missing":0,"last_missing":1099511627776}`),
-		[]byte(`{"type":13,"from":"p","new_parent":"gp"}`))
-	f.Add([]byte(`{"type":6,"from":"evil","packet":999999}`),
-		[]byte(`{broken`),
-		[]byte(`{"type":15,"from":"i","chain":["old"],"new_parent":"np"}`))
-	f.Add([]byte(`{"type":1,"from":"j","bandwidth":3.5}`),
-		[]byte(`{"type":4,"from":"p"}`),
-		[]byte(`{"type":9,"from":"r","packet":2,"payload":"eA=="}`))
-	// Binary-framing seeds: onDatagram auto-detects the codec, so the same
-	// handlers must hold their invariants against binary datagrams too —
-	// including ctrl-stamped control messages, their acks, and a datagram
-	// that is nothing but a mangled binary header.
 	bin := func(env wire.Envelope) []byte {
 		b, err := wire.EncodeBinary(env)
 		if err != nil {
@@ -100,6 +84,21 @@ func FuzzHandlers(f *testing.F) {
 		}
 		return b
 	}
+	f.Add(bin(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: 1, Payload: []byte{1, 2, 3}}),
+		bin(wire.Envelope{Type: wire.TypeRepairRequest, From: "x", FirstMissing: 0, LastMissing: 9}),
+		bin(wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 3, Depth: 1, BTP: 1e9}))
+	f.Add(bin(wire.Envelope{Type: wire.TypeMembershipRequest, From: "x", Limit: 1024,
+		Members: []wire.MemberInfo{{Addr: "m", Depth: 1, Spare: 1, Bandwidth: 3}}}),
+		bin(wire.Envelope{Type: wire.TypeELN, From: "p", FirstMissing: 0, LastMissing: 1 << 40}),
+		bin(wire.Envelope{Type: wire.TypeSwitchAccept, From: "p", NewParent: "gp"}))
+	f.Add(bin(wire.Envelope{Type: wire.TypePacket, From: "evil", Packet: 999999}),
+		[]byte(`{broken`),
+		bin(wire.Envelope{Type: wire.TypeSwitchCommit, From: "i", Chain: []wire.Addr{"old"}, NewParent: "np"}))
+	f.Add(bin(wire.Envelope{Type: wire.TypeJoin, From: "j", Bandwidth: 3.5}),
+		bin(wire.Envelope{Type: wire.TypeLeave, From: "p"}),
+		bin(wire.Envelope{Type: wire.TypeRepairData, From: "r", Packet: 2, Payload: []byte("x")}))
+	// Ctrl-stamped control messages, their acks, and a datagram that is
+	// nothing but a mangled header.
 	f.Add(bin(wire.Envelope{Type: wire.TypeJoin, From: "j", Bandwidth: 3, Ctrl: 1}),
 		bin(wire.Envelope{Type: wire.TypeAck, From: "p", Ctrl: 1}),
 		bin(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: 7, Payload: []byte{1, 2, 3}}))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"omcast/internal/metrics/live"
 	"omcast/internal/wire"
 )
 
@@ -21,7 +22,7 @@ type sinkTransport struct {
 func (s *sinkTransport) Addr() wire.Addr { return s.addr }
 
 func (s *sinkTransport) Send(to wire.Addr, data []byte) error {
-	env, err := wire.Detect(data).Decode(data)
+	env, err := wire.DecodeBinary(data)
 	if err != nil {
 		return err
 	}
@@ -66,9 +67,9 @@ func attachTo(n *Node, parent wire.Addr) {
 
 func envBytes(t *testing.T, env wire.Envelope) []byte {
 	t.Helper()
-	b, err := wire.Encode(env)
+	b, err := wire.EncodeBinary(env)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("EncodeBinary: %v", err)
 	}
 	return b
 }
@@ -429,10 +430,55 @@ func TestWireRejectAttribution(t *testing.T) {
 		t.Fatalf("GuardQuarantines = %d, want 1", s.GuardQuarantines)
 	}
 	// Unattributable garbage is counted but charges no one.
-	n.onDatagram([]byte("{not json"))
+	n.onDatagram([]byte("{not an envelope"))
 	s = n.Stats()
 	if s.WireRejects != 3 || s.GuardQuarantines != 1 {
 		t.Fatalf("unattributable reject mishandled: %+v", s)
+	}
+}
+
+// TestJSONDatagramIsGarbage pins the receive path's attack surface at one
+// parser. Both datagrams are well-formed envelopes of the retired JSON
+// framing: the first is a join the two-parser receive path accepted (child
+// slot, ack, accept reply), the second an inverted repair range it charged to
+// its claimed sender. Without the magic prefix both are now plain garbage:
+// counted malformed, attributed to nobody, answered with nothing.
+func TestJSONDatagramIsGarbage(t *testing.T) {
+	reg := live.NewRegistry()
+	n, tr := newGuardNode(func(cfg *Config) { cfg.Metrics = reg })
+	attachTo(n, "p") // with a free slot, so a parsed join would be accepted
+	before := n.Stats().WireRejects
+
+	n.onDatagram([]byte(`{"type":1,"from":"evil","bandwidth":3,"ctrl":1}`))
+	n.onDatagram([]byte(`{"type":8,"from":"evil","first_missing":9,"last_missing":3}`))
+
+	if got := n.Stats().WireRejects - before; got != 2 {
+		t.Fatalf("WireRejects rose by %d, want 2", got)
+	}
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name != "omcast_node_wire_rejects_total" {
+			continue
+		}
+		want := 0.0
+		if m.Labels[0].Value == wire.ReasonMalformed {
+			want = 2
+		}
+		if m.Value != want {
+			t.Errorf("wire rejects with reason %q = %v, want %v", m.Labels[0].Value, m.Value, want)
+		}
+	}
+	n.mu.Lock()
+	_, guarded := n.guard["evil"]
+	_, member := n.membership["evil"]
+	_, child := n.children["evil"]
+	_, retx := n.retx["evil"]
+	n.mu.Unlock()
+	if guarded || member || child || retx {
+		t.Fatalf("garbage left state for its claimed sender: guard=%t membership=%t child=%t retx=%t",
+			guarded, member, child, retx)
+	}
+	if sent := tr.sentTo("evil"); len(sent) != 0 {
+		t.Fatalf("garbage was answered: %+v", sent)
 	}
 }
 

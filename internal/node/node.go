@@ -101,11 +101,6 @@ type Config struct {
 	// costs one pointer check per hook.
 	Trace tracing.Recorder
 
-	// Codec names the wire codec for sent datagrams: "binary" (the default)
-	// or "json" (the strict debug codec, readable with standard tooling).
-	// Received datagrams are decoded by detection, so nodes configured with
-	// different codecs interoperate.
-	Codec string
 	// RetxAttempts bounds how many times a control-class message (join,
 	// accept/reject, leave, membership, switch, repair-request) is
 	// transmitted before the reliability shim gives up: the first send plus
@@ -344,11 +339,6 @@ type nodeMetrics struct {
 	retxDupDrops *live.Counter
 	retxInflight *live.Gauge
 
-	// Per-codec datagram counters, pre-registered per codec name: tx is the
-	// configured send codec, rx is the detected codec of accepted receives.
-	codecTx map[string]*live.Counter
-	codecRx map[string]*live.Counter
-
 	// Guard instruments. wireRejects and implausible are pre-registered per
 	// reason/kind so label cardinality stays fixed.
 	wireRejects          map[string]*live.Counter
@@ -385,19 +375,6 @@ func (m *nodeMetrics) noteImplausible(kind string) {
 	}
 }
 
-// noteCodecTx / noteCodecRx bump the per-codec datagram counters (nil-safe).
-func (m *nodeMetrics) noteCodecTx(name string) {
-	if m.codecTx != nil {
-		m.codecTx[name].Inc()
-	}
-}
-
-func (m *nodeMetrics) noteCodecRx(name string) {
-	if m.codecRx != nil {
-		m.codecRx[name].Inc()
-	}
-}
-
 func newNodeMetrics(reg *live.Registry) nodeMetrics {
 	peerLabel := func(v string) metrics.Label { return metrics.Label{Key: "peer", Value: v} }
 	wireRejects := make(map[string]*live.Counter, len(wire.Reasons()))
@@ -412,21 +389,9 @@ func newNodeMetrics(reg *live.Registry) nodeMetrics {
 			"Wire-valid datagrams rejected at the handler boundary as contextually absurd, by kind.",
 			metrics.Label{Key: "kind", Value: k})
 	}
-	codecTx := make(map[string]*live.Counter, len(wire.CodecNames()))
-	codecRx := make(map[string]*live.Counter, len(wire.CodecNames()))
-	for _, c := range wire.CodecNames() {
-		codecTx[c] = reg.Counter("omcast_wire_codec_tx_total",
-			"Datagrams encoded and handed to the transport, by codec.",
-			metrics.Label{Key: "codec", Value: c})
-		codecRx[c] = reg.Counter("omcast_wire_codec_rx_total",
-			"Datagrams accepted by wire decode, by detected codec.",
-			metrics.Label{Key: "codec", Value: c})
-	}
 	return nodeMetrics{
 		wireRejects:          wireRejects,
 		implausible:          implausible,
-		codecTx:              codecTx,
-		codecRx:              codecRx,
 		ctrlSent:             reg.Counter("omcast_node_retx_ctrl_sent_total", "Control-class messages sent under ack protection."),
 		retxSent:             reg.Counter("omcast_node_retx_sent_total", "Retransmissions of unacked control-class messages."),
 		retxAcked:            reg.Counter("omcast_node_retx_acked_total", "Control-class messages confirmed by a first ack."),
@@ -506,10 +471,9 @@ type Node struct {
 	// awaiting retransmit on one side, the receive dedup window on the other
 	// (see retx.go). retxRng draws retransmit jitter; unlike the loop-owned
 	// join/repair RNGs it is shared by timer goroutines, so draws happen
-	// under mu. codec encodes outgoing datagrams (receive is by detection).
+	// under mu.
 	retx    map[wire.Addr]*retxPeer //guardedby:mu
 	retxRng *xrand.Source           //guardedby:mu
-	codec   wire.Codec
 	// guard holds the per-peer misbehavior state (see guard.go); jumpStreak
 	// counts consecutive parent packets rejected as implausible sequence
 	// jumps, so a genuine stream discontinuity resynchronises instead of
@@ -600,10 +564,6 @@ func New(cfg Config, tr Transport) *Node {
 		pendFirst:  -1,
 		pendLast:   -1,
 		done:       make(chan struct{}),
-	}
-	n.codec = wire.CodecByName(n.cfg.Codec)
-	if n.codec == nil {
-		n.codec = wire.BinaryV1 // unknown names fall back to the default
 	}
 	n.joinRng = xrand.NewNamed(n.cfg.Seed, "node:join:"+string(tr.Addr()))
 	n.repairRng = xrand.NewNamed(n.cfg.Seed, "node:repair:"+string(tr.Addr()))
@@ -708,7 +668,7 @@ func (n *Node) send(to wire.Addr, env wire.Envelope) {
 		}
 		// In-flight cap reached: demoted to fire-and-forget below.
 	}
-	data, err := n.codec.Encode(env)
+	data, err := wire.EncodeBinary(env)
 	if err != nil {
 		return // unencodable envelopes are a programming error; drop
 	}
@@ -719,7 +679,6 @@ func (n *Node) send(to wire.Addr, env wire.Envelope) {
 func (n *Node) transmit(to wire.Addr, data []byte) {
 	n.met.txDatagrams.Inc()
 	n.met.txBytes.Add(int64(len(data)))
-	n.met.noteCodecTx(n.codec.Name())
 	_ = n.transport.Send(to, data) // datagram semantics: errors are drops
 }
 
@@ -1880,8 +1839,7 @@ func (n *Node) onDatagram(data []byte) {
 		return
 	default:
 	}
-	codec := wire.Detect(data)
-	env, err := codec.Decode(data)
+	env, err := wire.DecodeBinary(data)
 	if err != nil {
 		// Malformed or semantically invalid: drop, count by reason, and —
 		// when the envelope parsed far enough to name a sender — charge the
@@ -1893,7 +1851,6 @@ func (n *Node) onDatagram(data []byte) {
 		n.noteWireReject(env.From)
 		return
 	}
-	n.met.noteCodecRx(codec.Name())
 	if !n.guardAdmit(env) {
 		return // rate-limited, quarantined or audit-failed
 	}

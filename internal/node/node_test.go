@@ -531,7 +531,7 @@ func TestPlaybackScoring(t *testing.T) {
 	defer nd.Kill()
 
 	send := func(seq int64) {
-		data, err := wire.Encode(wire.Envelope{Type: wire.TypePacket, From: "feeder", Packet: seq})
+		data, err := wire.EncodeBinary(wire.Envelope{Type: wire.TypePacket, From: "feeder", Packet: seq})
 		if err != nil {
 			t.Fatal(err)
 		}

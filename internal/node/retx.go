@@ -88,7 +88,7 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	p.nextSeq++
 	seq := p.nextSeq
 	env.Ctrl = seq
-	data, err := n.codec.Encode(env)
+	data, err := wire.EncodeBinary(env)
 	if err != nil {
 		n.mu.Unlock()
 		return true // unencodable envelopes are a programming error; drop

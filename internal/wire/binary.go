@@ -26,9 +26,8 @@ import (
 // ancestors. DecodeBinary is zero-copy for the payload: the returned
 // envelope's Payload aliases the input buffer.
 const (
-	// BinaryMagic0 and BinaryMagic1 prefix every binary envelope. The first
-	// byte is outside ASCII so no JSON envelope (which starts with '{') or
-	// text protocol can collide with it.
+	// BinaryMagic0 and BinaryMagic1 prefix every envelope. The first byte is
+	// outside ASCII so no text protocol can collide with it.
 	BinaryMagic0 = 0xF5
 	BinaryMagic1 = 0x4D // 'M' for multicast
 	// BinaryVersion is the current (and only) binary format version.
@@ -58,8 +57,9 @@ const (
 	binFieldMax     = binCtrl
 )
 
-// IsBinary reports whether b starts with the binary envelope magic (any
-// version). Receivers use it to tell the two codecs apart.
+// IsBinary reports whether b starts with the envelope magic (any version).
+// Anything that does not is not an envelope: DecodeBinaryRaw rejects it as
+// malformed before looking at another byte.
 func IsBinary(b []byte) bool {
 	return len(b) >= 2 && b[0] == BinaryMagic0 && b[1] == BinaryMagic1
 }
@@ -103,7 +103,7 @@ func appendAddrs(dst []byte, addrs []Addr) []byte {
 
 // AppendBinary appends env's canonical binary v1 encoding to dst and returns
 // the extended slice. It never fails: every representable envelope encodes
-// (validity is Decode's concern, mirroring the JSON codec's split).
+// (validity is the decoder's concern).
 func AppendBinary(dst []byte, env Envelope) []byte {
 	dst = append(dst, BinaryMagic0, BinaryMagic1, BinaryVersion)
 	dst = appendUvarint(dst, zigzag(int64(env.Type)))
@@ -166,11 +166,20 @@ func AppendBinary(dst []byte, env Envelope) []byte {
 	return dst
 }
 
-// EncodeBinary serialises the envelope in binary v1. The error is always nil
-// (kept for symmetry with the JSON Encode and the Codec interface).
+// EncodeBinary serialises the envelope in binary v1. The error is always nil.
 func EncodeBinary(env Envelope) ([]byte, error) {
 	return AppendBinary(make([]byte, 0, 64), env), nil
 }
+
+// BinaryV1 names the format as a value, for callers that hold "the wire
+// format" rather than call the package functions: its methods are
+// EncodeBinary and DecodeBinary.
+var BinaryV1 binaryV1
+
+type binaryV1 struct{}
+
+func (binaryV1) Encode(env Envelope) ([]byte, error) { return EncodeBinary(env) }
+func (binaryV1) Decode(b []byte) (Envelope, error)   { return DecodeBinary(b) }
 
 // ---- primitive readers ----
 
@@ -270,11 +279,14 @@ func (r *binReader) addrs(t Type) []Addr {
 	return out
 }
 
-// DecodeBinaryRaw parses a binary v1 envelope WITHOUT semantic validation —
-// the binary analogue of DecodeRaw, and the same wire-taint contract: the
-// result is attacker-controlled until Validate accepts it. The returned
-// envelope's Payload aliases b. On a post-header failure the partially
-// decoded envelope is returned so the guard layer can attribute the reject.
+// DecodeBinaryRaw parses a binary v1 envelope WITHOUT semantic validation:
+// only the datagram size cap and the framing rules above are enforced.
+// Everything in the result is attacker-controlled until Validate accepts it —
+// which is exactly how the wire-taint lint rule treats its results. Use
+// DecodeBinary unless you are a tool (fuzzer, adversary model, wire
+// inspector) that needs the pre-validation view. The returned envelope's
+// Payload aliases b. On a post-header failure the partially decoded envelope
+// is returned so the guard layer can attribute the reject.
 func DecodeBinaryRaw(b []byte) (Envelope, error) {
 	var env Envelope
 	if len(b) > MaxDatagram {
@@ -397,9 +409,13 @@ func (r *binReader) members(t Type) []MemberInfo {
 }
 
 // DecodeBinary parses a binary v1 envelope and runs the full semantic
-// validators — the binary analogue of Decode, with the same attribution
-// contract: on a validation failure the partially decoded envelope rides
-// along with the error. The returned envelope's Payload aliases b.
+// validators (see Validate): every envelope it returns with a nil error is
+// one an honest node could have sent. On a validation failure the partially
+// decoded envelope is returned alongside the error so the caller can
+// attribute the misbehavior to the claimed sender (the guard layer in
+// internal/node keys its misbehavior scores on this); on a framing failure
+// before the header parsed, the envelope is zero. Classify errors with
+// Reason. The returned envelope's Payload aliases b.
 func DecodeBinary(b []byte) (Envelope, error) {
 	env, err := DecodeBinaryRaw(b)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // width of a repair range (handleRepairRequest walks the range, so an
 // unbounded span would be a one-datagram CPU exhaustion attack).
 const (
-	// MaxDatagram bounds the encoded envelope size Decode will even parse.
+	// MaxDatagram bounds the encoded envelope size the decoder will even parse.
 	MaxDatagram = 64 << 10
 	// MaxPayload bounds the opaque media bytes in one packet.
 	MaxPayload = 32 << 10
@@ -49,7 +49,7 @@ const (
 // Validation reason tokens: a small fixed vocabulary so rejects can be
 // counted per reason as bounded metric labels.
 const (
-	ReasonMalformed = "malformed" // not JSON at all
+	ReasonMalformed = "malformed" // not an envelope: no magic, truncated, or a length overrun
 	ReasonSize      = "size"      // datagram over MaxDatagram
 	ReasonType      = "type"      // unknown message type
 	ReasonSender    = "sender"    // missing From
@@ -61,7 +61,7 @@ const (
 	ReasonMembers   = "members"   // oversized or corrupt member list
 	ReasonLimit     = "limit"     // membership limit outside [0, MaxLimit]
 	ReasonPayload   = "payload"   // payload over MaxPayload
-	ReasonVersion   = "version"   // binary envelope with an unknown version byte
+	ReasonVersion   = "version"   // envelope with an unknown version byte
 	ReasonField     = "field"     // unknown, duplicate or non-canonical field
 	ReasonCtrl      = "ctrl"      // reliable-delivery tag on a data-class type, or a tagless ack
 )
@@ -83,9 +83,9 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("wire: invalid %v: %s: %s", e.Type, e.Reason, e.Detail)
 }
 
-// Reason extracts the validation reason token from a Decode/Validate error:
-// the ValidationError's reason, or ReasonMalformed for anything else (JSON
-// syntax errors). It returns "" for nil.
+// Reason extracts the validation reason token from a DecodeBinary/Validate
+// error: the ValidationError's reason, or ReasonMalformed for any other
+// error. It returns "" for nil.
 func Reason(err error) string {
 	if err == nil {
 		return ""
@@ -97,7 +97,7 @@ func Reason(err error) string {
 	return ReasonMalformed
 }
 
-// Reasons lists every reason token Decode can produce, for metric
+// Reasons lists every reason token DecodeBinary can produce, for metric
 // pre-registration.
 func Reasons() []string {
 	return []string{
@@ -117,9 +117,10 @@ func finiteNonNeg(v, max float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 && v <= max
 }
 
-// ValidAddr bounds an address and requires valid UTF-8: JSON re-encoding
-// replaces invalid sequences, so a non-UTF-8 address would not survive a
-// relay byte-identically (and real transports never produce one).
+// ValidAddr bounds an address and requires valid UTF-8: addresses surface as
+// attributes of JSONL trace spans, whose encoder replaces invalid sequences,
+// so two distinct non-UTF-8 addresses could read as one peer there (and real
+// transports never produce one).
 func ValidAddr(a Addr) bool {
 	return a != "" && len(a) <= MaxAddrLen && utf8.ValidString(string(a))
 }

@@ -130,17 +130,56 @@ func TestValidateRejects(t *testing.T) {
 		if got := Reason(err); got != tc.reason {
 			t.Errorf("%s: reason %q, want %q (%v)", tc.name, got, tc.reason, err)
 		}
+		// The same envelope arriving as bytes is rejected for the same reason:
+		// no validation gap between Validate and the decoder.
+		if _, err := DecodeBinary(mustEncode(t, tc.env)); Reason(err) != tc.reason {
+			t.Errorf("%s: decoded reason %q, want %q (%v)", tc.name, Reason(err), tc.reason, err)
+		}
+	}
+}
+
+// TestEveryReasonReachable proves the reject vocabulary has no dead token:
+// each reason in Reasons() is produced by some datagram fed to DecodeBinary,
+// and the table names no reason outside the vocabulary.
+func TestEveryReasonReachable(t *testing.T) {
+	join := mustEncode(t, Envelope{Type: TypeJoin, From: "j", Bandwidth: 3.5})
+	datagrams := map[string][]byte{
+		ReasonMalformed: []byte(`{"type":1,"from":"evil","bandwidth":3.5}`), // no magic
+		ReasonSize:      make([]byte, MaxDatagram+1),
+		ReasonType:      mustEncode(t, Envelope{Type: 99, From: "a"}),
+		ReasonSender:    mustEncode(t, Envelope{Type: TypeJoin}),
+		ReasonAddr:      mustEncode(t, Envelope{Type: TypeJoin, From: Addr(strings.Repeat("x", MaxAddrLen+1))}),
+		ReasonNumeric:   mustEncode(t, Envelope{Type: TypeJoin, From: "a", Bandwidth: -3}),
+		ReasonRange:     mustEncode(t, Envelope{Type: TypeRepairRequest, From: "a", FirstMissing: 9, LastMissing: 3}),
+		ReasonSpan:      mustEncode(t, Envelope{Type: TypeRepairRequest, From: "a", LastMissing: MaxRepairSpan}),
+		ReasonChain:     mustEncode(t, Envelope{Type: TypeJoin, From: "a", Chain: []Addr{"x"}}),
+		ReasonMembers:   mustEncode(t, Envelope{Type: TypeMembershipReply, From: "a", Members: []MemberInfo{{Addr: ""}}}),
+		ReasonLimit:     mustEncode(t, Envelope{Type: TypeMembershipRequest, From: "a", Limit: MaxLimit + 1}),
+		ReasonPayload:   mustEncode(t, Envelope{Type: TypePacket, From: "s", Payload: make([]byte, MaxPayload+1)}),
+		ReasonVersion:   append([]byte{BinaryMagic0, BinaryMagic1, BinaryVersion + 1}, join[3:]...),
+		ReasonField:     append(append([]byte{}, join...), 99, 1), // unknown field id
+		ReasonCtrl:      mustEncode(t, Envelope{Type: TypeAck, From: "r"}),
+	}
+	for _, reason := range Reasons() {
+		data, ok := datagrams[reason]
+		if !ok {
+			t.Errorf("no datagram produces reason %q", reason)
+			continue
+		}
+		if _, err := DecodeBinary(data); Reason(err) != reason {
+			t.Errorf("reason %q: datagram decoded with reason %q (%v)", reason, Reason(err), err)
+		}
+		delete(datagrams, reason)
+	}
+	for reason := range datagrams {
+		t.Errorf("table names reason %q, which Reasons() does not list", reason)
 	}
 }
 
 // TestDecodeValidationAttribution: a parseable but invalid envelope comes
 // back with its claimed sender intact, so the guard layer can score it.
 func TestDecodeValidationAttribution(t *testing.T) {
-	b, err := Encode(Envelope{Type: TypeRepairRequest, From: "evil", FirstMissing: 9, LastMissing: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := Decode(b)
+	env, err := DecodeBinary(mustEncode(t, Envelope{Type: TypeRepairRequest, From: "evil", FirstMissing: 9, LastMissing: 3}))
 	if err == nil {
 		t.Fatal("inverted range accepted")
 	}
@@ -154,7 +193,7 @@ func TestDecodeValidationAttribution(t *testing.T) {
 
 func TestDecodeSizeCap(t *testing.T) {
 	big := make([]byte, MaxDatagram+1)
-	if _, err := Decode(big); Reason(err) != ReasonSize {
+	if _, err := DecodeBinary(big); Reason(err) != ReasonSize {
 		t.Fatalf("oversized datagram: reason %q, want %q", Reason(err), ReasonSize)
 	}
 }
@@ -163,8 +202,8 @@ func TestReason(t *testing.T) {
 	if Reason(nil) != "" {
 		t.Fatal("Reason(nil) not empty")
 	}
-	if _, err := Decode([]byte("{broken")); Reason(err) != ReasonMalformed {
-		t.Fatal("syntax error not classified malformed")
+	if env, err := DecodeBinary([]byte("{broken")); Reason(err) != ReasonMalformed || env.From != "" {
+		t.Fatalf("garbage not classified malformed and unattributed: %+v, %v", env, err)
 	}
 	seen := map[string]bool{}
 	for _, r := range Reasons() {

@@ -2,16 +2,14 @@
 // (internal/node): the joining handshake, parent/child heartbeats, stream
 // packets, Explicit Loss Notification, CER repair exchanges, membership
 // gossip, the ROST switching handshake, and the control-delivery acks of the
-// retransmit shim. Envelopes travel in one of two codecs (see Codec): the
-// versioned binary v1 format (the default on real transports) and a strict
-// JSON debug codec — self-describing datagrams, trivially inspectable with
-// standard tooling. Receivers tell them apart by the binary magic prefix.
+// retransmit shim. Envelopes travel in one format, binary v1 (binary.go): a
+// magic-prefixed, versioned, canonical encoding — exactly one byte string per
+// envelope. DecodeBinary is the single parser a received datagram meets, and
+// Validate the single semantic check behind it; everything else arriving on
+// the socket is rejected as malformed and charged to nobody.
 package wire
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Type discriminates protocol messages.
 type Type int
@@ -104,59 +102,59 @@ type Addr string
 // parent selection (depth, spare slots) and MLC group construction (the
 // ancestor path).
 type MemberInfo struct {
-	Addr Addr `json:"addr"`
+	Addr Addr
 	// Depth is the member's layer in the tree.
-	Depth int `json:"depth"`
+	Depth int
 	// Spare is its remaining out-degree.
-	Spare int `json:"spare"`
+	Spare int
 	// Bandwidth is its advertised outbound bandwidth.
-	Bandwidth float64 `json:"bandwidth"`
+	Bandwidth float64
 	// Ancestors is the member's root path, nearest first.
-	Ancestors []Addr `json:"ancestors,omitempty"`
+	Ancestors []Addr
 }
 
 // Envelope is the on-wire frame.
 type Envelope struct {
-	Type Type `json:"type"`
-	From Addr `json:"from"`
+	Type Type
+	From Addr
 
 	// Join / Accept / Reject.
-	Bandwidth float64 `json:"bandwidth,omitempty"` // joiner's advertised bandwidth
-	Depth     int     `json:"depth,omitempty"`     // acceptor's depth
+	Bandwidth float64 // joiner's advertised bandwidth
+	Depth     int     // acceptor's depth
 
 	// Heartbeat.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 
 	// Packet / RepairData.
-	Packet  int64  `json:"packet,omitempty"`  // sequence number
-	Payload []byte `json:"payload,omitempty"` // opaque media bytes
+	Packet  int64  // sequence number
+	Payload []byte // opaque media bytes
 
 	// ELN / RepairRequest: the missing range [FirstMissing, LastMissing].
-	FirstMissing int64 `json:"first_missing,omitempty"`
-	LastMissing  int64 `json:"last_missing,omitempty"`
+	FirstMissing int64
+	LastMissing  int64
 	// Chain lists further recovery nodes for NACK forwarding.
-	Chain []Addr `json:"chain,omitempty"`
+	Chain []Addr
 	// Requester is the original repair requester when a request is
 	// forwarded along the chain (From is always the immediate sender).
-	Requester Addr `json:"requester,omitempty"`
+	Requester Addr
 	// Epsilon is the responder's residual bandwidth share already consumed
 	// (striping offset) when a request is forwarded along the chain.
-	Epsilon float64 `json:"epsilon,omitempty"`
+	Epsilon float64
 
 	// Membership gossip.
-	Members []MemberInfo `json:"members,omitempty"`
+	Members []MemberInfo
 	// Limit bounds a membership reply.
-	Limit int `json:"limit,omitempty"`
+	Limit int
 
 	// Switch handshake.
-	BTP float64 `json:"btp,omitempty"` // initiator's claimed bandwidth-time product
+	BTP float64 // initiator's claimed bandwidth-time product
 	// NewParent tells a re-pointed child where to attach after a commit.
-	NewParent Addr `json:"new_parent,omitempty"`
+	NewParent Addr
 
 	// Ctrl is the reliable-delivery sequence of the retransmit shim: non-zero
 	// on control-class messages the sender wants acked, and on the Ack that
 	// answers one. Zero means fire-and-forget.
-	Ctrl uint64 `json:"ctrl,omitempty"`
+	Ctrl uint64
 }
 
 // ControlClass reports whether a message type belongs to the reliable control
@@ -173,58 +171,4 @@ func ControlClass(t Type) bool {
 		return true
 	}
 	return false
-}
-
-// Encode serialises the envelope.
-func Encode(env Envelope) ([]byte, error) {
-	b, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encoding %v: %w", env.Type, err)
-	}
-	return b, nil
-}
-
-// DecodeRaw parses a JSON envelope WITHOUT semantic validation: only the
-// datagram size cap, JSON well-formedness and strict key discipline are
-// enforced. Key discipline closes encoding/json's laxity: a key that matches
-// a field only case-insensitively, or appears twice, is rejected (reason
-// "field") instead of silently bound — an attacker must produce the exact
-// canonical encoding, not one of many aliases. Everything in the result is
-// attacker-controlled until Validate accepts it — which is exactly how the
-// wire-taint lint rule treats DecodeRaw results. Use Decode unless you are a
-// tool (fuzzer, adversary model, wire inspector) that needs the
-// pre-validation view.
-func DecodeRaw(b []byte) (Envelope, error) {
-	if len(b) > MaxDatagram {
-		return Envelope{}, &ValidationError{Reason: ReasonSize,
-			Detail: fmt.Sprintf("datagram %d bytes > %d", len(b), MaxDatagram)}
-	}
-	var env Envelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return Envelope{}, fmt.Errorf("wire: decoding: %w", err)
-	}
-	// Lenient parse first so a strict-key reject still names a sender the
-	// guard layer can charge.
-	if err := strictKeys(b, env.Type); err != nil {
-		return env, err
-	}
-	return env, nil
-}
-
-// Decode parses an envelope and runs the full semantic validators (see
-// Validate): every envelope it returns with a nil error is one an honest
-// node could have sent. On a validation failure the partially decoded
-// envelope is returned alongside the error so the caller can attribute the
-// misbehavior to the claimed sender (the guard layer in internal/node keys
-// its misbehavior scores on this); on a JSON syntax failure the envelope is
-// zero. Classify errors with Reason.
-func Decode(b []byte) (Envelope, error) {
-	env, err := DecodeRaw(b)
-	if err != nil {
-		return env, err
-	}
-	if err := Validate(env); err != nil {
-		return env, err
-	}
-	return env, nil
 }

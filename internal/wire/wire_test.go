@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,38 +29,35 @@ func TestRoundTrip(t *testing.T) {
 		{Type: TypeAck, From: "a", Ctrl: 7},
 	}
 	for _, env := range cases {
-		b, err := Encode(env)
+		got, err := DecodeBinary(mustEncode(t, env))
 		if err != nil {
-			t.Fatalf("Encode(%v): %v", env.Type, err)
+			t.Fatalf("DecodeBinary(%v): %v", env.Type, err)
 		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("Decode(%v): %v", env.Type, err)
-		}
-		if got.Type != env.Type || got.From != env.From {
-			t.Fatalf("round trip changed identity: %+v -> %+v", env, got)
-		}
-		if got.Packet != env.Packet || got.FirstMissing != env.FirstMissing ||
-			got.LastMissing != env.LastMissing || got.BTP != env.BTP ||
-			got.Seq != env.Seq || got.NewParent != env.NewParent {
-			t.Fatalf("round trip changed fields: %+v -> %+v", env, got)
-		}
-		if len(got.Chain) != len(env.Chain) || len(got.Members) != len(env.Members) {
-			t.Fatalf("round trip changed slices: %+v -> %+v", env, got)
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("round trip changed the envelope: %+v -> %+v", env, got)
 		}
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte("{not json")); err == nil {
+	if _, err := DecodeBinary([]byte("{not an envelope")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Decode([]byte(`{"type":999,"from":"a"}`)); err == nil {
+	if _, err := DecodeBinary(mustEncode(t, Envelope{Type: 999, From: "a"})); err == nil {
 		t.Fatal("unknown type accepted")
 	}
-	if _, err := Decode([]byte(`{"type":1}`)); err == nil {
+	if _, err := DecodeBinary(mustEncode(t, Envelope{Type: TypeJoin})); err == nil {
 		t.Fatal("missing sender accepted")
 	}
+}
+
+func mustEncode(t *testing.T, env Envelope) []byte {
+	t.Helper()
+	b, err := EncodeBinary(env)
+	if err != nil {
+		t.Fatalf("EncodeBinary(%v): %v", env.Type, err)
+	}
+	return b
 }
 
 func TestTypeStrings(t *testing.T) {
@@ -75,7 +73,7 @@ func TestTypeStrings(t *testing.T) {
 
 // TestRoundTripProperty: any envelope an honest node could send — valid
 // type, sender, non-negative in-cap numerics — survives the round trip.
-// (Out-of-domain values are Decode *rejections* now; those live in
+// (Out-of-domain values are decode *rejections*; those live in
 // validate_test.go.)
 func TestRoundTripProperty(t *testing.T) {
 	f := func(tRaw uint8, from string, pkt int64, btp float64, seq uint64) bool {
@@ -104,11 +102,11 @@ func TestRoundTripProperty(t *testing.T) {
 			BTP:    btp,
 			Seq:    seq,
 		}
-		b, err := Encode(env)
+		b, err := EncodeBinary(env)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(b)
+		got, err := DecodeBinary(b)
 		if err != nil {
 			return false
 		}

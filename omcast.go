@@ -328,7 +328,8 @@ func newSession(cfg Config, extra churn.Hooks) (*session, error) {
 				extra.OnDepart(sim, id)
 			}
 		},
-		OnRejoin: extra.OnRejoin,
+		OnRejoin:        extra.OnRejoin,
+		OnRejoinBlocked: extra.OnRejoinBlocked,
 	}
 	s.driver, err = churn.NewDriver(s.sim, s.tree, topo, s.strategy, churn.Config{
 		Seed:           cfg.Seed,

@@ -11,6 +11,7 @@ import (
 	"omcast"
 	"omcast/internal/metrics"
 	"omcast/internal/tracing"
+	"omcast/internal/xrand"
 )
 
 func TestRunWithTrace(t *testing.T) {
@@ -307,5 +308,72 @@ func TestRunStreamingWithTraceSpans(t *testing.T) {
 	}
 	if !sawRejoin || !sawRepair {
 		t.Fatalf("analysis lacks episode kinds: %+v", a.Kinds)
+	}
+}
+
+// TestTraceSaturatedAttemptSpans runs a bandwidth-starved overlay (root
+// out-degree 20, member bandwidths mostly below one stream) so orphans find
+// the tree saturated and retry: every blocked retry must surface as an
+// instantaneous "saturated" attempt span under the orphan's open rejoin
+// episode, and switching spans on must add lines without moving any other.
+func TestTraceSaturatedAttemptSpans(t *testing.T) {
+	cfg := omcast.Config{
+		Seed:          1,
+		TargetSize:    300,
+		Topology:      omcast.SmallTopology(),
+		Algorithm:     omcast.MinimumDepth,
+		Warmup:        10 * time.Minute,
+		Measure:       20 * time.Minute,
+		RootBandwidth: 20,
+		Bandwidth:     xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 2.2},
+	}
+	var spans, plain bytes.Buffer
+	if _, err := omcast.RunWithTraceOptions(cfg, &spans, omcast.TraceOptions{Spans: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := omcast.RunWithTraceOptions(cfg, &plain, omcast.TraceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var nonSpan bytes.Buffer
+	for _, line := range bytes.SplitAfter(spans.Bytes(), []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"event":"span"`)) {
+			nonSpan.Write(line)
+		}
+	}
+	if !bytes.Equal(nonSpan.Bytes(), plain.Bytes()) {
+		t.Fatal("enabling spans changed the non-span lines of the trace")
+	}
+
+	parsed, err := tracing.Parse(bytes.NewReader(spans.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]tracing.Span{}
+	for _, sp := range parsed.Spans {
+		byID[sp.ID] = sp
+	}
+	saturated, resolved := 0, 0
+	for _, sp := range parsed.Spans {
+		if sp.Kind != tracing.KindAttempt || sp.Outcome != "saturated" {
+			continue
+		}
+		saturated++
+		if sp.Parent == "" {
+			t.Fatalf("saturated attempt outside any episode: %+v", sp)
+		}
+		// Episodes still open when the run ends are never emitted, so a
+		// parent may be absent; one that was emitted must be the orphan's
+		// own rejoin episode, open at the moment of the attempt.
+		ep, ok := byID[sp.Parent]
+		if !ok {
+			continue
+		}
+		resolved++
+		if ep.Kind != tracing.KindRejoin || ep.Member != sp.Member || sp.Start < ep.Start || sp.End > ep.End {
+			t.Fatalf("saturated attempt %+v is not inside its orphan's rejoin episode %+v", sp, ep)
+		}
+	}
+	if saturated == 0 || resolved == 0 {
+		t.Fatalf("saturated attempt spans = %d (%d under an emitted episode), want >= 1 of each", saturated, resolved)
 	}
 }
