@@ -6,8 +6,9 @@
 //
 // The suite reuses testing.Benchmark, so the measured bodies are the same
 // regimes the `go test -bench` suite pins: the event kernel's steady state,
-// dense drains, cancel churn, membership sampling, delay-oracle lookups, and
-// one reduced figure regeneration as an end-to-end composite. Headline
+// dense drains, cancel churn, membership sampling (on a standing and on a
+// growing tree), recovery-group selection, delay-oracle lookups, and one
+// reduced figure regeneration as an end-to-end composite. Headline
 // figure metrics (the per-algorithm disruption averages of a reduced
 // Figure 4) ride along in the report so a perf change that shifts simulation
 // output is visible in the same artifact.
@@ -23,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"omcast/internal/cer"
 	"omcast/internal/eventsim"
 	"omcast/internal/experiments"
 	"omcast/internal/fleet"
@@ -53,8 +55,10 @@ func Suite(quick bool) []Case {
 		{Name: "eventsim/run-dense", Bench: benchRunDense(dense)},
 		{Name: "eventsim/cancel-churn", Bench: benchCancelChurn},
 		{Name: "overlay/sample-100", Bench: benchSample},
+		{Name: "overlay/sample-growing", Bench: benchSampleGrowing},
 		{Name: "overlay/attach-detach-dense", Bench: benchAttachDetachDense},
 		{Name: "stream/interval-account", Bench: benchIntervalAccount},
+		{Name: "cer/mlc-select", Bench: benchMLCSelect},
 		{Name: "topology/delay", Bench: benchDelay},
 		{Name: "tracing/span-emit", Bench: benchSpanEmit},
 		{Name: "fleet/assign", Bench: benchFleetAssign},
@@ -125,6 +129,66 @@ func benchSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := tree.Sample(rng, 100, nil); len(got) != 100 {
 			b.Fatal("short sample")
+		}
+	}
+}
+
+// benchSampleGrowing is the seeding regime sample-100 cannot see: the tree
+// grows by one member between Sample calls, as it does while a run
+// pre-populates, so any scratch sized to the exact membership is re-made on
+// every join. One op seeds 10 000 members.
+func benchSampleGrowing(b *testing.B) {
+	rng := xrand.New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tree, err := overlay.NewTree(0, 100, func(a, c topology.NodeID) time.Duration { return time.Millisecond })
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 10000; j++ {
+			m := tree.NewMember(topology.NodeID(j), 0.5, time.Duration(j))
+			if got := tree.Sample(rng, 100, m); j > 100 && len(got) != 100 {
+				b.Fatal("short sample")
+			}
+		}
+	}
+}
+
+// benchMLCSelect is one recovery-group selection (Algorithm 1 at the default
+// knowledge bound, groups of 3) for a leaf of a 2 000-member tree with mixed
+// fanout: the per-episode cost of a streaming run.
+func benchMLCSelect(b *testing.B) {
+	delay := func(a, c topology.NodeID) time.Duration { return time.Duration(a^c) * time.Millisecond }
+	tree, err := overlay.NewTree(0, 100, delay)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(1)
+	bw := xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 100}
+	var self *overlay.Member
+	for i := 0; i < 2000; i++ {
+		m := tree.NewMember(topology.NodeID(i+1), bw.Sample(rng), time.Duration(i)*time.Second)
+		parent := tree.Root()
+		for _, c := range tree.Sample(rng, 30, m) {
+			if c.Attached() && c.HasSpare() {
+				parent = c
+				break
+			}
+		}
+		if !parent.HasSpare() {
+			continue
+		}
+		if err := tree.Attach(m, parent); err != nil {
+			b.Fatal(err)
+		}
+		self = m
+	}
+	sel := &cer.MLCSelector{Tree: tree, Rng: xrand.New(2), Delay: delay}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g := sel.Select(self, 3); len(g) != 3 {
+			b.Fatal("short group")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"omcast"
@@ -9,8 +10,10 @@ import (
 
 // ScalePoint is one fig-scale measurement: a single ROST run at one member
 // count, reporting the deterministic event count alongside the machine
-// observables the experiment family tracks — retained heap bytes per member
-// and wall-clock nanoseconds per event. Points ride in BENCH artifacts
+// observables the experiment family tracks — retained heap bytes per member,
+// bytes allocated over the whole run (garbage included: a per-event cost that
+// scales with M shows here long before it shows in the retained heap) and
+// wall-clock nanoseconds per event. Points ride in BENCH artifacts
 // (Report.Scale); Compare ignores them like the headline scalars.
 type ScalePoint struct {
 	Members        int     `json:"members"`
@@ -20,6 +23,7 @@ type ScalePoint struct {
 	NsPerEvent     float64 `json:"ns_per_event"`
 	HeapBytes      uint64  `json:"heap_bytes"`
 	BytesPerMember float64 `json:"bytes_per_member"`
+	AllocBytes     uint64  `json:"alloc_bytes"`
 	AvgDisruptions float64 `json:"avg_disruptions"`
 }
 
@@ -54,10 +58,13 @@ func ScaleConfig(members int, quick bool) omcast.Config {
 func RunScale(sizes []int, quick bool, progress func(format string, args ...any)) ([]ScalePoint, error) {
 	points := make([]ScalePoint, 0, len(sizes))
 	for _, m := range sizes {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		res, err := omcast.RunScale(ScaleConfig(m, quick))
 		if err != nil {
 			return nil, fmt.Errorf("bench: scale run at M=%d: %w", m, err)
 		}
+		runtime.ReadMemStats(&after)
 		p := ScalePoint{
 			Members:        m,
 			AvgSize:        res.AvgSize,
@@ -66,12 +73,13 @@ func RunScale(sizes []int, quick bool, progress func(format string, args ...any)
 			NsPerEvent:     res.NsPerEvent,
 			HeapBytes:      res.HeapBytes,
 			BytesPerMember: res.BytesPerMember,
+			AllocBytes:     after.TotalAlloc - before.TotalAlloc,
 			AvgDisruptions: res.AvgDisruptions,
 		}
 		points = append(points, p)
 		if progress != nil {
-			progress("scale M=%-8d events=%-10d %7.1f ns/event %8.0f B/member disruptions=%.2f",
-				p.Members, p.Events, p.NsPerEvent, p.BytesPerMember, p.AvgDisruptions)
+			progress("scale M=%-8d events=%-10d %7.1f ns/event %8.0f B/member %8.1f MB allocated disruptions=%.2f",
+				p.Members, p.Events, p.NsPerEvent, p.BytesPerMember, float64(p.AllocBytes)/1e6, p.AvgDisruptions)
 		}
 	}
 	return points, nil

@@ -14,6 +14,16 @@ import (
 // per-member map or pointer-graph regression, which costs multiples.
 const ScaleBytesPerMemberCeiling = 1024.0
 
+// ScaleAllocPerMemberCeiling is the committed garbage budget of the same
+// run: bytes allocated over the whole run (underlay build, seeding, 30
+// minutes of churn) per steady-state member. The 2026-10 measurement was
+// 192 MB at M=10^5, ~1 900 B/member; the ceiling sits ~3x above it. What it
+// catches is a per-join or per-event cost that scales with M: the one it was
+// written for (Sample re-making its dedup scratch on every join of a growing
+// tree) allocated ~20 GB here, ~200 000 B/member, without moving the
+// retained-heap figure above at all.
+const ScaleAllocPerMemberCeiling = 6144.0
+
 // TestScaleQuickPoint exercises the scale runner end to end at a tiny size:
 // every observable must be populated and the deterministic event count must
 // repeat across runs.
@@ -35,7 +45,7 @@ func TestScaleQuickPoint(t *testing.T) {
 	if p.Events == 0 || p.AvgSize <= 0 {
 		t.Fatalf("empty scale point: %+v", p)
 	}
-	if p.HeapBytes == 0 || p.BytesPerMember <= 0 {
+	if p.HeapBytes == 0 || p.BytesPerMember <= 0 || p.AllocBytes < p.HeapBytes {
 		t.Fatalf("no memory observables: %+v", p)
 	}
 	if p.WallNs <= 0 || p.NsPerEvent <= 0 {
@@ -47,7 +57,8 @@ func TestScaleQuickPoint(t *testing.T) {
 }
 
 // TestScaleSmokeMemoryBudget is the CI scale-smoke gate: one M=10^5 run on
-// the full underlay asserting the committed bytes/member ceiling. Gated on
+// the full underlay asserting the committed retained-bytes/member and
+// allocated-bytes/member ceilings. Gated on
 // OMCAST_SCALE_SMOKE=1 because the run takes minutes (more under -race);
 // the scale-smoke CI job sets the variable.
 func TestScaleSmokeMemoryBudget(t *testing.T) {
@@ -66,6 +77,11 @@ func TestScaleSmokeMemoryBudget(t *testing.T) {
 		t.Fatalf("bytes/member = %.0f exceeds the committed ceiling %.0f (heap %d over %.0f members)",
 			p.BytesPerMember, ScaleBytesPerMemberCeiling, p.HeapBytes, p.AvgSize)
 	}
-	t.Logf("scale smoke: %.0f B/member (ceiling %.0f), %.1f ns/event over %d events",
-		p.BytesPerMember, ScaleBytesPerMemberCeiling, p.NsPerEvent, p.Events)
+	allocPerMember := float64(p.AllocBytes) / p.AvgSize
+	if allocPerMember > ScaleAllocPerMemberCeiling {
+		t.Fatalf("allocated bytes/member = %.0f exceeds the committed ceiling %.0f (%d bytes allocated over %.0f members)",
+			allocPerMember, ScaleAllocPerMemberCeiling, p.AllocBytes, p.AvgSize)
+	}
+	t.Logf("scale smoke: %.0f B/member retained (ceiling %.0f), %.0f B/member allocated (ceiling %.0f), %.1f ns/event over %d events",
+		p.BytesPerMember, ScaleBytesPerMemberCeiling, allocPerMember, ScaleAllocPerMemberCeiling, p.NsPerEvent, p.Events)
 }

@@ -29,7 +29,7 @@ package cer
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"omcast/internal/overlay"
@@ -50,7 +50,8 @@ type Selector interface {
 }
 
 // MLCSelector implements Algorithm 1 over the partial tree built from a
-// bounded random sample of the membership.
+// bounded random sample of the membership. The zero value of the unexported
+// scratch is ready to use: it is sized on the first Select, not at assembly.
 type MLCSelector struct {
 	Tree *overlay.Tree
 	Rng  *xrand.Source
@@ -62,6 +63,10 @@ type MLCSelector struct {
 	// position — the simulation analogue of the live node's quarantine list
 	// (peers convicted of misbehavior must not become repair sources).
 	Banned map[overlay.MemberID]bool
+
+	excl   exclusion
+	pt     partialTree
+	delays []time.Duration
 }
 
 var _ Selector = (*MLCSelector)(nil)
@@ -74,45 +79,36 @@ var _ Selector = (*MLCSelector)(nil)
 // nodes, then derive G by picking one random known descendant per subtree
 // root. Members of the caller's own root path (and its own subtree) are
 // excluded — their losses are maximally correlated with the caller's.
+//
+// A call costs O(sample size x tree depth) and allocates only the returned
+// group. The RNG is drawn in a fixed order every figure depends on: the
+// sample; one Shuffle per Li node (or one over the widest level); one Intn
+// per subtree root that has a usable descendant; one Shuffle for the top-up.
 func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if k <= 0 {
 		return nil
 	}
-	know := s.Knowledge
-	if know <= 0 {
-		know = DefaultKnowledge
-	}
-	pt := buildPartialTree(s.Tree, s.Rng, self, know, s.Banned)
-	if pt == nil {
+	sample := s.Tree.Sample(s.Rng, knowledge(s.Knowledge), self)
+	if len(sample) == 0 {
 		return nil
 	}
-	roots := pt.subtreeRoots(s.Rng, k)
+	s.excl.reset(s.Tree, self, s.Banned)
+	pt := &s.pt
+	pt.build(s.Tree, self, sample)
 	group := make([]*overlay.Member, 0, k)
-	for _, r := range roots {
-		if d := pt.randomUsableDescendant(s.Rng, r); d != nil {
-			group = append(group, d)
-		}
-		if len(group) == k {
-			break
+	for _, r := range pt.subtreeRoots(s.Rng, k) {
+		if cands := pt.usableUnder(&s.excl, r, nil); len(cands) > 0 {
+			group = append(group, cands[s.Rng.Intn(len(cands))])
 		}
 	}
 	// Top up from any usable known member if the tree was too narrow.
 	if len(group) < k {
-		for _, n := range pt.usableFallback(s.Rng, k-len(group), group) {
-			group = append(group, n)
-		}
+		cands := pt.usableUnder(&s.excl, pt.root, group)
+		s.Rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		group = append(group, cands[:min(len(cands), k-len(group))]...)
 	}
-	s.orderByDistance(self, group)
+	s.delays = orderByDistance(self, group, s.Delay, s.delays)
 	return group
-}
-
-func (s *MLCSelector) orderByDistance(self *overlay.Member, group []*overlay.Member) {
-	if s.Delay == nil {
-		return
-	}
-	sort.SliceStable(group, func(i, j int) bool {
-		return s.Delay(self.Attach, group[i].Attach) < s.Delay(self.Attach, group[j].Attach)
-	})
 }
 
 // RandomSelector picks recovery nodes uniformly from the sampled membership
@@ -125,24 +121,23 @@ type RandomSelector struct {
 	Knowledge int
 	// Banned mirrors MLCSelector.Banned: the quarantine-analogue exclusion.
 	Banned map[overlay.MemberID]bool
+
+	excl   exclusion
+	delays []time.Duration
 }
 
 var _ Selector = (*RandomSelector)(nil)
 
-// Select implements Selector.
+// Select implements Selector: the first k usable members of one sample, in
+// sample order.
 func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if k <= 0 {
 		return nil
 	}
-	know := s.Knowledge
-	if know <= 0 {
-		know = DefaultKnowledge
-	}
-	banned := rootPathSet(self, s.Banned)
-	sample := s.Tree.Sample(s.Rng, know, self)
+	s.excl.reset(s.Tree, self, s.Banned)
 	group := make([]*overlay.Member, 0, k)
-	for _, c := range sample {
-		if !usableRecoveryNode(c, self, banned) {
+	for _, c := range s.Tree.Sample(s.Rng, knowledge(s.Knowledge), self) {
+		if !s.excl.usable(c) {
 			continue
 		}
 		group = append(group, c)
@@ -150,118 +145,204 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 			break
 		}
 	}
-	if s.Delay != nil {
-		sort.SliceStable(group, func(i, j int) bool {
-			return s.Delay(self.Attach, group[i].Attach) < s.Delay(self.Attach, group[j].Attach)
-		})
-	}
+	s.delays = orderByDistance(self, group, s.Delay, s.delays)
 	return group
 }
 
-// rootPathSet returns self's strict ancestors plus self, merged with any
-// extra exclusions (the selector's Banned set).
-func rootPathSet(self *overlay.Member, extra map[overlay.MemberID]bool) map[overlay.MemberID]bool {
-	banned := map[overlay.MemberID]bool{self.ID: true}
-	for p := self.Parent(); p != nil; p = p.Parent() {
-		banned[p.ID] = true
+func knowledge(n int) int {
+	if n <= 0 {
+		return DefaultKnowledge
 	}
-	//lint:ignore map-order reason: set union; insertion order cannot matter
-	for id := range extra {
-		banned[id] = true
-	}
-	return banned
+	return n
 }
 
-// usableRecoveryNode rejects candidates whose losses are inherently
-// correlated with self: self's ancestors (they fail with self's path) and
-// self's descendants (they receive the stream through self).
-func usableRecoveryNode(c, self *overlay.Member, bannedPath map[overlay.MemberID]bool) bool {
-	if c == nil || c == self || !c.Attached() {
-		return false
+// orderByDistance sorts group by network distance from self, nearest first,
+// keeping the selection order among equals. Each delay is evaluated once into
+// keys (returned for reuse); groups are a handful of members, so a stable
+// insertion sort beats a general one.
+func orderByDistance(self *overlay.Member, group []*overlay.Member, delay func(a, b topology.NodeID) time.Duration, keys []time.Duration) []time.Duration {
+	if delay == nil || len(group) < 2 {
+		return keys
 	}
-	if bannedPath[c.ID] {
-		return false
+	keys = keys[:0]
+	for _, g := range group {
+		keys = append(keys, delay(self.Attach, g.Attach))
 	}
-	for p := c.Parent(); p != nil; p = p.Parent() {
-		if p == self {
-			return false // descendant of self
+	for i := 1; i < len(group); i++ {
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+			group[j], group[j-1] = group[j-1], group[j]
 		}
 	}
-	return true
+	return keys
+}
+
+// advance readies an epoch-stamped scratch over the tree's dense slot space
+// for a new call: it returns the scratch covering at least n slots and the
+// epoch that means "touched this call". A stale stamp never equals the new
+// epoch, so nothing is cleared between calls. Growth is geometric because
+// slots, like members, arrive one at a time.
+func advance[T any](scratch []T, epoch uint32, n int) ([]T, uint32) {
+	if len(scratch) < n {
+		return make([]T, max(n, 2*len(scratch))), 1
+	}
+	if epoch+1 == 0 { // wrapped: stale stamps could collide
+		clear(scratch)
+		return scratch, 1
+	}
+	return scratch, epoch + 1
+}
+
+// exclusion is the recovery-node filter both selectors share. It rejects
+// candidates whose losses are inherently correlated with self: self's
+// ancestors (they fail with self's path) and self's descendants (they receive
+// the stream through self), plus the selector's Banned set. Self's root path
+// is kept as epoch stamps indexed by dense slot.
+type exclusion struct {
+	self      *overlay.Member
+	selfDepth int                       // -1 while self is detached
+	banned    map[overlay.MemberID]bool // not consulted while empty
+	onPath    []uint32                  // slot is self or an ancestor iff == epoch
+	epoch     uint32
+}
+
+func (x *exclusion) reset(tree *overlay.Tree, self *overlay.Member, banned map[overlay.MemberID]bool) {
+	x.self, x.selfDepth, x.banned = self, self.Depth(), banned
+	x.onPath, x.epoch = advance(x.onPath, x.epoch, tree.Slots())
+	for p := self; p != nil; p = p.Parent() {
+		if i := p.Slot(); i >= 0 {
+			x.onPath[i] = x.epoch
+		}
+	}
+}
+
+func (x *exclusion) usable(c *overlay.Member) bool {
+	if c == nil || c == x.self || !c.Attached() {
+		return false
+	}
+	if x.onPath[c.Slot()] == x.epoch {
+		return false
+	}
+	if len(x.banned) > 0 && x.banned[c.ID] {
+		return false
+	}
+	if x.selfDepth < 0 {
+		return true // nothing attached descends from a detached self
+	}
+	// c descends from self iff its ancestor at self's depth is self.
+	p := c
+	for p.Depth() > x.selfDepth {
+		p = p.Parent()
+	}
+	return p != x.self
+}
+
+// none is the "no node" link of the partial tree's child lists.
+const none int32 = -1
+
+// ptNode is one dense slot of the partial tree: the member occupying it and
+// its intrusive child list, valid iff stamp equals the tree's epoch.
+type ptNode struct {
+	m           *overlay.Member
+	stamp       uint32
+	first, last int32 // T-children in first-seen-edge order
+	next        int32 // next sibling in the parent's list
 }
 
 // partialTree is the tree a node reconstructs from the ancestor paths of the
-// members it knows about. Node identity is the real member pointer (the
-// ancestor lists carry addresses), but edges reflect only sampled paths.
+// members it knows about. Node identity is the real member (the ancestor
+// lists carry addresses), but edges reflect only sampled paths. It lives in
+// selector-owned scratch indexed by dense slot, so building it costs the
+// nodes it touches and no garbage.
 type partialTree struct {
-	self     *overlay.Member
-	banned   map[overlay.MemberID]bool
-	root     *overlay.Member
-	children map[overlay.MemberID][]*overlay.Member
-	known    map[overlay.MemberID]bool // members that appear in T
-	levels   [][]*overlay.Member
+	nodes []ptNode
+	epoch uint32
+	root  int32
+	// bfs is T's levels concatenated, level i ending at levelEnd[i].
+	bfs      []int32
+	levelEnd []int32
+	spans    []kidSpan
+	roots    []int32
+	stack    []int32
+	cands    []*overlay.Member
 }
 
-// buildPartialTree samples `know` members and assembles their root paths.
-func buildPartialTree(tree *overlay.Tree, rng *xrand.Source, self *overlay.Member, know int, extraBanned map[overlay.MemberID]bool) *partialTree {
-	sample := tree.Sample(rng, know, self)
-	if len(sample) == 0 {
-		return nil
-	}
-	pt := &partialTree{
-		self:     self,
-		banned:   rootPathSet(self, extraBanned),
-		root:     tree.Root(),
-		children: make(map[overlay.MemberID][]*overlay.Member),
-		known:    make(map[overlay.MemberID]bool),
-	}
-	seenEdge := make(map[[2]overlay.MemberID]bool)
-	addPath := func(m *overlay.Member) {
-		if !m.Attached() {
-			return
-		}
-		for cur := m; cur != nil; {
-			pt.known[cur.ID] = true
-			p := cur.Parent()
-			if p == nil {
-				break
-			}
-			edge := [2]overlay.MemberID{p.ID, cur.ID}
-			if !seenEdge[edge] {
-				seenEdge[edge] = true
-				pt.children[p.ID] = append(pt.children[p.ID], cur)
-			}
-			cur = p
-		}
-	}
-	// The node knows its own path as well.
-	addPath(self)
+// kidSpan is one Li node's not-yet-chosen children: a stretch [next, end) of
+// level Li+1.
+type kidSpan struct{ next, end int32 }
+
+// build assembles T from the root paths of self (the node knows its own path
+// as well) and of the sampled members, then lists its levels.
+func (pt *partialTree) build(tree *overlay.Tree, self *overlay.Member, sample []*overlay.Member) {
+	pt.nodes, pt.epoch = advance(pt.nodes, pt.epoch, tree.Slots())
+	pt.root, _ = pt.enter(tree.Root())
+	pt.addPath(self)
 	for _, m := range sample {
-		addPath(m)
+		pt.addPath(m)
 	}
-	pt.buildLevels()
-	return pt
+	pt.bfs = append(pt.bfs[:0], pt.root)
+	pt.levelEnd = pt.levelEnd[:0]
+	for lo := 0; lo < len(pt.bfs); {
+		hi := len(pt.bfs)
+		pt.levelEnd = append(pt.levelEnd, int32(hi))
+		for _, v := range pt.bfs[lo:hi] {
+			for c := pt.nodes[v].first; c != none; c = pt.nodes[c].next {
+				pt.bfs = append(pt.bfs, c)
+			}
+		}
+		lo = hi
+	}
 }
 
-func (pt *partialTree) buildLevels() {
-	level := []*overlay.Member{pt.root}
-	for len(level) > 0 {
-		pt.levels = append(pt.levels, level)
-		var next []*overlay.Member
-		for _, n := range level {
-			next = append(next, pt.children[n.ID]...)
-		}
-		level = next
+// enter puts m into T if it is not there yet and reports whether it was.
+func (pt *partialTree) enter(m *overlay.Member) (slot int32, known bool) {
+	slot = int32(m.Slot())
+	n := &pt.nodes[slot]
+	if n.stamp == pt.epoch {
+		return slot, true
 	}
+	*n = ptNode{m: m, stamp: pt.epoch, first: none, last: none, next: none}
+	return slot, false
+}
+
+// addPath adds m's root path to T. The climb stops at the first node already
+// in T: its own path was added with it, so every edge above is in T too. The
+// root is entered up front, so an attached member's climb always ends.
+func (pt *partialTree) addPath(m *overlay.Member) {
+	if !m.Attached() {
+		return
+	}
+	cur, known := pt.enter(m)
+	for !known {
+		m = m.Parent()
+		var parent int32
+		parent, known = pt.enter(m)
+		p := &pt.nodes[parent]
+		if p.last == none {
+			p.first = cur
+		} else {
+			pt.nodes[p.last].next = cur
+		}
+		p.last = cur
+		cur = parent
+	}
+}
+
+func (pt *partialTree) level(i int) []int32 {
+	lo := int32(0)
+	if i > 0 {
+		lo = pt.levelEnd[i-1]
+	}
+	return pt.bfs[lo:pt.levelEnd[i]]
 }
 
 // subtreeRoots implements steps 2-3 of Algorithm 1: find the first level Li
 // with |Li| < K <= |Li+1| and gather K distinct subtree roots from the
-// children of Li.
-func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []*overlay.Member {
+// children of Li. It shuffles inside bfs, which is not read as levels again.
+func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []int32 {
 	li := -1
-	for i := 0; i+1 < len(pt.levels); i++ {
-		if len(pt.levels[i]) < k && k <= len(pt.levels[i+1]) {
+	for i := 0; i+1 < len(pt.levelEnd); i++ {
+		if len(pt.level(i)) < k && k <= len(pt.level(i+1)) {
 			li = i
 			break
 		}
@@ -270,91 +351,70 @@ func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []*overlay.Member 
 		// No level pair brackets K (narrow or shallow partial tree): use the
 		// widest level as the root set directly.
 		widest := 0
-		for i, lv := range pt.levels {
-			if len(lv) > len(pt.levels[widest]) {
+		for i := range pt.levelEnd {
+			if len(pt.level(i)) > len(pt.level(widest)) {
 				widest = i
 			}
 		}
-		roots := append([]*overlay.Member(nil), pt.levels[widest]...)
+		roots := pt.level(widest)
 		rng.Shuffle(len(roots), func(i, j int) { roots[i], roots[j] = roots[j], roots[i] })
-		if len(roots) > k {
-			roots = roots[:k]
+		return roots[:min(len(roots), k)]
+	}
+	// Level li+1 is the children of Li's nodes, concatenated in Li order:
+	// shuffle each node's stretch (empty and single-child ones too — the
+	// call is part of the draw sequence), then deal round-robin, one
+	// not-yet-chosen child per Li node, until K roots are gathered.
+	kids, off := pt.level(li+1), int32(0)
+	pt.spans = pt.spans[:0]
+	for _, v := range pt.level(li) {
+		end := off
+		for c := pt.nodes[v].first; c != none; c = pt.nodes[c].next {
+			end++
 		}
-		return roots
-	}
-	// Round-robin: pick one random not-yet-chosen child per Li node until K
-	// roots are gathered.
-	remaining := make(map[overlay.MemberID][]*overlay.Member, len(pt.levels[li]))
-	for _, v := range pt.levels[li] {
-		cs := append([]*overlay.Member(nil), pt.children[v.ID]...)
+		cs := kids[off:end]
 		rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
-		remaining[v.ID] = cs
+		pt.spans = append(pt.spans, kidSpan{next: off, end: end})
+		off = end
 	}
-	var roots []*overlay.Member
-	for len(roots) < k {
-		progressed := false
-		for _, v := range pt.levels[li] {
-			cs := remaining[v.ID]
-			if len(cs) == 0 {
+	pt.roots = pt.roots[:0]
+	for len(pt.roots) < k { // ends: the spans hold |Li+1| >= K children
+		for i := range pt.spans {
+			sp := &pt.spans[i]
+			if sp.next == sp.end {
 				continue
 			}
-			roots = append(roots, cs[0])
-			remaining[v.ID] = cs[1:]
-			progressed = true
-			if len(roots) == k {
+			pt.roots = append(pt.roots, kids[sp.next])
+			sp.next++
+			if len(pt.roots) == k {
 				break
 			}
 		}
-		if !progressed {
-			break
-		}
 	}
-	return roots
+	return pt.roots
 }
 
-// randomUsableDescendant picks a random known member in root's partial
-// subtree (including root itself) that can serve as a recovery node for
-// self.
-func (pt *partialTree) randomUsableDescendant(rng *xrand.Source, root *overlay.Member) *overlay.Member {
-	var cands []*overlay.Member
-	var walk func(n *overlay.Member)
-	walk = func(n *overlay.Member) {
-		if usableRecoveryNode(n, pt.self, pt.banned) {
-			cands = append(cands, n)
+// usableUnder lists, in pre-order, the members of top's partial subtree
+// (top included) that can serve as recovery nodes and are not in skip. The
+// result is scratch, valid until the next call.
+func (pt *partialTree) usableUnder(x *exclusion, top int32, skip []*overlay.Member) []*overlay.Member {
+	pt.cands = pt.cands[:0]
+	pt.stack = append(pt.stack[:0], top)
+	for len(pt.stack) > 0 {
+		i := pt.stack[len(pt.stack)-1]
+		pt.stack = pt.stack[:len(pt.stack)-1]
+		n := &pt.nodes[i]
+		if x.usable(n.m) && !slices.Contains(skip, n.m) {
+			pt.cands = append(pt.cands, n.m)
 		}
-		for _, c := range pt.children[n.ID] {
-			walk(c)
+		// The sibling waits under the first child, so n's subtree comes first.
+		if i != top && n.next != none {
+			pt.stack = append(pt.stack, n.next)
 		}
-	}
-	walk(root)
-	if len(cands) == 0 {
-		return nil
-	}
-	return cands[rng.Intn(len(cands))]
-}
-
-// usableFallback returns up to n usable known members not already chosen.
-func (pt *partialTree) usableFallback(rng *xrand.Source, n int, chosen []*overlay.Member) []*overlay.Member {
-	taken := make(map[overlay.MemberID]bool, len(chosen))
-	for _, c := range chosen {
-		taken[c.ID] = true
-	}
-	var cands []*overlay.Member
-	var walk func(m *overlay.Member)
-	walk = func(m *overlay.Member) {
-		if !taken[m.ID] && usableRecoveryNode(m, pt.self, pt.banned) {
-			cands = append(cands, m)
-		}
-		for _, c := range pt.children[m.ID] {
-			walk(c)
+		if n.first != none {
+			pt.stack = append(pt.stack, n.first)
 		}
 	}
-	walk(pt.root)
-	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	return cands
+	return pt.cands
 }
 
 // LossCorrelation returns w(a, b): the number of shared overlay edges on the

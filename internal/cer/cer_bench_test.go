@@ -10,7 +10,7 @@ import (
 )
 
 // benchTree builds a 2000-member tree with mixed fanout.
-func benchTree(b *testing.B) (*overlay.Tree, *overlay.Member) {
+func benchTree(b testing.TB) (*overlay.Tree, *overlay.Member) {
 	b.Helper()
 	tree, err := overlay.NewTree(0, 100, delayFn)
 	if err != nil {

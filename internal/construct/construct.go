@@ -46,6 +46,9 @@ type Env struct {
 	// CandidateCount bounds membership discovery for the distributed
 	// algorithms; 0 means DefaultCandidateCount.
 	CandidateCount int
+
+	// cands is the reusable candidate list candidates returns.
+	cands []*overlay.Member
 }
 
 func (e *Env) candidateCount() int {
@@ -69,10 +72,14 @@ type Strategy interface {
 // candidates samples the joining member's partial view of the overlay and
 // always includes the source (the bootstrap mechanism guarantees at least
 // one active contact, and the source is every session's first), mirroring
-// the paper's join procedure.
+// the paper's join procedure. The list is built in an Env-owned buffer and is
+// valid until the next call: appending the source to Sample's full-capacity
+// result would allocate a copy on every join, and no strategy holds two
+// candidate lists at once (the eviction scans never sample).
 func (e *Env) candidates(tree *overlay.Tree, m *overlay.Member) []*overlay.Member {
-	cands := tree.Sample(e.Rng, e.candidateCount(), m)
-	return append(cands, tree.Root())
+	e.cands = append(e.cands[:0], tree.Sample(e.Rng, e.candidateCount(), m)...)
+	e.cands = append(e.cands, tree.Root())
+	return e.cands
 }
 
 // MinDepth is the minimum-depth algorithm.

@@ -496,3 +496,27 @@ func TestMinDepthExcludesDetachedCandidates(t *testing.T) {
 		t.Fatal("joined under a detached parent")
 	}
 }
+
+// TestCandidatesAllocCeiling pins the candidate list at zero allocations per
+// join once the Env's buffer is warm: appending the source to Sample's
+// full-capacity result used to allocate a 101-pointer copy on every join.
+func TestCandidatesAllocCeiling(t *testing.T) {
+	env := testEnv(1)
+	tree := newTree(t)
+	for i := 0; i < 1000; i++ {
+		tree.NewMember(topology.NodeID(i), 2, time.Duration(i))
+	}
+	m := tree.NewMember(0, 2, 0)
+	root := tree.Root()
+	if got := env.candidates(tree, m); len(got) != 101 || got[100] != root {
+		t.Fatalf("warm candidate list has %d members, source last: %v", len(got), got[len(got)-1] == root)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if got := env.candidates(tree, m); len(got) != 101 || got[100] != root {
+			t.Fatal("candidate list changed shape")
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("candidates allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -8,11 +8,10 @@ import (
 	"omcast/internal/xrand"
 )
 
-// TestSampleAllocCeiling pins Sample's steady-state allocation budget: zero.
-// The per-call dedup map became the tree's epoch-stamped scratch in PR 5; the
-// result slice itself is now a tree-owned reusable buffer (returned with
-// capacity == length so caller appends copy). A regression here fails go
-// test, not just the bench report.
+// TestSampleAllocCeiling pins Sample's allocation budget on a tree that is
+// not growing: zero. The dedup set is the tree's epoch-stamped scratch and the
+// result slice a tree-owned reusable buffer. The growing-tree budget, which
+// this test cannot see, is TestSampleGrowingTreeAmortised's.
 func TestSampleAllocCeiling(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
 	if err != nil {
@@ -36,10 +35,39 @@ func TestSampleAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestSampleGrowingTreeAmortised pins what a join pays while the tree grows:
+// one Sample after every new member, as pre-population does. The dedup
+// scratch must grow geometrically — sized to exactly len(order) it is re-made
+// (4 bytes x M, allocated and zeroed) on every join, which is quadratic over a
+// seeding phase: ~800 MB for these 20 000 members, ~2 TB for 10^6.
+func TestSampleGrowingTreeAmortised(t *testing.T) {
+	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	rng := xrand.New(3)
+	remade, scratchCap := 0, 0
+	for i := 0; i < n; i++ {
+		m := tree.NewMember(topology.NodeID(i), 0.5, time.Duration(i))
+		tree.Sample(rng, 100, m)
+		if c := cap(tree.sampleSeen); c != scratchCap {
+			remade++
+			scratchCap = c
+		}
+	}
+	// Doubling from the first partial draw (102 members) to n takes 8 steps.
+	if remade > 16 {
+		t.Fatalf("sample scratch re-made %d times while adding %d members one at a time, want O(log n)", remade, n)
+	}
+	if scratchCap < n || scratchCap > 4*n {
+		t.Fatalf("sample scratch holds %d entries for %d members", scratchCap, n)
+	}
+}
+
 // TestSampleResultAppendSafe pins the scratch-buffer contract: the returned
-// slice has capacity == length, so a caller appending to it (construct's
-// candidate list appends the root) gets a private copy instead of scribbling
-// into the tree's scratch.
+// slice has capacity == length, so a caller appending to it gets a private
+// copy instead of scribbling into the tree's scratch.
 func TestSampleResultAppendSafe(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
 	if err != nil {

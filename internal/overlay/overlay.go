@@ -188,6 +188,17 @@ func (m *Member) BTP(now time.Duration) float64 {
 	return m.Bandwidth * m.Age(now).Seconds()
 }
 
+// Slot returns the member's dense index in its tree's slot space, or -1 once
+// the member has been removed. Slots are recycled: a slot identifies a member
+// only while the tree is not mutated, which is what lets callers keep
+// per-member scratch in flat slices of length Tree.Slots instead of maps.
+func (m *Member) Slot() int {
+	if m.tree == nil {
+		return -1
+	}
+	return int(m.idx)
+}
+
 // Locked reports whether the member is held by a switching operation.
 func (m *Member) Locked() bool {
 	if m.tree == nil || m.idx < 0 {
@@ -244,8 +255,10 @@ type Tree struct {
 	// sampleSeen/sampleEpoch replace Sample's per-call dedup map: an index
 	// is "drawn this call" iff sampleSeen[i] == sampleEpoch. Bumping the
 	// epoch clears every stamp at once, so the buffer is reused across
-	// calls without touching its contents. sampleOut is the reusable result
-	// buffer (Sample returns a full-capacity slice of it).
+	// calls without touching its contents. It grows geometrically: members
+	// arrive one at a time, so sizing it to exactly len(order) would re-make
+	// it on every join. sampleOut is the reusable result buffer (Sample
+	// returns a full-capacity slice of it).
 	sampleSeen  []uint32
 	sampleEpoch uint32
 	sampleOut   []*Member
@@ -353,6 +366,10 @@ func (t *Tree) Root() *Member { return t.root }
 
 // Size returns the number of live members including the source.
 func (t *Tree) Size() int { return t.liveCount }
+
+// Slots returns the size of the dense slot space: every live member's Slot is
+// below it. It only grows, by one per member that finds no recycled slot.
+func (t *Tree) Slots() int { return len(t.handle) }
 
 // Member returns the live member with the given ID, or nil.
 func (t *Tree) Member(id MemberID) *Member {
@@ -648,9 +665,10 @@ func (t *Tree) Level(d int) []*Member {
 // of known members").
 //
 // The returned slice is backed by a tree-owned scratch buffer and is valid
-// only until the next Sample call; its capacity equals its length, so
-// appending to it copies. Callers that retain the members across another
-// Sample must copy the slice first.
+// only until the next Sample call; its capacity equals its length, so a
+// caller that appends cannot scribble into the scratch — it pays an
+// allocation instead, so callers that extend or retain the members copy them
+// into a buffer of their own (construct.Env.candidates does).
 func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
 	if n <= 0 || len(t.order) == 0 {
 		return nil
@@ -672,7 +690,7 @@ func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
 	// sequence as a dedup map (so the RNG stream is untouched) without the
 	// per-call map allocations.
 	if len(t.sampleSeen) < len(t.order) {
-		t.sampleSeen = make([]uint32, len(t.order))
+		t.sampleSeen = make([]uint32, max(len(t.order), 2*len(t.sampleSeen)))
 		t.sampleEpoch = 0
 	}
 	t.sampleEpoch++

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"omcast"
+	"omcast/internal/bench"
 )
 
 // quickConfig is a fast configuration used across the API tests: a small
@@ -429,5 +430,25 @@ func TestRunScale(t *testing.T) {
 	}
 	if sres.AvgDisruptions != plain.AvgDisruptions || sres.AvgSize != plain.AvgSize {
 		t.Fatalf("scale run diverged from plain run: %+v vs %+v", sres.TreeResult, plain)
+	}
+}
+
+// TestRunScaleAllocLinear is the scale law behind the fig-scale family: a run
+// at twice the audience may allocate about twice the bytes, not four times.
+// Every join and every recovery episode works on a bounded membership sample,
+// so nothing per event may cost O(M); a scratch buffer re-made at the exact
+// membership size on each join of a growing tree did, and only a law in M
+// catches that — every fixed-size allocation test read zero.
+func TestRunScaleAllocLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two multi-thousand-member runs skipped in -short mode")
+	}
+	// The quick scale points: ROST, small underlay, 5 + 5 minutes.
+	pts, err := bench.RunScale([]int{4000, 8000}, true, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(pts[1].AllocBytes) / float64(pts[0].AllocBytes); ratio > 2.6 {
+		t.Fatalf("doubling the audience multiplies the bytes allocated by %.2f, want <= 2.6 (linear in M)", ratio)
 	}
 }
