@@ -7,11 +7,11 @@
 // The suite reuses testing.Benchmark, so the measured bodies are the same
 // regimes the `go test -bench` suite pins: the event kernel's steady state,
 // dense drains, cancel churn, membership sampling (on a standing and on a
-// growing tree), recovery-group selection, delay-oracle lookups, and one
-// reduced figure regeneration as an end-to-end composite. Headline
-// figure metrics (the per-algorithm disruption averages of a reduced
-// Figure 4) ride along in the report so a perf change that shifts simulation
-// output is visible in the same artifact.
+// growing tree), relaxed-ordered joins, recovery-group selection,
+// delay-oracle lookups, and one reduced figure regeneration as an end-to-end
+// composite. Headline figure metrics (the per-algorithm disruption averages
+// of a reduced Figure 4) ride along in the report so a perf change that
+// shifts simulation output is visible in the same artifact.
 package bench
 
 import (
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"omcast/internal/cer"
+	"omcast/internal/construct"
 	"omcast/internal/eventsim"
 	"omcast/internal/experiments"
 	"omcast/internal/fleet"
@@ -57,6 +58,7 @@ func Suite(quick bool) []Case {
 		{Name: "overlay/sample-100", Bench: benchSample},
 		{Name: "overlay/sample-growing", Bench: benchSampleGrowing},
 		{Name: "overlay/attach-detach-dense", Bench: benchAttachDetachDense},
+		{Name: "construct/relaxed-join", Bench: benchRelaxedJoin},
 		{Name: "stream/interval-account", Bench: benchIntervalAccount},
 		{Name: "cer/mlc-select", Bench: benchMLCSelect},
 		{Name: "topology/delay", Bench: benchDelay},
@@ -258,6 +260,52 @@ func benchAttachDetachDense(b *testing.B) {
 				b.Fatal(err)
 			}
 			leaves[i%nLeaves] = m
+		}
+	}
+}
+
+// benchRelaxedJoin is the relaxed bandwidth-ordered algorithm in steady state
+// on a 5 000-member tree: one op is an arrival, whose join evicts its way down
+// the layers, and the departure of the longest-standing member with its
+// orphans rejoining. It is the per-event cost of the centralized baselines,
+// read off the tree's level index (attach-detach-dense is the same overlay
+// with the index off).
+func benchRelaxedJoin(b *testing.B) {
+	delay := func(a, c topology.NodeID) time.Duration { return time.Duration(a^c) * time.Microsecond }
+	tree, err := overlay.NewTree(0, 100, delay)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(1)
+	bw := xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 100}
+	s := construct.NewRelaxedBandwidthOrdered(&construct.Env{Rng: rng, Delay: delay})
+	const members = 5000
+	var now time.Duration
+	arrive := func() *overlay.Member {
+		now += time.Second
+		m := tree.NewMember(topology.NodeID(1+rng.Intn(4096)), bw.Sample(rng), now)
+		if err := s.Join(tree, m, now); err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	ring := make([]*overlay.Member, members) // ring[i%members] is the oldest
+	for i := range ring {
+		ring[i] = arrive()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oldest := ring[i%members]
+		ring[i%members] = arrive()
+		orphans, err := tree.Remove(oldest)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range orphans {
+			if err := s.Join(tree, o, now); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

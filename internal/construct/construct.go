@@ -200,23 +200,24 @@ func (a *ContributorPriority) Join(tree *overlay.Tree, m *overlay.Member, now ti
 	return tree.Attach(m, best)
 }
 
-// rankFn orders members for the eviction-based algorithms: it returns true
-// when a strictly outranks b (bigger bandwidth for BO, older age for TO).
-type rankFn func(a, b *overlay.Member) bool
-
 // relaxedOrdered is the shared top-down eviction scan behind the relaxed BO
 // and relaxed TO algorithms. Both assume a central administrator with global
-// topological knowledge, which is exactly how the paper frames them.
+// topological knowledge, which is exactly how the paper frames them; the
+// administrator's per-layer knowledge is the tree's level index.
 type relaxedOrdered struct {
-	env      *Env
-	name     string
-	outranks rankFn
+	env  *Env
+	name string
+	// order ranks members: bigger bandwidth for BO, older age for TO.
+	order overlay.LevelOrder
 	// adoptAll reports whether a replacement is guaranteed to fit all the
 	// evictee's children (true for BO: bandwidth ordering implies capacity
 	// ordering; false for TO).
 	adoptAll bool
 	// depth guard against pathological eviction chains.
 	evicting int
+	// kids is a stack of the children lists of the evictions in progress: a
+	// cascade re-enters Join while its caller still walks its own segment.
+	kids []*overlay.Member
 }
 
 // Name implements Strategy.
@@ -224,6 +225,7 @@ func (a *relaxedOrdered) Name() string { return a.name }
 
 // Join implements Strategy.
 func (a *relaxedOrdered) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration) error {
+	lx := tree.LevelIndex(a.order)
 	maxDepth := tree.MaxDepth()
 	for d := 1; d <= maxDepth+1; d++ {
 		// The paper's relaxed ordering "always searches from the high to low
@@ -232,44 +234,39 @@ func (a *relaxedOrdered) Join(tree *overlay.Tree, m *overlay.Member, now time.Du
 		// an outranked layer-d occupant is preferred over a free slot at the
 		// same layer — that strictness is what keeps the tree ordered, and
 		// it is why these centralized algorithms pay the protocol overhead
-		// Figure 10 reports.
-		if a.evicting < 1000 { // bound cascades; beyond this just attach
-			if victim := a.weakestOutranked(tree.Level(d), m); victim != nil {
-				return a.replace(tree, m, victim, now)
-			}
+		// Figure 10 reports. The rank is a strict weak order, so if m outranks
+		// anyone at layer d it outranks the layer's weakest.
+		if victim := lx.Weakest(d); victim != nil && a.evicting < maxEvictionCascade && a.order.Outranks(m, victim) {
+			return a.replace(tree, m, victim, now)
 		}
-		if parent := nearestSpare(a.env, tree.Level(d-1), m); parent != nil {
+		if parent := nearestSpare(a.env, lx.Spare(d-1), m); parent != nil {
 			return tree.Attach(m, parent)
 		}
 	}
 	return ErrNoParent
 }
 
-// weakestOutranked returns the most-outranked member of level that m
-// outranks, or nil.
-func (a *relaxedOrdered) weakestOutranked(level []*overlay.Member, m *overlay.Member) *overlay.Member {
-	var victim *overlay.Member
-	for _, c := range level {
-		if c.Parent() == nil { // the root cannot be evicted
-			continue
-		}
-		if !a.outranks(m, c) {
-			continue
-		}
-		if victim == nil || a.outranks(victim, c) {
-			victim = c
-		}
-	}
-	return victim
-}
+// maxEvictionCascade bounds how deep one join's evictions may nest; past it
+// the evicted member just attaches at the first free slot.
+const maxEvictionCascade = 1000
 
 // replace puts m into victim's tree position. m adopts as many of victim's
 // children as its out-degree allows (all of them under bandwidth ordering);
 // the victim and any leftover children rejoin through the same algorithm.
 // Every forced reconnection is charged to the protocol-overhead metric.
 func (a *relaxedOrdered) replace(tree *overlay.Tree, m, victim *overlay.Member, now time.Duration) error {
+	base := len(a.kids)
+	a.kids = victim.AppendChildren(a.kids)
+	a.evicting++
+	err := a.replaceWith(tree, m, victim, a.kids[base:], now)
+	a.evicting--
+	a.kids = a.kids[:base]
+	return err
+}
+
+// replaceWith is replace with the victim's children, in child order, in hand.
+func (a *relaxedOrdered) replaceWith(tree *overlay.Tree, m, victim *overlay.Member, children []*overlay.Member, now time.Duration) error {
 	parent := victim.Parent()
-	children := victim.Children()
 	for _, c := range children {
 		if err := tree.Detach(c); err != nil {
 			return fmt.Errorf("construct: detaching child %d of victim: %w", c.ID, err)
@@ -284,28 +281,22 @@ func (a *relaxedOrdered) replace(tree *overlay.Tree, m, victim *overlay.Member, 
 	// Keep the strongest children in place; the order matters only when m
 	// cannot adopt everyone (TO case).
 	if !a.adoptAll {
-		sortByRank(children, a.outranks)
+		sortByRank(children, a.order)
 	}
-	var leftovers []*overlay.Member
-	for _, c := range children {
-		if m.HasSpare() {
-			if err := tree.Attach(c, m); err != nil {
-				return fmt.Errorf("construct: re-adopting child %d: %w", c.ID, err)
-			}
-			continue
+	adopted := 0
+	for ; adopted < len(children) && m.HasSpare(); adopted++ {
+		if err := tree.Attach(children[adopted], m); err != nil {
+			return fmt.Errorf("construct: re-adopting child %d: %w", children[adopted].ID, err)
 		}
-		leftovers = append(leftovers, c)
 	}
 	// The victim (now childless) rejoins, then leftover children with their
 	// subtrees. Rejoin failures leave them detached; the churn driver will
 	// retry them like any other orphan, so saturation here is not fatal.
-	a.evicting++
-	defer func() { a.evicting-- }()
 	victim.Reconnections++
 	if err := a.Join(tree, victim, now); err != nil && !errors.Is(err, ErrNoParent) {
 		return fmt.Errorf("construct: rejoining victim %d: %w", victim.ID, err)
 	}
-	for _, c := range leftovers {
+	for _, c := range children[adopted:] {
 		c.Reconnections++
 		if err := a.Join(tree, c, now); err != nil && !errors.Is(err, ErrNoParent) {
 			return fmt.Errorf("construct: rejoining leftover child %d: %w", c.ID, err)
@@ -316,27 +307,12 @@ func (a *relaxedOrdered) replace(tree *overlay.Tree, m, victim *overlay.Member, 
 
 // NewRelaxedBandwidthOrdered returns the centralized relaxed-BO strategy.
 func NewRelaxedBandwidthOrdered(env *Env) Strategy {
-	return &relaxedOrdered{
-		env:  env,
-		name: "Relaxed bandwidth-ordered",
-		outranks: func(a, b *overlay.Member) bool {
-			return a.Bandwidth > b.Bandwidth
-		},
-		adoptAll: true,
-	}
+	return &relaxedOrdered{env: env, name: "Relaxed bandwidth-ordered", order: overlay.ByBandwidth, adoptAll: true}
 }
 
 // NewRelaxedTimeOrdered returns the centralized relaxed-TO strategy.
 func NewRelaxedTimeOrdered(env *Env) Strategy {
-	return &relaxedOrdered{
-		env:  env,
-		name: "Relaxed time-ordered",
-		outranks: func(a, b *overlay.Member) bool {
-			// Older (earlier join) outranks younger.
-			return a.JoinTime < b.JoinTime
-		},
-		adoptAll: false,
-	}
+	return &relaxedOrdered{env: env, name: "Relaxed time-ordered", order: overlay.ByJoinTime}
 }
 
 // usableParent reports whether c can accept m as a child right now.
@@ -344,17 +320,15 @@ func usableParent(c, m *overlay.Member) bool {
 	return c != m && c.Attached() && c.HasSpare()
 }
 
-// nearestSpare returns the member of level with spare capacity nearest to m
-// in the underlay, or nil.
-func nearestSpare(env *Env, level []*overlay.Member, m *overlay.Member) *overlay.Member {
+// nearestSpare returns the member of spare, one level's occupants with spare
+// capacity in any order, nearest to m in the underlay; among equally near ones
+// the first in level order. It asks for exactly one delay per member.
+func nearestSpare(env *Env, spare []*overlay.Member, m *overlay.Member) *overlay.Member {
 	var best *overlay.Member
 	var bestDelay time.Duration
-	for _, c := range level {
-		if !usableParent(c, m) {
-			continue
-		}
+	for _, c := range spare {
 		d := env.Delay(m.Attach, c.Attach)
-		if best == nil || d < bestDelay {
+		if best == nil || d < bestDelay || d == bestDelay && c.LevelPos() < best.LevelPos() {
 			best, bestDelay = c, d
 		}
 	}
@@ -363,9 +337,9 @@ func nearestSpare(env *Env, level []*overlay.Member, m *overlay.Member) *overlay
 
 // sortByRank orders members best-ranked first (insertion sort; eviction
 // child lists are tiny).
-func sortByRank(ms []*overlay.Member, outranks rankFn) {
+func sortByRank(ms []*overlay.Member, order overlay.LevelOrder) {
 	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && outranks(ms[j], ms[j-1]); j-- {
+		for j := i; j > 0 && order.Outranks(ms[j], ms[j-1]); j-- {
 			ms[j], ms[j-1] = ms[j-1], ms[j]
 		}
 	}

@@ -1,0 +1,428 @@
+package construct
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"omcast/internal/overlay"
+	"omcast/internal/topology"
+	"omcast/internal/xrand"
+)
+
+// The linear scans relaxedOrdered.Join used before overlay grew its level
+// index. They are the oracle: production reads Tree.LevelIndex, the tests
+// below hold it to what a walk over every Tree.Level(d) would have chosen.
+
+// refWeakestOutranked returns the most-outranked member of level that m
+// outranks (the first in level order among equals), or nil.
+func refWeakestOutranked(order overlay.LevelOrder, level []*overlay.Member, m *overlay.Member) *overlay.Member {
+	var victim *overlay.Member
+	for _, c := range level {
+		if c.Parent() == nil { // the root cannot be evicted
+			continue
+		}
+		if !order.Outranks(m, c) {
+			continue
+		}
+		if victim == nil || order.Outranks(victim, c) {
+			victim = c
+		}
+	}
+	return victim
+}
+
+// refNearestSpare returns the member of level with spare capacity nearest to
+// m in the underlay (the first in level order among equals), or nil.
+func refNearestSpare(env *Env, level []*overlay.Member, m *overlay.Member) *overlay.Member {
+	var best *overlay.Member
+	var bestDelay time.Duration
+	for _, c := range level {
+		if !usableParent(c, m) {
+			continue
+		}
+		d := env.Delay(m.Attach, c.Attach)
+		if best == nil || d < bestDelay {
+			best, bestDelay = c, d
+		}
+	}
+	return best
+}
+
+// refRelaxed is relaxedOrdered over the linear scans, allocations and all.
+type refRelaxed struct {
+	env      *Env
+	order    overlay.LevelOrder
+	adoptAll bool
+	evicting int
+}
+
+func (a *refRelaxed) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration) error {
+	maxDepth := tree.MaxDepth()
+	for d := 1; d <= maxDepth+1; d++ {
+		if a.evicting < maxEvictionCascade {
+			if victim := refWeakestOutranked(a.order, tree.Level(d), m); victim != nil {
+				return a.replace(tree, m, victim, now)
+			}
+		}
+		if parent := refNearestSpare(a.env, tree.Level(d-1), m); parent != nil {
+			return tree.Attach(m, parent)
+		}
+	}
+	return ErrNoParent
+}
+
+func (a *refRelaxed) replace(tree *overlay.Tree, m, victim *overlay.Member, now time.Duration) error {
+	parent := victim.Parent()
+	children := victim.Children()
+	for _, c := range children {
+		if err := tree.Detach(c); err != nil {
+			return err
+		}
+	}
+	if err := tree.Detach(victim); err != nil {
+		return err
+	}
+	if err := tree.Attach(m, parent); err != nil {
+		return err
+	}
+	if !a.adoptAll {
+		sortByRank(children, a.order)
+	}
+	var leftovers []*overlay.Member
+	for _, c := range children {
+		if m.HasSpare() {
+			if err := tree.Attach(c, m); err != nil {
+				return err
+			}
+			continue
+		}
+		leftovers = append(leftovers, c)
+	}
+	a.evicting++
+	defer func() { a.evicting-- }()
+	victim.Reconnections++
+	if err := a.Join(tree, victim, now); err != nil && !errors.Is(err, ErrNoParent) {
+		return err
+	}
+	for _, c := range leftovers {
+		c.Reconnections++
+		if err := a.Join(tree, c, now); err != nil && !errors.Is(err, ErrNoParent) {
+			return err
+		}
+	}
+	return nil
+}
+
+// matchWorld is one side of the element-wise match: a tree, the strategy
+// joining into it and the number of Delay calls the strategy has made.
+type matchWorld struct {
+	tree  *overlay.Tree
+	env   *Env
+	join  func(*overlay.Tree, *overlay.Member, time.Duration) error
+	calls int
+}
+
+// tiedDelay maps six stub routers onto four distinct delays, so equal delays
+// (and zero-distance co-located members) are the common case.
+func tiedDelay(a, b topology.NodeID) time.Duration {
+	if a == b {
+		return 0
+	}
+	return time.Duration((int(a)+int(b))%4+1) * time.Millisecond
+}
+
+func newMatchWorld(t *testing.T, mk func(*Env) func(*overlay.Tree, *overlay.Member, time.Duration) error) *matchWorld {
+	t.Helper()
+	w := &matchWorld{}
+	w.env = &Env{Rng: xrand.New(1), Delay: func(a, b topology.NodeID) time.Duration {
+		w.calls++
+		return tiedDelay(a, b)
+	}}
+	tree, err := overlay.NewTree(0, 3, tiedDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.tree, w.join = tree, mk(w.env)
+	return w
+}
+
+func idOf(m *overlay.Member) string {
+	if m == nil {
+		return "nobody"
+	}
+	return fmt.Sprint("member ", m.ID)
+}
+
+// memberShape renders everything about a member the two worlds must agree on.
+func memberShape(m *overlay.Member) string {
+	s := fmt.Sprintf("%d@%d depth %d attached %v reconn %d kids", m.ID, m.LevelPos(), m.Depth(), m.Attached(), m.Reconnections)
+	for _, c := range m.Children() {
+		s = fmt.Sprintf("%s %d", s, c.ID)
+	}
+	if p := m.Parent(); p != nil {
+		s = fmt.Sprintf("%s parent %d", s, p.ID)
+	}
+	return s
+}
+
+// sameShape reports whether a and b, the same member in the two worlds, have
+// the same parent, the same children in the same order and the same position
+// in the same Level(d).
+func sameShape(a, b *overlay.Member, kidsA, kidsB []*overlay.Member) bool {
+	if a.ID != b.ID || a.LevelPos() != b.LevelPos() || a.Depth() != b.Depth() || a.Attached() != b.Attached() ||
+		a.Reconnections != b.Reconnections || (a.Parent() == nil) != (b.Parent() == nil) || len(kidsA) != len(kidsB) {
+		return false
+	}
+	for i := range kidsA {
+		if kidsA[i].ID != kidsB[i].ID {
+			return false
+		}
+	}
+	return a.Parent() == nil || a.Parent().ID == b.Parent().ID
+}
+
+// requireSameTrees fails unless the two trees agree member for member.
+func requireSameTrees(t *testing.T, step int, ref, idx *overlay.Tree) {
+	t.Helper()
+	var a, b, kidsA, kidsB []*overlay.Member
+	ref.VisitMembers(func(m *overlay.Member) { a = append(a, m) })
+	idx.VisitMembers(func(m *overlay.Member) { b = append(b, m) })
+	if len(a) != len(b) {
+		t.Fatalf("step %d: %d members under the reference scans, %d under the index", step, len(a), len(b))
+	}
+	for i := range a {
+		kidsA, kidsB = a[i].AppendChildren(kidsA[:0]), b[i].AppendChildren(kidsB[:0])
+		if !sameShape(a[i], b[i], kidsA, kidsB) {
+			t.Fatalf("step %d: trees diverge:\n reference %s\n index     %s", step, memberShape(a[i]), memberShape(b[i]))
+		}
+	}
+}
+
+// requireSameAnswers asks the index and the reference scans, on the index's
+// own tree, whom m would evict and whom it would attach under at every layer,
+// and fails unless victim, parent and Delay-call count agree.
+func requireSameAnswers(t *testing.T, step int, w *matchWorld, order overlay.LevelOrder, m *overlay.Member) {
+	t.Helper()
+	saved := w.calls
+	defer func() { w.calls = saved }()
+	lx := w.tree.LevelIndex(order)
+	for d := 1; d <= w.tree.MaxDepth()+1; d++ {
+		victim := lx.Weakest(d)
+		if victim != nil && !order.Outranks(m, victim) {
+			victim = nil
+		}
+		if want := refWeakestOutranked(order, w.tree.Level(d), m); victim != want {
+			t.Fatalf("step %d layer %d: index evicts %s, the scan %s", step, d, idOf(victim), idOf(want))
+		}
+		c0 := w.calls
+		want := refNearestSpare(w.env, w.tree.Level(d-1), m)
+		c1 := w.calls
+		got := nearestSpare(w.env, lx.Spare(d-1), m)
+		if got != want || w.calls-c1 != c1-c0 {
+			t.Fatalf("step %d layer %d: index attaches under %s after %d Delay calls, the scan under %s after %d",
+				step, d-1, idOf(got), w.calls-c1, idOf(want), c1-c0)
+		}
+	}
+}
+
+// TestIndexMatchesReferenceScans drives the same random arrivals, departures
+// with orphan rejoins and evicting joins into two trees — one joined through
+// the linear reference scans, one through the level index — with ties
+// engineered everywhere the choice could hide one: a handful of bandwidths,
+// JoinTimes shared by runs of arrivals, six routers with four delays. After
+// every join both sides must have made the same number of Delay calls and
+// hold the same tree, member for member.
+func TestIndexMatchesReferenceScans(t *testing.T) {
+	cases := []struct {
+		name     string
+		order    overlay.LevelOrder
+		adoptAll bool
+		mk       func(*Env) Strategy
+	}{
+		{"bandwidth-ordered", overlay.ByBandwidth, true, NewRelaxedBandwidthOrdered},
+		{"time-ordered", overlay.ByJoinTime, false, NewRelaxedTimeOrdered},
+	}
+	bandwidths := []float64{0, 1, 1, 1.5, 2, 2, 2, 2.5, 3, 3, 4}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			ref := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+				return (&refRelaxed{env: env, order: tc.order, adoptAll: tc.adoptAll}).Join
+			})
+			idx := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+				return tc.mk(env).Join
+			})
+			rng := xrand.New(42)
+			var now time.Duration
+			var live []overlay.MemberID
+			step, saturated := 0, 0
+
+			joinBoth := func(id overlay.MemberID) {
+				t.Helper()
+				requireSameAnswers(t, step, idx, tc.order, idx.tree.Member(id))
+				errRef := ref.join(ref.tree, ref.tree.Member(id), now)
+				errIdx := idx.join(idx.tree, idx.tree.Member(id), now)
+				if errRef != nil && !errors.Is(errRef, ErrNoParent) || !errors.Is(errIdx, errRef) {
+					t.Fatalf("step %d: join of %d: reference %v, index %v", step, id, errRef, errIdx)
+				}
+				if errRef != nil {
+					saturated++
+				}
+				if ref.calls != idx.calls {
+					t.Fatalf("step %d: %d Delay calls under the reference scans, %d under the index", step, ref.calls, idx.calls)
+				}
+				requireSameTrees(t, step, ref.tree, idx.tree)
+				if err := idx.tree.CheckInvariants(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			arrive := func(bw float64, joined time.Duration) {
+				t.Helper()
+				attach := topology.NodeID(rng.Intn(6))
+				a, b := ref.tree.NewMember(attach, bw, now), idx.tree.NewMember(attach, bw, now)
+				a.JoinTime, b.JoinTime = joined, joined
+				live = append(live, a.ID)
+				joinBoth(a.ID)
+			}
+
+			for ; step < 6000; step++ {
+				if step%7 == 0 {
+					now += time.Second
+				}
+				// Members a saturated tree turned away (or whose cascade ran
+				// dry) retry first, as the churn driver would have them do.
+				for _, id := range live {
+					if m := ref.tree.Member(id); !m.Attached() && m.Parent() == nil {
+						joinBoth(id)
+					}
+				}
+				switch op := rng.Float64(); {
+				case len(live) < 150 || len(live) < 300 && op < 0.3:
+					arrive(bandwidths[rng.Intn(len(bandwidths))], now)
+				case len(live) < 300 && op < 0.55: // outranks most of the tree under either order
+					arrive(float64(3+rng.Intn(3)), time.Duration(rng.Intn(40))*time.Second)
+				default:
+					k := rng.Intn(len(live))
+					id := live[k]
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+					orphans, err := ref.tree.Remove(ref.tree.Member(id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := idx.tree.Remove(idx.tree.Member(id)); err != nil {
+						t.Fatal(err)
+					}
+					requireSameTrees(t, step, ref.tree, idx.tree)
+					for _, o := range orphans {
+						joinBoth(o.ID)
+					}
+				}
+				if step%250 == 0 {
+					if err := idx.tree.CheckInvariantsFull(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
+			}
+			if err := idx.tree.CheckInvariantsFull(); err != nil {
+				t.Fatal(err)
+			}
+			evictions := 0
+			ref.tree.VisitMembers(func(m *overlay.Member) { evictions += m.Reconnections })
+			t.Logf("%d live members, depth %d, %d Delay calls, %d evictions among the living, %d saturated joins",
+				ref.tree.Size(), ref.tree.MaxDepth(), ref.calls, evictions, saturated)
+			if evictions < 500 || ref.tree.MaxDepth() < 4 {
+				t.Fatalf("workload too tame to prove anything: %d evictions, depth %d", evictions, ref.tree.MaxDepth())
+			}
+		})
+	}
+}
+
+// TestEvictionCascadeIsBounded forces one join to start an eviction chain
+// longer than maxEvictionCascade: a path of degree-one members in descending
+// bandwidth order, entered at the top by someone who outranks them all, so
+// every victim evicts the member below it. The join must still terminate with
+// a legal tree: past the bound the evicted member takes the first free slot
+// instead of evicting again.
+func TestEvictionCascadeIsBounded(t *testing.T) {
+	const n = maxEvictionCascade + 200
+	env := testEnv(1)
+	tree, err := overlay.NewTree(0, 1, env.Delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewRelaxedBandwidthOrdered(env)
+	path := make([]*overlay.Member, n)
+	for i := range path {
+		// Weaker than everyone above: joins at the bottom without evicting.
+		path[i] = join(t, s, tree, topology.NodeID(i), 1.9-float64(i)/float64(2*n), 0)
+		if path[i].Depth() != i+1 {
+			t.Fatalf("path member %d at depth %d", i, path[i].Depth())
+		}
+	}
+	top := join(t, s, tree, 0, 1.95, 0)
+	if err := tree.CheckInvariantsFull(); err != nil {
+		t.Fatal(err)
+	}
+	if top.Depth() != 1 {
+		t.Fatalf("the strongest member sits at depth %d, want 1", top.Depth())
+	}
+	evicted := 0
+	for i, m := range path {
+		if !m.Attached() {
+			t.Fatalf("path member %d left detached", i)
+		}
+		evicted += m.Reconnections
+	}
+	if evicted != maxEvictionCascade {
+		t.Fatalf("%d evictions, want the cascade to stop at %d", evicted, maxEvictionCascade)
+	}
+	// The last victim did not evict its successor: it went to the bottom, the
+	// successor and everyone below kept their parents' places.
+	if last := path[maxEvictionCascade-1]; last.Depth() != n+1 || last.NumChildren() != 0 {
+		t.Fatalf("last victim at depth %d with %d children, want the bottom (%d) and none", last.Depth(), last.NumChildren(), n+1)
+	}
+	if tree.MaxDepth() != n+1 {
+		t.Fatalf("tree depth %d, want %d", tree.MaxDepth(), n+1)
+	}
+}
+
+// TestRelaxedJoinAllocCeiling pins an evicting join at the cost of what it
+// creates and nothing per eviction: replace used to allocate the victim's
+// children list at every level of the cascade. The tree is the descending
+// path of TestEvictionCascadeIsBounded, so every join at the top evicts all
+// 200-odd members below it, each with a child to hand over; what is left is
+// the new member's handle, the new deepest level's three lists (level, heap,
+// spare) and amortised growth of the per-slot arrays.
+func TestRelaxedJoinAllocCeiling(t *testing.T) {
+	const n = 200
+	env := testEnv(1)
+	tree, err := overlay.NewTree(0, 1, env.Delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewRelaxedBandwidthOrdered(env)
+	for i := 0; i < n; i++ {
+		join(t, s, tree, topology.NodeID(i), 1.5-float64(i)/float64(4*n), 0)
+	}
+	bw := 1.5
+	joinTop := func() {
+		bw += 0.001
+		m := tree.NewMember(0, bw, 0)
+		if err := s.Join(tree, m, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joinTop() // warm the strategy's scratch
+	if allocs := testing.AllocsPerRun(20, joinTop); allocs > 6 {
+		t.Fatalf("a join that evicts %d members allocates %.0f times, want at most 6", n, allocs)
+	}
+	if err := tree.CheckInvariantsFull(); err != nil {
+		t.Fatal(err)
+	}
+	if tree.MaxDepth() != n+22 {
+		t.Fatalf("tree depth %d, want the path of %d", tree.MaxDepth(), n+22)
+	}
+}

@@ -87,6 +87,9 @@ func (t *Tree) checkCounters() error {
 // slots in the level and order indexes.
 func (t *Tree) checkLocal(i int32) error {
 	m := t.handle[i]
+	if t.outDeg[i] != int32(m.OutDegree()) {
+		return fmt.Errorf("overlay: member %d Bandwidth changed after NewMember (degree %d, cached %d)", m.ID, m.OutDegree(), t.outDeg[i])
+	}
 	if t.kidCount[i] > t.outDeg[i] {
 		return fmt.Errorf("overlay: member %d has %d children, degree %d", m.ID, t.kidCount[i], t.outDeg[i])
 	}
@@ -126,7 +129,7 @@ func (t *Tree) checkLocal(i int32) error {
 	if t.attached[i] {
 		d := int(t.depth[i])
 		li := t.levelIdx[i]
-		if d < 0 || d >= len(t.levels) || li < 0 || int(li) >= len(t.levels[d]) || t.levels[d][li] != m {
+		if d < 0 || d >= len(t.levels) || !holds(t.levels[d], li, m) {
 			return fmt.Errorf("overlay: level index corrupt at depth %d slot %d (member %d)", d, li, m.ID)
 		}
 		if p := t.parent[i]; p != none && !t.attached[p] {
@@ -143,13 +146,28 @@ func (t *Tree) checkLocal(i int32) error {
 			return fmt.Errorf("overlay: detached parentless member %d has depth %d", m.ID, t.depth[i])
 		}
 	}
+	if x := t.lx; x != nil && int(i) < len(x.heapPos) {
+		hp, sp := x.heapPos[i], x.sparePos[i]
+		inHeap, inSpare := t.attached[i] && t.parent[i] != none, t.attached[i] && t.kidCount[i] < t.outDeg[i]
+		if (hp != none) != inHeap || inHeap && !holds(x.heaps[t.depth[i]], hp, m) {
+			return fmt.Errorf("overlay: level index heap slot %d wrong for member %d", hp, m.ID)
+		}
+		if (sp != none) != inSpare || inSpare && !holds(x.spare[t.depth[i]], sp, m) {
+			return fmt.Errorf("overlay: level index spare slot %d wrong for member %d", sp, m.ID)
+		}
+	}
 	if m != t.root {
 		oi := t.orderIdx[i]
-		if oi < 0 || int(oi) >= len(t.order) || t.order[oi] != m {
+		if !holds(t.order, oi, m) {
 			return fmt.Errorf("overlay: member %d missing from the order index", m.ID)
 		}
 	}
 	return nil
+}
+
+// holds reports whether list records m at position pos.
+func holds(list []*Member, pos int32, m *Member) bool {
+	return pos >= 0 && int(pos) < len(list) && list[pos] == m
 }
 
 // CheckInvariantsFull verifies every structural invariant with a complete
@@ -204,7 +222,50 @@ func (t *Tree) CheckInvariantsFull() error {
 		return fmt.Errorf("overlay: maintained counters (%d attached, %d level) disagree with scan (%d attached)",
 			t.attachedCount, t.levelCount, attachedCount)
 	}
+	if err := t.checkLevelIndex(); err != nil {
+		return err
+	}
 	return t.checkCounters()
+}
+
+// checkLevelIndex verifies, when the level index is on, that every level's
+// heap and spare set hold exactly the occupants checkLocal expects there (the
+// slots themselves are checkLocal's), that the heap order holds at every
+// node, and that the top is the weakest occupant a linear scan of the level
+// finds. A Bandwidth or JoinTime changed under an attached member fails here.
+func (t *Tree) checkLevelIndex() error {
+	x := t.lx
+	if x == nil {
+		return nil
+	}
+	for d, level := range t.levels {
+		var weakest *Member
+		ranked, spare := 0, 0
+		for _, m := range level {
+			if t.kidCount[m.idx] < t.outDeg[m.idx] {
+				spare++
+			}
+			if t.parent[m.idx] == none {
+				continue
+			}
+			ranked++
+			if weakest == nil || x.order.Outranks(weakest, m) {
+				weakest = m
+			}
+		}
+		if len(x.heaps[d]) != ranked || len(x.spare[d]) != spare {
+			return fmt.Errorf("overlay: level index at depth %d does not hold the level's %d ranked, %d spare occupants", d, ranked, spare)
+		}
+		if x.Weakest(d) != weakest {
+			return fmt.Errorf("overlay: level index weakest at depth %d is not the scan's", d)
+		}
+		for k, m := range x.heaps[d] {
+			if k > 0 && x.weaker(m, x.heaps[d][(k-1)/2]) {
+				return fmt.Errorf("overlay: level index heap order broken at depth %d (member %d)", d, m.ID)
+			}
+		}
+	}
+	return nil
 }
 
 // invWalk is CheckInvariantsFull's pre-order walk over the subtree at dense

@@ -116,9 +116,12 @@ func TestIncrementalMatchesFull(t *testing.T) {
 // TestInvariantCheckersCatchCorruption injects corruption directly into the
 // struct-of-arrays state and requires BOTH checkers to report it: the full
 // scan unconditionally, the incremental one once the touched member is in
-// the dirty set (as it would be after any real mutation).
+// the dirty set (as it would be after any real mutation). Cases that name a
+// LevelOrder run with the level index built under it; the heap's order is a
+// property of a whole level, so the cases that break only that are the full
+// scan's alone.
 func TestInvariantCheckersCatchCorruption(t *testing.T) {
-	build := func() (*Tree, *Member, *Member) {
+	build := func(order LevelOrder) (*Tree, *Member, *Member) {
 		tree, err := NewTree(0, 100, testDelay)
 		if err != nil {
 			t.Fatal(err)
@@ -126,10 +129,14 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		a := tree.NewMember(1, 4, 0)
 		b := tree.NewMember(2, 4, 0)
 		c := tree.NewMember(3, 4, 0)
-		for _, pair := range [][2]*Member{{a, tree.Root()}, {b, a}, {c, b}} {
+		e := tree.NewMember(4, 4.5, 0) // a's sibling: level 1's heap is [a, e] under either order
+		for _, pair := range [][2]*Member{{a, tree.Root()}, {b, a}, {c, b}, {e, tree.Root()}} {
 			if err := tree.Attach(pair[0], pair[1]); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if order != 0 {
+			tree.LevelIndex(order)
 		}
 		// Start from a clean dirty set so each case controls its own.
 		if err := tree.CheckInvariants(); err != nil {
@@ -138,52 +145,89 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		return tree, a, b
 	}
 	cases := []struct {
-		name    string
-		corrupt func(tree *Tree, a, b *Member) int32 // returns the idx to dirty
+		name     string
+		order    LevelOrder
+		fullOnly bool
+		corrupt  func(tree *Tree, a, b *Member) int32 // returns the idx to dirty
 	}{
-		{"depth", func(tree *Tree, a, b *Member) int32 {
+		{name: "bandwidth-changed", corrupt: func(tree *Tree, a, b *Member) int32 {
+			b.Bandwidth = 0.5
+			return b.idx
+		}},
+		{name: "index-heap-slot", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) int32 {
+			tree.lx.heapPos[b.idx] = none
+			return b.idx
+		}},
+		{name: "index-heap-stale-occupant", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) int32 {
+			tree.lx.heaps[2][0] = a
+			return b.idx
+		}},
+		{name: "index-spare-missing", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) int32 {
+			tree.lx.spare[2], tree.lx.sparePos[b.idx] = nil, none
+			return b.idx
+		}},
+		{name: "index-spare-full-member", order: ByJoinTime, corrupt: func(tree *Tree, a, b *Member) int32 {
+			tree.outDeg[b.idx], b.Bandwidth = 1, 1 // b has one child: full now, yet still listed
+			return b.idx
+		}},
+		{name: "index-heap-order", order: ByBandwidth, fullOnly: true, corrupt: func(tree *Tree, a, b *Member) int32 {
+			x := tree.lx
+			h := x.heaps[1]
+			h[0], h[1] = h[1], h[0]
+			x.heapPos[h[0].idx], x.heapPos[h[1].idx] = 0, 1
+			return a.idx
+		}},
+		{name: "join-time-changed-while-attached", order: ByJoinTime, fullOnly: true, corrupt: func(tree *Tree, a, b *Member) int32 {
+			a.JoinTime = -time.Second // older than its sibling now, but still the heap's "weakest"
+			return a.idx
+		}},
+		{name: "bandwidth-changed-within-degree", order: ByBandwidth, fullOnly: true, corrupt: func(tree *Tree, a, b *Member) int32 {
+			a.Bandwidth = 4.9 // same degree, but now outranks its sibling
+			return a.idx
+		}},
+		{name: "depth", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.depth[b.idx] += 3
 			return a.idx // the parent-side walk sees the bad child depth
 		}},
-		{"path-delay", func(tree *Tree, a, b *Member) int32 {
+		{name: "path-delay", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.pathDelay[b.idx] += time.Second
 			return a.idx
 		}},
-		{"kid-count", func(tree *Tree, a, b *Member) int32 {
+		{name: "kid-count", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.kidCount[a.idx]++
 			return a.idx
 		}},
-		{"parent-link", func(tree *Tree, a, b *Member) int32 {
+		{name: "parent-link", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.parent[b.idx] = tree.root.idx
 			return a.idx
 		}},
-		{"sibling-back-link", func(tree *Tree, a, b *Member) int32 {
+		{name: "sibling-back-link", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.prevSib[b.idx] = b.idx
 			return a.idx
 		}},
-		{"level-slot", func(tree *Tree, a, b *Member) int32 {
+		{name: "level-slot", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.levelIdx[b.idx] = none
 			return b.idx
 		}},
-		{"order-slot", func(tree *Tree, a, b *Member) int32 {
+		{name: "order-slot", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.orderIdx[b.idx] = tree.orderIdx[a.idx]
 			return b.idx
 		}},
-		{"attached-counter", func(tree *Tree, a, b *Member) int32 {
+		{name: "attached-counter", corrupt: func(tree *Tree, a, b *Member) int32 {
 			tree.attachedCount++
 			return b.idx
 		}},
 	}
 	for _, tc := range cases {
-		tree, a, b := build()
+		tree, a, b := build(tc.order)
 		dirty := tc.corrupt(tree, a, b)
 		if err := tree.CheckInvariantsFull(); err == nil {
 			t.Errorf("%s: full check missed the corruption", tc.name)
 		}
-		tree, a, b = build()
+		tree, a, b = build(tc.order)
 		dirty = tc.corrupt(tree, a, b)
 		tree.markDirty(dirty)
-		if err := tree.CheckInvariants(); err == nil {
+		if err := tree.CheckInvariants(); err == nil && !tc.fullOnly {
 			t.Errorf("%s: incremental check missed the corruption on a dirty member", tc.name)
 		}
 	}

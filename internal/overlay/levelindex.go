@@ -1,0 +1,178 @@
+package overlay
+
+// LevelOrder names the rank a level index keeps its weakest-occupant heaps
+// under. The centralized relaxed algorithms replace the weakest occupant of a
+// layer with a joining member that outranks it.
+type LevelOrder uint8
+
+const (
+	// ByBandwidth ranks a larger outbound Bandwidth higher (relaxed BO).
+	ByBandwidth LevelOrder = iota + 1
+	// ByJoinTime ranks an earlier JoinTime, an older member, higher (relaxed TO).
+	ByJoinTime
+)
+
+// Outranks reports whether a ranks strictly above b: a strict weak order, which
+// is what makes a level's weakest occupant the only eviction candidate.
+func (o LevelOrder) Outranks(a, b *Member) bool {
+	if o == ByBandwidth {
+		return a.Bandwidth > b.Bandwidth
+	}
+	return a.JoinTime < b.JoinTime
+}
+
+// LevelIndex summarises each level list for the top-down eviction scan: the
+// weakest occupant under one LevelOrder and the occupants with spare degree.
+// The tree maintains it at its level- and child-list mutation sites once
+// Tree.LevelIndex has built it; a tree nobody asks never pays for it.
+type LevelIndex struct {
+	t     *Tree
+	order LevelOrder
+	// heaps[d] is a binary heap over level d's occupants (the source excluded:
+	// it cannot be evicted) whose top is the weakest and, among equals, the one
+	// earliest in Level(d). spare[d] holds those with kidCount < outDeg,
+	// unordered. heapPos/sparePos give a slot's position in each, or none.
+	heaps, spare      [][]*Member
+	heapPos, sparePos []int32
+}
+
+// LevelIndex returns the tree's level index under order o, building it on
+// first use and rebuilding it when the tree last indexed a different order, so
+// one strategy's ranking is never served to another. Callers fetch it per join
+// and do not retain it.
+func (t *Tree) LevelIndex(o LevelOrder) *LevelIndex {
+	if t.lx == nil || t.lx.order != o {
+		t.lx = &LevelIndex{t: t, order: o, heaps: make([][]*Member, len(t.levels)), spare: make([][]*Member, len(t.levels))}
+		for _, level := range t.levels {
+			for _, m := range level {
+				t.lx.insert(m.idx)
+			}
+		}
+	}
+	return t.lx
+}
+
+// Weakest returns the lowest-ranked occupant of level d, the first in Level(d)
+// order among equals, or nil when the level has nobody evictable.
+func (x *LevelIndex) Weakest(d int) *Member {
+	if d >= len(x.heaps) || len(x.heaps[d]) == 0 {
+		return nil
+	}
+	return x.heaps[d][0]
+}
+
+// Spare returns level d's occupants that can accept one more child, in no
+// particular order (Member.LevelPos recovers Level(d) order). The slice is
+// owned by the tree and valid until the next mutation.
+func (x *LevelIndex) Spare(d int) []*Member {
+	if d >= len(x.spare) {
+		return nil
+	}
+	return x.spare[d]
+}
+
+// LevelPos returns the member's position in Level(Depth()), or -1 when it is
+// not attached.
+func (m *Member) LevelPos() int {
+	if m.tree == nil || m.idx < 0 {
+		return -1
+	}
+	return int(m.tree.levelIdx[m.idx])
+}
+
+// insert adds the member at slot n, just appended to its level list.
+func (x *LevelIndex) insert(n int32) {
+	t, d := x.t, int(x.t.depth[n])
+	for len(x.heaps) <= d {
+		x.heaps, x.spare = append(x.heaps, nil), append(x.spare, nil)
+	}
+	for len(x.heapPos) <= int(n) {
+		x.heapPos, x.sparePos = append(x.heapPos, none), append(x.sparePos, none)
+	}
+	if t.parent[n] != none {
+		x.heapPos[n] = int32(len(x.heaps[d]))
+		x.heaps[d] = append(x.heaps[d], t.handle[n])
+		x.up(x.heaps[d], x.heapPos[n])
+	}
+	x.spareSync(n, t.kidCount[n] < t.outDeg[n])
+}
+
+// remove drops the member at slot n from both sets just before levelRemove
+// takes it out of its level list, and ranks the list's tail, which that
+// swap-remove is about to move into n's position, at its new position.
+func (x *LevelIndex) remove(n int32) {
+	t, d := x.t, x.t.depth[n]
+	if k := x.heapPos[n]; k != none {
+		h := x.heaps[d]
+		last := int32(len(h) - 1)
+		h[k] = h[last]
+		x.heapPos[h[k].idx] = k
+		h[last] = nil
+		x.heaps[d], x.heapPos[n] = h[:last], none
+		if k < last {
+			x.up(h[:last], k)
+			x.down(h[:last], k)
+		}
+	}
+	x.spareSync(n, false)
+	if tail := t.levels[d][len(t.levels[d])-1]; tail.idx != n && x.heapPos[tail.idx] != none {
+		t.levelIdx[tail.idx] = t.levelIdx[n] // as levelRemove will set it
+		x.up(x.heaps[d], x.heapPos[tail.idx])
+	}
+}
+
+// spareSync makes the attached member at slot n's presence in its level's
+// spare set equal want.
+func (x *LevelIndex) spareSync(n int32, want bool) {
+	d, k := x.t.depth[n], x.sparePos[n]
+	s := x.spare[d]
+	switch {
+	case want && k == none:
+		x.sparePos[n] = int32(len(s))
+		x.spare[d] = append(s, x.t.handle[n])
+	case !want && k != none:
+		last := len(s) - 1
+		s[k] = s[last]
+		x.sparePos[s[k].idx] = k
+		s[last] = nil
+		x.spare[d], x.sparePos[n] = s[:last], none
+	}
+}
+
+// weaker is the heap order: lower rank first, then earlier level position.
+func (x *LevelIndex) weaker(a, b *Member) bool {
+	if x.order.Outranks(b, a) {
+		return true
+	}
+	return !x.order.Outranks(a, b) && x.t.levelIdx[a.idx] < x.t.levelIdx[b.idx]
+}
+
+func (x *LevelIndex) up(h []*Member, k int32) {
+	for k > 0 {
+		p := (k - 1) / 2
+		if !x.weaker(h[k], h[p]) {
+			return
+		}
+		h[k], h[p] = h[p], h[k]
+		x.heapPos[h[k].idx], x.heapPos[h[p].idx] = k, p
+		k = p
+	}
+}
+
+func (x *LevelIndex) down(h []*Member, k int32) {
+	for {
+		c := 2*k + 1
+		if int(c) >= len(h) {
+			return
+		}
+		if int(c)+1 < len(h) && x.weaker(h[c+1], h[c]) {
+			c++
+		}
+		if !x.weaker(h[c], h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		x.heapPos[h[k].idx], x.heapPos[h[c].idx] = k, c
+		k = c
+	}
+}

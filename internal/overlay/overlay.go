@@ -1,8 +1,9 @@
 // Package overlay implements the single-tree overlay multicast substrate the
 // paper's algorithms operate on: members with out-degree constraints derived
 // from their outbound bandwidths, parent/child links, per-layer indexing (the
-// centralized relaxed-BO/TO algorithms scan layers top-down), overlay path
-// delays, and the disruption/reconnection accounting the evaluation reports.
+// centralized relaxed-BO/TO algorithms work through the layers top-down; see
+// LevelIndex), overlay path delays, and the disruption/reconnection accounting
+// the evaluation reports.
 //
 // The package is purely structural: which parent a member picks, when nodes
 // switch positions, and how losses are repaired live in the construct, rost
@@ -67,9 +68,14 @@ type Member struct {
 	// Attach is the stub router the member sits on.
 	Attach topology.NodeID
 	// Bandwidth is the outbound access bandwidth in units of the stream
-	// rate. The member can feed floor(Bandwidth) children.
+	// rate. The member can feed floor(Bandwidth) children. It must not change
+	// once the member exists: the tree caches the degree at NewMember and a
+	// level index ranks attached members by it.
 	Bandwidth float64
-	// JoinTime is the virtual time the member entered the overlay.
+	// JoinTime is the virtual time the member entered the overlay. Like
+	// Bandwidth it is a level-index key, so it may be assigned only while the
+	// member is unattached (churn's pre-population back-dates it between
+	// NewMember and the first join).
 	JoinTime time.Duration
 
 	// Disruptions counts streaming disruptions experienced (one per failed
@@ -107,11 +113,18 @@ func (m *Member) Children() []*Member {
 	if t == nil || m.idx < 0 || t.kidCount[m.idx] == 0 {
 		return nil
 	}
-	out := make([]*Member, 0, t.kidCount[m.idx])
-	for c := t.firstKid[m.idx]; c != none; c = t.nextSib[c] {
-		out = append(out, t.handle[c])
+	return m.AppendChildren(make([]*Member, 0, t.kidCount[m.idx]))
+}
+
+// AppendChildren appends the member's children to dst in child-list order and
+// returns the extended slice: Children into a caller-owned buffer.
+func (m *Member) AppendChildren(dst []*Member) []*Member {
+	if t := m.tree; t != nil && m.idx >= 0 {
+		for c := t.firstKid[m.idx]; c != none; c = t.nextSib[c] {
+			dst = append(dst, t.handle[c])
+		}
 	}
-	return out
+	return dst
 }
 
 // NumChildren returns the member's current child count without allocating.
@@ -243,6 +256,9 @@ type Tree struct {
 	// (the root excluded); levels[d] lists attached members at depth d.
 	order  []*Member
 	levels [][]*Member
+	// lx is the per-level summary the relaxed BO/TO joins read instead of
+	// scanning levels; nil until LevelIndex first builds it.
+	lx *LevelIndex
 
 	// liveCount counts live members including the root. attachedCount and
 	// levelCount both track the number of attached members but are
@@ -433,6 +449,9 @@ func (t *Tree) placeSubtree(m int32) {
 			t.attachedCount++
 		}
 		t.levelInsert(n)
+		if t.lx != nil {
+			t.lx.insert(n)
+		}
 		t.markDirty(n)
 		if fc := t.firstKid[n]; fc != none {
 			n = fc
@@ -467,6 +486,9 @@ func (t *Tree) Detach(m *Member) error {
 	n := m.idx
 	for {
 		if t.attached[n] {
+			if t.lx != nil {
+				t.lx.remove(n)
+			}
 			t.levelRemove(n)
 			t.attached[n] = false
 			t.attachedCount--
@@ -552,6 +574,9 @@ func (t *Tree) MoveSubtree(m, newParent *Member) error {
 		n := m.idx
 		for {
 			if t.attached[n] {
+				if t.lx != nil {
+					t.lx.remove(n)
+				}
 				t.levelRemove(n)
 				t.attached[n] = false
 				t.attachedCount--
@@ -798,6 +823,9 @@ func (t *Tree) childAppend(p, c int32) {
 	}
 	t.lastKid[p] = c
 	t.kidCount[p]++
+	if t.lx != nil && t.kidCount[p] >= t.outDeg[p] {
+		t.lx.spareSync(p, false)
+	}
 	t.markDirty(p)
 	t.markDirty(c)
 }
@@ -850,10 +878,15 @@ func (t *Tree) childRemove(p, c int32) {
 	t.prevSib[c] = none
 	t.nextSib[c] = none
 	t.kidCount[p]--
+	if t.lx != nil && t.attached[p] {
+		t.lx.spareSync(p, true)
+	}
 	t.markDirty(p)
 	t.markDirty(c)
 }
 
+// levelInsert and levelRemove stay small enough to inline into the subtree
+// walks; their callers, not they, keep the level index (lx) in step.
 func (t *Tree) levelInsert(n int32) {
 	d := int(t.depth[n])
 	for len(t.levels) <= d {

@@ -42,6 +42,11 @@ func checkInv(t *testing.T, tree *Tree) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
+	if tree.lx != nil { // the heap order is the full scan's to verify
+		if err := tree.CheckInvariantsFull(); err != nil {
+			t.Fatalf("invariants with the level index on: %v", err)
+		}
+	}
 }
 
 func TestNewTree(t *testing.T) {
@@ -446,8 +451,17 @@ func TestLockAllOrNothing(t *testing.T) {
 
 // TestChurnInvariants drives a random sequence of joins, leaves, and moves
 // and checks structural invariants after every step.
-func TestChurnInvariants(t *testing.T) {
+func TestChurnInvariants(t *testing.T) { churnInvariants(t, 0) }
+
+// TestChurnInvariantsIndexed is the same workload with the level index
+// maintained under it from the first mutation.
+func TestChurnInvariantsIndexed(t *testing.T) { churnInvariants(t, ByJoinTime) }
+
+func churnInvariants(t *testing.T, order LevelOrder) {
 	tree := newTestTree(t)
+	if order != 0 {
+		tree.LevelIndex(order)
+	}
 	rng := xrand.New(77)
 	live := []*Member{}
 	for step := 0; step < 3000; step++ {
@@ -455,7 +469,9 @@ func TestChurnInvariants(t *testing.T) {
 		switch {
 		case op < 0.5 || len(live) == 0: // join
 			bw := 0.5 + rng.Float64()*5
-			m := tree.NewMember(topology.NodeID(rng.Intn(1000)), bw, time.Duration(step)*time.Second)
+			// Join times come in runs of 64 equal values, so the indexed variant
+			// ranks mostly ties and leans on level position to break them.
+			m := tree.NewMember(topology.NodeID(rng.Intn(1000)), bw, time.Duration(step/64)*time.Minute)
 			// Find any parent with spare degree.
 			parent := tree.Root()
 			cands := tree.Sample(rng, 20, m)
@@ -529,11 +545,20 @@ func TestChurnInvariants(t *testing.T) {
 // by testing/quick against the tree and checks the full invariant suite
 // after each program: whatever the interleaving of joins, removals and
 // subtree moves, the structure stays consistent.
-func TestQuickRandomOpSequences(t *testing.T) {
+func TestQuickRandomOpSequences(t *testing.T) { quickRandomOpSequences(t, 0) }
+
+// TestQuickRandomOpSequencesIndexed runs the same programs with the level
+// index on and holds the index to the full scan.
+func TestQuickRandomOpSequencesIndexed(t *testing.T) { quickRandomOpSequences(t, ByBandwidth) }
+
+func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 	f := func(ops []uint32) bool {
 		tree, err := NewTree(0, 10, constDelay)
 		if err != nil {
 			return false
+		}
+		if order != 0 {
+			tree.LevelIndex(order)
 		}
 		var live []*Member
 		for step, op := range ops {
@@ -609,7 +634,7 @@ func TestQuickRandomOpSequences(t *testing.T) {
 				}
 			}
 		}
-		return tree.CheckInvariants() == nil
+		return tree.CheckInvariants() == nil && tree.CheckInvariantsFull() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
