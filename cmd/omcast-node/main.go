@@ -110,35 +110,40 @@ func newMux(n *node.Node, reg *live.Registry, ring *flight.Ring) *http.ServeMux 
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("omcast-node", flag.ExitOnError)
 	var (
-		listen     = flag.String("listen", "127.0.0.1:0", "UDP address to bind")
-		source     = flag.Bool("source", false, "act as the stream source")
-		bandwidth  = flag.Float64("bandwidth", 3, "outbound bandwidth (out-degree = floor)")
-		bootstrap  = flag.String("bootstrap", "", "comma-separated bootstrap addresses")
-		rate       = flag.Float64("rate", 10, "stream rate in packets/second (source)")
-		heartbeat  = flag.Duration("heartbeat", time.Second, "heartbeat interval")
-		switchIv   = flag.Duration("switch", 0, "ROST switching interval (0 = disabled)")
-		status     = flag.Duration("status", 5*time.Second, "status print interval")
-		group      = flag.Int("recovery-group", 3, "CER recovery group size")
-		httpAddr   = flag.String("http", "", "serve /metrics and /healthz on this address (empty = disabled)")
-		faults     = flag.String("faults", "", "JSON fault schedule to inject on this node's traffic (see internal/faultnet)")
-		faultSeed  = flag.Int64("fault-seed", 0, "override the fault schedule's seed")
-		noGuard    = flag.Bool("no-guard", false, "disable the per-peer misbehavior guard (rate limiting, quarantine, BTP audit)")
-		guardRate  = flag.Float64("guard-rate", 0, "per-peer request rate limit in requests/second (0 = default)")
-		guardScore = flag.Float64("guard-score", 0, "misbehavior score that triggers quarantine (0 = default)")
-		traceBuf   = flag.Int("trace-buf", flight.DefaultSize, "span flight-recorder capacity served on /debug/trace (0 = disable span tracing)")
-		retxN      = flag.Int("retx-attempts", 0, "max transmissions per control message (0 = default of 4, negative = disable the retransmit shim)")
-		retxBase   = flag.Duration("retx-base", 0, "first retransmit backoff (0 = default of heartbeat/2)")
-		retxCap    = flag.Int("retx-inflight", 0, "max unacked control messages per peer (0 = default of 32)")
+		listen     = fs.String("listen", "127.0.0.1:0", "UDP address to bind")
+		source     = fs.Bool("source", false, "act as the stream source")
+		bandwidth  = fs.Float64("bandwidth", 3, "outbound bandwidth (out-degree = floor)")
+		bootstrap  = fs.String("bootstrap", "", "comma-separated bootstrap addresses")
+		rate       = fs.Float64("rate", 10, "stream rate in packets/second (source)")
+		heartbeat  = fs.Duration("heartbeat", time.Second, "heartbeat interval")
+		switchIv   = fs.Duration("switch", 0, "ROST switching interval (0 = disabled)")
+		status     = fs.Duration("status", 5*time.Second, "status print interval")
+		group      = fs.Int("recovery-group", 3, "CER recovery group size")
+		httpAddr   = fs.String("http", "", "serve /metrics and /healthz on this address (empty = disabled)")
+		faults     = fs.String("faults", "", "JSON fault schedule to inject on this node's traffic (see internal/faultnet)")
+		faultSeed  = fs.Int64("fault-seed", 0, "override the fault schedule's seed")
+		noGuard    = fs.Bool("no-guard", false, "disable the per-peer misbehavior guard (rate limiting, quarantine, BTP audit)")
+		guardRate  = fs.Float64("guard-rate", 0, "per-peer request rate limit in requests/second (0 = default)")
+		guardScore = fs.Float64("guard-score", 0, "misbehavior score that triggers quarantine (0 = default)")
+		traceBuf   = fs.Int("trace-buf", flight.DefaultSize, "span flight-recorder capacity served on /debug/trace (0 = disable span tracing)")
+		retxN      = fs.Int("retx-attempts", 0, "max transmissions per control message (0 = default of 4; 1 = send once, never retransmit)")
+		retxBase   = fs.Duration("retx-base", 0, "first retransmit backoff (0 = default of heartbeat/2)")
+		retxCap    = fs.Int("retx-inflight", 0, "max unacked control messages per peer (0 = default of 32)")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	if !*source && *bootstrap == "" {
 		fmt.Fprintln(os.Stderr, "omcast-node: members need -bootstrap")
+		return 2
+	}
+	if *retxN < 0 {
+		fmt.Fprintf(os.Stderr, "omcast-node: -retx-attempts %d: must not be negative\n", *retxN)
 		return 2
 	}
 	var boots []wire.Addr

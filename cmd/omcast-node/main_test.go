@@ -175,3 +175,11 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		t.Fatalf("no completed join span in /debug/trace:\n%s", body)
 	}
 }
+
+// TestNegativeRetxAttemptsRejected: the retransmit shim has no off switch, so
+// a negative budget is a usage error (exit 2) caught before any socket opens.
+func TestNegativeRetxAttemptsRejected(t *testing.T) {
+	if code := run([]string{"-source", "-retx-attempts", "-1"}); code != 2 {
+		t.Fatalf("run(-retx-attempts -1) = %d, want 2", code)
+	}
+}

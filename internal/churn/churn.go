@@ -60,9 +60,6 @@ type Config struct {
 	Warmup time.Duration
 	// Measure is the measurement window length; zero means one hour.
 	Measure time.Duration
-	// RejoinRetry, SampleInterval: zero means the package defaults.
-	RejoinRetry    time.Duration
-	SampleInterval time.Duration
 	// PrePopulate seeds the overlay at time zero as if the session had
 	// already been running for SessionAge: a Poisson arrival history over
 	// [-SessionAge, 0) is replayed and the members still alive at zero join
@@ -98,12 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Measure <= 0 {
 		c.Measure = time.Hour
-	}
-	if c.RejoinRetry <= 0 {
-		c.RejoinRetry = DefaultRejoinRetry
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = DefaultSampleInterval
 	}
 	if c.SessionAge <= 0 {
 		c.SessionAge = 4 * time.Hour
@@ -406,7 +397,7 @@ func (d *Driver) tryFirstJoin(sim *eventsim.Simulator, id overlay.MemberID) {
 	case errors.Is(err, construct.ErrNoParent):
 		d.JoinFailures++
 		d.met.joinFailures.Inc()
-		sim.ScheduleAfter(d.cfg.RejoinRetry, func(s *eventsim.Simulator) {
+		sim.ScheduleAfter(DefaultRejoinRetry, func(s *eventsim.Simulator) {
 			d.tryFirstJoin(s, id)
 		})
 	default:
@@ -513,7 +504,7 @@ func (d *Driver) rejoin(sim *eventsim.Simulator, id overlay.MemberID) {
 		if d.hooks.OnRejoinBlocked != nil {
 			d.hooks.OnRejoinBlocked(sim, id)
 		}
-		sim.ScheduleAfter(d.cfg.RejoinRetry, func(s *eventsim.Simulator) {
+		sim.ScheduleAfter(DefaultRejoinRetry, func(s *eventsim.Simulator) {
 			d.rejoin(s, id)
 		})
 	default:
@@ -590,7 +581,7 @@ func (d *Driver) sampleTreeMetrics(sim *eventsim.Simulator) {
 		d.stretchSamples = append(d.stretchSamples, stretchSum/float64(stretchN))
 	}
 	d.sizeSamples = append(d.sizeSamples, float64(n))
-	sim.ScheduleAfter(d.cfg.SampleInterval, func(s *eventsim.Simulator) {
+	sim.ScheduleAfter(DefaultSampleInterval, func(s *eventsim.Simulator) {
 		d.sampleTreeMetrics(s)
 	})
 }

@@ -56,8 +56,8 @@ func TestJoinBackoffGrows(t *testing.T) {
 	cfg := fast
 	cfg.Bandwidth = 1
 	cfg.Bootstrap = []wire.Addr{"nobody-home"}
-	cfg.JoinBackoffBase = 10 * time.Millisecond
-	cfg.JoinBackoffMax = 80 * time.Millisecond
+	// The join backoff runs from one heartbeat to eight: 10 ms to 80 ms here.
+	cfg.HeartbeatInterval = 10 * time.Millisecond
 	nd := New(cfg, ep)
 	nd.Start()
 	defer nd.Kill()
@@ -72,8 +72,8 @@ func TestJoinBackoffGrows(t *testing.T) {
 	if streak < 5 {
 		t.Fatalf("join streak = %d after 1s of futile attempts, want >= 5", streak)
 	}
-	low := nd.cfg.JoinBackoffMax / 2
-	d := backoffDelay(nd.cfg.JoinBackoffBase, nd.cfg.JoinBackoffMax, streak, xrand.NewNamed(cfg.Seed, "node:join:loner"))
+	low := nd.tm.joinBackoffMax / 2
+	d := backoffDelay(nd.tm.joinBackoffBase, nd.tm.joinBackoffMax, streak, xrand.NewNamed(cfg.Seed, "node:join:loner"))
 	if d < low {
 		t.Fatalf("delay at streak %d = %s, want >= %s (cap reached)", streak, d, low)
 	}
@@ -115,7 +115,8 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 	cfg := fast
 	cfg.Bandwidth = 1
 	cfg.RecoveryGroup = 3
-	cfg.MemberStaleAfter = time.Second
+	// Members go stale after 10 gossip rounds: 1 s.
+	cfg.GossipInterval = 100 * time.Millisecond
 	nd := New(cfg, ep) // never Started: recoveryGroup is a pure read
 	defer nd.Kill()
 
@@ -142,11 +143,11 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 			t.Fatalf("stale member selected into recovery group: %v", group)
 		}
 	}
-
-	// Sanity: with the filter disabled the stale member is eligible again
-	// (alphabetical tiebreak puts "stale" after "fresh*", so widen K).
+	// Sanity: staleness is what kept it out — heard from again, the same
+	// member is eligible (alphabetical tiebreak puts "stale" after "fresh*",
+	// so widen K).
+	nd.touchMember("stale")
 	nd.mu.Lock()
-	nd.cfg.MemberStaleAfter = -1
 	nd.cfg.RecoveryGroup = 5
 	nd.mu.Unlock()
 	group = nd.recoveryGroup()
@@ -157,6 +158,6 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("filter disabled but stale member still excluded: %v", group)
+		t.Fatalf("refreshed member still excluded: %v", group)
 	}
 }

@@ -43,6 +43,11 @@ const (
 	// scoreAuditFail is charged when a BTP claim outruns the peer's own
 	// claimed bandwidth.
 	scoreAuditFail = 6
+	// scoreDecay is the linear decay of a peer's score, in points per second.
+	scoreDecay = 1
+	// auditSlack scales the BTP growth the audit allows between two claims
+	// (delta <= bandwidth * dt * auditSlack + grace).
+	auditSlack = 2
 )
 
 // guardPeer is the per-remote-peer guard state.
@@ -72,7 +77,7 @@ func (n *Node) guardPeerLocked(addr wire.Addr, now time.Time) *guardPeer {
 	if p, ok := n.guard[addr]; ok {
 		return p
 	}
-	if max := 4 * n.cfg.MembershipLimit; len(n.guard) >= max {
+	if len(n.guard) >= n.tm.peerCap {
 		var victim wire.Addr
 		var oldest time.Time
 		for a, p := range n.guard {
@@ -92,7 +97,7 @@ func (n *Node) guardPeerLocked(addr wire.Addr, now time.Time) *guardPeer {
 		}
 		delete(n.guard, victim)
 	}
-	p := &guardPeer{scoreAt: now, tokensAt: now, tokens: n.cfg.GuardRequestBurst}
+	p := &guardPeer{scoreAt: now, tokensAt: now, tokens: n.tm.requestBurst}
 	n.guard[addr] = p
 	return p
 }
@@ -132,14 +137,13 @@ func (n *Node) quarantinedCountLocked(now time.Time) int {
 // whether the quarantined peer was our parent (the caller must run the
 // parent-failure path outside the lock). Requires mu.
 func (n *Node) noteMisbehaviorLocked(addr wire.Addr, p *guardPeer, points float64, now time.Time) (lostParent bool) {
-	p.decayScoreLocked(n.cfg.GuardScoreDecay, now)
+	p.decayScoreLocked(scoreDecay, now)
 	p.score += points
 	if p.score < n.cfg.GuardQuarantineScore || now.Before(p.quarantinedUntil) {
 		return false
 	}
-	p.quarantinedUntil = now.Add(n.cfg.GuardQuarantine)
+	p.quarantinedUntil = now.Add(n.tm.quarantine)
 	p.score = 0 // the sentence restarts the account
-	n.stats.GuardQuarantines++
 	n.met.guardQuarantines.Inc()
 	delete(n.membership, addr)
 	delete(n.children, addr)
@@ -175,7 +179,6 @@ func (n *Node) guardAdmit(env wire.Envelope) bool {
 	p := n.guardPeerLocked(env.From, now)
 	p.lastSeen = now
 	if now.Before(p.quarantinedUntil) {
-		n.stats.GuardQuarantineDrops++
 		n.met.guardQuarantineDrops.Inc()
 		n.mu.Unlock()
 		return false
@@ -184,13 +187,12 @@ func (n *Node) guardAdmit(env wire.Envelope) bool {
 	case guardTypeIsRequest(env.Type):
 		if dt := now.Sub(p.tokensAt).Seconds(); dt > 0 {
 			p.tokens += dt * n.cfg.GuardRequestRate
-			if p.tokens > n.cfg.GuardRequestBurst {
-				p.tokens = n.cfg.GuardRequestBurst
+			if p.tokens > n.tm.requestBurst {
+				p.tokens = n.tm.requestBurst
 			}
 		}
 		p.tokensAt = now
 		if p.tokens < 1 {
-			n.stats.GuardRateLimited++
 			n.met.guardRateLimited.Inc()
 			lostParent = n.noteMisbehaviorLocked(env.From, p, scoreRateLimited, now)
 			admit = false
@@ -199,7 +201,6 @@ func (n *Node) guardAdmit(env wire.Envelope) bool {
 		}
 	case env.Type == wire.TypeHeartbeat || env.Type == wire.TypeSwitchPropose:
 		if !n.auditBTPLocked(p, env, now) {
-			n.stats.GuardAuditFails++
 			n.met.guardAuditFails.Inc()
 			lostParent = n.noteMisbehaviorLocked(env.From, p, scoreAuditFail, now)
 			admit = false
@@ -261,11 +262,11 @@ func (n *Node) auditBTPLocked(p *guardPeer, env wire.Envelope, now time.Time) bo
 	if p.lastBW > bw {
 		bw = p.lastBW
 	}
-	grace := bw * n.cfg.HeartbeatTimeout.Seconds()
+	grace := bw * n.tm.heartbeatTimeout.Seconds()
 	if grace < 1 {
 		grace = 1
 	}
-	allowed := bw*dt*n.cfg.GuardAuditSlack + grace
+	allowed := bw*dt*auditSlack + grace
 	if env.BTP > p.lastBTP+allowed {
 		return false
 	}

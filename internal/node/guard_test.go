@@ -17,6 +17,7 @@ type sinkTransport struct {
 
 	mu   sync.Mutex
 	sent []wire.Envelope
+	dest []wire.Addr // dest[i] is where sent[i] went
 }
 
 func (s *sinkTransport) Addr() wire.Addr { return s.addr }
@@ -28,6 +29,7 @@ func (s *sinkTransport) Send(to wire.Addr, data []byte) error {
 	}
 	s.mu.Lock()
 	s.sent = append(s.sent, env)
+	s.dest = append(s.dest, to)
 	s.mu.Unlock()
 	return nil
 }
@@ -38,7 +40,13 @@ func (s *sinkTransport) Close() error                 { return nil }
 func (s *sinkTransport) sentTo(to wire.Addr) []wire.Envelope {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]wire.Envelope(nil), s.sent...)
+	var out []wire.Envelope
+	for i, env := range s.sent {
+		if s.dest[i] == to {
+			out = append(out, env)
+		}
+	}
+	return out
 }
 
 // newGuardNode builds an unstarted node over a sink transport: handlers can
@@ -76,8 +84,9 @@ func envBytes(t *testing.T, env wire.Envelope) []byte {
 
 func TestGuardRateLimitsRequests(t *testing.T) {
 	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.GuardRequestRate = 0.001 // effectively no refill within the test
-		cfg.GuardRequestBurst = 3
+		// The bucket holds two seconds of rate: 3 tokens, and the next one
+		// is two thirds of a second away — no refill within the test.
+		cfg.GuardRequestRate = 1.5
 		cfg.GuardQuarantineScore = 1000 // keep quarantine out of this test
 	})
 	req := wire.Envelope{Type: wire.TypeMembershipRequest, From: "flooder"}
@@ -485,8 +494,7 @@ func TestJSONDatagramIsGarbage(t *testing.T) {
 func TestDisableGuardBypasses(t *testing.T) {
 	n, _ := newGuardNode(func(cfg *Config) {
 		cfg.DisableGuard = true
-		cfg.GuardRequestBurst = 1
-		cfg.GuardRequestRate = 0.001
+		cfg.GuardRequestRate = 0.5 // a one-token bucket, were the guard on
 	})
 	req := wire.Envelope{Type: wire.TypeMembershipRequest, From: "x"}
 	for i := 0; i < 10; i++ {

@@ -1,10 +1,13 @@
 package node
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"omcast/internal/metrics/live"
+	"omcast/internal/wire"
 )
 
 // metricValue returns the current value of the named series (summing across
@@ -118,4 +121,186 @@ func TestNodeMetricsRejoin(t *testing.T) {
 func TestNodeUninstrumented(t *testing.T) {
 	c := newCluster(t, 3, nil)
 	eventually(t, 5*time.Second, "all attached", c.allAttached)
+}
+
+// statsCounters pairs every counter field of Stats with the series that
+// serves it on /metrics (labelled families are summed).
+var statsCounters = []struct{ field, series string }{
+	{"PacketsReceived", "omcast_node_packets_received_total"},
+	{"PacketsRepaired", "omcast_node_packets_repaired_total"},
+	{"RepairsServed", "omcast_node_repairs_served_total"},
+	{"Rejoins", "omcast_node_rejoins_total"},
+	{"Failovers", "omcast_node_failovers_total"},
+	{"Switches", "omcast_node_switches_total"},
+	{"ELNsSent", "omcast_node_eln_sent_total"},
+	{"PlayedSlots", "omcast_node_played_slots_total"},
+	{"StarvedSlots", "omcast_node_starved_slots_total"},
+	{"JoinAttempts", "omcast_node_join_attempts_total"},
+	{"RepairRequests", "omcast_node_repair_requests_total"},
+	{"RepairsSuppressed", "omcast_node_repair_suppressed_total"},
+	{"Stalls", "omcast_node_playback_stalls_total"},
+	{"StallSeconds", "omcast_node_playback_stall_seconds"},
+	{"StallRejoins", "omcast_node_stall_rejoins_total"},
+	{"WireRejects", "omcast_node_wire_rejects_total"},
+	{"CtrlSent", "omcast_node_retx_ctrl_sent_total"},
+	{"RetxSent", "omcast_node_retx_sent_total"},
+	{"RetxAcked", "omcast_node_retx_acked_total"},
+	{"RetxExpired", "omcast_node_retx_expired_total"},
+	{"RetxOverflow", "omcast_node_retx_overflow_total"},
+	{"RetxDupDrops", "omcast_node_retx_dup_drops_total"},
+	{"GuardRateLimited", "omcast_node_guard_rate_limited_total"},
+	{"GuardQuarantineDrops", "omcast_node_guard_quarantine_drops_total"},
+	{"GuardQuarantines", "omcast_node_guard_quarantines_total"},
+	{"GuardAuditFails", "omcast_node_guard_btp_audit_fails_total"},
+	{"GuardImplausible", "omcast_node_guard_implausible_total"},
+}
+
+// runStatsScript drives a never-started node on a MemNetwork pair — the node
+// and one peer endpoint standing in for every remote — through one event of
+// every kind Stats counts, and returns the snapshot once the retransmit
+// timers have run out. Datagrams go straight into the transport handler and
+// the loop bodies (tryJoin, trySwitch, beat) are called by hand, so the
+// script is synchronous. The heartbeat is an hour: every heartbeat-derived
+// gate (repair backoff, switch lock, quarantine) outlasts the test, only the
+// explicitly set retransmit base runs in real time, and the counts are exact.
+func runStatsScript(t *testing.T, reg *live.Registry) Stats {
+	t.Helper()
+	network := NewMemNetwork(nil)
+	defer network.Close()
+	ep, err := network.Endpoint("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := network.Endpoint("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seenMu sync.Mutex
+	seen := make(map[wire.Type]int) // what reached the peer, by type
+	peer.SetHandler(func(data []byte) {
+		if env, err := wire.DecodeBinary(data); err == nil {
+			seenMu.Lock()
+			seen[env.Type]++
+			seenMu.Unlock()
+		}
+	})
+	n := New(Config{
+		Bandwidth:            3,
+		HeartbeatInterval:    time.Hour,
+		PlaybackBuffer:       time.Hour,
+		RetxAttempts:         2,
+		RetxBackoffBase:      100 * time.Millisecond,
+		RetxInflight:         1,
+		GuardRequestRate:     0.5, // a one-token bucket per peer
+		GuardQuarantineScore: 4,   // one attributed wire reject convicts
+		Metrics:              reg,
+	}, ep)
+	defer n.Kill()
+	in := func(env wire.Envelope) { n.onDatagram(envBytes(t, env)) }
+	parentHeartbeat := wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1, Depth: 1}
+
+	// Join: learn of p, ask it, have the Join acked and accepted.
+	in(wire.Envelope{Type: wire.TypeMembershipReply, From: "p",
+		Members: []wire.MemberInfo{{Addr: "p", Depth: 1, Spare: 2, Bandwidth: 1}}})
+	n.tryJoin()
+	in(wire.Envelope{Type: wire.TypeAck, From: "p", Ctrl: 1})
+	in(wire.Envelope{Type: wire.TypeAccept, From: "p", Depth: 1})
+	in(parentHeartbeat)
+	// A child joins; a leave arrives twice under one control sequence.
+	in(wire.Envelope{Type: wire.TypeJoin, From: "c", Bandwidth: 1})
+	in(wire.Envelope{Type: wire.TypeLeave, From: "q", Ctrl: 7})
+	in(wire.Envelope{Type: wire.TypeLeave, From: "q", Ctrl: 7})
+	// Stream: 1 2 _ _ 5 opens a gap (repair request + ELN to the child),
+	// 9 opens another inside the backoff gate (suppressed), 3 is repaired.
+	for _, seq := range []int64{1, 2, 5, 9} {
+		in(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: seq})
+	}
+	in(wire.Envelope{Type: wire.TypeRepairData, From: "r", Packet: 3})
+	// Implausible: a stream packet from a non-parent, an ELN far past the head.
+	in(wire.Envelope{Type: wire.TypePacket, From: "stranger", Packet: 10})
+	in(wire.Envelope{Type: wire.TypeELN, From: "p", FirstMissing: 10, LastMissing: 5000})
+	// x is served its stripe of 1..5, then runs its token bucket dry.
+	repairRequest := wire.Envelope{Type: wire.TypeRepairRequest, From: "x", FirstMissing: 1, LastMissing: 5}
+	in(repairRequest)
+	in(repairRequest)
+	// Wire rejects: garbage naming nobody, then an inverted range naming evil,
+	// which convicts it; its next datagram is dropped at the door. liar's BTP
+	// outruns its own bandwidth claim.
+	n.onDatagram([]byte("{not an envelope"))
+	in(wire.Envelope{Type: wire.TypeRepairRequest, From: "evil", FirstMissing: 9, LastMissing: 3})
+	in(wire.Envelope{Type: wire.TypeHeartbeat, From: "evil", Bandwidth: 1})
+	in(wire.Envelope{Type: wire.TypeHeartbeat, From: "liar", Bandwidth: 1})
+	in(wire.Envelope{Type: wire.TypeHeartbeat, From: "liar", Bandwidth: 1, BTP: 1e9})
+	// Playback: score the slots due one second in (1..11 at the default rate):
+	// 1 2 3 play, 4 starves, 5 plays, 6 7 8 starve, 9 plays, 10 11 starve.
+	n.mu.Lock()
+	n.advancePlaybackLocked(n.playStart.Add(time.Second))
+	n.mu.Unlock()
+	// Switch: propose to p and commit on its accept. With an in-flight window
+	// of one, the commit to p overflows behind the unacked propose.
+	n.trySwitch()
+	in(wire.Envelope{Type: wire.TypeSwitchAccept, From: "p", NewParent: "g"})
+	// Stall: the new parent g heartbeats but no stream has come for a day.
+	n.mu.Lock()
+	n.lastStream = n.lastStream.Add(-24 * time.Hour)
+	n.attachedAt = n.attachedAt.Add(-24 * time.Hour)
+	n.mu.Unlock()
+	n.beat()
+	// Failover: rejoin under p.
+	n.tryJoin()
+	in(wire.Envelope{Type: wire.TypeAccept, From: "p", Depth: 1})
+
+	eventually(t, 5*time.Second, "retransmit timers run out", func() bool {
+		return n.Stats().RetxInflight == 0
+	})
+	seenMu.Lock()
+	defer seenMu.Unlock()
+	if seen[wire.TypeJoin] < 2 || seen[wire.TypeSwitchPropose] < 2 {
+		t.Fatalf("peer saw %d Join and %d SwitchPropose datagrams, want a rejoin and a retransmit", seen[wire.TypeJoin], seen[wire.TypeSwitchPropose])
+	}
+	return n.Stats()
+}
+
+// TestStatsIsAViewOverMetrics: Stats keeps no counters of its own. Every
+// counter field equals the series scraped from the node's registry, every one
+// of them moved during the script, and a node built without a registry —
+// whose instruments are free-standing — reports the identical snapshot.
+func TestStatsIsAViewOverMetrics(t *testing.T) {
+	reg := live.NewRegistry()
+	s := runStatsScript(t, reg)
+
+	paired := map[string]bool{
+		// Read from node state, not counted.
+		"Attached": true, "Parent": true, "Depth": true, "Children": true, "HighestPacket": true,
+		"KnownMembers": true, "RetxInflight": true, "QuarantinedPeers": true,
+	}
+	v := reflect.ValueOf(s)
+	for _, c := range statsCounters {
+		paired[c.field] = true
+		f := v.FieldByName(c.field)
+		var got float64
+		switch f.Kind() {
+		case reflect.Int64:
+			got = float64(f.Int())
+		case reflect.Float64:
+			got = f.Float()
+		default:
+			t.Fatalf("Stats.%s is not a counter field", c.field)
+		}
+		if scraped := metricValue(reg, c.series); got != scraped {
+			t.Errorf("Stats.%s = %v, %s scrapes %v", c.field, got, c.series, scraped)
+		}
+		if got <= 0 {
+			t.Errorf("Stats.%s = %v: the script never moved it", c.field, got)
+		}
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; !paired[name] {
+			t.Errorf("Stats.%s has no series in statsCounters", name)
+		}
+	}
+
+	if bare := runStatsScript(t, nil); bare != s {
+		t.Errorf("same script, different snapshot without a registry:\n with %+v\n sans %+v", s, bare)
+	}
 }

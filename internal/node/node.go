@@ -43,11 +43,11 @@ type Config struct {
 	// Bootstrap lists known members to discover the overlay through.
 	Bootstrap []wire.Addr
 
-	// HeartbeatInterval paces liveness messages; HeartbeatTimeout declares
-	// a neighbour dead (default 3x the interval).
+	// HeartbeatInterval paces liveness messages (default 1 s). It is also the
+	// node's one time scale: every timeout, backoff bound and lock deadline
+	// is a fixed multiple of it — see timing.
 	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// GossipInterval paces membership exchanges.
+	// GossipInterval paces membership exchanges (default 2x the heartbeat).
 	GossipInterval time.Duration
 	// SwitchInterval paces ROST switching checks; zero disables switching.
 	SwitchInterval time.Duration
@@ -66,32 +66,10 @@ type Config struct {
 	// backoff); two nodes with the same seed and address draw identical
 	// jitter sequences.
 	Seed int64
-	// JoinBackoffBase/Max bound the capped exponential backoff between join
-	// attempts (defaults: HeartbeatInterval and 8x it). Each unanswered
-	// attempt doubles the delay; the actual wait is jittered to [d/2, d).
-	JoinBackoffBase time.Duration
-	JoinBackoffMax  time.Duration
-	// RepairBackoffBase/Max pace repair requests the same way: detected gaps
-	// merge into one pending window and at most one striped request (plus
-	// ELN) leaves per backoff interval, so a partition heal cannot turn into
-	// a repair storm (defaults: HeartbeatInterval/2 and 4x HeartbeatInterval).
-	RepairBackoffBase time.Duration
-	RepairBackoffMax  time.Duration
-	// MemberStaleAfter excludes membership entries not heard from (directly
-	// or via first-hand gossip) within this window from CER recovery-group
-	// selection (default 10x GossipInterval, matching the gossip prune
-	// horizon). Zero keeps the default; negative disables the filter.
-	MemberStaleAfter time.Duration
-	// StallRejoinAfter guards against zombie subtrees: a parent can be alive
-	// (heartbeating) yet cut off from the stream — e.g. after a source
-	// partition the orphans re-attach to each other and the re-formed tree is
-	// not rooted at the source, so heartbeats keep flowing while playback
-	// starves forever. Once a node has seen stream data, going this long
-	// attached without accepting a single packet treats the parent as failed
-	// and rejoins (default 6x HeartbeatTimeout; negative disables).
-	StallRejoinAfter time.Duration
 	// Metrics, if non-nil, receives the node's instruments (the concurrent
-	// wall-clock backend; serve it over HTTP with live.Handler).
+	// wall-clock backend; serve it over HTTP with live.Handler). Instruments
+	// are found by name and Stats reads them back, so give every node its
+	// own registry.
 	Metrics *live.Registry
 	// Trace, if non-nil, receives completed causal spans: join/rejoin
 	// episodes with per-attempt children, repair round-trips, and playback
@@ -104,16 +82,15 @@ type Config struct {
 	// RetxAttempts bounds how many times a control-class message (join,
 	// accept/reject, leave, membership, switch, repair-request) is
 	// transmitted before the reliability shim gives up: the first send plus
-	// up to RetxAttempts-1 retransmits, each awaiting an ack. Zero keeps the
-	// default (4); negative disables the shim (pure fire-and-forget, the
-	// pre-shim behaviour). Data-class traffic is never retransmitted.
+	// up to RetxAttempts-1 retransmits, each awaiting an ack (default 4; 1
+	// sends once and never retransmits). Data-class traffic is never
+	// retransmitted.
 	RetxAttempts int
-	// RetxBackoffBase/Max bound the capped jittered backoff between
-	// retransmits of one control message (defaults: HeartbeatInterval/2 and
-	// 4x HeartbeatInterval) — the same doubling policy as the join and
-	// repair backoffs, drawn from its own deterministic stream.
+	// RetxBackoffBase is the first retransmit delay of one control message
+	// (default HeartbeatInterval/2); later ones double up to 4x
+	// HeartbeatInterval — the same policy as the join and repair backoffs,
+	// drawn from its own deterministic stream.
 	RetxBackoffBase time.Duration
-	RetxBackoffMax  time.Duration
 	// RetxInflight caps unacked control messages per peer; sends over the
 	// cap fall back to fire-and-forget so a dead peer cannot pin unbounded
 	// retransmit state (default 32).
@@ -122,34 +99,20 @@ type Config struct {
 	// DisableGuard switches the per-peer misbehavior guard off (validation
 	// still applies; rejects just go unattributed). Test/ablation knob.
 	DisableGuard bool
-	// GuardRequestRate/Burst shape the per-peer token bucket metering
-	// request-type messages — Join, RepairRequest, MembershipRequest
-	// (defaults 100/s and 2x rate). Honest peers direct at most a few tens
-	// of requests per second at any single target.
-	GuardRequestRate  float64
-	GuardRequestBurst float64
+	// GuardRequestRate is the refill rate of the per-peer token bucket
+	// metering request-type messages — Join, RepairRequest,
+	// MembershipRequest (default 100/s; the bucket holds two seconds' worth).
+	// Honest peers direct at most a few tens of requests per second at any
+	// single target.
+	GuardRequestRate float64
 	// GuardQuarantineScore is the decayed misbehavior score that triggers
-	// quarantine (default 12); GuardScoreDecay is the linear decay in points
-	// per second (default 1).
+	// quarantine (default 12).
 	GuardQuarantineScore float64
-	GuardScoreDecay      float64
-	// GuardQuarantine is how long a quarantined peer stays dropped
-	// (default 50x HeartbeatInterval).
-	GuardQuarantine time.Duration
-	// GuardAuditSlack scales the allowed BTP growth between two claims
-	// (delta <= bandwidth * dt * slack + grace; default 2).
-	GuardAuditSlack float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = time.Second
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 3 * c.HeartbeatInterval
-	}
-	if c.GossipInterval <= 0 {
-		c.GossipInterval = 2 * c.HeartbeatInterval
 	}
 	if c.BufferPackets <= 0 {
 		c.BufferPackets = 256
@@ -166,55 +129,77 @@ func (c Config) withDefaults() Config {
 	if c.PlaybackBuffer <= 0 {
 		c.PlaybackBuffer = 2 * time.Second
 	}
-	if c.JoinBackoffBase <= 0 {
-		c.JoinBackoffBase = c.HeartbeatInterval
-	}
-	if c.JoinBackoffMax <= 0 {
-		c.JoinBackoffMax = 8 * c.HeartbeatInterval
-	}
-	if c.RepairBackoffBase <= 0 {
-		c.RepairBackoffBase = c.HeartbeatInterval / 2
-	}
-	if c.RepairBackoffMax <= 0 {
-		c.RepairBackoffMax = 4 * c.HeartbeatInterval
-	}
-	if c.MemberStaleAfter == 0 {
-		c.MemberStaleAfter = 10 * c.GossipInterval
-	}
-	if c.StallRejoinAfter == 0 {
-		c.StallRejoinAfter = 6 * c.HeartbeatTimeout
-	}
 	if c.GuardRequestRate <= 0 {
 		c.GuardRequestRate = 100
-	}
-	if c.GuardRequestBurst <= 0 {
-		c.GuardRequestBurst = 2 * c.GuardRequestRate
 	}
 	if c.GuardQuarantineScore <= 0 {
 		c.GuardQuarantineScore = 12
 	}
-	if c.GuardScoreDecay <= 0 {
-		c.GuardScoreDecay = 1
-	}
-	if c.GuardQuarantine <= 0 {
-		c.GuardQuarantine = 50 * c.HeartbeatInterval
-	}
-	if c.GuardAuditSlack <= 0 {
-		c.GuardAuditSlack = 2
-	}
-	if c.RetxAttempts == 0 {
+	if c.RetxAttempts <= 0 {
 		c.RetxAttempts = 4
-	}
-	if c.RetxBackoffBase <= 0 {
-		c.RetxBackoffBase = c.HeartbeatInterval / 2
-	}
-	if c.RetxBackoffMax <= 0 {
-		c.RetxBackoffMax = 4 * c.HeartbeatInterval
 	}
 	if c.RetxInflight <= 0 {
 		c.RetxInflight = 32
 	}
 	return c
+}
+
+// timing is every duration and bound the node derives instead of taking as
+// configuration, computed once in New from the (defaulted) Config; newTiming
+// is the one place an interval or a limit is multiplied. A harness that
+// speeds the node up through HeartbeatInterval scales all of it together,
+// and a clock has one table to hook.
+type timing struct {
+	gossipInterval   time.Duration // Config.GossipInterval when set
+	heartbeatTimeout time.Duration // silence that declares a neighbour dead
+	switchLockFor    time.Duration // longest one exchange may hold the switch lock
+	// Bounds of the capped exponential backoffs (see backoffDelay) that pace
+	// join attempts, repair requests and control retransmits.
+	joinBackoffBase, joinBackoffMax     time.Duration
+	repairBackoffBase, repairBackoffMax time.Duration
+	retxBackoffBase, retxBackoffMax     time.Duration // base: Config.RetxBackoffBase when set
+	// memberStaleAfter is the gossip horizon: members not heard from for this
+	// long are skipped by CER recovery-group selection and pruned from an
+	// over-full view.
+	memberStaleAfter time.Duration
+	stallRejoinAfter time.Duration // attached yet streamless this long: rejoin (see beat)
+	quarantine       time.Duration // how long a convicted peer stays dropped
+	requestBurst     float64       // depth of the per-peer request token bucket
+	// plausibleSpan is how far from the local stream head a sequence number
+	// may stray before it is treated as forged.
+	plausibleSpan int64
+	// peerCap bounds every per-peer table that grows on wire input (the
+	// membership view, the guard table, the retransmit table), so a crowd of
+	// forged sender addresses cannot grow them without bound.
+	peerCap int
+}
+
+func newTiming(c Config) timing {
+	hb := c.HeartbeatInterval
+	t := timing{
+		gossipInterval:    c.GossipInterval,
+		heartbeatTimeout:  3 * hb,
+		switchLockFor:     3 * hb,
+		joinBackoffBase:   hb,
+		joinBackoffMax:    8 * hb,
+		repairBackoffBase: hb / 2,
+		repairBackoffMax:  4 * hb,
+		retxBackoffBase:   c.RetxBackoffBase,
+		retxBackoffMax:    4 * hb,
+		quarantine:        50 * hb,
+		requestBurst:      2 * c.GuardRequestRate,
+		plausibleSpan:     4 * int64(c.BufferPackets),
+		peerCap:           4 * c.MembershipLimit,
+	}
+	if t.gossipInterval <= 0 {
+		t.gossipInterval = 2 * hb
+	}
+	if t.retxBackoffBase <= 0 {
+		t.retxBackoffBase = hb / 2
+	}
+	t.memberStaleAfter = 10 * t.gossipInterval
+	t.stallRejoinAfter = 6 * t.heartbeatTimeout
+	return t
 }
 
 // Stats is a snapshot of a node's protocol counters.
@@ -294,20 +279,19 @@ func (s Stats) StarvingRatio() float64 {
 	return float64(s.StarvedSlots) / float64(total)
 }
 
-// nodeMetrics holds the node's optional instruments, registered on the
-// concurrent live backend. All pointers are nil when Config.Metrics is nil;
-// the live types' nil-safe methods make every update a single branch.
+// nodeMetrics is the node's one counter set. Every protocol event is counted
+// at exactly one site, on one of these instruments; Stats is a view that
+// reads them back, and a /metrics scrape reads the same atomics through the
+// registry. Instruments with a Stats field always exist (registered in
+// Config.Metrics when one is given, free-standing otherwise). Those without
+// one — traffic volume, neighbour timeouts, and the gauges mirroring state
+// Stats reads directly — are nil without a registry, and the live types'
+// nil-safe methods make each of their updates a single branch.
 type nodeMetrics struct {
-	heartbeatsSent   *live.Counter
-	parentTimeouts   *live.Counter
-	childTimeouts    *live.Counter
 	packetsReceived  *live.Counter
-	packetsForwarded *live.Counter
-	packetsDuplicate *live.Counter
 	packetsRepaired  *live.Counter
 	repairsServed    *live.Counter
 	elnSent          *live.Counter
-	gossipSent       *live.Counter
 	rejoins          *live.Counter
 	failovers        *live.Counter
 	switches         *live.Counter
@@ -318,6 +302,32 @@ type nodeMetrics struct {
 	repairSuppressed *live.Counter
 	stalls           *live.Counter
 	stallRejoins     *live.Counter
+	stallSeconds     *live.Gauge
+
+	// Reliability-shim counters (see the Stats retx fields).
+	ctrlSent     *live.Counter
+	retxSent     *live.Counter
+	retxAcked    *live.Counter
+	retxExpired  *live.Counter
+	retxOverflow *live.Counter
+	retxDupDrops *live.Counter
+
+	// Guard counters. wireRejects and implausible are pre-registered per
+	// reason/kind so label cardinality stays fixed; Stats sums each family.
+	wireRejects          map[string]*live.Counter
+	implausible          map[string]*live.Counter
+	guardRateLimited     *live.Counter
+	guardQuarantineDrops *live.Counter
+	guardQuarantines     *live.Counter
+	guardAuditFails      *live.Counter
+
+	// Registry-only instruments: nil when Config.Metrics is nil.
+	heartbeatsSent   *live.Counter
+	parentTimeouts   *live.Counter
+	childTimeouts    *live.Counter
+	packetsForwarded *live.Counter
+	packetsDuplicate *live.Counter
+	gossipSent       *live.Counter
 	txDatagrams      *live.Counter
 	rxDatagrams      *live.Counter
 	txBytes          *live.Counter
@@ -328,26 +338,8 @@ type nodeMetrics struct {
 	knownMembers     *live.Gauge
 	joinBackoff      *live.Gauge
 	repairBackoff    *live.Gauge
-	stallSeconds     *live.Gauge
-
-	// Reliability-shim instruments (see the Stats retx counters).
-	ctrlSent     *live.Counter
-	retxSent     *live.Counter
-	retxAcked    *live.Counter
-	retxExpired  *live.Counter
-	retxOverflow *live.Counter
-	retxDupDrops *live.Counter
-	retxInflight *live.Gauge
-
-	// Guard instruments. wireRejects and implausible are pre-registered per
-	// reason/kind so label cardinality stays fixed.
-	wireRejects          map[string]*live.Counter
-	implausible          map[string]*live.Counter
-	guardRateLimited     *live.Counter
-	guardQuarantineDrops *live.Counter
-	guardQuarantines     *live.Counter
-	guardAuditFails      *live.Counter
-	quarantinedPeers     *live.Gauge
+	retxInflight     *live.Gauge
+	quarantinedPeers *live.Gauge
 }
 
 // implausibleKinds is the fixed vocabulary of handler-level rejections of
@@ -361,81 +353,86 @@ var implausibleKinds = []string{
 	"switch-shape",      // switch commit naming neither a replaced child nor a new parent
 }
 
-// noteWireRejectMetric bumps the labeled reject counter (nil-safe).
-func (m *nodeMetrics) noteWireReject(reason string) {
-	if m.wireRejects != nil {
-		m.wireRejects[reason].Inc()
+// sum totals one labeled counter family.
+func sum(family map[string]*live.Counter) int64 {
+	var total int64
+	for _, c := range family {
+		total += c.Value()
 	}
+	return total
 }
 
-// noteImplausible bumps the labeled implausible counter (nil-safe).
-func (m *nodeMetrics) noteImplausible(kind string) {
-	if m.implausible != nil {
-		m.implausible[kind].Inc()
-	}
-}
-
+// newNodeMetrics builds the counter set; reg may be nil.
 func newNodeMetrics(reg *live.Registry) nodeMetrics {
-	peerLabel := func(v string) metrics.Label { return metrics.Label{Key: "peer", Value: v} }
-	wireRejects := make(map[string]*live.Counter, len(wire.Reasons()))
+	counter := func(name, help string, labels ...metrics.Label) *live.Counter {
+		if reg == nil {
+			return new(live.Counter)
+		}
+		return reg.Counter(name, help, labels...)
+	}
+	m := nodeMetrics{
+		wireRejects:          make(map[string]*live.Counter, len(wire.Reasons())),
+		implausible:          make(map[string]*live.Counter, len(implausibleKinds)),
+		ctrlSent:             counter("omcast_node_retx_ctrl_sent_total", "Control-class messages sent under ack protection."),
+		retxSent:             counter("omcast_node_retx_sent_total", "Retransmissions of unacked control-class messages."),
+		retxAcked:            counter("omcast_node_retx_acked_total", "Control-class messages confirmed by a first ack."),
+		retxExpired:          counter("omcast_node_retx_expired_total", "Control-class messages abandoned after the retransmit budget."),
+		retxOverflow:         counter("omcast_node_retx_overflow_total", "Control sends demoted to fire-and-forget by the per-peer in-flight cap."),
+		retxDupDrops:         counter("omcast_node_retx_dup_drops_total", "Received control messages suppressed as duplicates by the dedup window."),
+		guardRateLimited:     counter("omcast_node_guard_rate_limited_total", "Requests dropped by the per-peer token bucket."),
+		guardQuarantineDrops: counter("omcast_node_guard_quarantine_drops_total", "Datagrams dropped because their sender was quarantined."),
+		guardQuarantines:     counter("omcast_node_guard_quarantines_total", "Quarantine sentences handed out to misbehaving peers."),
+		guardAuditFails:      counter("omcast_node_guard_btp_audit_fails_total", "BTP claims that outran the sender's own claimed bandwidth."),
+		packetsReceived:      counter("omcast_node_packets_received_total", "Stream packets accepted into the buffer."),
+		packetsRepaired:      counter("omcast_node_packets_repaired_total", "Packets recovered through CER repair."),
+		repairsServed:        counter("omcast_node_repairs_served_total", "Repair packets served to other members."),
+		elnSent:              counter("omcast_node_eln_sent_total", "Explicit-loss-notification envelopes sent downstream."),
+		rejoins:              counter("omcast_node_rejoins_total", "Times the node lost its parent and re-entered joining."),
+		failovers:            counter("omcast_node_failovers_total", "Re-attachments completed after an involuntary detachment (parent death, leave or stall)."),
+		switches:             counter("omcast_node_switches_total", "ROST switch commits executed as initiator."),
+		playedSlots:          counter("omcast_node_played_slots_total", "Playout slots whose packet arrived by its deadline."),
+		starvedSlots:         counter("omcast_node_starved_slots_total", "Playout slots whose packet missed its deadline."),
+		joinAttempts:         counter("omcast_node_join_attempts_total", "Join envelopes sent (one per backoff step while detached)."),
+		repairRequests:       counter("omcast_node_repair_requests_total", "Striped CER repair requests issued."),
+		repairSuppressed:     counter("omcast_node_repair_suppressed_total", "Gap detections absorbed into a pending request by the repair backoff gate."),
+		stalls:               counter("omcast_node_playback_stalls_total", "Transitions of the playout clock into starvation."),
+		stallRejoins:         counter("omcast_node_stall_rejoins_total", "Rejoins forced by the stream-stall watchdog (live parent, no stream)."),
+		stallSeconds:         new(live.Gauge),
+	}
 	for _, r := range wire.Reasons() {
-		wireRejects[r] = reg.Counter("omcast_node_wire_rejects_total",
+		m.wireRejects[r] = counter("omcast_node_wire_rejects_total",
 			"Datagrams rejected by wire decode/validation, by reason.",
 			metrics.Label{Key: "reason", Value: r})
 	}
-	implausible := make(map[string]*live.Counter, len(implausibleKinds))
 	for _, k := range implausibleKinds {
-		implausible[k] = reg.Counter("omcast_node_guard_implausible_total",
+		m.implausible[k] = counter("omcast_node_guard_implausible_total",
 			"Wire-valid datagrams rejected at the handler boundary as contextually absurd, by kind.",
 			metrics.Label{Key: "kind", Value: k})
 	}
-	return nodeMetrics{
-		wireRejects:          wireRejects,
-		implausible:          implausible,
-		ctrlSent:             reg.Counter("omcast_node_retx_ctrl_sent_total", "Control-class messages sent under ack protection."),
-		retxSent:             reg.Counter("omcast_node_retx_sent_total", "Retransmissions of unacked control-class messages."),
-		retxAcked:            reg.Counter("omcast_node_retx_acked_total", "Control-class messages confirmed by a first ack."),
-		retxExpired:          reg.Counter("omcast_node_retx_expired_total", "Control-class messages abandoned after the retransmit budget."),
-		retxOverflow:         reg.Counter("omcast_node_retx_overflow_total", "Control sends demoted to fire-and-forget by the per-peer in-flight cap."),
-		retxDupDrops:         reg.Counter("omcast_node_retx_dup_drops_total", "Received control messages suppressed as duplicates by the dedup window."),
-		retxInflight:         reg.Gauge("omcast_node_retx_inflight", "Control-class messages currently awaiting an ack."),
-		guardRateLimited:     reg.Counter("omcast_node_guard_rate_limited_total", "Requests dropped by the per-peer token bucket."),
-		guardQuarantineDrops: reg.Counter("omcast_node_guard_quarantine_drops_total", "Datagrams dropped because their sender was quarantined."),
-		guardQuarantines:     reg.Counter("omcast_node_guard_quarantines_total", "Quarantine sentences handed out to misbehaving peers."),
-		guardAuditFails:      reg.Counter("omcast_node_guard_btp_audit_fails_total", "BTP claims that outran the sender's own claimed bandwidth."),
-		quarantinedPeers:     reg.Gauge("omcast_node_guard_quarantined_peers", "Peers currently quarantined."),
-		heartbeatsSent:       reg.Counter("omcast_node_heartbeats_sent_total", "Heartbeat envelopes sent to the parent and children."),
-		parentTimeouts:       reg.Counter("omcast_node_neighbor_timeouts_total", "Neighbours declared dead after missed heartbeats.", peerLabel("parent")),
-		childTimeouts:        reg.Counter("omcast_node_neighbor_timeouts_total", "Neighbours declared dead after missed heartbeats.", peerLabel("child")),
-		packetsReceived:      reg.Counter("omcast_node_packets_received_total", "Stream packets accepted into the buffer."),
-		packetsForwarded:     reg.Counter("omcast_node_packets_forwarded_total", "Stream packet copies forwarded to children."),
-		packetsDuplicate:     reg.Counter("omcast_node_packets_duplicate_total", "Stream packets dropped as already buffered."),
-		packetsRepaired:      reg.Counter("omcast_node_packets_repaired_total", "Packets recovered through CER repair."),
-		repairsServed:        reg.Counter("omcast_node_repairs_served_total", "Repair packets served to other members."),
-		elnSent:              reg.Counter("omcast_node_eln_sent_total", "Explicit-loss-notification envelopes sent downstream."),
-		gossipSent:           reg.Counter("omcast_node_gossip_sent_total", "Membership gossip requests initiated."),
-		rejoins:              reg.Counter("omcast_node_rejoins_total", "Times the node lost its parent and re-entered joining."),
-		failovers:            reg.Counter("omcast_node_failovers_total", "Re-attachments completed after an involuntary detachment (parent death, leave or stall)."),
-		switches:             reg.Counter("omcast_node_switches_total", "ROST switch commits executed as initiator."),
-		playedSlots:          reg.Counter("omcast_node_played_slots_total", "Playout slots whose packet arrived by its deadline."),
-		starvedSlots:         reg.Counter("omcast_node_starved_slots_total", "Playout slots whose packet missed its deadline."),
-		joinAttempts:         reg.Counter("omcast_node_join_attempts_total", "Join envelopes sent (one per backoff step while detached)."),
-		repairRequests:       reg.Counter("omcast_node_repair_requests_total", "Striped CER repair requests issued."),
-		repairSuppressed:     reg.Counter("omcast_node_repair_suppressed_total", "Gap detections absorbed into a pending request by the repair backoff gate."),
-		stalls:               reg.Counter("omcast_node_playback_stalls_total", "Transitions of the playout clock into starvation."),
-		stallRejoins:         reg.Counter("omcast_node_stall_rejoins_total", "Rejoins forced by the stream-stall watchdog (live parent, no stream)."),
-		txDatagrams:          reg.Counter("omcast_node_transport_tx_datagrams_total", "Datagrams handed to the transport."),
-		rxDatagrams:          reg.Counter("omcast_node_transport_rx_datagrams_total", "Datagrams delivered by the transport."),
-		txBytes:              reg.Counter("omcast_node_transport_tx_bytes_total", "Bytes handed to the transport."),
-		rxBytes:              reg.Counter("omcast_node_transport_rx_bytes_total", "Bytes delivered by the transport."),
-		attached:             reg.Gauge("omcast_node_attached", "1 while the node holds a tree position (sources always 1)."),
-		depth:                reg.Gauge("omcast_node_depth", "Current tree depth (0 at the source)."),
-		children:             reg.Gauge("omcast_node_children", "Children currently served."),
-		knownMembers:         reg.Gauge("omcast_node_known_members", "Entries in the partial membership view."),
-		joinBackoff:          reg.Gauge("omcast_node_join_backoff_seconds", "Jittered delay chosen before the next join attempt."),
-		repairBackoff:        reg.Gauge("omcast_node_repair_backoff_seconds", "Jittered gate interval chosen after the last repair request."),
-		stallSeconds:         reg.Gauge("omcast_node_playback_stall_seconds", "Cumulative playback time spent starved, in stream seconds."),
+	if reg == nil {
+		return m
 	}
+	peerLabel := func(v string) metrics.Label { return metrics.Label{Key: "peer", Value: v} }
+	m.stallSeconds = reg.Gauge("omcast_node_playback_stall_seconds", "Cumulative playback time spent starved, in stream seconds.")
+	m.retxInflight = reg.Gauge("omcast_node_retx_inflight", "Control-class messages currently awaiting an ack.")
+	m.quarantinedPeers = reg.Gauge("omcast_node_guard_quarantined_peers", "Peers currently quarantined.")
+	m.heartbeatsSent = reg.Counter("omcast_node_heartbeats_sent_total", "Heartbeat envelopes sent to the parent and children.")
+	m.parentTimeouts = reg.Counter("omcast_node_neighbor_timeouts_total", "Neighbours declared dead after missed heartbeats.", peerLabel("parent"))
+	m.childTimeouts = reg.Counter("omcast_node_neighbor_timeouts_total", "Neighbours declared dead after missed heartbeats.", peerLabel("child"))
+	m.packetsForwarded = reg.Counter("omcast_node_packets_forwarded_total", "Stream packet copies forwarded to children.")
+	m.packetsDuplicate = reg.Counter("omcast_node_packets_duplicate_total", "Stream packets dropped as already buffered.")
+	m.gossipSent = reg.Counter("omcast_node_gossip_sent_total", "Membership gossip requests initiated.")
+	m.txDatagrams = reg.Counter("omcast_node_transport_tx_datagrams_total", "Datagrams handed to the transport.")
+	m.rxDatagrams = reg.Counter("omcast_node_transport_rx_datagrams_total", "Datagrams delivered by the transport.")
+	m.txBytes = reg.Counter("omcast_node_transport_tx_bytes_total", "Bytes handed to the transport.")
+	m.rxBytes = reg.Counter("omcast_node_transport_rx_bytes_total", "Bytes delivered by the transport.")
+	m.attached = reg.Gauge("omcast_node_attached", "1 while the node holds a tree position (sources always 1).")
+	m.depth = reg.Gauge("omcast_node_depth", "Current tree depth (0 at the source).")
+	m.children = reg.Gauge("omcast_node_children", "Children currently served.")
+	m.knownMembers = reg.Gauge("omcast_node_known_members", "Entries in the partial membership view.")
+	m.joinBackoff = reg.Gauge("omcast_node_join_backoff_seconds", "Jittered delay chosen before the next join attempt.")
+	m.repairBackoff = reg.Gauge("omcast_node_repair_backoff_seconds", "Jittered gate interval chosen after the last repair request.")
+	return m
 }
 
 // peer tracks a neighbour's liveness.
@@ -449,9 +446,31 @@ type memberRecord struct {
 	seen time.Time
 }
 
+// switchLock is the ROST exchange lock (§3.3's lock set, as one node sees
+// it): held from proposing or accepting an exchange until its commit. While
+// held the node admits no Join and opens or accepts no other exchange. It has
+// an owner and a deadline: only the recorded peer's reject or commit releases
+// it early, and past until it is simply no longer held — a peer that dies
+// mid-exchange costs its partner timing.switchLockFor, not its tree position.
+type switchLock struct {
+	peer  wire.Addr
+	until time.Time
+}
+
+func (l switchLock) held(now time.Time) bool { return now.Before(l.until) }
+
+// release ends the exchange held for peer; anyone else's release is not
+// theirs to give and leaves the lock alone.
+func (l *switchLock) release(peer wire.Addr) {
+	if l.peer == peer {
+		*l = switchLock{}
+	}
+}
+
 // Node is one protocol participant.
 type Node struct {
 	cfg       Config
+	tm        timing
 	transport Transport
 
 	mu         sync.Mutex
@@ -464,7 +483,7 @@ type Node struct {
 	children   map[wire.Addr]*peer //guardedby:mu
 	ancestors  []wire.Addr         //guardedby:mu
 	joinedAt   time.Time           //guardedby:mu
-	switching  bool                //guardedby:mu
+	swLock     switchLock          //guardedby:mu
 
 	membership map[wire.Addr]memberRecord //guardedby:mu
 	// retx is the reliability shim's per-peer state: unacked control sends
@@ -526,12 +545,10 @@ type Node struct {
 	lastStream time.Time //guardedby:mu
 	attachedAt time.Time //guardedby:mu
 
-	stats Stats //guardedby:mu
-	met   nodeMetrics
+	met nodeMetrics
 
 	// Causal span tracing. The tracer is not concurrency-safe, so every
-	// span operation happens under mu — the same serialisation discipline
-	// the stats counters follow. traceStart anchors the span clock (span
+	// span operation happens under mu. traceStart anchors the span clock (span
 	// times are seconds since node creation). The builders track the open
 	// episodes; unfinished ones are simply never recorded (flight-recorder
 	// semantics: an episode still open at crash leaves no span).
@@ -565,12 +582,11 @@ func New(cfg Config, tr Transport) *Node {
 		pendLast:   -1,
 		done:       make(chan struct{}),
 	}
+	n.tm = newTiming(n.cfg)
+	n.met = newNodeMetrics(n.cfg.Metrics)
 	n.joinRng = xrand.NewNamed(n.cfg.Seed, "node:join:"+string(tr.Addr()))
 	n.repairRng = xrand.NewNamed(n.cfg.Seed, "node:repair:"+string(tr.Addr()))
 	n.retxRng = xrand.NewNamed(n.cfg.Seed, "node:retx:"+string(tr.Addr()))
-	if n.cfg.Metrics != nil {
-		n.met = newNodeMetrics(n.cfg.Metrics)
-	}
 	if n.cfg.Trace != nil {
 		n.trace = tracing.NewNode(n.cfg.Seed, string(tr.Addr()), n.cfg.Trace)
 		n.traceStart = time.Now()
@@ -589,14 +605,14 @@ func (n *Node) Start() {
 		n.attached = true
 		n.joinedAt = time.Now()
 		n.mu.Unlock()
-		n.spawn(n.streamLoop)
+		n.every(time.Duration(float64(time.Second)/n.cfg.StreamRate), n.emitPacket)
 	} else {
 		n.spawn(n.joinLoop)
 	}
-	n.spawn(n.heartbeatLoop)
-	n.spawn(n.gossipLoop)
+	n.every(n.cfg.HeartbeatInterval, n.beat)
+	n.every(n.tm.gossipInterval, n.gossip)
 	if n.cfg.SwitchInterval > 0 && !n.cfg.Source {
-		n.spawn(n.switchLoop)
+		n.every(n.cfg.SwitchInterval, n.trySwitch)
 	}
 }
 
@@ -632,20 +648,51 @@ func (n *Node) Kill() {
 	})
 }
 
-// Stats snapshots the node's counters.
+// Stats snapshots the node: the tree position and table sizes read from its
+// state, every counter read from the instruments in n.met. Taken under mu,
+// so events counted under mu (all but the lock-free rejects) appear whole.
 func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := n.stats
-	s.Attached = n.attached
-	s.Parent = n.parent
-	s.Depth = n.depth
-	s.Children = len(n.children)
-	s.HighestPacket = n.highest
-	s.KnownMembers = len(n.membership)
-	s.QuarantinedPeers = n.quarantinedCountLocked(time.Now())
-	s.RetxInflight = n.retxInflightLocked()
-	return s
+	m := &n.met
+	return Stats{
+		Attached:         n.attached,
+		Parent:           n.parent,
+		Depth:            n.depth,
+		Children:         len(n.children),
+		HighestPacket:    n.highest,
+		KnownMembers:     len(n.membership),
+		QuarantinedPeers: n.quarantinedCountLocked(time.Now()),
+		RetxInflight:     n.retxInflightLocked(),
+
+		PacketsReceived:      m.packetsReceived.Value(),
+		PacketsRepaired:      m.packetsRepaired.Value(),
+		RepairsServed:        m.repairsServed.Value(),
+		Rejoins:              m.rejoins.Value(),
+		Failovers:            m.failovers.Value(),
+		Switches:             m.switches.Value(),
+		ELNsSent:             m.elnSent.Value(),
+		PlayedSlots:          m.playedSlots.Value(),
+		StarvedSlots:         m.starvedSlots.Value(),
+		JoinAttempts:         m.joinAttempts.Value(),
+		RepairRequests:       m.repairRequests.Value(),
+		RepairsSuppressed:    m.repairSuppressed.Value(),
+		Stalls:               m.stalls.Value(),
+		StallSeconds:         m.stallSeconds.Value(),
+		StallRejoins:         m.stallRejoins.Value(),
+		WireRejects:          sum(m.wireRejects),
+		CtrlSent:             m.ctrlSent.Value(),
+		RetxSent:             m.retxSent.Value(),
+		RetxAcked:            m.retxAcked.Value(),
+		RetxExpired:          m.retxExpired.Value(),
+		RetxOverflow:         m.retxOverflow.Value(),
+		RetxDupDrops:         m.retxDupDrops.Value(),
+		GuardRateLimited:     m.guardRateLimited.Value(),
+		GuardQuarantineDrops: m.guardQuarantineDrops.Value(),
+		GuardQuarantines:     m.guardQuarantines.Value(),
+		GuardAuditFails:      m.guardAuditFails.Value(),
+		GuardImplausible:     sum(m.implausible),
+	}
 }
 
 func (n *Node) spawn(loop func()) {
@@ -656,13 +703,31 @@ func (n *Node) spawn(loop func()) {
 	}()
 }
 
+// every spawns the loop behind each periodic duty — heartbeat, gossip, the
+// switching check, the source's packet clock: tick runs once per interval
+// until the node stops.
+func (n *Node) every(interval time.Duration, tick func()) {
+	n.spawn(func() {
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-n.done:
+				return
+			case <-ticker.C:
+				tick()
+			}
+		}
+	})
+}
+
 // send transmits one envelope. Control-class messages go through the
 // reliability shim (sequence-numbered, acked, retransmitted — see retx.go)
-// unless it is disabled or the peer's in-flight window is full; everything
-// else is fire-and-forget.
+// unless the peer's in-flight window is full; everything else is
+// fire-and-forget.
 func (n *Node) send(to wire.Addr, env wire.Envelope) {
 	env.From = n.Addr()
-	if n.cfg.RetxAttempts > 0 && wire.ControlClass(env.Type) && env.Ctrl == 0 {
+	if wire.ControlClass(env.Type) && env.Ctrl == 0 {
 		if n.sendReliable(to, env) {
 			return
 		}
@@ -772,7 +837,7 @@ func backoffDelay(base, max time.Duration, streak int, rng *xrand.Source) time.D
 func (n *Node) nextJoinDelay() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	d := backoffDelay(n.cfg.JoinBackoffBase, n.cfg.JoinBackoffMax, n.joinStreak, n.joinRng)
+	d := backoffDelay(n.tm.joinBackoffBase, n.tm.joinBackoffMax, n.joinStreak, n.joinRng)
 	n.joinStreak++
 	n.met.joinBackoff.Set(d.Seconds())
 	return d
@@ -815,7 +880,6 @@ func (n *Node) tryJoin() {
 	})
 	n.mu.Lock()
 	n.lastJoinTarget = cands[0].Addr
-	n.stats.JoinAttempts++
 	n.met.joinAttempts.Inc()
 	now := time.Now()
 	n.openEpisodeLocked(now, "boot")
@@ -834,10 +898,11 @@ func (n *Node) tryJoin() {
 }
 
 func (n *Node) handleJoin(env wire.Envelope) {
+	now := time.Now()
 	n.mu.Lock()
-	accept := n.attached && !n.switching && len(n.children) < n.outDegree() && env.From != n.parent
+	accept := n.attached && !n.swLock.held(now) && len(n.children) < n.outDegree() && env.From != n.parent
 	if accept {
-		n.children[env.From] = &peer{lastSeen: time.Now()}
+		n.children[env.From] = &peer{lastSeen: now}
 	}
 	depth := n.depth
 	n.mu.Unlock()
@@ -882,7 +947,6 @@ func (n *Node) handleAccept(env wire.Envelope) {
 	n.depth = env.Depth + 1
 	if n.failingOver {
 		n.failingOver = false
-		n.stats.Failovers++
 		n.met.failovers.Inc()
 	}
 	n.met.attached.Set(1)
@@ -911,19 +975,8 @@ func (n *Node) handleAccept(env wire.Envelope) {
 
 // ---- heartbeats & failure detection ----
 
-func (n *Node) heartbeatLoop() {
-	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-ticker.C:
-		}
-		n.beat()
-	}
-}
-
+// beat is the heartbeat tick: expire silent neighbours, run the stall
+// watchdog, score playback, retry gated repairs and greet every neighbour.
 func (n *Node) beat() {
 	n.mu.Lock()
 	n.seq++
@@ -936,7 +989,7 @@ func (n *Node) beat() {
 	var deadChildren []wire.Addr
 	now := time.Now()
 	for c, p := range n.children {
-		if now.Sub(p.lastSeen) > n.cfg.HeartbeatTimeout {
+		if now.Sub(p.lastSeen) > n.tm.heartbeatTimeout {
 			deadChildren = append(deadChildren, c)
 			continue
 		}
@@ -945,19 +998,21 @@ func (n *Node) beat() {
 	for _, c := range deadChildren {
 		delete(n.children, c)
 	}
-	parentDead := parent != "" && now.Sub(n.parentSeen) > n.cfg.HeartbeatTimeout
-	// Stream-stall watchdog: the parent heartbeats but no stream data arrives
-	// — a zombie subtree (e.g. re-formed around a partitioned source). Treat
-	// it as a parent failure so the node hunts for a stream-bearing position.
+	parentDead := parent != "" && now.Sub(n.parentSeen) > n.tm.heartbeatTimeout
+	// Stream-stall watchdog: a parent can be alive (heartbeating) yet cut off
+	// from the stream — e.g. after a source partition the orphans re-attach to
+	// each other and the re-formed tree is not rooted at the source, so
+	// heartbeats keep flowing while playback starves forever. Going
+	// stallRejoinAfter attached without accepting a packet treats the parent
+	// as failed, so the node hunts for a stream-bearing position.
 	streamStalled := false
-	if !parentDead && parent != "" && n.cfg.StallRejoinAfter > 0 && n.streamSeen {
+	if !parentDead && parent != "" && n.streamSeen {
 		ref := n.lastStream
 		if n.attachedAt.After(ref) {
 			ref = n.attachedAt
 		}
-		if now.Sub(ref) > n.cfg.StallRejoinAfter {
+		if now.Sub(ref) > n.tm.stallRejoinAfter {
 			streamStalled = true
-			n.stats.StallRejoins++
 			n.met.stallRejoins.Inc()
 		}
 	}
@@ -1012,31 +1067,27 @@ func (n *Node) advancePlaybackLocked(now time.Time) {
 	due := n.playFirst + int64(now.Sub(n.playStart).Seconds()*n.cfg.StreamRate)
 	for seq := n.playChecked + 1; seq <= due; seq++ {
 		if _, ok := n.buffer[seq]; ok {
-			n.stats.PlayedSlots++
 			n.met.playedSlots.Inc()
 			// A present slot ends any stall: playback resumed.
 			n.inStall = false
 			if n.stallSpan != nil {
-				n.stallSpan.AttrInt("slots", n.stats.StarvedSlots-n.stallBase).
+				n.stallSpan.AttrInt("slots", n.met.starvedSlots.Value()-n.stallBase).
 					End(n.traceAt(now), "resumed")
 				n.stallSpan = nil
 			}
 		} else {
-			n.stats.StarvedSlots++
 			n.met.starvedSlots.Inc()
 			// Consecutive starved slots are one stall; each contributes one
 			// slot-time of stalled playback.
 			if !n.inStall {
 				n.inStall = true
-				n.stats.Stalls++
 				n.met.stalls.Inc()
 				if n.trace != nil && n.stallSpan == nil {
 					n.stallSpan = n.trace.Start(tracing.KindStall, 0, n.traceAt(now))
-					n.stallBase = n.stats.StarvedSlots - 1
+					n.stallBase = n.met.starvedSlots.Value() - 1
 				}
 			}
-			n.stats.StallSeconds += 1 / n.cfg.StreamRate
-			n.met.stallSeconds.Set(n.stats.StallSeconds)
+			n.met.stallSeconds.Set(n.met.stallSeconds.Value() + 1/n.cfg.StreamRate)
 		}
 		n.playChecked = seq
 	}
@@ -1064,37 +1115,35 @@ func (n *Node) handleHeartbeat(env wire.Envelope) {
 // ("timeout" for missed heartbeats, "stall" for the stream watchdog).
 func (n *Node) onParentFailure(cause string) {
 	n.mu.Lock()
+	n.detachLocked(cause)
+	first := n.highest + 1
+	n.mu.Unlock()
+	// Ask the recovery group for everything from the gap start; the range
+	// end is open-ended — estimated as one detection window of packets.
+	last := first + int64(n.cfg.StreamRate*n.tm.heartbeatTimeout.Seconds()) + 1
+	n.recoverGap(first, last)
+}
+
+// detachLocked gives up the tree position involuntarily and opens the rejoin
+// episode labelled cause; the next successful attach counts as a failover.
+// Requires mu.
+func (n *Node) detachLocked(cause string) {
 	n.attached = false
 	n.parent = ""
 	n.failingOver = true
-	n.stats.Rejoins++
 	n.met.rejoins.Inc()
 	n.met.attached.Set(0)
 	// A fresh detachment restarts the join backoff so recovery begins at
 	// base cadence rather than wherever the last outage left the streak.
 	n.joinStreak = 0
 	n.openEpisodeLocked(time.Now(), cause)
-	first := n.highest + 1
-	n.mu.Unlock()
-	// Ask the recovery group for everything from the gap start; the range
-	// end is open-ended — estimated as one detection window of packets.
-	last := first + int64(n.cfg.StreamRate*n.cfg.HeartbeatTimeout.Seconds()) + 1
-	n.recoverGap(first, last)
 }
 
 func (n *Node) handleLeave(env wire.Envelope) {
 	n.mu.Lock()
-	fromParent := env.From == n.parent && n.attached
 	delete(n.children, env.From)
-	if fromParent {
-		n.attached = false
-		n.parent = ""
-		n.failingOver = true
-		n.stats.Rejoins++
-		n.met.rejoins.Inc()
-		n.met.attached.Set(0)
-		n.joinStreak = 0
-		n.openEpisodeLocked(time.Now(), "leave")
+	if env.From == n.parent && n.attached {
+		n.detachLocked("leave")
 	}
 	n.mu.Unlock()
 	// A graceful leave needs no loss recovery: the stream stops cleanly and
@@ -1103,28 +1152,17 @@ func (n *Node) handleLeave(env wire.Envelope) {
 
 // ---- streaming ----
 
-// streamLoop generates the source's packets.
-func (n *Node) streamLoop() {
-	interval := time.Duration(float64(time.Second) / n.cfg.StreamRate)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	var seq int64
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-ticker.C:
-		}
-		n.mu.Lock()
-		n.buffer[seq] = nil
-		n.highest = seq
-		n.trimBufferLocked()
-		children := n.childrenLocked()
-		n.mu.Unlock()
-		for _, c := range children {
-			n.send(c, wire.Envelope{Type: wire.TypePacket, Packet: seq})
-		}
-		seq++
+// emitPacket generates the source's next packet.
+func (n *Node) emitPacket() {
+	n.mu.Lock()
+	seq := n.highest + 1
+	n.buffer[seq] = nil
+	n.highest = seq
+	n.trimBufferLocked()
+	children := n.childrenLocked()
+	n.mu.Unlock()
+	for _, c := range children {
+		n.send(c, wire.Envelope{Type: wire.TypePacket, Packet: seq})
 	}
 }
 
@@ -1167,7 +1205,7 @@ func (n *Node) packetRejectLocked(env wire.Envelope, repaired bool) string {
 	if !repaired && n.attached && !fromParent {
 		return "packet-not-parent"
 	}
-	span := 4 * int64(n.cfg.BufferPackets)
+	span := n.tm.plausibleSpan
 	if n.streamSeen && env.Packet > n.highest+span {
 		if fromParent && !repaired {
 			// The parent itself is consistently ahead of us: after enough
@@ -1195,9 +1233,8 @@ func (n *Node) packetRejectLocked(env wire.Envelope, repaired bool) string {
 func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
 	n.mu.Lock()
 	if kind := n.packetRejectLocked(env, repaired); kind != "" {
-		n.stats.GuardImplausible++
+		n.met.implausible[kind].Inc()
 		n.mu.Unlock()
-		n.met.noteImplausible(kind)
 		return
 	}
 	if _, dup := n.buffer[env.Packet]; dup {
@@ -1206,12 +1243,10 @@ func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
 		return
 	}
 	n.buffer[env.Packet] = env.Payload
-	n.stats.PacketsReceived++
 	n.met.packetsReceived.Inc()
 	n.streamSeen = true
 	n.lastStream = time.Now()
 	if repaired {
-		n.stats.PacketsRepaired++
 		n.met.packetsRepaired.Inc()
 		// Repair data flowing again: relax the backoff gate.
 		n.repairStreak = 0
@@ -1274,17 +1309,13 @@ func (n *Node) recoverGap(first, last int64) {
 			n.pendLast = last
 		}
 	}
-	if now.Before(n.repairNextAt) {
-		n.stats.RepairsSuppressed++
+	gated := now.Before(n.repairNextAt)
+	if gated {
 		n.met.repairSuppressed.Inc()
-		n.mu.Unlock()
-		return
 	}
-	reqFirst, reqLast, ok := n.takeRepairLocked(now)
 	n.mu.Unlock()
-	if ok {
-		n.requestRepair(reqFirst, reqLast)
-		n.notifyELN(reqFirst, reqLast)
+	if !gated {
+		n.flushRepairs(now)
 	}
 }
 
@@ -1308,10 +1339,9 @@ func (n *Node) takeRepairLocked(now time.Time) (int64, int64, bool) {
 	if span := int64(n.cfg.BufferPackets); last-first+1 > span {
 		last = first + span - 1
 	}
-	d := backoffDelay(n.cfg.RepairBackoffBase, n.cfg.RepairBackoffMax, n.repairStreak, n.repairRng)
+	d := backoffDelay(n.tm.repairBackoffBase, n.tm.repairBackoffMax, n.repairStreak, n.repairRng)
 	n.repairStreak++
 	n.repairNextAt = now.Add(d)
-	n.stats.RepairRequests++
 	n.met.repairRequests.Inc()
 	n.met.repairBackoff.Set(d.Seconds())
 	if n.trace != nil {
@@ -1326,9 +1356,11 @@ func (n *Node) takeRepairLocked(now time.Time) (int64, int64, bool) {
 	return first, last, true
 }
 
-// flushRepairs retries the pending window from the heartbeat loop once the
-// gate reopens (gap detections that arrived while gated would otherwise
-// never be requested).
+// flushRepairs drains the pending window through the gate: one striped
+// request to the recovery group plus the ELN telling the subtree the range is
+// in hand. recoverGap calls it on detection; the heartbeat loop calls it
+// again once the gate reopens (gap detections that arrived while gated would
+// otherwise never be requested).
 func (n *Node) flushRepairs(now time.Time) {
 	n.mu.Lock()
 	first, last, ok := n.takeRepairLocked(now)
@@ -1346,7 +1378,6 @@ func (n *Node) flushRepairs(now time.Time) {
 func (n *Node) notifyELN(first, last int64) {
 	n.mu.Lock()
 	children := n.childrenLocked()
-	n.stats.ELNsSent += int64(len(children))
 	n.met.elnSent.Add(int64(len(children)))
 	n.mu.Unlock()
 	for _, c := range children {
@@ -1361,20 +1392,15 @@ func (n *Node) handleELN(env wire.Envelope) {
 	// forged LastMissing far beyond the stream head would suppress our own
 	// repair requests forever. Once we have seen stream data, ignore claims
 	// implausibly far ahead of it.
-	implausible := fromParent && n.streamSeen &&
-		env.LastMissing > n.highest+4*int64(n.cfg.BufferPackets)
+	implausible := fromParent && n.streamSeen && env.LastMissing > n.highest+n.tm.plausibleSpan
 	if implausible {
-		n.stats.GuardImplausible++
+		n.met.implausible["eln-range"].Inc()
 	} else if fromParent && env.LastMissing > n.upstreamRepair {
 		n.upstreamRepair = env.LastMissing
 	}
 	children := n.childrenLocked()
 	n.mu.Unlock()
-	if implausible {
-		n.met.noteImplausible("eln-range")
-		return
-	}
-	if !fromParent {
+	if implausible || !fromParent {
 		return
 	}
 	// Propagate downstream.
@@ -1436,7 +1462,7 @@ func (n *Node) recoveryGroup() []wire.Addr {
 		// Members we have not heard from recently may be dead: asking them
 		// for repair wastes the whole striped request, so they are excluded
 		// from CER candidate selection.
-		if n.cfg.MemberStaleAfter > 0 && now.Sub(rec.seen) > n.cfg.MemberStaleAfter {
+		if now.Sub(rec.seen) > n.tm.memberStaleAfter {
 			continue
 		}
 		overlap := 0
@@ -1472,10 +1498,7 @@ func (n *Node) handleRepairRequest(env wire.Envelope) {
 	// trust its bounds, whatever path the envelope took in.
 	if env.FirstMissing < 0 || env.LastMissing < env.FirstMissing ||
 		env.LastMissing-env.FirstMissing+1 > wire.MaxRepairSpan {
-		n.mu.Lock()
-		n.stats.GuardImplausible++
-		n.mu.Unlock()
-		n.met.noteImplausible("repair-range")
+		n.met.implausible["repair-range"].Inc()
 		return
 	}
 	requester := env.Requester
@@ -1503,7 +1526,6 @@ func (n *Node) handleRepairRequest(env wire.Envelope) {
 			}
 		}
 	}
-	n.stats.RepairsServed += int64(len(serve))
 	n.met.repairsServed.Add(int64(len(serve)))
 	n.mu.Unlock()
 	for _, seq := range serve {
@@ -1524,39 +1546,33 @@ func (n *Node) handleRepairRequest(env wire.Envelope) {
 
 // ---- membership gossip ----
 
-func (n *Node) gossipLoop() {
-	ticker := time.NewTicker(n.cfg.GossipInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-ticker.C:
-		}
-		target := n.gossipTarget()
-		if target != "" {
-			n.met.gossipSent.Inc()
-			n.send(target, wire.Envelope{
-				Type:    wire.TypeMembershipRequest,
-				Limit:   n.cfg.MembershipLimit,
-				Members: n.announceMembers(),
-			})
-		}
-		n.refreshAncestors()
+// gossip is one membership round: push-pull with a random known member.
+func (n *Node) gossip() {
+	if target := n.gossipTarget(); target != "" {
+		n.met.gossipSent.Inc()
+		n.send(target, wire.Envelope{
+			Type:    wire.TypeMembershipRequest,
+			Limit:   n.cfg.MembershipLimit,
+			Members: n.announceMembers(),
+		})
 	}
+	n.refreshAncestors()
 }
 
-// announceMembers is the push half of the gossip: our own record (when we
-// hold a tree position) plus a handful of known entries.
-func (n *Node) announceMembers() []wire.MemberInfo {
+// announceMembers is the push half of the gossip: a handful of view entries.
+func (n *Node) announceMembers() []wire.MemberInfo { return n.viewSample(9) }
+
+// viewSample returns up to limit member records: our own (when we hold a
+// tree position) first, then known entries in map order.
+func (n *Node) viewSample(limit int) []wire.MemberInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]wire.MemberInfo, 0, 9)
+	out := make([]wire.MemberInfo, 0, limit)
 	if n.attached || n.cfg.Source {
 		out = append(out, n.selfInfoLocked())
 	}
 	for _, rec := range n.membership {
-		if len(out) >= cap(out) {
+		if len(out) >= limit {
 			break
 		}
 		out = append(out, rec.info)
@@ -1614,19 +1630,7 @@ func (n *Node) handleMembershipRequest(env wire.Envelope) {
 	if limit <= 0 || limit > n.cfg.MembershipLimit {
 		limit = n.cfg.MembershipLimit
 	}
-	n.mu.Lock()
-	members := make([]wire.MemberInfo, 0, limit)
-	if n.attached || n.cfg.Source {
-		members = append(members, n.selfInfoLocked())
-	}
-	for _, rec := range n.membership {
-		if len(members) >= limit {
-			break
-		}
-		members = append(members, rec.info)
-	}
-	n.mu.Unlock()
-	n.send(env.From, wire.Envelope{Type: wire.TypeMembershipReply, Members: members})
+	n.send(env.From, wire.Envelope{Type: wire.TypeMembershipReply, Members: n.viewSample(limit)})
 }
 
 // mergeMembers folds gossip entries into the view: first-hand entries (the
@@ -1648,7 +1652,7 @@ func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
 		_, known := n.membership[info.Addr]
 		// Hard cap on view growth: a flood of forged member records must not
 		// balloon the map past the prune threshold the reply path enforces.
-		if !known && len(n.membership) >= 4*n.cfg.MembershipLimit {
+		if !known && len(n.membership) >= n.tm.peerCap {
 			continue
 		}
 		if info.Addr == from || !known {
@@ -1677,10 +1681,10 @@ func (n *Node) handleMembershipReply(env wire.Envelope) {
 	// Bound the view.
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.membership) > 4*n.cfg.MembershipLimit {
+	if len(n.membership) > n.tm.peerCap {
 		now := time.Now()
 		for addr, rec := range n.membership {
-			if now.Sub(rec.seen) > 10*n.cfg.GossipInterval {
+			if now.Sub(rec.seen) > n.tm.memberStaleAfter {
 				delete(n.membership, addr)
 			}
 		}
@@ -1689,48 +1693,38 @@ func (n *Node) handleMembershipReply(env wire.Envelope) {
 
 // ---- ROST switching ----
 
-func (n *Node) switchLoop() {
-	ticker := time.NewTicker(n.cfg.SwitchInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-ticker.C:
-		}
-		n.mu.Lock()
-		eligible := n.attached && !n.switching && n.parent != "" &&
-			n.parentBW > 0 && // a heartbeat told us the parent's properties
-			n.cfg.Bandwidth >= n.parentBW &&
-			n.btpLocked() > n.parentBTP &&
-			n.depth > 1 // never displace the source
-		parent := n.parent
-		btp := n.btpLocked()
-		if eligible {
-			n.switching = true
-		}
-		n.mu.Unlock()
-		if eligible {
-			n.send(parent, wire.Envelope{Type: wire.TypeSwitchPropose, BTP: btp})
-			// Unlock if no commit completes within a few heartbeats.
-			time.AfterFunc(3*n.cfg.HeartbeatInterval, func() {
-				n.mu.Lock()
-				n.switching = false
-				n.mu.Unlock()
-			})
-		}
+// trySwitch runs one switching check: a node that has outgrown its parent
+// (larger bandwidth-time product, no less bandwidth) takes the switch lock
+// and proposes to trade places with it.
+func (n *Node) trySwitch() {
+	now := time.Now()
+	n.mu.Lock()
+	eligible := n.attached && !n.swLock.held(now) && n.parent != "" &&
+		n.parentBW > 0 && // a heartbeat told us the parent's properties
+		n.cfg.Bandwidth >= n.parentBW &&
+		n.btpLocked() > n.parentBTP &&
+		n.depth > 1 // never displace the source
+	parent := n.parent
+	btp := n.btpLocked()
+	if eligible {
+		n.swLock = switchLock{peer: parent, until: now.Add(n.tm.switchLockFor)}
+	}
+	n.mu.Unlock()
+	if eligible {
+		n.send(parent, wire.Envelope{Type: wire.TypeSwitchPropose, BTP: btp})
 	}
 }
 
 // handleSwitchPropose runs on the parent: re-validate and accept.
 func (n *Node) handleSwitchPropose(env wire.Envelope) {
+	now := time.Now()
 	n.mu.Lock()
 	_, isChild := n.children[env.From]
-	ok := isChild && n.attached && !n.switching && !n.cfg.Source &&
+	ok := isChild && n.attached && !n.swLock.held(now) && !n.cfg.Source &&
 		env.BTP > n.btpLocked()
 	var grandparent wire.Addr
 	if ok {
-		n.switching = true
+		n.swLock = switchLock{peer: env.From, until: now.Add(n.tm.switchLockFor)}
 		grandparent = n.parent
 	}
 	n.mu.Unlock()
@@ -1741,11 +1735,18 @@ func (n *Node) handleSwitchPropose(env wire.Envelope) {
 	n.send(env.From, wire.Envelope{Type: wire.TypeSwitchAccept, NewParent: grandparent})
 }
 
-// handleSwitchAccept runs on the initiator: commit the exchange.
+// handleSwitchAccept runs on the initiator: commit the exchange it holds the
+// lock for. An accept from anyone else, or one arriving past the deadline,
+// answers no exchange this node still has open and is ignored.
 func (n *Node) handleSwitchAccept(env wire.Envelope) {
+	now := time.Now()
 	n.mu.Lock()
+	if env.From != n.swLock.peer || !n.swLock.held(now) {
+		n.mu.Unlock()
+		return
+	}
+	n.swLock = switchLock{}
 	if env.From != n.parent || env.NewParent == "" {
-		n.switching = false
 		n.mu.Unlock()
 		return
 	}
@@ -1753,12 +1754,12 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 	grandparent := env.NewParent
 	// Re-point: we take the parent's position.
 	n.parent = grandparent
-	n.parentSeen = time.Now()
+	n.parentSeen = now
 	n.parentBTP = 0
 	n.parentBW = 0
 	n.depth-- // we move one layer up
 	// The old parent becomes our child.
-	n.children[oldParent] = &peer{lastSeen: time.Now()}
+	n.children[oldParent] = &peer{lastSeen: now}
 	// Capacity overflow: hand our lowest-priority child to the old parent
 	// (it just freed the slot we occupied).
 	var demoted wire.Addr
@@ -1773,8 +1774,6 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 			delete(n.children, demoted)
 		}
 	}
-	n.switching = false
-	n.stats.Switches++
 	n.met.switches.Inc()
 	n.mu.Unlock()
 
@@ -1811,9 +1810,8 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 		// No valid shape: a commit naming neither a replaced child nor a new
 		// parent would re-point us at the empty address — attached with no
 		// parent, a one-datagram orphaning. Forged or corrupt; drop it.
-		n.stats.GuardImplausible++
+		n.met.implausible["switch-shape"].Inc()
 		n.mu.Unlock()
-		n.met.noteImplausible("switch-shape")
 		return
 	}
 	// Demoted parent or displaced grandchild: re-point to NewParent.
@@ -1823,7 +1821,7 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 	n.parentBW = 0
 	n.depth++ // one layer down (approximate; gossip refreshes it)
 	delete(n.children, env.NewParent)
-	n.switching = false
+	n.swLock.release(env.From)
 	n.mu.Unlock()
 	// Greet the new parent so it knows us (idempotent join-as-child).
 	n.send(env.NewParent, wire.Envelope{Type: wire.TypeJoin, Bandwidth: n.cfg.Bandwidth})
@@ -1844,10 +1842,7 @@ func (n *Node) onDatagram(data []byte) {
 		// Malformed or semantically invalid: drop, count by reason, and —
 		// when the envelope parsed far enough to name a sender — charge the
 		// claimed sender's misbehavior score.
-		n.mu.Lock()
-		n.stats.WireRejects++
-		n.mu.Unlock()
-		n.met.noteWireReject(wire.Reason(err))
+		n.met.wireRejects[wire.Reason(err)].Inc()
 		n.noteWireReject(env.From)
 		return
 	}
@@ -1862,9 +1857,6 @@ func (n *Node) onDatagram(data []byte) {
 		dup := n.ctrlSeen(env.From, env.Ctrl)
 		n.send(env.From, wire.Envelope{Type: wire.TypeAck, Ctrl: env.Ctrl})
 		if dup {
-			n.mu.Lock()
-			n.stats.RetxDupDrops++
-			n.mu.Unlock()
 			n.met.retxDupDrops.Inc()
 			return
 		}
@@ -1898,7 +1890,7 @@ func (n *Node) onDatagram(data []byte) {
 		n.handleSwitchAccept(env)
 	case wire.TypeSwitchReject:
 		n.mu.Lock()
-		n.switching = false
+		n.swLock.release(env.From)
 		n.mu.Unlock()
 	case wire.TypeSwitchCommit:
 		n.handleSwitchCommit(env)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -376,12 +377,59 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
+// TestTimingScalesWithHeartbeat pins the timing table: at the default 1 s
+// heartbeat it holds the documented constants, and since every entry is a
+// multiple of the heartbeat (the gossip interval included, when unset),
+// doubling HeartbeatInterval doubles every duration and moves nothing else.
+func TestTimingScalesWithHeartbeat(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.HeartbeatInterval <= 0 || cfg.HeartbeatTimeout <= 0 ||
-		cfg.GossipInterval <= 0 || cfg.BufferPackets <= 0 ||
+	if cfg.HeartbeatInterval != time.Second || cfg.BufferPackets <= 0 ||
 		cfg.RecoveryGroup <= 0 || cfg.MembershipLimit <= 0 || cfg.StreamRate <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	want := timing{
+		gossipInterval:    2 * time.Second,
+		heartbeatTimeout:  3 * time.Second,
+		switchLockFor:     3 * time.Second,
+		joinBackoffBase:   time.Second,
+		joinBackoffMax:    8 * time.Second,
+		repairBackoffBase: 500 * time.Millisecond,
+		repairBackoffMax:  4 * time.Second,
+		retxBackoffBase:   500 * time.Millisecond,
+		retxBackoffMax:    4 * time.Second,
+		memberStaleAfter:  20 * time.Second,
+		stallRejoinAfter:  18 * time.Second,
+		quarantine:        50 * time.Second,
+		requestBurst:      200,
+		plausibleSpan:     1024,
+		peerCap:           400,
+	}
+	one := newTiming(cfg)
+	if one != want {
+		t.Fatalf("timing at a 1 s heartbeat:\n got %+v\nwant %+v", one, want)
+	}
+
+	cfg.HeartbeatInterval = 2 * time.Second
+	a, b := reflect.ValueOf(one), reflect.ValueOf(newTiming(cfg))
+	for i := 0; i < a.NumField(); i++ {
+		name := a.Type().Field(i).Name
+		if a.Field(i).Type() == reflect.TypeOf(time.Duration(0)) {
+			if b.Field(i).Int() != 2*a.Field(i).Int() {
+				t.Errorf("%s: %v at 1 s, %v at 2 s — not doubled", name,
+					time.Duration(a.Field(i).Int()), time.Duration(b.Field(i).Int()))
+			}
+		} else if fmt.Sprint(a.Field(i)) != fmt.Sprint(b.Field(i)) {
+			t.Errorf("%s moved with the heartbeat: %v -> %v", name, a.Field(i), b.Field(i))
+		}
+	}
+
+	// The two knobs that remain override their table entries and what hangs
+	// off them, nothing else.
+	cfg.GossipInterval, cfg.RetxBackoffBase = 7*time.Second, 9*time.Millisecond
+	set := newTiming(cfg)
+	if set.gossipInterval != 7*time.Second || set.memberStaleAfter != 70*time.Second ||
+		set.retxBackoffBase != 9*time.Millisecond {
+		t.Fatalf("explicit gossip/retx-base not honoured: %+v", set)
 	}
 }
 

@@ -17,12 +17,6 @@ import (
 // repair data — is periodic or best-effort by design and stays
 // fire-and-forget, so the shim adds no load to the steady-state data plane.
 
-// retxPeerCap bounds the peers with live shim state, in units of the
-// membership cap (matching the guard table's working-set bound). Beyond it
-// control sends are demoted to fire-and-forget and receives go un-deduped
-// (still acked), so a crowd of forged sender addresses cannot grow the map.
-const retxPeerCap = 4
-
 // retxDedupWindow is the receive window: a sequence more than this far
 // behind the highest seen is treated as a duplicate. 64 fits the bitmap in
 // one word and is far wider than RetxInflight ever lets a sender stray.
@@ -46,13 +40,14 @@ type retxPeer struct {
 	rxBitmap  uint64 // bit i = sequence (rxHighest-1-i) seen
 }
 
-// retxPeerLocked finds or creates the shim state for addr, respecting the
-// peer cap. Requires mu.
+// retxPeerLocked finds or creates the shim state for addr, respecting
+// timing.peerCap: beyond it control sends are demoted to fire-and-forget and
+// receives go un-deduped (still acked). Requires mu.
 func (n *Node) retxPeerLocked(addr wire.Addr) *retxPeer {
 	if p, ok := n.retx[addr]; ok {
 		return p
 	}
-	if len(n.retx) >= retxPeerCap*n.cfg.MembershipLimit {
+	if len(n.retx) >= n.tm.peerCap {
 		return nil
 	}
 	p := &retxPeer{}
@@ -77,9 +72,8 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	n.mu.Lock()
 	p := n.retxPeerLocked(to)
 	if p == nil || len(p.inflight) >= n.cfg.RetxInflight {
-		n.stats.RetxOverflow++
-		n.mu.Unlock()
 		n.met.retxOverflow.Inc()
+		n.mu.Unlock()
 		return false
 	}
 	if p.inflight == nil {
@@ -95,12 +89,11 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	}
 	pend := &retxPending{data: data, attempts: 1}
 	p.inflight[seq] = pend
-	d := backoffDelay(n.cfg.RetxBackoffBase, n.cfg.RetxBackoffMax, 0, n.retxRng)
+	d := backoffDelay(n.tm.retxBackoffBase, n.tm.retxBackoffMax, 0, n.retxRng)
 	pend.timer = time.AfterFunc(d, func() { n.retxFire(to, seq) })
-	n.stats.CtrlSent++
+	n.met.ctrlSent.Inc()
 	n.met.retxInflight.Set(float64(n.retxInflightLocked()))
 	n.mu.Unlock()
-	n.met.ctrlSent.Inc()
 	n.transmit(to, data)
 	return true
 }
@@ -128,19 +121,17 @@ func (n *Node) retxFire(to wire.Addr, seq uint64) {
 	}
 	if pend.attempts >= n.cfg.RetxAttempts {
 		delete(p.inflight, seq)
-		n.stats.RetxExpired++
+		n.met.retxExpired.Inc()
 		n.met.retxInflight.Set(float64(n.retxInflightLocked()))
 		n.mu.Unlock()
-		n.met.retxExpired.Inc()
 		return
 	}
 	pend.attempts++
-	d := backoffDelay(n.cfg.RetxBackoffBase, n.cfg.RetxBackoffMax, pend.attempts-1, n.retxRng)
+	d := backoffDelay(n.tm.retxBackoffBase, n.tm.retxBackoffMax, pend.attempts-1, n.retxRng)
 	pend.timer = time.AfterFunc(d, func() { n.retxFire(to, seq) })
 	data := pend.data
-	n.stats.RetxSent++
-	n.mu.Unlock()
 	n.met.retxSent.Inc()
+	n.mu.Unlock()
 	n.transmit(to, data)
 }
 
@@ -159,10 +150,9 @@ func (n *Node) handleAck(env wire.Envelope) {
 	}
 	pend.timer.Stop()
 	delete(p.inflight, env.Ctrl)
-	n.stats.RetxAcked++
+	n.met.retxAcked.Inc()
 	n.met.retxInflight.Set(float64(n.retxInflightLocked()))
 	n.mu.Unlock()
-	n.met.retxAcked.Inc()
 }
 
 // ctrlSeen records a received control sequence in the peer's dedup window

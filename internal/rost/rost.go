@@ -67,9 +67,6 @@ type Config struct {
 	// bandwidth" switching precondition (ablation: the paper argues the
 	// guard avoids switches that would only be undone later).
 	DisableBandwidthGuard bool
-	// OnSwitch, when non-nil, observes every completed switch (promoted
-	// child, demoted parent) — used for tracing.
-	OnSwitch func(now time.Duration, promoted, demoted overlay.MemberID)
 }
 
 func (c Config) withDefaults() Config {
@@ -95,6 +92,9 @@ type Protocol struct {
 
 	nextOp int64
 	trace  *tracing.Tracer
+	// onSwitch, when non-nil, observes every completed switch (promoted
+	// child, demoted parent) — used for tracing.
+	onSwitch func(now time.Duration, promoted, demoted overlay.MemberID)
 
 	// Switches counts completed switch operations.
 	Switches int
@@ -153,7 +153,7 @@ func (p *Protocol) Name() string { return "ROST" }
 
 // SetOnSwitch installs a completed-switch observer (tracing hook).
 func (p *Protocol) SetOnSwitch(fn func(now time.Duration, promoted, demoted overlay.MemberID)) {
-	p.cfg.OnSwitch = fn
+	p.onSwitch = fn
 }
 
 // SetTrace installs a span tracer: every switch decision becomes a
@@ -338,8 +338,8 @@ func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parent
 	p.met.switches.Inc()
 	p.met.promDepth.Observe(float64(m.Depth()))
 	sp.End(sim.Now(), "switched")
-	if p.cfg.OnSwitch != nil {
-		p.cfg.OnSwitch(sim.Now(), m.ID, parent.ID)
+	if p.onSwitch != nil {
+		p.onSwitch(sim.Now(), m.ID, parent.ID)
 	}
 	p.scheduleCheck(sim, m, p.cfg.SwitchInterval)
 }

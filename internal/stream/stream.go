@@ -80,8 +80,6 @@ type Config struct {
 	// MeasureFrom discards starving ratios finalised before this time
 	// (warm-up). Zero keeps everything.
 	MeasureFrom time.Duration
-	// MinViewTime: 0 means DefaultMinViewTime.
-	MinViewTime time.Duration
 	// OnEpisode, if non-nil, fires after each outage episode with the
 	// orphan that planned recovery and its per-packet outcome (tracing).
 	OnEpisode func(orphan *overlay.Member, failedAt time.Duration, repaired, lost int)
@@ -109,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResidualMax <= 0 {
 		c.ResidualMax = DefaultResidualMax
-	}
-	if c.MinViewTime <= 0 {
-		c.MinViewTime = DefaultMinViewTime
 	}
 	return c
 }
@@ -279,7 +274,7 @@ func (m *Model) Finish(now time.Duration) {
 
 func (m *Model) finalize(st *state, now time.Duration) {
 	view := now - st.viewStart
-	if view < m.cfg.MinViewTime || now < m.cfg.MeasureFrom {
+	if view < DefaultMinViewTime || now < m.cfg.MeasureFrom {
 		return
 	}
 	starved := st.starved
