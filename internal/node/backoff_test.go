@@ -146,8 +146,8 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 	// Sanity: staleness is what kept it out — heard from again, the same
 	// member is eligible (alphabetical tiebreak puts "stale" after "fresh*",
 	// so widen K).
-	nd.touchMember("stale")
 	nd.mu.Lock()
+	nd.touchMemberLocked("stale", time.Now())
 	nd.cfg.RecoveryGroup = 5
 	nd.mu.Unlock()
 	group = nd.recoveryGroup()

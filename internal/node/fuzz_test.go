@@ -6,15 +6,6 @@ import (
 	"omcast/internal/wire"
 )
 
-// discardTransport swallows sends without recording: fuzz sandboxes only
-// need datagrams to go somewhere.
-type discardTransport struct{ addr wire.Addr }
-
-func (d *discardTransport) Addr() wire.Addr              { return d.addr }
-func (d *discardTransport) Send(wire.Addr, []byte) error { return nil }
-func (d *discardTransport) SetHandler(func(data []byte)) {}
-func (d *discardTransport) Close() error                 { return nil }
-
 // fuzzNode builds a sandboxed, unstarted node with tight caps so the
 // invariant checks are cheap.
 func fuzzNode(source bool) *Node {
@@ -24,7 +15,7 @@ func fuzzNode(source bool) *Node {
 		MembershipLimit: 8,
 		BufferPackets:   32,
 	}
-	n := New(cfg, &discardTransport{addr: "self"})
+	n := New(cfg, &probeTransport{addr: "self"})
 	if !source {
 		attachTo(n, "p")
 	}
@@ -32,20 +23,36 @@ func fuzzNode(source bool) *Node {
 }
 
 // checkInvariants asserts the properties no datagram sequence may break:
-// bounded state (membership view, repair buffer, guard table) and coherent
-// counters. Panics are caught by the fuzz driver itself.
+// bounded state (membership view, guard table), a coherent repair ring and
+// coherent counters. Panics are caught by the fuzz driver itself.
 func checkInvariants(t *testing.T, n *Node, what string) {
 	t.Helper()
 	n.mu.Lock()
-	members, buffered, guards := len(n.membership), len(n.buffer), len(n.guard)
+	members, guards := len(n.membership), len(n.guard)
 	highest := n.highest
+	// The ring: every written slot holds a sequence that maps to it and that
+	// the head has reached, and no more slots are live than the window has
+	// sequences.
+	slots, live := int64(len(n.ring)), 0
+	for i, s := range n.ring {
+		if s.seq < 0 {
+			continue
+		}
+		if s.seq%slots != int64(i) || s.seq > highest {
+			n.mu.Unlock()
+			t.Fatalf("%s: ring slot %d of %d holds sequence %d (head %d)", what, i, slots, s.seq, highest)
+		}
+		if _, ok := n.bufferedLocked(s.seq); ok {
+			live++
+		}
+	}
 	attached, parent := n.attached, n.parent
 	n.mu.Unlock()
 	if max := 4 * n.cfg.MembershipLimit; members > max {
 		t.Fatalf("%s: membership view %d > cap %d", what, members, max)
 	}
-	if max := n.cfg.BufferPackets + 1; buffered > max {
-		t.Fatalf("%s: repair buffer %d > cap %d", what, buffered, max)
+	if max := n.cfg.BufferPackets + 1; live > max || slots != int64(max) {
+		t.Fatalf("%s: repair ring has %d live of %d slots, want at most %d", what, live, slots, max)
 	}
 	if max := 4 * n.cfg.MembershipLimit; guards > max {
 		t.Fatalf("%s: guard table %d > cap %d", what, guards, max)

@@ -146,7 +146,7 @@ func (n *Node) noteMisbehaviorLocked(addr wire.Addr, p *guardPeer, points float6
 	p.score = 0 // the sentence restarts the account
 	n.met.guardQuarantines.Inc()
 	delete(n.membership, addr)
-	delete(n.children, addr)
+	n.dropChildLocked(addr)
 	if n.attached && addr == n.parent {
 		return true
 	}
@@ -165,23 +165,20 @@ func guardTypeIsRequest(t wire.Type) bool {
 	return false
 }
 
-// guardAdmit is the per-datagram admission decision for a decoded, wire-valid
-// envelope: quarantine drop, request rate limit, BTP audit. It returns false
-// when the datagram must not reach its handler.
-func (n *Node) guardAdmit(env wire.Envelope) bool {
+// guardAdmitLocked is the per-datagram admission decision for a decoded,
+// wire-valid envelope: quarantine drop, request rate limit, BTP audit. admit
+// is false when the datagram must not reach its handler; lostParent reports
+// that refusing it quarantined our parent, so the caller must run the
+// parent-failure path once it has released mu. Requires mu.
+func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (admit, lostParent bool) {
 	if n.cfg.DisableGuard {
-		return true
+		return true, false
 	}
-	now := time.Now()
-	admit := true
-	lostParent := false
-	n.mu.Lock()
 	p := n.guardPeerLocked(env.From, now)
 	p.lastSeen = now
 	if now.Before(p.quarantinedUntil) {
 		n.met.guardQuarantineDrops.Inc()
-		n.mu.Unlock()
-		return false
+		return false, false
 	}
 	switch {
 	case guardTypeIsRequest(env.Type):
@@ -194,23 +191,16 @@ func (n *Node) guardAdmit(env wire.Envelope) bool {
 		p.tokensAt = now
 		if p.tokens < 1 {
 			n.met.guardRateLimited.Inc()
-			lostParent = n.noteMisbehaviorLocked(env.From, p, scoreRateLimited, now)
-			admit = false
-		} else {
-			p.tokens--
+			return false, n.noteMisbehaviorLocked(env.From, p, scoreRateLimited, now)
 		}
+		p.tokens--
 	case env.Type == wire.TypeHeartbeat || env.Type == wire.TypeSwitchPropose:
 		if !n.auditBTPLocked(p, env, now) {
 			n.met.guardAuditFails.Inc()
-			lostParent = n.noteMisbehaviorLocked(env.From, p, scoreAuditFail, now)
-			admit = false
+			return false, n.noteMisbehaviorLocked(env.From, p, scoreAuditFail, now)
 		}
 	}
-	n.mu.Unlock()
-	if lostParent {
-		n.onParentFailure("quarantine")
-	}
-	return admit
+	return true, false
 }
 
 // noteWireReject attributes a failed decode/validation to its claimed sender
@@ -247,7 +237,7 @@ func (n *Node) noteWireReject(from wire.Addr) {
 // *shrink* — a restarted peer resets its clock. The baseline is only
 // advanced by claims that pass, so a forging peer keeps failing against its
 // last honest claim instead of ratcheting the baseline up. Requires mu.
-func (n *Node) auditBTPLocked(p *guardPeer, env wire.Envelope, now time.Time) bool {
+func (n *Node) auditBTPLocked(p *guardPeer, env *wire.Envelope, now time.Time) bool {
 	if p.lastBTPAt.IsZero() {
 		// First claim: nothing to compare against. (A peer inflating from its
 		// very first heartbeat with a consistent trajectory evades the delta

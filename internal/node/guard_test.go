@@ -73,6 +73,27 @@ func attachTo(n *Node, parent wire.Addr) {
 	n.mu.Unlock()
 }
 
+// guardAdmit and acceptPacket each run one step of onDatagram's locked
+// section the way onDatagram does, for tests that drive that step alone.
+func (n *Node) guardAdmit(env wire.Envelope) bool {
+	n.mu.Lock()
+	admit, lostParent := n.guardAdmitLocked(&env, time.Now())
+	n.mu.Unlock()
+	if lostParent {
+		n.onParentFailure("quarantine")
+	}
+	return admit
+}
+
+func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
+	n.mu.Lock()
+	children, gapFirst, gapLast, ok := n.acceptPacketLocked(&env, repaired, time.Now())
+	n.mu.Unlock()
+	if ok {
+		n.forwardPacket(children, &env, gapFirst, gapLast)
+	}
+}
+
 func envBytes(t *testing.T, env wire.Envelope) []byte {
 	t.Helper()
 	b, err := wire.EncodeBinary(env)
@@ -264,7 +285,7 @@ func TestRepairRequestRangeRejectedAtHandler(t *testing.T) {
 	n, tr := newGuardNode(nil)
 	n.mu.Lock()
 	n.highest = 100
-	n.buffer[50] = nil
+	n.storeLocked(50, nil)
 	n.mu.Unlock()
 	cases := []wire.Envelope{
 		{Type: wire.TypeRepairRequest, From: "r", FirstMissing: 9, LastMissing: 3},
@@ -289,9 +310,8 @@ func TestRepairRequestScanClamped(t *testing.T) {
 		cfg.RecoveryGroup = 1 // this node covers the whole stripe space
 	})
 	n.mu.Lock()
-	n.highest = 1000
 	for seq := int64(990); seq <= 1000; seq++ {
-		n.buffer[seq] = nil
+		n.storeLocked(seq, nil)
 	}
 	n.mu.Unlock()
 	// A wire-legal but buffer-impossible range: the scan must clamp to

@@ -440,6 +440,74 @@ type peer struct {
 	lastSeen time.Time
 }
 
+// addChildLocked records c as a child heard from at now. Requires mu.
+func (n *Node) addChildLocked(c wire.Addr, now time.Time) {
+	if p, ok := n.children[c]; ok {
+		p.lastSeen = now
+		return
+	}
+	n.children[c] = &peer{lastSeen: now}
+	// The full slice expression forces append to copy: headers already handed
+	// to a fan-out keep their elements.
+	n.childList = append(n.childList[:len(n.childList):len(n.childList)], c)
+}
+
+// dropChildLocked forgets child c, if it is one. Requires mu.
+func (n *Node) dropChildLocked(c wire.Addr) {
+	if _, ok := n.children[c]; !ok {
+		return
+	}
+	delete(n.children, c)
+	list := make([]wire.Addr, 0, len(n.children))
+	for _, a := range n.childList {
+		if a != c {
+			list = append(list, a)
+		}
+	}
+	n.childList = list
+}
+
+// ringSlot is one cell of the repair ring: the sequence it holds (-1 when
+// never written) and that packet's payload.
+type ringSlot struct {
+	seq     int64
+	payload []byte
+}
+
+// slotLocked returns the ring slot of sequence seq, or nil when seq is below
+// the window [highest-BufferPackets, highest] the buffer keeps. The window
+// has as many sequences as the ring has slots, so no two of them share one.
+// Requires mu.
+func (n *Node) slotLocked(seq int64) *ringSlot {
+	if seq < 0 || seq < n.highest-int64(n.cfg.BufferPackets) {
+		return nil
+	}
+	return &n.ring[seq%int64(len(n.ring))]
+}
+
+// bufferedLocked returns packet seq's payload and whether the repair buffer
+// holds it: seq is in the window and its slot carries that sequence. A slot
+// left behind by a head that jumped still carries its old sequence but is
+// below the window, hence absent. Requires mu.
+func (n *Node) bufferedLocked(seq int64) ([]byte, bool) {
+	if s := n.slotLocked(seq); s != nil && s.seq == seq {
+		return s.payload, true
+	}
+	return nil, false
+}
+
+// storeLocked advances the stream head to seq if it is ahead and buffers the
+// packet, overwriting whatever its slot held — eviction. A packet below the
+// window is not stored: its slot belongs to a newer one. Requires mu.
+func (n *Node) storeLocked(seq int64, payload []byte) {
+	if seq > n.highest {
+		n.highest = seq
+	}
+	if s := n.slotLocked(seq); s != nil {
+		*s = ringSlot{seq: seq, payload: payload}
+	}
+}
+
 // memberRecord is a gossip entry with freshness.
 type memberRecord struct {
 	info wire.MemberInfo
@@ -481,9 +549,14 @@ type Node struct {
 	parentBW   float64             //guardedby:mu
 	depth      int                 //guardedby:mu
 	children   map[wire.Addr]*peer //guardedby:mu
-	ancestors  []wire.Addr         //guardedby:mu
-	joinedAt   time.Time           //guardedby:mu
-	swLock     switchLock          //guardedby:mu
+	// childList is the keys of children as an immutable slice: addChildLocked
+	// and dropChildLocked, the only writers of either, replace it and never
+	// write through it, so a fan-out ranges over the header it read under mu
+	// after releasing mu.
+	childList []wire.Addr //guardedby:mu
+	ancestors []wire.Addr //guardedby:mu
+	joinedAt  time.Time   //guardedby:mu
+	swLock    switchLock  //guardedby:mu
 
 	membership map[wire.Addr]memberRecord //guardedby:mu
 	// retx is the reliability shim's per-peer state: unacked control sends
@@ -504,9 +577,11 @@ type Node struct {
 	// dropped from the view (dead members never send Rejects).
 	lastJoinTarget wire.Addr //guardedby:mu
 
-	// buffer holds recent packets for repair service and loss detection.
-	buffer  map[int64][]byte //guardedby:mu
-	highest int64            //guardedby:mu
+	// ring holds recent packets for repair service and loss detection:
+	// BufferPackets+1 slots, sequence seq in slot seq mod len, so eviction is
+	// overwrite (see bufferedLocked and storeLocked, the only two accessors).
+	ring    []ringSlot //guardedby:mu
+	highest int64      //guardedby:mu
 	// Playback clock: packet playFirst plays at playStart; the deadline of
 	// packet n is playStart + (n - playFirst)/rate. playChecked is the last
 	// sequence already scored.
@@ -575,12 +650,15 @@ func New(cfg Config, tr Transport) *Node {
 		membership: make(map[wire.Addr]memberRecord),
 		guard:      make(map[wire.Addr]*guardPeer),
 		retx:       make(map[wire.Addr]*retxPeer),
-		buffer:     make(map[int64][]byte),
 		highest:    -1,
 		playFirst:  -1,
 		pendFirst:  -1,
 		pendLast:   -1,
 		done:       make(chan struct{}),
+	}
+	n.ring = make([]ringSlot, n.cfg.BufferPackets+1)
+	for i := range n.ring {
+		n.ring[i].seq = -1
 	}
 	n.tm = newTiming(n.cfg)
 	n.met = newNodeMetrics(n.cfg.Metrics)
@@ -621,13 +699,11 @@ func (n *Node) Start() {
 func (n *Node) Stop() {
 	n.once.Do(func() {
 		n.mu.Lock()
-		targets := make([]wire.Addr, 0, len(n.children)+1)
+		targets := make([]wire.Addr, 0, len(n.childList)+1)
 		if n.attached && n.parent != "" {
 			targets = append(targets, n.parent)
 		}
-		for c := range n.children {
-			targets = append(targets, c)
-		}
+		targets = append(targets, n.childList...)
 		n.mu.Unlock()
 		for _, t := range targets {
 			n.send(t, wire.Envelope{Type: wire.TypeLeave})
@@ -745,6 +821,21 @@ func (n *Node) transmit(to wire.Addr, data []byte) {
 	n.met.txDatagrams.Inc()
 	n.met.txBytes.Add(int64(len(data)))
 	_ = n.transport.Send(to, data) // datagram semantics: errors are drops
+}
+
+// fanOut sends one data-class envelope (stream packet or ELN) to every child
+// in the list: encoded once, the same bytes transmitted to each — the
+// Transport.Send contract forbids retaining or mutating them. Call without
+// mu, on a list read under it.
+func (n *Node) fanOut(children []wire.Addr, env *wire.Envelope) {
+	if len(children) == 0 {
+		return
+	}
+	env.From = n.Addr()
+	data := wire.AppendBinary(make([]byte, 0, 64+len(env.Payload)), *env)
+	for _, c := range children {
+		n.transmit(c, data)
+	}
 }
 
 // outDegree is the node's child capacity.
@@ -902,7 +993,7 @@ func (n *Node) handleJoin(env wire.Envelope) {
 	n.mu.Lock()
 	accept := n.attached && !n.swLock.held(now) && len(n.children) < n.outDegree() && env.From != n.parent
 	if accept {
-		n.children[env.From] = &peer{lastSeen: now}
+		n.addChildLocked(env.From, now)
 	}
 	depth := n.depth
 	n.mu.Unlock()
@@ -985,19 +1076,17 @@ func (n *Node) beat() {
 	if n.attached && !n.cfg.Source {
 		parent = n.parent
 	}
-	children := make([]wire.Addr, 0, len(n.children))
 	var deadChildren []wire.Addr
 	now := time.Now()
 	for c, p := range n.children {
 		if now.Sub(p.lastSeen) > n.tm.heartbeatTimeout {
 			deadChildren = append(deadChildren, c)
-			continue
 		}
-		children = append(children, c)
 	}
 	for _, c := range deadChildren {
-		delete(n.children, c)
+		n.dropChildLocked(c)
 	}
+	children := n.childList
 	parentDead := parent != "" && now.Sub(n.parentSeen) > n.tm.heartbeatTimeout
 	// Stream-stall watchdog: a parent can be alive (heartbeating) yet cut off
 	// from the stream — e.g. after a source partition the orphans re-attach to
@@ -1066,7 +1155,7 @@ func (n *Node) advancePlaybackLocked(now time.Time) {
 	}
 	due := n.playFirst + int64(now.Sub(n.playStart).Seconds()*n.cfg.StreamRate)
 	for seq := n.playChecked + 1; seq <= due; seq++ {
-		if _, ok := n.buffer[seq]; ok {
+		if _, ok := n.bufferedLocked(seq); ok {
 			n.met.playedSlots.Inc()
 			// A present slot ends any stall: playback resumed.
 			n.inStall = false
@@ -1141,7 +1230,7 @@ func (n *Node) detachLocked(cause string) {
 
 func (n *Node) handleLeave(env wire.Envelope) {
 	n.mu.Lock()
-	delete(n.children, env.From)
+	n.dropChildLocked(env.From)
 	if env.From == n.parent && n.attached {
 		n.detachLocked("leave")
 	}
@@ -1156,31 +1245,10 @@ func (n *Node) handleLeave(env wire.Envelope) {
 func (n *Node) emitPacket() {
 	n.mu.Lock()
 	seq := n.highest + 1
-	n.buffer[seq] = nil
-	n.highest = seq
-	n.trimBufferLocked()
-	children := n.childrenLocked()
+	n.storeLocked(seq, nil)
+	children := n.childList
 	n.mu.Unlock()
-	for _, c := range children {
-		n.send(c, wire.Envelope{Type: wire.TypePacket, Packet: seq})
-	}
-}
-
-func (n *Node) childrenLocked() []wire.Addr {
-	out := make([]wire.Addr, 0, len(n.children))
-	for c := range n.children {
-		out = append(out, c)
-	}
-	return out
-}
-
-func (n *Node) trimBufferLocked() {
-	low := n.highest - int64(n.cfg.BufferPackets)
-	for seq := range n.buffer {
-		if seq < low {
-			delete(n.buffer, seq)
-		}
-	}
+	n.fanOut(children, &wire.Envelope{Type: wire.TypePacket, Packet: seq})
 }
 
 // jumpResyncStreak is how many consecutive implausible-jump packets from the
@@ -1195,7 +1263,7 @@ const jumpResyncStreak = 16
 // has exactly one upstream), or sequence numbers so far from the local head
 // that accepting them would wipe the repair buffer and wreck the playback
 // clock. Returns the implausible-kind token, or "" to accept. Requires mu.
-func (n *Node) packetRejectLocked(env wire.Envelope, repaired bool) string {
+func (n *Node) packetRejectLocked(env *wire.Envelope, repaired bool) string {
 	if n.cfg.Source {
 		// The origin never ingests stream or repair data; a forged packet
 		// here would poison the buffer every downstream repair draws from.
@@ -1228,31 +1296,30 @@ func (n *Node) packetRejectLocked(env wire.Envelope, repaired bool) string {
 	return ""
 }
 
-// acceptPacket stores and forwards one packet; returns the gap to repair if
-// one opened.
-func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
-	n.mu.Lock()
+// acceptPacketLocked is a stream or repair packet's whole stay under mu:
+// sanity check, duplicate check, store, playback and stall bookkeeping, gap
+// detection. now is the datagram's one clock reading. ok reports that the
+// packet was accepted; the caller then releases mu and calls forwardPacket
+// with the children and the gap returned here. Requires mu.
+func (n *Node) acceptPacketLocked(env *wire.Envelope, repaired bool, now time.Time) (children []wire.Addr, gapFirst, gapLast int64, ok bool) {
 	if kind := n.packetRejectLocked(env, repaired); kind != "" {
 		n.met.implausible[kind].Inc()
-		n.mu.Unlock()
-		return
+		return nil, 0, 0, false
 	}
-	if _, dup := n.buffer[env.Packet]; dup {
-		n.mu.Unlock()
+	if _, dup := n.bufferedLocked(env.Packet); dup {
 		n.met.packetsDuplicate.Inc()
-		return
+		return nil, 0, 0, false
 	}
-	n.buffer[env.Packet] = env.Payload
 	n.met.packetsReceived.Inc()
 	n.streamSeen = true
-	n.lastStream = time.Now()
+	n.lastStream = now
 	if repaired {
 		n.met.packetsRepaired.Inc()
 		// Repair data flowing again: relax the backoff gate.
 		n.repairStreak = 0
 		if n.repairSpan != nil {
 			n.repairSpan.AttrInt("packet", env.Packet).
-				End(n.traceAt(n.lastStream), "repaired")
+				End(n.traceAt(now), "repaired")
 			n.repairSpan = nil
 		}
 	}
@@ -1260,9 +1327,9 @@ func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
 		// Playback starts one buffering interval after the first packet.
 		n.playFirst = env.Packet
 		n.playChecked = env.Packet - 1
-		n.playStart = time.Now().Add(n.cfg.PlaybackBuffer)
+		n.playStart = now.Add(n.cfg.PlaybackBuffer)
 	}
-	var gapFirst, gapLast int64 = -1, -1
+	gapFirst, gapLast = -1, -1
 	if env.Packet > n.highest+1 && n.highest >= 0 {
 		gapFirst, gapLast = n.highest+1, env.Packet-1
 		// Skip ranges an upstream ELN already covers.
@@ -1270,17 +1337,15 @@ func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
 			gapFirst = n.upstreamRepair + 1
 		}
 	}
-	if env.Packet > n.highest {
-		n.highest = env.Packet
-	}
-	n.trimBufferLocked()
-	children := n.childrenLocked()
-	n.mu.Unlock()
+	n.storeLocked(env.Packet, env.Payload)
+	return n.childList, gapFirst, gapLast, true
+}
 
+// forwardPacket sends an accepted packet on to the children and starts
+// recovery of the gap it opened, if any. Call without mu.
+func (n *Node) forwardPacket(children []wire.Addr, env *wire.Envelope, gapFirst, gapLast int64) {
 	n.met.packetsForwarded.Add(int64(len(children)))
-	for _, c := range children {
-		n.send(c, wire.Envelope{Type: wire.TypePacket, Packet: env.Packet, Payload: env.Payload})
-	}
+	n.fanOut(children, &wire.Envelope{Type: wire.TypePacket, Packet: env.Packet, Payload: env.Payload})
 	if gapFirst >= 0 && gapFirst <= gapLast {
 		n.recoverGap(gapFirst, gapLast)
 	}
@@ -1377,12 +1442,10 @@ func (n *Node) flushRepairs(now time.Time) {
 // upstream, so descendants do not issue duplicate requests.
 func (n *Node) notifyELN(first, last int64) {
 	n.mu.Lock()
-	children := n.childrenLocked()
+	children := n.childList
 	n.met.elnSent.Add(int64(len(children)))
 	n.mu.Unlock()
-	for _, c := range children {
-		n.send(c, wire.Envelope{Type: wire.TypeELN, FirstMissing: first, LastMissing: last})
-	}
+	n.fanOut(children, &wire.Envelope{Type: wire.TypeELN, FirstMissing: first, LastMissing: last})
 }
 
 func (n *Node) handleELN(env wire.Envelope) {
@@ -1398,15 +1461,13 @@ func (n *Node) handleELN(env wire.Envelope) {
 	} else if fromParent && env.LastMissing > n.upstreamRepair {
 		n.upstreamRepair = env.LastMissing
 	}
-	children := n.childrenLocked()
+	children := n.childList
 	n.mu.Unlock()
 	if implausible || !fromParent {
 		return
 	}
 	// Propagate downstream.
-	for _, c := range children {
-		n.send(c, wire.Envelope{Type: wire.TypeELN, FirstMissing: env.FirstMissing, LastMissing: env.LastMissing})
-	}
+	n.fanOut(children, &wire.Envelope{Type: wire.TypeELN, FirstMissing: env.FirstMissing, LastMissing: env.LastMissing})
 }
 
 // requestRepair sends a striped CER request to the recovery group.
@@ -1517,19 +1578,19 @@ func (n *Node) handleRepairRequest(env wire.Envelope) {
 	if last > n.highest {
 		last = n.highest
 	}
-	var serve []int64
+	var serve []ringSlot
 	for seq := first; seq <= last; seq++ {
 		frac := float64(seq%100) / 100
 		if frac >= lo && frac < hi {
-			if _, ok := n.buffer[seq]; ok {
-				serve = append(serve, seq)
+			if payload, ok := n.bufferedLocked(seq); ok {
+				serve = append(serve, ringSlot{seq: seq, payload: payload})
 			}
 		}
 	}
 	n.met.repairsServed.Add(int64(len(serve)))
 	n.mu.Unlock()
-	for _, seq := range serve {
-		n.send(requester, wire.Envelope{Type: wire.TypeRepairData, Packet: seq})
+	for _, s := range serve {
+		n.send(requester, wire.Envelope{Type: wire.TypeRepairData, Packet: s.seq, Payload: s.payload})
 	}
 	// NACK-chain forwarding: the next node covers the next stripe slice.
 	if len(env.Chain) > 0 && hi < 1 {
@@ -1661,19 +1722,15 @@ func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
 	}
 }
 
-// touchMember refreshes a known member's freshness on any direct datagram:
-// hearing from a node first-hand — heartbeat, packet, repair, gossip — is
-// the liveness signal recoveryGroup's staleness filter keys on.
-func (n *Node) touchMember(from wire.Addr) {
-	if from == "" {
-		return
-	}
-	n.mu.Lock()
+// touchMemberLocked refreshes a known member's freshness on any direct
+// datagram: hearing from a node first-hand — heartbeat, packet, repair,
+// gossip — is the liveness signal recoveryGroup's staleness filter keys on.
+// Requires mu.
+func (n *Node) touchMemberLocked(from wire.Addr, now time.Time) {
 	if rec, ok := n.membership[from]; ok {
-		rec.seen = time.Now()
+		rec.seen = now
 		n.membership[from] = rec
 	}
-	n.mu.Unlock()
 }
 
 func (n *Node) handleMembershipReply(env wire.Envelope) {
@@ -1759,7 +1816,7 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 	n.parentBW = 0
 	n.depth-- // we move one layer up
 	// The old parent becomes our child.
-	n.children[oldParent] = &peer{lastSeen: now}
+	n.addChildLocked(oldParent, now)
 	// Capacity overflow: hand our lowest-priority child to the old parent
 	// (it just freed the slot we occupied).
 	var demoted wire.Addr
@@ -1770,9 +1827,7 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 				break
 			}
 		}
-		if demoted != "" {
-			delete(n.children, demoted)
-		}
+		n.dropChildLocked(demoted)
 	}
 	n.met.switches.Inc()
 	n.mu.Unlock()
@@ -1796,8 +1851,8 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 		// Grandparent: replace the child entry.
 		old := env.Chain[0]
 		if _, ok := n.children[old]; ok {
-			delete(n.children, old)
-			n.children[env.From] = &peer{lastSeen: time.Now()}
+			n.dropChildLocked(old)
+			n.addChildLocked(env.From, time.Now())
 		}
 		n.mu.Unlock()
 		return
@@ -1820,7 +1875,7 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 	n.parentBTP = 0
 	n.parentBW = 0
 	n.depth++ // one layer down (approximate; gossip refreshes it)
-	delete(n.children, env.NewParent)
+	n.dropChildLocked(env.NewParent)
 	n.swLock.release(env.From)
 	n.mu.Unlock()
 	// Greet the new parent so it knows us (idempotent join-as-child).
@@ -1846,10 +1901,28 @@ func (n *Node) onDatagram(data []byte) {
 		n.noteWireReject(env.From)
 		return
 	}
-	if !n.guardAdmit(env) {
+	// One lock and one clock reading cover admission, the sender's freshness
+	// and, for stream and repair data, the packet itself.
+	now := time.Now()
+	n.mu.Lock()
+	admit, lostParent := n.guardAdmitLocked(&env, now)
+	if !admit {
+		n.mu.Unlock()
+		if lostParent {
+			n.onParentFailure("quarantine")
+		}
 		return // rate-limited, quarantined or audit-failed
 	}
-	n.touchMember(env.From)
+	n.touchMemberLocked(env.From, now)
+	if env.Type == wire.TypePacket || env.Type == wire.TypeRepairData {
+		children, gapFirst, gapLast, ok := n.acceptPacketLocked(&env, env.Type == wire.TypeRepairData, now)
+		n.mu.Unlock()
+		if ok {
+			n.forwardPacket(children, &env, gapFirst, gapLast)
+		}
+		return
+	}
+	n.mu.Unlock()
 	// Reliable control delivery: always (re-)ack a tagged message — the
 	// sender retransmits until an ack survives the network — but hand only
 	// the first copy to its handler.
@@ -1872,14 +1945,10 @@ func (n *Node) onDatagram(data []byte) {
 		n.handleLeave(env)
 	case wire.TypeHeartbeat:
 		n.handleHeartbeat(env)
-	case wire.TypePacket:
-		n.acceptPacket(env, false)
 	case wire.TypeELN:
 		n.handleELN(env)
 	case wire.TypeRepairRequest:
 		n.handleRepairRequest(env)
-	case wire.TypeRepairData:
-		n.acceptPacket(env, true)
 	case wire.TypeMembershipRequest:
 		n.handleMembershipRequest(env)
 	case wire.TypeMembershipReply:

@@ -18,7 +18,11 @@ import (
 type Transport interface {
 	// Addr returns this endpoint's address.
 	Addr() wire.Addr
-	// Send transmits one datagram. It never blocks on the receiver.
+	// Send transmits one datagram. It never blocks on the receiver, and it
+	// must neither retain nor mutate data once it has returned: the node
+	// hands the same bytes to Send once per child when it fans a packet out.
+	// An implementation that delivers later (queues, delays, duplicates)
+	// copies first.
 	Send(to wire.Addr, data []byte) error
 	// SetHandler installs the receive callback; must be called before the
 	// first delivery is expected.
@@ -177,7 +181,7 @@ func (e *memEndpoint) Send(to wire.Addr, data []byte) error {
 	if !ok {
 		return fmt.Errorf("node: sending to %q: %w", to, ErrUnknownAddr)
 	}
-	// Copy: the caller may reuse the buffer.
+	// Copy: delivery outlives Send, and data stays the caller's.
 	buf := append([]byte(nil), data...)
 	deliver := func() {
 		select {
