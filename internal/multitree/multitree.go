@@ -255,7 +255,7 @@ func NewSession(cfg Config) (*Session, error) {
 		topoCfg.StubDomainsPerTransit = 4
 		topoCfg.StubNodesPerDomain = 8
 	}
-	topo, err := topology.New(topoCfg)
+	topo, err := topology.Shared(topoCfg)
 	if err != nil {
 		return nil, fmt.Errorf("multitree: underlay: %w", err)
 	}

@@ -1,9 +1,11 @@
 // Package parallel provides the bounded worker pool behind the experiment
-// engine. It deliberately lives outside the simulation scope that omcast-lint
+// engine and the once-per-key memo its work units share immutable inputs
+// through. It deliberately lives outside the simulation scope that omcast-lint
 // enforces: sim-scoped packages are single-threaded by contract, so every
-// goroutine lives here, and callers only ever see a result slice indexed by
-// input order. Determinism therefore reduces to one rule for the callback —
-// fn(i) may touch only state reachable from its own index.
+// goroutine and every lock lives here, and callers only ever see a result
+// slice indexed by input order. Determinism therefore reduces to one rule for
+// the callback — fn(i) may touch only state reachable from its own index, plus
+// values it can only read.
 package parallel
 
 import (

@@ -16,12 +16,22 @@
 // with per-domain all-pairs tables (tiny) and one all-pairs table over the
 // 240-node transit core. Exactness against full-graph Dijkstra is verified in
 // the tests.
+//
+// A Topology is immutable once built, generation is deterministic in its
+// Config, and a build costs milliseconds where a query costs nanoseconds.
+// Shared therefore hands every session that asks for one Config the same
+// Topology; New is the uncached build underneath it. Everything is laid out
+// flat — one adjacency array, one stub table array, one 16-byte record per
+// router — so a build makes a dozen allocations whatever the router count and
+// Delay is three reads (DESIGN.md §17, "Underlay: built once,
+// read flat").
 package topology
 
 import (
 	"fmt"
 	"time"
 
+	"omcast/internal/parallel"
 	"omcast/internal/xrand"
 )
 
@@ -123,9 +133,15 @@ func (c Config) Validate() error {
 			return fmt.Errorf("topology: delay range %v invalid", r)
 		}
 	}
-	if c.TransitChordProbability < 0 || c.TransitChordProbability > 1 ||
-		c.StubChordProbability < 0 || c.StubChordProbability > 1 {
-		return fmt.Errorf("topology: chord probabilities must lie in [0,1]")
+	// Written so that NaN fails: a NaN probability would wire no chords
+	// silently and make the Config unequal to itself as a Shared key.
+	for _, p := range [2]float64{c.TransitChordProbability, c.StubChordProbability} {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("topology: chord probability %v outside [0,1]", p)
+		}
+	}
+	if c.ExtraInterDomainEdges < 0 {
+		return fmt.Errorf("topology: ExtraInterDomainEdges = %d, want >= 0", c.ExtraInterDomainEdges)
 	}
 	return nil
 }
@@ -138,41 +154,61 @@ func (c Config) StubCount() int {
 	return c.TransitCount() * c.StubDomainsPerTransit * c.StubNodesPerDomain
 }
 
+// linkEstimate is the expected number of links with a margin, so the wiring
+// pass appends to its list without regrowing it on all but freak draws.
+func (c Config) linkEstimate() int {
+	ringAndChords := func(n int, p float64) float64 {
+		return float64(n) + p*float64(n)*float64(n-1)/2
+	}
+	transit := float64(c.TransitDomains)*(ringAndChords(c.TransitNodesPerDomain, c.TransitChordProbability)+1) +
+		float64(c.ExtraInterDomainEdges)
+	stub := float64(c.TransitCount()*c.StubDomainsPerTransit) *
+		(ringAndChords(c.StubNodesPerDomain, c.StubChordProbability) + 1)
+	return int(1.1*(transit+stub)) + 64
+}
+
+// link is one undirected link, in the order the wiring drew it.
+type link struct {
+	u, v  NodeID
+	delay time.Duration
+}
+
 // edge is one undirected adjacency entry.
 type edge struct {
 	to    NodeID
 	delay time.Duration
 }
 
-// stubDomain holds the hierarchical routing state of one stub domain.
-type stubDomain struct {
-	first NodeID // first router ID in the domain; routers are contiguous
-	size  int
-	// gatewayStub is the stub router carrying the edge to the transit core.
-	gatewayStub NodeID
-	// transit is the transit router the domain attaches to.
-	transit NodeID
-	// gatewayDelay is the delay of the gateway edge.
-	gatewayDelay time.Duration
-	// dist is the intra-domain all-pairs delay table, indexed by local
-	// offsets (id - first).
-	dist []time.Duration // size x size, row-major
-}
-
-func (d *stubDomain) intra(u, v NodeID) time.Duration {
-	return d.dist[int(u-d.first)*d.size+int(v-d.first)]
+// router is everything Delay needs to know about one endpoint, packed into
+// 16 bytes so a query touches one record per router.
+type router struct {
+	// up is the delay to home: the intra-domain path to the gateway plus
+	// the gateway edge for a stub router, 0 for a transit router.
+	up time.Duration
+	// home is the router's own transit router: the one its stub domain
+	// hangs off, or the router itself.
+	home int32
+	// domain is the stub domain index, -1 for a transit router.
+	domain int32
 }
 
 // Topology is an immutable generated network. Safe for concurrent reads.
 type Topology struct {
-	cfg     Config
-	adj     [][]edge
-	kinds   []Kind
-	domain  []int32 // stub router -> stub domain index; -1 for transit
-	domains []stubDomain
+	cfg      Config
+	transitN int
+	stubN    int // routers per stub domain
+	routers  []router
+	// Adjacency in compressed rows: router u's links are
+	// edges[adjStart[u]:adjStart[u+1]], in the order the wiring drew them.
+	adjStart []int32
+	edges    []edge
 	// transitDist is the all-pairs delay table over transit routers.
 	transitDist []time.Duration // T x T, row-major
-	transitN    int
+	// stubDist holds one row per stub router, in ID order: its delay to each
+	// of the stubN routers of its own domain. Domains are contiguous and
+	// equally sized, so domain d's all-pairs table is the stubN x stubN
+	// block at d*stubN*stubN.
+	stubDist []time.Duration
 }
 
 // New generates a topology from cfg. Generation is deterministic in
@@ -183,39 +219,48 @@ func New(cfg Config) (*Topology, error) {
 	}
 	rng := xrand.NewNamed(cfg.Seed, "topology")
 	tn := cfg.TransitCount()
-	total := tn + cfg.StubCount()
-
 	t := &Topology{
 		cfg:      cfg,
-		adj:      make([][]edge, total),
-		kinds:    make([]Kind, total),
-		domain:   make([]int32, total),
 		transitN: tn,
+		stubN:    cfg.StubNodesPerDomain,
+		routers:  make([]router, tn+cfg.StubCount()),
 	}
-	for i := 0; i < total; i++ {
-		if i < tn {
-			t.kinds[i] = Transit
-		} else {
-			t.kinds[i] = Stub
-		}
-		t.domain[i] = -1
+	for i := 0; i < tn; i++ {
+		t.routers[i] = router{home: int32(i), domain: -1}
 	}
 
-	t.wireTransitCore(rng)
-	t.wireStubDomains(rng)
+	links := make([]link, 0, cfg.linkEstimate())
+	links = wireTransitCore(cfg, rng, links)
+	links, gateways := t.wireStubDomains(rng, links)
+	t.layOutAdjacency(links)
 	t.buildTransitAPSP()
-	t.buildStubAPSP()
+	t.buildStubAPSP(gateways)
 	return t, nil
 }
 
-// addEdge inserts an undirected link.
-func (t *Topology) addEdge(u, v NodeID, delay time.Duration) {
-	t.adj[u] = append(t.adj[u], edge{to: v, delay: delay})
-	t.adj[v] = append(t.adj[v], edge{to: u, delay: delay})
+// sharedCapacity is how many underlays Shared retains: enough for every seed
+// of a replicated figure (experiments' default Replicas is 5) to stay
+// resident while its units interleave, small enough that a long seed sweep
+// holds a few tens of megabytes at paper scale and no more.
+const sharedCapacity = 8
+
+var shared = parallel.NewMemo(sharedCapacity, New)
+
+// Shared returns the topology New(cfg) generates, generating it once per
+// cfg for as long as cfg stays among the sharedCapacity most recently
+// requested configs: sessions that run on the same underlay — every
+// algorithm, size and recovery scheme of a figure — hold the same pointer.
+// That is safe because a Topology is never written after New returns, and
+// invisible in results because New is deterministic in cfg. Concurrent
+// callers asking for one cfg wait for a single build; the lock that makes
+// them wait lives in internal/parallel, outside the single-threaded
+// simulation scope. Errors are not retained.
+func Shared(cfg Config) (*Topology, error) {
+	return shared.Get(cfg)
 }
 
-func (t *Topology) wireTransitCore(rng *xrand.Source) {
-	c := t.cfg
+// wireTransitCore appends the transit-transit links to links.
+func wireTransitCore(c Config, rng *xrand.Source, links []link) []link {
 	ttDelay := func() time.Duration {
 		return rng.UniformDuration(c.TransitTransitDelay[0], c.TransitTransitDelay[1])
 	}
@@ -225,7 +270,7 @@ func (t *Topology) wireTransitCore(rng *xrand.Source) {
 		n := c.TransitNodesPerDomain
 		if n > 1 {
 			for i := 0; i < n; i++ {
-				t.addEdge(NodeID(base+i), NodeID(base+(i+1)%n), ttDelay())
+				links = append(links, link{NodeID(base + i), NodeID(base + (i+1)%n), ttDelay()})
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -234,7 +279,7 @@ func (t *Topology) wireTransitCore(rng *xrand.Source) {
 					continue // ring edge already present
 				}
 				if rng.Float64() < c.TransitChordProbability {
-					t.addEdge(NodeID(base+i), NodeID(base+j), ttDelay())
+					links = append(links, link{NodeID(base + i), NodeID(base + j), ttDelay()})
 				}
 			}
 		}
@@ -245,7 +290,7 @@ func (t *Topology) wireTransitCore(rng *xrand.Source) {
 			u := NodeID(d*c.TransitNodesPerDomain + rng.Intn(c.TransitNodesPerDomain))
 			next := (d + 1) % c.TransitDomains
 			v := NodeID(next*c.TransitNodesPerDomain + rng.Intn(c.TransitNodesPerDomain))
-			t.addEdge(u, v, ttDelay())
+			links = append(links, link{u, v, ttDelay()})
 		}
 		for i := 0; i < c.ExtraInterDomainEdges; i++ {
 			d1 := rng.Intn(c.TransitDomains)
@@ -255,57 +300,89 @@ func (t *Topology) wireTransitCore(rng *xrand.Source) {
 			}
 			u := NodeID(d1*c.TransitNodesPerDomain + rng.Intn(c.TransitNodesPerDomain))
 			v := NodeID(d2*c.TransitNodesPerDomain + rng.Intn(c.TransitNodesPerDomain))
-			t.addEdge(u, v, ttDelay())
+			links = append(links, link{u, v, ttDelay()})
 		}
 	}
+	return links
 }
 
-func (t *Topology) wireStubDomains(rng *xrand.Source) {
+// wireStubDomains appends every stub domain's links to links, records each
+// stub router's domain and home, and returns the gateway links (stub end
+// first) indexed by domain.
+func (t *Topology) wireStubDomains(rng *xrand.Source, links []link) (all, gateways []link) {
 	c := t.cfg
+	n := t.stubN
+	ssDelay := func() time.Duration {
+		return rng.UniformDuration(c.StubStubDelay[0], c.StubStubDelay[1])
+	}
 	next := NodeID(t.transitN)
-	nDomains := t.transitN * c.StubDomainsPerTransit
-	t.domains = make([]stubDomain, 0, nDomains)
+	gateways = make([]link, 0, t.transitN*c.StubDomainsPerTransit)
 	for tr := 0; tr < t.transitN; tr++ {
 		for s := 0; s < c.StubDomainsPerTransit; s++ {
-			n := c.StubNodesPerDomain
-			dom := stubDomain{
-				first:        next,
-				size:         n,
-				transit:      NodeID(tr),
-				gatewayStub:  next + NodeID(rng.Intn(n)),
-				gatewayDelay: rng.UniformDuration(c.TransitStubDelay[0], c.TransitStubDelay[1]),
+			gateway := link{
+				u:     next + NodeID(rng.Intn(n)),
+				v:     NodeID(tr),
+				delay: rng.UniformDuration(c.TransitStubDelay[0], c.TransitStubDelay[1]),
 			}
-			idx := int32(len(t.domains))
 			// Intra-domain ring + chords with stub-stub delays.
-			ssDelay := func() time.Duration {
-				return rng.UniformDuration(c.StubStubDelay[0], c.StubStubDelay[1])
-			}
 			if n > 1 {
 				for i := 0; i < n; i++ {
-					t.addEdge(next+NodeID(i), next+NodeID((i+1)%n), ssDelay())
+					links = append(links, link{next + NodeID(i), next + NodeID((i+1)%n), ssDelay()})
 				}
 			}
 			for i := 0; i < n; i++ {
-				t.domain[next+NodeID(i)] = idx
+				t.routers[next+NodeID(i)] = router{home: int32(tr), domain: int32(len(gateways))}
 				for j := i + 2; j < n; j++ {
 					if i == 0 && j == n-1 {
 						continue
 					}
 					if rng.Float64() < c.StubChordProbability {
-						t.addEdge(next+NodeID(i), next+NodeID(j), ssDelay())
+						links = append(links, link{next + NodeID(i), next + NodeID(j), ssDelay()})
 					}
 				}
 			}
 			// Single gateway edge keeps the domain single-homed, which is
 			// what makes the hierarchical oracle exact.
-			t.addEdge(dom.gatewayStub, dom.transit, dom.gatewayDelay)
-			t.domains = append(t.domains, dom)
+			links = append(links, gateway)
+			gateways = append(gateways, gateway)
 			next += NodeID(n)
 		}
 	}
+	return links, gateways
 }
 
-// inf is an unreachable-distance sentinel.
+// layOutAdjacency turns the link list into compressed adjacency rows with a
+// stable counting pass: count degrees, prefix-sum them into row starts, then
+// drop both directions of every link at its endpoints' cursors in list
+// order. Each router therefore sees its links in wiring order, exactly as
+// appending to a slice per router would have left them.
+func (t *Topology) layOutAdjacency(links []link) {
+	total := len(t.routers)
+	t.adjStart = make([]int32, total+1)
+	for _, l := range links {
+		t.adjStart[l.u+1]++
+		t.adjStart[l.v+1]++
+	}
+	for i := 0; i < total; i++ {
+		t.adjStart[i+1] += t.adjStart[i]
+	}
+	cursor := make([]int32, total)
+	copy(cursor, t.adjStart)
+	t.edges = make([]edge, 2*len(links))
+	for _, l := range links {
+		t.edges[cursor[l.u]] = edge{to: l.v, delay: l.delay}
+		cursor[l.u]++
+		t.edges[cursor[l.v]] = edge{to: l.u, delay: l.delay}
+		cursor[l.v]++
+	}
+}
+
+// linksOf returns router u's adjacency row.
+func (t *Topology) linksOf(u NodeID) []edge {
+	return t.edges[t.adjStart[u]:t.adjStart[u+1]]
+}
+
+// inf is an unreachable-distance sentinel; inf+inf does not overflow.
 const inf = time.Duration(1) << 60
 
 // buildTransitAPSP runs Dijkstra from every transit router over the transit
@@ -313,27 +390,26 @@ const inf = time.Duration(1) << 60
 func (t *Topology) buildTransitAPSP() {
 	n := t.transitN
 	t.transitDist = make([]time.Duration, n*n)
+	pq := newDelayHeap(n)
 	for src := 0; src < n; src++ {
-		row := t.transitDist[src*n : (src+1)*n]
-		t.dijkstraTransit(NodeID(src), row)
+		t.dijkstraTransit(NodeID(src), t.transitDist[src*n:(src+1)*n], pq)
 	}
 }
 
 // dijkstraTransit fills dist (length transitN) with shortest delays from src
-// using only transit-transit edges.
-func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration) {
+// using only transit-transit edges. pq must be empty and is left empty.
+func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration, pq *delayHeap) {
 	for i := range dist {
 		dist[i] = inf
 	}
 	dist[src] = 0
-	pq := newDelayHeap(t.transitN)
 	pq.push(src, 0)
 	for pq.len() > 0 {
 		u, du := pq.pop()
 		if du > dist[u] {
 			continue
 		}
-		for _, e := range t.adj[u] {
+		for _, e := range t.linksOf(u) {
 			if int(e.to) >= t.transitN {
 				continue // skip stub edges
 			}
@@ -345,63 +421,68 @@ func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration) {
 	}
 }
 
-// buildStubAPSP computes per-domain all-pairs tables with Floyd-Warshall
-// (domains are small, typically 16 routers).
-func (t *Topology) buildStubAPSP() {
-	for di := range t.domains {
-		dom := &t.domains[di]
-		n := dom.size
-		dist := make([]time.Duration, n*n)
-		for i := range dist {
-			dist[i] = inf
-		}
+// buildStubAPSP fills stubDist with Floyd-Warshall per domain (domains are
+// small, typically 16 routers) and derives every stub router's up delay
+// from its domain's finished table and gateway link.
+func (t *Topology) buildStubAPSP(gateways []link) {
+	n := t.stubN
+	t.stubDist = make([]time.Duration, t.StubCount()*n)
+	for i := range t.stubDist {
+		t.stubDist[i] = inf
+	}
+	for d, gateway := range gateways {
+		first := NodeID(t.transitN + d*n)
+		table := t.stubDist[d*n*n : (d+1)*n*n]
 		for i := 0; i < n; i++ {
-			dist[i*n+i] = 0
-			u := dom.first + NodeID(i)
-			for _, e := range t.adj[u] {
-				if t.domain[e.to] != int32(di) {
+			row := table[i*n : (i+1)*n]
+			row[i] = 0
+			for _, e := range t.linksOf(first + NodeID(i)) {
+				if t.routers[e.to].domain != int32(d) {
 					continue // the gateway edge leaves the domain
 				}
-				j := int(e.to - dom.first)
-				if e.delay < dist[i*n+j] {
-					dist[i*n+j] = e.delay
-				}
+				j := int(e.to - first)
+				row[j] = min(row[j], e.delay)
 			}
 		}
 		for k := 0; k < n; k++ {
+			viaK := table[k*n : (k+1)*n]
 			for i := 0; i < n; i++ {
-				dik := dist[i*n+k]
-				if dik == inf {
-					continue
-				}
-				for j := 0; j < n; j++ {
-					if nd := dik + dist[k*n+j]; nd < dist[i*n+j] {
-						dist[i*n+j] = nd
-					}
+				row := table[i*n : (i+1)*n]
+				toK := row[k]
+				for j, fromK := range viaK {
+					row[j] = min(row[j], toK+fromK)
 				}
 			}
 		}
-		dom.dist = dist
+		g := int(gateway.u - first)
+		for i := 0; i < n; i++ {
+			t.routers[first+NodeID(i)].up = table[i*n+g] + gateway.delay
+		}
 	}
 }
 
 // Size returns the total number of routers.
-func (t *Topology) Size() int { return len(t.adj) }
+func (t *Topology) Size() int { return len(t.routers) }
 
 // TransitCount returns the number of transit routers.
 func (t *Topology) TransitCount() int { return t.transitN }
 
 // StubCount returns the number of stub routers.
-func (t *Topology) StubCount() int { return len(t.adj) - t.transitN }
+func (t *Topology) StubCount() int { return len(t.routers) - t.transitN }
 
 // KindOf returns the router kind of id.
-func (t *Topology) KindOf(id NodeID) Kind { return t.kinds[id] }
+func (t *Topology) KindOf(id NodeID) Kind {
+	if int(id) < t.transitN {
+		return Transit
+	}
+	return Stub
+}
 
 // Stubs returns the IDs of all stub routers, in ascending order. The caller
 // owns the returned slice.
 func (t *Topology) Stubs() []NodeID {
 	out := make([]NodeID, 0, t.StubCount())
-	for i := t.transitN; i < len(t.adj); i++ {
+	for i := t.transitN; i < len(t.routers); i++ {
 		out = append(out, NodeID(i))
 	}
 	return out
@@ -413,13 +494,13 @@ func (t *Topology) RandomStub(rng *xrand.Source) NodeID {
 }
 
 // Degree returns the number of links incident to id.
-func (t *Topology) Degree(id NodeID) int { return len(t.adj[id]) }
+func (t *Topology) Degree(id NodeID) int { return len(t.linksOf(id)) }
 
 // VisitLinks calls fn once per undirected link (a < b), in ascending order
 // of a. Used by exporters and structural tests.
 func (t *Topology) VisitLinks(fn func(a, b NodeID, delay time.Duration)) {
-	for u := range t.adj {
-		for _, e := range t.adj[u] {
+	for u := range t.routers {
+		for _, e := range t.linksOf(NodeID(u)) {
 			if NodeID(u) < e.to {
 				fn(NodeID(u), e.to, e.delay)
 			}
@@ -430,52 +511,42 @@ func (t *Topology) VisitLinks(fn func(a, b NodeID, delay time.Duration)) {
 // Delay returns the shortest-path delay between two routers using the
 // hierarchical oracle. It is exact for the generated single-homed topologies
 // (verified against full-graph Dijkstra in tests).
+//
+// Two routers of one stub domain read that domain's table. Every other pair
+// routes through both routers' home transit routers, so the answer is
+// up[u] + transitDist[home u][home v] + up[v]; a transit router is its own
+// home at up = 0, which folds the stub-transit and transit-transit cases
+// into the same three reads. Delays are integer nanoseconds, so regrouping
+// the sum changes no bit.
 func (t *Topology) Delay(u, v NodeID) time.Duration {
 	if u == v {
 		return 0
 	}
-	du, dv := t.domain[u], t.domain[v]
-	switch {
-	case du < 0 && dv < 0: // transit <-> transit
-		return t.transitDist[int(u)*t.transitN+int(v)]
-	case du < 0: // transit -> stub
-		return t.stubToTransit(v, u)
-	case dv < 0: // stub -> transit
-		return t.stubToTransit(u, v)
-	case du == dv: // same stub domain
-		return t.domains[du].intra(u, v)
-	default: // stub -> stub across domains
-		su, sv := &t.domains[du], &t.domains[dv]
-		return su.intra(u, su.gatewayStub) + su.gatewayDelay +
-			t.transitDist[int(su.transit)*t.transitN+int(sv.transit)] +
-			sv.gatewayDelay + sv.intra(sv.gatewayStub, v)
+	ru, rv := t.routers[u], t.routers[v]
+	if ru.domain == rv.domain && ru.domain >= 0 {
+		first := t.transitN + int(ru.domain)*t.stubN
+		return t.stubDist[(int(u)-t.transitN)*t.stubN+int(v)-first]
 	}
-}
-
-// stubToTransit returns the delay from stub router s to transit router tr.
-func (t *Topology) stubToTransit(s, tr NodeID) time.Duration {
-	dom := &t.domains[t.domain[s]]
-	return dom.intra(s, dom.gatewayStub) + dom.gatewayDelay +
-		t.transitDist[int(dom.transit)*t.transitN+int(tr)]
+	return ru.up + t.transitDist[int(ru.home)*t.transitN+int(rv.home)] + rv.up
 }
 
 // DijkstraFrom computes exact shortest-path delays from src over the full
 // graph. It exists for validation and for the distance-oracle ablation bench;
 // hot paths use Delay.
 func (t *Topology) DijkstraFrom(src NodeID) []time.Duration {
-	dist := make([]time.Duration, len(t.adj))
+	dist := make([]time.Duration, len(t.routers))
 	for i := range dist {
 		dist[i] = inf
 	}
 	dist[src] = 0
-	pq := newDelayHeap(len(t.adj))
+	pq := newDelayHeap(len(t.routers))
 	pq.push(src, 0)
 	for pq.len() > 0 {
 		u, du := pq.pop()
 		if du > dist[u] {
 			continue
 		}
-		for _, e := range t.adj[u] {
+		for _, e := range t.linksOf(u) {
 			if nd := du + e.delay; nd < dist[e.to] {
 				dist[e.to] = nd
 				pq.push(e.to, nd)
@@ -497,61 +568,61 @@ func (t *Topology) Connected() bool {
 }
 
 // delayHeap is a minimal binary heap specialised to (NodeID, delay) pairs;
-// it avoids container/heap interface overhead in the hot APSP loops.
+// it avoids container/heap interface overhead in the hot APSP loops. Both
+// sifts move a hole instead of swapping, one write per level.
 type delayHeap struct {
-	ids    []NodeID
-	delays []time.Duration
+	items []heapItem
+}
+
+type heapItem struct {
+	delay time.Duration
+	id    NodeID
 }
 
 func newDelayHeap(capacity int) *delayHeap {
-	return &delayHeap{
-		ids:    make([]NodeID, 0, capacity),
-		delays: make([]time.Duration, 0, capacity),
-	}
+	return &delayHeap{items: make([]heapItem, 0, capacity)}
 }
 
-func (h *delayHeap) len() int { return len(h.ids) }
+func (h *delayHeap) len() int { return len(h.items) }
 
 func (h *delayHeap) push(id NodeID, d time.Duration) {
-	h.ids = append(h.ids, id)
-	h.delays = append(h.delays, d)
-	i := len(h.ids) - 1
+	h.items = append(h.items, heapItem{})
+	items := h.items
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.delays[parent] <= h.delays[i] {
+		if items[parent].delay <= d {
 			break
 		}
-		h.swap(i, parent)
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = heapItem{delay: d, id: id}
 }
 
 func (h *delayHeap) pop() (NodeID, time.Duration) {
-	id, d := h.ids[0], h.delays[0]
-	last := len(h.ids) - 1
-	h.swap(0, last)
-	h.ids = h.ids[:last]
-	h.delays = h.delays[:last]
+	top := h.items[0]
+	last := len(h.items) - 1
+	moved := h.items[last]
+	h.items = h.items[:last]
+	items := h.items
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.delays[l] < h.delays[smallest] {
-			smallest = l
-		}
-		if r < last && h.delays[r] < h.delays[smallest] {
-			smallest = r
-		}
-		if smallest == i {
+		child := 2*i + 1
+		if child >= last {
 			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		if r := child + 1; r < last && items[r].delay < items[child].delay {
+			child = r
+		}
+		if items[child].delay >= moved.delay {
+			break
+		}
+		items[i] = items[child]
+		i = child
 	}
-	return id, d
-}
-
-func (h *delayHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.delays[i], h.delays[j] = h.delays[j], h.delays[i]
+	if last > 0 {
+		items[i] = moved
+	}
+	return top.id, top.delay
 }

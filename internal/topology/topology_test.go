@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -31,21 +32,49 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bads := []func(*Config){
-		func(c *Config) { c.TransitDomains = 0 },
-		func(c *Config) { c.TransitNodesPerDomain = -1 },
-		func(c *Config) { c.StubDomainsPerTransit = -2 },
-		func(c *Config) { c.StubNodesPerDomain = 0 },
-		func(c *Config) { c.TransitTransitDelay = [2]time.Duration{0, time.Millisecond} },
-		func(c *Config) { c.StubStubDelay = [2]time.Duration{4 * time.Millisecond, 2 * time.Millisecond} },
-		func(c *Config) { c.TransitChordProbability = 1.5 },
-		func(c *Config) { c.StubChordProbability = -0.1 },
+	bads := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"no transit domains", func(c *Config) { c.TransitDomains = 0 }},
+		{"negative transit routers", func(c *Config) { c.TransitNodesPerDomain = -1 }},
+		{"negative stub domains", func(c *Config) { c.StubDomainsPerTransit = -2 }},
+		{"empty stub domains", func(c *Config) { c.StubNodesPerDomain = 0 }},
+		{"zero delay bound", func(c *Config) { c.TransitTransitDelay = [2]time.Duration{0, time.Millisecond} }},
+		{"inverted delay range", func(c *Config) { c.StubStubDelay = [2]time.Duration{4 * time.Millisecond, 2 * time.Millisecond} }},
+		{"transit chord probability > 1", func(c *Config) { c.TransitChordProbability = 1.5 }},
+		{"stub chord probability < 0", func(c *Config) { c.StubChordProbability = -0.1 }},
+		{"transit chord probability NaN", func(c *Config) { c.TransitChordProbability = math.NaN() }},
+		{"stub chord probability NaN", func(c *Config) { c.StubChordProbability = math.NaN() }},
+		{"stub chord probability +Inf", func(c *Config) { c.StubChordProbability = math.Inf(1) }},
+		{"negative extra inter-domain edges", func(c *Config) { c.ExtraInterDomainEdges = -1 }},
 	}
-	for i, mutate := range bads {
+	for _, bad := range bads {
 		cfg := DefaultConfig(1)
-		mutate(&cfg)
+		bad.mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d passed validation", i)
+			t.Errorf("%s: passed validation", bad.name)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New built it", bad.name)
+		}
+	}
+	goods := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"probabilities at the bounds", func(c *Config) { c.TransitChordProbability, c.StubChordProbability = 0, 1 }},
+		{"no extra inter-domain edges", func(c *Config) { c.ExtraInterDomainEdges = 0 }},
+		{"no stub domains, no stub size", func(c *Config) { c.StubDomainsPerTransit, c.StubNodesPerDomain = 0, 0 }},
+	}
+	for _, ok := range goods {
+		cfg := smallConfig(1)
+		ok.mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", ok.name, err)
+		}
+		if key := cfg; key != cfg {
+			t.Errorf("%s: a valid config does not equal its own copy, so it cannot key Shared", ok.name)
 		}
 	}
 }
@@ -206,8 +235,8 @@ func TestDelayRangesRespectConfig(t *testing.T) {
 	cfg := smallConfig(9)
 	topo := mustNew(t, cfg)
 	for u := 0; u < topo.Size(); u++ {
-		for _, e := range topo.adj[u] {
-			ku, kv := topo.kinds[u], topo.kinds[e.to]
+		for _, e := range topo.linksOf(NodeID(u)) {
+			ku, kv := topo.KindOf(NodeID(u)), topo.KindOf(e.to)
 			var lo, hi time.Duration
 			switch {
 			case ku == Transit && kv == Transit:
@@ -230,17 +259,18 @@ func TestStubDomainsSingleHomed(t *testing.T) {
 	// Each stub domain must have exactly one edge leaving it.
 	exits := make(map[int32]int)
 	for u := 0; u < topo.Size(); u++ {
-		if topo.domain[u] < 0 {
+		dom := topo.routers[u].domain
+		if dom < 0 {
 			continue
 		}
-		for _, e := range topo.adj[u] {
-			if topo.domain[e.to] != topo.domain[u] {
-				exits[topo.domain[u]]++
+		for _, e := range topo.linksOf(NodeID(u)) {
+			if topo.routers[e.to].domain != dom {
+				exits[dom]++
 			}
 		}
 	}
-	if len(exits) != len(topo.domains) {
-		t.Fatalf("%d domains have exits, want %d", len(exits), len(topo.domains))
+	if want := topo.StubCount() / topo.stubN; len(exits) != want {
+		t.Fatalf("%d domains have exits, want %d", len(exits), want)
 	}
 	for dom, n := range exits {
 		if n != 1 {

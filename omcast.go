@@ -262,7 +262,7 @@ func newSession(cfg Config, extra churn.Hooks) (*session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	topo, err := topology.New(cfg.Topology.toInternal(cfg.Seed))
+	topo, err := topology.Shared(cfg.Topology.toInternal(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("omcast: building underlay: %w", err)
 	}
