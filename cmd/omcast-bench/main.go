@@ -1,29 +1,37 @@
-// Command omcast-bench runs the tier-1 benchmark suite, writes a
-// BENCH_<date>.json report, and compares it against the previous report,
-// exiting non-zero when any case's ns/op regressed past the threshold. It
-// seeds and extends the repo's performance trajectory without `go test`.
+// Command omcast-bench runs the fig-scale sweep — one ROST run per member
+// count, reporting events, ns/event, retained and allocated bytes — and
+// writes it, with the host it ran on, to BENCH_scale.json.
 //
 // Usage:
 //
-//	omcast-bench                          # full suite, compare to BENCH_baseline.json
-//	omcast-bench -quick -o BENCH_ci.json  # CI smoke pass
-//	omcast-bench -baseline ""             # measure only, no comparison
-//	omcast-bench -threshold 0.10          # stricter gate
-//	omcast-bench -scale -memlimit 32GiB   # add the fig-scale sweep (up to M=10^6)
+//	omcast-bench -memlimit 32GiB                        # M = 10^3 … 10^6
+//	omcast-bench -quick -scale-sizes 300 -o scale.json  # smoke pass
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"omcast/internal/bench"
-	"omcast/internal/lint"
 	"omcast/internal/runtimecfg"
 )
+
+// artifact is the BENCH_scale.json document.
+type artifact struct {
+	Date      string             `json:"date"`
+	GoVersion string             `json:"go_version"`
+	GOOS      string             `json:"goos"`
+	GOARCH    string             `json:"goarch"`
+	MaxProcs  int                `json:"maxprocs"`
+	Quick     bool               `json:"quick"`
+	Scale     []bench.ScalePoint `json:"scale"`
+}
 
 func main() {
 	os.Exit(run())
@@ -31,14 +39,11 @@ func main() {
 
 func run() int {
 	var (
-		out       = flag.String("o", "", "output report path (default BENCH_<date>.json)")
-		baseline  = flag.String("baseline", "BENCH_baseline.json", "previous report to compare against (empty disables)")
-		threshold = flag.Float64("threshold", 0.25, "ns/op regression threshold as a fraction (0.25 = +25%)")
-		quick     = flag.Bool("quick", false, "reduced suite for CI smoke passes")
-		scale     = flag.Bool("scale", false, "also run the fig-scale sweep (bytes/member, ns/event) into the report")
-		scaleSz   = flag.String("scale-sizes", "", "comma-separated member counts for -scale (default 1000,10000,100000,1000000)")
-		memlimit  = flag.String("memlimit", "", "soft Go runtime memory limit, e.g. 8GiB (default: no limit)")
-		gcpct     = flag.Int("gcpercent", -1, "GOGC percentage (default -1: keep the runtime default of 100)")
+		out      = flag.String("o", "BENCH_scale.json", "output path")
+		sizes    = flag.String("scale-sizes", "1000,10000,100000,1000000", "comma-separated member counts")
+		quick    = flag.Bool("quick", false, "small underlay and 5 + 5 minute windows, for smoke passes")
+		memlimit = flag.String("memlimit", "", "soft Go runtime memory limit, e.g. 8GiB (default: no limit)")
+		gcpct    = flag.Int("gcpercent", -1, "GOGC percentage (default -1: keep the runtime default of 100)")
 	)
 	flag.Parse()
 
@@ -46,81 +51,39 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", err)
 		return 2
 	}
-
-	//lint:ignore no-wallclock reason: report naming and metadata only; never feeds simulation state
-	date := time.Now().UTC().Format("2006-01-02")
-	path := *out
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", date)
+	members, err := parseSizes(*sizes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", err)
+		return 2
 	}
 
-	fmt.Printf("running tier-1 benchmark suite (quick=%v)...\n", *quick)
-	rep, err := bench.Run(date, *quick, func(format string, args ...any) {
+	fmt.Printf("running fig-scale sweep %v (quick=%v)...\n", members, *quick)
+	points, err := bench.RunScale(members, *quick, func(format string, args ...any) {
 		fmt.Printf(format+"\n", args...)
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", err)
 		return 1
 	}
-	if *scale {
-		sizes := bench.DefaultScaleSizes()
-		if *scaleSz != "" {
-			parsed, perr := parseSizes(*scaleSz)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", perr)
-				return 2
-			}
-			sizes = parsed
-		}
-		fmt.Printf("running fig-scale sweep %v (quick=%v)...\n", sizes, *quick)
-		points, serr := bench.RunScale(sizes, *quick, func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		})
-		if serr != nil {
-			fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", serr)
-			return 1
-		}
-		rep.Scale = points
+	doc := artifact{
+		//lint:ignore no-wallclock reason: artifact metadata only; never feeds simulation state
+		Date:      time.Now().UTC().Format("2006-01-02"),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		MaxProcs:  runtime.GOMAXPROCS(0),
+		Quick:     *quick,
+		Scale:     points,
 	}
-	if stats, err := analyzerStats(); err != nil {
-		// The analyzer riding along must not sink a perf run.
-		fmt.Fprintf(os.Stderr, "omcast-bench: analyzer stats skipped: %v\n", err)
-	} else {
-		rep.Analyzer = stats
-	}
-	if err := rep.WriteFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", err)
-		return 1
-	}
-	fmt.Printf("report written to %s\n", path)
-
-	if *baseline == "" {
-		return 0
-	}
-	prev, err := bench.ReadReport(*baseline)
-	if os.IsNotExist(err) {
-		fmt.Printf("no baseline at %s; skipping comparison (commit this report to seed one)\n", *baseline)
-		return 0
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err == nil {
+		err = os.WriteFile(*out, append(data, '\n'), 0o644)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "omcast-bench: %v\n", err)
 		return 1
 	}
-	deltas, regressed := bench.Compare(prev, rep, *threshold)
-	fmt.Printf("\ncomparison against %s (%s, threshold +%.0f%%):\n", *baseline, prev.Date, *threshold*100)
-	for _, d := range deltas {
-		flag := "  "
-		if d.Regressed {
-			flag = "!!"
-		}
-		fmt.Printf("%s %-26s %12.1f -> %12.1f ns/op (%+.1f%%)  allocs %d -> %d\n",
-			flag, d.Name, d.PrevNs, d.CurNs, (d.Ratio-1)*100, d.PrevAlloc, d.CurAlloc)
-	}
-	if regressed {
-		fmt.Fprintf(os.Stderr, "omcast-bench: ns/op regression beyond +%.0f%% against %s\n", *threshold*100, *baseline)
-		return 1
-	}
-	fmt.Println("no regressions beyond threshold")
+	fmt.Printf("written to %s\n", *out)
 	return 0
 }
 
@@ -135,23 +98,4 @@ func parseSizes(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// analyzerStats runs the full typed lint suite over the module and returns
-// the omcast-lint -stats figures (per-rule findings, suppressions, wall time)
-// for the report's analyzer block.
-func analyzerStats() (map[string]float64, error) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := lint.Load(root)
-	if err != nil {
-		return nil, err
-	}
-	return lint.StatsMap(lint.RunAnalysis(pkgs, lint.DefaultConfig())), nil
 }

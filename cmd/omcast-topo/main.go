@@ -22,21 +22,26 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("omcast-topo", flag.ExitOnError)
 	var (
-		seed           = flag.Int64("seed", 1, "random seed")
-		transitDomains = flag.Int("transit-domains", 0, "transit domains (default 6)")
-		transitNodes   = flag.Int("transit-nodes", 0, "routers per transit domain (default 40)")
-		stubDomains    = flag.Int("stub-domains", 0, "stub domains per transit router (default 4)")
-		stubNodes      = flag.Int("stub-nodes", 0, "routers per stub domain (default 16)")
-		samples        = flag.Int("samples", 20000, "random stub pairs for the delay profile")
-		verify         = flag.Bool("verify", false, "cross-check the O(1) oracle against full Dijkstra on sampled sources")
-		dotFile        = flag.String("dot", "", "write the topology as GraphViz DOT to this file")
+		seed           = fs.Int64("seed", 1, "random seed")
+		transitDomains = fs.Int("transit-domains", 0, "transit domains (default 6)")
+		transitNodes   = fs.Int("transit-nodes", 0, "routers per transit domain (default 40)")
+		stubDomains    = fs.Int("stub-domains", 0, "stub domains per transit router (default 4)")
+		stubNodes      = fs.Int("stub-nodes", 0, "routers per stub domain (default 16)")
+		samples        = fs.Int("samples", 20000, "random stub pairs for the delay profile")
+		verify         = fs.Bool("verify", false, "cross-check the O(1) oracle against full Dijkstra on sampled sources")
+		dotFile        = fs.String("dot", "", "write the topology as GraphViz DOT to this file")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 here
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "omcast-topo: -samples %d: want at least 1\n", *samples)
+		return 2
+	}
 
 	cfg := topology.DefaultConfig(*seed)
 	if *transitDomains > 0 {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"omcast"
@@ -13,8 +12,8 @@ import (
 // observables the experiment family tracks — retained heap bytes per member,
 // bytes allocated over the whole run (garbage included: a per-event cost that
 // scales with M shows here long before it shows in the retained heap) and
-// wall-clock nanoseconds per event. Points ride in BENCH artifacts
-// (Report.Scale); Compare ignores them like the headline scalars.
+// wall-clock nanoseconds per event. cmd/omcast-bench writes the points to
+// BENCH_scale.json.
 type ScalePoint struct {
 	Members        int     `json:"members"`
 	AvgSize        float64 `json:"avg_size"`
@@ -27,17 +26,13 @@ type ScalePoint struct {
 	AvgDisruptions float64 `json:"avg_disruptions"`
 }
 
-// DefaultScaleSizes is the fig-scale sweep: three decades up to the
-// million-member single run.
-func DefaultScaleSizes() []int { return []int{1000, 10_000, 100_000, 1_000_000} }
-
-// ScaleConfig builds the omcast configuration behind one scale point. The
+// scaleConfig builds the omcast configuration behind one scale point. The
 // windows are shorter than the paper's (15-minute warm-up and measure): the
 // family measures footprint and event cost, which stabilise long before the
 // figure metrics do, and the million-member point must complete in one
 // sitting. quick additionally shrinks the underlay and the windows for
 // smoke tests.
-func ScaleConfig(members int, quick bool) omcast.Config {
+func scaleConfig(members int, quick bool) omcast.Config {
 	cfg := omcast.Config{
 		Seed:       1,
 		Algorithm:  omcast.ROST,
@@ -58,13 +53,10 @@ func ScaleConfig(members int, quick bool) omcast.Config {
 func RunScale(sizes []int, quick bool, progress func(format string, args ...any)) ([]ScalePoint, error) {
 	points := make([]ScalePoint, 0, len(sizes))
 	for _, m := range sizes {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := omcast.RunScale(ScaleConfig(m, quick))
+		res, err := omcast.RunScale(scaleConfig(m, quick))
 		if err != nil {
 			return nil, fmt.Errorf("bench: scale run at M=%d: %w", m, err)
 		}
-		runtime.ReadMemStats(&after)
 		p := ScalePoint{
 			Members:        m,
 			AvgSize:        res.AvgSize,
@@ -73,7 +65,7 @@ func RunScale(sizes []int, quick bool, progress func(format string, args ...any)
 			NsPerEvent:     res.NsPerEvent,
 			HeapBytes:      res.HeapBytes,
 			BytesPerMember: res.BytesPerMember,
-			AllocBytes:     after.TotalAlloc - before.TotalAlloc,
+			AllocBytes:     res.AllocBytes,
 			AvgDisruptions: res.AvgDisruptions,
 		}
 		points = append(points, p)

@@ -7,20 +7,21 @@ import (
 
 // ScaleBytesPerMemberCeiling is the committed memory budget for the
 // struct-of-arrays core: retained heap per steady-state member at M=10^5,
-// full underlay, ROST. The 2026-08 measurement on the reference container
-// was ~440 B/member (tree arrays, churn bookkeeping, kernel queue and the
-// ID-map growth from the 30-minute window's churn included); the ceiling
-// leaves ~2.3x headroom for legitimate growth while still catching a
-// per-member map or pointer-graph regression, which costs multiples.
+// full underlay, ROST. The 2026-10 measurement on the reference container
+// was ~400 B/member (tree arrays, churn bookkeeping, kernel queue and the
+// ID-map growth from the 30-minute window's churn included; the shared
+// underlay is built before the window and not counted); the ceiling leaves
+// ~2.5x headroom for legitimate growth while still catching a per-member map
+// or pointer-graph regression, which costs multiples.
 const ScaleBytesPerMemberCeiling = 1024.0
 
 // ScaleAllocPerMemberCeiling is the committed garbage budget of the same
-// run: bytes allocated over the whole run (underlay build, seeding, 30
-// minutes of churn) per steady-state member. The 2026-10 measurement was
-// 192 MB at M=10^5, ~1 900 B/member; the ceiling sits ~3x above it. What it
-// catches is a per-join or per-event cost that scales with M: the one it was
-// written for (Sample re-making its dedup scratch on every join of a growing
-// tree) allocated ~20 GB here, ~200 000 B/member, without moving the
+// run: bytes allocated over the whole run (seeding and 30 minutes of churn;
+// not the underlay build) per steady-state member. The 2026-10 measurement
+// was 182 MB at M=10^5, ~1 780 B/member; the ceiling sits ~3.5x above it.
+// What it catches is a per-join or per-event cost that scales with M: the one
+// it was written for (Sample re-making its dedup scratch on every join of a
+// growing tree) allocated ~20 GB here, ~200 000 B/member, without moving the
 // retained-heap figure above at all.
 const ScaleAllocPerMemberCeiling = 6144.0
 
@@ -53,6 +54,30 @@ func TestScaleQuickPoint(t *testing.T) {
 	}
 	if q := run(); q.Events != p.Events || q.AvgSize != p.AvgSize || q.AvgDisruptions != p.AvgDisruptions {
 		t.Fatalf("deterministic fields differ across runs: %+v vs %+v", p, q)
+	}
+}
+
+// TestScalePointsIndependentOfOrder: two identical points in one process
+// measure the same. Sessions share the underlay through topology.Shared, so
+// only the first run on a config builds it; were that inside the measurement
+// window, the first point alone would carry the build and the retained tables
+// (~4 MB at M = 1 000 on the full underlay, against ~0.4 MB for the session).
+func TestScalePointsIndependentOfOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-underlay scale points skipped in -short mode")
+	}
+	pts, err := RunScale([]int{1000, 1000}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := pts[0], pts[1]
+	if first.Events != second.Events {
+		t.Fatalf("events %d then %d on the same config", first.Events, second.Events)
+	}
+	within := func(x, y uint64) bool { return float64(max(x, y)) <= 1.1*float64(min(x, y)) }
+	if !within(first.HeapBytes, second.HeapBytes) || !within(first.AllocBytes, second.AllocBytes) {
+		t.Fatalf("the first point measured differently from the second: heap %d vs %d B, allocated %d vs %d B",
+			first.HeapBytes, second.HeapBytes, first.AllocBytes, second.AllocBytes)
 	}
 }
 

@@ -17,7 +17,6 @@ package experiments
 import (
 	"encoding/csv"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -338,19 +337,6 @@ func (r *Runner) Run(id string) (Table, error) {
 	//lint:ignore no-wallclock reason: Table.Elapsed is harness wall-clock cost, not simulation output
 	t.Elapsed = time.Since(start)
 	return t, nil
-}
-
-// All runs every experiment in order.
-func (r *Runner) All() ([]Table, error) {
-	tables := make([]Table, 0, len(IDs()))
-	for _, id := range IDs() {
-		t, err := r.Run(id)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
 }
 
 // treeSweep runs (once) the shared size sweep behind Figures 4, 7, 8, 10.
@@ -1092,7 +1078,7 @@ func (r *Runner) figScale() (Table, error) {
 		Header: []string{"target M", "avg size", "events"},
 		Notes: []string{
 			"paper sweeps 2000-14000 members; the largest default size here is 10x the paper's N",
-			"bytes/member and ns/event are machine observables: see BENCH scale artifacts (omcast-bench -scale)",
+			"bytes/member and ns/event are machine observables: see BENCH scale artifacts (omcast-bench)",
 		},
 	}
 	for _, alg := range algs {
@@ -1138,15 +1124,4 @@ func (r *Runner) figScale() (Table, error) {
 		i += len(algs)
 	}
 	return t, nil
-}
-
-// SortTables orders tables in canonical experiment order.
-func SortTables(tables []Table) {
-	order := make(map[string]int, len(IDs()))
-	for i, id := range IDs() {
-		order[id] = i
-	}
-	sort.SliceStable(tables, func(i, j int) bool {
-		return order[tables[i].ID] < order[tables[j].ID]
-	})
 }

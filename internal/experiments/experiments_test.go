@@ -199,14 +199,6 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
-func TestSortTables(t *testing.T) {
-	tables := []Table{{ID: "fig9"}, {ID: "fig4"}, {ID: "ablation-guard"}}
-	SortTables(tables)
-	if tables[0].ID != "fig4" || tables[1].ID != "fig9" || tables[2].ID != "ablation-guard" {
-		t.Fatalf("sorted order wrong: %v", []string{tables[0].ID, tables[1].ID, tables[2].ID})
-	}
-}
-
 func TestProgressCallback(t *testing.T) {
 	var lines int
 	r := NewRunner(Options{Seed: 1, Quick: true, Progress: func(string, ...any) { lines++ }})

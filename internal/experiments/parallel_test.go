@@ -76,12 +76,13 @@ func TestParallelAllFiguresByteIdentical(t *testing.T) {
 	}
 	run := func(workers int) (map[string]string, string) {
 		opts := tinyOptions(workers)
-		tables, err := NewRunner(opts).All()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		out := make(map[string]string, len(tables))
-		for _, tab := range tables {
+		r := NewRunner(opts)
+		out := make(map[string]string, len(IDs()))
+		for _, id := range IDs() {
+			tab, err := r.Run(id)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", id, workers, err)
+			}
 			out[tab.ID] = tab.Format()
 		}
 		snap, err := json.Marshal(opts.Metrics.Snapshot(0))

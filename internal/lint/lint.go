@@ -264,7 +264,7 @@ func Run(pkgs []*Package, cfg *Config) []Diagnostic {
 }
 
 // RunAnalysis is Run plus per-rule statistics (finding counts, suppression
-// counts, wall time) for the -stats surface and the BENCH artifact.
+// counts, wall time) for the -stats and -stats-json surfaces.
 func RunAnalysis(pkgs []*Package, cfg *Config) Result {
 	if cfg == nil {
 		cfg = DefaultConfig()

@@ -148,17 +148,6 @@ func WriteStats(w io.Writer, res Result) {
 	fmt.Fprintf(w, "%-20s %9s %10s %10.2f\n", "total", "", "", res.TotalMillis)
 }
 
-// StatsMap flattens a run's statistics into the flat key space the BENCH
-// artifact records ("lint/wall_ms", "lint/findings/<rule>", ...).
-func StatsMap(res Result) map[string]float64 {
-	out := map[string]float64{"lint/wall_ms": res.TotalMillis}
-	for _, s := range res.Stats {
-		out["lint/findings/"+s.Rule] = float64(s.Findings)
-		out["lint/suppressed/"+s.Rule] = float64(s.Suppressed)
-	}
-	return out
-}
-
 func relPath(root, path string) string {
 	if root == "" {
 		return path

@@ -112,20 +112,6 @@ func TestSARIFEmptyRun(t *testing.T) {
 	}
 }
 
-func TestStatsMap(t *testing.T) {
-	_, res := runOne(t, taintedFixture)
-	m := StatsMap(res)
-	if m["lint/findings/no-wallclock"] != 1 {
-		t.Errorf("lint/findings/no-wallclock = %v, want 1", m["lint/findings/no-wallclock"])
-	}
-	if _, ok := m["lint/wall_ms"]; !ok {
-		t.Error("missing lint/wall_ms")
-	}
-	if _, ok := m["lint/suppressed/wire-taint"]; !ok {
-		t.Error("missing per-rule suppressed keys")
-	}
-}
-
 func TestWriteStats(t *testing.T) {
 	_, res := runOne(t, taintedFixture)
 	var buf bytes.Buffer

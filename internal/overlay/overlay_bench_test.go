@@ -92,6 +92,27 @@ func BenchmarkSample(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleGrowing is the seeding regime BenchmarkSample cannot see:
+// the tree grows by one member between Sample calls, as it does while a run
+// pre-populates, so any scratch sized to the exact membership is re-made on
+// every join. One op seeds 10 000 members.
+func BenchmarkSampleGrowing(b *testing.B) {
+	rng := xrand.New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tree, err := NewTree(0, 100, func(a, c topology.NodeID) time.Duration { return time.Millisecond })
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 10000; j++ {
+			m := tree.NewMember(topology.NodeID(j), 0.5, time.Duration(j))
+			if got := tree.Sample(rng, 100, m); j > 100 && len(got) != 100 {
+				b.Fatal("short sample")
+			}
+		}
+	}
+}
+
 // BenchmarkRecordFailure measures disruption accounting over a 1000-member
 // subtree.
 func BenchmarkRecordFailure(b *testing.B) {

@@ -535,9 +535,10 @@ func (s *session) treeResult() TreeResult {
 
 // ScaleResult is a TreeResult plus the observables of the fig-scale family:
 // the deterministic event count, and the measurement-harness costs (bytes of
-// heap retained per member, wall-clock nanoseconds per event). Only Events is
-// deterministic in the seed; the memory and time figures depend on the
-// machine and allocator and belong in BENCH artifacts, not figure tables.
+// heap retained per member, bytes allocated, wall-clock nanoseconds per
+// event). Only Events is deterministic in the seed; the memory and time
+// figures depend on the machine and allocator and belong in
+// BENCH_scale.json, not figure tables.
 type ScaleResult struct {
 	TreeResult
 	// Events is the number of simulator events fired over the whole run
@@ -548,6 +549,8 @@ type ScaleResult struct {
 	HeapBytes uint64
 	// BytesPerMember is HeapBytes over the observed steady-state size.
 	BytesPerMember float64
+	// AllocBytes is every byte allocated across the run, garbage included.
+	AllocBytes uint64
 	// WallNs is the wall-clock cost of the run loop; NsPerEvent divides it
 	// by Events.
 	WallNs     int64
@@ -555,11 +558,19 @@ type ScaleResult struct {
 }
 
 // RunScale executes one tree-level experiment and measures its footprint:
-// heap growth via runtime.ReadMemStats deltas around the run (with forced
-// collections so the delta reads retained bytes, not allocator slack) and
-// the wall-clock cost of the event loop. The simulation itself is exactly
-// Run — same seed, same events, same TreeResult.
+// heap growth and bytes allocated via runtime.ReadMemStats deltas around the
+// run (with forced collections so the heap delta reads retained bytes, not
+// allocator slack) and the wall-clock cost of the event loop. The shared
+// underlay is fetched before the window opens, so a point measures the same
+// whether or not an earlier run in the process built it. The simulation
+// itself is exactly Run — same seed, same events, same TreeResult.
 func RunScale(cfg Config) (ScaleResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return ScaleResult{}, err
+	}
+	if _, err := topology.Shared(cfg.Topology.toInternal(cfg.Seed)); err != nil {
+		return ScaleResult{}, fmt.Errorf("omcast: building underlay: %w", err)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -579,6 +590,7 @@ func RunScale(cfg Config) (ScaleResult, error) {
 	out := ScaleResult{
 		TreeResult: s.treeResult(),
 		Events:     s.sim.Processed(),
+		AllocBytes: after.TotalAlloc - before.TotalAlloc,
 		WallNs:     wall.Nanoseconds(),
 	}
 	if after.HeapAlloc > before.HeapAlloc {
