@@ -3,7 +3,7 @@ package omcast_test
 // One testing.B benchmark per figure of the paper's evaluation plus the
 // ablation benches DESIGN.md calls out. Benchmarks run the experiments at
 // reduced (Quick) scale so `go test -bench=.` finishes in minutes; use
-// cmd/omcast-all for the full-scale reproduction. Each benchmark reports
+// `omcast sim -fig all` for the full-scale reproduction. Each benchmark reports
 // the figure's headline number as a custom metric so regressions in the
 // reproduced shape show up alongside timing regressions.
 

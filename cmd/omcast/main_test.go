@@ -1,0 +1,96 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// captureStderr runs fn with os.Stderr redirected to a file and returns what
+// fn wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestUsageErrorsExitTwo: every way of calling omcast wrongly exits 2 before
+// doing any work, and a missing or unknown subcommand lists all of them.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"no subcommand", nil},
+		{"unknown subcommand", []string{"simulate"}},
+		{"sim unknown flag", []string{"sim", "-bogus"}},
+		{"sim unknown figure", []string{"sim", "-fig", "nope"}},
+		{"sim all as csv", []string{"sim", "-fig", "all", "-csv"}},
+		{"bench unknown flag", []string{"bench", "-bogus"}},
+		{"chaos unknown flag", []string{"chaos", "-bogus"}},
+		{"chaos unknown scenario", []string{"chaos", "-scenario", "nope"}},
+		{"lint unknown flag", []string{"lint", "-bogus"}},
+		{"node unknown flag", []string{"node", "-bogus"}},
+		{"topo unknown flag", []string{"topo", "-bogus"}},
+		{"trace unknown flag", []string{"trace", "-bogus"}},
+		{"trace analyze two inputs", []string{"trace", "analyze", "a", "b"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var code int
+			stderr := captureStderr(t, func() { code = run(tc.args) })
+			if code != 2 {
+				t.Fatalf("omcast %s = %d, want 2\n%s", strings.Join(tc.args, " "), code, stderr)
+			}
+			if len(tc.args) > 1 {
+				return
+			}
+			for _, c := range commands {
+				if !strings.Contains(stderr, "\n  "+c.name+" ") {
+					t.Errorf("usage does not list %q:\n%s", c.name, stderr)
+				}
+			}
+		})
+	}
+	if len(commands) != 7 {
+		t.Errorf("%d subcommands, want 7", len(commands))
+	}
+}
+
+// TestProfilesWritten drives sim's -cpuprofile and -memprofile end to end:
+// both files must hold gzip-framed pprof data, and a heap profile that cannot
+// be created must fail the run.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if code := cmdSim([]string{"-fig", "fig11", "-quick", "-cpuprofile", cpu, "-memprofile", mem}); code != 0 {
+		t.Fatalf("sim with profiles = %d, want 0", code)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %d bytes, not gzip-framed", filepath.Base(path), len(data))
+		}
+	}
+	missing := filepath.Join(dir, "no-such-dir", "mem.pprof")
+	if code := cmdSim([]string{"-fig", "fig11", "-quick", "-memprofile", missing}); code == 0 {
+		t.Fatal("sim with an uncreatable -memprofile exited 0")
+	}
+}

@@ -1,45 +1,6 @@
-// Command omcast-node runs one live protocol node over UDP: the deployable
-// counterpart of the simulator. Start a source, point members at it, and the
-// overlay assembles, streams, heals failures and (optionally) ROST-switches
-// on real sockets.
-//
-// Terminal 1 — the source:
-//
-//	omcast-node -listen 127.0.0.1:7000 -source -bandwidth 8
-//
-// Terminals 2..n — members:
-//
-//	omcast-node -listen 127.0.0.1:0 -bootstrap 127.0.0.1:7000 -bandwidth 3 -switch 30s
-//
-// Each node prints a status line every few seconds; SIGINT leaves
-// gracefully (children re-attach immediately).
-//
-// Datagrams are binary v1 envelopes (internal/wire); anything else arriving
-// on the socket is counted as a malformed reject. Control-class messages
-// (joins, accepts, membership, switches, repair requests) ride a retransmit
-// shim tuned by -retx-attempts, -retx-base and -retx-inflight.
-//
-// With -http the node also serves its observability surface:
-//
-//	omcast-node -listen 127.0.0.1:0 -bootstrap 127.0.0.1:7000 -http 127.0.0.1:9090
-//	curl -s http://127.0.0.1:9090/metrics      # Prometheus text format
-//	curl -s http://127.0.0.1:9090/healthz      # 200 once attached, 503 before
-//	curl -s http://127.0.0.1:9090/debug/trace  # span flight recorder (JSONL)
-//
-// /debug/trace dumps the node's causal-span flight recorder: the last
-// -trace-buf completed recovery episodes (rejoins with per-attempt children,
-// CER repair round-trips, playback stalls), pipeable straight into
-// `omcast-trace analyze` or `omcast-trace convert -format perfetto`.
-//
-// For resilience drills, -faults injects a JSON fault schedule (the
-// internal/faultnet format: loss, latency, partitions, timed events) on this
-// node's own traffic, seed-deterministically:
-//
-//	omcast-node -listen 127.0.0.1:0 -bootstrap 127.0.0.1:7000 -faults drill.json
 package main
 
 import (
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -109,12 +70,33 @@ func newMux(n *node.Node, reg *live.Registry, ring *flight.Ring) *http.ServeMux 
 	return mux
 }
 
-func main() {
-	os.Exit(run(os.Args[1:]))
-}
-
-func run(args []string) int {
-	fs := flag.NewFlagSet("omcast-node", flag.ExitOnError)
+// cmdNode runs one live protocol node over UDP: the deployable counterpart
+// of the simulator. Start a source, point members at it, and the overlay
+// assembles, streams, heals failures and (optionally) ROST-switches on real
+// sockets.
+//
+//	omcast node -listen 127.0.0.1:7000 -source -bandwidth 8                       # terminal 1
+//	omcast node -listen 127.0.0.1:0 -bootstrap 127.0.0.1:7000 -bandwidth 3 -switch 30s  # 2..n
+//
+// Each node prints a status line every -status interval; SIGINT leaves
+// gracefully (children re-attach immediately).
+//
+// Datagrams are binary v1 envelopes (internal/wire); anything else arriving
+// on the socket is counted as a malformed reject. Control-class messages
+// (joins, accepts, membership, switches, repair requests) ride a retransmit
+// shim tuned by -retx-attempts, -retx-base and -retx-inflight.
+//
+// With -http the node also serves /metrics (Prometheus text format),
+// /healthz (200 once attached, 503 before) and /debug/trace: the last
+// -trace-buf completed recovery episodes from the node's causal-span flight
+// recorder (rejoins with per-attempt children, CER repair round-trips,
+// playback stalls) as JSONL, pipeable straight into `omcast trace analyze`.
+//
+// For resilience drills, -faults injects a JSON fault schedule (the
+// internal/faultnet format: loss, latency, partitions, timed events) on this
+// node's own traffic, seed-deterministically.
+func cmdNode(args []string) int {
+	fs := newFlags("node")
 	var (
 		listen     = fs.String("listen", "127.0.0.1:0", "UDP address to bind")
 		source     = fs.Bool("source", false, "act as the stream source")
@@ -136,15 +118,18 @@ func run(args []string) int {
 		retxBase   = fs.Duration("retx-base", 0, "first retransmit backoff (0 = default of heartbeat/2)")
 		retxCap    = fs.Int("retx-inflight", 0, "max unacked control messages per peer (0 = default of 32)")
 	)
-	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 here
-
-	if !*source && *bootstrap == "" {
-		fmt.Fprintln(os.Stderr, "omcast-node: members need -bootstrap")
+	if fs.Parse(args) != nil {
 		return 2
 	}
+
+	if !*source && *bootstrap == "" {
+		return fail(2, "node", "members need -bootstrap")
+	}
 	if *retxN < 0 {
-		fmt.Fprintf(os.Stderr, "omcast-node: -retx-attempts %d: must not be negative\n", *retxN)
-		return 2
+		return fail(2, "node", "-retx-attempts %d: must not be negative", *retxN)
+	}
+	if *status <= 0 {
+		return fail(2, "node", "-status %v: must be positive", *status)
 	}
 	var boots []wire.Addr
 	for _, b := range strings.Split(*bootstrap, ",") {
@@ -152,29 +137,28 @@ func run(args []string) int {
 			boots = append(boots, wire.Addr(b))
 		}
 	}
-	transport, err := node.NewUDPTransport(*listen)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "omcast-node: %v\n", err)
-		return 1
-	}
-	reg := live.NewRegistry()
-	var tr node.Transport = transport
+	var sch *faultnet.Schedule
 	if *faults != "" {
 		data, err := os.ReadFile(*faults)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "omcast-node: %v\n", err)
-			return 2
+			return fail(2, "node", "%v", err)
 		}
-		sch, err := faultnet.Parse(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "omcast-node: %s: %v\n", *faults, err)
-			return 2
+		if sch, err = faultnet.Parse(data); err != nil {
+			return fail(2, "node", "%s: %v", *faults, err)
 		}
+	}
+	transport, err := node.NewUDPTransport(*listen)
+	if err != nil {
+		return fail(1, "node", "%v", err)
+	}
+	reg := live.NewRegistry()
+	var tr node.Transport = transport
+	if sch != nil {
 		fnet := fnlive.NewNetwork(fnlive.Options{Seed: *faultSeed, Schedule: sch, Metrics: reg})
 		defer fnet.Close()
 		tr = fnet.Wrap(transport)
 		fnet.Start()
-		fmt.Printf("omcast-node: injecting faults from %s (seed %d)\n", *faults, sch.Seed)
+		fmt.Printf("omcast node: injecting faults from %s (seed %d)\n", *faults, sch.Seed)
 	}
 	cfg := node.Config{
 		Source:               *source,
@@ -203,16 +187,16 @@ func run(args []string) int {
 	if *source {
 		role = "source"
 	}
-	fmt.Printf("omcast-node: %s listening on %s\n", role, n.Addr())
+	fmt.Printf("omcast node: %s listening on %s\n", role, n.Addr())
 	if *httpAddr != "" {
 		srv := &http.Server{Addr: *httpAddr, Handler: newMux(n, reg, ring)}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "omcast-node: http: %v\n", err)
+				fmt.Fprintf(os.Stderr, "omcast node: http: %v\n", err)
 			}
 		}()
 		defer srv.Close()
-		fmt.Printf("omcast-node: metrics on http://%s/metrics\n", *httpAddr)
+		fmt.Printf("omcast node: metrics on http://%s/metrics\n", *httpAddr)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -223,7 +207,7 @@ func run(args []string) int {
 	for {
 		select {
 		case <-sig:
-			fmt.Println("\nomcast-node: leaving gracefully")
+			fmt.Println("\nomcast node: leaving gracefully")
 			n.Stop()
 			return 0
 		case <-ticker.C:

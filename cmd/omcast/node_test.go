@@ -179,7 +179,17 @@ func TestDebugTraceEndpoint(t *testing.T) {
 // TestNegativeRetxAttemptsRejected: the retransmit shim has no off switch, so
 // a negative budget is a usage error (exit 2) caught before any socket opens.
 func TestNegativeRetxAttemptsRejected(t *testing.T) {
-	if code := run([]string{"-source", "-retx-attempts", "-1"}); code != 2 {
-		t.Fatalf("run(-retx-attempts -1) = %d, want 2", code)
+	if code := cmdNode([]string{"-source", "-retx-attempts", "-1"}); code != 2 {
+		t.Fatalf("node -retx-attempts -1 = %d, want 2", code)
+	}
+}
+
+// TestNodeStatusIntervalRejected: a non-positive -status would reach
+// time.NewTicker and panic after the socket opened; it is a usage error.
+func TestNodeStatusIntervalRejected(t *testing.T) {
+	for _, iv := range []string{"0", "-3s"} {
+		if code := cmdNode([]string{"-source", "-status", iv}); code != 2 {
+			t.Errorf("node -status %s = %d, want 2", iv, code)
+		}
 	}
 }

@@ -1,19 +1,8 @@
-// Command omcast-topo generates a GT-ITM-style transit-stub topology and
-// prints its structural statistics: router counts, degree distribution, and
-// a sampled unicast-delay profile between stub routers (the population
-// overlay members are placed on).
-//
-// Usage:
-//
-//	omcast-topo                      # the paper's 15600-router topology
-//	omcast-topo -transit-domains 3 -transit-nodes 8 -stub-domains 2 -stub-nodes 8
 package main
 
 import (
-	"bufio"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"omcast/internal/stats"
@@ -21,12 +10,15 @@ import (
 	"omcast/internal/xrand"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:]))
-}
-
-func run(args []string) int {
-	fs := flag.NewFlagSet("omcast-topo", flag.ExitOnError)
+// cmdTopo generates a GT-ITM-style transit-stub topology and prints its
+// structural statistics: router counts, degree distribution, and a sampled
+// unicast-delay profile between stub routers (the population overlay
+// members are placed on).
+//
+//	omcast topo                      # the paper's 15600-router topology
+//	omcast topo -transit-domains 3 -transit-nodes 8 -stub-domains 2 -stub-nodes 8
+func cmdTopo(args []string) int {
+	fs := newFlags("topo")
 	var (
 		seed           = fs.Int64("seed", 1, "random seed")
 		transitDomains = fs.Int("transit-domains", 0, "transit domains (default 6)")
@@ -37,10 +29,11 @@ func run(args []string) int {
 		verify         = fs.Bool("verify", false, "cross-check the O(1) oracle against full Dijkstra on sampled sources")
 		dotFile        = fs.String("dot", "", "write the topology as GraphViz DOT to this file")
 	)
-	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 here
-	if *samples < 1 {
-		fmt.Fprintf(os.Stderr, "omcast-topo: -samples %d: want at least 1\n", *samples)
+	if fs.Parse(args) != nil {
 		return 2
+	}
+	if *samples < 1 {
+		return fail(2, "topo", "-samples %d: want at least 1", *samples)
 	}
 
 	cfg := topology.DefaultConfig(*seed)
@@ -61,8 +54,7 @@ func run(args []string) int {
 	start := time.Now()
 	topo, err := topology.New(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omcast-topo: %v\n", err)
-		return 1
+		return fail(1, "topo", "%v", err)
 	}
 	//lint:ignore no-wallclock reason: CLI progress timer; never feeds simulation state
 	fmt.Printf("generated in %.1fms\n", float64(time.Since(start).Microseconds())/1000)
@@ -91,8 +83,7 @@ func run(args []string) int {
 	}
 	p50, err := stats.Percentile(delays, 50)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omcast-topo: %v\n", err)
-		return 1
+		return fail(1, "topo", "%v", err)
 	}
 	p95, _ := stats.Percentile(delays, 95)
 	mx, _ := stats.Max(delays)
@@ -100,9 +91,8 @@ func run(args []string) int {
 		len(delays), stats.Mean(delays), p50, p95, mx)
 
 	if *dotFile != "" {
-		if err := writeDOT(*dotFile, topo); err != nil {
-			fmt.Fprintf(os.Stderr, "omcast-topo: %v\n", err)
-			return 1
+		if err := writeTo(*dotFile, func(w io.Writer) error { writeDOT(w, topo); return nil }); err != nil {
+			return fail(1, "topo", "%v", err)
 		}
 		fmt.Printf("DOT graph written to %s\n", *dotFile)
 	}
@@ -119,8 +109,7 @@ func run(args []string) int {
 			}
 		}
 		if mismatches > 0 {
-			fmt.Fprintf(os.Stderr, "omcast-topo: oracle mismatched Dijkstra on %d pairs\n", mismatches)
-			return 1
+			return fail(1, "topo", "oracle mismatched Dijkstra on %d pairs", mismatches)
 		}
 		fmt.Println("oracle verified: exact match with full-graph Dijkstra on 3 sampled sources")
 	}
@@ -128,13 +117,9 @@ func run(args []string) int {
 }
 
 // writeDOT renders the topology as a GraphViz graph: transit routers as
-// boxes, stub routers as points, edge length labels in milliseconds.
-func writeDOT(path string, topo *topology.Topology) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating %s: %w", path, err)
-	}
-	w := bufio.NewWriter(f)
+// boxes, stub routers as points, edge length labels in milliseconds. Write
+// errors surface when writeTo flushes.
+func writeDOT(w io.Writer, topo *topology.Topology) {
 	fmt.Fprintln(w, "graph transitstub {")
 	fmt.Fprintln(w, "  node [shape=point];")
 	for id := topology.NodeID(0); int(id) < topo.Size(); id++ {
@@ -146,9 +131,4 @@ func writeDOT(path string, topo *topology.Topology) error {
 		fmt.Fprintf(w, "  n%d -- n%d [label=\"%.1f\"];\n", a, b, float64(delay)/float64(time.Millisecond))
 	})
 	fmt.Fprintln(w, "}")
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
 }

@@ -7,8 +7,8 @@ import "testing"
 // errors (exit 2) caught before the topology is built.
 func TestSamplesBelowOneRejected(t *testing.T) {
 	for _, n := range []string{"0", "-1"} {
-		if code := run([]string{"-samples", n}); code != 2 {
-			t.Errorf("run(-samples %s) = %d, want 2", n, code)
+		if code := cmdTopo([]string{"-samples", n}); code != 2 {
+			t.Errorf("topo -samples %s = %d, want 2", n, code)
 		}
 	}
 }
@@ -16,7 +16,7 @@ func TestSamplesBelowOneRejected(t *testing.T) {
 // TestSmallTopologyRuns drives the whole report on a tiny underlay.
 func TestSmallTopologyRuns(t *testing.T) {
 	args := []string{"-transit-domains", "2", "-transit-nodes", "2", "-stub-domains", "1", "-stub-nodes", "2", "-samples", "50", "-verify"}
-	if code := run(args); code != 0 {
-		t.Fatalf("run(%v) = %d, want 0", args, code)
+	if code := cmdTopo(args); code != 0 {
+		t.Fatalf("topo %v = %d, want 0", args, code)
 	}
 }

@@ -248,7 +248,7 @@ func TestSpanStreamingTraceByteIdentical(t *testing.T) {
 // paths were fused, so they fail if the spans an operator reads (IDs,
 // creation order on a member's track, fetch shares, stall windows,
 // outcomes) ever drift from what that build emitted. The first
-// configuration is CI's traced smoke run (`omcast-trace -seed 1 -size 300
+// configuration is CI's traced smoke run (`omcast trace -seed 1 -size 300
 // -small -warmup 10m -measure 20m -sample 5m -stream -spans`: 184 repair,
 // 489 fetch, 168 stall spans, all fully striped); the second drops
 // sampling and runs groups of one, which forces striped + backlog fetches

@@ -1,7 +1,7 @@
 // Liveoverlay: boot the actual protocol runtime (not the simulator) on an
 // in-process datagram network, stream packets, kill an interior member and
 // watch the overlay heal — join handshakes, heartbeats, ELN, CER repair and
-// ROST switching all running concurrently, exactly as `omcast-node` runs
+// ROST switching all running concurrently, exactly as `omcast node` runs
 // them over UDP.
 //
 //	go run ./examples/liveoverlay

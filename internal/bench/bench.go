@@ -1,6 +1,6 @@
 // Package bench holds the layer micro-cost cases the benchmark module's probes
 // resolve by name (benchmark/probes.go runs them through testing.Benchmark)
-// and the fig-scale sweep cmd/omcast-bench writes to BENCH_scale.json.
+// and the fig-scale sweep `omcast bench` writes to BENCH_scale.json.
 //
 // It is not where costs are measured in general: a performance claim is
 // proven by `bash benchmark/run.sh -compare`, a layer's micro-costs by its

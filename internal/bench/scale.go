@@ -12,7 +12,7 @@ import (
 // observables the experiment family tracks — retained heap bytes per member,
 // bytes allocated over the whole run (garbage included: a per-event cost that
 // scales with M shows here long before it shows in the retained heap) and
-// wall-clock nanoseconds per event. cmd/omcast-bench writes the points to
+// wall-clock nanoseconds per event. `omcast bench` writes the points to
 // BENCH_scale.json.
 type ScalePoint struct {
 	Members        int     `json:"members"`

@@ -1,11 +1,11 @@
 // Package experiments defines one regenerator per figure of the paper's
 // evaluation (Figures 4-14) plus the ablations DESIGN.md calls out. Each
 // experiment produces a Table with exactly the series the paper plots, so
-// the CLI tools and benchmarks can print paper-vs-measured comparisons.
+// `omcast sim` and the benchmarks can print paper-vs-measured comparisons.
 //
 // Runs that share simulations (Figures 4, 7, 8 and 10 all read the same
 // tree-level sweep; Figures 6 and 9 share the tracked-member runs) are
-// cached inside a Runner so `omcast-all` does the work once.
+// cached inside a Runner so `omcast sim -fig all` does the work once.
 //
 // Every figure decomposes into independent seeded work units — one per
 // replication or curve point — executed on a bounded worker pool
@@ -17,6 +17,7 @@ package experiments
 import (
 	"encoding/csv"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -214,14 +215,42 @@ func (t Table) CSV() string {
 	return b.String()
 }
 
+// experiment pairs an experiment ID with the Runner method regenerating it.
+type experiment struct {
+	id  string
+	run func(*Runner) (Table, error)
+}
+
+// experimentTable names every experiment once, in figure order; IDs and Run
+// both read it, so the two can never disagree.
+var experimentTable = []experiment{
+	{"fig4", (*Runner).fig4},
+	{"fig5", (*Runner).fig5Table},
+	{"fig6", (*Runner).fig6},
+	{"fig7", (*Runner).fig7},
+	{"fig8", (*Runner).fig8},
+	{"fig9", (*Runner).fig9},
+	{"fig10", (*Runner).fig10},
+	{"fig11", (*Runner).fig11},
+	{"fig12", (*Runner).fig12},
+	{"fig13", (*Runner).fig13},
+	{"fig14", (*Runner).fig14},
+	{"ablation-recovery", (*Runner).ablationRecovery},
+	{"ablation-rejoin", (*Runner).ablationRejoin},
+	{"ablation-priority", (*Runner).ablationPriority},
+	{"ablation-guard", (*Runner).ablationGuard},
+	{"extension-multitree", (*Runner).extensionMultiTree},
+	{"fig-fleet", (*Runner).figFleet},
+	{"fig-scale", (*Runner).figScale},
+}
+
 // IDs lists all experiment identifiers in figure order.
 func IDs() []string {
-	return []string{
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"fig12", "fig13", "fig14",
-		"ablation-recovery", "ablation-rejoin", "ablation-priority", "ablation-guard",
-		"extension-multitree", "fig-fleet", "fig-scale",
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Runner executes experiments with shared-run caching.
@@ -284,52 +313,13 @@ func runUnits[T any](r *Runner, n int, fn func(o Options, i int) (T, error)) ([]
 
 // Run executes one experiment by ID.
 func (r *Runner) Run(id string) (Table, error) {
-	//lint:ignore no-wallclock reason: Table.Elapsed is harness wall-clock cost, not simulation output
-	start := time.Now()
-	var (
-		t   Table
-		err error
-	)
-	switch id {
-	case "fig4":
-		t, err = r.fig4()
-	case "fig5":
-		t, err = r.fig5Table()
-	case "fig6":
-		t, err = r.fig6()
-	case "fig7":
-		t, err = r.fig7()
-	case "fig8":
-		t, err = r.fig8()
-	case "fig9":
-		t, err = r.fig9()
-	case "fig10":
-		t, err = r.fig10()
-	case "fig11":
-		t, err = r.fig11()
-	case "fig12":
-		t, err = r.fig12()
-	case "fig13":
-		t, err = r.fig13()
-	case "fig14":
-		t, err = r.fig14()
-	case "ablation-recovery":
-		t, err = r.ablationRecovery()
-	case "ablation-rejoin":
-		t, err = r.ablationRejoin()
-	case "ablation-priority":
-		t, err = r.ablationPriority()
-	case "ablation-guard":
-		t, err = r.ablationGuard()
-	case "extension-multitree":
-		t, err = r.extensionMultiTree()
-	case "fig-fleet":
-		t, err = r.figFleet()
-	case "fig-scale":
-		t, err = r.figScale()
-	default:
+	i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.id == id })
+	if i < 0 {
 		return Table{}, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
+	//lint:ignore no-wallclock reason: Table.Elapsed is harness wall-clock cost, not simulation output
+	start := time.Now()
+	t, err := experimentTable[i].run(r)
 	if err != nil {
 		return Table{}, fmt.Errorf("experiments: %s: %w", id, err)
 	}
@@ -1078,7 +1068,7 @@ func (r *Runner) figScale() (Table, error) {
 		Header: []string{"target M", "avg size", "events"},
 		Notes: []string{
 			"paper sweeps 2000-14000 members; the largest default size here is 10x the paper's N",
-			"bytes/member and ns/event are machine observables: see BENCH scale artifacts (omcast-bench)",
+			"bytes/member and ns/event are machine observables: see BENCH scale artifacts (omcast bench)",
 		},
 	}
 	for _, alg := range algs {

@@ -18,7 +18,7 @@
 //     numbers — before anything runs, so the fault plan is byte-comparable
 //     across runs.
 //
-// This package is inside the omcast-lint simulation scope: it reads no wall
+// This package is inside the omcast lint simulation scope: it reads no wall
 // clock, spawns no goroutines and holds no locks. The concurrent wall-clock
 // backend that applies these decisions to real transports lives in
 // internal/faultnet/live, mirroring the internal/metrics / metrics/live
@@ -276,7 +276,7 @@ func (d *Decider) Next(r Rule) Decision {
 
 // DecisionPreview renders the first n decisions of each "from>to" link under
 // rule r as a byte-stable table — the replayable "what will this seed do"
-// view used by determinism tests and omcast-chaos -plan.
+// view used by determinism tests and omcast chaos -plan.
 func DecisionPreview(seed int64, links []string, n int, r Rule) string {
 	var b strings.Builder
 	for _, link := range links {

@@ -6,7 +6,7 @@
 // live nodes.
 //
 // The split mirrors internal/metrics vs internal/metrics/live: the model
-// package is simulation-safe (omcast-lint enforces no wall clock, no
+// package is simulation-safe (omcast lint enforces no wall clock, no
 // goroutines); this package owns every timer and lock. Determinism lives in
 // the environment layer: the expanded plan and the per-link decision streams
 // are pure functions of the schedule and seed, so two same-seed runs inject

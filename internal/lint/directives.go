@@ -70,7 +70,7 @@ func (s *suppressions) add(fset *token.FileSet, c *ast.Comment, known map[string
 		return
 	}
 	if !known[fields[0]] {
-		bad("suppression names unknown rule %q; run omcast-lint -list for the rule set", fields[0])
+		bad("suppression names unknown rule %q; run omcast lint -list for the rule set", fields[0])
 		return
 	}
 	s.directives = append(s.directives, &directive{pos: pos, rule: fields[0]})

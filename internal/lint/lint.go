@@ -15,7 +15,7 @@
 // graph (see callgraph.go), runs a configurable set of analysis passes over
 // the typed syntax trees, honors //lint:ignore <rule> reason: <text>
 // suppression directives, audits those directives for staleness, and reports
-// findings as file:line: rule: message diagnostics. cmd/omcast-lint is the
+// findings as file:line: rule: message diagnostics. `omcast lint` is the
 // CLI front end (text, JSON and SARIF output); CI runs it over ./... and
 // fails on any finding.
 //
@@ -164,7 +164,9 @@ func (c *Config) filtered() bool {
 	return len(c.Enabled) > 0 || len(c.Disabled) > 0
 }
 
-// matchPackage reports whether the import path matches any pattern.
+// matchPackage reports whether the import path matches any pattern. A
+// command under cmd/ is named after its binary, not after a layer, so it
+// never matches by suffix: cmd/omcast is not the root package "omcast".
 func matchPackage(path string, patterns []string) bool {
 	for _, p := range patterns {
 		switch {
@@ -175,7 +177,7 @@ func matchPackage(path string, patterns []string) bool {
 			if path == prefix || strings.HasPrefix(path, prefix+"/") {
 				return true
 			}
-		case strings.HasSuffix(path, "/"+p):
+		case strings.HasSuffix(path, "/"+p) && !strings.Contains(path, "/cmd/"):
 			return true
 		}
 	}

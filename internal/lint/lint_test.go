@@ -215,7 +215,8 @@ func TestMatchPackage(t *testing.T) {
 		{"omcast/internal/rost", "omcast/internal/rost", true},
 		{"omcast/internal/frost", "rost", false},
 		{"omcast", "omcast", true},
-		{"omcast/cmd/omcast-sim", "omcast/cmd/...", true},
+		{"omcast/cmd/omcast", "omcast/cmd/...", true},
+		{"omcast/cmd/omcast", "omcast", false},
 		{"omcast/cmdx", "omcast/cmd/...", false},
 		{"omcast/internal/lint", "rost", false},
 	}
@@ -227,7 +228,7 @@ func TestMatchPackage(t *testing.T) {
 }
 
 // TestModuleIsClean loads the real module and asserts the tree lints clean —
-// the same gate CI applies via cmd/omcast-lint.
+// the same gate CI applies via `omcast lint`.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module load in -short mode")

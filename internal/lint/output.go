@@ -130,7 +130,7 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, root string) error {
 		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
 		Version: "2.1.0",
 		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "omcast-lint", Rules: ruleDescs}},
+			Tool:    sarifTool{Driver: sarifDriver{Name: "omcast lint", Rules: ruleDescs}},
 			Results: results,
 		}},
 	}

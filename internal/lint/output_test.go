@@ -82,7 +82,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("unexpected SARIF shell: version=%q runs=%d", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "omcast-lint" {
+	if run.Tool.Driver.Name != "omcast lint" {
 		t.Errorf("driver name = %q", run.Tool.Driver.Name)
 	}
 	// Every rule (including the reserved directive rules) must be advertised

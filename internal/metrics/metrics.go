@@ -5,7 +5,7 @@
 // protocol runtime.
 //
 // This package itself is simulation-safe: it reads no wall clock, spawns no
-// goroutines and uses no sync primitives, so it passes every omcast-lint rule
+// goroutines and uses no sync primitives, so it passes every omcast lint rule
 // for deterministic code. Snapshots are keyed by a caller-supplied timestamp
 // (virtual time in simulations, uptime in the live runtime) and serialise in
 // registration order, which makes same-seed snapshot streams byte-identical.

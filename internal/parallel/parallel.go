@@ -1,6 +1,6 @@
 // Package parallel provides the bounded worker pool behind the experiment
 // engine and the once-per-key memo its work units share immutable inputs
-// through. It deliberately lives outside the simulation scope that omcast-lint
+// through. It deliberately lives outside the simulation scope that omcast lint
 // enforces: sim-scoped packages are single-threaded by contract, so every
 // goroutine and every lock lives here, and callers only ever see a result
 // slice indexed by input order. Determinism therefore reduces to one rule for

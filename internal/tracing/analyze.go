@@ -1,7 +1,7 @@
 // Trace analysis: parse a JSONL trace stream (point events and span
 // envelopes interleaved), reconstruct episode timelines, and summarise
 // them as latency breakdowns — the consumer half of the span layer,
-// surfaced by `omcast-trace analyze`.
+// surfaced by `omcast trace analyze`.
 package tracing
 
 import (
@@ -210,7 +210,7 @@ func Percentile(sorted []float64, q float64) float64 {
 }
 
 // WriteText renders the analysis as the human-readable report printed by
-// `omcast-trace analyze`: per-kind episode percentiles plus a waterfall of
+// `omcast trace analyze`: per-kind episode percentiles plus a waterfall of
 // mean stage offsets and durations.
 func (a *Analysis) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)

@@ -1,4 +1,4 @@
-// Chrome trace-event export: `omcast-trace convert -format perfetto` turns
+// Chrome trace-event export: `omcast trace convert -format perfetto` turns
 // a span trace into JSON loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing, one named track per member (or per live node), with
 // every episode a complete ("X") slice whose args carry the span's ID,
