@@ -80,7 +80,11 @@ var _ Selector = (*MLCSelector)(nil)
 // root. Members of the caller's own root path (and its own subtree) are
 // excluded — their losses are maximally correlated with the caller's.
 //
-// A call costs O(sample size x tree depth) and allocates only the returned
+// A call climbs each sampled member's root path only until it meets a node
+// already in T, counting T's width per depth as it goes, and lists T's levels
+// only down to Li+1 (or the widest level when none brackets K); everything is
+// done over dense slots, so a *Member is read only for a sampled member, a
+// returned candidate or a Banned lookup. It allocates only the returned
 // group. The RNG is drawn in a fixed order every figure depends on: the
 // sample; one Shuffle per Li node (or one over the widest level); one Intn
 // per subtree root that has a usable descendant; one Shuffle for the top-up.
@@ -93,19 +97,25 @@ func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 		return nil
 	}
 	s.excl.reset(s.Tree, self, s.Banned)
+	v := &s.excl.v
 	pt := &s.pt
-	pt.build(s.Tree, self, sample)
+	pt.build(s.Tree, v, self, sample)
 	group := make([]*overlay.Member, 0, k)
+	pt.picked = pt.picked[:0]
 	for _, r := range pt.subtreeRoots(s.Rng, k) {
 		if cands := pt.usableUnder(&s.excl, r, nil); len(cands) > 0 {
-			group = append(group, cands[s.Rng.Intn(len(cands))])
+			c := cands[s.Rng.Intn(len(cands))]
+			pt.picked = append(pt.picked, c)
+			group = append(group, v.Member(c))
 		}
 	}
 	// Top up from any usable known member if the tree was too narrow.
 	if len(group) < k {
-		cands := pt.usableUnder(&s.excl, pt.root, group)
+		cands := pt.usableUnder(&s.excl, pt.root, pt.picked)
 		s.Rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		group = append(group, cands[:min(len(cands), k-len(group))]...)
+		for _, c := range cands[:min(len(cands), k-len(group))] {
+			group = append(group, v.Member(c))
+		}
 	}
 	s.delays = orderByDistance(self, group, s.Delay, s.delays)
 	return group
@@ -137,7 +147,7 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	s.excl.reset(s.Tree, self, s.Banned)
 	group := make([]*overlay.Member, 0, k)
 	for _, c := range s.Tree.Sample(s.Rng, knowledge(s.Knowledge), self) {
-		if !s.excl.usable(c) {
+		if !s.excl.usable(int32(c.Slot())) {
 			continue
 		}
 		group = append(group, c)
@@ -196,54 +206,52 @@ func advance[T any](scratch []T, epoch uint32, n int) ([]T, uint32) {
 // exclusion is the recovery-node filter both selectors share. It rejects
 // candidates whose losses are inherently correlated with self: self's
 // ancestors (they fail with self's path) and self's descendants (they receive
-// the stream through self), plus the selector's Banned set. Self's root path
-// is kept as epoch stamps indexed by dense slot.
+// the stream through self), plus the selector's Banned set. It works on dense
+// slots through a view fetched per call; self's root path is kept as epoch
+// stamps indexed by slot.
 type exclusion struct {
-	self      *overlay.Member
-	selfDepth int                       // -1 while self is detached
+	v         overlay.SlotView
+	self      int32                     // self's slot; -1 once self is removed
+	selfDepth int32                     // -1 while self is detached
 	banned    map[overlay.MemberID]bool // not consulted while empty
 	onPath    []uint32                  // slot is self or an ancestor iff == epoch
 	epoch     uint32
 }
 
 func (x *exclusion) reset(tree *overlay.Tree, self *overlay.Member, banned map[overlay.MemberID]bool) {
-	x.self, x.selfDepth, x.banned = self, self.Depth(), banned
+	x.v = tree.SlotView()
+	x.self, x.selfDepth, x.banned = int32(self.Slot()), int32(self.Depth()), banned
 	x.onPath, x.epoch = advance(x.onPath, x.epoch, tree.Slots())
-	for p := self; p != nil; p = p.Parent() {
-		if i := p.Slot(); i >= 0 {
-			x.onPath[i] = x.epoch
-		}
+	for i := x.self; i >= 0; i = x.v.Parent(i) {
+		x.onPath[i] = x.epoch
 	}
 }
 
-func (x *exclusion) usable(c *overlay.Member) bool {
-	if c == nil || c == x.self || !c.Attached() {
+// usable reports whether the member in slot c may serve self. Self is on its
+// own path, so the path stamp rejects it too.
+func (x *exclusion) usable(c int32) bool {
+	if !x.v.Attached(c) || x.onPath[c] == x.epoch {
 		return false
 	}
-	if x.onPath[c.Slot()] == x.epoch {
-		return false
-	}
-	if len(x.banned) > 0 && x.banned[c.ID] {
+	if len(x.banned) > 0 && x.banned[x.v.Member(c).ID] {
 		return false
 	}
 	if x.selfDepth < 0 {
 		return true // nothing attached descends from a detached self
 	}
 	// c descends from self iff its ancestor at self's depth is self.
-	p := c
-	for p.Depth() > x.selfDepth {
-		p = p.Parent()
+	for d := x.v.Depth(c); d > x.selfDepth; d-- {
+		c = x.v.Parent(c)
 	}
-	return p != x.self
+	return c != x.self
 }
 
 // none is the "no node" link of the partial tree's child lists.
 const none int32 = -1
 
-// ptNode is one dense slot of the partial tree: the member occupying it and
-// its intrusive child list, valid iff stamp equals the tree's epoch.
+// ptNode is one dense slot of the partial tree: its intrusive child list,
+// valid iff stamp equals the tree's epoch.
 type ptNode struct {
-	m           *overlay.Member
 	stamp       uint32
 	first, last int32 // T-children in first-seen-edge order
 	next        int32 // next sibling in the parent's list
@@ -258,13 +266,16 @@ type partialTree struct {
 	nodes []ptNode
 	epoch uint32
 	root  int32
-	// bfs is T's levels concatenated, level i ending at levelEnd[i].
-	bfs      []int32
-	levelEnd []int32
-	spans    []kidSpan
-	roots    []int32
-	stack    []int32
-	cands    []*overlay.Member
+	// width[d] counts T's nodes at depth d. Root paths enter T whole, so a
+	// node's depth in T is its depth in the real tree.
+	width []int32
+	// bfs is T's levels concatenated, listed only as deep as one call reads.
+	bfs    []int32
+	spans  []kidSpan
+	roots  []int32
+	stack  []int32
+	cands  []int32
+	picked []int32
 }
 
 // kidSpan is one Li node's not-yet-chosen children: a stretch [next, end) of
@@ -272,51 +283,47 @@ type partialTree struct {
 type kidSpan struct{ next, end int32 }
 
 // build assembles T from the root paths of self (the node knows its own path
-// as well) and of the sampled members, then lists its levels.
-func (pt *partialTree) build(tree *overlay.Tree, self *overlay.Member, sample []*overlay.Member) {
+// as well) and of the sampled members.
+func (pt *partialTree) build(tree *overlay.Tree, v *overlay.SlotView, self *overlay.Member, sample []*overlay.Member) {
 	pt.nodes, pt.epoch = advance(pt.nodes, pt.epoch, tree.Slots())
-	pt.root, _ = pt.enter(tree.Root())
-	pt.addPath(self)
+	pt.root = int32(tree.Root().Slot())
+	pt.width = append(pt.width[:0], 0)
+	pt.enter(pt.root, 0)
+	pt.addPath(v, int32(self.Slot()))
 	for _, m := range sample {
-		pt.addPath(m)
-	}
-	pt.bfs = append(pt.bfs[:0], pt.root)
-	pt.levelEnd = pt.levelEnd[:0]
-	for lo := 0; lo < len(pt.bfs); {
-		hi := len(pt.bfs)
-		pt.levelEnd = append(pt.levelEnd, int32(hi))
-		for _, v := range pt.bfs[lo:hi] {
-			for c := pt.nodes[v].first; c != none; c = pt.nodes[c].next {
-				pt.bfs = append(pt.bfs, c)
-			}
-		}
-		lo = hi
+		pt.addPath(v, int32(m.Slot()))
 	}
 }
 
-// enter puts m into T if it is not there yet and reports whether it was.
-func (pt *partialTree) enter(m *overlay.Member) (slot int32, known bool) {
-	slot = int32(m.Slot())
-	n := &pt.nodes[slot]
+// enter puts the node in slot i, at depth d, into T if it is not there yet
+// and reports whether it was.
+func (pt *partialTree) enter(i, d int32) (known bool) {
+	n := &pt.nodes[i]
 	if n.stamp == pt.epoch {
-		return slot, true
+		return true
 	}
-	*n = ptNode{m: m, stamp: pt.epoch, first: none, last: none, next: none}
-	return slot, false
+	*n = ptNode{stamp: pt.epoch, first: none, last: none, next: none}
+	pt.width[d]++
+	return false
 }
 
-// addPath adds m's root path to T. The climb stops at the first node already
-// in T: its own path was added with it, so every edge above is in T too. The
-// root is entered up front, so an attached member's climb always ends.
-func (pt *partialTree) addPath(m *overlay.Member) {
-	if !m.Attached() {
+// addPath adds the root path of the member in slot cur to T. The climb stops
+// at the first node already in T: its own path was added with it, so every
+// edge above is in T too. The root is entered up front, so an attached
+// member's climb always ends. A removed self has slot -1 and no path.
+func (pt *partialTree) addPath(v *overlay.SlotView, cur int32) {
+	if cur < 0 || !v.Attached(cur) {
 		return
 	}
-	cur, known := pt.enter(m)
+	d := v.Depth(cur)
+	for int32(len(pt.width)) <= d {
+		pt.width = append(pt.width, 0)
+	}
+	known := pt.enter(cur, d)
 	for !known {
-		m = m.Parent()
-		var parent int32
-		parent, known = pt.enter(m)
+		parent := v.Parent(cur)
+		d--
+		known = pt.enter(parent, d)
 		p := &pt.nodes[parent]
 		if p.last == none {
 			p.first = cur
@@ -328,21 +335,31 @@ func (pt *partialTree) addPath(m *overlay.Member) {
 	}
 }
 
-func (pt *partialTree) level(i int) []int32 {
-	lo := int32(0)
-	if i > 0 {
-		lo = pt.levelEnd[i-1]
+// listLevel lists T breadth-first down to depth d and returns level d, the
+// tail of bfs; level d-1 sits right before it.
+func (pt *partialTree) listLevel(d int) []int32 {
+	pt.bfs = append(pt.bfs[:0], pt.root)
+	lo := 0
+	for ; d > 0; d-- {
+		hi := len(pt.bfs)
+		for _, v := range pt.bfs[lo:hi] {
+			for c := pt.nodes[v].first; c != none; c = pt.nodes[c].next {
+				pt.bfs = append(pt.bfs, c)
+			}
+		}
+		lo = hi
 	}
-	return pt.bfs[lo:pt.levelEnd[i]]
+	return pt.bfs[lo:]
 }
 
 // subtreeRoots implements steps 2-3 of Algorithm 1: find the first level Li
 // with |Li| < K <= |Li+1| and gather K distinct subtree roots from the
 // children of Li. It shuffles inside bfs, which is not read as levels again.
 func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []int32 {
+	w := pt.width
 	li := -1
-	for i := 0; i+1 < len(pt.levelEnd); i++ {
-		if len(pt.level(i)) < k && k <= len(pt.level(i+1)) {
+	for i := 0; i+1 < len(w); i++ {
+		if int(w[i]) < k && k <= int(w[i+1]) {
 			li = i
 			break
 		}
@@ -351,12 +368,12 @@ func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []int32 {
 		// No level pair brackets K (narrow or shallow partial tree): use the
 		// widest level as the root set directly.
 		widest := 0
-		for i := range pt.levelEnd {
-			if len(pt.level(i)) > len(pt.level(widest)) {
+		for i := range w {
+			if w[i] > w[widest] {
 				widest = i
 			}
 		}
-		roots := pt.level(widest)
+		roots := pt.listLevel(widest)
 		rng.Shuffle(len(roots), func(i, j int) { roots[i], roots[j] = roots[j], roots[i] })
 		return roots[:min(len(roots), k)]
 	}
@@ -364,9 +381,11 @@ func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []int32 {
 	// shuffle each node's stretch (empty and single-child ones too — the
 	// call is part of the draw sequence), then deal round-robin, one
 	// not-yet-chosen child per Li node, until K roots are gathered.
-	kids, off := pt.level(li+1), int32(0)
+	kids := pt.listLevel(li + 1)
+	lvl := pt.bfs[len(pt.bfs)-len(kids)-int(w[li]) : len(pt.bfs)-len(kids)]
+	off := int32(0)
 	pt.spans = pt.spans[:0]
-	for _, v := range pt.level(li) {
+	for _, v := range lvl {
 		end := off
 		for c := pt.nodes[v].first; c != none; c = pt.nodes[c].next {
 			end++
@@ -393,18 +412,18 @@ func (pt *partialTree) subtreeRoots(rng *xrand.Source, k int) []int32 {
 	return pt.roots
 }
 
-// usableUnder lists, in pre-order, the members of top's partial subtree
-// (top included) that can serve as recovery nodes and are not in skip. The
-// result is scratch, valid until the next call.
-func (pt *partialTree) usableUnder(x *exclusion, top int32, skip []*overlay.Member) []*overlay.Member {
+// usableUnder lists, in pre-order, the slots of top's partial subtree (top
+// included) whose members can serve as recovery nodes and are not in skip.
+// The result is scratch, valid until the next call.
+func (pt *partialTree) usableUnder(x *exclusion, top int32, skip []int32) []int32 {
 	pt.cands = pt.cands[:0]
 	pt.stack = append(pt.stack[:0], top)
 	for len(pt.stack) > 0 {
 		i := pt.stack[len(pt.stack)-1]
 		pt.stack = pt.stack[:len(pt.stack)-1]
 		n := &pt.nodes[i]
-		if x.usable(n.m) && !slices.Contains(skip, n.m) {
-			pt.cands = append(pt.cands, n.m)
+		if x.usable(i) && !slices.Contains(skip, i) {
+			pt.cands = append(pt.cands, i)
 		}
 		// The sibling waits under the first child, so n's subtree comes first.
 		if i != top && n.next != none {

@@ -9,31 +9,54 @@ import (
 	"omcast/internal/xrand"
 )
 
-// benchTree builds a 2000-member tree with mixed fanout.
-func benchTree(b testing.TB) (*overlay.Tree, *overlay.Member) {
-	b.Helper()
+// benchTree builds a 2000-member tree with mixed fanout: each member joins
+// the first member with spare degree among 30 sampled.
+func benchTree(tb testing.TB) (*overlay.Tree, *overlay.Member) {
+	return buildBenchTree(tb, 2000, false)
+}
+
+// deepBenchTree builds an 8000-member tree at stream-cer's shape: each member
+// joins the shallowest member with spare degree among 30 sampled, as a
+// minimum-depth join does. It is 21 levels deep, and a Select's partial tree
+// averages 17 levels and 400 nodes. Over seeds 1-3, stream-cer's selects see
+// partial trees of 18-24 levels and 377-414 nodes.
+func deepBenchTree(tb testing.TB) (*overlay.Tree, *overlay.Member) {
+	return buildBenchTree(tb, 8000, true)
+}
+
+// buildBenchTree adds n members with bounded-Pareto bandwidths, attaching each
+// under a sampled member with spare degree (the first one, or the shallowest
+// when shallowest is set), else the root; members nobody can feed stay
+// detached. It returns the tree and the last member attached.
+func buildBenchTree(tb testing.TB, n int, shallowest bool) (*overlay.Tree, *overlay.Member) {
+	tb.Helper()
 	tree, err := overlay.NewTree(0, 100, delayFn)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := xrand.New(1)
 	bw := xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 100}
 	var last *overlay.Member
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < n; i++ {
 		m := tree.NewMember(topology.NodeID(i+1), bw.Sample(rng), time.Duration(i)*time.Second)
-		// Attach under any sampled member with spare, else the root.
 		parent := tree.Root()
 		for _, c := range tree.Sample(rng, 30, m) {
-			if c.Attached() && c.HasSpare() {
+			if !c.Attached() || !c.HasSpare() {
+				continue
+			}
+			if !shallowest {
 				parent = c
 				break
+			}
+			if !parent.HasSpare() || c.Depth() < parent.Depth() {
+				parent = c
 			}
 		}
 		if !parent.HasSpare() {
 			continue
 		}
 		if err := tree.Attach(m, parent); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		last = m
 	}
@@ -43,7 +66,17 @@ func benchTree(b testing.TB) (*overlay.Tree, *overlay.Member) {
 // BenchmarkMLCSelect measures Algorithm 1 (partial-tree build + level scan +
 // descendant picks) at the default knowledge bound.
 func BenchmarkMLCSelect(b *testing.B) {
-	tree, self := benchTree(b)
+	benchMLCSelect(b, benchTree)
+}
+
+// BenchmarkMLCSelectDeep is BenchmarkMLCSelect on the tree stream-cer's
+// selects see.
+func BenchmarkMLCSelectDeep(b *testing.B) {
+	benchMLCSelect(b, deepBenchTree)
+}
+
+func benchMLCSelect(b *testing.B, build func(testing.TB) (*overlay.Tree, *overlay.Member)) {
+	tree, self := build(b)
 	sel := &MLCSelector{Tree: tree, Rng: xrand.New(2), Delay: delayFn}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

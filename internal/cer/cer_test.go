@@ -511,28 +511,30 @@ func TestPlanRecoveryProperties(t *testing.T) {
 	}
 }
 
-// TestSelectAllocCeiling pins a selection's garbage on the 2 000-member bench
-// tree: the returned group and nothing else once the scratch is warm (the
-// ceiling of 2 leaves one allocation for ordering). The partial tree used to
-// cost three maps, a slice per node and a level list per call — ~200
-// allocations, 76 % of a streaming run.
+// TestSelectAllocCeiling pins a selection's garbage on both bench trees (2 000
+// members, and 8 000 at stream-cer's depth): the returned group and nothing
+// else once the scratch is warm (the ceiling of 2 leaves one allocation for
+// ordering). The partial tree used to cost three maps, a slice per node and a
+// level list per call — ~200 allocations, 76 % of a streaming run.
 func TestSelectAllocCeiling(t *testing.T) {
-	tree, self := benchTree(t)
-	selectors := map[string]Selector{
-		"MLC":    &MLCSelector{Tree: tree, Rng: xrand.New(2), Delay: delayFn},
-		"random": &RandomSelector{Tree: tree, Rng: xrand.New(2), Delay: delayFn},
-	}
-	for name, sel := range selectors {
-		if g := sel.Select(self, 3); len(g) != 3 { // warm call sizes the scratch
-			t.Fatalf("%s: warm group has %d members", name, len(g))
+	for treeName, build := range map[string]func(testing.TB) (*overlay.Tree, *overlay.Member){"bench": benchTree, "deep": deepBenchTree} {
+		tree, self := build(t)
+		selectors := map[string]Selector{
+			"MLC":    &MLCSelector{Tree: tree, Rng: xrand.New(2), Delay: delayFn},
+			"random": &RandomSelector{Tree: tree, Rng: xrand.New(2), Delay: delayFn},
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if g := sel.Select(self, 3); len(g) != 3 {
-				t.Fatal("short group")
+		for name, sel := range selectors {
+			if g := sel.Select(self, 3); len(g) != 3 { // warm call sizes the scratch
+				t.Fatalf("%s tree, %s: warm group has %d members", treeName, name, len(g))
 			}
-		})
-		if allocs > 2 {
-			t.Errorf("%s: Select allocates %.1f times per call, want <= 2", name, allocs)
+			allocs := testing.AllocsPerRun(200, func() {
+				if g := sel.Select(self, 3); len(g) != 3 {
+					t.Fatal("short group")
+				}
+			})
+			if allocs > 2 {
+				t.Errorf("%s tree, %s: Select allocates %.1f times per call, want <= 2", treeName, name, allocs)
+			}
 		}
 	}
 }

@@ -23,11 +23,16 @@ type churnedTree struct {
 	attach topology.NodeID
 }
 
-// newChurnedTree builds one of three shapes: wide (the source feeds up to
-// 100 children, so some level pair brackets any small K), narrow (out-degree
-// at most 2 from the source down, so no level pair brackets K = 8 and
-// Algorithm 1 falls to the widest level), and shallow (a handful of members,
-// fewer usable than K, so the group needs the top-up).
+// shapes is how many tree shapes newChurnedTree builds.
+const shapes = 4
+
+// newChurnedTree builds one of four shapes: wide (the source feeds up to 100
+// children, so some level pair brackets any small K), narrow (out-degree at
+// most 2 from the source down, so no level pair brackets K = 8 and Algorithm
+// 1 falls to the widest level), shallow (a handful of members, fewer usable
+// than K, so the group needs the top-up), and deep (thousands of members with
+// out-degree 1-3 below a source of degree 2-3, at least 12 levels, so K is
+// bracketed below level 0 and the widest level lies deep).
 func newChurnedTree(t *testing.T, seed int64, shape int) *churnedTree {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -37,6 +42,8 @@ func newChurnedTree(t *testing.T, seed int64, shape int) *churnedTree {
 		rootBW, bws, n = float64(1+rng.Intn(2)), []float64{1, 1, 2}, 40+rng.Intn(80)
 	case 2:
 		bws, n = []float64{0.5, 1, 3}, 2+rng.Intn(10)
+	case 3:
+		rootBW, bws, n = float64(2+rng.Intn(2)), []float64{1, 2, 3}, 2000+rng.Intn(500)
 	}
 	tree, err := overlay.NewTree(0, rootBW, delayFn)
 	if err != nil {
@@ -44,6 +51,9 @@ func newChurnedTree(t *testing.T, seed int64, shape int) *churnedTree {
 	}
 	c := &churnedTree{t: t, tree: tree, rng: rng, bws: bws, attach: 1}
 	c.grow(n)
+	if d := tree.MaxDepth(); shape == 3 && d < 12 {
+		t.Fatalf("deep shape (seed %d) is only %d levels deep", seed, d)
+	}
 	return c
 }
 
@@ -111,17 +121,18 @@ func (c *churnedTree) pickSelf() *overlay.Member {
 }
 
 // TestMLCSelectMatchesReference holds both production selectors to the
-// map-based reference in reference_test.go: over 420 seeded trees, with one
+// map-based reference in reference_test.go: over 560 seeded trees, with one
 // long-lived selector per tree and churn between calls, every group must be
 // element-wise identical and the two RNG streams must stay in step — the
 // rewrite may not add, drop or reorder a single draw.
 func TestMLCSelectMatchesReference(t *testing.T) {
-	const trials, rounds = 420, 6
+	const trials, rounds = 560, 6
 	ks := []int{1, 3, 8, 1000}
-	var widest, topUps, detachedSelf, calls int
+	var widest, deepLi, topUps, detachedSelf, calls int
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(trial + 1)
-		c := newChurnedTree(t, seed, trial%3)
+		shape := trial % shapes
+		c := newChurnedTree(t, seed, shape)
 		var banned map[overlay.MemberID]bool
 		if trial%2 == 0 {
 			banned = map[overlay.MemberID]bool{}
@@ -131,7 +142,7 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		know := []int{0, 10, 30}[trial/3%3]
+		know := []int{0, 10, 30}[trial/shapes%3]
 		mlc := &MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know, Banned: banned}
 		ref := &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know, Banned: banned}}
 		rnd := &RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know, Banned: banned}
@@ -142,7 +153,7 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 				detachedSelf++
 			}
 			calls++
-			where := fmt.Sprintf("trial %d round %d (shape %d, self %d, k %d)", trial, round, trial%3, self.ID, k)
+			where := fmt.Sprintf("trial %d round %d (shape %d, self %d, k %d)", trial, round, shape, self.ID, k)
 			if got, want := mlc.Select(self, k), ref.Select(self, k); !slices.Equal(got, want) {
 				t.Fatalf("%s: MLC group %v, reference %v", where, ids(got), ids(want))
 			}
@@ -158,15 +169,18 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 			c.churn()
 		}
 		widest += ref.widest
+		deepLi += ref.deepLi
 		topUps += ref.topUps
 	}
 	// The trial mix must reach every branch of Algorithm 1, or the equality
-	// above proves less than it says.
-	if widest < calls/20 || topUps < calls/20 || widest > calls*19/20 || detachedSelf < calls/40 {
-		t.Fatalf("branch coverage too thin over %d calls: %d widest-level, %d top-ups, %d detached selves",
-			calls, widest, topUps, detachedSelf)
+	// above proves less than it says. A bracket below level 0 is what makes
+	// the production code list levels past the root's children.
+	if widest < calls/20 || topUps < calls/20 || widest > calls*19/20 || detachedSelf < calls/40 || deepLi < calls/40 {
+		t.Fatalf("branch coverage too thin over %d calls: %d widest-level, %d bracketed at Li >= 1, %d top-ups, %d detached selves",
+			calls, widest, deepLi, topUps, detachedSelf)
 	}
-	t.Logf("%d calls: %d took the widest-level branch, %d needed the top-up, %d had a detached self", calls, widest, topUps, detachedSelf)
+	t.Logf("%d calls: %d took the widest-level branch, %d bracketed K at Li >= 1, %d needed the top-up, %d had a detached self",
+		calls, widest, deepLi, topUps, detachedSelf)
 }
 
 func ids(ms []*overlay.Member) []overlay.MemberID {

@@ -14,10 +14,11 @@ import (
 
 // refMLCSelector is MLCSelector's former Select over the reference partial
 // tree. widest and topUps count the calls that took Algorithm 1's two
-// fallback branches, so the match test can show it reached them.
+// fallback branches, and deepLi the calls whose bracketing level Li is below
+// the root, so the match test can show it reached them.
 type refMLCSelector struct {
 	MLCSelector
-	widest, topUps int
+	widest, deepLi, topUps int
 }
 
 func (s *refMLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
@@ -32,8 +33,11 @@ func (s *refMLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if pt == nil {
 		return nil
 	}
-	if !pt.brackets(k) {
+	switch li := pt.bracket(k); {
+	case li < 0:
 		s.widest++
+	case li >= 1:
+		s.deepLi++
 	}
 	roots := pt.subtreeRoots(s.Rng, k)
 	group := make([]*overlay.Member, 0, k)
@@ -56,14 +60,14 @@ func (s *refMLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	return group
 }
 
-// brackets reports whether some level pair satisfies |Li| < K <= |Li+1|.
-func (pt *refPartialTree) brackets(k int) bool {
+// bracket returns the first level i with |Li| < K <= |Li+1|, or -1.
+func (pt *refPartialTree) bracket(k int) int {
 	for i := 0; i+1 < len(pt.levels); i++ {
 		if len(pt.levels[i]) < k && k <= len(pt.levels[i+1]) {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 func refOrderByDistance(s *MLCSelector, self *overlay.Member, group []*overlay.Member) {

@@ -222,6 +222,8 @@ type Session struct {
 	// arrivalBuf is the reusable dense repair-plan buffer (one arrival per
 	// missing stripe packet; negative = lost).
 	arrivalBuf []time.Duration
+	// serverBuf is the reusable server list of one stripe episode.
+	serverBuf []cer.Server
 }
 
 // rostDriver adapts the rost protocol per tree (kept minimal: the full
@@ -561,13 +563,14 @@ const recoveryGroupSize = 3
 // health on this stripe.
 func (s *Session) planRecovery(t int, c *overlay.Member, first, last int64, requestAt, resumeAt time.Duration, stripeRate float64) []time.Duration {
 	group := s.selectors[t].Select(c, recoveryGroupSize)
-	servers := cer.AppendServers(make([]cer.Server, 0, len(group)), c, group, s.topo.Delay, func(g *overlay.Member) (float64, bool) {
+	servers := cer.AppendServers(s.serverBuf[:0], c, group, s.topo.Delay, func(g *overlay.Member) (float64, bool) {
 		gp := s.byNode[t][g.ID]
 		if gp == nil || gp.outageUntil[t] > requestAt {
 			return 0, false
 		}
 		return gp.residual / float64(s.cfg.Stripes) / stripeRate, true
 	})
+	s.serverBuf = servers
 	s.arrivalBuf = cer.PlanRecoveryInto(cer.Episode{
 		FirstMissing: first,
 		LastMissing:  last,

@@ -387,6 +387,36 @@ func (t *Tree) Size() int { return t.liveCount }
 // below it. It only grows, by one per member that finds no recycled slot.
 func (t *Tree) Slots() int { return len(t.handle) }
 
+// SlotView is a read-only window onto the tree's structural arrays, indexed
+// by slot (Member.Slot), for callers that walk many members per call and
+// would otherwise chase a *Member handle at every step. It is valid until the
+// tree's next mutation, which may grow or recycle the arrays; fetch a fresh
+// one with Tree.SlotView per call instead of keeping it.
+type SlotView struct {
+	parent   []int32
+	depth    []int32
+	attached []bool
+	handle   []*Member
+}
+
+// SlotView returns a view of the tree's current slot arrays.
+func (t *Tree) SlotView() SlotView {
+	return SlotView{parent: t.parent, depth: t.depth, attached: t.attached, handle: t.handle}
+}
+
+// Parent returns the slot of i's parent, or -1 for the root and detached
+// members.
+func (v *SlotView) Parent(i int32) int32 { return v.parent[i] }
+
+// Depth returns slot i's layer (root = 0), or -1 when detached.
+func (v *SlotView) Depth(i int32) int32 { return v.depth[i] }
+
+// Attached reports whether slot i has a position in the tree.
+func (v *SlotView) Attached(i int32) bool { return v.attached[i] }
+
+// Member returns the member occupying slot i, or nil for a free slot.
+func (v *SlotView) Member(i int32) *Member { return v.handle[i] }
+
 // Member returns the live member with the given ID, or nil.
 func (t *Tree) Member(id MemberID) *Member {
 	if id <= 0 || int64(id) >= int64(len(t.idToIdx)) {
