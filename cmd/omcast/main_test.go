@@ -40,6 +40,11 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"sim unknown flag", []string{"sim", "-bogus"}},
 		{"sim unknown figure", []string{"sim", "-fig", "nope"}},
 		{"sim all as csv", []string{"sim", "-fig", "all", "-csv"}},
+		{"sim negative size", []string{"sim", "-fig", "fig11", "-quick", "-size", "-5"}},
+		{"sim negative warmup", []string{"sim", "-fig", "fig11", "-quick", "-warmup", "-1h"}},
+		{"sim negative measure", []string{"sim", "-fig", "fig11", "-quick", "-measure", "-1m"}},
+		{"sim negative replicas", []string{"sim", "-fig", "fig14", "-quick", "-replicas", "-1"}},
+		{"sim negative workers", []string{"sim", "-fig", "fig11", "-quick", "-workers", "-2"}},
 		{"bench unknown flag", []string{"bench", "-bogus"}},
 		{"chaos unknown flag", []string{"chaos", "-bogus"}},
 		{"chaos unknown scenario", []string{"chaos", "-scenario", "nope"}},

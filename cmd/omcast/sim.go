@@ -62,6 +62,9 @@ func cmdSim(args []string) int {
 	case *fig == "":
 		fs.Usage()
 		return fail(2, "sim", "-fig is required (try -list)")
+	case *size < 0 || *warmup < 0 || *measure < 0 || *replicas < 0 || *workers < 0:
+		// Zero asks for the default; a negative value is a typo, not a default.
+		return fail(2, "sim", "-size, -warmup, -measure, -replicas and -workers must not be negative")
 	case *fig == "all" && *asCSV:
 		return fail(2, "sim", "-csv needs a single -fig: a CSV stream has one header")
 	case *fig == "all":

@@ -1,20 +1,26 @@
-// Package experiments defines one regenerator per figure of the paper's
-// evaluation (Figures 4-14) plus the ablations DESIGN.md calls out. Each
-// experiment produces a Table with exactly the series the paper plots, so
-// `omcast sim` and the benchmarks can print paper-vs-measured comparisons.
+// Package experiments regenerates every figure of the paper's evaluation
+// (Figures 4-14) plus the ablations DESIGN.md calls out. Each experiment
+// produces a Table with exactly the series the paper plots, so `omcast sim`
+// and the benchmarks can print paper-vs-measured comparisons.
 //
-// Runs that share simulations (Figures 4, 7, 8 and 10 all read the same
-// tree-level sweep; Figures 6 and 9 share the tracked-member runs) are
-// cached inside a Runner so `omcast sim -fig all` does the work once.
+// Every experiment is one entry of experimentTable, declared as data: a
+// title, a header, notes, the simulation cells it reads and one function
+// turning their outcomes into rows and progress lines. A cell names
+// everything that determines one simulation's result, so equal cells are the
+// same simulation. A Runner keeps one memo from cell to outcome and runs each
+// distinct cell once, however many tables read it: Figures 4, 7, 8 and 10
+// read one size sweep, Figure 5 reads the sweep's M = Size column, and
+// Figure 13's 5 s row is Figure 12's own cells.
 //
-// Every figure decomposes into independent seeded work units — one per
-// replication or curve point — executed on a bounded worker pool
-// (internal/parallel) and merged in canonical unit order, so tables,
-// progress lines and metric snapshots are byte-identical for every worker
-// count. See DESIGN.md §12 for the determinism argument.
+// The cells a Runner lacks run as independent seeded work units on a bounded
+// worker pool (internal/parallel). Outcomes, metric registries and progress
+// lines are then delivered in the experiment's canonical cell order, so
+// tables, progress lines and metric snapshots are byte-identical for every
+// worker count and whichever cells were memo hits. See DESIGN.md §12.
 package experiments
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"slices"
@@ -24,7 +30,9 @@ import (
 	"omcast"
 	"omcast/internal/metrics"
 	"omcast/internal/parallel"
+	"omcast/internal/rost"
 	"omcast/internal/stats"
+	"omcast/internal/stream"
 )
 
 // Options scales the experiment suite.
@@ -54,10 +62,9 @@ type Options struct {
 	// (internal/bench.RunScale), which is also where the 10^6-member single
 	// run belongs.
 	ScaleSizes []int
-	// Workers bounds the worker pool running a figure's independent work
-	// units; zero means GOMAXPROCS, 1 forces sequential execution. Every
-	// setting produces byte-identical output: results, metrics and progress
-	// lines are merged in canonical unit order after each batch.
+	// Workers bounds the worker pool simulating a table's missing cells;
+	// zero means GOMAXPROCS, 1 forces sequential execution. Every setting
+	// produces byte-identical output.
 	Workers int
 	// Quick shrinks everything (small topology, few hundred members, short
 	// windows) for smoke tests and benchmarks. It fills only the fields the
@@ -70,88 +77,49 @@ type Options struct {
 	// only comparable to other paranoid runs — it is a debugging aid, not a
 	// reporting mode.
 	Paranoid bool
-	// Progress, when non-nil, receives one line per completed run. Lines
-	// for a figure's work units are delivered after the figure's batch
-	// completes, in canonical unit order regardless of Workers; the
-	// callback is only ever invoked from the goroutine calling Run.
+	// Progress, when non-nil, receives a table's progress lines once its
+	// cells have run, in cell order regardless of Workers; the callback is
+	// only ever invoked from the goroutine calling Run.
 	Progress func(format string, args ...any)
-	// Metrics, when non-nil, accumulates every run's instruments. Work
-	// units populate private registries that are merged into this one in
-	// canonical unit order (see metrics.Registry.Merge), which mirrors
-	// sequential sessions sharing the registry and keeps snapshots
-	// byte-identical across worker counts.
+	// Metrics, when non-nil, accumulates every run's instruments. Each cell
+	// records into a private registry that is merged into this one in cell
+	// order (see metrics.Registry.Merge), which mirrors sequential sessions
+	// sharing the registry and keeps snapshots byte-identical across worker
+	// counts.
 	Metrics *metrics.Registry
 }
 
+// withDefaults fills the fields left at their zero value from the paper's
+// scale, or from the quick scale when Quick is set.
 func (o Options) withDefaults() Options {
+	d := Options{Sizes: []int{2000, 5000, 8000, 11000, 14000}, Size: 8000, Warmup: 3 * time.Hour,
+		Measure: time.Hour, Replicas: 5, SweepSeeds: 3, ScaleSizes: []int{2000, 14000, 140000}}
 	if o.Quick {
-		if o.Sizes == nil {
-			o.Sizes = []int{400, 800}
-		}
-		if o.Size == 0 {
-			o.Size = 800
-		}
-		if o.Warmup <= 0 {
-			o.Warmup = 45 * time.Minute
-		}
-		if o.Measure <= 0 {
-			o.Measure = 30 * time.Minute
-		}
-		if o.Replicas <= 0 {
-			o.Replicas = 2
-		}
-		if o.SweepSeeds <= 0 {
-			o.SweepSeeds = 1
-		}
-		if o.ScaleSizes == nil {
-			o.ScaleSizes = []int{250, 500}
-		}
-	}
-	if o.ScaleSizes == nil {
-		o.ScaleSizes = []int{2000, 14000, 140000}
+		d = Options{Sizes: []int{400, 800}, Size: 800, Warmup: 45 * time.Minute,
+			Measure: 30 * time.Minute, Replicas: 2, SweepSeeds: 1, ScaleSizes: []int{250, 500}}
 	}
 	if o.Sizes == nil {
-		o.Sizes = []int{2000, 5000, 8000, 11000, 14000}
+		o.Sizes = d.Sizes
 	}
 	if o.Size == 0 {
-		o.Size = 8000
+		o.Size = d.Size
 	}
 	if o.Warmup <= 0 {
-		o.Warmup = 3 * time.Hour
+		o.Warmup = d.Warmup
 	}
 	if o.Measure <= 0 {
-		o.Measure = time.Hour
+		o.Measure = d.Measure
 	}
 	if o.Replicas <= 0 {
-		o.Replicas = 5
+		o.Replicas = d.Replicas
 	}
 	if o.SweepSeeds <= 0 {
-		o.SweepSeeds = 3
+		o.SweepSeeds = d.SweepSeeds
+	}
+	if o.ScaleSizes == nil {
+		o.ScaleSizes = d.ScaleSizes
 	}
 	return o
-}
-
-func (o Options) progress(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(format, args...)
-	}
-}
-
-// baseConfig builds the session configuration for one run.
-func (o Options) baseConfig(seed int64, alg omcast.Algorithm, size int) omcast.Config {
-	cfg := omcast.Config{
-		Seed:       seed,
-		Algorithm:  alg,
-		TargetSize: size,
-		Warmup:     o.Warmup,
-		Measure:    o.Measure,
-		Metrics:    o.Metrics,
-		Paranoid:   o.Paranoid,
-	}
-	if o.Quick {
-		cfg.Topology = omcast.SmallTopology()
-	}
-	return cfg
 }
 
 // Table is one regenerated figure: a header row plus formatted data rows.
@@ -169,15 +137,16 @@ func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
 	widths := make([]int, len(t.Header))
-	rows := append([][]string{t.Header}, t.Rows...)
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
+		for i := range min(len(row), len(widths)) {
+			widths[i] = max(widths[i], len(row[i]))
 		}
 	}
-	for r, row := range rows {
+	rule := make([]string, len(widths))
+	for i, w := range widths {
+		rule[i] = strings.Repeat("-", w)
+	}
+	for _, row := range append([][]string{t.Header, rule}, t.Rows...) {
 		for i, cell := range row {
 			pad := 0
 			if i < len(widths) {
@@ -186,12 +155,6 @@ func (t Table) Format() string {
 			fmt.Fprintf(&b, "%-*s", pad+2, cell)
 		}
 		b.WriteString("\n")
-		if r == 0 {
-			for i := range t.Header {
-				b.WriteString(strings.Repeat("-", widths[i]) + "  ")
-			}
-			b.WriteString("\n")
-		}
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -215,903 +178,768 @@ func (t Table) CSV() string {
 	return b.String()
 }
 
-// experiment pairs an experiment ID with the Runner method regenerating it.
-type experiment struct {
-	id  string
-	run func(*Runner) (Table, error)
+// kind is how a cell's simulation is driven.
+type kind uint8
+
+const (
+	runTree      kind = iota // omcast.Run
+	runTracked               // omcast.RunTracked with one typical member
+	runStream                // omcast.RunStreaming
+	runPair                  // Figure 14's ROST+CER run, then its min-depth single-source baseline
+	runMultiTree             // omcast.RunMultiTree
+	runFleet                 // omcast.RunFleet on one of fleetScenarios
+	runScale                 // omcast.RunScale
+)
+
+// cell names everything that determines one simulation's result beyond the
+// Runner-wide options (windows, topology, paranoia). The constructors spell
+// every default out — ROST's switch interval, CER with K = 1, the playback
+// buffer — so two tables asking for the same simulation build equal cells:
+// Figure 12's cells carry stream.DefaultBuffer and equal Figure 13's 5 s row.
+type cell struct {
+	kind kind
+	alg  omcast.Algorithm
+	size int
+	seed int64
+	// ROST's switching interval and the three single-flag ablations.
+	interval                                     time.Duration
+	noAncestorRejoin, priority, noBandwidthGuard bool
+	// The packet-level layer.
+	recovery omcast.Recovery
+	k        int
+	buffer   time.Duration
+	// The multiple-tree variant, or the index into fleetScenarios.
+	mt       omcast.MultiTreeConfig
+	scenario int
 }
 
-// experimentTable names every experiment once, in figure order; IDs and Run
-// both read it, so the two can never disagree.
-var experimentTable = []experiment{
-	{"fig4", (*Runner).fig4},
-	{"fig5", (*Runner).fig5Table},
-	{"fig6", (*Runner).fig6},
-	{"fig7", (*Runner).fig7},
-	{"fig8", (*Runner).fig8},
-	{"fig9", (*Runner).fig9},
-	{"fig10", (*Runner).fig10},
-	{"fig11", (*Runner).fig11},
-	{"fig12", (*Runner).fig12},
-	{"fig13", (*Runner).fig13},
-	{"fig14", (*Runner).fig14},
-	{"ablation-recovery", (*Runner).ablationRecovery},
-	{"ablation-rejoin", (*Runner).ablationRejoin},
-	{"ablation-priority", (*Runner).ablationPriority},
-	{"ablation-guard", (*Runner).ablationGuard},
-	{"extension-multitree", (*Runner).extensionMultiTree},
-	{"fig-fleet", (*Runner).figFleet},
-	{"fig-scale", (*Runner).figScale},
+// treeCell is the tree-level run of alg at size on the base seed.
+func (o Options) treeCell(alg omcast.Algorithm, size int) cell {
+	return cell{kind: runTree, alg: alg, size: size, seed: o.Seed, interval: rost.DefaultSwitchInterval,
+		recovery: omcast.CER, k: 1, buffer: stream.DefaultBuffer}
+}
+
+// streamCell is the packet-level run of a min-depth tree at size with CER
+// groups of k.
+func (o Options) streamCell(size, k int) cell {
+	c := o.treeCell(omcast.MinimumDepth, size)
+	c.kind, c.k = runStream, k
+	return c
+}
+
+// cellsOf lists one cell per element of xs.
+func cellsOf[T any](xs []T, mk func(i int, x T) cell) []cell {
+	cells := make([]cell, len(xs))
+	for i, x := range xs {
+		cells[i] = mk(i, x)
+	}
+	return cells
+}
+
+// seeds lists the n consecutive seeds from the base seed up.
+func (o Options) seeds(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = o.Seed + int64(i)
+	}
+	return out
+}
+
+// grid lists one cell per (row, column) pair in row-major order; a table
+// reads the outcomes back a row at a time with chunks(out, len(cols)).
+func grid[R, C any](rows []R, cols []C, mk func(R, C) cell) []cell {
+	cells := make([]cell, 0, len(rows)*len(cols))
+	for _, r := range rows {
+		for _, c := range cols {
+			cells = append(cells, mk(r, c))
+		}
+	}
+	return cells
+}
+
+// chunks splits out into consecutive runs of n outcomes: the rows of a grid.
+func chunks(out []outcome, n int) [][]outcome {
+	var rows [][]outcome
+	for ; len(out) > 0; out = out[n:] {
+		rows = append(rows, out[:n])
+	}
+	return rows
+}
+
+// outcome is a cell's result; the cell's kind decides which fields are set.
+// reg is the private registry the simulation recorded into (nil without
+// Options.Metrics).
+type outcome struct {
+	cell
+	tree   omcast.TreeResult // runTree and runScale
+	events uint64            // runScale
+	series omcast.TrackedSeries
+	stream omcast.StreamResult // runStream, and runPair's ROST+CER half
+	base   omcast.StreamResult // runPair's baseline half
+	multi  omcast.MultiTreeResult
+	fleet  omcast.FleetResult
+	reg    *metrics.Registry
+}
+
+// run simulates c under o, recording into o.Metrics.
+func (c cell) run(o Options) (outcome, error) {
+	cfg := omcast.Config{
+		Seed:                  c.seed,
+		Algorithm:             c.alg,
+		TargetSize:            c.size,
+		SwitchInterval:        c.interval,
+		ContributorPriority:   c.priority,
+		DisableBandwidthGuard: c.noBandwidthGuard,
+		DisableAncestorRejoin: c.noAncestorRejoin,
+		Warmup:                o.Warmup,
+		Measure:               o.Measure,
+		Metrics:               o.Metrics,
+		Paranoid:              o.Paranoid,
+	}
+	if o.Quick {
+		cfg.Topology = omcast.SmallTopology()
+	}
+	scfg := omcast.StreamConfig{Recovery: c.recovery, GroupSize: c.k, Buffer: c.buffer}
+	out := outcome{cell: c, reg: o.Metrics}
+	var err error
+	switch c.kind {
+	case runTree:
+		out.tree, err = omcast.Run(cfg)
+	case runTracked:
+		observe := 300 * time.Minute
+		if o.Quick {
+			observe = 60 * time.Minute
+		}
+		out.series, _, err = omcast.RunTracked(cfg, 2, observe)
+	case runStream:
+		out.stream, err = omcast.RunStreaming(cfg, scfg)
+	case runPair:
+		// Both halves record into one registry, baseline second: merging two
+		// registries instead would sum the histograms in another order.
+		if out.stream, err = omcast.RunStreaming(cfg, scfg); err == nil {
+			cfg.Algorithm, scfg.Recovery = omcast.MinimumDepth, omcast.SingleSource
+			out.base, err = omcast.RunStreaming(cfg, scfg)
+		}
+	case runMultiTree:
+		out.multi, err = omcast.RunMultiTree(cfg, c.mt)
+	case runFleet:
+		out.fleet, err = omcast.RunFleet(o.fleetConfig(c))
+	case runScale:
+		var res omcast.ScaleResult
+		res, err = omcast.RunScale(cfg)
+		out.tree, out.events = res.TreeResult, res.Events
+	}
+	return out, err
+}
+
+// logf is the progress callback's shape.
+type logf = func(format string, args ...any)
+
+// experiment is one table of the suite.
+type experiment struct {
+	id string
+	// group names the tables that plot one data set (the size sweep, the
+	// tracked members); empty means the table is a group of its own. A
+	// group delivers its progress lines and registries once per Runner, by
+	// whichever of its tables runs first.
+	group         string
+	title         string
+	header, notes []string
+	cells         []cell
+	// rows turns the cells' outcomes, in cell order, into the table's rows,
+	// reporting progress lines as it goes.
+	rows func(out []outcome, progress logf) [][]string
+}
+
+// experimentTable declares every experiment once, in figure order, for the
+// options o; IDs, NewRunner and Run all read it.
+func experimentTable(o Options) []experiment {
+	rostCell := func(set func(*cell)) cell {
+		c := o.treeCell(omcast.ROST, o.Size)
+		set(&c)
+		return c
+	}
+	toggle := func(tag, off, on string, set func(*cell)) []variant {
+		return []variant{
+			{off, tag + "=false", rostCell(func(*cell) {})},
+			{on, tag + "=true", rostCell(set)},
+		}
+	}
+	intervals := []time.Duration{480 * time.Second, 960 * time.Second, 1200 * time.Second, 1800 * time.Second}
+	buffers := []time.Duration{5 * time.Second, 10 * time.Second, 15 * time.Second, 20 * time.Second, 25 * time.Second, 30 * time.Second}
+	multiSize, viewers := o.Size/4, 240
+	if o.Quick {
+		intervals = []time.Duration{240 * time.Second, 960 * time.Second}
+		buffers = []time.Duration{5 * time.Second, 20 * time.Second}
+		multiSize, viewers = o.Size, 80
+	}
+	var fig11 []variant
+	for _, iv := range intervals {
+		fig11 = append(fig11, variant{fmt.Sprintf("%.0fs", iv.Seconds()), fmt.Sprintf("interval=%v", iv),
+			rostCell(func(c *cell) { c.interval = iv })})
+	}
+	multiTree := func(label string, mt omcast.MultiTreeConfig) variant {
+		c := o.treeCell(omcast.MinimumDepth, multiSize)
+		c.kind, c.mt = runMultiTree, mt
+		return variant{label: label, cell: c}
+	}
+	multiTrees := []variant{
+		multiTree("single tree (baseline)", omcast.MultiTreeConfig{Stripes: 1}),
+		multiTree("4 stripes, split bandwidth", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3}),
+		multiTree("4 stripes, interior-disjoint", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3, Disjoint: true}),
+		multiTree("4 stripes, split + ROST", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3, UseROST: true}),
+	}
+	scaleAlgs := []omcast.Algorithm{omcast.MinimumDepth, omcast.ROST}
+	schemes := []omcast.Recovery{omcast.CER, omcast.CERRandomGroup, omcast.SingleSource}
+
+	return []experiment{
+		sweepTable(o, "fig4", "Avg streaming disruptions per node vs steady-state size", "",
+			func(res omcast.TreeResult) float64 { return res.AvgDisruptions },
+			"paper: ROST lowest everywhere; 36-57% below relaxed BO, up to 40% below relaxed TO;",
+			"minimum-depth and longest-first worst and most size-sensitive"),
+		{
+			id:     "fig5",
+			title:  fmt.Sprintf("CDF of per-node disruption counts (%d nodes)", o.Size),
+			header: algHeader("disruptions <="),
+			notes: []string{
+				"cumulative percentage of nodes with at most X disruptions over the window",
+				"paper: the ROST curve dominates (is leftmost/highest) at every threshold",
+			},
+			cells: grid(omcast.Algorithms, []int{o.Size}, o.treeCell),
+			rows: func(out []outcome, progress logf) (rows [][]string) {
+				for _, res := range out {
+					progress("fig5 %-26s members=%d", res.alg, len(res.tree.DisruptionCounts))
+				}
+				for _, th := range []float64{1, 2, 4, 8, 16, 32, 64, 128} {
+					row := []string{fmt.Sprintf("%.0f", th)}
+					for _, res := range out {
+						points := stats.CDFAt(res.tree.DisruptionCounts, []float64{th})
+						row = append(row, fmt.Sprintf("%.1f%%", points[0].Fraction*100))
+					}
+					rows = append(rows, row)
+				}
+				return rows
+			},
+		},
+		trackedTable(o, "fig6", "Cumulative disruptions of a typical member over time",
+			func(s omcast.TrackedSeries, i int) string { return fmt.Sprintf("%d", s.Disruptions[i]) },
+			"paper: under ROST the slope flattens as the member ages and ascends the tree"),
+		sweepTable(o, "fig7", "Avg end-to-end service delay vs size", "ms",
+			func(res omcast.TreeResult) float64 { return res.AvgServiceDelayMS },
+			"paper: relaxed BO shortest (centralized); ROST best of the distributed algorithms;",
+			"longest-first by far the tallest tree"),
+		sweepTable(o, "fig8", "Avg network stretch vs size", "",
+			func(res omcast.TreeResult) float64 { return res.AvgStretch },
+			"paper: same ordering as Figure 7"),
+		trackedTable(o, "fig9", "Service delay of a typical member over time",
+			func(s omcast.TrackedSeries, i int) string { return fmt.Sprintf("%.0fms", s.ServiceDelayMS[i]) },
+			"paper: ROST and relaxed TO delays shrink as the member climbs; the others fluctuate without converging",
+			"0ms samples mean the member was between parents at the sampling instant"),
+		sweepTable(o, "fig10", "Optimizer reconnections per node vs size (protocol overhead)", "",
+			func(res omcast.TreeResult) float64 { return res.AvgReconnections },
+			"paper: minimum-depth and longest-first impose none; relaxed TO highest, relaxed BO next;",
+			"ROST far below one reconnection per node"),
+		rostTable("fig11", fmt.Sprintf("Effect of the ROST switching interval (%d nodes)", o.Size),
+			[]string{"interval", "disruptions/node", "service delay", "stretch", "reconnections/node"}, fig11,
+			"paper: smaller intervals improve reliability, delay and stretch at a small overhead cost",
+			"(0.15 reconnections per node at the smallest interval)"),
+		{
+			id:     "fig12",
+			title:  "Avg starving-time ratio vs size for recovery group sizes 1-4 (min-depth tree, CER)",
+			header: []string{"avg size", "K=1", "K=2", "K=3", "K=4"},
+			notes:  []string{"paper: growing the group from 1 to 3 cuts the starving time by an order of magnitude (<0.2% everywhere)"},
+			cells:  grid(o.Sizes, []int{1, 2, 3, 4}, o.streamCell),
+			rows: func(out []outcome, progress logf) (rows [][]string) {
+				for _, res := range out {
+					progress("fig12 M=%-6d K=%d starving=%.3f%%", res.size, res.k, res.stream.AvgStarvingRatio*100)
+				}
+				for _, row := range chunks(out, 4) {
+					rows = append(rows, starving(fmt.Sprintf("%.0f", row[0].stream.AvgSize), row))
+				}
+				return rows
+			},
+		},
+		{
+			id:     "fig13",
+			title:  fmt.Sprintf("Avg starving-time ratio vs buffer size (%d nodes, min-depth tree, CER)", o.Size),
+			header: []string{"buffer", "K=1", "K=2", "K=3"},
+			notes:  []string{"paper: with one recovery node only a ~27s buffer reaches what two recovery nodes achieve at 5s"},
+			cells: grid(buffers, []int{1, 2, 3}, func(b time.Duration, k int) cell {
+				c := o.streamCell(o.Size, k)
+				c.buffer = b
+				return c
+			}),
+			rows: func(out []outcome, progress logf) (rows [][]string) {
+				for _, res := range out {
+					progress("fig13 B=%v K=%d starving=%.3f%%", res.buffer, res.k, res.stream.AvgStarvingRatio*100)
+				}
+				for _, row := range chunks(out, 3) {
+					rows = append(rows, starving(fmt.Sprintf("%.0fs", row[0].buffer.Seconds()), row))
+				}
+				return rows
+			},
+		},
+		{
+			id:     "fig14",
+			title:  fmt.Sprintf("ROST+CER vs minimum-depth + single-source (%d nodes, 95%% CI over %d seeds)", o.Size, o.Replicas),
+			header: []string{"group size", "ROST+CER", "min-depth + single source", "improvement"},
+			notes: []string{
+				"paper: ROST+CER reduces the starving ratio 8-9x on average; even at group size 1 it beats",
+				"the baseline with two recovery nodes",
+			},
+			cells: grid([]int{1, 2, 3}, o.seeds(o.Replicas), func(k int, seed int64) cell {
+				c := o.streamCell(o.Size, k)
+				c.kind, c.alg, c.seed = runPair, omcast.ROST, seed
+				return c
+			}),
+			rows: func(out []outcome, progress logf) (rows [][]string) {
+				for _, res := range out {
+					progress("fig14 K=%d seed=%d rost=%.3f%% base=%.3f%%", res.k, res.seed,
+						res.stream.AvgStarvingRatio*100, res.base.AvgStarvingRatio*100)
+				}
+				for _, reps := range chunks(out, o.Replicas) {
+					var rost, base []float64
+					for _, res := range reps {
+						rost = append(rost, res.stream.AvgStarvingRatio*100)
+						base = append(base, res.base.AvgStarvingRatio*100)
+					}
+					ra, ba := stats.ConfidenceInterval95(rost), stats.ConfidenceInterval95(base)
+					improvement := "n/a"
+					if ra.Mean > 0 {
+						improvement = fmt.Sprintf("%.1fx", ba.Mean/ra.Mean)
+					}
+					rows = append(rows, []string{fmt.Sprintf("%d", reps[0].k),
+						meanCI(ra), meanCI(ba), improvement})
+				}
+				return rows
+			},
+		},
+		{
+			id:     "ablation-recovery",
+			title:  fmt.Sprintf("Ablation: recovery group selection and striping (%d nodes, min-depth tree, K=3)", o.Size),
+			header: []string{"scheme", "starving ratio"},
+			notes:  []string{"isolates the value of MLC selection (Algorithm 1) from the value of bandwidth striping"},
+			cells: cellsOf(schemes, func(_ int, scheme omcast.Recovery) cell {
+				c := o.streamCell(o.Size, 3)
+				c.recovery = scheme
+				return c
+			}),
+			rows: func(out []outcome, progress logf) (rows [][]string) {
+				for i, res := range out {
+					progress("ablation-recovery %s starving=%.3f%%", res.recovery, res.stream.AvgStarvingRatio*100)
+					rows = append(rows, starving(res.recovery.String(), out[i:i+1]))
+				}
+				return rows
+			},
+		},
+		rostTable("ablation-rejoin", fmt.Sprintf("Ablation: ancestor-first orphan rejoin (%d nodes, ROST)", o.Size),
+			[]string{"orphan rejoin", "disruptions/node", "service delay"},
+			toggle("disable", "ancestor-first", "full re-join", func(c *cell) { c.noAncestorRejoin = true }),
+			"ancestor rejoin keeps freed interior positions inside the affected subtree"),
+		rostTable("ablation-priority", fmt.Sprintf("Ablation: contributor-priority join (%d nodes, ROST)", o.Size),
+			[]string{"join rule", "disruptions/node", "service delay", "stretch"},
+			toggle("cp", "minimum-depth for all", "contributor priority", func(c *cell) { c.priority = true }),
+			"parking free-riders deep keeps high slots for members switching can actually displace"),
+		rostTable("ablation-guard", fmt.Sprintf("Ablation: ROST bandwidth guard on switching (%d nodes)", o.Size),
+			[]string{"guard", "disruptions/node", "reconnections/node", "service delay"},
+			toggle("disabled", "bandwidth >= parent required", "BTP comparison only", func(c *cell) { c.noBandwidthGuard = true }),
+			"without the guard, lower-bandwidth children switch up only to be overtaken and demoted again"),
+		{
+			id:     "extension-multitree",
+			title:  fmt.Sprintf("Extension: multiple-tree delivery with MDC (%d nodes)", multiSize),
+			header: []string{"configuration", "outage ratio", "delivery ratio", "episodes"},
+			notes: []string{
+				"the paper's stated future direction: striping the stream over T trees so one failure",
+				"degrades (one stripe) instead of interrupting; quorum = stripes-1 models one-description slack",
+			},
+			cells: cellsOf(multiTrees, func(_ int, v variant) cell { return v.cell }),
+			rows: func(out []outcome, progress logf) (rows [][]string) {
+				for i, res := range out {
+					label := multiTrees[i].label
+					progress("multitree %-30s outage=%.3f%%", label, res.multi.OutageRatio*100)
+					rows = append(rows, []string{label, fmt.Sprintf("%.3f%%", res.multi.OutageRatio*100),
+						fmt.Sprintf("%.2f%%", res.multi.FullQualityRatio*100), fmt.Sprintf("%d", res.multi.Episodes)})
+				}
+				return rows
+			},
+		},
+		{
+			id:     "fig-fleet",
+			title:  fmt.Sprintf("Fleet federation: bounded source failover (%d viewers, 3 sources x 2 trees)", viewers),
+			header: []string{"scenario", "viewers", "failovers", "reassigned", "p99 reassign", "outage ratio", "migrations", "bounds"},
+			notes: []string{
+				"failover bound: every viewer orphaned by a source death re-admitted within MaxReassignTime,",
+				"paced by per-source admission tokens and the node layer's jittered exponential backoff",
+			},
+			cells: cellsOf(fleetScenarios, func(i int, _ fleetScenario) cell {
+				return cell{kind: runFleet, size: viewers, seed: o.Seed + int64(i), scenario: i}
+			}),
+			rows: fleetRows,
+		},
+		{
+			id:     "fig-scale",
+			title:  "Scale sweep: Figure 4 metric beyond the paper's sizes (min-depth vs ROST)",
+			header: []string{"target M", "avg size", "events", "Minimum-depth disruptions", "Minimum-depth delay", "ROST disruptions", "ROST delay"},
+			notes: []string{
+				"paper sweeps 2000-14000 members; the largest default size here is 10x the paper's N",
+				"bytes/member and ns/event are machine observables: see BENCH scale artifacts (omcast bench)",
+			},
+			cells: grid(o.ScaleSizes, scaleAlgs, func(size int, alg omcast.Algorithm) cell {
+				c := o.treeCell(alg, size)
+				c.kind = runScale
+				return c
+			}),
+			rows: func(out []outcome, progress logf) (rows [][]string) {
+				for _, res := range out {
+					progress("fig-scale %-26s M=%-7d disruptions=%.2f events=%d", res.alg, res.size, res.tree.AvgDisruptions, res.events)
+				}
+				for _, pair := range chunks(out, len(scaleAlgs)) {
+					row := []string{fmt.Sprintf("%d", pair[0].size), fmt.Sprintf("%.0f", pair[0].tree.AvgSize),
+						fmt.Sprintf("%d", pair[0].events+pair[1].events)}
+					for _, res := range pair {
+						row = append(row, fmt.Sprintf("%.2f", res.tree.AvgDisruptions), fmt.Sprintf("%.0fms", res.tree.AvgServiceDelayMS))
+					}
+					rows = append(rows, row)
+				}
+				return rows
+			},
+		},
+	}
+}
+
+// algHeader is first followed by one column per algorithm.
+func algHeader(first string) []string {
+	header := []string{first}
+	for _, alg := range omcast.Algorithms {
+		header = append(header, alg.String())
+	}
+	return header
+}
+
+// sweepTable is one metric of the size sweep (Figures 4, 7, 8, 10) with a
+// row per size and a column per algorithm. Seeds are averaged per
+// (algorithm, size) in ascending seed order, so the means are bit-identical
+// to a sequential sweep.
+func sweepTable(o Options, id, title, unit string, metric func(omcast.TreeResult) float64, notes ...string) experiment {
+	cells := grid(grid(omcast.Algorithms, o.Sizes, o.treeCell), o.seeds(o.SweepSeeds), func(c cell, seed int64) cell {
+		c.seed = seed
+		return c
+	})
+	return experiment{id: id, group: "sweep", title: title, header: algHeader("avg size"), notes: notes, cells: cells,
+		rows: func(out []outcome, progress logf) (rows [][]string) {
+			n := float64(o.SweepSeeds)
+			var avgs []omcast.TreeResult // algorithm-major, like the cells
+			for _, reps := range chunks(out, o.SweepSeeds) {
+				var avg omcast.TreeResult
+				for _, rep := range reps {
+					avg.AvgDisruptions += rep.tree.AvgDisruptions / n
+					avg.AvgReconnections += rep.tree.AvgReconnections / n
+					avg.AvgServiceDelayMS += rep.tree.AvgServiceDelayMS / n
+					avg.AvgStretch += rep.tree.AvgStretch / n
+					avg.AvgSize += rep.tree.AvgSize / n
+				}
+				progress("sweep %-26s M=%-6d disruptions=%.2f delay=%.0fms (%d seeds)",
+					reps[0].alg, reps[0].size, avg.AvgDisruptions, avg.AvgServiceDelayMS, o.SweepSeeds)
+				avgs = append(avgs, avg)
+			}
+			for i := range o.Sizes {
+				// The first algorithm, minimum-depth, names the row's size.
+				row := []string{fmt.Sprintf("%.0f", avgs[i].AvgSize)}
+				for a := range omcast.Algorithms {
+					row = append(row, fmt.Sprintf("%.2f%s", metric(avgs[a*len(o.Sizes)+i]), unit))
+				}
+				rows = append(rows, row)
+			}
+			return rows
+		}}
+}
+
+// trackedTable is one series of the typical members (Figures 6 and 9),
+// sampled at the paper's 33-minute ticks up to the shortest series.
+func trackedTable(o Options, id, title string, value func(omcast.TrackedSeries, int) string, notes ...string) experiment {
+	return experiment{id: id, group: "tracked", title: title, header: algHeader("minute"), notes: notes,
+		cells: grid(omcast.Algorithms, []int{o.Size}, func(alg omcast.Algorithm, size int) cell {
+			c := o.treeCell(alg, size)
+			c.kind = runTracked
+			return c
+		}),
+		rows: func(out []outcome, progress logf) (rows [][]string) {
+			n := len(out[0].series.Minutes)
+			for _, res := range out {
+				progress("tracked %-26s samples=%d", res.alg, len(res.series.Minutes))
+				n = min(n, len(res.series.Minutes))
+			}
+			step := 33
+			if o.Quick {
+				step = 10
+			}
+			for i := 0; i < n; i += step {
+				row := []string{fmt.Sprintf("%.0f", out[0].series.Minutes[i])}
+				for _, res := range out {
+					row = append(row, value(res.series, i))
+				}
+				rows = append(rows, row)
+			}
+			return rows
+		}}
+}
+
+// variant is one labelled row of a table: its label, the key=value tag its
+// progress line carries, and its cell.
+type variant struct {
+	label, tag string
+	cell       cell
+}
+
+// treeColumns formats the tree-level metrics the ROST tables report, keyed
+// by column header.
+var treeColumns = map[string]func(omcast.TreeResult) string{
+	"disruptions/node":   func(r omcast.TreeResult) string { return fmt.Sprintf("%.2f", r.AvgDisruptions) },
+	"service delay":      func(r omcast.TreeResult) string { return fmt.Sprintf("%.0fms", r.AvgServiceDelayMS) },
+	"stretch":            func(r omcast.TreeResult) string { return fmt.Sprintf("%.2f", r.AvgStretch) },
+	"reconnections/node": func(r omcast.TreeResult) string { return fmt.Sprintf("%.2f", r.AvgReconnections) },
+}
+
+// rostTable is a single-size ROST table with one row per variant: Figure
+// 11's switching intervals and the three single-flag ablations share it.
+func rostTable(id, title string, header []string, variants []variant, notes ...string) experiment {
+	return experiment{id: id, title: title, header: header, notes: notes,
+		cells: cellsOf(variants, func(_ int, v variant) cell { return v.cell }),
+		rows: func(out []outcome, progress logf) (rows [][]string) {
+			for i, res := range out {
+				progress("%s %s disruptions=%.2f", id, variants[i].tag, res.tree.AvgDisruptions)
+				row := []string{variants[i].label}
+				for _, col := range header[1:] {
+					row = append(row, treeColumns[col](res.tree))
+				}
+				rows = append(rows, row)
+			}
+			return rows
+		}}
+}
+
+// starving is a row labelled label with one starving-time ratio per outcome.
+func starving(label string, outs []outcome) []string {
+	row := []string{label}
+	for _, res := range outs {
+		row = append(row, fmt.Sprintf("%.3f%%", res.stream.AvgStarvingRatio*100))
+	}
+	return row
+}
+
+// meanCI renders a percentage with its 95% interval; a single replica has no
+// interval to show.
+func meanCI(iv stats.Interval) string {
+	if iv.N < 2 {
+		return fmt.Sprintf("%.3f%% +/- n/a", iv.Mean)
+	}
+	return fmt.Sprintf("%.3f%% +/- %.3f", iv.Mean, iv.Radius)
+}
+
+// fleetScenario is one row of fig-fleet: its label and how it changes the
+// shared federation configuration.
+type fleetScenario struct {
+	label string
+	mut   func(c *omcast.FleetConfig, viewers int)
+}
+
+// fleetScenarios exercise the federation control plane (internal/fleet): N
+// trees x M viewers under steady churn, hotspot skew with rebalancing, a
+// flash crowd, a source kill, a cascading double kill, and a graceful drain.
+// Every scenario checks the configured reassignment-time and outage-ratio
+// bounds; the "bounds" column must read "ok" on every row.
+var fleetScenarios = []fleetScenario{
+	{"steady churn", func(c *omcast.FleetConfig, _ int) {
+		c.MeanLifetime = 90 * time.Second
+		c.MaxOutageRatio = 0 // churned departures can strand an episode mid-backoff
+	}},
+	{"load skew + rebalance", func(c *omcast.FleetConfig, _ int) {
+		c.LoadSkew = 0.7
+		c.RebalanceEvery = 2 * time.Second
+		c.RebalanceSlack = 2
+	}},
+	{"flash crowd", func(c *omcast.FleetConfig, viewers int) {
+		c.Viewers = viewers / 4
+		c.Arrivals = []omcast.FleetBurst{{At: 10 * time.Second, Count: viewers - viewers/4}}
+	}},
+	{"source kill", func(c *omcast.FleetConfig, _ int) {
+		c.Kills = []omcast.FleetEvent{{At: 20 * time.Second, Source: 0}}
+		c.MaxOutageRatio = 0.25
+	}},
+	{"cascading kill (10 s apart)", func(c *omcast.FleetConfig, viewers int) {
+		c.TreeCapacity = viewers // the last source standing holds everyone
+		c.Kills = []omcast.FleetEvent{
+			{At: 20 * time.Second, Source: 0},
+			{At: 30 * time.Second, Source: 1},
+		}
+		c.MaxOutageRatio = 0.5
+	}},
+	{"graceful drain", func(c *omcast.FleetConfig, _ int) {
+		c.Drains = []omcast.FleetEvent{{At: 20 * time.Second, Source: 0}}
+		c.MaxOutageRatio = 0.001 // make-before-break: zero outage expected
+	}},
+}
+
+// fleetConfig is the federation session of a fig-fleet cell, whose size is
+// its audience.
+func (o Options) fleetConfig(c cell) omcast.FleetConfig {
+	viewers := c.size
+	cfg := omcast.FleetConfig{
+		Seed:              c.seed,
+		Sources:           3,
+		TreesPerSource:    2,
+		TreeCapacity:      viewers / 3,
+		Viewers:           viewers,
+		Horizon:           2 * time.Minute,
+		HeartbeatInterval: 500 * time.Millisecond,
+		SuspectMisses:     2,
+		DownMisses:        4,
+		RejoinBackoffBase: 100 * time.Millisecond,
+		RejoinBackoffMax:  2 * time.Second,
+		AdmitPerInterval:  viewers / 10,
+		MaxReassignTime:   15 * time.Second,
+		Metrics:           o.Metrics,
+	}
+	fleetScenarios[c.scenario].mut(&cfg, viewers)
+	return cfg
+}
+
+func fleetRows(out []outcome, progress logf) (rows [][]string) {
+	for _, res := range out {
+		label, f := fleetScenarios[res.scenario].label, res.fleet
+		bounds := "ok"
+		if n := len(f.BoundViolations); n > 0 {
+			bounds = fmt.Sprintf("%d violated: %s", n, f.BoundViolations[0])
+		}
+		progress("fleet %-28s failovers=%d p99=%.2fs outage=%.4f", label,
+			f.Failovers, f.P99Reassign.Seconds(), f.OutageRatio)
+		rows = append(rows, []string{
+			label,
+			fmt.Sprintf("%d", f.Viewers),
+			fmt.Sprintf("%d", f.Failovers),
+			fmt.Sprintf("%d", f.Reassigned),
+			fmt.Sprintf("%.2fs", f.P99Reassign.Seconds()),
+			fmt.Sprintf("%.4f", f.OutageRatio),
+			fmt.Sprintf("%d", f.DrainMigrations+f.Rebalanced),
+			bounds,
+		})
+	}
+	return rows
 }
 
 // IDs lists all experiment identifiers in figure order.
 func IDs() []string {
-	ids := make([]string, len(experimentTable))
-	for i, e := range experimentTable {
+	exps := experimentTable(Options{}.withDefaults())
+	ids := make([]string, len(exps))
+	for i, e := range exps {
 		ids[i] = e.id
 	}
 	return ids
 }
 
-// Runner executes experiments with shared-run caching.
+// Runner executes experiments, simulating each distinct cell once.
 type Runner struct {
 	opts Options
-
-	sweep   map[omcast.Algorithm][]omcast.TreeResult // per size
-	tracked map[omcast.Algorithm]omcast.TrackedSeries
-	fig5    map[omcast.Algorithm][]float64
+	exps []experiment
+	// memo maps every cell this Runner has simulated to its outcome.
+	memo map[cell]outcome
+	// readers counts, per cell, the groups yet to deliver it. A registry
+	// keeps its finished session alive, so once no group is left to merge
+	// it the memo drops it.
+	readers map[cell]int
+	// undelivered holds the groups yet to deliver their progress lines and
+	// registries.
+	undelivered map[string]bool
+	// sims counts the simulations run.
+	sims int
 }
 
 // NewRunner builds a Runner over the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{opts: opts.withDefaults()}
+	r := &Runner{opts: opts.withDefaults(), memo: map[cell]outcome{}, readers: map[cell]int{}, undelivered: map[string]bool{}}
+	r.exps = experimentTable(r.opts)
+	for _, e := range r.exps {
+		if group := cmp.Or(e.group, e.id); !r.undelivered[group] {
+			r.undelivered[group] = true
+			for _, c := range e.cells {
+				r.readers[c]++
+			}
+		}
+	}
+	return r
 }
 
-// runUnits executes n independent work units on the engine's worker pool and
-// returns their results in unit order. Each unit receives a copy of the
-// runner's options with Metrics swapped for a private registry and Progress
-// swapped for a line buffer; once the whole batch finishes, the registries
-// are merged into the shared registry and the buffered lines emitted, both
-// in canonical unit order. Every worker count — including 1 — goes through
-// the same private-registry path, so float accumulation order, snapshot
-// bytes and the progress stream never depend on Workers or on scheduling.
-//
-// Units must draw randomness only from the seeds in their own configs
-// (omcast.Run derives every stream from Config.Seed), touch no Runner state,
-// and leave all table assembly to the merge code in their caller.
-func runUnits[T any](r *Runner, n int, fn func(o Options, i int) (T, error)) ([]T, error) {
-	type sidecar struct {
-		reg  *metrics.Registry
-		msgs []string
+// runCells simulates, on the worker pool, the cells the memo lacks. Each
+// unit records into a private registry and touches no Runner state; its
+// seeds come from its cell alone, so an outcome never depends on which
+// worker ran it or when.
+func (r *Runner) runCells(cells []cell) error {
+	var missing []cell
+	for _, c := range cells {
+		if _, ok := r.memo[c]; !ok && !slices.Contains(missing, c) {
+			missing = append(missing, c)
+		}
 	}
-	sidecars := make([]sidecar, n)
-	results, err := parallel.Run(r.opts.Workers, n, func(i int) (T, error) {
-		sc := &sidecars[i]
+	outs, err := parallel.Run(r.opts.Workers, len(missing), func(i int) (outcome, error) {
 		o := r.opts
 		if o.Metrics != nil {
-			sc.reg = metrics.NewRegistry()
-			o.Metrics = sc.reg
+			o.Metrics = metrics.NewRegistry()
 		}
-		o.Progress = func(format string, args ...any) {
-			sc.msgs = append(sc.msgs, fmt.Sprintf(format, args...))
-		}
-		return fn(o, i)
+		return missing[i].run(o)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i := range sidecars {
-		if sidecars[i].reg != nil {
-			r.opts.Metrics.Merge(sidecars[i].reg)
-		}
-		for _, line := range sidecars[i].msgs {
-			r.opts.progress("%s", line)
+	for _, out := range outs {
+		r.memo[out.cell] = out
+		r.sims++
+		if out.kind == runPair {
+			r.sims++ // and its baseline
 		}
 	}
-	return results, nil
+	return nil
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID. It simulates the cells the memo lacks,
+// then delivers the experiment's group once per Runner: each cell's registry
+// is merged into Options.Metrics in cell order and the progress lines are
+// emitted. Memo hits are merged too, so a table's snapshot counts the
+// sessions it reports whichever tables ran before it.
 func (r *Runner) Run(id string) (Table, error) {
-	i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.id == id })
+	i := slices.IndexFunc(r.exps, func(e experiment) bool { return e.id == id })
 	if i < 0 {
 		return Table{}, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
+	e := r.exps[i]
 	//lint:ignore no-wallclock reason: Table.Elapsed is harness wall-clock cost, not simulation output
 	start := time.Now()
-	t, err := experimentTable[i].run(r)
-	if err != nil {
+	if err := r.runCells(e.cells); err != nil {
 		return Table{}, fmt.Errorf("experiments: %s: %w", id, err)
 	}
-	t.ID = id
+	group := cmp.Or(e.group, e.id)
+	deliver := r.undelivered[group]
+	delete(r.undelivered, group)
+	progress := func(string, ...any) {}
+	if deliver && r.opts.Progress != nil {
+		progress = r.opts.Progress
+	}
+	out := make([]outcome, len(e.cells))
+	for j, c := range e.cells {
+		out[j] = r.memo[c]
+		if !deliver {
+			continue
+		}
+		if out[j].reg != nil {
+			r.opts.Metrics.Merge(out[j].reg)
+		}
+		if r.readers[c]--; r.readers[c] == 0 {
+			kept := r.memo[c]
+			kept.reg = nil
+			r.memo[c] = kept
+		}
+	}
+	t := Table{ID: id, Title: e.title, Header: e.header, Rows: e.rows(out, progress), Notes: e.notes}
 	//lint:ignore no-wallclock reason: Table.Elapsed is harness wall-clock cost, not simulation output
 	t.Elapsed = time.Since(start)
-	return t, nil
-}
-
-// treeSweep runs (once) the shared size sweep behind Figures 4, 7, 8, 10.
-// Work units are the individual (algorithm, size, replication) runs; the
-// merge loop averages replications in ascending seed order, exactly as the
-// sequential engine did, so the averages are bit-identical.
-func (r *Runner) treeSweep() (map[omcast.Algorithm][]omcast.TreeResult, error) {
-	if r.sweep != nil {
-		return r.sweep, nil
-	}
-	type cell struct {
-		alg  omcast.Algorithm
-		size int
-		rep  int
-	}
-	cells := make([]cell, 0, len(omcast.Algorithms)*len(r.opts.Sizes)*r.opts.SweepSeeds)
-	for _, alg := range omcast.Algorithms {
-		for _, size := range r.opts.Sizes {
-			for rep := 0; rep < r.opts.SweepSeeds; rep++ {
-				cells = append(cells, cell{alg, size, rep})
-			}
-		}
-	}
-	results, err := runUnits(r, len(cells), func(o Options, i int) (omcast.TreeResult, error) {
-		c := cells[i]
-		res, err := omcast.Run(o.baseConfig(o.Seed+int64(c.rep), c.alg, c.size))
-		if err != nil {
-			return omcast.TreeResult{}, fmt.Errorf("sweep %v at %d: %w", c.alg, c.size, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sweep := make(map[omcast.Algorithm][]omcast.TreeResult, len(omcast.Algorithms))
-	n := float64(r.opts.SweepSeeds)
-	i := 0
-	for _, alg := range omcast.Algorithms {
-		for _, size := range r.opts.Sizes {
-			var avg omcast.TreeResult
-			for rep := 0; rep < r.opts.SweepSeeds; rep++ {
-				res := results[i]
-				i++
-				avg.Algorithm = res.Algorithm
-				avg.AvgDisruptions += res.AvgDisruptions / n
-				avg.AvgReconnections += res.AvgReconnections / n
-				avg.PerLifetimeDisruptions += res.PerLifetimeDisruptions / n
-				avg.PerLifetimeReconnections += res.PerLifetimeReconnections / n
-				avg.AvgServiceDelayMS += res.AvgServiceDelayMS / n
-				avg.AvgStretch += res.AvgStretch / n
-				avg.AvgSize += res.AvgSize / n
-				avg.Departures += res.Departures
-			}
-			sweep[alg] = append(sweep[alg], avg)
-			r.opts.progress("sweep %-26s M=%-6d disruptions=%.2f delay=%.0fms (%d seeds)",
-				alg, size, avg.AvgDisruptions, avg.AvgServiceDelayMS, r.opts.SweepSeeds)
-		}
-	}
-	r.sweep = sweep
-	return sweep, nil
-}
-
-// sweepTable renders one metric of the shared sweep.
-func (r *Runner) sweepTable(title, unit string, metric func(omcast.TreeResult) float64) (Table, error) {
-	sweep, err := r.treeSweep()
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		Title:  title,
-		Header: []string{"avg size"},
-	}
-	for _, alg := range omcast.Algorithms {
-		t.Header = append(t.Header, alg.String())
-	}
-	for i, size := range r.opts.Sizes {
-		row := []string{fmt.Sprintf("%.0f", sweep[omcast.MinimumDepth][i].AvgSize)}
-		for _, alg := range omcast.Algorithms {
-			row = append(row, fmt.Sprintf("%.2f%s", metric(sweep[alg][i]), unit))
-		}
-		t.Rows = append(t.Rows, row)
-		_ = size
-	}
-	return t, nil
-}
-
-func (r *Runner) fig4() (Table, error) {
-	t, err := r.sweepTable("Avg streaming disruptions per node vs steady-state size", "", func(res omcast.TreeResult) float64 {
-		return res.AvgDisruptions
-	})
-	t.Notes = append(t.Notes,
-		"paper: ROST lowest everywhere; 36-57% below relaxed BO, up to 40% below relaxed TO;",
-		"minimum-depth and longest-first worst and most size-sensitive")
-	return t, err
-}
-
-func (r *Runner) fig7() (Table, error) {
-	t, err := r.sweepTable("Avg end-to-end service delay vs size", "ms", func(res omcast.TreeResult) float64 {
-		return res.AvgServiceDelayMS
-	})
-	t.Notes = append(t.Notes,
-		"paper: relaxed BO shortest (centralized); ROST best of the distributed algorithms;",
-		"longest-first by far the tallest tree")
-	return t, err
-}
-
-func (r *Runner) fig8() (Table, error) {
-	t, err := r.sweepTable("Avg network stretch vs size", "", func(res omcast.TreeResult) float64 {
-		return res.AvgStretch
-	})
-	t.Notes = append(t.Notes, "paper: same ordering as Figure 7")
-	return t, err
-}
-
-func (r *Runner) fig10() (Table, error) {
-	t, err := r.sweepTable("Optimizer reconnections per node vs size (protocol overhead)", "", func(res omcast.TreeResult) float64 {
-		return res.AvgReconnections
-	})
-	t.Notes = append(t.Notes,
-		"paper: minimum-depth and longest-first impose none; relaxed TO highest, relaxed BO next;",
-		"ROST far below one reconnection per node")
-	return t, err
-}
-
-// fig5Data runs (once) the 5-algorithm single-size comparison behind the
-// disruption CDF. One work unit per algorithm.
-func (r *Runner) fig5Data() (map[omcast.Algorithm][]float64, error) {
-	if r.fig5 != nil {
-		return r.fig5, nil
-	}
-	counts, err := runUnits(r, len(omcast.Algorithms), func(o Options, i int) ([]float64, error) {
-		alg := omcast.Algorithms[i]
-		res, err := omcast.Run(o.baseConfig(o.Seed, alg, o.Size))
-		if err != nil {
-			return nil, err
-		}
-		o.progress("fig5 %-26s members=%d", alg, len(res.DisruptionCounts))
-		return res.DisruptionCounts, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	data := make(map[omcast.Algorithm][]float64, len(omcast.Algorithms))
-	for i, alg := range omcast.Algorithms {
-		data[alg] = counts[i]
-	}
-	r.fig5 = data
-	return data, nil
-}
-
-func (r *Runner) fig5Table() (Table, error) {
-	data, err := r.fig5Data()
-	if err != nil {
-		return Table{}, err
-	}
-	thresholds := []float64{1, 2, 4, 8, 16, 32, 64, 128}
-	t := Table{
-		Title:  fmt.Sprintf("CDF of per-node disruption counts (%d nodes)", r.opts.Size),
-		Header: []string{"disruptions <="},
-		Notes: []string{
-			"cumulative percentage of nodes with at most X disruptions over the window",
-			"paper: the ROST curve dominates (is leftmost/highest) at every threshold",
-		},
-	}
-	for _, alg := range omcast.Algorithms {
-		t.Header = append(t.Header, alg.String())
-	}
-	for _, th := range thresholds {
-		row := []string{fmt.Sprintf("%.0f", th)}
-		for _, alg := range omcast.Algorithms {
-			points := stats.CDFAt(data[alg], []float64{th})
-			row = append(row, fmt.Sprintf("%.1f%%", points[0].Fraction*100))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// trackedRuns runs (once) the Figure 6/9 typical-member sessions. One work
-// unit per algorithm.
-func (r *Runner) trackedRuns() (map[omcast.Algorithm]omcast.TrackedSeries, error) {
-	if r.tracked != nil {
-		return r.tracked, nil
-	}
-	observe := 300 * time.Minute
-	if r.opts.Quick {
-		observe = 60 * time.Minute
-	}
-	series, err := runUnits(r, len(omcast.Algorithms), func(o Options, i int) (omcast.TrackedSeries, error) {
-		alg := omcast.Algorithms[i]
-		s, _, err := omcast.RunTracked(o.baseConfig(o.Seed, alg, o.Size), 2, observe)
-		if err != nil {
-			return omcast.TrackedSeries{}, err
-		}
-		o.progress("tracked %-26s samples=%d", alg, len(s.Minutes))
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[omcast.Algorithm]omcast.TrackedSeries, len(omcast.Algorithms))
-	for i, alg := range omcast.Algorithms {
-		out[alg] = series[i]
-	}
-	r.tracked = out
-	return out, nil
-}
-
-// trackedTable renders one series of the tracked runs sampled at the
-// paper's 33-minute ticks.
-func (r *Runner) trackedTable(title string, value func(omcast.TrackedSeries, int) string) (Table, error) {
-	data, err := r.trackedRuns()
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{Title: title, Header: []string{"minute"}}
-	for _, alg := range omcast.Algorithms {
-		t.Header = append(t.Header, alg.String())
-	}
-	// Find the shortest series to bound sampling.
-	minLen := -1
-	for _, alg := range omcast.Algorithms {
-		if n := len(data[alg].Minutes); minLen < 0 || n < minLen {
-			minLen = n
-		}
-	}
-	step := 33
-	if r.opts.Quick {
-		step = 10
-	}
-	for i := 0; i < minLen; i += step {
-		row := []string{fmt.Sprintf("%.0f", data[omcast.MinimumDepth].Minutes[i])}
-		for _, alg := range omcast.Algorithms {
-			row = append(row, value(data[alg], i))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func (r *Runner) fig6() (Table, error) {
-	t, err := r.trackedTable("Cumulative disruptions of a typical member over time",
-		func(s omcast.TrackedSeries, i int) string {
-			return fmt.Sprintf("%d", s.Disruptions[i])
-		})
-	t.Notes = append(t.Notes,
-		"paper: under ROST the slope flattens as the member ages and ascends the tree")
-	return t, err
-}
-
-func (r *Runner) fig9() (Table, error) {
-	t, err := r.trackedTable("Service delay of a typical member over time",
-		func(s omcast.TrackedSeries, i int) string {
-			return fmt.Sprintf("%.0fms", s.ServiceDelayMS[i])
-		})
-	t.Notes = append(t.Notes,
-		"paper: ROST and relaxed TO delays shrink as the member climbs; the others fluctuate without converging",
-		"0ms samples mean the member was between parents at the sampling instant")
-	return t, err
-}
-
-func (r *Runner) fig11() (Table, error) {
-	intervals := []time.Duration{480 * time.Second, 960 * time.Second, 1200 * time.Second, 1800 * time.Second}
-	if r.opts.Quick {
-		intervals = []time.Duration{240 * time.Second, 960 * time.Second}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Effect of the ROST switching interval (%d nodes)", r.opts.Size),
-		Header: []string{"interval", "disruptions/node", "service delay", "stretch", "reconnections/node"},
-		Notes: []string{
-			"paper: smaller intervals improve reliability, delay and stretch at a small overhead cost",
-			"(0.15 reconnections per node at the smallest interval)",
-		},
-	}
-	rows, err := runUnits(r, len(intervals), func(o Options, i int) ([]string, error) {
-		iv := intervals[i]
-		cfg := o.baseConfig(o.Seed, omcast.ROST, o.Size)
-		cfg.SwitchInterval = iv
-		res, err := omcast.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		o.progress("fig11 interval=%v disruptions=%.2f", iv, res.AvgDisruptions)
-		return []string{
-			fmt.Sprintf("%.0fs", iv.Seconds()),
-			fmt.Sprintf("%.2f", res.AvgDisruptions),
-			fmt.Sprintf("%.0fms", res.AvgServiceDelayMS),
-			fmt.Sprintf("%.2f", res.AvgStretch),
-			fmt.Sprintf("%.2f", res.AvgReconnections),
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-func (r *Runner) fig12() (Table, error) {
-	groups := []int{1, 2, 3, 4}
-	t := Table{
-		Title:  "Avg starving-time ratio vs size for recovery group sizes 1-4 (min-depth tree, CER)",
-		Header: []string{"avg size"},
-		Notes: []string{
-			"paper: growing the group from 1 to 3 cuts the starving time by an order of magnitude (<0.2% everywhere)",
-		},
-	}
-	for _, k := range groups {
-		t.Header = append(t.Header, fmt.Sprintf("K=%d", k))
-	}
-	type cell struct{ size, k int }
-	cells := make([]cell, 0, len(r.opts.Sizes)*len(groups))
-	for _, size := range r.opts.Sizes {
-		for _, k := range groups {
-			cells = append(cells, cell{size, k})
-		}
-	}
-	type point struct {
-		avgSize float64
-		cell    string
-	}
-	points, err := runUnits(r, len(cells), func(o Options, i int) (point, error) {
-		c := cells[i]
-		res, err := omcast.RunStreaming(o.baseConfig(o.Seed, omcast.MinimumDepth, c.size),
-			omcast.StreamConfig{Recovery: omcast.CER, GroupSize: c.k})
-		if err != nil {
-			return point{}, err
-		}
-		o.progress("fig12 M=%-6d K=%d starving=%.3f%%", c.size, c.k, res.AvgStarvingRatio*100)
-		return point{res.AvgSize, fmt.Sprintf("%.3f%%", res.AvgStarvingRatio*100)}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	i := 0
-	for range r.opts.Sizes {
-		row := make([]string, 0, len(groups)+1)
-		row = append(row, fmt.Sprintf("%.0f", points[i].avgSize))
-		for range groups {
-			row = append(row, points[i].cell)
-			i++
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func (r *Runner) fig13() (Table, error) {
-	buffers := []time.Duration{5 * time.Second, 10 * time.Second, 15 * time.Second, 20 * time.Second, 25 * time.Second, 30 * time.Second}
-	groups := []int{1, 2, 3}
-	if r.opts.Quick {
-		buffers = []time.Duration{5 * time.Second, 20 * time.Second}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Avg starving-time ratio vs buffer size (%d nodes, min-depth tree, CER)", r.opts.Size),
-		Header: []string{"buffer"},
-		Notes: []string{
-			"paper: with one recovery node only a ~27s buffer reaches what two recovery nodes achieve at 5s",
-		},
-	}
-	for _, k := range groups {
-		t.Header = append(t.Header, fmt.Sprintf("K=%d", k))
-	}
-	type cell struct {
-		buffer time.Duration
-		k      int
-	}
-	cells := make([]cell, 0, len(buffers)*len(groups))
-	for _, b := range buffers {
-		for _, k := range groups {
-			cells = append(cells, cell{b, k})
-		}
-	}
-	ratios, err := runUnits(r, len(cells), func(o Options, i int) (string, error) {
-		c := cells[i]
-		res, err := omcast.RunStreaming(o.baseConfig(o.Seed, omcast.MinimumDepth, o.Size),
-			omcast.StreamConfig{Recovery: omcast.CER, GroupSize: c.k, Buffer: c.buffer})
-		if err != nil {
-			return "", err
-		}
-		o.progress("fig13 B=%v K=%d starving=%.3f%%", c.buffer, c.k, res.AvgStarvingRatio*100)
-		return fmt.Sprintf("%.3f%%", res.AvgStarvingRatio*100), nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	i := 0
-	for _, b := range buffers {
-		row := []string{fmt.Sprintf("%.0fs", b.Seconds())}
-		for range groups {
-			row = append(row, ratios[i])
-			i++
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func (r *Runner) fig14() (Table, error) {
-	groups := []int{1, 2, 3}
-	t := Table{
-		Title:  fmt.Sprintf("ROST+CER vs minimum-depth + single-source (%d nodes, 95%% CI over %d seeds)", r.opts.Size, r.opts.Replicas),
-		Header: []string{"group size", "ROST+CER", "min-depth + single source", "improvement"},
-		Notes: []string{
-			"paper: ROST+CER reduces the starving ratio 8-9x on average; even at group size 1 it beats",
-			"the baseline with two recovery nodes",
-		},
-	}
-	type cell struct{ k, rep int }
-	cells := make([]cell, 0, len(groups)*r.opts.Replicas)
-	for _, k := range groups {
-		for rep := 0; rep < r.opts.Replicas; rep++ {
-			cells = append(cells, cell{k, rep})
-		}
-	}
-	type pair struct{ rost, base float64 }
-	pairs, err := runUnits(r, len(cells), func(o Options, i int) (pair, error) {
-		c := cells[i]
-		seed := o.Seed + int64(c.rep)
-		a, err := omcast.RunStreaming(o.baseConfig(seed, omcast.ROST, o.Size),
-			omcast.StreamConfig{Recovery: omcast.CER, GroupSize: c.k})
-		if err != nil {
-			return pair{}, err
-		}
-		b, err := omcast.RunStreaming(o.baseConfig(seed, omcast.MinimumDepth, o.Size),
-			omcast.StreamConfig{Recovery: omcast.SingleSource, GroupSize: c.k})
-		if err != nil {
-			return pair{}, err
-		}
-		o.progress("fig14 K=%d seed=%d rost=%.3f%% base=%.3f%%", c.k, seed, a.AvgStarvingRatio*100, b.AvgStarvingRatio*100)
-		return pair{a.AvgStarvingRatio * 100, b.AvgStarvingRatio * 100}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	i := 0
-	for _, k := range groups {
-		var rost, base []float64
-		for rep := 0; rep < r.opts.Replicas; rep++ {
-			rost = append(rost, pairs[i].rost)
-			base = append(base, pairs[i].base)
-			i++
-		}
-		ra := stats.ConfidenceInterval95(rost)
-		ba := stats.ConfidenceInterval95(base)
-		improvement := "n/a"
-		if ra.Mean > 0 {
-			improvement = fmt.Sprintf("%.1fx", ba.Mean/ra.Mean)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.3f%% +/- %.3f", ra.Mean, ra.Radius),
-			fmt.Sprintf("%.3f%% +/- %.3f", ba.Mean, ba.Radius),
-			improvement,
-		})
-	}
-	return t, nil
-}
-
-func (r *Runner) ablationRecovery() (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("Ablation: recovery group selection and striping (%d nodes, min-depth tree, K=3)", r.opts.Size),
-		Header: []string{"scheme", "starving ratio"},
-		Notes:  []string{"isolates the value of MLC selection (Algorithm 1) from the value of bandwidth striping"},
-	}
-	schemes := []omcast.Recovery{omcast.CER, omcast.CERRandomGroup, omcast.SingleSource}
-	rows, err := runUnits(r, len(schemes), func(o Options, i int) ([]string, error) {
-		scheme := schemes[i]
-		res, err := omcast.RunStreaming(o.baseConfig(o.Seed, omcast.MinimumDepth, o.Size),
-			omcast.StreamConfig{Recovery: scheme, GroupSize: 3})
-		if err != nil {
-			return nil, err
-		}
-		o.progress("ablation-recovery %s starving=%.3f%%", scheme, res.AvgStarvingRatio*100)
-		return []string{scheme.String(), fmt.Sprintf("%.3f%%", res.AvgStarvingRatio*100)}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-func (r *Runner) ablationRejoin() (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("Ablation: ancestor-first orphan rejoin (%d nodes, ROST)", r.opts.Size),
-		Header: []string{"orphan rejoin", "disruptions/node", "service delay"},
-		Notes:  []string{"ancestor rejoin keeps freed interior positions inside the affected subtree"},
-	}
-	variants := []bool{false, true}
-	rows, err := runUnits(r, len(variants), func(o Options, i int) ([]string, error) {
-		disable := variants[i]
-		cfg := o.baseConfig(o.Seed, omcast.ROST, o.Size)
-		cfg.DisableAncestorRejoin = disable
-		res, err := omcast.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		label := "ancestor-first"
-		if disable {
-			label = "full re-join"
-		}
-		o.progress("ablation-rejoin disable=%v disruptions=%.2f", disable, res.AvgDisruptions)
-		return []string{label,
-			fmt.Sprintf("%.2f", res.AvgDisruptions),
-			fmt.Sprintf("%.0fms", res.AvgServiceDelayMS)}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-func (r *Runner) ablationPriority() (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("Ablation: contributor-priority join (%d nodes, ROST)", r.opts.Size),
-		Header: []string{"join rule", "disruptions/node", "service delay", "stretch"},
-		Notes:  []string{"parking free-riders deep keeps high slots for members switching can actually displace"},
-	}
-	variants := []bool{false, true}
-	rows, err := runUnits(r, len(variants), func(o Options, i int) ([]string, error) {
-		cp := variants[i]
-		cfg := o.baseConfig(o.Seed, omcast.ROST, o.Size)
-		cfg.ContributorPriority = cp
-		res, err := omcast.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		label := "minimum-depth for all"
-		if cp {
-			label = "contributor priority"
-		}
-		o.progress("ablation-priority cp=%v disruptions=%.2f", cp, res.AvgDisruptions)
-		return []string{label,
-			fmt.Sprintf("%.2f", res.AvgDisruptions),
-			fmt.Sprintf("%.0fms", res.AvgServiceDelayMS),
-			fmt.Sprintf("%.2f", res.AvgStretch)}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-func (r *Runner) ablationGuard() (Table, error) {
-	t := Table{
-		Title:  fmt.Sprintf("Ablation: ROST bandwidth guard on switching (%d nodes)", r.opts.Size),
-		Header: []string{"guard", "disruptions/node", "reconnections/node", "service delay"},
-		Notes:  []string{"without the guard, lower-bandwidth children switch up only to be overtaken and demoted again"},
-	}
-	variants := []bool{false, true}
-	rows, err := runUnits(r, len(variants), func(o Options, i int) ([]string, error) {
-		disabled := variants[i]
-		cfg := o.baseConfig(o.Seed, omcast.ROST, o.Size)
-		cfg.DisableBandwidthGuard = disabled
-		res, err := omcast.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		label := "bandwidth >= parent required"
-		if disabled {
-			label = "BTP comparison only"
-		}
-		o.progress("ablation-guard disabled=%v disruptions=%.2f", disabled, res.AvgDisruptions)
-		return []string{label,
-			fmt.Sprintf("%.2f", res.AvgDisruptions),
-			fmt.Sprintf("%.2f", res.AvgReconnections),
-			fmt.Sprintf("%.0fms", res.AvgServiceDelayMS)}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-func (r *Runner) extensionMultiTree() (Table, error) {
-	size := r.opts.Size / 4
-	if r.opts.Quick {
-		size = r.opts.Size
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Extension: multiple-tree delivery with MDC (%d nodes)", size),
-		Header: []string{"configuration", "outage ratio", "delivery ratio", "episodes"},
-		Notes: []string{
-			"the paper's stated future direction: striping the stream over T trees so one failure",
-			"degrades (one stripe) instead of interrupting; quorum = stripes-1 models one-description slack",
-		},
-	}
-	type variant struct {
-		label string
-		mt    omcast.MultiTreeConfig
-	}
-	variants := []variant{
-		{"single tree (baseline)", omcast.MultiTreeConfig{Stripes: 1}},
-		{"4 stripes, split bandwidth", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3}},
-		{"4 stripes, interior-disjoint", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3, Disjoint: true}},
-		{"4 stripes, split + ROST", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3, UseROST: true}},
-	}
-	rows, err := runUnits(r, len(variants), func(o Options, i int) ([]string, error) {
-		v := variants[i]
-		res, err := omcast.RunMultiTree(o.baseConfig(o.Seed, omcast.MinimumDepth, size), v.mt)
-		if err != nil {
-			return nil, err
-		}
-		o.progress("multitree %-30s outage=%.3f%%", v.label, res.OutageRatio*100)
-		return []string{
-			v.label,
-			fmt.Sprintf("%.3f%%", res.OutageRatio*100),
-			fmt.Sprintf("%.2f%%", res.FullQualityRatio*100),
-			fmt.Sprintf("%d", res.Episodes),
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-// figFleet exercises the federation control plane (internal/fleet): N
-// trees x M viewers under steady churn, hotspot skew with rebalancing, a
-// flash crowd, a source kill, a cascading double kill, and a graceful
-// drain. Every scenario checks the configured reassignment-time and
-// outage-ratio bounds; the "bounds" column must read "ok" on every row.
-func (r *Runner) figFleet() (Table, error) {
-	viewers := 240
-	if r.opts.Quick {
-		viewers = 80
-	}
-	base := func(o Options, seed int64) omcast.FleetConfig {
-		return omcast.FleetConfig{
-			Seed:              seed,
-			Sources:           3,
-			TreesPerSource:    2,
-			TreeCapacity:      viewers / 3,
-			Viewers:           viewers,
-			Horizon:           2 * time.Minute,
-			HeartbeatInterval: 500 * time.Millisecond,
-			SuspectMisses:     2,
-			DownMisses:        4,
-			RejoinBackoffBase: 100 * time.Millisecond,
-			RejoinBackoffMax:  2 * time.Second,
-			AdmitPerInterval:  viewers / 10,
-			MaxReassignTime:   15 * time.Second,
-			Metrics:           o.Metrics,
-		}
-	}
-	t := Table{
-		Title:  fmt.Sprintf("Fleet federation: bounded source failover (%d viewers, 3 sources x 2 trees)", viewers),
-		Header: []string{"scenario", "viewers", "failovers", "reassigned", "p99 reassign", "outage ratio", "migrations", "bounds"},
-		Notes: []string{
-			"failover bound: every viewer orphaned by a source death re-admitted within MaxReassignTime,",
-			"paced by per-source admission tokens and the node layer's jittered exponential backoff",
-		},
-	}
-	type variant struct {
-		label string
-		mut   func(*omcast.FleetConfig)
-	}
-	variants := []variant{
-		{"steady churn", func(c *omcast.FleetConfig) {
-			c.MeanLifetime = 90 * time.Second
-			c.MaxOutageRatio = 0 // churned departures can strand an episode mid-backoff
-		}},
-		{"load skew + rebalance", func(c *omcast.FleetConfig) {
-			c.LoadSkew = 0.7
-			c.RebalanceEvery = 2 * time.Second
-			c.RebalanceSlack = 2
-		}},
-		{"flash crowd", func(c *omcast.FleetConfig) {
-			c.Viewers = viewers / 4
-			c.Arrivals = []omcast.FleetBurst{{At: 10 * time.Second, Count: viewers - viewers/4}}
-		}},
-		{"source kill", func(c *omcast.FleetConfig) {
-			c.Kills = []omcast.FleetEvent{{At: 20 * time.Second, Source: 0}}
-			c.MaxOutageRatio = 0.25
-		}},
-		{"cascading kill (10 s apart)", func(c *omcast.FleetConfig) {
-			c.TreeCapacity = viewers // the last source standing holds everyone
-			c.Kills = []omcast.FleetEvent{
-				{At: 20 * time.Second, Source: 0},
-				{At: 30 * time.Second, Source: 1},
-			}
-			c.MaxOutageRatio = 0.5
-		}},
-		{"graceful drain", func(c *omcast.FleetConfig) {
-			c.Drains = []omcast.FleetEvent{{At: 20 * time.Second, Source: 0}}
-			c.MaxOutageRatio = 0.001 // make-before-break: zero outage expected
-		}},
-	}
-	rows, err := runUnits(r, len(variants), func(o Options, i int) ([]string, error) {
-		v := variants[i]
-		cfg := base(o, o.Seed+int64(i))
-		v.mut(&cfg)
-		res, err := omcast.RunFleet(cfg)
-		if err != nil {
-			return nil, err
-		}
-		bounds := "ok"
-		if n := len(res.BoundViolations); n > 0 {
-			bounds = fmt.Sprintf("%d violated: %s", n, res.BoundViolations[0])
-		}
-		o.progress("fleet %-28s failovers=%d p99=%.2fs outage=%.4f", v.label,
-			res.Failovers, res.P99Reassign.Seconds(), res.OutageRatio)
-		return []string{
-			v.label,
-			fmt.Sprintf("%d", res.Viewers),
-			fmt.Sprintf("%d", res.Failovers),
-			fmt.Sprintf("%d", res.Reassigned),
-			fmt.Sprintf("%.2fs", res.P99Reassign.Seconds()),
-			fmt.Sprintf("%.4f", res.OutageRatio),
-			fmt.Sprintf("%d", res.DrainMigrations+res.Rebalanced),
-			bounds,
-		}, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-// figScale is the million-member experiment family's deterministic half: the
-// Figure 4 headline metric (disruptions per node) re-run far beyond the
-// paper's 2000-14000 sweep — by default up to ten times the paper's largest
-// N — for the min-depth baseline and ROST, alongside the event counts that
-// anchor the BENCH scale artifacts' ns/event figures. Every column is a pure
-// function of the seed, so the table is byte-identical across worker counts
-// like every other figure; machine-dependent observables (bytes/member,
-// ns/event) are deliberately excluded and reported by internal/bench.RunScale
-// instead.
-func (r *Runner) figScale() (Table, error) {
-	algs := []omcast.Algorithm{omcast.MinimumDepth, omcast.ROST}
-	t := Table{
-		Title:  "Scale sweep: Figure 4 metric beyond the paper's sizes (min-depth vs ROST)",
-		Header: []string{"target M", "avg size", "events"},
-		Notes: []string{
-			"paper sweeps 2000-14000 members; the largest default size here is 10x the paper's N",
-			"bytes/member and ns/event are machine observables: see BENCH scale artifacts (omcast bench)",
-		},
-	}
-	for _, alg := range algs {
-		t.Header = append(t.Header,
-			alg.String()+" disruptions", alg.String()+" delay")
-	}
-	type cell struct {
-		size int
-		alg  omcast.Algorithm
-	}
-	cells := make([]cell, 0, len(r.opts.ScaleSizes)*len(algs))
-	for _, size := range r.opts.ScaleSizes {
-		for _, alg := range algs {
-			cells = append(cells, cell{size, alg})
-		}
-	}
-	results, err := runUnits(r, len(cells), func(o Options, i int) (omcast.ScaleResult, error) {
-		c := cells[i]
-		res, err := omcast.RunScale(o.baseConfig(o.Seed, c.alg, c.size))
-		if err != nil {
-			return omcast.ScaleResult{}, fmt.Errorf("scale %v at %d: %w", c.alg, c.size, err)
-		}
-		o.progress("fig-scale %-26s M=%-7d disruptions=%.2f events=%d", c.alg, c.size, res.AvgDisruptions, res.Events)
-		return res, nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	i := 0
-	for _, size := range r.opts.ScaleSizes {
-		perAlg := results[i : i+len(algs)]
-		row := []string{
-			fmt.Sprintf("%d", size),
-			fmt.Sprintf("%.0f", perAlg[0].AvgSize),
-			fmt.Sprintf("%d", perAlg[0].Events+perAlg[1].Events),
-		}
-		for _, res := range perAlg {
-			row = append(row,
-				fmt.Sprintf("%.2f", res.AvgDisruptions),
-				fmt.Sprintf("%.0fms", res.AvgServiceDelayMS))
-		}
-		t.Rows = append(t.Rows, row)
-		i += len(algs)
-	}
 	return t, nil
 }

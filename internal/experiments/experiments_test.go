@@ -56,9 +56,10 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 // TestQuickSweepFigures runs the shared-sweep figures in quick mode and
-// checks table shapes; the sweep must be cached across figures.
+// checks table shapes; the sweep must run once, for the first figure.
 func TestQuickSweepFigures(t *testing.T) {
 	r := quickRunner()
+	sims := 0
 	for _, id := range []string{"fig4", "fig7", "fig8", "fig10"} {
 		tab, err := r.Run(id)
 		if err != nil {
@@ -78,9 +79,11 @@ func TestQuickSweepFigures(t *testing.T) {
 				t.Fatalf("%s row width %d vs header %d", id, len(row), len(tab.Header))
 			}
 		}
-	}
-	if r.sweep == nil {
-		t.Fatal("sweep not cached")
+		if sims == 0 {
+			sims = r.sims
+		} else if r.sims != sims {
+			t.Fatalf("%s ran %d more simulations; the sweep is not shared", id, r.sims-sims)
+		}
 	}
 }
 
@@ -131,13 +134,14 @@ func TestQuickTrackedFigures(t *testing.T) {
 			prev[c] = v
 		}
 	}
-	// fig9 reuses the cached tracked runs.
-	if r.tracked == nil {
-		t.Fatal("tracked runs not cached")
-	}
+	// fig9 reuses the tracked runs.
+	sims := r.sims
 	fig9, err := r.Run("fig9")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.sims != sims {
+		t.Fatalf("fig9 ran %d more simulations; the tracked runs are not shared", r.sims-sims)
 	}
 	if len(fig9.Rows) != len(fig6.Rows) {
 		t.Fatalf("fig9 rows %d != fig6 rows %d", len(fig9.Rows), len(fig6.Rows))
@@ -166,6 +170,27 @@ func TestQuickStreamingFigures(t *testing.T) {
 		}
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s empty", id)
+		}
+	}
+}
+
+// TestFig14IntervalNeedsTwoReplicas: one seed has no confidence interval, so
+// Figure 14 prints "n/a" for its radius instead of a zero-width one; two
+// seeds print a numeric radius.
+func TestFig14IntervalNeedsTwoReplicas(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		opts := tinyOptions(2)
+		opts.Replicas = replicas
+		tab, err := NewRunner(opts).Run("fig14")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tab.Rows {
+			for _, cell := range row[1:3] {
+				if na := strings.HasSuffix(cell, "+/- n/a"); na != (replicas < 2) {
+					t.Errorf("replicas=%d: cell %q", replicas, cell)
+				}
+			}
 		}
 	}
 }
