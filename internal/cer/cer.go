@@ -66,6 +66,7 @@ type MLCSelector struct {
 
 	excl   exclusion
 	pt     partialTree
+	sample []int32
 	delays []time.Duration
 }
 
@@ -83,7 +84,7 @@ var _ Selector = (*MLCSelector)(nil)
 // A call climbs each sampled member's root path only until it meets a node
 // already in T, counting T's width per depth as it goes, and lists T's levels
 // only down to Li+1 (or the widest level when none brackets K); everything is
-// done over dense slots, so a *Member is read only for a sampled member, a
+// done over dense slots, from the sample on, so a *Member is read only for a
 // returned candidate or a Banned lookup. It allocates only the returned
 // group. The RNG is drawn in a fixed order every figure depends on: the
 // sample; one Shuffle per Li node (or one over the widest level); one Intn
@@ -92,14 +93,14 @@ func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if k <= 0 {
 		return nil
 	}
-	sample := s.Tree.Sample(s.Rng, knowledge(s.Knowledge), self)
-	if len(sample) == 0 {
+	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
+	if len(s.sample) == 0 {
 		return nil
 	}
 	s.excl.reset(s.Tree, self, s.Banned)
 	v := &s.excl.v
 	pt := &s.pt
-	pt.build(s.Tree, v, self, sample)
+	pt.build(s.Tree, v, self, s.sample)
 	group := make([]*overlay.Member, 0, k)
 	pt.picked = pt.picked[:0]
 	for _, r := range pt.subtreeRoots(s.Rng, k) {
@@ -133,6 +134,7 @@ type RandomSelector struct {
 	Banned map[overlay.MemberID]bool
 
 	excl   exclusion
+	sample []int32
 	delays []time.Duration
 }
 
@@ -145,12 +147,13 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 		return nil
 	}
 	s.excl.reset(s.Tree, self, s.Banned)
+	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
 	group := make([]*overlay.Member, 0, k)
-	for _, c := range s.Tree.Sample(s.Rng, knowledge(s.Knowledge), self) {
-		if !s.excl.usable(int32(c.Slot())) {
+	for _, c := range s.sample {
+		if !s.excl.usable(c) {
 			continue
 		}
-		group = append(group, c)
+		group = append(group, s.excl.v.Member(c))
 		if len(group) == k {
 			break
 		}
@@ -284,14 +287,14 @@ type kidSpan struct{ next, end int32 }
 
 // build assembles T from the root paths of self (the node knows its own path
 // as well) and of the sampled members.
-func (pt *partialTree) build(tree *overlay.Tree, v *overlay.SlotView, self *overlay.Member, sample []*overlay.Member) {
+func (pt *partialTree) build(tree *overlay.Tree, v *overlay.SlotView, self *overlay.Member, sample []int32) {
 	pt.nodes, pt.epoch = advance(pt.nodes, pt.epoch, tree.Slots())
 	pt.root = int32(tree.Root().Slot())
 	pt.width = append(pt.width[:0], 0)
 	pt.enter(pt.root, 0)
 	pt.addPath(v, int32(self.Slot()))
-	for _, m := range sample {
-		pt.addPath(v, int32(m.Slot()))
+	for _, c := range sample {
+		pt.addPath(v, c)
 	}
 }
 

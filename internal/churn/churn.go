@@ -397,7 +397,7 @@ func (d *Driver) tryFirstJoin(sim *eventsim.Simulator, id overlay.MemberID) {
 	case errors.Is(err, construct.ErrNoParent):
 		d.JoinFailures++
 		d.met.joinFailures.Inc()
-		sim.ScheduleAfter(DefaultRejoinRetry, func(s *eventsim.Simulator) {
+		sim.Lane(DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
 			d.tryFirstJoin(s, id)
 		})
 	default:
@@ -504,7 +504,7 @@ func (d *Driver) rejoin(sim *eventsim.Simulator, id overlay.MemberID) {
 		if d.hooks.OnRejoinBlocked != nil {
 			d.hooks.OnRejoinBlocked(sim, id)
 		}
-		sim.ScheduleAfter(DefaultRejoinRetry, func(s *eventsim.Simulator) {
+		sim.Lane(DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
 			d.rejoin(s, id)
 		})
 	default:
@@ -546,7 +546,7 @@ func (d *Driver) sampleTracked(sim *eventsim.Simulator, tr *Tracked) {
 		delay = 0 // rejoining; no live path
 	}
 	tr.DelayMS = append(tr.DelayMS, float64(delay)/float64(time.Millisecond))
-	sim.ScheduleAfter(time.Minute, func(s *eventsim.Simulator) {
+	sim.Lane(time.Minute).Schedule(func(s *eventsim.Simulator) {
 		d.sampleTracked(s, tr)
 	})
 }
@@ -581,7 +581,7 @@ func (d *Driver) sampleTreeMetrics(sim *eventsim.Simulator) {
 		d.stretchSamples = append(d.stretchSamples, stretchSum/float64(stretchN))
 	}
 	d.sizeSamples = append(d.sizeSamples, float64(n))
-	sim.ScheduleAfter(DefaultSampleInterval, func(s *eventsim.Simulator) {
+	sim.Lane(DefaultSampleInterval).Schedule(func(s *eventsim.Simulator) {
 		d.sampleTreeMetrics(s)
 	})
 }

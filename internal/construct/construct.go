@@ -47,8 +47,10 @@ type Env struct {
 	// algorithms; 0 means DefaultCandidateCount.
 	CandidateCount int
 
-	// cands is the reusable candidate list candidates returns.
-	cands []*overlay.Member
+	// cands is the reusable candidate list candidates returns; keys holds
+	// pickParent's key per usable candidate.
+	cands []int32
+	keys  []int64
 }
 
 func (e *Env) candidateCount() int {
@@ -69,17 +71,85 @@ type Strategy interface {
 	Join(tree *overlay.Tree, m *overlay.Member, now time.Duration) error
 }
 
-// candidates samples the joining member's partial view of the overlay and
-// always includes the source (the bootstrap mechanism guarantees at least
-// one active contact, and the source is every session's first), mirroring
-// the paper's join procedure. The list is built in an Env-owned buffer and is
-// valid until the next call: appending the source to Sample's full-capacity
-// result would allocate a copy on every join, and no strategy holds two
-// candidate lists at once (the eviction scans never sample).
-func (e *Env) candidates(tree *overlay.Tree, m *overlay.Member) []*overlay.Member {
-	e.cands = append(e.cands[:0], tree.Sample(e.Rng, e.candidateCount(), m)...)
-	e.cands = append(e.cands, tree.Root())
+// parentKey names what a distributed strategy ranks usable candidates by;
+// the least key wins and the nearest in the underlay breaks ties.
+type parentKey uint8
+
+const (
+	shallowest parentKey = iota // minimum-depth: highest in the tree
+	oldest                      // longest-first: earliest join time
+	deepest                     // contributor priority's free-rider parking
+)
+
+func (k parentKey) of(v *overlay.SlotView, c int32) int64 {
+	switch k {
+	case shallowest:
+		return int64(v.Depth(c))
+	case deepest:
+		return -int64(v.Depth(c))
+	}
+	return int64(v.Member(c).JoinTime)
+}
+
+// candidates samples the joining member's partial view of the overlay, as
+// slots, and always includes the source (the bootstrap mechanism guarantees
+// at least one active contact, and the source is every session's first),
+// mirroring the paper's join procedure. The list is built in an Env-owned
+// buffer and is valid until the next call or tree mutation.
+func (e *Env) candidates(tree *overlay.Tree, m *overlay.Member) []int32 {
+	e.cands = tree.SampleSlots(e.Rng, e.candidateCount(), int32(m.Slot()), e.cands[:0])
+	e.cands = append(e.cands, int32(tree.Root().Slot()))
 	return e.cands
+}
+
+// pickParent runs the paper's distributed join step over m's candidates: the
+// usable one — attached, with spare degree — of least key; among those, the
+// first nearest to m. It returns nil when none is usable. m itself is never a
+// candidate: the sample excludes it, and a detached m is not the source.
+//
+// The first pass keeps the usable candidates and their keys in place, in
+// sample order; the second asks Delay only about those at the least key. That
+// is the parent a single pass keeping the first strictly better (key, delay)
+// would pick, because the first candidate at the least key always displaces
+// whatever came before it, but with no Delay call for a candidate that is
+// later outranked. Only the winner's and the tied candidates' handles are
+// read: usability, depth and spare degree come from one SlotView.
+func (e *Env) pickParent(tree *overlay.Tree, m *overlay.Member, key parentKey) *overlay.Member {
+	cands, v := e.candidates(tree, m), tree.SlotView()
+	usable, keys := cands[:0], e.keys[:0]
+	var least int64
+	for _, c := range cands {
+		if !v.Attached(c) || !v.HasSpare(c) {
+			continue
+		}
+		k := key.of(&v, c)
+		if len(usable) == 0 || k < least {
+			least = k
+		}
+		usable, keys = append(usable, c), append(keys, k)
+	}
+	e.keys = keys
+	var best *overlay.Member
+	var bestDelay time.Duration
+	for i, c := range usable {
+		if keys[i] != least {
+			continue
+		}
+		cm := v.Member(c)
+		if d := e.Delay(m.Attach, cm.Attach); best == nil || d < bestDelay {
+			best, bestDelay = cm, d
+		}
+	}
+	return best
+}
+
+// join attaches m under pickParent's choice, or returns ErrNoParent.
+func (e *Env) join(tree *overlay.Tree, m *overlay.Member, key parentKey) error {
+	parent := e.pickParent(tree, m, key)
+	if parent == nil {
+		return ErrNoParent
+	}
+	return tree.Attach(m, parent)
 }
 
 // MinDepth is the minimum-depth algorithm.
@@ -95,27 +165,7 @@ func (a *MinDepth) Name() string { return "Minimum-depth" }
 // Join implements Strategy: pick the spare-capacity candidate highest in the
 // tree; among equals, the one nearest to m in the underlay.
 func (a *MinDepth) Join(tree *overlay.Tree, m *overlay.Member, _ time.Duration) error {
-	var best *overlay.Member
-	var bestDelay time.Duration
-	for _, c := range a.Env.candidates(tree, m) {
-		if !usableParent(c, m) {
-			continue
-		}
-		switch {
-		case best == nil, c.Depth() < best.Depth():
-			best = c
-			bestDelay = a.Env.Delay(m.Attach, c.Attach)
-		case c.Depth() == best.Depth():
-			if d := a.Env.Delay(m.Attach, c.Attach); d < bestDelay {
-				best = c
-				bestDelay = d
-			}
-		}
-	}
-	if best == nil {
-		return ErrNoParent
-	}
-	return tree.Attach(m, best)
+	return a.Env.join(tree, m, shallowest)
 }
 
 // LongestFirst is the longest-first algorithm.
@@ -131,27 +181,7 @@ func (a *LongestFirst) Name() string { return "Longest-first" }
 // Join implements Strategy: pick the oldest spare-capacity candidate
 // (smallest join time); among equals, the nearest.
 func (a *LongestFirst) Join(tree *overlay.Tree, m *overlay.Member, _ time.Duration) error {
-	var best *overlay.Member
-	var bestDelay time.Duration
-	for _, c := range a.Env.candidates(tree, m) {
-		if !usableParent(c, m) {
-			continue
-		}
-		switch {
-		case best == nil, c.JoinTime < best.JoinTime:
-			best = c
-			bestDelay = a.Env.Delay(m.Attach, c.Attach)
-		case c.JoinTime == best.JoinTime:
-			if d := a.Env.Delay(m.Attach, c.Attach); d < bestDelay {
-				best = c
-				bestDelay = d
-			}
-		}
-	}
-	if best == nil {
-		return ErrNoParent
-	}
-	return tree.Attach(m, best)
+	return a.Env.join(tree, m, oldest)
 }
 
 // ContributorPriority wraps an inner strategy with the incentive rule of
@@ -177,27 +207,7 @@ func (a *ContributorPriority) Join(tree *overlay.Tree, m *overlay.Member, now ti
 	if m.OutDegree() > 0 {
 		return a.Inner.Join(tree, m, now)
 	}
-	var best *overlay.Member
-	var bestDelay time.Duration
-	for _, c := range a.Env.candidates(tree, m) {
-		if !usableParent(c, m) {
-			continue
-		}
-		switch {
-		case best == nil, c.Depth() > best.Depth():
-			best = c
-			bestDelay = a.Env.Delay(m.Attach, c.Attach)
-		case c.Depth() == best.Depth():
-			if d := a.Env.Delay(m.Attach, c.Attach); d < bestDelay {
-				best = c
-				bestDelay = d
-			}
-		}
-	}
-	if best == nil {
-		return ErrNoParent
-	}
-	return tree.Attach(m, best)
+	return a.Env.join(tree, m, deepest)
 }
 
 // relaxedOrdered is the shared top-down eviction scan behind the relaxed BO
@@ -313,11 +323,6 @@ func NewRelaxedBandwidthOrdered(env *Env) Strategy {
 // NewRelaxedTimeOrdered returns the centralized relaxed-TO strategy.
 func NewRelaxedTimeOrdered(env *Env) Strategy {
 	return &relaxedOrdered{env: env, name: "Relaxed time-ordered", order: overlay.ByJoinTime}
-}
-
-// usableParent reports whether c can accept m as a child right now.
-func usableParent(c, m *overlay.Member) bool {
-	return c != m && c.Attached() && c.HasSpare()
 }
 
 // nearestSpare returns the member of spare, one level's occupants with spare

@@ -497,17 +497,27 @@ func TestMinDepthExcludesDetachedCandidates(t *testing.T) {
 	}
 }
 
-// TestCandidatesAllocCeiling pins the candidate list at zero allocations per
-// join once the Env's buffer is warm: appending the source to Sample's
-// full-capacity result used to allocate a 101-pointer copy on every join.
+// TestCandidatesAllocCeiling pins the join decision at zero allocations once
+// the Env's buffers are warm: the candidate list (appending the source to
+// Sample's full-capacity result used to allocate a 101-pointer copy on every
+// join) and pickParent's usable list and keys.
 func TestCandidatesAllocCeiling(t *testing.T) {
 	env := testEnv(1)
-	tree := newTree(t)
+	tree, err := overlay.NewTree(0, 100, env.Delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &MinDepth{Env: env}
 	for i := 0; i < 1000; i++ {
-		tree.NewMember(topology.NodeID(i), 2, time.Duration(i))
+		m := tree.NewMember(topology.NodeID(i), 2, time.Duration(i))
+		if i%2 == 0 { // half the candidates are detached, so both passes filter
+			if err := s.Join(tree, m, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	m := tree.NewMember(0, 2, 0)
-	root := tree.Root()
+	root := int32(tree.Root().Slot())
 	if got := env.candidates(tree, m); len(got) != 101 || got[100] != root {
 		t.Fatalf("warm candidate list has %d members, source last: %v", len(got), got[len(got)-1] == root)
 	}
@@ -515,8 +525,11 @@ func TestCandidatesAllocCeiling(t *testing.T) {
 		if got := env.candidates(tree, m); len(got) != 101 || got[100] != root {
 			t.Fatal("candidate list changed shape")
 		}
+		if env.pickParent(tree, m, shallowest) == nil {
+			t.Fatal("no parent in a tree with spare degree")
+		}
 	})
 	if allocs > 0 {
-		t.Fatalf("candidates allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("the join decision allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -12,8 +12,170 @@ import (
 )
 
 // The linear scans relaxedOrdered.Join used before overlay grew its level
-// index. They are the oracle: production reads Tree.LevelIndex, the tests
-// below hold it to what a walk over every Tree.Level(d) would have chosen.
+// index, and the handle-chasing candidate loops of the distributed strategies
+// before they moved to slot space. They are the oracles: production reads
+// Tree.LevelIndex and SlotView, the tests below hold it to what the walks
+// over *Member handles would have chosen.
+
+// usableParent reports whether c can accept m as a child right now.
+func usableParent(c, m *overlay.Member) bool {
+	return c != m && c.Attached() && c.HasSpare()
+}
+
+// refPick is the single-pass candidate loop MinDepth, LongestFirst and
+// ContributorPriority each used to run: over the sample plus the source, keep
+// the usable candidate of least key, replacing it on a strictly smaller key
+// or, at an equal key, a strictly smaller delay. It asks Delay about every
+// candidate that becomes or ties the best so far.
+func refPick(env *Env, tree *overlay.Tree, m *overlay.Member, key func(*overlay.Member) int64) *overlay.Member {
+	cands := append(append([]*overlay.Member(nil), tree.Sample(env.Rng, env.candidateCount(), m)...), tree.Root())
+	var best *overlay.Member
+	var bestDelay time.Duration
+	for _, c := range cands {
+		if !usableParent(c, m) {
+			continue
+		}
+		switch {
+		case best == nil, key(c) < key(best):
+			best = c
+			bestDelay = env.Delay(m.Attach, c.Attach)
+		case key(c) == key(best):
+			if d := env.Delay(m.Attach, c.Attach); d < bestDelay {
+				best = c
+				bestDelay = d
+			}
+		}
+	}
+	return best
+}
+
+// refKeys are the three strategies' keys as the handle loops read them.
+var refKeys = map[parentKey]func(*overlay.Member) int64{
+	shallowest: func(c *overlay.Member) int64 { return int64(c.Depth()) },
+	oldest:     func(c *overlay.Member) int64 { return int64(c.JoinTime) },
+	deepest:    func(c *overlay.Member) int64 { return -int64(c.Depth()) },
+}
+
+// TestPickParentMatchesReferenceLoop drives the same churn into two trees,
+// one joined through refPick and one through pickParent, for each of the
+// three keys. Ties are engineered everywhere: six routers with four delays,
+// join times shared by runs of arrivals, a handful of bandwidths including
+// free-riders. After every join the chosen parents must be the same member,
+// pickParent must have asked Delay no more often than the loop, and both RNG
+// streams must be at the same point. Removals recycle slots under the
+// sampler; orphans and detached members rejoin while still in the sampled
+// membership (their own slot is the excluded one); early joins see fewer
+// members than the candidate count; and a degree-one source with free-riders
+// saturates the tree, so both sides must also agree on ErrNoParent.
+func TestPickParentMatchesReferenceLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		key  parentKey
+	}{{"min-depth", shallowest}, {"longest-first", oldest}, {"free-rider", deepest}} {
+		key := tc.key
+		t.Run(tc.name, func(t *testing.T) {
+			ref := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+				return func(tree *overlay.Tree, m *overlay.Member, _ time.Duration) error {
+					p := refPick(env, tree, m, refKeys[key])
+					if p == nil {
+						return ErrNoParent
+					}
+					return tree.Attach(m, p)
+				}
+			})
+			cur := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+				env.CandidateCount = 12
+				return func(tree *overlay.Tree, m *overlay.Member, _ time.Duration) error {
+					return env.join(tree, m, key)
+				}
+			})
+			ref.env.CandidateCount = 12
+			rng := xrand.New(7)
+			var live []overlay.MemberID
+			var now time.Duration
+			saturated, savedCalls := 0, 0
+			joinBoth := func(step int, id overlay.MemberID) {
+				t.Helper()
+				a, b := ref.tree.Member(id), cur.tree.Member(id)
+				c0, c1 := ref.calls, cur.calls
+				errRef, errCur := ref.join(ref.tree, a, now), cur.join(cur.tree, b, now)
+				if !errors.Is(errCur, errRef) || errRef != nil && !errors.Is(errRef, ErrNoParent) {
+					t.Fatalf("step %d: join of %d: reference %v, slot space %v", step, id, errRef, errCur)
+				}
+				if errRef != nil {
+					saturated++
+				} else if a.Parent().ID != b.Parent().ID {
+					t.Fatalf("step %d: member %d joined under %d by the loop, %d in slot space", step, id, a.Parent().ID, b.Parent().ID)
+				}
+				if dr, dc := ref.calls-c0, cur.calls-c1; dc > dr {
+					t.Fatalf("step %d: %d Delay calls in slot space, %d in the loop", step, dc, dr)
+				} else {
+					savedCalls += dr - dc
+				}
+				if x, y := ref.env.Rng.Int63(), cur.env.Rng.Int63(); x != y {
+					t.Fatalf("step %d: RNG streams diverged (%d vs %d)", step, x, y)
+				}
+			}
+			bandwidths := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3, 4}
+			for step := 0; step < 4000; step++ {
+				if step%9 == 0 {
+					now += time.Second
+				}
+				for _, id := range live {
+					if m := ref.tree.Member(id); !m.Attached() && m.Parent() == nil {
+						joinBoth(step, id)
+					}
+				}
+				switch op := rng.Float64(); {
+				case len(live) < 40 || len(live) < 300 && op < 0.5:
+					attach, bw := topology.NodeID(rng.Intn(6)), bandwidths[rng.Intn(len(bandwidths))]
+					if len(live) > 150 && op < 0.06 {
+						bw = 0 // a run of free-riders: the tree saturates
+					}
+					id := ref.tree.NewMember(attach, bw, now).ID
+					cur.tree.NewMember(attach, bw, now)
+					live = append(live, id)
+					joinBoth(step, id)
+				case op < 0.85:
+					k := rng.Intn(len(live))
+					id := live[k]
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+					orphans, err := ref.tree.Remove(ref.tree.Member(id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cur.tree.Remove(cur.tree.Member(id)); err != nil {
+						t.Fatal(err)
+					}
+					for _, o := range orphans {
+						joinBoth(step, o.ID)
+					}
+				default:
+					id := live[rng.Intn(len(live))]
+					if a := ref.tree.Member(id); a.Attached() {
+						if err := ref.tree.Detach(a); err != nil {
+							t.Fatal(err)
+						}
+						if err := cur.tree.Detach(cur.tree.Member(id)); err != nil {
+							t.Fatal(err)
+						}
+						joinBoth(step, id)
+					}
+				}
+				if step%500 == 0 {
+					requireSameTrees(t, step, ref.tree, cur.tree)
+				}
+			}
+			requireSameTrees(t, -1, ref.tree, cur.tree)
+			t.Logf("%d live members, depth %d, %d saturated joins, %d of %d Delay calls saved",
+				ref.tree.Size(), ref.tree.MaxDepth(), saturated, savedCalls, ref.calls)
+			if saturated < 50 || ref.tree.MaxDepth() < 4 || savedCalls == 0 {
+				t.Fatalf("workload too tame: %d saturated joins, depth %d, %d Delay calls saved", saturated, ref.tree.MaxDepth(), savedCalls)
+			}
+		})
+	}
+}
 
 // refWeakestOutranked returns the most-outranked member of level that m
 // outranks (the first in level order among equals), or nil.

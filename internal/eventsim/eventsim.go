@@ -9,9 +9,16 @@
 // The queue is an inlined 4-ary heap over pooled event records: firing or
 // compacting an event returns its record to a free list, so the steady-state
 // schedule/fire cycle performs no heap allocations, and the flat comparison
-// loop avoids container/heap's interface boxing. Pop order is the strict
-// total order (at, seq), so the internal heap layout can never leak into
-// results.
+// loop avoids container/heap's interface boxing. Beside the heap sit lanes,
+// one per fixed delay (Simulator.Lane): timers a session re-arms with the
+// same delay every time, such as a periodic check, append to a FIFO ring in
+// O(1) instead of sifting through the heap. The clock moves forward, so a
+// lane fills in time order (an event that would break it, after a Run to a
+// horizon behind the clock, goes to the heap instead), and Run pops whichever
+// of the heap top and the lane heads comes first. Pop order is the strict
+// total order (at, seq) over all of them, with seq drawn from one counter, so
+// neither the heap layout nor which structure holds an event can ever leak
+// into results.
 package eventsim
 
 import (
@@ -30,9 +37,10 @@ type Handler func(sim *Simulator)
 // the horizon was reached.
 var ErrStopped = errors.New("eventsim: simulation stopped")
 
-// event is a single queued callback. Records are pooled: once an event fires
-// or is swept by compaction its record returns to the simulator's free list
-// with gen advanced, which invalidates every EventID still pointing at it.
+// event is a single queued callback, in the heap or in a lane. Records are
+// pooled: once an event fires or is swept by compaction its record returns to
+// the simulator's free list with gen advanced, which invalidates every EventID
+// still pointing at it.
 type event struct {
 	at       time.Duration
 	schedAt  time.Duration // when Schedule was called (queue-residence metric)
@@ -62,9 +70,10 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// Compaction policy: sweep canceled tombstones out of the queue once they
-// are more than 1/compactFraction of it and at least compactMinCanceled
-// (small queues are cheaper to drain than to rebuild).
+// Compaction policy: sweep canceled tombstones out of the heap and the lanes
+// once they are more than 1/compactFraction of all pending events and at
+// least compactMinCanceled (small queues are cheaper to drain than to
+// rebuild).
 const (
 	compactFraction    = 4
 	compactMinCanceled = 64
@@ -87,21 +96,37 @@ type Simulator struct {
 	// queue is a 4-ary min-heap ordered by (at, seq): children of slot i
 	// live at 4i+1..4i+4. The shallower tree halves the sift-down depth of
 	// the binary layout, and the flat loops need no interface dispatch.
-	queue   []*event
+	queue []*event
+	// lanes are the fixed-delay FIFOs Lane hands out, in creation order;
+	// laneLen counts the events they hold.
+	lanes   []*Lane
+	laneLen int
 	free    []*event // recycled event records
 	seq     uint64
 	stopped bool
 	// processed counts events that actually fired (canceled events excluded).
 	processed uint64
-	// nCanceled counts canceled tombstones still sitting in the queue; when
-	// they exceed len(queue)/compactFraction the queue is compacted so that
-	// schedule/cancel churn cannot grow the queue without bound.
+	// nCanceled counts canceled tombstones still sitting in the heap or a
+	// lane; when they exceed Pending()/compactFraction both are compacted so
+	// that schedule/cancel churn cannot grow the queue without bound.
 	nCanceled int
 	// depthHigh tracks the largest queue depth ever observed; it is plain
 	// kernel state (one int compare per Schedule) so the instrumented
 	// hot path stays free of gauge writes.
 	depthHigh int
 	met       kernelMetrics
+}
+
+// Lane is a FIFO of events that fire a fixed delay after they are scheduled.
+// Obtain one with Simulator.Lane; it belongs to that simulator.
+type Lane struct {
+	s     *Simulator
+	delay time.Duration
+	// ring holds the lane's events oldest first from head; its length is a
+	// power of two and it grows, doubling, only when full.
+	ring []*event
+	head int
+	n    int
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -128,7 +153,7 @@ func (s *Simulator) Instrument(reg *metrics.Registry) {
 	// snapshot time instead of writing a gauge on every Schedule and fire.
 	reg.GaugeFunc("omcast_sim_queue_depth",
 		"Events currently queued, including canceled tombstones.",
-		func() float64 { return float64(len(s.queue)) })
+		func() float64 { return float64(s.Pending()) })
 	reg.GaugeFunc("omcast_sim_queue_depth_high_water",
 		"Largest queue depth observed.",
 		func() float64 { return float64(s.depthHigh) })
@@ -140,9 +165,10 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // Processed returns the number of events that have fired so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending returns the number of events still queued, including canceled
-// events that have been neither popped nor compacted away.
-func (s *Simulator) Pending() int { return len(s.queue) }
+// Pending returns the number of events still queued in the heap and the
+// lanes, including canceled events that have been neither popped nor
+// compacted away.
+func (s *Simulator) Pending() int { return len(s.queue) + s.laneLen }
 
 // alloc takes an event record from the free list, or makes a new one.
 func (s *Simulator) alloc() *event {
@@ -220,11 +246,15 @@ func (s *Simulator) pop() {
 	}
 }
 
-// compact sweeps canceled tombstones out of the queue and re-heapifies the
-// survivors. Heap layout after the rebuild may differ from an insert-order
-// layout, but pop order is fixed by the (at, seq) total order, so compaction
-// is invisible to results.
+// compact sweeps canceled tombstones out of the heap and the lanes, and
+// re-heapifies the heap's survivors. Heap layout after the rebuild may differ
+// from an insert-order layout, but pop order is fixed by the (at, seq) total
+// order, so compaction is invisible to results. A lane keeps its survivors in
+// place, in order.
 func (s *Simulator) compact() {
+	for _, l := range s.lanes {
+		l.sweep()
+	}
 	q := s.queue
 	kept := q[:0]
 	for _, ev := range q {
@@ -250,11 +280,20 @@ func (s *Simulator) compact() {
 // the past (before Now) are clamped to Now, so the event fires next. The
 // returned EventID can be passed to Cancel.
 func (s *Simulator) Schedule(at time.Duration, handler Handler) EventID {
-	if handler == nil {
-		panic("eventsim: Schedule called with nil handler")
-	}
 	if at < s.now {
 		at = s.now
+	}
+	ev := s.newEvent(at, handler)
+	s.queue = append(s.queue, ev)
+	s.siftUp(len(s.queue) - 1)
+	s.noteDepth()
+	return EventID{ev: ev, gen: ev.gen}
+}
+
+// newEvent fills a pooled record for handler at time at with the next seq.
+func (s *Simulator) newEvent(at time.Duration, handler Handler) *event {
+	if handler == nil {
+		panic("eventsim: Schedule called with nil handler")
 	}
 	ev := s.alloc()
 	ev.at = at
@@ -263,13 +302,100 @@ func (s *Simulator) Schedule(at time.Duration, handler Handler) EventID {
 	ev.canceled = false
 	ev.handler = handler
 	s.seq++
-	s.queue = append(s.queue, ev)
-	s.siftUp(len(s.queue) - 1)
-	if len(s.queue) > s.depthHigh {
-		s.depthHigh = len(s.queue)
-	}
 	s.met.scheduled.Inc()
+	return ev
+}
+
+// noteDepth raises the high-water mark to the current queue depth.
+func (s *Simulator) noteDepth() {
+	if p := s.Pending(); p > s.depthHigh {
+		s.depthHigh = p
+	}
+}
+
+// Lane returns the simulator's FIFO lane for events that fire delay after
+// they are scheduled, creating it on first use; every call with the same
+// delay returns the same lane. Negative delays are clamped to zero.
+func (s *Simulator) Lane(delay time.Duration) *Lane {
+	delay = max(delay, 0)
+	for _, l := range s.lanes {
+		if l.delay == delay {
+			return l
+		}
+	}
+	l := &Lane{s: s, delay: delay}
+	s.lanes = append(s.lanes, l)
+	return l
+}
+
+// Schedule registers handler to fire the lane's delay after the current time:
+// ScheduleAfter with the lane's delay, firing in the same (at, seq) order,
+// without the heap's O(log n) sift. It returns an EventID for Cancel.
+func (l *Lane) Schedule(handler Handler) EventID {
+	s := l.s
+	at := s.now + l.delay
+	if at < s.now || l.n > 0 && l.ring[(l.head+l.n-1)&(len(l.ring)-1)].at > at {
+		// The delay overflowed, or Run(horizon) set the clock back below an
+		// earlier Schedule: the lane would fall out of order, so the heap
+		// takes the event.
+		return s.Schedule(at, handler)
+	}
+	ev := s.newEvent(at, handler)
+	if l.n == len(l.ring) {
+		grown := make([]*event, max(16, 2*len(l.ring)))
+		for i := range l.n {
+			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = grown, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+	s.laneLen++
+	s.noteDepth()
 	return EventID{ev: ev, gen: ev.gen}
+}
+
+// pop removes the lane's head. The caller still holds the popped *event.
+func (l *Lane) pop() {
+	l.ring[l.head] = nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	l.s.laneLen--
+}
+
+// sweep drops the lane's canceled events, keeping the rest in order.
+func (l *Lane) sweep() {
+	mask, kept := len(l.ring)-1, 0
+	for i := range l.n {
+		ev := l.ring[(l.head+i)&mask]
+		l.ring[(l.head+i)&mask] = nil
+		if ev.canceled {
+			l.s.recycle(ev)
+			continue
+		}
+		l.ring[(l.head+kept)&mask] = ev
+		kept++
+	}
+	l.s.laneLen -= l.n - kept
+	l.n = kept
+}
+
+// next returns the earliest pending event and the lane holding it, or a nil
+// lane when it is the heap's top; nil when nothing is pending.
+func (s *Simulator) next() (*event, *Lane) {
+	var next *event
+	if len(s.queue) > 0 {
+		next = s.queue[0]
+	}
+	var from *Lane
+	for _, l := range s.lanes {
+		if l.n > 0 {
+			if ev := l.ring[l.head]; next == nil || less(ev, next) {
+				next, from = ev, l
+			}
+		}
+	}
+	return next, from
 }
 
 // ScheduleAfter registers handler to fire delay after the current time.
@@ -292,7 +418,7 @@ func (s *Simulator) Cancel(id EventID) bool {
 	id.ev.canceled = true
 	s.nCanceled++
 	s.met.canceled.Inc()
-	if s.nCanceled >= compactMinCanceled && s.nCanceled*compactFraction > len(s.queue) {
+	if s.nCanceled >= compactMinCanceled && s.nCanceled*compactFraction > s.Pending() {
 		s.compact()
 	}
 	return true
@@ -306,15 +432,22 @@ func (s *Simulator) Stop() { s.stopped = true }
 // returns ErrStopped if Stop was called, otherwise nil.
 func (s *Simulator) Run(horizon time.Duration) error {
 	s.stopped = false
-	for len(s.queue) > 0 {
-		next := s.queue[0]
+	for {
+		next, lane := s.next()
+		if next == nil {
+			break
+		}
 		if next.at > horizon {
 			// Leave future events queued; advance the clock to the horizon
 			// so a subsequent Run continues from there.
 			s.now = horizon
 			return nil
 		}
-		s.pop()
+		if lane != nil {
+			lane.pop()
+		} else {
+			s.pop()
+		}
 		if next.canceled {
 			s.nCanceled--
 			s.recycle(next)

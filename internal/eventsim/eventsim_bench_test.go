@@ -56,3 +56,37 @@ func BenchmarkScheduleCancelChurn(b *testing.B) {
 		sim.Cancel(id)
 	}
 }
+
+// BenchmarkPeriodicTimers measures the regime lanes exist for: 10k timers,
+// 1 ms apart, each re-arming itself with the same 10 s delay when it fires,
+// as every member's switching check does. One iteration fires one timer and
+// re-arms it, through the heap (ScheduleAfter) or through a lane.
+func BenchmarkPeriodicTimers(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*Simulator, Handler)
+	}{
+		{"heap", func(s *Simulator, h Handler) { s.ScheduleAfter(10*time.Second, h) }},
+		{"lane", func(s *Simulator, h Handler) { s.Lane(10 * time.Second).Schedule(h) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sim := New()
+			var rearm Handler
+			rearm = func(s *Simulator) { tc.arm(s, rearm) }
+			for i := 0; i < 10000; i++ {
+				sim.Schedule(time.Duration(i)*time.Millisecond, rearm)
+			}
+			at := 10 * time.Second // every timer has re-armed once
+			if err := sim.Run(at); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at += time.Millisecond
+				if err := sim.Run(at); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

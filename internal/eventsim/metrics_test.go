@@ -83,3 +83,46 @@ func TestUninstrumentedKernelUnchanged(t *testing.T) {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 }
+
+// TestQueueDepthCountsLanes pins that lane events are queue depth like heap
+// events: Pending and both depth gauges, which a run's metrics snapshot
+// reads, count the events in every lane, and tombstones in a lane too.
+func TestQueueDepthCountsLanes(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sim := New()
+	sim.Instrument(reg)
+	noop := func(*Simulator) {}
+	depth := func() (pending int, gauge, high float64) {
+		snap := reg.Snapshot(sim.Now().Seconds())
+		return sim.Pending(), findMetric(snap, "omcast_sim_queue_depth").Value,
+			findMetric(snap, "omcast_sim_queue_depth_high_water").Value
+	}
+	check := func(wantPending int, wantHigh float64) {
+		t.Helper()
+		if p, g, h := depth(); p != wantPending || g != float64(wantPending) || h != wantHigh {
+			t.Fatalf("Pending %d, depth gauge %v, high water %v; want %d, %d, %v", p, g, h, wantPending, wantPending, wantHigh)
+		}
+	}
+	sim.Schedule(3*time.Second, noop)
+	sim.Lane(time.Second).Schedule(noop)
+	victim := sim.Lane(time.Second).Schedule(noop)
+	sim.Lane(2 * time.Second).Schedule(noop)
+	check(4, 4)
+	sim.Cancel(victim) // a tombstone is still queued
+	check(4, 4)
+	if err := sim.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check(2, 4) // the 1 s lane drained, tombstone included
+	sim.Lane(time.Second).Schedule(noop)
+	sim.Lane(time.Second).Schedule(noop)
+	sim.Lane(time.Second).Schedule(noop)
+	check(5, 5)
+	if err := sim.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	check(0, 5)
+	if got := sim.Processed(); got != 6 {
+		t.Fatalf("Processed = %d, want 6", got)
+	}
+}

@@ -382,7 +382,7 @@ func (s *Session) joinTree(p *participant, t int, now time.Duration) {
 	}
 	if err := s.joins[t].Join(s.trees[t], m, now); err != nil {
 		if errors.Is(err, construct.ErrNoParent) {
-			s.sim.ScheduleAfter(5*time.Second, func(sim *eventsim.Simulator) {
+			s.sim.Lane(5 * time.Second).Schedule(func(sim *eventsim.Simulator) {
 				s.joinTree(p, t, sim.Now())
 			})
 			return

@@ -924,10 +924,16 @@ func backoffDelay(base, max time.Duration, streak int, rng *xrand.Source) time.D
 }
 
 // nextJoinDelay advances the join backoff one step and returns the jittered
-// wait before the next attempt.
+// wait before the next attempt. An Accept can land between tryJoin and this
+// call; the node is then attached with its streak just reset, so it waits one
+// heartbeat, as joinLoop does for an attached node, and leaves the streak at
+// zero for the next detachment.
 func (n *Node) nextJoinDelay() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.attached {
+		return n.cfg.HeartbeatInterval
+	}
 	d := backoffDelay(n.tm.joinBackoffBase, n.tm.joinBackoffMax, n.joinStreak, n.joinRng)
 	n.joinStreak++
 	n.met.joinBackoff.Set(d.Seconds())

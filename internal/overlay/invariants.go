@@ -157,8 +157,7 @@ func (t *Tree) checkLocal(i int32) error {
 		}
 	}
 	if m != t.root {
-		oi := t.orderIdx[i]
-		if !holds(t.order, oi, m) {
+		if oi := t.orderIdx[i]; oi < 0 || int(oi) >= len(t.order) || t.order[oi] != i {
 			return fmt.Errorf("overlay: member %d missing from the order index", m.ID)
 		}
 	}

@@ -181,8 +181,15 @@ func (m *Member) OutDegree() int {
 	return int(m.Bandwidth)
 }
 
-// SpareDegree returns how many more children the member can accept.
-func (m *Member) SpareDegree() int { return m.OutDegree() - m.NumChildren() }
+// SpareDegree returns how many more children the member can accept: the
+// degree the tree cached at NewMember less its children, which is the bound
+// Attach enforces. A removed member accepts none.
+func (m *Member) SpareDegree() int {
+	if m.tree == nil || m.idx < 0 {
+		return 0
+	}
+	return int(m.tree.outDeg[m.idx] - m.tree.kidCount[m.idx])
+}
 
 // HasSpare reports whether the member can accept one more child.
 func (m *Member) HasSpare() bool { return m.SpareDegree() > 0 }
@@ -252,9 +259,10 @@ type Tree struct {
 	free    []int32
 	idToIdx []int32
 
-	// order lists attached and detached live members for O(1) sampling
-	// (the root excluded); levels[d] lists attached members at depth d.
-	order  []*Member
+	// order lists the slots of attached and detached live members for O(1)
+	// sampling (the root excluded); levels[d] lists attached members at
+	// depth d.
+	order  []int32
 	levels [][]*Member
 	// lx is the per-level summary the relaxed BO/TO joins read instead of
 	// scanning levels; nil until LevelIndex first builds it.
@@ -268,15 +276,16 @@ type Tree struct {
 	attachedCount int
 	levelCount    int
 
-	// sampleSeen/sampleEpoch replace Sample's per-call dedup map: an index
-	// is "drawn this call" iff sampleSeen[i] == sampleEpoch. Bumping the
-	// epoch clears every stamp at once, so the buffer is reused across
+	// sampleSeen/sampleEpoch replace SampleSlots' per-call dedup map: an
+	// index is "drawn this call" iff sampleSeen[i] == sampleEpoch. Bumping
+	// the epoch clears every stamp at once, so the buffer is reused across
 	// calls without touching its contents. It grows geometrically: members
 	// arrive one at a time, so sizing it to exactly len(order) would re-make
-	// it on every join. sampleOut is the reusable result buffer (Sample
-	// returns a full-capacity slice of it).
+	// it on every join. sampleSlots and sampleOut are Sample's reusable
+	// buffers (it returns a full-capacity slice of sampleOut).
 	sampleSeen  []uint32
 	sampleEpoch uint32
+	sampleSlots []int32
 	sampleOut   []*Member
 
 	// Incremental invariant tracking: every structural mutation stamps the
@@ -395,13 +404,15 @@ func (t *Tree) Slots() int { return len(t.handle) }
 type SlotView struct {
 	parent   []int32
 	depth    []int32
+	kidCount []int32
+	outDeg   []int32
 	attached []bool
 	handle   []*Member
 }
 
 // SlotView returns a view of the tree's current slot arrays.
 func (t *Tree) SlotView() SlotView {
-	return SlotView{parent: t.parent, depth: t.depth, attached: t.attached, handle: t.handle}
+	return SlotView{parent: t.parent, depth: t.depth, kidCount: t.kidCount, outDeg: t.outDeg, attached: t.attached, handle: t.handle}
 }
 
 // Parent returns the slot of i's parent, or -1 for the root and detached
@@ -413,6 +424,10 @@ func (v *SlotView) Depth(i int32) int32 { return v.depth[i] }
 
 // Attached reports whether slot i has a position in the tree.
 func (v *SlotView) Attached(i int32) bool { return v.attached[i] }
+
+// HasSpare reports whether slot i can accept one more child: Member.HasSpare
+// without the handle.
+func (v *SlotView) HasSpare(i int32) bool { return v.kidCount[i] < v.outDeg[i] }
 
 // Member returns the member occupying slot i, or nil for a free slot.
 func (v *SlotView) Member(i int32) *Member { return v.handle[i] }
@@ -439,7 +454,7 @@ func (t *Tree) byHandle(m *Member) bool {
 func (t *Tree) NewMember(attach topology.NodeID, bandwidth float64, now time.Duration) *Member {
 	m := t.newMemberAt(attach, bandwidth, now)
 	t.orderIdx[m.idx] = int32(len(t.order))
-	t.order = append(t.order, m)
+	t.order = append(t.order, m.idx)
 	return m
 }
 
@@ -632,8 +647,8 @@ func (t *Tree) MoveSubtree(m, newParent *Member) error {
 // unspecified order (the source included).
 func (t *Tree) VisitMembers(fn func(*Member)) {
 	fn(t.root)
-	for _, m := range t.order {
-		fn(m)
+	for _, i := range t.order {
+		fn(t.handle[i])
 	}
 }
 
@@ -714,36 +729,32 @@ func (t *Tree) Level(d int) []*Member {
 	return t.levels[d]
 }
 
-// Sample returns up to n distinct live members drawn uniformly at random,
-// excluding the root and the given member. This models a joining node's
-// bounded membership discovery ("until it obtains a certain number, say 100,
-// of known members").
+// SampleSlots appends to dst the slots of up to n distinct live members
+// drawn uniformly at random, excluding the root and the member in slot
+// exclude (-1 excludes nobody), and returns the extended slice. This models a
+// joining node's bounded membership discovery ("until it obtains a certain
+// number, say 100, of known members"). The slots are valid until the tree's
+// next mutation, like a SlotView.
 //
-// The returned slice is backed by a tree-owned scratch buffer and is valid
-// only until the next Sample call; its capacity equals its length, so a
-// caller that appends cannot scribble into the scratch — it pays an
-// allocation instead, so callers that extend or retain the members copy them
-// into a buffer of their own (construct.Env.candidates does).
-func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
+// When n covers the whole membership every member is listed in order, with no
+// draw. Otherwise members are drawn with rejection: a partial Fisher-Yates
+// over a scratch index space would disturb the order list, and rejection is
+// cheap because n << len(order) in the overlay regime (100 out of thousands).
+// Duplicates are detected with the tree's epoch-stamped scratch, which keeps
+// the accept/reject sequence of a dedup map, and the draw gives up after 20n
+// attempts, so the run of the stream a call consumes is bounded.
+func (t *Tree) SampleSlots(rng *xrand.Source, n int, exclude int32, dst []int32) []int32 {
 	if n <= 0 || len(t.order) == 0 {
-		return nil
+		return dst
 	}
 	if n >= len(t.order) {
-		out := t.sampleBuf(len(t.order))
-		for _, m := range t.order {
-			if m != exclude {
-				out = append(out, m)
+		for _, i := range t.order {
+			if i != exclude {
+				dst = append(dst, i)
 			}
 		}
-		t.sampleOut = out
-		return out[:len(out):len(out)]
+		return dst
 	}
-	// Partial Fisher-Yates over a scratch index space would disturb t.order;
-	// instead draw with rejection, which is cheap because n << len(order) in
-	// the overlay regime (100 out of thousands). Duplicates are detected
-	// with the tree's epoch-stamped scratch buffer: same accept/reject
-	// sequence as a dedup map (so the RNG stream is untouched) without the
-	// per-call map allocations.
 	if len(t.sampleSeen) < len(t.order) {
 		t.sampleSeen = make([]uint32, max(len(t.order), 2*len(t.sampleSeen)))
 		t.sampleEpoch = 0
@@ -753,32 +764,43 @@ func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
 		clear(t.sampleSeen)
 		t.sampleEpoch = 1
 	}
-	out := t.sampleBuf(n)
-	attempts := 0
-	maxAttempts := 20 * n
-	for len(out) < n && attempts < maxAttempts {
-		attempts++
-		i := rng.Intn(len(t.order))
-		if t.sampleSeen[i] == t.sampleEpoch {
+	want := len(dst) + n
+	for attempts := 0; len(dst) < want && attempts < 20*n; attempts++ {
+		k := rng.Intn(len(t.order))
+		if t.sampleSeen[k] == t.sampleEpoch {
 			continue
 		}
-		t.sampleSeen[i] = t.sampleEpoch
-		if t.order[i] == exclude {
-			continue
+		t.sampleSeen[k] = t.sampleEpoch
+		if i := t.order[k]; i != exclude {
+			dst = append(dst, i)
 		}
-		out = append(out, t.order[i])
+	}
+	return dst
+}
+
+// Sample is SampleSlots for callers that want handles and exclude by one: it
+// draws exactly the same members and returns nil when SampleSlots would draw
+// nothing at all (n <= 0 or no member but the source).
+//
+// The returned slice is backed by a tree-owned scratch buffer and is valid
+// only until the next Sample call; its capacity equals its length, so a
+// caller that appends cannot scribble into the scratch — it pays an
+// allocation instead.
+func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
+	if n <= 0 || len(t.order) == 0 {
+		return nil
+	}
+	ex := none
+	if t.byHandle(exclude) {
+		ex = exclude.idx
+	}
+	t.sampleSlots = t.SampleSlots(rng, n, ex, t.sampleSlots[:0])
+	out := t.sampleOut[:0]
+	for _, i := range t.sampleSlots {
+		out = append(out, t.handle[i])
 	}
 	t.sampleOut = out
 	return out[:len(out):len(out)]
-}
-
-// sampleBuf returns the empty reusable sample output buffer with capacity for
-// at least n members.
-func (t *Tree) sampleBuf(n int) []*Member {
-	if cap(t.sampleOut) < n {
-		t.sampleOut = make([]*Member, 0, n)
-	}
-	return t.sampleOut[:0]
 }
 
 // RecordFailure increments the disruption counter of every attached member
@@ -947,8 +969,7 @@ func (t *Tree) orderRemove(n int32) {
 	last := len(t.order) - 1
 	moved := t.order[last]
 	t.order[t.orderIdx[n]] = moved
-	t.orderIdx[moved.idx] = t.orderIdx[n]
-	t.order[last] = nil
+	t.orderIdx[moved] = t.orderIdx[n]
 	t.order = t.order[:last]
 	t.orderIdx[n] = none
 }

@@ -185,9 +185,13 @@ func (p *Protocol) Start(sim *eventsim.Simulator, m *overlay.Member) {
 	p.scheduleCheck(sim, m, p.cfg.SwitchInterval)
 }
 
+// scheduleCheck arms m's next switching check. Both delays it is called with
+// (the switch interval and the lock back-off) are per-session constants, so
+// the timer goes on the kernel's FIFO lane for that delay: one periodic
+// timer per member is most of a large run's queue.
 func (p *Protocol) scheduleCheck(sim *eventsim.Simulator, m *overlay.Member, after time.Duration) {
 	id := m.ID
-	sim.ScheduleAfter(after, func(s *eventsim.Simulator) {
+	sim.Lane(after).Schedule(func(s *eventsim.Simulator) {
 		p.check(s, id)
 	})
 }
@@ -288,7 +292,7 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member)
 	mID, parentID := m.ID, parent.ID
 	sp := p.trace.Start(tracing.KindSwitch, int64(m.ID), now).
 		AttrInt("parent", int64(parentID)).AttrInt("depth", int64(m.Depth()))
-	sim.ScheduleAfter(p.cfg.SwitchLatency, func(s *eventsim.Simulator) {
+	sim.Lane(p.cfg.SwitchLatency).Schedule(func(s *eventsim.Simulator) {
 		p.completeSwitch(s, op, mID, parentID, lockSet, sp)
 	})
 	return switchStarted
@@ -427,7 +431,7 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 // retryJoin periodically re-attempts a rejoin for a member stranded by a
 // saturated overlay.
 func (p *Protocol) retryJoin(sim *eventsim.Simulator, id overlay.MemberID) {
-	sim.ScheduleAfter(5*time.Second, func(s *eventsim.Simulator) {
+	sim.Lane(5 * time.Second).Schedule(func(s *eventsim.Simulator) {
 		m := p.tree.Member(id)
 		if m == nil || m.Attached() {
 			return
