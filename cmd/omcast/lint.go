@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -13,33 +12,28 @@ import (
 
 // cmdLint enforces the repository's determinism, simulation-safety and
 // input-hardening invariants (see internal/lint). It loads and type-checks
-// every package in the module using only the standard library, builds the
-// module call graph, runs the typed rule set — syntactic scope rules plus
-// taint tracking, transitive handler purity and lock discipline — and
-// reports diagnostics.
+// every package in the module using only the standard library, runs every
+// rule over the whole module — atom scope rules plus taint tracking,
+// transitive handler purity and lock discipline — and prints the findings in
+// the packages the patterns select.
 //
 //	omcast lint ./...              # lint the whole module
-//	omcast lint ./internal/...     # lint a subtree
+//	omcast lint ./internal/...     # print findings in a subtree only
 //	omcast lint -list              # describe the rules
-//	omcast lint -enable wire-taint ./...
-//	omcast lint -disable map-order ./...
 //	omcast lint -format sarif -o lint.sarif ./...
 //	omcast lint -stats ./...
 //
-// Exit status: 0 when clean, 1 when findings were reported, 2 on load or
+// Exit status: 0 when clean, 1 when findings were printed, 2 on load or
 // usage errors. Findings are suppressed in source with
 // //lint:ignore <rule> reason: <justification> on the offending line or the
-// line above; the stale-suppression audit (full-rule-set runs only) flags
-// directives that no longer silence anything.
+// line above; the stale-suppression audit flags directives that no longer
+// silence anything.
 func cmdLint(args []string) int {
 	fs := newFlags("lint")
 	list := fs.Bool("list", false, "list the rules and exit")
-	enable := fs.String("enable", "", "comma-separated rule names to run exclusively")
-	disable := fs.String("disable", "", "comma-separated rule names to skip")
-	format := fs.String("format", "text", "output format: text, json, sarif")
+	format := fs.String("format", "text", "output format: text or sarif")
 	outPath := fs.String("o", "", "write findings to this file instead of stdout")
 	stats := fs.Bool("stats", false, "print per-rule finding counts and wall time to stderr")
-	statsJSON := fs.String("stats-json", "", "write per-rule statistics as JSON to this file")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -49,19 +43,8 @@ func cmdLint(args []string) int {
 		}
 		return 0
 	}
-
-	cfg := lint.DefaultConfig()
-	var err error
-	if cfg.Enabled, err = splitRules(*enable, "-enable"); err != nil {
-		return fail(2, "lint", "%v", err)
-	}
-	if cfg.Disabled, err = splitRules(*disable, "-disable"); err != nil {
-		return fail(2, "lint", "%v", err)
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		return fail(2, "lint", "unknown -format %q (want text, json or sarif)", *format)
+	if *format != "text" && *format != "sarif" {
+		return fail(2, "lint", "unknown -format %q (want text or sarif)", *format)
 	}
 
 	cwd, err := os.Getwd()
@@ -81,24 +64,27 @@ func cmdLint(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	selected, err := selectPackages(pkgs, patterns, cwd)
+	dirs, err := selectDirs(pkgs, patterns, cwd)
 	if err != nil {
 		return fail(2, "lint", "%v", err)
 	}
 
-	res := lint.RunAnalysis(selected, cfg)
+	res := lint.Run(pkgs)
+	var diags []lint.Diagnostic
+	for _, d := range res.Diags {
+		if dirs[filepath.Dir(d.Pos.Filename)] {
+			diags = append(diags, d)
+		}
+	}
 
 	if *outPath == "" {
 		*outPath = "-"
 	}
 	err = writeTo(*outPath, func(out io.Writer) error {
-		switch *format {
-		case "json":
-			return lint.WriteJSON(out, res.Diags, root)
-		case "sarif":
-			return lint.WriteSARIF(out, res.Diags, root)
+		if *format == "sarif" {
+			return lint.WriteSARIF(out, diags, root)
 		}
-		for _, d := range res.Diags {
+		for _, d := range diags {
 			file := d.Pos.Filename
 			if rel, rerr := filepath.Rel(cwd, file); rerr == nil && !strings.HasPrefix(rel, "..") {
 				file = rel
@@ -114,69 +100,30 @@ func cmdLint(args []string) int {
 	if *stats {
 		lint.WriteStats(os.Stderr, res)
 	}
-	if *statsJSON != "" {
-		err := writeTo(*statsJSON, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(struct {
-				TotalMillis float64         `json:"total_ms"`
-				Rules       []lint.RuleStat `json:"rules"`
-			}{res.TotalMillis, res.Stats})
-		})
-		if err != nil {
-			return fail(2, "lint", "%v", err)
-		}
-	}
-	if len(res.Diags) > 0 {
-		return fail(1, "lint", "%d finding(s)", len(res.Diags))
+	if len(diags) > 0 {
+		return fail(1, "lint", "%d finding(s)", len(diags))
 	}
 	return 0
 }
 
-// splitRules parses a comma-separated rule list, rejecting unknown names.
-func splitRules(s, flagName string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	known := make(map[string]bool)
-	for _, name := range lint.RuleNames() {
-		known[name] = true
-	}
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			if !known[name] {
-				return nil, fmt.Errorf("unknown rule %q in %s (see -list)", name, flagName)
-			}
-			out = append(out, name)
-		}
-	}
-	return out, nil
-}
-
-// selectPackages filters loaded packages by go-tool-style patterns: "./..."
-// (everything below the pattern's directory), a relative directory, or a full
-// import path.
-func selectPackages(pkgs []*lint.Package, patterns []string, cwd string) ([]*lint.Package, error) {
-	var out []*lint.Package
-	seen := make(map[string]bool)
+// selectDirs resolves go-tool-style patterns against the loaded packages —
+// "./..." (everything below the pattern's directory), a relative directory,
+// or a full import path — to the set of selected package directories.
+func selectDirs(pkgs []*lint.Package, patterns []string, cwd string) (map[string]bool, error) {
+	dirs := make(map[string]bool)
 	for _, pat := range patterns {
 		matched := false
 		for _, pkg := range pkgs {
-			if !matchPattern(pkg, pat, cwd) {
-				continue
-			}
-			matched = true
-			if !seen[pkg.Path] {
-				seen[pkg.Path] = true
-				out = append(out, pkg)
+			if matchPattern(pkg, pat, cwd) {
+				matched = true
+				dirs[pkg.Dir] = true
 			}
 		}
 		if !matched {
 			return nil, fmt.Errorf("pattern %q matched no packages", pat)
 		}
 	}
-	return out, nil
+	return dirs, nil
 }
 
 func matchPattern(pkg *lint.Package, pat, cwd string) bool {

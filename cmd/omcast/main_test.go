@@ -49,6 +49,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"chaos unknown flag", []string{"chaos", "-bogus"}},
 		{"chaos unknown scenario", []string{"chaos", "-scenario", "nope"}},
 		{"lint unknown flag", []string{"lint", "-bogus"}},
+		{"lint json format", []string{"lint", "-format", "json"}},
+		{"lint enable rule", []string{"lint", "-enable", "wire-taint"}},
 		{"node unknown flag", []string{"node", "-bogus"}},
 		{"topo unknown flag", []string{"topo", "-bogus"}},
 		{"trace unknown flag", []string{"trace", "-bogus"}},
@@ -73,6 +75,21 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 	if len(commands) != 7 {
 		t.Errorf("%d subcommands, want 7", len(commands))
+	}
+}
+
+// TestLintSubtreeIsClean: a package pattern chooses which findings are
+// printed, not what is analysed. The benchmark's two handler-purity
+// suppressions cover code reached only from churn's handlers, outside the
+// subtree; analysing the subtree alone reports both as stale.
+func TestLintSubtreeIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping whole-module load in -short mode")
+	}
+	var code int
+	stderr := captureStderr(t, func() { code = cmdLint([]string{"../../benchmark/..."}) })
+	if code != 0 {
+		t.Fatalf("omcast lint ../../benchmark/... = %d, want 0\n%s", code, stderr)
 	}
 }
 

@@ -117,7 +117,6 @@ func rootPathSet(self *overlay.Member, extra map[overlay.MemberID]bool) map[over
 	for p := self.Parent(); p != nil; p = p.Parent() {
 		banned[p.ID] = true
 	}
-	//lint:ignore map-order reason: set union; insertion order cannot matter
 	for id := range extra {
 		banned[id] = true
 	}

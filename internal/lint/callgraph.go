@@ -7,70 +7,142 @@ import (
 	"go/types"
 )
 
-// Module is one analysis unit: every loaded package plus the lazily built
-// function index and conservative intra-module call graph the typed rules
-// share. All packages of one Module must come from a single Load/LoadDir call
-// (they share a FileSet).
+// Module is one analysis unit: every loaded package, the index of its
+// declared functions, the impurity atoms of every file and the conservative
+// intra-module call graph over them, all built by one walk in newModule. All
+// packages of one Module must come from a single Load/LoadDir call (they
+// share a FileSet).
 type Module struct {
 	// Pkgs are the loaded packages, sorted by import path.
 	Pkgs []*Package
 
-	g *callGraph
+	// funcs indexes every declared function or method with a body, in
+	// package, file and declaration order. wire-taint and lock-discipline
+	// walk these bodies; they are also the call graph's declared nodes.
+	funcs []*fnNode
+	// roots are the handler-shaped functions: declared ones in funcs order,
+	// then handler literals in walk order.
+	roots []*fnNode
+	byObj map[*types.Func]*fnNode
+	// methodsByName indexes module methods for interface-call resolution.
+	methodsByName map[string][]*fnNode
+	// atoms are every file's impurity atoms in walk order, inside function
+	// bodies or not.
+	atoms []atom
 }
 
-func newModule(pkgs []*Package) *Module {
-	return &Module{Pkgs: pkgs}
-}
-
-func (m *Module) fset() *token.FileSet {
-	if len(m.Pkgs) == 0 {
-		return token.NewFileSet()
-	}
-	return m.Pkgs[0].Fset
-}
-
-// graph builds (once) and returns the module call graph.
-func (m *Module) graph() *callGraph {
-	if m.g == nil {
-		m.g = buildCallGraph(m)
-	}
-	return m.g
-}
-
-// atomKind classifies the impurity atoms the transitive handler-purity rule
-// looks for.
+// atomKind classifies the impurity atoms the scope rules and handler-purity
+// filter.
 type atomKind int
 
 const (
 	atomWallclock  atomKind = iota // time.Now / time.Since / timers
-	atomGo                         // go statement
 	atomGlobalRand                 // package-level math/rand call
 	atomCryptoRand                 // crypto/rand entropy
+	atomGo                         // go statement
+	atomSelect                     // select statement
+	atomSend                       // channel send
+	atomRecv                       // channel receive
+	atomChanType                   // channel type
+	atomSync                       // sync or sync/atomic identifier
 )
 
-// atom is one impurity occurrence inside a function body.
+// atom is one impurity occurrence.
 type atom struct {
 	kind atomKind
 	pos  token.Pos
-	// text names the offending construct for the diagnostic ("time.Now").
+	// text names the offending construct for diagnostics ("time.Now").
 	text string
+	pkg  *Package
 }
 
-// fnNode is one function in the call graph: a declared function or method, or
-// a handler-shaped function literal (which gets its own node because it is a
-// reachability root). Bodies of non-handler literals are attributed to their
+// wallclockFuncs are the time functions that read or observe the wall clock
+// (or create wall-clock-driven timers). Pure-value helpers such as
+// time.Duration arithmetic, time.Unix and the formatting API stay legal.
+var wallclockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"Tick": true, "After": true, "AfterFunc": true,
+	"NewTimer": true, "NewTicker": true,
+}
+
+// globalRandFuncs are the package-level math/rand functions backed by the
+// shared global source. Constructors (New, NewSource, NewZipf) remain legal:
+// seeded *rand.Rand streams are exactly what internal/xrand threads through
+// the simulation.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
+	// math/rand/v2 additions, should the module ever migrate.
+	"N": true, "IntN": true, "Int32": true, "Int32N": true, "Int64N": true,
+	"Uint32N": true, "Uint64N": true, "UintN": true, "Uint": true,
+}
+
+// atomOf is the analyzer's one impurity classifier: it decides whether a
+// syntax node reads the wall clock, draws global or hardware entropy, or
+// uses concurrency.
+func atomOf(pkg *Package, n ast.Node) (atom, bool) {
+	a := atom{pos: n.Pos(), pkg: pkg}
+	switch n := n.(type) {
+	case *ast.GoStmt:
+		a.kind, a.text = atomGo, "go statement"
+	case *ast.SelectStmt:
+		a.kind, a.text = atomSelect, "select statement"
+	case *ast.SendStmt:
+		a.kind, a.text = atomSend, "channel send"
+	case *ast.UnaryExpr:
+		if n.Op != token.ARROW {
+			return a, false
+		}
+		a.kind, a.text = atomRecv, "channel receive"
+	case *ast.ChanType:
+		a.kind, a.text = atomChanType, "channel type"
+	case *ast.SelectorExpr:
+		switch p, name := pkgNameUse(pkg, n.X), n.Sel.Name; {
+		case p == "time" && wallclockFuncs[name]:
+			a.kind, a.text = atomWallclock, "time."+name
+		case (p == "math/rand" || p == "math/rand/v2") && globalRandFuncs[name]:
+			a.kind, a.text = atomGlobalRand, "rand."+name
+		case p == "crypto/rand":
+			a.kind, a.text = atomCryptoRand, "crypto/rand."+name
+		case p == "sync" || p == "sync/atomic":
+			a.kind, a.text = atomSync, "sync."+name
+		default:
+			return a, false
+		}
+	default:
+		return a, false
+	}
+	return a, true
+}
+
+// pkgNameUse resolves an expression to the import path of the package it
+// names, or "" when the expression is not a package qualifier.
+func pkgNameUse(pkg *Package, expr ast.Expr) string {
+	id, ok := expr.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
+		return pn.Imported().Path()
+	}
+	return ""
+}
+
+// fnNode is one function in the call graph: a declared function or method,
+// or a handler-shaped function literal (which gets its own node because it is
+// a reachability root). Bodies of non-handler literals are attributed to their
 // enclosing function — a closure is almost always called by its creator, and
 // when it is instead stored and invoked elsewhere the attribution stays
 // conservative (reachable-from-creator), never unsound for the creator chain.
 type fnNode struct {
-	// obj is the declared function object; nil for literal roots.
-	obj *types.Func
 	pkg *Package
+	// decl and obj are nil for handler literals.
+	decl *ast.FuncDecl
+	obj  *types.Func
 	// name is the display name used in call-path diagnostics.
-	name string
-	pos  token.Pos
-	// handler marks reachability roots: the eventsim.Handler signature.
-	handler bool
+	name    string
 	atoms   []atom
 	calls   []*fnNode
 	callSet map[*fnNode]bool
@@ -87,7 +159,8 @@ func (f *fnNode) addCall(callee *fnNode) {
 	f.calls = append(f.calls, callee)
 }
 
-// callGraph is the conservative static call graph of one module.
+// newModule indexes the declared functions, then walks every file once,
+// recording atoms and call edges.
 //
 // Edges come from three resolutions:
 //   - direct calls to module functions and methods (via Info.Uses);
@@ -99,20 +172,13 @@ func (f *fnNode) addCall(callee *fnNode) {
 // Known false-negative edge: a function VALUE passed around and called via a
 // plain identifier (f := pick(); f()) produces no edge — tracking value flow
 // of function objects is out of scope. DESIGN.md §13 documents this.
-type callGraph struct {
-	nodes []*fnNode
-	byObj map[*types.Func]*fnNode
-	// methodsByName indexes module methods for interface-call resolution.
-	methodsByName map[string][]*fnNode
-}
-
-func buildCallGraph(m *Module) *callGraph {
-	g := &callGraph{
+func newModule(pkgs []*Package) *Module {
+	m := &Module{
+		Pkgs:          pkgs,
 		byObj:         make(map[*types.Func]*fnNode),
 		methodsByName: make(map[string][]*fnNode),
 	}
-	// Pass 1: a node per declared function/method with a body.
-	for _, pkg := range m.Pkgs {
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -123,126 +189,91 @@ func buildCallGraph(m *Module) *callGraph {
 				if !ok {
 					continue
 				}
-				n := &fnNode{
-					obj:     obj,
-					pkg:     pkg,
-					name:    displayName(obj),
-					pos:     fd.Pos(),
-					handler: isHandlerSig(obj.Type()),
+				n := &fnNode{pkg: pkg, decl: fd, obj: obj, name: displayName(obj)}
+				m.funcs = append(m.funcs, n)
+				m.byObj[obj] = n
+				if isHandlerSig(obj.Type()) {
+					m.roots = append(m.roots, n)
 				}
-				g.nodes = append(g.nodes, n)
-				g.byObj[obj] = n
 				if fd.Recv != nil {
-					g.methodsByName[obj.Name()] = append(g.methodsByName[obj.Name()], n)
+					m.methodsByName[obj.Name()] = append(m.methodsByName[obj.Name()], n)
 				}
 			}
 		}
 	}
-	// Pass 2: walk bodies collecting atoms and call edges; handler literals
-	// become their own root nodes.
-	for _, pkg := range m.Pkgs {
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Body == nil {
-						continue
-					}
-					if obj, ok := pkg.Info.ObjectOf(d.Name).(*types.Func); ok {
-						g.walkBody(pkg, g.byObj[obj], d.Body)
-					}
-				case *ast.GenDecl:
-					// Package-level var initializers can hold handler
-					// literals (var onTick eventsim.Handler = func...).
-					ast.Inspect(d, func(n ast.Node) bool {
-						lit, ok := n.(*ast.FuncLit)
-						if !ok {
-							return true
-						}
-						if isHandlerSig(pkg.Info.TypeOf(lit)) {
-							root := g.newLiteralRoot(pkg, lit)
-							g.walkBody(pkg, root, lit.Body)
-							return false
-						}
-						return true
-					})
+				var owner *fnNode
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					obj, _ := pkg.Info.ObjectOf(fd.Name).(*types.Func)
+					owner = m.byObj[obj]
 				}
+				m.walk(pkg, decl, owner)
 			}
 		}
 	}
-	return g
+	return m
 }
 
-func (g *callGraph) newLiteralRoot(pkg *Package, lit *ast.FuncLit) *fnNode {
-	pos := pkg.Fset.Position(lit.Pos())
-	n := &fnNode{
-		pkg:     pkg,
-		name:    fmt.Sprintf("handler literal at line %d", pos.Line),
-		pos:     lit.Pos(),
-		handler: true,
-	}
-	g.nodes = append(g.nodes, n)
-	return n
-}
-
-// walkBody attributes atoms and call edges inside body to owner. Handler
-// literals nested in the body become new roots; other literals fold into
-// owner.
-func (g *callGraph) walkBody(pkg *Package, owner *fnNode, body *ast.BlockStmt) {
-	if owner == nil {
-		return
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if isHandlerSig(pkg.Info.TypeOf(n)) {
-				root := g.newLiteralRoot(pkg, n)
-				g.walkBody(pkg, root, n.Body)
-				return false
-			}
-			return true // fold into owner
-		case *ast.GoStmt:
-			owner.atoms = append(owner.atoms, atom{kind: atomGo, pos: n.Pos(), text: "go statement"})
-		case *ast.SelectorExpr:
-			switch p := pkgNameUse(pkg, n.X); {
-			case p == "time" && wallclockFuncs[n.Sel.Name]:
-				owner.atoms = append(owner.atoms, atom{kind: atomWallclock, pos: n.Pos(), text: "time." + n.Sel.Name})
-			case (p == "math/rand" || p == "math/rand/v2") && globalRandFuncs[n.Sel.Name]:
-				owner.atoms = append(owner.atoms, atom{kind: atomGlobalRand, pos: n.Pos(), text: "rand." + n.Sel.Name})
-			case p == "crypto/rand":
-				owner.atoms = append(owner.atoms, atom{kind: atomCryptoRand, pos: n.Pos(), text: "crypto/rand." + n.Sel.Name})
-			}
-		case *ast.CallExpr:
-			for _, callee := range g.resolveCall(pkg, n) {
+// walk records the atoms under root, attributing them and the calls made to
+// owner (nil outside any function: package-level initializers, type
+// declarations). A handler literal becomes a root owning its own body.
+func (m *Module) walk(pkg *Package, root ast.Node, owner *fnNode) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			return false
+		}
+		if lit, ok := n.(*ast.FuncLit); ok && isHandlerSig(pkg.Info.TypeOf(lit)) {
+			h := &fnNode{pkg: pkg, name: fmt.Sprintf("handler literal at line %d", pkg.Fset.Position(lit.Pos()).Line)}
+			m.roots = append(m.roots, h)
+			m.walk(pkg, lit.Type, owner)
+			m.walk(pkg, lit.Body, h)
+			return false
+		}
+		if call, ok := n.(*ast.CallExpr); ok && owner != nil {
+			for _, callee := range m.resolveCall(pkg, call) {
 				owner.addCall(callee)
+			}
+		}
+		if a, ok := atomOf(pkg, n); ok {
+			m.atoms = append(m.atoms, a)
+			if owner != nil {
+				owner.atoms = append(owner.atoms, a)
 			}
 		}
 		return true
 	})
 }
 
-// resolveCall maps a call expression to its possible module-internal targets.
-func (g *callGraph) resolveCall(pkg *Package, call *ast.CallExpr) []*fnNode {
+// staticCallee resolves a call's static target, if any: a package-level
+// function, a concrete method, or an interface method.
+func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			if n := g.byObj[fn]; n != nil {
-				return []*fnNode{n}
-			}
-		}
+		fn, _ := pkg.Info.Uses[fun].(*types.Func)
+		return fn
 	case *ast.SelectorExpr:
-		obj := pkg.Info.Uses[fun.Sel]
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			return nil
-		}
-		if n := g.byObj[fn]; n != nil {
-			return []*fnNode{n} // concrete method or qualified package func
-		}
-		// Interface method: any module method with the same name and an
-		// identical signature could be the dynamic target.
+		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// resolveCall maps a call expression to its possible module-internal targets.
+func (m *Module) resolveCall(pkg *Package, call *ast.CallExpr) []*fnNode {
+	fn := staticCallee(pkg, call)
+	if fn == nil {
+		return nil
+	}
+	if n := m.byObj[fn]; n != nil {
+		return []*fnNode{n}
+	}
+	// Interface method: any module method with the same name and an
+	// identical signature could be the dynamic target.
+	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if sel, isSel := pkg.Info.Selections[fun]; isSel && sel.Kind() == types.MethodVal {
-			return g.matchingMethods(fn)
+			return m.matchingMethods(fn)
 		}
 	}
 	return nil
@@ -250,13 +281,13 @@ func (g *callGraph) resolveCall(pkg *Package, call *ast.CallExpr) []*fnNode {
 
 // matchingMethods returns module methods matching an interface method's name
 // and signature (receiver excluded from the comparison).
-func (g *callGraph) matchingMethods(iface *types.Func) []*fnNode {
+func (m *Module) matchingMethods(iface *types.Func) []*fnNode {
 	want, ok := iface.Type().(*types.Signature)
 	if !ok {
 		return nil
 	}
 	var out []*fnNode
-	for _, cand := range g.methodsByName[iface.Name()] {
+	for _, cand := range m.methodsByName[iface.Name()] {
 		sig, ok := cand.obj.Type().(*types.Signature)
 		if !ok {
 			continue

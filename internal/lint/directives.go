@@ -17,7 +17,7 @@ import (
 // suppression without a recorded why is reported as a bad-directive finding
 // instead, as is one naming a rule the analyzer doesn't have. Directives
 // that silence nothing are reported by the stale-suppression audit at the
-// end of every full-rule-set run.
+// end of every run.
 type directive struct {
 	pos  token.Position
 	rule string
@@ -38,8 +38,8 @@ const directivePrefix = "lint:ignore"
 func collectDirectives(pkgs []*Package) *suppressions {
 	s := &suppressions{}
 	known := make(map[string]bool)
-	for _, name := range RuleNames() {
-		known[name] = true
+	for _, r := range Rules() {
+		known[r.Name] = true
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {

@@ -285,20 +285,31 @@ func modulePath(root string) (string, error) {
 }
 
 // FindModuleRoot walks upward from dir to the nearest directory containing
-// go.mod.
+// go.mod, and on through each enclosing module whose path places the inner one
+// at its own directory (benchmark/ declares omcast/benchmark inside omcast).
+// Load walks such a nested module as part of the outer one, so lint run from
+// inside it sees the same module, call graph and suppressions as from the
+// outer root.
 func FindModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+	var root, rootModule string
+	for d := dir; ; d = filepath.Dir(d) {
+		if module, err := modulePath(d); err == nil {
+			rel, _ := filepath.Rel(d, root)
+			if root != "" && rootModule != module+"/"+filepath.ToSlash(rel) {
+				break
+			}
+			root, rootModule = d, module
 		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("lint: no go.mod found above %s", dir)
+		if filepath.Dir(d) == d {
+			break
 		}
-		dir = parent
 	}
+	if root == "" {
+		return "", fmt.Errorf("lint: no go.mod found above %s", dir)
+	}
+	return root, nil
 }

@@ -30,7 +30,7 @@ func ruleLockDiscipline() *Rule {
 	return &Rule{
 		Name: "lock-discipline",
 		Doc:  "check //guardedby:<mutex> struct-field annotations against per-function lock-state analysis",
-		check: func(m *Module, cfg *Config, rep *reporter) {
+		check: func(m *Module, rep *reporter) {
 			la := &lockAnalysis{
 				rep:     rep,
 				guarded: make(map[*types.Var]string),
@@ -42,17 +42,9 @@ func ruleLockDiscipline() *Rule {
 			if len(la.guarded) == 0 {
 				return
 			}
-			for _, pkg := range m.Pkgs {
-				la.pkg = pkg
-				for _, f := range pkg.Files {
-					for _, decl := range f.Decls {
-						fd, ok := decl.(*ast.FuncDecl)
-						if !ok || fd.Body == nil {
-							continue
-						}
-						la.checkFunc(fd)
-					}
-				}
+			for _, fn := range m.funcs {
+				la.pkg = fn.pkg
+				la.checkFunc(fn.decl)
 			}
 		},
 	}

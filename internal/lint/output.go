@@ -8,33 +8,6 @@ import (
 	"strings"
 )
 
-// jsonFinding is the -format json record for one diagnostic.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// WriteJSON renders diagnostics as a JSON array of findings. Paths are made
-// relative to root when possible (stable across checkouts; root may be "").
-func WriteJSON(w io.Writer, diags []Diagnostic, root string) error {
-	out := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonFinding{
-			File:    relPath(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Rule:    d.Rule,
-			Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // SARIF 2.1.0 skeleton, minimal but valid: one run, one rule descriptor per
 // distinct rule, one result per diagnostic. GitHub code scanning and most CI
 // annotators consume exactly this subset.

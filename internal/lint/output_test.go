@@ -19,31 +19,8 @@ func bad() time.Time { return time.Now() }
 func runOne(t *testing.T, src string) ([]Diagnostic, Result) {
 	t.Helper()
 	pkg := writeFixture(t, "eventsim", src)
-	res := RunAnalysis([]*Package{pkg}, DefaultConfig())
+	res := Run([]*Package{pkg})
 	return res.Diags, res
-}
-
-func TestWriteJSON(t *testing.T) {
-	diags, _ := runOne(t, taintedFixture)
-	if len(diags) != 1 {
-		t.Fatalf("fixture produced %d diagnostics, want 1", len(diags))
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, diags, ""); err != nil {
-		t.Fatal(err)
-	}
-	var out []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Rule    string `json:"rule"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(out) != 1 || out[0].Rule != "no-wallclock" || out[0].Line != 5 {
-		t.Fatalf("unexpected JSON findings: %+v", out)
-	}
 }
 
 func TestWriteSARIF(t *testing.T) {
@@ -122,44 +99,6 @@ func TestWriteStats(t *testing.T) {
 	}
 }
 
-// TestEnabledRules: -enable style filtering runs only the named rules.
-func TestEnabledRules(t *testing.T) {
-	pkg := writeFixture(t, "eventsim", taintedFixture)
-	cfg := DefaultConfig()
-	cfg.Enabled = []string{"map-order"}
-	if res := RunAnalysis([]*Package{pkg}, cfg); len(res.Diags) != 0 {
-		t.Fatalf("enable filter leaked findings: %v", res.Diags)
-	}
-	cfg.Enabled = []string{"no-wallclock"}
-	if res := RunAnalysis([]*Package{pkg}, cfg); len(res.Diags) != 1 {
-		t.Fatalf("enabled rule did not fire: %v", res.Diags)
-	}
-}
-
-// TestStaleAuditSkippedWhenFiltered: a directive for a disabled rule must not
-// be reported stale — the audit only runs over the full rule set.
-func TestStaleAuditSkippedWhenFiltered(t *testing.T) {
-	src := `package eventsim
-
-import "time"
-
-func bad() time.Time {
-	//lint:ignore no-wallclock reason: fixture: justified
-	return time.Now()
-}
-`
-	pkg := writeFixture(t, "eventsim", src)
-	cfg := DefaultConfig()
-	cfg.Enabled = []string{"map-order"}
-	if res := RunAnalysis([]*Package{pkg}, cfg); len(res.Diags) != 0 {
-		t.Fatalf("filtered run reported stale suppressions: %v", res.Diags)
-	}
-	// Unfiltered, the directive is used and still nothing is stale.
-	if res := RunAnalysis([]*Package{pkg}, DefaultConfig()); len(res.Diags) != 0 {
-		t.Fatalf("used directive reported: %v", res.Diags)
-	}
-}
-
 // TestStaleAuditFires: a directive suppressing nothing is flagged on a full
 // run.
 func TestStaleAuditFires(t *testing.T) {
@@ -171,7 +110,7 @@ func fine() int {
 }
 `
 	pkg := writeFixture(t, "eventsim", src)
-	res := RunAnalysis([]*Package{pkg}, DefaultConfig())
+	res := Run([]*Package{pkg})
 	if len(res.Diags) != 1 || res.Diags[0].Rule != RuleStaleSuppression {
 		t.Fatalf("want one stale-suppression finding, got %v", res.Diags)
 	}
@@ -188,7 +127,7 @@ func fine() int {
 }
 `
 	pkg := writeFixture(t, "eventsim", src)
-	res := RunAnalysis([]*Package{pkg}, DefaultConfig())
+	res := Run([]*Package{pkg})
 	if len(res.Diags) != 1 || res.Diags[0].Rule != RuleBadDirective {
 		t.Fatalf("want one bad-directive finding, got %v", res.Diags)
 	}

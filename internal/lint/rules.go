@@ -6,19 +6,6 @@ import (
 	"go/types"
 )
 
-// pkgNameUse resolves an expression to the import path of the package it
-// names, or "" when the expression is not a package qualifier.
-func pkgNameUse(pkg *Package, expr ast.Expr) string {
-	id, ok := expr.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
-		return pn.Imported().Path()
-	}
-	return ""
-}
-
 // inspect walks every file of the package.
 func inspect(pkg *Package, fn func(ast.Node) bool) {
 	for _, f := range pkg.Files {
@@ -27,92 +14,14 @@ func inspect(pkg *Package, fn func(ast.Node) bool) {
 }
 
 // perPackage adapts a package-scoped syntactic check to the module-wide Rule
-// shape: the check runs over every package the scope predicate admits.
-func perPackage(applies func(cfg *Config, path string) bool, check func(pkg *Package, rep *reporter)) func(*Module, *Config, *reporter) {
-	return func(m *Module, cfg *Config, rep *reporter) {
+// shape: the check runs over every package matching the scope.
+func perPackage(scope []string, check func(pkg *Package, rep *reporter)) func(*Module, *reporter) {
+	return func(m *Module, rep *reporter) {
 		for _, pkg := range m.Pkgs {
-			if applies(cfg, pkg.Path) {
+			if matchPackage(pkg.Path, scope) {
 				check(pkg, rep)
 			}
 		}
-	}
-}
-
-// ---- no-wallclock ----
-
-// wallclockFuncs are the time functions that read or observe the wall clock
-// (or create wall-clock-driven timers). Pure-value helpers such as
-// time.Duration arithmetic, time.Unix and the formatting API stay legal.
-var wallclockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"Tick": true, "After": true, "AfterFunc": true,
-	"NewTimer": true, "NewTicker": true,
-}
-
-func ruleNoWallclock() *Rule {
-	return &Rule{
-		Name: "no-wallclock",
-		Doc:  "forbid wall-clock reads (time.Now, time.Since, timers) in deterministic simulation code",
-		check: perPackage(
-			func(cfg *Config, path string) bool {
-				return matchPackage(path, cfg.SimPackages) || matchPackage(path, cfg.WallclockExtra)
-			},
-			func(pkg *Package, rep *reporter) {
-				inspect(pkg, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if pkgNameUse(pkg, sel.X) == "time" && wallclockFuncs[sel.Sel.Name] {
-						rep.reportf(sel.Pos(),
-							"time.%s reads the wall clock; deterministic code must take time from the virtual clock (eventsim.Simulator.Now)",
-							sel.Sel.Name)
-					}
-					return true
-				})
-			}),
-	}
-}
-
-// ---- no-global-rand ----
-
-// globalRandFuncs are the package-level math/rand functions backed by the
-// shared global source. Constructors (New, NewSource, NewZipf) remain legal:
-// seeded *rand.Rand streams are exactly what internal/xrand threads through
-// the simulation.
-var globalRandFuncs = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
-	// math/rand/v2 additions, should the module ever migrate.
-	"N": true, "IntN": true, "Int32": true, "Int32N": true, "Int64N": true,
-	"Uint32N": true, "Uint64N": true, "UintN": true, "Uint": true,
-}
-
-func ruleNoGlobalRand() *Rule {
-	return &Rule{
-		Name: "no-global-rand",
-		Doc:  "forbid package-level math/rand calls; thread seeded *rand.Rand streams from internal/xrand",
-		check: perPackage(
-			func(cfg *Config, path string) bool {
-				return true // the whole module must stay replay-safe
-			},
-			func(pkg *Package, rep *reporter) {
-				inspect(pkg, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					p := pkgNameUse(pkg, sel.X)
-					if (p == "math/rand" || p == "math/rand/v2") && globalRandFuncs[sel.Sel.Name] {
-						rep.reportf(sel.Pos(),
-							"rand.%s draws from the process-global source and breaks seed replay; use a seeded stream from internal/xrand",
-							sel.Sel.Name)
-					}
-					return true
-				})
-			}),
 	}
 }
 
@@ -120,13 +29,9 @@ func ruleNoGlobalRand() *Rule {
 
 func ruleMapOrder() *Rule {
 	return &Rule{
-		Name: "map-order",
-		Doc:  "flag map iteration whose body feeds simulation results (schedules, appends, RNG draws, state writes)",
-		check: perPackage(
-			func(cfg *Config, path string) bool {
-				return matchPackage(path, cfg.SimPackages)
-			},
-			checkMapOrder),
+		Name:  "map-order",
+		Doc:   "flag map iteration whose body feeds simulation results (schedules, appends, RNG draws, state writes)",
+		check: perPackage(simPackages, checkMapOrder),
 	}
 }
 
@@ -318,52 +223,13 @@ func isNonLocalTarget(expr ast.Expr) bool {
 	return false
 }
 
-// ---- no-goroutine-in-sim ----
-
-func ruleNoGoroutineInSim() *Rule {
-	return &Rule{
-		Name: "no-goroutine-in-sim",
-		Doc:  "forbid goroutines, channels and sync primitives inside the single-threaded simulation kernel",
-		check: perPackage(
-			func(cfg *Config, path string) bool {
-				return matchPackage(path, cfg.SimPackages)
-			},
-			func(pkg *Package, rep *reporter) {
-				inspect(pkg, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.GoStmt:
-						rep.reportf(n.Pos(), "go statement in the simulation kernel; the kernel is single-threaded by design (concurrency belongs in internal/node and cmd)")
-					case *ast.SelectStmt:
-						rep.reportf(n.Pos(), "select statement in the simulation kernel; the kernel is single-threaded by design")
-					case *ast.SendStmt:
-						rep.reportf(n.Pos(), "channel send in the simulation kernel; the kernel is single-threaded by design")
-					case *ast.UnaryExpr:
-						if n.Op == token.ARROW {
-							rep.reportf(n.Pos(), "channel receive in the simulation kernel; the kernel is single-threaded by design")
-						}
-					case *ast.ChanType:
-						rep.reportf(n.Pos(), "channel type in the simulation kernel; the kernel is single-threaded by design")
-					case *ast.SelectorExpr:
-						if p := pkgNameUse(pkg, n.X); p == "sync" || p == "sync/atomic" {
-							rep.reportf(n.Pos(), "sync.%s in the simulation kernel; the kernel is single-threaded by design (concurrency belongs in internal/node and cmd)", n.Sel.Name)
-						}
-					}
-					return true
-				})
-			}),
-	}
-}
-
 // ---- float-accum ----
 
 func ruleFloatAccum() *Rule {
 	return &Rule{
 		Name: "float-accum",
 		Doc:  "flag ==/!= between floating-point expressions in metric/statistics code",
-		check: perPackage(
-			func(cfg *Config, path string) bool {
-				return matchPackage(path, cfg.FloatPackages)
-			},
+		check: perPackage(floatPackages,
 			func(pkg *Package, rep *reporter) {
 				inspect(pkg, func(n ast.Node) bool {
 					be, ok := n.(*ast.BinaryExpr)

@@ -23,8 +23,8 @@ import (
 // the plain Decode flavor — observing its own decode error.
 //
 // Sinks: (1) stores through selectors, indexes or pointers in the packages
-// holding protocol state (Config.TaintStatePackages); (2) arguments to
-// functions of the protocol-decision packages (Config.TaintProtocolPackages);
+// holding protocol state (taintStatePackages); (2) arguments to functions of
+// the protocol-decision packages (taintProtocolPackages);
 // (3) map/slice index expressions and map deletes, module-wide — an
 // attacker-chosen key is memory amplification and probe traffic no matter
 // where it lands.
@@ -40,20 +40,19 @@ func ruleWireTaint() *Rule {
 	return &Rule{
 		Name: "wire-taint",
 		Doc:  "track unvalidated wire-decode results into protocol state, protocol logic, and map/slice indexes",
-		check: func(m *Module, cfg *Config, rep *reporter) {
+		check: func(m *Module, rep *reporter) {
 			a := &taintAnalysis{
-				cfg:       cfg,
 				summaries: make(map[*types.Func]*taintSummary),
 				derived:   make(map[*types.Func]string),
 			}
 			// Summary fixpoint: param sinks, passthrough and derived sources
-			// propagate through call chains until stable.
-			for range [10]int{} {
+			// propagate through call chains until stable. When callers are
+			// declared before callees a round lifts a param sink only one
+			// call level, so no fixed round count suffices; the loop ends
+			// because summaries only ever add keys to finite maps.
+			for a.changed = true; a.changed; {
 				a.changed = false
 				a.pass(m, true, nil)
-				if !a.changed {
-					break
-				}
 			}
 			a.pass(m, false, rep)
 		},
@@ -92,7 +91,6 @@ type taintSummary struct {
 }
 
 type taintAnalysis struct {
-	cfg       *Config
 	summaries map[*types.Func]*taintSummary
 	derived   map[*types.Func]string
 	changed   bool
@@ -108,36 +106,23 @@ type taintAnalysis struct {
 // pass runs one sweep over every declared function body in the module.
 func (a *taintAnalysis) pass(m *Module, summaryMode bool, rep *reporter) {
 	a.summaryMode, a.rep = summaryMode, rep
-	for _, pkg := range m.Pkgs {
-		a.pkg = pkg
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.ObjectOf(fd.Name).(*types.Func)
-				if !ok {
-					continue
-				}
-				a.fn = fn
-				st := make(taintState)
-				if summaryMode {
-					if isWireFunc(fn) {
-						continue // the trust boundary itself
-					}
-					a.cur = &taintSummary{paramSinks: make(map[int]string), passthrough: make(map[int]bool)}
-					sig := fn.Type().(*types.Signature)
-					for i := 0; i < sig.Params().Len(); i++ {
-						p := sig.Params().At(i)
-						st[p] = &taintVal{desc: "parameter " + p.Name(), paramIdx: i}
-					}
-				}
-				a.block(fd.Body.List, st)
-				if summaryMode {
-					a.mergeSummary(fn)
-				}
+	for _, fn := range m.funcs {
+		a.pkg, a.fn = fn.pkg, fn.obj
+		st := make(taintState)
+		if summaryMode {
+			if isWireFunc(fn.obj) {
+				continue // the trust boundary itself
 			}
+			a.cur = &taintSummary{paramSinks: make(map[int]string), passthrough: make(map[int]bool)}
+			sig := fn.obj.Type().(*types.Signature)
+			for i := 0; i < sig.Params().Len(); i++ {
+				p := sig.Params().At(i)
+				st[p] = &taintVal{desc: "parameter " + p.Name(), paramIdx: i}
+			}
+		}
+		a.block(fn.decl.Body.List, st)
+		if summaryMode {
+			a.mergeSummary(fn.obj)
 		}
 	}
 }
@@ -170,24 +155,11 @@ func isWireFunc(fn *types.Func) bool {
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "wire"
 }
 
-// calleeFunc resolves a call's static target, if any.
-func (a *taintAnalysis) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := a.pkg.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := a.pkg.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // sourceCall classifies a call as a wire decode source. raw sources need an
 // explicit sanitizer; non-raw (full Decode) sources are clean once their
 // error result is observed.
 func (a *taintAnalysis) sourceCall(call *ast.CallExpr) (desc string, raw, ok bool) {
-	fn := a.calleeFunc(call)
+	fn := staticCallee(a.pkg, call)
 	if fn == nil {
 		return "", false, false
 	}
@@ -206,7 +178,7 @@ func (a *taintAnalysis) sourceCall(call *ast.CallExpr) (desc string, raw, ok boo
 // sanitizerKind classifies wire.Valid* calls: "err" for Validate* returning
 // error, "bool" for Valid* predicates returning bool.
 func (a *taintAnalysis) sanitizerKind(call *ast.CallExpr) string {
-	fn := a.calleeFunc(call)
+	fn := staticCallee(a.pkg, call)
 	if fn == nil || !isWireFunc(fn) || !strings.HasPrefix(fn.Name(), "Valid") {
 		return ""
 	}
@@ -308,11 +280,11 @@ func (a *taintAnalysis) scanCallSinks(st taintState, call *ast.CallExpr) {
 		}
 		return
 	}
-	fn := a.calleeFunc(call)
+	fn := staticCallee(a.pkg, call)
 	if fn == nil || isWireFunc(fn) {
 		return // sanitizer/source calls are not sinks
 	}
-	if fn.Pkg() != nil && matchPackage(fn.Pkg().Path(), a.cfg.TaintProtocolPackages) {
+	if fn.Pkg() != nil && matchPackage(fn.Pkg().Path(), taintProtocolPackages) {
 		for _, arg := range call.Args {
 			if v := a.taintOf(st, arg); v != nil {
 				a.sink(st, arg.Pos(), v,
@@ -507,7 +479,7 @@ func (a *taintAnalysis) assign(st taintState, s *ast.AssignStmt) {
 	}
 	// Store sinks: a tainted RHS written through a selector/index/pointer in
 	// a protocol-state package.
-	if matchPackage(a.pkg.Path, a.cfg.TaintStatePackages) {
+	if matchPackage(a.pkg.Path, taintStatePackages) {
 		for i, l := range s.Lhs {
 			if !isNonLocalTarget(l) {
 				continue
@@ -595,7 +567,7 @@ func (a *taintAnalysis) bindCall(st taintState, lhs []ast.Expr, call *ast.CallEx
 	var v *taintVal
 	if isBuiltin(a.pkg, call.Fun, "append") {
 		v = a.taintOf(st, call)
-	} else if fn := a.calleeFunc(call); fn != nil {
+	} else if fn := staticCallee(a.pkg, call); fn != nil {
 		if sum := a.summaries[fn]; sum != nil {
 			for i, arg := range call.Args {
 				if sum.passthrough[i] {

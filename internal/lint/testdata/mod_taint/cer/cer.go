@@ -1,5 +1,5 @@
 // Package cer stands in for the protocol-decision packages
-// (Config.TaintProtocolPackages): any tainted argument entering a function
+// (taintProtocolPackages): any tainted argument entering a function
 // here is a sink.
 package cer
 

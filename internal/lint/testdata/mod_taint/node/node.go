@@ -1,5 +1,5 @@
 // Package node is the protocol-state package of the taint fixture module
-// (its import path suffix matches Config.TaintStatePackages): stores of
+// (its import path suffix matches taintStatePackages): stores of
 // unvalidated wire data into non-local state are sinks here, on top of the
 // module-wide index/delete and protocol-call sinks.
 package node

@@ -1,8 +1,12 @@
 // Package eventsim is a no-wallclock fixture: the directory name places it
-// inside the simulated-kernel scope of the default config.
+// inside the simulated-kernel scope of the analyzer.
 package eventsim
 
 import "time"
+
+// A package-level initializer runs outside every function and is still
+// simulation code.
+var t0 = time.Now() // want `no-wallclock: time\.Now reads the wall clock`
 
 // Clock exercises the forbidden wall-clock API.
 type Clock struct {

@@ -1,8 +1,14 @@
 // Package overlay is a no-goroutine-in-sim fixture: the directory name
-// places it inside the simulated-kernel scope of the default config.
+// places it inside the simulated-kernel scope of the analyzer.
 package overlay
 
 import "sync"
+
+// mailbox declares concurrency in struct fields, outside any function body.
+type mailbox struct {
+	ch chan int   // want `no-goroutine-in-sim: channel type in the simulation kernel`
+	mu sync.Mutex // want `no-goroutine-in-sim: sync\.Mutex in the simulation kernel`
+}
 
 func badGo() {
 	go func() {}() // want `no-goroutine-in-sim: go statement in the simulation kernel`

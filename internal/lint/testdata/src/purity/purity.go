@@ -2,7 +2,7 @@
 // of the handler-purity rule: impurity atoms hidden one or two calls below a
 // handler must be reported with the call path that reaches them. The
 // directory name keeps this fixture OUTSIDE the sim-kernel scope of the
-// default config, so the scope-wide rules (no-wallclock, no-global-rand,
+// analyzer, so the scope-wide rules (no-wallclock, no-global-rand,
 // no-goroutine-in-sim) stay silent and every diagnostic here comes from the
 // call-graph walk alone.
 package eventsim

@@ -1,5 +1,5 @@
 // Package rost is a map-order fixture: the directory name places it inside
-// the simulated-kernel scope of the default config.
+// the simulated-kernel scope of the analyzer.
 package rost
 
 import (

@@ -1,5 +1,5 @@
 // Package stats is a float-accum fixture: the directory name places it
-// inside the metric-code scope of the default config.
+// inside the metric-code scope of the analyzer.
 package stats
 
 func badEqual(a, b float64) bool {

@@ -4,6 +4,9 @@ package util
 
 import "math/rand"
 
+// A package-level initializer draws from the global source too.
+var jitter = rand.Intn(10) // want `no-global-rand: rand\.Intn draws from the process-global source`
+
 func bad() int {
 	return rand.Intn(10) // want `no-global-rand: rand\.Intn draws from the process-global source`
 }

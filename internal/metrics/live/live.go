@@ -7,7 +7,7 @@
 //
 // This package is deliberately NOT simulation-safe (it reads the wall clock
 // and uses sync primitives) and must never be imported by a package listed
-// in the linter's SimPackages scope.
+// in the linter's simulation scope.
 package live
 
 import (
