@@ -39,6 +39,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"unknown subcommand", []string{"simulate"}},
 		{"sim unknown flag", []string{"sim", "-bogus"}},
 		{"sim unknown figure", []string{"sim", "-fig", "nope"}},
+		{"sim fleet figure", []string{"sim", "-fig", "fig-fleet"}},
 		{"sim all as csv", []string{"sim", "-fig", "all", "-csv"}},
 		{"sim negative size", []string{"sim", "-fig", "fig11", "-quick", "-size", "-5"}},
 		{"sim negative warmup", []string{"sim", "-fig", "fig11", "-quick", "-warmup", "-1h"}},
@@ -54,6 +55,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"node unknown flag", []string{"node", "-bogus"}},
 		{"topo unknown flag", []string{"topo", "-bogus"}},
 		{"trace unknown flag", []string{"trace", "-bogus"}},
+		{"trace fleet flag", []string{"trace", "-fleet"}},
 		{"trace analyze two inputs", []string{"trace", "analyze", "a", "b"}},
 	}
 	for _, tc := range cases {

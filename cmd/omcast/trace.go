@@ -18,12 +18,10 @@ import (
 // overlay events (joins, rejoins, departures, failures, ROST switches — plus
 // CER repair outcomes with -stream, periodic metric snapshots with -sample,
 // and causal episode spans with -spans) as JSON lines, deterministic in
-// -seed. With -fleet it instead runs a federated multi-source session in
-// which one source is killed mid-stream, and emits the failover spans.
+// -seed.
 //
 //	omcast trace -alg min-depth -size 500 -measure 30m | jq .event | sort | uniq -c
 //	omcast trace -size 500 -small -stream -group 3 -sample 5m -spans > session.jsonl
-//	omcast trace -fleet -size 500 -measure 5m | omcast trace analyze
 //
 // `trace analyze` digests a span-bearing trace (from -spans, `omcast chaos
 // -trace-out`, or a live node's /debug/trace) into episode statistics:
@@ -122,15 +120,10 @@ func traceSim(args []string) int {
 		stream  = fs.Bool("stream", false, "run the packet-level CER layer too (adds repair events)")
 		group   = fs.Int("group", 3, "CER recovery group size (with -stream)")
 		spans   = fs.Bool("spans", false, "emit causal episode spans (rejoin/repair/switch/stall timelines)")
-		fleetMd = fs.Bool("fleet", false, "run a federated multi-source session with a source kill instead; emits failover spans")
 	)
 	if fs.Parse(args) != nil {
 		return 2
 	}
-	if *fleetMd {
-		return traceFleet(*seed, *size, *measure)
-	}
-
 	alg, ok := map[string]omcast.Algorithm{
 		"min-depth":     omcast.MinimumDepth,
 		"longest-first": omcast.LongestFirst,
@@ -169,36 +162,5 @@ func traceSim(args []string) int {
 	}
 	fmt.Fprintf(os.Stderr, "%s: %.2f disruptions/node, %.0fms delay, %d switches\n",
 		res.Algorithm, res.AvgDisruptions, res.AvgServiceDelayMS, res.Switches)
-	return 0
-}
-
-// traceFleet runs a federated multi-source session in which one source is
-// killed a third of the way through the horizon, streaming the resulting
-// failover spans (with their detect and assignment-attempt children) as
-// JSONL — ready to pipe into `omcast trace analyze` for p50/p99 failover
-// latency broken down by cause.
-func traceFleet(seed int64, viewers int, horizon time.Duration) int {
-	var spans []tracing.Span
-	cfg := omcast.FleetConfig{
-		Seed:           seed,
-		Sources:        3,
-		TreesPerSource: 2,
-		TreeCapacity:   (viewers + 3) / 4,
-		Viewers:        viewers,
-		Horizon:        horizon,
-		Kills:          []omcast.FleetEvent{{At: horizon / 3, Source: 0}},
-		Trace: tracing.RecorderFunc(func(sp tracing.Span) {
-			spans = append(spans, sp)
-		}),
-	}
-	res, err := omcast.RunFleet(cfg)
-	if err == nil {
-		err = writeTo("-", func(w io.Writer) error { return tracing.WriteJSONL(w, spans) })
-	}
-	if err != nil {
-		return fail(1, "trace", "%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "fleet: %d viewers, %d failovers, %d reassigned, p99 reassign %.3fs, outage ratio %.4f\n",
-		res.Viewers, res.Failovers, res.Reassigned, res.P99Reassign.Seconds(), res.OutageRatio)
 	return 0
 }

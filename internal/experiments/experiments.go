@@ -187,7 +187,6 @@ const (
 	runStream                // omcast.RunStreaming
 	runPair                  // Figure 14's ROST+CER run, then its min-depth single-source baseline
 	runMultiTree             // omcast.RunMultiTree
-	runFleet                 // omcast.RunFleet on one of fleetScenarios
 	runScale                 // omcast.RunScale
 )
 
@@ -208,9 +207,8 @@ type cell struct {
 	recovery omcast.Recovery
 	k        int
 	buffer   time.Duration
-	// The multiple-tree variant, or the index into fleetScenarios.
-	mt       omcast.MultiTreeConfig
-	scenario int
+	// The multiple-tree variant.
+	mt omcast.MultiTreeConfig
 }
 
 // treeCell is the tree-level run of alg at size on the base seed.
@@ -228,10 +226,10 @@ func (o Options) streamCell(size, k int) cell {
 }
 
 // cellsOf lists one cell per element of xs.
-func cellsOf[T any](xs []T, mk func(i int, x T) cell) []cell {
+func cellsOf[T any](xs []T, mk func(x T) cell) []cell {
 	cells := make([]cell, len(xs))
 	for i, x := range xs {
-		cells[i] = mk(i, x)
+		cells[i] = mk(x)
 	}
 	return cells
 }
@@ -277,7 +275,6 @@ type outcome struct {
 	stream omcast.StreamResult // runStream, and runPair's ROST+CER half
 	base   omcast.StreamResult // runPair's baseline half
 	multi  omcast.MultiTreeResult
-	fleet  omcast.FleetResult
 	reg    *metrics.Registry
 }
 
@@ -322,8 +319,6 @@ func (c cell) run(o Options) (outcome, error) {
 		}
 	case runMultiTree:
 		out.multi, err = omcast.RunMultiTree(cfg, c.mt)
-	case runFleet:
-		out.fleet, err = omcast.RunFleet(o.fleetConfig(c))
 	case runScale:
 		var res omcast.ScaleResult
 		res, err = omcast.RunScale(cfg)
@@ -367,11 +362,11 @@ func experimentTable(o Options) []experiment {
 	}
 	intervals := []time.Duration{480 * time.Second, 960 * time.Second, 1200 * time.Second, 1800 * time.Second}
 	buffers := []time.Duration{5 * time.Second, 10 * time.Second, 15 * time.Second, 20 * time.Second, 25 * time.Second, 30 * time.Second}
-	multiSize, viewers := o.Size/4, 240
+	multiSize := o.Size / 4
 	if o.Quick {
 		intervals = []time.Duration{240 * time.Second, 960 * time.Second}
 		buffers = []time.Duration{5 * time.Second, 20 * time.Second}
-		multiSize, viewers = o.Size, 80
+		multiSize = o.Size
 	}
 	var fig11 []variant
 	for _, iv := range intervals {
@@ -519,7 +514,7 @@ func experimentTable(o Options) []experiment {
 			title:  fmt.Sprintf("Ablation: recovery group selection and striping (%d nodes, min-depth tree, K=3)", o.Size),
 			header: []string{"scheme", "starving ratio"},
 			notes:  []string{"isolates the value of MLC selection (Algorithm 1) from the value of bandwidth striping"},
-			cells: cellsOf(schemes, func(_ int, scheme omcast.Recovery) cell {
+			cells: cellsOf(schemes, func(scheme omcast.Recovery) cell {
 				c := o.streamCell(o.Size, 3)
 				c.recovery = scheme
 				return c
@@ -552,7 +547,7 @@ func experimentTable(o Options) []experiment {
 				"the paper's stated future direction: striping the stream over T trees so one failure",
 				"degrades (one stripe) instead of interrupting; quorum = stripes-1 models one-description slack",
 			},
-			cells: cellsOf(multiTrees, func(_ int, v variant) cell { return v.cell }),
+			cells: cellsOf(multiTrees, func(v variant) cell { return v.cell }),
 			rows: func(out []outcome, progress logf) (rows [][]string) {
 				for i, res := range out {
 					label := multiTrees[i].label
@@ -562,19 +557,6 @@ func experimentTable(o Options) []experiment {
 				}
 				return rows
 			},
-		},
-		{
-			id:     "fig-fleet",
-			title:  fmt.Sprintf("Fleet federation: bounded source failover (%d viewers, 3 sources x 2 trees)", viewers),
-			header: []string{"scenario", "viewers", "failovers", "reassigned", "p99 reassign", "outage ratio", "migrations", "bounds"},
-			notes: []string{
-				"failover bound: every viewer orphaned by a source death re-admitted within MaxReassignTime,",
-				"paced by per-source admission tokens and the node layer's jittered exponential backoff",
-			},
-			cells: cellsOf(fleetScenarios, func(i int, _ fleetScenario) cell {
-				return cell{kind: runFleet, size: viewers, seed: o.Seed + int64(i), scenario: i}
-			}),
-			rows: fleetRows,
 		},
 		{
 			id:     "fig-scale",
@@ -704,7 +686,7 @@ var treeColumns = map[string]func(omcast.TreeResult) string{
 // 11's switching intervals and the three single-flag ablations share it.
 func rostTable(id, title string, header []string, variants []variant, notes ...string) experiment {
 	return experiment{id: id, title: title, header: header, notes: notes,
-		cells: cellsOf(variants, func(_ int, v variant) cell { return v.cell }),
+		cells: cellsOf(variants, func(v variant) cell { return v.cell }),
 		rows: func(out []outcome, progress logf) (rows [][]string) {
 			for i, res := range out {
 				progress("%s %s disruptions=%.2f", id, variants[i].tag, res.tree.AvgDisruptions)
@@ -734,97 +716,6 @@ func meanCI(iv stats.Interval) string {
 		return fmt.Sprintf("%.3f%% +/- n/a", iv.Mean)
 	}
 	return fmt.Sprintf("%.3f%% +/- %.3f", iv.Mean, iv.Radius)
-}
-
-// fleetScenario is one row of fig-fleet: its label and how it changes the
-// shared federation configuration.
-type fleetScenario struct {
-	label string
-	mut   func(c *omcast.FleetConfig, viewers int)
-}
-
-// fleetScenarios exercise the federation control plane (internal/fleet): N
-// trees x M viewers under steady churn, hotspot skew with rebalancing, a
-// flash crowd, a source kill, a cascading double kill, and a graceful drain.
-// Every scenario checks the configured reassignment-time and outage-ratio
-// bounds; the "bounds" column must read "ok" on every row.
-var fleetScenarios = []fleetScenario{
-	{"steady churn", func(c *omcast.FleetConfig, _ int) {
-		c.MeanLifetime = 90 * time.Second
-		c.MaxOutageRatio = 0 // churned departures can strand an episode mid-backoff
-	}},
-	{"load skew + rebalance", func(c *omcast.FleetConfig, _ int) {
-		c.LoadSkew = 0.7
-		c.RebalanceEvery = 2 * time.Second
-		c.RebalanceSlack = 2
-	}},
-	{"flash crowd", func(c *omcast.FleetConfig, viewers int) {
-		c.Viewers = viewers / 4
-		c.Arrivals = []omcast.FleetBurst{{At: 10 * time.Second, Count: viewers - viewers/4}}
-	}},
-	{"source kill", func(c *omcast.FleetConfig, _ int) {
-		c.Kills = []omcast.FleetEvent{{At: 20 * time.Second, Source: 0}}
-		c.MaxOutageRatio = 0.25
-	}},
-	{"cascading kill (10 s apart)", func(c *omcast.FleetConfig, viewers int) {
-		c.TreeCapacity = viewers // the last source standing holds everyone
-		c.Kills = []omcast.FleetEvent{
-			{At: 20 * time.Second, Source: 0},
-			{At: 30 * time.Second, Source: 1},
-		}
-		c.MaxOutageRatio = 0.5
-	}},
-	{"graceful drain", func(c *omcast.FleetConfig, _ int) {
-		c.Drains = []omcast.FleetEvent{{At: 20 * time.Second, Source: 0}}
-		c.MaxOutageRatio = 0.001 // make-before-break: zero outage expected
-	}},
-}
-
-// fleetConfig is the federation session of a fig-fleet cell, whose size is
-// its audience.
-func (o Options) fleetConfig(c cell) omcast.FleetConfig {
-	viewers := c.size
-	cfg := omcast.FleetConfig{
-		Seed:              c.seed,
-		Sources:           3,
-		TreesPerSource:    2,
-		TreeCapacity:      viewers / 3,
-		Viewers:           viewers,
-		Horizon:           2 * time.Minute,
-		HeartbeatInterval: 500 * time.Millisecond,
-		SuspectMisses:     2,
-		DownMisses:        4,
-		RejoinBackoffBase: 100 * time.Millisecond,
-		RejoinBackoffMax:  2 * time.Second,
-		AdmitPerInterval:  viewers / 10,
-		MaxReassignTime:   15 * time.Second,
-		Metrics:           o.Metrics,
-	}
-	fleetScenarios[c.scenario].mut(&cfg, viewers)
-	return cfg
-}
-
-func fleetRows(out []outcome, progress logf) (rows [][]string) {
-	for _, res := range out {
-		label, f := fleetScenarios[res.scenario].label, res.fleet
-		bounds := "ok"
-		if n := len(f.BoundViolations); n > 0 {
-			bounds = fmt.Sprintf("%d violated: %s", n, f.BoundViolations[0])
-		}
-		progress("fleet %-28s failovers=%d p99=%.2fs outage=%.4f", label,
-			f.Failovers, f.P99Reassign.Seconds(), f.OutageRatio)
-		rows = append(rows, []string{
-			label,
-			fmt.Sprintf("%d", f.Viewers),
-			fmt.Sprintf("%d", f.Failovers),
-			fmt.Sprintf("%d", f.Reassigned),
-			fmt.Sprintf("%.2fs", f.P99Reassign.Seconds()),
-			fmt.Sprintf("%.4f", f.OutageRatio),
-			fmt.Sprintf("%d", f.DrainMigrations+f.Rebalanced),
-			bounds,
-		})
-	}
-	return rows
 }
 
 // IDs lists all experiment identifiers in figure order.

@@ -26,8 +26,8 @@ func parseCell(t *testing.T, cell string) float64 {
 
 func TestIDsStable(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("IDs() has %d entries, want 18 (11 figures + 4 ablations + 2 extensions + fig-scale)", len(ids))
+	if len(ids) != 17 {
+		t.Fatalf("IDs() has %d entries, want 17 (11 figures + 4 ablations + extension-multitree + fig-scale)", len(ids))
 	}
 	seen := map[string]bool{}
 	for _, id := range ids {

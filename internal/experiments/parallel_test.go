@@ -48,11 +48,11 @@ func figureOutput(t *testing.T, id string, workers int) (string, string) {
 }
 
 // TestParallelByteIdentical is the worker-pool merge property test: for
-// figures covering the shared sweep, the tracked runs, a streaming grid, the
-// fleet and the scale sweep, workers 1, 2 and 8 must produce byte-identical
-// tables, progress streams and metrics snapshots.
+// figures covering the shared sweep, the tracked runs, a streaming grid and
+// the scale sweep, workers 1, 2 and 8 must produce byte-identical tables,
+// progress streams and metrics snapshots.
 func TestParallelByteIdentical(t *testing.T) {
-	for _, id := range []string{"fig4", "fig6", "fig13", "fig-fleet", "fig-scale"} {
+	for _, id := range []string{"fig4", "fig6", "fig13", "fig-scale"} {
 		wantTab, wantSnap := figureOutput(t, id, 1)
 		for _, workers := range []int{2, 8} {
 			gotTab, gotSnap := figureOutput(t, id, workers)

@@ -65,11 +65,11 @@ type Bounds struct {
 	MinAuditFailsTotal int64
 	// MaxReassignTime, measured from the schedule's last source crash,
 	// demands every honest member is re-attached within the window — the
-	// fleet failover bound: orphans of a dead source must find a surviving
+	// source failover bound: orphans of a dead source must find a surviving
 	// source's tree, not just eventually converge.
 	MaxReassignTime time.Duration
 	// MaxOutageRatio caps the mean starved-slot fraction across honest
-	// members — the fleet continuity bound. Unlike MaxStarvingRatio (a
+	// members — the continuity bound. Unlike MaxStarvingRatio (a
 	// per-node cap) it bounds the aggregate outage a source failure is
 	// allowed to inflict on the viewer population.
 	MaxOutageRatio float64
@@ -182,7 +182,7 @@ type Report struct {
 	RecoveryTime time.Duration
 	// ReassignTime is how long every honest member took to re-attach after
 	// the schedule's last source crash (when MaxReassignTime is set) — the
-	// fleet failover latency.
+	// source failover latency.
 	ReassignTime time.Duration
 	// Nodes holds final member stats sorted by address (source first).
 	Nodes []NodeReport
@@ -333,7 +333,7 @@ func (h *Harness) boot(addr wire.Addr, cfg node.Config) error {
 // nodeHook implements crash/restart: down kills the node process (its
 // endpoint frees the address), up boots a fresh node with the same config.
 // Sources are killable too — a crash event naming a source address takes the
-// stream down with it, which is the fleet source-failover scenario.
+// stream down with it, which is the source-failover scenario.
 func (h *Harness) nodeHook(addr string, up bool) {
 	a := wire.Addr(addr)
 	h.mu.Lock()
@@ -533,7 +533,7 @@ func lastChangeAt(sch *faultnet.Schedule) time.Duration {
 }
 
 // lastSourceCrashAt returns the scaled offset of the schedule's final crash
-// event that names a source address — the instant the fleet failover clock
+// event that names a source address — the instant the failover clock
 // starts from.
 func lastSourceCrashAt(sch *faultnet.Schedule) time.Duration {
 	var last time.Duration

@@ -337,7 +337,7 @@ var Scenarios = []Scenario{
 	},
 	{
 		Name:    "source-kill",
-		About:   "a fleet of two sources; one is killed mid-stream and never returns — every orphaned viewer must be re-assigned to the survivor's tree within the failover bound",
+		About:   "two sources; one is killed mid-stream and never returns — every orphaned viewer must be re-assigned to the survivor's tree within the failover bound",
 		Nodes:   10,
 		Sources: 2,
 		Seed:    1013,
@@ -364,7 +364,7 @@ var Scenarios = []Scenario{
 	},
 	{
 		Name:    "source-kill-cascade",
-		About:   "three sources; two die in sequence (the gap models the paper's 10 s cascade at the harness's ~30x compressed timescale) — the fleet must drain onto the last survivor without a rejoin storm",
+		About:   "three sources; two die in sequence (the gap models the paper's 10 s cascade at the harness's ~30x compressed timescale) — the orphans must drain onto the last survivor without a rejoin storm",
 		Nodes:   12,
 		Sources: 3,
 		Seed:    1014,

@@ -92,15 +92,12 @@ var (
 		// mutex ring live nodes dump over HTTP) stays outside, mirroring
 		// the metrics / metrics/live split.
 		"tracing",
-		// The federation control plane schedules everything on the shared
-		// simulator; it is deterministic end to end.
-		"fleet",
 	}
 	// wallclockExtra extends no-wallclock beyond simPackages to the CLI
 	// drivers, where progress timers carry an explicit suppression.
 	wallclockExtra = []string{"omcast/cmd/...", "omcast/examples/..."}
 	// floatPackages hold metric/statistics code checked by float-accum.
-	floatPackages = []string{"stats", "experiments", "stream", "multitree", "metrics", "fleet"}
+	floatPackages = []string{"stats", "experiments", "stream", "multitree", "metrics"}
 	// taintStatePackages hold long-lived protocol state: a tainted wire
 	// value stored into a struct field, map or slice there is a wire-taint
 	// finding. The live protocol runtime owns the state an adversarial

@@ -28,6 +28,7 @@ package multitree
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -210,11 +211,8 @@ type Session struct {
 	Disruptions int
 	// Episodes counts recovery episodes run.
 	Episodes int
-	// Per-tree accounting (indexed by stripe): recovery episodes and
-	// measured disruptions charged to each tree — the load/health split the
-	// fleet layer reads.
-	treeEpisodes    []int
-	treeDisruptions []int
+	// treeEpisodes splits Episodes by stripe tree.
+	treeEpisodes []int
 	// maxBlastRadius is the most stripes any single member failure
 	// disrupted (subtrees orphaned). DisjointContribution bounds it at 1.
 	maxBlastRadius int
@@ -276,8 +274,7 @@ func NewSession(cfg Config) (*Session, error) {
 		measureTo:    cfg.Warmup + cfg.Measure,
 		nextID:       1,
 
-		treeEpisodes:    make([]int, cfg.Stripes),
-		treeDisruptions: make([]int, cfg.Stripes),
+		treeEpisodes: make([]int, cfg.Stripes),
 	}
 	rootAttach := topo.RandomStub(xrand.NewNamed(cfg.Seed, "mt.root"))
 	for t := 0; t < cfg.Stripes; t++ {
@@ -607,7 +604,6 @@ func (s *Session) applyEpisode(t int, c *overlay.Member, first, last int64, arri
 				p.badSlots++ // this stripe's packet misses its slot
 				if s.inMeasurement(deadline) {
 					s.Disruptions++
-					s.treeDisruptions[t]++
 				}
 			}
 		}
@@ -667,53 +663,6 @@ func (s *Session) finishAll() {
 	}
 }
 
-// TreeLoad is one stripe tree's load/health accounting: the per-tree view
-// the fleet control plane consumes when deciding where a source's capacity
-// actually went.
-type TreeLoad struct {
-	// Tree is the stripe index.
-	Tree int
-	// Members currently joined to this tree; Interior of them forward.
-	Members  int
-	Interior int
-	// SpareDegree is the tree's total unused forwarding capacity (child
-	// slots available right now).
-	SpareDegree int
-	// MaxDepth is the tree's current height.
-	MaxDepth int
-	// Episodes and Disruptions are this tree's recovery-activity counters.
-	Episodes    int
-	Disruptions int
-}
-
-// Loads reports every stripe tree's current load and health. The scan
-// visits members in tree order, so the result is deterministic.
-func (s *Session) Loads() []TreeLoad {
-	loads := make([]TreeLoad, s.cfg.Stripes)
-	for t := range s.trees {
-		tl := TreeLoad{
-			Tree:        t,
-			MaxDepth:    s.trees[t].MaxDepth(),
-			Episodes:    s.treeEpisodes[t],
-			Disruptions: s.treeDisruptions[t],
-		}
-		s.trees[t].VisitMembers(func(m *overlay.Member) {
-			if m == s.trees[t].Root() {
-				return
-			}
-			tl.Members++
-			if m.NumChildren() > 0 {
-				tl.Interior++
-			}
-			if sp := m.SpareDegree(); sp > 0 {
-				tl.SpareDegree += sp
-			}
-		})
-		loads[t] = tl
-	}
-	return loads
-}
-
 // Result summarises a multi-tree run.
 type Result struct {
 	// FullQualityRatio is the mean fraction of stripe packets delivered on
@@ -729,8 +678,8 @@ type Result struct {
 	Disruptions int
 	// MaxDepths reports each stripe tree's final height.
 	MaxDepths []int
-	// TreeLoads is the final per-tree load/health accounting.
-	TreeLoads []TreeLoad
+	// TreeEpisodes splits Episodes by stripe tree; it sums to Episodes.
+	TreeEpisodes []int
 	// MaxBlastRadius is the most stripe trees any single member failure
 	// disrupted; DisjointContribution's interior-disjointness bounds it at 1.
 	MaxBlastRadius int
@@ -743,7 +692,7 @@ func (s *Session) result() Result {
 		Members:          len(s.fullRatios),
 		Episodes:         s.Episodes,
 		Disruptions:      s.Disruptions,
-		TreeLoads:        s.Loads(),
+		TreeEpisodes:     slices.Clone(s.treeEpisodes),
 		MaxBlastRadius:   s.maxBlastRadius,
 	}
 	for _, tree := range s.trees {

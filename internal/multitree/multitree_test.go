@@ -269,15 +269,7 @@ func TestCorrelatedStripeFailures(t *testing.T) {
 	if strict.Episodes == 0 {
 		t.Fatal("correlated failures ran no recovery episodes")
 	}
-	var epA, epB int
-	for _, tl := range strict.TreeLoads {
-		switch tl.Tree {
-		case 0:
-			epA = tl.Episodes
-		case 1:
-			epB = tl.Episodes
-		}
-	}
+	epA, epB := strict.TreeEpisodes[0], strict.TreeEpisodes[1]
 	if epA == 0 || epB == 0 {
 		t.Fatalf("per-tree episodes = (%d, %d), want both trees charged", epA, epB)
 	}
@@ -333,41 +325,6 @@ func TestDisjointBlastRadiusUnderChurn(t *testing.T) {
 	}
 	if res.Episodes > 0 && res.MaxBlastRadius != 1 {
 		t.Fatalf("episodes ran (%d) but blast radius is %d", res.Episodes, res.MaxBlastRadius)
-	}
-}
-
-// TestLoads: per-tree load accounting matches the trees themselves.
-func TestLoads(t *testing.T) {
-	s, res := runSession(t, quickCfg(11, 3))
-	loads := s.Loads()
-	if len(loads) != 3 {
-		t.Fatalf("Loads() returned %d trees, want 3", len(loads))
-	}
-	epSum, disSum := 0, 0
-	for i, tl := range loads {
-		if tl.Tree != i {
-			t.Fatalf("loads[%d].Tree = %d", i, tl.Tree)
-		}
-		if want := s.Tree(i).Size() - 1; tl.Members != want {
-			t.Fatalf("tree %d Members = %d, want %d (size minus root)", i, tl.Members, want)
-		}
-		if tl.Interior > tl.Members {
-			t.Fatalf("tree %d interior %d > members %d", i, tl.Interior, tl.Members)
-		}
-		if tl.MaxDepth != s.Tree(i).MaxDepth() {
-			t.Fatalf("tree %d MaxDepth = %d, want %d", i, tl.MaxDepth, s.Tree(i).MaxDepth())
-		}
-		epSum += tl.Episodes
-		disSum += tl.Disruptions
-	}
-	if epSum != res.Episodes {
-		t.Fatalf("per-tree episodes sum %d != total %d", epSum, res.Episodes)
-	}
-	if disSum != res.Disruptions {
-		t.Fatalf("per-tree disruptions sum %d != total %d", disSum, res.Disruptions)
-	}
-	if len(res.TreeLoads) != 3 {
-		t.Fatalf("Result.TreeLoads has %d trees, want 3", len(res.TreeLoads))
 	}
 }
 

@@ -87,17 +87,6 @@ type Analysis struct {
 	Events     map[string]int
 	Kinds      []KindStats // sorted by kind name
 	TotalSpans int
-	// Failover, non-nil when the trace carries failover episodes, breaks
-	// their reassignment latencies down by cause (source-down vs drain).
-	Failover *FailoverStats
-}
-
-// FailoverStats summarises fleet failover episodes: the reassignment-latency
-// distribution overall and per episode cause.
-type FailoverStats struct {
-	Count     int
-	Durations []float64            // sorted, seconds
-	ByCause   map[string][]float64 // cause -> sorted durations
 }
 
 // Analyze reconstructs episodes from spans: spans with a resolvable Parent
@@ -109,7 +98,6 @@ func Analyze(tr *ParsedTrace) *Analysis {
 	}
 	kinds := make(map[string]*KindStats)
 	stages := make(map[string]map[string]*StageStats) // parent kind -> child kind
-	var failover *FailoverStats
 	kindOf := func(k string) *KindStats {
 		ks := kinds[k]
 		if ks == nil {
@@ -129,21 +117,6 @@ func Analyze(tr *ParsedTrace) *Analysis {
 			ks.Count++
 			ks.Outcomes[sp.Outcome]++
 			ks.Durations = append(ks.Durations, sp.Duration())
-			if sp.Kind == KindFailover {
-				if failover == nil {
-					failover = &FailoverStats{ByCause: make(map[string][]float64)}
-				}
-				failover.Count++
-				failover.Durations = append(failover.Durations, sp.Duration())
-				cause := "unknown"
-				for _, a := range sp.Attrs {
-					if a.K == "cause" {
-						cause = a.V
-						break
-					}
-				}
-				failover.ByCause[cause] = append(failover.ByCause[cause], sp.Duration())
-			}
 			continue
 		}
 		m := stages[parent.Kind]
@@ -160,13 +133,7 @@ func Analyze(tr *ParsedTrace) *Analysis {
 		ss.Offsets = append(ss.Offsets, sp.Start-parent.Start)
 		ss.Durations = append(ss.Durations, sp.Duration())
 	}
-	out := &Analysis{Events: tr.Events, TotalSpans: len(tr.Spans), Failover: failover}
-	if failover != nil {
-		sort.Float64s(failover.Durations)
-		for _, ds := range failover.ByCause {
-			sort.Float64s(ds)
-		}
-	}
+	out := &Analysis{Events: tr.Events, TotalSpans: len(tr.Spans)}
 	names := make([]string, 0, len(kinds))
 	for k := range kinds {
 		names = append(names, k)
@@ -247,21 +214,6 @@ func (a *Analysis) WriteText(w io.Writer) error {
 				Percentile(ss.Offsets, 0.50), Percentile(ss.Offsets, 0.90),
 				Percentile(ss.Durations, 0.50), Percentile(ss.Durations, 0.90),
 				Percentile(ss.Durations, 1.0))
-		}
-	}
-	if f := a.Failover; f != nil {
-		fmt.Fprintf(bw, "\nfailover latency  n=%d p50=%.3fs p99=%.3fs max=%.3fs\n",
-			f.Count, Percentile(f.Durations, 0.50), Percentile(f.Durations, 0.99),
-			Percentile(f.Durations, 1.0))
-		causes := make([]string, 0, len(f.ByCause))
-		for c := range f.ByCause {
-			causes = append(causes, c)
-		}
-		sort.Strings(causes)
-		for _, c := range causes {
-			ds := f.ByCause[c]
-			fmt.Fprintf(bw, "  cause %-12s n=%-5d p50=%.3fs p99=%.3fs\n",
-				c, len(ds), Percentile(ds, 0.50), Percentile(ds, 0.99))
 		}
 	}
 	return bw.Flush()

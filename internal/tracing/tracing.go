@@ -47,10 +47,6 @@ const (
 	KindStall   = "stall"   // playback starvation window
 	KindSwitch  = "switch"  // ROST tree-switch decision
 	KindFault   = "fault"   // faultnet-injected fault window (annotation)
-
-	// Fleet-layer kinds (the federation control plane in internal/fleet).
-	KindFailover = "failover" // one viewer's source-loss (or drain) reassignment episode
-	KindAssign   = "assign"   // one assignment attempt within a failover episode
 )
 
 // Attr is one key/value annotation on a span. Values are strings so the

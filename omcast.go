@@ -37,7 +37,6 @@ import (
 	"omcast/internal/churn"
 	"omcast/internal/construct"
 	"omcast/internal/eventsim"
-	"omcast/internal/fleet"
 	"omcast/internal/metrics"
 	"omcast/internal/multitree"
 	"omcast/internal/overlay"
@@ -783,27 +782,4 @@ func RunMultiTree(cfg Config, mt MultiTreeConfig) (MultiTreeResult, error) {
 		Episodes:         res.Episodes,
 		MaxDepths:        res.MaxDepths,
 	}, nil
-}
-
-// FleetConfig parameterises the federation control plane: many sources,
-// each serving several stripe trees, with heartbeat failure detection,
-// capacity-aware viewer assignment, bounded source failover, graceful
-// draining and cross-tree rebalancing. See internal/fleet for field docs.
-type FleetConfig = fleet.Config
-
-// FleetEvent schedules a source kill or drain at a virtual time.
-type FleetEvent = fleet.TimedEvent
-
-// FleetBurst is a flash-crowd arrival of Count viewers at once.
-type FleetBurst = fleet.Burst
-
-// FleetResult summarises a fleet session: failover/reassignment counts and
-// latency percentiles, outage ratio, drain and rebalance activity, final
-// per-tree loads and any violated bounds.
-type FleetResult = fleet.Result
-
-// RunFleet executes a federation control-plane session. Deterministic in
-// FleetConfig.Seed, like every other entry point.
-func RunFleet(cfg FleetConfig) (FleetResult, error) {
-	return fleet.Run(cfg)
 }
