@@ -56,6 +56,11 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"topo unknown flag", []string{"topo", "-bogus"}},
 		{"trace unknown flag", []string{"trace", "-bogus"}},
 		{"trace fleet flag", []string{"trace", "-fleet"}},
+		{"trace negative size", []string{"trace", "-size", "-5"}},
+		{"trace negative warmup", []string{"trace", "-warmup", "-1h"}},
+		{"trace negative measure", []string{"trace", "-measure", "-1m"}},
+		{"trace negative sample", []string{"trace", "-sample", "-5m"}},
+		{"trace negative group", []string{"trace", "-stream", "-group", "-3"}},
 		{"trace analyze two inputs", []string{"trace", "analyze", "a", "b"}},
 	}
 	for _, tc := range cases {

@@ -124,6 +124,10 @@ func traceSim(args []string) int {
 	if fs.Parse(args) != nil {
 		return 2
 	}
+	if *size < 0 || *warmup < 0 || *measure < 0 || *sample < 0 || *group < 0 {
+		// A negative value is a typo, not a request for the default.
+		return fail(2, "trace", "-size, -warmup, -measure, -sample and -group must not be negative")
+	}
 	alg, ok := map[string]omcast.Algorithm{
 		"min-depth":     omcast.MinimumDepth,
 		"longest-first": omcast.LongestFirst,
@@ -153,7 +157,7 @@ func traceSim(args []string) int {
 			sres, err = omcast.RunStreamingWithTrace(cfg, omcast.StreamConfig{GroupSize: *group}, w, topts)
 			res = sres.TreeResult
 		} else {
-			res, err = omcast.RunWithTraceOptions(cfg, w, topts)
+			res, err = omcast.RunWithTrace(cfg, w, topts)
 		}
 		return err
 	})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"omcast"
+	"omcast/internal/xrand"
 )
 
 // fingerprintTree renders every metric of a tree-level result, including the
@@ -113,7 +114,7 @@ func TestSampledTraceByteIdentical(t *testing.T) {
 	opts := omcast.TraceOptions{SampleEvery: 2 * time.Minute}
 	run := func() string {
 		var buf strings.Builder
-		if _, err := omcast.RunWithTraceOptions(cfg, &buf, opts); err != nil {
+		if _, err := omcast.RunWithTrace(cfg, &buf, opts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -177,7 +178,7 @@ func TestSpanTraceByteIdentical(t *testing.T) {
 	opts := omcast.TraceOptions{Spans: true}
 	run := func() string {
 		var buf strings.Builder
-		if _, err := omcast.RunWithTraceOptions(cfg, &buf, opts); err != nil {
+		if _, err := omcast.RunWithTrace(cfg, &buf, opts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -298,6 +299,54 @@ func TestStreamingTraceGolden(t *testing.T) {
 			if got != tc.sha256 {
 				t.Fatalf("trace sha256 = %s (%d lines), want %s (%d lines)",
 					got, strings.Count(buf.String(), "\n"), tc.sha256, tc.lines)
+			}
+		})
+	}
+}
+
+// TestTreeTraceGolden pins the full JSONL of two traced tree-level runs with
+// spans on, hashed before churn took over the rejoin episodes: the ROST
+// quick configuration with sampling (21 switch lines, 24 switch spans, 170
+// rejoin spans) and TestTraceSaturatedAttemptSpans' bandwidth-starved
+// minimum-depth overlay (99 saturated attempt spans).
+func TestTreeTraceGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes were taken on amd64, not %s", runtime.GOARCH)
+	}
+	saturated := quickConfig(1, omcast.MinimumDepth)
+	saturated.Warmup, saturated.Measure = 10*time.Minute, 20*time.Minute
+	saturated.RootBandwidth = 20
+	saturated.Bandwidth = xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 2.2}
+	for _, tc := range []struct {
+		name   string
+		cfg    omcast.Config
+		opts   omcast.TraceOptions
+		sha256 string
+		lines  int
+	}{
+		{
+			name:   "rost-sampled",
+			cfg:    quickConfig(40, omcast.ROST),
+			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute, Spans: true},
+			sha256: "984aa2b4c6256eb863dfde8b68c4dd021d707eaa599d112e0658971035ce2f31",
+			lines:  2333,
+		},
+		{
+			name:   "saturated-min-depth",
+			cfg:    saturated,
+			opts:   omcast.TraceOptions{Spans: true},
+			sha256: "7b0412e7b2adeed2be1090703f470fb0dae07b1fcef66f04fe22300d1aed110e",
+			lines:  969,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf strings.Builder
+			if _, err := omcast.RunWithTrace(tc.cfg, &buf, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+			got, lines := fmt.Sprintf("%x", sha256.Sum256([]byte(buf.String()))), strings.Count(buf.String(), "\n")
+			if got != tc.sha256 || lines != tc.lines {
+				t.Fatalf("trace sha256 = %s (%d lines), want %s (%d lines)", got, lines, tc.sha256, tc.lines)
 			}
 		})
 	}

@@ -19,6 +19,7 @@ import (
 	"omcast/internal/overlay"
 	"omcast/internal/stats"
 	"omcast/internal/topology"
+	"omcast/internal/tracing"
 	"omcast/internal/xrand"
 )
 
@@ -78,6 +79,10 @@ type Config struct {
 	// no capacity. This keeps freed interior positions inside the affected
 	// subtree instead of handing them to brand-new members.
 	AncestorRejoin bool
+	// Trace, if non-nil, records each orphan's rejoin episode as a causal
+	// "rejoin" span from its parent's failure to its reattachment or
+	// departure, with an instantaneous "attempt" child per saturated retry.
+	Trace *tracing.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -137,17 +142,12 @@ type Hooks struct {
 	// OnJoin fires after a member successfully attaches for the first time.
 	OnJoin func(sim *eventsim.Simulator, m *overlay.Member)
 	// OnFailure fires when a member departs abruptly, before it is removed
-	// from the tree (so the subtree is still inspectable). orphanIDs lists
-	// the children that will rejoin.
+	// from the tree (so the subtree is still inspectable).
 	OnFailure func(sim *eventsim.Simulator, failed *overlay.Member)
 	// OnDepart fires after the member has been removed.
 	OnDepart func(sim *eventsim.Simulator, id overlay.MemberID)
 	// OnRejoin fires when an orphan re-attaches after a parent failure.
 	OnRejoin func(sim *eventsim.Simulator, m *overlay.Member)
-	// OnRejoinBlocked fires when an orphan's rejoin attempt finds the
-	// overlay saturated and must back off (one firing per failed attempt),
-	// so tracing can record per-attempt sub-spans of the rejoin episode.
-	OnRejoinBlocked func(sim *eventsim.Simulator, id overlay.MemberID)
 }
 
 // Driver owns the churn process over one tree.
@@ -186,10 +186,9 @@ type Driver struct {
 	tracked []*Tracked
 
 	met driverMetrics
-	// pendingRejoin maps an orphan to the virtual time its parent failed,
-	// so the rejoin-latency histogram can observe failure-to-reattach time.
-	// Only populated while instrumented; accessed by key, never iterated.
-	pendingRejoin map[overlay.MemberID]time.Duration
+	// episodes holds each orphan's rejoin episode in flight. Only kept
+	// while instrumented or traced; accessed by key, never iterated.
+	episodes map[overlay.MemberID]rejoinEpisode
 
 	// JoinFailures counts arrivals that found a saturated overlay and had
 	// to retry.
@@ -229,20 +228,52 @@ func (d *Driver) Instrument(reg *metrics.Registry) {
 			"Virtual seconds from parent failure to orphan re-attachment.",
 			metrics.LatencyBuckets()),
 	}
-	d.pendingRejoin = make(map[overlay.MemberID]time.Duration)
+	if d.episodes == nil {
+		d.episodes = make(map[overlay.MemberID]rejoinEpisode)
+	}
 }
 
-// noteRejoined records a successful rejoin: counter plus the latency since
-// the parent failure, if this orphan's failure time was captured.
-func (d *Driver) noteRejoined(sim *eventsim.Simulator, id overlay.MemberID) {
-	d.met.rejoins.Inc()
-	if d.pendingRejoin == nil {
+// rejoinEpisode is one orphan's rejoin in flight: when its parent failed,
+// for the latency histogram, and its open span (nil untraced).
+type rejoinEpisode struct {
+	failedAt time.Duration
+	span     *tracing.SpanBuilder
+}
+
+// openEpisodes opens a rejoin episode for each child of failed. It runs
+// before OnFailure, so each orphan's span ID precedes any a failure hook
+// mints on the same member's track.
+func (d *Driver) openEpisodes(now time.Duration, failed *overlay.Member) {
+	if d.episodes == nil {
 		return
 	}
-	if failedAt, ok := d.pendingRejoin[id]; ok {
-		d.met.rejoinLat.Observe((sim.Now() - failedAt).Seconds())
-		delete(d.pendingRejoin, id)
+	failed.VisitChildren(func(c *overlay.Member) {
+		d.episodes[c.ID] = rejoinEpisode{
+			failedAt: now,
+			span:     d.cfg.Trace.Start(tracing.KindRejoin, int64(c.ID), now).AttrInt("failed_parent", int64(failed.ID)),
+		}
+	})
+}
+
+// rejoined reports an orphan's reattachment, then closes its episode: the
+// span line follows the OnRejoin hook's output.
+func (d *Driver) rejoined(sim *eventsim.Simulator, m *overlay.Member) {
+	d.met.rejoins.Inc()
+	if d.hooks.OnRejoin != nil {
+		d.hooks.OnRejoin(sim, m)
 	}
+	ep, ok := d.episodes[m.ID]
+	if !ok {
+		return
+	}
+	delete(d.episodes, m.ID)
+	now := sim.Now()
+	d.met.rejoinLat.Observe((now - ep.failedAt).Seconds())
+	ep.span.AttrInt("depth", int64(m.Depth()))
+	if p := m.Parent(); p != nil {
+		ep.span.AttrInt("parent", int64(p.ID))
+	}
+	ep.span.End(now, "reattached")
 }
 
 // Tracked is a "typical member" time series (Figures 6 and 9): cumulative
@@ -285,6 +316,9 @@ func NewDriver(sim *eventsim.Simulator, tree *overlay.Tree, topo *topology.Topol
 		arrivalGap:  xrand.Exponential{Rate: lambda},
 		measureFrom: cfg.Warmup,
 		measureTo:   cfg.Warmup + cfg.Measure,
+	}
+	if cfg.Trace != nil {
+		d.episodes = make(map[overlay.MemberID]rejoinEpisode)
 	}
 	return d, nil
 }
@@ -412,6 +446,8 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	if m == nil {
 		return
 	}
+	now := sim.Now()
+	d.openEpisodes(now, m)
 	if d.hooks.OnFailure != nil {
 		d.hooks.OnFailure(sim, m)
 	}
@@ -419,7 +455,6 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	// "most uncooperative and dynamic environment").
 	disrupted := d.tree.RecordFailure(m)
 	d.met.disruptions.Add(float64(disrupted))
-	now := sim.Now()
 	if now >= d.measureFrom && now <= d.measureTo {
 		d.departedDisruptions = append(d.departedDisruptions, float64(m.Disruptions))
 		d.departedReconns = append(d.departedReconns, float64(m.Reconnections))
@@ -442,16 +477,15 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	if err != nil {
 		panic(fmt.Sprintf("churn: removing departed member: %v", err))
 	}
-	if d.pendingRejoin != nil {
-		// A member departing mid-rejoin never re-attaches; drop its entry.
-		delete(d.pendingRejoin, id)
-		for _, o := range orphans {
-			d.pendingRejoin[o.ID] = now
-		}
-	}
 	d.met.members.Set(float64(d.tree.Size()))
 	if d.hooks.OnDepart != nil {
 		d.hooks.OnDepart(sim, id)
+	}
+	// A member departing mid-rejoin never re-attaches: its episode ends
+	// here, after the OnDepart hook's output.
+	if ep, ok := d.episodes[id]; ok {
+		delete(d.episodes, id)
+		ep.span.End(now, "departed")
 	}
 	// Orphans contend for the freed position; the largest-BTP child wins
 	// (the same priority Figure 2 gives the strongest node at overflow).
@@ -476,10 +510,7 @@ func (d *Driver) ancestorRejoin(sim *eventsim.Simulator, o *overlay.Member, ance
 		if err := d.tree.Attach(o, a); err != nil {
 			continue
 		}
-		d.noteRejoined(sim, o.ID)
-		if d.hooks.OnRejoin != nil {
-			d.hooks.OnRejoin(sim, o)
-		}
+		d.rejoined(sim, o)
 		return true
 	}
 	return false
@@ -494,15 +525,12 @@ func (d *Driver) rejoin(sim *eventsim.Simulator, id overlay.MemberID) {
 	err := d.strategy.Join(d.tree, m, sim.Now())
 	switch {
 	case err == nil:
-		d.noteRejoined(sim, id)
-		if d.hooks.OnRejoin != nil {
-			d.hooks.OnRejoin(sim, m)
-		}
+		d.rejoined(sim, m)
 	case errors.Is(err, construct.ErrNoParent):
 		d.JoinFailures++
 		d.met.joinFailures.Inc()
-		if d.hooks.OnRejoinBlocked != nil {
-			d.hooks.OnRejoinBlocked(sim, id)
+		if ep, ok := d.episodes[id]; ok {
+			ep.span.Child(tracing.KindAttempt, int64(id), sim.Now()).End(sim.Now(), "saturated")
 		}
 		sim.Lane(DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
 			d.rejoin(s, id)

@@ -6,8 +6,10 @@ import (
 
 	"omcast/internal/construct"
 	"omcast/internal/eventsim"
+	"omcast/internal/metrics"
 	"omcast/internal/overlay"
 	"omcast/internal/topology"
+	"omcast/internal/tracing"
 	"omcast/internal/xrand"
 )
 
@@ -320,6 +322,81 @@ func TestAncestorRejoin(t *testing.T) {
 	}
 	if rejoins == 0 {
 		t.Fatal("no rejoins under churn with ancestor repair")
+	}
+}
+
+// spanCheck is a tracing.Recorder that checks each rejoin span against the
+// hook that fired last: an episode closes after its OnRejoin or OnDepart.
+type spanCheck struct {
+	t        *testing.T
+	last     overlay.MemberID
+	outcomes map[string]int
+}
+
+func (c *spanCheck) Record(sp tracing.Span) {
+	c.outcomes[sp.Kind+"/"+sp.Outcome]++
+	if sp.Kind == tracing.KindRejoin && sp.Member != int64(c.last) {
+		c.t.Fatalf("%s rejoin span of member %d closed after the hook for member %d", sp.Outcome, sp.Member, c.last)
+	}
+}
+
+// TestRejoinEpisodes: churn keeps one record per orphan's rejoin, and only
+// when someone reads it. Untraced and uninstrumented, no map exists. Traced
+// and instrumented over a bandwidth-starved overlay, every rejoin closes one
+// "reattached" span and one latency observation, every episode ends after
+// its member's hook, and blocked retries and mid-rejoin departures show.
+func TestRejoinEpisodes(t *testing.T) {
+	plain := newWorld(t, 13, 200, Hooks{})
+	plain.run(t)
+	if plain.driver.episodes != nil {
+		t.Fatal("an untraced, uninstrumented driver allocated the episode map")
+	}
+
+	topo := smallTopo(t, 13)
+	sim := eventsim.New()
+	tree, err := overlay.NewTree(topo.RandomStub(xrand.New(1)), 20, topo.Delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := &spanCheck{t: t, outcomes: map[string]int{}}
+	rejoins := 0
+	hooks := Hooks{
+		OnRejoin: func(_ *eventsim.Simulator, m *overlay.Member) { check.last = m.ID; rejoins++ },
+		OnDepart: func(_ *eventsim.Simulator, id overlay.MemberID) { check.last = id },
+	}
+	env := &construct.Env{Rng: xrand.New(2), Delay: topo.Delay}
+	driver, err := NewDriver(sim, tree, topo, &construct.MinDepth{Env: env}, Config{
+		Seed:        13,
+		TargetSize:  200,
+		Bandwidth:   xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 2.2},
+		Warmup:      1800 * time.Second,
+		Measure:     1800 * time.Second,
+		PrePopulate: true,
+		Trace:       tracing.New(13, check),
+	}, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	driver.Instrument(reg)
+	driver.Start()
+	if err := sim.Run(driver.Horizon()); err != nil {
+		t.Fatal(err)
+	}
+	if rejoins == 0 || check.outcomes["rejoin/departed"] == 0 || check.outcomes["attempt/saturated"] == 0 {
+		t.Fatalf("%d rejoins, spans %v: want reattached and departed episodes and saturated attempts", rejoins, check.outcomes)
+	}
+	if check.outcomes["rejoin/reattached"] != rejoins {
+		t.Fatalf("%d reattached spans for %d rejoins", check.outcomes["rejoin/reattached"], rejoins)
+	}
+	var observed uint64
+	for _, m := range reg.Snapshot(0).Metrics {
+		if m.Name == "omcast_churn_rejoin_latency_seconds" {
+			observed = m.Hist.Count
+		}
+	}
+	if observed != uint64(rejoins) {
+		t.Fatalf("%d latency observations for %d rejoins", observed, rejoins)
 	}
 }
 

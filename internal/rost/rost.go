@@ -67,6 +67,11 @@ type Config struct {
 	// bandwidth" switching precondition (ablation: the paper argues the
 	// guard avoids switches that would only be undone later).
 	DisableBandwidthGuard bool
+	// Trace, if non-nil, records every switch decision as a "switch" span:
+	// initiation to commit for started switches (outcomes "switched" or
+	// "aborted"), instantaneous spans for refused claims ("rejected") and
+	// lock back-offs ("lock-backoff").
+	Trace *tracing.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -91,7 +96,6 @@ type Protocol struct {
 	join construct.Strategy
 
 	nextOp int64
-	trace  *tracing.Tracer
 	// onSwitch, when non-nil, observes every completed switch (promoted
 	// child, demoted parent) — used for tracing.
 	onSwitch func(now time.Duration, promoted, demoted overlay.MemberID)
@@ -154,14 +158,6 @@ func (p *Protocol) Name() string { return "ROST" }
 // SetOnSwitch installs a completed-switch observer (tracing hook).
 func (p *Protocol) SetOnSwitch(fn func(now time.Duration, promoted, demoted overlay.MemberID)) {
 	p.onSwitch = fn
-}
-
-// SetTrace installs a span tracer: every switch decision becomes a
-// "switch" span — initiation to commit for started switches (outcomes
-// "switched"/"aborted"), instantaneous spans for refused claims
-// ("rejected") and lock back-offs ("lock-backoff").
-func (p *Protocol) SetTrace(t *tracing.Tracer) {
-	p.trace = t
 }
 
 var _ construct.Strategy = (*Protocol)(nil)
@@ -272,7 +268,7 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member)
 		if !r.VerifyBTP(m, p.claimedBTP(m, now), now) {
 			p.Rejected++
 			p.met.rejected.Inc()
-			p.trace.Start(tracing.KindSwitch, int64(m.ID), now).
+			p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
 				AttrInt("parent", int64(parent.ID)).End(now, "rejected")
 			return switchNotNeeded
 		}
@@ -285,12 +281,12 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member)
 	p.nextOp++
 	op := p.nextOp
 	if !p.tree.Lock(op, lockSet...) {
-		p.trace.Start(tracing.KindSwitch, int64(m.ID), now).
+		p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
 			AttrInt("parent", int64(parent.ID)).End(now, "lock-backoff")
 		return switchBlocked
 	}
 	mID, parentID := m.ID, parent.ID
-	sp := p.trace.Start(tracing.KindSwitch, int64(m.ID), now).
+	sp := p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
 		AttrInt("parent", int64(parentID)).AttrInt("depth", int64(m.Depth()))
 	sim.Lane(p.cfg.SwitchLatency).Schedule(func(s *eventsim.Simulator) {
 		p.completeSwitch(s, op, mID, parentID, lockSet, sp)

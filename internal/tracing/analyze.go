@@ -1,5 +1,5 @@
 // Trace analysis: parse a JSONL trace stream (point events and span
-// envelopes interleaved), reconstruct episode timelines, and summarise
+// lines interleaved), reconstruct episode timelines, and summarise
 // them as latency breakdowns — the consumer half of the span layer,
 // surfaced by `omcast trace analyze`.
 package tracing
@@ -20,9 +20,9 @@ type ParsedTrace struct {
 	Lines  int
 }
 
-// Parse reads a JSONL trace. Unknown fields are ignored so older analyzers
-// keep working against newer producers; lines that are not JSON objects
-// are an error. A missing "v" (pre-span traces) parses as version 0 and is
+// Parse reads a JSONL trace of Events. Unknown fields are ignored so older
+// analyzers keep working against newer producers; lines that are not JSON
+// objects, and "span" lines without a span, are an error. A missing "v" (pre-span traces) parses as version 0 and is
 // accepted.
 func Parse(r io.Reader) (*ParsedTrace, error) {
 	out := &ParsedTrace{Events: make(map[string]int)}
@@ -34,18 +34,18 @@ func Parse(r io.Reader) (*ParsedTrace, error) {
 			continue
 		}
 		out.Lines++
-		var ev Envelope
+		var ev Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			return nil, fmt.Errorf("tracing: line %d: %w", out.Lines, err)
 		}
-		if ev.V > SchemaVersion {
+		switch {
+		case ev.V > SchemaVersion:
 			return nil, fmt.Errorf("tracing: line %d: schema v%d is newer than this analyzer (v%d)", out.Lines, ev.V, SchemaVersion)
-		}
-		if ev.Span != nil {
+		case ev.Span != nil:
 			out.Spans = append(out.Spans, *ev.Span)
-			continue
-		}
-		if ev.Event != "" {
+		case ev.Event == "span":
+			return nil, fmt.Errorf("tracing: line %d: span event carries no span", out.Lines)
+		case ev.Event != "":
 			out.Events[ev.Event]++
 		}
 	}

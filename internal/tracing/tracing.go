@@ -1,6 +1,7 @@
-// Package tracing is the causal span layer beneath the trace stream: where
-// the JSONL tracer records point events (a member joined, a packet was
-// lost), tracing records *episodes* — a rejoin from failure detection
+// Package tracing owns the JSONL trace stream: one line type (Event), one
+// encoder (Writer) and one reader (Parse), shared by simulated and live
+// runs. Point events record that something happened (a member joined, a
+// parent failed); spans record *episodes* — a rejoin from failure detection
 // through per-attempt join requests to reattachment, a CER repair from gap
 // detection through striped per-peer fetches to filled-or-abandoned, a ROST
 // switch from initiation to commit, a starvation window from first missed
@@ -28,9 +29,11 @@ import (
 	"io"
 	"strconv"
 	"time"
+
+	"omcast/internal/metrics"
 )
 
-// SchemaVersion is stamped into every JSONL envelope as "v" so downstream
+// SchemaVersion is stamped into every trace line as "v" so downstream
 // consumers can detect incompatible producers instead of misparsing them.
 const SchemaVersion = 1
 
@@ -75,9 +78,8 @@ type Span struct {
 // Duration returns End-Start in seconds.
 func (s Span) Duration() float64 { return s.End - s.Start }
 
-// Recorder receives completed spans. Implementations: the sim tracer
-// (re-encoding spans as trace events), the flight recorder ring, test
-// collectors.
+// Recorder receives completed spans. Implementations: Writer (spans as
+// trace lines), the flight recorder ring, test collectors.
 type Recorder interface {
 	Record(Span)
 }
@@ -261,31 +263,87 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// Envelope is the JSONL line shape for a span, mirroring the simulator's
-// TraceEvent framing (v/t/event/member) so span lines and point-event
-// lines interleave in one stream and one parser handles both.
-type Envelope struct {
-	V      int     `json:"v"`
-	T      float64 `json:"t"`
-	Event  string  `json:"event"`
-	Member int64   `json:"member"`
-	Span   *Span   `json:"span"`
+// Event is one line of the JSONL trace stream, simulated or live. "v", "t"
+// (seconds on the producer's clock) and "event" are always present; the rest
+// depend on the event:
+//
+//	join, rejoin — member, parent, depth, bandwidth
+//	depart       — member
+//	failure      — member, disrupted
+//	switch       — member (promoted), demoted
+//	repair       — member (the orphan), repaired, lost
+//	sample       — metrics (a full registry snapshot; no member)
+//	span         — member, span (t is the span's end)
+//
+// Presence is exact: fields that carry a meaningful zero (parent 0 is the
+// source, depth 0 is the source's layer, disrupted 0 is a leaf failure,
+// repaired/lost 0 are real outcomes) are pointers serialised whenever the
+// event defines them and omitted otherwise, so consumers can distinguish
+// "zero" from "not applicable" without knowing the event vocabulary.
+type Event struct {
+	// V is the schema version (SchemaVersion), stamped by Writer.
+	V     int     `json:"v"`
+	T     float64 `json:"t"`
+	Event string  `json:"event"`
+	// Member is the subject member ID (absent on sample events and on the
+	// spans of a live node, whose spans name their Node instead).
+	Member    int64   `json:"member,omitempty"`
+	Parent    *int64  `json:"parent,omitempty"`
+	Depth     *int    `json:"depth,omitempty"`
+	Bandwidth float64 `json:"bandwidth,omitempty"`
+	Disrupted *int    `json:"disrupted,omitempty"`
+	// Demoted is the former parent in a switch event.
+	Demoted  int64            `json:"demoted,omitempty"`
+	Repaired *int             `json:"repaired,omitempty"`
+	Lost     *int             `json:"lost,omitempty"`
+	Metrics  []metrics.Metric `json:"metrics,omitempty"`
+	Span     *Span            `json:"span,omitempty"`
 }
 
-// WriteJSONL writes spans as envelope lines, one per span, in slice order.
-func WriteJSONL(w io.Writer, spans []Span) error {
-	enc := json.NewEncoder(w)
-	for i := range spans {
-		ev := Envelope{
-			V:      SchemaVersion,
-			T:      spans[i].End,
-			Event:  "span",
-			Member: spans[i].Member,
-			Span:   &spans[i],
-		}
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("tracing: writing span %s: %w", spans[i].ID, err)
-		}
+// Writer is the one encoder of trace lines. It stamps every Event with
+// SchemaVersion, keeps the first encoding error and drops every line after
+// it. As a Recorder it writes each completed span as a "span" line. A nil
+// *Writer is the untraced stream: every method is a no-op.
+type Writer struct {
+	enc *json.Encoder
+	err error
+}
+
+// NewWriter returns a Writer over w, or nil when w is nil.
+func NewWriter(w io.Writer) *Writer {
+	if w == nil {
+		return nil
 	}
-	return nil
+	return &Writer{enc: json.NewEncoder(w)}
+}
+
+// Emit writes ev as one line.
+func (w *Writer) Emit(ev Event) {
+	if w == nil || w.err != nil {
+		return
+	}
+	ev.V = SchemaVersion
+	w.err = w.enc.Encode(ev)
+}
+
+// Record implements Recorder.
+func (w *Writer) Record(sp Span) {
+	w.Emit(Event{T: sp.End, Event: "span", Member: sp.Member, Span: &sp})
+}
+
+// Err returns the first encoding error, if any.
+func (w *Writer) Err() error {
+	if w == nil || w.err == nil {
+		return nil
+	}
+	return fmt.Errorf("tracing: writing trace: %w", w.err)
+}
+
+// WriteJSONL writes spans as "span" lines, one per span, in slice order.
+func WriteJSONL(w io.Writer, spans []Span) error {
+	tw := NewWriter(w)
+	for _, sp := range spans {
+		tw.Record(sp)
+	}
+	return tw.Err()
 }

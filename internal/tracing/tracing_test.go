@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -131,7 +132,7 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"v":1`) {
-		t.Fatalf("envelope missing schema version: %s", buf.String())
+		t.Fatalf("span line missing schema version: %s", buf.String())
 	}
 	got, err := ReadSpans(strings.NewReader(buf.String()))
 	if err != nil {
@@ -156,6 +157,45 @@ func TestParseRejectsNewerSchema(t *testing.T) {
 	_, err := Parse(strings.NewReader(`{"v":99,"event":"span"}`))
 	if err == nil || !strings.Contains(err.Error(), "newer") {
 		t.Fatalf("want schema-version error, got %v", err)
+	}
+}
+
+// TestParseRejectsSpanlessSpanLine: a "span" line whose span is missing or
+// null is a malformed producer, not a point event, and the error names the
+// line.
+func TestParseRejectsSpanlessSpanLine(t *testing.T) {
+	for _, line := range []string{`{"v":1,"t":2,"event":"span","member":3}`, `{"v":1,"t":2,"event":"span","span":null}`} {
+		_, err := Parse(strings.NewReader(`{"v":1,"t":1,"event":"join","member":3}` + "\n" + line))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: want a line-2 error, got %v", line, err)
+		}
+	}
+}
+
+// TestLiveSpanLineGolden pins the line a live node's span becomes through
+// Writer (flight /debug/trace, chaos -trace-out): a live span has no member,
+// so the line carries none. Lines written before Writer carried a
+// redundant "member":0; Parse must read one to the same Span.
+func TestLiveSpanLineGolden(t *testing.T) {
+	var c collect
+	NewNode(1, "127.0.0.1:7000", &c).Start(KindRejoin, 0, time.Second).Attr("cause", "timeout").End(3*time.Second, "reattached")
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, c.spans); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"v":1,"t":3,"event":"span","span":{"id":"7f93b5b6022aa53d","kind":"rejoin","member":0,"node":"127.0.0.1:7000","start":1,"end":3,"outcome":"reattached","attrs":[{"k":"cause","v":"timeout"}]}}` + "\n"
+	if buf.String() != want {
+		t.Fatalf("live span line drifted:\n got  %s want %s", buf.String(), want)
+	}
+	const old = `{"v":1,"t":3,"event":"span","member":0,"span":{"id":"7f93b5b6022aa53d","kind":"rejoin","member":0,"node":"127.0.0.1:7000","start":1,"end":3,"outcome":"reattached","attrs":[{"k":"cause","v":"timeout"}]}}`
+	for _, in := range []string{want, old} {
+		got, err := ReadSpans(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], c.spans[0]) {
+			t.Fatalf("Parse(%s) = %+v, want %+v", in, got, c.spans[0])
+		}
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"omcast/internal/overlay"
 	"omcast/internal/rost"
 	"omcast/internal/topology"
+	"omcast/internal/tracing"
 	"omcast/internal/xrand"
 )
 
@@ -255,8 +256,9 @@ type session struct {
 }
 
 // newSession builds the full substrate stack for cfg, with extra hooks
-// merged in (used by the streaming layer).
-func newSession(cfg Config, extra churn.Hooks) (*session, error) {
+// merged in (used by the trace and streaming layers). spans, if non-nil,
+// records churn's rejoin episodes and ROST's switch decisions.
+func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -291,6 +293,7 @@ func newSession(cfg Config, extra churn.Hooks) (*session, error) {
 			ContributorPriority:   cfg.ContributorPriority,
 			DisableBandwidthGuard: cfg.DisableBandwidthGuard,
 			SkipVerification:      cfg.DisableClaimVerification,
+			Trace:                 spans,
 		}
 		if cfg.EnableReferees || cfg.Cheaters > 0 {
 			s.referees = rost.NewReferees(s.tree, xrand.NewNamed(cfg.Seed, "referees"), rost.RefereeConfig{})
@@ -327,8 +330,7 @@ func newSession(cfg Config, extra churn.Hooks) (*session, error) {
 				extra.OnDepart(sim, id)
 			}
 		},
-		OnRejoin:        extra.OnRejoin,
-		OnRejoinBlocked: extra.OnRejoinBlocked,
+		OnRejoin: extra.OnRejoin,
 	}
 	s.driver, err = churn.NewDriver(s.sim, s.tree, topo, s.strategy, churn.Config{
 		Seed:           cfg.Seed,
@@ -341,6 +343,7 @@ func newSession(cfg Config, extra churn.Hooks) (*session, error) {
 		PrePopulate:    true,
 		SessionAge:     cfg.SessionAge,
 		AncestorRejoin: !cfg.DisableAncestorRejoin,
+		Trace:          spans,
 	}, hooks)
 	if err != nil {
 		return nil, fmt.Errorf("omcast: creating churn driver: %w", err)
@@ -477,7 +480,7 @@ type TreeResult struct {
 
 // Run executes one tree-level experiment.
 func Run(cfg Config) (TreeResult, error) {
-	s, err := newSession(cfg, churn.Hooks{})
+	s, err := newSession(cfg, churn.Hooks{}, nil)
 	if err != nil {
 		return TreeResult{}, err
 	}
@@ -573,7 +576,7 @@ func RunScale(cfg Config) (ScaleResult, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s, err := newSession(cfg, churn.Hooks{})
+	s, err := newSession(cfg, churn.Hooks{}, nil)
 	if err != nil {
 		return ScaleResult{}, err
 	}
@@ -693,7 +696,7 @@ func RunTracked(cfg Config, bandwidth float64, observe time.Duration) (TrackedSe
 	if cfg.Measure < observe {
 		cfg.Measure = observe
 	}
-	s, err := newSession(cfg, churn.Hooks{})
+	s, err := newSession(cfg, churn.Hooks{}, nil)
 	if err != nil {
 		return TrackedSeries{}, TreeResult{}, err
 	}

@@ -25,7 +25,7 @@ func shareConfig(seed int64, alg Algorithm) Config {
 func TestShareUnderlayAcrossSessions(t *testing.T) {
 	open := func(cfg Config) *session {
 		t.Helper()
-		s, err := newSession(cfg, churn.Hooks{})
+		s, err := newSession(cfg, churn.Hooks{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 
 func TestRunWithTrace(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := omcast.RunWithTrace(quickConfig(40, omcast.ROST), &buf)
+	res, err := omcast.RunWithTrace(quickConfig(40, omcast.ROST), &buf, omcast.TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func TestRunWithTrace(t *testing.T) {
 
 func TestRunWithTraceDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if _, err := omcast.RunWithTrace(quickConfig(41, omcast.ROST), &a); err != nil {
+	if _, err := omcast.RunWithTrace(quickConfig(41, omcast.ROST), &a, omcast.TraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := omcast.RunWithTrace(quickConfig(41, omcast.ROST), &b); err != nil {
+	if _, err := omcast.RunWithTrace(quickConfig(41, omcast.ROST), &b, omcast.TraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -69,7 +69,7 @@ func TestRunWithTraceDeterministic(t *testing.T) {
 }
 
 func TestRunWithTraceNilWriter(t *testing.T) {
-	res, err := omcast.RunWithTrace(quickConfig(42, omcast.MinimumDepth), nil)
+	res, err := omcast.RunWithTrace(quickConfig(42, omcast.MinimumDepth), nil, omcast.TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ type writeError struct{}
 func (*writeError) Error() string { return "synthetic write failure" }
 
 func TestRunWithTraceWriteError(t *testing.T) {
-	_, err := omcast.RunWithTrace(quickConfig(43, omcast.MinimumDepth), &failingWriter{left: 1024})
+	_, err := omcast.RunWithTrace(quickConfig(43, omcast.MinimumDepth), &failingWriter{left: 1024}, omcast.TraceOptions{})
 	if err == nil || !strings.Contains(err.Error(), "trace") {
 		t.Fatalf("write failure not surfaced: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestRunStreamingWithTraceWriteError(t *testing.T) {
 func TestRunWithTraceSampled(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := quickConfig(44, omcast.ROST)
-	_, err := omcast.RunWithTraceOptions(cfg, &buf, omcast.TraceOptions{SampleEvery: 5 * time.Minute})
+	_, err := omcast.RunWithTrace(cfg, &buf, omcast.TraceOptions{SampleEvery: 5 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,10 +328,10 @@ func TestTraceSaturatedAttemptSpans(t *testing.T) {
 		Bandwidth:     xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 2.2},
 	}
 	var spans, plain bytes.Buffer
-	if _, err := omcast.RunWithTraceOptions(cfg, &spans, omcast.TraceOptions{Spans: true}); err != nil {
+	if _, err := omcast.RunWithTrace(cfg, &spans, omcast.TraceOptions{Spans: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := omcast.RunWithTraceOptions(cfg, &plain, omcast.TraceOptions{}); err != nil {
+	if _, err := omcast.RunWithTrace(cfg, &plain, omcast.TraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var nonSpan bytes.Buffer
