@@ -54,6 +54,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"lint enable rule", []string{"lint", "-enable", "wire-taint"}},
 		{"node unknown flag", []string{"node", "-bogus"}},
 		{"topo unknown flag", []string{"topo", "-bogus"}},
+		{"topo negative transit domains", []string{"topo", "-transit-domains", "-3"}},
+		{"topo negative transit nodes", []string{"topo", "-transit-nodes", "-1"}},
+		{"topo negative stub domains", []string{"topo", "-stub-domains", "-2"}},
+		{"topo negative stub nodes", []string{"topo", "-stub-nodes", "-5"}},
 		{"trace unknown flag", []string{"trace", "-bogus"}},
 		{"trace fleet flag", []string{"trace", "-fleet"}},
 		{"trace negative size", []string{"trace", "-size", "-5"}},

@@ -35,6 +35,10 @@ func cmdTopo(args []string) int {
 	if *samples < 1 {
 		return fail(2, "topo", "-samples %d: want at least 1", *samples)
 	}
+	if *transitDomains < 0 || *transitNodes < 0 || *stubDomains < 0 || *stubNodes < 0 {
+		// Zero asks for the default; a negative value is a typo, not a default.
+		return fail(2, "topo", "-transit-domains, -transit-nodes, -stub-domains and -stub-nodes must not be negative")
+	}
 
 	cfg := topology.DefaultConfig(*seed)
 	if *transitDomains > 0 {

@@ -43,6 +43,10 @@ type Env struct {
 	Rng *xrand.Source
 	// Delay returns the unicast delay between two underlay routers.
 	Delay func(a, b topology.NodeID) time.Duration
+	// Underlay, when set, is the network Delay measures: the relaxed joins
+	// then visit a layer's spare members by home transit router, near to
+	// far, and stop where no farther one can win. Nil visits them all.
+	Underlay *topology.Topology
 	// CandidateCount bounds membership discovery for the distributed
 	// algorithms; 0 means DefaultCandidateCount.
 	CandidateCount int
@@ -235,7 +239,7 @@ func (a *relaxedOrdered) Name() string { return a.name }
 
 // Join implements Strategy.
 func (a *relaxedOrdered) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration) error {
-	lx := tree.LevelIndex(a.order)
+	lx := tree.LevelIndex(a.order, a.env.Underlay)
 	maxDepth := tree.MaxDepth()
 	for d := 1; d <= maxDepth+1; d++ {
 		// The paper's relaxed ordering "always searches from the high to low
@@ -249,7 +253,7 @@ func (a *relaxedOrdered) Join(tree *overlay.Tree, m *overlay.Member, now time.Du
 		if victim := lx.Weakest(d); victim != nil && a.evicting < maxEvictionCascade && a.order.Outranks(m, victim) {
 			return a.replace(tree, m, victim, now)
 		}
-		if parent := nearestSpare(a.env, lx.Spare(d-1), m); parent != nil {
+		if parent := nearestSpare(a.env, lx, d-1, m); parent != nil {
 			return tree.Attach(m, parent)
 		}
 	}
@@ -325,16 +329,50 @@ func NewRelaxedTimeOrdered(env *Env) Strategy {
 	return &relaxedOrdered{env: env, name: "Relaxed time-ordered", order: overlay.ByJoinTime}
 }
 
-// nearestSpare returns the member of spare, one level's occupants with spare
-// capacity in any order, nearest to m in the underlay; among equally near ones
-// the first in level order. It asks for exactly one delay per member.
-func nearestSpare(env *Env, spare []*overlay.Member, m *overlay.Member) *overlay.Member {
+// wholeLevel is the walk over a level index built without an underlay: its
+// one bucket, and no bound.
+var wholeLevel = []topology.NodeID{0}
+
+// nearestSpare returns the member of layer d with spare capacity nearest to m
+// in the underlay; among equally near ones the first in level order.
+//
+// It walks the layer's home buckets in HomesByDelay order from m's home. The
+// home bucket is evaluated whole: a member of m's own stub domain can be
+// nearer than any bound. Every later member c has Delay(m, c) >= Delay(m, h)
+// for its home h (topology.HomesByDelay), and that bound never falls along the
+// row, so the walk stops at the first bucket whose bound exceeds the best delay
+// so far. It must exceed it strictly: a member on the transit router h itself
+// is at exactly the bound and may tie the best with an earlier level position.
+// The bound is asked through Env.Delay, so any monotone rescaling of it keeps
+// the walk exact, and only once there is a best to beat and more than one
+// member left to skip. Without an underlay the walk is the one bucket, whole.
+func nearestSpare(env *Env, lx *overlay.LevelIndex, d int, m *overlay.Member) *overlay.Member {
+	left := lx.SpareCount(d)
+	if left == 0 {
+		return nil
+	}
+	homes := wholeLevel
+	if u := env.Underlay; u != nil {
+		homes = u.HomesByDelay(u.Home(m.Attach))
+	}
 	var best *overlay.Member
 	var bestDelay time.Duration
-	for _, c := range spare {
-		d := env.Delay(m.Attach, c.Attach)
-		if best == nil || d < bestDelay || d == bestDelay && c.LevelPos() < best.LevelPos() {
-			best, bestDelay = c, d
+	for _, h := range homes {
+		spare := lx.Spare(d, h)
+		if len(spare) == 0 {
+			continue
+		}
+		if best != nil && left > 1 && env.Delay(m.Attach, h) > bestDelay {
+			break
+		}
+		for _, c := range spare {
+			dc := env.Delay(m.Attach, c.Attach)
+			if best == nil || dc < bestDelay || dc == bestDelay && c.LevelPos() < best.LevelPos() {
+				best, bestDelay = c, dc
+			}
+		}
+		if left -= len(spare); left == 0 {
+			break
 		}
 	}
 	return best

@@ -74,7 +74,7 @@ func TestPickParentMatchesReferenceLoop(t *testing.T) {
 	}{{"min-depth", shallowest}, {"longest-first", oldest}, {"free-rider", deepest}} {
 		key := tc.key
 		t.Run(tc.name, func(t *testing.T) {
-			ref := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+			ref := newMatchWorld(t, tiedDelay, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
 				return func(tree *overlay.Tree, m *overlay.Member, _ time.Duration) error {
 					p := refPick(env, tree, m, refKeys[key])
 					if p == nil {
@@ -83,7 +83,7 @@ func TestPickParentMatchesReferenceLoop(t *testing.T) {
 					return tree.Attach(m, p)
 				}
 			})
-			cur := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+			cur := newMatchWorld(t, tiedDelay, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
 				env.CandidateCount = 12
 				return func(tree *overlay.Tree, m *overlay.Member, _ time.Duration) error {
 					return env.join(tree, m, key)
@@ -295,14 +295,16 @@ func tiedDelay(a, b topology.NodeID) time.Duration {
 	return time.Duration((int(a)+int(b))%4+1) * time.Millisecond
 }
 
-func newMatchWorld(t *testing.T, mk func(*Env) func(*overlay.Tree, *overlay.Member, time.Duration) error) *matchWorld {
+// newMatchWorld returns a world on the underlay delay measures, its Delay
+// calls counted and its source on router 0.
+func newMatchWorld(t *testing.T, delay func(a, b topology.NodeID) time.Duration, mk func(*Env) func(*overlay.Tree, *overlay.Member, time.Duration) error) *matchWorld {
 	t.Helper()
 	w := &matchWorld{}
 	w.env = &Env{Rng: xrand.New(1), Delay: func(a, b topology.NodeID) time.Duration {
 		w.calls++
-		return tiedDelay(a, b)
+		return delay(a, b)
 	}}
-	tree, err := overlay.NewTree(0, 3, tiedDelay)
+	tree, err := overlay.NewTree(0, 3, delay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +366,13 @@ func requireSameTrees(t *testing.T, step int, ref, idx *overlay.Tree) {
 
 // requireSameAnswers asks the index and the reference scans, on the index's
 // own tree, whom m would evict and whom it would attach under at every layer,
-// and fails unless victim, parent and Delay-call count agree.
-func requireSameAnswers(t *testing.T, step int, w *matchWorld, order overlay.LevelOrder, m *overlay.Member) {
+// and fails unless victim and parent agree and, unless the index's walk is
+// pruned, the index made as many Delay calls as the scan.
+func requireSameAnswers(t *testing.T, step int, w *matchWorld, order overlay.LevelOrder, m *overlay.Member, pruned bool) {
 	t.Helper()
 	saved := w.calls
 	defer func() { w.calls = saved }()
-	lx := w.tree.LevelIndex(order)
+	lx := w.tree.LevelIndex(order, w.env.Underlay)
 	for d := 1; d <= w.tree.MaxDepth()+1; d++ {
 		victim := lx.Weakest(d)
 		if victim != nil && !order.Outranks(m, victim) {
@@ -381,12 +384,25 @@ func requireSameAnswers(t *testing.T, step int, w *matchWorld, order overlay.Lev
 		c0 := w.calls
 		want := refNearestSpare(w.env, w.tree.Level(d-1), m)
 		c1 := w.calls
-		got := nearestSpare(w.env, lx.Spare(d-1), m)
-		if got != want || w.calls-c1 != c1-c0 {
+		got := nearestSpare(w.env, lx, d-1, m)
+		if got != want || !pruned && w.calls-c1 != c1-c0 {
 			t.Fatalf("step %d layer %d: index attaches under %s after %d Delay calls, the scan under %s after %d",
 				step, d-1, idOf(got), w.calls-c1, idOf(want), c1-c0)
 		}
 	}
+}
+
+// relaxedCase is one relaxed strategy as the matching tests drive it.
+type relaxedCase struct {
+	name     string
+	order    overlay.LevelOrder
+	adoptAll bool
+	mk       func(*Env) Strategy
+}
+
+var relaxedCases = []relaxedCase{
+	{"bandwidth-ordered", overlay.ByBandwidth, true, NewRelaxedBandwidthOrdered},
+	{"time-ordered", overlay.ByJoinTime, false, NewRelaxedTimeOrdered},
 }
 
 // TestIndexMatchesReferenceScans drives the same random arrivals, departures
@@ -397,108 +413,162 @@ func requireSameAnswers(t *testing.T, step int, w *matchWorld, order overlay.Lev
 // every join both sides must have made the same number of Delay calls and
 // hold the same tree, member for member.
 func TestIndexMatchesReferenceScans(t *testing.T) {
-	cases := []struct {
-		name     string
-		order    overlay.LevelOrder
-		adoptAll bool
-		mk       func(*Env) Strategy
-	}{
-		{"bandwidth-ordered", overlay.ByBandwidth, true, NewRelaxedBandwidthOrdered},
-		{"time-ordered", overlay.ByJoinTime, false, NewRelaxedTimeOrdered},
-	}
-	bandwidths := []float64{0, 1, 1, 1.5, 2, 2, 2, 2.5, 3, 3, 4}
-	for _, tc := range cases {
-		tc := tc
+	for _, tc := range relaxedCases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+			ref := newMatchWorld(t, tiedDelay, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
 				return (&refRelaxed{env: env, order: tc.order, adoptAll: tc.adoptAll}).Join
 			})
-			idx := newMatchWorld(t, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+			idx := newMatchWorld(t, tiedDelay, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
 				return tc.mk(env).Join
 			})
-			rng := xrand.New(42)
-			var now time.Duration
-			var live []overlay.MemberID
-			step, saturated := 0, 0
+			driveRelaxed(t, tc.order, ref, idx, func(rng *xrand.Source) topology.NodeID {
+				return topology.NodeID(rng.Intn(6))
+			}, false)
+		})
+	}
+}
 
-			joinBoth := func(id overlay.MemberID) {
-				t.Helper()
-				requireSameAnswers(t, step, idx, tc.order, idx.tree.Member(id))
-				errRef := ref.join(ref.tree, ref.tree.Member(id), now)
-				errIdx := idx.join(idx.tree, idx.tree.Member(id), now)
-				if errRef != nil && !errors.Is(errRef, ErrNoParent) || !errors.Is(errIdx, errRef) {
-					t.Fatalf("step %d: join of %d: reference %v, index %v", step, id, errRef, errIdx)
+// TestPrunedSpareWalkMatchesExhaustive drives the same workload into two
+// trees on a real transit-stub underlay, one whose Env names the underlay —
+// its nearest-spare walk goes by home bucket and stops at a bound — and one
+// whose Env does not and asks Delay about every spare member. Every link of a
+// class has the same delay, so delays tie everywhere, and a quarter of the
+// members sit on transit routers: a stub-attached member is strictly farther
+// than its home's bound, so only those make a tie with the bound, where the
+// walk must go on, observable. After every join the trees must be the same
+// member for member and, once 150 members are in, the pruned side must not
+// have asked Delay more often in all; over the run it must save at least half.
+func TestPrunedSpareWalkMatchesExhaustive(t *testing.T) {
+	cfg := topology.DefaultConfig(5)
+	cfg.TransitDomains, cfg.TransitNodesPerDomain = 2, 3
+	cfg.StubDomainsPerTransit, cfg.StubNodesPerDomain = 2, 3
+	cfg.TransitTransitDelay = [2]time.Duration{20 * time.Millisecond, 20 * time.Millisecond}
+	cfg.TransitStubDelay = [2]time.Duration{6 * time.Millisecond, 6 * time.Millisecond}
+	cfg.StubStubDelay = [2]time.Duration{3 * time.Millisecond, 3 * time.Millisecond}
+	underlay, err := topology.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transit, routers := underlay.TransitCount(), underlay.Size()
+	for _, tc := range relaxedCases {
+		t.Run(tc.name, func(t *testing.T) {
+			exhaustive := newMatchWorld(t, underlay.Delay, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+				return tc.mk(env).Join
+			})
+			pruned := newMatchWorld(t, underlay.Delay, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
+				env.Underlay = underlay
+				return tc.mk(env).Join
+			})
+			driveRelaxed(t, tc.order, exhaustive, pruned, func(rng *xrand.Source) topology.NodeID {
+				if rng.Intn(4) == 0 {
+					return topology.NodeID(rng.Intn(transit))
 				}
-				if errRef != nil {
-					saturated++
-				}
-				if ref.calls != idx.calls {
-					t.Fatalf("step %d: %d Delay calls under the reference scans, %d under the index", step, ref.calls, idx.calls)
-				}
-				requireSameTrees(t, step, ref.tree, idx.tree)
-				if err := idx.tree.CheckInvariants(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-			}
-			arrive := func(bw float64, joined time.Duration) {
-				t.Helper()
-				attach := topology.NodeID(rng.Intn(6))
-				a, b := ref.tree.NewMember(attach, bw, now), idx.tree.NewMember(attach, bw, now)
-				a.JoinTime, b.JoinTime = joined, joined
-				live = append(live, a.ID)
-				joinBoth(a.ID)
-			}
-
-			for ; step < 6000; step++ {
-				if step%7 == 0 {
-					now += time.Second
-				}
-				// Members a saturated tree turned away (or whose cascade ran
-				// dry) retry first, as the churn driver would have them do.
-				for _, id := range live {
-					if m := ref.tree.Member(id); !m.Attached() && m.Parent() == nil {
-						joinBoth(id)
-					}
-				}
-				switch op := rng.Float64(); {
-				case len(live) < 150 || len(live) < 300 && op < 0.3:
-					arrive(bandwidths[rng.Intn(len(bandwidths))], now)
-				case len(live) < 300 && op < 0.55: // outranks most of the tree under either order
-					arrive(float64(3+rng.Intn(3)), time.Duration(rng.Intn(40))*time.Second)
-				default:
-					k := rng.Intn(len(live))
-					id := live[k]
-					live[k] = live[len(live)-1]
-					live = live[:len(live)-1]
-					orphans, err := ref.tree.Remove(ref.tree.Member(id))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := idx.tree.Remove(idx.tree.Member(id)); err != nil {
-						t.Fatal(err)
-					}
-					requireSameTrees(t, step, ref.tree, idx.tree)
-					for _, o := range orphans {
-						joinBoth(o.ID)
-					}
-				}
-				if step%250 == 0 {
-					if err := idx.tree.CheckInvariantsFull(); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-				}
-			}
-			if err := idx.tree.CheckInvariantsFull(); err != nil {
-				t.Fatal(err)
-			}
-			evictions := 0
-			ref.tree.VisitMembers(func(m *overlay.Member) { evictions += m.Reconnections })
-			t.Logf("%d live members, depth %d, %d Delay calls, %d evictions among the living, %d saturated joins",
-				ref.tree.Size(), ref.tree.MaxDepth(), ref.calls, evictions, saturated)
-			if evictions < 500 || ref.tree.MaxDepth() < 4 {
-				t.Fatalf("workload too tame to prove anything: %d evictions, depth %d", evictions, ref.tree.MaxDepth())
+				return topology.NodeID(transit + rng.Intn(routers-transit))
+			}, true)
+			t.Logf("%d of %d Delay calls saved", exhaustive.calls-pruned.calls, exhaustive.calls)
+			if 2*pruned.calls > exhaustive.calls {
+				t.Fatalf("the pruned walk made %d of the exhaustive walk's %d Delay calls, want at most half", pruned.calls, exhaustive.calls)
 			}
 		})
+	}
+}
+
+// driveRelaxed runs the matching workload into ref and idx: random arrivals
+// on attach's routers, departures with orphan rejoins, and evicting joins,
+// with a handful of bandwidths and JoinTimes shared by runs of arrivals.
+// After every join both must hold the same tree, member for member, and idx
+// must have made as many Delay calls for it as ref or, if pruned, no more in
+// all than ref so far once the first 150 arrivals are in. A bound that does
+// not stop the walk is one call the exhaustive walk never makes, and one that
+// does saves every member it skips; in a tree of a handful of members the
+// first can outnumber the second.
+func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, attach func(*xrand.Source) topology.NodeID, pruned bool) {
+	t.Helper()
+	bandwidths := []float64{0, 1, 1, 1.5, 2, 2, 2, 2.5, 3, 3, 4}
+	rng := xrand.New(42)
+	var now time.Duration
+	var live []overlay.MemberID
+	step, saturated := 0, 0
+
+	joinBoth := func(id overlay.MemberID) {
+		t.Helper()
+		requireSameAnswers(t, step, idx, order, idx.tree.Member(id), pruned)
+		c0, c1 := ref.calls, idx.calls
+		errRef := ref.join(ref.tree, ref.tree.Member(id), now)
+		errIdx := idx.join(idx.tree, idx.tree.Member(id), now)
+		if errRef != nil && !errors.Is(errRef, ErrNoParent) || !errors.Is(errIdx, errRef) {
+			t.Fatalf("step %d: join of %d: reference %v, index %v", step, id, errRef, errIdx)
+		}
+		if errRef != nil {
+			saturated++
+		}
+		if pruned && step >= 150 && idx.calls > ref.calls {
+			t.Fatalf("step %d: %d Delay calls so far under the index, more than the reference's %d", step, idx.calls, ref.calls)
+		} else if dr, di := ref.calls-c0, idx.calls-c1; !pruned && dr != di {
+			t.Fatalf("step %d: %d Delay calls under the reference, %d under the index", step, dr, di)
+		}
+		requireSameTrees(t, step, ref.tree, idx.tree)
+		if err := idx.tree.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	arrive := func(bw float64, joined time.Duration) {
+		t.Helper()
+		at := attach(rng)
+		a, b := ref.tree.NewMember(at, bw, now), idx.tree.NewMember(at, bw, now)
+		a.JoinTime, b.JoinTime = joined, joined
+		live = append(live, a.ID)
+		joinBoth(a.ID)
+	}
+
+	for ; step < 6000; step++ {
+		if step%7 == 0 {
+			now += time.Second
+		}
+		// Members a saturated tree turned away (or whose cascade ran
+		// dry) retry first, as the churn driver would have them do.
+		for _, id := range live {
+			if m := ref.tree.Member(id); !m.Attached() && m.Parent() == nil {
+				joinBoth(id)
+			}
+		}
+		switch op := rng.Float64(); {
+		case len(live) < 150 || len(live) < 300 && op < 0.3:
+			arrive(bandwidths[rng.Intn(len(bandwidths))], now)
+		case len(live) < 300 && op < 0.55: // outranks most of the tree under either order
+			arrive(float64(3+rng.Intn(3)), time.Duration(rng.Intn(40))*time.Second)
+		default:
+			k := rng.Intn(len(live))
+			id := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			orphans, err := ref.tree.Remove(ref.tree.Member(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := idx.tree.Remove(idx.tree.Member(id)); err != nil {
+				t.Fatal(err)
+			}
+			requireSameTrees(t, step, ref.tree, idx.tree)
+			for _, o := range orphans {
+				joinBoth(o.ID)
+			}
+		}
+		if step%250 == 0 {
+			if err := idx.tree.CheckInvariantsFull(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	if err := idx.tree.CheckInvariantsFull(); err != nil {
+		t.Fatal(err)
+	}
+	evictions := 0
+	ref.tree.VisitMembers(func(m *overlay.Member) { evictions += m.Reconnections })
+	t.Logf("%d live members, depth %d, %d Delay calls, %d evictions among the living, %d saturated joins",
+		ref.tree.Size(), ref.tree.MaxDepth(), ref.calls, evictions, saturated)
+	if evictions < 500 || ref.tree.MaxDepth() < 4 {
+		t.Fatalf("workload too tame to prove anything: %d evictions, depth %d", evictions, ref.tree.MaxDepth())
 	}
 }
 

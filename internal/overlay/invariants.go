@@ -152,7 +152,7 @@ func (t *Tree) checkLocal(i int32) error {
 		if (hp != none) != inHeap || inHeap && !holds(x.heaps[t.depth[i]], hp, m) {
 			return fmt.Errorf("overlay: level index heap slot %d wrong for member %d", hp, m.ID)
 		}
-		if (sp != none) != inSpare || inSpare && !holds(x.spare[t.depth[i]], sp, m) {
+		if (sp != none) != inSpare || inSpare && !holds(x.spare[x.bucket(i)], sp, m) {
 			return fmt.Errorf("overlay: level index spare slot %d wrong for member %d", sp, m.ID)
 		}
 	}
@@ -228,10 +228,11 @@ func (t *Tree) CheckInvariantsFull() error {
 }
 
 // checkLevelIndex verifies, when the level index is on, that every level's
-// heap and spare set hold exactly the occupants checkLocal expects there (the
-// slots themselves are checkLocal's), that the heap order holds at every
-// node, and that the top is the weakest occupant a linear scan of the level
-// finds. A Bandwidth or JoinTime changed under an attached member fails here.
+// heap, spare buckets and spare count hold exactly the occupants checkLocal
+// expects there (the slots and buckets themselves are checkLocal's), that the
+// heap order holds at every node, and that the top is the weakest occupant a
+// linear scan of the level finds. A Bandwidth or JoinTime changed under an
+// attached member fails here.
 func (t *Tree) checkLevelIndex() error {
 	x := t.lx
 	if x == nil {
@@ -252,7 +253,11 @@ func (t *Tree) checkLevelIndex() error {
 				weakest = m
 			}
 		}
-		if len(x.heaps[d]) != ranked || len(x.spare[d]) != spare {
+		filed := 0
+		for _, s := range x.spare[d*x.buckets : (d+1)*x.buckets] {
+			filed += len(s)
+		}
+		if len(x.heaps[d]) != ranked || x.spareN[d] != spare || filed != spare {
 			return fmt.Errorf("overlay: level index at depth %d does not hold the level's %d ranked, %d spare occupants", d, ranked, spare)
 		}
 		if x.Weakest(d) != weakest {

@@ -136,7 +136,7 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 			}
 		}
 		if order != 0 {
-			tree.LevelIndex(order)
+			tree.LevelIndex(order, nil)
 		}
 		// Start from a clean dirty set so each case controls its own.
 		if err := tree.CheckInvariants(); err != nil {

@@ -1,5 +1,7 @@
 package overlay
 
+import "omcast/internal/topology"
+
 // LevelOrder names the rank a level index keeps its weakest-occupant heaps
 // under. The centralized relaxed algorithms replace the weakest occupant of a
 // layer with a joining member that outranks it.
@@ -22,27 +24,40 @@ func (o LevelOrder) Outranks(a, b *Member) bool {
 }
 
 // LevelIndex summarises each level list for the top-down eviction scan: the
-// weakest occupant under one LevelOrder and the occupants with spare degree.
-// The tree maintains it at its level- and child-list mutation sites once
-// Tree.LevelIndex has built it; a tree nobody asks never pays for it.
+// weakest occupant under one LevelOrder and the occupants with spare degree,
+// filed by their home transit router in the underlay so a nearest-parent
+// search can visit them near to far. The tree maintains it at its level- and
+// child-list mutation sites once Tree.LevelIndex has built it; a tree nobody
+// asks never pays for it.
 type LevelIndex struct {
-	t     *Tree
-	order LevelOrder
+	t        *Tree
+	order    LevelOrder
+	underlay *topology.Topology
+	// buckets is the number of home buckets per level: the underlay's transit
+	// routers, or one without an underlay.
+	buckets int
 	// heaps[d] is a binary heap over level d's occupants (the source excluded:
 	// it cannot be evicted) whose top is the weakest and, among equals, the one
-	// earliest in Level(d). spare[d] holds those with kidCount < outDeg,
-	// unordered. heapPos/sparePos give a slot's position in each, or none.
+	// earliest in Level(d). spare[d*buckets+h] holds level d's occupants with
+	// kidCount < outDeg whose home is h, unordered; spareN[d] counts them over
+	// every bucket. heapPos/sparePos give a slot's position in its heap and its
+	// bucket, or none.
 	heaps, spare      [][]*Member
+	spareN            []int
 	heapPos, sparePos []int32
 }
 
-// LevelIndex returns the tree's level index under order o, building it on
-// first use and rebuilding it when the tree last indexed a different order, so
-// one strategy's ranking is never served to another. Callers fetch it per join
-// and do not retain it.
-func (t *Tree) LevelIndex(o LevelOrder) *LevelIndex {
-	if t.lx == nil || t.lx.order != o {
-		t.lx = &LevelIndex{t: t, order: o, heaps: make([][]*Member, len(t.levels)), spare: make([][]*Member, len(t.levels))}
+// LevelIndex returns the tree's level index under order o with spare members
+// filed by their home in underlay (all in bucket 0 when underlay is nil),
+// building it on first use and rebuilding it when the tree last indexed a
+// different order or underlay, so one strategy's view is never served to
+// another. Callers fetch it per join and do not retain it.
+func (t *Tree) LevelIndex(o LevelOrder, underlay *topology.Topology) *LevelIndex {
+	if t.lx == nil || t.lx.order != o || t.lx.underlay != underlay {
+		t.lx = &LevelIndex{t: t, order: o, underlay: underlay, buckets: 1}
+		if underlay != nil {
+			t.lx.buckets = underlay.TransitCount()
+		}
 		for _, level := range t.levels {
 			for _, m := range level {
 				t.lx.insert(m.idx)
@@ -61,14 +76,34 @@ func (x *LevelIndex) Weakest(d int) *Member {
 	return x.heaps[d][0]
 }
 
-// Spare returns level d's occupants that can accept one more child, in no
-// particular order (Member.LevelPos recovers Level(d) order). The slice is
+// SpareCount returns how many of level d's occupants can accept one more
+// child.
+func (x *LevelIndex) SpareCount(d int) int {
+	if d >= len(x.spareN) {
+		return 0
+	}
+	return x.spareN[d]
+}
+
+// Spare returns level d's occupants whose home is h and that can accept one
+// more child, in no particular order (Member.LevelPos recovers Level(d)
+// order). Without an underlay every one of them is in bucket 0. The slice is
 // owned by the tree and valid until the next mutation.
-func (x *LevelIndex) Spare(d int) []*Member {
-	if d >= len(x.spare) {
+func (x *LevelIndex) Spare(d int, h topology.NodeID) []*Member {
+	if d >= len(x.spareN) {
 		return nil
 	}
-	return x.spare[d]
+	return x.spare[d*x.buckets+int(h)]
+}
+
+// bucket returns the index in spare of the bucket the attached member at slot
+// n is filed in: its level's, under its home.
+func (x *LevelIndex) bucket(n int32) int {
+	b := int(x.t.depth[n]) * x.buckets
+	if x.underlay != nil {
+		b += int(x.underlay.Home(x.t.handle[n].Attach))
+	}
+	return b
 }
 
 // LevelPos returns the member's position in Level(Depth()), or -1 when it is
@@ -84,7 +119,8 @@ func (m *Member) LevelPos() int {
 func (x *LevelIndex) insert(n int32) {
 	t, d := x.t, int(x.t.depth[n])
 	for len(x.heaps) <= d {
-		x.heaps, x.spare = append(x.heaps, nil), append(x.spare, nil)
+		x.heaps, x.spareN = append(x.heaps, nil), append(x.spareN, 0)
+		x.spare = append(x.spare, make([][]*Member, x.buckets)...)
 	}
 	for len(x.heapPos) <= int(n) {
 		x.heapPos, x.sparePos = append(x.heapPos, none), append(x.sparePos, none)
@@ -124,19 +160,24 @@ func (x *LevelIndex) remove(n int32) {
 // spareSync makes the attached member at slot n's presence in its level's
 // spare set equal want.
 func (x *LevelIndex) spareSync(n int32, want bool) {
-	d, k := x.t.depth[n], x.sparePos[n]
-	s := x.spare[d]
-	switch {
-	case want && k == none:
-		x.sparePos[n] = int32(len(s))
-		x.spare[d] = append(s, x.t.handle[n])
-	case !want && k != none:
-		last := len(s) - 1
-		s[k] = s[last]
-		x.sparePos[s[k].idx] = k
-		s[last] = nil
-		x.spare[d], x.sparePos[n] = s[:last], none
+	k := x.sparePos[n]
+	if want == (k != none) {
+		return
 	}
+	d, b := x.t.depth[n], x.bucket(n)
+	s := x.spare[b]
+	if want {
+		x.sparePos[n] = int32(len(s))
+		x.spare[b] = append(s, x.t.handle[n])
+		x.spareN[d]++
+		return
+	}
+	last := len(s) - 1
+	s[k] = s[last]
+	x.sparePos[s[k].idx] = k
+	s[last] = nil
+	x.spare[b], x.sparePos[n] = s[:last], none
+	x.spareN[d]--
 }
 
 // weaker is the heap order: lower rank first, then earlier level position.

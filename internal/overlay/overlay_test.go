@@ -451,16 +451,37 @@ func TestLockAllOrNothing(t *testing.T) {
 
 // TestChurnInvariants drives a random sequence of joins, leaves, and moves
 // and checks structural invariants after every step.
-func TestChurnInvariants(t *testing.T) { churnInvariants(t, 0) }
+func TestChurnInvariants(t *testing.T) { churnInvariants(t, 0, nil) }
 
 // TestChurnInvariantsIndexed is the same workload with the level index
 // maintained under it from the first mutation.
-func TestChurnInvariantsIndexed(t *testing.T) { churnInvariants(t, ByJoinTime) }
+func TestChurnInvariantsIndexed(t *testing.T) { churnInvariants(t, ByJoinTime, nil) }
 
-func churnInvariants(t *testing.T, order LevelOrder) {
+// TestChurnInvariantsIndexedByHome files the index's spare members by their
+// home transit router in testUnderlay, which every attach point of the
+// workload falls in: 8 buckets per level, each member's fixed by its Attach
+// through every move.
+func TestChurnInvariantsIndexedByHome(t *testing.T) {
+	churnInvariants(t, ByBandwidth, testUnderlay(t))
+}
+
+// testUnderlay is a 1 032-router transit-stub network with 8 transit routers.
+func testUnderlay(t *testing.T) *topology.Topology {
+	t.Helper()
+	cfg := topology.DefaultConfig(3)
+	cfg.TransitDomains, cfg.TransitNodesPerDomain = 2, 4
+	cfg.StubDomainsPerTransit, cfg.StubNodesPerDomain = 4, 32
+	underlay, err := topology.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return underlay
+}
+
+func churnInvariants(t *testing.T, order LevelOrder, underlay *topology.Topology) {
 	tree := newTestTree(t)
 	if order != 0 {
-		tree.LevelIndex(order)
+		tree.LevelIndex(order, underlay)
 	}
 	rng := xrand.New(77)
 	live := []*Member{}
@@ -558,7 +579,7 @@ func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 			return false
 		}
 		if order != 0 {
-			tree.LevelIndex(order)
+			tree.LevelIndex(order, nil)
 		}
 		var live []*Member
 		for step, op := range ops {

@@ -204,6 +204,9 @@ type Topology struct {
 	edges    []edge
 	// transitDist is the all-pairs delay table over transit routers.
 	transitDist []time.Duration // T x T, row-major
+	// homeOrder's row h lists every transit router in the order the
+	// Dijkstra from h settled it: nondecreasing delay from h, h first.
+	homeOrder []NodeID // T x T, row-major
 	// stubDist holds one row per stub router, in ID order: its delay to each
 	// of the stubN routers of its own domain. Domains are contiguous and
 	// equally sized, so domain d's all-pairs table is the stubN x stubN
@@ -390,25 +393,33 @@ const inf = time.Duration(1) << 60
 func (t *Topology) buildTransitAPSP() {
 	n := t.transitN
 	t.transitDist = make([]time.Duration, n*n)
+	t.homeOrder = make([]NodeID, n*n)
 	pq := newDelayHeap(n)
 	for src := 0; src < n; src++ {
-		t.dijkstraTransit(NodeID(src), t.transitDist[src*n:(src+1)*n], pq)
+		t.dijkstraTransit(NodeID(src), t.transitDist[src*n:(src+1)*n], t.homeOrder[src*n:(src+1)*n], pq)
 	}
 }
 
 // dijkstraTransit fills dist (length transitN) with shortest delays from src
-// using only transit-transit edges. pq must be empty and is left empty.
-func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration, pq *delayHeap) {
+// using only transit-transit edges, and order with the routers in the order
+// they settle. The transit core is connected by construction (a ring per
+// domain, a ring over domains), so every router settles exactly once: an
+// entry is pushed only on a strict improvement, so only a router's last entry
+// is not stale. pq must be empty and is left empty.
+func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration, order []NodeID, pq *delayHeap) {
 	for i := range dist {
 		dist[i] = inf
 	}
 	dist[src] = 0
 	pq.push(src, 0)
+	settled := 0
 	for pq.len() > 0 {
 		u, du := pq.pop()
 		if du > dist[u] {
 			continue
 		}
+		order[settled] = u
+		settled++
 		for _, e := range t.linksOf(u) {
 			if int(e.to) >= t.transitN {
 				continue // skip stub edges
@@ -528,6 +539,27 @@ func (t *Topology) Delay(u, v NodeID) time.Duration {
 		return t.stubDist[(int(u)-t.transitN)*t.stubN+int(v)-first]
 	}
 	return ru.up + t.transitDist[int(ru.home)*t.transitN+int(rv.home)] + rv.up
+}
+
+// Home returns the transit router v's stub domain hangs off, or v itself when
+// v is a transit router.
+func (t *Topology) Home(v NodeID) NodeID { return NodeID(t.routers[v].home) }
+
+// HomesByDelay lists every transit router in nondecreasing delay from transit
+// router h, h first. The slice is the topology's own and must not be written.
+//
+// Stub domains are single-homed, so a path between routers with different
+// homes leaves one domain through its gateway and enters the other through
+// its own: when Home(u) != Home(v),
+//
+//	Delay(u, v) = Delay(u, Home(v)) + Delay(Home(v), v) >= Delay(u, Home(v)).
+//
+// Walking this row from Home(u) therefore meets every other router's home in
+// nondecreasing lower bound on its delay from u, and Delay(u, w) for a
+// transit router w is that bound itself, met with equality.
+func (t *Topology) HomesByDelay(h NodeID) []NodeID {
+	n := int(h) * t.transitN
+	return t.homeOrder[n : n+t.transitN : n+t.transitN]
 }
 
 // DijkstraFrom computes exact shortest-path delays from src over the full

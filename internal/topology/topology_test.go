@@ -361,3 +361,58 @@ func TestVisitLinks(t *testing.T) {
 		t.Fatalf("VisitLinks saw %d links, degree sum says %d", count, degSum/2)
 	}
 }
+
+// TestHomesByDelay holds each HomesByDelay row to its contract — it starts at
+// h, is a permutation of the transit routers and never falls in Delay from h
+// — and checks, against full-graph Dijkstra for every pair, the identity the
+// relaxed joins prune by: routers with different homes are exactly as far
+// apart as the first is from the second's home plus the second's way up to it.
+func TestHomesByDelay(t *testing.T) {
+	shapes := []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.TransitDomains, c.TransitNodesPerDomain = 1, 1 },
+		func(c *Config) { c.TransitDomains, c.TransitNodesPerDomain = 4, 1 },
+		func(c *Config) { c.StubDomainsPerTransit = 0 },
+	}
+	for i, shape := range shapes {
+		cfg := smallConfig(int64(20 + i))
+		shape(&cfg)
+		topo := mustNew(t, cfg)
+		n := topo.TransitCount()
+		for h := NodeID(0); int(h) < n; h++ {
+			row := topo.HomesByDelay(h)
+			if len(row) != n || row[0] != h {
+				t.Fatalf("shape %d: row %d has %d routers starting at %d, want %d starting at %d", i, h, len(row), row[0], n, h)
+			}
+			seen := make([]bool, n)
+			for k, w := range row {
+				if int(w) >= n || seen[w] {
+					t.Fatalf("shape %d: row %d lists %d twice or a non-transit router", i, h, w)
+				}
+				seen[w] = true
+				if k > 0 && topo.Delay(h, w) < topo.Delay(h, row[k-1]) {
+					t.Fatalf("shape %d: row %d falls from %v to %v at position %d", i, h, topo.Delay(h, row[k-1]), topo.Delay(h, w), k)
+				}
+			}
+		}
+		dist := make([][]time.Duration, topo.Size())
+		for u := range dist {
+			dist[u] = topo.DijkstraFrom(NodeID(u))
+		}
+		for u := range dist {
+			if hu := topo.Home(NodeID(u)); (int(hu) == u) != (topo.KindOf(NodeID(u)) == Transit) {
+				t.Fatalf("shape %d: router %d is its own home: %v, a transit router: %v", i, u, int(hu) == u, topo.KindOf(NodeID(u)) == Transit)
+			}
+			for v := range dist {
+				hv := topo.Home(NodeID(v))
+				if topo.Home(NodeID(u)) == hv {
+					continue
+				}
+				if got, want := dist[u][v], dist[u][hv]+dist[hv][v]; got != want || topo.Delay(NodeID(u), NodeID(v)) != want {
+					t.Fatalf("shape %d: d(%d, %d) = %v (oracle %v), want d(%d, home %d) + d(home, %d) = %v",
+						i, u, v, got, topo.Delay(NodeID(u), NodeID(v)), u, hv, v, want)
+				}
+			}
+		}
+	}
+}

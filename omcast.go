@@ -276,6 +276,7 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 	s.env = &construct.Env{
 		Rng:            xrand.NewNamed(cfg.Seed, "strategy"),
 		Delay:          topo.Delay,
+		Underlay:       topo,
 		CandidateCount: construct.DefaultCandidateCount,
 	}
 	switch cfg.Algorithm {
