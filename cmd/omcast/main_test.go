@@ -87,6 +87,24 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	if len(commands) != 7 {
 		t.Errorf("%d subcommands, want 7", len(commands))
 	}
+	// A negative number given to node fails before the socket is bound,
+	// naming its flag; -bootstrap keeps "members need -bootstrap" from
+	// answering for it.
+	for _, neg := range []struct{ flag, value string }{
+		{"bandwidth", "-2"}, {"rate", "-5"}, {"heartbeat", "-1s"},
+		{"switch", "-1s"}, {"recovery-group", "-1"}, {"guard-rate", "-1"},
+		{"guard-score", "-1"}, {"trace-buf", "-1"}, {"retx-attempts", "-1"},
+		{"retx-base", "-1s"}, {"retx-inflight", "-3"},
+	} {
+		args := []string{"node", "-bootstrap", "127.0.0.1:9", "-" + neg.flag, neg.value}
+		t.Run("node negative "+neg.flag, func(t *testing.T) {
+			var code int
+			stderr := captureStderr(t, func() { code = run(args) })
+			if want := "omcast node: -" + neg.flag + " "; code != 2 || !strings.Contains(stderr, want) {
+				t.Fatalf("omcast %s = %d, want 2 and %q on stderr\n%s", strings.Join(args, " "), code, want, stderr)
+			}
+		})
+	}
 }
 
 // TestLintSubtreeIsClean: a package pattern chooses which findings are

@@ -125,8 +125,21 @@ func cmdNode(args []string) int {
 	if !*source && *bootstrap == "" {
 		return fail(2, "node", "members need -bootstrap")
 	}
-	if *retxN < 0 {
-		return fail(2, "node", "-retx-attempts %d: must not be negative", *retxN)
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"bandwidth", *bandwidth < 0}, {"rate", *rate < 0},
+		{"heartbeat", *heartbeat < 0}, {"switch", *switchIv < 0},
+		{"recovery-group", *group < 0}, {"guard-rate", *guardRate < 0},
+		{"guard-score", *guardScore < 0}, {"trace-buf", *traceBuf < 0},
+		{"retx-attempts", *retxN < 0}, {"retx-base", *retxBase < 0},
+		{"retx-inflight", *retxCap < 0},
+	} {
+		if f.negative {
+			// Zero asks for the default; a negative value is a typo, not a default.
+			return fail(2, "node", "-%s %v: must not be negative", f.name, fs.Lookup(f.name).Value)
+		}
 	}
 	if *status <= 0 {
 		return fail(2, "node", "-status %v: must be positive", *status)

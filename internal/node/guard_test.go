@@ -11,7 +11,9 @@ import (
 )
 
 // sinkTransport is a goroutine-free Transport for guard unit tests: sends are
-// recorded, never delivered.
+// recorded, never delivered. It decodes a copy of each datagram, because a
+// decoded Payload aliases its input and Send's caller may reuse data once
+// Send returns (a fan-out's encode buffer carries the next packet).
 type sinkTransport struct {
 	addr wire.Addr
 
@@ -23,7 +25,7 @@ type sinkTransport struct {
 func (s *sinkTransport) Addr() wire.Addr { return s.addr }
 
 func (s *sinkTransport) Send(to wire.Addr, data []byte) error {
-	env, err := wire.DecodeBinary(data)
+	env, err := wire.DecodeBinary(append([]byte(nil), data...))
 	if err != nil {
 		return err
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"omcast/internal/metrics"
@@ -540,6 +541,10 @@ type Node struct {
 	cfg       Config
 	tm        timing
 	transport Transport
+	// senders interns the From address of every decoded datagram (intern.go).
+	senders *senderTable
+	// fanBuf is fanOut's encode buffer between fan-outs (nil while one runs).
+	fanBuf atomic.Pointer[[]byte]
 
 	mu         sync.Mutex
 	attached   bool                //guardedby:mu
@@ -646,6 +651,7 @@ func New(cfg Config, tr Transport) *Node {
 	n := &Node{
 		cfg:        cfg.withDefaults(),
 		transport:  tr,
+		senders:    newSenderTable(),
 		children:   make(map[wire.Addr]*peer),
 		membership: make(map[wire.Addr]memberRecord),
 		guard:      make(map[wire.Addr]*guardPeer),
@@ -825,17 +831,26 @@ func (n *Node) transmit(to wire.Addr, data []byte) {
 
 // fanOut sends one data-class envelope (stream packet or ELN) to every child
 // in the list: encoded once, the same bytes transmitted to each — the
-// Transport.Send contract forbids retaining or mutating them. Call without
-// mu, on a list read under it.
+// Transport.Send contract forbids retaining or mutating them, which is also
+// what lets the encode buffer carry the next packet. The buffer is taken
+// from fanBuf and put back after the last Send; a fan-out that finds it
+// taken by a concurrent one encodes into a fresh buffer. Call without mu, on
+// a list read under it.
 func (n *Node) fanOut(children []wire.Addr, env *wire.Envelope) {
 	if len(children) == 0 {
 		return
 	}
 	env.From = n.Addr()
-	data := wire.AppendBinary(make([]byte, 0, 64+len(env.Payload)), *env)
+	buf := n.fanBuf.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	data := wire.AppendBinary((*buf)[:0], *env)
 	for _, c := range children {
 		n.transmit(c, data)
 	}
+	*buf = data
+	n.fanBuf.Store(buf)
 }
 
 // outDegree is the node's child capacity.
@@ -1898,7 +1913,7 @@ func (n *Node) onDatagram(data []byte) {
 		return
 	default:
 	}
-	env, err := wire.DecodeBinary(data)
+	env, err := wire.DecodeBinaryWith(data, n.senders)
 	if err != nil {
 		// Malformed or semantically invalid: drop, count by reason, and —
 		// when the envelope parsed far enough to name a sender — charge the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -299,7 +300,10 @@ func (t *UDPTransport) SetMetrics(reg *live.Registry) {
 // OversizeDrops reports how many sends the MTU ceiling refused.
 func (t *UDPTransport) OversizeDrops() int64 { return t.oversizeDrops.Load() }
 
-// Send implements Transport.
+// Send implements Transport. An IP-literal destination (every address a
+// UDP node learns from the wire) is parsed in place and written without
+// allocating; anything else, a host name, is resolved on every send as
+// net.ResolveUDPAddr does it.
 func (t *UDPTransport) Send(to wire.Addr, data []byte) error {
 	t.mu.Lock()
 	closed := t.closed
@@ -312,20 +316,32 @@ func (t *UDPTransport) Send(to wire.Addr, data []byte) error {
 		t.dropMetric.Load().Inc() // nil receiver is the uninstrumented no-op
 		return fmt.Errorf("node: sending %d bytes to %q: %w", len(data), to, ErrOversize)
 	}
-	raddr, err := net.ResolveUDPAddr("udp", string(to))
-	if err != nil {
-		return fmt.Errorf("node: resolving %q: %w", to, err)
+	var err error
+	if ap, perr := netip.ParseAddrPort(string(to)); perr == nil {
+		// Unmap: an IPv4-only socket takes "[::ffff:a.b.c.d]:p" as the
+		// resolver path does, and a dual-stack one maps it back.
+		_, err = t.conn.WriteToUDPAddrPort(data, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
+	} else {
+		raddr, rerr := net.ResolveUDPAddr("udp", string(to))
+		if rerr != nil {
+			return fmt.Errorf("node: resolving %q: %w", to, rerr)
+		}
+		_, err = t.conn.WriteToUDP(data, raddr)
 	}
-	if _, err := t.conn.WriteToUDP(data, raddr); err != nil {
+	if err != nil {
 		return fmt.Errorf("node: sending to %q: %w", to, err)
 	}
 	return nil
 }
 
+// readLoop hands every datagram to the handler in a buffer of its own: a
+// decoded Payload aliases it and the repair ring keeps it, so the one copy
+// per datagram is owned, never recycled. The sender's socket address is not
+// read; the envelope names its sender.
 func (t *UDPTransport) readLoop() {
 	buf := make([]byte, 64*1024)
 	for {
-		n, _, err := t.conn.ReadFromUDP(buf)
+		n, err := t.conn.Read(buf)
 		if err != nil {
 			return // closed
 		}

@@ -181,6 +181,16 @@ type binaryV1 struct{}
 func (binaryV1) Encode(env Envelope) ([]byte, error) { return EncodeBinary(env) }
 func (binaryV1) Decode(b []byte) (Envelope, error)   { return DecodeBinary(b) }
 
+// Interner turns the raw bytes of a decoded sender address into an Addr, so a
+// receiver that hears the same few senders over and over can hand back one
+// string per sender instead of converting every datagram's copy. Intern must
+// return an Addr equal to string(b) that does not alias b (the input buffer
+// belongs to the caller), and must not retain b. The decoder only calls it;
+// any table behind it is the caller's.
+type Interner interface {
+	Intern(b []byte) Addr
+}
+
 // ---- primitive readers ----
 
 // binReader walks one datagram. Every read error is sticky in err; the field
@@ -189,6 +199,7 @@ type binReader struct {
 	b   []byte
 	off int
 	err *ValidationError
+	in  Interner // nil: senders are converted fresh
 }
 
 func (r *binReader) fail(t Type, reason, format string, args ...any) {
@@ -257,6 +268,15 @@ func (r *binReader) bytes(t Type) []byte {
 
 func (r *binReader) str(t Type) string { return string(r.bytes(t)) }
 
+// sender reads the From field, through the interner when there is one.
+func (r *binReader) sender(t Type) Addr {
+	b := r.bytes(t)
+	if r.in == nil || len(b) == 0 {
+		return Addr(b)
+	}
+	return r.in.Intern(b)
+}
+
 // addrs reads a counted address list. The count is capped by the bytes
 // actually present (each entry needs at least its length byte), so a forged
 // count cannot force a huge allocation.
@@ -289,20 +309,28 @@ func (r *binReader) addrs(t Type) []Addr {
 // is returned so the guard layer can attribute the reject.
 func DecodeBinaryRaw(b []byte) (Envelope, error) {
 	var env Envelope
+	err := decodeRaw(&env, b, nil)
+	return env, err
+}
+
+// decodeRaw is the one parser behind every Decode entry point. It fills env
+// in place (an Envelope is a few hundred bytes, so every by-value hop is a
+// copy); in, when not nil, supplies the From address.
+func decodeRaw(env *Envelope, b []byte, in Interner) error {
 	if len(b) > MaxDatagram {
-		return env, &ValidationError{Reason: ReasonSize,
+		return &ValidationError{Reason: ReasonSize,
 			Detail: fmt.Sprintf("datagram %d bytes > %d", len(b), MaxDatagram)}
 	}
 	if !IsBinary(b) {
-		return env, bad(0, ReasonMalformed, "missing binary envelope magic")
+		return bad(0, ReasonMalformed, "missing binary envelope magic")
 	}
 	if len(b) < binaryHeaderLen {
-		return env, bad(0, ReasonMalformed, "truncated binary header")
+		return bad(0, ReasonMalformed, "truncated binary header")
 	}
 	if b[2] != BinaryVersion {
-		return env, bad(0, ReasonVersion, "unknown binary version %d", b[2])
+		return bad(0, ReasonVersion, "unknown binary version %d", b[2])
 	}
-	r := &binReader{b: b, off: binaryHeaderLen}
+	r := &binReader{b: b, off: binaryHeaderLen, in: in}
 	env.Type = Type(r.varint(0))
 	t := env.Type
 	prev := 0
@@ -321,7 +349,7 @@ func DecodeBinaryRaw(b []byte) (Envelope, error) {
 		zero := false
 		switch id {
 		case binFrom:
-			env.From = Addr(r.str(t))
+			env.From = r.sender(t)
 			zero = env.From == ""
 		case binBandwidth:
 			env.Bandwidth = r.float(t)
@@ -377,9 +405,9 @@ func DecodeBinaryRaw(b []byte) (Envelope, error) {
 		}
 	}
 	if r.err != nil {
-		return env, r.err
+		return r.err
 	}
-	return env, nil
+	return nil
 }
 
 // members reads the member list: count, then fixed-order untagged records.
@@ -416,9 +444,14 @@ func (r *binReader) members(t Type) []MemberInfo {
 // internal/node keys its misbehavior scores on this); on a framing failure
 // before the header parsed, the envelope is zero. Classify errors with
 // Reason. The returned envelope's Payload aliases b.
-func DecodeBinary(b []byte) (Envelope, error) {
-	env, err := DecodeBinaryRaw(b)
-	if err != nil {
+func DecodeBinary(b []byte) (Envelope, error) { return DecodeBinaryWith(b, nil) }
+
+// DecodeBinaryWith is DecodeBinary with the From address supplied by in (nil
+// converts it fresh, exactly as DecodeBinary does). Every other field, every
+// error and its reason are the same whatever the interner.
+func DecodeBinaryWith(b []byte, in Interner) (Envelope, error) {
+	var env Envelope
+	if err := decodeRaw(&env, b, in); err != nil {
 		return env, err
 	}
 	if err := Validate(env); err != nil {

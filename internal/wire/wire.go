@@ -4,9 +4,10 @@
 // gossip, the ROST switching handshake, and the control-delivery acks of the
 // retransmit shim. Envelopes travel in one format, binary v1 (binary.go): a
 // magic-prefixed, versioned, canonical encoding — exactly one byte string per
-// envelope. DecodeBinary is the single parser a received datagram meets, and
-// Validate the single semantic check behind it; everything else arriving on
-// the socket is rejected as malformed and charged to nobody.
+// envelope. DecodeBinary (DecodeBinaryWith, for a receiver that interns its
+// senders) is the single parser a received datagram meets, and Validate the
+// single semantic check behind it; everything else arriving on the socket is
+// rejected as malformed and charged to nobody.
 package wire
 
 import "fmt"

@@ -117,3 +117,44 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recordingInterner returns a fixed address and records what it was given.
+type recordingInterner struct {
+	calls []string
+	out   Addr
+}
+
+func (r *recordingInterner) Intern(b []byte) Addr {
+	r.calls = append(r.calls, string(b))
+	return r.out
+}
+
+// TestInternerSuppliesOnlyFrom: DecodeBinaryWith asks the interner for the
+// sender once and uses its answer; the other addresses (chain, requester,
+// members, ancestors, new parent) and every other field decode as
+// DecodeBinary decodes them.
+func TestInternerSuppliesOnlyFrom(t *testing.T) {
+	env := Envelope{Type: TypeSwitchCommit, From: "sender", Chain: []Addr{"old"}, NewParent: "np", Ctrl: 11}
+	b := mustEncode(t, env)
+	in := &recordingInterner{out: "sender"}
+	got, err := DecodeBinaryWith(b, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in.calls, []string{"sender"}) {
+		t.Fatalf("interner called with %q, want only the sender", in.calls)
+	}
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("decoded %+v, want %+v", got, env)
+	}
+	in = &recordingInterner{out: "interned"}
+	if got, err = DecodeBinaryWith(b, in); err != nil || got.From != "interned" {
+		t.Fatalf("From = %q (err %v), want the interner's answer", got.From, err)
+	}
+	if _, err := DecodeBinaryWith(mustEncode(t, Envelope{Type: TypeJoin, Bandwidth: 1}), in); Reason(err) != ReasonSender {
+		t.Fatalf("missing sender: %v, want reason %q", err, ReasonSender)
+	}
+	if len(in.calls) != 1 {
+		t.Fatalf("interner called %d times, want once (never for an absent sender)", len(in.calls))
+	}
+}
