@@ -253,30 +253,6 @@ func BenchmarkRunStreamingSession(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionMultiTree exercises the multiple-tree extension: the
-// metric is the single-tree outage divided by the 4-stripe MDC outage.
-func BenchmarkExtensionMultiTree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := omcast.Config{
-			Seed:       int64(i + 1),
-			TargetSize: 500,
-			Warmup:     30 * time.Minute,
-			Measure:    30 * time.Minute,
-		}
-		single, err := omcast.RunMultiTree(cfg, omcast.MultiTreeConfig{Stripes: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		striped, err := omcast.RunMultiTree(cfg, omcast.MultiTreeConfig{Stripes: 4, Quorum: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if striped.OutageRatio > 0 {
-			b.ReportMetric(single.OutageRatio/striped.OutageRatio, "outage_improvement_x")
-		}
-	}
-}
-
 // BenchmarkMetricsOverhead quantifies the cost of instrumentation, the
 // acceptance gate for the metrics layer: the instrumented variants must stay
 // within ~10% of the bare ones. kernel/* isolates the event loop's metric

@@ -59,6 +59,16 @@ func cmdChaos(args []string) int {
 	var run []live.Scenario
 	switch {
 	case *schedule != "":
+		// The harness would quietly replace a non-positive member count with
+		// its default, and a non-positive run length passes vacuously.
+		switch {
+		case *nodes < 1:
+			return fail(2, "chaos", "-nodes %d: need at least 1 member", *nodes)
+		case *duration <= 0:
+			return fail(2, "chaos", "-duration %v: must be positive", *duration)
+		case *warmup < 0:
+			return fail(2, "chaos", "-warmup %v: must not be negative", *warmup)
+		}
 		data, err := os.ReadFile(*schedule)
 		if err != nil {
 			return fail(2, "chaos", "%v", err)

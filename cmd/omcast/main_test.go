@@ -40,6 +40,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"sim unknown flag", []string{"sim", "-bogus"}},
 		{"sim unknown figure", []string{"sim", "-fig", "nope"}},
 		{"sim fleet figure", []string{"sim", "-fig", "fig-fleet"}},
+		{"sim multitree figure", []string{"sim", "-fig", "extension-multitree"}},
 		{"sim all as csv", []string{"sim", "-fig", "all", "-csv"}},
 		{"sim negative size", []string{"sim", "-fig", "fig11", "-quick", "-size", "-5"}},
 		{"sim negative warmup", []string{"sim", "-fig", "fig11", "-quick", "-warmup", "-1h"}},
@@ -101,6 +102,25 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 			var code int
 			stderr := captureStderr(t, func() { code = run(args) })
 			if want := "omcast node: -" + neg.flag + " "; code != 2 || !strings.Contains(stderr, want) {
+				t.Fatalf("omcast %s = %d, want 2 and %q on stderr\n%s", strings.Join(args, " "), code, want, stderr)
+			}
+		})
+	}
+	// An impossible -schedule run size fails before any node boots, naming
+	// its flag. The schedule file is valid, so no parse error can answer
+	// for the flag.
+	sched := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(sched, []byte(`{"seed": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct{ flag, value string }{
+		{"nodes", "0"}, {"nodes", "-3"}, {"duration", "0s"}, {"duration", "-2s"}, {"warmup", "-2s"},
+	} {
+		args := []string{"chaos", "-schedule", sched, "-" + bad.flag, bad.value}
+		t.Run("chaos schedule "+bad.flag+" "+bad.value, func(t *testing.T) {
+			var code int
+			stderr := captureStderr(t, func() { code = run(args) })
+			if want := "omcast chaos: -" + bad.flag + " "; code != 2 || !strings.Contains(stderr, want) {
 				t.Fatalf("omcast %s = %d, want 2 and %q on stderr\n%s", strings.Join(args, " "), code, want, stderr)
 			}
 		})

@@ -20,11 +20,10 @@
 // Planning is one path: AppendServers turns a selected group into an
 // episode's server list, layoutStripes divides the missing sequence space
 // among those servers, and PlanRecoveryInto turns that into per-packet repair
-// arrival times, which the stream and multitree packages fold into playback
-// accounting. A traced run also asks ServerPlans how the same arrivals split
-// by server. The single-source baseline of Figure 14 (recovery list used one
-// node at a time, no striping) is planned by the same code with
-// Striped=false.
+// arrival times, which the stream package folds into playback accounting. A
+// traced run also asks ServerPlans how the same arrivals split by server.
+// The single-source baseline of Figure 14 (recovery list used one node at a
+// time, no striping) is planned by the same code with Striped=false.
 package cer
 
 import (
@@ -501,10 +500,9 @@ type Episode struct {
 	// plus rejoin) — from this point the group's residual bandwidth serves
 	// the uncovered backlog.
 	ResumeAt time.Duration
-	// Rate is the stream rate in packets per second.
+	// Rate is the stream rate in packets per second; packet n is generated
+	// at n/Rate seconds.
 	Rate float64
-	// Gen returns the generation time of packet n.
-	Gen func(n int64) time.Duration
 	// Striped selects CER's multi-source striping; false plans the
 	// single-source baseline (only the first server's residual bandwidth is
 	// used, as in PRM-style recovery).
@@ -522,6 +520,11 @@ type ServerPlan struct {
 	Packets int
 	// First and Last bound the arrival times of this share's packets.
 	First, Last time.Duration
+}
+
+// gen returns the generation time of packet n.
+func (ep *Episode) gen(n int64) time.Duration {
+	return time.Duration(float64(n) / ep.Rate * float64(time.Second))
 }
 
 // Lost marks a packet with no repair arrival in a PlanRecoveryInto result.
@@ -652,7 +655,7 @@ func PlanRecoveryInto(ep Episode, servers []Server, buf []time.Duration) []time.
 		if i := l.sliceOf(n); i >= 0 {
 			srv := &l.slices[i].srv
 			at := ep.RequestAt + srv.ChainDelay
-			if g := ep.Gen(n); g > at {
+			if g := ep.gen(n); g > at {
 				at = g // live forwarding of not-yet-generated packets
 			}
 			buf[n-ep.FirstMissing] = at + srv.Transfer

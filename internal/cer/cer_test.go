@@ -277,17 +277,13 @@ func (p densePlan) repaired() int {
 }
 
 func testEpisode(striped bool) Episode {
-	rate := 10.0
 	return Episode{
 		FirstMissing: 1000,
 		LastMissing:  1149, // 150 packets = 15 s at 10 pkt/s
 		RequestAt:    105 * time.Second,
 		ResumeAt:     115 * time.Second,
-		Rate:         rate,
-		Gen: func(n int64) time.Duration {
-			return time.Duration(float64(n) / rate * float64(time.Second))
-		},
-		Striped: striped,
+		Rate:         10,
+		Striped:      striped,
 	}
 }
 
@@ -320,7 +316,7 @@ func TestPlanFullCoverage(t *testing.T) {
 		}
 		// Live packets cannot arrive before generation; none before the
 		// request either.
-		if at < ep.RequestAt && at < ep.Gen(n) {
+		if at < ep.RequestAt && at < ep.gen(n) {
 			t.Fatalf("packet %d arrives at %v, before request and generation", n, at)
 		}
 	}
@@ -427,7 +423,7 @@ func TestPlanChainDelayPropagates(t *testing.T) {
 	}
 	// A packet generated after the request is forwarded live.
 	late := ep.LastMissing
-	wantLate := ep.Gen(late) + transfer
+	wantLate := ep.gen(late) + transfer
 	if got, _ := plan.arrival(late); got != wantLate {
 		t.Fatalf("live packet arrival %v, want %v", got, wantLate)
 	}
@@ -454,7 +450,6 @@ func TestPlanRecoveryProperties(t *testing.T) {
 			RequestAt:    gen(first) + 5*time.Second,
 			ResumeAt:     gen(first) + 15*time.Second,
 			Rate:         rate,
-			Gen:          gen,
 			Striped:      striped,
 		}
 		clamp := func(x float64) float64 { return math.Mod(math.Abs(x), 0.9) }

@@ -77,7 +77,7 @@ func planRecovery(ep Episode, servers []Server, detail bool) (Plan, []ServerPlan
 		for i, sl := range slices {
 			if frac >= sl.lo && frac < sl.hi {
 				at := ep.RequestAt + sl.srv.ChainDelay
-				if g := ep.Gen(n); g > at {
+				if g := ep.gen(n); g > at {
 					at = g // live forwarding of not-yet-generated packets
 				}
 				plan[n] = at + sl.srv.Transfer
@@ -155,7 +155,6 @@ func TestPlanRecoveryIntoMatchesPlanRecovery(t *testing.T) {
 			RequestAt:    failedAt + 5*time.Second,
 			ResumeAt:     failedAt + 15*time.Second,
 			Rate:         rate,
-			Gen:          func(n int64) time.Duration { return time.Duration(float64(n) / rate * float64(time.Second)) },
 			Striped:      rng.Intn(2) == 0,
 		}
 		var servers []Server

@@ -182,12 +182,11 @@ func (t Table) CSV() string {
 type kind uint8
 
 const (
-	runTree      kind = iota // omcast.Run
-	runTracked               // omcast.RunTracked with one typical member
-	runStream                // omcast.RunStreaming
-	runPair                  // Figure 14's ROST+CER run, then its min-depth single-source baseline
-	runMultiTree             // omcast.RunMultiTree
-	runScale                 // omcast.RunScale
+	runTree    kind = iota // omcast.Run
+	runTracked             // omcast.RunTracked with one typical member
+	runStream              // omcast.RunStreaming
+	runPair                // Figure 14's ROST+CER run, then its min-depth single-source baseline
+	runScale               // omcast.RunScale
 )
 
 // cell names everything that determines one simulation's result beyond the
@@ -207,8 +206,6 @@ type cell struct {
 	recovery omcast.Recovery
 	k        int
 	buffer   time.Duration
-	// The multiple-tree variant.
-	mt omcast.MultiTreeConfig
 }
 
 // treeCell is the tree-level run of alg at size on the base seed.
@@ -274,7 +271,6 @@ type outcome struct {
 	series omcast.TrackedSeries
 	stream omcast.StreamResult // runStream, and runPair's ROST+CER half
 	base   omcast.StreamResult // runPair's baseline half
-	multi  omcast.MultiTreeResult
 	reg    *metrics.Registry
 }
 
@@ -317,8 +313,6 @@ func (c cell) run(o Options) (outcome, error) {
 			cfg.Algorithm, scfg.Recovery = omcast.MinimumDepth, omcast.SingleSource
 			out.base, err = omcast.RunStreaming(cfg, scfg)
 		}
-	case runMultiTree:
-		out.multi, err = omcast.RunMultiTree(cfg, c.mt)
 	case runScale:
 		var res omcast.ScaleResult
 		res, err = omcast.RunScale(cfg)
@@ -362,27 +356,14 @@ func experimentTable(o Options) []experiment {
 	}
 	intervals := []time.Duration{480 * time.Second, 960 * time.Second, 1200 * time.Second, 1800 * time.Second}
 	buffers := []time.Duration{5 * time.Second, 10 * time.Second, 15 * time.Second, 20 * time.Second, 25 * time.Second, 30 * time.Second}
-	multiSize := o.Size / 4
 	if o.Quick {
 		intervals = []time.Duration{240 * time.Second, 960 * time.Second}
 		buffers = []time.Duration{5 * time.Second, 20 * time.Second}
-		multiSize = o.Size
 	}
 	var fig11 []variant
 	for _, iv := range intervals {
 		fig11 = append(fig11, variant{fmt.Sprintf("%.0fs", iv.Seconds()), fmt.Sprintf("interval=%v", iv),
 			rostCell(func(c *cell) { c.interval = iv })})
-	}
-	multiTree := func(label string, mt omcast.MultiTreeConfig) variant {
-		c := o.treeCell(omcast.MinimumDepth, multiSize)
-		c.kind, c.mt = runMultiTree, mt
-		return variant{label: label, cell: c}
-	}
-	multiTrees := []variant{
-		multiTree("single tree (baseline)", omcast.MultiTreeConfig{Stripes: 1}),
-		multiTree("4 stripes, split bandwidth", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3}),
-		multiTree("4 stripes, interior-disjoint", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3, Disjoint: true}),
-		multiTree("4 stripes, split + ROST", omcast.MultiTreeConfig{Stripes: 4, Quorum: 3, UseROST: true}),
 	}
 	scaleAlgs := []omcast.Algorithm{omcast.MinimumDepth, omcast.ROST}
 	schemes := []omcast.Recovery{omcast.CER, omcast.CERRandomGroup, omcast.SingleSource}
@@ -539,25 +520,6 @@ func experimentTable(o Options) []experiment {
 			[]string{"guard", "disruptions/node", "reconnections/node", "service delay"},
 			toggle("disabled", "bandwidth >= parent required", "BTP comparison only", func(c *cell) { c.noBandwidthGuard = true }),
 			"without the guard, lower-bandwidth children switch up only to be overtaken and demoted again"),
-		{
-			id:     "extension-multitree",
-			title:  fmt.Sprintf("Extension: multiple-tree delivery with MDC (%d nodes)", multiSize),
-			header: []string{"configuration", "outage ratio", "delivery ratio", "episodes"},
-			notes: []string{
-				"the paper's stated future direction: striping the stream over T trees so one failure",
-				"degrades (one stripe) instead of interrupting; quorum = stripes-1 models one-description slack",
-			},
-			cells: cellsOf(multiTrees, func(v variant) cell { return v.cell }),
-			rows: func(out []outcome, progress logf) (rows [][]string) {
-				for i, res := range out {
-					label := multiTrees[i].label
-					progress("multitree %-30s outage=%.3f%%", label, res.multi.OutageRatio*100)
-					rows = append(rows, []string{label, fmt.Sprintf("%.3f%%", res.multi.OutageRatio*100),
-						fmt.Sprintf("%.2f%%", res.multi.FullQualityRatio*100), fmt.Sprintf("%d", res.multi.Episodes)})
-				}
-				return rows
-			},
-		},
 		{
 			id:     "fig-scale",
 			title:  "Scale sweep: Figure 4 metric beyond the paper's sizes (min-depth vs ROST)",

@@ -49,10 +49,11 @@ func runSuite(t *testing.T, opts Options, ids []string) ([]figureRun, string, *R
 // TestFigureSuiteGolden pins the whole suite's output: every table, every
 // progress line and the final metrics snapshot of one Runner over every
 // experiment; any change to a table, to the progress stream or to the order
-// registries are merged in shows up here. When the fleet figure was retired
-// the hash was re-taken from the previous engine over the suite without it,
-// so every remaining table, progress line and metrics series is unchanged;
-// only the fleet table and the omcast_fleet_* series left.
+// registries are merged in shows up here. When the fleet figure and then the
+// multiple-tree extension were retired, the hash was re-taken each time from
+// the previous engine over the suite without the retired table, so every
+// remaining table, progress line and metrics series is unchanged; only the
+// retired tables, their progress lines and their series left.
 func TestFigureSuiteGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Arrival times are float arithmetic; architectures on which the
@@ -60,8 +61,8 @@ func TestFigureSuiteGolden(t *testing.T) {
 		t.Skipf("golden hash was taken on amd64, not %s", runtime.GOARCH)
 	}
 	const (
-		wantSHA   = "987729bebf1de975997457035e755a0cbf38d68a3910e661074e61d3fc77a946"
-		wantLines = 191
+		wantSHA   = "f7f5c202da320dccad2b78b9d63cc62d4329b332b795517fff0aaa48acaaac8d"
+		wantLines = 178
 	)
 	runs, snap, _ := runSuite(t, tinyOptions(2), IDs())
 	var b strings.Builder
@@ -107,10 +108,10 @@ func TestSuiteMatchesFreshRunners(t *testing.T) {
 			t.Errorf("%s: suite progress %q, fresh Runner %q", e.id, suite[i].progress, want.progress)
 		}
 	}
-	// 65 sessions before the memo: Figure 5 repeated five sweep runs, Figure
+	// 61 sessions before the memo: Figure 5 repeated five sweep runs, Figure
 	// 13 three of Figure 12's, and the ablations five more.
-	if r.sims != 53 {
-		t.Errorf("suite ran %d simulations, want 53", r.sims)
+	if r.sims != 49 {
+		t.Errorf("suite ran %d simulations, want 49", r.sims)
 	}
 
 	// The benchmark's figures shape: Figures 4-14 at sizes {1000, 2000} and

@@ -75,7 +75,7 @@ var (
 	simPackages = []string{
 		"omcast", // the root façade assembles and runs the simulation
 		"eventsim", "overlay", "construct", "rost", "cer", "churn",
-		"stream", "experiments", "xrand", "topology", "stats", "multitree",
+		"stream", "experiments", "xrand", "topology", "stats",
 		// The deterministic metrics backend is sim-safe by contract; its
 		// concurrent sibling internal/metrics/live (suffix "live") is
 		// deliberately outside this scope.
@@ -97,7 +97,7 @@ var (
 	// drivers, where progress timers carry an explicit suppression.
 	wallclockExtra = []string{"omcast/cmd/...", "omcast/examples/..."}
 	// floatPackages hold metric/statistics code checked by float-accum.
-	floatPackages = []string{"stats", "experiments", "stream", "multitree", "metrics"}
+	floatPackages = []string{"stats", "experiments", "stream", "metrics"}
 	// taintStatePackages hold long-lived protocol state: a tainted wire
 	// value stored into a struct field, map or slice there is a wire-taint
 	// finding. The live protocol runtime owns the state an adversarial

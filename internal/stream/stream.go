@@ -469,7 +469,6 @@ func (m *Model) episodeInputs(c *overlay.Member, first, last int64, requestAt, r
 		RequestAt:    requestAt,
 		ResumeAt:     resumeAt,
 		Rate:         m.cfg.Rate,
-		Gen:          m.gen,
 		Striped:      m.cfg.Striped,
 	}
 	return servers, ep

@@ -38,7 +38,6 @@ import (
 	"omcast/internal/construct"
 	"omcast/internal/eventsim"
 	"omcast/internal/metrics"
-	"omcast/internal/multitree"
 	"omcast/internal/overlay"
 	"omcast/internal/rost"
 	"omcast/internal/topology"
@@ -712,78 +711,4 @@ func RunTracked(cfg Config, bandwidth float64, observe time.Duration) (TrackedSe
 		series.ServiceDelayMS = append(series.ServiceDelayMS, tracked.DelayMS[i])
 	}
 	return series, s.treeResult(), nil
-}
-
-// MultiTreeConfig parameterises the multiple-tree extension (the future
-// direction the paper's introduction sketches): the stream is split into
-// Stripes MDC descriptions, each delivered over its own tree.
-type MultiTreeConfig struct {
-	// Stripes is the number of stripe trees (>= 1).
-	Stripes int
-	// Quorum is how many stripes must arrive on time for watchable quality;
-	// 0 means all of them.
-	Quorum int
-	// Disjoint makes each member interior in exactly one tree
-	// (SplitStream-style); otherwise its bandwidth is split evenly.
-	Disjoint bool
-	// UseROST maintains every stripe tree with BTP switching.
-	UseROST bool
-}
-
-// MultiTreeResult reports the extension's quality metrics.
-type MultiTreeResult struct {
-	// FullQualityRatio is the mean fraction of stripe packets delivered on
-	// schedule.
-	FullQualityRatio float64
-	// OutageRatio is the mean fraction of view time below the MDC quorum —
-	// the multi-tree analogue of the starving-time ratio.
-	OutageRatio float64
-	// Members contributed quality samples; Episodes recovery episodes ran.
-	Members  int
-	Episodes int
-	// MaxDepths lists each stripe tree's final height.
-	MaxDepths []int
-}
-
-// RunMultiTree executes a multiple-tree session. The base Config supplies
-// seed, audience size, windows and distributions; Topology is chosen by the
-// extension itself (it scales with the audience).
-func RunMultiTree(cfg Config, mt MultiTreeConfig) (MultiTreeResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return MultiTreeResult{}, err
-	}
-	contribution := multitree.SplitContribution
-	if mt.Disjoint {
-		contribution = multitree.DisjointContribution
-	}
-	session, err := multitree.NewSession(multitree.Config{
-		Stripes:        mt.Stripes,
-		Contribution:   contribution,
-		QuorumStripes:  mt.Quorum,
-		UseROST:        mt.UseROST,
-		SwitchInterval: cfg.SwitchInterval,
-		Seed:           cfg.Seed,
-		TargetSize:     cfg.TargetSize,
-		RootBandwidth:  cfg.RootBandwidth,
-		Lifetime:       cfg.Lifetime,
-		Bandwidth:      cfg.Bandwidth,
-		SessionAge:     cfg.SessionAge,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-	})
-	if err != nil {
-		return MultiTreeResult{}, err
-	}
-	res, err := session.Run()
-	if err != nil {
-		return MultiTreeResult{}, err
-	}
-	return MultiTreeResult{
-		FullQualityRatio: res.FullQualityRatio,
-		OutageRatio:      res.OutageRatio,
-		Members:          res.Members,
-		Episodes:         res.Episodes,
-		MaxDepths:        res.MaxDepths,
-	}, nil
 }

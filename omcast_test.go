@@ -360,30 +360,6 @@ func TestRunPerLifetimeMetricsPopulated(t *testing.T) {
 	}
 }
 
-func TestRunMultiTree(t *testing.T) {
-	cfg := quickConfig(33, omcast.MinimumDepth)
-	single, err := omcast.RunMultiTree(cfg, omcast.MultiTreeConfig{Stripes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	striped, err := omcast.RunMultiTree(cfg, omcast.MultiTreeConfig{Stripes: 4, Quorum: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Members == 0 || striped.Members == 0 {
-		t.Fatal("no members measured")
-	}
-	if len(single.MaxDepths) != 1 || len(striped.MaxDepths) != 4 {
-		t.Fatalf("tree counts wrong: %v / %v", single.MaxDepths, striped.MaxDepths)
-	}
-	if striped.OutageRatio > single.OutageRatio {
-		t.Fatalf("MDC striping increased outages: %g > %g", striped.OutageRatio, single.OutageRatio)
-	}
-	if _, err := omcast.RunMultiTree(cfg, omcast.MultiTreeConfig{Stripes: 0}); err == nil {
-		t.Fatal("zero stripes accepted")
-	}
-}
-
 // TestRunParanoid: a paranoid run routes every invariant check through the
 // full scan and schedules periodic audits; a healthy session must still
 // complete and produce the usual metrics. (Paranoid runs are only
