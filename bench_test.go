@@ -276,7 +276,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 				}
 			}
 			sim.Schedule(0, tick)
-			if err := sim.RunAll(); err != nil {
+			if err := sim.Run(eventsim.MaxHorizon); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -34,7 +34,7 @@ func cmdBench(args []string) int {
 		sizes = fs.String("scale-sizes", "1000,10000,100000,1000000", "comma-separated member counts")
 		quick = fs.Bool("quick", false, "small underlay and 5 + 5 minute windows, for smoke passes")
 	)
-	if fs.Parse(args) != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 	members, err := parseSizes(*sizes)

@@ -45,7 +45,7 @@ func cmdChaos(args []string) int {
 		warmup   = fs.Duration("warmup", 5*time.Second, "attach deadline before faults arm for -schedule runs (0 = faults from birth)")
 		traceOut = fs.String("trace-out", "", "write the runs' causal spans (recovery episodes + fault windows) as JSONL to this file (\"-\" = stdout)")
 	)
-	if fs.Parse(args) != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 

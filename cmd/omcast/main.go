@@ -67,6 +67,21 @@ func newFlags(name string) *flag.FlagSet {
 	return flag.NewFlagSet("omcast "+name, flag.ContinueOnError)
 }
 
+// parseFlags parses args into a subcommand's flag set and refuses leftover
+// arguments. The flag package stops at the first word that is not a flag, so
+// a stray word would otherwise swallow every flag after it unnoticed. It
+// reports whether the command may go on; on false the caller exits 2.
+func parseFlags(fs *flag.FlagSet, args []string) bool {
+	if fs.Parse(args) != nil {
+		return false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unexpected argument %q (flags after it would be ignored)\n", fs.Name(), fs.Arg(0))
+		return false
+	}
+	return true
+}
+
 // fail reports a subcommand error on stderr and returns its exit status.
 func fail(code int, name, format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "omcast %s: %s\n", name, fmt.Sprintf(format, args...))

@@ -67,6 +67,14 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"trace negative sample", []string{"trace", "-sample", "-5m"}},
 		{"trace negative group", []string{"trace", "-stream", "-group", "-3"}},
 		{"trace analyze two inputs", []string{"trace", "analyze", "a", "b"}},
+		// A stray word must not swallow the flags after it.
+		{"sim stray argument", []string{"sim", "-quick", "-fig", "fig4", "stray", "-seed", "2"}},
+		{"bench stray argument", []string{"bench", "-quick", "stray"}},
+		{"chaos stray argument", []string{"chaos", "-scenario", "lossy-10", "stray"}},
+		{"node stray argument", []string{"node", "-source", "stray"}},
+		{"topo stray argument", []string{"topo", "stray"}},
+		{"trace stray argument", []string{"trace", "stray", "-size", "10", "-measure", "1m", "-warmup", "1m"}},
+		{"trace misspelt nested subcommand", []string{"trace", "analyse", "x.jsonl"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

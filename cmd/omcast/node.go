@@ -70,6 +70,18 @@ func newMux(n *node.Node, reg *live.Registry, ring *flight.Ring) *http.ServeMux 
 	return mux
 }
 
+// listenUDP binds the node's socket and makes the registry /metrics serves,
+// with the transport's own counters registered on it.
+func listenUDP(addr string) (*node.UDPTransport, *live.Registry, error) {
+	transport, err := node.NewUDPTransport(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	reg := live.NewRegistry()
+	transport.SetMetrics(reg)
+	return transport, reg, nil
+}
+
 // cmdNode runs one live protocol node over UDP: the deployable counterpart
 // of the simulator. Start a source, point members at it, and the overlay
 // assembles, streams, heals failures and (optionally) ROST-switches on real
@@ -118,7 +130,7 @@ func cmdNode(args []string) int {
 		retxBase   = fs.Duration("retx-base", 0, "first retransmit backoff (0 = default of heartbeat/2)")
 		retxCap    = fs.Int("retx-inflight", 0, "max unacked control messages per peer (0 = default of 32)")
 	)
-	if fs.Parse(args) != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 
@@ -160,11 +172,10 @@ func cmdNode(args []string) int {
 			return fail(2, "node", "%s: %v", *faults, err)
 		}
 	}
-	transport, err := node.NewUDPTransport(*listen)
+	transport, reg, err := listenUDP(*listen)
 	if err != nil {
 		return fail(1, "node", "%v", err)
 	}
-	reg := live.NewRegistry()
 	var tr node.Transport = transport
 	if sch != nil {
 		fnet := fnlive.NewNetwork(fnlive.Options{Seed: *faultSeed, Schedule: sch, Metrics: reg})

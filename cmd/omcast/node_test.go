@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"omcast/internal/metrics"
 	"omcast/internal/metrics/live"
 	"omcast/internal/node"
 	"omcast/internal/tracing"
@@ -90,6 +92,26 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestNodeRegistryCountsOversizeDrops: the registry omcast node serves on
+// /metrics carries the UDP transport's oversize-drop counter.
+func TestNodeRegistryCountsOversizeDrops(t *testing.T) {
+	tr, reg, err := listenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if err := tr.Send(tr.Addr(), make([]byte, node.MaxUDPDatagram+1)); !errors.Is(err, node.ErrOversize) {
+		t.Fatalf("Send = %v, want ErrOversize", err)
+	}
+	var b strings.Builder
+	if err := metrics.WriteProm(&b, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if want := "omcast_node_udp_oversize_dropped_total 1"; !strings.Contains(b.String(), want) {
+		t.Fatalf("node registry missing %q:\n%s", want, b.String())
 	}
 }
 

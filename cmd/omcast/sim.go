@@ -48,7 +48,7 @@ func cmdSim(args []string) int {
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		metOut   = fs.String("metrics-out", "", "write accumulated metrics (Prometheus text format) to this file")
 	)
-	if fs.Parse(args) != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 	if *list {

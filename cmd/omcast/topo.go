@@ -29,7 +29,7 @@ func cmdTopo(args []string) int {
 		verify         = fs.Bool("verify", false, "cross-check the O(1) oracle against full Dijkstra on sampled sources")
 		dotFile        = fs.String("dot", "", "write the topology as GraphViz DOT to this file")
 	)
-	if fs.Parse(args) != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 	if *samples < 1 {

@@ -121,7 +121,7 @@ func traceSim(args []string) int {
 		group   = fs.Int("group", 3, "CER recovery group size (with -stream)")
 		spans   = fs.Bool("spans", false, "emit causal episode spans (rejoin/repair/switch/stall timelines)")
 	)
-	if fs.Parse(args) != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 	if *size < 0 || *warmup < 0 || *measure < 0 || *sample < 0 || *group < 0 {

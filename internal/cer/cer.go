@@ -464,6 +464,8 @@ func LossCorrelation(a, b *overlay.Member) int {
 }
 
 // GroupLossCorrelation sums pairwise loss correlations over a group.
+//
+//lint:ignore test-only-export reason: cer's tests score MLC groups against random ones with it; the planned measured-loss-correlation report is its production reader
 func GroupLossCorrelation(group []*overlay.Member) int {
 	total := 0
 	for i := 0; i < len(group); i++ {

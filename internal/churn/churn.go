@@ -680,6 +680,3 @@ func (d *Driver) Result() Result {
 	}
 	return res
 }
-
-// Tree returns the driven tree (for protocol layers and tests).
-func (d *Driver) Tree() *overlay.Tree { return d.tree }

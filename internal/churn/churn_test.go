@@ -400,13 +400,6 @@ func TestRejoinEpisodes(t *testing.T) {
 	}
 }
 
-func TestDriverTreeAccessor(t *testing.T) {
-	w := newWorld(t, 12, 50, Hooks{})
-	if w.driver.Tree() != w.tree {
-		t.Fatal("Tree() returned a different tree")
-	}
-}
-
 func TestSurvivalIntegral(t *testing.T) {
 	// The integral over an infinite horizon equals the mean (1809 s); a
 	// 48-hour horizon captures nearly all of it, and monotonicity holds.

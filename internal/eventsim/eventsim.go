@@ -6,8 +6,8 @@
 // simulated time is expressed as time.Duration offsets from the start of the
 // simulation.
 //
-// The queue is an inlined 4-ary heap over pooled event records: firing or
-// compacting an event returns its record to a free list, so the steady-state
+// The queue is an inlined 4-ary heap over pooled event records: firing an
+// event returns its record to a free list, so the steady-state
 // schedule/fire cycle performs no heap allocations, and the flat comparison
 // loop avoids container/heap's interface boxing. Beside the heap sit lanes,
 // one per fixed delay (Simulator.Lane): timers a session re-arms with the
@@ -22,7 +22,6 @@
 package eventsim
 
 import (
-	"errors"
 	"math"
 	"time"
 
@@ -33,33 +32,16 @@ import (
 // is passed in so handlers can schedule follow-up events.
 type Handler func(sim *Simulator)
 
-// ErrStopped is returned by Run when the simulation was halted by Stop before
-// the horizon was reached.
-var ErrStopped = errors.New("eventsim: simulation stopped")
-
 // event is a single queued callback, in the heap or in a lane. Records are
-// pooled: once an event fires or is swept by compaction its record returns to
-// the simulator's free list with gen advanced, which invalidates every EventID
-// still pointing at it.
+// pooled: once an event fires its record returns to the simulator's free
+// list. There is no cancellation: a timer that may become moot checks, when
+// it fires, whether what it was for still holds, and returns if not.
 type event struct {
-	at       time.Duration
-	schedAt  time.Duration // when Schedule was called (queue-residence metric)
-	seq      uint64        // tie-break: FIFO among equal timestamps
-	gen      uint32        // incremented on recycle; stale EventIDs mismatch
-	canceled bool
-	handler  Handler
+	at      time.Duration
+	schedAt time.Duration // when Schedule was called (queue-residence metric)
+	seq     uint64        // tie-break: FIFO among equal timestamps
+	handler Handler
 }
-
-// EventID identifies a scheduled event so it can be canceled. The zero value
-// is never a valid ID.
-type EventID struct {
-	ev  *event
-	gen uint32
-}
-
-// Valid reports whether the ID was issued by Schedule (the zero EventID is
-// not). A valid ID may still refer to an event that has already fired.
-func (id EventID) Valid() bool { return id.ev != nil }
 
 // less orders events by (at, seq) — a strict total order because seq is
 // unique per scheduled event.
@@ -70,22 +52,12 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// Compaction policy: sweep canceled tombstones out of the heap and the lanes
-// once they are more than 1/compactFraction of all pending events and at
-// least compactMinCanceled (small queues are cheaper to drain than to
-// rebuild).
-const (
-	compactFraction    = 4
-	compactMinCanceled = 64
-)
-
 // kernelMetrics holds the kernel's optional instruments. All pointers are
 // nil until Instrument is called; the metric types' nil-safe methods make
 // every update a single predictable branch on the uninstrumented path.
 type kernelMetrics struct {
 	scheduled *metrics.Counter
 	fired     *metrics.Counter
-	canceled  *metrics.Counter
 	residence *metrics.Histogram
 }
 
@@ -103,13 +75,8 @@ type Simulator struct {
 	laneLen int
 	free    []*event // recycled event records
 	seq     uint64
-	stopped bool
-	// processed counts events that actually fired (canceled events excluded).
+	// processed counts events that fired.
 	processed uint64
-	// nCanceled counts canceled tombstones still sitting in the heap or a
-	// lane; when they exceed Pending()/compactFraction both are compacted so
-	// that schedule/cancel churn cannot grow the queue without bound.
-	nCanceled int
 	// depthHigh tracks the largest queue depth ever observed; it is plain
 	// kernel state (one int compare per Schedule) so the instrumented
 	// hot path stays free of gauge writes.
@@ -135,7 +102,7 @@ func New() *Simulator {
 }
 
 // Instrument registers the kernel's instruments on reg and starts feeding
-// them: events scheduled/fired/canceled, current and high-water queue depth,
+// them: events scheduled and fired, current and high-water queue depth,
 // and a histogram of virtual queue-residence time (fire time minus schedule
 // time — how far ahead the simulation plans). All instruments are keyed in
 // virtual time, so a fixed seed yields byte-identical snapshots; wall-clock
@@ -143,8 +110,7 @@ func New() *Simulator {
 func (s *Simulator) Instrument(reg *metrics.Registry) {
 	s.met = kernelMetrics{
 		scheduled: reg.Counter("omcast_sim_events_scheduled_total", "Events registered with the kernel."),
-		fired:     reg.Counter("omcast_sim_events_fired_total", "Events whose handler ran (canceled events excluded)."),
-		canceled:  reg.Counter("omcast_sim_events_canceled_total", "Events canceled before firing."),
+		fired:     reg.Counter("omcast_sim_events_fired_total", "Events whose handler ran."),
 		residence: reg.Histogram("omcast_sim_event_residence_seconds",
 			"Virtual seconds an event spent queued between Schedule and firing.",
 			metrics.LatencyBuckets()),
@@ -152,7 +118,7 @@ func (s *Simulator) Instrument(reg *metrics.Registry) {
 	// The queue-depth gauges are func-backed: they read kernel state at
 	// snapshot time instead of writing a gauge on every Schedule and fire.
 	reg.GaugeFunc("omcast_sim_queue_depth",
-		"Events currently queued, including canceled tombstones.",
+		"Events currently queued.",
 		func() float64 { return float64(s.Pending()) })
 	reg.GaugeFunc("omcast_sim_queue_depth_high_water",
 		"Largest queue depth observed.",
@@ -166,8 +132,7 @@ func (s *Simulator) Now() time.Duration { return s.now }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events still queued in the heap and the
-// lanes, including canceled events that have been neither popped nor
-// compacted away.
+// lanes.
 func (s *Simulator) Pending() int { return len(s.queue) + s.laneLen }
 
 // alloc takes an event record from the free list, or makes a new one.
@@ -181,11 +146,9 @@ func (s *Simulator) alloc() *event {
 	return &event{}
 }
 
-// recycle invalidates outstanding EventIDs for ev and returns its record to
-// the free list. The handler reference is dropped so pooled records never
-// pin closure captures.
+// recycle returns ev's record to the free list. The handler reference is
+// dropped so pooled records never pin closure captures.
 func (s *Simulator) recycle(ev *event) {
-	ev.gen++
 	ev.handler = nil
 	s.free = append(s.free, ev)
 }
@@ -246,40 +209,9 @@ func (s *Simulator) pop() {
 	}
 }
 
-// compact sweeps canceled tombstones out of the heap and the lanes, and
-// re-heapifies the heap's survivors. Heap layout after the rebuild may differ
-// from an insert-order layout, but pop order is fixed by the (at, seq) total
-// order, so compaction is invisible to results. A lane keeps its survivors in
-// place, in order.
-func (s *Simulator) compact() {
-	for _, l := range s.lanes {
-		l.sweep()
-	}
-	q := s.queue
-	kept := q[:0]
-	for _, ev := range q {
-		if ev.canceled {
-			s.recycle(ev)
-		} else {
-			kept = append(kept, ev)
-		}
-	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
-	}
-	s.queue = kept
-	if len(kept) > 1 {
-		for i := (len(kept) - 2) / 4; i >= 0; i-- {
-			s.siftDown(i)
-		}
-	}
-	s.nCanceled = 0
-}
-
 // Schedule registers handler to fire at absolute virtual time at. Times in
-// the past (before Now) are clamped to Now, so the event fires next. The
-// returned EventID can be passed to Cancel.
-func (s *Simulator) Schedule(at time.Duration, handler Handler) EventID {
+// the past (before Now) are clamped to Now, so the event fires next.
+func (s *Simulator) Schedule(at time.Duration, handler Handler) {
 	if at < s.now {
 		at = s.now
 	}
@@ -287,7 +219,6 @@ func (s *Simulator) Schedule(at time.Duration, handler Handler) EventID {
 	s.queue = append(s.queue, ev)
 	s.siftUp(len(s.queue) - 1)
 	s.noteDepth()
-	return EventID{ev: ev, gen: ev.gen}
 }
 
 // newEvent fills a pooled record for handler at time at with the next seq.
@@ -299,7 +230,6 @@ func (s *Simulator) newEvent(at time.Duration, handler Handler) *event {
 	ev.at = at
 	ev.schedAt = s.now
 	ev.seq = s.seq
-	ev.canceled = false
 	ev.handler = handler
 	s.seq++
 	s.met.scheduled.Inc()
@@ -330,15 +260,16 @@ func (s *Simulator) Lane(delay time.Duration) *Lane {
 
 // Schedule registers handler to fire the lane's delay after the current time:
 // ScheduleAfter with the lane's delay, firing in the same (at, seq) order,
-// without the heap's O(log n) sift. It returns an EventID for Cancel.
-func (l *Lane) Schedule(handler Handler) EventID {
+// without the heap's O(log n) sift.
+func (l *Lane) Schedule(handler Handler) {
 	s := l.s
 	at := s.now + l.delay
 	if at < s.now || l.n > 0 && l.ring[(l.head+l.n-1)&(len(l.ring)-1)].at > at {
 		// The delay overflowed, or Run(horizon) set the clock back below an
 		// earlier Schedule: the lane would fall out of order, so the heap
 		// takes the event.
-		return s.Schedule(at, handler)
+		s.Schedule(at, handler)
+		return
 	}
 	ev := s.newEvent(at, handler)
 	if l.n == len(l.ring) {
@@ -352,7 +283,6 @@ func (l *Lane) Schedule(handler Handler) EventID {
 	l.n++
 	s.laneLen++
 	s.noteDepth()
-	return EventID{ev: ev, gen: ev.gen}
 }
 
 // pop removes the lane's head. The caller still holds the popped *event.
@@ -361,23 +291,6 @@ func (l *Lane) pop() {
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
 	l.s.laneLen--
-}
-
-// sweep drops the lane's canceled events, keeping the rest in order.
-func (l *Lane) sweep() {
-	mask, kept := len(l.ring)-1, 0
-	for i := range l.n {
-		ev := l.ring[(l.head+i)&mask]
-		l.ring[(l.head+i)&mask] = nil
-		if ev.canceled {
-			l.s.recycle(ev)
-			continue
-		}
-		l.ring[(l.head+kept)&mask] = ev
-		kept++
-	}
-	l.s.laneLen -= l.n - kept
-	l.n = kept
 }
 
 // next returns the earliest pending event and the lane holding it, or a nil
@@ -400,38 +313,17 @@ func (s *Simulator) next() (*event, *Lane) {
 
 // ScheduleAfter registers handler to fire delay after the current time.
 // Negative delays are clamped to zero.
-func (s *Simulator) ScheduleAfter(delay time.Duration, handler Handler) EventID {
+func (s *Simulator) ScheduleAfter(delay time.Duration, handler Handler) {
 	if delay < 0 {
 		delay = 0
 	}
-	return s.Schedule(s.now+delay, handler)
+	s.Schedule(s.now+delay, handler)
 }
-
-// Cancel prevents a scheduled event from firing. Canceling an already-fired
-// or already-canceled event is a no-op (a fired event's record may have been
-// recycled, which the ID's generation detects). It reports whether the event
-// was live before the call.
-func (s *Simulator) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.gen != id.gen || id.ev.canceled {
-		return false
-	}
-	id.ev.canceled = true
-	s.nCanceled++
-	s.met.canceled.Inc()
-	if s.nCanceled >= compactMinCanceled && s.nCanceled*compactFraction > s.Pending() {
-		s.compact()
-	}
-	return true
-}
-
-// Stop halts the run loop after the currently firing event returns.
-func (s *Simulator) Stop() { s.stopped = true }
 
 // Run processes events in timestamp order until the queue is empty or the
-// clock would pass horizon. Events exactly at the horizon still fire. It
-// returns ErrStopped if Stop was called, otherwise nil.
+// clock would pass horizon. Events exactly at the horizon still fire. The
+// error is always nil; it stays in the signature for callers that check it.
 func (s *Simulator) Run(horizon time.Duration) error {
-	s.stopped = false
 	for {
 		next, lane := s.next()
 		if next == nil {
@@ -448,14 +340,8 @@ func (s *Simulator) Run(horizon time.Duration) error {
 		} else {
 			s.pop()
 		}
-		if next.canceled {
-			s.nCanceled--
-			s.recycle(next)
-			continue
-		}
-		// Recycle before invoking: the record is fully read out, the bumped
-		// generation makes self-Cancel from inside the handler a no-op, and
-		// the handler's own Schedule calls can reuse the record immediately.
+		// Recycle before invoking: the record is fully read out, and the
+		// handler's own Schedule calls can reuse it immediately.
 		h, at, schedAt := next.handler, next.at, next.schedAt
 		s.recycle(next)
 		s.now = at
@@ -465,9 +351,6 @@ func (s *Simulator) Run(horizon time.Duration) error {
 		// float64(d)*1e-9 instead of Seconds(): one multiply, not a divmod
 		// decomposition — this runs once per fired event.
 		s.met.residence.Observe(float64(at-schedAt) * 1e-9)
-		if s.stopped {
-			return ErrStopped
-		}
 	}
 	if horizon > s.now && horizon != MaxHorizon {
 		s.now = horizon
@@ -477,8 +360,3 @@ func (s *Simulator) Run(horizon time.Duration) error {
 
 // MaxHorizon is a horizon value meaning "run until the queue drains".
 const MaxHorizon = time.Duration(math.MaxInt64)
-
-// RunAll processes events until the queue is empty or Stop is called.
-func (s *Simulator) RunAll() error {
-	return s.Run(MaxHorizon)
-}

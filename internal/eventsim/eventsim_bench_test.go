@@ -25,7 +25,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if err := sim.RunAll(); err != nil {
+	if err := sim.Run(MaxHorizon); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -38,22 +38,9 @@ func BenchmarkRunDense(b *testing.B) {
 		for j := 0; j < 1_000_000; j++ {
 			sim.Schedule(time.Duration(j%1000)*time.Millisecond, func(*Simulator) {})
 		}
-		if err := sim.RunAll(); err != nil {
+		if err := sim.Run(MaxHorizon); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkScheduleCancelChurn measures the schedule/cancel regime that the
-// compaction sweep keeps bounded: every event is canceled before it fires.
-func BenchmarkScheduleCancelChurn(b *testing.B) {
-	sim := New()
-	at := time.Second
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := sim.Schedule(at, func(*Simulator) {})
-		at += time.Millisecond
-		sim.Cancel(id)
 	}
 }
 

@@ -1,7 +1,6 @@
 package eventsim
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,8 +12,8 @@ func TestScheduleOrdering(t *testing.T) {
 	sim.Schedule(3*time.Second, func(*Simulator) { got = append(got, 3) })
 	sim.Schedule(1*time.Second, func(*Simulator) { got = append(got, 1) })
 	sim.Schedule(2*time.Second, func(*Simulator) { got = append(got, 2) })
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -31,8 +30,8 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 		i := i
 		sim.Schedule(time.Second, func(*Simulator) { got = append(got, i) })
 	}
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	for i := range got {
 		if got[i] != i {
@@ -45,8 +44,8 @@ func TestClockAdvances(t *testing.T) {
 	sim := New()
 	var at time.Duration
 	sim.Schedule(5*time.Second, func(s *Simulator) { at = s.Now() })
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if at != 5*time.Second {
 		t.Fatalf("Now inside handler = %v, want 5s", at)
@@ -62,8 +61,8 @@ func TestScheduleAfter(t *testing.T) {
 	sim.Schedule(2*time.Second, func(s *Simulator) {
 		s.ScheduleAfter(3*time.Second, func(s2 *Simulator) { second = s2.Now() })
 	})
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if second != 5*time.Second {
 		t.Fatalf("chained event fired at %v, want 5s", second)
@@ -76,8 +75,8 @@ func TestScheduleInPastClamps(t *testing.T) {
 	sim.Schedule(10*time.Second, func(s *Simulator) {
 		s.Schedule(1*time.Second, func(*Simulator) { fired = true })
 	})
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if !fired {
 		t.Fatal("event scheduled in the past never fired")
@@ -91,42 +90,11 @@ func TestNegativeDelayClamps(t *testing.T) {
 	sim := New()
 	fired := false
 	sim.ScheduleAfter(-time.Second, func(*Simulator) { fired = true })
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if !fired {
 		t.Fatal("negative-delay event never fired")
-	}
-}
-
-func TestCancel(t *testing.T) {
-	sim := New()
-	fired := false
-	id := sim.Schedule(time.Second, func(*Simulator) { fired = true })
-	if !sim.Cancel(id) {
-		t.Fatal("Cancel returned false for a live event")
-	}
-	if sim.Cancel(id) {
-		t.Fatal("second Cancel returned true")
-	}
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if sim.Processed() != 0 {
-		t.Fatalf("Processed = %d, want 0", sim.Processed())
-	}
-}
-
-func TestCancelZeroID(t *testing.T) {
-	sim := New()
-	if sim.Cancel(EventID{}) {
-		t.Fatal("Cancel of zero EventID returned true")
-	}
-	if (EventID{}).Valid() {
-		t.Fatal("zero EventID reports Valid")
 	}
 }
 
@@ -146,8 +114,8 @@ func TestHorizonLeavesFutureEvents(t *testing.T) {
 	if sim.Now() != 2*time.Second {
 		t.Fatalf("Now after horizon run = %v, want 2s", sim.Now())
 	}
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("second RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("second Run: %v", err)
 	}
 	if len(got) != 3 {
 		t.Fatalf("resumed run fired %d total, want 3", len(got))
@@ -164,33 +132,6 @@ func TestHorizonAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	sim := New()
-	count := 0
-	for i := 0; i < 5; i++ {
-		sim.Schedule(time.Duration(i)*time.Second, func(s *Simulator) {
-			count++
-			if count == 2 {
-				s.Stop()
-			}
-		})
-	}
-	err := sim.RunAll()
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("RunAll after Stop = %v, want ErrStopped", err)
-	}
-	if count != 2 {
-		t.Fatalf("fired %d events, want 2", count)
-	}
-	// The remaining events are still runnable.
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("resume after Stop: %v", err)
-	}
-	if count != 5 {
-		t.Fatalf("after resume fired %d, want 5", count)
-	}
-}
-
 func TestProcessedAndPending(t *testing.T) {
 	sim := New()
 	for i := 0; i < 4; i++ {
@@ -199,8 +140,8 @@ func TestProcessedAndPending(t *testing.T) {
 	if sim.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", sim.Pending())
 	}
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if sim.Processed() != 4 {
 		t.Fatalf("Processed = %d, want 4", sim.Processed())
@@ -236,8 +177,8 @@ func TestManyEventsStressOrdering(t *testing.T) {
 			last = s.Now()
 		})
 	}
-	if err := sim.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if !ok {
 		t.Fatal("events fired out of time order")
@@ -247,51 +188,29 @@ func TestManyEventsStressOrdering(t *testing.T) {
 	}
 }
 
-// TestQuickScheduleCancelOrdering drives random schedule/cancel programs via
-// testing/quick: whatever the interleaving, fired events come out in
-// timestamp order, canceled events never fire, and the processed count
-// matches the survivors.
-func TestQuickScheduleCancelOrdering(t *testing.T) {
-	f := func(times []uint16, cancelMask []bool) bool {
+// TestQuickScheduleOrdering drives random schedule programs via
+// testing/quick: whatever the interleaving, events fire in (at, seq) order
+// and every one of them fires.
+func TestQuickScheduleOrdering(t *testing.T) {
+	f := func(times []uint16) bool {
 		sim := New()
-		type slot struct {
-			id       EventID
-			at       time.Duration
-			canceled bool
-		}
-		var slots []slot
 		fired := 0
-		lastAt := time.Duration(-1)
+		lastAt, lastSeq := time.Duration(-1), -1
 		ordered := true
 		for i, raw := range times {
 			at := time.Duration(raw) * time.Millisecond
-			idx := len(slots)
-			id := sim.Schedule(at, func(s *Simulator) {
+			sim.Schedule(at, func(s *Simulator) {
 				fired++
-				if s.Now() < lastAt {
+				if s.Now() < lastAt || s.Now() == lastAt && i < lastSeq {
 					ordered = false
 				}
-				lastAt = s.Now()
-				_ = idx
+				lastAt, lastSeq = s.Now(), i
 			})
-			slots = append(slots, slot{id: id, at: at})
-			if i < len(cancelMask) && cancelMask[i] {
-				if !sim.Cancel(id) {
-					return false
-				}
-				slots[idx].canceled = true
-			}
 		}
-		if err := sim.RunAll(); err != nil {
+		if err := sim.Run(MaxHorizon); err != nil {
 			return false
 		}
-		want := 0
-		for _, s := range slots {
-			if !s.canceled {
-				want++
-			}
-		}
-		return ordered && fired == want && sim.Processed() == uint64(want)
+		return ordered && fired == len(times) && sim.Processed() == uint64(len(times))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -26,11 +26,7 @@ func TestInstrumentCounts(t *testing.T) {
 	handler := func(s *Simulator) { fired++ }
 	sim.Schedule(1*time.Second, handler)
 	sim.Schedule(2*time.Second, handler)
-	victim := sim.Schedule(3*time.Second, handler)
-	if !sim.Cancel(victim) {
-		t.Fatal("cancel failed")
-	}
-	if err := sim.RunAll(); err != nil {
+	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 2 {
@@ -39,11 +35,10 @@ func TestInstrumentCounts(t *testing.T) {
 
 	snap := reg.Snapshot(sim.Now().Seconds())
 	want := map[string]float64{
-		"omcast_sim_events_scheduled_total": 3,
+		"omcast_sim_events_scheduled_total": 2,
 		"omcast_sim_events_fired_total":     2,
-		"omcast_sim_events_canceled_total":  1,
 		"omcast_sim_queue_depth":            0,
-		"omcast_sim_queue_depth_high_water": 3,
+		"omcast_sim_queue_depth_high_water": 2,
 	}
 	for name, w := range want {
 		m := findMetric(snap, name)
@@ -73,20 +68,19 @@ func TestInstrumentCounts(t *testing.T) {
 func TestUninstrumentedKernelUnchanged(t *testing.T) {
 	sim := New()
 	fired := 0
-	id := sim.Schedule(time.Second, func(s *Simulator) { fired++ })
-	sim.Cancel(id)
-	sim.Schedule(2*time.Second, func(s *Simulator) { fired++ })
-	if err := sim.RunAll(); err != nil {
+	sim.Schedule(time.Second, func(s *Simulator) { fired++ })
+	sim.Lane(time.Second).Schedule(func(s *Simulator) { fired++ })
+	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2", fired)
 	}
 }
 
 // TestQueueDepthCountsLanes pins that lane events are queue depth like heap
 // events: Pending and both depth gauges, which a run's metrics snapshot
-// reads, count the events in every lane, and tombstones in a lane too.
+// reads, count the events in every lane.
 func TestQueueDepthCountsLanes(t *testing.T) {
 	reg := metrics.NewRegistry()
 	sim := New()
@@ -105,24 +99,22 @@ func TestQueueDepthCountsLanes(t *testing.T) {
 	}
 	sim.Schedule(3*time.Second, noop)
 	sim.Lane(time.Second).Schedule(noop)
-	victim := sim.Lane(time.Second).Schedule(noop)
+	sim.Lane(time.Second).Schedule(noop)
 	sim.Lane(2 * time.Second).Schedule(noop)
-	check(4, 4)
-	sim.Cancel(victim) // a tombstone is still queued
 	check(4, 4)
 	if err := sim.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	check(2, 4) // the 1 s lane drained, tombstone included
+	check(2, 4) // the 1 s lane drained
 	sim.Lane(time.Second).Schedule(noop)
 	sim.Lane(time.Second).Schedule(noop)
 	sim.Lane(time.Second).Schedule(noop)
 	check(5, 5)
-	if err := sim.RunAll(); err != nil {
+	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatal(err)
 	}
 	check(0, 5)
-	if got := sim.Processed(); got != 6 {
-		t.Fatalf("Processed = %d, want 6", got)
+	if got := sim.Processed(); got != 7 {
+		t.Fatalf("Processed = %d, want 7", got)
 	}
 }

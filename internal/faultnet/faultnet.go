@@ -274,23 +274,6 @@ func (d *Decider) Next(r Rule) Decision {
 	return dec
 }
 
-// DecisionPreview renders the first n decisions of each "from>to" link under
-// rule r as a byte-stable table — the replayable "what will this seed do"
-// view used by determinism tests and omcast chaos -plan.
-func DecisionPreview(seed int64, links []string, n int, r Rule) string {
-	var b strings.Builder
-	for _, link := range links {
-		from, to, _ := strings.Cut(link, ">")
-		d := NewDecider(seed, from, to)
-		for i := 0; i < n; i++ {
-			dec := d.Next(r)
-			fmt.Fprintf(&b, "%s #%d drop=%t dup=%t hold=%t jitter=%.4f corrupt=%t replay=%t\n",
-				link, dec.N, dec.Drop, dec.Duplicate, dec.Hold, dec.JitterFrac, dec.Corrupt, dec.Replay)
-		}
-	}
-	return b.String()
-}
-
 // LogEntry is one recorded fault. Per-datagram entries carry the link and
 // datagram index with T = -1 — wall time is deliberately absent so that logs
 // from two runs over the same traffic are byte-identical. Schedule entries

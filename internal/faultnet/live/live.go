@@ -278,24 +278,6 @@ func linkDetail(c faultnet.Change) string {
 	return d
 }
 
-// Crash takes a node down programmatically (blackhole + NodeHook), outside
-// any schedule. Restart is its inverse.
-func (n *Network) Crash(addr string) {
-	n.Apply(faultnet.Change{T: 0, Action: faultnet.ActionCrash, Node: addr})
-}
-
-// Restart brings a crashed node back.
-func (n *Network) Restart(addr string) {
-	n.Apply(faultnet.Change{T: 0, Action: faultnet.ActionRestart, Node: addr})
-}
-
-// Down reports whether a node is currently held down.
-func (n *Network) Down(addr string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.down[addr]
-}
-
 func (n *Network) linkLocked(from, to string) *linkState {
 	key := from + ">" + to
 	st, ok := n.links[key]

@@ -261,8 +261,13 @@ func TestCrashBlackholesAndHooks(t *testing.T) {
 		events = append(events, fmt.Sprintf("%s:%t", addr, up))
 		mu.Unlock()
 	}})
-	r.net.Crash("b")
-	if !r.net.Down("b") {
+	down := func() bool {
+		r.net.mu.Lock()
+		defer r.net.mu.Unlock()
+		return r.net.down["b"]
+	}
+	r.net.Apply(faultnet.Change{Action: faultnet.ActionCrash, Node: "b"})
+	if !down() {
 		t.Fatal("b not marked down")
 	}
 	if err := r.a.Send("b", []byte("into the void")); err != nil {
@@ -272,8 +277,8 @@ func TestCrashBlackholesAndHooks(t *testing.T) {
 	if len(r.received()) != 0 {
 		t.Fatal("datagram delivered to crashed node")
 	}
-	r.net.Restart("b")
-	if r.net.Down("b") {
+	r.net.Apply(faultnet.Change{Action: faultnet.ActionRestart, Node: "b"})
+	if down() {
 		t.Fatal("b still down after restart")
 	}
 	if err := r.a.Send("b", []byte("back")); err != nil {

@@ -153,6 +153,7 @@ func Rules() []*Rule {
 		ruleFloatAccum(),
 		ruleWireTaint(),
 		ruleLockDiscipline(),
+		ruleTestOnlyExport(),
 	}
 }
 

@@ -226,18 +226,6 @@ func Load(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir type-checks a single standalone package directory (used by the
-// testdata fixtures, which import only the standard library). The directory
-// base name becomes the import path.
-func LoadDir(dir string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader(dir, "")
-	return l.load(dir, filepath.Base(dir))
-}
-
 // packageDirs walks the tree collecting directories that contain Go sources.
 func packageDirs(root string) ([]string, error) {
 	var dirs []string

@@ -1,8 +1,7 @@
 // Package live is the concurrent wall-clock backend of the instrumentation
 // layer: the counterpart of internal/metrics for code that runs on real
 // goroutines (internal/node and the live CLIs). Counters and gauges are
-// single atomics, histograms are mutex-sharded, and snapshots reuse the
-// shared serialisation model in internal/metrics, so the Prometheus text
+// single atomics, and snapshots reuse the shared serialisation model in internal/metrics, so the Prometheus text
 // encoder and the JSONL schema are identical across both backends.
 //
 // This package is deliberately NOT simulation-safe (it reads the wall clock
@@ -75,77 +74,15 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histShards spreads histogram contention across independently locked
-// shards; snapshots merge them.
-const histShards = 8
-
-type histShard struct {
-	mu     sync.Mutex
-	counts []uint64 //guardedby:mu
-	count  uint64   //guardedby:mu
-	sum    float64  //guardedby:mu
-	_      [24]byte // soften false sharing between adjacent shards
-}
-
-// Histogram counts observations into fixed buckets, safe for concurrent
-// use. The zero pointer is a valid no-op sink.
-type Histogram struct {
-	bounds []float64
-	shards [histShards]histShard
-	next   atomic.Uint32 // round-robin shard spreader
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	// Binary search for the first bound >= v.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s := &h.shards[h.next.Add(1)%histShards]
-	s.mu.Lock()
-	s.counts[lo]++
-	s.count++
-	s.sum += v
-	s.mu.Unlock()
-}
-
-func (h *Histogram) export() *metrics.HistValue {
-	out := &metrics.HistValue{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.bounds)+1),
-	}
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		for j, c := range s.counts {
-			out.Counts[j] += c
-		}
-		out.Count += s.count
-		out.Sum += s.sum
-		s.mu.Unlock()
-	}
-	return out
-}
-
 // entry is one registered instrument.
 type entry struct {
 	desc metrics.Desc
 	c    *Counter
 	g    *Gauge
-	h    *Histogram
 }
 
 // Registry is the concurrent registry. Registration takes the registry
-// lock; updates touch only the instrument's own atomics or shard locks.
+// lock; updates touch only the instrument's own atomics.
 type Registry struct {
 	start time.Time
 
@@ -187,24 +124,6 @@ func (r *Registry) Gauge(name, help string, labels ...metrics.Label) *Gauge {
 	return r.lookup(d, func() *entry { return &entry{desc: d, g: &Gauge{}} }).g
 }
 
-// Histogram registers (or returns) a histogram with the given ascending
-// bucket upper bounds.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...metrics.Label) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("live: %s: bucket bounds not ascending at %d", name, i))
-		}
-	}
-	d := metrics.NewDesc(name, help, metrics.KindHistogram, labels)
-	return r.lookup(d, func() *entry {
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		for i := range h.shards {
-			h.shards[i].counts = make([]uint64, len(bounds)+1)
-		}
-		return &entry{desc: d, h: h}
-	}).h
-}
-
 // Snapshot captures every instrument, keyed by seconds of registry uptime.
 func (r *Registry) Snapshot() metrics.Snapshot {
 	r.mu.Lock()
@@ -226,8 +145,6 @@ func (r *Registry) Snapshot() metrics.Snapshot {
 			m.Value = float64(e.c.Value())
 		case metrics.KindGauge:
 			m.Value = e.g.Value()
-		case metrics.KindHistogram:
-			m.Hist = e.h.export()
 		}
 		snap.Metrics = append(snap.Metrics, m)
 	}

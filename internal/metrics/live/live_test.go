@@ -36,40 +36,6 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramShardMerge(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("omcast_node_lat_seconds", "", []float64{1, 10})
-	const workers, per = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(0.5) // bucket 0
-				h.Observe(5)   // bucket 1
-				h.Observe(50)  // overflow
-			}
-		}()
-	}
-	wg.Wait()
-	snap := reg.Snapshot()
-	hv := snap.Metrics[0].Hist
-	if hv == nil {
-		t.Fatal("histogram export missing")
-	}
-	const n = workers * per
-	if hv.Counts[0] != n || hv.Counts[1] != n || hv.Counts[2] != n {
-		t.Fatalf("shard merge lost observations: %v, want [%d %d %d]", hv.Counts, n, n, n)
-	}
-	if hv.Count != 3*n {
-		t.Fatalf("count = %d, want %d", hv.Count, 3*n)
-	}
-	if want := float64(n) * (0.5 + 5 + 50); hv.Sum != want {
-		t.Fatalf("sum = %v, want %v", hv.Sum, want)
-	}
-}
-
 func TestRegistryDedupAndSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("omcast_node_x_total", "", metrics.Label{Key: "peer", Value: "parent"})
@@ -98,7 +64,7 @@ func TestRegistryDedupAndSnapshot(t *testing.T) {
 func TestSnapshotWhileWriting(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("omcast_node_busy_total", "")
-	h := reg.Histogram("omcast_node_busy_seconds", "", metrics.LatencyBuckets())
+	g := reg.Gauge("omcast_node_busy_level", "")
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -111,7 +77,7 @@ func TestSnapshotWhileWriting(t *testing.T) {
 					return
 				default:
 					c.Inc()
-					h.Observe(0.01)
+					g.Set(0.01)
 				}
 			}
 		}()

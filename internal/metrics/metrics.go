@@ -63,14 +63,6 @@ func (c *Counter) Add(delta float64) {
 	c.v += delta
 }
 
-// Value returns the current total (0 on the nil sink).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is a value that can go up and down. The zero pointer is a valid
 // no-op sink.
 type Gauge struct {
@@ -82,28 +74,6 @@ func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.v = v
 	}
-}
-
-// Add shifts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g != nil {
-		g.v += delta
-	}
-}
-
-// SetMax keeps the high-water mark: the gauge only moves up.
-func (g *Gauge) SetMax(v float64) {
-	if g != nil && v > g.v {
-		g.v = v
-	}
-}
-
-// Value returns the current value (0 on the nil sink).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram counts observations into fixed buckets. Bounds are upper bucket
@@ -138,22 +108,6 @@ func (h *Histogram) bucketOf(v float64) int {
 		}
 	}
 	return lo
-}
-
-// Count returns the number of observations (0 on the nil sink).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observations (0 on the nil sink).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // LogBuckets returns n log-spaced upper bounds from lo to hi inclusive — the

@@ -62,10 +62,8 @@ type MemNetwork struct {
 	closed  bool //guardedby:mu
 
 	// mailboxDrops counts datagrams discarded because a destination mailbox
-	// was full — congestion that used to be invisible. dropMetric mirrors it
-	// onto a live registry when SetMetrics was called.
+	// was full.
 	mailboxDrops atomic.Int64
-	dropMetric   atomic.Pointer[live.Counter]
 }
 
 // NewMemNetwork creates a network; latency may be nil (instant delivery).
@@ -99,22 +97,6 @@ func (n *MemNetwork) Endpoint(addr wire.Addr) (Transport, error) {
 		ep.deliverLoop()
 	}()
 	return ep, nil
-}
-
-// SetMetrics registers the network's instruments on a live registry; safe to
-// call at any point, including while traffic is flowing.
-func (n *MemNetwork) SetMetrics(reg *live.Registry) {
-	c := reg.Counter("omcast_node_mailbox_dropped_total",
-		"Datagrams dropped because the destination endpoint's mailbox was full.")
-	n.dropMetric.Store(c)
-}
-
-// MailboxDrops reports how many datagrams were discarded on full mailboxes.
-func (n *MemNetwork) MailboxDrops() int64 { return n.mailboxDrops.Load() }
-
-func (n *MemNetwork) noteMailboxDrop() {
-	n.mailboxDrops.Add(1)
-	n.dropMetric.Load().Inc() // nil receiver is the uninstrumented no-op
 }
 
 // Close shuts the whole network down and waits for delivery goroutines.
@@ -191,7 +173,7 @@ func (e *memEndpoint) Send(to wire.Addr, data []byte) error {
 		default:
 			// Mailbox full: drop, like a congested datagram network — but
 			// count it so congestion is observable.
-			e.net.noteMailboxDrop()
+			e.net.mailboxDrops.Add(1)
 		}
 	}
 	if e.net.latency == nil {
@@ -247,11 +229,9 @@ type UDPTransport struct {
 	closed  bool         //guardedby:mu
 	wg      sync.WaitGroup
 
-	// oversizeDrops counts sends refused by the MaxUDPDatagram ceiling;
-	// dropMetric mirrors it onto a live registry when SetMetrics was called
-	// (the same observability pattern as MemNetwork's mailbox drops).
-	oversizeDrops atomic.Int64
-	dropMetric    atomic.Pointer[live.Counter]
+	// dropMetric counts sends refused by the MaxUDPDatagram ceiling once
+	// SetMetrics has registered it on a live registry.
+	dropMetric atomic.Pointer[live.Counter]
 }
 
 var _ Transport = (*UDPTransport)(nil)
@@ -297,9 +277,6 @@ func (t *UDPTransport) SetMetrics(reg *live.Registry) {
 	t.dropMetric.Store(c)
 }
 
-// OversizeDrops reports how many sends the MTU ceiling refused.
-func (t *UDPTransport) OversizeDrops() int64 { return t.oversizeDrops.Load() }
-
 // Send implements Transport. An IP-literal destination (every address a
 // UDP node learns from the wire) is parsed in place and written without
 // allocating; anything else, a host name, is resolved on every send as
@@ -312,7 +289,6 @@ func (t *UDPTransport) Send(to wire.Addr, data []byte) error {
 		return ErrClosed
 	}
 	if len(data) > MaxUDPDatagram {
-		t.oversizeDrops.Add(1)
 		t.dropMetric.Load().Inc() // nil receiver is the uninstrumented no-op
 		return fmt.Errorf("node: sending %d bytes to %q: %w", len(data), to, ErrOversize)
 	}

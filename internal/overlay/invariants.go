@@ -24,9 +24,6 @@ import "fmt"
 // (true) or the incremental O(changed) check (false, the default).
 func (t *Tree) SetParanoid(on bool) { t.paranoid = on }
 
-// Paranoid reports whether full-scan invariant checking is forced.
-func (t *Tree) Paranoid() bool { return t.paranoid }
-
 // markDirty records that the member at dense index i was structurally
 // mutated since the last invariant check. Deduplicated via epoch stamps, so
 // repeated mutations of the same member cost O(1) and no allocation.

@@ -50,7 +50,7 @@ func churnTree(t *testing.T, seed int64, steps int, check func(*Tree)) *Tree {
 				np = live[rng.Intn(len(live))]
 			}
 			if m.Attached() && np.Attached() {
-				_ = tree.MoveSubtree(m, np) // cycle/full errors are fine
+				_ = moveSubtree(tree, m, np) // cycle/full errors are fine
 			}
 		default: // remove
 			k := rng.Intn(len(live))
@@ -105,7 +105,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	// Paranoid mode: CheckInvariants is the full scan.
 	tree := churnTree(t, 13, 200, nil)
 	tree.SetParanoid(true)
-	if !tree.Paranoid() {
+	if !tree.paranoid {
 		t.Fatal("SetParanoid(true) not reported")
 	}
 	if err := tree.CheckInvariants(); err != nil {
@@ -312,7 +312,7 @@ func TestChildOrderMatchesSliceSemantics(t *testing.T) {
 			if !m.Attached() || !np.Attached() {
 				continue
 			}
-			if err := tree.MoveSubtree(m, np); err == nil {
+			if err := moveSubtree(tree, m, np); err == nil {
 				ref.detach(parentOf[m.ID], m.ID)
 				ref.attach(np.ID, m.ID)
 				parentOf[m.ID] = np.ID

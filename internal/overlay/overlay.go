@@ -50,7 +50,6 @@ const none int32 = -1
 var (
 	ErrFull        = errors.New("overlay: parent has no spare out-degree")
 	ErrNotMember   = errors.New("overlay: not a current member")
-	ErrCycle       = errors.New("overlay: attach would create a cycle")
 	ErrHasParent   = errors.New("overlay: member already has a parent")
 	ErrRootLeave   = errors.New("overlay: the source cannot leave")
 	ErrSelfAttach  = errors.New("overlay: cannot attach a member to itself")
@@ -220,6 +219,8 @@ func (m *Member) Slot() int {
 }
 
 // Locked reports whether the member is held by a switching operation.
+//
+//lint:ignore test-only-export reason: rost's tests read a member's switch lock through it
 func (m *Member) Locked() bool {
 	if m.tree == nil || m.idx < 0 {
 		return false
@@ -586,63 +587,6 @@ func (t *Tree) Remove(m *Member) ([]*Member, error) {
 	return orphans, nil
 }
 
-// MoveSubtree re-parents m (and its whole subtree) under newParent. Used by
-// switching and eviction operations. m must currently be attached.
-func (t *Tree) MoveSubtree(m, newParent *Member) error {
-	if m == nil || newParent == nil || !t.byHandle(m) || !t.byHandle(newParent) {
-		return ErrNotMember
-	}
-	if m == t.root {
-		return ErrRootLeave
-	}
-	if m == newParent {
-		return ErrSelfAttach
-	}
-	if !t.attached[newParent.idx] {
-		return ErrNotAttached
-	}
-	// Reject moves under m's own subtree, which would detach the subtree
-	// from the source.
-	for p := newParent.idx; p != none; p = t.parent[p] {
-		if p == m.idx {
-			return ErrCycle
-		}
-	}
-	if t.kidCount[newParent.idx] >= t.outDeg[newParent.idx] {
-		return ErrFull
-	}
-	if t.parent[m.idx] != none {
-		t.childRemove(t.parent[m.idx], m.idx)
-		t.parent[m.idx] = none
-		// Temporarily unplace so Attach's invariants hold. Unlike Detach,
-		// depth is left in place; placeSubtree recomputes it immediately.
-		n := m.idx
-		for {
-			if t.attached[n] {
-				if t.lx != nil {
-					t.lx.remove(n)
-				}
-				t.levelRemove(n)
-				t.attached[n] = false
-				t.attachedCount--
-			}
-			t.markDirty(n)
-			if fc := t.firstKid[n]; fc != none {
-				n = fc
-				continue
-			}
-			for n != m.idx && t.nextSib[n] == none {
-				n = t.parent[n]
-			}
-			if n == m.idx {
-				break
-			}
-			n = t.nextSib[n]
-		}
-	}
-	return t.Attach(m, newParent)
-}
-
 // VisitMembers calls fn for every live member, attached or not, in
 // unspecified order (the source included).
 func (t *Tree) VisitMembers(fn func(*Member)) {
@@ -722,6 +666,8 @@ func (t *Tree) MaxDepth() int {
 
 // Level returns the attached members at depth d. The returned slice is owned
 // by the tree; callers must not mutate it.
+//
+//lint:ignore test-only-export reason: construct's reference test scans whole levels through it
 func (t *Tree) Level(d int) []*Member {
 	if d < 0 || d >= len(t.levels) {
 		return nil

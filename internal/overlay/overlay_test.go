@@ -10,6 +10,27 @@ import (
 	"omcast/internal/xrand"
 )
 
+// errCycle refuses a move under the mover's own subtree.
+var errCycle = errors.New("overlay test: move would create a cycle")
+
+// moveSubtree re-parents m, with its subtree, under p the way switching does:
+// Detach, then Attach. It refuses a p inside m's subtree or without a spare
+// slot before touching the tree.
+func moveSubtree(tree *Tree, m, p *Member) error {
+	for a := p; a != nil; a = a.Parent() {
+		if a == m {
+			return errCycle
+		}
+	}
+	if !p.HasSpare() {
+		return ErrFull
+	}
+	if err := tree.Detach(m); err != nil {
+		return err
+	}
+	return tree.Attach(m, p)
+}
+
 // constDelay is a trivial underlay: 1 ms between any two distinct routers.
 func constDelay(a, b topology.NodeID) time.Duration {
 	if a == b {
@@ -234,53 +255,6 @@ func TestRemoveDetachedMember(t *testing.T) {
 	}
 	if tree.Member(b.ID) != nil {
 		t.Fatal("member still live after removal")
-	}
-	checkInv(t, tree)
-}
-
-func TestMoveSubtree(t *testing.T) {
-	tree := newTestTree(t)
-	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
-	b := mustJoin(t, tree, tree.Root(), 2, 2, 0)
-	c := mustJoin(t, tree, a, 3, 1, 0)
-	d := mustJoin(t, tree, c, 4, 1, 0)
-	if err := tree.MoveSubtree(c, b); err != nil {
-		t.Fatalf("MoveSubtree: %v", err)
-	}
-	if c.Parent() != b || c.Depth() != 2 || d.Depth() != 3 {
-		t.Fatal("move did not update placement")
-	}
-	if len(a.Children()) != 0 {
-		t.Fatal("old parent keeps moved child")
-	}
-	checkInv(t, tree)
-}
-
-func TestMoveSubtreeCycleRefused(t *testing.T) {
-	tree := newTestTree(t)
-	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
-	b := mustJoin(t, tree, a, 2, 2, 0)
-	c := mustJoin(t, tree, b, 3, 2, 0)
-	if err := tree.MoveSubtree(a, c); !errors.Is(err, ErrCycle) {
-		t.Fatalf("cycle move = %v, want ErrCycle", err)
-	}
-	if err := tree.MoveSubtree(a, a); !errors.Is(err, ErrSelfAttach) {
-		t.Fatalf("self move = %v, want ErrSelfAttach", err)
-	}
-	checkInv(t, tree)
-}
-
-func TestMoveSubtreeToFullParentRefused(t *testing.T) {
-	tree := newTestTree(t)
-	p := mustJoin(t, tree, tree.Root(), 1, 1, 0)
-	mustJoin(t, tree, p, 2, 1, 0)
-	x := mustJoin(t, tree, tree.Root(), 3, 1, 0)
-	if err := tree.MoveSubtree(x, p); !errors.Is(err, ErrFull) {
-		t.Fatalf("move to full parent = %v, want ErrFull", err)
-	}
-	// x must still be attached where it was.
-	if !x.Attached() || x.Parent() != tree.Root() {
-		t.Fatal("failed move corrupted source subtree")
 	}
 	checkInv(t, tree)
 }
@@ -550,8 +524,8 @@ func churnInvariants(t *testing.T, order LevelOrder, underlay *topology.Topology
 			if m == p || !m.Attached() || !p.Attached() || !p.HasSpare() {
 				continue
 			}
-			err := tree.MoveSubtree(m, p)
-			if err != nil && !errors.Is(err, ErrCycle) {
+			err := moveSubtree(tree, m, p)
+			if err != nil && !errors.Is(err, errCycle) {
 				t.Fatalf("step %d: move: %v", step, err)
 			}
 		}
@@ -650,7 +624,7 @@ func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 				if m == nil || p == nil || m == p || !m.Attached() || !p.Attached() || !p.HasSpare() {
 					continue
 				}
-				if err := tree.MoveSubtree(m, p); err != nil && !errors.Is(err, ErrCycle) {
+				if err := moveSubtree(tree, m, p); err != nil && !errors.Is(err, errCycle) {
 					return false
 				}
 			}

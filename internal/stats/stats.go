@@ -44,20 +44,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest sample. It returns ErrEmpty for no samples.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Max returns the largest sample. It returns ErrEmpty for no samples.
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -103,27 +89,6 @@ type CDFPoint struct {
 	Fraction float64
 }
 
-// CDF returns the empirical CDF of xs evaluated at each distinct sample
-// value, in increasing order of value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	points := make([]CDFPoint, 0, len(sorted))
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Emit a point only at the last occurrence of each distinct value.
-		//lint:ignore float-accum reason: exact duplicate collapse over sorted values is intended
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		points = append(points, CDFPoint{Value: sorted[i], Fraction: float64(i+1) / n})
-	}
-	return points
-}
-
 // CDFAt returns the empirical CDF of xs evaluated at the given thresholds
 // (fraction of samples <= threshold), one output per threshold, preserving
 // threshold order.
@@ -149,12 +114,6 @@ type Interval struct {
 	Radius float64 // half-width; the interval is Mean +/- Radius
 	N      int
 }
-
-// Lo returns the lower bound of the interval.
-func (iv Interval) Lo() float64 { return iv.Mean - iv.Radius }
-
-// Hi returns the upper bound of the interval.
-func (iv Interval) Hi() float64 { return iv.Mean + iv.Radius }
 
 // ConfidenceInterval95 returns the Student-t 95% confidence interval for the
 // mean of xs. With fewer than two samples the radius is zero.
@@ -194,61 +153,3 @@ func tCritical95(df int) float64 {
 		return 1.960
 	}
 }
-
-// Histogram counts samples into equal-width bins over [lo, hi). Samples
-// outside the range are clamped into the first or last bin.
-func Histogram(xs []float64, lo, hi float64, bins int) ([]int, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%g,%g) is empty", lo, hi)
-	}
-	counts := make([]int, bins)
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts, nil
-}
-
-// Welford accumulates a running mean and variance without retaining samples;
-// used by long simulations to avoid storing per-event observations.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 before any observation).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased running variance (0 with fewer than two
-// observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -489,16 +489,6 @@ func (t *Topology) KindOf(id NodeID) Kind {
 	return Stub
 }
 
-// Stubs returns the IDs of all stub routers, in ascending order. The caller
-// owns the returned slice.
-func (t *Topology) Stubs() []NodeID {
-	out := make([]NodeID, 0, t.StubCount())
-	for i := t.transitN; i < len(t.routers); i++ {
-		out = append(out, NodeID(i))
-	}
-	return out
-}
-
 // RandomStub returns a uniformly random stub router drawn from rng.
 func (t *Topology) RandomStub(rng *xrand.Source) NodeID {
 	return NodeID(t.transitN + rng.Intn(t.StubCount()))
@@ -586,17 +576,6 @@ func (t *Topology) DijkstraFrom(src NodeID) []time.Duration {
 		}
 	}
 	return dist
-}
-
-// Connected reports whether every router is reachable from router 0.
-func (t *Topology) Connected() bool {
-	dist := t.DijkstraFrom(0)
-	for _, d := range dist {
-		if d == inf {
-			return false
-		}
-	}
-	return true
 }
 
 // delayHeap is a minimal binary heap specialised to (NodeID, delay) pairs;

@@ -8,6 +8,16 @@ import (
 	"omcast/internal/xrand"
 )
 
+// connected reports whether every router is reachable from router 0.
+func connected(t *Topology) bool {
+	for _, d := range t.DijkstraFrom(0) {
+		if d == inf {
+			return false
+		}
+	}
+	return true
+}
+
 // smallConfig returns a modest topology good for exhaustive checks.
 func smallConfig(seed int64) Config {
 	cfg := DefaultConfig(seed)
@@ -93,9 +103,6 @@ func TestCounts(t *testing.T) {
 	if topo.Size() != wantTransit+wantStub {
 		t.Fatalf("Size = %d, want %d", topo.Size(), wantTransit+wantStub)
 	}
-	if len(topo.Stubs()) != wantStub {
-		t.Fatalf("Stubs() has %d entries, want %d", len(topo.Stubs()), wantStub)
-	}
 }
 
 func TestPaperScaleCounts(t *testing.T) {
@@ -134,7 +141,7 @@ func TestKinds(t *testing.T) {
 func TestConnected(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		topo := mustNew(t, smallConfig(seed))
-		if !topo.Connected() {
+		if !connected(topo) {
 			t.Fatalf("topology with seed %d is disconnected", seed)
 		}
 	}
@@ -302,7 +309,7 @@ func TestSingleTransitDomain(t *testing.T) {
 	cfg := smallConfig(14)
 	cfg.TransitDomains = 1
 	topo := mustNew(t, cfg)
-	if !topo.Connected() {
+	if !connected(topo) {
 		t.Fatal("single-domain topology disconnected")
 	}
 	// Oracle still exact.
@@ -318,7 +325,7 @@ func TestTinyStubDomains(t *testing.T) {
 	cfg := smallConfig(15)
 	cfg.StubNodesPerDomain = 1
 	topo := mustNew(t, cfg)
-	if !topo.Connected() {
+	if !connected(topo) {
 		t.Fatal("1-router stub domains disconnected")
 	}
 	dist := topo.DijkstraFrom(NodeID(topo.TransitCount())) // a stub router
@@ -336,7 +343,7 @@ func TestNoStubDomains(t *testing.T) {
 	if topo.StubCount() != 0 {
 		t.Fatalf("StubCount = %d, want 0", topo.StubCount())
 	}
-	if !topo.Connected() {
+	if !connected(topo) {
 		t.Fatal("transit-only topology disconnected")
 	}
 }

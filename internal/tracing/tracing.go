@@ -171,14 +171,6 @@ type SpanBuilder struct {
 	sp Span
 }
 
-// ID returns the span's derived ID ("" on the disabled path).
-func (b *SpanBuilder) ID() string {
-	if b == nil {
-		return ""
-	}
-	return b.sp.ID
-}
-
 // Attr annotates the span.
 func (b *SpanBuilder) Attr(k, v string) *SpanBuilder {
 	if b == nil {
@@ -194,14 +186,6 @@ func (b *SpanBuilder) AttrInt(k string, v int64) *SpanBuilder {
 		return nil
 	}
 	return b.Attr(k, strconv.FormatInt(v, 10))
-}
-
-// AttrDuration annotates the span with a duration in seconds.
-func (b *SpanBuilder) AttrDuration(k string, v time.Duration) *SpanBuilder {
-	if b == nil {
-		return nil
-	}
-	return b.Attr(k, strconv.FormatFloat(v.Seconds(), 'g', -1, 64))
 }
 
 // Child opens a sub-span (a stage of the episode) on member's track.

@@ -43,12 +43,9 @@ func (s *Source) Float64() float64 { return s.rng.Float64() }
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
+//
+//lint:ignore test-only-export reason: the reference tests of overlay, cer and construct compare two streams' positions through it
 func (s *Source) Int63() int64 { return s.rng.Int63() }
-
-// Uniform returns a uniform draw in [lo, hi).
-func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
-}
 
 // UniformDuration returns a uniform draw in [lo, hi).
 func (s *Source) UniformDuration(lo, hi time.Duration) time.Duration {
@@ -57,9 +54,6 @@ func (s *Source) UniformDuration(lo, hi time.Duration) time.Duration {
 	}
 	return lo + time.Duration(s.rng.Int63n(int64(hi-lo)))
 }
-
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
@@ -87,19 +81,6 @@ func (p BoundedPareto) Sample(s *Source) float64 {
 	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Shape)
 	// Guard against floating-point excursions just outside the support.
 	return math.Min(math.Max(x, p.Lo), p.Hi)
-}
-
-// CDF evaluates the bounded Pareto distribution function at x.
-func (p BoundedPareto) CDF(x float64) float64 {
-	switch {
-	case x <= p.Lo:
-		return 0
-	case x >= p.Hi:
-		return 1
-	}
-	num := 1 - math.Pow(p.Lo/x, p.Shape)
-	den := 1 - math.Pow(p.Lo/p.Hi, p.Shape)
-	return num / den
 }
 
 // Lognormal models member lifetimes. The paper sets location 5.5 and shape

@@ -15,6 +15,21 @@ var paperBandwidth = BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 100}
 // lognormal with location 5.5 and shape 2.0.
 var paperLifetime = Lognormal{Mu: 5.5, Sigma: 2.0}
 
+// paretoCDF is the bounded Pareto distribution function
+// F(x) = (1-(L/x)^a) / (1-(L/H)^a), the oracle the sampler is checked
+// against.
+func paretoCDF(p BoundedPareto, x float64) float64 {
+	switch {
+	case x <= p.Lo:
+		return 0
+	case x >= p.Hi:
+		return 1
+	}
+	num := 1 - math.Pow(p.Lo/x, p.Shape)
+	den := 1 - math.Pow(p.Lo/p.Hi, p.Shape)
+	return num / den
+}
+
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 1000; i++ {
@@ -64,7 +79,7 @@ func TestBoundedParetoSupport(t *testing.T) {
 func TestBoundedParetoFreeRiderFraction(t *testing.T) {
 	// The exact F(1) for these parameters is 0.5657; the paper rounds this
 	// to "55.5%". Accept the analytic value within 2% of the quoted figure.
-	want := paperBandwidth.CDF(1.0)
+	want := paretoCDF(paperBandwidth, 1.0)
 	if math.Abs(want-0.555) > 0.02 {
 		t.Fatalf("analytic F(1) = %.4f, paper says 0.555", want)
 	}
@@ -116,7 +131,7 @@ func TestBoundedParetoCDFMatch(t *testing.T) {
 	}
 	for j, p := range points {
 		emp := float64(counts[j]) / n
-		ana := paperBandwidth.CDF(p)
+		ana := paretoCDF(paperBandwidth, p)
 		if math.Abs(emp-ana) > 0.01 {
 			t.Errorf("at x=%g: empirical CDF %.4f vs analytic %.4f", p, emp, ana)
 		}
@@ -124,14 +139,14 @@ func TestBoundedParetoCDFMatch(t *testing.T) {
 }
 
 func TestBoundedParetoCDFProperties(t *testing.T) {
-	// CDF is monotone and maps the support onto [0,1].
+	// The oracle is monotone and maps the support onto [0,1].
 	f := func(a, b float64) bool {
 		x := 0.5 + math.Mod(math.Abs(a), 99.5)
 		y := 0.5 + math.Mod(math.Abs(b), 99.5)
 		if x > y {
 			x, y = y, x
 		}
-		cx, cy := paperBandwidth.CDF(x), paperBandwidth.CDF(y)
+		cx, cy := paretoCDF(paperBandwidth, x), paretoCDF(paperBandwidth, y)
 		return cx >= 0 && cy <= 1 && cx <= cy
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -226,28 +241,6 @@ func TestUniformDuration(t *testing.T) {
 	// Degenerate range returns lo.
 	if d := s.UniformDuration(lo, lo); d != lo {
 		t.Fatalf("degenerate range returned %v, want %v", d, lo)
-	}
-}
-
-func TestUniform(t *testing.T) {
-	s := New(10)
-	for i := 0; i < 10000; i++ {
-		x := s.Uniform(-3, 7)
-		if x < -3 || x >= 7 {
-			t.Fatalf("draw %g outside [-3,7)", x)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(11)
-	p := s.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
 	}
 }
 
