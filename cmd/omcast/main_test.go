@@ -101,15 +101,29 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	// answering for it.
 	for _, neg := range []struct{ flag, value string }{
 		{"bandwidth", "-2"}, {"rate", "-5"}, {"heartbeat", "-1s"},
-		{"switch", "-1s"}, {"recovery-group", "-1"}, {"guard-rate", "-1"},
-		{"guard-score", "-1"}, {"trace-buf", "-1"}, {"retx-attempts", "-1"},
-		{"retx-base", "-1s"}, {"retx-inflight", "-3"},
+		{"switch", "-1s"}, {"recovery-group", "-1"}, {"trace-buf", "-1"},
 	} {
 		args := []string{"node", "-bootstrap", "127.0.0.1:9", "-" + neg.flag, neg.value}
 		t.Run("node negative "+neg.flag, func(t *testing.T) {
 			var code int
 			stderr := captureStderr(t, func() { code = run(args) })
 			if want := "omcast node: -" + neg.flag + " "; code != 2 || !strings.Contains(stderr, want) {
+				t.Fatalf("omcast %s = %d, want 2 and %q on stderr\n%s", strings.Join(args, " "), code, want, stderr)
+			}
+		})
+	}
+	// The guard and retransmit budgets are fixed, so their old flags are
+	// unknown. The trailing -status 0s is itself a usage error, so a node
+	// that still took the flag would not run: it would exit 2 naming -status.
+	for _, retired := range [][]string{
+		{"-no-guard"}, {"-guard-rate", "5"}, {"-guard-score", "3"},
+		{"-retx-attempts", "2"}, {"-retx-base", "1s"}, {"-retx-inflight", "8"},
+	} {
+		args := append(append([]string{"node", "-source"}, retired...), "-status", "0s")
+		t.Run("node retired "+retired[0][1:], func(t *testing.T) {
+			var code int
+			stderr := captureStderr(t, func() { code = run(args) })
+			if want := "flag provided but not defined: " + retired[0]; code != 2 || !strings.Contains(stderr, want) {
 				t.Fatalf("omcast %s = %d, want 2 and %q on stderr\n%s", strings.Join(args, " "), code, want, stderr)
 			}
 		})

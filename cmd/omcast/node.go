@@ -96,7 +96,8 @@ func listenUDP(addr string) (*node.UDPTransport, *live.Registry, error) {
 // Datagrams are binary v1 envelopes (internal/wire); anything else arriving
 // on the socket is counted as a malformed reject. Control-class messages
 // (joins, accepts, membership, switches, repair requests) ride a retransmit
-// shim tuned by -retx-attempts, -retx-base and -retx-inflight.
+// shim, and a per-peer guard rate-limits requests and quarantines
+// misbehaving senders; both run on fixed budgets scaled by -heartbeat.
 //
 // With -http the node also serves /metrics (Prometheus text format),
 // /healthz (200 once attached, 503 before) and /debug/trace: the last
@@ -110,25 +111,19 @@ func listenUDP(addr string) (*node.UDPTransport, *live.Registry, error) {
 func cmdNode(args []string) int {
 	fs := newFlags("node")
 	var (
-		listen     = fs.String("listen", "127.0.0.1:0", "UDP address to bind")
-		source     = fs.Bool("source", false, "act as the stream source")
-		bandwidth  = fs.Float64("bandwidth", 3, "outbound bandwidth (out-degree = floor)")
-		bootstrap  = fs.String("bootstrap", "", "comma-separated bootstrap addresses")
-		rate       = fs.Float64("rate", 10, "stream rate in packets/second (source)")
-		heartbeat  = fs.Duration("heartbeat", time.Second, "heartbeat interval")
-		switchIv   = fs.Duration("switch", 0, "ROST switching interval (0 = disabled)")
-		status     = fs.Duration("status", 5*time.Second, "status print interval")
-		group      = fs.Int("recovery-group", 3, "CER recovery group size")
-		httpAddr   = fs.String("http", "", "serve /metrics and /healthz on this address (empty = disabled)")
-		faults     = fs.String("faults", "", "JSON fault schedule to inject on this node's traffic (see internal/faultnet)")
-		faultSeed  = fs.Int64("fault-seed", 0, "override the fault schedule's seed")
-		noGuard    = fs.Bool("no-guard", false, "disable the per-peer misbehavior guard (rate limiting, quarantine, BTP audit)")
-		guardRate  = fs.Float64("guard-rate", 0, "per-peer request rate limit in requests/second (0 = default)")
-		guardScore = fs.Float64("guard-score", 0, "misbehavior score that triggers quarantine (0 = default)")
-		traceBuf   = fs.Int("trace-buf", flight.DefaultSize, "span flight-recorder capacity served on /debug/trace (0 = disable span tracing)")
-		retxN      = fs.Int("retx-attempts", 0, "max transmissions per control message (0 = default of 4; 1 = send once, never retransmit)")
-		retxBase   = fs.Duration("retx-base", 0, "first retransmit backoff (0 = default of heartbeat/2)")
-		retxCap    = fs.Int("retx-inflight", 0, "max unacked control messages per peer (0 = default of 32)")
+		listen    = fs.String("listen", "127.0.0.1:0", "UDP address to bind")
+		source    = fs.Bool("source", false, "act as the stream source")
+		bandwidth = fs.Float64("bandwidth", 3, "outbound bandwidth (out-degree = floor)")
+		bootstrap = fs.String("bootstrap", "", "comma-separated bootstrap addresses")
+		rate      = fs.Float64("rate", 10, "stream rate in packets/second (source)")
+		heartbeat = fs.Duration("heartbeat", time.Second, "heartbeat interval")
+		switchIv  = fs.Duration("switch", 0, "ROST switching interval (0 = disabled)")
+		status    = fs.Duration("status", 5*time.Second, "status print interval")
+		group     = fs.Int("recovery-group", 3, "CER recovery group size")
+		httpAddr  = fs.String("http", "", "serve /metrics and /healthz on this address (empty = disabled)")
+		faults    = fs.String("faults", "", "JSON fault schedule to inject on this node's traffic (see internal/faultnet)")
+		faultSeed = fs.Int64("fault-seed", 0, "override the fault schedule's seed")
+		traceBuf  = fs.Int("trace-buf", flight.DefaultSize, "span flight-recorder capacity served on /debug/trace (0 = disable span tracing)")
 	)
 	if !parseFlags(fs, args) {
 		return 2
@@ -143,10 +138,7 @@ func cmdNode(args []string) int {
 	}{
 		{"bandwidth", *bandwidth < 0}, {"rate", *rate < 0},
 		{"heartbeat", *heartbeat < 0}, {"switch", *switchIv < 0},
-		{"recovery-group", *group < 0}, {"guard-rate", *guardRate < 0},
-		{"guard-score", *guardScore < 0}, {"trace-buf", *traceBuf < 0},
-		{"retx-attempts", *retxN < 0}, {"retx-base", *retxBase < 0},
-		{"retx-inflight", *retxCap < 0},
+		{"recovery-group", *group < 0}, {"trace-buf", *traceBuf < 0},
 	} {
 		if f.negative {
 			// Zero asks for the default; a negative value is a typo, not a default.
@@ -185,20 +177,14 @@ func cmdNode(args []string) int {
 		fmt.Printf("omcast node: injecting faults from %s (seed %d)\n", *faults, sch.Seed)
 	}
 	cfg := node.Config{
-		Source:               *source,
-		Bandwidth:            *bandwidth,
-		StreamRate:           *rate,
-		Bootstrap:            boots,
-		HeartbeatInterval:    *heartbeat,
-		SwitchInterval:       *switchIv,
-		RecoveryGroup:        *group,
-		DisableGuard:         *noGuard,
-		GuardRequestRate:     *guardRate,
-		GuardQuarantineScore: *guardScore,
-		RetxAttempts:         *retxN,
-		RetxBackoffBase:      *retxBase,
-		RetxInflight:         *retxCap,
-		Metrics:              reg,
+		Source:            *source,
+		Bandwidth:         *bandwidth,
+		StreamRate:        *rate,
+		Bootstrap:         boots,
+		HeartbeatInterval: *heartbeat,
+		SwitchInterval:    *switchIv,
+		RecoveryGroup:     *group,
+		Metrics:           reg,
 	}
 	var ring *flight.Ring
 	if *traceBuf > 0 {

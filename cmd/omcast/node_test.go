@@ -198,14 +198,6 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestNegativeRetxAttemptsRejected: the retransmit shim has no off switch, so
-// a negative budget is a usage error (exit 2) caught before any socket opens.
-func TestNegativeRetxAttemptsRejected(t *testing.T) {
-	if code := cmdNode([]string{"-source", "-retx-attempts", "-1"}); code != 2 {
-		t.Fatalf("node -retx-attempts -1 = %d, want 2", code)
-	}
-}
-
 // TestNodeStatusIntervalRejected: a non-positive -status would reach
 // time.NewTicker and panic after the socket opened; it is a usage error.
 func TestNodeStatusIntervalRejected(t *testing.T) {

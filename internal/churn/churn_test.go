@@ -65,7 +65,7 @@ func (w *world) run(t *testing.T) Result {
 	if err := w.sim.Run(w.driver.Horizon()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := w.tree.CheckInvariants(); err != nil {
+	if err := w.tree.CheckInvariantsFull(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 	return w.driver.Result()
@@ -216,7 +216,7 @@ func TestBurst(t *testing.T) {
 	if size := tree.Size(); size < 38 {
 		t.Fatalf("tree size %d right after a 40-member burst, want >= 38", size)
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := tree.CheckInvariantsFull(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -285,7 +285,7 @@ func TestSaturationRetries(t *testing.T) {
 	if attached > 2 {
 		t.Fatalf("%d attached members with capacity for 1", attached)
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := tree.CheckInvariantsFull(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -317,7 +317,7 @@ func TestAncestorRejoin(t *testing.T) {
 	if err := sim.Run(driver.Horizon()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := tree.CheckInvariantsFull(); err != nil {
 		t.Fatal(err)
 	}
 	if rejoins == 0 {

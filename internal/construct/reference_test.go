@@ -508,7 +508,7 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 			t.Fatalf("step %d: %d Delay calls under the reference, %d under the index", step, dr, di)
 		}
 		requireSameTrees(t, step, ref.tree, idx.tree)
-		if err := idx.tree.CheckInvariants(); err != nil {
+		if err := idx.tree.CheckInvariantsFull(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}

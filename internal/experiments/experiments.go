@@ -71,8 +71,8 @@ type Options struct {
 	// caller left at their zero value, so tests can combine Quick's small
 	// topology with custom sizes or windows.
 	Quick bool
-	// Paranoid routes every run's invariant checks through the full O(n)
-	// scan and schedules periodic tree audits (omcast.Config.Paranoid). The
+	// Paranoid schedules periodic full-scan tree audits in every run
+	// (omcast.Config.Paranoid). The
 	// audit events can shift same-time tie-breaks, so paranoid outputs are
 	// only comparable to other paranoid runs — it is a debugging aid, not a
 	// reporting mode.

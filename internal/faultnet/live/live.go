@@ -30,7 +30,8 @@ import (
 // before being flushed anyway.
 const maxHold = 50 * time.Millisecond
 
-// Options configures a fault network.
+// Options configures a fault network. Its per-datagram fault log keeps the
+// first maxLogEntries entries and only counts the rest.
 type Options struct {
 	// Seed drives every per-link decision stream. If Schedule is set and
 	// Seed is zero, the schedule's seed is used.
@@ -46,9 +47,10 @@ type Options struct {
 	// traffic either way; the hook lets a harness kill and recreate the
 	// actual node.Node.
 	NodeHook func(addr string, up bool)
-	// LogLimit bounds per-datagram fault log entries (default 10000).
-	LogLimit int
 }
+
+// maxLogEntries bounds the per-datagram fault log.
+const maxLogEntries = 10000
 
 // netMetrics holds the network's optional instruments (nil-safe when no
 // registry was given).
@@ -126,7 +128,8 @@ type Network struct {
 	rules   []patternRule
 	down    map[string]bool
 	log     []faultnet.LogEntry
-	logFull int64 // per-datagram entries discarded past LogLimit
+	logCap  int   // per-datagram entries kept (maxLogEntries)
+	logFull int64 // per-datagram entries discarded past logCap
 	timers  []*time.Timer
 	started bool
 	closed  bool
@@ -137,18 +140,16 @@ type Network struct {
 // NewNetwork creates a fault network. The schedule's static link rules apply
 // from the first datagram; its timed events are armed by Start.
 func NewNetwork(opts Options) *Network {
-	if opts.LogLimit <= 0 {
-		opts.LogLimit = 10000
-	}
 	seed := opts.Seed
 	if seed == 0 && opts.Schedule != nil {
 		seed = opts.Schedule.Seed
 	}
 	n := &Network{
-		opts:  opts,
-		seed:  seed,
-		links: make(map[string]*linkState),
-		down:  make(map[string]bool),
+		opts:   opts,
+		seed:   seed,
+		links:  make(map[string]*linkState),
+		down:   make(map[string]bool),
+		logCap: maxLogEntries,
 	}
 	if opts.Metrics != nil {
 		n.met = newNetMetrics(opts.Metrics)
@@ -319,7 +320,7 @@ func (n *Network) partitionedLocked(from, to string) bool {
 
 // notePerDatagramLocked appends a bounded per-datagram log entry.
 func (n *Network) notePerDatagramLocked(link string, idx int64, action string) {
-	if int64(len(n.log)) >= int64(n.opts.LogLimit) {
+	if len(n.log) >= n.logCap {
 		n.logFull++
 		return
 	}

@@ -374,9 +374,9 @@ func TestCannedTrafficDeterminism(t *testing.T) {
 func TestLogLimit(t *testing.T) {
 	r := newRig(t, Options{
 		Seed:     12,
-		LogLimit: 5,
 		Schedule: &faultnet.Schedule{DefaultRule: &faultnet.Rule{Drop: 1}},
 	})
+	r.net.logCap = 5
 	for i := 0; i < 20; i++ {
 		_ = r.a.Send("b", []byte("x"))
 	}

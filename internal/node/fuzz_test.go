@@ -10,12 +10,12 @@ import (
 // invariant checks are cheap.
 func fuzzNode(source bool) *Node {
 	cfg := Config{
-		Source:          source,
-		Bandwidth:       3,
-		MembershipLimit: 8,
-		BufferPackets:   32,
+		Source:        source,
+		Bandwidth:     3,
+		BufferPackets: 32,
 	}
 	n := New(cfg, &probeTransport{addr: "self"})
+	n.tm.membershipLimit, n.tm.peerCap = 8, 32
 	if !source {
 		attachTo(n, "p")
 	}
@@ -48,13 +48,13 @@ func checkInvariants(t *testing.T, n *Node, what string) {
 	}
 	attached, parent := n.attached, n.parent
 	n.mu.Unlock()
-	if max := 4 * n.cfg.MembershipLimit; members > max {
+	if max := 4 * n.tm.membershipLimit; members > max {
 		t.Fatalf("%s: membership view %d > cap %d", what, members, max)
 	}
 	if max := n.cfg.BufferPackets + 1; live > max || slots != int64(max) {
 		t.Fatalf("%s: repair ring has %d live of %d slots, want at most %d", what, live, slots, max)
 	}
-	if max := 4 * n.cfg.MembershipLimit; guards > max {
+	if max := 4 * n.tm.membershipLimit; guards > max {
 		t.Fatalf("%s: guard table %d > cap %d", what, guards, max)
 	}
 	if highest < -1 {

@@ -139,7 +139,7 @@ func (n *Node) quarantinedCountLocked(now time.Time) int {
 func (n *Node) noteMisbehaviorLocked(addr wire.Addr, p *guardPeer, points float64, now time.Time) (lostParent bool) {
 	p.decayScoreLocked(scoreDecay, now)
 	p.score += points
-	if p.score < n.cfg.GuardQuarantineScore || now.Before(p.quarantinedUntil) {
+	if p.score < n.tm.quarantineScore || now.Before(p.quarantinedUntil) {
 		return false
 	}
 	p.quarantinedUntil = now.Add(n.tm.quarantine)
@@ -171,9 +171,6 @@ func guardTypeIsRequest(t wire.Type) bool {
 // that refusing it quarantined our parent, so the caller must run the
 // parent-failure path once it has released mu. Requires mu.
 func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (admit, lostParent bool) {
-	if n.cfg.DisableGuard {
-		return true, false
-	}
 	p := n.guardPeerLocked(env.From, now)
 	p.lastSeen = now
 	if now.Before(p.quarantinedUntil) {
@@ -183,7 +180,7 @@ func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (admit, lostP
 	switch {
 	case guardTypeIsRequest(env.Type):
 		if dt := now.Sub(p.tokensAt).Seconds(); dt > 0 {
-			p.tokens += dt * n.cfg.GuardRequestRate
+			p.tokens += dt * n.tm.requestRate
 			if p.tokens > n.tm.requestBurst {
 				p.tokens = n.tm.requestBurst
 			}
@@ -213,7 +210,7 @@ func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (admit, lostP
 // and quarantine entries no honest sender address can ever match. Found by
 // the wire-taint lint rule (param-sink flow into the n.guard map index).
 func (n *Node) noteWireReject(from wire.Addr) {
-	if n.cfg.DisableGuard || from == "" || !wire.ValidAddr(from) {
+	if from == "" || !wire.ValidAddr(from) {
 		return
 	}
 	now := time.Now()

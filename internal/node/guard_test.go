@@ -106,12 +106,11 @@ func envBytes(t *testing.T, env wire.Envelope) []byte {
 }
 
 func TestGuardRateLimitsRequests(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		// The bucket holds two seconds of rate: 3 tokens, and the next one
-		// is two thirds of a second away — no refill within the test.
-		cfg.GuardRequestRate = 1.5
-		cfg.GuardQuarantineScore = 1000 // keep quarantine out of this test
-	})
+	n, _ := newGuardNode(nil)
+	// The bucket holds two seconds of rate: 3 tokens, and the next one is
+	// two thirds of a second away — no refill within the test.
+	n.tm.requestRate, n.tm.requestBurst = 1.5, 3
+	n.tm.quarantineScore = 1000 // keep quarantine out of this test
 	req := wire.Envelope{Type: wire.TypeMembershipRequest, From: "flooder"}
 	for i := 0; i < 3; i++ {
 		if !n.guardAdmit(req) {
@@ -144,9 +143,8 @@ func TestGuardScoreDecays(t *testing.T) {
 }
 
 func TestGuardQuarantinesWireRejecters(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.GuardQuarantineScore = 7 // two wire rejects (4 points each) cross it
-	})
+	n, _ := newGuardNode(nil)
+	n.tm.quarantineScore = 7 // two wire rejects (4 points each) cross it
 	// Give the offender a membership record: quarantine must purge it.
 	n.mu.Lock()
 	n.membership["evil"] = memberRecord{info: wire.MemberInfo{Addr: "evil"}, seen: time.Now()}
@@ -179,9 +177,8 @@ func TestGuardQuarantinesWireRejecters(t *testing.T) {
 }
 
 func TestGuardQuarantiningParentDetaches(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.GuardQuarantineScore = 7
-	})
+	n, _ := newGuardNode(nil)
+	n.tm.quarantineScore = 7
 	attachTo(n, "p")
 	n.noteWireReject("p")
 	n.noteWireReject("p")
@@ -195,9 +192,8 @@ func TestGuardQuarantiningParentDetaches(t *testing.T) {
 }
 
 func TestGuardBTPAudit(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.GuardQuarantineScore = 1000 // isolate the audit decision
-	})
+	n, _ := newGuardNode(nil)
+	n.tm.quarantineScore = 1000 // isolate the audit decision
 	hb := func(btp float64) wire.Envelope {
 		return wire.Envelope{Type: wire.TypeHeartbeat, From: "peer", Bandwidth: 3, BTP: btp}
 	}
@@ -232,10 +228,9 @@ func TestGuardBTPAudit(t *testing.T) {
 }
 
 func TestGuardTableEviction(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.MembershipLimit = 2 // guard table cap = 8
-		cfg.GuardQuarantineScore = 7
-	})
+	n, _ := newGuardNode(nil)
+	n.tm.membershipLimit, n.tm.peerCap = 2, 8 // guard table cap = 8
+	n.tm.quarantineScore = 7
 	// Quarantine one peer, then flood the table with strangers.
 	n.noteWireReject("evil")
 	n.noteWireReject("evil")
@@ -258,9 +253,8 @@ func TestGuardTableEviction(t *testing.T) {
 }
 
 func TestRecoveryGroupExcludesQuarantined(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.GuardQuarantineScore = 7
-	})
+	n, _ := newGuardNode(nil)
+	n.tm.quarantineScore = 7
 	attachTo(n, "p")
 	n.noteWireReject("q")
 	n.noteWireReject("q")
@@ -328,9 +322,8 @@ func TestRepairRequestScanClamped(t *testing.T) {
 }
 
 func TestMembershipReplyLimitClamped(t *testing.T) {
-	n, tr := newGuardNode(func(cfg *Config) {
-		cfg.MembershipLimit = 2
-	})
+	n, tr := newGuardNode(nil)
+	n.tm.membershipLimit, n.tm.peerCap = 2, 8
 	attachTo(n, "p")
 	now := time.Now()
 	n.mu.Lock()
@@ -443,9 +436,8 @@ func TestELNRangeClamped(t *testing.T) {
 }
 
 func TestWireRejectAttribution(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.GuardQuarantineScore = 7
-	})
+	n, _ := newGuardNode(nil)
+	n.tm.quarantineScore = 7
 	// An envelope that parses but fails validation names its sender; two of
 	// them cross the quarantine threshold.
 	bad := envBytes(t, wire.Envelope{
@@ -510,23 +502,6 @@ func TestJSONDatagramIsGarbage(t *testing.T) {
 	}
 	if sent := tr.sentTo("evil"); len(sent) != 0 {
 		t.Fatalf("garbage was answered: %+v", sent)
-	}
-}
-
-func TestDisableGuardBypasses(t *testing.T) {
-	n, _ := newGuardNode(func(cfg *Config) {
-		cfg.DisableGuard = true
-		cfg.GuardRequestRate = 0.5 // a one-token bucket, were the guard on
-	})
-	req := wire.Envelope{Type: wire.TypeMembershipRequest, From: "x"}
-	for i := 0; i < 10; i++ {
-		if !n.guardAdmit(req) {
-			t.Fatal("DisableGuard did not bypass the limiter")
-		}
-	}
-	n.noteWireReject("x")
-	if got := n.Stats().GuardQuarantines; got != 0 {
-		t.Fatalf("DisableGuard still quarantined: %d", got)
 	}
 }
 

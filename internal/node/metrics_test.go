@@ -185,16 +185,15 @@ func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 		}
 	})
 	n := New(Config{
-		Bandwidth:            3,
-		HeartbeatInterval:    time.Hour,
-		PlaybackBuffer:       time.Hour,
-		RetxAttempts:         2,
-		RetxBackoffBase:      100 * time.Millisecond,
-		RetxInflight:         1,
-		GuardRequestRate:     0.5, // a one-token bucket per peer
-		GuardQuarantineScore: 4,   // one attributed wire reject convicts
-		Metrics:              reg,
+		Bandwidth:         3,
+		HeartbeatInterval: time.Hour,
+		PlaybackBuffer:    time.Hour,
+		Metrics:           reg,
 	}, ep)
+	n.tm.retxAttempts, n.tm.retxInflight = 2, 1
+	n.tm.retxBackoffBase = 100 * time.Millisecond
+	n.tm.requestRate, n.tm.requestBurst = 0.5, 1 // a one-token bucket per peer
+	n.tm.quarantineScore = 4                     // one attributed wire reject convicts
 	defer n.Kill()
 	in := func(env wire.Envelope) { n.onDatagram(envBytes(t, env)) }
 	parentHeartbeat := wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1, Depth: 1}

@@ -56,8 +56,6 @@ type Config struct {
 	BufferPackets int
 	// RecoveryGroup is the CER group size K (default 3).
 	RecoveryGroup int
-	// MembershipLimit bounds the partial view (default 100).
-	MembershipLimit int
 	// PlaybackBuffer is the player's start-up buffering (default 2 s):
 	// packet n's playout deadline is firstArrival + PlaybackBuffer +
 	// (n-first)/rate; packets absent at their deadline count as starved
@@ -79,36 +77,6 @@ type Config struct {
 	// /debug/trace. Span timestamps count seconds since node creation. Nil
 	// costs one pointer check per hook.
 	Trace tracing.Recorder
-
-	// RetxAttempts bounds how many times a control-class message (join,
-	// accept/reject, leave, membership, switch, repair-request) is
-	// transmitted before the reliability shim gives up: the first send plus
-	// up to RetxAttempts-1 retransmits, each awaiting an ack (default 4; 1
-	// sends once and never retransmits). Data-class traffic is never
-	// retransmitted.
-	RetxAttempts int
-	// RetxBackoffBase is the first retransmit delay of one control message
-	// (default HeartbeatInterval/2); later ones double up to 4x
-	// HeartbeatInterval — the same policy as the join and repair backoffs,
-	// drawn from its own deterministic stream.
-	RetxBackoffBase time.Duration
-	// RetxInflight caps unacked control messages per peer; sends over the
-	// cap fall back to fire-and-forget so a dead peer cannot pin unbounded
-	// retransmit state (default 32).
-	RetxInflight int
-
-	// DisableGuard switches the per-peer misbehavior guard off (validation
-	// still applies; rejects just go unattributed). Test/ablation knob.
-	DisableGuard bool
-	// GuardRequestRate is the refill rate of the per-peer token bucket
-	// metering request-type messages — Join, RepairRequest,
-	// MembershipRequest (default 100/s; the bucket holds two seconds' worth).
-	// Honest peers direct at most a few tens of requests per second at any
-	// single target.
-	GuardRequestRate float64
-	// GuardQuarantineScore is the decayed misbehavior score that triggers
-	// quarantine (default 12).
-	GuardQuarantineScore float64
 }
 
 func (c Config) withDefaults() Config {
@@ -121,35 +89,20 @@ func (c Config) withDefaults() Config {
 	if c.RecoveryGroup <= 0 {
 		c.RecoveryGroup = 3
 	}
-	if c.MembershipLimit <= 0 {
-		c.MembershipLimit = 100
-	}
 	if c.StreamRate <= 0 {
 		c.StreamRate = 10
 	}
 	if c.PlaybackBuffer <= 0 {
 		c.PlaybackBuffer = 2 * time.Second
 	}
-	if c.GuardRequestRate <= 0 {
-		c.GuardRequestRate = 100
-	}
-	if c.GuardQuarantineScore <= 0 {
-		c.GuardQuarantineScore = 12
-	}
-	if c.RetxAttempts <= 0 {
-		c.RetxAttempts = 4
-	}
-	if c.RetxInflight <= 0 {
-		c.RetxInflight = 32
-	}
 	return c
 }
 
-// timing is every duration and bound the node derives instead of taking as
-// configuration, computed once in New from the (defaulted) Config; newTiming
-// is the one place an interval or a limit is multiplied. A harness that
-// speeds the node up through HeartbeatInterval scales all of it together,
-// and a clock has one table to hook.
+// timing is every duration, bound and rate the node fixes instead of taking
+// as configuration, computed once in New from the (defaulted) Config;
+// newTiming is the one place an interval or a limit is set. A harness that
+// speeds the node up through HeartbeatInterval scales every duration
+// together, and a clock has one table to hook.
 type timing struct {
 	gossipInterval   time.Duration // Config.GossipInterval when set
 	heartbeatTimeout time.Duration // silence that declares a neighbour dead
@@ -158,17 +111,35 @@ type timing struct {
 	// join attempts, repair requests and control retransmits.
 	joinBackoffBase, joinBackoffMax     time.Duration
 	repairBackoffBase, repairBackoffMax time.Duration
-	retxBackoffBase, retxBackoffMax     time.Duration // base: Config.RetxBackoffBase when set
+	retxBackoffBase, retxBackoffMax     time.Duration
+	// retxAttempts bounds how many times a control-class message (join,
+	// accept/reject, leave, membership, switch, repair-request) is
+	// transmitted: the first send plus up to retxAttempts-1 retransmits,
+	// each awaiting an ack. Data-class traffic is never retransmitted.
+	retxAttempts int
+	// retxInflight caps unacked control messages per peer; sends over the
+	// cap fall back to fire-and-forget so a dead peer cannot pin unbounded
+	// retransmit state.
+	retxInflight int
 	// memberStaleAfter is the gossip horizon: members not heard from for this
 	// long are skipped by CER recovery-group selection and pruned from an
 	// over-full view.
 	memberStaleAfter time.Duration
 	stallRejoinAfter time.Duration // attached yet streamless this long: rejoin (see beat)
 	quarantine       time.Duration // how long a convicted peer stays dropped
-	requestBurst     float64       // depth of the per-peer request token bucket
+	// requestRate refills the per-peer token bucket metering request-type
+	// messages (Join, RepairRequest, MembershipRequest), in requests per
+	// second; requestBurst is the bucket's depth, two seconds' worth. Honest
+	// peers direct at most a few tens of requests per second at any single
+	// target.
+	requestRate, requestBurst float64
+	// quarantineScore is the decayed misbehavior score that convicts a peer.
+	quarantineScore float64
 	// plausibleSpan is how far from the local stream head a sequence number
 	// may stray before it is treated as forged.
 	plausibleSpan int64
+	// membershipLimit bounds the partial view a membership reply carries.
+	membershipLimit int
 	// peerCap bounds every per-peer table that grows on wire input (the
 	// membership view, the guard table, the retransmit table), so a crowd of
 	// forged sender addresses cannot grow them without bound.
@@ -185,21 +156,23 @@ func newTiming(c Config) timing {
 		joinBackoffMax:    8 * hb,
 		repairBackoffBase: hb / 2,
 		repairBackoffMax:  4 * hb,
-		retxBackoffBase:   c.RetxBackoffBase,
+		retxBackoffBase:   hb / 2,
 		retxBackoffMax:    4 * hb,
+		retxAttempts:      4,
+		retxInflight:      32,
 		quarantine:        50 * hb,
-		requestBurst:      2 * c.GuardRequestRate,
+		requestRate:       100,
+		quarantineScore:   12,
 		plausibleSpan:     4 * int64(c.BufferPackets),
-		peerCap:           4 * c.MembershipLimit,
+		membershipLimit:   100,
 	}
 	if t.gossipInterval <= 0 {
 		t.gossipInterval = 2 * hb
 	}
-	if t.retxBackoffBase <= 0 {
-		t.retxBackoffBase = hb / 2
-	}
 	t.memberStaleAfter = 10 * t.gossipInterval
 	t.stallRejoinAfter = 6 * t.heartbeatTimeout
+	t.requestBurst = 2 * t.requestRate
+	t.peerCap = 4 * t.membershipLimit
 	return t
 }
 
@@ -243,7 +216,7 @@ type Stats struct {
 	// Reliability-shim counters. CtrlSent counts control messages sent under
 	// ack protection; RetxSent counts retransmissions of those; RetxAcked
 	// counts first acks received; RetxExpired counts messages abandoned
-	// after RetxAttempts transmissions; RetxOverflow counts control sends
+	// after their last allowed transmission; RetxOverflow counts control sends
 	// demoted to fire-and-forget by the per-peer in-flight cap; RetxDupDrops
 	// counts received control messages suppressed by the dedup window (the
 	// ack is still re-sent); RetxInflight is the current unacked total.
@@ -978,7 +951,7 @@ func (n *Node) tryJoin() {
 		for _, b := range n.cfg.Bootstrap {
 			n.send(b, wire.Envelope{
 				Type:    wire.TypeMembershipRequest,
-				Limit:   n.cfg.MembershipLimit,
+				Limit:   n.tm.membershipLimit,
 				Members: n.announceMembers(),
 			})
 		}
@@ -1634,7 +1607,7 @@ func (n *Node) gossip() {
 		n.met.gossipSent.Inc()
 		n.send(target, wire.Envelope{
 			Type:    wire.TypeMembershipRequest,
-			Limit:   n.cfg.MembershipLimit,
+			Limit:   n.tm.membershipLimit,
 			Members: n.announceMembers(),
 		})
 	}
@@ -1709,8 +1682,8 @@ func (n *Node) handleMembershipRequest(env wire.Envelope) {
 	// the bootstrap member would never learn the overlay exists.
 	n.mergeMembers(env.From, env.Members)
 	limit := env.Limit
-	if limit <= 0 || limit > n.cfg.MembershipLimit {
-		limit = n.cfg.MembershipLimit
+	if limit <= 0 || limit > n.tm.membershipLimit {
+		limit = n.tm.membershipLimit
 	}
 	n.send(env.From, wire.Envelope{Type: wire.TypeMembershipReply, Members: n.viewSample(limit)})
 }

@@ -378,13 +378,13 @@ func TestStatsSnapshot(t *testing.T) {
 }
 
 // TestTimingScalesWithHeartbeat pins the timing table: at the default 1 s
-// heartbeat it holds the documented constants, and since every entry is a
+// heartbeat it holds the documented constants, and since every duration is a
 // multiple of the heartbeat (the gossip interval included, when unset),
 // doubling HeartbeatInterval doubles every duration and moves nothing else.
 func TestTimingScalesWithHeartbeat(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.HeartbeatInterval != time.Second || cfg.BufferPackets <= 0 ||
-		cfg.RecoveryGroup <= 0 || cfg.MembershipLimit <= 0 || cfg.StreamRate <= 0 {
+		cfg.RecoveryGroup <= 0 || cfg.StreamRate <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	want := timing{
@@ -397,11 +397,16 @@ func TestTimingScalesWithHeartbeat(t *testing.T) {
 		repairBackoffMax:  4 * time.Second,
 		retxBackoffBase:   500 * time.Millisecond,
 		retxBackoffMax:    4 * time.Second,
+		retxAttempts:      4,
+		retxInflight:      32,
 		memberStaleAfter:  20 * time.Second,
 		stallRejoinAfter:  18 * time.Second,
 		quarantine:        50 * time.Second,
+		requestRate:       100,
 		requestBurst:      200,
+		quarantineScore:   12,
 		plausibleSpan:     1024,
+		membershipLimit:   100,
 		peerCap:           400,
 	}
 	one := newTiming(cfg)
@@ -423,13 +428,12 @@ func TestTimingScalesWithHeartbeat(t *testing.T) {
 		}
 	}
 
-	// The two knobs that remain override their table entries and what hangs
-	// off them, nothing else.
-	cfg.GossipInterval, cfg.RetxBackoffBase = 7*time.Second, 9*time.Millisecond
+	// The one knob that remains overrides its table entry and what hangs off
+	// it, nothing else.
+	cfg.GossipInterval = 7 * time.Second
 	set := newTiming(cfg)
-	if set.gossipInterval != 7*time.Second || set.memberStaleAfter != 70*time.Second ||
-		set.retxBackoffBase != 9*time.Millisecond {
-		t.Fatalf("explicit gossip/retx-base not honoured: %+v", set)
+	if set.gossipInterval != 7*time.Second || set.memberStaleAfter != 70*time.Second {
+		t.Fatalf("explicit gossip interval not honoured: %+v", set)
 	}
 }
 

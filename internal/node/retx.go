@@ -19,7 +19,7 @@ import (
 
 // retxDedupWindow is the receive window: a sequence more than this far
 // behind the highest seen is treated as a duplicate. 64 fits the bitmap in
-// one word and is far wider than RetxInflight ever lets a sender stray.
+// one word and is far wider than timing.retxInflight ever lets a sender stray.
 const retxDedupWindow = 64
 
 // retxPending is one unacked control message awaiting its ack.
@@ -71,7 +71,7 @@ func (n *Node) retxInflightLocked() int {
 func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	n.mu.Lock()
 	p := n.retxPeerLocked(to)
-	if p == nil || len(p.inflight) >= n.cfg.RetxInflight {
+	if p == nil || len(p.inflight) >= n.tm.retxInflight {
 		n.met.retxOverflow.Inc()
 		n.mu.Unlock()
 		return false
@@ -119,7 +119,7 @@ func (n *Node) retxFire(to wire.Addr, seq uint64) {
 		n.mu.Unlock()
 		return // acked in the meantime
 	}
-	if pend.attempts >= n.cfg.RetxAttempts {
+	if pend.attempts >= n.tm.retxAttempts {
 		delete(p.inflight, seq)
 		n.met.retxExpired.Inc()
 		n.met.retxInflight.Set(float64(n.retxInflightLocked()))

@@ -118,11 +118,11 @@ func TestCheckInvariantsAllocCeiling(t *testing.T) {
 		t.Fatalf("CheckInvariantsFull allocates %.1f times per call, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		if err := tree.CheckInvariants(); err != nil {
+		if err := tree.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("CheckInvariants allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("checkInvariants allocates %.1f times per call, want 0", allocs)
 	}
 }

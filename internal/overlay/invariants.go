@@ -4,25 +4,21 @@ import "fmt"
 
 // Invariant checking comes in two flavors:
 //
-//   - CheckInvariants (default): incremental. Every structural mutation
-//     stamps the dense indexes it touched into a dirty list (deduplicated
-//     with an epoch-stamped scratch, the same pattern as Sample's dedup), and
-//     the check validates only those members' local invariants plus O(1)
-//     global counters. Steady-state cost is O(changed since the last check),
-//     not O(members).
+//   - checkInvariants: incremental, for this package's per-step tests.
+//     Every structural mutation stamps the dense indexes it touched into a
+//     dirty list (deduplicated with an epoch-stamped scratch, the same
+//     pattern as Sample's dedup), and the check validates only those
+//     members' local invariants plus O(1) global counters. Steady-state cost
+//     is O(changed since the last check), not O(members).
 //   - CheckInvariantsFull: the historical full scan — every member, the
 //     reachability audit and the complete level-index sweep. It is O(n) and
 //     allocation-free (the former per-call seen map is an epoch-stamped
 //     scratch buffer now).
 //
-// SetParanoid(true) routes every CheckInvariants call through the full scan
-// (the -paranoid escape hatch on the CLIs). The two paths are
-// equivalence-tested: on valid trees both return nil, and corruptions
-// injected into freshly-mutated members are reported by both.
-
-// SetParanoid selects whether CheckInvariants performs the full O(n) scan
-// (true) or the incremental O(changed) check (false, the default).
-func (t *Tree) SetParanoid(on bool) { t.paranoid = on }
+// The -paranoid audit on the CLIs and the tests of other packages call the
+// full scan. The two paths are equivalence-tested: on valid trees both
+// return nil, and corruptions injected into freshly-mutated members are
+// reported by both.
 
 // markDirty records that the member at dense index i was structurally
 // mutated since the last invariant check. Deduplicated via epoch stamps, so
@@ -44,15 +40,11 @@ func (t *Tree) resetDirty() {
 	}
 }
 
-// CheckInvariants verifies structural invariants and returns the first
-// violation found, or nil. By default it is incremental: only members
-// mutated since the previous call are examined (plus O(1) global counter
-// cross-checks), so steady-state calls are O(changed). With SetParanoid(true)
-// it performs the full scan instead. Either way the dirty set is drained.
-func (t *Tree) CheckInvariants() error {
-	if t.paranoid {
-		return t.CheckInvariantsFull()
-	}
+// checkInvariants verifies structural invariants and returns the first
+// violation found, or nil. It is incremental: only members mutated since the
+// previous call are examined (plus O(1) global counter cross-checks), so
+// steady-state calls are O(changed). It drains the dirty set.
+func (t *Tree) checkInvariants() error {
 	defer t.resetDirty()
 	for _, i := range t.dirtyList {
 		if t.handle[i] == nil {

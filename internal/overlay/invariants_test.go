@@ -75,12 +75,12 @@ func churnTree(t *testing.T, seed int64, steps int, check func(*Tree)) *Tree {
 // TestIncrementalMatchesFull is the delta-protocol equivalence test: across
 // a random mutation workload, the incremental checker and the full scan must
 // agree (both nil on valid trees), at every cadence — per-op incremental
-// checks, batched checks, and paranoid mode routing through the full scan.
+// checks and batched checks.
 func TestIncrementalMatchesFull(t *testing.T) {
 	step := 0
 	churnTree(t, 11, 800, func(tree *Tree) {
 		step++
-		if err := tree.CheckInvariants(); err != nil {
+		if err := tree.checkInvariants(); err != nil {
 			t.Fatalf("incremental check failed on valid tree: %v", err)
 		}
 		if step%50 == 0 {
@@ -94,7 +94,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	churnTree(t, 12, 800, func(tree *Tree) {
 		step++
 		if step%97 == 0 {
-			if err := tree.CheckInvariants(); err != nil {
+			if err := tree.checkInvariants(); err != nil {
 				t.Fatalf("batched incremental check failed: %v", err)
 			}
 			if err := tree.CheckInvariantsFull(); err != nil {
@@ -102,15 +102,6 @@ func TestIncrementalMatchesFull(t *testing.T) {
 			}
 		}
 	})
-	// Paranoid mode: CheckInvariants is the full scan.
-	tree := churnTree(t, 13, 200, nil)
-	tree.SetParanoid(true)
-	if !tree.paranoid {
-		t.Fatal("SetParanoid(true) not reported")
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatalf("paranoid check failed on valid tree: %v", err)
-	}
 }
 
 // TestInvariantCheckersCatchCorruption injects corruption directly into the
@@ -139,7 +130,7 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 			tree.LevelIndex(order, nil)
 		}
 		// Start from a clean dirty set so each case controls its own.
-		if err := tree.CheckInvariants(); err != nil {
+		if err := tree.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		return tree, a, b
@@ -227,7 +218,7 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		tree, a, b = build(tc.order)
 		dirty = tc.corrupt(tree, a, b)
 		tree.markDirty(dirty)
-		if err := tree.CheckInvariants(); err == nil && !tc.fullOnly {
+		if err := tree.checkInvariants(); err == nil && !tc.fullOnly {
 			t.Errorf("%s: incremental check missed the corruption on a dirty member", tc.name)
 		}
 	}

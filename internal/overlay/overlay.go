@@ -291,7 +291,7 @@ type Tree struct {
 
 	// Incremental invariant tracking: every structural mutation stamps the
 	// touched dense indexes into dirtyList (deduplicated by dirtyStamp /
-	// dirtyEpoch), so CheckInvariants is O(changed since last check).
+	// dirtyEpoch), so checkInvariants is O(changed since last check).
 	dirtyStamp []uint32
 	dirtyEpoch uint32
 	dirtyList  []int32
@@ -299,8 +299,6 @@ type Tree struct {
 	// former per-call seen map).
 	invSeen  []uint32
 	invEpoch uint32
-	// paranoid forces every CheckInvariants call through the full O(n) scan.
-	paranoid bool
 }
 
 // NewTree creates a tree rooted at a source member placed on rootAttach with

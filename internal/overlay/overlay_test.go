@@ -60,7 +60,7 @@ func mustJoin(t *testing.T, tree *Tree, parent *Member, attach topology.NodeID, 
 
 func checkInv(t *testing.T, tree *Tree) {
 	t.Helper()
-	if err := tree.CheckInvariants(); err != nil {
+	if err := tree.checkInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 	if tree.lx != nil { // the heap order is the full scan's to verify
@@ -629,7 +629,7 @@ func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 				}
 			}
 		}
-		return tree.CheckInvariants() == nil && tree.CheckInvariantsFull() == nil
+		return tree.checkInvariants() == nil && tree.CheckInvariantsFull() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -29,9 +29,9 @@ import (
 // Referee-set sizes; the paper requires both to exceed one for fault
 // tolerance.
 const (
-	// DefaultAgeReferees is the default rage.
+	// DefaultAgeReferees is rage, the age referees of each member.
 	DefaultAgeReferees = 3
-	// DefaultBandwidthReferees is the default rbw.
+	// DefaultBandwidthReferees is rbw, the bandwidth referees of each member.
 	DefaultBandwidthReferees = 3
 	// DefaultClaimTolerance is the slack allowed between a claimed BTP and
 	// the referee-computed BTP before the claim is rejected (measurement
@@ -53,11 +53,8 @@ type refereeRecord struct {
 
 // Referees implements the reference-node mechanism over one tree.
 type Referees struct {
-	tree      *overlay.Tree
-	rng       *xrand.Source
-	rage      int
-	rbw       int
-	tolerance float64
+	tree *overlay.Tree
+	rng  *xrand.Source
 
 	records map[overlay.MemberID]*refereeRecord
 	// cheatFactor maps cheating members to the multiplier they apply to
@@ -100,31 +97,14 @@ func (r *Referees) Instrument(reg *metrics.Registry) {
 	r.met.cheaters.Set(float64(len(r.cheatFactor)))
 }
 
-// RefereeConfig parameterises NewReferees; zero fields take defaults.
-type RefereeConfig struct {
-	AgeReferees       int     // rage, must end up > 1
-	BandwidthReferees int     // rbw, must end up > 1
-	ClaimTolerance    float64 // relative slack on claims
-}
-
 // NewReferees creates the mechanism for tree, drawing referee choices from
-// rng.
-func NewReferees(tree *overlay.Tree, rng *xrand.Source, cfg RefereeConfig) *Referees {
-	if cfg.AgeReferees <= 1 {
-		cfg.AgeReferees = DefaultAgeReferees
-	}
-	if cfg.BandwidthReferees <= 1 {
-		cfg.BandwidthReferees = DefaultBandwidthReferees
-	}
-	if cfg.ClaimTolerance <= 0 {
-		cfg.ClaimTolerance = DefaultClaimTolerance
-	}
+// rng. Every member gets DefaultAgeReferees age referees and
+// DefaultBandwidthReferees bandwidth referees, and a claim may exceed the
+// witnessed BTP by DefaultClaimTolerance.
+func NewReferees(tree *overlay.Tree, rng *xrand.Source) *Referees {
 	return &Referees{
 		tree:        tree,
 		rng:         rng,
-		rage:        cfg.AgeReferees,
-		rbw:         cfg.BandwidthReferees,
-		tolerance:   cfg.ClaimTolerance,
 		records:     make(map[overlay.MemberID]*refereeRecord),
 		cheatFactor: make(map[overlay.MemberID]float64),
 	}
@@ -146,8 +126,8 @@ func (r *Referees) Enroll(m *overlay.Member, now time.Duration) {
 		witnessed = now
 	}
 	r.records[m.ID] = &refereeRecord{
-		ageReferees:   r.pickReferees(m, r.rage),
-		bwReferees:    r.pickReferees(m, r.rbw),
+		ageReferees:   r.pickReferees(m, DefaultAgeReferees),
+		bwReferees:    r.pickReferees(m, DefaultBandwidthReferees),
 		witnessedJoin: witnessed,
 		measuredBW:    m.Bandwidth,
 	}
@@ -205,8 +185,8 @@ func (r *Referees) VerifyBTP(m *overlay.Member, claimed float64, now time.Durati
 		// starts now and the claim is honoured only if it matches a zero-age
 		// BTP.
 		rec = &refereeRecord{
-			ageReferees:   r.pickReferees(m, r.rage),
-			bwReferees:    r.pickReferees(m, r.rbw),
+			ageReferees:   r.pickReferees(m, DefaultAgeReferees),
+			bwReferees:    r.pickReferees(m, DefaultBandwidthReferees),
 			witnessedJoin: now,
 			measuredBW:    m.Bandwidth,
 		}
@@ -220,7 +200,7 @@ func (r *Referees) VerifyBTP(m *overlay.Member, claimed float64, now time.Durati
 		age = 0
 	}
 	trueBTP := rec.measuredBW * age.Seconds()
-	if claimed > trueBTP*(1+r.tolerance)+1e-9 {
+	if claimed > trueBTP*(1+DefaultClaimTolerance)+1e-9 {
 		r.Rejections++
 		r.met.rejections.Inc()
 		return false
@@ -240,14 +220,14 @@ func (r *Referees) maintain(m *overlay.Member, rec *refereeRecord, now time.Dura
 		rec.witnessedJoin = now
 		r.AgeResets++
 		r.met.ageResets.Inc()
-		rec.ageReferees = r.pickReferees(m, r.rage)
+		rec.ageReferees = r.pickReferees(m, DefaultAgeReferees)
 	} else {
 		rec.ageReferees = r.replaceDead(m, rec.ageReferees)
 	}
 	if r.allDead(rec.bwReferees) {
 		// Bandwidth can simply be re-measured by a fresh measurer set.
 		rec.measuredBW = m.Bandwidth
-		rec.bwReferees = r.pickReferees(m, r.rbw)
+		rec.bwReferees = r.pickReferees(m, DefaultBandwidthReferees)
 	} else {
 		rec.bwReferees = r.replaceDead(m, rec.bwReferees)
 	}

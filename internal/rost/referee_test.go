@@ -17,7 +17,7 @@ func refFixture(t *testing.T) (*overlay.Tree, *Referees) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReferees(tree, xrand.New(9), RefereeConfig{})
+	r := NewReferees(tree, xrand.New(9))
 	return tree, r
 }
 
@@ -196,7 +196,7 @@ func TestCheaterCannotClimb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := NewReferees(tree, xrand.New(3), RefereeConfig{})
+	refs := NewReferees(tree, xrand.New(3))
 	p := New(tree, env, Config{SwitchInterval: 60 * time.Second, Referees: refs})
 	sim := eventsim.New()
 
@@ -231,7 +231,7 @@ func TestCheaterCannotClimb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs2 := NewReferees(tree2, xrand.New(3), RefereeConfig{})
+	refs2 := NewReferees(tree2, xrand.New(3))
 	// Referees drive the claims but are not wired into the protocol, so
 	// nothing verifies them.
 	p2 := New(tree2, env2, Config{SwitchInterval: 60 * time.Second})
@@ -260,16 +260,5 @@ func TestCheaterCannotClimb(t *testing.T) {
 	}
 	if cheat2.Parent() == parent2 {
 		t.Fatal("control scenario: cheater failed to climb even without referees")
-	}
-}
-
-func TestRefereeConfigDefaults(t *testing.T) {
-	tree, _ := refFixture(t)
-	r := NewReferees(tree, xrand.New(1), RefereeConfig{AgeReferees: 1, BandwidthReferees: -4, ClaimTolerance: -1})
-	if r.rage <= 1 || r.rbw <= 1 {
-		t.Fatal("referee counts must be forced above one")
-	}
-	if r.tolerance <= 0 {
-		t.Fatal("tolerance must default positive")
 	}
 }

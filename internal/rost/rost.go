@@ -46,11 +46,11 @@ const (
 	DefaultSwitchLatency = time.Second
 )
 
-// Config parameterises the protocol. Zero fields take the defaults above.
+// Config parameterises the protocol. A zero SwitchInterval takes
+// DefaultSwitchInterval; the lock backoff and the switch latency are always
+// DefaultLockBackoff and DefaultSwitchLatency.
 type Config struct {
 	SwitchInterval time.Duration
-	LockBackoff    time.Duration
-	SwitchLatency  time.Duration
 	// Referees, when non-nil, enables BTP verification through the referee
 	// mechanism before any switch is honoured.
 	Referees *Referees
@@ -78,12 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.SwitchInterval <= 0 {
 		c.SwitchInterval = DefaultSwitchInterval
 	}
-	if c.LockBackoff <= 0 {
-		c.LockBackoff = DefaultLockBackoff
-	}
-	if c.SwitchLatency <= 0 {
-		c.SwitchLatency = DefaultSwitchLatency
-	}
 	return c
 }
 
@@ -94,6 +88,9 @@ type Protocol struct {
 	env  *construct.Env
 	tree *overlay.Tree
 	join construct.Strategy
+	// switchLatency is how long a started switch holds its locks before it
+	// completes (DefaultSwitchLatency).
+	switchLatency time.Duration
 
 	nextOp int64
 	// onSwitch, when non-nil, observes every completed switch (promoted
@@ -145,10 +142,11 @@ func New(tree *overlay.Tree, env *construct.Env, cfg Config) *Protocol {
 		join = &construct.ContributorPriority{Env: env, Inner: join}
 	}
 	return &Protocol{
-		cfg:  cfg.withDefaults(),
-		env:  env,
-		tree: tree,
-		join: join,
+		cfg:           cfg.withDefaults(),
+		env:           env,
+		tree:          tree,
+		join:          join,
+		switchLatency: DefaultSwitchLatency,
 	}
 }
 
@@ -207,7 +205,7 @@ func (p *Protocol) check(sim *eventsim.Simulator, id overlay.MemberID) {
 		// Section 3.3.
 		p.LockFailures++
 		p.met.backoffs.Inc()
-		p.scheduleCheck(sim, m, p.cfg.LockBackoff)
+		p.scheduleCheck(sim, m, DefaultLockBackoff)
 	case switchNotNeeded:
 		p.scheduleCheck(sim, m, p.cfg.SwitchInterval)
 	}
@@ -288,7 +286,7 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member)
 	mID, parentID := m.ID, parent.ID
 	sp := p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
 		AttrInt("parent", int64(parentID)).AttrInt("depth", int64(m.Depth()))
-	sim.Lane(p.cfg.SwitchLatency).Schedule(func(s *eventsim.Simulator) {
+	sim.Lane(p.switchLatency).Schedule(func(s *eventsim.Simulator) {
 		p.completeSwitch(s, op, mID, parentID, lockSet, sp)
 	})
 	return switchStarted

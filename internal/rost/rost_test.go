@@ -70,7 +70,7 @@ func (f *fixture) runUntil(t *testing.T, at time.Duration) {
 	if err := f.sim.Run(at); err != nil {
 		t.Fatalf("Run(%v): %v", at, err)
 	}
-	if err := f.tree.CheckInvariants(); err != nil {
+	if err := f.tree.CheckInvariantsFull(); err != nil {
 		t.Fatalf("invariants at %v: %v", at, err)
 	}
 }
@@ -156,7 +156,7 @@ func TestRootNeverDisplaced(t *testing.T) {
 // parent cannot hold all of the promoted node's children, the largest-BTP
 // child reconnects to the promoted node.
 func TestFigure2ChildOverflow(t *testing.T) {
-	f := newFixture(t, 1, Config{SwitchInterval: 1000 * time.Second, SwitchLatency: time.Second})
+	f := newFixture(t, 1, Config{SwitchInterval: 1000 * time.Second})
 	// a: bandwidth 2 (degree 2) under the root, with children c and b as in
 	// Figure 2.
 	a := f.joinAt(t, 0, 1, 2)
@@ -201,7 +201,7 @@ func TestFigure2ChildOverflow(t *testing.T) {
 // TestLockBackoff: a neighbourhood already locked by another operation makes
 // the initiator back off rather than proceed.
 func TestLockBackoff(t *testing.T) {
-	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second, LockBackoff: 15 * time.Second})
+	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second})
 	parent := f.joinAt(t, 0, 1, 2)
 	child := f.joinAt(t, 10*time.Second, 2, 6)
 	// Hold a conflicting lock on the parent across the child's first check.
@@ -224,7 +224,8 @@ func TestLockBackoff(t *testing.T) {
 // TestSwitchAbortsWhenParentFails: the parent departs during the switch
 // latency window; the operation must abort cleanly.
 func TestSwitchAbortsWhenParentFails(t *testing.T) {
-	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second, SwitchLatency: 5 * time.Second})
+	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second})
+	f.p.switchLatency = 5 * time.Second
 	parent := f.joinAt(t, 0, 1, 2)
 	child := f.joinAt(t, 10*time.Second, 2, 6)
 	if child.Parent() != parent {
@@ -277,7 +278,7 @@ func TestGradualAscent(t *testing.T) {
 	if tracked.Depth() != 1 {
 		t.Fatalf("tracked member did not ascend to depth 1: depth %d -> %d", startDepth, tracked.Depth())
 	}
-	if err := f.tree.CheckInvariants(); err != nil {
+	if err := f.tree.CheckInvariantsFull(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -310,7 +311,7 @@ func TestSwitchIntervalControlsOverhead(t *testing.T) {
 		if err := sim.Run(2 * time.Hour); err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.CheckInvariants(); err != nil {
+		if err := tree.CheckInvariantsFull(); err != nil {
 			t.Fatal(err)
 		}
 		return p.Switches
@@ -378,12 +379,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.SwitchInterval != DefaultSwitchInterval {
 		t.Fatalf("SwitchInterval default = %v", cfg.SwitchInterval)
 	}
-	if cfg.LockBackoff != DefaultLockBackoff {
-		t.Fatalf("LockBackoff default = %v", cfg.LockBackoff)
-	}
-	if cfg.SwitchLatency != DefaultSwitchLatency {
-		t.Fatalf("SwitchLatency default = %v", cfg.SwitchLatency)
-	}
 }
 
 func TestProtocolName(t *testing.T) {
@@ -428,7 +423,7 @@ func TestGuardDisabledFreeRiderExchange(t *testing.T) {
 	if parent.Parent() == fr || sibling.Parent() == fr {
 		t.Fatal("member attached under a zero-degree parent")
 	}
-	if err := f.tree.CheckInvariants(); err != nil {
+	if err := f.tree.CheckInvariantsFull(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -454,7 +449,8 @@ func TestContributorPriorityWiring(t *testing.T) {
 // initiation but fails at completion (the member was orphaned and rejoined
 // elsewhere in between), the switch aborts.
 func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
-	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second, SwitchLatency: 5 * time.Second})
+	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second})
+	f.p.switchLatency = 5 * time.Second
 	parent := f.joinAt(t, 0, 1, 2)
 	child := f.joinAt(t, 10*time.Second, 2, 6)
 	if child.Parent() != parent {

@@ -30,7 +30,7 @@ func (m *Model) onFailureReference(failed *overlay.Member, now time.Duration, st
 	if len(orphans) == 0 {
 		return
 	}
-	outageEnd := now + m.cfg.DetectDelay + m.cfg.RejoinDelay
+	outageEnd := now + DefaultDetectDelay + DefaultRejoinDelay
 	for _, c := range orphans {
 		m.tree.VisitSubtree(c, func(d *overlay.Member) {
 			if st := m.stateOf(d.ID); st != nil && st.viewStart <= now && st.outageUntil < outageEnd {
@@ -54,7 +54,7 @@ func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.
 	if last < first {
 		return
 	}
-	requestAt := failedAt + m.cfg.DetectDelay
+	requestAt := failedAt + DefaultDetectDelay
 	repairedBefore, lostBefore := m.PacketsRepaired, m.PacketsLost
 	servers, ep := m.episodeInputs(c, first, last, requestAt, outageEnd)
 	arrivals := cer.PlanRecoveryInto(ep, servers, nil)

@@ -63,12 +63,12 @@ const (
 // compares below every real hop distance.
 const lostSlack = time.Duration(math.MinInt64)
 
-// Config parameterises the streaming model.
+// Config parameterises the streaming model. Every orphan detects its
+// parent's failure DefaultDetectDelay after it and is back in the tree
+// DefaultRejoinDelay later; no figure varies the two.
 type Config struct {
-	Rate        float64       // packets per second; 0 means DefaultRate
-	Buffer      time.Duration // playback buffer; 0 means DefaultBuffer
-	DetectDelay time.Duration // 0 means DefaultDetectDelay
-	RejoinDelay time.Duration // 0 means DefaultRejoinDelay
+	Rate   float64       // packets per second; 0 means DefaultRate
+	Buffer time.Duration // playback buffer; 0 means DefaultBuffer
 	// GroupSize is the recovery group size K.
 	GroupSize int
 	// Striped selects CER multi-source striping; false is the
@@ -95,12 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Buffer <= 0 {
 		c.Buffer = DefaultBuffer
-	}
-	if c.DetectDelay <= 0 {
-		c.DetectDelay = DefaultDetectDelay
-	}
-	if c.RejoinDelay <= 0 {
-		c.RejoinDelay = DefaultRejoinDelay
 	}
 	if c.GroupSize <= 0 {
 		c.GroupSize = 1
@@ -294,7 +288,7 @@ func (m *Model) OnFailure(failed *overlay.Member, now time.Duration) {
 	if len(orphans) == 0 {
 		return
 	}
-	outageEnd := now + m.cfg.DetectDelay + m.cfg.RejoinDelay
+	outageEnd := now + DefaultDetectDelay + DefaultRejoinDelay
 	// Phase 1: mark every affected member's outage window first, so that
 	// recovery-server health checks in phase 2 see members of concurrently
 	// failed sibling subtrees as unavailable.
@@ -323,7 +317,7 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	if last < first {
 		return
 	}
-	requestAt := failedAt + m.cfg.DetectDelay
+	requestAt := failedAt + DefaultDetectDelay
 	// The episode span covers the service-interruption window (the paper's
 	// resilience metric); its children decompose it causally.
 	sp := m.cfg.Trace.Start(tracing.KindRepair, int64(c.ID), failedAt).

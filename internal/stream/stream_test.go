@@ -84,7 +84,6 @@ func setResidual(m *Model, id overlay.MemberID, pktPerSec float64) {
 func TestDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Rate != DefaultRate || cfg.Buffer != DefaultBuffer ||
-		cfg.DetectDelay != DefaultDetectDelay || cfg.RejoinDelay != DefaultRejoinDelay ||
 		cfg.ResidualMax != DefaultResidualMax || cfg.GroupSize != 1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}

@@ -170,10 +170,9 @@ type Config struct {
 	// across same-seed runs; a registry may be shared across sequential runs
 	// to accumulate totals.
 	Metrics *metrics.Registry
-	// Paranoid turns on full-scan overlay invariant auditing: every
-	// CheckInvariants call walks the whole tree instead of the incremental
-	// dirty set, and the session audits the tree once a simulated minute,
-	// failing the run on the first violation. Debug escape hatch — the audit
+	// Paranoid turns on full-scan overlay invariant auditing: once a
+	// simulated minute the session walks the whole tree with
+	// CheckInvariantsFull, failing the run on the first violation. Debug escape hatch — the audit
 	// events make runs slower and their interleaving can shift same-time
 	// event tie-breaks, so outputs are only comparable to other -paranoid
 	// runs.
@@ -296,7 +295,7 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 			Trace:                 spans,
 		}
 		if cfg.EnableReferees || cfg.Cheaters > 0 {
-			s.referees = rost.NewReferees(s.tree, xrand.NewNamed(cfg.Seed, "referees"), rost.RefereeConfig{})
+			s.referees = rost.NewReferees(s.tree, xrand.NewNamed(cfg.Seed, "referees"))
 			rcfg.Referees = s.referees
 		}
 		s.protocol = rost.New(s.tree, s.env, rcfg)
@@ -358,13 +357,12 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 		s.driver.Burst(cfg.FlashCrowd.At, cfg.FlashCrowd.Size)
 	}
 	if cfg.Paranoid {
-		s.tree.SetParanoid(true)
 		var audit func(*eventsim.Simulator)
 		audit = func(sim *eventsim.Simulator) {
 			if s.invariantErr != nil {
 				return
 			}
-			if err := s.tree.CheckInvariants(); err != nil {
+			if err := s.tree.CheckInvariantsFull(); err != nil {
 				s.invariantErr = fmt.Errorf("omcast: paranoid audit at %v: %w", sim.Now(), err)
 				return
 			}
