@@ -572,8 +572,13 @@ type stripeLayout struct {
 	rate   float64
 }
 
-func layoutStripes(ep Episode, servers []Server) stripeLayout {
-	var l stripeLayout
+// layoutStripes lays out an episode, appending its striped slices to dst[:0].
+// PlanRecoveryInto passes a stack array that holds the slices of any recovery
+// group the figures run (K <= 4 servers, so at most four slices), so planning
+// an episode allocates no layout; a larger group spills to the heap.
+// ServerPlans, which only tracing calls, passes nil.
+func layoutStripes(dst []stripeSlice, ep Episode, servers []Server) stripeLayout {
+	l := stripeLayout{slices: dst[:0]}
 	if ep.Rate <= 0 {
 		return l
 	}
@@ -648,7 +653,8 @@ func PlanRecoveryInto(ep Episode, servers []Server, buf []time.Duration) []time.
 	for i := range buf {
 		buf[i] = Lost
 	}
-	l := layoutStripes(ep, servers)
+	var scratch [8]stripeSlice
+	l := layoutStripes(scratch[:0], ep, servers)
 	if l.rate <= 0 {
 		return buf
 	}
@@ -675,7 +681,7 @@ func PlanRecoveryInto(ep Episode, servers []Server, buf []time.Duration) []time.
 // then the backlog share, omitting shares with no packet (an episode can be
 // narrower than the stripe layout). Tracing only.
 func ServerPlans(ep Episode, servers []Server, arrivals []time.Duration) []ServerPlan {
-	l := layoutStripes(ep, servers)
+	l := layoutStripes(nil, ep, servers)
 	if l.rate <= 0 {
 		return nil
 	}

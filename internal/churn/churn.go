@@ -8,8 +8,10 @@
 package churn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -170,8 +172,14 @@ type Driver struct {
 	measureFrom time.Duration
 	measureTo   time.Duration
 
-	departedDisruptions []float64
-	departedReconns     []float64
+	// nextArrival and sampleTree are the driver's two recurring timers,
+	// bound once so rescheduling them allocates nothing.
+	nextArrival eventsim.Handler
+	sampleTree  eventsim.Handler
+	// ancestorBuf holds a departing member's ancestor path for its
+	// orphans, reused across departures.
+	ancestorBuf []*overlay.Member
+
 	// exposureSum accumulates the observed lifetime (seconds) of departed
 	// members; disruption and reconnection sums over it give unbiased
 	// per-lifetime rates (a finite window otherwise only catches short
@@ -182,8 +190,6 @@ type Driver struct {
 	delaySamples   []float64 // milliseconds
 	stretchSamples []float64
 	sizeSamples    []float64
-
-	tracked []*Tracked
 
 	met driverMetrics
 	// episodes holds each orphan's rejoin episode in flight. Only kept
@@ -317,6 +323,11 @@ func NewDriver(sim *eventsim.Simulator, tree *overlay.Tree, topo *topology.Topol
 		measureFrom: cfg.Warmup,
 		measureTo:   cfg.Warmup + cfg.Measure,
 	}
+	d.nextArrival = func(s *eventsim.Simulator) {
+		d.arrive(s)
+		d.scheduleNextArrival()
+	}
+	d.sampleTree = d.sampleTreeMetrics
 	if cfg.Trace != nil {
 		d.episodes = make(map[overlay.MemberID]rejoinEpisode)
 	}
@@ -328,8 +339,15 @@ func NewDriver(sim *eventsim.Simulator, tree *overlay.Tree, topo *topology.Topol
 func (d *Driver) Horizon() time.Duration { return d.measureTo }
 
 // Start seeds the arrival process and metric sampling. Call once, then run
-// the simulator to d.Horizon().
+// the simulator to d.Horizon(). It first reserves the tree's slot arrays for
+// the population the run is expected to peak at, so they are not regrown
+// member by member as it fills: the source plus 1.25 M. A run's slots peak
+// at its largest concurrent population, attached or rejoining; over the
+// benchmark's tree and streaming runs (M = 10^3 to 2.5*10^4) and at
+// M = 10^4 and 10^5 that peak read 1.016-1.053 M, and up to 1.216 M in the
+// shortest M = 10^3 windows, where churn's fluctuation is largest.
 func (d *Driver) Start() {
+	d.tree.Grow(1 + d.cfg.TargetSize + d.cfg.TargetSize/4)
 	if d.cfg.PrePopulate {
 		d.sim.Schedule(0, func(s *eventsim.Simulator) {
 			d.prePopulate(s)
@@ -393,11 +411,7 @@ func (d *Driver) prePopulate(sim *eventsim.Simulator) {
 }
 
 func (d *Driver) scheduleNextArrival() {
-	gap := d.arrivalGap.SampleDuration(d.arrivalRng)
-	d.sim.ScheduleAfter(gap, func(s *eventsim.Simulator) {
-		d.arrive(s)
-		d.scheduleNextArrival()
-	})
+	d.sim.ScheduleAfter(d.arrivalGap.SampleDuration(d.arrivalRng), d.nextArrival)
 }
 
 // arrive creates one new member with sampled attributes and starts its life.
@@ -456,8 +470,6 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	disrupted := d.tree.RecordFailure(m)
 	d.met.disruptions.Add(float64(disrupted))
 	if now >= d.measureFrom && now <= d.measureTo {
-		d.departedDisruptions = append(d.departedDisruptions, float64(m.Disruptions))
-		d.departedReconns = append(d.departedReconns, float64(m.Reconnections))
 		// Exposure: how long this member accumulated counters — from the
 		// start of the measurement window (counters are reset there) or its
 		// join, whichever is later.
@@ -472,7 +484,7 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	}
 	d.Departures++
 	d.met.departures.Inc()
-	ancestors := d.tree.Ancestors(m) // the orphans' surviving ancestor path
+	d.ancestorBuf = d.tree.AppendAncestors(d.ancestorBuf[:0], m) // the orphans' surviving ancestor path
 	orphans, err := d.tree.Remove(m)
 	if err != nil {
 		panic(fmt.Sprintf("churn: removing departed member: %v", err))
@@ -489,11 +501,11 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	}
 	// Orphans contend for the freed position; the largest-BTP child wins
 	// (the same priority Figure 2 gives the strongest node at overflow).
-	sort.Slice(orphans, func(i, j int) bool {
-		return orphans[i].BTP(now) > orphans[j].BTP(now)
+	slices.SortFunc(orphans, func(a, b *overlay.Member) int {
+		return cmp.Compare(b.BTP(now), a.BTP(now))
 	})
 	for _, o := range orphans {
-		if d.cfg.AncestorRejoin && d.ancestorRejoin(sim, o, ancestors) {
+		if d.cfg.AncestorRejoin && d.ancestorRejoin(sim, o, d.ancestorBuf) {
 			continue
 		}
 		d.rejoin(sim, o.ID)
@@ -555,7 +567,6 @@ func (d *Driver) Burst(at time.Duration, n int) {
 // and service delay every minute until the simulation ends.
 func (d *Driver) Track(at time.Duration, bw float64) *Tracked {
 	tr := &Tracked{}
-	d.tracked = append(d.tracked, tr)
 	d.sim.Schedule(at, func(sim *eventsim.Simulator) {
 		m := d.tree.NewMember(d.topo.RandomStub(d.placeRng), bw, sim.Now())
 		tr.Member = m
@@ -609,9 +620,7 @@ func (d *Driver) sampleTreeMetrics(sim *eventsim.Simulator) {
 		d.stretchSamples = append(d.stretchSamples, stretchSum/float64(stretchN))
 	}
 	d.sizeSamples = append(d.sizeSamples, float64(n))
-	sim.Lane(DefaultSampleInterval).Schedule(func(s *eventsim.Simulator) {
-		d.sampleTreeMetrics(s)
-	})
+	sim.Lane(DefaultSampleInterval).Schedule(d.sampleTree)
 }
 
 // Result summarises one churn run.

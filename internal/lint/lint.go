@@ -154,6 +154,7 @@ func Rules() []*Rule {
 		ruleWireTaint(),
 		ruleLockDiscipline(),
 		ruleTestOnlyExport(),
+		ruleWriteOnlyField(),
 	}
 }
 

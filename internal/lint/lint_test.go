@@ -152,7 +152,7 @@ func TestModuleFixtures(t *testing.T) {
 // sorted, newline-terminated). It pins each message byte and each position,
 // including atoms outside function bodies. The chain.go finding is left out:
 // it exists only once the summary fixpoint runs to convergence.
-const fixtureGoldenHash = "5a7dfeab35ffc5b861a0c6aab4fe0f04b1498222850e36e2f14997d487416f7f"
+const fixtureGoldenHash = "fa9159ef38c655f808f18eb5090f318198f3a2f8201fb3ce61f7c792786e2452"
 
 // TestFixtureDiagnosticsGolden hashes the diagnostics of every testdata/src
 // package and testdata/mod_* module.

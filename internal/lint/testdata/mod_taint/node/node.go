@@ -12,7 +12,7 @@ import (
 
 // Node mirrors the real protocol state shape.
 type Node struct {
-	parent     wire.Addr
+	parent     wire.Addr // want `write-only-field: node\.Node\.parent is written but never read, tests included`
 	membership map[wire.Addr]bool
 	seen       map[wire.Addr]int
 }

@@ -2,74 +2,6 @@ package overlay
 
 import "fmt"
 
-// Invariant checking comes in two flavors:
-//
-//   - checkInvariants: incremental, for this package's per-step tests.
-//     Every structural mutation stamps the dense indexes it touched into a
-//     dirty list (deduplicated with an epoch-stamped scratch, the same
-//     pattern as Sample's dedup), and the check validates only those
-//     members' local invariants plus O(1) global counters. Steady-state cost
-//     is O(changed since the last check), not O(members).
-//   - CheckInvariantsFull: the historical full scan — every member, the
-//     reachability audit and the complete level-index sweep. It is O(n) and
-//     allocation-free (the former per-call seen map is an epoch-stamped
-//     scratch buffer now).
-//
-// The -paranoid audit on the CLIs and the tests of other packages call the
-// full scan. The two paths are equivalence-tested: on valid trees both
-// return nil, and corruptions injected into freshly-mutated members are
-// reported by both.
-
-// markDirty records that the member at dense index i was structurally
-// mutated since the last invariant check. Deduplicated via epoch stamps, so
-// repeated mutations of the same member cost O(1) and no allocation.
-func (t *Tree) markDirty(i int32) {
-	if t.dirtyStamp[i] != t.dirtyEpoch {
-		t.dirtyStamp[i] = t.dirtyEpoch
-		t.dirtyList = append(t.dirtyList, i)
-	}
-}
-
-// resetDirty clears the dirty set by bumping the epoch.
-func (t *Tree) resetDirty() {
-	t.dirtyList = t.dirtyList[:0]
-	t.dirtyEpoch++
-	if t.dirtyEpoch == 0 { // epoch wrapped: stale stamps could collide
-		clear(t.dirtyStamp)
-		t.dirtyEpoch = 1
-	}
-}
-
-// checkInvariants verifies structural invariants and returns the first
-// violation found, or nil. It is incremental: only members mutated since the
-// previous call are examined (plus O(1) global counter cross-checks), so
-// steady-state calls are O(changed). It drains the dirty set.
-func (t *Tree) checkInvariants() error {
-	defer t.resetDirty()
-	for _, i := range t.dirtyList {
-		if t.handle[i] == nil {
-			continue // slot freed since it was dirtied
-		}
-		if err := t.checkLocal(i); err != nil {
-			return err
-		}
-	}
-	return t.checkCounters()
-}
-
-// checkCounters cross-checks the O(1) global invariants: the two
-// independently maintained attached counters (flag flips vs level
-// insert/remove) and the live-member count against the order list.
-func (t *Tree) checkCounters() error {
-	if t.attachedCount != t.levelCount {
-		return fmt.Errorf("overlay: %d members attached, level index holds %d", t.attachedCount, t.levelCount)
-	}
-	if t.liveCount != len(t.order)+1 {
-		return fmt.Errorf("overlay: %d live members, order list holds %d (+root)", t.liveCount, len(t.order))
-	}
-	return nil
-}
-
 // checkLocal validates the member at dense index i against its immediate
 // neighborhood: degree bound, child-link integrity (parent pointers, sibling
 // back-links, count), attached children's depth and path delay, and its own
@@ -163,9 +95,9 @@ func holds(list []*Member, pos int32, m *Member) bool {
 // integrity, depths, path delays, double-reachability), the
 // every-attached-member-is-reachable audit in ID order, and the full
 // level-index sweep. Allocation-free: reachability is tracked in an
-// epoch-stamped scratch buffer.
+// epoch-stamped scratch buffer. It is the tree's one checker: the -paranoid
+// audit and the tests call it, and mutations pay nothing for it.
 func (t *Tree) CheckInvariantsFull() error {
-	defer t.resetDirty()
 	if len(t.invSeen) < len(t.handle) {
 		t.invSeen = make([]uint32, len(t.handle))
 		t.invEpoch = 0
@@ -213,7 +145,10 @@ func (t *Tree) CheckInvariantsFull() error {
 	if err := t.checkLevelIndex(); err != nil {
 		return err
 	}
-	return t.checkCounters()
+	if t.liveCount != len(t.order)+1 {
+		return fmt.Errorf("overlay: %d live members, order list holds %d (+root)", t.liveCount, len(t.order))
+	}
+	return nil
 }
 
 // checkLevelIndex verifies, when the level index is on, that every level's

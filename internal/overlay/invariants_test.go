@@ -12,105 +12,9 @@ func testDelay(a, b topology.NodeID) time.Duration {
 	return time.Duration(int(a)+int(b)+1) * time.Millisecond
 }
 
-// churnTree drives a random attach/detach/move/remove workload and returns
-// the tree plus its live non-root members.
-func churnTree(t *testing.T, seed int64, steps int, check func(*Tree)) *Tree {
-	t.Helper()
-	tree, err := NewTree(0, 100, testDelay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(seed)
-	var live []*Member
-	for i := 0; i < steps; i++ {
-		switch op := rng.Intn(10); {
-		case op < 4 || len(live) == 0: // join
-			m := tree.NewMember(topology.NodeID(rng.Intn(1000)), float64(rng.Intn(5)), time.Duration(i)*time.Second)
-			parent := tree.Root()
-			if len(live) > 0 && rng.Intn(2) == 0 {
-				parent = live[rng.Intn(len(live))]
-			}
-			if err := tree.Attach(m, parent); err != nil {
-				// Full or detached parent: fall back to the root.
-				_ = tree.Attach(m, tree.Root())
-			}
-			live = append(live, m)
-		case op < 6: // detach + re-attach elsewhere (rejoin)
-			m := live[rng.Intn(len(live))]
-			if m.Attached() {
-				if err := tree.Detach(m); err != nil {
-					t.Fatalf("detach: %v", err)
-				}
-				_ = tree.Attach(m, tree.Root())
-			}
-		case op < 8: // move
-			m := live[rng.Intn(len(live))]
-			np := tree.Root()
-			if rng.Intn(2) == 0 {
-				np = live[rng.Intn(len(live))]
-			}
-			if m.Attached() && np.Attached() {
-				_ = moveSubtree(tree, m, np) // cycle/full errors are fine
-			}
-		default: // remove
-			k := rng.Intn(len(live))
-			m := live[k]
-			orphans, err := tree.Remove(m)
-			if err != nil {
-				t.Fatalf("remove: %v", err)
-			}
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
-			for _, o := range orphans {
-				_ = tree.Attach(o, tree.Root())
-			}
-		}
-		if check != nil {
-			check(tree)
-		}
-	}
-	return tree
-}
-
-// TestIncrementalMatchesFull is the delta-protocol equivalence test: across
-// a random mutation workload, the incremental checker and the full scan must
-// agree (both nil on valid trees), at every cadence — per-op incremental
-// checks and batched checks.
-func TestIncrementalMatchesFull(t *testing.T) {
-	step := 0
-	churnTree(t, 11, 800, func(tree *Tree) {
-		step++
-		if err := tree.checkInvariants(); err != nil {
-			t.Fatalf("incremental check failed on valid tree: %v", err)
-		}
-		if step%50 == 0 {
-			if err := tree.CheckInvariantsFull(); err != nil {
-				t.Fatalf("full check failed on valid tree: %v", err)
-			}
-		}
-	})
-	// Batched: many mutations between incremental checks.
-	step = 0
-	churnTree(t, 12, 800, func(tree *Tree) {
-		step++
-		if step%97 == 0 {
-			if err := tree.checkInvariants(); err != nil {
-				t.Fatalf("batched incremental check failed: %v", err)
-			}
-			if err := tree.CheckInvariantsFull(); err != nil {
-				t.Fatalf("batched full check failed: %v", err)
-			}
-		}
-	})
-}
-
 // TestInvariantCheckersCatchCorruption injects corruption directly into the
-// struct-of-arrays state and requires BOTH checkers to report it: the full
-// scan unconditionally, the incremental one once the touched member is in
-// the dirty set (as it would be after any real mutation). Cases that name a
-// LevelOrder run with the level index built under it; the heap's order is a
-// property of a whole level, so the cases that break only that are the full
-// scan's alone.
+// struct-of-arrays state and requires the checker to report it. Cases that
+// name a LevelOrder run with the level index built under it.
 func TestInvariantCheckersCatchCorruption(t *testing.T) {
 	build := func(order LevelOrder) (*Tree, *Member, *Member) {
 		tree, err := NewTree(0, 100, testDelay)
@@ -129,97 +33,73 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		if order != 0 {
 			tree.LevelIndex(order, nil)
 		}
-		// Start from a clean dirty set so each case controls its own.
-		if err := tree.checkInvariants(); err != nil {
+		if err := tree.CheckInvariantsFull(); err != nil {
 			t.Fatal(err)
 		}
 		return tree, a, b
 	}
 	cases := []struct {
-		name     string
-		order    LevelOrder
-		fullOnly bool
-		corrupt  func(tree *Tree, a, b *Member) int32 // returns the idx to dirty
+		name    string
+		order   LevelOrder
+		corrupt func(tree *Tree, a, b *Member)
 	}{
-		{name: "bandwidth-changed", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "bandwidth-changed", corrupt: func(tree *Tree, a, b *Member) {
 			b.Bandwidth = 0.5
-			return b.idx
 		}},
-		{name: "index-heap-slot", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "index-heap-slot", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			tree.lx.heapPos[b.idx] = none
-			return b.idx
 		}},
-		{name: "index-heap-stale-occupant", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "index-heap-stale-occupant", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			tree.lx.heaps[2][0] = a
-			return b.idx
 		}},
-		{name: "index-spare-missing", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "index-spare-missing", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			tree.lx.spare[2], tree.lx.sparePos[b.idx] = nil, none
-			return b.idx
 		}},
-		{name: "index-spare-full-member", order: ByJoinTime, corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "index-spare-full-member", order: ByJoinTime, corrupt: func(tree *Tree, a, b *Member) {
 			tree.outDeg[b.idx], b.Bandwidth = 1, 1 // b has one child: full now, yet still listed
-			return b.idx
 		}},
-		{name: "index-heap-order", order: ByBandwidth, fullOnly: true, corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "index-heap-order", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			x := tree.lx
 			h := x.heaps[1]
 			h[0], h[1] = h[1], h[0]
 			x.heapPos[h[0].idx], x.heapPos[h[1].idx] = 0, 1
-			return a.idx
 		}},
-		{name: "join-time-changed-while-attached", order: ByJoinTime, fullOnly: true, corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "join-time-changed-while-attached", order: ByJoinTime, corrupt: func(tree *Tree, a, b *Member) {
 			a.JoinTime = -time.Second // older than its sibling now, but still the heap's "weakest"
-			return a.idx
 		}},
-		{name: "bandwidth-changed-within-degree", order: ByBandwidth, fullOnly: true, corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "bandwidth-changed-within-degree", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			a.Bandwidth = 4.9 // same degree, but now outranks its sibling
-			return a.idx
 		}},
-		{name: "depth", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "depth", corrupt: func(tree *Tree, a, b *Member) {
 			tree.depth[b.idx] += 3
-			return a.idx // the parent-side walk sees the bad child depth
 		}},
-		{name: "path-delay", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "path-delay", corrupt: func(tree *Tree, a, b *Member) {
 			tree.pathDelay[b.idx] += time.Second
-			return a.idx
 		}},
-		{name: "kid-count", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "kid-count", corrupt: func(tree *Tree, a, b *Member) {
 			tree.kidCount[a.idx]++
-			return a.idx
 		}},
-		{name: "parent-link", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "parent-link", corrupt: func(tree *Tree, a, b *Member) {
 			tree.parent[b.idx] = tree.root.idx
-			return a.idx
 		}},
-		{name: "sibling-back-link", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "sibling-back-link", corrupt: func(tree *Tree, a, b *Member) {
 			tree.prevSib[b.idx] = b.idx
-			return a.idx
 		}},
-		{name: "level-slot", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "level-slot", corrupt: func(tree *Tree, a, b *Member) {
 			tree.levelIdx[b.idx] = none
-			return b.idx
 		}},
-		{name: "order-slot", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "order-slot", corrupt: func(tree *Tree, a, b *Member) {
 			tree.orderIdx[b.idx] = tree.orderIdx[a.idx]
-			return b.idx
 		}},
-		{name: "attached-counter", corrupt: func(tree *Tree, a, b *Member) int32 {
+		{name: "attached-counter", corrupt: func(tree *Tree, a, b *Member) {
 			tree.attachedCount++
-			return b.idx
 		}},
 	}
 	for _, tc := range cases {
 		tree, a, b := build(tc.order)
-		dirty := tc.corrupt(tree, a, b)
+		tc.corrupt(tree, a, b)
 		if err := tree.CheckInvariantsFull(); err == nil {
-			t.Errorf("%s: full check missed the corruption", tc.name)
-		}
-		tree, a, b = build(tc.order)
-		dirty = tc.corrupt(tree, a, b)
-		tree.markDirty(dirty)
-		if err := tree.checkInvariants(); err == nil && !tc.fullOnly {
-			t.Errorf("%s: incremental check missed the corruption on a dirty member", tc.name)
+			t.Errorf("%s: the check missed the corruption", tc.name)
 		}
 	}
 }
@@ -246,12 +126,20 @@ func (r refChildren) detach(p, c MemberID) {
 // determinism guarantee: the intrusive sibling links must reproduce the
 // removed children-slice ordering (append at tail, swap-remove) exactly,
 // because child order feeds orphan ordering, level order and pre-order
-// traversal — and through them every experiment's RNG stream.
+// traversal — and through them every experiment's RNG stream. It runs on a
+// tree that grows slot by slot and on one whose slot arrays Grow reserved up
+// front, which must not change a single child order.
 func TestChildOrderMatchesSliceSemantics(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { checkChildOrder(t, 0) })
+	t.Run("grown", func(t *testing.T) { checkChildOrder(t, 4096) })
+}
+
+func checkChildOrder(t *testing.T, reserve int) {
 	tree, err := NewTree(0, 100, testDelay)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree.Grow(reserve)
 	ref := refChildren{}
 	rng := xrand.New(99)
 	var live []*Member

@@ -33,6 +33,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"omcast/internal/topology"
@@ -272,7 +273,7 @@ type Tree struct {
 	// liveCount counts live members including the root. attachedCount and
 	// levelCount both track the number of attached members but are
 	// maintained at different mutation sites (attached-flag flips vs level
-	// insert/remove), so the incremental invariant check can compare them.
+	// insert/remove), so the invariant check can compare them.
 	liveCount     int
 	attachedCount int
 	levelCount    int
@@ -289,12 +290,6 @@ type Tree struct {
 	sampleSlots []int32
 	sampleOut   []*Member
 
-	// Incremental invariant tracking: every structural mutation stamps the
-	// touched dense indexes into dirtyList (deduplicated by dirtyStamp /
-	// dirtyEpoch), so checkInvariants is O(changed since last check).
-	dirtyStamp []uint32
-	dirtyEpoch uint32
-	dirtyList  []int32
 	// invSeen/invEpoch is the full checker's reachability scratch (the
 	// former per-call seen map).
 	invSeen  []uint32
@@ -312,11 +307,9 @@ func NewTree(rootAttach topology.NodeID, rootBandwidth float64, delayFn func(a, 
 		return nil, fmt.Errorf("overlay: root bandwidth %g cannot feed any child", rootBandwidth)
 	}
 	t := &Tree{
-		delayFn:    delayFn,
-		nextID:     1,
-		idToIdx:    []int32{none}, // MemberID zero is invalid
-		dirtyEpoch: 1,
-		invEpoch:   0,
+		delayFn: delayFn,
+		nextID:  1,
+		idToIdx: []int32{none}, // MemberID zero is invalid
 	}
 	root := t.newMemberAt(rootAttach, rootBandwidth, 0)
 	i := root.idx
@@ -376,13 +369,41 @@ func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.D
 		t.lockOwner = append(t.lockOwner, 0)
 		t.orderIdx = append(t.orderIdx, none)
 		t.levelIdx = append(t.levelIdx, none)
-		t.dirtyStamp = append(t.dirtyStamp, 0)
 	}
 	m.idx = i
 	t.idToIdx = append(t.idToIdx, i)
 	t.liveCount++
-	t.markDirty(i)
 	return m
+}
+
+// Grow reserves room for n slots, so a tree expected to hold up to n live
+// members fills its per-slot arrays, its sampling order and SampleSlots'
+// dedup scratch without regrowing them as members arrive. It changes no
+// member, slot or draw; a tree that outgrows n grows as before.
+func (t *Tree) Grow(n int) {
+	if n <= len(t.handle) {
+		return
+	}
+	k := n - len(t.handle)
+	t.handle = slices.Grow(t.handle, k)
+	t.parent = slices.Grow(t.parent, k)
+	t.firstKid = slices.Grow(t.firstKid, k)
+	t.lastKid = slices.Grow(t.lastKid, k)
+	t.prevSib = slices.Grow(t.prevSib, k)
+	t.nextSib = slices.Grow(t.nextSib, k)
+	t.kidCount = slices.Grow(t.kidCount, k)
+	t.outDeg = slices.Grow(t.outDeg, k)
+	t.depth = slices.Grow(t.depth, k)
+	t.pathDelay = slices.Grow(t.pathDelay, k)
+	t.attached = slices.Grow(t.attached, k)
+	t.lockOwner = slices.Grow(t.lockOwner, k)
+	t.orderIdx = slices.Grow(t.orderIdx, k)
+	t.levelIdx = slices.Grow(t.levelIdx, k)
+	t.order = slices.Grow(t.order, n-len(t.order))
+	if len(t.sampleSeen) < n {
+		t.sampleSeen = make([]uint32, n)
+		t.sampleEpoch = 0
+	}
 }
 
 // Root returns the source member.
@@ -496,7 +517,6 @@ func (t *Tree) placeSubtree(m int32) {
 		if t.lx != nil {
 			t.lx.insert(n)
 		}
-		t.markDirty(n)
 		if fc := t.firstKid[n]; fc != none {
 			n = fc
 			continue
@@ -538,7 +558,6 @@ func (t *Tree) Detach(m *Member) error {
 			t.attachedCount--
 			t.depth[n] = -1
 		}
-		t.markDirty(n)
 		if fc := t.firstKid[n]; fc != none {
 			n = fc
 			continue
@@ -640,16 +659,16 @@ func (t *Tree) SubtreeSize(m *Member) int {
 	}
 }
 
-// Ancestors returns the path from m's parent up to the root, nearest first.
-func (t *Tree) Ancestors(m *Member) []*Member {
+// AppendAncestors appends to dst the path from m's parent up to the root,
+// nearest first, and returns the extended slice.
+func (t *Tree) AppendAncestors(dst []*Member, m *Member) []*Member {
 	if m == nil || m.idx < 0 {
-		return nil
+		return dst
 	}
-	var out []*Member
 	for p := t.parent[m.idx]; p != none; p = t.parent[p] {
-		out = append(out, t.handle[p])
+		dst = append(dst, t.handle[p])
 	}
-	return out
+	return dst
 }
 
 // MaxDepth returns the current tree height (deepest attached layer).
@@ -822,8 +841,6 @@ func (t *Tree) childAppend(p, c int32) {
 	if t.lx != nil && t.kidCount[p] >= t.outDeg[p] {
 		t.lx.spareSync(p, false)
 	}
-	t.markDirty(p)
-	t.markDirty(c)
 }
 
 // childRemove unlinks c from p's child list, replicating the historical
@@ -877,8 +894,6 @@ func (t *Tree) childRemove(p, c int32) {
 	if t.lx != nil && t.attached[p] {
 		t.lx.spareSync(p, true)
 	}
-	t.markDirty(p)
-	t.markDirty(c)
 }
 
 // levelInsert and levelRemove stay small enough to inline into the subtree

@@ -60,13 +60,8 @@ func mustJoin(t *testing.T, tree *Tree, parent *Member, attach topology.NodeID, 
 
 func checkInv(t *testing.T, tree *Tree) {
 	t.Helper()
-	if err := tree.checkInvariants(); err != nil {
+	if err := tree.CheckInvariantsFull(); err != nil {
 		t.Fatalf("invariants: %v", err)
-	}
-	if tree.lx != nil { // the heap order is the full scan's to verify
-		if err := tree.CheckInvariantsFull(); err != nil {
-			t.Fatalf("invariants with the level index on: %v", err)
-		}
 	}
 }
 
@@ -278,11 +273,15 @@ func TestAncestors(t *testing.T) {
 	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
 	b := mustJoin(t, tree, a, 2, 2, 0)
 	c := mustJoin(t, tree, b, 3, 1, 0)
-	anc := tree.Ancestors(c)
+	buf := make([]*Member, 0, 4)
+	anc := tree.AppendAncestors(buf, c)
 	if len(anc) != 3 || anc[0] != b || anc[1] != a || anc[2] != tree.Root() {
-		t.Fatalf("Ancestors wrong: %v", anc)
+		t.Fatalf("AppendAncestors wrong: %v", anc)
 	}
-	if len(tree.Ancestors(tree.Root())) != 0 {
+	if &anc[0] != &buf[:1][0] {
+		t.Fatal("AppendAncestors did not append into the buffer it was given")
+	}
+	if got := tree.AppendAncestors(anc, tree.Root()); len(got) != 3 {
 		t.Fatal("root has ancestors")
 	}
 }
@@ -629,7 +628,7 @@ func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 				}
 			}
 		}
-		return tree.checkInvariants() == nil && tree.CheckInvariantsFull() == nil
+		return tree.CheckInvariantsFull() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

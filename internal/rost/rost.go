@@ -85,7 +85,6 @@ func (c Config) withDefaults() Config {
 // not safe for concurrent use (the simulation kernel is sequential).
 type Protocol struct {
 	cfg  Config
-	env  *construct.Env
 	tree *overlay.Tree
 	join construct.Strategy
 	// switchLatency is how long a started switch holds its locks before it
@@ -143,7 +142,6 @@ func New(tree *overlay.Tree, env *construct.Env, cfg Config) *Protocol {
 	}
 	return &Protocol{
 		cfg:           cfg.withDefaults(),
-		env:           env,
 		tree:          tree,
 		join:          join,
 		switchLatency: DefaultSwitchLatency,
@@ -174,30 +172,26 @@ func (p *Protocol) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration
 }
 
 // Start schedules the first switching check for member m. The churn driver
-// calls this right after a successful join.
+// calls this right after a successful join. The check's handler is built
+// here, once per member, and every later check of m re-arms the same one.
+// Both delays it is armed with (the switch interval and the lock back-off)
+// are per-session constants, so the timer rides the kernel's FIFO lane for
+// that delay: one periodic timer per member is most of a large run's queue.
 func (p *Protocol) Start(sim *eventsim.Simulator, m *overlay.Member) {
-	p.scheduleCheck(sim, m, p.cfg.SwitchInterval)
-}
-
-// scheduleCheck arms m's next switching check. Both delays it is called with
-// (the switch interval and the lock back-off) are per-session constants, so
-// the timer goes on the kernel's FIFO lane for that delay: one periodic
-// timer per member is most of a large run's queue.
-func (p *Protocol) scheduleCheck(sim *eventsim.Simulator, m *overlay.Member, after time.Duration) {
 	id := m.ID
-	sim.Lane(after).Schedule(func(s *eventsim.Simulator) {
-		p.check(s, id)
-	})
+	var check eventsim.Handler
+	check = func(s *eventsim.Simulator) { p.check(s, id, check) }
+	sim.Lane(p.cfg.SwitchInterval).Schedule(check)
 }
 
 // check runs one switching-interval comparison for the member with the given
-// ID, if it is still alive.
-func (p *Protocol) check(sim *eventsim.Simulator, id overlay.MemberID) {
+// ID, if it is still alive; again is the member's check handler.
+func (p *Protocol) check(sim *eventsim.Simulator, id overlay.MemberID, again eventsim.Handler) {
 	m := p.tree.Member(id)
 	if m == nil {
 		return // departed; let the timer chain die
 	}
-	switch p.tryInitiateSwitch(sim, m) {
+	switch p.tryInitiateSwitch(sim, m, again) {
 	case switchStarted:
 		// The completion handler reschedules the periodic check.
 	case switchBlocked:
@@ -205,9 +199,9 @@ func (p *Protocol) check(sim *eventsim.Simulator, id overlay.MemberID) {
 		// Section 3.3.
 		p.LockFailures++
 		p.met.backoffs.Inc()
-		p.scheduleCheck(sim, m, DefaultLockBackoff)
+		sim.Lane(DefaultLockBackoff).Schedule(again)
 	case switchNotNeeded:
-		p.scheduleCheck(sim, m, p.cfg.SwitchInterval)
+		sim.Lane(p.cfg.SwitchInterval).Schedule(again)
 	}
 }
 
@@ -253,8 +247,8 @@ func (p *Protocol) claimedBTP(m *overlay.Member, now time.Duration) float64 {
 
 // tryInitiateSwitch checks the switching condition and, when met, locks the
 // relevant node set and schedules the actual exchange after the switch
-// latency.
-func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member) switchOutcome {
+// latency. again is m's check handler, which the completion re-arms.
+func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member, again eventsim.Handler) switchOutcome {
 	now := sim.Now()
 	if !p.shouldSwitch(m, now) {
 		return switchNotNeeded
@@ -287,7 +281,7 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member)
 	sp := p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
 		AttrInt("parent", int64(parentID)).AttrInt("depth", int64(m.Depth()))
 	sim.Lane(p.switchLatency).Schedule(func(s *eventsim.Simulator) {
-		p.completeSwitch(s, op, mID, parentID, lockSet, sp)
+		p.completeSwitch(s, op, mID, parentID, lockSet, sp, again)
 	})
 	return switchStarted
 }
@@ -309,7 +303,7 @@ func (p *Protocol) lockSet(m, parent, grand *overlay.Member) []*overlay.Member {
 // completeSwitch performs the structural exchange once the coordination
 // latency has elapsed, re-validating that the locked neighbourhood is still
 // what the initiator saw (members may have failed in the meantime).
-func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parentID overlay.MemberID, lockSet []*overlay.Member, sp *tracing.SpanBuilder) {
+func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parentID overlay.MemberID, lockSet []*overlay.Member, sp *tracing.SpanBuilder, again eventsim.Handler) {
 	defer p.tree.Unlock(op, lockSet...)
 	m := p.tree.Member(mID)
 	parent := p.tree.Member(parentID)
@@ -323,7 +317,7 @@ func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parent
 		p.met.aborts.Inc()
 		sp.End(sim.Now(), "aborted")
 		if m != nil {
-			p.scheduleCheck(sim, m, p.cfg.SwitchInterval)
+			sim.Lane(p.cfg.SwitchInterval).Schedule(again)
 		}
 		return
 	}
@@ -339,7 +333,7 @@ func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parent
 	if p.onSwitch != nil {
 		p.onSwitch(sim.Now(), m.ID, parent.ID)
 	}
-	p.scheduleCheck(sim, m, p.cfg.SwitchInterval)
+	sim.Lane(p.cfg.SwitchInterval).Schedule(again)
 }
 
 // performExchange swaps m with its parent following Figure 2.

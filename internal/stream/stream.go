@@ -106,10 +106,11 @@ func (c Config) withDefaults() Config {
 }
 
 // state is the per-member playback bookkeeping. States live in one flat
-// slice indexed by MemberID (IDs are sequential and never reused), so there
-// are no per-member heap objects and no map hashing on the episode path.
+// slice with a slot per present member, so there are no per-member heap
+// objects and the slice grows with the live membership, not with arrivals.
 type state struct {
-	present   bool
+	// id is the member the slot holds, or zero for a free slot.
+	id        overlay.MemberID
 	viewStart time.Duration
 	// residual is the bandwidth (packets per second) this member donates to
 	// others' recovery.
@@ -132,9 +133,12 @@ type Model struct {
 	selector cer.Selector
 	rng      *xrand.Source
 
-	// states is indexed by MemberID. Slot 0 is unused (the zero ID is
-	// invalid); departed members leave a cleared slot behind.
+	// states holds one slot per present member; a departed member's slot
+	// goes on free for the next arrival, keeping its span storage. slotOf
+	// maps a present member's ID to its slot.
 	states []state
+	free   []int32
+	slotOf map[overlay.MemberID]int32
 	ratios []float64
 
 	// Reusable episode scratch: repair arrivals, per-packet slacks, the
@@ -194,6 +198,7 @@ func NewModel(tree *overlay.Tree, delay func(a, b topology.NodeID) time.Duration
 		delay:    delay,
 		selector: selector,
 		rng:      rng,
+		slotOf:   make(map[overlay.MemberID]int32),
 	}
 }
 
@@ -211,58 +216,64 @@ func (m *Model) packetAfter(t time.Duration) int64 {
 	return n
 }
 
-// stateOf returns the live state for id, or nil.
+// stateOf returns the live state for id, or nil. The pointer is valid until
+// the next Register.
 func (m *Model) stateOf(id overlay.MemberID) *state {
-	if id <= 0 || int64(id) >= int64(len(m.states)) {
+	i, ok := m.slotOf[id]
+	if !ok {
 		return nil
 	}
-	st := &m.states[id]
-	if !st.present {
-		return nil
-	}
-	return st
+	return &m.states[i]
 }
 
 // Register starts playback tracking for a member (call on join).
 func (m *Model) Register(member *overlay.Member, now time.Duration) {
-	id := int64(member.ID)
-	for int64(len(m.states)) <= id {
+	if _, ok := m.slotOf[member.ID]; ok {
+		return
+	}
+	var i int32
+	if n := len(m.free); n > 0 {
+		i = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		i = int32(len(m.states))
 		m.states = append(m.states, state{})
 	}
-	st := &m.states[id]
-	if st.present {
-		return
-	}
-	*st = state{
-		present:   true,
+	m.slotOf[member.ID] = i
+	m.states[i] = state{
+		id:        member.ID,
 		viewStart: now,
 		residual:  m.rng.Float64() * m.cfg.ResidualMax,
-		acc:       spanSet{watermark: -1},
+		acc:       spanSet{watermark: -1, spans: m.states[i].acc.spans[:0]},
 	}
 }
 
-// Depart finalises a member's starving ratio (call when it leaves).
+// Depart finalises a member's starving ratio (call when it leaves) and
+// frees its slot.
 func (m *Model) Depart(id overlay.MemberID, now time.Duration) {
-	st := m.stateOf(id)
-	if st == nil {
+	i, ok := m.slotOf[id]
+	if !ok {
 		return
 	}
-	m.finalize(st, now)
-	*st = state{} // clear, releasing any span storage
+	m.finalize(&m.states[i], now)
+	m.states[i].id = 0
+	delete(m.slotOf, id)
+	m.free = append(m.free, i)
 }
 
-// Finish finalises every still-present member at the end of a run. The
-// states slice is ID-indexed, so the ascending scan finalises in ID order
-// for free: the ratios it appends feed the reported mean and CDF, so
-// iteration order must not leak into results.
+// Finish finalises every still-present member at the end of a run, in
+// ascending ID order: the ratios it appends feed the reported mean and CDF,
+// so neither slot order nor map order may leak into results.
 func (m *Model) Finish(now time.Duration) {
-	for id := range m.states {
-		st := &m.states[id]
-		if !st.present {
-			continue
+	ids := make([]overlay.MemberID, 0, len(m.slotOf))
+	for _, st := range m.states {
+		if st.id != 0 {
+			ids = append(ids, st.id)
 		}
-		m.finalize(st, now)
-		*st = state{}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		m.Depart(id, now)
 	}
 }
 
