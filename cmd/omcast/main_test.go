@@ -66,6 +66,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"trace negative measure", []string{"trace", "-measure", "-1m"}},
 		{"trace negative sample", []string{"trace", "-sample", "-5m"}},
 		{"trace negative group", []string{"trace", "-stream", "-group", "-3"}},
+		{"trace zero size", []string{"trace", "-size", "0"}},
+		{"trace group without stream", []string{"trace", "-group", "5"}},
 		{"trace analyze two inputs", []string{"trace", "analyze", "a", "b"}},
 		// A stray word must not swallow the flags after it.
 		{"sim stray argument", []string{"sim", "-quick", "-fig", "fig4", "stray", "-seed", "2"}},

@@ -124,9 +124,19 @@ func traceSim(args []string) int {
 	if !parseFlags(fs, args) {
 		return 2
 	}
-	if *size < 0 || *warmup < 0 || *measure < 0 || *sample < 0 || *group < 0 {
+	if *warmup < 0 || *measure < 0 || *sample < 0 || *group < 0 {
 		// A negative value is a typo, not a request for the default.
-		return fail(2, "trace", "-size, -warmup, -measure, -sample and -group must not be negative")
+		return fail(2, "trace", "-warmup, -measure, -sample and -group must not be negative")
+	}
+	if *size <= 0 {
+		return fail(2, "trace", "-size must be positive, got %d", *size)
+	}
+	if !*stream {
+		groupSet := false
+		fs.Visit(func(f *flag.Flag) { groupSet = groupSet || f.Name == "group" })
+		if groupSet {
+			return fail(2, "trace", "-group needs -stream: only the packet-level layer has recovery groups")
+		}
 	}
 	alg, ok := map[string]omcast.Algorithm{
 		"min-depth":     omcast.MinimumDepth,

@@ -46,14 +46,13 @@ func fingerprintStream(r omcast.StreamResult) string {
 // and requires byte-identical metric output.
 func TestRunByteIdentical(t *testing.T) {
 	cfg := omcast.Config{
-		Seed:           42,
-		Algorithm:      omcast.ROST,
-		TargetSize:     250,
-		Topology:       omcast.SmallTopology(),
-		Warmup:         600 * time.Second,
-		Measure:        900 * time.Second,
-		EnableReferees: true,
-		Cheaters:       5,
+		Seed:       42,
+		Algorithm:  omcast.ROST,
+		TargetSize: 250,
+		Topology:   omcast.SmallTopology(),
+		Warmup:     600 * time.Second,
+		Measure:    900 * time.Second,
+		Cheaters:   5,
 	}
 	run := func() string {
 		r, err := omcast.Run(cfg)

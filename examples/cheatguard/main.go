@@ -37,7 +37,6 @@ func run() error {
 			Warmup:                   time.Hour,
 			Measure:                  2 * time.Hour,
 			Cheaters:                 *cheaters,
-			CheatFactor:              50,
 			DisableClaimVerification: !verified,
 		}
 		res, err := omcast.Run(cfg)

@@ -43,18 +43,22 @@ const DefaultRootBandwidth = 100.0
 // re-attempting to find a parent.
 const DefaultRejoinRetry = 5 * time.Second
 
+// sessionAge is how long a pre-populated session has notionally been running
+// at time zero; it bounds member ages.
+const sessionAge = 4 * time.Hour
+
 // DefaultSampleInterval is how often tree-quality metrics (delay, stretch,
 // size) are sampled during the measurement window.
 const DefaultSampleInterval = 60 * time.Second
 
-// Config parameterises a churn run.
+// Config parameterises a churn run. Lifetimes are always DefaultLifetime.
 type Config struct {
 	// Seed drives all churn randomness.
 	Seed int64
 	// TargetSize is M, the intended steady-state member count.
 	TargetSize int
-	// Lifetime and Bandwidth distributions; zero values take the defaults.
-	Lifetime  xrand.Lognormal
+	// Bandwidth is the outbound bandwidth distribution; the zero value
+	// takes DefaultBandwidth.
 	Bandwidth xrand.BoundedPareto
 	// RootBandwidth is the source's outbound bandwidth; zero means 100.
 	RootBandwidth float64
@@ -64,16 +68,13 @@ type Config struct {
 	// Measure is the measurement window length; zero means one hour.
 	Measure time.Duration
 	// PrePopulate seeds the overlay at time zero as if the session had
-	// already been running for SessionAge: a Poisson arrival history over
-	// [-SessionAge, 0) is replayed and the members still alive at zero join
+	// already been running for 4 hours: a Poisson arrival history over
+	// [-4 h, 0) is replayed and the members still alive at zero join
 	// oldest-first. This starts the run at steady-state size instead of
 	// spending many mean lifetimes filling up (the lognormal's heavy tail
 	// makes the natural transient extremely slow), while keeping member
 	// ages bounded by the session length as any real deployment would.
 	PrePopulate bool
-	// SessionAge is how long the seeded session has notionally been
-	// running; zero means 4 hours.
-	SessionAge time.Duration
 	// AncestorRejoin makes orphans of a failed member first try to
 	// re-attach under their nearest surviving ancestor (each member knows
 	// the addresses and spare degrees of all its ancestors, Section 4.1),
@@ -88,9 +89,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Lifetime == (xrand.Lognormal{}) {
-		c.Lifetime = DefaultLifetime
-	}
 	if c.Bandwidth == (xrand.BoundedPareto{}) {
 		c.Bandwidth = DefaultBandwidth
 	}
@@ -98,13 +96,10 @@ func (c Config) withDefaults() Config {
 		c.RootBandwidth = DefaultRootBandwidth
 	}
 	if c.Warmup <= 0 {
-		c.Warmup = 2 * time.Duration(c.Lifetime.Mean()*float64(time.Second))
+		c.Warmup = 2 * time.Duration(DefaultLifetime.Mean()*float64(time.Second))
 	}
 	if c.Measure <= 0 {
 		c.Measure = time.Hour
-	}
-	if c.SessionAge <= 0 {
-		c.SessionAge = 4 * time.Hour
 	}
 	return c
 }
@@ -304,9 +299,9 @@ func NewDriver(sim *eventsim.Simulator, tree *overlay.Tree, topo *topology.Topol
 	// is calibrated against the finite session age instead, so the seeded
 	// session actually holds TargetSize members (the heavy lifetime tail
 	// means a finite-age session is always below the asymptotic size).
-	lambda := float64(cfg.TargetSize) / cfg.Lifetime.Mean()
+	lambda := float64(cfg.TargetSize) / DefaultLifetime.Mean()
 	if cfg.PrePopulate {
-		lambda = float64(cfg.TargetSize) / survivalIntegral(cfg.Lifetime, cfg.SessionAge)
+		lambda = float64(cfg.TargetSize) / survivalIntegral(DefaultLifetime, sessionAge)
 	}
 	d := &Driver{
 		cfg:         cfg,
@@ -370,11 +365,11 @@ func (d *Driver) resetCounters() {
 	})
 }
 
-// prePopulate replays a Poisson arrival history over [-SessionAge, 0): each
+// prePopulate replays a Poisson arrival history over [-sessionAge, 0): each
 // historical arrival draws its lifetime from the churn distribution and only
 // members still alive at time zero are seeded, oldest first (the order real
 // history would have produced). Ages are therefore bounded by the session
-// age, exactly as in a session that started SessionAge ago.
+// age, exactly as in a session that started sessionAge ago.
 func (d *Driver) prePopulate(sim *eventsim.Simulator) {
 	type seedEntry struct {
 		age      time.Duration
@@ -382,12 +377,12 @@ func (d *Driver) prePopulate(sim *eventsim.Simulator) {
 		bw       float64
 		attach   topology.NodeID
 	}
-	t0 := d.cfg.SessionAge.Seconds()
+	t0 := sessionAge.Seconds()
 	arrivals := int(d.arrivalGap.Rate*t0 + 0.5)
 	entries := make([]seedEntry, 0, d.cfg.TargetSize)
 	for i := 0; i < arrivals; i++ {
 		age := d.lifetimeRng.Float64() * t0
-		life := d.cfg.Lifetime.Sample(d.lifetimeRng)
+		life := DefaultLifetime.Sample(d.lifetimeRng)
 		if life <= age {
 			continue // departed before time zero
 		}
@@ -418,7 +413,7 @@ func (d *Driver) scheduleNextArrival() {
 func (d *Driver) arrive(sim *eventsim.Simulator) {
 	bw := d.cfg.Bandwidth.Sample(d.bwRng)
 	attach := d.topo.RandomStub(d.placeRng)
-	lifetime := time.Duration(d.cfg.Lifetime.Sample(d.lifetimeRng) * float64(time.Second))
+	lifetime := time.Duration(DefaultLifetime.Sample(d.lifetimeRng) * float64(time.Second))
 	m := d.tree.NewMember(attach, bw, sim.Now())
 	id := m.ID
 	sim.ScheduleAfter(lifetime, func(s *eventsim.Simulator) {
@@ -657,7 +652,7 @@ type Result struct {
 // measurement window: the snapshot metrics read the members present in the
 // tree at call time.
 func (d *Driver) Result() Result {
-	meanLife := d.cfg.Lifetime.Mean()
+	meanLife := DefaultLifetime.Mean()
 	perLifetime := func(sum float64) float64 {
 		if d.exposureSum <= 0 {
 			return 0

@@ -76,8 +76,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("zero target accepted")
 	}
 	cfg := Config{TargetSize: 10}.withDefaults()
-	if cfg.Lifetime != DefaultLifetime || cfg.Bandwidth != DefaultBandwidth {
-		t.Fatal("distribution defaults not applied")
+	if cfg.Bandwidth != DefaultBandwidth {
+		t.Fatal("bandwidth default not applied")
 	}
 	if cfg.RootBandwidth != DefaultRootBandwidth {
 		t.Fatal("root bandwidth default not applied")

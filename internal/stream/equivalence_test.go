@@ -82,7 +82,7 @@ func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.
 				arrival := arrivals[n-first]
 				repaired := arrival != cer.Lost
 				if !repaired || arrival+hop > deadline {
-					st.starved += time.Duration(float64(time.Second) / m.cfg.Rate)
+					st.starved += time.Duration(float64(time.Second) / DefaultRate)
 				}
 				if d == c {
 					if repaired && arrival <= deadline {
@@ -106,7 +106,7 @@ func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.
 	m.met.repaired.Add(float64(repaired))
 	m.met.lost.Add(float64(lost))
 	if stallSlots > 0 {
-		slot := time.Duration(float64(time.Second) / m.cfg.Rate)
+		slot := time.Duration(float64(time.Second) / DefaultRate)
 		*stalls = append(*stalls, stallWindow{
 			member: int64(c.ID),
 			start:  stallFirst.Seconds(),

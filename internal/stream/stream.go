@@ -63,20 +63,18 @@ const (
 // compares below every real hop distance.
 const lostSlack = time.Duration(math.MinInt64)
 
-// Config parameterises the streaming model. Every orphan detects its
-// parent's failure DefaultDetectDelay after it and is back in the tree
-// DefaultRejoinDelay later; no figure varies the two.
+// Config parameterises the streaming model. The source sends DefaultRate
+// packets per second, each member donates a residual bandwidth drawn from
+// U[0, DefaultResidualMax] to recovery, and every orphan detects its parent's
+// failure DefaultDetectDelay after it and is back in the tree
+// DefaultRejoinDelay later; no figure varies these.
 type Config struct {
-	Rate   float64       // packets per second; 0 means DefaultRate
 	Buffer time.Duration // playback buffer; 0 means DefaultBuffer
 	// GroupSize is the recovery group size K.
 	GroupSize int
 	// Striped selects CER multi-source striping; false is the
 	// single-source baseline.
 	Striped bool
-	// ResidualMax bounds each member's uniform residual bandwidth
-	// (packets per second); 0 means DefaultResidualMax.
-	ResidualMax float64
 	// MeasureFrom discards starving ratios finalised before this time
 	// (warm-up). Zero keeps everything.
 	MeasureFrom time.Duration
@@ -90,17 +88,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Rate <= 0 {
-		c.Rate = DefaultRate
-	}
 	if c.Buffer <= 0 {
 		c.Buffer = DefaultBuffer
 	}
 	if c.GroupSize <= 0 {
 		c.GroupSize = 1
-	}
-	if c.ResidualMax <= 0 {
-		c.ResidualMax = DefaultResidualMax
 	}
 	return c
 }
@@ -204,12 +196,12 @@ func NewModel(tree *overlay.Tree, delay func(a, b topology.NodeID) time.Duration
 
 // gen returns the generation time of packet n.
 func (m *Model) gen(n int64) time.Duration {
-	return time.Duration(float64(n) / m.cfg.Rate * float64(time.Second))
+	return time.Duration(float64(n) / DefaultRate * float64(time.Second))
 }
 
 // packetAfter returns the first sequence number generated at or after t.
 func (m *Model) packetAfter(t time.Duration) int64 {
-	n := int64(t.Seconds() * m.cfg.Rate)
+	n := int64(t.Seconds() * DefaultRate)
 	for m.gen(n) < t {
 		n++
 	}
@@ -243,7 +235,7 @@ func (m *Model) Register(member *overlay.Member, now time.Duration) {
 	m.states[i] = state{
 		id:        member.ID,
 		viewStart: now,
-		residual:  m.rng.Float64() * m.cfg.ResidualMax,
+		residual:  m.rng.Float64() * DefaultResidualMax,
 		acc:       spanSet{watermark: -1, spans: m.states[i].acc.spans[:0]},
 	}
 }
@@ -368,7 +360,7 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	sorted := append(m.sortedBuf[:0], slacks...)
 	slices.Sort(sorted)
 	m.sortedBuf = sorted
-	slot := time.Duration(float64(time.Second) / m.cfg.Rate)
+	slot := time.Duration(float64(time.Second) / DefaultRate)
 	repairedTotal, lostTotal := 0, 0
 	// Fold into the subtree. ELN: c's loss notifications walk the subtree
 	// edges so descendants wait for upstream repair instead of re-requesting.
@@ -465,7 +457,7 @@ func (m *Model) episodeInputs(c *overlay.Member, first, last int64, requestAt, r
 		if st == nil || st.outageUntil > requestAt {
 			return 0, false // the server's own feed is down: it cannot help
 		}
-		return st.residual / m.cfg.Rate, true
+		return st.residual / DefaultRate, true
 	})
 	m.serverBuf = servers
 	ep := cer.Episode{
@@ -473,7 +465,7 @@ func (m *Model) episodeInputs(c *overlay.Member, first, last int64, requestAt, r
 		LastMissing:  last,
 		RequestAt:    requestAt,
 		ResumeAt:     resumeAt,
-		Rate:         m.cfg.Rate,
+		Rate:         DefaultRate,
 		Striped:      m.cfg.Striped,
 	}
 	return servers, ep

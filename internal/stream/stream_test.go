@@ -83,8 +83,7 @@ func setResidual(m *Model, id overlay.MemberID, pktPerSec float64) {
 
 func TestDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Rate != DefaultRate || cfg.Buffer != DefaultBuffer ||
-		cfg.ResidualMax != DefaultResidualMax || cfg.GroupSize != 1 {
+	if cfg.Buffer != DefaultBuffer || cfg.GroupSize != 1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }

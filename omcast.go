@@ -109,7 +109,9 @@ func SmallTopology() TopologyOptions {
 }
 
 // Config describes one simulated multicast session. Zero fields take the
-// paper's defaults (Section 5).
+// paper's defaults (Section 5). Member lifetimes are the paper's fixed
+// lognormal(5.5, 2.0) seconds, and every run starts from a session seeded as
+// if it had been running for 4 hours (DESIGN.md §5).
 type Config struct {
 	// Seed drives every random choice in the run.
 	Seed int64
@@ -122,9 +124,6 @@ type Config struct {
 	Topology TopologyOptions
 	// SwitchInterval is ROST's switching interval; default 360 s.
 	SwitchInterval time.Duration
-	// EnableReferees turns on the Section 3.4 cheat-prevention mechanism
-	// (BTP claims verified against referee witnesses before any switch).
-	EnableReferees bool
 	// ContributorPriority applies the Section 3.2 incentive rule to ROST
 	// joins: free-riders are parked at the deepest spare position.
 	ContributorPriority bool
@@ -138,29 +137,24 @@ type Config struct {
 	Measure time.Duration
 	// RootBandwidth is the source's outbound bandwidth; default 100.
 	RootBandwidth float64
-	// SessionAge is how long the seeded session has notionally been running
-	// at time zero (bounds member ages); default 4 hours.
-	SessionAge time.Duration
 	// DisableAncestorRejoin turns off the default orphan-repair rule
 	// (re-attach under the nearest surviving ancestor with spare capacity,
 	// which every member knows per Section 4.1) and forces orphans through
 	// the construction strategy's full join procedure instead.
 	DisableAncestorRejoin bool
-	// Lifetime and Bandwidth override the churn distributions (defaults:
-	// lognormal(5.5, 2.0) seconds and bounded Pareto(1.2, 0.5, 100)).
-	Lifetime  xrand.Lognormal
+	// Bandwidth overrides the members' outbound bandwidth distribution
+	// (default bounded Pareto(1.2, 0.5, 100)).
 	Bandwidth xrand.BoundedPareto
 	// FlashCrowd, when non-nil, injects a burst of simultaneous arrivals on
 	// top of the Poisson process (the scalability scenario the paper's
 	// Section 3.1 motivates distributed construction with).
 	FlashCrowd *FlashCrowd
-	// Cheaters injects this many members that persistently advertise
-	// CheatFactor times their true BTP (Section 3.4's threat model). Forces
-	// the referee mechanism on for claim propagation; pair with
-	// DisableClaimVerification for the unprotected control.
+	// Cheaters injects this many members that persistently advertise 50
+	// times their true BTP (Section 3.4's threat model). Any cheater turns
+	// the referee mechanism on, which verifies every BTP claim against
+	// referee witnesses before a switch; pair with DisableClaimVerification
+	// for the unprotected control.
 	Cheaters int
-	// CheatFactor is the claim inflation; 0 means 50x.
-	CheatFactor float64
 	// DisableClaimVerification keeps cheaters' inflated claims unverified
 	// (the control scenario showing why referees are needed).
 	DisableClaimVerification bool
@@ -294,7 +288,7 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 			SkipVerification:      cfg.DisableClaimVerification,
 			Trace:                 spans,
 		}
-		if cfg.EnableReferees || cfg.Cheaters > 0 {
+		if cfg.Cheaters > 0 {
 			s.referees = rost.NewReferees(s.tree, xrand.NewNamed(cfg.Seed, "referees"))
 			rcfg.Referees = s.referees
 		}
@@ -334,13 +328,11 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 	s.driver, err = churn.NewDriver(s.sim, s.tree, topo, s.strategy, churn.Config{
 		Seed:           cfg.Seed,
 		TargetSize:     cfg.TargetSize,
-		Lifetime:       cfg.Lifetime,
 		Bandwidth:      cfg.Bandwidth,
 		RootBandwidth:  cfg.RootBandwidth,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
 		PrePopulate:    true,
-		SessionAge:     cfg.SessionAge,
 		AncestorRejoin: !cfg.DisableAncestorRejoin,
 		Trace:          spans,
 	}, hooks)
@@ -382,13 +374,12 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 	return s, nil
 }
 
+// cheatFactor is how many times their true BTP injected cheaters claim.
+const cheatFactor = 50
+
 // topUpCheaters keeps cfg.Cheaters members marked as BTP inflaters,
 // replacing departed ones every ten minutes.
 func (s *session) topUpCheaters(sim *eventsim.Simulator) {
-	factor := s.cfg.CheatFactor
-	if factor <= 0 {
-		factor = 50
-	}
 	// Sweep departed cheaters in ID order; pruning during a map range would
 	// be order-nondeterministic.
 	ids := make([]overlay.MemberID, 0, len(s.cheaters))
@@ -410,7 +401,7 @@ func (s *session) topUpCheaters(sim *eventsim.Simulator) {
 			continue
 		}
 		s.cheaters[m.ID] = true
-		s.referees.MarkCheater(m.ID, factor)
+		s.referees.MarkCheater(m.ID, cheatFactor)
 	}
 	sim.ScheduleAfter(10*time.Minute, func(next *eventsim.Simulator) {
 		s.topUpCheaters(next)
@@ -635,7 +626,9 @@ func (r Recovery) String() string {
 	}
 }
 
-// StreamConfig parameterises the packet-level layer.
+// StreamConfig parameterises the packet-level layer. The stream rate (10
+// pkt/s) and the members' uniform residual recovery bandwidth (U[0, 9]
+// pkt/s) are the paper's fixed values.
 type StreamConfig struct {
 	// Recovery scheme; default CER.
 	Recovery Recovery
@@ -643,11 +636,6 @@ type StreamConfig struct {
 	GroupSize int
 	// Buffer is the playback buffer; default 5 s.
 	Buffer time.Duration
-	// Rate is the stream rate in packets per second; default 10.
-	Rate float64
-	// ResidualMax bounds members' uniform residual recovery bandwidth in
-	// packets per second; default 9.
-	ResidualMax float64
 }
 
 // StreamResult reports packet-level playback quality.

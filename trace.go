@@ -191,11 +191,9 @@ func RunStreamingWithTrace(cfg Config, scfg StreamConfig, w io.Writer, opts Trac
 		return StreamResult{}, fmt.Errorf("omcast: unknown recovery scheme %d", int(scfg.Recovery))
 	}
 	streamCfg := stream.Config{
-		Rate:        scfg.Rate,
 		Buffer:      scfg.Buffer,
 		GroupSize:   scfg.GroupSize,
 		Striped:     scfg.Recovery != SingleSource,
-		ResidualMax: scfg.ResidualMax,
 		MeasureFrom: cfg.Warmup,
 		Trace:       spans,
 	}
