@@ -152,7 +152,7 @@ func TestModuleFixtures(t *testing.T) {
 // sorted, newline-terminated). It pins each message byte and each position,
 // including atoms outside function bodies. The chain.go finding is left out:
 // it exists only once the summary fixpoint runs to convergence.
-const fixtureGoldenHash = "fa9159ef38c655f808f18eb5090f318198f3a2f8201fb3ce61f7c792786e2452"
+const fixtureGoldenHash = "5614bb0f7b9bb4f20f282af6250c76e4a18e2af5f058c17b95ec73e1aa569532"
 
 // TestFixtureDiagnosticsGolden hashes the diagnostics of every testdata/src
 // package and testdata/mod_* module.
