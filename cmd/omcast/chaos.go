@@ -24,7 +24,7 @@ import (
 //
 // With -trace-out the runs' causal spans (every node's flight-recorder
 // episodes plus fault-window annotations) are written as JSONL, ready for
-// `omcast trace analyze` or `omcast trace convert -format perfetto`.
+// `omcast trace analyze` or `omcast trace convert`.
 // Custom fault schedules (the JSON format of internal/faultnet) run against a
 // default overlay:
 //

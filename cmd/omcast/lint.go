@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,8 +19,7 @@ import (
 //	omcast lint ./...              # lint the whole module
 //	omcast lint ./internal/...     # print findings in a subtree only
 //	omcast lint -list              # describe the rules
-//	omcast lint -format sarif -o lint.sarif ./...
-//	omcast lint -stats ./...
+//	omcast lint -stats ./...       # also print per-rule counts and wall time
 //
 // Exit status: 0 when clean, 1 when findings were printed, 2 on load or
 // usage errors. Findings are suppressed in source with
@@ -31,20 +29,18 @@ import (
 func cmdLint(args []string) int {
 	fs := newFlags("lint")
 	list := fs.Bool("list", false, "list the rules and exit")
-	format := fs.String("format", "text", "output format: text or sarif")
-	outPath := fs.String("o", "", "write findings to this file instead of stdout")
 	stats := fs.Bool("stats", false, "print per-rule finding counts and wall time to stderr")
 	if fs.Parse(args) != nil {
 		return 2
 	}
 	if *list {
+		if fs.NArg() > 0 {
+			return fail(2, "lint", "-list takes no package patterns (got %q)", fs.Arg(0))
+		}
 		for _, r := range lint.Rules() {
 			fmt.Printf("%-20s %s\n", r.Name, r.Doc)
 		}
 		return 0
-	}
-	if *format != "text" && *format != "sarif" {
-		return fail(2, "lint", "unknown -format %q (want text or sarif)", *format)
 	}
 
 	cwd, err := os.Getwd()
@@ -70,38 +66,22 @@ func cmdLint(args []string) int {
 	}
 
 	res := lint.Run(pkgs)
-	var diags []lint.Diagnostic
+	findings := 0
 	for _, d := range res.Diags {
-		if dirs[filepath.Dir(d.Pos.Filename)] {
-			diags = append(diags, d)
+		if !dirs[filepath.Dir(d.Pos.Filename)] {
+			continue
 		}
-	}
-
-	if *outPath == "" {
-		*outPath = "-"
-	}
-	err = writeTo(*outPath, func(out io.Writer) error {
-		if *format == "sarif" {
-			return lint.WriteSARIF(out, diags, root)
+		if rel, rerr := filepath.Rel(cwd, d.Pos.Filename); rerr == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = rel
 		}
-		for _, d := range diags {
-			file := d.Pos.Filename
-			if rel, rerr := filepath.Rel(cwd, file); rerr == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-			fmt.Fprintf(out, "%s:%d: %s: %s\n", file, d.Pos.Line, d.Rule, d.Message)
-		}
-		return nil
-	})
-	if err != nil {
-		return fail(2, "lint", "%v", err)
+		fmt.Println(d)
+		findings++
 	}
-
 	if *stats {
 		lint.WriteStats(os.Stderr, res)
 	}
-	if len(diags) > 0 {
-		return fail(1, "lint", "%d finding(s)", len(diags))
+	if findings > 0 {
+		return fail(1, "lint", "%d finding(s)", findings)
 	}
 	return 0
 }

@@ -53,6 +53,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"lint unknown flag", []string{"lint", "-bogus"}},
 		{"lint json format", []string{"lint", "-format", "json"}},
 		{"lint enable rule", []string{"lint", "-enable", "wire-taint"}},
+		{"lint sarif format", []string{"lint", "-format", "sarif"}},
 		{"node unknown flag", []string{"node", "-bogus"}},
 		{"topo unknown flag", []string{"topo", "-bogus"}},
 		{"topo negative transit domains", []string{"topo", "-transit-domains", "-3"}},
@@ -69,10 +70,12 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"trace zero size", []string{"trace", "-size", "0"}},
 		{"trace group without stream", []string{"trace", "-group", "5"}},
 		{"trace analyze two inputs", []string{"trace", "analyze", "a", "b"}},
+		{"trace convert retired format flag", []string{"trace", "convert", "-format", "perfetto", os.DevNull}},
 		// A stray word must not swallow the flags after it.
 		{"sim stray argument", []string{"sim", "-quick", "-fig", "fig4", "stray", "-seed", "2"}},
 		{"bench stray argument", []string{"bench", "-quick", "stray"}},
 		{"chaos stray argument", []string{"chaos", "-scenario", "lossy-10", "stray"}},
+		{"lint list stray argument", []string{"lint", "-list", "stray"}},
 		{"node stray argument", []string{"node", "-source", "stray"}},
 		{"topo stray argument", []string{"topo", "stray"}},
 		{"trace stray argument", []string{"trace", "stray", "-size", "10", "-measure", "1m", "-warmup", "1m"}},

@@ -26,11 +26,11 @@ import (
 // `trace analyze` digests a span-bearing trace (from -spans, `omcast chaos
 // -trace-out`, or a live node's /debug/trace) into episode statistics:
 // per-kind counts and outcomes, duration percentiles and stage breakdowns.
-// `trace convert -format perfetto` emits Chrome trace-event JSON (one track
-// per member/node) loadable in https://ui.perfetto.dev or chrome://tracing.
+// `trace convert` emits Chrome trace-event JSON (one track per member/node)
+// loadable in https://ui.perfetto.dev or chrome://tracing.
 //
 //	omcast trace analyze session.jsonl
-//	omcast trace convert -format perfetto session.jsonl > trace.json
+//	omcast trace convert session.jsonl > trace.json
 func cmdTrace(args []string) int {
 	if len(args) > 0 {
 		switch args[0] {
@@ -81,15 +81,11 @@ func traceAnalyze(args []string) int {
 	return 0
 }
 
-// traceConvert re-renders a span trace in another tool's format.
+// traceConvert re-renders a span trace as Perfetto (Chrome trace-event JSON).
 func traceConvert(args []string) int {
 	fs := newFlags("trace convert")
-	format := fs.String("format", "perfetto", "output format: perfetto (Chrome trace-event JSON)")
 	if fs.Parse(args) != nil {
 		return 2
-	}
-	if *format != "perfetto" {
-		return fail(2, "trace", "unknown format %q (supported: perfetto)", *format)
 	}
 	in, err := openInput(fs)
 	if err != nil {

@@ -547,16 +547,6 @@ func (d *Driver) rejoin(sim *eventsim.Simulator, id overlay.MemberID) {
 	}
 }
 
-// Burst injects n simultaneous arrivals at virtual time at (flash-crowd
-// scenarios).
-func (d *Driver) Burst(at time.Duration, n int) {
-	for i := 0; i < n; i++ {
-		d.sim.Schedule(at, func(s *eventsim.Simulator) {
-			d.arrive(s)
-		})
-	}
-}
-
 // Track injects a "typical member" at virtual time at with the given
 // bandwidth and an unbounded lifetime, sampling its cumulative disruptions
 // and service delay every minute until the simulation ends.

@@ -192,35 +192,6 @@ func TestTrackedMember(t *testing.T) {
 	}
 }
 
-func TestBurst(t *testing.T) {
-	topo := smallTopo(t, 8)
-	sim := eventsim.New()
-	tree, err := overlay.NewTree(topo.RandomStub(xrand.New(1)), 100, topo.Delay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &construct.Env{Rng: xrand.New(2), Delay: topo.Delay}
-	driver, err := NewDriver(sim, tree, topo, &construct.MinDepth{Env: env}, Config{
-		Seed: 8, TargetSize: 50,
-	}, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driver.Burst(100*time.Second, 40)
-	driver.Start()
-	// Run to just past the burst instant: none of the burst members can
-	// have departed yet unless their lifetime is under a second.
-	if err := sim.Run(101 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if size := tree.Size(); size < 38 {
-		t.Fatalf("tree size %d right after a 40-member burst, want >= 38", size)
-	}
-	if err := tree.CheckInvariantsFull(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPrePopulateEquilibrium verifies the stationary seeding: the overlay
 // starts at the target size with a positive-age population and stays near
 // the target for the whole run.

@@ -8,7 +8,7 @@ import (
 )
 
 // Module is one analysis unit: every loaded package, the index of its
-// declared functions, the impurity atoms of every file and the conservative
+// declared functions, the atoms of every file and the conservative
 // intra-module call graph over them, all built by one walk in newModule. All
 // packages of one Module must come from a single Load/LoadDir call (they
 // share a FileSet).
@@ -26,13 +26,12 @@ type Module struct {
 	byObj map[*types.Func]*fnNode
 	// methodsByName indexes module methods for interface-call resolution.
 	methodsByName map[string][]*fnNode
-	// atoms are every file's impurity atoms in walk order, inside function
+	// atoms are every file's atoms in walk order, inside function
 	// bodies or not.
 	atoms []atom
 }
 
-// atomKind classifies the impurity atoms the scope rules and handler-purity
-// filter.
+// atomKind classifies the atoms the scope rules and handler-purity filter.
 type atomKind int
 
 const (
@@ -45,13 +44,16 @@ const (
 	atomRecv                       // channel receive
 	atomChanType                   // channel type
 	atomSync                       // sync or sync/atomic identifier
+	atomMapOrder                   // map range with an order-sensitive body
+	atomFloatEq                    // ==/!= between two non-constant floats
 )
 
-// atom is one impurity occurrence.
+// atom is one occurrence of a classified construct.
 type atom struct {
 	kind atomKind
 	pos  token.Pos
-	// text names the offending construct for diagnostics ("time.Now").
+	// text names the offending construct for diagnostics ("time.Now"), or
+	// for atomMapOrder the body's order-sensitive effect.
 	text string
 	pkg  *Package
 }
@@ -79,9 +81,10 @@ var globalRandFuncs = map[string]bool{
 	"Uint32N": true, "Uint64N": true, "UintN": true, "Uint": true,
 }
 
-// atomOf is the analyzer's one impurity classifier: it decides whether a
-// syntax node reads the wall clock, draws global or hardware entropy, or
-// uses concurrency.
+// atomOf is the analyzer's one syntax classifier: it decides whether a node
+// reads the wall clock, draws global or hardware entropy, uses concurrency,
+// ranges over a map with an order-sensitive body, or compares two floats
+// exactly (reported at the operator).
 func atomOf(pkg *Package, n ast.Node) (atom, bool) {
 	a := atom{pos: n.Pos(), pkg: pkg}
 	switch n := n.(type) {
@@ -98,6 +101,16 @@ func atomOf(pkg *Package, n ast.Node) (atom, bool) {
 		a.kind, a.text = atomRecv, "channel receive"
 	case *ast.ChanType:
 		a.kind, a.text = atomChanType, "channel type"
+	case *ast.RangeStmt:
+		if a.text = mapOrderEffect(pkg, n); a.text == "" {
+			return a, false
+		}
+		a.kind = atomMapOrder
+	case *ast.BinaryExpr:
+		if !isFloatEq(pkg, n) {
+			return a, false
+		}
+		a.kind, a.text, a.pos = atomFloatEq, n.Op.String(), n.OpPos
 	case *ast.SelectorExpr:
 		switch p, name := pkgNameUse(pkg, n.X), n.Sel.Name; {
 		case p == "time" && wallclockFuncs[name]:

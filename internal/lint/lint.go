@@ -12,25 +12,28 @@
 //
 // The analyzer works in layers. Load parses and type-checks every package of
 // the module. newModule indexes the declared functions and walks every file
-// once, recording the impurity atoms (wall clock, global or hardware entropy,
-// concurrency; atomOf is the one classifier) and a conservative intra-module
-// call graph. Every rule then runs over the whole module:
+// once, recording the atoms (wall clock, global or hardware entropy,
+// concurrency, order-sensitive map ranges, exact float comparisons; atomOf
+// is the one classifier) and a conservative intra-module call graph. Every
+// rule then runs over the whole module:
 //
-//   - no-wallclock, no-global-rand and no-goroutine-in-sim filter the atoms
-//     by package scope;
+//   - no-wallclock, no-global-rand, no-goroutine-in-sim, map-order and
+//     float-accum filter the atoms by package scope;
 //   - handler-purity filters them by reachability from an eventsim.Handler
 //     through the call graph, not just the handler's own body;
-//   - map-order and float-accum walk the syntax of their scoped packages;
 //   - wire-taint tracks values produced by internal/wire decode functions
 //     until validation, and forbids their flow into node state, cer/rost
 //     protocol calls, or map/slice indexes (see taint.go);
 //   - lock-discipline checks //guardedby:<mutex> annotations on struct
 //     fields against a per-function lock-state analysis (see locks.go).
 //
+// wire-taint and lock-discipline thread their state through function bodies
+// on one flow-sensitive statement walk (flow.go).
+//
 // //lint:ignore <rule> reason: <text> directives suppress findings and are
-// audited for staleness. `omcast lint` prints text or SARIF, choosing by
-// package pattern which findings to print; CI runs it over ./... and fails on
-// any finding.
+// audited for staleness. `omcast lint` prints one file:line: rule: message
+// line per finding, choosing by package pattern which findings to print; CI
+// runs it over ./... and fails on any finding.
 package lint
 
 import (

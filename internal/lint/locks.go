@@ -36,6 +36,7 @@ func ruleLockDiscipline() *Rule {
 				guarded: make(map[*types.Var]string),
 				structs: make(map[*types.TypeName]map[string]bool),
 			}
+			la.walk = flow[lockSet]{clone: lockSet.clone, scan: la.scan, own: la.own}
 			for _, pkg := range m.Pkgs {
 				la.collectAnnotations(pkg)
 			}
@@ -58,6 +59,7 @@ type lockAnalysis struct {
 	// structs maps a struct type to the set of mutex names guarding fields,
 	// for the *Locked-call check.
 	structs map[*types.TypeName]map[string]bool
+	walk    flow[lockSet]
 
 	// Per-function state.
 	fnName string
@@ -167,7 +169,7 @@ func (la *lockAnalysis) checkFunc(fd *ast.FuncDecl) {
 	la.fnName = name
 	la.fresh = make(map[types.Object]bool)
 	la.collectFresh(fd.Body)
-	la.block(fd.Body.List, make(lockSet))
+	la.walk.block(fd.Body.List, make(lockSet))
 }
 
 // collectFresh records locals bound to composite literals (or their address)
@@ -208,83 +210,32 @@ func (la *lockAnalysis) collectFresh(body *ast.BlockStmt) {
 	})
 }
 
-// block walks a statement list threading the lock set; reports guarded-field
-// accesses made without the required lock. Returns true when the list cannot
-// fall through.
-func (la *lockAnalysis) block(stmts []ast.Stmt, held lockSet) bool {
-	for _, s := range stmts {
-		if la.stmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (la *lockAnalysis) stmt(s ast.Stmt, held lockSet) bool {
+// own interprets the statements that change the lock set: X.Lock() and
+// X.Unlock() calls, a deferred Unlock (held to function end), and ifs, whose
+// join keeps a lock only when every falling-through arm holds it.
+func (la *lockAnalysis) own(s ast.Stmt, held lockSet) (term, handled bool) {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return la.block(s.List, held)
 	case *ast.ExprStmt:
-		if key, op := lockOp(la.pkg, s.X); op != "" {
-			if op == "lock" {
-				held[key] = true
-			} else {
-				delete(held, key)
-			}
-			return false
+		key, op := lockOp(la.pkg, s.X)
+		switch op {
+		case "lock":
+			held[key] = true
+		case "unlock":
+			delete(held, key)
 		}
-		la.scan(s.X, held)
-		return isTerminalCall(s.X)
+		return false, op != ""
 	case *ast.DeferStmt:
-		if _, op := lockOp(la.pkg, s.Call); op == "unlock" {
-			return false // deferred Unlock: held to function end
-		}
-		la.scan(s.Call, held)
-		return false
-	case *ast.GoStmt:
-		la.scan(s.Call, held)
-		return false
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			la.scan(r, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			la.scan(e, held)
-		}
-		for _, e := range s.Lhs {
-			la.scan(e, held)
-		}
-		return false
-	case *ast.IncDecStmt:
-		la.scan(s.X, held)
-		return false
-	case *ast.DeclStmt:
-		la.scan(s.Decl, held)
-		return false
-	case *ast.SendStmt:
-		la.scan(s.Chan, held)
-		la.scan(s.Value, held)
-		return false
+		_, op := lockOp(la.pkg, s.Call)
+		return false, op == "unlock"
 	case *ast.IfStmt:
-		if s.Init != nil {
-			la.stmt(s.Init, held)
-		}
-		la.scan(s.Cond, held)
-		thenHeld := held.clone()
-		thenTerm := la.block(s.Body.List, thenHeld)
-		elseHeld := held.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = la.stmt(s.Else, elseHeld)
-		}
-		// Join: keep a lock only when every falling-through path holds it.
+		la.walk.stmt(s.Init, held)
+		la.scan(held, s.Cond)
+		thenHeld, elseHeld := held.clone(), held.clone()
+		thenTerm := la.walk.block(s.Body.List, thenHeld)
+		elseTerm := la.walk.stmt(s.Else, elseHeld)
 		switch {
 		case thenTerm && elseTerm:
-			return true
+			return true, true
 		case thenTerm:
 			replace(held, elseHeld)
 		case elseTerm:
@@ -292,61 +243,9 @@ func (la *lockAnalysis) stmt(s ast.Stmt, held lockSet) bool {
 		default:
 			intersect(held, thenHeld, elseHeld)
 		}
-		return false
-	case *ast.ForStmt:
-		if s.Init != nil {
-			la.stmt(s.Init, held)
-		}
-		la.scan(s.Cond, held)
-		body := held.clone()
-		la.block(s.Body.List, body)
-		if s.Post != nil {
-			la.stmt(s.Post, body)
-		}
-		return false
-	case *ast.RangeStmt:
-		la.scan(s.X, held)
-		la.block(s.Body.List, held.clone())
-		return false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			la.stmt(s.Init, held)
-		}
-		la.scan(s.Tag, held)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					la.scan(e, held)
-				}
-				la.block(cc.Body, held.clone())
-			}
-		}
-		return false
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			la.stmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				la.block(cc.Body, held.clone())
-			}
-		}
-		return false
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				sub := held.clone()
-				if cc.Comm != nil {
-					la.stmt(cc.Comm, sub)
-				}
-				la.block(cc.Body, sub)
-			}
-		}
-		return false
-	case *ast.LabeledStmt:
-		return la.stmt(s.Stmt, held)
+		return false, true
 	}
-	return false
+	return false, false
 }
 
 func replace(dst, src lockSet) {
@@ -371,14 +270,14 @@ func intersect(dst, a, b lockSet) {
 
 // scan inspects one expression tree for guarded-field accesses and
 // *Locked-method calls; nested function literals restart with no locks held.
-func (la *lockAnalysis) scan(n ast.Node, held lockSet) {
-	if n == nil {
+func (la *lockAnalysis) scan(held lockSet, root ast.Node) {
+	if root == nil {
 		return
 	}
-	ast.Inspect(n, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			la.block(n.Body.List, make(lockSet))
+			la.walk.block(n.Body.List, make(lockSet))
 			return false
 		case *ast.CallExpr:
 			la.checkLockedCall(n, held)

@@ -5,9 +5,10 @@ import (
 	"strings"
 )
 
-// The four impurity rules filter the one set of atoms newModule records (see
-// atomOf): no-wallclock, no-global-rand and no-goroutine-in-sim by package
-// scope, handler-purity by reachability from an eventsim.Handler.
+// Six rules filter the one set of atoms newModule records (see atomOf):
+// no-wallclock, no-global-rand, no-goroutine-in-sim, map-order and
+// float-accum by package scope, handler-purity by reachability from an
+// eventsim.Handler.
 
 // scopeRule reports every atom whose kind has a message format (taking the
 // atom's text) in a package the scope admits.

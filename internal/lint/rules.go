@@ -6,58 +6,29 @@ import (
 	"go/types"
 )
 
-// inspect walks every file of the package.
-func inspect(pkg *Package, fn func(ast.Node) bool) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, fn)
-	}
-}
-
-// perPackage adapts a package-scoped syntactic check to the module-wide Rule
-// shape: the check runs over every package matching the scope.
-func perPackage(scope []string, check func(pkg *Package, rep *reporter)) func(*Module, *reporter) {
-	return func(m *Module, rep *reporter) {
-		for _, pkg := range m.Pkgs {
-			if matchPackage(pkg.Path, scope) {
-				check(pkg, rep)
-			}
-		}
-	}
-}
-
 // ---- map-order ----
 
 func ruleMapOrder() *Rule {
-	return &Rule{
-		Name:  "map-order",
-		Doc:   "flag map iteration whose body feeds simulation results (schedules, appends, RNG draws, state writes)",
-		check: perPackage(simPackages, checkMapOrder),
-	}
+	return scopeRule("map-order",
+		"flag map iteration whose body feeds simulation results (schedules, appends, RNG draws, state writes)",
+		func(path string) bool { return matchPackage(path, simPackages) },
+		map[atomKind]string{
+			atomMapOrder: "map iteration order is nondeterministic and this body %s; iterate over sorted keys instead, or add //lint:ignore map-order reason: <why> if the effect is provably order-independent",
+		})
 }
 
-func checkMapOrder(pkg *Package, rep *reporter) {
-	inspect(pkg, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := pkg.Info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if isKeyCollection(pkg, rs) {
-			return true
-		}
-		if why := orderSensitive(pkg, rs.Body); why != "" {
-			rep.reportf(rs.Pos(),
-				"map iteration order is nondeterministic and this body %s; iterate over sorted keys instead, or add //lint:ignore map-order reason: <why> if the effect is provably order-independent",
-				why)
-		}
-		return true
-	})
+// mapOrderEffect describes the first order-sensitive effect in the body of a
+// range over a map, or returns "" when the range is not over a map or its
+// body looks order-independent.
+func mapOrderEffect(pkg *Package, rs *ast.RangeStmt) string {
+	t := pkg.Info.TypeOf(rs.X)
+	if t == nil {
+		return ""
+	}
+	if _, isMap := t.Underlying().(*types.Map); !isMap || isKeyCollection(pkg, rs) {
+		return ""
+	}
+	return orderSensitive(pkg, rs.Body)
 }
 
 // isKeyCollection recognizes the one canonically safe shape, collecting keys
@@ -123,7 +94,7 @@ func isBuiltin(pkg *Package, fun ast.Expr, name string) bool {
 
 // schedulerMethods are method names that enqueue simulation events.
 var schedulerMethods = map[string]bool{
-	"Schedule": true, "ScheduleAfter": true, "ScheduleAt": true, "Burst": true,
+	"Schedule": true, "ScheduleAfter": true, "ScheduleAt": true,
 }
 
 // orderSensitive classifies a map-range body: it returns a short description
@@ -226,32 +197,22 @@ func isNonLocalTarget(expr ast.Expr) bool {
 // ---- float-accum ----
 
 func ruleFloatAccum() *Rule {
-	return &Rule{
-		Name: "float-accum",
-		Doc:  "flag ==/!= between floating-point expressions in metric/statistics code",
-		check: perPackage(floatPackages,
-			func(pkg *Package, rep *reporter) {
-				inspect(pkg, func(n ast.Node) bool {
-					be, ok := n.(*ast.BinaryExpr)
-					if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-						return true
-					}
-					if !isFloatExpr(pkg, be.X) || !isFloatExpr(pkg, be.Y) {
-						return true
-					}
-					// Comparing against an exact constant (0, 1, math.Inf) is the
-					// conventional sentinel-check idiom and stays legal; only
-					// variable-to-variable equality is flagged.
-					if isConstExpr(pkg, be.X) || isConstExpr(pkg, be.Y) {
-						return true
-					}
-					rep.reportf(be.OpPos,
-						"%s between accumulated floating-point values rarely means exact equality; compare with a tolerance, or add //lint:ignore float-accum reason: <why> if exactness is intended",
-						be.Op)
-					return true
-				})
-			}),
-	}
+	return scopeRule("float-accum",
+		"flag ==/!= between floating-point expressions in metric/statistics code",
+		func(path string) bool { return matchPackage(path, floatPackages) },
+		map[atomKind]string{
+			atomFloatEq: "%s between accumulated floating-point values rarely means exact equality; compare with a tolerance, or add //lint:ignore float-accum reason: <why> if exactness is intended",
+		})
+}
+
+// isFloatEq reports whether be is ==/!= between two floating-point operands.
+// Comparing against an exact constant (0, 1, math.Inf) is the conventional
+// sentinel-check idiom and stays legal; only variable-to-variable equality
+// counts.
+func isFloatEq(pkg *Package, be *ast.BinaryExpr) bool {
+	return (be.Op == token.EQL || be.Op == token.NEQ) &&
+		isFloatExpr(pkg, be.X) && isFloatExpr(pkg, be.Y) &&
+		!isConstExpr(pkg, be.X) && !isConstExpr(pkg, be.Y)
 }
 
 func isFloatExpr(pkg *Package, expr ast.Expr) bool {

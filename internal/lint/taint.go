@@ -45,6 +45,7 @@ func ruleWireTaint() *Rule {
 				summaries: make(map[*types.Func]*taintSummary),
 				derived:   make(map[*types.Func]string),
 			}
+			a.walk = flow[taintState]{clone: taintState.clone, scan: a.scanExpr, own: a.own}
 			// Summary fixpoint: param sinks, passthrough and derived sources
 			// propagate through call chains until stable. When callers are
 			// declared before callees a round lifts a param sink only one
@@ -94,6 +95,7 @@ type taintAnalysis struct {
 	summaries map[*types.Func]*taintSummary
 	derived   map[*types.Func]string
 	changed   bool
+	walk      flow[taintState]
 
 	// Per-pass fields.
 	summaryMode bool
@@ -120,7 +122,7 @@ func (a *taintAnalysis) pass(m *Module, summaryMode bool, rep *reporter) {
 				st[p] = &taintVal{desc: "parameter " + p.Name(), paramIdx: i}
 			}
 		}
-		a.block(fn.decl.Body.List, st)
+		a.walk.block(fn.decl.Body.List, st)
 		if summaryMode {
 			a.mergeSummary(fn.obj)
 		}
@@ -247,16 +249,16 @@ func (a *taintAnalysis) sink(st taintState, pos token.Pos, v *taintVal, sinkDesc
 	a.rep.reportf(pos, "unvalidated wire input (%s) %s; %s", v.desc, sinkDesc, advice)
 }
 
-// scanExpr looks for sinks inside one expression tree and walks nested
-// function literals with a snapshot of the current state.
-func (a *taintAnalysis) scanExpr(st taintState, expr ast.Expr) {
-	if expr == nil {
+// scanExpr looks for sinks inside one syntax tree and walks nested function
+// literals with a snapshot of the current state.
+func (a *taintAnalysis) scanExpr(st taintState, root ast.Node) {
+	if root == nil {
 		return
 	}
-	ast.Inspect(expr, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			a.block(n.Body.List, st.clone())
+			a.walk.block(n.Body.List, st.clone())
 			return false
 		case *ast.IndexExpr:
 			if v := a.taintOf(st, n.Index); v != nil {
@@ -312,23 +314,11 @@ func (a *taintAnalysis) scanCallSinks(st taintState, call *ast.CallExpr) {
 	}
 }
 
-// block walks a statement list, threading taint state; returns true when the
-// list always terminates (return/branch/panic).
-func (a *taintAnalysis) block(stmts []ast.Stmt, st taintState) bool {
-	for _, s := range stmts {
-		if a.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-// stmt interprets one statement; returns true when control cannot fall
-// through (return, branch, panic-like call).
-func (a *taintAnalysis) stmt(s ast.Stmt, st taintState) bool {
+// own interprets the statements whose effect on taint the shared walk cannot
+// know: returns (summaries), assignments and declarations (bindings), ifs
+// (sanitizing facts) and ranges (element taint).
+func (a *taintAnalysis) own(s ast.Stmt, st taintState) (term, handled bool) {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return a.block(s.List, st)
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			a.scanExpr(st, r)
@@ -336,15 +326,9 @@ func (a *taintAnalysis) stmt(s ast.Stmt, st taintState) bool {
 				a.recordReturn(st, r)
 			}
 		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		a.scanExpr(st, s.X)
-		return isTerminalCall(s.X)
+		return true, true
 	case *ast.AssignStmt:
 		a.assign(st, s)
-		return false
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -353,31 +337,15 @@ func (a *taintAnalysis) stmt(s ast.Stmt, st taintState) bool {
 					continue
 				}
 				for i, name := range vs.Names {
-					var rhs ast.Expr
 					if i < len(vs.Values) {
-						rhs = vs.Values[i]
-					}
-					if rhs != nil {
-						a.scanExpr(st, rhs)
-						a.bindIdent(st, name, a.taintOf(st, rhs))
+						a.scanExpr(st, vs.Values[i])
+						a.bindIdent(st, name, a.taintOf(st, vs.Values[i]))
 					}
 				}
 			}
 		}
-		return false
 	case *ast.IfStmt:
-		return a.ifStmt(st, s)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, st)
-		}
-		a.scanExpr(st, s.Cond)
-		body := st.clone()
-		a.block(s.Body.List, body)
-		if s.Post != nil {
-			a.stmt(s.Post, body)
-		}
-		return false
+		return a.ifStmt(st, s), true
 	case *ast.RangeStmt:
 		a.scanExpr(st, s.X)
 		body := st.clone()
@@ -389,61 +357,11 @@ func (a *taintAnalysis) stmt(s ast.Stmt, st taintState) bool {
 				}
 			}
 		}
-		a.block(s.Body.List, body)
-		return false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, st)
-		}
-		a.scanExpr(st, s.Tag)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				cs := st.clone()
-				for _, e := range cc.List {
-					a.scanExpr(cs, e)
-				}
-				a.block(cc.Body, cs)
-			}
-		}
-		return false
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, st)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				a.block(cc.Body, st.clone())
-			}
-		}
-		return false
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				cs := st.clone()
-				if cc.Comm != nil {
-					a.stmt(cc.Comm, cs)
-				}
-				a.block(cc.Body, cs)
-			}
-		}
-		return false
-	case *ast.DeferStmt:
-		a.scanExpr(st, s.Call)
-		return false
-	case *ast.GoStmt:
-		a.scanExpr(st, s.Call)
-		return false
-	case *ast.IncDecStmt:
-		a.scanExpr(st, s.X)
-		return false
-	case *ast.SendStmt:
-		a.scanExpr(st, s.Chan)
-		a.scanExpr(st, s.Value)
-		return false
-	case *ast.LabeledStmt:
-		return a.stmt(s.Stmt, st)
+		a.walk.block(s.Body.List, body)
+	default:
+		return false, false
 	}
-	return false
+	return false, true
 }
 
 // recordReturn notes (summary mode) that a tainted value escapes to the
@@ -618,20 +536,17 @@ func (a *taintAnalysis) bindIdent(st taintState, id *ast.Ident, v *taintVal) {
 // wire.Valid* predicates clear taint on the branch where the check passed,
 // and past the whole statement when the failing branch cannot fall through.
 func (a *taintAnalysis) ifStmt(st taintState, s *ast.IfStmt) bool {
-	if s.Init != nil {
-		a.stmt(s.Init, st)
-	}
+	a.walk.stmt(s.Init, st)
 	a.scanExpr(st, s.Cond)
 	trueClean, falseClean := a.condFacts(st, s.Cond)
 	thenSt := st.clone()
 	clearAll(thenSt, trueClean)
-	thenTerm := a.block(s.Body.List, thenSt)
+	thenTerm := a.walk.block(s.Body.List, thenSt)
 	var elseTerm bool
-	var elseSt taintState
 	if s.Else != nil {
-		elseSt = st.clone()
+		elseSt := st.clone()
 		clearAll(elseSt, falseClean)
-		elseTerm = a.stmt(s.Else, elseSt)
+		elseTerm = a.walk.stmt(s.Else, elseSt)
 	}
 	switch {
 	case s.Else == nil:

@@ -1811,12 +1811,12 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 	n.depth-- // we move one layer up
 	// The old parent becomes our child.
 	n.addChildLocked(oldParent, now)
-	// Capacity overflow: hand our lowest-priority child to the old parent
-	// (it just freed the slot we occupied).
+	// Capacity overflow: hand our most recently attached other child to the
+	// old parent (it just freed the slot we occupied).
 	var demoted wire.Addr
 	if len(n.children) > n.outDegree() {
-		for c := range n.children {
-			if c != oldParent {
+		for i := len(n.childList) - 1; i >= 0; i-- {
+			if c := n.childList[i]; c != oldParent {
 				demoted = c
 				break
 			}

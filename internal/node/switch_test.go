@@ -135,3 +135,34 @@ func TestSwitchLockGatesAccept(t *testing.T) {
 		t.Fatalf("duplicate SwitchAccept committed twice: %+v", s)
 	}
 }
+
+// TestSwitchDemotesNewestChild: a full initiator that takes its parent as a
+// child hands its most recently attached other child to the old parent. The
+// choice once followed map iteration order; fresh nodes must all agree.
+func TestSwitchDemotesNewestChild(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		n, tr := newGuardNode(func(cfg *Config) { cfg.Bandwidth = 2 })
+		t.Cleanup(n.Kill)
+		attachTo(n, "p")
+		for _, c := range []wire.Addr{"c0", "c1"} {
+			if got := answer(t, n, tr, joinFrom(c)); got != wire.TypeAccept {
+				t.Fatalf("setup: join from %s answered %v", c, got)
+			}
+		}
+		n.onDatagram(envBytes(t, wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1, Depth: 1}))
+		n.trySwitch()
+		n.onDatagram(envBytes(t, wire.Envelope{Type: wire.TypeSwitchAccept, From: "p", NewParent: "gp"}))
+		if s := n.Stats(); s.Switches != 1 {
+			t.Fatalf("node %d: the exchange did not commit: %+v", i, s)
+		}
+		for _, c := range []wire.Addr{"c0", "c1"} {
+			demoted := false
+			for _, env := range tr.sentTo(c) {
+				demoted = demoted || (env.Type == wire.TypeSwitchCommit && env.NewParent == "p")
+			}
+			if want := c == "c1"; demoted != want {
+				t.Fatalf("node %d: %s demoted = %v, want %v", i, c, demoted, want)
+			}
+		}
+	}
+}

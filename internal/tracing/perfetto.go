@@ -1,8 +1,7 @@
-// Chrome trace-event export: `omcast trace convert -format perfetto` turns
-// a span trace into JSON loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing, one named track per member (or per live node), with
-// every episode a complete ("X") slice whose args carry the span's ID,
-// parent, outcome and attributes.
+// Chrome trace-event export: `omcast trace convert` turns a span trace into
+// JSON loadable in Perfetto (ui.perfetto.dev) or chrome://tracing, one named
+// track per member (or per live node), with every episode a complete ("X")
+// slice whose args carry the span's ID, parent, outcome and attributes.
 package tracing
 
 import (

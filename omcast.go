@@ -145,10 +145,6 @@ type Config struct {
 	// Bandwidth overrides the members' outbound bandwidth distribution
 	// (default bounded Pareto(1.2, 0.5, 100)).
 	Bandwidth xrand.BoundedPareto
-	// FlashCrowd, when non-nil, injects a burst of simultaneous arrivals on
-	// top of the Poisson process (the scalability scenario the paper's
-	// Section 3.1 motivates distributed construction with).
-	FlashCrowd *FlashCrowd
 	// Cheaters injects this many members that persistently advertise 50
 	// times their true BTP (Section 3.4's threat model). Any cheater turns
 	// the referee mechanism on, which verifies every BTP claim against
@@ -171,14 +167,6 @@ type Config struct {
 	// event tie-breaks, so outputs are only comparable to other -paranoid
 	// runs.
 	Paranoid bool
-}
-
-// FlashCrowd describes a burst of simultaneous arrivals.
-type FlashCrowd struct {
-	// At is the virtual time of the burst.
-	At time.Duration
-	// Size is how many members arrive at once.
-	Size int
 }
 
 func (c Config) withDefaults() Config {
@@ -341,12 +329,6 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 	}
 	if cfg.Metrics != nil {
 		s.driver.Instrument(cfg.Metrics)
-	}
-	if cfg.FlashCrowd != nil {
-		if cfg.FlashCrowd.Size <= 0 || cfg.FlashCrowd.At < 0 {
-			return nil, fmt.Errorf("omcast: invalid flash crowd %+v", *cfg.FlashCrowd)
-		}
-		s.driver.Burst(cfg.FlashCrowd.At, cfg.FlashCrowd.Size)
 	}
 	if cfg.Paranoid {
 		var audit func(*eventsim.Simulator)

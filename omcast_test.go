@@ -208,36 +208,6 @@ func TestRunTracked(t *testing.T) {
 	}
 }
 
-func TestRunFlashCrowd(t *testing.T) {
-	cfg := quickConfig(21, omcast.MinimumDepth)
-	cfg.FlashCrowd = &omcast.FlashCrowd{At: 600 * time.Second, Size: 200}
-	res, err := omcast.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The burst inflates the steady-state size: baseline ~300 plus a share
-	// of the 200 burst members that are still alive during measurement.
-	base, err := omcast.Run(quickConfig(21, omcast.MinimumDepth))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgSize <= base.AvgSize {
-		t.Fatalf("flash crowd did not grow the session: %f vs %f", res.AvgSize, base.AvgSize)
-	}
-}
-
-func TestRunFlashCrowdValidation(t *testing.T) {
-	cfg := quickConfig(21, omcast.MinimumDepth)
-	cfg.FlashCrowd = &omcast.FlashCrowd{At: -time.Second, Size: 10}
-	if _, err := omcast.Run(cfg); err == nil {
-		t.Fatal("negative burst time accepted")
-	}
-	cfg.FlashCrowd = &omcast.FlashCrowd{At: time.Second, Size: 0}
-	if _, err := omcast.Run(cfg); err == nil {
-		t.Fatal("empty burst accepted")
-	}
-}
-
 func TestRunCheatersCaught(t *testing.T) {
 	cfg := quickConfig(22, omcast.ROST)
 	cfg.Cheaters = 10
