@@ -9,7 +9,7 @@
 //	omcast lint ./...              # the repository's static analyzer
 //	omcast node -source            # a live protocol node over UDP
 //	omcast topo -verify            # transit-stub topology statistics
-//	omcast trace -size 500 -spans  # JSONL event stream; trace analyze|convert
+//	omcast trace -size 500         # JSONL span stream; trace analyze|convert
 //
 // The Go runtime's own GOMEMLIMIT and GOGC environment variables bound the
 // footprint of large runs, e.g. GOMEMLIMIT=16GiB GOGC=50 omcast bench.
@@ -38,7 +38,7 @@ var commands = []struct {
 	{"lint", "check the module's determinism and safety invariants", cmdLint},
 	{"node", "run one live protocol node over UDP", cmdNode},
 	{"topo", "generate a transit-stub topology and print its statistics", cmdTopo},
-	{"trace", "stream one session's events as JSONL; analyze or convert spans", cmdTrace},
+	{"trace", "stream one session's spans as JSONL; analyze or convert them", cmdTrace},
 }
 
 func main() {

@@ -62,6 +62,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"topo negative stub nodes", []string{"topo", "-stub-nodes", "-5"}},
 		{"trace unknown flag", []string{"trace", "-bogus"}},
 		{"trace fleet flag", []string{"trace", "-fleet"}},
+		{"trace retired spans flag", []string{"trace", "-spans"}},
 		{"trace negative size", []string{"trace", "-size", "-5"}},
 		{"trace negative warmup", []string{"trace", "-warmup", "-1h"}},
 		{"trace negative measure", []string{"trace", "-measure", "-1m"}},

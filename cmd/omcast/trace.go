@@ -15,15 +15,14 @@ import (
 // cmdTrace produces and consumes the JSONL trace stream.
 //
 // With no nested subcommand it runs one simulated session and streams its
-// overlay events (joins, rejoins, departures, failures, ROST switches — plus
-// CER repair outcomes with -stream, periodic metric snapshots with -sample,
-// and causal episode spans with -spans) as JSON lines, deterministic in
-// -seed.
+// spans (joins, departures, rejoin episodes, ROST switches — plus CER repair
+// episodes with -stream) and, with -sample, periodic metric snapshots as JSON
+// lines, deterministic in -seed.
 //
-//	omcast trace -alg min-depth -size 500 -measure 30m | jq .event | sort | uniq -c
-//	omcast trace -size 500 -small -stream -group 3 -sample 5m -spans > session.jsonl
+//	omcast trace -alg min-depth -size 500 -measure 30m | jq -r .span.kind | sort | uniq -c
+//	omcast trace -size 500 -small -stream -group 3 -sample 5m > session.jsonl
 //
-// `trace analyze` digests a span-bearing trace (from -spans, `omcast chaos
+// `trace analyze` digests a span trace (from `omcast trace`, `omcast chaos
 // -trace-out`, or a live node's /debug/trace) into episode statistics:
 // per-kind counts and outcomes, duration percentiles and stage breakdowns.
 // `trace convert` emits Chrome trace-event JSON (one track per member/node)
@@ -73,7 +72,7 @@ func traceAnalyze(args []string) int {
 	}
 	a := tracing.Analyze(tr)
 	if a.TotalSpans == 0 {
-		fmt.Fprintln(os.Stderr, "omcast trace: no spans in input (produce them with -spans, -trace-out or /debug/trace)")
+		fmt.Fprintln(os.Stderr, "omcast trace: no spans in input (produce them with omcast trace, chaos -trace-out or /debug/trace)")
 	}
 	if err := writeTo("-", a.WriteText); err != nil {
 		return fail(1, "trace", "%v", err)
@@ -113,9 +112,8 @@ func traceSim(args []string) int {
 		measure = fs.Duration("measure", time.Hour, "measurement window")
 		small   = fs.Bool("small", false, "use the reduced underlay")
 		sample  = fs.Duration("sample", 0, "emit a metrics snapshot every interval of virtual time (0 = off)")
-		stream  = fs.Bool("stream", false, "run the packet-level CER layer too (adds repair events)")
+		stream  = fs.Bool("stream", false, "run the packet-level CER layer too (adds repair spans)")
 		group   = fs.Int("group", 3, "CER recovery group size (with -stream)")
-		spans   = fs.Bool("spans", false, "emit causal episode spans (rejoin/repair/switch/stall timelines)")
 	)
 	if !parseFlags(fs, args) {
 		return 2
@@ -154,7 +152,7 @@ func traceSim(args []string) int {
 	if *small {
 		cfg.Topology = omcast.SmallTopology()
 	}
-	topts := omcast.TraceOptions{SampleEvery: *sample, Spans: *spans}
+	topts := omcast.TraceOptions{SampleEvery: *sample}
 	var res omcast.TreeResult
 	err := writeTo("-", func(w io.Writer) error {
 		var err error

@@ -97,7 +97,7 @@ func TestRunStreamingByteIdentical(t *testing.T) {
 
 // TestSampledTraceByteIdentical is the acceptance gate for the metrics
 // layer's determinism: a traced run with periodic registry snapshots must
-// produce a byte-identical JSONL stream — events AND interleaved sample
+// produce a byte-identical JSONL stream — spans AND interleaved sample
 // lines — when repeated with the same seed. Any wall-clock read, map-order
 // leak or float-accumulation reorder inside the sim-side metrics path shows
 // up here as a diff.
@@ -129,8 +129,8 @@ func TestSampledTraceByteIdentical(t *testing.T) {
 }
 
 // TestSampledStreamingTraceByteIdentical extends the gate to the packet
-// level: CER episode counters and repair events must be as reproducible as
-// the overlay events.
+// level: CER episode counters and repair spans must be as reproducible as
+// the overlay spans.
 func TestSampledStreamingTraceByteIdentical(t *testing.T) {
 	cfg := omcast.Config{
 		Seed:       9,
@@ -151,7 +151,7 @@ func TestSampledStreamingTraceByteIdentical(t *testing.T) {
 	}
 	first := run()
 	second := run()
-	for _, want := range []string{`"event":"sample"`, `"event":"repair"`} {
+	for _, want := range []string{`"event":"sample"`, `"kind":"repair"`} {
 		if !strings.Contains(first, want) {
 			t.Fatalf("sampled streaming run emitted no %s lines", want)
 		}
@@ -162,9 +162,9 @@ func TestSampledStreamingTraceByteIdentical(t *testing.T) {
 }
 
 // TestSpanTraceByteIdentical extends the determinism gate to the causal
-// span layer: a span-enabled trace must be byte-identical across reruns at
-// a fixed seed — span IDs derive from (seed, member, sequence) alone, so
-// nothing run-local (pointers, global counters, wall time) may leak in.
+// span layer: a span trace must be byte-identical across reruns at a fixed
+// seed — span IDs derive from (seed, member, sequence) alone, so nothing
+// run-local (pointers, global counters, wall time) may leak in.
 func TestSpanTraceByteIdentical(t *testing.T) {
 	cfg := omcast.Config{
 		Seed:       11,
@@ -174,7 +174,7 @@ func TestSpanTraceByteIdentical(t *testing.T) {
 		Warmup:     600 * time.Second,
 		Measure:    900 * time.Second,
 	}
-	opts := omcast.TraceOptions{Spans: true}
+	opts := omcast.TraceOptions{}
 	run := func() string {
 		var buf strings.Builder
 		if _, err := omcast.RunWithTrace(cfg, &buf, opts); err != nil {
@@ -186,7 +186,7 @@ func TestSpanTraceByteIdentical(t *testing.T) {
 	second := run()
 	for _, want := range []string{`"event":"span"`, `"kind":"rejoin"`} {
 		if !strings.Contains(first, want) {
-			t.Fatalf("span-enabled run emitted no %s lines", want)
+			t.Fatalf("traced run emitted no %s lines", want)
 		}
 	}
 	if first != second {
@@ -210,7 +210,7 @@ func TestSpanStreamingTraceByteIdentical(t *testing.T) {
 		Measure:    900 * time.Second,
 	}
 	scfg := omcast.StreamConfig{Recovery: omcast.CER, GroupSize: 3}
-	opts := omcast.TraceOptions{Spans: true}
+	opts := omcast.TraceOptions{}
 	run := func() string {
 		var buf strings.Builder
 		if _, err := omcast.RunStreamingWithTrace(cfg, scfg, &buf, opts); err != nil {
@@ -244,17 +244,18 @@ func TestSpanStreamingTraceByteIdentical(t *testing.T) {
 
 // TestStreamingTraceGolden pins the full JSONL of two traced packet-level
 // runs across commits. The byte-identity tests above compare a build with
-// itself; these hashes were taken before the traced and untraced episode
-// paths were fused, so they fail if the spans an operator reads (IDs,
-// creation order on a member's track, fetch shares, stall windows,
-// outcomes) ever drift from what that build emitted. The first
-// configuration is CI's traced smoke run (`omcast trace -seed 1 -size 300
-// -small -warmup 10m -measure 20m -sample 5m -stream -spans`: 184 repair,
-// 489 fetch, 168 stall spans, all fully striped); the second drops
-// sampling and runs groups of one, which forces striped + backlog fetches
-// and partial and abandoned outcomes. The sampled hash was re-taken when
-// the kernel lost event cancellation: the previous build's trace minus the
-// always-zero omcast_sim_events_canceled_total record of each sample line.
+// itself; these hashes fail if the spans an operator reads (IDs, creation
+// order on a member's track, fetch shares, stall windows, outcomes) ever
+// drift from what the build that took them emitted. The first configuration
+// is CI's traced smoke run (`omcast trace -seed 1 -size 300 -small -warmup
+// 10m -measure 20m -sample 5m -stream`: 750 join, 413 depart, 184 repair,
+// 489 fetch, 168 stall spans, all fully striped); the second drops sampling
+// and runs groups of one, which forces striped + backlog fetches and
+// partial and abandoned outcomes. The hashes were re-taken when spans
+// became the simulator's only trace: each trace is its predecessor's
+// sample lines and spans, with the six point-event kinds gone and a join
+// and a depart span per member added, which moves the span IDs minted
+// after them on the same member's track.
 func TestStreamingTraceGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Arrival times are float arithmetic; architectures on which the
@@ -279,16 +280,15 @@ func TestStreamingTraceGolden(t *testing.T) {
 		{
 			name:   "sampled-group3",
 			scfg:   omcast.StreamConfig{GroupSize: 3},
-			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute, Spans: true},
-			sha256: "2e1d92e8e7d14432dd32558d09e69706710146887dbdde405a922c2408c4fd2d",
-			lines:  3214,
+			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute},
+			sha256: "4605fb6f7bbdbea1d4b153de31b024aa3a50b01662cb814e5c8affc5a46a2c93",
+			lines:  2414,
 		},
 		{
 			name:   "group1",
 			scfg:   omcast.StreamConfig{GroupSize: 1},
-			opts:   omcast.TraceOptions{Spans: true},
-			sha256: "13537deeeaf0b5987c1b4bd25464f4ad4f99858573931157a4b1a68539f62c04",
-			lines:  3062,
+			sha256: "2749539cc918ec48f02c1a3db313f66d6bb2131c09aec4770c4ada7c58d241e0",
+			lines:  2262,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,12 +305,12 @@ func TestStreamingTraceGolden(t *testing.T) {
 	}
 }
 
-// TestTreeTraceGolden pins the full JSONL of two traced tree-level runs with
-// spans on, hashed before churn took over the rejoin episodes: the ROST
-// quick configuration with sampling (21 switch lines, 24 switch spans, 170
-// rejoin spans) and TestTraceSaturatedAttemptSpans' bandwidth-starved
-// minimum-depth overlay (99 saturated attempt spans). The sampled hash was
-// re-taken like TestStreamingTraceGolden's when cancellation left the kernel.
+// TestTreeTraceGolden pins the full JSONL of two traced tree-level runs: the
+// ROST quick configuration with sampling (24 switch spans, 170 rejoin
+// spans) and TestTraceSaturatedAttemptSpans' bandwidth-starved
+// minimum-depth overlay (99 saturated attempt spans). The hashes were
+// re-taken like TestStreamingTraceGolden's when spans became the
+// simulator's only trace.
 func TestTreeTraceGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes were taken on amd64, not %s", runtime.GOARCH)
@@ -329,16 +329,15 @@ func TestTreeTraceGolden(t *testing.T) {
 		{
 			name:   "rost-sampled",
 			cfg:    quickConfig(40, omcast.ROST),
-			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute, Spans: true},
-			sha256: "aa36f7b56b44c1282504b7539aaa68b6be5461c69fe5335e8ec121cc1cb0c35d",
-			lines:  2333,
+			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute},
+			sha256: "e83a0f32b93ca2f1f6eadb8e5583d1fe241e9dce54bb23408d8faf06f554d20d",
+			lines:  1607,
 		},
 		{
 			name:   "saturated-min-depth",
 			cfg:    saturated,
-			opts:   omcast.TraceOptions{Spans: true},
-			sha256: "7b0412e7b2adeed2be1090703f470fb0dae07b1fcef66f04fe22300d1aed110e",
-			lines:  969,
+			sha256: "02d3a28bcfc57de213242e6bca25185c96a44b8e7a01403e4486e28700ede890",
+			lines:  552,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,10 +39,6 @@ var (
 // capability of a powerful source server").
 const DefaultRootBandwidth = 100.0
 
-// DefaultRejoinRetry is how long an unplaceable member waits before
-// re-attempting to find a parent.
-const DefaultRejoinRetry = 5 * time.Second
-
 // sessionAge is how long a pre-populated session has notionally been running
 // at time zero; it bounds member ages.
 const sessionAge = 4 * time.Hour
@@ -82,9 +78,11 @@ type Config struct {
 	// no capacity. This keeps freed interior positions inside the affected
 	// subtree instead of handing them to brand-new members.
 	AncestorRejoin bool
-	// Trace, if non-nil, records each orphan's rejoin episode as a causal
-	// "rejoin" span from its parent's failure to its reattachment or
-	// departure, with an instantaneous "attempt" child per saturated retry.
+	// Trace, if non-nil, records the membership as spans: an instantaneous
+	// "join" at each member's first attach, an instantaneous "depart" per
+	// departure, and each orphan's rejoin episode as a "rejoin" span from
+	// its parent's failure to its reattachment or departure, with an
+	// instantaneous "attempt" child per saturated retry.
 	Trace *tracing.Tracer
 }
 
@@ -191,8 +189,8 @@ type Driver struct {
 	// while instrumented or traced; accessed by key, never iterated.
 	episodes map[overlay.MemberID]rejoinEpisode
 
-	// JoinFailures counts arrivals that found a saturated overlay and had
-	// to retry.
+	// JoinFailures counts join and rejoin attempts that found a saturated
+	// overlay and had to retry.
 	JoinFailures int
 	// Departures counts all departures; MeasuredDepartures those inside the
 	// measurement window.
@@ -203,32 +201,31 @@ type Driver struct {
 // driverMetrics holds the driver's optional instruments; all nil until
 // Instrument is called (the metric types are nil-safe no-ops).
 type driverMetrics struct {
-	joins        *metrics.Counter
-	rejoins      *metrics.Counter
-	departures   *metrics.Counter
-	disruptions  *metrics.Counter
-	joinFailures *metrics.Counter
-	members      *metrics.Gauge
-	rejoinLat    *metrics.Histogram
+	joins       *metrics.Counter
+	rejoins     *metrics.Counter
+	disruptions *metrics.Counter
+	members     *metrics.Gauge
+	rejoinLat   *metrics.Histogram
 }
 
 // Instrument registers the churn driver's instruments on reg: join, rejoin,
-// departure, disruption and join-failure counters, a current-membership
-// gauge, and a histogram of rejoin latency (parent failure to re-attachment,
-// in virtual seconds). Everything is keyed in virtual time, so snapshots are
-// deterministic for a fixed seed.
+// departure, disruption and join-failure counters (the departure and
+// join-failure counts read Departures and JoinFailures), a
+// current-membership gauge, and a histogram of rejoin latency (parent
+// failure to re-attachment, in virtual seconds). Everything is keyed in
+// virtual time, so snapshots are deterministic for a fixed seed.
 func (d *Driver) Instrument(reg *metrics.Registry) {
-	d.met = driverMetrics{
-		joins:        reg.Counter("omcast_churn_joins_total", "Members that attached for the first time."),
-		rejoins:      reg.Counter("omcast_churn_rejoins_total", "Orphans that re-attached after a parent failure."),
-		departures:   reg.Counter("omcast_churn_departures_total", "Members that departed abruptly."),
-		disruptions:  reg.Counter("omcast_churn_disruptions_total", "Descendants whose stream was cut by an ancestor failure."),
-		joinFailures: reg.Counter("omcast_churn_join_failures_total", "Join or rejoin attempts that found a saturated overlay."),
-		members:      reg.Gauge("omcast_churn_members", "Members currently in the overlay (attached or rejoining)."),
-		rejoinLat: reg.Histogram("omcast_churn_rejoin_latency_seconds",
-			"Virtual seconds from parent failure to orphan re-attachment.",
-			metrics.LatencyBuckets()),
-	}
+	d.met.joins = reg.Counter("omcast_churn_joins_total", "Members that attached for the first time.")
+	d.met.rejoins = reg.Counter("omcast_churn_rejoins_total", "Orphans that re-attached after a parent failure.")
+	reg.CounterFunc("omcast_churn_departures_total", "Members that departed abruptly.",
+		func() float64 { return float64(d.Departures) })
+	d.met.disruptions = reg.Counter("omcast_churn_disruptions_total", "Descendants whose stream was cut by an ancestor failure.")
+	reg.CounterFunc("omcast_churn_join_failures_total", "Join or rejoin attempts that found a saturated overlay.",
+		func() float64 { return float64(d.JoinFailures) })
+	d.met.members = reg.Gauge("omcast_churn_members", "Members currently in the overlay (attached or rejoining).")
+	d.met.rejoinLat = reg.Histogram("omcast_churn_rejoin_latency_seconds",
+		"Virtual seconds from parent failure to orphan re-attachment.",
+		metrics.LatencyBuckets())
 	if d.episodes == nil {
 		d.episodes = make(map[overlay.MemberID]rejoinEpisode)
 	}
@@ -434,13 +431,17 @@ func (d *Driver) tryFirstJoin(sim *eventsim.Simulator, id overlay.MemberID) {
 	case err == nil:
 		d.met.joins.Inc()
 		d.met.members.Set(float64(d.tree.Size()))
+		d.cfg.Trace.Start(tracing.KindJoin, int64(id), sim.Now()).
+			AttrInt("parent", int64(m.Parent().ID)).
+			AttrInt("depth", int64(m.Depth())).
+			AttrFloat("bandwidth", m.Bandwidth).
+			End(sim.Now(), "attached")
 		if d.hooks.OnJoin != nil {
 			d.hooks.OnJoin(sim, m)
 		}
 	case errors.Is(err, construct.ErrNoParent):
 		d.JoinFailures++
-		d.met.joinFailures.Inc()
-		sim.Lane(DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
+		sim.Lane(construct.DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
 			d.tryFirstJoin(s, id)
 		})
 	default:
@@ -464,6 +465,8 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	// "most uncooperative and dynamic environment").
 	disrupted := d.tree.RecordFailure(m)
 	d.met.disruptions.Add(float64(disrupted))
+	d.cfg.Trace.Start(tracing.KindDepart, int64(id), now).
+		AttrInt("disrupted", int64(disrupted)).End(now, "failed")
 	if now >= d.measureFrom && now <= d.measureTo {
 		// Exposure: how long this member accumulated counters — from the
 		// start of the measurement window (counters are reset there) or its
@@ -478,7 +481,6 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 		d.MeasuredDepartures++
 	}
 	d.Departures++
-	d.met.departures.Inc()
 	d.ancestorBuf = d.tree.AppendAncestors(d.ancestorBuf[:0], m) // the orphans' surviving ancestor path
 	orphans, err := d.tree.Remove(m)
 	if err != nil {
@@ -535,11 +537,10 @@ func (d *Driver) rejoin(sim *eventsim.Simulator, id overlay.MemberID) {
 		d.rejoined(sim, m)
 	case errors.Is(err, construct.ErrNoParent):
 		d.JoinFailures++
-		d.met.joinFailures.Inc()
 		if ep, ok := d.episodes[id]; ok {
 			ep.span.Child(tracing.KindAttempt, int64(id), sim.Now()).End(sim.Now(), "saturated")
 		}
-		sim.Lane(DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
+		sim.Lane(construct.DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
 			d.rejoin(s, id)
 		})
 	default:

@@ -33,6 +33,11 @@ import (
 // expected to retry the join later.
 var ErrNoParent = errors.New("construct: no parent with spare capacity found")
 
+// DefaultRejoinRetry is how long a member whose join returned ErrNoParent
+// waits before trying again: a churn arrival or orphan, or a member a ROST
+// switch displaced.
+const DefaultRejoinRetry = 5 * time.Second
+
 // DefaultCandidateCount is the membership-discovery bound from the paper: a
 // joining node learns about up to 100 existing members.
 const DefaultCandidateCount = 100

@@ -52,15 +52,6 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// kernelMetrics holds the kernel's optional instruments. All pointers are
-// nil until Instrument is called; the metric types' nil-safe methods make
-// every update a single predictable branch on the uninstrumented path.
-type kernelMetrics struct {
-	scheduled *metrics.Counter
-	fired     *metrics.Counter
-	residence *metrics.Histogram
-}
-
 // Simulator is a single-threaded discrete-event scheduler. The zero value is
 // not usable; construct with New.
 type Simulator struct {
@@ -74,14 +65,17 @@ type Simulator struct {
 	lanes   []*Lane
 	laneLen int
 	free    []*event // recycled event records
-	seq     uint64
+	// seq is the next event's tie-break, so it counts events scheduled.
+	seq uint64
 	// processed counts events that fired.
 	processed uint64
 	// depthHigh tracks the largest queue depth ever observed; it is plain
 	// kernel state (one int compare per Schedule) so the instrumented
 	// hot path stays free of gauge writes.
 	depthHigh int
-	met       kernelMetrics
+	// residence is the queue-residence histogram, nil (a no-op) until
+	// Instrument is called.
+	residence *metrics.Histogram
 }
 
 // Lane is a FIFO of events that fire a fixed delay after they are scheduled.
@@ -108,15 +102,16 @@ func New() *Simulator {
 // virtual time, so a fixed seed yields byte-identical snapshots; wall-clock
 // kernel cost is profiled with -cpuprofile instead (see DESIGN.md §9).
 func (s *Simulator) Instrument(reg *metrics.Registry) {
-	s.met = kernelMetrics{
-		scheduled: reg.Counter("omcast_sim_events_scheduled_total", "Events registered with the kernel."),
-		fired:     reg.Counter("omcast_sim_events_fired_total", "Events whose handler ran."),
-		residence: reg.Histogram("omcast_sim_event_residence_seconds",
-			"Virtual seconds an event spent queued between Schedule and firing.",
-			metrics.LatencyBuckets()),
-	}
-	// The queue-depth gauges are func-backed: they read kernel state at
-	// snapshot time instead of writing a gauge on every Schedule and fire.
+	// The counters and the queue-depth gauges are func-backed: they read
+	// kernel state at snapshot time instead of writing an instrument on
+	// every Schedule and fire.
+	reg.CounterFunc("omcast_sim_events_scheduled_total", "Events registered with the kernel.",
+		func() float64 { return float64(s.seq) })
+	reg.CounterFunc("omcast_sim_events_fired_total", "Events whose handler ran.",
+		func() float64 { return float64(s.processed) })
+	s.residence = reg.Histogram("omcast_sim_event_residence_seconds",
+		"Virtual seconds an event spent queued between Schedule and firing.",
+		metrics.LatencyBuckets())
 	reg.GaugeFunc("omcast_sim_queue_depth",
 		"Events currently queued.",
 		func() float64 { return float64(s.Pending()) })
@@ -232,7 +227,6 @@ func (s *Simulator) newEvent(at time.Duration, handler Handler) *event {
 	ev.seq = s.seq
 	ev.handler = handler
 	s.seq++
-	s.met.scheduled.Inc()
 	return ev
 }
 
@@ -347,10 +341,9 @@ func (s *Simulator) Run(horizon time.Duration) error {
 		s.now = at
 		h(s)
 		s.processed++
-		s.met.fired.Inc()
 		// float64(d)*1e-9 instead of Seconds(): one multiply, not a divmod
 		// decomposition — this runs once per fired event.
-		s.met.residence.Observe(float64(at-schedAt) * 1e-9)
+		s.residence.Observe(float64(at-schedAt) * 1e-9)
 	}
 	if horizon > s.now && horizon != MaxHorizon {
 		s.now = horizon

@@ -3,8 +3,9 @@ package metrics
 import "fmt"
 
 // Merge folds every instrument of src into r, exactly as if the code that
-// populated src had run against r directly: counters add, histograms add
-// their bucket counts and sums, value gauges overwrite (a Set by the merged
+// populated src had run against r directly: counters add their value (a
+// func counter the value its function reads now), histograms add their
+// bucket counts and sums, value gauges overwrite (a Set by the merged
 // session), and func gauges rebind r's instrument to src's function —
 // Registry's usual re-registration semantics. Instruments new to r are
 // registered in src's registration order, so merging per-session registries
@@ -24,7 +25,7 @@ func (r *Registry) Merge(src *Registry) {
 	for _, m := range src.ordered {
 		switch m.desc.Kind {
 		case KindCounter:
-			r.Counter(m.desc.Name, m.desc.Help, m.desc.Labels...).Add(m.c.v)
+			r.Counter(m.desc.Name, m.desc.Help, m.desc.Labels...).Add(m.export().Value)
 		case KindGauge:
 			if m.fn != nil {
 				r.GaugeFunc(m.desc.Name, m.desc.Help, m.fn, m.desc.Labels...)

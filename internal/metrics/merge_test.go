@@ -15,6 +15,7 @@ func populate(reg *Registry, runs int) {
 		h.Observe(3)
 		v := float64(s)
 		reg.GaugeFunc("omcast_test_depth", "h", func() float64 { return v })
+		reg.CounterFunc("omcast_test_fired_total", "h", func() float64 { return v + 1 })
 	}
 }
 
@@ -57,6 +58,21 @@ func TestMergeIntoPopulated(t *testing.T) {
 	}
 	if snap.Metrics[1].Name != "omcast_test_new_total" || snap.Metrics[1].Value != 1 {
 		t.Fatalf("new counter not appended: %+v", snap.Metrics[1])
+	}
+}
+
+// TestMergeAddsCounterFunc pins that merging a func counter adds the value
+// its function reads at merge time, as a counter's would be added.
+func TestMergeAddsCounterFunc(t *testing.T) {
+	dst := NewRegistry()
+	dst.Counter("omcast_test_total", "h").Add(5)
+	src := NewRegistry()
+	fired := 2
+	src.CounterFunc("omcast_test_total", "h", func() float64 { return float64(fired) })
+	dst.Merge(src)
+	fired = 40 // merged values are copies: src's later counts stay in src
+	if got := dst.Snapshot(0).Metrics; len(got) != 1 || got[0].Value != 7 || got[0].Kind != KindCounter {
+		t.Fatalf("merged counter snapshot %+v, want one counter at 7", got)
 	}
 }
 

@@ -203,7 +203,8 @@ func checkDesc(d Desc) {
 }
 
 // metric is one registered instrument. Gauges are either value-backed (g)
-// or func-backed (fn, computed at snapshot time), never both.
+// or func-backed (fn, computed at snapshot time), never both. A counter
+// always has its value c and may also have fn: it reads c plus fn().
 type metric struct {
 	desc Desc
 	c    *Counter
@@ -248,6 +249,25 @@ func (r *Registry) lookup(d Desc, mk func() *metric) *metric {
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	d := Desc{Name: name, Help: help, Kind: KindCounter, Labels: sortLabels(labels)}
 	return r.lookup(d, func() *metric { return &metric{desc: d, c: &Counter{}} }).c
+}
+
+// CounterFunc registers a counter whose value is read from fn at snapshot
+// time. Use it for a count the instrumented code already keeps in a field of
+// its own (events fired, switches completed): the field is the count, and no
+// second store is bumped beside it. fn must be monotone. Re-registering the
+// same name+labels folds the old fn's current value into the counter before
+// rebinding it to fn, so sequential sessions sharing a registry accumulate
+// exactly as they do through Counter.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	if fn == nil {
+		panic(fmt.Sprintf("metrics: CounterFunc %s registered with nil fn", name))
+	}
+	d := Desc{Name: name, Help: help, Kind: KindCounter, Labels: sortLabels(labels)}
+	m := r.lookup(d, func() *metric { return &metric{desc: d, c: &Counter{}} })
+	if m.fn != nil {
+		m.c.Add(m.fn())
+	}
+	m.fn = fn
 }
 
 // Gauge registers (or returns) a gauge.
@@ -315,6 +335,9 @@ func (m *metric) export() Metric {
 	switch m.desc.Kind {
 	case KindCounter:
 		out.Value = m.c.v
+		if m.fn != nil {
+			out.Value += m.fn()
+		}
 	case KindGauge:
 		if m.fn != nil {
 			out.Value = m.fn()

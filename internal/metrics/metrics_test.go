@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -193,4 +194,32 @@ func TestGaugeFunc(t *testing.T) {
 		}
 	}()
 	reg.Gauge("omcast_test_depth", "")
+}
+
+// TestCounterFuncAccumulatesLikeCounter pins the re-registration rule of a
+// func counter: sequential sessions sharing a registry, each counting in a
+// field of its own, snapshot exactly as the same sessions bumping a Counter.
+func TestCounterFuncAccumulatesLikeCounter(t *testing.T) {
+	funcs, counters := NewRegistry(), NewRegistry()
+	for _, events := range []int{3, 4} {
+		fired := 0
+		funcs.CounterFunc("omcast_test_fired_total", "h", func() float64 { return float64(fired) })
+		c := counters.Counter("omcast_test_fired_total", "h")
+		for i := 0; i < events; i++ {
+			fired++
+			c.Inc()
+			if got, want := funcs.Snapshot(1), counters.Snapshot(1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("func counter snapshot %+v, counter snapshot %+v", got, want)
+			}
+		}
+	}
+	if got := funcs.Snapshot(0).Metrics; len(got) != 1 || got[0].Value != 7 || got[0].Kind != KindCounter {
+		t.Fatalf("two sessions of 3 and 4 events snapshot as %+v, want one counter at 7", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("counter/gauge clash did not panic")
+		}
+	}()
+	funcs.Gauge("omcast_test_fired_total", "h")
 }

@@ -1,17 +1,18 @@
 package node
 
 import (
+	"fmt"
 	"testing"
 
 	"omcast/internal/wire"
 )
 
-// fuzzNode builds a sandboxed, unstarted node with tight caps so the
-// invariant checks are cheap.
-func fuzzNode(source bool) *Node {
+// fuzzNode builds a sandboxed, unstarted node of the given bandwidth with
+// tight caps so the invariant checks are cheap.
+func fuzzNode(source bool, bandwidth float64) *Node {
 	cfg := Config{
 		Source:        source,
-		Bandwidth:     3,
+		Bandwidth:     bandwidth,
 		BufferPackets: 32,
 	}
 	n := New(cfg, &probeTransport{addr: "self"})
@@ -23,12 +24,14 @@ func fuzzNode(source bool) *Node {
 }
 
 // checkInvariants asserts the properties no datagram sequence may break:
-// bounded state (membership view, guard table), a coherent repair ring and
-// coherent counters. Panics are caught by the fuzz driver itself.
+// bounded state (membership view, guard table, children, retransmission
+// peers), a coherent repair ring and coherent counters. Panics are caught by
+// the fuzz driver itself.
 func checkInvariants(t *testing.T, n *Node, what string) {
 	t.Helper()
 	n.mu.Lock()
 	members, guards := len(n.membership), len(n.guard)
+	children, retx := len(n.children), len(n.retx)
 	highest := n.highest
 	// The ring: every written slot holds a sequence that maps to it and that
 	// the head has reached, and no more slots are live than the window has
@@ -56,6 +59,12 @@ func checkInvariants(t *testing.T, n *Node, what string) {
 	}
 	if max := 4 * n.tm.membershipLimit; guards > max {
 		t.Fatalf("%s: guard table %d > cap %d", what, guards, max)
+	}
+	if max := n.outDegree(); children > max {
+		t.Fatalf("%s: %d children > out-degree %d", what, children, max)
+	}
+	if max := n.tm.peerCap; retx > max {
+		t.Fatalf("%s: retransmission table %d > cap %d", what, retx, max)
 	}
 	if highest < -1 {
 		t.Fatalf("%s: highest packet %d < -1", what, highest)
@@ -113,8 +122,8 @@ func FuzzHandlers(f *testing.F) {
 		bin(wire.Envelope{Type: wire.TypeMembershipRequest, From: "x", Limit: 8, Ctrl: 3}),
 		[]byte{0xF5, 0x4D, 0x02})
 	f.Fuzz(func(t *testing.T, d1, d2, d3 []byte) {
-		member := fuzzNode(false)
-		source := fuzzNode(true)
+		member := fuzzNode(false, 3)
+		source := fuzzNode(true, 3)
 		for i, d := range [][]byte{d1, d2, d3} {
 			member.onDatagram(d)
 			checkInvariants(t, member, "member")
@@ -126,4 +135,43 @@ func FuzzHandlers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSenderFloodStaysBounded floods a node of out-degree 2, through the
+// dispatch path, with Join and SwitchCommit envelopes from 1 000 distinct
+// valid senders: each Join asks for a child slot and each commit asks the
+// node to swap a child for its sender, so without the caps both the child
+// set and the retransmission table would grow with the sender count.
+func TestSenderFloodStaysBounded(t *testing.T) {
+	n := fuzzNode(false, 2)
+	for i := 0; i < 1000; i++ {
+		from := wire.Addr(fmt.Sprintf("10.0.%d.%d:7000", i/250, i%250+1))
+		// The commit names the newest child, taken from the ordered
+		// child list so the swap sequence is the same on every run.
+		n.mu.Lock()
+		var child wire.Addr
+		if k := len(n.childList); k > 0 {
+			child = n.childList[k-1]
+		}
+		n.mu.Unlock()
+		for _, env := range []wire.Envelope{
+			{Type: wire.TypeJoin, From: from, Bandwidth: 3},
+			{Type: wire.TypeSwitchCommit, From: from, Chain: []wire.Addr{child}},
+		} {
+			b, err := wire.EncodeBinary(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.onDatagram(b)
+			checkInvariants(t, n, fmt.Sprintf("sender %d", i))
+		}
+	}
+	// The guard rate-limits per sender, so distinct senders reach the
+	// handlers to the end: the last commit swapped its sender in.
+	n.mu.Lock()
+	_, last := n.children["10.0.3.250:7000"]
+	n.mu.Unlock()
+	if !last {
+		t.Fatal("the flood's last sender holds no child slot: the flood never reached the handlers")
+	}
 }

@@ -636,29 +636,6 @@ func (t *Tree) VisitSubtree(m *Member, fn func(*Member)) {
 	}
 }
 
-// SubtreeSize returns the number of members in m's subtree including m.
-func (t *Tree) SubtreeSize(m *Member) int {
-	if m == nil || m.idx < 0 || m.tree != t {
-		return 0
-	}
-	count := 0
-	n := m.idx
-	for {
-		count++
-		if fc := t.firstKid[n]; fc != none {
-			n = fc
-			continue
-		}
-		for n != m.idx && t.nextSib[n] == none {
-			n = t.parent[n]
-		}
-		if n == m.idx {
-			return count
-		}
-		n = t.nextSib[n]
-	}
-}
-
 // AppendAncestors appends to dst the path from m's parent up to the root,
 // nearest first, and returns the extended slice.
 func (t *Tree) AppendAncestors(dst []*Member, m *Member) []*Member {
@@ -766,10 +743,12 @@ func (t *Tree) Sample(rng *xrand.Source, n int, exclude *Member) []*Member {
 	return out[:len(out):len(out)]
 }
 
-// RecordFailure increments the disruption counter of every attached member
-// in the subtrees below the failed member (the member itself is excluded: it
-// departed). It returns how many members were disrupted. Per the paper's
-// metric, an abrupt departure disrupts each descendant once.
+// RecordFailure increments the disruption counter of every descendant of the
+// failed member (the member itself is excluded: it departed) and returns how
+// many it charged. Per the paper's metric, an abrupt departure disrupts each
+// descendant once. The failed member need not be attached: when it departs
+// while detached (an orphan still retrying a saturated rejoin), its detached
+// subtree is charged again, though that subtree's outage has not ended.
 func (t *Tree) RecordFailure(failed *Member) int {
 	if failed == nil || failed.idx < 0 {
 		return 0

@@ -52,10 +52,10 @@ func BenchmarkMoveSubtree(b *testing.B) {
 	}
 	frontier := []*Member{sub}
 	id := topology.NodeID(10)
-	for len(frontier) > 0 && tree.SubtreeSize(sub) < 64 {
+	for size := 1; len(frontier) > 0 && size < 64; {
 		next := frontier[0]
 		frontier = frontier[1:]
-		for i := 0; i < 4 && tree.SubtreeSize(sub) < 64; i++ {
+		for i := 0; i < 4 && size < 64; i, size = i+1, size+1 {
 			child := tree.NewMember(id, 4, 0)
 			id++
 			if err := tree.Attach(child, next); err != nil {

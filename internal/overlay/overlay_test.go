@@ -260,11 +260,16 @@ func TestVisitSubtreeAndSize(t *testing.T) {
 	mustJoin(t, tree, a, 2, 0.5, 0)
 	b := mustJoin(t, tree, a, 3, 2, 0)
 	mustJoin(t, tree, b, 4, 0.5, 0)
-	if got := tree.SubtreeSize(a); got != 4 {
-		t.Fatalf("SubtreeSize = %d, want 4", got)
+	size := func(m *Member) int {
+		n := 0
+		tree.VisitSubtree(m, func(*Member) { n++ })
+		return n
 	}
-	if got := tree.SubtreeSize(tree.Root()); got != 5 {
-		t.Fatalf("root SubtreeSize = %d, want 5", got)
+	if got := size(a); got != 4 {
+		t.Fatalf("subtree of a visits %d members, want 4", got)
+	}
+	if got := size(tree.Root()); got != 5 {
+		t.Fatalf("subtree of the root visits %d members, want 5", got)
 	}
 }
 
@@ -338,6 +343,26 @@ func TestRecordFailure(t *testing.T) {
 	}
 	if a.Disruptions != 0 {
 		t.Fatal("failed member counted as disrupted")
+	}
+}
+
+// TestRecordFailureChargesDetachedSubtree pins what a departure charges when
+// the departing member is itself detached (an orphan still retrying a
+// saturated rejoin): every descendant, though their outage has not ended.
+func TestRecordFailureChargesDetachedSubtree(t *testing.T) {
+	tree := newTestTree(t)
+	a := mustJoin(t, tree, tree.Root(), 1, 3, 0)
+	b := mustJoin(t, tree, a, 2, 2, 0)
+	c := mustJoin(t, tree, b, 3, 1, 0)
+	if err := tree.Detach(a); err != nil {
+		t.Fatal(err)
+	}
+	b.Disruptions, c.Disruptions = 4, 0
+	if got := tree.RecordFailure(a); got != 2 {
+		t.Fatalf("RecordFailure of a detached member = %d, want 2", got)
+	}
+	if b.Disruptions != 5 || c.Disruptions != 1 {
+		t.Fatalf("descendant disruptions = %d, %d; want 5, 1 (one more each)", b.Disruptions, c.Disruptions)
 	}
 }
 

@@ -70,31 +70,22 @@ type Referees struct {
 	// AgeResets counts members whose whole age-referee set died at once,
 	// losing their provable seniority.
 	AgeResets int
-
-	met refereeMetrics
 }
 
-// refereeMetrics mirrors the referee counters into a metrics registry so
-// traced runs can watch verification pressure and cheating exposure evolve.
-// All pointers stay nil (and no-op) until Instrument is called.
-type refereeMetrics struct {
-	verifications *metrics.Counter
-	rejections    *metrics.Counter
-	replacements  *metrics.Counter
-	ageResets     *metrics.Counter
-	cheaters      *metrics.Gauge
-}
-
-// Instrument registers the referee mechanism's instruments on reg.
+// Instrument registers the referee mechanism's instruments on reg: its four
+// counts, read from the fields above, and the number of members currently
+// marked as cheaters.
 func (r *Referees) Instrument(reg *metrics.Registry) {
-	r.met = refereeMetrics{
-		verifications: reg.Counter("omcast_referee_verifications_total", "BTP claims checked against referee evidence."),
-		rejections:    reg.Counter("omcast_referee_rejections_total", "BTP claims the referees exposed as inflated."),
-		replacements:  reg.Counter("omcast_referee_replacements_total", "Referee hand-offs after referee departures."),
-		ageResets:     reg.Counter("omcast_referee_age_resets_total", "Members whose whole age-referee set died, losing provable seniority."),
-		cheaters:      reg.Gauge("omcast_referee_marked_cheaters", "Members currently marked as inflating their claims."),
-	}
-	r.met.cheaters.Set(float64(len(r.cheatFactor)))
+	reg.CounterFunc("omcast_referee_verifications_total", "BTP claims checked against referee evidence.",
+		func() float64 { return float64(r.Verifications) })
+	reg.CounterFunc("omcast_referee_rejections_total", "BTP claims the referees exposed as inflated.",
+		func() float64 { return float64(r.Rejections) })
+	reg.CounterFunc("omcast_referee_replacements_total", "Referee hand-offs after referee departures.",
+		func() float64 { return float64(r.Replacements) })
+	reg.CounterFunc("omcast_referee_age_resets_total", "Members whose whole age-referee set died, losing provable seniority.",
+		func() float64 { return float64(r.AgeResets) })
+	reg.GaugeFunc("omcast_referee_marked_cheaters", "Members currently marked as inflating their claims.",
+		func() float64 { return float64(len(r.cheatFactor)) })
 }
 
 // NewReferees creates the mechanism for tree, drawing referee choices from
@@ -139,7 +130,6 @@ func (r *Referees) Enroll(m *overlay.Member, now time.Duration) {
 func (r *Referees) Forget(id overlay.MemberID) {
 	delete(r.records, id)
 	delete(r.cheatFactor, id)
-	r.met.cheaters.Set(float64(len(r.cheatFactor)))
 }
 
 // MarkCheater makes a member advertise factor x its true BTP. A factor of 1
@@ -150,7 +140,6 @@ func (r *Referees) MarkCheater(id overlay.MemberID, factor float64) {
 	} else {
 		r.cheatFactor[id] = factor
 	}
-	r.met.cheaters.Set(float64(len(r.cheatFactor)))
 }
 
 // ClaimedBTP returns the BTP the member advertises to its neighbours:
@@ -194,7 +183,6 @@ func (r *Referees) VerifyBTP(m *overlay.Member, claimed float64, now time.Durati
 	}
 	r.maintain(m, rec, now)
 	r.Verifications++
-	r.met.verifications.Inc()
 	age := now - rec.witnessedJoin
 	if age < 0 {
 		age = 0
@@ -202,7 +190,6 @@ func (r *Referees) VerifyBTP(m *overlay.Member, claimed float64, now time.Durati
 	trueBTP := rec.measuredBW * age.Seconds()
 	if claimed > trueBTP*(1+DefaultClaimTolerance)+1e-9 {
 		r.Rejections++
-		r.met.rejections.Inc()
 		return false
 	}
 	return true
@@ -219,7 +206,6 @@ func (r *Referees) maintain(m *overlay.Member, rec *refereeRecord, now time.Dura
 		// age restarts now.
 		rec.witnessedJoin = now
 		r.AgeResets++
-		r.met.ageResets.Inc()
 		rec.ageReferees = r.pickReferees(m, DefaultAgeReferees)
 	} else {
 		rec.ageReferees = r.replaceDead(m, rec.ageReferees)
@@ -251,7 +237,6 @@ func (r *Referees) replaceDead(m *overlay.Member, ids []overlay.MemberID) []over
 	fresh := r.pickReferees(m, missing)
 	out = append(out, fresh...)
 	r.Replacements += len(fresh)
-	r.met.replacements.Add(float64(len(fresh)))
 	return out
 }
 

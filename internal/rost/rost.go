@@ -92,9 +92,6 @@ type Protocol struct {
 	switchLatency time.Duration
 
 	nextOp int64
-	// onSwitch, when non-nil, observes every completed switch (promoted
-	// child, demoted parent) — used for tracing.
-	onSwitch func(now time.Duration, promoted, demoted overlay.MemberID)
 
 	// Switches counts completed switch operations.
 	Switches int
@@ -107,31 +104,25 @@ type Protocol struct {
 	// an inflated BTP claim.
 	Rejected int
 
-	met protocolMetrics
-}
-
-// protocolMetrics mirrors the protocol counters into a metrics registry so
-// traced runs can watch switching dynamics evolve instead of reading only
-// end-of-run totals. All pointers stay nil until Instrument is called.
-type protocolMetrics struct {
-	switches  *metrics.Counter
-	aborts    *metrics.Counter
-	backoffs  *metrics.Counter
-	rejected  *metrics.Counter
+	// promDepth is the promotion-depth histogram, nil (a no-op) until
+	// Instrument is called.
 	promDepth *metrics.Histogram
 }
 
-// Instrument registers the protocol's instruments on reg.
+// Instrument registers the protocol's instruments on reg: its four counts,
+// read from the fields above, and the promotion-depth histogram.
 func (p *Protocol) Instrument(reg *metrics.Registry) {
-	p.met = protocolMetrics{
-		switches: reg.Counter("omcast_rost_switches_total", "Completed ROST position exchanges."),
-		aborts:   reg.Counter("omcast_rost_switch_aborts_total", "Switches abandoned because the locked neighbourhood changed."),
-		backoffs: reg.Counter("omcast_rost_lock_backoffs_total", "Switch attempts that backed off on a locked neighbourhood."),
-		rejected: reg.Counter("omcast_rost_rejected_claims_total", "Switches refused after referee BTP verification."),
-		promDepth: reg.Histogram("omcast_rost_promotion_depth",
-			"Tree depth at which completed switches promoted a member.",
-			metrics.LogBuckets(1, 64, 7)),
-	}
+	reg.CounterFunc("omcast_rost_switches_total", "Completed ROST position exchanges.",
+		func() float64 { return float64(p.Switches) })
+	reg.CounterFunc("omcast_rost_switch_aborts_total", "Switches abandoned because the locked neighbourhood changed.",
+		func() float64 { return float64(p.Aborted) })
+	reg.CounterFunc("omcast_rost_lock_backoffs_total", "Switch attempts that backed off on a locked neighbourhood.",
+		func() float64 { return float64(p.LockFailures) })
+	reg.CounterFunc("omcast_rost_rejected_claims_total", "Switches refused after referee BTP verification.",
+		func() float64 { return float64(p.Rejected) })
+	p.promDepth = reg.Histogram("omcast_rost_promotion_depth",
+		"Tree depth at which completed switches promoted a member.",
+		metrics.LogBuckets(1, 64, 7))
 }
 
 // New creates a ROST protocol instance over tree.
@@ -150,11 +141,6 @@ func New(tree *overlay.Tree, env *construct.Env, cfg Config) *Protocol {
 
 // Name returns the algorithm's display name.
 func (p *Protocol) Name() string { return "ROST" }
-
-// SetOnSwitch installs a completed-switch observer (tracing hook).
-func (p *Protocol) SetOnSwitch(fn func(now time.Duration, promoted, demoted overlay.MemberID)) {
-	p.onSwitch = fn
-}
 
 var _ construct.Strategy = (*Protocol)(nil)
 
@@ -198,7 +184,6 @@ func (p *Protocol) check(sim *eventsim.Simulator, id overlay.MemberID, again eve
 		// Locked neighbourhood: back off and re-check the condition, per
 		// Section 3.3.
 		p.LockFailures++
-		p.met.backoffs.Inc()
 		sim.Lane(DefaultLockBackoff).Schedule(again)
 	case switchNotNeeded:
 		sim.Lane(p.cfg.SwitchInterval).Schedule(again)
@@ -259,7 +244,6 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member,
 	if r := p.cfg.Referees; r != nil && !p.cfg.SkipVerification {
 		if !r.VerifyBTP(m, p.claimedBTP(m, now), now) {
 			p.Rejected++
-			p.met.rejected.Inc()
 			p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
 				AttrInt("parent", int64(parent.ID)).End(now, "rejected")
 			return switchNotNeeded
@@ -314,7 +298,6 @@ func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parent
 	}
 	if !valid {
 		p.Aborted++
-		p.met.aborts.Inc()
 		sp.End(sim.Now(), "aborted")
 		if m != nil {
 			sim.Lane(p.cfg.SwitchInterval).Schedule(again)
@@ -327,12 +310,8 @@ func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parent
 		panic(fmt.Sprintf("rost: exchange invariant broken: %v", err))
 	}
 	p.Switches++
-	p.met.switches.Inc()
-	p.met.promDepth.Observe(float64(m.Depth()))
+	p.promDepth.Observe(float64(m.Depth()))
 	sp.End(sim.Now(), "switched")
-	if p.onSwitch != nil {
-		p.onSwitch(sim.Now(), m.ID, parent.ID)
-	}
 	sim.Lane(p.cfg.SwitchInterval).Schedule(again)
 }
 
@@ -416,10 +395,10 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 	return nil
 }
 
-// retryJoin periodically re-attempts a rejoin for a member stranded by a
-// saturated overlay.
+// retryJoin re-attempts, every construct.DefaultRejoinRetry, the join of a
+// member a switch displaced into a saturated overlay.
 func (p *Protocol) retryJoin(sim *eventsim.Simulator, id overlay.MemberID) {
-	sim.Lane(5 * time.Second).Schedule(func(s *eventsim.Simulator) {
+	sim.Lane(construct.DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
 		m := p.tree.Member(id)
 		if m == nil || m.Attached() {
 			return

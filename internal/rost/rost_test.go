@@ -470,3 +470,43 @@ func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
 		t.Fatal("abort leaked locks")
 	}
 }
+
+// TestDisplacedMemberRetriesSaturatedTree drives the exchange's saturated
+// path: without the bandwidth guard a free-rider (no child slot) overtakes
+// its parent, so the demoted parent has nowhere to go. It must stay
+// detached, retrying every construct.DefaultRejoinRetry, and attach at the
+// first retry after a slot frees.
+func TestDisplacedMemberRetriesSaturatedTree(t *testing.T) {
+	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second, DisableBandwidthGuard: true})
+	parent := f.joinAt(t, 0, 1, 1) // the root's only child, one slot
+	rider := f.tree.NewMember(2, 0.5, 0)
+	rider.JoinTime = -1000 * time.Second // BTP 0.5*1100 > 1*100 at the first check
+	if err := f.tree.Attach(rider, parent); err != nil {
+		t.Fatal(err)
+	}
+	f.p.Start(f.sim, rider)
+	switched := 100*time.Second + DefaultSwitchLatency
+	f.runUntil(t, switched)
+	if f.p.Switches != 1 || rider.Parent() != f.tree.Root() {
+		t.Fatalf("setup: %d switches, rider under %v; want the rider promoted under the source", f.p.Switches, rider.Parent())
+	}
+	if parent.Attached() {
+		t.Fatalf("demoted parent attached under %d in a tree with no spare slot", parent.Parent().ID)
+	}
+	// Free the source's slot between two retries.
+	freed := switched + construct.DefaultRejoinRetry + construct.DefaultRejoinRetry/2
+	f.sim.Schedule(freed, func(*eventsim.Simulator) {
+		if _, err := f.tree.Remove(rider); err != nil {
+			t.Error(err)
+		}
+	})
+	nextRetry := switched + 2*construct.DefaultRejoinRetry
+	f.runUntil(t, nextRetry-1)
+	if parent.Attached() {
+		t.Fatal("displaced parent attached before its next retry")
+	}
+	f.runUntil(t, nextRetry)
+	if parent.Parent() != f.tree.Root() {
+		t.Fatalf("displaced parent not under the source at the first retry after the slot freed (parent %v)", parent.Parent())
+	}
+}

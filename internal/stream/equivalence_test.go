@@ -48,14 +48,12 @@ func (m *Model) onFailureReference(failed *overlay.Member, now time.Duration, st
 // playback deadline, one packet at a time.
 func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.Duration, stalls *[]stallWindow) {
 	m.Episodes++
-	m.met.episodes.Inc()
 	first := m.packetAfter(failedAt)
 	last := m.packetAfter(outageEnd) - 1
 	if last < first {
 		return
 	}
 	requestAt := failedAt + DefaultDetectDelay
-	repairedBefore, lostBefore := m.PacketsRepaired, m.PacketsLost
 	servers, ep := m.episodeInputs(c, first, last, requestAt, outageEnd)
 	arrivals := cer.PlanRecoveryInto(ep, servers, nil)
 	var stallFirst, stallLast time.Duration
@@ -63,7 +61,6 @@ func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.
 	m.tree.VisitSubtree(c, func(d *overlay.Member) {
 		if d != c {
 			m.ELNMessages++
-			m.met.eln.Inc()
 		}
 		st := m.stateOf(d.ID)
 		if st == nil || st.viewStart > failedAt {
@@ -101,10 +98,6 @@ func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.
 		st.acc.add(first, last+1)
 		st.acc.seal(first) // mirror the interval path's monotone forgetting
 	})
-	repaired := m.PacketsRepaired - repairedBefore
-	lost := m.PacketsLost - lostBefore
-	m.met.repaired.Add(float64(repaired))
-	m.met.lost.Add(float64(lost))
 	if stallSlots > 0 {
 		slot := time.Duration(float64(time.Second) / DefaultRate)
 		*stalls = append(*stalls, stallWindow{
@@ -113,9 +106,6 @@ func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.
 			end:    (stallLast + slot).Seconds(),
 			slots:  stallSlots,
 		})
-	}
-	if m.cfg.OnEpisode != nil {
-		m.cfg.OnEpisode(c, failedAt, repaired, lost)
 	}
 }
 

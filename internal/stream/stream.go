@@ -78,9 +78,6 @@ type Config struct {
 	// MeasureFrom discards starving ratios finalised before this time
 	// (warm-up). Zero keeps everything.
 	MeasureFrom time.Duration
-	// OnEpisode, if non-nil, fires after each outage episode with the
-	// orphan that planned recovery and its per-packet outcome (tracing).
-	OnEpisode func(orphan *overlay.Member, failedAt time.Duration, repaired, lost int)
 	// Trace, if non-nil, records each outage as a causal "repair" span
 	// with detect/fetch/stall children (see internal/tracing). The episode
 	// path is the same either way; nil makes its span calls no-ops.
@@ -154,31 +151,22 @@ type Model struct {
 	// PacketsRepaired and PacketsLost tally the orphans' missing packets.
 	PacketsRepaired int
 	PacketsLost     int
-
-	met modelMetrics
-}
-
-// modelMetrics holds the model's optional instruments; all nil until
-// Instrument is called (the metric types are nil-safe no-ops).
-type modelMetrics struct {
-	episodes *metrics.Counter
-	eln      *metrics.Counter
-	requests *metrics.Counter
-	repaired *metrics.Counter
-	lost     *metrics.Counter
 }
 
 // Instrument registers the CER streaming model's instruments on reg:
 // episode, ELN-message and repair-request counters plus the per-packet
-// repair outcome tallies. All counters advance in virtual time only.
+// repair outcome tallies, each read from the field above that keeps it.
 func (m *Model) Instrument(reg *metrics.Registry) {
-	m.met = modelMetrics{
-		episodes: reg.Counter("omcast_cer_episodes_total", "Outage episodes processed (one per orphan per failure)."),
-		eln:      reg.Counter("omcast_cer_eln_messages_total", "Explicit-loss-notification messages sent down disrupted subtrees."),
-		requests: reg.Counter("omcast_cer_repair_requests_total", "Recovery-group repair requests issued by orphans."),
-		repaired: reg.Counter("omcast_cer_packets_repaired_total", "Orphan packets recovered in time by the recovery group."),
-		lost:     reg.Counter("omcast_cer_packets_lost_total", "Orphan packets missing their playback deadline despite recovery."),
-	}
+	reg.CounterFunc("omcast_cer_episodes_total", "Outage episodes processed (one per orphan per failure).",
+		func() float64 { return float64(m.Episodes) })
+	reg.CounterFunc("omcast_cer_eln_messages_total", "Explicit-loss-notification messages sent down disrupted subtrees.",
+		func() float64 { return float64(m.ELNMessages) })
+	reg.CounterFunc("omcast_cer_repair_requests_total", "Recovery-group repair requests issued by orphans.",
+		func() float64 { return float64(m.RepairRequests) })
+	reg.CounterFunc("omcast_cer_packets_repaired_total", "Orphan packets recovered in time by the recovery group.",
+		func() float64 { return float64(m.PacketsRepaired) })
+	reg.CounterFunc("omcast_cer_packets_lost_total", "Orphan packets missing their playback deadline despite recovery.",
+		func() float64 { return float64(m.PacketsLost) })
 }
 
 // NewModel builds a streaming model over tree. selector chooses recovery
@@ -314,7 +302,6 @@ func (m *Model) OnFailure(failed *overlay.Member, now time.Duration) {
 // replaces it.
 func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration) {
 	m.Episodes++
-	m.met.episodes.Inc()
 	first := m.packetAfter(failedAt)
 	last := m.packetAfter(outageEnd) - 1
 	if last < first {
@@ -367,7 +354,6 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	m.tree.VisitSubtree(c, func(d *overlay.Member) {
 		if d != c {
 			m.ELNMessages++
-			m.met.eln.Inc()
 		}
 		st := m.stateOf(d.ID)
 		if st == nil || st.viewStart > failedAt {
@@ -408,8 +394,6 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	})
 	m.PacketsRepaired += repairedTotal
 	m.PacketsLost += lostTotal
-	m.met.repaired.Add(float64(repairedTotal))
-	m.met.lost.Add(float64(lostTotal))
 	outcome := "filled"
 	switch {
 	case lostTotal > 0 && repairedTotal > 0:
@@ -419,9 +403,6 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	}
 	sp.AttrInt("repaired", int64(repairedTotal)).AttrInt("lost", int64(lostTotal)).
 		End(outageEnd, outcome)
-	if m.cfg.OnEpisode != nil {
-		m.cfg.OnEpisode(c, failedAt, repairedTotal, lostTotal)
-	}
 }
 
 // traceStall records the orphan's starving window as a stall child of its
@@ -451,7 +432,6 @@ func (m *Model) traceStall(sp *tracing.SpanBuilder, c *overlay.Member, first int
 func (m *Model) episodeInputs(c *overlay.Member, first, last int64, requestAt, resumeAt time.Duration) ([]cer.Server, cer.Episode) {
 	group := m.selector.Select(c, m.cfg.GroupSize)
 	m.RepairRequests++
-	m.met.requests.Inc()
 	servers := cer.AppendServers(m.serverBuf[:0], c, group, m.delay, func(g *overlay.Member) (float64, bool) {
 		st := m.stateOf(g.ID)
 		if st == nil || st.outageUntil > requestAt {

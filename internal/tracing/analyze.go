@@ -1,5 +1,5 @@
-// Trace analysis: parse a JSONL trace stream (point events and span
-// lines interleaved), reconstruct episode timelines, and summarise
+// Trace analysis: parse a JSONL trace stream (span and sample lines
+// interleaved), reconstruct episode timelines, and summarise
 // them as latency breakdowns — the consumer half of the span layer,
 // surfaced by `omcast trace analyze`.
 package tracing
@@ -15,17 +15,19 @@ import (
 
 // ParsedTrace is everything recovered from one JSONL trace stream.
 type ParsedTrace struct {
-	Spans  []Span
-	Events map[string]int // point-event counts by kind ("span" lines excluded)
-	Lines  int
+	Spans   []Span
+	Samples int // "sample" lines
+	Lines   int
 }
 
 // Parse reads a JSONL trace of Events. Unknown fields are ignored so older
 // analyzers keep working against newer producers; lines that are not JSON
-// objects, and "span" lines without a span, are an error. A missing "v" (pre-span traces) parses as version 0 and is
-// accepted.
+// objects, and "span" lines without a span, are an error. Lines of any
+// other event (the point events of older traces) are counted in Lines and
+// otherwise skipped. A missing "v" (pre-span traces) parses as version 0
+// and is accepted.
 func Parse(r io.Reader) (*ParsedTrace, error) {
-	out := &ParsedTrace{Events: make(map[string]int)}
+	out := &ParsedTrace{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
@@ -45,8 +47,8 @@ func Parse(r io.Reader) (*ParsedTrace, error) {
 			out.Spans = append(out.Spans, *ev.Span)
 		case ev.Event == "span":
 			return nil, fmt.Errorf("tracing: line %d: span event carries no span", out.Lines)
-		case ev.Event != "":
-			out.Events[ev.Event]++
+		case ev.Event == "sample":
+			out.Samples++
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -84,7 +86,7 @@ type KindStats struct {
 
 // Analysis is the full summary of a parsed trace.
 type Analysis struct {
-	Events     map[string]int
+	Samples    int
 	Kinds      []KindStats // sorted by kind name
 	TotalSpans int
 }
@@ -133,7 +135,7 @@ func Analyze(tr *ParsedTrace) *Analysis {
 		ss.Offsets = append(ss.Offsets, sp.Start-parent.Start)
 		ss.Durations = append(ss.Durations, sp.Duration())
 	}
-	out := &Analysis{Events: tr.Events, TotalSpans: len(tr.Spans)}
+	out := &Analysis{Samples: tr.Samples, TotalSpans: len(tr.Spans)}
 	names := make([]string, 0, len(kinds))
 	for k := range kinds {
 		names = append(names, k)
@@ -182,17 +184,8 @@ func Percentile(sorted []float64, q float64) float64 {
 func (a *Analysis) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "spans: %d\n", a.TotalSpans)
-	if len(a.Events) > 0 {
-		evs := make([]string, 0, len(a.Events))
-		for k := range a.Events {
-			evs = append(evs, k)
-		}
-		sort.Strings(evs)
-		fmt.Fprintf(bw, "events:")
-		for _, k := range evs {
-			fmt.Fprintf(bw, " %s=%d", k, a.Events[k])
-		}
-		fmt.Fprintln(bw)
+	if a.Samples > 0 {
+		fmt.Fprintf(bw, "samples: %d\n", a.Samples)
 	}
 	for _, ks := range a.Kinds {
 		outs := make([]string, 0, len(ks.Outcomes))

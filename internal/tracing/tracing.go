@@ -1,14 +1,16 @@
 // Package tracing owns the JSONL trace stream: one line type (Event), one
 // encoder (Writer) and one reader (Parse), shared by simulated and live
-// runs. Point events record that something happened (a member joined, a
-// parent failed); spans record *episodes* — a rejoin from failure detection
-// through per-attempt join requests to reattachment, a CER repair from gap
-// detection through striped per-peer fetches to filled-or-abandoned, a ROST
-// switch from initiation to commit, a starvation window from first missed
-// playback slot to recovery. The paper's headline resilience metrics
-// (service interruption, starving-time ratio — §5 of TanJS06) are episode
-// durations, so spans make them first-class timelines instead of artifacts
-// of post-hoc scripting.
+// runs. Every event a trace records is a span: an *episode* — a rejoin from
+// failure detection through per-attempt join requests to reattachment, a
+// CER repair from gap detection through striped per-peer fetches to
+// filled-or-abandoned, a ROST switch from initiation to commit, a
+// starvation window from first missed playback slot to recovery — or an
+// instantaneous one, Start == End, for a moment such as a member's first
+// attach or its departure. The paper's headline resilience metrics (service
+// interruption, starving-time ratio — §5 of TanJS06) are episode durations,
+// so spans make them first-class timelines instead of artifacts of post-hoc
+// scripting. Beside span lines a trace holds only "sample" lines, snapshots
+// of a metrics registry.
 //
 // The package is deliberately sim-safe (it lives inside the lint tool's
 // deterministic scope): no wall clock, no map iteration order leaks, no
@@ -41,7 +43,8 @@ const SchemaVersion = 1
 // Perfetto exporter treat kinds generically; these constants exist so the
 // producers and the docs cannot drift apart silently.
 const (
-	KindJoin    = "join"    // live node boot-time attach episode
+	KindJoin    = "join"    // first attach: a live node's boot episode, a simulated member's instant
+	KindDepart  = "depart"  // a simulated member's abrupt departure (instantaneous)
 	KindRejoin  = "rejoin"  // post-failure reattach episode
 	KindAttempt = "attempt" // one join request within a join/rejoin episode
 	KindRepair  = "repair"  // CER gap-recovery episode
@@ -188,6 +191,15 @@ func (b *SpanBuilder) AttrInt(k string, v int64) *SpanBuilder {
 	return b.Attr(k, strconv.FormatInt(v, 10))
 }
 
+// AttrFloat annotates the span with a float value, in the shortest form
+// that reads back exactly.
+func (b *SpanBuilder) AttrFloat(k string, v float64) *SpanBuilder {
+	if b == nil {
+		return nil
+	}
+	return b.Attr(k, strconv.FormatFloat(v, 'g', -1, 64))
+}
+
 // Child opens a sub-span (a stage of the episode) on member's track.
 func (b *SpanBuilder) Child(kind string, member int64, start time.Duration) *SpanBuilder {
 	if b == nil {
@@ -248,40 +260,21 @@ func hashString(s string) uint64 {
 }
 
 // Event is one line of the JSONL trace stream, simulated or live. "v", "t"
-// (seconds on the producer's clock) and "event" are always present; the rest
-// depend on the event:
+// (seconds on the producer's clock) and "event" are always present; there
+// are two events:
 //
-//	join, rejoin — member, parent, depth, bandwidth
-//	depart       — member
-//	failure      — member, disrupted
-//	switch       — member (promoted), demoted
-//	repair       — member (the orphan), repaired, lost
-//	sample       — metrics (a full registry snapshot; no member)
-//	span         — member, span (t is the span's end)
-//
-// Presence is exact: fields that carry a meaningful zero (parent 0 is the
-// source, depth 0 is the source's layer, disrupted 0 is a leaf failure,
-// repaired/lost 0 are real outcomes) are pointers serialised whenever the
-// event defines them and omitted otherwise, so consumers can distinguish
-// "zero" from "not applicable" without knowing the event vocabulary.
+//	sample — metrics (a full registry snapshot; no member)
+//	span   — member, span (t is the span's end)
 type Event struct {
 	// V is the schema version (SchemaVersion), stamped by Writer.
 	V     int     `json:"v"`
 	T     float64 `json:"t"`
 	Event string  `json:"event"`
-	// Member is the subject member ID (absent on sample events and on the
+	// Member is the span's member ID (absent on sample events and on the
 	// spans of a live node, whose spans name their Node instead).
-	Member    int64   `json:"member,omitempty"`
-	Parent    *int64  `json:"parent,omitempty"`
-	Depth     *int    `json:"depth,omitempty"`
-	Bandwidth float64 `json:"bandwidth,omitempty"`
-	Disrupted *int    `json:"disrupted,omitempty"`
-	// Demoted is the former parent in a switch event.
-	Demoted  int64            `json:"demoted,omitempty"`
-	Repaired *int             `json:"repaired,omitempty"`
-	Lost     *int             `json:"lost,omitempty"`
-	Metrics  []metrics.Metric `json:"metrics,omitempty"`
-	Span     *Span            `json:"span,omitempty"`
+	Member  int64            `json:"member,omitempty"`
+	Metrics []metrics.Metric `json:"metrics,omitempty"`
+	Span    *Span            `json:"span,omitempty"`
 }
 
 // Writer is the one encoder of trace lines. It stamps every Event with

@@ -86,11 +86,13 @@ func TestDisabledTracerIsNil(t *testing.T) {
 }
 
 // TestDisabledSpanHooksZeroAlloc is the satellite-4 ceiling: the exact
-// call shape used by the stream/rost/node hot paths must add zero
+// call shape used by the churn/stream/rost/node hot paths must add zero
 // allocations when tracing is disabled.
 func TestDisabledSpanHooksZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Start(KindJoin, 17, 5*time.Second).AttrInt("parent", 3).AttrInt("depth", 2).
+			AttrFloat("bandwidth", 2.5).End(5*time.Second, "attached")
 		sp := tr.Start(KindRepair, 17, 5*time.Second)
 		sp.AttrInt("first", 100).AttrInt("last", 140)
 		sp.Child(KindFetch, 17, 5*time.Second).AttrInt("server", 3).End(6*time.Second, "filled")
@@ -202,12 +204,13 @@ func TestLiveSpanLineGolden(t *testing.T) {
 func TestParseSkipsPointEvents(t *testing.T) {
 	in := `{"v":1,"t":1,"event":"join","member":3}
 {"v":1,"t":2,"event":"failure","member":3}
-{"v":1,"t":2,"event":"join","member":4}`
+{"v":1,"t":2,"event":"join","member":4}
+{"v":1,"t":3,"event":"sample","metrics":[]}`
 	tr, err := Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Spans) != 0 || tr.Events["join"] != 2 || tr.Events["failure"] != 1 {
+	if len(tr.Spans) != 0 || tr.Samples != 1 || tr.Lines != 4 {
 		t.Fatalf("unexpected parse: %+v", tr)
 	}
 }

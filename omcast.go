@@ -236,8 +236,9 @@ type session struct {
 }
 
 // newSession builds the full substrate stack for cfg, with extra hooks
-// merged in (used by the trace and streaming layers). spans, if non-nil,
-// records churn's rejoin episodes and ROST's switch decisions.
+// merged in (used by the streaming layer). spans, if non-nil, records
+// churn's joins, departures and rejoin episodes and ROST's switch
+// decisions.
 func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -31,27 +32,30 @@ func TestRunWithTrace(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
 		}
+		// A tree-level run ends every span at the current simulation time, so
+		// its trace is monotone; only packet-level repair spans are written
+		// when planned, ahead of their end.
 		if ev.T < prevT {
 			t.Fatalf("trace went backwards in time: %f after %f", ev.T, prevT)
 		}
 		prevT = ev.T
-		if ev.Member == 0 && ev.Event != "sample" {
-			t.Fatalf("trace event without member: %+v", ev)
+		if ev.Event != "span" || ev.Span == nil || ev.Member == 0 || ev.Member != ev.Span.Member || ev.T != ev.Span.End {
+			t.Fatalf("untraced-options run wrote a line that is not a member's span: %s", sc.Text())
 		}
-		kinds[ev.Event]++
+		kinds[ev.Span.Kind]++
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"join", "depart", "failure", "switch", "rejoin"} {
+	for _, want := range []string{tracing.KindJoin, tracing.KindDepart, tracing.KindSwitch, tracing.KindRejoin} {
 		if kinds[want] == 0 {
-			t.Fatalf("trace has no %q events (kinds: %v)", want, kinds)
+			t.Fatalf("trace has no %q spans (kinds: %v)", want, kinds)
 		}
 	}
 	// Joins and departs roughly balance over a steady-state run (the
 	// population present at the end never departs).
-	if kinds["depart"] > kinds["join"] {
-		t.Fatalf("more departs (%d) than joins (%d)", kinds["depart"], kinds["join"])
+	if kinds[tracing.KindDepart] > kinds[tracing.KindJoin] {
+		t.Fatalf("more departs (%d) than joins (%d)", kinds[tracing.KindDepart], kinds[tracing.KindJoin])
 	}
 }
 
@@ -176,59 +180,50 @@ func TestRunStreamingWithTraceRepairs(t *testing.T) {
 	if res.Episodes == 0 {
 		t.Fatal("streaming run had no recovery episodes")
 	}
+	spans, err := tracing.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	repairs := 0
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev omcast.TraceEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
-		}
-		if ev.Event != "repair" {
+	for _, sp := range spans {
+		if sp.Kind != tracing.KindRepair {
 			continue
 		}
 		repairs++
-		if ev.Member == 0 {
-			t.Fatalf("repair without orphan: %+v", ev)
+		if sp.Member == 0 {
+			t.Fatalf("repair without orphan: %+v", sp)
 		}
-		if ev.Repaired == nil || ev.Lost == nil {
-			t.Fatalf("repair outcome fields absent (pointer presence broken): %s", sc.Text())
+		for _, k := range []string{"repaired", "lost"} {
+			if v, ok := spanAttr(sp, k); !ok || v < 0 {
+				t.Fatalf("repair span's %s outcome is %d (present %v): %+v", k, v, ok, sp)
+			}
 		}
-		if *ev.Repaired < 0 || *ev.Lost < 0 {
-			t.Fatalf("negative repair outcome: %+v", ev)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	if repairs == 0 {
-		t.Fatal("trace has no repair events despite episodes > 0")
+		t.Fatal("trace has no repair spans despite episodes > 0")
 	}
 }
 
-// TestTraceEventSchemaGolden pins the exact JSON field names of every event
-// kind (satellite of the v1 schema): a renamed or re-typed field breaks
+// spanAttr returns sp's integer attribute k and whether it is present.
+func spanAttr(sp tracing.Span, k string) (int64, bool) {
+	for _, a := range sp.Attrs {
+		if a.K == k {
+			v, err := strconv.ParseInt(a.V, 10, 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
+}
+
+// TestTraceEventSchemaGolden pins the exact JSON field names of both event
+// kinds (satellite of the v1 schema): a renamed or re-typed field breaks
 // downstream consumers silently, so it must break this test loudly instead.
 func TestTraceEventSchemaGolden(t *testing.T) {
-	i := func(v int) *int { return &v }
-	i64 := func(v int64) *int64 { return &v }
 	golden := []struct {
 		kind string
 		ev   omcast.TraceEvent
 		want string
 	}{
-		{"join", omcast.TraceEvent{V: 1, T: 1.5, Event: "join", Member: 3, Parent: i64(1), Depth: i(2), Bandwidth: 2.5},
-			`{"v":1,"t":1.5,"event":"join","member":3,"parent":1,"depth":2,"bandwidth":2.5}`},
-		{"rejoin", omcast.TraceEvent{V: 1, T: 2.5, Event: "rejoin", Member: 3, Parent: i64(0), Depth: i(1)},
-			`{"v":1,"t":2.5,"event":"rejoin","member":3,"parent":0,"depth":1}`},
-		{"depart", omcast.TraceEvent{V: 1, T: 3, Event: "depart", Member: 4},
-			`{"v":1,"t":3,"event":"depart","member":4}`},
-		{"failure", omcast.TraceEvent{V: 1, T: 4, Event: "failure", Member: 5, Disrupted: i(0)},
-			`{"v":1,"t":4,"event":"failure","member":5,"disrupted":0}`},
-		{"switch", omcast.TraceEvent{V: 1, T: 5, Event: "switch", Member: 6, Demoted: 2},
-			`{"v":1,"t":5,"event":"switch","member":6,"demoted":2}`},
-		{"repair", omcast.TraceEvent{V: 1, T: 6, Event: "repair", Member: 7, Repaired: i(10), Lost: i(0)},
-			`{"v":1,"t":6,"event":"repair","member":7,"repaired":10,"lost":0}`},
 		{"sample", omcast.TraceEvent{V: 1, T: 7, Event: "sample",
 			Metrics: []metrics.Metric{{Name: "omcast_x_total", Kind: metrics.KindCounter, Value: 3}}},
 			`{"v":1,"t":7,"event":"sample","metrics":[{"name":"omcast_x_total","kind":"counter","value":3}]}`},
@@ -255,8 +250,7 @@ func TestTraceEventSchemaGolden(t *testing.T) {
 func TestRunStreamingWithTraceSpans(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := quickConfig(47, omcast.ROST)
-	_, err := omcast.RunStreamingWithTrace(cfg, omcast.StreamConfig{GroupSize: 3}, &buf,
-		omcast.TraceOptions{Spans: true})
+	_, err := omcast.RunStreamingWithTrace(cfg, omcast.StreamConfig{GroupSize: 3}, &buf, omcast.TraceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +259,7 @@ func TestRunStreamingWithTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(parsed.Spans) == 0 {
-		t.Fatal("span-enabled run emitted no spans")
+		t.Fatal("traced run emitted no spans")
 	}
 	kinds := map[string]int{}
 	ids := map[string]bool{}
@@ -315,7 +309,7 @@ func TestRunStreamingWithTraceSpans(t *testing.T) {
 // out-degree 20, member bandwidths mostly below one stream) so orphans find
 // the tree saturated and retry: every blocked retry must surface as an
 // instantaneous "saturated" attempt span under the orphan's open rejoin
-// episode, and switching spans on must add lines without moving any other.
+// episode.
 func TestTraceSaturatedAttemptSpans(t *testing.T) {
 	cfg := omcast.Config{
 		Seed:          1,
@@ -327,23 +321,10 @@ func TestTraceSaturatedAttemptSpans(t *testing.T) {
 		RootBandwidth: 20,
 		Bandwidth:     xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 2.2},
 	}
-	var spans, plain bytes.Buffer
-	if _, err := omcast.RunWithTrace(cfg, &spans, omcast.TraceOptions{Spans: true}); err != nil {
+	var spans bytes.Buffer
+	if _, err := omcast.RunWithTrace(cfg, &spans, omcast.TraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := omcast.RunWithTrace(cfg, &plain, omcast.TraceOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var nonSpan bytes.Buffer
-	for _, line := range bytes.SplitAfter(spans.Bytes(), []byte("\n")) {
-		if !bytes.Contains(line, []byte(`"event":"span"`)) {
-			nonSpan.Write(line)
-		}
-	}
-	if !bytes.Equal(nonSpan.Bytes(), plain.Bytes()) {
-		t.Fatal("enabling spans changed the non-span lines of the trace")
-	}
-
 	parsed, err := tracing.Parse(bytes.NewReader(spans.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -375,5 +356,122 @@ func TestTraceSaturatedAttemptSpans(t *testing.T) {
 	}
 	if saturated == 0 || resolved == 0 {
 		t.Fatalf("saturated attempt spans = %d (%d under an emitted episode), want >= 1 of each", saturated, resolved)
+	}
+}
+
+// TestSpansCarryEveryCount pins that the spans alone account for what the
+// run counts: over packet-level runs of both a switching and a
+// non-switching algorithm, each span kind's tally equals the metric or
+// result field that counts the same events.
+func TestSpansCarryEveryCount(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, alg := range []omcast.Algorithm{omcast.ROST, omcast.MinimumDepth} {
+			reg := metrics.NewRegistry()
+			cfg := omcast.Config{
+				Seed:       seed,
+				Algorithm:  alg,
+				TargetSize: 200,
+				Topology:   omcast.SmallTopology(),
+				Warmup:     5 * time.Minute,
+				Measure:    10 * time.Minute,
+				Metrics:    reg,
+			}
+			var buf bytes.Buffer
+			res, err := omcast.RunStreamingWithTrace(cfg, omcast.StreamConfig{GroupSize: 3}, &buf, omcast.TraceOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans, err := tracing.ReadSpans(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var joins, departs, disrupted, reattached, switched, repairs, repaired, lost int64
+			for _, sp := range spans {
+				switch {
+				case sp.Kind == tracing.KindJoin:
+					joins++
+				case sp.Kind == tracing.KindDepart:
+					departs++
+					n, ok := spanAttr(sp, "disrupted")
+					if !ok || sp.Outcome != "failed" {
+						t.Fatalf("seed %d %v: depart span without a disrupted count or outcome failed: %+v", seed, alg, sp)
+					}
+					disrupted += n
+				case sp.Kind == tracing.KindRejoin && sp.Outcome == "reattached":
+					reattached++
+				case sp.Kind == tracing.KindSwitch && sp.Outcome == "switched":
+					switched++
+				case sp.Kind == tracing.KindRepair:
+					repairs++
+					r, _ := spanAttr(sp, "repaired")
+					l, _ := spanAttr(sp, "lost")
+					repaired += r
+					lost += l
+				}
+			}
+			counted := map[string]float64{}
+			for _, m := range reg.Snapshot(0).Metrics {
+				counted[m.Name] = m.Value
+			}
+			for _, c := range []struct {
+				what      string
+				spans     int64
+				count     float64
+				countName string
+			}{
+				{"join spans", joins, counted["omcast_churn_joins_total"], "omcast_churn_joins_total"},
+				{"depart spans", departs, counted["omcast_churn_departures_total"], "omcast_churn_departures_total"},
+				{"depart disrupted sum", disrupted, counted["omcast_churn_disruptions_total"], "omcast_churn_disruptions_total"},
+				{"reattached rejoin spans", reattached, counted["omcast_churn_rejoins_total"], "omcast_churn_rejoins_total"},
+				{"switched switch spans", switched, float64(res.Switches), "Switches"},
+				{"repair spans", repairs, float64(res.RepairRequests), "RepairRequests"},
+				{"repair repaired sum", repaired, float64(res.PacketsRepaired), "PacketsRepaired"},
+				{"repair lost sum", lost, float64(res.PacketsLost), "PacketsLost"},
+			} {
+				if float64(c.spans) != c.count {
+					t.Fatalf("seed %d %v: %s = %d, %s = %v", seed, alg, c.what, c.spans, c.countName, c.count)
+				}
+			}
+			if joins == 0 || departs == 0 || repairs == 0 || (alg == omcast.ROST && switched == 0) {
+				t.Fatalf("seed %d %v: vacuous run: %d joins, %d departs, %d repairs, %d switches", seed, alg, joins, departs, repairs, switched)
+			}
+		}
+	}
+}
+
+// TestSampleReadsDepartures pins that a mid-run "sample" line reads the
+// departure count churn keeps: each sample's omcast_churn_departures_total
+// equals the depart spans written before it.
+func TestSampleReadsDepartures(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := omcast.RunWithTrace(quickConfig(48, omcast.ROST), &buf, omcast.TraceOptions{SampleEvery: 5 * time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	departs, samples := 0, 0
+	sc := bufio.NewScanner(&buf)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev omcast.TraceEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Span != nil && ev.Span.Kind == tracing.KindDepart {
+			departs++
+		}
+		if ev.Event != "sample" {
+			continue
+		}
+		samples++
+		for _, m := range ev.Metrics {
+			if m.Name == "omcast_churn_departures_total" && m.Value != float64(departs) {
+				t.Fatalf("sample at t=%v reads %v departures after %d depart spans", ev.T, m.Value, departs)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if samples < 3 || departs == 0 {
+		t.Fatalf("%d samples over %d departures: nothing checked mid-run", samples, departs)
 	}
 }
