@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // TestSampleAllocCeiling pins Sample's allocation budget on a tree that is
-// not growing: zero. The dedup set is the tree's epoch-stamped scratch and the
-// result slice a tree-owned reusable buffer. The growing-tree budget, which
-// this test cannot see, is TestSampleGrowingTreeAmortised's.
+// not growing: zero. The dedup stamps live in the order records, and the
+// batch of draws and the result slice are tree-owned reusable buffers. The
+// growing-tree budget, which this test cannot see, is
+// TestSampleGrowingTreeAmortised's.
 func TestSampleAllocCeiling(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
 	if err != nil {
@@ -36,10 +38,12 @@ func TestSampleAllocCeiling(t *testing.T) {
 }
 
 // TestSampleGrowingTreeAmortised pins what a join pays while the tree grows:
-// one Sample after every new member, as pre-population does. The dedup
-// scratch must grow geometrically — sized to exactly len(order) it is re-made
-// (4 bytes x M, allocated and zeroed) on every join, which is quadratic over a
-// seeding phase: ~800 MB for these 20 000 members, ~2 TB for 10^6.
+// one Sample after every new member, as pre-population does. Every byte the
+// growth allocates must be O(M) in total — the member handles, the per-slot
+// arrays and the sampling order, each grown geometrically. Scratch sized to
+// exactly the membership and re-made on every join (as the dedup stamps once
+// were, 4 bytes x M per join) is quadratic over a seeding phase: ~800 MB for
+// these 20 000 members, ~2 TB for 10^6.
 func TestSampleGrowingTreeAmortised(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
 	if err != nil {
@@ -47,21 +51,15 @@ func TestSampleGrowingTreeAmortised(t *testing.T) {
 	}
 	const n = 20000
 	rng := xrand.New(3)
-	remade, scratchCap := 0, 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		m := tree.NewMember(topology.NodeID(i), 0.5, time.Duration(i))
 		tree.Sample(rng, 100, m)
-		if c := cap(tree.sampleSeen); c != scratchCap {
-			remade++
-			scratchCap = c
-		}
 	}
-	// Doubling from the first partial draw (102 members) to n takes 8 steps.
-	if remade > 16 {
-		t.Fatalf("sample scratch re-made %d times while adding %d members one at a time, want O(log n)", remade, n)
-	}
-	if scratchCap < n || scratchCap > 4*n {
-		t.Fatalf("sample scratch holds %d entries for %d members", scratchCap, n)
+	runtime.ReadMemStats(&after)
+	if perMember := (after.TotalAlloc - before.TotalAlloc) / n; perMember > 1024 {
+		t.Fatalf("growing to %d members one Sample at a time allocated %d bytes per member, want O(1)", n, perMember)
 	}
 }
 

@@ -78,7 +78,7 @@ func (t *Tree) checkLocal(i int32) error {
 		}
 	}
 	if m != t.root {
-		if oi := t.orderIdx[i]; oi < 0 || int(oi) >= len(t.order) || t.order[oi] != i {
+		if oi := t.orderIdx[i]; oi < 0 || int(oi) >= len(t.order) || t.order[oi].slot != i {
 			return fmt.Errorf("overlay: member %d missing from the order index", m.ID)
 		}
 	}

@@ -262,9 +262,9 @@ type Tree struct {
 	idToIdx []int32
 
 	// order lists the slots of attached and detached live members for O(1)
-	// sampling (the root excluded); levels[d] lists attached members at
-	// depth d.
-	order  []int32
+	// sampling (the root excluded), one sampling position per record;
+	// levels[d] lists attached members at depth d.
+	order  []sampleRec
 	levels [][]*Member
 	// lx is the per-level summary the relaxed BO/TO joins read instead of
 	// scanning levels; nil until LevelIndex first builds it.
@@ -278,15 +278,13 @@ type Tree struct {
 	attachedCount int
 	levelCount    int
 
-	// sampleSeen/sampleEpoch replace SampleSlots' per-call dedup map: an
-	// index is "drawn this call" iff sampleSeen[i] == sampleEpoch. Bumping
-	// the epoch clears every stamp at once, so the buffer is reused across
-	// calls without touching its contents. It grows geometrically: members
-	// arrive one at a time, so sizing it to exactly len(order) would re-make
-	// it on every join. sampleSlots and sampleOut are Sample's reusable
-	// buffers (it returns a full-capacity slice of sampleOut).
-	sampleSeen  []uint32
+	// sampleEpoch is SampleSlots' current call: a position is "drawn this
+	// call" iff its record's stamp equals it, so bumping it clears every
+	// stamp at once. sampleDraws holds one batch of drawn positions.
+	// sampleSlots and sampleOut are Sample's reusable buffers (it returns a
+	// full-capacity slice of sampleOut).
 	sampleEpoch uint32
+	sampleDraws []int
 	sampleSlots []int32
 	sampleOut   []*Member
 
@@ -377,9 +375,9 @@ func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.D
 }
 
 // Grow reserves room for n slots, so a tree expected to hold up to n live
-// members fills its per-slot arrays, its sampling order and SampleSlots'
-// dedup scratch without regrowing them as members arrive. It changes no
-// member, slot or draw; a tree that outgrows n grows as before.
+// members fills its per-slot arrays and its sampling order without
+// regrowing them as members arrive. It changes no member, slot or draw; a
+// tree that outgrows n grows as before.
 func (t *Tree) Grow(n int) {
 	if n <= len(t.handle) {
 		return
@@ -400,10 +398,6 @@ func (t *Tree) Grow(n int) {
 	t.orderIdx = slices.Grow(t.orderIdx, k)
 	t.levelIdx = slices.Grow(t.levelIdx, k)
 	t.order = slices.Grow(t.order, n-len(t.order))
-	if len(t.sampleSeen) < n {
-		t.sampleSeen = make([]uint32, n)
-		t.sampleEpoch = 0
-	}
 }
 
 // Root returns the source member.
@@ -474,7 +468,7 @@ func (t *Tree) byHandle(m *Member) bool {
 func (t *Tree) NewMember(attach topology.NodeID, bandwidth float64, now time.Duration) *Member {
 	m := t.newMemberAt(attach, bandwidth, now)
 	t.orderIdx[m.idx] = int32(len(t.order))
-	t.order = append(t.order, m.idx)
+	t.order = append(t.order, sampleRec{slot: m.idx})
 	return m
 }
 
@@ -608,8 +602,8 @@ func (t *Tree) Remove(m *Member) ([]*Member, error) {
 // unspecified order (the source included).
 func (t *Tree) VisitMembers(fn func(*Member)) {
 	fn(t.root)
-	for _, i := range t.order {
-		fn(t.handle[i])
+	for _, r := range t.order {
+		fn(t.handle[r.slot])
 	}
 }
 
@@ -669,6 +663,14 @@ func (t *Tree) Level(d int) []*Member {
 	return t.levels[d]
 }
 
+// sampleRec is one sampling position: the slot of the member it lists and
+// the SampleSlots call that last drew it, side by side so a draw touches one
+// cache line.
+type sampleRec struct {
+	slot  int32
+	stamp uint32
+}
+
 // SampleSlots appends to dst the slots of up to n distinct live members
 // drawn uniformly at random, excluding the root and the member in slot
 // exclude (-1 excludes nobody), and returns the extended slice. This models a
@@ -677,42 +679,51 @@ func (t *Tree) Level(d int) []*Member {
 // next mutation, like a SlotView.
 //
 // When n covers the whole membership every member is listed in order, with no
-// draw. Otherwise members are drawn with rejection: a partial Fisher-Yates
+// draw. Otherwise positions are drawn with rejection: a partial Fisher-Yates
 // over a scratch index space would disturb the order list, and rejection is
 // cheap because n << len(order) in the overlay regime (100 out of thousands).
-// Duplicates are detected with the tree's epoch-stamped scratch, which keeps
-// the accept/reject sequence of a dedup map, and the draw gives up after 20n
+// A position drawn twice in one call is skipped, which keeps the
+// accept/reject sequence of a dedup map, and the draw gives up after 20n
 // attempts, so the run of the stream a call consumes is bounded.
+//
+// The draws come in batches, each drawn before any is read: a batch is as
+// many positions as are still missing (capped by the attempts left), and
+// since one draw lists at most one member, the one-at-a-time loop would have
+// drawn every one of them before it could stop. So the batches consume the
+// stream exactly as that loop did and list the same members.
 func (t *Tree) SampleSlots(rng *xrand.Source, n int, exclude int32, dst []int32) []int32 {
 	if n <= 0 || len(t.order) == 0 {
 		return dst
 	}
 	if n >= len(t.order) {
-		for _, i := range t.order {
-			if i != exclude {
-				dst = append(dst, i)
+		for _, r := range t.order {
+			if r.slot != exclude {
+				dst = append(dst, r.slot)
 			}
 		}
 		return dst
 	}
-	if len(t.sampleSeen) < len(t.order) {
-		t.sampleSeen = make([]uint32, max(len(t.order), 2*len(t.sampleSeen)))
-		t.sampleEpoch = 0
-	}
 	t.sampleEpoch++
 	if t.sampleEpoch == 0 { // epoch wrapped: stale stamps could collide
-		clear(t.sampleSeen)
+		for k := range t.order {
+			t.order[k].stamp = 0
+		}
 		t.sampleEpoch = 1
 	}
 	want := len(dst) + n
-	for attempts := 0; len(dst) < want && attempts < 20*n; attempts++ {
-		k := rng.Intn(len(t.order))
-		if t.sampleSeen[k] == t.sampleEpoch {
-			continue
-		}
-		t.sampleSeen[k] = t.sampleEpoch
-		if i := t.order[k]; i != exclude {
-			dst = append(dst, i)
+	for attempts := 0; len(dst) < want && attempts < 20*n; {
+		batch := min(want-len(dst), 20*n-attempts)
+		attempts += batch
+		t.sampleDraws = rng.AppendIntn(t.sampleDraws[:0], len(t.order), batch)
+		for _, k := range t.sampleDraws {
+			r := &t.order[k]
+			if r.stamp == t.sampleEpoch {
+				continue
+			}
+			r.stamp = t.sampleEpoch
+			if r.slot != exclude {
+				dst = append(dst, r.slot)
+			}
 		}
 	}
 	return dst
@@ -907,7 +918,7 @@ func (t *Tree) orderRemove(n int32) {
 	last := len(t.order) - 1
 	moved := t.order[last]
 	t.order[t.orderIdx[n]] = moved
-	t.orderIdx[moved] = t.orderIdx[n]
+	t.orderIdx[moved.slot] = t.orderIdx[n]
 	t.order = t.order[:last]
 	t.orderIdx[n] = none
 }

@@ -14,8 +14,8 @@ import (
 // draw.
 func refSample(t *Tree, rng *xrand.Source, n int, exclude *Member) []*Member {
 	order := make([]*Member, len(t.order))
-	for k, i := range t.order {
-		order[k] = t.handle[i]
+	for k, r := range t.order {
+		order[k] = t.handle[r.slot]
 	}
 	if n <= 0 || len(order) == 0 {
 		return nil
