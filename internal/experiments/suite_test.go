@@ -56,7 +56,9 @@ func runSuite(t *testing.T, opts Options, ids []string) ([]figureRun, string, *R
 // retired tables, their progress lines and their series left. When the
 // kernel lost event cancellation the hash was re-taken the same way: the
 // previous engine's output minus its always-zero
-// omcast_sim_events_canceled_total record.
+// omcast_sim_events_canceled_total record, and again, when the simulator
+// stopped modelling BTP cheaters, minus the always-zero
+// omcast_rost_rejected_claims_total record.
 func TestFigureSuiteGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Arrival times are float arithmetic; architectures on which the
@@ -64,7 +66,7 @@ func TestFigureSuiteGolden(t *testing.T) {
 		t.Skipf("golden hash was taken on amd64, not %s", runtime.GOARCH)
 	}
 	const (
-		wantSHA   = "aa0ccffde6ef48093a55210a1ffd3811fefa9d240130397837cb4dbae3578590"
+		wantSHA   = "1492567b3d451b7e8297849329ae03eb1e47dec20865183afccb69067ce3d30d"
 		wantLines = 178
 	)
 	runs, snap, _ := runSuite(t, tinyOptions(2), IDs())

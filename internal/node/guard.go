@@ -6,9 +6,9 @@ import (
 	"omcast/internal/wire"
 )
 
-// The guard layer is the node's per-peer misbehavior defense: the live
-// analogue of the simulator's cheater model (omcast.topUpCheaters and the
-// rost.Referees that audit claimed bandwidth-time products). Wire validation
+// The guard layer is the node's per-peer misbehavior defense, and the
+// repository's only answer to the paper's Section 3.4 threat of members that
+// inflate their claimed bandwidth-time products. Wire validation
 // (internal/wire) rejects envelopes no honest node could send; the guard
 // decides what to do about the *sender*:
 //
@@ -30,8 +30,8 @@ import (
 // (constant inflation factor baked into every claim) keeps a self-consistent
 // trajectory and passes the delta audit. Catching that requires comparing
 // claims against independently observed forwarding throughput over long
-// windows — the simulator's referee protocol models exactly that study
-// (internal/rost); DESIGN.md §11 discusses the split.
+// windows, which the paper's bandwidth witnesses do and nothing here
+// models; DESIGN.md §11 records the gap.
 
 // Guard scoring constants: points per offense and the offense vocabulary.
 const (

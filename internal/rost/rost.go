@@ -14,10 +14,6 @@
 // siblings, the demoted parent adopts the promoted child's children, and if
 // the demoted parent lacks capacity the largest-BTP overflow children
 // reconnect upward to the promoted node.
-//
-// The package also implements the Section 3.4 reference-node (referee)
-// mechanism in referee.go: trusted third-party age and bandwidth witnesses
-// that let a parent verify a child's claimed BTP and reject cheaters.
 package rost
 
 import (
@@ -51,13 +47,6 @@ const (
 // DefaultLockBackoff and DefaultSwitchLatency.
 type Config struct {
 	SwitchInterval time.Duration
-	// Referees, when non-nil, enables BTP verification through the referee
-	// mechanism before any switch is honoured.
-	Referees *Referees
-	// SkipVerification keeps referee-supplied claims (including cheaters'
-	// inflated ones) but never verifies them — the unprotected control
-	// scenario of the Section 3.4 discussion.
-	SkipVerification bool
 	// ContributorPriority applies the Section 3.2 incentive rule at join
 	// time: free-riders (who can never be displaced by switching, being
 	// permanent leaves) are parked at the deepest spare position, keeping
@@ -69,8 +58,7 @@ type Config struct {
 	DisableBandwidthGuard bool
 	// Trace, if non-nil, records every switch decision as a "switch" span:
 	// initiation to commit for started switches (outcomes "switched" or
-	// "aborted"), instantaneous spans for refused claims ("rejected") and
-	// lock back-offs ("lock-backoff").
+	// "aborted") and instantaneous spans for lock back-offs ("lock-backoff").
 	Trace *tracing.Tracer
 }
 
@@ -100,8 +88,8 @@ type Protocol struct {
 	Aborted int
 	// LockFailures counts lock acquisitions that had to back off.
 	LockFailures int
-	// Rejected counts switches refused because referee verification caught
-	// an inflated BTP claim.
+	// Rejected is always zero: the simulator verifies no BTP claims. Only
+	// the frozen benchmark module (benchmark/sim.go) reads it.
 	Rejected int
 
 	// promDepth is the promotion-depth histogram, nil (a no-op) until
@@ -109,7 +97,7 @@ type Protocol struct {
 	promDepth *metrics.Histogram
 }
 
-// Instrument registers the protocol's instruments on reg: its four counts,
+// Instrument registers the protocol's instruments on reg: its three counts,
 // read from the fields above, and the promotion-depth histogram.
 func (p *Protocol) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("omcast_rost_switches_total", "Completed ROST position exchanges.",
@@ -118,8 +106,6 @@ func (p *Protocol) Instrument(reg *metrics.Registry) {
 		func() float64 { return float64(p.Aborted) })
 	reg.CounterFunc("omcast_rost_lock_backoffs_total", "Switch attempts that backed off on a locked neighbourhood.",
 		func() float64 { return float64(p.LockFailures) })
-	reg.CounterFunc("omcast_rost_rejected_claims_total", "Switches refused after referee BTP verification.",
-		func() float64 { return float64(p.Rejected) })
 	p.promDepth = reg.Histogram("omcast_rost_promotion_depth",
 		"Tree depth at which completed switches promoted a member.",
 		metrics.LogBuckets(1, 64, 7))
@@ -148,13 +134,7 @@ var _ construct.Strategy = (*Protocol)(nil)
 // Section 3.3. New members always start low in the tree (their BTP is zero)
 // and climb only by staying and contributing.
 func (p *Protocol) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration) error {
-	if err := p.join.Join(tree, m, now); err != nil {
-		return err
-	}
-	if p.cfg.Referees != nil {
-		p.cfg.Referees.Enroll(m, now)
-	}
-	return nil
+	return p.join.Join(tree, m, now)
 }
 
 // Start schedules the first switching check for member m. The churn driver
@@ -206,28 +186,13 @@ func (p *Protocol) shouldSwitch(m *overlay.Member, now time.Duration) bool {
 	if parent == nil || parent == p.tree.Root() || !m.Attached() {
 		return false
 	}
-	// The guard compares ADVERTISED bandwidths: without referees lies are
-	// undetectable, which is exactly the attack surface Section 3.4 closes.
-	bwChild, bwParent := m.Bandwidth, parent.Bandwidth
-	if r := p.cfg.Referees; r != nil {
-		bwChild, bwParent = r.ClaimedBandwidth(m), r.ClaimedBandwidth(parent)
-	}
-	if !p.cfg.DisableBandwidthGuard && bwChild < bwParent {
+	if !p.cfg.DisableBandwidthGuard && m.Bandwidth < parent.Bandwidth {
 		// Comparing bandwidths first avoids useless switches: a
 		// lower-bandwidth child would eventually be overtaken and demoted
 		// again.
 		return false
 	}
-	return p.claimedBTP(m, now) > p.claimedBTP(parent, now)
-}
-
-// claimedBTP returns the BTP a member advertises. Honest members advertise
-// their true BTP; cheaters (see Referees.MarkCheater) inflate it.
-func (p *Protocol) claimedBTP(m *overlay.Member, now time.Duration) float64 {
-	if r := p.cfg.Referees; r != nil {
-		return r.ClaimedBTP(m, now)
-	}
-	return m.BTP(now)
+	return m.BTP(now) > parent.BTP(now)
 }
 
 // tryInitiateSwitch checks the switching condition and, when met, locks the
@@ -239,16 +204,6 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member,
 		return switchNotNeeded
 	}
 	parent := m.Parent()
-	// Referee verification: the parent verifies the child's claimed BTP
-	// before yielding its position (Section 3.4).
-	if r := p.cfg.Referees; r != nil && !p.cfg.SkipVerification {
-		if !r.VerifyBTP(m, p.claimedBTP(m, now), now) {
-			p.Rejected++
-			p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
-				AttrInt("parent", int64(parent.ID)).End(now, "rejected")
-			return switchNotNeeded
-		}
-	}
 	grand := parent.Parent()
 	if grand == nil {
 		return switchNotNeeded // parent is the root; nothing to do

@@ -457,8 +457,8 @@ func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
 		t.Fatalf("setup: child under %d", child.Parent().ID)
 	}
 	// Initiation fires at 110s; at 112s (inside the latency window) the
-	// parent's provable age jumps (modelling, e.g., referee resync), so the
-	// BTP condition no longer holds at completion time.
+	// parent's age jumps, so the BTP condition no longer holds at
+	// completion time.
 	f.sim.Schedule(112*time.Second, func(*eventsim.Simulator) {
 		parent.JoinTime = -1000000 * time.Second
 	})

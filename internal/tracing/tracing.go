@@ -64,8 +64,8 @@ type Attr struct {
 
 // Span is one completed episode (or stage of one). Start and End are
 // seconds on the owner's clock: virtual time in the simulator, time since
-// node start on a live node. Instantaneous decisions (a rejected switch
-// claim) have Start == End.
+// node start on a live node. Instantaneous decisions (a switch that backs
+// off a locked neighbourhood) have Start == End.
 type Span struct {
 	ID      string  `json:"id"`
 	Parent  string  `json:"parent,omitempty"`

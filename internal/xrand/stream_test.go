@@ -19,7 +19,7 @@ func streamSeeds() []int64 {
 	for i := int64(0); i < 120; i++ {
 		seeds = append(seeds, i*7919+3, -i*104729-11)
 	}
-	for _, name := range []string{"strategy", "cer.select", "churn.arrival", "churn.bandwidth", "stream.residual", "referee"} {
+	for _, name := range []string{"strategy", "cer.select", "churn.arrival", "churn.bandwidth", "stream.residual", "source.attach"} {
 		for seed := int64(-3); seed <= 6; seed++ {
 			seeds = append(seeds, namedSeed(seed, name))
 		}

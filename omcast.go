@@ -31,7 +31,6 @@ package omcast
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"omcast/internal/churn"
@@ -145,15 +144,6 @@ type Config struct {
 	// Bandwidth overrides the members' outbound bandwidth distribution
 	// (default bounded Pareto(1.2, 0.5, 100)).
 	Bandwidth xrand.BoundedPareto
-	// Cheaters injects this many members that persistently advertise 50
-	// times their true BTP (Section 3.4's threat model). Any cheater turns
-	// the referee mechanism on, which verifies every BTP claim against
-	// referee witnesses before a switch; pair with DisableClaimVerification
-	// for the unprotected control.
-	Cheaters int
-	// DisableClaimVerification keeps cheaters' inflated claims unverified
-	// (the control scenario showing why referees are needed).
-	DisableClaimVerification bool
 	// Metrics, if non-nil, receives the run's instruments (kernel, churn,
 	// ROST and — under RunStreaming — CER counters). The registry uses the
 	// deterministic virtual-time backend, so snapshots are byte-identical
@@ -227,9 +217,7 @@ type session struct {
 	env      *construct.Env
 	strategy construct.Strategy
 	protocol *rost.Protocol // nil unless Algorithm == ROST
-	referees *rost.Referees // nil unless enabled
 	driver   *churn.Driver
-	cheaters map[overlay.MemberID]bool // nil unless Cheaters > 0
 	// invariantErr records the first paranoid-audit violation; the run
 	// surfaces it once the event loop returns.
 	invariantErr error
@@ -270,27 +258,18 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 	case RelaxedTimeOrdered:
 		s.strategy = construct.NewRelaxedTimeOrdered(s.env)
 	case ROST:
-		rcfg := rost.Config{
+		s.protocol = rost.New(s.tree, s.env, rost.Config{
 			SwitchInterval:        cfg.SwitchInterval,
 			ContributorPriority:   cfg.ContributorPriority,
 			DisableBandwidthGuard: cfg.DisableBandwidthGuard,
-			SkipVerification:      cfg.DisableClaimVerification,
 			Trace:                 spans,
-		}
-		if cfg.Cheaters > 0 {
-			s.referees = rost.NewReferees(s.tree, xrand.NewNamed(cfg.Seed, "referees"))
-			rcfg.Referees = s.referees
-		}
-		s.protocol = rost.New(s.tree, s.env, rcfg)
+		})
 		s.strategy = s.protocol
 	}
 	if cfg.Metrics != nil {
 		s.sim.Instrument(cfg.Metrics)
 		if s.protocol != nil {
 			s.protocol.Instrument(cfg.Metrics)
-		}
-		if s.referees != nil {
-			s.referees.Instrument(cfg.Metrics)
 		}
 	}
 
@@ -304,15 +283,8 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 			}
 		},
 		OnFailure: extra.OnFailure,
-		OnDepart: func(sim *eventsim.Simulator, id overlay.MemberID) {
-			if s.referees != nil {
-				s.referees.Forget(id)
-			}
-			if extra.OnDepart != nil {
-				extra.OnDepart(sim, id)
-			}
-		},
-		OnRejoin: extra.OnRejoin,
+		OnDepart:  extra.OnDepart,
+		OnRejoin:  extra.OnRejoin,
 	}
 	s.driver, err = churn.NewDriver(s.sim, s.tree, topo, s.strategy, churn.Config{
 		Seed:           cfg.Seed,
@@ -345,50 +317,7 @@ func newSession(cfg Config, extra churn.Hooks, spans *tracing.Tracer) (*session,
 		}
 		s.sim.ScheduleAfter(time.Minute, audit)
 	}
-	if cfg.Cheaters > 0 {
-		if cfg.Algorithm != ROST {
-			return nil, fmt.Errorf("omcast: cheater injection targets ROST's switching; algorithm is %v", cfg.Algorithm)
-		}
-		s.cheaters = make(map[overlay.MemberID]bool)
-		s.sim.Schedule(cfg.Warmup, func(sim *eventsim.Simulator) {
-			s.topUpCheaters(sim)
-		})
-	}
 	return s, nil
-}
-
-// cheatFactor is how many times their true BTP injected cheaters claim.
-const cheatFactor = 50
-
-// topUpCheaters keeps cfg.Cheaters members marked as BTP inflaters,
-// replacing departed ones every ten minutes.
-func (s *session) topUpCheaters(sim *eventsim.Simulator) {
-	// Sweep departed cheaters in ID order; pruning during a map range would
-	// be order-nondeterministic.
-	ids := make([]overlay.MemberID, 0, len(s.cheaters))
-	for id := range s.cheaters {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if s.tree.Member(id) == nil {
-			delete(s.cheaters, id)
-		}
-	}
-	rng := xrand.NewNamed(s.cfg.Seed^sim.Now().Nanoseconds(), "cheaters")
-	for _, m := range s.tree.Sample(rng, 4*s.cfg.Cheaters, nil) {
-		if len(s.cheaters) >= s.cfg.Cheaters {
-			break
-		}
-		if s.cheaters[m.ID] {
-			continue
-		}
-		s.cheaters[m.ID] = true
-		s.referees.MarkCheater(m.ID, cheatFactor)
-	}
-	sim.ScheduleAfter(10*time.Minute, func(next *eventsim.Simulator) {
-		s.topUpCheaters(next)
-	})
 }
 
 func (s *session) run() error {
@@ -434,20 +363,14 @@ type TreeResult struct {
 	AvgSize float64
 	// Departures counts members measured.
 	Departures int
-	// Switches, SwitchAborts, LockBackoffs, RejectedClaims report ROST
-	// protocol activity (zero for other algorithms).
-	Switches       int
-	SwitchAborts   int
-	LockBackoffs   int
+	// Switches, SwitchAborts and LockBackoffs report ROST protocol activity
+	// (zero for other algorithms).
+	Switches     int
+	SwitchAborts int
+	LockBackoffs int
+	// RejectedClaims is always zero: the simulator verifies no BTP claims.
+	// Only the frozen benchmark module (benchmark/sim.go) reads it.
 	RejectedClaims int
-	// CheaterCount, CheaterMeanDepth and HonestMeanDepth summarise injected
-	// cheaters at the end of the run (zero unless Config.Cheaters > 0).
-	// With referee verification working, cheaters gain nothing and sit at
-	// depths comparable to honest members; without it their inflated claims
-	// let them climb toward the source (much smaller mean depth).
-	CheaterCount     int
-	CheaterMeanDepth float64
-	HonestMeanDepth  float64
 }
 
 // Run executes one tree-level experiment.
@@ -480,29 +403,6 @@ func (s *session) treeResult() TreeResult {
 		out.Switches = s.protocol.Switches
 		out.SwitchAborts = s.protocol.Aborted
 		out.LockBackoffs = s.protocol.LockFailures
-		out.RejectedClaims = s.protocol.Rejected
-	}
-	if len(s.cheaters) > 0 {
-		var cheatDepth, cheatN, honestDepth, honestN float64
-		s.tree.VisitSubtree(s.tree.Root(), func(m *overlay.Member) {
-			if m == s.tree.Root() {
-				return
-			}
-			if s.cheaters[m.ID] {
-				cheatDepth += float64(m.Depth())
-				cheatN++
-			} else {
-				honestDepth += float64(m.Depth())
-				honestN++
-			}
-		})
-		out.CheaterCount = int(cheatN)
-		if cheatN > 0 {
-			out.CheaterMeanDepth = cheatDepth / cheatN
-		}
-		if honestN > 0 {
-			out.HonestMeanDepth = honestDepth / honestN
-		}
 	}
 	return out
 }

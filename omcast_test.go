@@ -1,13 +1,11 @@
 package omcast_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"omcast"
 	"omcast/internal/bench"
-	"omcast/internal/metrics"
 )
 
 // quickConfig is a fast configuration used across the API tests: a small
@@ -102,41 +100,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRefereesFollowCheaters: the referee mechanism exists exactly when
-// cheaters are injected, and ROST keeps switching under claim verification.
-func TestRefereesFollowCheaters(t *testing.T) {
-	for _, cheaters := range []int{0, 5} {
-		cfg := quickConfig(11, omcast.ROST)
-		cfg.Cheaters = cheaters
-		cfg.Metrics = metrics.NewRegistry()
-		res, err := omcast.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		series := 0
-		for _, m := range cfg.Metrics.Snapshot(0).Metrics {
-			if strings.HasPrefix(m.Name, "omcast_referee_") {
-				series++
-			}
-		}
-		if cheaters == 0 {
-			if series != 0 {
-				t.Errorf("no cheaters, but %d omcast_referee_* series registered", series)
-			}
-			if res.RejectedClaims != 0 {
-				t.Errorf("no cheaters, but %d claims rejected", res.RejectedClaims)
-			}
-			continue
-		}
-		if series == 0 {
-			t.Errorf("%d cheaters, but no omcast_referee_* series registered", cheaters)
-		}
-		if res.Switches == 0 {
-			t.Errorf("referee-verified ROST with %d cheaters performed no switches", cheaters)
-		}
-	}
-}
-
 func TestRunStreamingCER(t *testing.T) {
 	res, err := omcast.RunStreaming(quickConfig(5, omcast.MinimumDepth), omcast.StreamConfig{
 		Recovery:  omcast.CER,
@@ -205,54 +168,6 @@ func TestRunTracked(t *testing.T) {
 	}
 	if res.Departures == 0 {
 		t.Fatal("tracked run measured nothing")
-	}
-}
-
-func TestRunCheatersCaught(t *testing.T) {
-	cfg := quickConfig(22, omcast.ROST)
-	cfg.Cheaters = 10
-	res, err := omcast.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CheaterCount == 0 {
-		t.Fatal("no cheaters alive at the end of the run")
-	}
-	if res.RejectedClaims == 0 {
-		t.Fatal("referees rejected no claims despite persistent cheaters")
-	}
-}
-
-func TestRunCheatersClimbWithoutVerification(t *testing.T) {
-	protected := quickConfig(23, omcast.ROST)
-	protected.Cheaters = 15
-	unprotected := protected
-	unprotected.DisableClaimVerification = true
-	pres, err := omcast.Run(protected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ures, err := omcast.Run(unprotected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ures.RejectedClaims != 0 {
-		t.Fatal("unprotected run rejected claims")
-	}
-	// Unverified cheaters end up higher relative to the honest population
-	// than verified ones do.
-	pGap := pres.HonestMeanDepth - pres.CheaterMeanDepth
-	uGap := ures.HonestMeanDepth - ures.CheaterMeanDepth
-	if uGap <= pGap {
-		t.Fatalf("cheaters did not profit from missing verification: protected gap %.2f, unprotected gap %.2f", pGap, uGap)
-	}
-}
-
-func TestRunCheatersRequireROST(t *testing.T) {
-	cfg := quickConfig(24, omcast.MinimumDepth)
-	cfg.Cheaters = 5
-	if _, err := omcast.Run(cfg); err == nil {
-		t.Fatal("cheater injection accepted for a non-switching algorithm")
 	}
 }
 
