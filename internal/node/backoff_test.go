@@ -163,13 +163,9 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 	nd.attached = true
 	nd.parent = "parent"
 	for i := 0; i < 4; i++ {
-		addr := wire.Addr(fmt.Sprintf("fresh%d", i))
-		nd.membership[addr] = memberRecord{info: wire.MemberInfo{Addr: addr}, seen: now}
+		nd.viewAddLocked(wire.Addr(fmt.Sprintf("fresh%d", i)), now)
 	}
-	nd.membership["stale"] = memberRecord{
-		info: wire.MemberInfo{Addr: "stale"},
-		seen: now.Add(-10 * time.Second), // stopped heartbeating long ago
-	}
+	nd.viewAddLocked("stale", now.Add(-10*time.Second)) // stopped heartbeating long ago
 	nd.mu.Unlock()
 
 	group := nd.recoveryGroup()
@@ -185,7 +181,7 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 	// member is eligible (alphabetical tiebreak puts "stale" after "fresh*",
 	// so widen K).
 	nd.mu.Lock()
-	nd.touchMemberLocked("stale", time.Now())
+	nd.peers["stale"].seen = time.Now()
 	nd.cfg.RecoveryGroup = 5
 	nd.mu.Unlock()
 	group = nd.recoveryGroup()

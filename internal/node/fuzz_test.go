@@ -24,14 +24,18 @@ func fuzzNode(source bool, bandwidth float64) *Node {
 }
 
 // checkInvariants asserts the properties no datagram sequence may break:
-// bounded state (membership view, guard table, children, retransmission
-// peers), a coherent repair ring and coherent counters. Panics are caught by
-// the fuzz driver itself.
+// bounded state (the peer table, the children), an in-flight total that is
+// the sum of the per-peer windows, a coherent repair ring and coherent
+// counters. Panics are caught by the fuzz driver itself.
 func checkInvariants(t *testing.T, n *Node, what string) {
 	t.Helper()
 	n.mu.Lock()
-	members, guards := len(n.membership), len(n.guard)
-	children, retx := len(n.children), len(n.retx)
+	peers, children := len(n.peers), len(n.children)
+	windows := 0
+	for _, p := range n.peers {
+		windows += len(p.inflight)
+	}
+	inflight := n.inflight
 	highest := n.highest
 	// The ring: every written slot holds a sequence that maps to it and that
 	// the head has reached, and no more slots are live than the window has
@@ -51,20 +55,17 @@ func checkInvariants(t *testing.T, n *Node, what string) {
 	}
 	attached, parent := n.attached, n.parent
 	n.mu.Unlock()
-	if max := 4 * n.tm.membershipLimit; members > max {
-		t.Fatalf("%s: membership view %d > cap %d", what, members, max)
+	if max := n.tm.peerCap; peers > max {
+		t.Fatalf("%s: peer table %d > cap %d", what, peers, max)
+	}
+	if inflight != windows {
+		t.Fatalf("%s: in-flight total %d, per-peer windows hold %d", what, inflight, windows)
 	}
 	if max := n.cfg.BufferPackets + 1; live > max || slots != int64(max) {
 		t.Fatalf("%s: repair ring has %d live of %d slots, want at most %d", what, live, slots, max)
 	}
-	if max := 4 * n.tm.membershipLimit; guards > max {
-		t.Fatalf("%s: guard table %d > cap %d", what, guards, max)
-	}
 	if max := n.outDegree(); children > max {
 		t.Fatalf("%s: %d children > out-degree %d", what, children, max)
-	}
-	if max := n.tm.peerCap; retx > max {
-		t.Fatalf("%s: retransmission table %d > cap %d", what, retx, max)
 	}
 	if highest < -1 {
 		t.Fatalf("%s: highest packet %d < -1", what, highest)

@@ -10,7 +10,10 @@ import (
 // repository's only answer to the paper's Section 3.4 threat of members that
 // inflate their claimed bandwidth-time products. Wire validation
 // (internal/wire) rejects envelopes no honest node could send; the guard
-// decides what to do about the *sender*:
+// decides what to do about the *sender*. Its state is part of the sender's
+// record in the one peer table (peers.go), so it is bounded and evicted with
+// the view entry and retransmit windows, by peerLocked's one rule — which
+// keeps quarantined records until nothing else is left to evict:
 //
 //   - every peer carries a misbehavior score that decays linearly over time;
 //     malformed datagrams, validation rejects, request floods and implausible
@@ -22,9 +25,10 @@ import (
 //     peer's own earlier claims: a bandwidth-time product can only grow as
 //     fast as the claimed bandwidth allows (delta <= bw * dt * slack + grace);
 //   - a peer whose score crosses the threshold is quarantined: all of its
-//     datagrams are dropped, it is removed from membership/children (and the
-//     tree position, if it was the parent), excluded from CER recovery-group
-//     selection, and gossip about it is ignored until the quarantine expires.
+//     datagrams are dropped unacked, it leaves the view and the children (and
+//     the tree position, if it was the parent), is excluded from CER
+//     recovery-group selection, and gossip about it is ignored until the
+//     quarantine expires.
 //
 // Known residual: a peer that lies about its BTP *consistently from birth*
 // (constant inflation factor baked into every claim) keeps a self-consistent
@@ -50,60 +54,8 @@ const (
 	auditSlack = 2
 )
 
-// guardPeer is the per-remote-peer guard state.
-type guardPeer struct {
-	// score is the decayed misbehavior score; scoreAt is when it was last
-	// decayed.
-	score   float64
-	scoreAt time.Time
-	// tokens is the request token bucket; tokensAt the last refill.
-	tokens   float64
-	tokensAt time.Time
-	// quarantinedUntil, when in the future, drops everything from the peer.
-	quarantinedUntil time.Time
-	// lastBTP/lastBTPAt/lastBW anchor the BTP delta audit: the peer's last
-	// accepted claim and when it was made.
-	lastBTP   float64
-	lastBTPAt time.Time
-	lastBW    float64
-	// lastSeen orders eviction when the guard table is full.
-	lastSeen time.Time
-}
-
-// guardPeerLocked returns (creating if needed) the guard record for a peer,
-// evicting the stalest non-quarantined record when the table is full.
-// Requires mu.
-func (n *Node) guardPeerLocked(addr wire.Addr, now time.Time) *guardPeer {
-	if p, ok := n.guard[addr]; ok {
-		return p
-	}
-	if len(n.guard) >= n.tm.peerCap {
-		var victim wire.Addr
-		var oldest time.Time
-		for a, p := range n.guard {
-			if now.Before(p.quarantinedUntil) {
-				continue // keep quarantine memory under table pressure
-			}
-			if victim == "" || p.lastSeen.Before(oldest) {
-				victim, oldest = a, p.lastSeen
-			}
-		}
-		if victim == "" {
-			for a, p := range n.guard { // all quarantined: evict stalest anyway
-				if victim == "" || p.lastSeen.Before(oldest) {
-					victim, oldest = a, p.lastSeen
-				}
-			}
-		}
-		delete(n.guard, victim)
-	}
-	p := &guardPeer{scoreAt: now, tokensAt: now, tokens: n.tm.requestBurst}
-	n.guard[addr] = p
-	return p
-}
-
 // decayScoreLocked applies the linear score decay up to now. Requires mu.
-func (p *guardPeer) decayScoreLocked(rate float64, now time.Time) {
+func (p *peerRecord) decayScoreLocked(rate float64, now time.Time) {
 	if dt := now.Sub(p.scoreAt).Seconds(); dt > 0 {
 		p.score -= rate * dt
 		if p.score < 0 {
@@ -113,39 +65,21 @@ func (p *guardPeer) decayScoreLocked(rate float64, now time.Time) {
 	p.scoreAt = now
 }
 
-// quarantinedLocked reports whether a peer is currently quarantined.
-// Requires mu.
-func (n *Node) quarantinedLocked(addr wire.Addr, now time.Time) bool {
-	p, ok := n.guard[addr]
-	return ok && now.Before(p.quarantinedUntil)
-}
-
-// quarantinedCountLocked counts peers currently quarantined. Requires mu.
-func (n *Node) quarantinedCountLocked(now time.Time) int {
-	c := 0
-	for _, p := range n.guard {
-		if now.Before(p.quarantinedUntil) {
-			c++
-		}
-	}
-	return c
-}
-
 // noteMisbehaviorLocked charges points against a peer and quarantines it when
-// the decayed score crosses the threshold: membership and child state are
-// purged so the peer stops influencing CER selection and the tree. Returns
+// the decayed score crosses the threshold: the peer leaves the view and the
+// child set so it stops influencing CER selection and the tree. Returns
 // whether the quarantined peer was our parent (the caller must run the
 // parent-failure path outside the lock). Requires mu.
-func (n *Node) noteMisbehaviorLocked(addr wire.Addr, p *guardPeer, points float64, now time.Time) (lostParent bool) {
+func (n *Node) noteMisbehaviorLocked(addr wire.Addr, p *peerRecord, points float64, now time.Time) (lostParent bool) {
 	p.decayScoreLocked(scoreDecay, now)
 	p.score += points
-	if p.score < n.tm.quarantineScore || now.Before(p.quarantinedUntil) {
+	if p.score < n.tm.quarantineScore || p.quarantined(now) {
 		return false
 	}
 	p.quarantinedUntil = now.Add(n.tm.quarantine)
 	p.score = 0 // the sentence restarts the account
 	n.met.guardQuarantines.Inc()
-	delete(n.membership, addr)
+	p.inView = false
 	n.dropChildLocked(addr)
 	if n.attached && addr == n.parent {
 		return true
@@ -166,16 +100,23 @@ func guardTypeIsRequest(t wire.Type) bool {
 }
 
 // guardAdmitLocked is the per-datagram admission decision for a decoded,
-// wire-valid envelope: quarantine drop, request rate limit, BTP audit. admit
-// is false when the datagram must not reach its handler; lostParent reports
-// that refusing it quarantined our parent, so the caller must run the
-// parent-failure path once it has released mu. Requires mu.
-func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (admit, lostParent bool) {
-	p := n.guardPeerLocked(env.From, now)
-	p.lastSeen = now
-	if now.Before(p.quarantinedUntil) {
+// wire-valid envelope: the sender's record (created if new) and its
+// freshness, then quarantine drop, request rate limit, BTP audit. It returns
+// the sender's record, or nil when the datagram must not reach its handler;
+// lostParent reports that refusing it quarantined our parent, so the caller
+// must run the parent-failure path once it has released mu. Requires mu.
+func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (p *peerRecord, lostParent bool) {
+	p = n.peerLocked(env.From, now)
+	if p == nil {
+		// The table holds only the parent and children: a stranger has no
+		// bucket to draw from.
+		n.met.guardRateLimited.Inc()
+		return nil, false
+	}
+	p.seen = now
+	if p.quarantined(now) {
 		n.met.guardQuarantineDrops.Inc()
-		return false, false
+		return nil, false
 	}
 	switch {
 	case guardTypeIsRequest(env.Type):
@@ -188,16 +129,16 @@ func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (admit, lostP
 		p.tokensAt = now
 		if p.tokens < 1 {
 			n.met.guardRateLimited.Inc()
-			return false, n.noteMisbehaviorLocked(env.From, p, scoreRateLimited, now)
+			return nil, n.noteMisbehaviorLocked(env.From, p, scoreRateLimited, now)
 		}
 		p.tokens--
 	case env.Type == wire.TypeHeartbeat || env.Type == wire.TypeSwitchPropose:
 		if !n.auditBTPLocked(p, env, now) {
 			n.met.guardAuditFails.Inc()
-			return false, n.noteMisbehaviorLocked(env.From, p, scoreAuditFail, now)
+			return nil, n.noteMisbehaviorLocked(env.From, p, scoreAuditFail, now)
 		}
 	}
-	return true, false
+	return p, false
 }
 
 // noteWireReject attributes a failed decode/validation to its claimed sender
@@ -205,10 +146,10 @@ func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (admit, lostP
 //
 // The sender address comes from the REJECTED envelope, so it is the one field
 // here that never passed validation: without the ValidAddr check below, a
-// forger could plant arbitrary ~64KB strings (or invalid UTF-8) as guard-table
+// forger could plant arbitrary ~64KB strings (or invalid UTF-8) as peer-table
 // keys — memory amplification via the very table that exists to punish it,
 // and quarantine entries no honest sender address can ever match. Found by
-// the wire-taint lint rule (param-sink flow into the n.guard map index).
+// the wire-taint lint rule (param-sink flow into the peer table's map index).
 func (n *Node) noteWireReject(from wire.Addr) {
 	if from == "" || !wire.ValidAddr(from) {
 		return
@@ -216,10 +157,11 @@ func (n *Node) noteWireReject(from wire.Addr) {
 	now := time.Now()
 	lostParent := false
 	n.mu.Lock()
-	p := n.guardPeerLocked(from, now)
-	p.lastSeen = now
-	if !now.Before(p.quarantinedUntil) {
-		lostParent = n.noteMisbehaviorLocked(from, p, scoreWireReject, now)
+	if p := n.peerLocked(from, now); p != nil {
+		p.seen = now
+		if !p.quarantined(now) {
+			lostParent = n.noteMisbehaviorLocked(from, p, scoreWireReject, now)
+		}
 	}
 	n.mu.Unlock()
 	if lostParent {
@@ -234,7 +176,7 @@ func (n *Node) noteWireReject(from wire.Addr) {
 // *shrink* — a restarted peer resets its clock. The baseline is only
 // advanced by claims that pass, so a forging peer keeps failing against its
 // last honest claim instead of ratcheting the baseline up. Requires mu.
-func (n *Node) auditBTPLocked(p *guardPeer, env *wire.Envelope, now time.Time) bool {
+func (n *Node) auditBTPLocked(p *peerRecord, env *wire.Envelope, now time.Time) bool {
 	if p.lastBTPAt.IsZero() {
 		// First claim: nothing to compare against. (A peer inflating from its
 		// very first heartbeat with a consistent trajectory evades the delta

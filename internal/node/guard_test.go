@@ -79,12 +79,19 @@ func attachTo(n *Node, parent wire.Addr) {
 // section the way onDatagram does, for tests that drive that step alone.
 func (n *Node) guardAdmit(env wire.Envelope) bool {
 	n.mu.Lock()
-	admit, lostParent := n.guardAdmitLocked(&env, time.Now())
+	p, lostParent := n.guardAdmitLocked(&env, time.Now())
 	n.mu.Unlock()
 	if lostParent {
 		n.onParentFailure("quarantine")
 	}
-	return admit
+	return p != nil
+}
+
+// viewAddLocked puts addr in the view as gossip would, last seen at seen.
+// Requires mu.
+func (n *Node) viewAddLocked(addr wire.Addr, seen time.Time) {
+	p := n.peerLocked(addr, seen)
+	p.info, p.inView, p.seen = wire.MemberInfo{Addr: addr}, true, seen
 }
 
 func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
@@ -130,7 +137,7 @@ func TestGuardRateLimitsRequests(t *testing.T) {
 }
 
 func TestGuardScoreDecays(t *testing.T) {
-	p := &guardPeer{score: 10, scoreAt: time.Now().Add(-4 * time.Second)}
+	p := &peerRecord{score: 10, scoreAt: time.Now().Add(-4 * time.Second)}
 	p.decayScoreLocked(2, time.Now()) // 2 points/s over 4s
 	if p.score > 2.1 || p.score < 1.9 {
 		t.Fatalf("score after decay = %v, want ~2", p.score)
@@ -147,7 +154,7 @@ func TestGuardQuarantinesWireRejecters(t *testing.T) {
 	n.tm.quarantineScore = 7 // two wire rejects (4 points each) cross it
 	// Give the offender a membership record: quarantine must purge it.
 	n.mu.Lock()
-	n.membership["evil"] = memberRecord{info: wire.MemberInfo{Addr: "evil"}, seen: time.Now()}
+	n.viewAddLocked("evil", time.Now())
 	n.mu.Unlock()
 
 	n.noteWireReject("evil")
@@ -227,28 +234,49 @@ func TestGuardBTPAudit(t *testing.T) {
 	}
 }
 
+// TestGuardTableEviction floods a full peer table with forged sender
+// addresses: strangers evict each other, and never the quarantined record,
+// the parent's, a child's or one with a control message in flight.
 func TestGuardTableEviction(t *testing.T) {
 	n, _ := newGuardNode(nil)
-	n.tm.membershipLimit, n.tm.peerCap = 2, 8 // guard table cap = 8
+	n.tm.membershipLimit, n.tm.peerCap = 2, 8 // peer table cap = 8
 	n.tm.quarantineScore = 7
-	// Quarantine one peer, then flood the table with strangers.
+	attachTo(n, "p")
+	n.mu.Lock()
+	n.addChildLocked("c", time.Now())
+	n.mu.Unlock()
+	// The parent and the child are heard from first, so theirs are the
+	// stalest records; then one peer is quarantined, one is sent a control
+	// message that stays unacked, and strangers flood the table.
+	n.guardAdmit(wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1})
+	n.guardAdmit(wire.Envelope{Type: wire.TypeHeartbeat, From: "c", Bandwidth: 1})
 	n.noteWireReject("evil")
 	n.noteWireReject("evil")
+	n.send("pending", wire.Envelope{Type: wire.TypeLeave})
 	for i := 0; i < 20; i++ {
 		n.guardAdmit(wire.Envelope{Type: wire.TypeHeartbeat, From: wire.Addr(fmt.Sprintf("g%02d", i))})
 	}
 	n.mu.Lock()
-	size := len(n.guard)
-	_, evilKept := n.guard["evil"]
+	size := len(n.peers)
+	kept := map[wire.Addr]bool{}
+	for _, a := range []wire.Addr{"p", "c", "evil", "pending", "g19"} {
+		_, kept[a] = n.peers[a]
+	}
+	inflight := kept["pending"] && len(n.peers["pending"].inflight) == 1
 	n.mu.Unlock()
 	if size > 8 {
-		t.Fatalf("guard table grew to %d, cap is 8", size)
+		t.Fatalf("peer table grew to %d, cap is 8", size)
 	}
-	if !evilKept {
-		t.Fatal("eviction dropped the quarantined record while strangers were available")
+	for a, ok := range kept {
+		if !ok {
+			t.Errorf("the flood evicted %q's record while strangers were available", a)
+		}
 	}
-	if n.Stats().QuarantinedPeers != 1 {
-		t.Fatal("quarantine lost under table pressure")
+	if !inflight {
+		t.Error("the unacked control message left its window")
+	}
+	if s := n.Stats(); s.QuarantinedPeers != 1 || s.RetxInflight != 1 {
+		t.Fatalf("quarantined=%d in-flight=%d after the flood, want 1/1", s.QuarantinedPeers, s.RetxInflight)
 	}
 }
 
@@ -263,7 +291,7 @@ func TestRecoveryGroupExcludesQuarantined(t *testing.T) {
 	now := time.Now()
 	n.mu.Lock()
 	for _, a := range []wire.Addr{"a", "b", "q"} {
-		n.membership[a] = memberRecord{info: wire.MemberInfo{Addr: a}, seen: now}
+		n.viewAddLocked(a, now)
 	}
 	n.mu.Unlock()
 	group := n.recoveryGroup()
@@ -328,8 +356,7 @@ func TestMembershipReplyLimitClamped(t *testing.T) {
 	now := time.Now()
 	n.mu.Lock()
 	for i := 0; i < 6; i++ {
-		a := wire.Addr(fmt.Sprintf("m%d", i))
-		n.membership[a] = memberRecord{info: wire.MemberInfo{Addr: a}, seen: now}
+		n.viewAddLocked(wire.Addr(fmt.Sprintf("m%d", i)), now)
 	}
 	n.mu.Unlock()
 	n.handleMembershipRequest(wire.Envelope{
@@ -491,14 +518,11 @@ func TestJSONDatagramIsGarbage(t *testing.T) {
 		}
 	}
 	n.mu.Lock()
-	_, guarded := n.guard["evil"]
-	_, member := n.membership["evil"]
+	_, record := n.peers["evil"]
 	_, child := n.children["evil"]
-	_, retx := n.retx["evil"]
 	n.mu.Unlock()
-	if guarded || member || child || retx {
-		t.Fatalf("garbage left state for its claimed sender: guard=%t membership=%t child=%t retx=%t",
-			guarded, member, child, retx)
+	if record || child {
+		t.Fatalf("garbage left state for its claimed sender: peer record=%t child=%t", record, child)
 	}
 	if sent := tr.sentTo("evil"); len(sent) != 0 {
 		t.Fatalf("garbage was answered: %+v", sent)

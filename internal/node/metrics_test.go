@@ -177,10 +177,14 @@ func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 	}
 	var seenMu sync.Mutex
 	seen := make(map[wire.Type]int) // what reached the peer, by type
+	var joinCtrl uint64             // the control sequence of the first Join
 	peer.SetHandler(func(data []byte) {
 		if env, err := wire.DecodeBinary(data); err == nil {
 			seenMu.Lock()
 			seen[env.Type]++
+			if env.Type == wire.TypeJoin && joinCtrl == 0 {
+				joinCtrl = env.Ctrl
+			}
 			seenMu.Unlock()
 		}
 	})
@@ -202,7 +206,14 @@ func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 	in(wire.Envelope{Type: wire.TypeMembershipReply, From: "p",
 		Members: []wire.MemberInfo{{Addr: "p", Depth: 1, Spare: 2, Bandwidth: 1}}})
 	n.tryJoin()
-	in(wire.Envelope{Type: wire.TypeAck, From: "p", Ctrl: 1})
+	var ctrl uint64
+	eventually(t, 5*time.Second, "the Join reaches p", func() bool {
+		seenMu.Lock()
+		defer seenMu.Unlock()
+		ctrl = joinCtrl
+		return ctrl != 0
+	})
+	in(wire.Envelope{Type: wire.TypeAck, From: "p", Ctrl: ctrl})
 	in(wire.Envelope{Type: wire.TypeAccept, From: "p", Depth: 1})
 	in(parentHeartbeat)
 	// A child joins; a leave arrives twice under one control sequence.

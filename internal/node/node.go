@@ -18,7 +18,6 @@
 package node
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -121,9 +120,8 @@ type timing struct {
 	// cap fall back to fire-and-forget so a dead peer cannot pin unbounded
 	// retransmit state.
 	retxInflight int
-	// memberStaleAfter is the gossip horizon: members not heard from for this
-	// long are skipped by CER recovery-group selection and pruned from an
-	// over-full view.
+	// memberStaleAfter is the gossip horizon: view entries not heard from for
+	// this long are skipped by CER recovery-group selection.
 	memberStaleAfter time.Duration
 	stallRejoinAfter time.Duration // attached yet streamless this long: rejoin (see beat)
 	quarantine       time.Duration // how long a convicted peer stays dropped
@@ -140,9 +138,10 @@ type timing struct {
 	plausibleSpan int64
 	// membershipLimit bounds the partial view a membership reply carries.
 	membershipLimit int
-	// peerCap bounds every per-peer table that grows on wire input (the
-	// membership view, the guard table, the retransmit table), so a crowd of
-	// forged sender addresses cannot grow them without bound.
+	// peerCap bounds the peer table (Node.peers), the one per-peer state that
+	// grows on wire input: view entries, guard accounts and retransmit
+	// windows, so a crowd of forged sender addresses cannot grow it without
+	// bound. peerLocked evicts to stay under it.
 	peerCap int
 }
 
@@ -216,8 +215,9 @@ type Stats struct {
 	// Reliability-shim counters. CtrlSent counts control messages sent under
 	// ack protection; RetxSent counts retransmissions of those; RetxAcked
 	// counts first acks received; RetxExpired counts messages abandoned
-	// after their last allowed transmission; RetxOverflow counts control sends
-	// demoted to fire-and-forget by the per-peer in-flight cap; RetxDupDrops
+	// after their last allowed transmission or with their evicted peer
+	// record; RetxOverflow counts control sends demoted to fire-and-forget by
+	// the per-peer in-flight cap; RetxDupDrops
 	// counts received control messages suppressed by the dedup window (the
 	// ack is still re-sent); RetxInflight is the current unacked total.
 	CtrlSent     int64
@@ -227,7 +227,9 @@ type Stats struct {
 	RetxOverflow int64
 	RetxDupDrops int64
 	RetxInflight int
-	// GuardRateLimited counts requests dropped by the per-peer token bucket;
+	// GuardRateLimited counts requests dropped by the per-peer token bucket,
+	// and datagrams from a new peer while the peer table holds only the
+	// parent and children;
 	// GuardQuarantineDrops counts datagrams dropped because their sender was
 	// quarantined; GuardQuarantines counts quarantine sentences handed out;
 	// GuardAuditFails counts BTP claims that outran the sender's own claimed
@@ -350,7 +352,7 @@ func newNodeMetrics(reg *live.Registry) nodeMetrics {
 		ctrlSent:             counter("omcast_node_retx_ctrl_sent_total", "Control-class messages sent under ack protection."),
 		retxSent:             counter("omcast_node_retx_sent_total", "Retransmissions of unacked control-class messages."),
 		retxAcked:            counter("omcast_node_retx_acked_total", "Control-class messages confirmed by a first ack."),
-		retxExpired:          counter("omcast_node_retx_expired_total", "Control-class messages abandoned after the retransmit budget."),
+		retxExpired:          counter("omcast_node_retx_expired_total", "Control-class messages abandoned after the retransmit budget or with their evicted peer record."),
 		retxOverflow:         counter("omcast_node_retx_overflow_total", "Control sends demoted to fire-and-forget by the per-peer in-flight cap."),
 		retxDupDrops:         counter("omcast_node_retx_dup_drops_total", "Received control messages suppressed as duplicates by the dedup window."),
 		guardRateLimited:     counter("omcast_node_guard_rate_limited_total", "Requests dropped by the per-peer token bucket."),
@@ -482,12 +484,6 @@ func (n *Node) storeLocked(seq int64, payload []byte) {
 	}
 }
 
-// memberRecord is a gossip entry with freshness.
-type memberRecord struct {
-	info wire.MemberInfo
-	seen time.Time
-}
-
 // switchLock is the ROST exchange lock (§3.3's lock set, as one node sees
 // it): held from proposing or accepting an exchange until its commit. While
 // held the node admits no Join and opens or accepts no other exchange. It has
@@ -536,20 +532,21 @@ type Node struct {
 	joinedAt  time.Time   //guardedby:mu
 	swLock    switchLock  //guardedby:mu
 
-	membership map[wire.Addr]memberRecord //guardedby:mu
-	// retx is the reliability shim's per-peer state: unacked control sends
-	// awaiting retransmit on one side, the receive dedup window on the other
-	// (see retx.go). retxRng draws retransmit jitter; unlike the loop-owned
-	// join/repair RNGs it is shared by timer goroutines, so draws happen
-	// under mu.
-	retx    map[wire.Addr]*retxPeer //guardedby:mu
-	retxRng *xrand.Source           //guardedby:mu
-	// guard holds the per-peer misbehavior state (see guard.go); jumpStreak
-	// counts consecutive parent packets rejected as implausible sequence
-	// jumps, so a genuine stream discontinuity resynchronises instead of
-	// starving forever.
-	guard      map[wire.Addr]*guardPeer //guardedby:mu
-	jumpStreak int                      //guardedby:mu
+	// peers is the one table of per-peer state that wire input grows: each
+	// record holds a peer's view entry, guard account and retransmit windows
+	// (peers.go), and peerLocked caps it. inflight counts the unacked control
+	// messages across it; ctrlHigh is the highest control sequence this
+	// incarnation has used (see retx.go). retxRng draws retransmit jitter;
+	// unlike the loop-owned join/repair RNGs it is shared by timer
+	// goroutines, so draws happen under mu.
+	peers    map[wire.Addr]*peerRecord //guardedby:mu
+	inflight int                       //guardedby:mu
+	ctrlHigh uint64                    //guardedby:mu
+	retxRng  *xrand.Source             //guardedby:mu
+	// jumpStreak counts consecutive parent packets rejected as implausible
+	// sequence jumps, so a genuine stream discontinuity resynchronises
+	// instead of starving forever.
+	jumpStreak int //guardedby:mu
 	// lastJoinTarget detects unanswered join attempts: a candidate that
 	// neither accepts nor rejects within one tick is presumed dead and
 	// dropped from the view (dead members never send Rejects).
@@ -622,18 +619,17 @@ type Node struct {
 // New creates a node over the given transport.
 func New(cfg Config, tr Transport) *Node {
 	n := &Node{
-		cfg:        cfg.withDefaults(),
-		transport:  tr,
-		senders:    newSenderTable(),
-		children:   make(map[wire.Addr]*peer),
-		membership: make(map[wire.Addr]memberRecord),
-		guard:      make(map[wire.Addr]*guardPeer),
-		retx:       make(map[wire.Addr]*retxPeer),
-		highest:    -1,
-		playFirst:  -1,
-		pendFirst:  -1,
-		pendLast:   -1,
-		done:       make(chan struct{}),
+		cfg:       cfg.withDefaults(),
+		transport: tr,
+		senders:   newSenderTable(),
+		children:  make(map[wire.Addr]*peer),
+		peers:     make(map[wire.Addr]*peerRecord),
+		ctrlHigh:  uint64(time.Now().UnixNano()),
+		highest:   -1,
+		playFirst: -1,
+		pendFirst: -1,
+		pendLast:  -1,
+		done:      make(chan struct{}),
 	}
 	n.ring = make([]ringSlot, n.cfg.BufferPackets+1)
 	for i := range n.ring {
@@ -710,15 +706,16 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	m := &n.met
+	members, quarantined := n.tableCountsLocked(time.Now())
 	return Stats{
 		Attached:         n.attached,
 		Parent:           n.parent,
 		Depth:            n.depth,
 		Children:         len(n.children),
 		HighestPacket:    n.highest,
-		KnownMembers:     len(n.membership),
-		QuarantinedPeers: n.quarantinedCountLocked(time.Now()),
-		RetxInflight:     n.retxInflightLocked(),
+		KnownMembers:     members,
+		QuarantinedPeers: quarantined,
+		RetxInflight:     n.inflight,
 
 		PacketsReceived:      m.packetsReceived.Value(),
 		PacketsRepaired:      m.packetsRepaired.Value(),
@@ -933,15 +930,15 @@ func (n *Node) nextJoinDelay() time.Duration {
 func (n *Node) tryJoin() {
 	n.mu.Lock()
 	// The previous attempt went unanswered (no Accept, no Reject): the
-	// candidate is dead or unreachable — drop it so we move on.
-	if n.lastJoinTarget != "" {
-		delete(n.membership, n.lastJoinTarget)
-		n.lastJoinTarget = ""
+	// candidate is dead or unreachable — drop it from the view so we move on.
+	if p, ok := n.peers[n.lastJoinTarget]; ok {
+		p.inView = false
 	}
-	cands := make([]wire.MemberInfo, 0, len(n.membership))
-	for _, rec := range n.membership {
-		if rec.info.Spare > 0 {
-			cands = append(cands, rec.info)
+	n.lastJoinTarget = ""
+	var cands []wire.MemberInfo
+	for _, p := range n.peers {
+		if p.inView && p.info.Spare > 0 {
+			cands = append(cands, p.info)
 		}
 	}
 	n.mu.Unlock()
@@ -1004,9 +1001,8 @@ func (n *Node) handleJoin(env wire.Envelope) {
 func (n *Node) handleReject(env wire.Envelope) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if rec, ok := n.membership[env.From]; ok {
-		rec.info.Spare = 0
-		n.membership[env.From] = rec
+	if p, ok := n.peers[env.From]; ok {
+		p.info.Spare = 0
 	}
 	if n.lastJoinTarget == env.From {
 		n.lastJoinTarget = "" // answered: alive, just full
@@ -1105,8 +1101,9 @@ func (n *Node) beat() {
 	n.met.childTimeouts.Add(int64(len(deadChildren)))
 	n.met.attached.Set(boolGauge(n.attached))
 	n.met.children.Set(float64(len(n.children)))
-	n.met.knownMembers.Set(float64(len(n.membership)))
-	n.met.quarantinedPeers.Set(float64(n.quarantinedCountLocked(now)))
+	members, quarantined := n.tableCountsLocked(now)
+	n.met.knownMembers.Set(float64(members))
+	n.met.quarantinedPeers.Set(float64(quarantined))
 	n.mu.Unlock()
 
 	if parentDead {
@@ -1504,24 +1501,24 @@ func (n *Node) recoveryGroup() []wire.Addr {
 	}
 	var cands []scored
 	now := time.Now()
-	for addr, rec := range n.membership {
-		if banned[addr] {
+	for addr, p := range n.peers {
+		if !p.inView || banned[addr] {
 			continue
 		}
-		// Quarantined peers are purged from membership at sentencing, but a
-		// race can re-learn one between sentence and expiry; never hand a
-		// convicted peer a stripe of our repair traffic.
-		if n.quarantinedLocked(addr, now) {
+		// Quarantined peers leave the view at sentencing, but a race can
+		// re-learn one between sentence and expiry; never hand a convicted
+		// peer a stripe of our repair traffic.
+		if p.quarantined(now) {
 			continue
 		}
 		// Members we have not heard from recently may be dead: asking them
 		// for repair wastes the whole striped request, so they are excluded
 		// from CER candidate selection.
-		if now.Sub(rec.seen) > n.tm.memberStaleAfter {
+		if now.Sub(p.seen) > n.tm.memberStaleAfter {
 			continue
 		}
 		overlap := 0
-		for _, a := range rec.info.Ancestors {
+		for _, a := range p.info.Ancestors {
 			if mine[a] {
 				overlap++
 			}
@@ -1626,11 +1623,13 @@ func (n *Node) viewSample(limit int) []wire.MemberInfo {
 	if n.attached || n.cfg.Source {
 		out = append(out, n.selfInfoLocked())
 	}
-	for _, rec := range n.membership {
+	for _, p := range n.peers {
 		if len(out) >= limit {
 			break
 		}
-		out = append(out, rec.info)
+		if p.inView {
+			out = append(out, p.info)
+		}
 	}
 	return out
 }
@@ -1638,8 +1637,10 @@ func (n *Node) viewSample(limit int) []wire.MemberInfo {
 func (n *Node) gossipTarget() wire.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for addr := range n.membership { // map order gives a cheap random pick
-		return addr
+	for addr, p := range n.peers { // map order gives a cheap random pick
+		if p.inView {
+			return addr
+		}
 	}
 	if len(n.cfg.Bootstrap) > 0 {
 		return n.cfg.Bootstrap[0]
@@ -1657,8 +1658,8 @@ func (n *Node) refreshAncestors() {
 		return
 	}
 	anc := []wire.Addr{n.parent}
-	if rec, ok := n.membership[n.parent]; ok {
-		anc = append(anc, rec.info.Ancestors...)
+	if p, ok := n.peers[n.parent]; ok && p.inView {
+		anc = append(anc, p.info.Ancestors...)
 	}
 	if len(anc) > 16 {
 		anc = anc[:16]
@@ -1690,7 +1691,8 @@ func (n *Node) handleMembershipRequest(env wire.Envelope) {
 
 // mergeMembers folds gossip entries into the view: first-hand entries (the
 // sender describing itself) always win; second-hand copies fill gaps only —
-// stale relays must not clobber live capacity data.
+// stale relays must not clobber live capacity data. An entry takes a peer
+// record like any datagram does, so the table's one cap bounds the view.
 func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -1699,45 +1701,14 @@ func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
 		if info.Addr == n.Addr() {
 			continue
 		}
+		p := n.peerLocked(info.Addr, now)
 		// Gossip must not re-introduce a quarantined peer (third parties keep
 		// relaying it until their own guards convict).
-		if n.quarantinedLocked(info.Addr, now) {
+		if p == nil || p.quarantined(now) {
 			continue
 		}
-		_, known := n.membership[info.Addr]
-		// Hard cap on view growth: a flood of forged member records must not
-		// balloon the map past the prune threshold the reply path enforces.
-		if !known && len(n.membership) >= n.tm.peerCap {
-			continue
-		}
-		if info.Addr == from || !known {
-			n.membership[info.Addr] = memberRecord{info: info, seen: now}
-		}
-	}
-}
-
-// touchMemberLocked refreshes a known member's freshness on any direct
-// datagram: hearing from a node first-hand — heartbeat, packet, repair,
-// gossip — is the liveness signal recoveryGroup's staleness filter keys on.
-// Requires mu.
-func (n *Node) touchMemberLocked(from wire.Addr, now time.Time) {
-	if rec, ok := n.membership[from]; ok {
-		rec.seen = now
-		n.membership[from] = rec
-	}
-}
-
-func (n *Node) handleMembershipReply(env wire.Envelope) {
-	n.mergeMembers(env.From, env.Members)
-	// Bound the view.
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.membership) > n.tm.peerCap {
-		now := time.Now()
-		for addr, rec := range n.membership {
-			if now.Sub(rec.seen) > n.tm.memberStaleAfter {
-				delete(n.membership, addr)
-			}
+		if info.Addr == from || !p.inView {
+			p.info, p.inView, p.seen = info, true, now
 		}
 	}
 }
@@ -1895,19 +1866,19 @@ func (n *Node) onDatagram(data []byte) {
 		n.noteWireReject(env.From)
 		return
 	}
-	// One lock and one clock reading cover admission, the sender's freshness
-	// and, for stream and repair data, the packet itself.
+	// One lock, one clock reading and one peer-table lookup cover admission,
+	// the sender's freshness, control dedup and, for stream and repair data,
+	// the packet itself.
 	now := time.Now()
 	n.mu.Lock()
-	admit, lostParent := n.guardAdmitLocked(&env, now)
-	if !admit {
+	p, lostParent := n.guardAdmitLocked(&env, now)
+	if p == nil {
 		n.mu.Unlock()
 		if lostParent {
 			n.onParentFailure("quarantine")
 		}
 		return // rate-limited, quarantined or audit-failed
 	}
-	n.touchMemberLocked(env.From, now)
 	if env.Type == wire.TypePacket || env.Type == wire.TypeRepairData {
 		children, gapFirst, gapLast, ok := n.acceptPacketLocked(&env, env.Type == wire.TypeRepairData, now)
 		n.mu.Unlock()
@@ -1916,12 +1887,13 @@ func (n *Node) onDatagram(data []byte) {
 		}
 		return
 	}
-	n.mu.Unlock()
 	// Reliable control delivery: always (re-)ack a tagged message — the
 	// sender retransmits until an ack survives the network — but hand only
 	// the first copy to its handler.
-	if env.Ctrl != 0 && env.Type != wire.TypeAck {
-		dup := n.ctrlSeen(env.From, env.Ctrl)
+	ctrl := env.Ctrl != 0 && env.Type != wire.TypeAck
+	dup := ctrl && p.ctrlSeen(env.Ctrl)
+	n.mu.Unlock()
+	if ctrl {
 		n.send(env.From, wire.Envelope{Type: wire.TypeAck, Ctrl: env.Ctrl})
 		if dup {
 			n.met.retxDupDrops.Inc()
@@ -1946,7 +1918,7 @@ func (n *Node) onDatagram(data []byte) {
 	case wire.TypeMembershipRequest:
 		n.handleMembershipRequest(env)
 	case wire.TypeMembershipReply:
-		n.handleMembershipReply(env)
+		n.mergeMembers(env.From, env.Members)
 	case wire.TypeSwitchPropose:
 		n.handleSwitchPropose(env)
 	case wire.TypeSwitchAccept:
@@ -1961,12 +1933,6 @@ func (n *Node) onDatagram(data []byte) {
 		n.handleAck(env)
 	}
 }
-
-// Errors used by callers embedding the runtime.
-var (
-	// ErrNotAttached reports an operation requiring a live tree position.
-	ErrNotAttached = errors.New("node: not attached")
-)
 
 // String renders a debug summary.
 func (n *Node) String() string {

@@ -3,6 +3,7 @@ package node
 import (
 	"time"
 
+	"omcast/internal/metrics/live"
 	"omcast/internal/wire"
 )
 
@@ -13,9 +14,14 @@ import (
 // send carries a per-peer sequence (Envelope.Ctrl), the receiver always acks
 // it (and re-acks duplicates, since the first ack may itself have been
 // lost), and the sender retransmits on a capped jittered backoff until acked
-// or out of attempts. Data-class traffic — stream packets, heartbeats, ELN,
-// repair data — is periodic or best-effort by design and stays
-// fire-and-forget, so the shim adds no load to the steady-state data plane.
+// or out of attempts. Sequences never restart: a record's send sequence
+// starts at the highest this incarnation has used (Node.ctrlHigh), and an
+// incarnation starts at its creation time in nanoseconds, so neither a
+// re-created record nor a node restarted at the same address reuses a
+// sequence its peer may still hold as seen. Data-class traffic — stream
+// packets, heartbeats, ELN, repair data — is periodic or best-effort by
+// design and stays fire-and-forget, so the shim adds no load to the
+// steady-state data plane.
 
 // retxDedupWindow is the receive window: a sequence more than this far
 // behind the highest seen is treated as a duplicate. 64 fits the bitmap in
@@ -29,48 +35,21 @@ type retxPending struct {
 	timer    *time.Timer
 }
 
-// retxPeer is the shim state for one peer: the send window (sequences,
-// in-flight messages) and the receive dedup window (highest sequence seen
-// plus a bitmap of the 64 below it).
-type retxPeer struct {
-	nextSeq  uint64
-	inflight map[uint64]*retxPending
-
-	rxHighest uint64
-	rxBitmap  uint64 // bit i = sequence (rxHighest-1-i) seen
-}
-
-// retxPeerLocked finds or creates the shim state for addr, respecting
-// timing.peerCap: beyond it control sends are demoted to fire-and-forget and
-// receives go un-deduped (still acked). Requires mu.
-func (n *Node) retxPeerLocked(addr wire.Addr) *retxPeer {
-	if p, ok := n.retx[addr]; ok {
-		return p
-	}
-	if len(n.retx) >= n.tm.peerCap {
-		return nil
-	}
-	p := &retxPeer{}
-	n.retx[addr] = p
-	return p
-}
-
-// retxInflightLocked totals the unacked control messages. Requires mu.
-func (n *Node) retxInflightLocked() int {
-	total := 0
-	for _, p := range n.retx {
-		total += len(p.inflight)
-	}
-	return total
+// retxSettledLocked takes k messages out of the in-flight total, counting
+// them on how (acked or expired). Requires mu.
+func (n *Node) retxSettledLocked(k int, how *live.Counter) {
+	n.inflight -= k
+	how.Add(int64(k))
+	n.met.retxInflight.Set(float64(n.inflight))
 }
 
 // sendReliable registers env (with From already stamped) in the peer's
 // in-flight window, stamps its Ctrl sequence and transmits the first copy.
 // It returns false — caller falls back to fire-and-forget — when the peer's
-// window is full or the peer table is at its cap.
+// window is full or no record can be had for it.
 func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	n.mu.Lock()
-	p := n.retxPeerLocked(to)
+	p := n.peerLocked(to, time.Now())
 	if p == nil || len(p.inflight) >= n.tm.retxInflight {
 		n.met.retxOverflow.Inc()
 		n.mu.Unlock()
@@ -81,6 +60,9 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	}
 	p.nextSeq++
 	seq := p.nextSeq
+	if seq > n.ctrlHigh {
+		n.ctrlHigh = seq
+	}
 	env.Ctrl = seq
 	data, err := wire.EncodeBinary(env)
 	if err != nil {
@@ -92,7 +74,8 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	d := backoffDelay(n.tm.retxBackoffBase, n.tm.retxBackoffMax, 0, n.retxRng)
 	pend.timer = time.AfterFunc(d, func() { n.retxFire(to, seq) })
 	n.met.ctrlSent.Inc()
-	n.met.retxInflight.Set(float64(n.retxInflightLocked()))
+	n.inflight++
+	n.met.retxInflight.Set(float64(n.inflight))
 	n.mu.Unlock()
 	n.transmit(to, data)
 	return true
@@ -109,7 +92,7 @@ func (n *Node) retxFire(to wire.Addr, seq uint64) {
 	default:
 	}
 	n.mu.Lock()
-	p := n.retx[to]
+	p := n.peers[to]
 	if p == nil {
 		n.mu.Unlock()
 		return
@@ -121,8 +104,7 @@ func (n *Node) retxFire(to wire.Addr, seq uint64) {
 	}
 	if pend.attempts >= n.tm.retxAttempts {
 		delete(p.inflight, seq)
-		n.met.retxExpired.Inc()
-		n.met.retxInflight.Set(float64(n.retxInflightLocked()))
+		n.retxSettledLocked(1, n.met.retxExpired)
 		n.mu.Unlock()
 		return
 	}
@@ -138,7 +120,7 @@ func (n *Node) retxFire(to wire.Addr, seq uint64) {
 // handleAck clears the acked message from the sender-side window.
 func (n *Node) handleAck(env wire.Envelope) {
 	n.mu.Lock()
-	p := n.retx[env.From]
+	p := n.peers[env.From]
 	if p == nil {
 		n.mu.Unlock()
 		return
@@ -150,22 +132,16 @@ func (n *Node) handleAck(env wire.Envelope) {
 	}
 	pend.timer.Stop()
 	delete(p.inflight, env.Ctrl)
-	n.met.retxAcked.Inc()
-	n.met.retxInflight.Set(float64(n.retxInflightLocked()))
+	n.retxSettledLocked(1, n.met.retxAcked)
 	n.mu.Unlock()
 }
 
 // ctrlSeen records a received control sequence in the peer's dedup window
 // and reports whether it was already delivered. Sequences that fell off the
 // window's far edge count as duplicates (the safe direction: the shim may
-// suppress a redelivery, never double-deliver within the window).
-func (n *Node) ctrlSeen(from wire.Addr, seq uint64) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	p := n.retxPeerLocked(from)
-	if p == nil {
-		return false // peer table full: process un-deduped rather than starve
-	}
+// suppress a redelivery, never double-deliver within the window). Requires
+// mu.
+func (p *peerRecord) ctrlSeen(seq uint64) bool {
 	switch {
 	case p.rxHighest == 0:
 		p.rxHighest = seq

@@ -361,7 +361,7 @@ func TestRepairCarriesPayload(t *testing.T) {
 		}
 	})
 	loser.mu.Lock()
-	loser.membership["sibling"] = memberRecord{info: wire.MemberInfo{Addr: "sibling"}, seen: time.Now()}
+	loser.viewAddLocked("sibling", time.Now())
 	loser.addChildLocked("leaf", time.Now())
 	loser.mu.Unlock()
 
