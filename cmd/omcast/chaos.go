@@ -11,9 +11,11 @@ import (
 	"omcast/internal/tracing"
 )
 
-// cmdChaos runs the chaos resilience suite: live overlays on an in-memory
-// network behind the deterministic fault injector, each scenario
-// byte-reproducible from its seed.
+// cmdChaos runs the chaos resilience suite: overlays of the live node
+// runtime on an in-memory network behind the deterministic fault injector,
+// all on a virtual clock. A scenario's durations are virtual time, so a run
+// takes a fraction of them, and its whole output — verdicts, node stats,
+// fault log, spans — is byte-reproducible from its seed.
 //
 //	omcast chaos -list                      # what scenarios exist
 //	omcast chaos -scenario parent-crash     # run one
@@ -41,8 +43,8 @@ func cmdChaos(args []string) int {
 		showLog  = fs.Bool("log", false, "print the canonical fault log after each run")
 		schedule = fs.String("schedule", "", "run a custom JSON fault schedule instead of a named scenario")
 		nodes    = fs.Int("nodes", 8, "member count for -schedule runs")
-		duration = fs.Duration("duration", 3*time.Second, "fault run length for -schedule runs")
-		warmup   = fs.Duration("warmup", 5*time.Second, "attach deadline before faults arm for -schedule runs (0 = faults from birth)")
+		duration = fs.Duration("duration", 3*time.Second, "fault run length for -schedule runs, in virtual time")
+		warmup   = fs.Duration("warmup", 5*time.Second, "attach deadline before faults arm for -schedule runs, in virtual time (0 = faults from birth)")
 		traceOut = fs.String("trace-out", "", "write the runs' causal spans (recovery episodes + fault windows) as JSONL to this file (\"-\" = stdout)")
 	)
 	if !parseFlags(fs, args) {

@@ -34,7 +34,7 @@ var commands = []struct {
 }{
 	{"sim", "regenerate figures of the paper's evaluation", cmdSim},
 	{"bench", "run the fig-scale sweep and write BENCH_scale.json", cmdBench},
-	{"chaos", "run the chaos resilience suite against live overlays", cmdChaos},
+	{"chaos", "run the chaos resilience suite: live overlays on virtual time, byte-reproducible per seed", cmdChaos},
 	{"lint", "check the module's determinism and safety invariants", cmdLint},
 	{"node", "run one live protocol node over UDP", cmdNode},
 	{"topo", "generate a transit-stub topology and print its statistics", cmdTopo},

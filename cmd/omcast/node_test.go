@@ -21,7 +21,7 @@ import (
 // returns them with their live registries and the member's flight ring.
 func bootPair(t *testing.T) (src, member *node.Node, srcReg, memReg *live.Registry, memRing *flight.Ring) {
 	t.Helper()
-	network := node.NewMemNetwork(nil)
+	network := node.NewMemNetwork(nil, nil)
 	t.Cleanup(network.Close)
 
 	srcReg = live.NewRegistry()

@@ -1,8 +1,10 @@
-// Liveoverlay: boot the actual protocol runtime (not the simulator) on an
-// in-process datagram network, stream packets, kill an interior member and
-// watch the overlay heal — join handshakes, heartbeats, ELN, CER repair and
-// ROST switching all running concurrently, exactly as `omcast node` runs
-// them over UDP.
+// Liveoverlay: boot the actual protocol runtime (not the simulator's model
+// of it) on an in-process datagram network, stream packets, kill an interior
+// member and watch the overlay heal — join handshakes, heartbeats, ELN, CER
+// repair and ROST switching, the same code `omcast node` runs over UDP. The
+// nodes run on a virtual clock driven by an eventsim.Simulator, so the run
+// takes a fraction of its virtual time and prints the same overlay every
+// time.
 //
 //	go run ./examples/liveoverlay
 package main
@@ -12,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"omcast/internal/eventsim"
 	"omcast/internal/node"
 	"omcast/internal/wire"
 )
@@ -24,10 +27,12 @@ func main() {
 }
 
 func run() error {
-	network := node.NewMemNetwork(nil)
-	defer network.Close()
+	sim := eventsim.New()
+	clock := node.NewVirtualClock(sim)
+	network := node.NewMemNetwork(clock, nil)
 
 	base := node.Config{
+		Clock:             clock,
 		HeartbeatInterval: 50 * time.Millisecond,
 		GossipInterval:    60 * time.Millisecond,
 		SwitchInterval:    500 * time.Millisecond,
@@ -42,9 +47,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	source := node.New(srcCfg, srcTr)
-	source.Start()
-	defer source.Kill()
+	node.New(srcCfg, srcTr).Start()
 
 	fmt.Println("booting 12 members against a 3-slot source...")
 	var members []*node.Node
@@ -59,19 +62,16 @@ func run() error {
 		n := node.New(cfg, tr)
 		members = append(members, n)
 		n.Start()
-		defer n.Kill()
 	}
 
+	// waitFor runs the overlay in 20 ms steps of virtual time until cond
+	// holds, for at most 15 s of it.
 	waitFor := func(what string, cond func() bool) error {
-		//lint:ignore no-wallclock reason: polls the real-time internal/node runtime, not the simulation
-		deadline := time.Now().Add(15 * time.Second)
-		//lint:ignore no-wallclock reason: polls the real-time internal/node runtime, not the simulation
-		for time.Now().Before(deadline) {
+		for end := sim.Now() + 15*time.Second; sim.Now() < end; {
 			if cond() {
 				return nil
 			}
-			//lint:ignore no-wallclock reason: polls the real-time internal/node runtime, not the simulation
-			time.Sleep(20 * time.Millisecond)
+			_ = sim.Run(sim.Now() + 20*time.Millisecond)
 		}
 		return fmt.Errorf("timed out waiting for %s", what)
 	}

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -17,12 +18,6 @@ func TestChaosScenarios(t *testing.T) {
 	for _, scn := range Scenarios {
 		scn := scn
 		t.Run(scn.Name, func(t *testing.T) {
-			if raceEnabled && scn.Nodes > 16 {
-				// The race detector serializes the 65 node runtimes so hard
-				// the overlay cannot form at this scale; the 9-node byzantine
-				// scenarios give the machinery its race coverage.
-				t.Skipf("%d-node scenario skipped under -race", scn.Nodes)
-			}
 			rep, err := Run(scn)
 			if err != nil {
 				t.Fatalf("harness: %v", err)
@@ -59,8 +54,8 @@ func decisionStream(seed int64, links []string, n int, r faultnet.Rule) []faultn
 // are pure functions of the scenario — no live run required to prove it.
 func TestChaosPlanDeterminism(t *testing.T) {
 	for _, scn := range Scenarios {
-		p1 := scn.scaledSchedule().FormatPlan()
-		p2 := scn.scaledSchedule().FormatPlan()
+		p1 := scn.Plan()
+		p2 := scn.Plan()
 		if p1 != p2 {
 			t.Errorf("%s: plan not reproducible:\n%s\nvs\n%s", scn.Name, p1, p2)
 		}
@@ -168,7 +163,7 @@ func TestChaosReportSpans(t *testing.T) {
 	if crashSpan == nil {
 		t.Fatal("no crash fault-window span in report")
 	}
-	if got, want := crashSpan.Duration(), sc(500*time.Millisecond).Seconds(); got != want {
+	if got, want := crashSpan.Duration(), (500 * time.Millisecond).Seconds(); got != want {
 		t.Errorf("crash window duration = %v, want %v", got, want)
 	}
 }
@@ -199,5 +194,44 @@ func TestByzantinePlanReproducible(t *testing.T) {
 		if !slices.Equal(decisionStream(scn.Seed, links, 64, rule), decisionStream(scn.Seed, links, 64, rule)) {
 			t.Errorf("%s: adversarial decision preview not reproducible", name)
 		}
+	}
+}
+
+// TestChaosReportReproducible runs four scenarios twice at one seed and
+// requires byte-identical reports: the verdict line, every node's Stats, the
+// fault log, the link stats and the span JSONL. The whole overlay runs on
+// one virtual clock, so a seed fixes every delivery order and every timer.
+func TestChaosReportReproducible(t *testing.T) {
+	render := func(t *testing.T, scn Scenario) string {
+		t.Helper()
+		rep, err := Run(scn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		b.WriteString(rep.Summary() + "\n")
+		for _, nr := range rep.Nodes {
+			fmt.Fprintf(&b, "%s %t %+v\n", nr.Addr, nr.Byzantine, nr.Stats)
+		}
+		b.WriteString("--- fault log\n" + rep.FaultLog + "--- link stats\n" + rep.FaultStats + "--- spans\n")
+		if err := tracing.WriteJSONL(&b, rep.Spans); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, name := range []string{"parent-crash", "lossy-10", "source-kill", "byzantine-64"} {
+		t.Run(name, func(t *testing.T) {
+			scn := ScenarioByName(name)
+			first, second := render(t, *scn), render(t, *scn)
+			if first != second {
+				a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
+				for i := range min(len(a), len(b)) {
+					if a[i] != b[i] {
+						t.Fatalf("same-seed runs diverge at line %d:\n run 1: %s\n run 2: %s", i+1, a[i], b[i])
+					}
+				}
+				t.Fatalf("same-seed runs differ in length: %d vs %d lines", len(a), len(b))
+			}
+		})
 	}
 }

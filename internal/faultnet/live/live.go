@@ -1,16 +1,16 @@
-// Package live is the wall-clock backend of internal/faultnet: a
+// Package live is the runtime backend of internal/faultnet: a
 // fault-injecting overlay for node.Transport endpoints. It applies the
 // deterministic per-link decision streams and the expanded fault schedule of
-// the model package to real datagram traffic — dropping, duplicating,
-// reordering, delaying, rate-limiting, partitioning and crash/restarting
-// live nodes.
+// the model package to datagram traffic — dropping, duplicating, reordering,
+// delaying, rate-limiting, partitioning and crash/restarting live nodes.
 //
 // The split mirrors internal/metrics vs internal/metrics/live: the model
 // package is simulation-safe (omcast lint enforces no wall clock, no
-// goroutines); this package owns every timer and lock. Determinism lives in
-// the environment layer: the expanded plan and the per-link decision streams
-// are pure functions of the schedule and seed, so two same-seed runs inject
-// byte-identical fault sequences even though goroutine scheduling differs.
+// goroutines); this package owns the timers and locks. Every timer and every
+// time reading goes through a node.Clock, so the same network wraps real UDP
+// endpoints on the wall clock (omcast node -faults) and in-memory ones on a
+// virtual clock, where the chaos suite (runner.go) drives whole overlays on
+// one eventsim.Simulator and a seed fixes every byte of a run's report.
 package live
 
 import (
@@ -41,6 +41,10 @@ type Options struct {
 	Schedule *faultnet.Schedule
 	// Metrics, if non-nil, receives the network's instruments.
 	Metrics *mlive.Registry
+	// Clock runs the network's timers (schedule changes, delays, reorder
+	// flushes) and its rate limits; nil is the wall clock. Give it the clock
+	// of the endpoints it wraps.
+	Clock node.Clock
 	// NodeHook is invoked (outside all network locks) when a crash or
 	// restart change fires: up=false means the node should die abruptly,
 	// up=true that it should come back. The network blackholes the node's
@@ -119,8 +123,9 @@ type partition struct {
 
 // Network wraps node.Transport endpoints with fault injection.
 type Network struct {
-	opts Options
-	seed int64
+	opts  Options
+	seed  int64
+	clock node.Clock
 
 	mu      sync.Mutex
 	links   map[string]*linkState
@@ -130,7 +135,6 @@ type Network struct {
 	log     []faultnet.LogEntry
 	logCap  int   // per-datagram entries kept (maxLogEntries)
 	logFull int64 // per-datagram entries discarded past logCap
-	timers  []*time.Timer
 	started bool
 	closed  bool
 
@@ -144,9 +148,13 @@ func NewNetwork(opts Options) *Network {
 	if seed == 0 && opts.Schedule != nil {
 		seed = opts.Schedule.Seed
 	}
+	if opts.Clock == nil {
+		opts.Clock = node.WallClock()
+	}
 	n := &Network{
 		opts:   opts,
 		seed:   seed,
+		clock:  opts.Clock,
 		links:  make(map[string]*linkState),
 		down:   make(map[string]bool),
 		logCap: maxLogEntries,
@@ -177,34 +185,29 @@ func (e *endpoint) Send(to wire.Addr, data []byte) error {
 	return e.net.send(e.inner, to, data)
 }
 
-// Start arms the schedule's timed events relative to now. Call once, after
-// the overlay under test is up (or immediately, for faults-from-birth runs).
+// Start arms the schedule's timed events relative to the clock's now. Call
+// once, after the overlay under test is up (or immediately, for
+// faults-from-birth runs).
 func (n *Network) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.started || n.closed || n.opts.Schedule == nil {
-		n.started = true
 		return
 	}
 	n.started = true
 	for _, c := range n.opts.Schedule.Expand() {
 		c := c
-		t := time.AfterFunc(c.T, func() { n.Apply(c) })
-		n.timers = append(n.timers, t)
+		n.clock.AfterFunc(c.T, func() { n.Apply(c) })
 	}
 }
 
-// Close stops pending fault timers. Wrapped endpoints keep working as plain
-// pass-throughs for any stragglers.
+// Close disarms the schedule: a change whose timer fires later does
+// nothing, and wrapped endpoints keep working as plain pass-throughs for any
+// stragglers.
 func (n *Network) Close() {
 	n.mu.Lock()
-	timers := n.timers
-	n.timers = nil
 	n.closed = true
 	n.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
 }
 
 // Apply executes one expanded schedule change immediately, logging it at its
@@ -360,7 +363,7 @@ func (n *Network) send(inner node.Transport, to wire.Addr, data []byte) error {
 	}
 
 	if rule.RateBytes > 0 {
-		now := time.Now()
+		now := n.clock.Now()
 		if !st.lastRefill.IsZero() {
 			st.tokens += now.Sub(st.lastRefill).Seconds() * rule.RateBytes
 		} else {
@@ -417,7 +420,7 @@ func (n *Network) send(inner node.Transport, to wire.Addr, data []byte) error {
 		st.lastSent = buf
 		n.met.reordered.Inc()
 		n.notePerDatagramLocked(link, dec.N, "hold")
-		flush := time.AfterFunc(maxHold+delay, func() {
+		n.clock.AfterFunc(maxHold+delay, func() {
 			n.mu.Lock()
 			if n.closed || st.held == nil || st.heldGen != gen {
 				n.mu.Unlock()
@@ -428,7 +431,6 @@ func (n *Network) send(inner node.Transport, to wire.Addr, data []byte) error {
 			n.mu.Unlock()
 			_ = inner.Send(to, b)
 		})
-		n.timers = append(n.timers, flush)
 		n.mu.Unlock()
 		return nil
 	}
@@ -460,10 +462,9 @@ func (n *Network) send(inner node.Transport, to wire.Addr, data []byte) error {
 			b := b
 			// Successive copies are nudged apart so delayed delivery keeps
 			// the assembled order.
-			t := time.AfterFunc(delay+time.Duration(i)*time.Millisecond, func() {
+			n.clock.AfterFunc(delay+time.Duration(i)*time.Millisecond, func() {
 				_ = inner.Send(to, b)
 			})
-			n.timers = append(n.timers, t)
 		}
 		n.mu.Unlock()
 		return nil

@@ -2,35 +2,35 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"omcast/internal/eventsim"
 	"omcast/internal/faultnet"
 	mlive "omcast/internal/metrics/live"
 	"omcast/internal/node"
 	"omcast/internal/wire"
 )
 
-// rig is a two-endpoint fault network with a recording receiver.
+// rig is a two-endpoint fault network with a recording receiver, on a
+// virtual clock: nothing is delivered until advance runs the simulator.
 type rig struct {
+	sim  *eventsim.Simulator
 	mem  *node.MemNetwork
 	net  *Network
 	a, b node.Transport
-
-	mu  sync.Mutex
-	got []string
+	got  []string
 }
 
 func newRig(t *testing.T, opts Options) *rig {
 	t.Helper()
-	r := &rig{mem: node.NewMemNetwork(nil)}
+	r := &rig{sim: eventsim.New()}
+	clock := node.NewVirtualClock(r.sim)
+	r.mem = node.NewMemNetwork(clock, nil)
+	opts.Clock = clock
 	r.net = NewNetwork(opts)
-	t.Cleanup(func() {
-		r.net.Close()
-		r.mem.Close()
-	})
 	for _, name := range []string{"a", "b"} {
 		ep, err := r.mem.Endpoint(wire.Addr(name))
 		if err != nil {
@@ -43,31 +43,15 @@ func newRig(t *testing.T, opts Options) *rig {
 			r.b = w
 		}
 	}
-	r.b.SetHandler(func(data []byte) {
-		r.mu.Lock()
-		r.got = append(r.got, string(data))
-		r.mu.Unlock()
-	})
+	r.b.SetHandler(func(data []byte) { r.got = append(r.got, string(data)) })
 	return r
 }
 
-func (r *rig) received() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.got...)
-}
+// advance runs the rig for d of virtual time.
+func (r *rig) advance(d time.Duration) { _ = r.sim.Run(r.sim.Now() + d) }
 
-func (r *rig) waitCount(t *testing.T, n int, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(sc(within))
-	for time.Now().Before(deadline) {
-		if len(r.received()) >= n {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("received %d datagrams, want >= %d", len(r.received()), n)
-}
+// settle runs the rig until nothing is left to deliver.
+func (r *rig) settle() { _ = r.sim.Run(eventsim.MaxHorizon) }
 
 func TestWrapPassthrough(t *testing.T) {
 	r := newRig(t, Options{Seed: 1})
@@ -77,7 +61,10 @@ func TestWrapPassthrough(t *testing.T) {
 	if err := r.a.Send("b", []byte("clean")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 1, time.Second)
+	r.settle()
+	if !slices.Equal(r.got, []string{"clean"}) {
+		t.Fatalf("delivered %q", r.got)
+	}
 	st := r.net.Stats()["a>b"]
 	if st.Sent != 1 || st.Dropped != 0 {
 		t.Fatalf("link stats = %+v", st)
@@ -96,9 +83,9 @@ func TestDropRule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
-	if got := r.received(); len(got) != 0 {
-		t.Fatalf("drop=1 delivered %d datagrams", len(got))
+	r.settle()
+	if len(r.got) != 0 {
+		t.Fatalf("drop=1 delivered %d datagrams", len(r.got))
 	}
 	st := r.net.Stats()["a>b"]
 	if st.Sent != 20 || st.Dropped != 20 {
@@ -122,8 +109,8 @@ func TestPartitionAndHeal(t *testing.T) {
 	if err := r.a.Send("b", []byte("lost")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
-	if len(r.received()) != 0 {
+	r.settle()
+	if len(r.got) != 0 {
 		t.Fatal("partitioned datagram delivered")
 	}
 	if st := r.net.Stats()["a>b"]; st.Blocked != 1 {
@@ -133,7 +120,10 @@ func TestPartitionAndHeal(t *testing.T) {
 	if err := r.a.Send("b", []byte("through")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 1, time.Second)
+	r.settle()
+	if !slices.Equal(r.got, []string{"through"}) {
+		t.Fatalf("delivered %q after the heal", r.got)
+	}
 }
 
 func TestBlockRuleOneWay(t *testing.T) {
@@ -147,26 +137,14 @@ func TestBlockRuleOneWay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reverse direction stays open (one-way partition).
-	var mu sync.Mutex
 	backGot := 0
-	r.a.SetHandler(func([]byte) { mu.Lock(); backGot++; mu.Unlock() })
+	r.a.SetHandler(func([]byte) { backGot++ })
 	if err := r.b.Send("a", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(sc(time.Second))
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := backGot
-		mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if backGot != 1 || len(r.received()) != 0 {
-		t.Fatalf("one-way block broken: forward=%d back=%d", len(r.received()), backGot)
+	r.settle()
+	if backGot != 1 || len(r.got) != 0 {
+		t.Fatalf("one-way block broken: forward=%d back=%d", len(r.got), backGot)
 	}
 }
 
@@ -178,9 +156,9 @@ func TestDuplicateRule(t *testing.T) {
 	if err := r.a.Send("b", []byte("twice")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 2, time.Second)
-	if got := r.received(); len(got) != 2 || got[0] != "twice" || got[1] != "twice" {
-		t.Fatalf("duplicate delivery = %v", got)
+	r.settle()
+	if !slices.Equal(r.got, []string{"twice", "twice"}) {
+		t.Fatalf("duplicate delivery = %v", r.got)
 	}
 }
 
@@ -196,9 +174,9 @@ func TestReorderRule(t *testing.T) {
 	if err := r.a.Send("b", []byte("second")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 2, time.Second)
-	if got := r.received(); got[0] != "second" || got[1] != "first" {
-		t.Fatalf("order = %v, want [second first]", got)
+	r.settle()
+	if !slices.Equal(r.got, []string{"second", "first"}) {
+		t.Fatalf("order = %v, want [second first]", r.got)
 	}
 	if st := r.net.Stats()["a>b"]; st.Held != 1 {
 		t.Fatalf("held = %d, want 1", st.Held)
@@ -214,7 +192,14 @@ func TestReorderFlushOnQuietLink(t *testing.T) {
 	if err := r.a.Send("b", []byte("only")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 1, time.Second)
+	r.advance(maxHold - time.Millisecond)
+	if len(r.got) != 0 {
+		t.Fatalf("held datagram delivered before maxHold: %q", r.got)
+	}
+	r.advance(time.Millisecond)
+	if !slices.Equal(r.got, []string{"only"}) {
+		t.Fatalf("held datagram not flushed at maxHold: %q", r.got)
+	}
 }
 
 func TestLatencyAndJitter(t *testing.T) {
@@ -225,13 +210,16 @@ func TestLatencyAndJitter(t *testing.T) {
 			DefaultRule: &faultnet.Rule{Latency: faultnet.Duration(lat), Jitter: faultnet.Duration(10 * time.Millisecond)},
 		},
 	})
-	start := time.Now()
 	if err := r.a.Send("b", []byte("slow")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 1, time.Second)
-	if elapsed := time.Since(start); elapsed < lat/2 {
-		t.Fatalf("delivered after %v, want >= ~%v", elapsed, lat)
+	r.advance(lat - time.Nanosecond)
+	if len(r.got) != 0 {
+		t.Fatalf("delivered before the %v latency", lat)
+	}
+	r.advance(10 * time.Millisecond) // the jitter bound
+	if !slices.Equal(r.got, []string{"slow"}) {
+		t.Fatalf("not delivered within latency + jitter: %q", r.got)
 	}
 }
 
@@ -240,26 +228,33 @@ func TestRateLimit(t *testing.T) {
 		Seed:     9,
 		Schedule: &faultnet.Schedule{DefaultRule: &faultnet.Rule{RateBytes: 100}},
 	})
-	// Burst allows ~100 bytes; 10-byte datagrams: ~10 pass, the rest drop.
+	// The one-second burst is 100 bytes: of 50 10-byte datagrams sent at one
+	// instant, 10 pass and 40 drop; half a second later the bucket has
+	// refilled 50 bytes, 5 more datagrams' worth.
 	for i := 0; i < 50; i++ {
 		if err := r.a.Send("b", []byte("0123456789")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
-	st := r.net.Stats()["a>b"]
-	if st.RateDropped < 30 || st.RateDropped > 45 {
-		t.Fatalf("rate-dropped = %d, want ~40", st.RateDropped)
+	r.advance(500 * time.Millisecond)
+	if st := r.net.Stats()["a>b"]; st.RateDropped != 40 || len(r.got) != 10 {
+		t.Fatalf("rate-dropped = %d, delivered %d, want 40 and 10", st.RateDropped, len(r.got))
+	}
+	for i := 0; i < 10; i++ {
+		if err := r.a.Send("b", []byte("0123456789")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.settle()
+	if st := r.net.Stats()["a>b"]; st.RateDropped != 45 || len(r.got) != 15 {
+		t.Fatalf("after the refill: rate-dropped = %d, delivered %d, want 45 and 15", st.RateDropped, len(r.got))
 	}
 }
 
 func TestCrashBlackholesAndHooks(t *testing.T) {
-	var mu sync.Mutex
 	var events []string
 	r := newRig(t, Options{Seed: 10, NodeHook: func(addr string, up bool) {
-		mu.Lock()
 		events = append(events, fmt.Sprintf("%s:%t", addr, up))
-		mu.Unlock()
 	}})
 	down := func() bool {
 		r.net.mu.Lock()
@@ -273,8 +268,8 @@ func TestCrashBlackholesAndHooks(t *testing.T) {
 	if err := r.a.Send("b", []byte("into the void")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
-	if len(r.received()) != 0 {
+	r.settle()
+	if len(r.got) != 0 {
 		t.Fatal("datagram delivered to crashed node")
 	}
 	r.net.Apply(faultnet.Change{Action: faultnet.ActionRestart, Node: "b"})
@@ -284,9 +279,10 @@ func TestCrashBlackholesAndHooks(t *testing.T) {
 	if err := r.a.Send("b", []byte("back")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 1, time.Second)
-	mu.Lock()
-	defer mu.Unlock()
+	r.settle()
+	if !slices.Equal(r.got, []string{"back"}) {
+		t.Fatalf("delivered %q after the restart", r.got)
+	}
 	if len(events) != 2 || events[0] != "b:false" || events[1] != "b:true" {
 		t.Fatalf("hook events = %v", events)
 	}
@@ -297,23 +293,23 @@ func TestScheduleTimedEvents(t *testing.T) {
 		Seed: 11,
 		Schedule: &faultnet.Schedule{
 			Events: []faultnet.Event{
-				{At: faultnet.Duration(sc(20 * time.Millisecond)), Until: faultnet.Duration(sc(80 * time.Millisecond)),
+				{At: faultnet.Duration(20 * time.Millisecond), Until: faultnet.Duration(80 * time.Millisecond),
 					Action: faultnet.ActionPartition, From: "a", To: "b"},
 			},
 		},
 	})
 	r.net.Start()
-	time.Sleep(sc(40 * time.Millisecond)) // inside the partition window
+	r.advance(40 * time.Millisecond) // inside the partition window
 	if err := r.a.Send("b", []byte("blocked")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(sc(70 * time.Millisecond)) // past the heal
+	r.advance(40 * time.Millisecond) // exactly at the heal
 	if err := r.a.Send("b", []byte("open")); err != nil {
 		t.Fatal(err)
 	}
-	r.waitCount(t, 1, time.Second)
-	if got := r.received(); len(got) != 1 || got[0] != "open" {
-		t.Fatalf("delivered = %v, want [open]", got)
+	r.settle()
+	if !slices.Equal(r.got, []string{"open"}) {
+		t.Fatalf("delivered = %v, want [open]", r.got)
 	}
 	log := r.net.FormatLog()
 	if log == "" {
@@ -326,10 +322,11 @@ func TestScheduleTimedEvents(t *testing.T) {
 // sequence, must record identical fault logs and identical link stats.
 func TestCannedTrafficDeterminism(t *testing.T) {
 	run := func() (string, string) {
-		mem := node.NewMemNetwork(nil)
-		defer mem.Close()
+		clock := node.NewVirtualClock(eventsim.New())
+		mem := node.NewMemNetwork(clock, nil)
 		net := NewNetwork(Options{
-			Seed: 424242,
+			Clock: clock,
+			Seed:  424242,
 			Schedule: &faultnet.Schedule{
 				DefaultRule: &faultnet.Rule{Drop: 0.25, Duplicate: 0.1, Reorder: 0.15},
 			},

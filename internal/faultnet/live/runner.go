@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"omcast/internal/eventsim"
 	"omcast/internal/faultnet"
 	"omcast/internal/node"
 	"omcast/internal/tracing"
@@ -14,14 +14,17 @@ import (
 	"omcast/internal/wire"
 )
 
-// sc scales a scenario duration for the race detector (matching the node
-// package's test profile factor).
-func sc(d time.Duration) time.Duration {
-	if raceEnabled {
-		return d * 4
-	}
-	return d
-}
+// The overlay's timing profile: a 20 ms heartbeat (so a liveness timeout is
+// 60 ms) and 100 stream packets per second, a compressed timescale that
+// keeps every scenario a few seconds of virtual time.
+const (
+	heartbeat  = 20 * time.Millisecond
+	streamRate = 100
+)
+
+// pollStep is how often the runner checks an attachment condition while it
+// advances virtual time; recovery and attach times are measured to it.
+const pollStep = 5 * time.Millisecond
 
 // Bounds are the recovery-time and delivery-continuity assertions a scenario
 // makes about the overlay after running under faults. Zero values disable a
@@ -76,8 +79,7 @@ type Bounds struct {
 }
 
 // Scenario is one table-driven chaos run: an overlay size, a fault schedule
-// and the bounds the overlay must hold under it. Durations are pre-scaling;
-// the runner stretches them under -race.
+// and the bounds the overlay must hold under it. Durations are virtual time.
 type Scenario struct {
 	Name  string
 	About string
@@ -101,8 +103,8 @@ type Scenario struct {
 	BootDelay time.Duration
 	// Duration is how long the armed schedule runs before final collection.
 	Duration time.Duration
-	// Schedule holds the scenario's faults; its offsets are scaled like the
-	// durations. Seed is stamped from the scenario at run time.
+	// Schedule holds the scenario's faults. Seed is stamped from the scenario
+	// at run time.
 	Schedule faultnet.Schedule
 	Bounds   Bounds
 	// Byzantine names members whose outbound links the schedule turns
@@ -138,24 +140,16 @@ func (s Scenario) byzantine(addr wire.Addr) bool {
 	return false
 }
 
-// scaledSchedule returns the schedule with seed stamped and every duration
-// field (offsets, latencies) scaled for the race detector.
-func (s Scenario) scaledSchedule() *faultnet.Schedule {
-	sch := s.Schedule // shallow copy; slices re-built below
+// schedule returns the scenario's schedule with its seed stamped.
+func (s Scenario) schedule() *faultnet.Schedule {
+	sch := s.Schedule
 	sch.Seed = s.Seed
-	sch.Links = append([]faultnet.LinkRule(nil), s.Schedule.Links...)
-	sch.Events = make([]faultnet.Event, len(s.Schedule.Events))
-	for i, ev := range s.Schedule.Events {
-		ev.At = faultnet.Duration(sc(ev.At.D()))
-		ev.Until = faultnet.Duration(sc(ev.Until.D()))
-		sch.Events[i] = ev
-	}
 	return &sch
 }
 
-// Plan renders the scenario's expanded fault plan, scaled exactly as a run
-// would scale it — a pure function of the scenario, no overlay required.
-func (s Scenario) Plan() string { return s.scaledSchedule().FormatPlan() }
+// Plan renders the scenario's expanded fault plan — a pure function of the
+// scenario, no overlay required.
+func (s Scenario) Plan() string { return s.schedule().FormatPlan() }
 
 // NodeReport pairs an address with its final protocol stats. Byzantine marks
 // members the scenario declared adversarial (excluded from per-node bounds).
@@ -197,6 +191,11 @@ type Report struct {
 	Failures []string
 }
 
+// fail records a violated bound.
+func (r *Report) fail(format string, args ...any) {
+	r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
+}
+
 // OK reports whether every bound held.
 func (r *Report) OK() bool { return len(r.Failures) == 0 }
 
@@ -214,28 +213,28 @@ func (r *Report) Summary() string {
 	return fmt.Sprintf("%s seed=%d FAIL: %v", r.Scenario, r.Seed, r.Failures)
 }
 
-// Harness boots an overlay on an in-memory network behind a fault network
-// and keeps crash/restarted nodes consistent with the schedule.
+// Harness boots an overlay on an in-memory network behind a fault network,
+// all on one virtual clock, and keeps crash/restarted nodes consistent with
+// the schedule. Nothing in it runs until advance drives its simulator, so a
+// run is one goroutine and a function of its scenario.
 type Harness struct {
-	sc    Scenario
-	Net   *Network
-	mem   *node.MemNetwork
-	rate  float64
-	hbInt time.Duration
+	sc  Scenario
+	Net *Network
+	sim *eventsim.Simulator
+	mem *node.MemNetwork
 
-	mu      sync.Mutex
 	sources map[wire.Addr]*node.Node
 	nodes   map[wire.Addr]*node.Node
 	cfgs    map[wire.Addr]node.Config
 	// rings are the per-address span flight recorders. A restarted node
 	// reuses its address's ring, so one timeline spans its whole history
 	// across crashes.
-	rings  map[wire.Addr]*flight.Ring
-	closed bool
+	rings map[wire.Addr]*flight.Ring
 }
 
 // NewHarness builds the overlay (source + members, all attached to the fault
-// network) without arming the schedule.
+// network) without arming the schedule; a BootDelay advances the clock
+// between member boots.
 func NewHarness(scn Scenario) (*Harness, error) {
 	if scn.Nodes <= 0 {
 		scn.Nodes = 8
@@ -249,33 +248,33 @@ func NewHarness(scn Scenario) (*Harness, error) {
 	if scn.Sources <= 0 {
 		scn.Sources = 1
 	}
+	sim := eventsim.New()
+	clock := node.NewVirtualClock(sim)
 	h := &Harness{
 		sc:      scn,
-		mem:     node.NewMemNetwork(nil),
+		sim:     sim,
+		mem:     node.NewMemNetwork(clock, nil),
 		sources: make(map[wire.Addr]*node.Node),
 		nodes:   make(map[wire.Addr]*node.Node),
 		cfgs:    make(map[wire.Addr]node.Config),
 		rings:   make(map[wire.Addr]*flight.Ring),
-		hbInt:   sc(20 * time.Millisecond),
-		rate:    100,
-	}
-	if raceEnabled {
-		h.rate = 25 // heartbeats stretched 4x; cut packet load to match
 	}
 	h.Net = NewNetwork(Options{
 		Seed:     scn.Seed,
-		Schedule: scn.scaledSchedule(),
+		Schedule: scn.schedule(),
+		Clock:    clock,
 		NodeHook: h.nodeHook,
 	})
 
 	base := node.Config{
-		HeartbeatInterval: h.hbInt,
-		GossipInterval:    h.hbInt * 5 / 4,
-		StreamRate:        h.rate,
+		HeartbeatInterval: heartbeat,
+		GossipInterval:    heartbeat * 5 / 4,
+		StreamRate:        streamRate,
 		BufferPackets:     512,
 		RecoveryGroup:     3,
-		PlaybackBuffer:    sc(500 * time.Millisecond),
+		PlaybackBuffer:    500 * time.Millisecond,
 		Seed:              scn.Seed,
+		Clock:             clock,
 	}
 
 	srcs := sourceAddrs(scn.Sources)
@@ -297,11 +296,14 @@ func NewHarness(scn Scenario) (*Harness, error) {
 			return nil, err
 		}
 		if scn.BootDelay > 0 && i < scn.Nodes-1 {
-			time.Sleep(sc(scn.BootDelay))
+			h.advance(scn.BootDelay)
 		}
 	}
 	return h, nil
 }
+
+// advance runs the overlay for d of virtual time.
+func (h *Harness) advance(d time.Duration) { _ = h.sim.Run(h.sim.Now() + d) }
 
 // boot creates (or recreates) one node behind the fault network.
 func (h *Harness) boot(addr wire.Addr, cfg node.Config) error {
@@ -309,23 +311,19 @@ func (h *Harness) boot(addr wire.Addr, cfg node.Config) error {
 	if err != nil {
 		return fmt.Errorf("faultnet: endpoint %s: %w", addr, err)
 	}
-	h.mu.Lock()
 	ring := h.rings[addr]
 	if ring == nil {
 		ring = flight.NewRing(0)
 		h.rings[addr] = ring
 	}
-	h.mu.Unlock()
 	cfg.Trace = ring
 	nd := node.New(cfg, h.Net.Wrap(ep))
-	h.mu.Lock()
 	if cfg.Source {
 		h.sources[addr] = nd
 	} else {
 		h.nodes[addr] = nd
 	}
 	h.cfgs[addr] = cfg
-	h.mu.Unlock()
 	nd.Start()
 	return nil
 }
@@ -336,28 +334,19 @@ func (h *Harness) boot(addr wire.Addr, cfg node.Config) error {
 // stream down with it, which is the source-failover scenario.
 func (h *Harness) nodeHook(addr string, up bool) {
 	a := wire.Addr(addr)
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	nd := h.nodes[a]
-	if nd == nil {
-		nd = h.sources[a]
-	}
-	cfg, known := h.cfgs[a]
 	if !up {
+		nd := h.nodes[a]
+		if nd == nil {
+			nd = h.sources[a]
+		}
 		delete(h.nodes, a)
 		delete(h.sources, a)
-	}
-	h.mu.Unlock()
-	if !up {
 		if nd != nil {
 			nd.Kill()
 		}
 		return
 	}
-	if known {
+	if cfg, known := h.cfgs[a]; known {
 		_ = h.boot(a, cfg) // rebirth failures surface as a missing node
 	}
 }
@@ -366,32 +355,12 @@ func (h *Harness) nodeHook(addr string, up bool) {
 // sources first (sorted), then members. A crashed source is absent, exactly
 // like a crashed member.
 func (h *Harness) Members() []NodeReport {
-	h.mu.Lock()
-	nodes := make(map[wire.Addr]*node.Node, len(h.nodes))
-	for a, nd := range h.nodes {
-		nodes[a] = nd
+	var out []NodeReport
+	for _, a := range sortedAddrs(h.sources) {
+		out = append(out, NodeReport{Addr: a, Stats: h.sources[a].Stats()})
 	}
-	srcs := make(map[wire.Addr]*node.Node, len(h.sources))
-	for a, nd := range h.sources {
-		srcs[a] = nd
-	}
-	h.mu.Unlock()
-	out := make([]NodeReport, 0, len(nodes)+len(srcs))
-	srcAddrs := make([]wire.Addr, 0, len(srcs))
-	for a := range srcs {
-		srcAddrs = append(srcAddrs, a)
-	}
-	sort.Slice(srcAddrs, func(i, j int) bool { return srcAddrs[i] < srcAddrs[j] })
-	for _, a := range srcAddrs {
-		out = append(out, NodeReport{Addr: a, Stats: srcs[a].Stats()})
-	}
-	addrs := make([]wire.Addr, 0, len(nodes))
-	for a := range nodes {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		out = append(out, NodeReport{Addr: a, Stats: nodes[a].Stats(), Byzantine: h.sc.byzantine(a)})
+	for _, a := range sortedAddrs(h.nodes) {
+		out = append(out, NodeReport{Addr: a, Stats: h.nodes[a].Stats(), Byzantine: h.sc.byzantine(a)})
 	}
 	return out
 }
@@ -401,40 +370,34 @@ func (h *Harness) Members() []NodeReport {
 // export layers rely on. Rings survive crashes, so a killed source's
 // pre-crash episodes are kept.
 func (h *Harness) Spans() []tracing.Span {
-	h.mu.Lock()
-	srcAddrs := make([]wire.Addr, 0, 1)
-	addrs := make([]wire.Addr, 0, len(h.rings))
-	for a := range h.rings {
-		if isSource(a) {
-			srcAddrs = append(srcAddrs, a)
-		} else {
-			addrs = append(addrs, a)
-		}
-	}
-	rings := make(map[wire.Addr]*flight.Ring, len(h.rings))
-	for a, r := range h.rings {
-		rings[a] = r
-	}
-	h.mu.Unlock()
-	sort.Slice(srcAddrs, func(i, j int) bool { return srcAddrs[i] < srcAddrs[j] })
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	var out []tracing.Span
-	for _, a := range srcAddrs {
-		out = append(out, rings[a].Snapshot()...)
-	}
-	for _, a := range addrs {
-		out = append(out, rings[a].Snapshot()...)
+	for _, sources := range []bool{true, false} {
+		for _, a := range sortedAddrs(h.rings) {
+			if isSource(a) == sources {
+				out = append(out, h.rings[a].Snapshot()...)
+			}
+		}
 	}
 	return out
 }
 
-// faultSpans renders the scenario's scaled fault schedule as annotation
+// sortedAddrs returns m's keys in address order.
+func sortedAddrs[V any](m map[wire.Addr]V) []wire.Addr {
+	addrs := make([]wire.Addr, 0, len(m))
+	for a := range m {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	return addrs
+}
+
+// faultSpans renders the scenario's fault schedule as annotation
 // spans on a synthetic "faultnet" track: one span per timed event, covering
 // [At, Until] for windowed faults (a partition, a crash with restart) and
 // instantaneous for one-shot changes. Overlaying them on the node tracks
 // shows which recovery episodes ran under which injected fault.
 func faultSpans(scn Scenario) []tracing.Span {
-	sch := scn.scaledSchedule()
+	sch := scn.schedule()
 	if len(sch.Events) == 0 {
 		return nil
 	}
@@ -464,17 +427,10 @@ func faultSpans(scn Scenario) []tracing.Span {
 // members are exempt: once quarantined by every honest peer they may be
 // permanently detached, and that is the defense working, not a failure.
 func (h *Harness) AllAttached() bool {
-	h.mu.Lock()
-	nodes := make(map[wire.Addr]*node.Node, len(h.nodes))
-	for a, nd := range h.nodes {
-		nodes[a] = nd
-	}
-	full := len(h.nodes) == h.sc.Nodes
-	h.mu.Unlock()
-	if !full {
+	if len(h.nodes) != h.sc.Nodes {
 		return false
 	}
-	for a, nd := range nodes {
+	for a, nd := range h.nodes {
 		if h.sc.byzantine(a) {
 			continue
 		}
@@ -485,43 +441,33 @@ func (h *Harness) AllAttached() bool {
 	return true
 }
 
-// WaitAttached polls until the full membership is attached or the
-// (already-scaled) deadline passes, returning the elapsed time and success.
+// WaitAttached advances the overlay in pollStep steps until the full
+// membership is attached or within has passed, returning the elapsed virtual
+// time and success.
 func (h *Harness) WaitAttached(within time.Duration) (time.Duration, bool) {
-	start := time.Now()
-	deadline := start.Add(within)
-	for time.Now().Before(deadline) {
-		if h.AllAttached() {
-			return time.Since(start), true
+	start := h.sim.Now()
+	for !h.AllAttached() {
+		if h.sim.Now()-start >= within {
+			return h.sim.Now() - start, false
 		}
-		time.Sleep(5 * time.Millisecond)
+		h.advance(min(pollStep, start+within-h.sim.Now()))
 	}
-	return time.Since(start), h.AllAttached()
+	return h.sim.Now() - start, true
 }
-
-// StartFaults arms the scenario schedule.
-func (h *Harness) StartFaults() { h.Net.Start() }
 
 // Close tears the overlay and fault network down.
 func (h *Harness) Close() {
-	h.mu.Lock()
-	h.closed = true
-	nodes := make([]*node.Node, 0, len(h.nodes)+len(h.sources))
+	h.Net.Close()
 	for _, nd := range h.sources {
-		nodes = append(nodes, nd)
+		nd.Kill()
 	}
 	for _, nd := range h.nodes {
-		nodes = append(nodes, nd)
-	}
-	h.mu.Unlock()
-	h.Net.Close()
-	for _, nd := range nodes {
 		nd.Kill()
 	}
 	h.mem.Close()
 }
 
-// lastChangeAt returns the scaled offset of the schedule's final change.
+// lastChangeAt returns the offset of the schedule's final change.
 func lastChangeAt(sch *faultnet.Schedule) time.Duration {
 	var last time.Duration
 	for _, c := range sch.Expand() {
@@ -532,7 +478,7 @@ func lastChangeAt(sch *faultnet.Schedule) time.Duration {
 	return last
 }
 
-// lastSourceCrashAt returns the scaled offset of the schedule's final crash
+// lastSourceCrashAt returns the offset of the schedule's final crash
 // event that names a source address — the instant the failover clock
 // starts from.
 func lastSourceCrashAt(sch *faultnet.Schedule) time.Duration {
@@ -561,61 +507,51 @@ func Run(scn Scenario) (*Report, error) {
 	}
 
 	if scn.Warmup > 0 {
-		if _, ok := h.WaitAttached(sc(scn.Warmup)); !ok {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("overlay did not form within warmup %s", sc(scn.Warmup)))
+		if _, ok := h.WaitAttached(scn.Warmup); !ok {
+			rep.fail("overlay did not form within warmup %s", scn.Warmup)
 		}
 	}
 
-	start := time.Now()
-	h.StartFaults()
+	start := h.sim.Now()
+	h.Net.Start()
 
 	if scn.Bounds.AttachWithin > 0 {
-		elapsed, ok := h.WaitAttached(sc(scn.Bounds.AttachWithin))
+		elapsed, ok := h.WaitAttached(scn.Bounds.AttachWithin)
 		rep.AttachTime = elapsed
 		if !ok {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("members not all attached within %s of start (waited %s)",
-					sc(scn.Bounds.AttachWithin), elapsed))
+			rep.fail("members not all attached within %s of start (waited %s)",
+				scn.Bounds.AttachWithin, elapsed)
 		}
 	}
 
-	duration := sc(scn.Duration)
-	if remaining := duration - time.Since(start); remaining > 0 {
-		time.Sleep(remaining)
+	if remaining := start + scn.Duration - h.sim.Now(); remaining > 0 {
+		h.advance(remaining)
 	}
 
-	if scn.Bounds.MaxReassignTime > 0 {
-		// The failover clock starts at the last source kill; whatever the
-		// main sleep already burned past it counts against the bound.
-		base := start.Add(lastSourceCrashAt(sch))
-		budget := sc(scn.Bounds.MaxReassignTime) - time.Since(base)
-		if budget < 0 {
-			budget = 0
-		}
-		_, ok := h.WaitAttached(budget)
-		rep.ReassignTime = time.Since(base)
+	// waitSince gives the overlay what is left of bound, counted from the
+	// offset at into the run, to be all attached, and returns how long after
+	// at that check ended.
+	waitSince := func(at, bound time.Duration) (time.Duration, bool) {
+		base := start + at
+		_, ok := h.WaitAttached(max(bound-(h.sim.Now()-base), 0))
+		return h.sim.Now() - base, ok
+	}
+	if b := scn.Bounds.MaxReassignTime; b > 0 {
+		// The failover clock starts at the last source kill.
+		var ok bool
+		rep.ReassignTime, ok = waitSince(lastSourceCrashAt(sch), b)
 		if !ok {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("members not all re-assigned within %s of last source kill (took %s)",
-					sc(scn.Bounds.MaxReassignTime), rep.ReassignTime))
+			rep.fail("members not all re-assigned within %s of last source kill (took %s)",
+				b, rep.ReassignTime)
 		}
 	}
-
-	if scn.Bounds.RecoverWithin > 0 {
+	if b := scn.Bounds.RecoverWithin; b > 0 {
 		// The recovery clock starts at the schedule's last change (the final
-		// heal/restart); anything burned past it during the main sleep counts.
-		base := start.Add(lastChangeAt(sch))
-		budget := sc(scn.Bounds.RecoverWithin) - time.Since(base)
-		if budget < 0 {
-			budget = 0
-		}
-		_, ok := h.WaitAttached(budget)
-		rep.RecoveryTime = time.Since(base)
+		// heal/restart).
+		var ok bool
+		rep.RecoveryTime, ok = waitSince(lastChangeAt(sch), b)
 		if !ok {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("overlay not re-attached within %s of last change (took %s)",
-					sc(scn.Bounds.RecoverWithin), rep.RecoveryTime))
+			rep.fail("overlay not re-attached within %s of last change (took %s)", b, rep.RecoveryTime)
 		}
 	}
 
@@ -624,18 +560,18 @@ func Run(scn Scenario) (*Report, error) {
 		// instant (a 20% loss link occasionally eats three heartbeats in a
 		// row). The bound is convergence, not a lucky snapshot: give the
 		// overlay one short grace window to be simultaneously attached.
-		h.WaitAttached(sc(time.Second))
+		h.WaitAttached(time.Second)
 	}
 	rep.Nodes = h.Members()
 	rep.Spans = append(h.Spans(), faultSpans(scn)...)
 	rep.FaultLog = h.Net.FormatLog()
 	rep.FaultStats = h.Net.FormatStats()
-	evaluate(rep, scn, h, time.Since(start))
+	evaluate(rep, scn, h.sim.Now()-start)
 	return rep, nil
 }
 
 // evaluate applies the scenario bounds to the collected stats.
-func evaluate(rep *Report, scn Scenario, h *Harness, ran time.Duration) {
+func evaluate(rep *Report, scn Scenario, ran time.Duration) {
 	b := scn.Bounds
 	alive := 0
 	for _, nr := range rep.Nodes {
@@ -644,14 +580,13 @@ func evaluate(rep *Report, scn Scenario, h *Harness, ran time.Duration) {
 		}
 	}
 	if b.RequireAllAttached && alive < scn.Nodes {
-		rep.Failures = append(rep.Failures,
-			fmt.Sprintf("only %d of %d members alive at end", alive, scn.Nodes))
+		rep.fail("only %d of %d members alive at end", alive, scn.Nodes)
 	}
 	var suppressed, rejoins int64
 	var quarantines, wireRejects, auditFails int64
 	var starveSum float64
 	honest := 0
-	sourcePackets := int64(ran.Seconds() * h.rate)
+	sourcePackets := int64(ran.Seconds() * streamRate)
 	for _, nr := range rep.Nodes {
 		s := nr.Stats
 		// Guard totals sum over every node, sources included: any honest
@@ -673,57 +608,48 @@ func evaluate(rep *Report, scn Scenario, h *Harness, ran time.Duration) {
 		starveSum += s.StarvingRatio()
 		honest++
 		if b.RequireAllAttached && !s.Attached {
-			rep.Failures = append(rep.Failures, fmt.Sprintf("%s detached at end", nr.Addr))
+			rep.fail("%s detached at end", nr.Addr)
 		}
 		if b.MaxStarvingRatio > 0 && s.StarvingRatio() > b.MaxStarvingRatio {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("%s starving ratio %.3f > %.3f", nr.Addr, s.StarvingRatio(), b.MaxStarvingRatio))
+			rep.fail("%s starving ratio %.3f > %.3f", nr.Addr, s.StarvingRatio(), b.MaxStarvingRatio)
 		}
 		if b.MinPacketsFrac > 0 {
 			want := int64(b.MinPacketsFrac * float64(sourcePackets))
 			if s.PacketsReceived < want {
-				rep.Failures = append(rep.Failures,
-					fmt.Sprintf("%s received %d packets, want >= %d (%.0f%% of ~%d)",
-						nr.Addr, s.PacketsReceived, want, b.MinPacketsFrac*100, sourcePackets))
+				rep.fail("%s received %d packets, want >= %d (%.0f%% of ~%d)",
+					nr.Addr, s.PacketsReceived, want, b.MinPacketsFrac*100, sourcePackets)
 			}
 		}
 		if b.MaxRepairRequestsPerNode > 0 && s.RepairRequests > b.MaxRepairRequestsPerNode {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("%s issued %d repair requests > bound %d (storm)",
-					nr.Addr, s.RepairRequests, b.MaxRepairRequestsPerNode))
+			rep.fail("%s issued %d repair requests > bound %d (storm)",
+				nr.Addr, s.RepairRequests, b.MaxRepairRequestsPerNode)
 		}
 	}
 	if b.MinRepairsSuppressedTotal > 0 && suppressed < b.MinRepairsSuppressedTotal {
-		rep.Failures = append(rep.Failures,
-			fmt.Sprintf("repair backoff suppressed %d requests, want >= %d (gate never engaged)",
-				suppressed, b.MinRepairsSuppressedTotal))
+		rep.fail("repair backoff suppressed %d requests, want >= %d (gate never engaged)",
+			suppressed, b.MinRepairsSuppressedTotal)
 	}
 	if b.MinRejoinsTotal > 0 && rejoins < b.MinRejoinsTotal {
-		rep.Failures = append(rep.Failures,
-			fmt.Sprintf("members rejoined %d times, want >= %d (fault never disturbed the tree)",
-				rejoins, b.MinRejoinsTotal))
+		rep.fail("members rejoined %d times, want >= %d (fault never disturbed the tree)",
+			rejoins, b.MinRejoinsTotal)
 	}
 	if b.MinQuarantinesTotal > 0 && quarantines < b.MinQuarantinesTotal {
-		rep.Failures = append(rep.Failures,
-			fmt.Sprintf("nodes quarantined %d peers, want >= %d (guard never convicted)",
-				quarantines, b.MinQuarantinesTotal))
+		rep.fail("nodes quarantined %d peers, want >= %d (guard never convicted)",
+			quarantines, b.MinQuarantinesTotal)
 	}
 	if b.MinWireRejectsTotal > 0 && wireRejects < b.MinWireRejectsTotal {
-		rep.Failures = append(rep.Failures,
-			fmt.Sprintf("nodes wire-rejected %d datagrams, want >= %d (validation never engaged)",
-				wireRejects, b.MinWireRejectsTotal))
+		rep.fail("nodes wire-rejected %d datagrams, want >= %d (validation never engaged)",
+			wireRejects, b.MinWireRejectsTotal)
 	}
 	if b.MinAuditFailsTotal > 0 && auditFails < b.MinAuditFailsTotal {
-		rep.Failures = append(rep.Failures,
-			fmt.Sprintf("nodes failed %d BTP audits, want >= %d (forged claims never caught)",
-				auditFails, b.MinAuditFailsTotal))
+		rep.fail("nodes failed %d BTP audits, want >= %d (forged claims never caught)",
+			auditFails, b.MinAuditFailsTotal)
 	}
 	if b.MaxOutageRatio > 0 && honest > 0 {
 		mean := starveSum / float64(honest)
 		if mean > b.MaxOutageRatio {
-			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("mean starving ratio %.3f across %d honest members > outage bound %.3f",
-					mean, honest, b.MaxOutageRatio))
+			rep.fail("mean starving ratio %.3f across %d honest members > outage bound %.3f",
+				mean, honest, b.MaxOutageRatio)
 		}
 	}
 }

@@ -15,11 +15,9 @@ func rp(r faultnet.Rule) *faultnet.Rule { return &r }
 
 // Scenarios is the chaos resilience suite: the fault shapes the paper's
 // design claims to survive, each byte-reproducible from its seed. Timings
-// are pre-scaling (the runner stretches them 4x under -race); offsets leave
-// ~1.5 s of warmup headroom after the attach wait so the overlay streams
-// steadily before faults hit. Bounds are deliberately loose — they assert
-// "recovered, kept playing, no storm", not exact figures, so the suite stays
-// meaningful under scheduler noise.
+// are virtual time. Bounds are deliberately loose — they assert "recovered,
+// kept playing, no storm", not exact figures, so a protocol change that
+// moves recovery by a few heartbeats does not break the suite.
 var Scenarios = []Scenario{
 	{
 		Name:     "lossy-10",

@@ -97,8 +97,15 @@ var (
 		"tracing",
 	}
 	// wallclockExtra extends no-wallclock beyond simPackages to the CLI
-	// drivers, where progress timers carry an explicit suppression.
-	wallclockExtra = []string{"omcast/cmd/...", "omcast/examples/..."}
+	// drivers, where progress timers carry an explicit suppression, and to
+	// the live node and its fault network, whose every timer and time
+	// reading goes through a node.Clock: the wall-clock Clock is their one
+	// suppressed site. The fault network is named exactly, so metrics/live
+	// stays outside.
+	wallclockExtra = []string{"omcast/cmd/...", "omcast/examples/...", "node", "omcast/internal/faultnet/live"}
+	// mapOrderExtra extends map-order beyond simPackages to the live node,
+	// which a virtual clock makes as replayable as the simulator.
+	mapOrderExtra = []string{"node"}
 	// floatPackages hold metric/statistics code checked by float-accum.
 	floatPackages = []string{"stats", "experiments", "stream", "metrics"}
 	// taintStatePackages hold long-lived protocol state: a tainted wire

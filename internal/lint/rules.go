@@ -11,7 +11,7 @@ import (
 func ruleMapOrder() *Rule {
 	return scopeRule("map-order",
 		"flag map iteration whose body feeds simulation results (schedules, appends, RNG draws, state writes)",
-		func(path string) bool { return matchPackage(path, simPackages) },
+		func(path string) bool { return matchPackage(path, simPackages) || matchPackage(path, mapOrderExtra) },
 		map[atomKind]string{
 			atomMapOrder: "map iteration order is nondeterministic and this body %s; iterate over sorted keys instead, or add //lint:ignore map-order reason: <why> if the effect is provably order-independent",
 		})

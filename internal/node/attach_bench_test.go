@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -14,8 +13,7 @@ import (
 // retransmit shim (sequence, ack, dedup bookkeeping), then leaves gracefully
 // — the attach round-trip cost a live overlay pays per arriving viewer.
 func BenchmarkAttachRetx(b *testing.B) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
+	w := newWorld(b)
 	// The accelerated timing profile: attach latency is dominated by one
 	// backoff step scaled by the heartbeat interval (the first join attempt
 	// only fetches membership), so slow timers would measure the config, not
@@ -27,13 +25,7 @@ func BenchmarkAttachRetx(b *testing.B) {
 		HeartbeatInterval: 10 * time.Millisecond,
 		GossipInterval:    25 * time.Millisecond,
 	}
-	srcEp, err := network.Endpoint("source")
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := New(srcCfg, srcEp)
-	src.Start()
-	defer src.Kill()
+	w.node("source", srcCfg).Start()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,14 +35,10 @@ func BenchmarkAttachRetx(b *testing.B) {
 			HeartbeatInterval: 10 * time.Millisecond,
 			GossipInterval:    25 * time.Millisecond,
 		}
-		ep, err := network.Endpoint(wire.Addr(fmt.Sprintf("m%d", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		nd := New(cfg, ep)
+		nd := w.node(wire.Addr(fmt.Sprintf("m%d", i)), cfg)
 		nd.Start()
 		for !nd.Stats().Attached {
-			runtime.Gosched()
+			w.advance(time.Millisecond)
 		}
 		nd.Stop() // graceful leave frees the slot for the next iteration
 	}

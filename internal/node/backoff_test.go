@@ -47,25 +47,19 @@ func TestBackoffDelayPolicy(t *testing.T) {
 // that its join attempts slow down: the gap between consecutive attempts
 // must grow toward the cap rather than staying at heartbeat cadence.
 func TestJoinBackoffGrows(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	ep, err := network.Endpoint("loner")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorld(t)
 	cfg := fast
 	cfg.Bandwidth = 1
 	cfg.Bootstrap = []wire.Addr{"nobody-home"}
 	// The join backoff runs from one heartbeat to eight: 10 ms to 80 ms here.
 	cfg.HeartbeatInterval = 10 * time.Millisecond
-	nd := New(cfg, ep)
+	nd := w.node("loner", cfg)
 	nd.Start()
-	defer nd.Kill()
 
-	// With base 10 ms capped at 80 ms, ~1 s admits at most ~1000/40 + a few
+	// With base 10 ms capped at 80 ms, 1 s admits at most ~1000/40 + a few
 	// early fast attempts; without backoff (heartbeat cadence) it would be
-	// ~50. Bound generously to stay robust under -race scheduling.
-	time.Sleep(scale(1 * time.Second))
+	// ~100.
+	w.advance(time.Second)
 	nd.mu.Lock()
 	streak := nd.joinStreak
 	nd.mu.Unlock()
@@ -79,19 +73,11 @@ func TestJoinBackoffGrows(t *testing.T) {
 	}
 }
 
-// scale stretches a duration under -race, mirroring eventually's factor.
-func scale(d time.Duration) time.Duration {
-	if raceEnabled {
-		return d * 4
-	}
-	return d
-}
-
 // TestJoinBackoffResetsOnAttach: once accepted, the streak clears so a later
 // detachment retries at base cadence.
 func TestJoinBackoffResetsOnAttach(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "all attached", c.allAttached)
 	for _, nd := range c.nodes {
 		nd.mu.Lock()
 		streak := nd.joinStreak
@@ -104,21 +90,14 @@ func TestJoinBackoffResetsOnAttach(t *testing.T) {
 
 // TestAcceptBetweenAttemptAndBackoffKeepsStreakReset replays, on a node that
 // is never started, the interleaving behind TestJoinBackoffResetsOnAttach's
-// old flake: joinLoop sends a Join (tryJoin), the Accept is handled before
-// joinLoop asks for its next delay, and only then does nextJoinDelay run. The
+// old flake: the join duty sends a Join (tryJoin), the Accept is handled
+// before it asks for its next delay, and only then does nextJoinDelay run. The
 // streak must stay cleared and the wait be one heartbeat; before the Accept,
 // every futile attempt still doubles the back-off.
 func TestAcceptBetweenAttemptAndBackoffKeepsStreakReset(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	ep, err := network.Endpoint("joiner")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := fast
 	cfg.Bandwidth = 1
-	nd := New(cfg, ep) // never Started: the test is the only goroutine
-	defer nd.Kill()
+	nd := newWorld(t).node("joiner", cfg) // never Started: the test drives it
 	state := func() (bool, int) {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
@@ -144,21 +123,15 @@ func TestAcceptBetweenAttemptAndBackoffKeepsStreakReset(t *testing.T) {
 // member's record stopped refreshing: CER candidate selection must skip it,
 // while fresh members with identical scores stay eligible.
 func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	ep, err := network.Endpoint("self")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := fast
 	cfg.Bandwidth = 1
 	cfg.RecoveryGroup = 3
 	// Members go stale after 10 gossip rounds: 1 s.
 	cfg.GossipInterval = 100 * time.Millisecond
-	nd := New(cfg, ep) // never Started: recoveryGroup is a pure read
-	defer nd.Kill()
+	w := newWorld(t)
+	nd := w.node("self", cfg) // never Started: recoveryGroup is a pure read
 
-	now := time.Now()
+	now := w.clock.Now()
 	nd.mu.Lock()
 	nd.attached = true
 	nd.parent = "parent"
@@ -181,7 +154,7 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 	// member is eligible (alphabetical tiebreak puts "stale" after "fresh*",
 	// so widen K).
 	nd.mu.Lock()
-	nd.peers["stale"].seen = time.Now()
+	nd.peers["stale"].seen = w.clock.Now()
 	nd.cfg.RecoveryGroup = 5
 	nd.mu.Unlock()
 	group = nd.recoveryGroup()

@@ -154,7 +154,7 @@ func (n *Node) noteWireReject(from wire.Addr) {
 	if from == "" || !wire.ValidAddr(from) {
 		return
 	}
-	now := time.Now()
+	now := n.now()
 	lostParent := false
 	n.mu.Lock()
 	if p := n.peerLocked(from, now); p != nil {

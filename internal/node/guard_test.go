@@ -68,10 +68,10 @@ func attachTo(n *Node, parent wire.Addr) {
 	n.mu.Lock()
 	n.attached = true
 	n.parent = parent
-	n.parentSeen = time.Now()
+	n.parentSeen = n.now()
 	n.attachedAt = n.parentSeen
 	n.depth = 2
-	n.joinedAt = time.Now()
+	n.joinedAt = n.now()
 	n.mu.Unlock()
 }
 
@@ -79,7 +79,7 @@ func attachTo(n *Node, parent wire.Addr) {
 // section the way onDatagram does, for tests that drive that step alone.
 func (n *Node) guardAdmit(env wire.Envelope) bool {
 	n.mu.Lock()
-	p, lostParent := n.guardAdmitLocked(&env, time.Now())
+	p, lostParent := n.guardAdmitLocked(&env, n.now())
 	n.mu.Unlock()
 	if lostParent {
 		n.onParentFailure("quarantine")
@@ -96,7 +96,7 @@ func (n *Node) viewAddLocked(addr wire.Addr, seen time.Time) {
 
 func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
 	n.mu.Lock()
-	children, gapFirst, gapLast, ok := n.acceptPacketLocked(&env, repaired, time.Now())
+	children, gapFirst, gapLast, ok := n.acceptPacketLocked(&env, repaired, n.now())
 	n.mu.Unlock()
 	if ok {
 		n.forwardPacket(children, &env, gapFirst, gapLast)

@@ -2,7 +2,6 @@ package node
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,17 +27,15 @@ func metricValue(reg *live.Registry, name string) float64 {
 }
 
 // TestNodeMetrics boots an instrumented overlay, streams for a while, and
-// checks the live registry reflects the traffic. Snapshots are taken while
-// the node goroutines are still running, so -race also validates the
-// concurrent read path.
+// checks the live registry reflects the traffic.
 func TestNodeMetrics(t *testing.T) {
 	regs := make(map[int]*live.Registry)
 	c := newCluster(t, 6, func(i int, cfg *Config) {
 		regs[i] = live.NewRegistry()
 		cfg.Metrics = regs[i]
 	})
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
-	eventually(t, 5*time.Second, "stream flowing", func() bool {
+	c.eventually(5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "stream flowing", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().PacketsReceived < 20 {
 				return false
@@ -79,7 +76,7 @@ func TestNodeMetricsRejoin(t *testing.T) {
 		regs[i] = live.NewRegistry()
 		cfg.Metrics = regs[i]
 	})
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "all attached", c.allAttached)
 
 	// Find an interior node (one that is some other node's parent) and kill it.
 	victim := -1
@@ -100,7 +97,7 @@ func TestNodeMetricsRejoin(t *testing.T) {
 	}
 	c.nodes[victim].Kill()
 
-	eventually(t, 10*time.Second, "orphans recover and count a rejoin", func() bool {
+	c.eventually(10*time.Second, "orphans recover and count a rejoin", func() bool {
 		total := 0.0
 		for i, nd := range c.nodes {
 			if i == victim {
@@ -120,7 +117,7 @@ func TestNodeMetricsRejoin(t *testing.T) {
 // internal/metrics applies to the live backend too).
 func TestNodeUninstrumented(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "all attached", c.allAttached)
 }
 
 // statsCounters pairs every counter field of Stats with the series that
@@ -159,46 +156,35 @@ var statsCounters = []struct{ field, series string }{
 // and one peer endpoint standing in for every remote — through one event of
 // every kind Stats counts, and returns the snapshot once the retransmit
 // timers have run out. Datagrams go straight into the transport handler and
-// the loop bodies (tryJoin, trySwitch, beat) are called by hand, so the
-// script is synchronous. The heartbeat is an hour: every heartbeat-derived
-// gate (repair backoff, switch lock, quarantine) outlasts the test, only the
-// explicitly set retransmit base runs in real time, and the counts are exact.
+// the duty bodies (tryJoin, trySwitch, beat) are called by hand; virtual time
+// moves only to carry datagrams to the peer and to run the retransmit timers
+// out. The heartbeat is an hour: every heartbeat-derived gate (repair
+// backoff, switch lock, quarantine) outlasts the script, and the counts are
+// exact.
 func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 	t.Helper()
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	ep, err := network.Endpoint("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer, err := network.Endpoint("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seenMu sync.Mutex
+	w := newWorld(t)
+	peer := w.endpoint("p")
 	seen := make(map[wire.Type]int) // what reached the peer, by type
 	var joinCtrl uint64             // the control sequence of the first Join
 	peer.SetHandler(func(data []byte) {
 		if env, err := wire.DecodeBinary(data); err == nil {
-			seenMu.Lock()
 			seen[env.Type]++
 			if env.Type == wire.TypeJoin && joinCtrl == 0 {
 				joinCtrl = env.Ctrl
 			}
-			seenMu.Unlock()
 		}
 	})
-	n := New(Config{
+	n := w.node("n", Config{
 		Bandwidth:         3,
 		HeartbeatInterval: time.Hour,
 		PlaybackBuffer:    time.Hour,
 		Metrics:           reg,
-	}, ep)
+	})
 	n.tm.retxAttempts, n.tm.retxInflight = 2, 1
 	n.tm.retxBackoffBase = 100 * time.Millisecond
 	n.tm.requestRate, n.tm.requestBurst = 0.5, 1 // a one-token bucket per peer
 	n.tm.quarantineScore = 4                     // one attributed wire reject convicts
-	defer n.Kill()
 	in := func(env wire.Envelope) { n.onDatagram(envBytes(t, env)) }
 	parentHeartbeat := wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1, Depth: 1}
 
@@ -206,14 +192,8 @@ func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 	in(wire.Envelope{Type: wire.TypeMembershipReply, From: "p",
 		Members: []wire.MemberInfo{{Addr: "p", Depth: 1, Spare: 2, Bandwidth: 1}}})
 	n.tryJoin()
-	var ctrl uint64
-	eventually(t, 5*time.Second, "the Join reaches p", func() bool {
-		seenMu.Lock()
-		defer seenMu.Unlock()
-		ctrl = joinCtrl
-		return ctrl != 0
-	})
-	in(wire.Envelope{Type: wire.TypeAck, From: "p", Ctrl: ctrl})
+	w.eventually(5*time.Second, "the Join reaches p", func() bool { return joinCtrl != 0 })
+	in(wire.Envelope{Type: wire.TypeAck, From: "p", Ctrl: joinCtrl})
 	in(wire.Envelope{Type: wire.TypeAccept, From: "p", Depth: 1})
 	in(parentHeartbeat)
 	// A child joins; a leave arrives twice under one control sequence.
@@ -246,8 +226,10 @@ func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 	n.mu.Lock()
 	n.advancePlaybackLocked(n.playStart.Add(time.Second))
 	n.mu.Unlock()
-	// Switch: propose to p and commit on its accept. With an in-flight window
-	// of one, the commit to p overflows behind the unacked propose.
+	// Switch: once the node's BTP has grown past p's zero claim, propose to p
+	// and commit on its accept. With an in-flight window of one, the commit to
+	// p overflows behind the unacked propose.
+	w.advance(time.Millisecond)
 	n.trySwitch()
 	in(wire.Envelope{Type: wire.TypeSwitchAccept, From: "p", NewParent: "g"})
 	// Stall: the new parent g heartbeats but no stream has come for a day.
@@ -260,11 +242,9 @@ func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 	n.tryJoin()
 	in(wire.Envelope{Type: wire.TypeAccept, From: "p", Depth: 1})
 
-	eventually(t, 5*time.Second, "retransmit timers run out", func() bool {
+	w.eventually(5*time.Second, "retransmit timers run out", func() bool {
 		return n.Stats().RetxInflight == 0
 	})
-	seenMu.Lock()
-	defer seenMu.Unlock()
 	if seen[wire.TypeJoin] < 2 || seen[wire.TypeSwitchPropose] < 2 {
 		t.Fatalf("peer saw %d Join and %d SwitchPropose datagrams, want a rejoin and a retransmit", seen[wire.TypeJoin], seen[wire.TypeSwitchPropose])
 	}

@@ -1,6 +1,7 @@
 // Package node is the live implementation of the paper's protocol stack: a
-// concurrent runtime that speaks the wire vocabulary over a Transport (an
-// in-process network for tests, UDP for real deployments). It implements:
+// runtime that speaks the wire vocabulary over a Transport (an in-process
+// network for tests, UDP for real deployments) and keeps time by a Clock
+// (real time, or an eventsim.Simulator's virtual time). It implements:
 //
 //   - the joining handshake (membership discovery, min-depth parent choice);
 //   - parent/child heartbeats with failure detection;
@@ -14,7 +15,7 @@
 // The simulation packages answer "does the design work at scale"; this
 // package answers "does the protocol actually run" — its integration tests
 // boot dozens of nodes, stream packets, kill members and watch the overlay
-// heal in real time.
+// heal, on a virtual clock that makes every run a function of its seed.
 package node
 
 import (
@@ -76,6 +77,9 @@ type Config struct {
 	// /debug/trace. Span timestamps count seconds since node creation. Nil
 	// costs one pointer check per hook.
 	Trace tracing.Recorder
+	// Clock is the node's one source of time (see Clock); nil is the wall
+	// clock. NewVirtualClock runs the node on an eventsim.Simulator.
+	Clock Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -94,6 +98,9 @@ func (c Config) withDefaults() Config {
 	if c.PlaybackBuffer <= 0 {
 		c.PlaybackBuffer = 2 * time.Second
 	}
+	if c.Clock == nil {
+		c.Clock = wallClock{}
+	}
 	return c
 }
 
@@ -101,7 +108,7 @@ func (c Config) withDefaults() Config {
 // as configuration, computed once in New from the (defaulted) Config;
 // newTiming is the one place an interval or a limit is set. A harness that
 // speeds the node up through HeartbeatInterval scales every duration
-// together, and a clock has one table to hook.
+// together.
 type timing struct {
 	gossipInterval   time.Duration // Config.GossipInterval when set
 	heartbeatTimeout time.Duration // silence that declares a neighbour dead
@@ -411,18 +418,13 @@ func newNodeMetrics(reg *live.Registry) nodeMetrics {
 	return m
 }
 
-// peer tracks a neighbour's liveness.
-type peer struct {
-	lastSeen time.Time
-}
-
 // addChildLocked records c as a child heard from at now. Requires mu.
 func (n *Node) addChildLocked(c wire.Addr, now time.Time) {
-	if p, ok := n.children[c]; ok {
-		p.lastSeen = now
+	_, known := n.children[c]
+	n.children[c] = now
+	if known {
 		return
 	}
-	n.children[c] = &peer{lastSeen: now}
 	// The full slice expression forces append to copy: headers already handed
 	// to a fan-out keep their elements.
 	n.childList = append(n.childList[:len(n.childList):len(n.childList)], c)
@@ -516,17 +518,18 @@ type Node struct {
 	fanBuf atomic.Pointer[[]byte]
 
 	mu         sync.Mutex
-	attached   bool                //guardedby:mu
-	parent     wire.Addr           //guardedby:mu
-	parentSeen time.Time           //guardedby:mu
-	parentBTP  float64             //guardedby:mu
-	parentBW   float64             //guardedby:mu
-	depth      int                 //guardedby:mu
-	children   map[wire.Addr]*peer //guardedby:mu
+	attached   bool      //guardedby:mu
+	parent     wire.Addr //guardedby:mu
+	parentSeen time.Time //guardedby:mu
+	parentBTP  float64   //guardedby:mu
+	parentBW   float64   //guardedby:mu
+	depth      int       //guardedby:mu
+	// children maps each child to when it was last heard from.
+	children map[wire.Addr]time.Time //guardedby:mu
 	// childList is the keys of children as an immutable slice: addChildLocked
-	// and dropChildLocked, the only writers of either, replace it and never
-	// write through it, so a fan-out ranges over the header it read under mu
-	// after releasing mu.
+	// and dropChildLocked, the only code that adds or removes a child, replace
+	// it and never write through it, so a fan-out ranges over the header it
+	// read under mu after releasing mu.
 	childList []wire.Addr //guardedby:mu
 	ancestors []wire.Addr //guardedby:mu
 	joinedAt  time.Time   //guardedby:mu
@@ -536,13 +539,13 @@ type Node struct {
 	// record holds a peer's view entry, guard account and retransmit windows
 	// (peers.go), and peerLocked caps it. inflight counts the unacked control
 	// messages across it; ctrlHigh is the highest control sequence this
-	// incarnation has used (see retx.go). retxRng draws retransmit jitter;
-	// unlike the loop-owned join/repair RNGs it is shared by timer
-	// goroutines, so draws happen under mu.
-	peers    map[wire.Addr]*peerRecord //guardedby:mu
-	inflight int                       //guardedby:mu
-	ctrlHigh uint64                    //guardedby:mu
-	retxRng  *xrand.Source             //guardedby:mu
+	// incarnation has used (see retx.go). retxRng draws retransmit jitter
+	// and gossipRng the gossip partner.
+	peers     map[wire.Addr]*peerRecord //guardedby:mu
+	inflight  int                       //guardedby:mu
+	ctrlHigh  uint64                    //guardedby:mu
+	retxRng   *xrand.Source             //guardedby:mu
+	gossipRng *xrand.Source             //guardedby:mu
 	// jumpStreak counts consecutive parent packets rejected as implausible
 	// sequence jumps, so a genuine stream discontinuity resynchronises
 	// instead of starving forever.
@@ -571,9 +574,9 @@ type Node struct {
 	// own choice); the next successful attach counts as a completed failover.
 	failingOver bool //guardedby:mu
 	// Join backoff: joinStreak counts consecutive unanswered attempts (reset
-	// on attach and detach); joinRng draws the deterministic jitter.
-	// The RNGs themselves are only touched from the single loop goroutine
-	// that owns them, so they carry no annotation.
+	// on attach and detach); joinRng draws the deterministic jitter. It and
+	// repairRng are drawn only by nextJoinDelay and takeRepairLocked, under
+	// mu, and carry no annotation.
 	joinStreak int //guardedby:mu
 	joinRng    *xrand.Source
 	// Repair backoff: detected gaps merge into [pendFirst, pendLast] and
@@ -610,26 +613,30 @@ type Node struct {
 	stallSpan   *tracing.SpanBuilder //guardedby:mu — open starvation window
 	stallBase   int64                //guardedby:mu — StarvedSlots at stall open
 
-	seq  uint64 //guardedby:mu
-	done chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	seq uint64 //guardedby:mu
+
+	// life bounds the node's lifetime: every timer callback and delivered
+	// datagram runs under its read lock (enter) and does nothing once stopped
+	// is set. Kill sets it under the write lock, so it returns only after the
+	// callbacks already running have finished.
+	life    sync.RWMutex
+	stopped bool //guardedby:life
 }
 
 // New creates a node over the given transport.
 func New(cfg Config, tr Transport) *Node {
+	cfg = cfg.withDefaults()
 	n := &Node{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		transport: tr,
 		senders:   newSenderTable(),
-		children:  make(map[wire.Addr]*peer),
+		children:  make(map[wire.Addr]time.Time),
 		peers:     make(map[wire.Addr]*peerRecord),
-		ctrlHigh:  uint64(time.Now().UnixNano()),
 		highest:   -1,
 		playFirst: -1,
 		pendFirst: -1,
 		pendLast:  -1,
-		done:      make(chan struct{}),
+		ctrlHigh:  uint64(cfg.Clock.Now().UnixNano()), // the incarnation (retx.go)
 	}
 	n.ring = make([]ringSlot, n.cfg.BufferPackets+1)
 	for i := range n.ring {
@@ -640,9 +647,10 @@ func New(cfg Config, tr Transport) *Node {
 	n.joinRng = xrand.NewNamed(n.cfg.Seed, "node:join:"+string(tr.Addr()))
 	n.repairRng = xrand.NewNamed(n.cfg.Seed, "node:repair:"+string(tr.Addr()))
 	n.retxRng = xrand.NewNamed(n.cfg.Seed, "node:retx:"+string(tr.Addr()))
+	n.gossipRng = xrand.NewNamed(n.cfg.Seed, "node:gossip:"+string(tr.Addr()))
 	if n.cfg.Trace != nil {
 		n.trace = tracing.NewNode(n.cfg.Seed, string(tr.Addr()), n.cfg.Trace)
-		n.traceStart = time.Now()
+		n.traceStart = n.now()
 	}
 	tr.SetHandler(n.onDatagram)
 	return n
@@ -651,16 +659,21 @@ func New(cfg Config, tr Transport) *Node {
 // Addr returns the node's transport address.
 func (n *Node) Addr() wire.Addr { return n.transport.Addr() }
 
-// Start launches the node's background loops.
+// now reads the node's clock.
+func (n *Node) now() time.Time { return n.cfg.Clock.Now() }
+
+// Start arms the node's duties on its clock: the join duty (members) or the
+// packet clock (sources), the heartbeat, gossip and, when configured, the
+// switching check.
 func (n *Node) Start() {
 	if n.cfg.Source {
 		n.mu.Lock()
 		n.attached = true
-		n.joinedAt = time.Now()
+		n.joinedAt = n.now()
 		n.mu.Unlock()
 		n.every(time.Duration(float64(time.Second)/n.cfg.StreamRate), n.emitPacket)
 	} else {
-		n.spawn(n.joinLoop)
+		n.repeat(0, n.joinTick)
 	}
 	n.every(n.cfg.HeartbeatInterval, n.beat)
 	n.every(n.tm.gossipInterval, n.gossip)
@@ -672,31 +685,46 @@ func (n *Node) Start() {
 // Stop shuts the node down gracefully: children and parent are notified so
 // the overlay heals immediately.
 func (n *Node) Stop() {
-	n.once.Do(func() {
-		n.mu.Lock()
-		targets := make([]wire.Addr, 0, len(n.childList)+1)
-		if n.attached && n.parent != "" {
-			targets = append(targets, n.parent)
-		}
-		targets = append(targets, n.childList...)
-		n.mu.Unlock()
-		for _, t := range targets {
-			n.send(t, wire.Envelope{Type: wire.TypeLeave})
-		}
-		close(n.done)
-		n.wg.Wait()
-		_ = n.transport.Close()
-	})
+	if !n.enter() {
+		return // already stopped
+	}
+	n.mu.Lock()
+	targets := make([]wire.Addr, 0, len(n.childList)+1)
+	if n.attached && n.parent != "" {
+		targets = append(targets, n.parent)
+	}
+	targets = append(targets, n.childList...)
+	n.mu.Unlock()
+	for _, t := range targets {
+		n.send(t, wire.Envelope{Type: wire.TypeLeave})
+	}
+	n.life.RUnlock()
+	n.Kill()
 }
 
 // Kill terminates abruptly (no notifications) — the failure case the paper
-// studies.
+// studies. Once it returns no duty or timer of the node runs and the node
+// sends nothing; the transport is closed.
 func (n *Node) Kill() {
-	n.once.Do(func() {
-		close(n.done)
-		n.wg.Wait()
+	n.life.Lock()
+	was := n.stopped
+	n.stopped = true
+	n.life.Unlock()
+	if !was {
 		_ = n.transport.Close()
-	})
+	}
+}
+
+// enter admits one timer callback or delivered datagram: it reports false
+// once the node has stopped, and otherwise holds life's read lock, which the
+// caller releases when done.
+func (n *Node) enter() bool {
+	n.life.RLock()
+	if n.stopped {
+		n.life.RUnlock()
+		return false
+	}
+	return true
 }
 
 // Stats snapshots the node: the tree position and table sizes read from its
@@ -706,7 +734,7 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	m := &n.met
-	members, quarantined := n.tableCountsLocked(time.Now())
+	members, quarantined := n.tableCountsLocked(n.now())
 	return Stats{
 		Attached:         n.attached,
 		Parent:           n.parent,
@@ -747,30 +775,32 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-func (n *Node) spawn(loop func()) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		loop()
-	}()
+// every arms a periodic duty — heartbeat, gossip, the switching check, the
+// source's packet clock: tick runs once per interval until the node stops.
+func (n *Node) every(interval time.Duration, tick func()) {
+	n.repeat(interval, func() time.Duration { tick(); return interval })
 }
 
-// every spawns the loop behind each periodic duty — heartbeat, gossip, the
-// switching check, the source's packet clock: tick runs once per interval
-// until the node stops.
-func (n *Node) every(interval time.Duration, tick func()) {
-	n.spawn(func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-n.done:
-				return
-			case <-ticker.C:
-				tick()
-			}
+// repeat is the node's one timer mechanism: tick runs after first, then
+// again after each wait it returns, until the node stops. A wait counts from
+// the previous deadline, so a fixed one keeps a ticker's fixed rate; a run
+// that finds its next deadline past drops the missed ticks, as a ticker does.
+func (n *Node) repeat(first time.Duration, tick func() time.Duration) {
+	at := n.now().Add(first)
+	var run func()
+	run = func() {
+		if !n.enter() {
+			return
 		}
-	})
+		at = at.Add(tick())
+		n.life.RUnlock()
+		now := n.now()
+		if at.Before(now) {
+			at = now
+		}
+		n.cfg.Clock.AfterFunc(at.Sub(now), run)
+	}
+	n.cfg.Clock.AfterFunc(first, run)
 }
 
 // send transmits one envelope. Control-class messages go through the
@@ -841,12 +871,12 @@ func (n *Node) btpLocked() float64 {
 	if n.joinedAt.IsZero() {
 		return 0
 	}
-	return n.cfg.Bandwidth * time.Since(n.joinedAt).Seconds()
+	return n.cfg.Bandwidth * n.now().Sub(n.joinedAt).Seconds()
 }
 
 // ---- span tracing ----
 
-// traceAt converts a wall instant to the node's span clock.
+// traceAt converts a clock instant to the node's span clock.
 func (n *Node) traceAt(now time.Time) time.Duration { return now.Sub(n.traceStart) }
 
 // openEpisodeLocked opens a join/rejoin episode span if tracing is on and
@@ -866,32 +896,20 @@ func (n *Node) openEpisodeLocked(now time.Time, cause string) {
 
 // ---- joining ----
 
-// joinLoop keeps the node attached: it discovers members, picks the highest
-// spare-capacity parent and retries until accepted; it also re-runs after a
-// parent failure. Retries back off exponentially (with deterministic seeded
-// jitter) while attempts go unanswered, so a partitioned node probes gently
-// instead of hammering the overlay at heartbeat cadence.
-func (n *Node) joinLoop() {
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-timer.C:
-		}
-		n.mu.Lock()
-		attached := n.attached
-		n.mu.Unlock()
-		var wait time.Duration
-		if attached {
-			wait = n.cfg.HeartbeatInterval
-		} else {
-			n.tryJoin()
-			wait = n.nextJoinDelay()
-		}
-		timer.Reset(wait)
+// joinTick is the join duty: it keeps the node attached by discovering
+// members and asking the best candidate parent, after a parent failure too.
+// It returns the wait before its next run: one heartbeat while attached,
+// else the join backoff, which grows (with seeded jitter) while attempts go
+// unanswered, so a partitioned node probes gently instead of hammering.
+func (n *Node) joinTick() time.Duration {
+	n.mu.Lock()
+	attached := n.attached
+	n.mu.Unlock()
+	if attached {
+		return n.cfg.HeartbeatInterval
 	}
+	n.tryJoin()
+	return n.nextJoinDelay()
 }
 
 // backoffDelay is the shared capped-exponential policy: base doubled streak
@@ -911,7 +929,7 @@ func backoffDelay(base, max time.Duration, streak int, rng *xrand.Source) time.D
 // nextJoinDelay advances the join backoff one step and returns the jittered
 // wait before the next attempt. An Accept can land between tryJoin and this
 // call; the node is then attached with its streak just reset, so it waits one
-// heartbeat, as joinLoop does for an attached node, and leaves the streak at
+// heartbeat, as joinTick does for an attached node, and leaves the streak at
 // zero for the next detachment.
 func (n *Node) nextJoinDelay() time.Duration {
 	n.mu.Lock()
@@ -936,8 +954,8 @@ func (n *Node) tryJoin() {
 	}
 	n.lastJoinTarget = ""
 	var cands []wire.MemberInfo
-	for _, p := range n.peers {
-		if p.inView && p.info.Spare > 0 {
+	for _, p := range n.viewLocked() {
+		if p.info.Spare > 0 {
 			cands = append(cands, p.info)
 		}
 	}
@@ -958,12 +976,15 @@ func (n *Node) tryJoin() {
 		if cands[i].Depth != cands[j].Depth {
 			return cands[i].Depth < cands[j].Depth
 		}
-		return cands[i].Spare > cands[j].Spare
+		if cands[i].Spare != cands[j].Spare {
+			return cands[i].Spare > cands[j].Spare
+		}
+		return cands[i].Addr < cands[j].Addr
 	})
 	n.mu.Lock()
 	n.lastJoinTarget = cands[0].Addr
 	n.met.joinAttempts.Inc()
-	now := time.Now()
+	now := n.now()
 	n.openEpisodeLocked(now, "boot")
 	if n.attemptSpan != nil {
 		// The previous attempt got neither Accept nor Reject before we moved
@@ -980,7 +1001,7 @@ func (n *Node) tryJoin() {
 }
 
 func (n *Node) handleJoin(env wire.Envelope) {
-	now := time.Now()
+	now := n.now()
 	n.mu.Lock()
 	accept := n.attached && !n.swLock.held(now) && len(n.children) < n.outDegree() && env.From != n.parent
 	if accept {
@@ -1007,7 +1028,7 @@ func (n *Node) handleReject(env wire.Envelope) {
 	if n.lastJoinTarget == env.From {
 		n.lastJoinTarget = "" // answered: alive, just full
 		if n.attemptSpan != nil {
-			n.attemptSpan.End(n.traceAt(time.Now()), "rejected")
+			n.attemptSpan.End(n.traceAt(n.now()), "rejected")
 			n.attemptSpan = nil
 		}
 	}
@@ -1023,7 +1044,7 @@ func (n *Node) handleAccept(env wire.Envelope) {
 	}
 	n.attached = true
 	n.parent = env.From
-	n.parentSeen = time.Now()
+	n.parentSeen = n.now()
 	n.attachedAt = n.parentSeen
 	n.depth = env.Depth + 1
 	if n.failingOver {
@@ -1050,7 +1071,7 @@ func (n *Node) handleAccept(env wire.Envelope) {
 		n.joinSpan = nil
 	}
 	if n.joinedAt.IsZero() {
-		n.joinedAt = time.Now()
+		n.joinedAt = n.now()
 	}
 }
 
@@ -1067,9 +1088,9 @@ func (n *Node) beat() {
 		parent = n.parent
 	}
 	var deadChildren []wire.Addr
-	now := time.Now()
-	for c, p := range n.children {
-		if now.Sub(p.lastSeen) > n.tm.heartbeatTimeout {
+	now := n.now()
+	for _, c := range n.childList {
+		if now.Sub(n.children[c]) > n.tm.heartbeatTimeout {
 			deadChildren = append(deadChildren, c)
 		}
 	}
@@ -1176,7 +1197,7 @@ func (n *Node) advancePlaybackLocked(now time.Time) {
 func (n *Node) handleHeartbeat(env wire.Envelope) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	now := time.Now()
+	now := n.now()
 	if env.From == n.parent {
 		n.parentSeen = now
 		n.parentBTP = env.BTP
@@ -1185,13 +1206,13 @@ func (n *Node) handleHeartbeat(env wire.Envelope) {
 		n.depth = env.Depth + 1
 		return
 	}
-	if p, ok := n.children[env.From]; ok {
-		p.lastSeen = now
+	if _, ok := n.children[env.From]; ok {
+		n.children[env.From] = now
 	}
 }
 
 // onParentFailure detaches, launches CER recovery for the in-flight gap and
-// lets joinLoop find a new parent. cause labels the rejoin episode span
+// lets joinTick find a new parent. cause labels the rejoin episode span
 // ("timeout" for missed heartbeats, "stall" for the stream watchdog).
 func (n *Node) onParentFailure(cause string) {
 	n.mu.Lock()
@@ -1216,7 +1237,7 @@ func (n *Node) detachLocked(cause string) {
 	// A fresh detachment restarts the join backoff so recovery begins at
 	// base cadence rather than wherever the last outage left the streak.
 	n.joinStreak = 0
-	n.openEpisodeLocked(time.Now(), cause)
+	n.openEpisodeLocked(n.now(), cause)
 }
 
 func (n *Node) handleLeave(env wire.Envelope) {
@@ -1353,7 +1374,7 @@ func (n *Node) recoverGap(first, last int64) {
 	if last < first {
 		return
 	}
-	now := time.Now()
+	now := n.now()
 	n.mu.Lock()
 	if n.pendFirst < 0 {
 		n.pendFirst, n.pendLast = first, last
@@ -1500,9 +1521,10 @@ func (n *Node) recoveryGroup() []wire.Addr {
 		overlap int
 	}
 	var cands []scored
-	now := time.Now()
-	for addr, p := range n.peers {
-		if !p.inView || banned[addr] {
+	now := n.now()
+	for _, p := range n.viewLocked() {
+		addr := p.info.Addr
+		if banned[addr] {
 			continue
 		}
 		// Quarantined peers leave the view at sentencing, but a race can
@@ -1615,7 +1637,7 @@ func (n *Node) gossip() {
 func (n *Node) announceMembers() []wire.MemberInfo { return n.viewSample(9) }
 
 // viewSample returns up to limit member records: our own (when we hold a
-// tree position) first, then known entries in map order.
+// tree position) first, then view entries in viewLocked's order.
 func (n *Node) viewSample(limit int) []wire.MemberInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -1623,24 +1645,45 @@ func (n *Node) viewSample(limit int) []wire.MemberInfo {
 	if n.attached || n.cfg.Source {
 		out = append(out, n.selfInfoLocked())
 	}
-	for _, p := range n.peers {
+	for _, p := range n.viewLocked() {
 		if len(out) >= limit {
 			break
 		}
-		if p.inView {
-			out = append(out, p.info)
-		}
+		out = append(out, p.info)
 	}
 	return out
 }
 
+// viewLocked returns the records in the view, most recently seen first and
+// by address (a record's info.Addr is its key) among equals. Requires mu.
+func (n *Node) viewLocked() []*peerRecord {
+	addrs := make([]wire.Addr, 0, len(n.peers))
+	for a := range n.peers {
+		addrs = append(addrs, a)
+	}
+	view := make([]*peerRecord, 0, len(addrs))
+	for _, a := range addrs {
+		if p := n.peers[a]; p.inView {
+			view = append(view, p)
+		}
+	}
+	sort.Slice(view, func(i, j int) bool {
+		if c := view[i].seen.Compare(view[j].seen); c != 0 {
+			return c > 0
+		}
+		return view[i].info.Addr < view[j].info.Addr
+	})
+	return view
+}
+
+// gossipTarget draws the gossip partner uniformly from the view, from the
+// node's seeded gossip stream; with an empty view it is the first bootstrap
+// member.
 func (n *Node) gossipTarget() wire.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for addr, p := range n.peers { // map order gives a cheap random pick
-		if p.inView {
-			return addr
-		}
+	if view := n.viewLocked(); len(view) > 0 {
+		return view[n.gossipRng.Intn(len(view))].info.Addr
 	}
 	if len(n.cfg.Bootstrap) > 0 {
 		return n.cfg.Bootstrap[0]
@@ -1696,7 +1739,7 @@ func (n *Node) handleMembershipRequest(env wire.Envelope) {
 func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	now := time.Now()
+	now := n.now()
 	for _, info := range members {
 		if info.Addr == n.Addr() {
 			continue
@@ -1719,7 +1762,7 @@ func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
 // (larger bandwidth-time product, no less bandwidth) takes the switch lock
 // and proposes to trade places with it.
 func (n *Node) trySwitch() {
-	now := time.Now()
+	now := n.now()
 	n.mu.Lock()
 	eligible := n.attached && !n.swLock.held(now) && n.parent != "" &&
 		n.parentBW > 0 && // a heartbeat told us the parent's properties
@@ -1739,7 +1782,7 @@ func (n *Node) trySwitch() {
 
 // handleSwitchPropose runs on the parent: re-validate and accept.
 func (n *Node) handleSwitchPropose(env wire.Envelope) {
-	now := time.Now()
+	now := n.now()
 	n.mu.Lock()
 	_, isChild := n.children[env.From]
 	ok := isChild && n.attached && !n.swLock.held(now) && !n.cfg.Source &&
@@ -1761,7 +1804,7 @@ func (n *Node) handleSwitchPropose(env wire.Envelope) {
 // lock for. An accept from anyone else, or one arriving past the deadline,
 // answers no exchange this node still has open and is ignored.
 func (n *Node) handleSwitchAccept(env wire.Envelope) {
-	now := time.Now()
+	now := n.now()
 	n.mu.Lock()
 	if env.From != n.swLock.peer || !n.swLock.held(now) {
 		n.mu.Unlock()
@@ -1817,7 +1860,7 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 		old := env.Chain[0]
 		if _, ok := n.children[old]; ok {
 			n.dropChildLocked(old)
-			n.addChildLocked(env.From, time.Now())
+			n.addChildLocked(env.From, n.now())
 		}
 		n.mu.Unlock()
 		return
@@ -1836,7 +1879,7 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 	}
 	// Demoted parent or displaced grandchild: re-point to NewParent.
 	n.parent = env.NewParent
-	n.parentSeen = time.Now()
+	n.parentSeen = n.now()
 	n.parentBTP = 0
 	n.parentBW = 0
 	n.depth++ // one layer down (approximate; gossip refreshes it)
@@ -1850,13 +1893,12 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 // ---- dispatch ----
 
 func (n *Node) onDatagram(data []byte) {
+	if !n.enter() {
+		return
+	}
+	defer n.life.RUnlock()
 	n.met.rxDatagrams.Inc()
 	n.met.rxBytes.Add(int64(len(data)))
-	select {
-	case <-n.done:
-		return
-	default:
-	}
 	env, err := wire.DecodeBinaryWith(data, n.senders)
 	if err != nil {
 		// Malformed or semantically invalid: drop, count by reason, and —
@@ -1869,7 +1911,7 @@ func (n *Node) onDatagram(data []byte) {
 	// One lock, one clock reading and one peer-table lookup cover admission,
 	// the sender's freshness, control dedup and, for stream and repair data,
 	// the packet itself.
-	now := time.Now()
+	now := n.now()
 	n.mu.Lock()
 	p, lostParent := n.guardAdmitLocked(&env, now)
 	if p == nil {

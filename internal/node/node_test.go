@@ -3,9 +3,12 @@ package node
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"omcast/internal/eventsim"
 	"omcast/internal/wire"
 )
 
@@ -13,27 +16,62 @@ import (
 var fast = Config{
 	HeartbeatInterval: 20 * time.Millisecond,
 	GossipInterval:    25 * time.Millisecond,
-	StreamRate:        100, // 100 pkt/s keeps test wall-time short
+	StreamRate:        100,
 	BufferPackets:     512,
 	RecoveryGroup:     3,
 }
 
-func init() {
-	if raceEnabled {
-		// Race instrumentation slows message handling severalfold; with the
-		// 20 ms heartbeat the 3x liveness timeout then flags healthy peers as
-		// dead and the overlay flaps. Stretch the timers (and cut the packet
-		// load to match) so timeouts measure the protocol, not the detector.
-		fast.HeartbeatInterval *= 4
-		fast.GossipInterval *= 4
-		fast.StreamRate = 25
+// world is a virtual-time test bed: a simulator, a clock on it and an
+// in-memory network that delivers through that clock. Nothing in it runs
+// until advance or eventually drives the simulator, so a test is one
+// goroutine and its outcome a function of its inputs.
+type world struct {
+	t     testing.TB
+	sim   *eventsim.Simulator
+	clock Clock
+	net   *MemNetwork
+}
+
+func newWorld(t testing.TB) *world {
+	sim := eventsim.New()
+	clock := NewVirtualClock(sim)
+	return &world{t: t, sim: sim, clock: clock, net: NewMemNetwork(clock, nil)}
+}
+
+// advance runs the world for d of virtual time.
+func (w *world) advance(d time.Duration) { _ = w.sim.Run(w.sim.Now() + d) }
+
+// eventually advances the world in 5 ms steps until cond holds, failing the
+// test once within has passed without it.
+func (w *world) eventually(within time.Duration, what string, cond func() bool) {
+	w.t.Helper()
+	for end := w.sim.Now() + within; !cond(); w.advance(5 * time.Millisecond) {
+		if w.sim.Now() >= end {
+			w.t.Fatalf("condition %q not reached within %v", what, within)
+		}
 	}
 }
 
-// cluster boots a source plus n members on an in-memory network.
+// endpoint registers addr on the world's network.
+func (w *world) endpoint(addr wire.Addr) Transport {
+	w.t.Helper()
+	ep, err := w.net.Endpoint(addr)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return ep
+}
+
+// node creates a node on the world's clock at a new endpoint, unstarted.
+func (w *world) node(addr wire.Addr, cfg Config) *Node {
+	w.t.Helper()
+	cfg.Clock = w.clock
+	return New(cfg, w.endpoint(addr))
+}
+
+// cluster is a source plus members in a world.
 type cluster struct {
-	t      *testing.T
-	net    *MemNetwork
+	*world
 	source *Node
 	nodes  []*Node
 }
@@ -42,29 +80,16 @@ func newCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) *cluster {
 	return newClusterSrc(t, n, 8, mutate)
 }
 
+// newClusterSrc boots a source of bandwidth srcBandwidth and n members of
+// bandwidth 3 (before mutate) that bootstrap from it.
 func newClusterSrc(t *testing.T, n int, srcBandwidth float64, mutate func(i int, cfg *Config)) *cluster {
 	t.Helper()
-	network := NewMemNetwork(nil)
-	c := &cluster{t: t, net: network}
-	t.Cleanup(func() {
-		for _, nd := range append([]*Node{c.source}, c.nodes...) {
-			if nd != nil {
-				nd.Kill()
-			}
-		}
-		network.Close()
-	})
-
+	c := &cluster{world: newWorld(t)}
 	srcCfg := fast
 	srcCfg.Source = true
 	srcCfg.Bandwidth = srcBandwidth
-	ep, err := network.Endpoint("source")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.source = New(srcCfg, ep)
+	c.source = c.node("source", srcCfg)
 	c.source.Start()
-
 	for i := 0; i < n; i++ {
 		cfg := fast
 		cfg.Bandwidth = 3
@@ -72,19 +97,32 @@ func newClusterSrc(t *testing.T, n int, srcBandwidth float64, mutate func(i int,
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		ep, err := network.Endpoint(wire.Addr(fmt.Sprintf("n%02d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd := New(cfg, ep)
+		nd := c.node(wire.Addr(fmt.Sprintf("n%02d", i)), cfg)
 		c.nodes = append(c.nodes, nd)
 		nd.Start()
 	}
 	return c
 }
 
-// eventually polls cond until it holds or the deadline expires.
-func eventually(t *testing.T, within time.Duration, what string, cond func() bool) {
+// wallFast is fast for the tests that run nodes on the wall clock, over UDP
+// or concurrently: the race detector slows real message handling severalfold,
+// and with a 20 ms heartbeat the 3x liveness timeout would then flag healthy
+// peers as dead, so under it the timers stretch (and the packet load falls)
+// to keep timeouts measuring the protocol.
+func wallFast() Config {
+	cfg := fast
+	if raceEnabled {
+		cfg.HeartbeatInterval *= 4
+		cfg.GossipInterval *= 4
+		cfg.StreamRate = 25
+	}
+	return cfg
+}
+
+// wallEventually polls cond in real time until it holds or the deadline
+// expires, for the tests that run nodes on the wall clock. Deadlines stretch
+// under the race detector, which slows real handling severalfold.
+func wallEventually(t *testing.T, within time.Duration, what string, cond func() bool) {
 	t.Helper()
 	if raceEnabled {
 		within *= 4
@@ -110,7 +148,7 @@ func (c *cluster) allAttached() bool {
 
 func TestTreeForms(t *testing.T) {
 	c := newCluster(t, 12, nil)
-	eventually(t, 5*time.Second, "all 12 nodes attached", c.allAttached)
+	c.eventually(5*time.Second, "all 12 nodes attached", c.allAttached)
 	// Structural sanity: depths are positive and parents resolve.
 	for _, nd := range c.nodes {
 		s := nd.Stats()
@@ -125,9 +163,9 @@ func TestTreeForms(t *testing.T) {
 
 func TestStreamFlows(t *testing.T) {
 	c := newCluster(t, 10, nil)
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "all attached", c.allAttached)
 	// Every node's stream position advances with the source.
-	eventually(t, 5*time.Second, "everyone past packet 50", func() bool {
+	c.eventually(5*time.Second, "everyone past packet 50", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().HighestPacket < 50 {
 				return false
@@ -147,8 +185,8 @@ func TestStreamFlows(t *testing.T) {
 // to re-attach and (b) the stream to keep advancing for everyone else.
 func TestFailureRecovery(t *testing.T) {
 	c := newCluster(t, 14, nil)
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
-	eventually(t, 5*time.Second, "stream warm", func() bool {
+	c.eventually(5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "stream warm", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().HighestPacket < 20 {
 				return false
@@ -175,7 +213,7 @@ func TestFailureRecovery(t *testing.T) {
 			survivors = append(survivors, nd)
 		}
 	}
-	eventually(t, 8*time.Second, "survivors re-attached and streaming past the failure point", func() bool {
+	c.eventually(8*time.Second, "survivors re-attached and streaming past the failure point", func() bool {
 		for _, nd := range survivors {
 			s := nd.Stats()
 			if !s.Attached || s.Parent == victim.Addr() {
@@ -214,7 +252,7 @@ func TestFailureRecovery(t *testing.T) {
 // without waiting for heartbeat timeouts.
 func TestGracefulLeave(t *testing.T) {
 	c := newCluster(t, 10, nil)
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "all attached", c.allAttached)
 	var leaver *Node
 	for _, nd := range c.nodes {
 		if nd.Stats().Children > 0 {
@@ -226,7 +264,7 @@ func TestGracefulLeave(t *testing.T) {
 		t.Skip("no interior member in this layout")
 	}
 	leaver.Stop()
-	eventually(t, 5*time.Second, "survivors re-attached", func() bool {
+	c.eventually(5*time.Second, "survivors re-attached", func() bool {
 		for _, nd := range c.nodes {
 			if nd == leaver {
 				continue
@@ -244,8 +282,8 @@ func TestGracefulLeave(t *testing.T) {
 // recovery group (PacketsRepaired > 0 somewhere after an interior failure).
 func TestRepairFillsGaps(t *testing.T) {
 	c := newCluster(t, 14, nil)
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
-	eventually(t, 5*time.Second, "stream warm", func() bool {
+	c.eventually(5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "stream warm", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().HighestPacket < 30 {
 				return false
@@ -264,7 +302,7 @@ func TestRepairFillsGaps(t *testing.T) {
 		t.Skip("no interior member")
 	}
 	victim.Kill()
-	eventually(t, 8*time.Second, "repaired packets observed", func() bool {
+	c.eventually(8*time.Second, "repaired packets observed", func() bool {
 		var repaired, served int64
 		for _, nd := range c.nodes {
 			if nd == victim {
@@ -287,21 +325,17 @@ func TestSwitchPromotesStrongNode(t *testing.T) {
 		cfg.SwitchInterval = 60 * time.Millisecond
 		cfg.Bandwidth = 2
 	})
-	eventually(t, 8*time.Second, "all attached", c.allAttached)
+	c.eventually(8*time.Second, "all attached", c.allAttached)
 	// Now a genuinely late, strong node arrives: it must start deep (the
 	// depth-1 slots are taken) and earn its way up via BTP switching.
 	strongCfg := fast
 	strongCfg.Bandwidth = 6
 	strongCfg.SwitchInterval = 60 * time.Millisecond
 	strongCfg.Bootstrap = []wire.Addr{"source"}
-	ep, err := c.net.Endpoint("strong")
-	if err != nil {
-		t.Fatal(err)
-	}
-	strong := New(strongCfg, ep)
+	strong := c.node("strong", strongCfg)
 	c.nodes = append(c.nodes, strong)
 	strong.Start()
-	eventually(t, 10*time.Second, "a switch completed somewhere", func() bool {
+	c.eventually(10*time.Second, "a switch completed somewhere", func() bool {
 		total := int64(0)
 		for _, nd := range c.nodes {
 			total += nd.Stats().Switches
@@ -309,7 +343,7 @@ func TestSwitchPromotesStrongNode(t *testing.T) {
 		return total > 0
 	})
 	// The overlay remains attached and streaming after switches.
-	eventually(t, 5*time.Second, "overlay still healthy", func() bool {
+	c.eventually(5*time.Second, "overlay still healthy", func() bool {
 		for _, nd := range c.nodes {
 			if !nd.Stats().Attached {
 				return false
@@ -327,8 +361,8 @@ func TestELNPropagates(t *testing.T) {
 	c := newClusterSrc(t, 14, 2, func(i int, cfg *Config) {
 		cfg.Bandwidth = 2
 	})
-	eventually(t, 8*time.Second, "all attached", c.allAttached)
-	eventually(t, 5*time.Second, "stream warm", func() bool {
+	c.eventually(8*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "stream warm", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().HighestPacket < 30 {
 				return false
@@ -356,7 +390,7 @@ func TestELNPropagates(t *testing.T) {
 		t.Skip("no interior member with an interior child in this layout")
 	}
 	victim.Kill()
-	eventually(t, 8*time.Second, "ELN messages sent", func() bool {
+	c.eventually(8*time.Second, "ELN messages sent", func() bool {
 		var elns int64
 		for _, nd := range c.nodes {
 			elns += nd.Stats().ELNsSent
@@ -367,7 +401,7 @@ func TestELNPropagates(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	c := newCluster(t, 3, nil)
-	eventually(t, 5*time.Second, "attached", c.allAttached)
+	c.eventually(5*time.Second, "attached", c.allAttached)
 	s := c.nodes[0].Stats()
 	if s.KnownMembers == 0 {
 		t.Fatal("gossip produced no membership")
@@ -438,14 +472,10 @@ func TestTimingScalesWithHeartbeat(t *testing.T) {
 }
 
 func TestStopIdempotent(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	ep, err := network.Endpoint("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd := New(fast, ep)
+	w := newWorld(t)
+	nd := w.node("x", fast)
 	nd.Start()
+	w.advance(time.Second)
 	nd.Stop()
 	nd.Stop() // second stop must not panic or deadlock
 	nd.Kill() // nor a kill after a stop
@@ -461,7 +491,7 @@ func TestChurnStress(t *testing.T) {
 		cfg.Bandwidth = 2 + float64(i%3)
 		cfg.SwitchInterval = 150 * time.Millisecond
 	})
-	eventually(t, 10*time.Second, "all attached", c.allAttached)
+	c.eventually(10*time.Second, "all attached", c.allAttached)
 
 	// Churn: kill five nodes one by one, adding a replacement each time.
 	next := 100
@@ -491,12 +521,8 @@ func TestChurnStress(t *testing.T) {
 		cfg.Bandwidth = 3
 		cfg.SwitchInterval = 150 * time.Millisecond
 		cfg.Bootstrap = []wire.Addr{"source"}
-		ep, err := c.net.Endpoint(wire.Addr(fmt.Sprintf("r%02d", next)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		repl := c.node(wire.Addr(fmt.Sprintf("r%02d", next)), cfg)
 		next++
-		repl := New(cfg, ep)
 		repl.Start()
 		// Swap into the roster replacing the victim.
 		for i, nd := range c.nodes {
@@ -504,9 +530,9 @@ func TestChurnStress(t *testing.T) {
 				c.nodes[i] = repl
 			}
 		}
-		time.Sleep(300 * time.Millisecond)
+		c.advance(300 * time.Millisecond)
 	}
-	eventually(t, 15*time.Second, "overlay healthy after churn", func() bool {
+	c.eventually(15*time.Second, "overlay healthy after churn", func() bool {
 		for _, nd := range c.nodes {
 			s := nd.Stats()
 			if !s.Attached {
@@ -520,7 +546,7 @@ func TestChurnStress(t *testing.T) {
 	for i, nd := range c.nodes {
 		marks[i] = nd.Stats().HighestPacket
 	}
-	eventually(t, 10*time.Second, "stream advancing everywhere", func() bool {
+	c.eventually(10*time.Second, "stream advancing everywhere", func() bool {
 		for i, nd := range c.nodes {
 			if nd.Stats().HighestPacket <= marks[i] {
 				return false
@@ -537,13 +563,13 @@ func TestDepthSelfCorrects(t *testing.T) {
 		cfg.Bandwidth = 2 + float64(i%2)*2
 		cfg.SwitchInterval = 100 * time.Millisecond
 	})
-	eventually(t, 8*time.Second, "all attached", c.allAttached)
-	time.Sleep(time.Second) // let switches and heartbeats settle
+	c.eventually(8*time.Second, "all attached", c.allAttached)
+	c.advance(time.Second) // let switches and heartbeats settle
 	byAddr := map[wire.Addr]*Node{"source": c.source}
 	for _, nd := range c.nodes {
 		byAddr[nd.Addr()] = nd
 	}
-	eventually(t, 5*time.Second, "depths consistent", func() bool {
+	c.eventually(5*time.Second, "depths consistent", func() bool {
 		for _, nd := range c.nodes {
 			s := nd.Stats()
 			if !s.Attached {
@@ -564,23 +590,14 @@ func TestDepthSelfCorrects(t *testing.T) {
 // TestPlaybackScoring feeds a lone node packets directly, stops, and checks
 // that slots past the playout deadline are scored played vs starved.
 func TestPlaybackScoring(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	ep, err := network.Endpoint("viewer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	feeder, err := network.Endpoint("feeder")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorld(t)
+	feeder := w.endpoint("feeder")
 	cfg := fast
 	cfg.Bandwidth = 1
 	cfg.PlaybackBuffer = 100 * time.Millisecond
 	cfg.StreamRate = 100
-	nd := New(cfg, ep)
+	nd := w.node("viewer", cfg)
 	nd.Start()
-	defer nd.Kill()
 
 	send := func(seq int64) {
 		data, err := wire.EncodeBinary(wire.Envelope{Type: wire.TypePacket, From: "feeder", Packet: seq})
@@ -598,7 +615,7 @@ func TestPlaybackScoring(t *testing.T) {
 	for seq := int64(60); seq < 80; seq++ {
 		send(seq)
 	}
-	eventually(t, 5*time.Second, "playback scored the hole", func() bool {
+	w.eventually(5*time.Second, "playback scored the hole", func() bool {
 		s := nd.Stats()
 		return s.StarvedSlots >= 10 && s.PlayedSlots >= 60
 	})
@@ -626,8 +643,8 @@ func TestHealthyPlaybackDoesNotStarve(t *testing.T) {
 	c := newCluster(t, 8, func(i int, cfg *Config) {
 		cfg.PlaybackBuffer = 200 * time.Millisecond
 	})
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
-	eventually(t, 5*time.Second, "playback running", func() bool {
+	c.eventually(5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "playback running", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().PlayedSlots < 100 {
 				return false
@@ -640,5 +657,110 @@ func TestHealthyPlaybackDoesNotStarve(t *testing.T) {
 		if s.StarvingRatio() > 0.05 {
 			t.Fatalf("%s starving ratio %.3f in a healthy overlay", nd, s.StarvingRatio())
 		}
+	}
+}
+
+// TestClusterReproducible: two 12-node clusters on one seed, streamed, cut by
+// the same interior failure and healed, end with identical Stats on every
+// node. The virtual clock orders every timer and delivery, so nothing but
+// the seed decides a run.
+func TestClusterReproducible(t *testing.T) {
+	run := func() []Stats {
+		c := newCluster(t, 12, func(i int, cfg *Config) {
+			cfg.Seed = 7
+			cfg.SwitchInterval = 100 * time.Millisecond
+		})
+		c.eventually(5*time.Second, "all attached", c.allAttached)
+		c.advance(time.Second)
+		for _, nd := range c.nodes {
+			if nd.Stats().Children > 0 {
+				nd.Kill()
+				break
+			}
+		}
+		c.advance(2 * time.Second)
+		out := []Stats{c.source.Stats()}
+		for _, nd := range c.nodes {
+			out = append(out, nd.Stats())
+		}
+		return out
+	}
+	first, second := run(), run()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("node %d differs between same-seed runs:\n run 1: %+v\n run 2: %+v", i, first[i], second[i])
+		}
+	}
+	if first[1].PacketsReceived == 0 {
+		t.Fatal("the cluster streamed nothing")
+	}
+}
+
+// countingTransport counts the datagrams its node hands it.
+type countingTransport struct {
+	Transport
+	sends atomic.Int64
+}
+
+func (c *countingTransport) Send(to wire.Addr, data []byte) error {
+	c.sends.Add(1)
+	return c.Transport.Send(to, data)
+}
+
+// TestStopAndKillEndTheNode is the lifetime contract, on both clocks: once
+// Stop or Kill returns, no duty of the node runs — the source's packet clock
+// stops — and the node transmits nothing, not a heartbeat, a retransmit or
+// the answer to a datagram that still reaches its handler.
+func TestStopAndKillEndTheNode(t *testing.T) {
+	t.Run("virtual", func(t *testing.T) {
+		w := newWorld(t)
+		stopAndKillEndTheNode(t, w.net, fast, w.clock, w.advance,
+			func(what string, cond func() bool) { w.eventually(5*time.Second, what, cond) })
+	})
+	t.Run("wall", func(t *testing.T) {
+		network := NewMemNetwork(nil, nil)
+		defer network.Close()
+		stopAndKillEndTheNode(t, network, wallFast(), nil, time.Sleep,
+			func(what string, cond func() bool) { wallEventually(t, 5*time.Second, what, cond) })
+	})
+}
+
+func stopAndKillEndTheNode(t *testing.T, network *MemNetwork, cfg Config, clock Clock,
+	wait func(time.Duration), until func(what string, cond func() bool)) {
+	t.Helper()
+	cfg.Clock = clock
+	boot := func(addr wire.Addr, source bool) (*Node, *countingTransport) {
+		ep, err := network.Endpoint(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &countingTransport{Transport: ep}
+		c := cfg
+		c.Source, c.Bandwidth, c.Bootstrap = source, 2, []wire.Addr{"source"}
+		nd := New(c, tr)
+		nd.Start()
+		return nd, tr
+	}
+	src, srcTr := boot("source", true)
+	member, memberTr := boot("member", false)
+	until("the member attached and streaming", func() bool {
+		s := member.Stats()
+		return s.Attached && s.HighestPacket > 10
+	})
+
+	src.Stop() // a graceful leave: its Leave to the member goes out before Stop returns
+	member.Kill()
+	sent := []int64{srcTr.sends.Load(), memberTr.sends.Load()}
+	head := src.Stats().HighestPacket
+	// A Join, tagged for an ack, reaches each dead node's handler anyway.
+	for _, nd := range []*Node{src, member} {
+		nd.onDatagram(envBytes(t, wire.Envelope{Type: wire.TypeJoin, From: "late", Bandwidth: 1, Ctrl: 1}))
+	}
+	wait(10 * cfg.HeartbeatInterval) // every duty and retransmit timer is due several times over
+	if got := []int64{srcTr.sends.Load(), memberTr.sends.Load()}; !slices.Equal(got, sent) {
+		t.Fatalf("datagrams sent by source, member: %v when Stop and Kill returned, %v later", sent, got)
+	}
+	if got := src.Stats().HighestPacket; got != head {
+		t.Fatalf("the stopped source's packet clock ran on: head %d -> %d", head, got)
 	}
 }

@@ -54,7 +54,8 @@ func (p *peerRecord) quarantined(now time.Time) bool { return now.Before(p.quara
 // the peer may still hold in its dedup window.
 //
 // At timing.peerCap records one is evicted first, by one rule: never the
-// parent or a child; of the rest the stalest by seen, taking a record that
+// parent or a child; of the rest the stalest by seen (the lowest address
+// among equals), taking a record that
 // is neither quarantined nor awaiting an ack before one with control
 // messages in flight (abandoned with it), and a quarantined record only when
 // nothing else is left. It returns nil, and the caller does without, only
@@ -77,7 +78,7 @@ func (n *Node) peerLocked(addr wire.Addr, now time.Time) *peerRecord {
 			} else if len(p.inflight) > 0 {
 				rank = 1
 			}
-			if vp == nil || rank < vrank || rank == vrank && p.seen.Before(vp.seen) {
+			if vp == nil || rank < vrank || rank == vrank && (p.seen.Before(vp.seen) || p.seen.Equal(vp.seen) && a < victim) {
 				victim, vp, vrank = a, p, rank
 			}
 		}

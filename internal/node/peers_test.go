@@ -65,8 +65,11 @@ func TestPeerTableKeepsControlSendsProtected(t *testing.T) {
 // TestRebornSenderIsNotDeduped restarts a sender at the same address after
 // its receiver has seen two dedup windows of its control messages. The new
 // incarnation's first message must reach its handler, and a replay of the
-// old incarnation's datagrams must still count as a duplicate.
+// old incarnation's datagrams must still count as a duplicate. Both run on
+// one virtual clock, so the incarnations differ only by the virtual time
+// between the crash and the restart.
 func TestRebornSenderIsNotDeduped(t *testing.T) {
+	w := newWorld(t)
 	r, _ := newGuardNode(nil)
 	attachTo(r, "p")
 	deliver := func(from *sinkTransport, i int) []byte {
@@ -78,7 +81,7 @@ func TestRebornSenderIsNotDeduped(t *testing.T) {
 		return b
 	}
 	oldTr := &sinkTransport{addr: "s"}
-	old := New(Config{Bandwidth: 1}, oldTr)
+	old := New(Config{Bandwidth: 1, Clock: w.clock}, oldTr)
 	old.tm.retxInflight = 4 * retxDedupWindow // no acks come back: keep every send protected
 	var replay []byte
 	for i := 0; i < 2*retxDedupWindow; i++ {
@@ -88,13 +91,13 @@ func TestRebornSenderIsNotDeduped(t *testing.T) {
 		}
 	}
 	old.Kill()
+	w.advance(time.Millisecond) // the restart takes a moment
 	if got := r.Stats().RetxDupDrops; got != 0 {
 		t.Fatalf("RetxDupDrops = %d before the restart, want 0", got)
 	}
 
 	bornTr := &sinkTransport{addr: "s"}
-	born := New(Config{Bandwidth: 1}, bornTr)
-	defer born.Kill()
+	born := New(Config{Bandwidth: 1, Clock: w.clock}, bornTr)
 	born.send("self", wire.Envelope{Type: wire.TypeJoin, Bandwidth: 1})
 	deliver(bornTr, 0)
 	if s := r.Stats(); s.Children != 1 || s.RetxDupDrops != 0 {

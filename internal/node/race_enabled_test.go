@@ -2,7 +2,7 @@
 
 package node
 
-// raceEnabled reports whether the race detector is compiled in; eventually()
-// scales its deadlines by it, since instrumentation slows this workload
-// severalfold.
+// raceEnabled reports whether the race detector is compiled in: the
+// allocation ceilings skip under it (it allocates), and the wall-clock tests
+// stretch their timers and deadlines by it (see wallFast).
 const raceEnabled = true

@@ -14,13 +14,15 @@ import (
 // network. It asserts nothing beyond basic liveness: its job is to give the
 // race detector (go test -race) maximal interleaving coverage over the
 // node's mutex discipline — peer.lastSeen updates, children map access,
-// membership gossip, and the switch/commit handshake.
+// membership gossip, and the switch/commit handshake. It runs on the wall
+// clock, where every timer callback and every delivery is a goroutine of its
+// own.
 func TestConcurrentChurnRace(t *testing.T) {
 	latency := func(from, to wire.Addr) time.Duration { return time.Millisecond }
-	network := NewMemNetwork(latency)
+	network := NewMemNetwork(nil, latency)
 	defer network.Close()
 
-	cfg := fast
+	cfg := wallFast()
 	cfg.SwitchInterval = 30 * time.Millisecond // exercise the switching path
 
 	boot := func(addr wire.Addr, mutate func(*Config)) *Node {

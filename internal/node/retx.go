@@ -1,8 +1,6 @@
 package node
 
 import (
-	"time"
-
 	"omcast/internal/metrics/live"
 	"omcast/internal/wire"
 )
@@ -32,7 +30,7 @@ const retxDedupWindow = 64
 type retxPending struct {
 	data     []byte
 	attempts int // transmissions so far
-	timer    *time.Timer
+	timer    Timer
 }
 
 // retxSettledLocked takes k messages out of the in-flight total, counting
@@ -49,7 +47,7 @@ func (n *Node) retxSettledLocked(k int, how *live.Counter) {
 // window is full or no record can be had for it.
 func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	n.mu.Lock()
-	p := n.peerLocked(to, time.Now())
+	p := n.peerLocked(to, n.now())
 	if p == nil || len(p.inflight) >= n.tm.retxInflight {
 		n.met.retxOverflow.Inc()
 		n.mu.Unlock()
@@ -72,7 +70,7 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	pend := &retxPending{data: data, attempts: 1}
 	p.inflight[seq] = pend
 	d := backoffDelay(n.tm.retxBackoffBase, n.tm.retxBackoffMax, 0, n.retxRng)
-	pend.timer = time.AfterFunc(d, func() { n.retxFire(to, seq) })
+	pend.timer = n.cfg.Clock.AfterFunc(d, func() { n.retxFire(to, seq) })
 	n.met.ctrlSent.Inc()
 	n.inflight++
 	n.met.retxInflight.Set(float64(n.inflight))
@@ -86,11 +84,10 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 // is spent. The message stays in the window until acked or expired, so late
 // acks still clear it.
 func (n *Node) retxFire(to wire.Addr, seq uint64) {
-	select {
-	case <-n.done:
+	if !n.enter() {
 		return // node stopped: let the state die with it
-	default:
 	}
+	defer n.life.RUnlock()
 	n.mu.Lock()
 	p := n.peers[to]
 	if p == nil {
@@ -110,7 +107,7 @@ func (n *Node) retxFire(to wire.Addr, seq uint64) {
 	}
 	pend.attempts++
 	d := backoffDelay(n.tm.retxBackoffBase, n.tm.retxBackoffMax, pend.attempts-1, n.retxRng)
-	pend.timer = time.AfterFunc(d, func() { n.retxFire(to, seq) })
+	pend.timer = n.cfg.Clock.AfterFunc(d, func() { n.retxFire(to, seq) })
 	data := pend.data
 	n.met.retxSent.Inc()
 	n.mu.Unlock()

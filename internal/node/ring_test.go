@@ -3,7 +3,6 @@ package node
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -331,38 +330,25 @@ func TestRingMatchesMapOracle(t *testing.T) {
 // forwarding to its own child — the same bytes as the sibling that never
 // lost it.
 func TestRepairCarriesPayload(t *testing.T) {
-	net := NewMemNetwork(nil)
-	defer net.Close()
+	w := newWorld(t)
 	member := func(addr wire.Addr) *Node {
-		tr, err := net.Endpoint(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// A recovery group of one serves the whole stripe space.
-		n := New(Config{Bandwidth: 2, RecoveryGroup: 1, HeartbeatInterval: time.Hour}, tr)
+		n := w.node(addr, Config{Bandwidth: 2, RecoveryGroup: 1, HeartbeatInterval: time.Hour})
 		attachTo(n, "src")
-		t.Cleanup(n.Kill)
 		return n
 	}
 	sibling, loser := member("sibling"), member("loser")
 	// The loser knows its sibling and has a child of its own, a bare endpoint
 	// recording the stream packets it is sent.
-	leaf, err := net.Endpoint("leaf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
 	forwarded := map[int64][]byte{}
-	leaf.SetHandler(func(data []byte) {
+	w.endpoint("leaf").SetHandler(func(data []byte) {
 		if env, err := wire.DecodeBinary(data); err == nil && env.Type == wire.TypePacket {
-			mu.Lock()
 			forwarded[env.Packet] = env.Payload
-			mu.Unlock()
 		}
 	})
 	loser.mu.Lock()
-	loser.viewAddLocked("sibling", time.Now())
-	loser.addChildLocked("leaf", time.Now())
+	loser.viewAddLocked("sibling", w.clock.Now())
+	loser.addChildLocked("leaf", w.clock.Now())
 	loser.mu.Unlock()
 
 	const count, lost = 8, 5
@@ -375,9 +361,7 @@ func TestRepairCarriesPayload(t *testing.T) {
 			n.onDatagram(envBytes(t, wire.Envelope{Type: wire.TypePacket, From: "src", Packet: seq, Payload: payload(seq)}))
 		}
 	}
-	eventually(t, 5*time.Second, "the lost packet to be repaired and forwarded", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
+	w.eventually(5*time.Second, "the lost packet to be repaired and forwarded", func() bool {
 		return loser.Stats().PacketsRepaired == 1 && len(forwarded) == count
 	})
 	for seq := int64(0); seq < count; seq++ {
@@ -387,9 +371,7 @@ func TestRepairCarriesPayload(t *testing.T) {
 		loser.mu.Lock()
 		got, ok := loser.bufferedLocked(seq)
 		loser.mu.Unlock()
-		mu.Lock()
 		fwd := forwarded[seq]
-		mu.Unlock()
 		if !ok || !bytes.Equal(want, payload(seq)) || !bytes.Equal(got, want) || !bytes.Equal(fwd, want) {
 			t.Errorf("packet %d: sent %q, sibling holds %q, loser holds %q (buffered %t) and forwarded %q",
 				seq, payload(seq), want, got, ok, fwd)

@@ -7,25 +7,28 @@ import (
 	"omcast/internal/wire"
 )
 
-// The switch-lock tests drive a never-started node through its transport
-// handler, playing every remote peer by hand. lockHeartbeat makes the lock
-// deadline (3 heartbeats) long enough that consecutive handler calls land
-// inside it on any machine, short enough to wait out.
+// The switch-lock tests drive a never-started node on a virtual clock through
+// its transport handler, playing every remote peer by hand; handler calls
+// take no virtual time, and waiting out the lock deadline (3 heartbeats) is
+// an advance of the world.
 const lockHeartbeat = 100 * time.Millisecond
 
 // newSwitchParent builds an attached node with children c0 and c1 and room
 // for one more, so a refused Join can only mean the switch lock.
-func newSwitchParent(t *testing.T) (*Node, *sinkTransport) {
+func newSwitchParent(t *testing.T) (*Node, *sinkTransport, *world) {
 	t.Helper()
-	n, tr := newGuardNode(func(cfg *Config) { cfg.HeartbeatInterval = lockHeartbeat })
-	t.Cleanup(n.Kill)
+	w := newWorld(t)
+	n, tr := newGuardNode(func(cfg *Config) {
+		cfg.HeartbeatInterval = lockHeartbeat
+		cfg.Clock = w.clock
+	})
 	attachTo(n, "p")
 	for _, c := range []wire.Addr{"c0", "c1"} {
 		if got := answer(t, n, tr, wire.Envelope{Type: wire.TypeJoin, From: c, Bandwidth: 1}); got != wire.TypeAccept {
 			t.Fatalf("setup: join from %s answered %v", c, got)
 		}
 	}
-	return n, tr
+	return n, tr, w
 }
 
 // answer delivers env and returns the type of the node's reply to its
@@ -54,7 +57,7 @@ func joinFrom(from wire.Addr) wire.Envelope {
 // initiator then died (no commit ever arrives) used to refuse every Join and
 // every later switch forever. The lock has a deadline now.
 func TestSwitchLockStuckParentRecovers(t *testing.T) {
-	n, tr := newSwitchParent(t)
+	n, tr, w := newSwitchParent(t)
 	if got := answer(t, n, tr, proposeFrom("c0")); got != wire.TypeSwitchAccept {
 		t.Fatalf("propose answered %v, want SwitchAccept", got)
 	}
@@ -64,7 +67,7 @@ func TestSwitchLockStuckParentRecovers(t *testing.T) {
 	if got := answer(t, n, tr, proposeFrom("c1")); got != wire.TypeSwitchReject {
 		t.Fatalf("second exchange during the first answered %v, want SwitchReject", got)
 	}
-	time.Sleep(4 * lockHeartbeat) // c0 never commits; the 3-heartbeat deadline passes
+	w.advance(4 * lockHeartbeat) // c0 never commits; the 3-heartbeat deadline passes
 	if got := answer(t, n, tr, joinFrom("j2")); got != wire.TypeAccept {
 		t.Fatalf("join after the lock deadline answered %v, want Accept", got)
 	}
@@ -74,11 +77,11 @@ func TestSwitchLockStuckParentRecovers(t *testing.T) {
 // (here the late SwitchReject of its abandoned peer) must not unlock exchange
 // k+1; only k+1's own peer — or its own deadline — ends it.
 func TestSwitchLockStaleReleaseIgnored(t *testing.T) {
-	n, tr := newSwitchParent(t)
+	n, tr, w := newSwitchParent(t)
 	if got := answer(t, n, tr, proposeFrom("c0")); got != wire.TypeSwitchAccept {
 		t.Fatalf("exchange k: propose answered %v", got)
 	}
-	time.Sleep(4 * lockHeartbeat) // exchange k is abandoned and expires
+	w.advance(4 * lockHeartbeat) // exchange k is abandoned and expires
 	if got := answer(t, n, tr, proposeFrom("c1")); got != wire.TypeSwitchAccept {
 		t.Fatalf("exchange k+1: propose answered %v, want SwitchAccept", got)
 	}
@@ -95,7 +98,7 @@ func TestSwitchLockStaleReleaseIgnored(t *testing.T) {
 // TestSwitchLockThirdPartyReject: a SwitchReject from a peer that is no part
 // of the exchange leaves the lock held (and is not otherwise remarked on).
 func TestSwitchLockThirdPartyReject(t *testing.T) {
-	n, tr := newSwitchParent(t)
+	n, tr, _ := newSwitchParent(t)
 	if got := answer(t, n, tr, proposeFrom("c0")); got != wire.TypeSwitchAccept {
 		t.Fatalf("propose answered %v", got)
 	}
@@ -111,7 +114,7 @@ func TestSwitchLockThirdPartyReject(t *testing.T) {
 // TestSwitchLockGatesAccept covers the initiator's side: a SwitchAccept only
 // commits the exchange this node itself opened and still holds the lock for.
 func TestSwitchLockGatesAccept(t *testing.T) {
-	n, _ := newSwitchParent(t)
+	n, _, w := newSwitchParent(t)
 	accept := envBytes(t, wire.Envelope{Type: wire.TypeSwitchAccept, From: "p", NewParent: "gp"})
 
 	n.onDatagram(accept) // unsolicited: no exchange open
@@ -119,8 +122,10 @@ func TestSwitchLockGatesAccept(t *testing.T) {
 		t.Fatalf("unsolicited SwitchAccept re-pointed the node: %+v", s)
 	}
 
-	// A parent heartbeat makes the node eligible; trySwitch opens the exchange.
+	// A parent heartbeat and a BTP grown past its zero claim make the node
+	// eligible; trySwitch opens the exchange.
 	n.onDatagram(envBytes(t, wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1, Depth: 1}))
+	w.advance(time.Millisecond)
 	n.trySwitch()
 	n.onDatagram(envBytes(t, wire.Envelope{Type: wire.TypeSwitchAccept, From: "stranger", NewParent: "gp"}))
 	if s := n.Stats(); s.Parent != "p" || s.Switches != 0 {

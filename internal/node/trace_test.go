@@ -29,8 +29,8 @@ func TestSpanInstrumentation(t *testing.T) {
 		rings[i] = r
 		cfg.Trace = r
 	})
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
-	eventually(t, 5*time.Second, "stream warm", func() bool {
+	c.eventually(5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "stream warm", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().HighestPacket < 20 {
 				return false
@@ -69,7 +69,7 @@ func TestSpanInstrumentation(t *testing.T) {
 		t.Skip("no interior member in this layout")
 	}
 	victim.Kill()
-	eventually(t, 8*time.Second, "survivors re-attached", func() bool {
+	c.eventually(8*time.Second, "survivors re-attached", func() bool {
 		for _, nd := range c.nodes {
 			if nd == victim {
 				continue
@@ -127,8 +127,8 @@ func TestRepairSpanRoundTrip(t *testing.T) {
 		rings[i] = r
 		cfg.Trace = r
 	})
-	eventually(t, 5*time.Second, "all attached", c.allAttached)
-	eventually(t, 5*time.Second, "stream warm", func() bool {
+	c.eventually(5*time.Second, "all attached", c.allAttached)
+	c.eventually(5*time.Second, "stream warm", func() bool {
 		for _, nd := range c.nodes {
 			if nd.Stats().HighestPacket < 30 {
 				return false
@@ -148,7 +148,7 @@ func TestRepairSpanRoundTrip(t *testing.T) {
 		t.Skip("no interior member")
 	}
 	victim.Kill()
-	eventually(t, 8*time.Second, "a repair span completed", func() bool {
+	c.eventually(8*time.Second, "a repair span completed", func() bool {
 		for i, r := range rings {
 			if i == victimIdx {
 				continue

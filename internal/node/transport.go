@@ -14,8 +14,10 @@ import (
 )
 
 // Transport moves encoded envelopes between protocol endpoints. Handlers run
-// on transport-owned goroutines; implementations deliver each datagram at
-// most once and may drop or reorder (the protocol tolerates both).
+// where the transport delivers: on UDPTransport's read goroutine, or in a
+// MemNetwork's clock callbacks, which on a virtual clock are simulator events
+// on the goroutine driving it. Implementations deliver each datagram at most
+// once and may drop or reorder (the protocol tolerates both).
 type Transport interface {
 	// Addr returns this endpoint's address.
 	Addr() wire.Addr
@@ -50,27 +52,33 @@ var ErrOversize = errors.New("node: datagram exceeds UDP payload ceiling")
 const MaxUDPDatagram = 65507
 
 // MemNetwork is an in-process datagram network for tests and examples: each
-// endpoint is a registered mailbox, delivery happens on a per-endpoint
-// goroutine after a configurable latency.
+// endpoint is a registered address, and every datagram is delivered by a
+// clock timer, latency after its Send, to the handler of the endpoint it was
+// addressed to — or to no one, if that endpoint has closed by then. On a
+// virtual clock (NewVirtualClock) deliveries are simulator events, so a whole
+// overlay runs on one goroutine in a seed-fixed order; on the wall clock each
+// delivery runs on its timer's goroutine, concurrently with the others.
 type MemNetwork struct {
-	mu    sync.Mutex
-	nodes map[wire.Addr]*memEndpoint //guardedby:mu
-	// latency is set once at construction and never mutated, so reads from
-	// Send goroutines need no lock (and no annotation).
+	// clock and latency are set once at construction and never mutated, so
+	// reads from Send need no lock (and no annotation).
+	clock   Clock
 	latency func(from, to wire.Addr) time.Duration
-	wg      sync.WaitGroup
-	closed  bool //guardedby:mu
 
-	// mailboxDrops counts datagrams discarded because a destination mailbox
-	// was full.
-	mailboxDrops atomic.Int64
+	mu     sync.Mutex
+	nodes  map[wire.Addr]*memEndpoint //guardedby:mu
+	closed bool                       //guardedby:mu
 }
 
-// NewMemNetwork creates a network; latency may be nil (instant delivery).
-func NewMemNetwork(latency func(from, to wire.Addr) time.Duration) *MemNetwork {
+// NewMemNetwork creates a network on clock (nil is the wall clock); latency
+// may be nil (delivery at the send instant, still through the clock).
+func NewMemNetwork(clock Clock, latency func(from, to wire.Addr) time.Duration) *MemNetwork {
+	if clock == nil {
+		clock = wallClock{}
+	}
 	return &MemNetwork{
-		nodes:   make(map[wire.Addr]*memEndpoint),
+		clock:   clock,
 		latency: latency,
+		nodes:   make(map[wire.Addr]*memEndpoint),
 	}
 }
 
@@ -84,28 +92,15 @@ func (n *MemNetwork) Endpoint(addr wire.Addr) (Transport, error) {
 	if _, dup := n.nodes[addr]; dup {
 		return nil, fmt.Errorf("node: address %q already registered", addr)
 	}
-	ep := &memEndpoint{
-		net:  n,
-		addr: addr,
-		inCh: make(chan []byte, 1024),
-		done: make(chan struct{}),
-	}
+	ep := &memEndpoint{net: n, addr: addr}
 	n.nodes[addr] = ep
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ep.deliverLoop()
-	}()
 	return ep, nil
 }
 
-// Close shuts the whole network down and waits for delivery goroutines.
+// Close shuts the whole network down: every endpoint closes, and datagrams
+// still in flight are dropped when their timers fire.
 func (n *MemNetwork) Close() {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
 	n.closed = true
 	eps := make([]*memEndpoint, 0, len(n.nodes))
 	for _, ep := range n.nodes {
@@ -115,20 +110,6 @@ func (n *MemNetwork) Close() {
 	for _, ep := range eps {
 		_ = ep.Close()
 	}
-	n.wg.Wait()
-}
-
-func (n *MemNetwork) lookup(addr wire.Addr) (*memEndpoint, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ep, ok := n.nodes[addr]
-	return ep, ok
-}
-
-func (n *MemNetwork) remove(addr wire.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.nodes, addr)
 }
 
 type memEndpoint struct {
@@ -138,9 +119,6 @@ type memEndpoint struct {
 	mu      sync.Mutex
 	handler func([]byte) //guardedby:mu
 	closed  bool         //guardedby:mu
-
-	inCh chan []byte
-	done chan struct{}
 }
 
 var _ Transport = (*memEndpoint)(nil)
@@ -153,56 +131,41 @@ func (e *memEndpoint) SetHandler(h func([]byte)) {
 	e.handler = h
 }
 
+// Send schedules the datagram's delivery to the endpoint registered at to
+// now. It holds the endpoint's lock until the delivery is scheduled, so
+// nothing is scheduled once Close has returned.
 func (e *memEndpoint) Send(to wire.Addr, data []byte) error {
 	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	defer e.mu.Unlock()
+	if e.closed {
 		return ErrClosed
 	}
-	dst, ok := e.net.lookup(to)
+	e.net.mu.Lock()
+	dst, ok := e.net.nodes[to]
+	e.net.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("node: sending to %q: %w", to, ErrUnknownAddr)
 	}
+	var d time.Duration
+	if e.net.latency != nil {
+		d = e.net.latency(e.addr, to)
+	}
 	// Copy: delivery outlives Send, and data stays the caller's.
 	buf := append([]byte(nil), data...)
-	deliver := func() {
-		select {
-		case dst.inCh <- buf:
-		case <-dst.done:
-		default:
-			// Mailbox full: drop, like a congested datagram network — but
-			// count it so congestion is observable.
-			e.net.mailboxDrops.Add(1)
-		}
-	}
-	if e.net.latency == nil {
-		deliver()
-		return nil
-	}
-	d := e.net.latency(e.addr, to)
-	if d <= 0 {
-		deliver()
-		return nil
-	}
-	// The timer callback is safe after Close: deliver selects on dst.done.
-	time.AfterFunc(d, deliver)
+	e.net.clock.AfterFunc(d, func() { dst.deliver(buf) })
 	return nil
 }
 
-func (e *memEndpoint) deliverLoop() {
-	for {
-		select {
-		case <-e.done:
-			return
-		case data := <-e.inCh:
-			e.mu.Lock()
-			h := e.handler
-			e.mu.Unlock()
-			if h != nil {
-				h(data)
-			}
-		}
+// deliver hands one datagram to the handler unless the endpoint has closed.
+func (e *memEndpoint) deliver(data []byte) {
+	e.mu.Lock()
+	h := e.handler
+	if e.closed {
+		h = nil
+	}
+	e.mu.Unlock()
+	if h != nil {
+		h(data)
 	}
 }
 
@@ -214,8 +177,9 @@ func (e *memEndpoint) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	close(e.done)
-	e.net.remove(e.addr)
+	e.net.mu.Lock()
+	delete(e.net.nodes, e.addr)
+	e.net.mu.Unlock()
 	return nil
 }
 

@@ -6,55 +6,40 @@ import (
 	"testing"
 	"time"
 
+	"omcast/internal/eventsim"
 	"omcast/internal/metrics/live"
 	"omcast/internal/wire"
 )
 
 func TestMemNetworkDelivery(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	a, err := network.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := network.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
+	w := newWorld(t)
+	a, b := w.endpoint("a"), w.endpoint("b")
 	var got []string
-	b.SetHandler(func(data []byte) {
-		mu.Lock()
-		got = append(got, string(data))
-		mu.Unlock()
-	})
+	b.SetHandler(func(data []byte) { got = append(got, string(data)) })
 	if err := a.Send("b", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, time.Second, "datagram delivered", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1 && got[0] == "hello"
-	})
+	if len(got) != 0 {
+		t.Fatal("delivered inside Send, not by the clock")
+	}
+	w.advance(0)
+	if len(got) != 1 || got[0] != "hello" {
+		t.Fatalf("delivered %q, want [hello]", got)
+	}
 	if a.Addr() != "a" || b.Addr() != "b" {
 		t.Fatal("addresses wrong")
 	}
 }
 
 func TestMemNetworkUnknownAddr(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	a, err := network.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newWorld(t).endpoint("a")
 	if err := a.Send("ghost", []byte("x")); !errors.Is(err, ErrUnknownAddr) {
 		t.Fatalf("send to ghost = %v, want ErrUnknownAddr", err)
 	}
 }
 
 func TestMemNetworkDuplicateAddr(t *testing.T) {
-	network := NewMemNetwork(nil)
+	network := NewMemNetwork(nil, nil)
 	defer network.Close()
 	if _, err := network.Endpoint("dup"); err != nil {
 		t.Fatal(err)
@@ -65,10 +50,19 @@ func TestMemNetworkDuplicateAddr(t *testing.T) {
 }
 
 func TestMemNetworkCloseSemantics(t *testing.T) {
-	network := NewMemNetwork(nil)
-	a, err := network.Endpoint("a")
-	if err != nil {
+	w := newWorld(t)
+	a, b := w.endpoint("a"), w.endpoint("b")
+	delivered := 0
+	b.SetHandler(func([]byte) { delivered++ })
+	if err := a.Send("b", []byte("in flight")); err != nil {
 		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.advance(0)
+	if delivered != 0 {
+		t.Fatal("a datagram in flight was delivered to an endpoint closed meanwhile")
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -79,17 +73,17 @@ func TestMemNetworkCloseSemantics(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal("double close errored")
 	}
-	network.Close()
-	if _, err := network.Endpoint("late"); !errors.Is(err, ErrClosed) {
+	w.net.Close()
+	if _, err := w.net.Endpoint("late"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("endpoint after network close = %v, want ErrClosed", err)
 	}
-	network.Close() // idempotent
+	w.net.Close() // idempotent
 }
 
 func TestMemNetworkLatency(t *testing.T) {
 	const delay = 50 * time.Millisecond
-	network := NewMemNetwork(func(from, to wire.Addr) time.Duration { return delay })
-	defer network.Close()
+	sim := eventsim.New()
+	network := NewMemNetwork(NewVirtualClock(sim), func(from, to wire.Addr) time.Duration { return delay })
 	a, err := network.Endpoint("a")
 	if err != nil {
 		t.Fatal(err)
@@ -98,66 +92,14 @@ func TestMemNetworkLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var deliveredAt time.Time
-	b.SetHandler(func([]byte) {
-		mu.Lock()
-		deliveredAt = time.Now()
-		mu.Unlock()
-	})
-	sentAt := time.Now()
+	deliveredAt := time.Duration(-1)
+	b.SetHandler(func([]byte) { deliveredAt = sim.Now() })
 	if err := a.Send("b", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, time.Second, "delayed delivery", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return !deliveredAt.IsZero()
-	})
-	if elapsed := deliveredAt.Sub(sentAt); elapsed < delay/2 {
-		t.Fatalf("delivered after %v, want >= ~%v", elapsed, delay)
-	}
-}
-
-// TestMailboxDropCounter fills an endpoint's mailbox behind a blocked
-// handler and checks overflow is counted instead of vanishing silently.
-func TestMailboxDropCounter(t *testing.T) {
-	network := NewMemNetwork(nil)
-	defer network.Close()
-	a, err := network.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := network.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := make(chan struct{})
-	// Unblock the handler before network.Close runs (defers are LIFO), or
-	// the delivery goroutine would hang the shutdown wait.
-	defer close(block)
-	first := make(chan struct{})
-	var firstOnce sync.Once
-	b.SetHandler(func([]byte) {
-		firstOnce.Do(func() { close(first) })
-		<-block
-	})
-
-	// One datagram parks in the handler; 1024 fill the mailbox; everything
-	// beyond must overflow. Waiting for the handler to park first makes the
-	// accounting below exact.
-	if err := a.Send("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	<-first
-	const extra = 50
-	for i := 0; i < 1024+extra; i++ {
-		if err := a.Send("b", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := network.mailboxDrops.Load(); got != extra {
-		t.Fatalf("mailbox drops = %d, want %d", got, extra)
+	_ = sim.Run(eventsim.MaxHorizon)
+	if deliveredAt != delay {
+		t.Fatalf("delivered at %v, want %v", deliveredAt, delay)
 	}
 }
 
@@ -190,7 +132,7 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 	if err := a.Send(b.Addr(), []byte("over udp")); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, 2*time.Second, "udp datagram delivered", func() bool {
+	wallEventually(t, 2*time.Second, "udp datagram delivered", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return string(got) == "over udp"
@@ -312,14 +254,14 @@ func TestUDPCrashRestartRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcCfg := fast
+	srcCfg := wallFast()
 	srcCfg.Source = true
 	srcCfg.Bandwidth = 4
 	src := New(srcCfg, srcTr)
 	src.Start()
 	defer src.Kill()
 
-	cfg := fast
+	cfg := wallFast()
 	cfg.Bandwidth = 3
 	cfg.Bootstrap = []wire.Addr{src.Addr()}
 	tr1, err := NewUDPTransport("127.0.0.1:0")
@@ -329,7 +271,7 @@ func TestUDPCrashRestartRebind(t *testing.T) {
 	port := tr1.Addr()
 	n1 := New(cfg, tr1)
 	n1.Start()
-	eventually(t, 10*time.Second, "first incarnation attached", func() bool {
+	wallEventually(t, 10*time.Second, "first incarnation attached", func() bool {
 		return n1.Stats().Attached
 	})
 
@@ -348,7 +290,7 @@ func TestUDPCrashRestartRebind(t *testing.T) {
 	n2 := New(cfg, tr2)
 	n2.Start()
 	defer n2.Kill()
-	eventually(t, 10*time.Second, "reborn node rejoined on the same port", func() bool {
+	wallEventually(t, 10*time.Second, "reborn node rejoined on the same port", func() bool {
 		return n2.Stats().Attached
 	})
 }
@@ -359,7 +301,7 @@ func TestNodesOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcCfg := fast
+	srcCfg := wallFast()
 	srcCfg.Source = true
 	srcCfg.Bandwidth = 4
 	src := New(srcCfg, srcTr)
@@ -372,7 +314,7 @@ func TestNodesOverUDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := fast
+		cfg := wallFast()
 		cfg.Bandwidth = 3
 		cfg.Bootstrap = []wire.Addr{src.Addr()}
 		nd := New(cfg, tr)
@@ -384,7 +326,7 @@ func TestNodesOverUDP(t *testing.T) {
 			nd.Kill()
 		}
 	}()
-	eventually(t, 10*time.Second, "udp overlay attached and streaming", func() bool {
+	wallEventually(t, 10*time.Second, "udp overlay attached and streaming", func() bool {
 		for _, nd := range nodes {
 			s := nd.Stats()
 			if !s.Attached || s.HighestPacket < 20 {
