@@ -36,6 +36,48 @@ func TestChaosScenarios(t *testing.T) {
 	}
 }
 
+// TestSummaryReportsLatencies requires the verdict line to carry each
+// recovery latency the run measured — the join, source-failover and
+// re-attach times the suite exists to bound — with its bound, and no
+// latency the scenario does not bound; every measured one must be within it.
+func TestSummaryReportsLatencies(t *testing.T) {
+	for _, name := range []string{"join-loss-30", "source-kill", "parent-crash"} {
+		t.Run(name, func(t *testing.T) {
+			rep, err := Run(*ScenarioByName(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := rep.Summary()
+			measured := 0
+			for _, l := range []struct {
+				name        string
+				took, bound time.Duration
+			}{
+				{"attach", rep.AttachTime, rep.Bounds.AttachWithin},
+				{"reassign", rep.ReassignTime, rep.Bounds.MaxReassignTime},
+				{"recovery", rep.RecoveryTime, rep.Bounds.RecoverWithin},
+			} {
+				if l.bound == 0 {
+					if strings.Contains(sum, " "+l.name+"=") {
+						t.Errorf("summary %q reports %s, which the scenario does not bound", sum, l.name)
+					}
+					continue
+				}
+				measured++
+				if want := fmt.Sprintf(" %s=%v (bound %v)", l.name, l.took, l.bound); !strings.Contains(sum, want) {
+					t.Errorf("summary %q lacks %q", sum, want)
+				}
+				if l.took > l.bound {
+					t.Errorf("%s took %v, bound %v", l.name, l.took, l.bound)
+				}
+			}
+			if measured == 0 {
+				t.Fatalf("%s bounds no latency", name)
+			}
+		})
+	}
+}
+
 // decisionStream draws the first n decisions of each "from>to" link under
 // rule r.
 func decisionStream(seed int64, links []string, n int, r faultnet.Rule) []faultnet.Decision {

@@ -163,6 +163,9 @@ type NodeReport struct {
 type Report struct {
 	Scenario string
 	Seed     int64
+	// Bounds are the scenario's bounds; a latency below is measured exactly
+	// when its bound is set.
+	Bounds Bounds
 	// Plan is the expanded fault plan (pure function of the scenario).
 	Plan string
 	// FaultLog and FaultStats are the injection-layer records in canonical
@@ -170,12 +173,13 @@ type Report struct {
 	FaultLog   string
 	FaultStats string
 	// AttachTime is how long all members took to attach (when measured).
+	// The three latencies are measured to pollStep.
 	AttachTime time.Duration
-	// RecoveryTime is how long re-attachment took after the last schedule
-	// change (when measured).
+	// RecoveryTime is how long after the last schedule change every member
+	// was attached again (when measured).
 	RecoveryTime time.Duration
-	// ReassignTime is how long every honest member took to re-attach after
-	// the schedule's last source crash (when MaxReassignTime is set) — the
+	// ReassignTime is how long after the schedule's last source crash every
+	// honest member was attached again (when MaxReassignTime is set) — the
 	// source failover latency.
 	ReassignTime time.Duration
 	// Nodes holds final member stats sorted by address (source first).
@@ -199,8 +203,10 @@ func (r *Report) fail(format string, args ...any) {
 // OK reports whether every bound held.
 func (r *Report) OK() bool { return len(r.Failures) == 0 }
 
-// Summary renders a one-line verdict.
+// Summary renders a one-line verdict, then each latency the run measured
+// against its bound.
 func (r *Report) Summary() string {
+	var b strings.Builder
 	if r.OK() {
 		members := 0
 		for _, nr := range r.Nodes {
@@ -208,9 +214,23 @@ func (r *Report) Summary() string {
 				members++
 			}
 		}
-		return fmt.Sprintf("%s seed=%d ok (%d nodes)", r.Scenario, r.Seed, members)
+		fmt.Fprintf(&b, "%s seed=%d ok (%d nodes)", r.Scenario, r.Seed, members)
+	} else {
+		fmt.Fprintf(&b, "%s seed=%d FAIL: %v", r.Scenario, r.Seed, r.Failures)
 	}
-	return fmt.Sprintf("%s seed=%d FAIL: %v", r.Scenario, r.Seed, r.Failures)
+	for _, l := range []struct {
+		name        string
+		took, bound time.Duration
+	}{
+		{"attach", r.AttachTime, r.Bounds.AttachWithin},
+		{"reassign", r.ReassignTime, r.Bounds.MaxReassignTime},
+		{"recovery", r.RecoveryTime, r.Bounds.RecoverWithin},
+	} {
+		if l.bound > 0 {
+			fmt.Fprintf(&b, " %s=%v (bound %v)", l.name, l.took, l.bound)
+		}
+	}
+	return b.String()
 }
 
 // Harness boots an overlay on an in-memory network behind a fault network,
@@ -503,6 +523,7 @@ func Run(scn Scenario) (*Report, error) {
 	rep := &Report{
 		Scenario: scn.Name,
 		Seed:     scn.Seed,
+		Bounds:   scn.Bounds,
 		Plan:     sch.FormatPlan(),
 	}
 
@@ -524,17 +545,28 @@ func Run(scn Scenario) (*Report, error) {
 		}
 	}
 
-	if remaining := start + scn.Duration - h.sim.Now(); remaining > 0 {
-		h.advance(remaining)
+	// Run the scenario out in pollStep steps. settled is the offset into
+	// the run by which the overlay was last seen to be whole again: the poll
+	// after the last one that found a member detached (or absent).
+	var settled time.Duration
+	for h.sim.Now() < start+scn.Duration {
+		h.advance(min(pollStep, start+scn.Duration-h.sim.Now()))
+		if !h.AllAttached() {
+			settled = h.sim.Now() + pollStep - start
+		}
 	}
 
-	// waitSince gives the overlay what is left of bound, counted from the
-	// offset at into the run, to be all attached, and returns how long after
-	// at that check ended.
+	// waitSince returns how long after the offset at into the run the
+	// overlay was whole again, giving it what is left of bound to get there
+	// when it is not whole at the end of the run, and whether that was
+	// within bound.
 	waitSince := func(at, bound time.Duration) (time.Duration, bool) {
-		base := start + at
-		_, ok := h.WaitAttached(max(bound-(h.sim.Now()-base), 0))
-		return h.sim.Now() - base, ok
+		if !h.AllAttached() {
+			h.WaitAttached(max(bound-(h.sim.Now()-start-at), 0))
+			settled = h.sim.Now() - start
+		}
+		took := max(settled-at, 0)
+		return took, took <= bound && h.AllAttached()
 	}
 	if b := scn.Bounds.MaxReassignTime; b > 0 {
 		// The failover clock starts at the last source kill.

@@ -19,8 +19,9 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -953,14 +954,18 @@ func (n *Node) tryJoin() {
 		p.inView = false
 	}
 	n.lastJoinTarget = ""
-	var cands []wire.MemberInfo
-	for _, p := range n.viewLocked() {
-		if p.info.Spare > 0 {
-			cands = append(cands, p.info)
+	var best *wire.MemberInfo
+	for _, p := range n.peers {
+		if p.inView && p.info.Spare > 0 && (best == nil || betterParent(&p.info, best)) {
+			best = &p.info
 		}
 	}
+	var target wire.Addr
+	if best != nil {
+		target = best.Addr
+	}
 	n.mu.Unlock()
-	if len(cands) == 0 {
+	if best == nil {
 		// Nothing usable known yet: ask the bootstrap members for their
 		// views (announcing ourselves in the same datagram).
 		for _, b := range n.cfg.Bootstrap {
@@ -972,17 +977,8 @@ func (n *Node) tryJoin() {
 		}
 		return
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Depth != cands[j].Depth {
-			return cands[i].Depth < cands[j].Depth
-		}
-		if cands[i].Spare != cands[j].Spare {
-			return cands[i].Spare > cands[j].Spare
-		}
-		return cands[i].Addr < cands[j].Addr
-	})
 	n.mu.Lock()
-	n.lastJoinTarget = cands[0].Addr
+	n.lastJoinTarget = target
 	n.met.joinAttempts.Inc()
 	now := n.now()
 	n.openEpisodeLocked(now, "boot")
@@ -994,10 +990,22 @@ func (n *Node) tryJoin() {
 	}
 	if n.joinSpan != nil {
 		n.attemptSpan = n.joinSpan.Child(tracing.KindAttempt, 0, n.traceAt(now)).
-			Attr("target", string(cands[0].Addr))
+			Attr("target", string(target))
 	}
 	n.mu.Unlock()
-	n.send(cands[0].Addr, wire.Envelope{Type: wire.TypeJoin, Bandwidth: n.cfg.Bandwidth})
+	n.send(target, wire.Envelope{Type: wire.TypeJoin, Bandwidth: n.cfg.Bandwidth})
+}
+
+// betterParent orders join candidates: minimum depth, then most spare
+// capacity, then lowest address, a total order over view entries.
+func betterParent(a, b *wire.MemberInfo) bool {
+	if a.Depth != b.Depth {
+		return a.Depth < b.Depth
+	}
+	if a.Spare != b.Spare {
+		return a.Spare > b.Spare
+	}
+	return a.Addr < b.Addr
 }
 
 func (n *Node) handleJoin(env wire.Envelope) {
@@ -1520,11 +1528,15 @@ func (n *Node) recoveryGroup() []wire.Addr {
 		addr    wire.Addr
 		overlap int
 	}
+	recs := make([]*peerRecord, 0, len(n.peers))
+	for _, p := range n.peers {
+		recs = append(recs, p)
+	}
 	var cands []scored
 	now := n.now()
-	for _, p := range n.viewLocked() {
+	for _, p := range recs {
 		addr := p.info.Addr
-		if banned[addr] {
+		if !p.inView || banned[addr] {
 			continue
 		}
 		// Quarantined peers leave the view at sentencing, but a race can
@@ -1547,11 +1559,11 @@ func (n *Node) recoveryGroup() []wire.Addr {
 		}
 		cands = append(cands, scored{addr: addr, overlap: overlap})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].overlap != cands[j].overlap {
-			return cands[i].overlap < cands[j].overlap
+	slices.SortFunc(cands, func(a, b scored) int {
+		if c := cmp.Compare(a.overlap, b.overlap); c != 0 {
+			return c
 		}
-		return cands[i].addr < cands[j].addr
+		return cmp.Compare(a.addr, b.addr)
 	})
 	k := n.cfg.RecoveryGroup
 	if k > len(cands) {
@@ -1657,21 +1669,16 @@ func (n *Node) viewSample(limit int) []wire.MemberInfo {
 // viewLocked returns the records in the view, most recently seen first and
 // by address (a record's info.Addr is its key) among equals. Requires mu.
 func (n *Node) viewLocked() []*peerRecord {
-	addrs := make([]wire.Addr, 0, len(n.peers))
-	for a := range n.peers {
-		addrs = append(addrs, a)
+	view := make([]*peerRecord, 0, len(n.peers))
+	for _, p := range n.peers {
+		view = append(view, p)
 	}
-	view := make([]*peerRecord, 0, len(addrs))
-	for _, a := range addrs {
-		if p := n.peers[a]; p.inView {
-			view = append(view, p)
+	view = slices.DeleteFunc(view, func(p *peerRecord) bool { return !p.inView })
+	slices.SortFunc(view, func(a, b *peerRecord) int {
+		if c := b.seen.Compare(a.seen); c != 0 {
+			return c
 		}
-	}
-	sort.Slice(view, func(i, j int) bool {
-		if c := view[i].seen.Compare(view[j].seen); c != 0 {
-			return c > 0
-		}
-		return view[i].info.Addr < view[j].info.Addr
+		return cmp.Compare(a.info.Addr, b.info.Addr)
 	})
 	return view
 }

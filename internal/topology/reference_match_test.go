@@ -73,11 +73,16 @@ func drawPair(cfg Config, rng *xrand.Source, kind pairKind) (u, v NodeID, ok boo
 	}
 }
 
+// wholeDomains is how many seeded stub domains a sampled comparison checks
+// pair by pair.
+const wholeDomains = 24
+
 // checkLayoutMatchesReference builds cfg both ways and requires the same
-// graph in the same order and the same delay for every pair asked about:
-// all of them when sampled is 0, that many seeded pairs spread evenly over
-// the pair kinds otherwise. It returns how many pairs of each kind it
-// compared.
+// graph in the same order, the same HomesByDelay rows and the same delay for
+// every pair asked about: all of them when sampled is 0, otherwise that many
+// seeded pairs spread evenly over the pair kinds plus every pair inside
+// wholeDomains seeded stub domains. It returns how many pairs of each kind
+// it compared.
 func checkLayoutMatchesReference(t *testing.T, cfg Config, sampled int) (seen [pairKinds]int) {
 	t.Helper()
 	ref, err := newReference(cfg)
@@ -114,6 +119,21 @@ func checkLayoutMatchesReference(t *testing.T, cfg Config, sampled int) (seen [p
 		t.Fatalf("VisitLinks made %d calls, reference %d", i, len(want))
 	}
 
+	// Every transit router's homes in the reference Dijkstra's settle order,
+	// ties included.
+	tn := ref.transitN
+	for h := NodeID(0); int(h) < tn; h++ {
+		row, want := topo.HomesByDelay(h), ref.homeOrder[int(h)*tn:int(h+1)*tn]
+		if len(row) != len(want) {
+			t.Fatalf("HomesByDelay(%d) has %d routers, reference %d", h, len(row), len(want))
+		}
+		for k, w := range row {
+			if w != want[k] {
+				t.Fatalf("HomesByDelay(%d)[%d] = %d, reference settled %d", h, k, w, want[k])
+			}
+		}
+	}
+
 	compare := func(u, v NodeID) {
 		if got, want := topo.Delay(u, v), ref.Delay(u, v); got != want {
 			t.Fatalf("Delay(%d,%d) = %v, reference %v", u, v, got, want)
@@ -134,6 +154,18 @@ func checkLayoutMatchesReference(t *testing.T, cfg Config, sampled int) (seen [p
 				seen[kind]++
 			}
 		}
+		// Each same-domain Delay is a search of its own, so compare every
+		// pair inside some whole domains as well.
+		n, domains := cfg.StubNodesPerDomain, tn*cfg.StubDomainsPerTransit
+		for i := 0; i < wholeDomains && domains > 0; i++ {
+			first := NodeID(tn + rng.Intn(domains)*n)
+			for a := first; a < first+NodeID(n); a++ {
+				for b := first; b < first+NodeID(n); b++ {
+					compare(a, b)
+					seen[pairSameDomain]++
+				}
+			}
+		}
 	}
 
 	// And both still agree with shortest paths over the whole graph.
@@ -151,9 +183,10 @@ func checkLayoutMatchesReference(t *testing.T, cfg Config, sampled int) (seen [p
 	return seen
 }
 
-// TestLayoutMatchesReference holds the flat build and the three-read Delay
-// to the per-router-append build and five-case Delay they replaced
-// (reference_test.go): same RNG draws, so the same links in the same order,
+// TestLayoutMatchesReference holds the flat build, the three-read Delay and
+// its on-demand stub searches to the per-router-append build, Floyd-Warshall
+// tables and five-case Delay they replaced (reference_test.go): same RNG
+// draws, so the same links in the same order, the same transit settle order,
 // and the same integer-nanosecond delay for every pair.
 func TestLayoutMatchesReference(t *testing.T) {
 	shape := func(transitDomains, transitNodes, stubDomains, stubNodes int) func(*Config) {
@@ -183,6 +216,14 @@ func TestLayoutMatchesReference(t *testing.T) {
 		{"no chords", func(c *Config) {
 			shape(3, 5, 2, 6)(c)
 			c.TransitChordProbability, c.StubChordProbability, c.ExtraInterDomainEdges = 0, 0, 0
+		}},
+		// One delay per tier ties most paths, so the settle order of equal
+		// delays and the stub searches' ties are pinned too.
+		{"equal delays", func(c *Config) {
+			shape(3, 8, 4, 8)(c)
+			c.TransitTransitDelay = [2]time.Duration{20 * time.Millisecond, 20 * time.Millisecond}
+			c.TransitStubDelay = [2]time.Duration{7 * time.Millisecond, 7 * time.Millisecond}
+			c.StubStubDelay = [2]time.Duration{3 * time.Millisecond, 3 * time.Millisecond}
 		}},
 	}
 	const seeds = 20

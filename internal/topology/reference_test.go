@@ -7,8 +7,11 @@ import (
 )
 
 // This file is the underlay as it was built and queried before the flat
-// layout: per-router append wiring, the branching Floyd-Warshall over one
-// table allocation per stub domain, and the five-case Delay that walks the
+// layout and the on-demand stub searches: per-router append wiring, the
+// branching Floyd-Warshall over one table allocation per stub domain, the
+// transit Dijkstra that walks past every gateway edge and records its settle
+// order on its own copy of the binary heap, so a production queue that broke
+// ties differently would show, and the five-case Delay that walks the
 // stubDomain structs. It is kept verbatim (types renamed ref*) as the oracle
 // TestLayoutMatchesReference compares the production build against.
 
@@ -39,7 +42,10 @@ type refTopology struct {
 	domains []refStubDomain
 	// transitDist is the all-pairs delay table over transit routers.
 	transitDist []time.Duration // T x T, row-major
-	transitN    int
+	// homeOrder's row h lists every transit router in the order the
+	// Dijkstra from h settled it.
+	homeOrder []NodeID // T x T, row-major
+	transitN  int
 }
 
 func newReference(cfg Config) (*refTopology, error) {
@@ -175,27 +181,37 @@ func (t *refTopology) wireStubDomains(rng *xrand.Source) {
 func (t *refTopology) buildTransitAPSP() {
 	n := t.transitN
 	t.transitDist = make([]time.Duration, n*n)
+	t.homeOrder = make([]NodeID, n*n)
+	pq := newRefDelayHeap(n)
 	for src := 0; src < n; src++ {
-		row := t.transitDist[src*n : (src+1)*n]
-		t.dijkstraTransit(NodeID(src), row)
+		t.dijkstraTransit(NodeID(src), t.transitDist[src*n:(src+1)*n], t.homeOrder[src*n:(src+1)*n], pq)
 	}
 }
 
+// linksOf returns router u's adjacency row.
+func (t *refTopology) linksOf(u NodeID) []edge { return t.adj[u] }
+
 // dijkstraTransit fills dist (length transitN) with shortest delays from src
-// using only transit-transit edges.
-func (t *refTopology) dijkstraTransit(src NodeID, dist []time.Duration) {
+// using only transit-transit edges, and order with the routers in the order
+// they settle. The transit core is connected by construction (a ring per
+// domain, a ring over domains), so every router settles exactly once: an
+// entry is pushed only on a strict improvement, so only a router's last entry
+// is not stale. pq must be empty and is left empty.
+func (t *refTopology) dijkstraTransit(src NodeID, dist []time.Duration, order []NodeID, pq *refDelayHeap) {
 	for i := range dist {
 		dist[i] = inf
 	}
 	dist[src] = 0
-	pq := newDelayHeap(t.transitN)
 	pq.push(src, 0)
+	settled := 0
 	for pq.len() > 0 {
 		u, du := pq.pop()
 		if du > dist[u] {
 			continue
 		}
-		for _, e := range t.adj[u] {
+		order[settled] = u
+		settled++
+		for _, e := range t.linksOf(u) {
 			if int(e.to) >= t.transitN {
 				continue // skip stub edges
 			}
@@ -292,4 +308,64 @@ func (t *refTopology) stubToTransit(s, tr NodeID) time.Duration {
 	dom := &t.domains[t.domain[s]]
 	return dom.intra(s, dom.gatewayStub) + dom.gatewayDelay +
 		t.transitDist[int(dom.transit)*t.transitN+int(tr)]
+}
+
+// refDelayHeap is a minimal binary heap specialised to (NodeID, delay) pairs;
+// it avoids container/heap interface overhead in the hot APSP loops. Both
+// sifts move a hole instead of swapping, one write per level.
+type refDelayHeap struct {
+	items []refHeapItem
+}
+
+type refHeapItem struct {
+	delay time.Duration
+	id    NodeID
+}
+
+func newRefDelayHeap(capacity int) *refDelayHeap {
+	return &refDelayHeap{items: make([]refHeapItem, 0, capacity)}
+}
+
+func (h *refDelayHeap) len() int { return len(h.items) }
+
+func (h *refDelayHeap) push(id NodeID, d time.Duration) {
+	h.items = append(h.items, refHeapItem{})
+	items := h.items
+	i := len(items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if items[parent].delay <= d {
+			break
+		}
+		items[i] = items[parent]
+		i = parent
+	}
+	items[i] = refHeapItem{delay: d, id: id}
+}
+
+func (h *refDelayHeap) pop() (NodeID, time.Duration) {
+	top := h.items[0]
+	last := len(h.items) - 1
+	moved := h.items[last]
+	h.items = h.items[:last]
+	items := h.items
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && items[r].delay < items[child].delay {
+			child = r
+		}
+		if items[child].delay >= moved.delay {
+			break
+		}
+		items[i] = items[child]
+		i = child
+	}
+	if last > 0 {
+		items[i] = moved
+	}
+	return top.id, top.delay
 }

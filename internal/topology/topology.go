@@ -13,22 +13,25 @@
 //	d(u,v) = d_stub(u -> gw_u) + w(gw edge) + d_transit(t_u, t_v)
 //	       + w(gw edge) + d_stub(gw_v -> v)
 //
-// with per-domain all-pairs tables (tiny) and one all-pairs table over the
-// 240-node transit core. Exactness against full-graph Dijkstra is verified in
+// with each stub router's delay up to its gateway (one search of its domain)
+// and one all-pairs table over the 240-node transit core. Two routers of one
+// stub domain, a fraction of a percent of queries, are answered by searching
+// that domain on demand. Exactness against full-graph Dijkstra is verified in
 // the tests.
 //
 // A Topology is immutable once built, generation is deterministic in its
 // Config, and a build costs milliseconds where a query costs nanoseconds.
 // Shared therefore hands every session that asks for one Config the same
 // Topology; New is the uncached build underneath it. Everything is laid out
-// flat — one adjacency array, one stub table array, one 16-byte record per
-// router — so a build makes a dozen allocations whatever the router count and
-// Delay is three reads (DESIGN.md §17, "Underlay: built once,
+// flat — one adjacency array, one 16-byte record per router, the transit
+// tables — so a build makes a dozen allocations whatever the router count and
+// Delay across domains is three reads (DESIGN.md §17, "Underlay: built once,
 // read flat").
 package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"omcast/internal/parallel"
@@ -207,11 +210,6 @@ type Topology struct {
 	// homeOrder's row h lists every transit router in the order the
 	// Dijkstra from h settled it: nondecreasing delay from h, h first.
 	homeOrder []NodeID // T x T, row-major
-	// stubDist holds one row per stub router, in ID order: its delay to each
-	// of the stubN routers of its own domain. Domains are contiguous and
-	// equally sized, so domain d's all-pairs table is the stubN x stubN
-	// block at d*stubN*stubN.
-	stubDist []time.Duration
 }
 
 // New generates a topology from cfg. Generation is deterministic in
@@ -237,7 +235,7 @@ func New(cfg Config) (*Topology, error) {
 	links, gateways := t.wireStubDomains(rng, links)
 	t.layOutAdjacency(links)
 	t.buildTransitAPSP()
-	t.buildStubAPSP(gateways)
+	t.upDelays(gateways)
 	return t, nil
 }
 
@@ -396,17 +394,20 @@ func (t *Topology) buildTransitAPSP() {
 	t.homeOrder = make([]NodeID, n*n)
 	pq := newDelayHeap(n)
 	for src := 0; src < n; src++ {
-		t.dijkstraTransit(NodeID(src), t.transitDist[src*n:(src+1)*n], t.homeOrder[src*n:(src+1)*n], pq)
+		t.dijkstra(NodeID(src), t.transitDist[src*n:(src+1)*n], t.homeOrder[src*n:(src+1)*n], pq)
 	}
 }
 
-// dijkstraTransit fills dist (length transitN) with shortest delays from src
-// using only transit-transit edges, and order with the routers in the order
-// they settle. The transit core is connected by construction (a ring per
-// domain, a ring over domains), so every router settles exactly once: an
-// entry is pushed only on a strict improvement, so only a router's last entry
-// is not stale. pq must be empty and is left empty.
-func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration, order []NodeID, pq *delayHeap) {
+// dijkstra fills dist with shortest delays from src over the routers below
+// len(dist) — the transit core at transitN, the whole graph at Size() — and
+// order, unless nil, with the routers in the order they settle. The core is
+// wired first, so a transit router's row lists its core links before its
+// gateway links and a walk of the core stops at the first link out of it.
+// The core is connected by construction (a ring per domain, a ring over
+// domains), so every router settles exactly once: an entry is pushed only on
+// a strict improvement, so only a router's last entry is not stale. pq must
+// be empty and is left empty.
+func (t *Topology) dijkstra(src NodeID, dist []time.Duration, order []NodeID, pq *delayHeap) {
 	for i := range dist {
 		dist[i] = inf
 	}
@@ -418,11 +419,13 @@ func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration, order []Nod
 		if du > dist[u] {
 			continue
 		}
-		order[settled] = u
-		settled++
+		if order != nil {
+			order[settled] = u
+			settled++
+		}
 		for _, e := range t.linksOf(u) {
-			if int(e.to) >= t.transitN {
-				continue // skip stub edges
+			if int(e.to) >= len(dist) {
+				break // the rest of a transit router's row is gateway links
 			}
 			if nd := du + e.delay; nd < dist[e.to] {
 				dist[e.to] = nd
@@ -432,42 +435,79 @@ func (t *Topology) dijkstraTransit(src NodeID, dist []time.Duration, order []Nod
 	}
 }
 
-// buildStubAPSP fills stubDist with Floyd-Warshall per domain (domains are
-// small, typically 16 routers) and derives every stub router's up delay
-// from its domain's finished table and gateway link.
-func (t *Topology) buildStubAPSP(gateways []link) {
-	n := t.stubN
-	t.stubDist = make([]time.Duration, t.StubCount()*n)
-	for i := range t.stubDist {
-		t.stubDist[i] = inf
+// upDelays sets every stub router's up delay: its domain's search from the
+// gateway (delays are symmetric) plus the gateway edge.
+func (t *Topology) upDelays(gateways []link) {
+	dist, open := make([]time.Duration, t.stubN), make([]uint64, (t.stubN+63)/64)
+	for _, gateway := range gateways {
+		t.domainSearch(gateway.u, None, dist, open)
+		first := t.domainFirst(gateway.u)
+		for i, d := range dist {
+			t.routers[first+NodeID(i)].up = d + gateway.delay
+		}
 	}
-	for d, gateway := range gateways {
-		first := NodeID(t.transitN + d*n)
-		table := t.stubDist[d*n*n : (d+1)*n*n]
-		for i := 0; i < n; i++ {
-			row := table[i*n : (i+1)*n]
-			row[i] = 0
-			for _, e := range t.linksOf(first + NodeID(i)) {
-				if t.routers[e.to].domain != int32(d) {
-					continue // the gateway edge leaves the domain
+}
+
+// domainScratch is the largest stub domain Delay searches on stack scratch:
+// the paper's domains have 16 routers, SmallTopology's 8.
+const domainScratch = 16
+
+// intraDomain returns the delay between two routers of one stub domain,
+// searching the domain on demand: such pairs are a fraction of a percent of
+// Delay calls, too few to pay for a table per domain at every build.
+func (t *Topology) intraDomain(u, v NodeID) time.Duration {
+	var distBuf [domainScratch]time.Duration
+	var openBuf [(domainScratch + 63) / 64]uint64
+	dist, open := distBuf[:], openBuf[:]
+	if t.stubN > domainScratch {
+		dist, open = make([]time.Duration, t.stubN), make([]uint64, (t.stubN+63)/64)
+	}
+	t.domainSearch(u, v, dist[:t.stubN], open)
+	return dist[v-t.domainFirst(u)]
+}
+
+// domainFirst returns the first router of stub router u's domain.
+func (t *Topology) domainFirst(u NodeID) NodeID {
+	return u - (u-NodeID(t.transitN))%NodeID(t.stubN)
+}
+
+// domainSearch runs Dijkstra from stub router src over its domain's own
+// links into dist, indexed by offset in the domain, until router stop
+// settles (None: until all have). The gateway edge leaves the domain and is
+// skipped. Domains are a handful of routers, so the next to settle is found
+// by scanning open, a bit per reached, unsettled router, not by a heap.
+// Delays are positive integer nanoseconds, so no settled router reopens and
+// every settled delay equals Floyd-Warshall's bit for bit.
+func (t *Topology) domainSearch(src, stop NodeID, dist []time.Duration, open []uint64) {
+	first := t.domainFirst(src)
+	for i := range dist {
+		dist[i] = inf
+	}
+	clear(open)
+	s := int(src - first)
+	dist[s], open[s/64] = 0, 1<<(s%64)
+	for {
+		next, dn := -1, inf
+		for w, word := range open {
+			for ; word != 0; word &= word - 1 {
+				if i := w*64 + bits.TrailingZeros64(word); dist[i] < dn {
+					next, dn = i, dist[i]
 				}
-				j := int(e.to - first)
-				row[j] = min(row[j], e.delay)
 			}
 		}
-		for k := 0; k < n; k++ {
-			viaK := table[k*n : (k+1)*n]
-			for i := 0; i < n; i++ {
-				row := table[i*n : (i+1)*n]
-				toK := row[k]
-				for j, fromK := range viaK {
-					row[j] = min(row[j], toK+fromK)
-				}
-			}
+		if next < 0 || first+NodeID(next) == stop {
+			return
 		}
-		g := int(gateway.u - first)
-		for i := 0; i < n; i++ {
-			t.routers[first+NodeID(i)].up = table[i*n+g] + gateway.delay
+		open[next/64] &^= 1 << (next % 64)
+		for _, e := range t.linksOf(first + NodeID(next)) {
+			j := int(e.to - first)
+			if uint(j) >= uint(len(dist)) {
+				continue // the gateway edge leaves the domain
+			}
+			if d := dn + e.delay; d < dist[j] {
+				dist[j] = d
+				open[j/64] |= 1 << (j % 64)
+			}
 		}
 	}
 }
@@ -509,12 +549,10 @@ func (t *Topology) VisitLinks(fn func(a, b NodeID, delay time.Duration)) {
 	}
 }
 
-// Delay returns the shortest-path delay between two routers using the
-// hierarchical oracle. It is exact for the generated single-homed topologies
-// (verified against full-graph Dijkstra in tests).
-//
-// Two routers of one stub domain read that domain's table. Every other pair
-// routes through both routers' home transit routers, so the answer is
+// Delay returns the shortest-path delay between two routers, exact for the
+// generated single-homed topologies (verified against full-graph Dijkstra in
+// tests). Two routers of one stub domain search that domain; every other
+// pair routes through both routers' home transit routers, so the answer is
 // up[u] + transitDist[home u][home v] + up[v]; a transit router is its own
 // home at up = 0, which folds the stub-transit and transit-transit cases
 // into the same three reads. Delays are integer nanoseconds, so regrouping
@@ -525,8 +563,7 @@ func (t *Topology) Delay(u, v NodeID) time.Duration {
 	}
 	ru, rv := t.routers[u], t.routers[v]
 	if ru.domain == rv.domain && ru.domain >= 0 {
-		first := t.transitN + int(ru.domain)*t.stubN
-		return t.stubDist[(int(u)-t.transitN)*t.stubN+int(v)-first]
+		return t.intraDomain(u, v)
 	}
 	return ru.up + t.transitDist[int(ru.home)*t.transitN+int(rv.home)] + rv.up
 }
@@ -557,24 +594,7 @@ func (t *Topology) HomesByDelay(h NodeID) []NodeID {
 // hot paths use Delay.
 func (t *Topology) DijkstraFrom(src NodeID) []time.Duration {
 	dist := make([]time.Duration, len(t.routers))
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[src] = 0
-	pq := newDelayHeap(len(t.routers))
-	pq.push(src, 0)
-	for pq.len() > 0 {
-		u, du := pq.pop()
-		if du > dist[u] {
-			continue
-		}
-		for _, e := range t.linksOf(u) {
-			if nd := du + e.delay; nd < dist[e.to] {
-				dist[e.to] = nd
-				pq.push(e.to, nd)
-			}
-		}
-	}
+	t.dijkstra(src, dist, nil, newDelayHeap(len(t.routers)))
 	return dist
 }
 
