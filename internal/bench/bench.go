@@ -180,24 +180,19 @@ func benchIntervalAccount(b *testing.B) {
 	}
 }
 
+// benchDelay times Delay on the queries a session asks: both ends are member
+// routers drawn with RandomStub on the paper's underlay, as churn places
+// members, so pairs sharing a stub domain are as rare as in a run.
 func benchDelay(b *testing.B) {
-	cfg := topology.DefaultConfig(1)
-	cfg.TransitDomains = 2
-	cfg.TransitNodesPerDomain = 4
-	cfg.StubDomainsPerTransit = 2
-	cfg.StubNodesPerDomain = 8
-	topo, err := topology.New(cfg)
+	topo, err := topology.New(topology.DefaultConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := xrand.New(2)
-	n := topo.Size()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := topology.NodeID(rng.Intn(n))
-		v := topology.NodeID(rng.Intn(n))
-		if d := topo.Delay(u, v); d < 0 {
+		if d := topo.Delay(topo.RandomStub(rng), topo.RandomStub(rng)); d < 0 {
 			b.Fatal("negative delay")
 		}
 	}

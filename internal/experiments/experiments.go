@@ -13,10 +13,13 @@
 // Figure 13's 5 s row is Figure 12's own cells.
 //
 // The cells a Runner lacks run as independent seeded work units on a bounded
-// worker pool (internal/parallel). Outcomes, metric registries and progress
-// lines are then delivered in the experiment's canonical cell order, so
-// tables, progress lines and metric snapshots are byte-identical for every
-// worker count and whichever cells were memo hits. See DESIGN.md §12.
+// worker pool (internal/parallel). Stream cells that differ only in recovery
+// scheme, group size and buffer play over one churned tree, so a unit may
+// hold several of them and simulate the tree once. Outcomes, metric
+// registries and progress lines are then delivered in the experiment's
+// canonical cell order, so tables, progress lines and metric snapshots are
+// byte-identical for every worker count and whichever cells were memo hits.
+// See DESIGN.md §12.
 package experiments
 
 import (
@@ -81,11 +84,11 @@ type Options struct {
 	// cells have run, in cell order regardless of Workers; the callback is
 	// only ever invoked from the goroutine calling Run.
 	Progress func(format string, args ...any)
-	// Metrics, when non-nil, accumulates every run's instruments. Each cell
-	// records into a private registry that is merged into this one in cell
-	// order (see metrics.Registry.Merge), which mirrors sequential sessions
-	// sharing the registry and keeps snapshots byte-identical across worker
-	// counts.
+	// Metrics, when non-nil, accumulates every run's instruments. Each cell's
+	// session and stream model record into private registries that are
+	// merged into this one in cell order (see metrics.Registry.Merge), which
+	// mirrors sequential sessions sharing the registry and keeps snapshots
+	// byte-identical across worker counts.
 	Metrics *metrics.Registry
 }
 
@@ -184,7 +187,7 @@ type kind uint8
 const (
 	runTree    kind = iota // omcast.Run
 	runTracked             // omcast.RunTracked with one typical member
-	runStream              // omcast.RunStreaming
+	runStream              // omcast.RunStreamingGroup
 	runPair                // Figure 14's ROST+CER run, then its min-depth single-source baseline
 	runScale               // omcast.RunScale
 )
@@ -262,20 +265,22 @@ func chunks(out []outcome, n int) [][]outcome {
 }
 
 // outcome is a cell's result; the cell's kind decides which fields are set.
-// reg is the private registry the simulation recorded into (nil without
-// Options.Metrics).
+// reg is the private registry the cell's churn sessions recorded into, shared
+// by the cells that played over the same tree, and streamReg the one its
+// stream models recorded into (both nil without Options.Metrics).
 type outcome struct {
 	cell
-	tree   omcast.TreeResult // runTree and runScale
-	events uint64            // runScale
-	series omcast.TrackedSeries
-	stream omcast.StreamResult // runStream, and runPair's ROST+CER half
-	base   omcast.StreamResult // runPair's baseline half
-	reg    *metrics.Registry
+	tree      omcast.TreeResult // runTree and runScale
+	events    uint64            // runScale
+	series    omcast.TrackedSeries
+	stream    omcast.StreamResult // runStream, and runPair's ROST+CER half
+	base      omcast.StreamResult // runPair's baseline half
+	reg       *metrics.Registry
+	streamReg *metrics.Registry
 }
 
-// run simulates c under o, recording into o.Metrics.
-func (c cell) run(o Options) (outcome, error) {
+// config is the session c names under o, recording into reg.
+func (c cell) config(o Options, reg *metrics.Registry) omcast.Config {
 	cfg := omcast.Config{
 		Seed:                  c.seed,
 		Algorithm:             c.alg,
@@ -286,14 +291,120 @@ func (c cell) run(o Options) (outcome, error) {
 		DisableAncestorRejoin: c.noAncestorRejoin,
 		Warmup:                o.Warmup,
 		Measure:               o.Measure,
-		Metrics:               o.Metrics,
+		Metrics:               reg,
 		Paranoid:              o.Paranoid,
 	}
 	if o.Quick {
 		cfg.Topology = omcast.SmallTopology()
 	}
-	scfg := omcast.StreamConfig{Recovery: c.recovery, GroupSize: c.k, Buffer: c.buffer}
-	out := outcome{cell: c, reg: o.Metrics}
+	return cfg
+}
+
+// sharesTree reports whether c plays its stream over a tree other cells may
+// share: stream and pair cells that differ only in their packet-level fields
+// (recovery, k, buffer) name one churn session.
+func (c cell) sharesTree() bool { return c.kind == runStream || c.kind == runPair }
+
+// treeKey is c without its packet-level fields: the session it plays over.
+func (c cell) treeKey() cell {
+	c.recovery, c.k, c.buffer = 0, 0, 0
+	return c
+}
+
+// units splits the missing cells into work units. Each tree-level cell is a
+// unit of its own. Cells sharing a tree are dealt round-robin into at most
+// workers units, so a group still spreads over the pool, and each unit plays
+// its cells over one session (two for pairs). Units run largest tree first,
+// so the longest sessions do not start last.
+func units(missing []cell, workers int) [][]cell {
+	var out, groups [][]cell
+	for _, c := range missing {
+		if !c.sharesTree() {
+			out = append(out, []cell{c})
+			continue
+		}
+		i := slices.IndexFunc(groups, func(g []cell) bool { return g[0].treeKey() == c.treeKey() })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], c)
+	}
+	for _, g := range groups {
+		dealt := make([][]cell, min(len(g), workers))
+		for i, c := range g {
+			dealt[i%len(dealt)] = append(dealt[i%len(dealt)], c)
+		}
+		out = append(out, dealt...)
+	}
+	slices.SortStableFunc(out, func(a, b []cell) int { return cmp.Compare(b[0].size, a[0].size) })
+	return out
+}
+
+// runUnit simulates one unit under o; with o.Metrics set, every session and
+// stream model records into a fresh private registry.
+func runUnit(cells []cell, o Options) ([]outcome, error) {
+	fresh := func() *metrics.Registry {
+		if o.Metrics == nil {
+			return nil
+		}
+		return metrics.NewRegistry()
+	}
+	if c := cells[0]; !c.sharesTree() {
+		out, err := c.run(o, fresh())
+		return []outcome{out}, err
+	}
+	reg := fresh()
+	cfg := cells[0].config(o, reg)
+	scfgs := make([]omcast.StreamConfig, len(cells))
+	regs := make([]*metrics.Registry, len(cells))
+	for i, c := range cells {
+		scfgs[i] = omcast.StreamConfig{Recovery: c.recovery, GroupSize: c.k, Buffer: c.buffer}
+		regs[i] = fresh()
+	}
+	res, err := omcast.RunStreamingGroup(cfg, scfgs, regs)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]outcome, len(cells))
+	for i, c := range cells {
+		outs[i] = outcome{cell: c, stream: res[i], reg: reg, streamReg: regs[i]}
+	}
+	if cells[0].kind != runPair {
+		return outs, nil
+	}
+	// The min-depth single-source baselines play over a second session whose
+	// registries start as copies of the first's, so each pair's registries
+	// accumulate the two sessions in the order they ran, as one registry
+	// shared by both would: merging afterwards would sum the histograms in
+	// another order.
+	cfg.Algorithm, cfg.Metrics = omcast.MinimumDepth, copyOf(reg)
+	for i := range cells {
+		scfgs[i].Recovery, regs[i] = omcast.SingleSource, copyOf(regs[i])
+	}
+	if res, err = omcast.RunStreamingGroup(cfg, scfgs, regs); err != nil {
+		return nil, err
+	}
+	for i := range outs {
+		outs[i].base, outs[i].reg, outs[i].streamReg = res[i], cfg.Metrics, regs[i]
+	}
+	return outs, nil
+}
+
+// copyOf is a new registry holding what reg holds; nil for a nil reg.
+func copyOf(reg *metrics.Registry) *metrics.Registry {
+	if reg == nil {
+		return nil
+	}
+	c := metrics.NewRegistry()
+	c.Merge(reg)
+	return c
+}
+
+// run simulates the tree-level cell c under o, recording into reg.
+func (c cell) run(o Options, reg *metrics.Registry) (outcome, error) {
+	cfg := c.config(o, reg)
+	out := outcome{cell: c, reg: reg}
 	var err error
 	switch c.kind {
 	case runTree:
@@ -304,15 +415,6 @@ func (c cell) run(o Options) (outcome, error) {
 			observe = 60 * time.Minute
 		}
 		out.series, _, err = omcast.RunTracked(cfg, 2, observe)
-	case runStream:
-		out.stream, err = omcast.RunStreaming(cfg, scfg)
-	case runPair:
-		// Both halves record into one registry, baseline second: merging two
-		// registries instead would sum the histograms in another order.
-		if out.stream, err = omcast.RunStreaming(cfg, scfg); err == nil {
-			cfg.Algorithm, scfg.Recovery = omcast.MinimumDepth, omcast.SingleSource
-			out.base, err = omcast.RunStreaming(cfg, scfg)
-		}
 	case runScale:
 		var res omcast.ScaleResult
 		res, err = omcast.RunScale(cfg)
@@ -703,8 +805,9 @@ type Runner struct {
 	// undelivered holds the groups yet to deliver their progress lines and
 	// registries.
 	undelivered map[string]bool
-	// sims counts the simulations run.
-	sims int
+	// sims counts the simulations run, and sessions the churn sessions they
+	// took: cells sharing a tree play over one.
+	sims, sessions int
 }
 
 // NewRunner builds a Runner over the given options.
@@ -723,9 +826,9 @@ func NewRunner(opts Options) *Runner {
 }
 
 // runCells simulates, on the worker pool, the cells the memo lacks. Each
-// unit records into a private registry and touches no Runner state; its
-// seeds come from its cell alone, so an outcome never depends on which
-// worker ran it or when.
+// unit records into private registries and touches no Runner state; its
+// seeds come from its cells alone, so an outcome never depends on which
+// worker ran it, when, or which cells shared its tree.
 func (r *Runner) runCells(cells []cell) error {
 	var missing []cell
 	for _, c := range cells {
@@ -733,30 +836,33 @@ func (r *Runner) runCells(cells []cell) error {
 			missing = append(missing, c)
 		}
 	}
-	outs, err := parallel.Run(r.opts.Workers, len(missing), func(i int) (outcome, error) {
-		o := r.opts
-		if o.Metrics != nil {
-			o.Metrics = metrics.NewRegistry()
-		}
-		return missing[i].run(o)
+	work := units(missing, parallel.Workers(r.opts.Workers))
+	outs, err := parallel.Run(r.opts.Workers, len(work), func(i int) ([]outcome, error) {
+		return runUnit(work[i], r.opts)
 	})
 	if err != nil {
 		return err
 	}
-	for _, out := range outs {
-		r.memo[out.cell] = out
-		r.sims++
-		if out.kind == runPair {
-			r.sims++ // and its baseline
+	for i, unit := range outs {
+		r.sessions++
+		if work[i][0].kind == runPair {
+			r.sessions++ // and its baselines
+		}
+		for _, out := range unit {
+			r.memo[out.cell] = out
+			r.sims++
+			if out.kind == runPair {
+				r.sims++ // and its baseline
+			}
 		}
 	}
 	return nil
 }
 
 // Run executes one experiment by ID. It simulates the cells the memo lacks,
-// then delivers the experiment's group once per Runner: each cell's registry
-// is merged into Options.Metrics in cell order and the progress lines are
-// emitted. Memo hits are merged too, so a table's snapshot counts the
+// then delivers the experiment's group once per Runner: each cell's tree
+// registry and then its stream registry are merged into Options.Metrics in
+// cell order and the progress lines are emitted. Memo hits are merged too, so a table's snapshot counts the
 // sessions it reports whichever tables ran before it.
 func (r *Runner) Run(id string) (Table, error) {
 	i := slices.IndexFunc(r.exps, func(e experiment) bool { return e.id == id })
@@ -782,12 +888,14 @@ func (r *Runner) Run(id string) (Table, error) {
 		if !deliver {
 			continue
 		}
-		if out[j].reg != nil {
-			r.opts.Metrics.Merge(out[j].reg)
+		for _, reg := range []*metrics.Registry{out[j].reg, out[j].streamReg} {
+			if reg != nil {
+				r.opts.Metrics.Merge(reg)
+			}
 		}
 		if r.readers[c]--; r.readers[c] == 0 {
 			kept := r.memo[c]
-			kept.reg = nil
+			kept.reg, kept.streamReg = nil, nil
 			r.memo[c] = kept
 		}
 	}

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"omcast"
 )
 
 func quickRunner() *Runner {
@@ -250,5 +253,66 @@ func TestTableCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], `""quotes""`) {
 		t.Fatalf("quote cell not escaped: %q", lines[1])
+	}
+}
+
+// TestUnitsShareOnlyOneTree: stream and pair cells share a unit only when
+// they name one churn session, differing in recovery, K or buffer alone; a
+// shared tree is dealt round-robin over at most the workers; every other
+// cell runs alone; the largest tree runs first.
+func TestUnitsShareOnlyOneTree(t *testing.T) {
+	o := Options{Seed: 1}
+	base := o.streamCell(1000, 1)
+	vary := func(set func(*cell)) cell {
+		c := base
+		set(&c)
+		return c
+	}
+	shared := []cell{
+		base,
+		vary(func(c *cell) { c.k = 2 }),
+		vary(func(c *cell) { c.buffer = 20 * time.Second }),
+		vary(func(c *cell) { c.recovery = omcast.SingleSource }),
+	}
+	apart := []cell{
+		vary(func(c *cell) { c.alg = omcast.ROST }),
+		vary(func(c *cell) { c.seed = 2 }),
+		vary(func(c *cell) { c.interval = 480 * time.Second }),
+		vary(func(c *cell) { c.size = 2000 }),
+		vary(func(c *cell) { c.kind = runPair }),
+		vary(func(c *cell) { c.noAncestorRejoin = true }),
+		vary(func(c *cell) { c.priority = true }),
+		vary(func(c *cell) { c.noBandwidthGuard = true }),
+		o.treeCell(omcast.MinimumDepth, 1000),
+	}
+	unitOf := func(work [][]cell, c cell) []cell {
+		for _, u := range work {
+			if slices.Contains(u, c) {
+				return u
+			}
+		}
+		t.Fatalf("cell %+v is in no unit", c)
+		return nil
+	}
+	work := units(append(slices.Clone(shared), apart...), 1)
+	if len(work) != 1+len(apart) {
+		t.Fatalf("one worker: %d units, want %d", len(work), 1+len(apart))
+	}
+	if u := unitOf(work, base); !slices.Equal(u, shared) {
+		t.Errorf("one worker: the shared tree's unit is %+v, want %+v", u, shared)
+	}
+	for _, c := range apart {
+		if u := unitOf(work, c); len(u) != 1 {
+			t.Errorf("cell %+v shares a unit with %d others", c, len(u)-1)
+		}
+	}
+	if work[0][0].size != 2000 {
+		t.Errorf("first unit is %+v, want the largest tree", work[0])
+	}
+
+	work = units(shared, 2)
+	want := [][]cell{{shared[0], shared[2]}, {shared[1], shared[3]}}
+	if !slices.EqualFunc(work, want, slices.Equal[[]cell]) {
+		t.Errorf("two workers: units %+v, want %+v", work, want)
 	}
 }

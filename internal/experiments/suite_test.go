@@ -91,7 +91,9 @@ func TestFigureSuiteGolden(t *testing.T) {
 // fig6) emit no progress because their group already delivered it. The
 // suite runs each distinct simulation once: the counts are pinned, so a
 // cell that forgets a field that changes its result (its buffer, its seed)
-// collapses distinct simulations into one and fails here.
+// collapses distinct simulations into one and fails here. So are the churn
+// sessions they take at the workers used: stream and pair cells on one tree
+// share a session per unit, and a unit is at most a worker's share of them.
 func TestSuiteMatchesFreshRunners(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the suite once per experiment; skipped in -short mode")
@@ -113,19 +115,23 @@ func TestSuiteMatchesFreshRunners(t *testing.T) {
 			t.Errorf("%s: suite progress %q, fresh Runner %q", e.id, suite[i].progress, want.progress)
 		}
 	}
-	// 61 sessions before the memo: Figure 5 repeated five sweep runs, Figure
-	// 13 three of Figure 12's, and the ablations five more.
-	if r.sims != 49 {
-		t.Errorf("suite ran %d simulations, want 49", r.sims)
+	// 61 simulations before the memo: Figure 5 repeated five sweep runs,
+	// Figure 13 three of Figure 12's, and the ablations five more. At two
+	// workers the 49 take 40 churn sessions.
+	if r.sims != 49 || r.sessions != 40 {
+		t.Errorf("suite ran %d simulations in %d sessions, want 49 in 40", r.sims, r.sessions)
 	}
 
 	// The benchmark's figures shape: Figures 4-14 at sizes {1000, 2000} and
-	// size 1000 on the paper's underlay. 62 sessions before the memo; all of
-	// Figure 5's and Figure 13's 5 s row repeat earlier ones.
+	// size 1000 on the paper's underlay. 62 simulations before the memo; all
+	// of Figure 5's and Figure 13's 5 s row repeat earlier ones. At two
+	// workers Figure 12's two trees take 4 sessions, Figure 13's one tree 2
+	// and Figure 14's 6 pairs over four trees 8: 33 sessions in all, 19 of
+	// them tree-level.
 	figures := Options{Seed: 1, Sizes: []int{1000, 2000}, Size: 1000, Warmup: 20 * time.Minute, Measure: 20 * time.Minute,
 		Replicas: 2, SweepSeeds: 1, ScaleSizes: []int{1000}, Workers: 2, Metrics: metrics.NewRegistry()}
 	_, _, r = runSuite(t, figures, IDs()[:11])
-	if r.sims != 54 {
-		t.Errorf("figures shape ran %d simulations, want 54", r.sims)
+	if r.sims != 54 || r.sessions != 33 {
+		t.Errorf("figures shape ran %d simulations in %d sessions, want 54 in 33", r.sims, r.sessions)
 	}
 }

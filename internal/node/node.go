@@ -1649,7 +1649,8 @@ func (n *Node) gossip() {
 func (n *Node) announceMembers() []wire.MemberInfo { return n.viewSample(9) }
 
 // viewSample returns up to limit member records: our own (when we hold a
-// tree position) first, then view entries in viewLocked's order.
+// tree position) first, then the view's first entries in viewOrder. Only
+// the entries sent are sorted: a selection finds them first.
 func (n *Node) viewSample(limit int) []wire.MemberInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -1657,40 +1658,75 @@ func (n *Node) viewSample(limit int) []wire.MemberInfo {
 	if n.attached || n.cfg.Source {
 		out = append(out, n.selfInfoLocked())
 	}
-	for _, p := range n.viewLocked() {
-		if len(out) >= limit {
-			break
-		}
+	view := n.viewLocked()
+	if k := max(limit-len(out), 0); k < len(view) {
+		selectView(view, k) // the k records before view[k] are the first k
+		view = view[:k]
+	}
+	slices.SortFunc(view, viewOrder)
+	for _, p := range view {
 		out = append(out, p.info)
 	}
 	return out
 }
 
-// viewLocked returns the records in the view, most recently seen first and
-// by address (a record's info.Addr is its key) among equals. Requires mu.
+// viewLocked returns the records in the view, in no particular order.
+// Requires mu.
 func (n *Node) viewLocked() []*peerRecord {
 	view := make([]*peerRecord, 0, len(n.peers))
 	for _, p := range n.peers {
 		view = append(view, p)
 	}
-	view = slices.DeleteFunc(view, func(p *peerRecord) bool { return !p.inView })
-	slices.SortFunc(view, func(a, b *peerRecord) int {
-		if c := b.seen.Compare(a.seen); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.info.Addr, b.info.Addr)
-	})
-	return view
+	return slices.DeleteFunc(view, func(p *peerRecord) bool { return !p.inView })
 }
 
-// gossipTarget draws the gossip partner uniformly from the view, from the
-// node's seeded gossip stream; with an empty view it is the first bootstrap
-// member.
+// viewOrder is the order view entries are sent and drawn in: most recently
+// seen first, then by address (a record's info.Addr is its key), so it is
+// total.
+func viewOrder(a, b *peerRecord) int {
+	if c := b.seen.Compare(a.seen); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.info.Addr, b.info.Addr)
+}
+
+// selectView reorders view so that view[k] is the record sorted position k
+// would hold under viewOrder and every record before it precedes it, and
+// returns view[k]: a quickselect, linear on average where a sort is not.
+// viewOrder is total, so the answer does not depend on the input order.
+func selectView(view []*peerRecord, k int) *peerRecord {
+	lo, hi := 0, len(view)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		view[mid], view[hi] = view[hi], view[mid]
+		pivot, i := view[hi], lo
+		for j := lo; j < hi; j++ {
+			if viewOrder(view[j], pivot) < 0 {
+				view[i], view[j] = view[j], view[i]
+				i++
+			}
+		}
+		view[i], view[hi] = view[hi], view[i]
+		switch {
+		case k < i:
+			hi = i - 1
+		case k > i:
+			lo = i + 1
+		default:
+			return view[i]
+		}
+	}
+	return view[k]
+}
+
+// gossipTarget draws the gossip partner uniformly from the view, in
+// viewOrder, from the node's seeded gossip stream; with an empty view it is
+// the first bootstrap member.
 func (n *Node) gossipTarget() wire.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if view := n.viewLocked(); len(view) > 0 {
-		return view[n.gossipRng.Intn(len(view))].info.Addr
+		return selectView(view, n.gossipRng.Intn(len(view))).info.Addr
 	}
 	if len(n.cfg.Bootstrap) > 0 {
 		return n.cfg.Bootstrap[0]

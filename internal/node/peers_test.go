@@ -2,6 +2,8 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,5 +108,38 @@ func TestRebornSenderIsNotDeduped(t *testing.T) {
 	r.onDatagram(replay) // a Leave: handled, it would drop the child
 	if s := r.Stats(); s.RetxDupDrops != 1 || s.Children != 1 {
 		t.Fatalf("old incarnation's leave replayed: dup-drops=%d children=%d, want 1/1", s.RetxDupDrops, s.Children)
+	}
+}
+
+// TestSelectViewMatchesSort: the selection gossip draws through and
+// viewSample trims by finds, for every position, the record a full sort by
+// viewOrder puts there, with exactly the records sorted before it ahead of
+// it, whatever order the view arrives in. Seen times tie in pairs, so the
+// address tie-break is exercised.
+func TestSelectViewMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := time.Unix(1000, 0)
+	for _, size := range []int{1, 2, 3, 8, 65} {
+		view := make([]*peerRecord, size)
+		for i := range view {
+			view[i] = &peerRecord{
+				seen: base.Add(time.Duration(rng.Intn(size/2+1)) * time.Second),
+				info: wire.MemberInfo{Addr: wire.Addr(fmt.Sprintf("10.0.0.%d:7000", rng.Intn(1000)*100+i))},
+			}
+		}
+		sorted := slices.Clone(view)
+		slices.SortFunc(sorted, viewOrder)
+		for k := range view {
+			got := slices.Clone(view)
+			rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+			if p := selectView(got, k); p != sorted[k] || got[k] != p {
+				t.Fatalf("size %d: selectView(k=%d) = %v, sort puts %v there", size, k, p.info.Addr, sorted[k].info.Addr)
+			}
+			head := slices.Clone(got[:k])
+			slices.SortFunc(head, viewOrder)
+			if !slices.Equal(head, sorted[:k]) {
+				t.Fatalf("size %d k=%d: the records before position k are not the first k", size, k)
+			}
+		}
 	}
 }

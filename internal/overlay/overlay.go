@@ -497,12 +497,17 @@ func (t *Tree) Attach(child, parent *Member) error {
 // placeSubtree recomputes depth, path delay and level indexing for the member
 // at dense index m and all its descendants, in pre-order (children of a
 // rejoining member keep their subtrees, so a re-attach moves whole subtrees).
+// Only m's edge is new, so only it asks delayFn: every descendant keeps the
+// edge to its parent, and with it the path delay it had relative to m (Detach
+// leaves a subtree's path delays in place), so each path delay moves by
+// exactly m's change. Delays are integer nanoseconds: the shift is exact.
 func (t *Tree) placeSubtree(m int32) {
+	p := t.parent[m]
+	shift := t.pathDelay[p] + t.delayFn(t.handle[p].Attach, t.handle[m].Attach) - t.pathDelay[m]
 	n := m
 	for {
-		p := t.parent[n]
-		t.depth[n] = t.depth[p] + 1
-		t.pathDelay[n] = t.pathDelay[p] + t.delayFn(t.handle[p].Attach, t.handle[n].Attach)
+		t.depth[n] = t.depth[t.parent[n]] + 1
+		t.pathDelay[n] += shift
 		if !t.attached[n] {
 			t.attached[n] = true
 			t.attachedCount++
@@ -540,7 +545,8 @@ func (t *Tree) Detach(m *Member) error {
 	t.childRemove(t.parent[m.idx], m.idx)
 	t.parent[m.idx] = none
 	// Unplace the whole subtree: depth resets to -1, path delay keeps its
-	// last attached value (historical behavior; callers gate on Attached).
+	// last attached value (callers gate on Attached), which placeSubtree
+	// shifts when the subtree is attached again.
 	n := m.idx
 	for {
 		if t.attached[n] {

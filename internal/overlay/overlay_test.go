@@ -195,6 +195,45 @@ func TestDetachKeepsSubtree(t *testing.T) {
 	checkInv(t, tree)
 }
 
+// TestAttachAsksDelayOnce: re-attaching a subtree asks the underlay about
+// the one new edge only, and every member below it still gets the exact path
+// delay of its new route.
+func TestAttachAsksDelayOnce(t *testing.T) {
+	calls := 0
+	delay := func(a, b topology.NodeID) time.Duration {
+		calls++
+		return time.Duration(max(a, b)-min(a, b)) * time.Millisecond
+	}
+	tree, err := NewTree(0, 100, delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustJoin(t, tree, tree.Root(), 10, 3, 0)
+	b := mustJoin(t, tree, a, 25, 3, 0)
+	c := mustJoin(t, tree, b, 30, 1, 0)
+	d := mustJoin(t, tree, b, 60, 2, 0)
+	e := mustJoin(t, tree, d, 55, 1, 0)
+	if err := tree.Detach(b); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	if err := tree.Attach(b, tree.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Errorf("re-attaching a 4-member subtree asked Delay %d times, want 1", calls)
+	}
+	for _, tc := range []struct {
+		m    *Member
+		want time.Duration
+	}{{b, 25}, {c, 30}, {d, 60}, {e, 65}} {
+		if got := tc.m.PathDelay(); got != tc.want*time.Millisecond {
+			t.Errorf("member on router %d: path delay %v, want %v", tc.m.Attach, got, tc.want*time.Millisecond)
+		}
+	}
+	checkInv(t, tree)
+}
+
 func TestRemoveReturnsOrphans(t *testing.T) {
 	tree := newTestTree(t)
 	a := mustJoin(t, tree, tree.Root(), 1, 3, 0)

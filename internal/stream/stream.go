@@ -331,7 +331,8 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 	// slack(n) = playback deadline minus repair arrival: a member whose
 	// repairs travel one extra hop h misses exactly the packets with
 	// slack < h. Lost packets get a -inf slack. One sort, then each
-	// member's miss count is a binary search.
+	// member's miss count is a binary search; a leaf orphan, the episode's
+	// only member, counts its misses in one pass instead and sorts nothing.
 	count := len(arrivals)
 	if cap(m.slackBuf) < count {
 		m.slackBuf = make([]time.Duration, count)
@@ -344,9 +345,12 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 			slacks[i] = m.gen(first+int64(i)) + m.cfg.Buffer - at
 		}
 	}
-	sorted := append(m.sortedBuf[:0], slacks...)
-	slices.Sort(sorted)
-	m.sortedBuf = sorted
+	var sorted []time.Duration
+	if c.NumChildren() > 0 {
+		sorted = append(m.sortedBuf[:0], slacks...)
+		slices.Sort(sorted)
+		m.sortedBuf = sorted
+	}
 	slot := time.Duration(float64(time.Second) / DefaultRate)
 	repairedTotal, lostTotal := 0, 0
 	// Fold into the subtree. ELN: c's loss notifications walk the subtree
@@ -367,13 +371,13 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 		missed, total := 0, int64(0)
 		for _, u := range m.uncovBuf {
 			total += u.to - u.from
-			if u.from == first && u.to == last+1 {
+			if u.from == first && u.to == last+1 && sorted != nil {
 				// Whole episode uncovered (the steady-state case): count
 				// via the sorted slacks.
 				missed += sort.Search(len(sorted), func(i int) bool { return sorted[i] >= hop })
 			} else {
-				// Watermark-clipped or span-fragmented range: linear over
-				// the raw slack window.
+				// A leaf orphan's window, or a watermark-clipped or
+				// span-fragmented range: linear over the raw slack window.
 				for n := u.from; n < u.to; n++ {
 					if slacks[n-first] < hop {
 						missed++

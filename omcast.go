@@ -19,11 +19,12 @@
 // (GT-ITM-style transit-stub underlay, discrete-event kernel, churn driver,
 // the five tree-construction algorithms, the CER/MLC recovery machinery and
 // the packet-level playback model — all implemented in internal/...) behind
-// three entry points:
+// four entry points:
 //
-//	Run          — tree-level experiment: disruptions, delay, stretch, overhead
-//	RunStreaming — packet-level experiment: starving-time ratios under CER
-//	RunTracked   — the "typical member" time series of Figures 6 and 9
+//	Run               — tree-level experiment: disruptions, delay, stretch, overhead
+//	RunStreaming      — packet-level experiment: starving-time ratios under CER
+//	RunStreamingGroup — several packet-level configs over one churned tree
+//	RunTracked        — the "typical member" time series of Figures 6 and 9
 //
 // Every run is deterministic in Config.Seed.
 package omcast

@@ -1,11 +1,14 @@
 package omcast_test
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"omcast"
 	"omcast/internal/bench"
+	"omcast/internal/metrics"
 )
 
 // quickConfig is a fast configuration used across the API tests: a small
@@ -230,6 +233,63 @@ func TestRunStreamingUnknownRecovery(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown recovery scheme accepted")
+	}
+}
+
+// TestStreamingGroupMatchesSolo: a group of stream configs over one session
+// gives each config exactly what RunStreaming gives it alone, per-member
+// ratios included, and the session's registry merged with a config's own
+// snapshots byte for byte as the solo run's registry does.
+func TestStreamingGroupMatchesSolo(t *testing.T) {
+	group := []omcast.StreamConfig{
+		{Recovery: omcast.CER, GroupSize: 1},
+		{Recovery: omcast.CER, GroupSize: 2},
+		{Recovery: omcast.CER, GroupSize: 3},
+		{Recovery: omcast.SingleSource, GroupSize: 2},
+		{Recovery: omcast.CERRandomGroup, GroupSize: 3},
+		{Recovery: omcast.CER, GroupSize: 2, Buffer: 20 * time.Second},
+	}
+	snapshot := func(regs ...*metrics.Registry) string {
+		merged := metrics.NewRegistry()
+		for _, reg := range regs {
+			merged.Merge(reg)
+		}
+		b, err := json.Marshal(merged.Snapshot(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, seed := range []int64{41, 42} {
+		for _, alg := range []omcast.Algorithm{omcast.MinimumDepth, omcast.ROST} {
+			cfg := quickConfig(seed, alg)
+			cfg.Metrics = metrics.NewRegistry()
+			regs := make([]*metrics.Registry, len(group))
+			for i := range regs {
+				regs[i] = metrics.NewRegistry()
+			}
+			got, err := omcast.RunStreamingGroup(cfg, group, regs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, scfg := range group {
+				solo := quickConfig(seed, alg)
+				solo.Metrics = metrics.NewRegistry()
+				want, err := omcast.RunStreaming(solo, scfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Episodes == 0 || len(want.StarvingRatios) == 0 {
+					t.Fatalf("seed %d %v %+v: degenerate solo run", seed, alg, scfg)
+				}
+				if !reflect.DeepEqual(got[i], want) {
+					t.Errorf("seed %d %v %+v: group result differs from the solo run:\n%+v\n%+v", seed, alg, scfg, got[i], want)
+				}
+				if g, w := snapshot(cfg.Metrics, regs[i]), snapshot(solo.Metrics); g != w {
+					t.Errorf("seed %d %v %+v: group registries snapshot\n%s\nsolo registry\n%s", seed, alg, scfg, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -94,66 +94,112 @@ func attachSampler(s *session, tw *tracing.Writer, opts TraceOptions) {
 // carrying its per-packet outcome. A nil w is the untraced run:
 // RunStreaming itself.
 func RunStreamingWithTrace(cfg Config, scfg StreamConfig, w io.Writer, opts TraceOptions) (StreamResult, error) {
-	if scfg.Recovery == 0 {
-		scfg.Recovery = CER
-	}
-	cfg = cfg.withDefaults()
 	tw, spans := newTrace(w, &cfg, opts)
-	var model *stream.Model
+	var regs []*metrics.Registry
+	if cfg.Metrics != nil {
+		regs = []*metrics.Registry{cfg.Metrics}
+	}
+	res, err := runStreaming(cfg, []StreamConfig{scfg}, regs, tw, spans, opts)
+	if err != nil {
+		return StreamResult{}, err
+	}
+	return res[0], nil
+}
+
+// RunStreamingGroup plays every config of scfgs over one tree-level session
+// of cfg and returns one result per config, in order: result i equals
+// RunStreaming(cfg, scfgs[i]) field for field. The configs share the churned
+// overlay and nothing else. A streaming model only observes the tree through
+// churn's hooks, scheduling no event and moving no member, and each config's
+// model draws its recovery groups and residual bandwidths from streams of its
+// own, named as RunStreaming names them.
+//
+// The session records into cfg.Metrics. regs, if non-nil, holds one registry
+// per config, and config i's packet-level instruments record into regs[i]:
+// merging cfg.Metrics and then regs[i] into an empty registry gives the
+// registry RunStreaming(cfg, scfgs[i]) would have filled.
+func RunStreamingGroup(cfg Config, scfgs []StreamConfig, regs []*metrics.Registry) ([]StreamResult, error) {
+	if regs != nil && len(regs) != len(scfgs) {
+		return nil, fmt.Errorf("omcast: %d registries for %d stream configs", len(regs), len(scfgs))
+	}
+	return runStreaming(cfg, scfgs, regs, nil, nil, TraceOptions{})
+}
+
+// runStreaming is the packet-level core: one session of cfg, one stream model
+// per config observing it, config i's model instrumented on regs[i] when regs
+// is non-nil. tw and spans, nil when untraced, carry one config's trace.
+func runStreaming(cfg Config, scfgs []StreamConfig, regs []*metrics.Registry, tw *tracing.Writer, spans *tracing.Tracer, opts TraceOptions) ([]StreamResult, error) {
+	cfg = cfg.withDefaults()
+	for _, scfg := range scfgs {
+		switch scfg.Recovery {
+		case 0, CER, SingleSource, CERRandomGroup:
+		default:
+			return nil, fmt.Errorf("omcast: unknown recovery scheme %d", int(scfg.Recovery))
+		}
+	}
+	models := make([]*stream.Model, len(scfgs))
 	hooks := churn.Hooks{
 		OnJoin: func(sim *eventsim.Simulator, m *overlay.Member) {
-			model.Register(m, sim.Now())
+			for _, model := range models {
+				model.Register(m, sim.Now())
+			}
 		},
 		OnFailure: func(sim *eventsim.Simulator, failed *overlay.Member) {
-			model.OnFailure(failed, sim.Now())
+			for _, model := range models {
+				model.OnFailure(failed, sim.Now())
+			}
 		},
 		OnDepart: func(sim *eventsim.Simulator, id overlay.MemberID) {
-			model.Depart(id, sim.Now())
+			for _, model := range models {
+				model.Depart(id, sim.Now())
+			}
 		},
 	}
 	s, err := newSession(cfg, hooks, spans)
 	if err != nil {
-		return StreamResult{}, err
+		return nil, err
 	}
-	selRng := xrand.NewNamed(cfg.Seed, "cer.select")
-	var selector cer.Selector
-	switch scfg.Recovery {
-	case CER:
-		selector = &cer.MLCSelector{Tree: s.tree, Rng: selRng, Delay: s.topo.Delay}
-	case SingleSource, CERRandomGroup:
-		selector = &cer.RandomSelector{Tree: s.tree, Rng: selRng, Delay: s.topo.Delay}
-	default:
-		return StreamResult{}, fmt.Errorf("omcast: unknown recovery scheme %d", int(scfg.Recovery))
-	}
-	streamCfg := stream.Config{
-		Buffer:      scfg.Buffer,
-		GroupSize:   scfg.GroupSize,
-		Striped:     scfg.Recovery != SingleSource,
-		MeasureFrom: cfg.Warmup,
-		Trace:       spans,
-	}
-	model = stream.NewModel(s.tree, s.topo.Delay, selector, xrand.NewNamed(cfg.Seed, "stream.residual"), streamCfg)
-	if cfg.Metrics != nil {
-		model.Instrument(cfg.Metrics)
+	for i, scfg := range scfgs {
+		selRng := xrand.NewNamed(cfg.Seed, "cer.select")
+		var selector cer.Selector
+		if scfg.Recovery == 0 || scfg.Recovery == CER { // CER is the default
+			selector = &cer.MLCSelector{Tree: s.tree, Rng: selRng, Delay: s.topo.Delay}
+		} else {
+			selector = &cer.RandomSelector{Tree: s.tree, Rng: selRng, Delay: s.topo.Delay}
+		}
+		models[i] = stream.NewModel(s.tree, s.topo.Delay, selector, xrand.NewNamed(cfg.Seed, "stream.residual"), stream.Config{
+			Buffer:      scfg.Buffer,
+			GroupSize:   scfg.GroupSize,
+			Striped:     scfg.Recovery != SingleSource,
+			MeasureFrom: cfg.Warmup,
+			Trace:       spans,
+		})
+		if regs != nil && regs[i] != nil {
+			models[i].Instrument(regs[i])
+		}
 	}
 	attachSampler(s, tw, opts)
 	if err := s.run(); err != nil {
-		return StreamResult{}, err
+		return nil, err
 	}
-	model.Finish(s.sim.Now())
+	out := make([]StreamResult, len(models))
+	for i, model := range models {
+		model.Finish(s.sim.Now())
+		sr := model.Result()
+		out[i] = StreamResult{
+			TreeResult:       s.treeResult(),
+			AvgStarvingRatio: sr.AvgStarvingRatio,
+			StarvingRatios:   sr.Ratios,
+			StreamMembers:    sr.Members,
+			Episodes:         model.Episodes,
+			RepairRequests:   model.RepairRequests,
+			ELNMessages:      model.ELNMessages,
+			PacketsRepaired:  model.PacketsRepaired,
+			PacketsLost:      model.PacketsLost,
+		}
+	}
 	if err := tw.Err(); err != nil {
-		return StreamResult{}, err
+		return nil, err
 	}
-	sr := model.Result()
-	return StreamResult{
-		TreeResult:       s.treeResult(),
-		AvgStarvingRatio: sr.AvgStarvingRatio,
-		StarvingRatios:   sr.Ratios,
-		StreamMembers:    sr.Members,
-		Episodes:         model.Episodes,
-		RepairRequests:   model.RepairRequests,
-		ELNMessages:      model.ELNMessages,
-		PacketsRepaired:  model.PacketsRepaired,
-		PacketsLost:      model.PacketsLost,
-	}, nil
+	return out, nil
 }
