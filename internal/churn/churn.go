@@ -337,9 +337,14 @@ func (d *Driver) Horizon() time.Duration { return d.measureTo }
 // at its largest concurrent population, attached or rejoining; over the
 // benchmark's tree and streaming runs (M = 10^3 to 2.5*10^4) and at
 // M = 10^4 and 10^5 that peak read 1.016-1.053 M, and up to 1.216 M in the
-// shortest M = 10^3 windows, where churn's fluctuation is largest.
+// shortest M = 10^3 windows, where churn's fluctuation is largest. The
+// kernel's heap gets the same reservation: it holds one departure per live
+// member and a few timers, 1.005-1.03 M at its peak over the benchmark's
+// runs.
 func (d *Driver) Start() {
-	d.tree.Grow(1 + d.cfg.TargetSize + d.cfg.TargetSize/4)
+	slots := 1 + d.cfg.TargetSize + d.cfg.TargetSize/4
+	d.tree.Grow(slots)
+	d.sim.Grow(slots)
 	if d.cfg.PrePopulate {
 		d.sim.Schedule(0, func(s *eventsim.Simulator) {
 			d.prePopulate(s)
@@ -587,18 +592,19 @@ func (d *Driver) sampleTreeMetrics(sim *eventsim.Simulator) {
 	var stretchSum float64
 	var stretchN int
 	n := 0
-	d.tree.VisitSubtree(root, func(m *overlay.Member) {
-		if m == root {
-			return
-		}
+	// The slot walk visits the attached members in VisitSubtree's pre-order,
+	// so the float sums add in the same order.
+	v, top := d.tree.SlotView(), int32(root.Slot())
+	for i := v.Next(top, top); i >= 0; i = v.Next(i, top) {
 		n++
-		delaySum += float64(m.PathDelay()) / float64(time.Millisecond)
-		direct := d.topo.Delay(root.Attach, m.Attach)
+		pd := v.PathDelay(i)
+		delaySum += float64(pd) / float64(time.Millisecond)
+		direct := d.topo.Delay(root.Attach, v.Attach(i))
 		if direct > 0 {
-			stretchSum += float64(m.PathDelay()) / float64(direct)
+			stretchSum += float64(pd) / float64(direct)
 			stretchN++
 		}
-	})
+	}
 	if n > 0 {
 		d.delaySamples = append(d.delaySamples, delaySum/float64(n))
 	}

@@ -6,19 +6,19 @@
 // simulated time is expressed as time.Duration offsets from the start of the
 // simulation.
 //
-// The queue is an inlined 4-ary heap over pooled event records: firing an
-// event returns its record to a free list, so the steady-state
-// schedule/fire cycle performs no heap allocations, and the flat comparison
-// loop avoids container/heap's interface boxing. Beside the heap sit lanes,
-// one per fixed delay (Simulator.Lane): timers a session re-arms with the
-// same delay every time, such as a periodic check, append to a FIFO ring in
-// O(1) instead of sifting through the heap. The clock moves forward, so a
-// lane fills in time order (an event that would break it, after a Run to a
-// horizon behind the clock, goes to the heap instead), and Run pops whichever
-// of the heap top and the lane heads comes first. Pop order is the strict
-// total order (at, seq) over all of them, with seq drawn from one counter, so
-// neither the heap layout nor which structure holds an event can ever leak
-// into results.
+// The queue is an inlined 4-ary heap of event values: a compare reads
+// (at, seq) in place, the backing array doubles only when full (or is
+// reserved up front with Simulator.Grow), so the steady-state schedule/fire
+// cycle performs no heap allocations, and the flat comparison loop avoids
+// container/heap's interface boxing. Beside the heap sit lanes, one per fixed
+// delay (Simulator.Lane): timers a session re-arms with the same delay every
+// time, such as a periodic check, append to a FIFO ring in O(1) instead of
+// sifting through the heap. The clock moves forward, so a lane fills in time
+// order (an event that would break it, after a Run to a horizon behind the
+// clock, goes to the heap instead), and Run pops whichever of the heap top
+// and the lane heads comes first. Pop order is the strict total order
+// (at, seq) over all of them, with seq drawn from one counter, so neither the
+// heap layout nor which structure holds an event can ever leak into results.
 package eventsim
 
 import (
@@ -32,10 +32,9 @@ import (
 // is passed in so handlers can schedule follow-up events.
 type Handler func(sim *Simulator)
 
-// event is a single queued callback, in the heap or in a lane. Records are
-// pooled: once an event fires its record returns to the simulator's free
-// list. There is no cancellation: a timer that may become moot checks, when
-// it fires, whether what it was for still holds, and returns if not.
+// event is a single queued callback, held by value in the heap or in a lane.
+// There is no cancellation: a timer that may become moot checks, when it
+// fires, whether what it was for still holds, and returns if not.
 type event struct {
 	at      time.Duration
 	schedAt time.Duration // when Schedule was called (queue-residence metric)
@@ -58,13 +57,13 @@ type Simulator struct {
 	now time.Duration
 	// queue is a 4-ary min-heap ordered by (at, seq): children of slot i
 	// live at 4i+1..4i+4. The shallower tree halves the sift-down depth of
-	// the binary layout, and the flat loops need no interface dispatch.
-	queue []*event
+	// the binary layout, and the flat loops need no interface dispatch. Its
+	// capacity doubles when full, like a lane's ring.
+	queue []event
 	// lanes are the fixed-delay FIFOs Lane hands out, in creation order;
 	// laneLen counts the events they hold.
 	lanes   []*Lane
 	laneLen int
-	free    []*event // recycled event records
 	// seq is the next event's tie-break, so it counts events scheduled.
 	seq uint64
 	// processed counts events that fired.
@@ -85,7 +84,7 @@ type Lane struct {
 	delay time.Duration
 	// ring holds the lane's events oldest first from head; its length is a
 	// power of two and it grows, doubling, only when full.
-	ring []*event
+	ring []event
 	head int
 	n    int
 }
@@ -130,31 +129,13 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // lanes.
 func (s *Simulator) Pending() int { return len(s.queue) + s.laneLen }
 
-// alloc takes an event record from the free list, or makes a new one.
-func (s *Simulator) alloc() *event {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// recycle returns ev's record to the free list. The handler reference is
-// dropped so pooled records never pin closure captures.
-func (s *Simulator) recycle(ev *event) {
-	ev.handler = nil
-	s.free = append(s.free, ev)
-}
-
 // siftUp restores the heap property after appending at slot i.
 func (s *Simulator) siftUp(i int) {
 	q := s.queue
 	ev := q[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !less(ev, q[p]) {
+		if !less(&ev, &q[p]) {
 			break
 		}
 		q[i] = q[p]
@@ -179,11 +160,11 @@ func (s *Simulator) siftDown(i int) {
 		}
 		best := c
 		for c++; c < end; c++ {
-			if less(q[c], q[best]) {
+			if less(&q[c], &q[best]) {
 				best = c
 			}
 		}
-		if !less(q[best], ev) {
+		if !less(&q[best], &ev) {
 			break
 		}
 		q[i] = q[best]
@@ -192,12 +173,13 @@ func (s *Simulator) siftDown(i int) {
 	q[i] = ev
 }
 
-// pop removes the queue head. The caller still holds the popped *event.
+// pop removes the queue head; the caller has copied it out. The vacated
+// cell is zeroed so the backing array never pins a fired handler.
 func (s *Simulator) pop() {
 	q := s.queue
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = nil
+	q[n] = event{}
 	s.queue = q[:n]
 	if n > 1 {
 		s.siftDown(0)
@@ -210,22 +192,34 @@ func (s *Simulator) Schedule(at time.Duration, handler Handler) {
 	if at < s.now {
 		at = s.now
 	}
-	ev := s.newEvent(at, handler)
-	s.queue = append(s.queue, ev)
-	s.siftUp(len(s.queue) - 1)
+	n := len(s.queue)
+	if n == cap(s.queue) {
+		s.Grow(max(16, 2*n))
+	}
+	s.queue = s.queue[:n+1]
+	s.queue[n] = s.newEvent(at, handler)
+	s.siftUp(n)
 	s.noteDepth()
 }
 
-// newEvent fills a pooled record for handler at time at with the next seq.
-func (s *Simulator) newEvent(at time.Duration, handler Handler) *event {
+// Grow reserves room in the heap for n pending events, so a run that knows
+// how many events it will hold at once fills the heap without regrowing it.
+// It changes no event and no firing order; a heap that outgrows n doubles as
+// before.
+func (s *Simulator) Grow(n int) {
+	if n > cap(s.queue) {
+		grown := make([]event, len(s.queue), n)
+		copy(grown, s.queue)
+		s.queue = grown
+	}
+}
+
+// newEvent returns the event for handler at time at with the next seq.
+func (s *Simulator) newEvent(at time.Duration, handler Handler) event {
 	if handler == nil {
 		panic("eventsim: Schedule called with nil handler")
 	}
-	ev := s.alloc()
-	ev.at = at
-	ev.schedAt = s.now
-	ev.seq = s.seq
-	ev.handler = handler
+	ev := event{at: at, schedAt: s.now, seq: s.seq, handler: handler}
 	s.seq++
 	return ev
 }
@@ -265,39 +259,38 @@ func (l *Lane) Schedule(handler Handler) {
 		s.Schedule(at, handler)
 		return
 	}
-	ev := s.newEvent(at, handler)
 	if l.n == len(l.ring) {
-		grown := make([]*event, max(16, 2*len(l.ring)))
+		grown := make([]event, max(16, 2*len(l.ring)))
 		for i := range l.n {
 			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
 		}
 		l.ring, l.head = grown, 0
 	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = s.newEvent(at, handler)
 	l.n++
 	s.laneLen++
 	s.noteDepth()
 }
 
-// pop removes the lane's head. The caller still holds the popped *event.
+// pop removes the lane's head; the caller has copied it out.
 func (l *Lane) pop() {
-	l.ring[l.head] = nil
+	l.ring[l.head] = event{}
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
 	l.s.laneLen--
 }
 
-// next returns the earliest pending event and the lane holding it, or a nil
-// lane when it is the heap's top; nil when nothing is pending.
+// next returns the earliest pending event, in place, and the lane holding it,
+// or a nil lane when it is the heap's top; nil when nothing is pending.
 func (s *Simulator) next() (*event, *Lane) {
 	var next *event
 	if len(s.queue) > 0 {
-		next = s.queue[0]
+		next = &s.queue[0]
 	}
 	var from *Lane
 	for _, l := range s.lanes {
 		if l.n > 0 {
-			if ev := l.ring[l.head]; next == nil || less(ev, next) {
+			if ev := &l.ring[l.head]; next == nil || less(ev, next) {
 				next, from = ev, l
 			}
 		}
@@ -329,15 +322,14 @@ func (s *Simulator) Run(horizon time.Duration) error {
 			s.now = horizon
 			return nil
 		}
+		// Copy out before popping: the pop overwrites the cell next points
+		// at, and the handler's own Schedule calls may reuse it.
+		h, at, schedAt := next.handler, next.at, next.schedAt
 		if lane != nil {
 			lane.pop()
 		} else {
 			s.pop()
 		}
-		// Recycle before invoking: the record is fully read out, and the
-		// handler's own Schedule calls can reuse it immediately.
-		h, at, schedAt := next.handler, next.at, next.schedAt
-		s.recycle(next)
 		s.now = at
 		h(s)
 		s.processed++

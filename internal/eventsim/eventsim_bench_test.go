@@ -7,8 +7,8 @@ import (
 
 // BenchmarkScheduleFire measures the kernel's steady-state throughput: one
 // schedule plus one fire per iteration, over a standing queue of 10k events.
-// This is the regime every long simulation run lives in, and with the event
-// pool it must not allocate.
+// This is the regime every long simulation run lives in, and it must not
+// allocate.
 func BenchmarkScheduleFire(b *testing.B) {
 	sim := New()
 	for i := 0; i < 10000; i++ {
@@ -31,7 +31,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 }
 
 // BenchmarkRunDense measures draining one million same-window events,
-// including the cold-start cost of growing the queue and event pool.
+// including the cold-start cost of growing the queue.
 func BenchmarkRunDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := New()

@@ -1,17 +1,19 @@
 package eventsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestScheduleFireAllocFree asserts the zero-alloc steady state: with a warm
-// pool, a schedule+fire cycle performs no heap allocations. A regression
+// queue, a schedule+fire cycle performs no heap allocations. A regression
 // here fails go test, not just the bench report.
 func TestScheduleFireAllocFree(t *testing.T) {
 	sim := New()
 	noop := Handler(func(*Simulator) {})
-	// Warm the pool and the queue's backing array.
+	// Warm the queue's backing array.
 	for i := 0; i < 1000; i++ {
 		sim.Schedule(time.Duration(i)*time.Millisecond, noop)
 	}
@@ -62,5 +64,58 @@ func TestLaneReuseAndRing(t *testing.T) {
 	})
 	if allocs > 0 || cap(lane.ring) != ring {
 		t.Fatalf("a second of re-armed timers allocates %.1f times and moves the ring %d -> %d", allocs, ring, cap(lane.ring))
+	}
+}
+
+// TestQueueGrowsByDoubling pins the heap's growth rule: the backing array
+// doubles only when full, like a lane's ring, so filling the queue allocates
+// at most twice its final array. append's ~1.25x growth for large slices
+// would allocate about five times it.
+func TestQueueGrowsByDoubling(t *testing.T) {
+	const n = 100_000
+	noop := Handler(func(*Simulator) {})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim := New()
+	for i := 0; i < n; i++ {
+		sim.Schedule(time.Duration(n-i)*time.Millisecond, noop)
+	}
+	runtime.ReadMemStats(&after)
+	const want = 1 << 17 // the least power of two from 16 up that holds n
+	if got := cap(sim.queue); got != want {
+		t.Fatalf("a queue of %d events has capacity %d, want %d", n, got, want)
+	}
+	ceiling := 2*want*uint64(unsafe.Sizeof(event{})) + 64<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Fatalf("filling the queue with %d events allocated %d bytes, ceiling %d", n, got, ceiling)
+	}
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGrowReservesTheHeap pins Grow: a heap reserved for n events fills to n
+// in the one array Grow made, and only the event after it doubles the heap.
+func TestGrowReservesTheHeap(t *testing.T) {
+	const n = 10_000
+	noop := Handler(func(*Simulator) {})
+	sim := New()
+	sim.Grow(n)
+	reserved := &sim.queue[:1][0]
+	for i := 0; i < n; i++ {
+		sim.Schedule(time.Duration(i)*time.Millisecond, noop)
+	}
+	if cap(sim.queue) != n || &sim.queue[0] != reserved {
+		t.Fatalf("filling a heap reserved for %d events moved it to a new array of %d", n, cap(sim.queue))
+	}
+	sim.Schedule(0, noop)
+	if cap(sim.queue) != 2*n {
+		t.Fatalf("the event past the reservation grew the heap to %d, want %d", cap(sim.queue), 2*n)
+	}
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatal(err)
+	}
+	if sim.Processed() != n+1 {
+		t.Fatalf("fired %d events, want %d", sim.Processed(), n+1)
 	}
 }

@@ -11,6 +11,9 @@ func (t *Tree) checkLocal(i int32) error {
 	if t.outDeg[i] != int32(m.OutDegree()) {
 		return fmt.Errorf("overlay: member %d Bandwidth changed after NewMember (degree %d, cached %d)", m.ID, m.OutDegree(), t.outDeg[i])
 	}
+	if t.attach[i] != m.Attach {
+		return fmt.Errorf("overlay: member %d Attach changed after NewMember (router %d, cached %d)", m.ID, m.Attach, t.attach[i])
+	}
 	if t.kidCount[i] > t.outDeg[i] {
 		return fmt.Errorf("overlay: member %d has %d children, degree %d", m.ID, t.kidCount[i], t.outDeg[i])
 	}
@@ -30,11 +33,11 @@ func (t *Tree) checkLocal(i int32) error {
 		if t.prevSib[c] != prev {
 			return fmt.Errorf("overlay: member %d's child %d has broken sibling back-link", m.ID, t.handle[c].ID)
 		}
-		if t.attached[c] {
+		if t.depth[c] >= 0 {
 			if t.depth[c] != t.depth[i]+1 {
 				return fmt.Errorf("overlay: member %d depth %d, parent depth %d", t.handle[c].ID, t.depth[c], t.depth[i])
 			}
-			want := t.pathDelay[i] + t.delayFn(m.Attach, t.handle[c].Attach)
+			want := t.pathDelay[i] + t.delayFn(t.attach[i], t.attach[c])
 			if t.pathDelay[c] != want {
 				return fmt.Errorf("overlay: member %d pathDelay %v, want %v", t.handle[c].ID, t.pathDelay[c], want)
 			}
@@ -47,29 +50,26 @@ func (t *Tree) checkLocal(i int32) error {
 	if t.lastKid[i] != prev {
 		return fmt.Errorf("overlay: member %d lastKid does not terminate its child list", m.ID)
 	}
-	if t.attached[i] {
-		d := int(t.depth[i])
-		li := t.levelIdx[i]
-		if d < 0 || d >= len(t.levels) || !holds(t.levels[d], li, m) {
-			return fmt.Errorf("overlay: level index corrupt at depth %d slot %d (member %d)", d, li, m.ID)
+	attached := t.depth[i] >= 0
+	if attached {
+		if d := int(t.depth[i]); t.lx != nil && (d >= len(t.levels) || !holds(t.levels[d], t.levelIdx[i], m)) {
+			return fmt.Errorf("overlay: level index corrupt at depth %d slot %d (member %d)", d, t.levelIdx[i], m.ID)
 		}
-		if p := t.parent[i]; p != none && !t.attached[p] {
+		if p := t.parent[i]; p != none && t.depth[p] < 0 {
 			return fmt.Errorf("overlay: member %d attached under detached parent %d", m.ID, t.handle[p].ID)
 		}
 		if t.parent[i] == none && m != t.root {
 			return fmt.Errorf("overlay: member %d attached with no parent", m.ID)
 		}
-	} else {
-		if t.levelIdx[i] != none {
-			return fmt.Errorf("overlay: detached member %d still in the level index", m.ID)
-		}
-		if t.depth[i] != -1 && t.parent[i] == none {
-			return fmt.Errorf("overlay: detached parentless member %d has depth %d", m.ID, t.depth[i])
-		}
+	} else if t.depth[i] != -1 {
+		return fmt.Errorf("overlay: detached member %d has depth %d", m.ID, t.depth[i])
+	}
+	if !attached && t.lx != nil && t.levelIdx[i] != none {
+		return fmt.Errorf("overlay: detached member %d still holds level slot %d", m.ID, t.levelIdx[i])
 	}
 	if x := t.lx; x != nil && int(i) < len(x.heapPos) {
 		hp, sp := x.heapPos[i], x.sparePos[i]
-		inHeap, inSpare := t.attached[i] && t.parent[i] != none, t.attached[i] && t.kidCount[i] < t.outDeg[i]
+		inHeap, inSpare := attached && t.parent[i] != none, attached && t.kidCount[i] < t.outDeg[i]
 		if (hp != none) != inHeap || inHeap && !holds(x.heaps[t.depth[i]], hp, m) {
 			return fmt.Errorf("overlay: level index heap slot %d wrong for member %d", hp, m.ID)
 		}
@@ -93,10 +93,11 @@ func holds(list []*Member, pos int32, m *Member) bool {
 // CheckInvariantsFull verifies every structural invariant with a complete
 // O(n) scan: the pre-order walk from the source (degree bounds, link
 // integrity, depths, path delays, double-reachability), the
-// every-attached-member-is-reachable audit in ID order, and the full
-// level-index sweep. Allocation-free: reachability is tracked in an
-// epoch-stamped scratch buffer. It is the tree's one checker: the -paranoid
-// audit and the tests call it, and mutations pay nothing for it.
+// every-attached-member-is-reachable audit in ID order, and, on a tree that
+// keeps level lists, the full level-list and level-index sweep.
+// Allocation-free: reachability is tracked in an epoch-stamped scratch
+// buffer. It is the tree's one checker: the -paranoid audit and the tests
+// call it, and mutations pay nothing for it.
 func (t *Tree) CheckInvariantsFull() error {
 	if len(t.invSeen) < len(t.handle) {
 		t.invSeen = make([]uint32, len(t.handle))
@@ -107,6 +108,9 @@ func (t *Tree) CheckInvariantsFull() error {
 		clear(t.invSeen)
 		t.invEpoch = 1
 	}
+	if t.lx != nil && len(t.levelIdx) != len(t.handle) {
+		return fmt.Errorf("overlay: %d level slots for %d member slots", len(t.levelIdx), len(t.handle))
+	}
 	if err := t.invWalk(t.root.idx); err != nil {
 		return err
 	}
@@ -115,34 +119,20 @@ func (t *Tree) CheckInvariantsFull() error {
 	// reported first is the same on every run.
 	for id := 1; id < len(t.idToIdx); id++ {
 		i := t.idToIdx[id]
-		if i >= 0 && t.attached[i] && t.invSeen[i] != t.invEpoch {
+		if i >= 0 && t.depth[i] >= 0 && t.invSeen[i] != t.invEpoch {
 			return fmt.Errorf("overlay: attached member %d unreachable from source", id)
 		}
 	}
-	// Level index must agree with member depths.
-	counted := 0
-	for d, level := range t.levels {
-		for li, m := range level {
-			if m.idx < 0 || int(t.depth[m.idx]) != d || int(t.levelIdx[m.idx]) != li || !t.attached[m.idx] {
-				return fmt.Errorf("overlay: level index corrupt at depth %d slot %d (member %d)", d, li, m.ID)
-			}
-			counted++
-		}
-	}
 	attachedCount := 0
-	for _, m := range t.handle {
-		if m != nil && t.attached[m.idx] {
+	for i, m := range t.handle {
+		if m != nil && t.depth[i] >= 0 {
 			attachedCount++
 		}
 	}
-	if counted != attachedCount {
-		return fmt.Errorf("overlay: level index holds %d members, %d attached", counted, attachedCount)
+	if attachedCount != t.attachedCount {
+		return fmt.Errorf("overlay: maintained attached counter %d disagrees with scan (%d attached)", t.attachedCount, attachedCount)
 	}
-	if attachedCount != t.attachedCount || counted != t.levelCount {
-		return fmt.Errorf("overlay: maintained counters (%d attached, %d level) disagree with scan (%d attached)",
-			t.attachedCount, t.levelCount, attachedCount)
-	}
-	if err := t.checkLevelIndex(); err != nil {
+	if err := t.checkLevels(attachedCount); err != nil {
 		return err
 	}
 	if t.liveCount != len(t.order)+1 {
@@ -151,16 +141,33 @@ func (t *Tree) CheckInvariantsFull() error {
 	return nil
 }
 
-// checkLevelIndex verifies, when the level index is on, that every level's
-// heap, spare buckets and spare count hold exactly the occupants checkLocal
-// expects there (the slots and buckets themselves are checkLocal's), that the
-// heap order holds at every node, and that the top is the weakest occupant a
-// linear scan of the level finds. A Bandwidth or JoinTime changed under an
-// attached member fails here.
-func (t *Tree) checkLevelIndex() error {
+// checkLevels verifies that a tree without a level index keeps no level
+// lists, and otherwise that the lists hold exactly the attached members at
+// their depths and positions, that every level's heap, spare buckets and spare
+// count hold exactly the occupants checkLocal expects there (the slots and
+// buckets themselves are checkLocal's), that the heap order holds at every
+// node, and that the top is the weakest occupant a linear scan of the level
+// finds. A Bandwidth or JoinTime changed under an attached member fails here.
+func (t *Tree) checkLevels(attachedCount int) error {
 	x := t.lx
 	if x == nil {
+		if t.levels != nil || t.levelIdx != nil || t.levelCount != 0 {
+			return fmt.Errorf("overlay: %d level lists holding %d members kept without a level index", len(t.levels), t.levelCount)
+		}
 		return nil
+	}
+
+	counted := 0
+	for d, level := range t.levels {
+		for li, m := range level {
+			if m.idx < 0 || int(t.depth[m.idx]) != d || int(t.levelIdx[m.idx]) != li {
+				return fmt.Errorf("overlay: level index corrupt at depth %d slot %d (member %d)", d, li, m.ID)
+			}
+			counted++
+		}
+	}
+	if counted != attachedCount || counted != t.levelCount {
+		return fmt.Errorf("overlay: level lists hold %d members, counter says %d, %d attached", counted, t.levelCount, attachedCount)
 	}
 	for d, level := range t.levels {
 		var weakest *Member

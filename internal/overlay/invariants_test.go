@@ -85,8 +85,23 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		{name: "sibling-back-link", corrupt: func(tree *Tree, a, b *Member) {
 			tree.prevSib[b.idx] = b.idx
 		}},
-		{name: "level-slot", corrupt: func(tree *Tree, a, b *Member) {
+		{name: "level-slot", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			tree.levelIdx[b.idx] = none
+		}},
+		{name: "level-slots-without-lists", corrupt: func(tree *Tree, a, b *Member) {
+			tree.levelIdx = make([]int32, len(tree.handle))
+		}},
+		{name: "level-counter-without-lists", corrupt: func(tree *Tree, a, b *Member) {
+			tree.levelCount++
+		}},
+		{name: "attach-changed", corrupt: func(tree *Tree, a, b *Member) {
+			b.Attach = 9
+		}},
+		{name: "depth-detaches", corrupt: func(tree *Tree, a, b *Member) {
+			tree.depth[tree.firstKid[b.idx]] = -1 // c reads detached; only attachedCount knows better
+		}},
+		{name: "depth-below-detached", corrupt: func(tree *Tree, a, b *Member) {
+			tree.depth[tree.firstKid[b.idx]] = -2
 		}},
 		{name: "order-slot", corrupt: func(tree *Tree, a, b *Member) {
 			tree.orderIdx[b.idx] = tree.orderIdx[a.idx]

@@ -26,9 +26,9 @@ func (o LevelOrder) Outranks(a, b *Member) bool {
 // LevelIndex summarises each level list for the top-down eviction scan: the
 // weakest occupant under one LevelOrder and the occupants with spare degree,
 // filed by their home transit router in the underlay so a nearest-parent
-// search can visit them near to far. The tree maintains it at its level- and
-// child-list mutation sites once Tree.LevelIndex has built it; a tree nobody
-// asks never pays for it.
+// search can visit them near to far. The tree maintains it, and the level
+// lists it summarises, at its level- and child-list mutation sites once
+// Tree.LevelIndex has built it; a tree nobody asks never pays for either.
 type LevelIndex struct {
 	t        *Tree
 	order    LevelOrder
@@ -52,7 +52,21 @@ type LevelIndex struct {
 // building it on first use and rebuilding it when the tree last indexed a
 // different order or underlay, so one strategy's view is never served to
 // another. Callers fetch it per join and do not retain it.
+//
+// The first call also starts the level lists (Level, LevelPos): it lists the
+// members attached at that moment in pre-order, and every later placement
+// appends. The relaxed strategies ask at their first join, while only the
+// source is attached; a rebuild keeps the lists as they are.
 func (t *Tree) LevelIndex(o LevelOrder, underlay *topology.Topology) *LevelIndex {
+	if t.lx == nil {
+		t.levelIdx = make([]int32, len(t.handle), cap(t.handle))
+		for i := range t.levelIdx {
+			t.levelIdx[i] = none
+		}
+		for n := t.root.idx; n != none; n = t.next(n, t.root.idx) {
+			t.levelInsert(n)
+		}
+	}
 	if t.lx == nil || t.lx.order != o || t.lx.underlay != underlay {
 		t.lx = &LevelIndex{t: t, order: o, underlay: underlay, buckets: 1}
 		if underlay != nil {
@@ -101,15 +115,15 @@ func (x *LevelIndex) Spare(d int, h topology.NodeID) []*Member {
 func (x *LevelIndex) bucket(n int32) int {
 	b := int(x.t.depth[n]) * x.buckets
 	if x.underlay != nil {
-		b += int(x.underlay.Home(x.t.handle[n].Attach))
+		b += int(x.underlay.Home(x.t.attach[n]))
 	}
 	return b
 }
 
 // LevelPos returns the member's position in Level(Depth()), or -1 when it is
-// not attached.
+// not attached or its tree keeps no level lists.
 func (m *Member) LevelPos() int {
-	if m.tree == nil || m.idx < 0 {
+	if m.tree == nil || m.idx < 0 || m.tree.lx == nil {
 		return -1
 	}
 	return int(m.tree.levelIdx[m.idx])

@@ -2,8 +2,9 @@
 // paper's algorithms operate on: members with out-degree constraints derived
 // from their outbound bandwidths, parent/child links, per-layer indexing (the
 // centralized relaxed-BO/TO algorithms work through the layers top-down; see
-// LevelIndex), overlay path delays, and the disruption/reconnection accounting
-// the evaluation reports.
+// LevelIndex — the per-depth level lists exist only on a tree whose level
+// index has been asked for), overlay path delays, and the
+// disruption/reconnection accounting the evaluation reports.
 //
 // The package is purely structural: which parent a member picks, when nodes
 // switch positions, and how losses are repaired live in the construct, rost
@@ -12,13 +13,13 @@
 // # Memory layout
 //
 // Member state is stored struct-of-arrays: Tree keeps parallel slices
-// (parent, first-child/next-sibling links, depth, degree, path delay,
-// attached flags, lock owners) indexed by a dense int32 index allocated from
-// a free list. The exported *Member is a small stable handle carrying only
-// identity and statistics fields plus the dense index; all structural
-// accessors delegate to the arrays. MemberID remains the stable external
-// name, mapped through one dense idToIdx table (IDs are sequential and never
-// reused, so the table is a flat slice, not a map). This keeps a member's
+// (parent, first-child/next-sibling links, depth (-1 when detached), degree,
+// path delay, underlay router, lock owners) indexed by a dense int32 index
+// allocated from a free list. The exported *Member is a small stable handle
+// carrying only identity and statistics fields plus the dense index; all
+// structural accessors delegate to the arrays. MemberID remains the stable
+// external name, mapped through one dense idToIdx table (IDs are sequential
+// and never reused, so the table is a flat slice, not a map). This keeps a member's
 // hot structural state at ~100 contiguous bytes and removes per-member
 // children slices, which is what lets a single run hold 10^6 members.
 //
@@ -65,7 +66,8 @@ var (
 // zero values (nil parent, no children, depth -1, not attached).
 type Member struct {
 	ID MemberID
-	// Attach is the stub router the member sits on.
+	// Attach is the stub router the member sits on. It must not change once
+	// the member exists: the tree keeps a copy per slot for its walks.
 	Attach topology.NodeID
 	// Bandwidth is the outbound access bandwidth in units of the stream
 	// rate. The member can feed floor(Bandwidth) children. It must not change
@@ -169,7 +171,7 @@ func (m *Member) Attached() bool {
 	if m.tree == nil || m.idx < 0 {
 		return false
 	}
-	return m.tree.attached[m.idx]
+	return m.tree.depth[m.idx] >= 0
 }
 
 // OutDegree returns the member's out-degree constraint: the number of
@@ -238,7 +240,7 @@ type Tree struct {
 	nextID  MemberID
 
 	// Struct-of-arrays member state, all indexed by the dense index. A slot
-	// is live iff handle[i] != nil.
+	// is live iff handle[i] != nil; a member is attached iff depth[i] >= 0.
 	handle    []*Member
 	parent    []int32
 	firstKid  []int32
@@ -249,12 +251,12 @@ type Tree struct {
 	outDeg    []int32 // floor(Bandwidth), cached for the degree invariant
 	depth     []int32 // -1 when detached
 	pathDelay []time.Duration
-	attached  []bool
+	attach    []topology.NodeID // Member.Attach, fixed at NewMember
 	// lockOwner is the ID of the in-flight switching operation holding the
 	// member, or zero when unlocked (ROST locking protocol).
 	lockOwner []int64
 	orderIdx  []int32
-	levelIdx  []int32
+	levelIdx  []int32 // nil until LevelIndex first builds the level lists
 
 	// free lists recycled dense indexes; idToIdx maps MemberID (sequential,
 	// never reused) to the member's dense index, or -1 once removed.
@@ -263,16 +265,18 @@ type Tree struct {
 
 	// order lists the slots of attached and detached live members for O(1)
 	// sampling (the root excluded), one sampling position per record;
-	// levels[d] lists attached members at depth d.
+	// levels[d] lists attached members at depth d, and levelIdx gives a
+	// slot's position in its list.
 	order  []sampleRec
 	levels [][]*Member
 	// lx is the per-level summary the relaxed BO/TO joins read instead of
-	// scanning levels; nil until LevelIndex first builds it.
+	// scanning levels; nil until LevelIndex first builds it. The level lists,
+	// levelIdx and levelCount are kept only while it is non-nil.
 	lx *LevelIndex
 
 	// liveCount counts live members including the root. attachedCount and
 	// levelCount both track the number of attached members but are
-	// maintained at different mutation sites (attached-flag flips vs level
+	// maintained at different mutation sites (depth set or reset vs level
 	// insert/remove), so the invariant check can compare them.
 	liveCount     int
 	attachedCount int
@@ -311,14 +315,10 @@ func NewTree(rootAttach topology.NodeID, rootBandwidth float64, delayFn func(a, 
 	}
 	root := t.newMemberAt(rootAttach, rootBandwidth, 0)
 	i := root.idx
-	t.attached[i] = true
 	t.attachedCount++
 	t.orderIdx[i] = none // the root is not sampleable as a rejoin candidate owner
-	t.levelIdx[i] = 0
 	t.depth[i] = 0
 	t.root = root
-	t.levels = append(t.levels, []*Member{root})
-	t.levelCount++
 	return t, nil
 }
 
@@ -347,10 +347,9 @@ func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.D
 		t.outDeg[i] = int32(m.OutDegree())
 		t.depth[i] = -1
 		t.pathDelay[i] = 0
-		t.attached[i] = false
+		t.attach[i] = attach
 		t.lockOwner[i] = 0
 		t.orderIdx[i] = none
-		t.levelIdx[i] = none
 	} else {
 		i = int32(len(t.handle))
 		t.handle = append(t.handle, m)
@@ -363,10 +362,12 @@ func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.D
 		t.outDeg = append(t.outDeg, int32(m.OutDegree()))
 		t.depth = append(t.depth, -1)
 		t.pathDelay = append(t.pathDelay, 0)
-		t.attached = append(t.attached, false)
+		t.attach = append(t.attach, attach)
 		t.lockOwner = append(t.lockOwner, 0)
 		t.orderIdx = append(t.orderIdx, none)
-		t.levelIdx = append(t.levelIdx, none)
+		if t.lx != nil {
+			t.levelIdx = append(t.levelIdx, none)
+		}
 	}
 	m.idx = i
 	t.idToIdx = append(t.idToIdx, i)
@@ -393,10 +394,12 @@ func (t *Tree) Grow(n int) {
 	t.outDeg = slices.Grow(t.outDeg, k)
 	t.depth = slices.Grow(t.depth, k)
 	t.pathDelay = slices.Grow(t.pathDelay, k)
-	t.attached = slices.Grow(t.attached, k)
+	t.attach = slices.Grow(t.attach, k)
 	t.lockOwner = slices.Grow(t.lockOwner, k)
 	t.orderIdx = slices.Grow(t.orderIdx, k)
-	t.levelIdx = slices.Grow(t.levelIdx, k)
+	if t.lx != nil {
+		t.levelIdx = slices.Grow(t.levelIdx, k)
+	}
 	t.order = slices.Grow(t.order, n-len(t.order))
 }
 
@@ -416,17 +419,21 @@ func (t *Tree) Slots() int { return len(t.handle) }
 // tree's next mutation, which may grow or recycle the arrays; fetch a fresh
 // one with Tree.SlotView per call instead of keeping it.
 type SlotView struct {
-	parent   []int32
-	depth    []int32
-	kidCount []int32
-	outDeg   []int32
-	attached []bool
-	handle   []*Member
+	parent    []int32
+	firstKid  []int32
+	nextSib   []int32
+	depth     []int32
+	kidCount  []int32
+	outDeg    []int32
+	pathDelay []time.Duration
+	attach    []topology.NodeID
+	handle    []*Member
 }
 
 // SlotView returns a view of the tree's current slot arrays.
 func (t *Tree) SlotView() SlotView {
-	return SlotView{parent: t.parent, depth: t.depth, kidCount: t.kidCount, outDeg: t.outDeg, attached: t.attached, handle: t.handle}
+	return SlotView{parent: t.parent, firstKid: t.firstKid, nextSib: t.nextSib, depth: t.depth,
+		kidCount: t.kidCount, outDeg: t.outDeg, pathDelay: t.pathDelay, attach: t.attach, handle: t.handle}
 }
 
 // Parent returns the slot of i's parent, or -1 for the root and detached
@@ -437,7 +444,39 @@ func (v *SlotView) Parent(i int32) int32 { return v.parent[i] }
 func (v *SlotView) Depth(i int32) int32 { return v.depth[i] }
 
 // Attached reports whether slot i has a position in the tree.
-func (v *SlotView) Attached(i int32) bool { return v.attached[i] }
+func (v *SlotView) Attached(i int32) bool { return v.depth[i] >= 0 }
+
+// PathDelay returns slot i's path delay: Member.PathDelay without the handle.
+func (v *SlotView) PathDelay(i int32) time.Duration { return v.pathDelay[i] }
+
+// Attach returns the router slot i sits on: Member.Attach without the handle.
+func (v *SlotView) Attach(i int32) topology.NodeID { return v.attach[i] }
+
+// Next returns the slot after n in the pre-order walk of top's subtree, the
+// order VisitSubtree visits, or -1 once the walk is done. The walk starts at
+// top itself: for n := top; n >= 0; n = v.Next(n, top).
+func (v *SlotView) Next(n, top int32) int32 {
+	return preOrderNext(v.firstKid, v.nextSib, v.parent, n, top)
+}
+
+// next is SlotView.Next on the tree's own arrays.
+func (t *Tree) next(n, top int32) int32 { return preOrderNext(t.firstKid, t.nextSib, t.parent, n, top) }
+
+// preOrderNext returns the slot after n in the pre-order walk of top's
+// subtree — first child, else the next sibling of the nearest ancestor below
+// top that has one — or none once the walk is done.
+func preOrderNext(firstKid, nextSib, parent []int32, n, top int32) int32 {
+	if fc := firstKid[n]; fc != none {
+		return fc
+	}
+	for n != top && nextSib[n] == none {
+		n = parent[n]
+	}
+	if n == top {
+		return none
+	}
+	return nextSib[n]
+}
 
 // HasSpare reports whether slot i can accept one more child: Member.HasSpare
 // without the handle.
@@ -482,9 +521,9 @@ func (t *Tree) Attach(child, parent *Member) error {
 		return ErrNotMember
 	case child == parent:
 		return ErrSelfAttach
-	case t.parent[child.idx] != none || t.attached[child.idx]:
+	case t.parent[child.idx] != none || t.depth[child.idx] >= 0:
 		return ErrHasParent
-	case !t.attached[parent.idx]:
+	case t.depth[parent.idx] < 0:
 		return ErrNotAttached
 	case t.kidCount[parent.idx] >= t.outDeg[parent.idx]:
 		return ErrFull
@@ -494,39 +533,25 @@ func (t *Tree) Attach(child, parent *Member) error {
 	return nil
 }
 
-// placeSubtree recomputes depth, path delay and level indexing for the member
-// at dense index m and all its descendants, in pre-order (children of a
-// rejoining member keep their subtrees, so a re-attach moves whole subtrees).
-// Only m's edge is new, so only it asks delayFn: every descendant keeps the
-// edge to its parent, and with it the path delay it had relative to m (Detach
-// leaves a subtree's path delays in place), so each path delay moves by
-// exactly m's change. Delays are integer nanoseconds: the shift is exact.
+// placeSubtree recomputes depth, path delay and level indexing for the
+// detached member at dense index m and all its descendants, which Detach left
+// detached, in pre-order (children of a rejoining member keep their subtrees,
+// so a re-attach moves whole subtrees). Only m's edge is new, so only it asks
+// delayFn: every descendant keeps the edge to its parent, and with it the path
+// delay it had relative to m (Detach leaves a subtree's path delays in place),
+// so each path delay moves by exactly m's change. Delays are integer
+// nanoseconds: the shift is exact.
 func (t *Tree) placeSubtree(m int32) {
 	p := t.parent[m]
-	shift := t.pathDelay[p] + t.delayFn(t.handle[p].Attach, t.handle[m].Attach) - t.pathDelay[m]
-	n := m
-	for {
+	shift := t.pathDelay[p] + t.delayFn(t.attach[p], t.attach[m]) - t.pathDelay[m]
+	for n := m; n != none; n = t.next(n, m) {
 		t.depth[n] = t.depth[t.parent[n]] + 1
 		t.pathDelay[n] += shift
-		if !t.attached[n] {
-			t.attached[n] = true
-			t.attachedCount++
-		}
-		t.levelInsert(n)
+		t.attachedCount++
 		if t.lx != nil {
+			t.levelInsert(n)
 			t.lx.insert(n)
 		}
-		if fc := t.firstKid[n]; fc != none {
-			n = fc
-			continue
-		}
-		for n != m && t.nextSib[n] == none {
-			n = t.parent[n]
-		}
-		if n == m {
-			return
-		}
-		n = t.nextSib[n]
 	}
 }
 
@@ -547,29 +572,17 @@ func (t *Tree) Detach(m *Member) error {
 	// Unplace the whole subtree: depth resets to -1, path delay keeps its
 	// last attached value (callers gate on Attached), which placeSubtree
 	// shifts when the subtree is attached again.
-	n := m.idx
-	for {
-		if t.attached[n] {
+	for n := m.idx; n != none; n = t.next(n, m.idx) {
+		if t.depth[n] >= 0 {
 			if t.lx != nil {
 				t.lx.remove(n)
+				t.levelRemove(n)
 			}
-			t.levelRemove(n)
-			t.attached[n] = false
 			t.attachedCount--
 			t.depth[n] = -1
 		}
-		if fc := t.firstKid[n]; fc != none {
-			n = fc
-			continue
-		}
-		for n != m.idx && t.nextSib[n] == none {
-			n = t.parent[n]
-		}
-		if n == m.idx {
-			return nil
-		}
-		n = t.nextSib[n]
 	}
+	return nil
 }
 
 // Remove deletes a member from the overlay entirely (departure or failure)
@@ -619,20 +632,8 @@ func (t *Tree) VisitSubtree(m *Member, fn func(*Member)) {
 	if m == nil || m.idx < 0 || m.tree != t {
 		return
 	}
-	n := m.idx
-	for {
+	for n := m.idx; n != none; n = t.next(n, m.idx) {
 		fn(t.handle[n])
-		if fc := t.firstKid[n]; fc != none {
-			n = fc
-			continue
-		}
-		for n != m.idx && t.nextSib[n] == none {
-			n = t.parent[n]
-		}
-		if n == m.idx {
-			return
-		}
-		n = t.nextSib[n]
 	}
 }
 
@@ -648,8 +649,12 @@ func (t *Tree) AppendAncestors(dst []*Member, m *Member) []*Member {
 	return dst
 }
 
-// MaxDepth returns the current tree height (deepest attached layer).
+// MaxDepth returns the current tree height (deepest attached layer): read off
+// the level lists when the tree has a level index, else a scan of every slot.
 func (t *Tree) MaxDepth() int {
+	if t.lx == nil {
+		return int(slices.Max(t.depth))
+	}
 	for d := len(t.levels) - 1; d >= 0; d-- {
 		if len(t.levels[d]) > 0 {
 			return d
@@ -658,8 +663,9 @@ func (t *Tree) MaxDepth() int {
 	return 0
 }
 
-// Level returns the attached members at depth d. The returned slice is owned
-// by the tree; callers must not mutate it.
+// Level returns the attached members at depth d, or nil on a tree whose level
+// index has not been asked for: the lists come with the index. The returned
+// slice is owned by the tree; callers must not mutate it.
 //
 //lint:ignore test-only-export reason: construct's reference test scans whole levels through it
 func (t *Tree) Level(d int) []*Member {
@@ -771,23 +777,9 @@ func (t *Tree) RecordFailure(failed *Member) int {
 		return 0
 	}
 	count := 0
-	for c := t.firstKid[failed.idx]; c != none; c = t.nextSib[c] {
-		n := c
-		for {
-			t.handle[n].Disruptions++
-			count++
-			if fc := t.firstKid[n]; fc != none {
-				n = fc
-				continue
-			}
-			for n != c && t.nextSib[n] == none {
-				n = t.parent[n]
-			}
-			if n == c {
-				break
-			}
-			n = t.nextSib[n]
-		}
+	for n := t.next(failed.idx, failed.idx); n != none; n = t.next(n, failed.idx) {
+		t.handle[n].Disruptions++
+		count++
 	}
 	return count
 }
@@ -887,13 +879,14 @@ func (t *Tree) childRemove(p, c int32) {
 	t.prevSib[c] = none
 	t.nextSib[c] = none
 	t.kidCount[p]--
-	if t.lx != nil && t.attached[p] {
+	if t.lx != nil && t.depth[p] >= 0 {
 		t.lx.spareSync(p, true)
 	}
 }
 
-// levelInsert and levelRemove stay small enough to inline into the subtree
-// walks; their callers, not they, keep the level index (lx) in step.
+// levelInsert and levelRemove keep the level lists, which exist only while
+// the level index (lx) does. They stay small enough to inline into the
+// subtree walks; their callers, not they, guard on lx and keep it in step.
 func (t *Tree) levelInsert(n int32) {
 	d := int(t.depth[n])
 	for len(t.levels) <= d {

@@ -330,26 +330,37 @@ func TestAncestors(t *testing.T) {
 	}
 }
 
+// TestLevelsAndMaxDepth reads MaxDepth off a tree without a level index (a
+// scan of the depths) and off one indexed at creation (the level lists), and
+// the level lists only where they exist.
 func TestLevelsAndMaxDepth(t *testing.T) {
-	tree := newTestTree(t)
-	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
-	b := mustJoin(t, tree, a, 2, 2, 0)
-	mustJoin(t, tree, b, 3, 1, 0)
-	if tree.MaxDepth() != 3 {
-		t.Fatalf("MaxDepth = %d, want 3", tree.MaxDepth())
-	}
-	if len(tree.Level(0)) != 1 || len(tree.Level(1)) != 1 || len(tree.Level(3)) != 1 {
-		t.Fatal("level sizes wrong")
-	}
-	if tree.Level(-1) != nil || tree.Level(99) != nil {
-		t.Fatal("out-of-range levels should be nil")
-	}
-	// Remove the chain; MaxDepth shrinks.
-	if _, err := tree.Remove(b); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if tree.MaxDepth() != 1 {
-		t.Fatalf("MaxDepth after removal = %d, want 1", tree.MaxDepth())
+	for _, indexed := range []bool{false, true} {
+		tree := newTestTree(t)
+		if indexed {
+			tree.LevelIndex(ByBandwidth, nil)
+		}
+		a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
+		b := mustJoin(t, tree, a, 2, 2, 0)
+		mustJoin(t, tree, b, 3, 1, 0)
+		if tree.MaxDepth() != 3 {
+			t.Fatalf("indexed %v: MaxDepth = %d, want 3", indexed, tree.MaxDepth())
+		}
+		if indexed && (len(tree.Level(0)) != 1 || len(tree.Level(1)) != 1 || len(tree.Level(3)) != 1) {
+			t.Fatal("level sizes wrong")
+		}
+		if !indexed && (tree.Level(0) != nil || a.LevelPos() != -1) {
+			t.Fatal("a tree without a level index lists levels")
+		}
+		if tree.Level(-1) != nil || tree.Level(99) != nil {
+			t.Fatal("out-of-range levels should be nil")
+		}
+		// Remove the chain; MaxDepth shrinks.
+		if _, err := tree.Remove(b); err != nil {
+			t.Fatalf("Remove: %v", err)
+		}
+		if tree.MaxDepth() != 1 {
+			t.Fatalf("indexed %v: MaxDepth after removal = %d, want 1", indexed, tree.MaxDepth())
+		}
 	}
 }
 
