@@ -26,17 +26,23 @@ type Timer interface {
 
 // WallClock returns real time, the Clock a nil Config.Clock means. It is
 // the only code in the package that reads the system clock; its timers run
-// f on their own goroutines.
-func WallClock() Clock { return wallClock{} }
-
-type wallClock struct{}
-
-func (wallClock) Now() time.Time {
-	//lint:ignore no-wallclock reason: the wall-clock Clock, the one real-time source of the live node
-	return time.Now()
+// f on their own goroutines. It reads the wall clock once, when made; Now is
+// that reading plus the monotonic time since, one clock read where time.Now
+// makes two. Sub, Before and timers compare monotonic readings anyway, so
+// only the wall part of Now stops following clock steps made later.
+func WallClock() Clock {
+	//lint:ignore no-wallclock reason: the wall-clock Clock's one wall reading, its epoch
+	return &wallClock{start: time.Now()}
 }
 
-func (wallClock) AfterFunc(d time.Duration, f func()) Timer {
+type wallClock struct{ start time.Time }
+
+func (c *wallClock) Now() time.Time {
+	//lint:ignore no-wallclock reason: the wall-clock Clock, the one real-time source of the live node
+	return c.start.Add(time.Since(c.start))
+}
+
+func (*wallClock) AfterFunc(d time.Duration, f func()) Timer {
 	//lint:ignore no-wallclock reason: the wall-clock Clock, the one real-time source of the live node
 	return time.AfterFunc(d, f)
 }

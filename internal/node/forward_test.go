@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"omcast/internal/metrics/live"
 	"omcast/internal/wire"
 )
 
@@ -34,7 +35,8 @@ const rigParent wire.Addr = "parent-0"
 
 // forwardRig is an unstarted node attached under rigParent with fanout
 // children, plus count in-order stream datagrams from rigParent, encoded back
-// to back: the standing state of a member in mid-stream, and its input.
+// to back: the standing state of a member in mid-stream, and its input. reg,
+// when not nil, is the node's metrics registry.
 type forwardRig struct {
 	n     *Node
 	tr    *probeTransport
@@ -42,9 +44,9 @@ type forwardRig struct {
 	offs  []int
 }
 
-func newForwardRig(fanout, count int) *forwardRig {
+func newForwardRig(fanout, count int, reg *live.Registry) *forwardRig {
 	r := &forwardRig{tr: &probeTransport{addr: "self"}}
-	r.n = New(Config{Bandwidth: float64(fanout), HeartbeatInterval: time.Hour}, r.tr)
+	r.n = New(Config{Bandwidth: float64(fanout), HeartbeatInterval: time.Hour, Metrics: reg}, r.tr)
 	attachTo(r.n, rigParent)
 	r.n.mu.Lock()
 	for i := 0; i < fanout; i++ {
@@ -78,20 +80,24 @@ func (r *forwardRig) check(tb testing.TB, fed, fanout int) {
 // BenchmarkForward is the live data path of one member — decode, guard,
 // store, fan out — per accepted datagram. The transport is synchronous and
 // only counts, so the difference between fan-outs is the per-child cost and
-// what fan-out 1 leaves is the fixed cost.
+// what fan-out 1 leaves is the fixed cost. The metered case adds the
+// registry a node serving /metrics counts into.
 func BenchmarkForward(b *testing.B) {
 	for _, fanout := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			r := newForwardRig(fanout, b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.feed(i)
-			}
-			b.StopTimer()
-			r.check(b, b.N, fanout)
-		})
+		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) { benchForward(b, fanout, nil) })
 	}
+	b.Run("metered,fanout=4", func(b *testing.B) { benchForward(b, 4, live.NewRegistry()) })
+}
+
+func benchForward(b *testing.B, fanout int, reg *live.Registry) {
+	r := newForwardRig(fanout, b.N, reg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.feed(i)
+	}
+	b.StopTimer()
+	r.check(b, b.N, fanout)
 }
 
 // TestForwardAllocs is the data path's allocation ceiling: an accepted and
@@ -104,7 +110,7 @@ func TestForwardAllocs(t *testing.T) {
 	}
 	const runs = 1000
 	for _, fanout := range []int{1, 4, 16} {
-		r := newForwardRig(fanout, runs+1) // AllocsPerRun warms up with one extra call
+		r := newForwardRig(fanout, runs+1, nil) // AllocsPerRun warms up with one extra call
 		i := 0
 		allocs := testing.AllocsPerRun(runs, func() {
 			r.feed(i)
@@ -114,6 +120,36 @@ func TestForwardAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("fan-out %d: %.2f allocations per forwarded datagram, want 0", fanout, allocs)
 		}
+	}
+}
+
+// TestFanOutCountsEveryChild: a datagram forwarded to k children raises the
+// transport counters by k datagrams and k times the forwarded length, which
+// a fan-out counts with one add each; a single send still counts one.
+func TestFanOutCountsEveryChild(t *testing.T) {
+	for _, fanout := range []int{1, 4, 16} {
+		r := newForwardRig(fanout, 1, live.NewRegistry())
+		size := int64(len(wire.AppendBinary(nil, wire.Envelope{Type: wire.TypePacket, From: r.tr.addr, Packet: 1, Payload: make([]byte, 32)})))
+		datagrams, bytes := r.n.met.txDatagrams.Value(), r.n.met.txBytes.Value()
+		r.feed(0)
+		r.check(t, 1, fanout)
+		if got := r.n.met.txDatagrams.Value() - datagrams; got != int64(fanout) {
+			t.Errorf("fan-out %d: tx datagrams rose by %d, want %d", fanout, got, fanout)
+		}
+		if got, want := r.n.met.txBytes.Value()-bytes, int64(fanout)*size; got != want {
+			t.Errorf("fan-out %d: tx bytes rose by %d, want %d", fanout, got, want)
+		}
+	}
+
+	r := newForwardRig(1, 0, live.NewRegistry())
+	size := int64(len(wire.AppendBinary(nil, wire.Envelope{Type: wire.TypeHeartbeat, From: r.tr.addr, Depth: 3})))
+	datagrams, bytes := r.n.met.txDatagrams.Value(), r.n.met.txBytes.Value()
+	r.n.send("peer", wire.Envelope{Type: wire.TypeHeartbeat, Depth: 3})
+	if got := r.n.met.txDatagrams.Value() - datagrams; got != 1 {
+		t.Errorf("one send: tx datagrams rose by %d, want 1", got)
+	}
+	if got := r.n.met.txBytes.Value() - bytes; got != size {
+		t.Errorf("one send: tx bytes rose by %d, want %d", got, size)
 	}
 }
 

@@ -100,7 +100,7 @@ func (c Config) withDefaults() Config {
 		c.PlaybackBuffer = 2 * time.Second
 	}
 	if c.Clock == nil {
-		c.Clock = wallClock{}
+		c.Clock = WallClock()
 	}
 	return c
 }
@@ -820,14 +820,17 @@ func (n *Node) send(to wire.Addr, env wire.Envelope) {
 	if err != nil {
 		return // unencodable envelopes are a programming error; drop
 	}
-	n.transmit(to, data)
+	n.transmit(data, to)
 }
 
-// transmit hands encoded bytes to the transport and counts them.
-func (n *Node) transmit(to wire.Addr, data []byte) {
-	n.met.txDatagrams.Inc()
-	n.met.txBytes.Add(int64(len(data)))
-	_ = n.transport.Send(to, data) // datagram semantics: errors are drops
+// transmit hands the same encoded bytes to the transport once per
+// destination, and counts them with one add per counter whatever the number.
+func (n *Node) transmit(data []byte, to ...wire.Addr) {
+	n.met.txDatagrams.Add(int64(len(to)))
+	n.met.txBytes.Add(int64(len(to) * len(data)))
+	for _, a := range to {
+		_ = n.transport.Send(a, data) // datagram semantics: errors are drops
+	}
 }
 
 // fanOut sends one data-class envelope (stream packet or ELN) to every child
@@ -847,9 +850,7 @@ func (n *Node) fanOut(children []wire.Addr, env *wire.Envelope) {
 		buf = new([]byte)
 	}
 	data := wire.AppendBinary((*buf)[:0], *env)
-	for _, c := range children {
-		n.transmit(c, data)
-	}
+	n.transmit(data, children...)
 	*buf = data
 	n.fanBuf.Store(buf)
 }

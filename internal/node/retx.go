@@ -75,7 +75,7 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	n.inflight++
 	n.met.retxInflight.Set(float64(n.inflight))
 	n.mu.Unlock()
-	n.transmit(to, data)
+	n.transmit(data, to)
 	return true
 }
 
@@ -111,7 +111,7 @@ func (n *Node) retxFire(to wire.Addr, seq uint64) {
 	data := pend.data
 	n.met.retxSent.Inc()
 	n.mu.Unlock()
-	n.transmit(to, data)
+	n.transmit(data, to)
 }
 
 // handleAck clears the acked message from the sender-side window.

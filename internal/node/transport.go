@@ -73,7 +73,7 @@ type MemNetwork struct {
 // may be nil (delivery at the send instant, still through the clock).
 func NewMemNetwork(clock Clock, latency func(from, to wire.Addr) time.Duration) *MemNetwork {
 	if clock == nil {
-		clock = wallClock{}
+		clock = WallClock()
 	}
 	return &MemNetwork{
 		clock:   clock,

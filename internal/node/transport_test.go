@@ -215,7 +215,7 @@ func TestUDPTransportMTUCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wire.Validate(env); err != nil {
+	if err := wire.Validate(&env); err != nil {
 		t.Fatalf("oversize-for-UDP envelope should still validate: %v", err)
 	}
 	if len(data) <= MaxUDPDatagram || len(data) > wire.MaxDatagram {

@@ -4,8 +4,8 @@ import "fmt"
 
 // checkLocal validates the member at dense index i against its immediate
 // neighborhood: degree bound, child-link integrity (parent pointers, sibling
-// back-links, count), attached children's depth and path delay, and its own
-// slots in the level and order indexes.
+// back-links, count), its children's depth and path delay, and its own slots
+// in the level and order indexes.
 func (t *Tree) checkLocal(i int32) error {
 	m := t.handle[i]
 	if t.outDeg[i] != int32(m.OutDegree()) {
@@ -33,14 +33,19 @@ func (t *Tree) checkLocal(i int32) error {
 		if t.prevSib[c] != prev {
 			return fmt.Errorf("overlay: member %d's child %d has broken sibling back-link", m.ID, t.handle[c].ID)
 		}
-		if t.depth[c] >= 0 {
-			if t.depth[c] != t.depth[i]+1 {
-				return fmt.Errorf("overlay: member %d depth %d, parent depth %d", t.handle[c].ID, t.depth[c], t.depth[i])
-			}
-			want := t.pathDelay[i] + t.delayFn(t.attach[i], t.attach[c])
-			if t.pathDelay[c] != want {
-				return fmt.Errorf("overlay: member %d pathDelay %v, want %v", t.handle[c].ID, t.pathDelay[c], want)
-			}
+		depth := t.depth[i] + 1
+		if t.depth[i] < 0 {
+			depth = -1 // a detached member's whole subtree is detached
+		}
+		if t.depth[c] != depth {
+			return fmt.Errorf("overlay: member %d depth %d, parent depth %d", t.handle[c].ID, t.depth[c], t.depth[i])
+		}
+		// Attached or not, a child's path delay is its parent's plus their
+		// edge: Detach leaves a subtree's delays in place and placeSubtree
+		// shifts them all by one amount.
+		want := t.pathDelay[i] + t.delayFn(t.attach[i], t.attach[c])
+		if t.pathDelay[c] != want {
+			return fmt.Errorf("overlay: member %d pathDelay %v, want %v", t.handle[c].ID, t.pathDelay[c], want)
 		}
 		prev = c
 	}
@@ -91,9 +96,10 @@ func holds(list []*Member, pos int32, m *Member) bool {
 }
 
 // CheckInvariantsFull verifies every structural invariant with a complete
-// O(n) scan: the pre-order walk from the source (degree bounds, link
-// integrity, depths, path delays, double-reachability), the
-// every-attached-member-is-reachable audit in ID order, and, on a tree that
+// O(n) scan: pre-order walks from the source and from the top of every
+// detached subtree (degree bounds, link integrity, depths, path delays
+// relative to the walk's top, level and order slots, double-reachability),
+// the every-live-member-was-walked audit in ID order, and, on a tree that
 // keeps level lists, the full level-list and level-index sweep.
 // Allocation-free: reachability is tracked in an epoch-stamped scratch
 // buffer. It is the tree's one checker: the -paranoid audit and the tests
@@ -114,13 +120,21 @@ func (t *Tree) CheckInvariantsFull() error {
 	if err := t.invWalk(t.root.idx); err != nil {
 		return err
 	}
-	// Every attached member must be reachable from the root. Scan in ID
-	// order (idToIdx is ID-ordered by construction) so the violation
-	// reported first is the same on every run.
+	// Every other member with no parent tops a detached subtree: walk those
+	// too, then require that the walks saw every live member (each walk
+	// rejects a second visit). Both scans run in ID order (idToIdx is
+	// ID-ordered by construction) so the violation reported first is the
+	// same on every run.
 	for id := 1; id < len(t.idToIdx); id++ {
-		i := t.idToIdx[id]
-		if i >= 0 && t.depth[i] >= 0 && t.invSeen[i] != t.invEpoch {
-			return fmt.Errorf("overlay: attached member %d unreachable from source", id)
+		if i := t.idToIdx[id]; i >= 0 && i != t.root.idx && t.parent[i] == none {
+			if err := t.invWalk(i); err != nil {
+				return err
+			}
+		}
+	}
+	for id := 1; id < len(t.idToIdx); id++ {
+		if i := t.idToIdx[id]; i >= 0 && t.invSeen[i] != t.invEpoch {
+			return fmt.Errorf("overlay: member %d reachable from neither the source nor a detached subtree's top", id)
 		}
 	}
 	attachedCount := 0

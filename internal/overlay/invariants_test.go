@@ -38,6 +38,17 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		}
 		return tree, a, b
 	}
+	// orphan detaches b, whose subtree (c) stays with it, checks that the
+	// checker accepts the detached subtree, and returns c.
+	orphan := func(tree *Tree, b *Member) int32 {
+		if err := tree.Detach(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.CheckInvariantsFull(); err != nil {
+			t.Fatalf("detached subtree: %v", err)
+		}
+		return tree.firstKid[b.idx]
+	}
 	cases := []struct {
 		name    string
 		order   LevelOrder
@@ -108,6 +119,21 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		}},
 		{name: "attached-counter", corrupt: func(tree *Tree, a, b *Member) {
 			tree.attachedCount++
+		}},
+		{name: "detached-level-slot", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
+			orphan(tree, b)
+			tree.levelIdx[b.idx] = 0
+		}},
+		{name: "detached-sibling-back-link", corrupt: func(tree *Tree, a, b *Member) {
+			c := orphan(tree, b)
+			tree.prevSib[c] = c
+		}},
+		{name: "detached-path-delay", corrupt: func(tree *Tree, a, b *Member) {
+			c := orphan(tree, b)
+			tree.pathDelay[c] += time.Second
+		}},
+		{name: "detached-cycle", corrupt: func(tree *Tree, a, b *Member) {
+			tree.parent[b.idx] = orphan(tree, b) // no member tops b's subtree now
 		}},
 	}
 	for _, tc := range cases {

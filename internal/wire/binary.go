@@ -449,13 +449,11 @@ func DecodeBinary(b []byte) (Envelope, error) { return DecodeBinaryWith(b, nil) 
 // DecodeBinaryWith is DecodeBinary with the From address supplied by in (nil
 // converts it fresh, exactly as DecodeBinary does). Every other field, every
 // error and its reason are the same whatever the interner.
-func DecodeBinaryWith(b []byte, in Interner) (Envelope, error) {
-	var env Envelope
-	if err := decodeRaw(&env, b, in); err != nil {
-		return env, err
+func DecodeBinaryWith(b []byte, in Interner) (env Envelope, err error) {
+	// Decoded and validated in the result itself: an Envelope is a few
+	// hundred bytes, and a local would be copied out on return.
+	if err = decodeRaw(&env, b, in); err == nil {
+		err = Validate(&env)
 	}
-	if err := Validate(env); err != nil {
-		return env, err
-	}
-	return env, nil
+	return env, err
 }

@@ -38,7 +38,7 @@ func FuzzDecodeBinary(f *testing.F) {
 			}
 			return
 		}
-		if verr := Validate(env); verr != nil {
+		if verr := Validate(&env); verr != nil {
 			t.Fatalf("DecodeBinary accepted an envelope Validate rejects: %v\n%x", verr, data)
 		}
 		b, err := EncodeBinary(env)
@@ -78,7 +78,7 @@ func FuzzRoundTripBinary(f *testing.F) {
 				env.Chain = append(env.Chain, Addr(c))
 			}
 		}
-		valid := Validate(env) == nil
+		valid := Validate(&env) == nil
 		b, err := EncodeBinary(env)
 		if err != nil {
 			t.Fatalf("EncodeBinary failed: %v", err)

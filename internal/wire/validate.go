@@ -130,7 +130,7 @@ func ValidAddr(a Addr) bool {
 // range ordering and width, and chain shape (no empties, duplicates, or the
 // sender/requester addressing itself). It returns nil for every envelope an
 // honest node produces.
-func Validate(env Envelope) error {
+func Validate(env *Envelope) error {
 	t := env.Type
 	if t < TypeJoin || t > TypeAck {
 		return bad(t, ReasonType, "unknown message type %d", int(t))
@@ -190,7 +190,7 @@ func Validate(env Envelope) error {
 // by ELN and RepairRequest: non-negative, ordered, width-capped. Other types
 // must not carry one (the fields are protocol-inert there, so any non-zero
 // value is a forgery or corruption signal).
-func validateRange(env Envelope) error {
+func validateRange(env *Envelope) error {
 	t := env.Type
 	switch t {
 	case TypeELN, TypeRepairRequest:
@@ -216,7 +216,7 @@ func validateRange(env Envelope) error {
 // original requester — a chain that routes a request back to either is a
 // forwarding loop by construction. SwitchCommit reuses Chain as a length-1
 // child pointer and gets the same shape checks.
-func validateChain(env Envelope) error {
+func validateChain(env *Envelope) error {
 	t := env.Type
 	if len(env.Chain) == 0 {
 		return nil
@@ -250,7 +250,7 @@ func validateChain(env Envelope) error {
 
 // validateMembers checks a gossip member list: bounded, every record
 // well-formed with sane capacity claims and a bounded ancestor path.
-func validateMembers(env Envelope) error {
+func validateMembers(env *Envelope) error {
 	t := env.Type
 	if len(env.Members) == 0 {
 		return nil

@@ -36,7 +36,7 @@ func TestValidateAccepts(t *testing.T) {
 		{Type: TypeSwitchCommit, From: "i", NewParent: "np"},
 	}
 	for _, env := range cases {
-		if err := Validate(env); err != nil {
+		if err := Validate(&env); err != nil {
 			t.Errorf("Validate(%v) rejected an honest envelope: %v", env.Type, err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestValidateRejects(t *testing.T) {
 		}(), ReasonMembers},
 	}
 	for _, tc := range cases {
-		err := Validate(tc.env)
+		err := Validate(&tc.env)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
