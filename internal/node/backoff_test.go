@@ -88,37 +88,6 @@ func TestJoinBackoffResetsOnAttach(t *testing.T) {
 	}
 }
 
-// TestAcceptBetweenAttemptAndBackoffKeepsStreakReset replays, on a node that
-// is never started, the interleaving behind TestJoinBackoffResetsOnAttach's
-// old flake: the join duty sends a Join (tryJoin), the Accept is handled
-// before it asks for its next delay, and only then does nextJoinDelay run. The
-// streak must stay cleared and the wait be one heartbeat; before the Accept,
-// every futile attempt still doubles the back-off.
-func TestAcceptBetweenAttemptAndBackoffKeepsStreakReset(t *testing.T) {
-	cfg := fast
-	cfg.Bandwidth = 1
-	nd := newWorld(t).node("joiner", cfg) // never Started: the test drives it
-	state := func() (bool, int) {
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
-		return nd.attached, nd.joinStreak
-	}
-
-	for want := 1; want <= 3; want++ { // unanswered attempts back off
-		nd.nextJoinDelay()
-		if _, streak := state(); streak != want {
-			t.Fatalf("joinStreak = %d after %d futile attempts", streak, want)
-		}
-	}
-	nd.handleAccept(wire.Envelope{Type: wire.TypeAccept, From: "parent", Depth: 1})
-	if d := nd.nextJoinDelay(); d != cfg.HeartbeatInterval {
-		t.Fatalf("delay after a racing Accept = %s, want one heartbeat (%s)", d, cfg.HeartbeatInterval)
-	}
-	if attached, streak := state(); !attached || streak != 0 {
-		t.Fatalf("attached %v with joinStreak %d after a racing Accept, want attached with 0", attached, streak)
-	}
-}
-
 // TestRecoveryGroupExcludesStaleMembers injects a membership view where one
 // member's record stopped refreshing: CER candidate selection must skip it,
 // while fresh members with identical scores stay eligible.
@@ -136,9 +105,9 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 	nd.attached = true
 	nd.parent = "parent"
 	for i := 0; i < 4; i++ {
-		nd.viewAddLocked(wire.Addr(fmt.Sprintf("fresh%d", i)), now)
+		nd.viewAdd(wire.Addr(fmt.Sprintf("fresh%d", i)), now)
 	}
-	nd.viewAddLocked("stale", now.Add(-10*time.Second)) // stopped heartbeating long ago
+	nd.viewAdd("stale", now.Add(-10*time.Second)) // stopped heartbeating long ago
 	nd.mu.Unlock()
 
 	group := nd.recoveryGroup()

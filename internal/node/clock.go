@@ -14,7 +14,8 @@ type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
 	// AfterFunc calls f once, d from now, unless the returned timer is
-	// stopped first.
+	// stopped first. It never calls f itself: the node arms timers while
+	// holding its lock.
 	AfterFunc(d time.Duration, f func()) Timer
 }
 

@@ -49,7 +49,7 @@ func checkInvariants(t *testing.T, n *Node, what string) {
 			n.mu.Unlock()
 			t.Fatalf("%s: ring slot %d of %d holds sequence %d (head %d)", what, i, slots, s.seq, highest)
 		}
-		if _, ok := n.bufferedLocked(s.seq); ok {
+		if _, ok := n.buffered(s.seq); ok {
 			live++
 		}
 	}

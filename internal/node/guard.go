@@ -12,7 +12,7 @@ import (
 // (internal/wire) rejects envelopes no honest node could send; the guard
 // decides what to do about the *sender*. Its state is part of the sender's
 // record in the one peer table (peers.go), so it is bounded and evicted with
-// the view entry and retransmit windows, by peerLocked's one rule — which
+// the view entry and retransmit windows, by peer's one rule — which
 // keeps quarantined records until nothing else is left to evict:
 //
 //   - every peer carries a misbehavior score that decays linearly over time;
@@ -54,8 +54,8 @@ const (
 	auditSlack = 2
 )
 
-// decayScoreLocked applies the linear score decay up to now. Requires mu.
-func (p *peerRecord) decayScoreLocked(rate float64, now time.Time) {
+// decayScore applies the linear score decay up to now.
+func (p *peerRecord) decayScore(rate float64, now time.Time) {
 	if dt := now.Sub(p.scoreAt).Seconds(); dt > 0 {
 		p.score -= rate * dt
 		if p.score < 0 {
@@ -65,26 +65,24 @@ func (p *peerRecord) decayScoreLocked(rate float64, now time.Time) {
 	p.scoreAt = now
 }
 
-// noteMisbehaviorLocked charges points against a peer and quarantines it when
-// the decayed score crosses the threshold: the peer leaves the view and the
-// child set so it stops influencing CER selection and the tree. Returns
-// whether the quarantined peer was our parent (the caller must run the
-// parent-failure path outside the lock). Requires mu.
-func (n *Node) noteMisbehaviorLocked(addr wire.Addr, p *peerRecord, points float64, now time.Time) (lostParent bool) {
-	p.decayScoreLocked(scoreDecay, now)
+// noteMisbehavior charges points against a peer and quarantines it when the
+// decayed score crosses the threshold: the peer leaves the view and the
+// child set so it stops influencing CER selection and the tree, and a
+// quarantined parent is a failed one.
+func (n *Node) noteMisbehavior(addr wire.Addr, p *peerRecord, points float64, now time.Time) {
+	p.decayScore(scoreDecay, now)
 	p.score += points
 	if p.score < n.tm.quarantineScore || p.quarantined(now) {
-		return false
+		return
 	}
 	p.quarantinedUntil = now.Add(n.tm.quarantine)
 	p.score = 0 // the sentence restarts the account
 	n.met.guardQuarantines.Inc()
 	p.inView = false
-	n.dropChildLocked(addr)
+	n.dropChild(addr)
 	if n.attached && addr == n.parent {
-		return true
+		n.onParentFailure("quarantine")
 	}
-	return false
 }
 
 // guardTypeIsRequest reports whether a message type asks us to do work on
@@ -99,24 +97,22 @@ func guardTypeIsRequest(t wire.Type) bool {
 	return false
 }
 
-// guardAdmitLocked is the per-datagram admission decision for a decoded,
+// guardAdmit is the per-datagram admission decision for a decoded,
 // wire-valid envelope: the sender's record (created if new) and its
 // freshness, then quarantine drop, request rate limit, BTP audit. It returns
-// the sender's record, or nil when the datagram must not reach its handler;
-// lostParent reports that refusing it quarantined our parent, so the caller
-// must run the parent-failure path once it has released mu. Requires mu.
-func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (p *peerRecord, lostParent bool) {
-	p = n.peerLocked(env.From, now)
+// the sender's record, or nil when the datagram must not reach its handler.
+func (n *Node) guardAdmit(env *wire.Envelope, now time.Time) *peerRecord {
+	p := n.peer(env.From, now)
 	if p == nil {
 		// The table holds only the parent and children: a stranger has no
 		// bucket to draw from.
 		n.met.guardRateLimited.Inc()
-		return nil, false
+		return nil
 	}
 	p.seen = now
 	if p.quarantined(now) {
 		n.met.guardQuarantineDrops.Inc()
-		return nil, false
+		return nil
 	}
 	switch {
 	case guardTypeIsRequest(env.Type):
@@ -129,16 +125,18 @@ func (n *Node) guardAdmitLocked(env *wire.Envelope, now time.Time) (p *peerRecor
 		p.tokensAt = now
 		if p.tokens < 1 {
 			n.met.guardRateLimited.Inc()
-			return nil, n.noteMisbehaviorLocked(env.From, p, scoreRateLimited, now)
+			n.noteMisbehavior(env.From, p, scoreRateLimited, now)
+			return nil
 		}
 		p.tokens--
 	case env.Type == wire.TypeHeartbeat || env.Type == wire.TypeSwitchPropose:
-		if !n.auditBTPLocked(p, env, now) {
+		if !n.auditBTP(p, env, now) {
 			n.met.guardAuditFails.Inc()
-			return nil, n.noteMisbehaviorLocked(env.From, p, scoreAuditFail, now)
+			n.noteMisbehavior(env.From, p, scoreAuditFail, now)
+			return nil
 		}
 	}
-	return p, false
+	return p
 }
 
 // noteWireReject attributes a failed decode/validation to its claimed sender
@@ -155,28 +153,22 @@ func (n *Node) noteWireReject(from wire.Addr) {
 		return
 	}
 	now := n.now()
-	lostParent := false
-	n.mu.Lock()
-	if p := n.peerLocked(from, now); p != nil {
+	if p := n.peer(from, now); p != nil {
 		p.seen = now
 		if !p.quarantined(now) {
-			lostParent = n.noteMisbehaviorLocked(from, p, scoreWireReject, now)
+			n.noteMisbehavior(from, p, scoreWireReject, now)
 		}
-	}
-	n.mu.Unlock()
-	if lostParent {
-		n.onParentFailure("quarantine")
 	}
 }
 
-// auditBTPLocked checks a claimed bandwidth-time product against the peer's
+// auditBTP checks a claimed bandwidth-time product against the peer's
 // own claim trajectory: between two claims dt apart, the product may grow by
 // at most claimed_bandwidth * dt * slack, plus a grace floor that absorbs
 // delivery jitter (reordered heartbeats compress dt). Claims may always
 // *shrink* — a restarted peer resets its clock. The baseline is only
 // advanced by claims that pass, so a forging peer keeps failing against its
-// last honest claim instead of ratcheting the baseline up. Requires mu.
-func (n *Node) auditBTPLocked(p *peerRecord, env *wire.Envelope, now time.Time) bool {
+// last honest claim instead of ratcheting the baseline up.
+func (n *Node) auditBTP(p *peerRecord, env *wire.Envelope, now time.Time) bool {
 	if p.lastBTPAt.IsZero() {
 		// First claim: nothing to compare against. (A peer inflating from its
 		// very first heartbeat with a consistent trajectory evades the delta

@@ -75,32 +75,20 @@ func attachTo(n *Node, parent wire.Addr) {
 	n.mu.Unlock()
 }
 
-// guardAdmit and acceptPacket each run one step of onDatagram's locked
-// section the way onDatagram does, for tests that drive that step alone.
-func (n *Node) guardAdmit(env wire.Envelope) bool {
-	n.mu.Lock()
-	p, lostParent := n.guardAdmitLocked(&env, n.now())
-	n.mu.Unlock()
-	if lostParent {
-		n.onParentFailure("quarantine")
-	}
-	return p != nil
+// admit and offerPacket each run one step of onDatagram the way it does,
+// for tests that drive that step alone.
+func (n *Node) admit(env wire.Envelope) bool {
+	return n.guardAdmit(&env, n.now()) != nil
 }
 
-// viewAddLocked puts addr in the view as gossip would, last seen at seen.
-// Requires mu.
-func (n *Node) viewAddLocked(addr wire.Addr, seen time.Time) {
-	p := n.peerLocked(addr, seen)
+func (n *Node) offerPacket(env wire.Envelope, repaired bool) {
+	n.acceptPacket(&env, repaired, n.now())
+}
+
+// viewAdd puts addr in the view as gossip would, last seen at seen.
+func (n *Node) viewAdd(addr wire.Addr, seen time.Time) {
+	p := n.peer(addr, seen)
 	p.info, p.inView, p.seen = wire.MemberInfo{Addr: addr}, true, seen
-}
-
-func (n *Node) acceptPacket(env wire.Envelope, repaired bool) {
-	n.mu.Lock()
-	children, gapFirst, gapLast, ok := n.acceptPacketLocked(&env, repaired, n.now())
-	n.mu.Unlock()
-	if ok {
-		n.forwardPacket(children, &env, gapFirst, gapLast)
-	}
 }
 
 func envBytes(t *testing.T, env wire.Envelope) []byte {
@@ -120,30 +108,30 @@ func TestGuardRateLimitsRequests(t *testing.T) {
 	n.tm.quarantineScore = 1000 // keep quarantine out of this test
 	req := wire.Envelope{Type: wire.TypeMembershipRequest, From: "flooder"}
 	for i := 0; i < 3; i++ {
-		if !n.guardAdmit(req) {
+		if !n.admit(req) {
 			t.Fatalf("request %d within burst denied", i)
 		}
 	}
-	if n.guardAdmit(req) {
+	if n.admit(req) {
 		t.Fatal("request over burst admitted")
 	}
 	if got := n.Stats().GuardRateLimited; got != 1 {
 		t.Fatalf("GuardRateLimited = %d, want 1", got)
 	}
 	// Non-request types are never metered: the stream must not be throttled.
-	if !n.guardAdmit(wire.Envelope{Type: wire.TypePacket, From: "flooder", Packet: 1}) {
+	if !n.admit(wire.Envelope{Type: wire.TypePacket, From: "flooder", Packet: 1}) {
 		t.Fatal("stream packet denied by the request limiter")
 	}
 }
 
 func TestGuardScoreDecays(t *testing.T) {
 	p := &peerRecord{score: 10, scoreAt: time.Now().Add(-4 * time.Second)}
-	p.decayScoreLocked(2, time.Now()) // 2 points/s over 4s
+	p.decayScore(2, time.Now()) // 2 points/s over 4s
 	if p.score > 2.1 || p.score < 1.9 {
 		t.Fatalf("score after decay = %v, want ~2", p.score)
 	}
 	p.scoreAt = time.Now().Add(-time.Hour)
-	p.decayScoreLocked(2, time.Now())
+	p.decayScore(2, time.Now())
 	if p.score != 0 {
 		t.Fatalf("score decayed below zero: %v", p.score)
 	}
@@ -154,7 +142,7 @@ func TestGuardQuarantinesWireRejecters(t *testing.T) {
 	n.tm.quarantineScore = 7 // two wire rejects (4 points each) cross it
 	// Give the offender a membership record: quarantine must purge it.
 	n.mu.Lock()
-	n.viewAddLocked("evil", time.Now())
+	n.viewAdd("evil", time.Now())
 	n.mu.Unlock()
 
 	n.noteWireReject("evil")
@@ -170,7 +158,7 @@ func TestGuardQuarantinesWireRejecters(t *testing.T) {
 		t.Fatal("quarantine did not purge the membership record")
 	}
 	// Everything from a quarantined peer is dropped before dispatch.
-	if n.guardAdmit(wire.Envelope{Type: wire.TypeHeartbeat, From: "evil"}) {
+	if n.admit(wire.Envelope{Type: wire.TypeHeartbeat, From: "evil"}) {
 		t.Fatal("quarantined peer's datagram admitted")
 	}
 	if got := n.Stats().GuardQuarantineDrops; got != 1 {
@@ -205,15 +193,15 @@ func TestGuardBTPAudit(t *testing.T) {
 		return wire.Envelope{Type: wire.TypeHeartbeat, From: "peer", Bandwidth: 3, BTP: btp}
 	}
 	// First claim is the baseline, whatever it is.
-	if !n.guardAdmit(hb(10)) {
+	if !n.admit(hb(10)) {
 		t.Fatal("baseline claim denied")
 	}
 	// Honest growth (well under bw*dt*slack + grace) passes.
-	if !n.guardAdmit(hb(10.5)) {
+	if !n.admit(hb(10.5)) {
 		t.Fatal("honest growth denied")
 	}
 	// A jump no bandwidth could produce fails.
-	if n.guardAdmit(hb(1e6)) {
+	if n.admit(hb(1e6)) {
 		t.Fatal("forged BTP jump admitted")
 	}
 	if got := n.Stats().GuardAuditFails; got != 1 {
@@ -221,15 +209,15 @@ func TestGuardBTPAudit(t *testing.T) {
 	}
 	// The failed claim must not have ratcheted the baseline: the same forged
 	// value keeps failing.
-	if n.guardAdmit(hb(1e6)) {
+	if n.admit(hb(1e6)) {
 		t.Fatal("forged BTP admitted on retry — baseline advanced on a failed claim")
 	}
 	// Shrinking claims always pass (peer restart resets its clock).
-	if !n.guardAdmit(hb(0)) {
+	if !n.admit(hb(0)) {
 		t.Fatal("shrinking claim denied")
 	}
 	// SwitchPropose claims are audited against the same trajectory.
-	if n.guardAdmit(wire.Envelope{Type: wire.TypeSwitchPropose, From: "peer", Bandwidth: 3, BTP: 1e6}) {
+	if n.admit(wire.Envelope{Type: wire.TypeSwitchPropose, From: "peer", Bandwidth: 3, BTP: 1e6}) {
 		t.Fatal("forged SwitchPropose BTP admitted")
 	}
 }
@@ -243,18 +231,18 @@ func TestGuardTableEviction(t *testing.T) {
 	n.tm.quarantineScore = 7
 	attachTo(n, "p")
 	n.mu.Lock()
-	n.addChildLocked("c", time.Now())
+	n.addChild("c", time.Now())
 	n.mu.Unlock()
 	// The parent and the child are heard from first, so theirs are the
 	// stalest records; then one peer is quarantined, one is sent a control
 	// message that stays unacked, and strangers flood the table.
-	n.guardAdmit(wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1})
-	n.guardAdmit(wire.Envelope{Type: wire.TypeHeartbeat, From: "c", Bandwidth: 1})
+	n.admit(wire.Envelope{Type: wire.TypeHeartbeat, From: "p", Bandwidth: 1})
+	n.admit(wire.Envelope{Type: wire.TypeHeartbeat, From: "c", Bandwidth: 1})
 	n.noteWireReject("evil")
 	n.noteWireReject("evil")
 	n.send("pending", wire.Envelope{Type: wire.TypeLeave})
 	for i := 0; i < 20; i++ {
-		n.guardAdmit(wire.Envelope{Type: wire.TypeHeartbeat, From: wire.Addr(fmt.Sprintf("g%02d", i))})
+		n.admit(wire.Envelope{Type: wire.TypeHeartbeat, From: wire.Addr(fmt.Sprintf("g%02d", i))})
 	}
 	n.mu.Lock()
 	size := len(n.peers)
@@ -286,12 +274,12 @@ func TestRecoveryGroupExcludesQuarantined(t *testing.T) {
 	attachTo(n, "p")
 	n.noteWireReject("q")
 	n.noteWireReject("q")
-	// Simulate the re-learn race: the record sneaks back into membership
-	// after sentencing (e.g. a merge that raced the conviction).
+	// Put the convicted record back in the view by hand: mergeMembers
+	// refuses to, and the recovery group must not rely on that alone.
 	now := time.Now()
 	n.mu.Lock()
 	for _, a := range []wire.Addr{"a", "b", "q"} {
-		n.viewAddLocked(a, now)
+		n.viewAdd(a, now)
 	}
 	n.mu.Unlock()
 	group := n.recoveryGroup()
@@ -309,7 +297,7 @@ func TestRepairRequestRangeRejectedAtHandler(t *testing.T) {
 	n, tr := newGuardNode(nil)
 	n.mu.Lock()
 	n.highest = 100
-	n.storeLocked(50, nil)
+	n.store(50, nil)
 	n.mu.Unlock()
 	cases := []wire.Envelope{
 		{Type: wire.TypeRepairRequest, From: "r", FirstMissing: 9, LastMissing: 3},
@@ -335,7 +323,7 @@ func TestRepairRequestScanClamped(t *testing.T) {
 	})
 	n.mu.Lock()
 	for seq := int64(990); seq <= 1000; seq++ {
-		n.storeLocked(seq, nil)
+		n.store(seq, nil)
 	}
 	n.mu.Unlock()
 	// A wire-legal but buffer-impossible range: the scan must clamp to
@@ -356,7 +344,7 @@ func TestMembershipReplyLimitClamped(t *testing.T) {
 	now := time.Now()
 	n.mu.Lock()
 	for i := 0; i < 6; i++ {
-		n.viewAddLocked(wire.Addr(fmt.Sprintf("m%d", i)), now)
+		n.viewAdd(wire.Addr(fmt.Sprintf("m%d", i)), now)
 	}
 	n.mu.Unlock()
 	n.handleMembershipRequest(wire.Envelope{
@@ -380,7 +368,7 @@ func TestMembershipReplyLimitClamped(t *testing.T) {
 func TestPacketImplausibilityClamps(t *testing.T) {
 	t.Run("at-source", func(t *testing.T) {
 		n, _ := newGuardNode(func(cfg *Config) { cfg.Source = true })
-		n.acceptPacket(wire.Envelope{Type: wire.TypePacket, From: "evil", Packet: 5}, false)
+		n.offerPacket(wire.Envelope{Type: wire.TypePacket, From: "evil", Packet: 5}, false)
 		s := n.Stats()
 		if s.PacketsReceived != 0 || s.GuardImplausible != 1 {
 			t.Fatalf("source ingested a stream packet: %+v", s)
@@ -389,14 +377,14 @@ func TestPacketImplausibilityClamps(t *testing.T) {
 	t.Run("not-parent", func(t *testing.T) {
 		n, _ := newGuardNode(nil)
 		attachTo(n, "p")
-		n.acceptPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: 0}, false)
-		n.acceptPacket(wire.Envelope{Type: wire.TypePacket, From: "evil", Packet: 1}, false)
+		n.offerPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: 0}, false)
+		n.offerPacket(wire.Envelope{Type: wire.TypePacket, From: "evil", Packet: 1}, false)
 		s := n.Stats()
 		if s.PacketsReceived != 1 || s.GuardImplausible != 1 {
 			t.Fatalf("non-parent stream packet accepted: %+v", s)
 		}
 		// Repair data is exempt: it legitimately arrives from group members.
-		n.acceptPacket(wire.Envelope{Type: wire.TypeRepairData, From: "helper", Packet: 1}, true)
+		n.offerPacket(wire.Envelope{Type: wire.TypeRepairData, From: "helper", Packet: 1}, true)
 		if got := n.Stats().PacketsRepaired; got != 1 {
 			t.Fatalf("repair data from a non-parent rejected: repaired=%d", got)
 		}
@@ -404,17 +392,17 @@ func TestPacketImplausibilityClamps(t *testing.T) {
 	t.Run("jump-and-resync", func(t *testing.T) {
 		n, _ := newGuardNode(nil)
 		attachTo(n, "p")
-		n.acceptPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: 0}, false)
+		n.offerPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: 0}, false)
 		jump := int64(1 + 4*n.cfg.BufferPackets + 10)
 		for i := 0; i < jumpResyncStreak-1; i++ {
-			n.acceptPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: jump + int64(i)}, false)
+			n.offerPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: jump + int64(i)}, false)
 		}
 		s := n.Stats()
 		if s.PacketsReceived != 1 || s.GuardImplausible != int64(jumpResyncStreak-1) {
 			t.Fatalf("jump packets accepted before the resync streak: %+v", s)
 		}
 		// The streak-th consecutive parent jump is a genuine discontinuity.
-		n.acceptPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: jump + jumpResyncStreak}, false)
+		n.offerPacket(wire.Envelope{Type: wire.TypePacket, From: "p", Packet: jump + jumpResyncStreak}, false)
 		if got := n.Stats().PacketsReceived; got != 2 {
 			t.Fatal("parent stream discontinuity never resynchronised")
 		}
@@ -426,7 +414,7 @@ func TestPacketImplausibilityClamps(t *testing.T) {
 		n.highest = 10000
 		n.streamSeen = true
 		n.mu.Unlock()
-		n.acceptPacket(wire.Envelope{Type: wire.TypeRepairData, From: "helper", Packet: 1}, true)
+		n.offerPacket(wire.Envelope{Type: wire.TypeRepairData, From: "helper", Packet: 1}, true)
 		s := n.Stats()
 		if s.PacketsRepaired != 0 || s.GuardImplausible != 1 {
 			t.Fatalf("ancient repair data accepted: %+v", s)

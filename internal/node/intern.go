@@ -2,7 +2,6 @@ package node
 
 import (
 	"hash/maphash"
-	"sync/atomic"
 
 	"omcast/internal/wire"
 )
@@ -16,15 +15,15 @@ const senderSlots = 256
 // senderTable interns the From address of every datagram the node decodes
 // (wire.Interner): a sender heard before comes back as the string already
 // held, so decoding a stream packet allocates nothing. Slots are
-// direct-mapped by a keyed hash and replaced whole, so concurrent decodes
-// need no lock: a hit is one hash, one atomic load and one compare; a miss
-// converts the bytes as a plain decode does and overwrites its slot. Only
+// direct-mapped by a keyed hash: a hit is one hash and one compare; a miss
+// converts the bytes as a plain decode does and overwrites its slot. The
+// node decodes under its lock, so the table needs none. Only
 // wire.ValidAddr bytes are stored, so a forger cycling through addresses
 // pins at most senderSlots × wire.MaxAddrLen bytes, and the per-node hash
 // seed keeps it from aiming at one honest sender's slot.
 type senderTable struct {
 	seed  maphash.Seed
-	slots [senderSlots]atomic.Pointer[wire.Addr]
+	slots [senderSlots]wire.Addr // "" is an empty slot
 }
 
 func newSenderTable() *senderTable { return &senderTable{seed: maphash.MakeSeed()} }
@@ -32,14 +31,12 @@ func newSenderTable() *senderTable { return &senderTable{seed: maphash.MakeSeed(
 // Intern implements wire.Interner. The returned Addr never aliases b.
 func (t *senderTable) Intern(b []byte) wire.Addr {
 	slot := &t.slots[maphash.Bytes(t.seed, b)%senderSlots]
-	if a := slot.Load(); a != nil && string(*a) == string(b) {
-		return *a
+	if string(*slot) == string(b) {
+		return *slot
 	}
 	a := wire.Addr(b)
 	if wire.ValidAddr(a) {
-		p := new(wire.Addr)
-		*p = a
-		slot.Store(p)
+		*slot = a
 	}
 	return a
 }

@@ -224,7 +224,7 @@ func runStatsScript(t *testing.T, reg *live.Registry) Stats {
 	// Playback: score the slots due one second in (1..11 at the default rate):
 	// 1 2 3 play, 4 starves, 5 plays, 6 7 8 starve, 9 plays, 10 11 starve.
 	n.mu.Lock()
-	n.advancePlaybackLocked(n.playStart.Add(time.Second))
+	n.advancePlayback(n.playStart.Add(time.Second))
 	n.mu.Unlock()
 	// Switch: once the node's BTP has grown past p's zero claim, propose to p
 	// and commit on its accept. With an in-flight window of one, the commit to

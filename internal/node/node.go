@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"omcast/internal/metrics"
@@ -149,7 +148,7 @@ type timing struct {
 	// peerCap bounds the peer table (Node.peers), the one per-peer state that
 	// grows on wire input: view entries, guard accounts and retransmit
 	// windows, so a crowd of forged sender addresses cannot grow it without
-	// bound. peerLocked evicts to stay under it.
+	// bound. peer evicts to stay under it.
 	peerCap int
 }
 
@@ -419,31 +418,20 @@ func newNodeMetrics(reg *live.Registry) nodeMetrics {
 	return m
 }
 
-// addChildLocked records c as a child heard from at now. Requires mu.
-func (n *Node) addChildLocked(c wire.Addr, now time.Time) {
-	_, known := n.children[c]
-	n.children[c] = now
-	if known {
-		return
+// addChild records c as a child heard from at now.
+func (n *Node) addChild(c wire.Addr, now time.Time) {
+	if _, known := n.children[c]; !known {
+		n.childList = append(n.childList, c)
 	}
-	// The full slice expression forces append to copy: headers already handed
-	// to a fan-out keep their elements.
-	n.childList = append(n.childList[:len(n.childList):len(n.childList)], c)
+	n.children[c] = now
 }
 
-// dropChildLocked forgets child c, if it is one. Requires mu.
-func (n *Node) dropChildLocked(c wire.Addr) {
-	if _, ok := n.children[c]; !ok {
-		return
+// dropChild forgets child c, if it is one.
+func (n *Node) dropChild(c wire.Addr) {
+	if _, ok := n.children[c]; ok {
+		delete(n.children, c)
+		n.childList = slices.DeleteFunc(n.childList, func(a wire.Addr) bool { return a == c })
 	}
-	delete(n.children, c)
-	list := make([]wire.Addr, 0, len(n.children))
-	for _, a := range n.childList {
-		if a != c {
-			list = append(list, a)
-		}
-	}
-	n.childList = list
 }
 
 // ringSlot is one cell of the repair ring: the sequence it holds (-1 when
@@ -453,36 +441,35 @@ type ringSlot struct {
 	payload []byte
 }
 
-// slotLocked returns the ring slot of sequence seq, or nil when seq is below
-// the window [highest-BufferPackets, highest] the buffer keeps. The window
-// has as many sequences as the ring has slots, so no two of them share one.
-// Requires mu.
-func (n *Node) slotLocked(seq int64) *ringSlot {
+// slot returns the ring slot of sequence seq, or nil when seq is below the
+// window [highest-BufferPackets, highest] the buffer keeps. The window has as
+// many sequences as the ring has slots, so no two of them share one.
+func (n *Node) slot(seq int64) *ringSlot {
 	if seq < 0 || seq < n.highest-int64(n.cfg.BufferPackets) {
 		return nil
 	}
 	return &n.ring[seq%int64(len(n.ring))]
 }
 
-// bufferedLocked returns packet seq's payload and whether the repair buffer
-// holds it: seq is in the window and its slot carries that sequence. A slot
-// left behind by a head that jumped still carries its old sequence but is
-// below the window, hence absent. Requires mu.
-func (n *Node) bufferedLocked(seq int64) ([]byte, bool) {
-	if s := n.slotLocked(seq); s != nil && s.seq == seq {
+// buffered returns packet seq's payload and whether the repair buffer holds
+// it: seq is in the window and its slot carries that sequence. A slot left
+// behind by a head that jumped still carries its old sequence but is below
+// the window, hence absent.
+func (n *Node) buffered(seq int64) ([]byte, bool) {
+	if s := n.slot(seq); s != nil && s.seq == seq {
 		return s.payload, true
 	}
 	return nil, false
 }
 
-// storeLocked advances the stream head to seq if it is ahead and buffers the
+// store advances the stream head to seq if it is ahead and buffers the
 // packet, overwriting whatever its slot held — eviction. A packet below the
-// window is not stored: its slot belongs to a newer one. Requires mu.
-func (n *Node) storeLocked(seq int64, payload []byte) {
+// window is not stored: its slot belongs to a newer one.
+func (n *Node) store(seq int64, payload []byte) {
 	if seq > n.highest {
 		n.highest = seq
 	}
-	if s := n.slotLocked(seq); s != nil {
+	if s := n.slot(seq); s != nil {
 		*s = ringSlot{seq: seq, payload: payload}
 	}
 }
@@ -508,120 +495,117 @@ func (l *switchLock) release(peer wire.Addr) {
 	}
 }
 
-// Node is one protocol participant.
+// Node is one protocol participant. Its entry points — the transport
+// handler (onDatagram), the timer runs (repeat's duties, retxFire), Start,
+// Stop, Kill and Stats — each hold mu for their whole body, and no code
+// below them locks: on either clock one thread of control at a time runs
+// the node.
 type Node struct {
 	cfg       Config
 	tm        timing
 	transport Transport
 	// senders interns the From address of every decoded datagram (intern.go).
 	senders *senderTable
-	// fanBuf is fanOut's encode buffer between fan-outs (nil while one runs).
-	fanBuf atomic.Pointer[[]byte]
+	// fanBuf is fanOut's encode buffer, reused from one fan-out to the next.
+	fanBuf []byte
 
-	mu         sync.Mutex
-	attached   bool      //guardedby:mu
-	parent     wire.Addr //guardedby:mu
-	parentSeen time.Time //guardedby:mu
-	parentBTP  float64   //guardedby:mu
-	parentBW   float64   //guardedby:mu
-	depth      int       //guardedby:mu
-	// children maps each child to when it was last heard from.
-	children map[wire.Addr]time.Time //guardedby:mu
-	// childList is the keys of children as an immutable slice: addChildLocked
-	// and dropChildLocked, the only code that adds or removes a child, replace
-	// it and never write through it, so a fan-out ranges over the header it
-	// read under mu after releasing mu.
-	childList []wire.Addr //guardedby:mu
-	ancestors []wire.Addr //guardedby:mu
-	joinedAt  time.Time   //guardedby:mu
-	swLock    switchLock  //guardedby:mu
+	mu sync.Mutex
+	// stopped is set by Stop or Kill; every entry point but Stats then
+	// returns at once.
+	stopped bool
+
+	attached   bool
+	parent     wire.Addr
+	parentSeen time.Time
+	parentBTP  float64
+	parentBW   float64
+	depth      int
+	// children maps each child to when it was last heard from; childList
+	// holds the same keys in the order they became children, the order
+	// every fan-out and heartbeat sends in. addChild and dropChild are the
+	// only code that changes either.
+	children  map[wire.Addr]time.Time
+	childList []wire.Addr
+	ancestors []wire.Addr
+	joinedAt  time.Time
+	swLock    switchLock
 
 	// peers is the one table of per-peer state that wire input grows: each
 	// record holds a peer's view entry, guard account and retransmit windows
-	// (peers.go), and peerLocked caps it. inflight counts the unacked control
+	// (peers.go), and peer caps it. inflight counts the unacked control
 	// messages across it; ctrlHigh is the highest control sequence this
 	// incarnation has used (see retx.go). retxRng draws retransmit jitter
 	// and gossipRng the gossip partner.
-	peers     map[wire.Addr]*peerRecord //guardedby:mu
-	inflight  int                       //guardedby:mu
-	ctrlHigh  uint64                    //guardedby:mu
-	retxRng   *xrand.Source             //guardedby:mu
-	gossipRng *xrand.Source             //guardedby:mu
+	peers     map[wire.Addr]*peerRecord
+	inflight  int
+	ctrlHigh  uint64
+	retxRng   *xrand.Source
+	gossipRng *xrand.Source
 	// jumpStreak counts consecutive parent packets rejected as implausible
 	// sequence jumps, so a genuine stream discontinuity resynchronises
 	// instead of starving forever.
-	jumpStreak int //guardedby:mu
+	jumpStreak int
 	// lastJoinTarget detects unanswered join attempts: a candidate that
 	// neither accepts nor rejects within one tick is presumed dead and
 	// dropped from the view (dead members never send Rejects).
-	lastJoinTarget wire.Addr //guardedby:mu
+	lastJoinTarget wire.Addr
 
 	// ring holds recent packets for repair service and loss detection:
 	// BufferPackets+1 slots, sequence seq in slot seq mod len, so eviction is
-	// overwrite (see bufferedLocked and storeLocked, the only two accessors).
-	ring    []ringSlot //guardedby:mu
-	highest int64      //guardedby:mu
+	// overwrite (see buffered and store, the only two accessors).
+	ring    []ringSlot
+	highest int64
 	// Playback clock: packet playFirst plays at playStart; the deadline of
 	// packet n is playStart + (n - playFirst)/rate. playChecked is the last
 	// sequence already scored.
-	playFirst   int64     //guardedby:mu
-	playStart   time.Time //guardedby:mu
-	playChecked int64     //guardedby:mu
+	playFirst   int64
+	playStart   time.Time
+	playChecked int64
 	// upstreamRepair marks ranges under upstream recovery: the highest
 	// sequence covered by a received ELN.
-	upstreamRepair int64 //guardedby:mu
+	upstreamRepair int64
 
 	// failingOver is set while the node is detached by a failure (not by its
 	// own choice); the next successful attach counts as a completed failover.
-	failingOver bool //guardedby:mu
+	failingOver bool
 	// Join backoff: joinStreak counts consecutive unanswered attempts (reset
-	// on attach and detach); joinRng draws the deterministic jitter. It and
-	// repairRng are drawn only by nextJoinDelay and takeRepairLocked, under
-	// mu, and carry no annotation.
-	joinStreak int //guardedby:mu
+	// on attach and detach); joinRng draws the deterministic jitter.
+	joinStreak int
 	joinRng    *xrand.Source
 	// Repair backoff: detected gaps merge into [pendFirst, pendLast] and
 	// drain through a jittered gate — at most one striped request per
 	// interval. repairStreak widens the gate while repairs go unanswered and
 	// resets when repair data arrives.
-	pendFirst    int64     //guardedby:mu
-	pendLast     int64     //guardedby:mu
-	repairStreak int       //guardedby:mu
-	repairNextAt time.Time //guardedby:mu
+	pendFirst    int64
+	pendLast     int64
+	repairStreak int
+	repairNextAt time.Time
 	repairRng    *xrand.Source
 	// inStall tracks whether the playout clock is currently starved (for
 	// stall-transition counting).
-	inStall bool //guardedby:mu
+	inStall bool
 	// Stream-stall watchdog state: streamSeen arms it (never before the first
 	// accepted packet, so idle overlays don't churn); lastStream and
 	// attachedAt anchor the no-stream window.
-	streamSeen bool      //guardedby:mu
-	lastStream time.Time //guardedby:mu
-	attachedAt time.Time //guardedby:mu
+	streamSeen bool
+	lastStream time.Time
+	attachedAt time.Time
 
 	met nodeMetrics
 
-	// Causal span tracing. The tracer is not concurrency-safe, so every
-	// span operation happens under mu. traceStart anchors the span clock (span
-	// times are seconds since node creation). The builders track the open
-	// episodes; unfinished ones are simply never recorded (flight-recorder
-	// semantics: an episode still open at crash leaves no span).
+	// Causal span tracing. traceStart anchors the span clock (span times are
+	// seconds since node creation). The builders track the open episodes;
+	// unfinished ones are simply never recorded (flight-recorder semantics:
+	// an episode still open at crash leaves no span).
 	trace       *tracing.Tracer
 	traceStart  time.Time
-	joinSpan    *tracing.SpanBuilder //guardedby:mu — open join/rejoin episode
-	attemptSpan *tracing.SpanBuilder //guardedby:mu — open attempt within it
-	repairSpan  *tracing.SpanBuilder //guardedby:mu — open repair round-trip
-	stallSpan   *tracing.SpanBuilder //guardedby:mu — open starvation window
-	stallBase   int64                //guardedby:mu — StarvedSlots at stall open
+	joinSpan    *tracing.SpanBuilder // open join/rejoin episode
+	attemptSpan *tracing.SpanBuilder // open attempt within it
+	repairSpan  *tracing.SpanBuilder // open repair round-trip
+	stallSpan   *tracing.SpanBuilder // open starvation window
+	stallBase   int64                // StarvedSlots at stall open
 
-	seq uint64 //guardedby:mu
-
-	// life bounds the node's lifetime: every timer callback and delivered
-	// datagram runs under its read lock (enter) and does nothing once stopped
-	// is set. Kill sets it under the write lock, so it returns only after the
-	// callbacks already running have finished.
-	life    sync.RWMutex
-	stopped bool //guardedby:life
+	seq uint64
 }
 
 // New creates a node over the given transport.
@@ -667,11 +651,14 @@ func (n *Node) now() time.Time { return n.cfg.Clock.Now() }
 // packet clock (sources), the heartbeat, gossip and, when configured, the
 // switching check.
 func (n *Node) Start() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		return
+	}
 	if n.cfg.Source {
-		n.mu.Lock()
 		n.attached = true
 		n.joinedAt = n.now()
-		n.mu.Unlock()
 		n.every(time.Duration(float64(time.Second)/n.cfg.StreamRate), n.emitPacket)
 	} else {
 		n.repeat(0, n.joinTick)
@@ -685,57 +672,43 @@ func (n *Node) Start() {
 
 // Stop shuts the node down gracefully: children and parent are notified so
 // the overlay heals immediately.
-func (n *Node) Stop() {
-	if !n.enter() {
-		return // already stopped
-	}
-	n.mu.Lock()
-	targets := make([]wire.Addr, 0, len(n.childList)+1)
-	if n.attached && n.parent != "" {
-		targets = append(targets, n.parent)
-	}
-	targets = append(targets, n.childList...)
-	n.mu.Unlock()
-	for _, t := range targets {
-		n.send(t, wire.Envelope{Type: wire.TypeLeave})
-	}
-	n.life.RUnlock()
-	n.Kill()
-}
+func (n *Node) Stop() { n.end(true) }
 
 // Kill terminates abruptly (no notifications) — the failure case the paper
 // studies. Once it returns no duty or timer of the node runs and the node
 // sends nothing; the transport is closed.
-func (n *Node) Kill() {
-	n.life.Lock()
-	was := n.stopped
-	n.stopped = true
-	n.life.Unlock()
-	if !was {
-		_ = n.transport.Close()
-	}
-}
+func (n *Node) Kill() { n.end(false) }
 
-// enter admits one timer callback or delivered datagram: it reports false
-// once the node has stopped, and otherwise holds life's read lock, which the
-// caller releases when done.
-func (n *Node) enter() bool {
-	n.life.RLock()
+// end stops the node, first sending a Leave to its parent and children when
+// leave is set. It closes the transport after releasing mu: closing a UDP
+// transport waits for its read loop, which may be waiting for mu.
+func (n *Node) end(leave bool) {
+	n.mu.Lock()
 	if n.stopped {
-		n.life.RUnlock()
-		return false
+		n.mu.Unlock()
+		return
 	}
-	return true
+	if leave {
+		if n.attached && n.parent != "" {
+			n.send(n.parent, wire.Envelope{Type: wire.TypeLeave})
+		}
+		for _, c := range n.childList {
+			n.send(c, wire.Envelope{Type: wire.TypeLeave})
+		}
+	}
+	n.stopped = true
+	n.mu.Unlock()
+	_ = n.transport.Close()
 }
 
 // Stats snapshots the node: the tree position and table sizes read from its
-// state, every counter read from the instruments in n.met. Taken under mu,
-// so events counted under mu (all but the lock-free rejects) appear whole.
+// state, every counter read from the instruments in n.met. It holds mu, so
+// every event an entry point counts appears whole.
 func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	m := &n.met
-	members, quarantined := n.tableCountsLocked(n.now())
+	members, quarantined := n.tableCounts(n.now())
 	return Stats{
 		Attached:         n.attached,
 		Parent:           n.parent,
@@ -786,15 +759,17 @@ func (n *Node) every(interval time.Duration, tick func()) {
 // again after each wait it returns, until the node stops. A wait counts from
 // the previous deadline, so a fixed one keeps a ticker's fixed rate; a run
 // that finds its next deadline past drops the missed ticks, as a ticker does.
+// Each run is an entry point.
 func (n *Node) repeat(first time.Duration, tick func() time.Duration) {
 	at := n.now().Add(first)
 	var run func()
 	run = func() {
-		if !n.enter() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.stopped {
 			return
 		}
 		at = at.Add(tick())
-		n.life.RUnlock()
 		now := n.now()
 		if at.Before(now) {
 			at = now
@@ -833,26 +808,17 @@ func (n *Node) transmit(data []byte, to ...wire.Addr) {
 	}
 }
 
-// fanOut sends one data-class envelope (stream packet or ELN) to every child
-// in the list: encoded once, the same bytes transmitted to each — the
+// fanOut sends one data-class envelope (stream packet or ELN) to every
+// child: encoded once into fanBuf, the same bytes transmitted to each — the
 // Transport.Send contract forbids retaining or mutating them, which is also
-// what lets the encode buffer carry the next packet. The buffer is taken
-// from fanBuf and put back after the last Send; a fan-out that finds it
-// taken by a concurrent one encodes into a fresh buffer. Call without mu, on
-// a list read under it.
-func (n *Node) fanOut(children []wire.Addr, env *wire.Envelope) {
-	if len(children) == 0 {
+// what lets the buffer carry the next packet.
+func (n *Node) fanOut(env *wire.Envelope) {
+	if len(n.childList) == 0 {
 		return
 	}
 	env.From = n.Addr()
-	buf := n.fanBuf.Swap(nil)
-	if buf == nil {
-		buf = new([]byte)
-	}
-	data := wire.AppendBinary((*buf)[:0], *env)
-	n.transmit(data, children...)
-	*buf = data
-	n.fanBuf.Store(buf)
+	n.fanBuf = wire.AppendBinary(n.fanBuf[:0], *env)
+	n.transmit(n.fanBuf, n.childList...)
 }
 
 // outDegree is the node's child capacity.
@@ -868,8 +834,8 @@ func (n *Node) outDegree() int {
 	return int(n.cfg.Bandwidth)
 }
 
-// btpLocked returns the node's bandwidth-time product (mu held).
-func (n *Node) btpLocked() float64 {
+// btp returns the node's bandwidth-time product.
+func (n *Node) btp() float64 {
 	if n.joinedAt.IsZero() {
 		return 0
 	}
@@ -881,11 +847,11 @@ func (n *Node) btpLocked() float64 {
 // traceAt converts a clock instant to the node's span clock.
 func (n *Node) traceAt(now time.Time) time.Duration { return now.Sub(n.traceStart) }
 
-// openEpisodeLocked opens a join/rejoin episode span if tracing is on and
-// none is already open: kind "join" before the first successful attach,
-// "rejoin" after. cause records why the node is hunting for a parent
-// (boot, timeout, stall, leave). Requires mu.
-func (n *Node) openEpisodeLocked(now time.Time, cause string) {
+// openEpisode opens a join/rejoin episode span if tracing is on and none is
+// already open: kind "join" before the first successful attach, "rejoin"
+// after. cause records why the node is hunting for a parent (boot, timeout,
+// stall, leave).
+func (n *Node) openEpisode(now time.Time, cause string) {
 	if n.trace == nil || n.joinSpan != nil {
 		return
 	}
@@ -904,14 +870,14 @@ func (n *Node) openEpisodeLocked(now time.Time, cause string) {
 // else the join backoff, which grows (with seeded jitter) while attempts go
 // unanswered, so a partitioned node probes gently instead of hammering.
 func (n *Node) joinTick() time.Duration {
-	n.mu.Lock()
-	attached := n.attached
-	n.mu.Unlock()
-	if attached {
+	if n.attached {
 		return n.cfg.HeartbeatInterval
 	}
 	n.tryJoin()
-	return n.nextJoinDelay()
+	d := backoffDelay(n.tm.joinBackoffBase, n.tm.joinBackoffMax, n.joinStreak, n.joinRng)
+	n.joinStreak++
+	n.met.joinBackoff.Set(d.Seconds())
+	return d
 }
 
 // backoffDelay is the shared capped-exponential policy: base doubled streak
@@ -928,27 +894,9 @@ func backoffDelay(base, max time.Duration, streak int, rng *xrand.Source) time.D
 	return d/2 + rng.UniformDuration(0, d/2)
 }
 
-// nextJoinDelay advances the join backoff one step and returns the jittered
-// wait before the next attempt. An Accept can land between tryJoin and this
-// call; the node is then attached with its streak just reset, so it waits one
-// heartbeat, as joinTick does for an attached node, and leaves the streak at
-// zero for the next detachment.
-func (n *Node) nextJoinDelay() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.attached {
-		return n.cfg.HeartbeatInterval
-	}
-	d := backoffDelay(n.tm.joinBackoffBase, n.tm.joinBackoffMax, n.joinStreak, n.joinRng)
-	n.joinStreak++
-	n.met.joinBackoff.Set(d.Seconds())
-	return d
-}
-
 // tryJoin sends a Join to the best-known candidate parent (minimum depth,
 // then spare capacity) and seeds discovery from the bootstrap list.
 func (n *Node) tryJoin() {
-	n.mu.Lock()
 	// The previous attempt went unanswered (no Accept, no Reject): the
 	// candidate is dead or unreachable — drop it from the view so we move on.
 	if p, ok := n.peers[n.lastJoinTarget]; ok {
@@ -961,11 +909,6 @@ func (n *Node) tryJoin() {
 			best = &p.info
 		}
 	}
-	var target wire.Addr
-	if best != nil {
-		target = best.Addr
-	}
-	n.mu.Unlock()
 	if best == nil {
 		// Nothing usable known yet: ask the bootstrap members for their
 		// views (announcing ourselves in the same datagram).
@@ -978,11 +921,11 @@ func (n *Node) tryJoin() {
 		}
 		return
 	}
-	n.mu.Lock()
+	target := best.Addr
 	n.lastJoinTarget = target
 	n.met.joinAttempts.Inc()
 	now := n.now()
-	n.openEpisodeLocked(now, "boot")
+	n.openEpisode(now, "boot")
 	if n.attemptSpan != nil {
 		// The previous attempt got neither Accept nor Reject before we moved
 		// on — the candidate is presumed dead.
@@ -993,7 +936,6 @@ func (n *Node) tryJoin() {
 		n.attemptSpan = n.joinSpan.Child(tracing.KindAttempt, 0, n.traceAt(now)).
 			Attr("target", string(target))
 	}
-	n.mu.Unlock()
 	n.send(target, wire.Envelope{Type: wire.TypeJoin, Bandwidth: n.cfg.Bandwidth})
 }
 
@@ -1011,15 +953,9 @@ func betterParent(a, b *wire.MemberInfo) bool {
 
 func (n *Node) handleJoin(env wire.Envelope) {
 	now := n.now()
-	n.mu.Lock()
-	accept := n.attached && !n.swLock.held(now) && len(n.children) < n.outDegree() && env.From != n.parent
-	if accept {
-		n.addChildLocked(env.From, now)
-	}
-	depth := n.depth
-	n.mu.Unlock()
-	if accept {
-		n.send(env.From, wire.Envelope{Type: wire.TypeAccept, Depth: depth})
+	if n.attached && !n.swLock.held(now) && len(n.children) < n.outDegree() && env.From != n.parent {
+		n.addChild(env.From, now)
+		n.send(env.From, wire.Envelope{Type: wire.TypeAccept, Depth: n.depth})
 	} else {
 		n.send(env.From, wire.Envelope{Type: wire.TypeReject})
 	}
@@ -1029,8 +965,6 @@ func (n *Node) handleJoin(env wire.Envelope) {
 // the next join attempt moves on instead of hammering a full parent with
 // stale gossip data.
 func (n *Node) handleReject(env wire.Envelope) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if p, ok := n.peers[env.From]; ok {
 		p.info.Spare = 0
 	}
@@ -1044,8 +978,6 @@ func (n *Node) handleReject(env wire.Envelope) {
 }
 
 func (n *Node) handleAccept(env wire.Envelope) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.attached || n.cfg.Source {
 		// Duplicate accept (we joined elsewhere meanwhile): we simply never
 		// heartbeat this parent; it will drop us.
@@ -1089,9 +1021,7 @@ func (n *Node) handleAccept(env wire.Envelope) {
 // beat is the heartbeat tick: expire silent neighbours, run the stall
 // watchdog, score playback, retry gated repairs and greet every neighbour.
 func (n *Node) beat() {
-	n.mu.Lock()
 	n.seq++
-	seq := n.seq
 	parent := wire.Addr("")
 	if n.attached && !n.cfg.Source {
 		parent = n.parent
@@ -1104,9 +1034,8 @@ func (n *Node) beat() {
 		}
 	}
 	for _, c := range deadChildren {
-		n.dropChildLocked(c)
+		n.dropChild(c)
 	}
-	children := n.childList
 	parentDead := parent != "" && now.Sub(n.parentSeen) > n.tm.heartbeatTimeout
 	// Stream-stall watchdog: a parent can be alive (heartbeating) yet cut off
 	// from the stream — e.g. after a source partition the orphans re-attach to
@@ -1125,16 +1054,14 @@ func (n *Node) beat() {
 			n.met.stallRejoins.Inc()
 		}
 	}
-	btp := n.btpLocked()
-	bw := n.cfg.Bandwidth
-	n.advancePlaybackLocked(now)
+	btp := n.btp()
+	n.advancePlayback(now)
 	n.met.childTimeouts.Add(int64(len(deadChildren)))
 	n.met.attached.Set(boolGauge(n.attached))
 	n.met.children.Set(float64(len(n.children)))
-	members, quarantined := n.tableCountsLocked(now)
+	members, quarantined := n.tableCounts(now)
 	n.met.knownMembers.Set(float64(members))
 	n.met.quarantinedPeers.Set(float64(quarantined))
-	n.mu.Unlock()
 
 	if parentDead {
 		n.met.parentTimeouts.Inc()
@@ -1145,16 +1072,13 @@ func (n *Node) beat() {
 		parent = ""
 	}
 	n.flushRepairs(now)
-	n.mu.Lock()
-	depth := n.depth
-	n.met.depth.Set(float64(depth))
-	n.mu.Unlock()
-	hb := wire.Envelope{Type: wire.TypeHeartbeat, Seq: seq, BTP: btp, Bandwidth: bw, Depth: depth}
+	n.met.depth.Set(float64(n.depth))
+	hb := wire.Envelope{Type: wire.TypeHeartbeat, Seq: n.seq, BTP: btp, Bandwidth: n.cfg.Bandwidth, Depth: n.depth}
 	if parent != "" {
 		n.met.heartbeatsSent.Inc()
 		n.send(parent, hb)
 	}
-	for _, c := range children {
+	for _, c := range n.childList {
 		n.met.heartbeatsSent.Inc()
 		n.send(c, hb)
 	}
@@ -1168,15 +1092,15 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-// advancePlaybackLocked scores every playout slot whose deadline has passed:
-// present packets count as played, absent ones as starved. Requires mu.
-func (n *Node) advancePlaybackLocked(now time.Time) {
+// advancePlayback scores every playout slot whose deadline has passed:
+// present packets count as played, absent ones as starved.
+func (n *Node) advancePlayback(now time.Time) {
 	if n.playFirst < 0 || now.Before(n.playStart) {
 		return
 	}
 	due := n.playFirst + int64(now.Sub(n.playStart).Seconds()*n.cfg.StreamRate)
 	for seq := n.playChecked + 1; seq <= due; seq++ {
-		if _, ok := n.bufferedLocked(seq); ok {
+		if _, ok := n.buffered(seq); ok {
 			n.met.playedSlots.Inc()
 			// A present slot ends any stall: playback resumed.
 			n.inStall = false
@@ -1204,8 +1128,6 @@ func (n *Node) advancePlaybackLocked(now time.Time) {
 }
 
 func (n *Node) handleHeartbeat(env wire.Envelope) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	now := n.now()
 	if env.From == n.parent {
 		n.parentSeen = now
@@ -1224,20 +1146,17 @@ func (n *Node) handleHeartbeat(env wire.Envelope) {
 // lets joinTick find a new parent. cause labels the rejoin episode span
 // ("timeout" for missed heartbeats, "stall" for the stream watchdog).
 func (n *Node) onParentFailure(cause string) {
-	n.mu.Lock()
-	n.detachLocked(cause)
+	n.detach(cause)
 	first := n.highest + 1
-	n.mu.Unlock()
 	// Ask the recovery group for everything from the gap start; the range
 	// end is open-ended — estimated as one detection window of packets.
 	last := first + int64(n.cfg.StreamRate*n.tm.heartbeatTimeout.Seconds()) + 1
 	n.recoverGap(first, last)
 }
 
-// detachLocked gives up the tree position involuntarily and opens the rejoin
+// detach gives up the tree position involuntarily and opens the rejoin
 // episode labelled cause; the next successful attach counts as a failover.
-// Requires mu.
-func (n *Node) detachLocked(cause string) {
+func (n *Node) detach(cause string) {
 	n.attached = false
 	n.parent = ""
 	n.failingOver = true
@@ -1246,16 +1165,14 @@ func (n *Node) detachLocked(cause string) {
 	// A fresh detachment restarts the join backoff so recovery begins at
 	// base cadence rather than wherever the last outage left the streak.
 	n.joinStreak = 0
-	n.openEpisodeLocked(n.now(), cause)
+	n.openEpisode(n.now(), cause)
 }
 
 func (n *Node) handleLeave(env wire.Envelope) {
-	n.mu.Lock()
-	n.dropChildLocked(env.From)
+	n.dropChild(env.From)
 	if env.From == n.parent && n.attached {
-		n.detachLocked("leave")
+		n.detach("leave")
 	}
-	n.mu.Unlock()
 	// A graceful leave needs no loss recovery: the stream stops cleanly and
 	// resumes after the rejoin; repair fills whatever the rejoin gap misses.
 }
@@ -1264,12 +1181,9 @@ func (n *Node) handleLeave(env wire.Envelope) {
 
 // emitPacket generates the source's next packet.
 func (n *Node) emitPacket() {
-	n.mu.Lock()
 	seq := n.highest + 1
-	n.storeLocked(seq, nil)
-	children := n.childList
-	n.mu.Unlock()
-	n.fanOut(children, &wire.Envelope{Type: wire.TypePacket, Packet: seq})
+	n.store(seq, nil)
+	n.fanOut(&wire.Envelope{Type: wire.TypePacket, Packet: seq})
 }
 
 // jumpResyncStreak is how many consecutive implausible-jump packets from the
@@ -1278,13 +1192,13 @@ func (n *Node) emitPacket() {
 // window) rather than a forgery.
 const jumpResyncStreak = 16
 
-// packetRejectLocked is the handler-boundary sanity check for stream/repair
-// data: wire-valid packets can still be contextually absurd — stream data at
-// the source, stream packets from a non-parent while attached (the stream
-// has exactly one upstream), or sequence numbers so far from the local head
+// packetReject is the handler-boundary sanity check for stream/repair data:
+// wire-valid packets can still be contextually absurd — stream data at the
+// source, stream packets from a non-parent while attached (the stream has
+// exactly one upstream), or sequence numbers so far from the local head
 // that accepting them would wipe the repair buffer and wreck the playback
-// clock. Returns the implausible-kind token, or "" to accept. Requires mu.
-func (n *Node) packetRejectLocked(env *wire.Envelope, repaired bool) string {
+// clock. Returns the implausible-kind token, or "" to accept.
+func (n *Node) packetReject(env *wire.Envelope, repaired bool) string {
 	if n.cfg.Source {
 		// The origin never ingests stream or repair data; a forged packet
 		// here would poison the buffer every downstream repair draws from.
@@ -1317,19 +1231,18 @@ func (n *Node) packetRejectLocked(env *wire.Envelope, repaired bool) string {
 	return ""
 }
 
-// acceptPacketLocked is a stream or repair packet's whole stay under mu:
-// sanity check, duplicate check, store, playback and stall bookkeeping, gap
-// detection. now is the datagram's one clock reading. ok reports that the
-// packet was accepted; the caller then releases mu and calls forwardPacket
-// with the children and the gap returned here. Requires mu.
-func (n *Node) acceptPacketLocked(env *wire.Envelope, repaired bool, now time.Time) (children []wire.Addr, gapFirst, gapLast int64, ok bool) {
-	if kind := n.packetRejectLocked(env, repaired); kind != "" {
+// acceptPacket is a stream or repair packet's whole handling: sanity check,
+// duplicate check, store, playback and stall bookkeeping, the forward to
+// every child and recovery of the gap the packet reveals. now is the
+// datagram's one clock reading. It reports whether the packet was accepted.
+func (n *Node) acceptPacket(env *wire.Envelope, repaired bool, now time.Time) bool {
+	if kind := n.packetReject(env, repaired); kind != "" {
 		n.met.implausible[kind].Inc()
-		return nil, 0, 0, false
+		return false
 	}
-	if _, dup := n.bufferedLocked(env.Packet); dup {
+	if _, dup := n.buffered(env.Packet); dup {
 		n.met.packetsDuplicate.Inc()
-		return nil, 0, 0, false
+		return false
 	}
 	n.met.packetsReceived.Inc()
 	n.streamSeen = true
@@ -1350,7 +1263,7 @@ func (n *Node) acceptPacketLocked(env *wire.Envelope, repaired bool, now time.Ti
 		n.playChecked = env.Packet - 1
 		n.playStart = now.Add(n.cfg.PlaybackBuffer)
 	}
-	gapFirst, gapLast = -1, -1
+	var gapFirst, gapLast int64 = 0, -1 // empty unless the packet skips ahead
 	if env.Packet > n.highest+1 && n.highest >= 0 {
 		gapFirst, gapLast = n.highest+1, env.Packet-1
 		// Skip ranges an upstream ELN already covers.
@@ -1358,18 +1271,11 @@ func (n *Node) acceptPacketLocked(env *wire.Envelope, repaired bool, now time.Ti
 			gapFirst = n.upstreamRepair + 1
 		}
 	}
-	n.storeLocked(env.Packet, env.Payload)
-	return n.childList, gapFirst, gapLast, true
-}
-
-// forwardPacket sends an accepted packet on to the children and starts
-// recovery of the gap it opened, if any. Call without mu.
-func (n *Node) forwardPacket(children []wire.Addr, env *wire.Envelope, gapFirst, gapLast int64) {
-	n.met.packetsForwarded.Add(int64(len(children)))
-	n.fanOut(children, &wire.Envelope{Type: wire.TypePacket, Packet: env.Packet, Payload: env.Payload})
-	if gapFirst >= 0 && gapFirst <= gapLast {
-		n.recoverGap(gapFirst, gapLast)
-	}
+	n.store(env.Packet, env.Payload)
+	n.met.packetsForwarded.Add(int64(len(n.childList)))
+	n.fanOut(&wire.Envelope{Type: wire.TypePacket, Packet: env.Packet, Payload: env.Payload})
+	n.recoverGap(gapFirst, gapLast)
+	return true
 }
 
 // ---- repair pacing ----
@@ -1384,7 +1290,6 @@ func (n *Node) recoverGap(first, last int64) {
 		return
 	}
 	now := n.now()
-	n.mu.Lock()
 	if n.pendFirst < 0 {
 		n.pendFirst, n.pendLast = first, last
 	} else {
@@ -1395,20 +1300,17 @@ func (n *Node) recoverGap(first, last int64) {
 			n.pendLast = last
 		}
 	}
-	gated := now.Before(n.repairNextAt)
-	if gated {
+	if now.Before(n.repairNextAt) {
 		n.met.repairSuppressed.Inc()
+		return
 	}
-	n.mu.Unlock()
-	if !gated {
-		n.flushRepairs(now)
-	}
+	n.flushRepairs(now)
 }
 
-// takeRepairLocked drains the pending window if the backoff gate is open,
-// advancing the gate and streak. Requires mu; returns ok=false when nothing
-// is pending, the gate is closed, or the window fell out of the buffer.
-func (n *Node) takeRepairLocked(now time.Time) (int64, int64, bool) {
+// takeRepair drains the pending window if the backoff gate is open,
+// advancing the gate and streak. It returns ok=false when nothing is
+// pending, the gate is closed, or the window fell out of the buffer.
+func (n *Node) takeRepair(now time.Time) (int64, int64, bool) {
 	if n.pendFirst < 0 || now.Before(n.repairNextAt) {
 		return 0, 0, false
 	}
@@ -1448,10 +1350,7 @@ func (n *Node) takeRepairLocked(now time.Time) (int64, int64, bool) {
 // again once the gate reopens (gap detections that arrived while gated would
 // otherwise never be requested).
 func (n *Node) flushRepairs(now time.Time) {
-	n.mu.Lock()
-	first, last, ok := n.takeRepairLocked(now)
-	n.mu.Unlock()
-	if ok {
+	if first, last, ok := n.takeRepair(now); ok {
 		n.requestRepair(first, last)
 		n.notifyELN(first, last)
 	}
@@ -1462,33 +1361,27 @@ func (n *Node) flushRepairs(now time.Time) {
 // notifyELN tells the subtree that the given range is being repaired
 // upstream, so descendants do not issue duplicate requests.
 func (n *Node) notifyELN(first, last int64) {
-	n.mu.Lock()
-	children := n.childList
-	n.met.elnSent.Add(int64(len(children)))
-	n.mu.Unlock()
-	n.fanOut(children, &wire.Envelope{Type: wire.TypeELN, FirstMissing: first, LastMissing: last})
+	n.met.elnSent.Add(int64(len(n.childList)))
+	n.fanOut(&wire.Envelope{Type: wire.TypeELN, FirstMissing: first, LastMissing: last})
 }
 
 func (n *Node) handleELN(env wire.Envelope) {
-	n.mu.Lock()
-	fromParent := env.From == n.parent
+	if env.From != n.parent {
+		return
+	}
 	// Plausibility clamp: an ELN claims upstream recovery for a range, and a
 	// forged LastMissing far beyond the stream head would suppress our own
 	// repair requests forever. Once we have seen stream data, ignore claims
 	// implausibly far ahead of it.
-	implausible := fromParent && n.streamSeen && env.LastMissing > n.highest+n.tm.plausibleSpan
-	if implausible {
+	if n.streamSeen && env.LastMissing > n.highest+n.tm.plausibleSpan {
 		n.met.implausible["eln-range"].Inc()
-	} else if fromParent && env.LastMissing > n.upstreamRepair {
-		n.upstreamRepair = env.LastMissing
-	}
-	children := n.childList
-	n.mu.Unlock()
-	if implausible || !fromParent {
 		return
 	}
+	if env.LastMissing > n.upstreamRepair {
+		n.upstreamRepair = env.LastMissing
+	}
 	// Propagate downstream.
-	n.fanOut(children, &wire.Envelope{Type: wire.TypeELN, FirstMissing: env.FirstMissing, LastMissing: env.LastMissing})
+	n.fanOut(&wire.Envelope{Type: wire.TypeELN, FirstMissing: env.FirstMissing, LastMissing: env.LastMissing})
 }
 
 // requestRepair sends a striped CER request to the recovery group.
@@ -1515,8 +1408,6 @@ func (n *Node) requestRepair(first, last int64) {
 // from ours earliest are preferred (the live approximation of Algorithm 1's
 // subtree spreading).
 func (n *Node) recoveryGroup() []wire.Addr {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	banned := map[wire.Addr]bool{n.Addr(): true, n.parent: true}
 	for _, a := range n.ancestors {
 		banned[a] = true
@@ -1540,9 +1431,10 @@ func (n *Node) recoveryGroup() []wire.Addr {
 		if !p.inView || banned[addr] {
 			continue
 		}
-		// Quarantined peers leave the view at sentencing, but a race can
-		// re-learn one between sentence and expiry; never hand a convicted
-		// peer a stripe of our repair traffic.
+		// Quarantined peers leave the view at sentencing, and mergeMembers
+		// will not put one back while its sentence runs; should any other
+		// path ever do so, a convicted peer still gets no stripe of our
+		// repair traffic.
 		if p.quarantined(now) {
 			continue
 		}
@@ -1594,7 +1486,6 @@ func (n *Node) handleRepairRequest(env wire.Envelope) {
 	}
 	share := 1.0 / float64(n.cfg.RecoveryGroup) // static residual-share model
 	lo, hi := env.Epsilon, env.Epsilon+share
-	n.mu.Lock()
 	// Clamp the scan to the window the buffer can actually serve, so the
 	// walk is bounded by BufferPackets no matter what range was requested.
 	first, last := env.FirstMissing, env.LastMissing
@@ -1604,19 +1495,14 @@ func (n *Node) handleRepairRequest(env wire.Envelope) {
 	if last > n.highest {
 		last = n.highest
 	}
-	var serve []ringSlot
 	for seq := first; seq <= last; seq++ {
 		frac := float64(seq%100) / 100
 		if frac >= lo && frac < hi {
-			if payload, ok := n.bufferedLocked(seq); ok {
-				serve = append(serve, ringSlot{seq: seq, payload: payload})
+			if payload, ok := n.buffered(seq); ok {
+				n.met.repairsServed.Inc()
+				n.send(requester, wire.Envelope{Type: wire.TypeRepairData, Packet: seq, Payload: payload})
 			}
 		}
-	}
-	n.met.repairsServed.Add(int64(len(serve)))
-	n.mu.Unlock()
-	for _, s := range serve {
-		n.send(requester, wire.Envelope{Type: wire.TypeRepairData, Packet: s.seq, Payload: s.payload})
 	}
 	// NACK-chain forwarding: the next node covers the next stripe slice.
 	if len(env.Chain) > 0 && hi < 1 {
@@ -1653,13 +1539,11 @@ func (n *Node) announceMembers() []wire.MemberInfo { return n.viewSample(9) }
 // tree position) first, then the view's first entries in viewOrder. Only
 // the entries sent are sorted: a selection finds them first.
 func (n *Node) viewSample(limit int) []wire.MemberInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	out := make([]wire.MemberInfo, 0, limit)
 	if n.attached || n.cfg.Source {
-		out = append(out, n.selfInfoLocked())
+		out = append(out, n.selfInfo())
 	}
-	view := n.viewLocked()
+	view := n.viewRecords()
 	if k := max(limit-len(out), 0); k < len(view) {
 		selectView(view, k) // the k records before view[k] are the first k
 		view = view[:k]
@@ -1671,9 +1555,8 @@ func (n *Node) viewSample(limit int) []wire.MemberInfo {
 	return out
 }
 
-// viewLocked returns the records in the view, in no particular order.
-// Requires mu.
-func (n *Node) viewLocked() []*peerRecord {
+// viewRecords returns the records in the view, in no particular order.
+func (n *Node) viewRecords() []*peerRecord {
 	view := make([]*peerRecord, 0, len(n.peers))
 	for _, p := range n.peers {
 		view = append(view, p)
@@ -1724,9 +1607,7 @@ func selectView(view []*peerRecord, k int) *peerRecord {
 // viewOrder, from the node's seeded gossip stream; with an empty view it is
 // the first bootstrap member.
 func (n *Node) gossipTarget() wire.Addr {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if view := n.viewLocked(); len(view) > 0 {
+	if view := n.viewRecords(); len(view) > 0 {
 		return selectView(view, n.gossipRng.Intn(len(view))).info.Addr
 	}
 	if len(n.cfg.Bootstrap) > 0 {
@@ -1738,8 +1619,6 @@ func (n *Node) gossipTarget() wire.Addr {
 // refreshAncestors asks the parent chain implicitly: the node's own ancestor
 // list is parent + parent's advertised ancestors from gossip.
 func (n *Node) refreshAncestors() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.attached || n.cfg.Source {
 		n.ancestors = nil
 		return
@@ -1754,7 +1633,7 @@ func (n *Node) refreshAncestors() {
 	n.ancestors = anc
 }
 
-func (n *Node) selfInfoLocked() wire.MemberInfo {
+func (n *Node) selfInfo() wire.MemberInfo {
 	return wire.MemberInfo{
 		Addr:      n.Addr(),
 		Depth:     n.depth,
@@ -1781,14 +1660,12 @@ func (n *Node) handleMembershipRequest(env wire.Envelope) {
 // stale relays must not clobber live capacity data. An entry takes a peer
 // record like any datagram does, so the table's one cap bounds the view.
 func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	now := n.now()
 	for _, info := range members {
 		if info.Addr == n.Addr() {
 			continue
 		}
-		p := n.peerLocked(info.Addr, now)
+		p := n.peer(info.Addr, now)
 		// Gossip must not re-introduce a quarantined peer (third parties keep
 		// relaying it until their own guards convict).
 		if p == nil || p.quarantined(now) {
@@ -1807,41 +1684,27 @@ func (n *Node) mergeMembers(from wire.Addr, members []wire.MemberInfo) {
 // and proposes to trade places with it.
 func (n *Node) trySwitch() {
 	now := n.now()
-	n.mu.Lock()
-	eligible := n.attached && !n.swLock.held(now) && n.parent != "" &&
+	btp := n.btp()
+	if n.attached && !n.swLock.held(now) && n.parent != "" &&
 		n.parentBW > 0 && // a heartbeat told us the parent's properties
 		n.cfg.Bandwidth >= n.parentBW &&
-		n.btpLocked() > n.parentBTP &&
-		n.depth > 1 // never displace the source
-	parent := n.parent
-	btp := n.btpLocked()
-	if eligible {
-		n.swLock = switchLock{peer: parent, until: now.Add(n.tm.switchLockFor)}
-	}
-	n.mu.Unlock()
-	if eligible {
-		n.send(parent, wire.Envelope{Type: wire.TypeSwitchPropose, BTP: btp})
+		btp > n.parentBTP &&
+		n.depth > 1 { // never displace the source
+		n.swLock = switchLock{peer: n.parent, until: now.Add(n.tm.switchLockFor)}
+		n.send(n.parent, wire.Envelope{Type: wire.TypeSwitchPropose, BTP: btp})
 	}
 }
 
 // handleSwitchPropose runs on the parent: re-validate and accept.
 func (n *Node) handleSwitchPropose(env wire.Envelope) {
 	now := n.now()
-	n.mu.Lock()
 	_, isChild := n.children[env.From]
-	ok := isChild && n.attached && !n.swLock.held(now) && !n.cfg.Source &&
-		env.BTP > n.btpLocked()
-	var grandparent wire.Addr
-	if ok {
-		n.swLock = switchLock{peer: env.From, until: now.Add(n.tm.switchLockFor)}
-		grandparent = n.parent
-	}
-	n.mu.Unlock()
-	if !ok {
+	if !isChild || !n.attached || n.swLock.held(now) || n.cfg.Source || !(env.BTP > n.btp()) {
 		n.send(env.From, wire.Envelope{Type: wire.TypeSwitchReject})
 		return
 	}
-	n.send(env.From, wire.Envelope{Type: wire.TypeSwitchAccept, NewParent: grandparent})
+	n.swLock = switchLock{peer: env.From, until: now.Add(n.tm.switchLockFor)}
+	n.send(env.From, wire.Envelope{Type: wire.TypeSwitchAccept, NewParent: n.parent})
 }
 
 // handleSwitchAccept runs on the initiator: commit the exchange it holds the
@@ -1849,14 +1712,11 @@ func (n *Node) handleSwitchPropose(env wire.Envelope) {
 // answers no exchange this node still has open and is ignored.
 func (n *Node) handleSwitchAccept(env wire.Envelope) {
 	now := n.now()
-	n.mu.Lock()
 	if env.From != n.swLock.peer || !n.swLock.held(now) {
-		n.mu.Unlock()
 		return
 	}
 	n.swLock = switchLock{}
 	if env.From != n.parent || env.NewParent == "" {
-		n.mu.Unlock()
 		return
 	}
 	oldParent := n.parent
@@ -1868,7 +1728,7 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 	n.parentBW = 0
 	n.depth-- // we move one layer up
 	// The old parent becomes our child.
-	n.addChildLocked(oldParent, now)
+	n.addChild(oldParent, now)
 	// Capacity overflow: hand our most recently attached other child to the
 	// old parent (it just freed the slot we occupied).
 	var demoted wire.Addr
@@ -1879,10 +1739,9 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 				break
 			}
 		}
-		n.dropChildLocked(demoted)
+		n.dropChild(demoted)
 	}
 	n.met.switches.Inc()
-	n.mu.Unlock()
 
 	// Tell the grandparent to swap its child pointer, the old parent to
 	// demote itself, and the displaced child where to go.
@@ -1898,19 +1757,16 @@ func (n *Node) handleSwitchAccept(env wire.Envelope) {
 //   - at the demoted parent: NewParent names its new parent (the initiator);
 //   - at a displaced grandchild: NewParent names where to re-join.
 func (n *Node) handleSwitchCommit(env wire.Envelope) {
-	n.mu.Lock()
 	if len(env.Chain) == 1 {
 		// Grandparent: replace the child entry.
 		old := env.Chain[0]
 		if _, ok := n.children[old]; ok {
-			n.dropChildLocked(old)
-			n.addChildLocked(env.From, n.now())
+			n.dropChild(old)
+			n.addChild(env.From, n.now())
 		}
-		n.mu.Unlock()
 		return
 	}
 	if env.NewParent == n.Addr() {
-		n.mu.Unlock()
 		return
 	}
 	if env.NewParent == "" {
@@ -1918,7 +1774,6 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 		// parent would re-point us at the empty address — attached with no
 		// parent, a one-datagram orphaning. Forged or corrupt; drop it.
 		n.met.implausible["switch-shape"].Inc()
-		n.mu.Unlock()
 		return
 	}
 	// Demoted parent or displaced grandchild: re-point to NewParent.
@@ -1927,20 +1782,21 @@ func (n *Node) handleSwitchCommit(env wire.Envelope) {
 	n.parentBTP = 0
 	n.parentBW = 0
 	n.depth++ // one layer down (approximate; gossip refreshes it)
-	n.dropChildLocked(env.NewParent)
+	n.dropChild(env.NewParent)
 	n.swLock.release(env.From)
-	n.mu.Unlock()
 	// Greet the new parent so it knows us (idempotent join-as-child).
 	n.send(env.NewParent, wire.Envelope{Type: wire.TypeJoin, Bandwidth: n.cfg.Bandwidth})
 }
 
 // ---- dispatch ----
 
+// onDatagram is the transport handler, an entry point.
 func (n *Node) onDatagram(data []byte) {
-	if !n.enter() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
 		return
 	}
-	defer n.life.RUnlock()
 	n.met.rxDatagrams.Inc()
 	n.met.rxBytes.Add(int64(len(data)))
 	env, err := wire.DecodeBinaryWith(data, n.senders)
@@ -1952,34 +1808,23 @@ func (n *Node) onDatagram(data []byte) {
 		n.noteWireReject(env.From)
 		return
 	}
-	// One lock, one clock reading and one peer-table lookup cover admission,
-	// the sender's freshness, control dedup and, for stream and repair data,
-	// the packet itself.
+	// One clock reading and one peer-table lookup cover admission, the
+	// sender's freshness, control dedup and, for stream and repair data, the
+	// packet itself.
 	now := n.now()
-	n.mu.Lock()
-	p, lostParent := n.guardAdmitLocked(&env, now)
+	p := n.guardAdmit(&env, now)
 	if p == nil {
-		n.mu.Unlock()
-		if lostParent {
-			n.onParentFailure("quarantine")
-		}
 		return // rate-limited, quarantined or audit-failed
 	}
 	if env.Type == wire.TypePacket || env.Type == wire.TypeRepairData {
-		children, gapFirst, gapLast, ok := n.acceptPacketLocked(&env, env.Type == wire.TypeRepairData, now)
-		n.mu.Unlock()
-		if ok {
-			n.forwardPacket(children, &env, gapFirst, gapLast)
-		}
+		n.acceptPacket(&env, env.Type == wire.TypeRepairData, now)
 		return
 	}
 	// Reliable control delivery: always (re-)ack a tagged message — the
 	// sender retransmits until an ack survives the network — but hand only
 	// the first copy to its handler.
-	ctrl := env.Ctrl != 0 && env.Type != wire.TypeAck
-	dup := ctrl && p.ctrlSeen(env.Ctrl)
-	n.mu.Unlock()
-	if ctrl {
+	if env.Ctrl != 0 && env.Type != wire.TypeAck {
+		dup := p.ctrlSeen(env.Ctrl)
 		n.send(env.From, wire.Envelope{Type: wire.TypeAck, Ctrl: env.Ctrl})
 		if dup {
 			n.met.retxDupDrops.Inc()
@@ -2010,9 +1855,7 @@ func (n *Node) onDatagram(data []byte) {
 	case wire.TypeSwitchAccept:
 		n.handleSwitchAccept(env)
 	case wire.TypeSwitchReject:
-		n.mu.Lock()
 		n.swLock.release(env.From)
-		n.mu.Unlock()
 	case wire.TypeSwitchCommit:
 		n.handleSwitchCommit(env)
 	case wire.TypeAck:

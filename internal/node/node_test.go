@@ -764,3 +764,53 @@ func stopAndKillEndTheNode(t *testing.T, network *MemNetwork, cfg Config, clock 
 		t.Fatalf("the stopped source's packet clock ran on: head %d -> %d", head, got)
 	}
 }
+
+// lateTransport's Close hands the handler one last datagram and returns only
+// once the handler has, as UDPTransport.Close waits for a read loop that is
+// delivering a datagram when the socket closes.
+type lateTransport struct {
+	handler   func([]byte)
+	last      []byte
+	delivered bool
+	sends     atomic.Int64
+}
+
+func (l *lateTransport) Addr() wire.Addr              { return "self" }
+func (l *lateTransport) SetHandler(h func([]byte))    { l.handler = h }
+func (l *lateTransport) Send(wire.Addr, []byte) error { l.sends.Add(1); return nil }
+
+func (l *lateTransport) Close() error {
+	l.handler(l.last)
+	l.delivered = true
+	return nil
+}
+
+// TestKillDoesNotWaitOnItsOwnLock: Kill and Stop mark the node stopped under
+// its lock and close the transport only after releasing it, so a datagram
+// the transport delivers while closing finds the node stopped and is
+// dropped, instead of waiting forever on the lock its own Kill holds.
+func TestKillDoesNotWaitOnItsOwnLock(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		f    func(*Node)
+	}{{"Kill", (*Node).Kill}, {"Stop", (*Node).Stop}} {
+		tr := &lateTransport{last: envBytes(t, wire.Envelope{Type: wire.TypeJoin, From: "late", Bandwidth: 1, Ctrl: 1})}
+		n := New(Config{Bandwidth: 2}, tr)
+		done := make(chan struct{})
+		go func() {
+			end.f(n)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5s: the transport's last delivery waits on the node's lock", end.name)
+		}
+		if !tr.delivered {
+			t.Fatalf("%s did not close the transport", end.name)
+		}
+		if got := tr.sends.Load(); got != 0 {
+			t.Fatalf("%s: the node answered the datagram delivered while closing with %d sends, want it dropped", end.name, got)
+		}
+	}
+}

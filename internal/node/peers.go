@@ -11,7 +11,7 @@ import (
 // of ~100 members with their ancestor paths), the guard's account of its
 // behaviour (guard.go) and the reliability shim's windows (retx.go). All of
 // it lives in Node.peers, the one per-peer table that grows on wire input;
-// peerLocked holds its cap and its eviction rule.
+// peer holds its cap and its eviction rule.
 type peerRecord struct {
 	// seen is when the peer was last heard from first-hand, or entered the
 	// view: it orders eviction, and CER group selection skips view entries
@@ -47,7 +47,7 @@ type peerRecord struct {
 
 func (p *peerRecord) quarantined(now time.Time) bool { return now.Before(p.quarantinedUntil) }
 
-// peerLocked returns addr's record, creating it when absent. However it is
+// peer returns addr's record, creating it when absent. However it is
 // created — by a datagram, a gossip entry or a send — a record starts with a
 // full request bucket and its send sequence at the highest this incarnation
 // has used (Node.ctrlHigh), so a re-created record never reuses a sequence
@@ -59,8 +59,8 @@ func (p *peerRecord) quarantined(now time.Time) bool { return now.Before(p.quara
 // is neither quarantined nor awaiting an ack before one with control
 // messages in flight (abandoned with it), and a quarantined record only when
 // nothing else is left. It returns nil, and the caller does without, only
-// when every record is the parent or a child. Requires mu.
-func (n *Node) peerLocked(addr wire.Addr, now time.Time) *peerRecord {
+// when every record is the parent or a child.
+func (n *Node) peer(addr wire.Addr, now time.Time) *peerRecord {
 	if p, ok := n.peers[addr]; ok {
 		return p
 	}
@@ -88,7 +88,7 @@ func (n *Node) peerLocked(addr wire.Addr, now time.Time) *peerRecord {
 		for _, pend := range vp.inflight {
 			pend.timer.Stop()
 		}
-		n.retxSettledLocked(len(vp.inflight), n.met.retxExpired)
+		n.retxSettled(len(vp.inflight), n.met.retxExpired)
 		delete(n.peers, victim)
 	}
 	p := &peerRecord{seen: now, scoreAt: now, tokensAt: now, tokens: n.tm.requestBurst, nextSeq: n.ctrlHigh}
@@ -96,10 +96,9 @@ func (n *Node) peerLocked(addr wire.Addr, now time.Time) *peerRecord {
 	return p
 }
 
-// tableCountsLocked walks the table once for the two sizes Stats and the
-// gauges report: entries in the view, and peers under quarantine. Requires
-// mu.
-func (n *Node) tableCountsLocked(now time.Time) (members, quarantined int) {
+// tableCounts walks the table once for the two sizes Stats and the gauges
+// report: entries in the view, and peers under quarantine.
+func (n *Node) tableCounts(now time.Time) (members, quarantined int) {
 	for _, p := range n.peers {
 		if p.inView {
 			members++

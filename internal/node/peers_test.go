@@ -21,7 +21,7 @@ func TestPeerTableAdmitsLiveMemberPastStaleView(t *testing.T) {
 	stale := time.Now().Add(-2 * n.tm.memberStaleAfter)
 	n.mu.Lock()
 	for i := 0; i < n.tm.peerCap; i++ {
-		n.viewAddLocked(wire.Addr(fmt.Sprintf("gone%d", i)), stale)
+		n.viewAdd(wire.Addr(fmt.Sprintf("gone%d", i)), stale)
 	}
 	n.mu.Unlock()
 	n.onDatagram(envBytes(t, wire.Envelope{Type: wire.TypeMembershipReply, From: "live",

@@ -61,7 +61,7 @@ func (r *refNode) emit() int64 {
 	return seq
 }
 
-// reject is packetRejectLocked for a node that stays attached to r.parent.
+// reject is packetReject for a node that stays attached to r.parent.
 func (r *refNode) reject(from wire.Addr, seq int64, repaired bool) bool {
 	if r.cfg.Source {
 		return true
@@ -118,7 +118,7 @@ func (r *refNode) accept(from wire.Addr, seq int64, payload []byte, repaired boo
 	return true
 }
 
-// advancePlayback is the former advancePlaybackLocked.
+// advancePlayback is the former Node.advancePlayback.
 func (r *refNode) advancePlayback(now time.Time) {
 	if r.playFirst < 0 || now.Before(r.playStart) {
 		return

@@ -33,9 +33,9 @@ type retxPending struct {
 	timer    Timer
 }
 
-// retxSettledLocked takes k messages out of the in-flight total, counting
-// them on how (acked or expired). Requires mu.
-func (n *Node) retxSettledLocked(k int, how *live.Counter) {
+// retxSettled takes k messages out of the in-flight total, counting them on
+// how (acked or expired).
+func (n *Node) retxSettled(k int, how *live.Counter) {
 	n.inflight -= k
 	how.Add(int64(k))
 	n.met.retxInflight.Set(float64(n.inflight))
@@ -46,11 +46,9 @@ func (n *Node) retxSettledLocked(k int, how *live.Counter) {
 // It returns false — caller falls back to fire-and-forget — when the peer's
 // window is full or no record can be had for it.
 func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
-	n.mu.Lock()
-	p := n.peerLocked(to, n.now())
+	p := n.peer(to, n.now())
 	if p == nil || len(p.inflight) >= n.tm.retxInflight {
 		n.met.retxOverflow.Inc()
-		n.mu.Unlock()
 		return false
 	}
 	if p.inflight == nil {
@@ -64,7 +62,6 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	env.Ctrl = seq
 	data, err := wire.EncodeBinary(env)
 	if err != nil {
-		n.mu.Unlock()
 		return true // unencodable envelopes are a programming error; drop
 	}
 	pend := &retxPending{data: data, attempts: 1}
@@ -74,70 +71,59 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	n.met.ctrlSent.Inc()
 	n.inflight++
 	n.met.retxInflight.Set(float64(n.inflight))
-	n.mu.Unlock()
 	n.transmit(data, to)
 	return true
 }
 
-// retxFire is the retransmit timer callback: resend the still-unacked
-// message with the next backoff step, or abandon it once the attempt budget
-// is spent. The message stays in the window until acked or expired, so late
-// acks still clear it.
+// retxFire is the retransmit timer callback, an entry point: resend the
+// still-unacked message with the next backoff step, or abandon it once the
+// attempt budget is spent. The message stays in the window until acked or
+// expired, so late acks still clear it.
 func (n *Node) retxFire(to wire.Addr, seq uint64) {
-	if !n.enter() {
-		return // node stopped: let the state die with it
-	}
-	defer n.life.RUnlock()
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		return // let the state die with the node
+	}
 	p := n.peers[to]
 	if p == nil {
-		n.mu.Unlock()
 		return
 	}
 	pend, ok := p.inflight[seq]
 	if !ok {
-		n.mu.Unlock()
 		return // acked in the meantime
 	}
 	if pend.attempts >= n.tm.retxAttempts {
 		delete(p.inflight, seq)
-		n.retxSettledLocked(1, n.met.retxExpired)
-		n.mu.Unlock()
+		n.retxSettled(1, n.met.retxExpired)
 		return
 	}
 	pend.attempts++
 	d := backoffDelay(n.tm.retxBackoffBase, n.tm.retxBackoffMax, pend.attempts-1, n.retxRng)
 	pend.timer = n.cfg.Clock.AfterFunc(d, func() { n.retxFire(to, seq) })
-	data := pend.data
 	n.met.retxSent.Inc()
-	n.mu.Unlock()
-	n.transmit(data, to)
+	n.transmit(pend.data, to)
 }
 
 // handleAck clears the acked message from the sender-side window.
 func (n *Node) handleAck(env wire.Envelope) {
-	n.mu.Lock()
 	p := n.peers[env.From]
 	if p == nil {
-		n.mu.Unlock()
 		return
 	}
 	pend, ok := p.inflight[env.Ctrl]
 	if !ok {
-		n.mu.Unlock()
 		return // duplicate ack, or ack for an expired message
 	}
 	pend.timer.Stop()
 	delete(p.inflight, env.Ctrl)
-	n.retxSettledLocked(1, n.met.retxAcked)
-	n.mu.Unlock()
+	n.retxSettled(1, n.met.retxAcked)
 }
 
 // ctrlSeen records a received control sequence in the peer's dedup window
 // and reports whether it was already delivered. Sequences that fell off the
 // window's far edge count as duplicates (the safe direction: the shim may
-// suppress a redelivery, never double-deliver within the window). Requires
-// mu.
+// suppress a redelivery, never double-deliver within the window).
 func (p *peerRecord) ctrlSeen(seq uint64) bool {
 	switch {
 	case p.rxHighest == 0:

@@ -57,7 +57,7 @@ func newOracleRun(t *testing.T, cfg Config, parent wire.Addr, seed int64) *oracl
 	}
 	o.n.mu.Lock()
 	for _, c := range []wire.Addr{"c0", "c1"} {
-		o.n.addChildLocked(c, o.now)
+		o.n.addChild(c, o.now)
 		o.kids = append(o.kids, c)
 	}
 	o.n.mu.Unlock()
@@ -107,12 +107,7 @@ func (o *oracleRun) packet(from wire.Addr, seq int64, repaired bool) {
 	if want && wasBelow {
 		o.unstored++
 	}
-	o.n.mu.Lock()
-	children, gapFirst, gapLast, got := o.n.acceptPacketLocked(&env, repaired, o.now)
-	o.n.mu.Unlock()
-	if got {
-		o.n.forwardPacket(children, &env, gapFirst, gapLast)
-	}
+	got := o.n.acceptPacket(&env, repaired, o.now)
 	if got != want {
 		o.fatalf("packet %d from %s (repaired %t): node accepted = %t, oracle %t", seq, from, repaired, got, want)
 	}
@@ -177,7 +172,7 @@ func (o *oracleRun) compare() {
 		o.fatalf("stream head %d, oracle %d", head, o.ref.highest)
 	}
 	check := func(seq int64) {
-		got, ok := o.n.bufferedLocked(seq)
+		got, ok := o.n.buffered(seq)
 		want, wantOK := o.ref.buffer[seq]
 		if ok != wantOK || !bytes.Equal(got, want) {
 			o.n.mu.Unlock()
@@ -207,7 +202,7 @@ func (o *oracleRun) compare() {
 func (o *oracleRun) playback() {
 	o.ref.advancePlayback(o.now)
 	o.n.mu.Lock()
-	o.n.advancePlaybackLocked(o.now)
+	o.n.advancePlayback(o.now)
 	o.n.mu.Unlock()
 }
 
@@ -347,8 +342,8 @@ func TestRepairCarriesPayload(t *testing.T) {
 		}
 	})
 	loser.mu.Lock()
-	loser.viewAddLocked("sibling", w.clock.Now())
-	loser.addChildLocked("leaf", w.clock.Now())
+	loser.viewAdd("sibling", w.clock.Now())
+	loser.addChild("leaf", w.clock.Now())
 	loser.mu.Unlock()
 
 	const count, lost = 8, 5
@@ -366,10 +361,10 @@ func TestRepairCarriesPayload(t *testing.T) {
 	})
 	for seq := int64(0); seq < count; seq++ {
 		sibling.mu.Lock()
-		want, _ := sibling.bufferedLocked(seq)
+		want, _ := sibling.buffered(seq)
 		sibling.mu.Unlock()
 		loser.mu.Lock()
-		got, ok := loser.bufferedLocked(seq)
+		got, ok := loser.buffered(seq)
 		loser.mu.Unlock()
 		fwd := forwarded[seq]
 		if !ok || !bytes.Equal(want, payload(seq)) || !bytes.Equal(got, want) || !bytes.Equal(fwd, want) {

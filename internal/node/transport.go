@@ -21,11 +21,12 @@ import (
 type Transport interface {
 	// Addr returns this endpoint's address.
 	Addr() wire.Addr
-	// Send transmits one datagram. It never blocks on the receiver, and it
-	// must neither retain nor mutate data once it has returned: the node
-	// hands the same bytes to Send once per child when it fans a packet out.
-	// An implementation that delivers later (queues, delays, duplicates)
-	// copies first.
+	// Send transmits one datagram. It never blocks on the receiver and
+	// never calls a handler itself: the node sends while holding its lock.
+	// It must neither retain nor mutate data once it has returned: the node
+	// hands the same bytes to Send once per child when it fans a packet
+	// out. An implementation that delivers later (queues, delays,
+	// duplicates) copies first.
 	Send(to wire.Addr, data []byte) error
 	// SetHandler installs the receive callback; must be called before the
 	// first delivery is expected.
