@@ -178,7 +178,7 @@ func orderByDistance(self *overlay.Member, group []*overlay.Member, delay func(a
 	}
 	keys = keys[:0]
 	for _, g := range group {
-		keys = append(keys, delay(self.Attach, g.Attach))
+		keys = append(keys, delay(self.Attach(), g.Attach()))
 	}
 	for i := 1; i < len(group); i++ {
 		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
@@ -190,13 +190,14 @@ func orderByDistance(self *overlay.Member, group []*overlay.Member, delay func(a
 }
 
 // advance readies an epoch-stamped scratch over the tree's dense slot space
-// for a new call: it returns the scratch covering at least n slots and the
+// for a new call: it returns the scratch covering every slot of tree and the
 // epoch that means "touched this call". A stale stamp never equals the new
-// epoch, so nothing is cleared between calls. Growth is geometric because
-// slots, like members, arrive one at a time.
-func advance[T any](scratch []T, epoch uint32, n int) ([]T, uint32) {
-	if len(scratch) < n {
-		return make([]T, max(n, 2*len(scratch))), 1
+// epoch, so nothing is cleared between calls. The scratch is sized to the
+// tree's reservation (Tree.Reserved), so a run that reserved its slots makes
+// it once, and one whose tree outgrows that follows the tree's own growth.
+func advance[T any](scratch []T, epoch uint32, tree *overlay.Tree) ([]T, uint32) {
+	if len(scratch) < tree.Slots() {
+		return make([]T, tree.Reserved()), 1
 	}
 	if epoch+1 == 0 { // wrapped: stale stamps could collide
 		clear(scratch)
@@ -223,7 +224,7 @@ type exclusion struct {
 func (x *exclusion) reset(tree *overlay.Tree, self *overlay.Member, banned map[overlay.MemberID]bool) {
 	x.v = tree.SlotView()
 	x.self, x.selfDepth, x.banned = int32(self.Slot()), int32(self.Depth()), banned
-	x.onPath, x.epoch = advance(x.onPath, x.epoch, tree.Slots())
+	x.onPath, x.epoch = advance(x.onPath, x.epoch, tree)
 	for i := x.self; i >= 0; i = x.v.Parent(i) {
 		x.onPath[i] = x.epoch
 	}
@@ -287,7 +288,7 @@ type kidSpan struct{ next, end int32 }
 // build assembles T from the root paths of self (the node knows its own path
 // as well) and of the sampled members.
 func (pt *partialTree) build(tree *overlay.Tree, v *overlay.SlotView, self *overlay.Member, sample []int32) {
-	pt.nodes, pt.epoch = advance(pt.nodes, pt.epoch, tree.Slots())
+	pt.nodes, pt.epoch = advance(pt.nodes, pt.epoch, tree)
 	pt.root = int32(tree.Root().Slot())
 	pt.width = append(pt.width[:0], 0)
 	pt.enter(pt.root, 0)
@@ -541,14 +542,14 @@ func AppendServers(dst []Server, self *overlay.Member, group []*overlay.Member, 
 	chain := time.Duration(0)
 	prev := self
 	for _, g := range group {
-		chain += delay(prev.Attach, g.Attach)
+		chain += delay(prev.Attach(), g.Attach())
 		prev = g
 		if eps, ok := residual(g); ok {
 			dst = append(dst, Server{
 				Member:     g,
 				Epsilon:    eps,
 				ChainDelay: chain,
-				Transfer:   delay(g.Attach, self.Attach),
+				Transfer:   delay(g.Attach(), self.Attach()),
 			})
 		}
 	}

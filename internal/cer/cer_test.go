@@ -219,7 +219,7 @@ func TestSelectOrderedByDistance(t *testing.T) {
 	sel := &MLCSelector{Tree: tree, Rng: xrand.New(4), Delay: delayFn}
 	group := sel.Select(self, 4)
 	for i := 1; i < len(group); i++ {
-		if delayFn(self.Attach, group[i-1].Attach) > delayFn(self.Attach, group[i].Attach) {
+		if delayFn(self.Attach(), group[i-1].Attach()) > delayFn(self.Attach(), group[i].Attach()) {
 			t.Fatal("group not ordered by network distance")
 		}
 	}

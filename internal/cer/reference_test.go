@@ -75,7 +75,7 @@ func refOrderByDistance(s *MLCSelector, self *overlay.Member, group []*overlay.M
 		return
 	}
 	sort.SliceStable(group, func(i, j int) bool {
-		return s.Delay(self.Attach, group[i].Attach) < s.Delay(self.Attach, group[j].Attach)
+		return s.Delay(self.Attach(), group[i].Attach()) < s.Delay(self.Attach(), group[j].Attach())
 	})
 }
 
@@ -104,7 +104,7 @@ func (s *refRandomSelector) Select(self *overlay.Member, k int) []*overlay.Membe
 	}
 	if s.Delay != nil {
 		sort.SliceStable(group, func(i, j int) bool {
-			return s.Delay(self.Attach, group[i].Attach) < s.Delay(self.Attach, group[j].Attach)
+			return s.Delay(self.Attach(), group[i].Attach()) < s.Delay(self.Attach(), group[j].Attach())
 		})
 	}
 	return group

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"omcast/internal/construct"
@@ -351,19 +350,12 @@ func (d *Driver) Start() {
 		})
 	}
 	d.scheduleNextArrival()
+	// The measurement window starts with every member's disruption and
+	// reconnection counters zeroed, so the reported rates reflect the
+	// steady-state tree rather than the warm-up transient.
 	d.sim.Schedule(d.measureFrom, func(s *eventsim.Simulator) {
-		d.resetCounters()
+		d.tree.ResetCounters()
 		d.sampleTreeMetrics(s)
-	})
-}
-
-// resetCounters zeroes every member's disruption and reconnection counters
-// at the start of the measurement window, so the reported rates reflect the
-// steady-state tree rather than the warm-up transient.
-func (d *Driver) resetCounters() {
-	d.tree.VisitMembers(func(m *overlay.Member) {
-		m.Disruptions = 0
-		m.Reconnections = 0
 	})
 }
 
@@ -395,11 +387,11 @@ func (d *Driver) prePopulate(sim *eventsim.Simulator) {
 			attach:   d.topo.RandomStub(d.placeRng),
 		})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].age > entries[j].age })
+	// Oldest first. slices.SortFunc runs the same pdqsort as sort.Slice, so
+	// equal ages keep the order they always had.
+	slices.SortFunc(entries, func(a, b seedEntry) int { return cmp.Compare(b.age, a.age) })
 	for _, e := range entries {
-		m := d.tree.NewMember(e.attach, e.bw, 0)
-		m.JoinTime = -e.age
-		id := m.ID
+		id := d.tree.NewMember(e.attach, e.bw, -e.age).ID
 		sim.ScheduleAfter(e.residual, func(s *eventsim.Simulator) {
 			d.depart(s, id)
 		})
@@ -439,7 +431,7 @@ func (d *Driver) tryFirstJoin(sim *eventsim.Simulator, id overlay.MemberID) {
 		d.cfg.Trace.Start(tracing.KindJoin, int64(id), sim.Now()).
 			AttrInt("parent", int64(m.Parent().ID)).
 			AttrInt("depth", int64(m.Depth())).
-			AttrFloat("bandwidth", m.Bandwidth).
+			AttrFloat("bandwidth", m.Bandwidth()).
 			End(sim.Now(), "attached")
 		if d.hooks.OnJoin != nil {
 			d.hooks.OnJoin(sim, m)
@@ -476,13 +468,13 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 		// Exposure: how long this member accumulated counters — from the
 		// start of the measurement window (counters are reset there) or its
 		// join, whichever is later.
-		start := m.JoinTime
+		start := m.JoinTime()
 		if start < d.measureFrom {
 			start = d.measureFrom
 		}
 		d.exposureSum += (now - start).Seconds()
-		d.disruptionSum += float64(m.Disruptions)
-		d.reconnectsSum += float64(m.Reconnections)
+		d.disruptionSum += float64(m.Disruptions())
+		d.reconnectsSum += float64(m.Reconnections())
 		d.MeasuredDepartures++
 	}
 	d.Departures++
@@ -570,7 +562,7 @@ func (d *Driver) Track(at time.Duration, bw float64) *Tracked {
 func (d *Driver) sampleTracked(sim *eventsim.Simulator, tr *Tracked) {
 	m := tr.Member
 	tr.Times = append(tr.Times, sim.Now())
-	tr.Disruptions = append(tr.Disruptions, m.Disruptions)
+	tr.Disruptions = append(tr.Disruptions, m.Disruptions())
 	delay := m.PathDelay()
 	if !m.Attached() {
 		delay = 0 // rejoining; no live path
@@ -599,7 +591,7 @@ func (d *Driver) sampleTreeMetrics(sim *eventsim.Simulator) {
 		n++
 		pd := v.PathDelay(i)
 		delaySum += float64(pd) / float64(time.Millisecond)
-		direct := d.topo.Delay(root.Attach, v.Attach(i))
+		direct := d.topo.Delay(root.Attach(), v.Attach(i))
 		if direct > 0 {
 			stretchSum += float64(pd) / float64(direct)
 			stretchN++
@@ -656,16 +648,16 @@ func (d *Driver) Result() Result {
 		}
 		return sum / d.exposureSum * meanLife
 	}
-	var counts []float64
+	// The attached members in pre-order, the source excluded: the counters
+	// are read off the slot arrays, and counts is sized for every live member.
+	counts := make([]float64, 0, d.tree.Size()-1)
 	var disrSum, reconnSum float64
-	d.tree.VisitSubtree(d.tree.Root(), func(m *overlay.Member) {
-		if m == d.tree.Root() {
-			return
-		}
-		counts = append(counts, float64(m.Disruptions))
-		disrSum += float64(m.Disruptions)
-		reconnSum += float64(m.Reconnections)
-	})
+	v, top := d.tree.SlotView(), int32(d.tree.Root().Slot())
+	for i := v.Next(top, top); i >= 0; i = v.Next(i, top) {
+		counts = append(counts, float64(v.Disruptions(i)))
+		disrSum += float64(v.Disruptions(i))
+		reconnSum += float64(v.Reconnections(i))
+	}
 	res := Result{
 		DisruptionCounts:         counts,
 		PerLifetimeDisruptions:   perLifetime(d.disruptionSum),

@@ -97,7 +97,7 @@ func (k parentKey) of(v *overlay.SlotView, c int32) int64 {
 	case deepest:
 		return -int64(v.Depth(c))
 	}
-	return int64(v.Member(c).JoinTime)
+	return int64(v.JoinTime(c))
 }
 
 // candidates samples the joining member's partial view of the overlay, as
@@ -145,7 +145,7 @@ func (e *Env) pickParent(tree *overlay.Tree, m *overlay.Member, key parentKey) *
 			continue
 		}
 		cm := v.Member(c)
-		if d := e.Delay(m.Attach, cm.Attach); best == nil || d < bestDelay {
+		if d := e.Delay(m.Attach(), cm.Attach()); best == nil || d < bestDelay {
 			best, bestDelay = cm, d
 		}
 	}
@@ -311,12 +311,12 @@ func (a *relaxedOrdered) replaceWith(tree *overlay.Tree, m, victim *overlay.Memb
 	// The victim (now childless) rejoins, then leftover children with their
 	// subtrees. Rejoin failures leave them detached; the churn driver will
 	// retry them like any other orphan, so saturation here is not fatal.
-	victim.Reconnections++
+	tree.RecordReconnection(victim)
 	if err := a.Join(tree, victim, now); err != nil && !errors.Is(err, ErrNoParent) {
 		return fmt.Errorf("construct: rejoining victim %d: %w", victim.ID, err)
 	}
 	for _, c := range children[adopted:] {
-		c.Reconnections++
+		tree.RecordReconnection(c)
 		if err := a.Join(tree, c, now); err != nil && !errors.Is(err, ErrNoParent) {
 			return fmt.Errorf("construct: rejoining leftover child %d: %w", c.ID, err)
 		}
@@ -358,7 +358,7 @@ func nearestSpare(env *Env, lx *overlay.LevelIndex, d int, m *overlay.Member) *o
 	}
 	homes := wholeLevel
 	if u := env.Underlay; u != nil {
-		homes = u.HomesByDelay(u.Home(m.Attach))
+		homes = u.HomesByDelay(u.Home(m.Attach()))
 	}
 	var best *overlay.Member
 	var bestDelay time.Duration
@@ -367,11 +367,11 @@ func nearestSpare(env *Env, lx *overlay.LevelIndex, d int, m *overlay.Member) *o
 		if len(spare) == 0 {
 			continue
 		}
-		if best != nil && left > 1 && env.Delay(m.Attach, h) > bestDelay {
+		if best != nil && left > 1 && env.Delay(m.Attach(), h) > bestDelay {
 			break
 		}
 		for _, c := range spare {
-			dc := env.Delay(m.Attach, c.Attach)
+			dc := env.Delay(m.Attach(), c.Attach())
 			if best == nil || dc < bestDelay || dc == bestDelay && c.LevelPos() < best.LevelPos() {
 				best, bestDelay = c, dc
 			}

@@ -100,7 +100,7 @@ func TestMinDepthNearestTieBreak(t *testing.T) {
 	// must pick p2 (delay 1 ms) over p1 (delay 98 ms).
 	m := join(t, s, tree, 99, 0.5, 0)
 	if m.Parent() != p2 {
-		t.Fatalf("tie-break picked parent at %d, want nearest %d", m.Parent().Attach, p2.Attach)
+		t.Fatalf("tie-break picked parent at %d, want nearest %d", m.Parent().Attach(), p2.Attach())
 	}
 	_ = p1
 }
@@ -133,7 +133,7 @@ func TestLongestFirstPicksOldest(t *testing.T) {
 	m := join(t, s, tree, 5, 0.5, 40*time.Second)
 	if m.Parent() != old {
 		t.Fatalf("joined under member with join time %v, want oldest (%v)",
-			m.Parent().JoinTime, old.JoinTime)
+			m.Parent().JoinTime(), old.JoinTime())
 	}
 }
 
@@ -157,8 +157,8 @@ func TestRelaxedBOEvictsWeaker(t *testing.T) {
 	}
 	// Eviction-first semantics can cascade (the rejoining weak node may in
 	// turn displace the even weaker kid), but every hop must be charged.
-	if weak.Reconnections < 1 {
-		t.Fatalf("evicted node reconnections = %d, want >= 1", weak.Reconnections)
+	if weak.Reconnections() < 1 {
+		t.Fatalf("evicted node reconnections = %d, want >= 1", weak.Reconnections())
 	}
 	if !kid.Attached() {
 		t.Fatal("cascade left the weakest node detached")
@@ -189,7 +189,7 @@ func TestRelaxedBOAdoptsChildren(t *testing.T) {
 	if victim.Parent() != strong {
 		t.Fatalf("victim rejoined under %d, want %d", victim.Parent().ID, strong.ID)
 	}
-	if victim.Reconnections < 1 {
+	if victim.Reconnections() < 1 {
 		t.Fatal("victim not charged for its eviction")
 	}
 	if err := tree.CheckInvariantsFull(); err != nil {
@@ -222,9 +222,9 @@ func TestRelaxedBOOrderingInvariant(t *testing.T) {
 		if p == nil || p == tree.Root() {
 			return
 		}
-		if m.Bandwidth > p.Bandwidth {
+		if m.Bandwidth() > p.Bandwidth() {
 			t.Fatalf("bandwidth ordering violated: child %g over parent %g",
-				m.Bandwidth, p.Bandwidth)
+				m.Bandwidth(), p.Bandwidth())
 		}
 	})
 }
@@ -271,7 +271,7 @@ func TestRelaxedTOLeftoverChildrenRejoin(t *testing.T) {
 	var kids []*overlay.Member
 	for i := 0; i < 3; i++ {
 		k := tree.NewMember(topology.NodeID(10+i), 2, time.Duration(200+i)*time.Second)
-		if err := s.Join(tree, k, k.JoinTime); err != nil {
+		if err := s.Join(tree, k, k.JoinTime()); err != nil {
 			t.Fatal(err)
 		}
 		kids = append(kids, k)
@@ -289,12 +289,12 @@ func TestRelaxedTOLeftoverChildrenRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everyone still attached.
-	reconns := victim.Reconnections
+	reconns := victim.Reconnections()
 	for _, k := range kids {
 		if !k.Attached() {
 			t.Fatalf("child %d left detached", k.ID)
 		}
-		reconns += k.Reconnections
+		reconns += k.Reconnections()
 	}
 	if reconns < 3 { // victim + 2 leftover children
 		t.Fatalf("total reconnections = %d, want >= 3", reconns)
@@ -348,9 +348,9 @@ func TestRelaxedTOOrderingInvariant(t *testing.T) {
 		if p == nil || p == tree.Root() {
 			return
 		}
-		if m.JoinTime < p.JoinTime {
+		if m.JoinTime() < p.JoinTime() {
 			t.Fatalf("time ordering violated: child joined %v, parent %v",
-				m.JoinTime, p.JoinTime)
+				m.JoinTime(), p.JoinTime())
 		}
 	})
 }

@@ -38,9 +38,9 @@ func refPick(env *Env, tree *overlay.Tree, m *overlay.Member, key func(*overlay.
 		switch {
 		case best == nil, key(c) < key(best):
 			best = c
-			bestDelay = env.Delay(m.Attach, c.Attach)
+			bestDelay = env.Delay(m.Attach(), c.Attach())
 		case key(c) == key(best):
-			if d := env.Delay(m.Attach, c.Attach); d < bestDelay {
+			if d := env.Delay(m.Attach(), c.Attach()); d < bestDelay {
 				best = c
 				bestDelay = d
 			}
@@ -52,7 +52,7 @@ func refPick(env *Env, tree *overlay.Tree, m *overlay.Member, key func(*overlay.
 // refKeys are the three strategies' keys as the handle loops read them.
 var refKeys = map[parentKey]func(*overlay.Member) int64{
 	shallowest: func(c *overlay.Member) int64 { return int64(c.Depth()) },
-	oldest:     func(c *overlay.Member) int64 { return int64(c.JoinTime) },
+	oldest:     func(c *overlay.Member) int64 { return int64(c.JoinTime()) },
 	deepest:    func(c *overlay.Member) int64 { return -int64(c.Depth()) },
 }
 
@@ -204,7 +204,7 @@ func refNearestSpare(env *Env, level []*overlay.Member, m *overlay.Member) *over
 		if !usableParent(c, m) {
 			continue
 		}
-		d := env.Delay(m.Attach, c.Attach)
+		d := env.Delay(m.Attach(), c.Attach())
 		if best == nil || d < bestDelay {
 			best, bestDelay = c, d
 		}
@@ -264,12 +264,12 @@ func (a *refRelaxed) replace(tree *overlay.Tree, m, victim *overlay.Member, now 
 	}
 	a.evicting++
 	defer func() { a.evicting-- }()
-	victim.Reconnections++
+	tree.RecordReconnection(victim)
 	if err := a.Join(tree, victim, now); err != nil && !errors.Is(err, ErrNoParent) {
 		return err
 	}
 	for _, c := range leftovers {
-		c.Reconnections++
+		tree.RecordReconnection(c)
 		if err := a.Join(tree, c, now); err != nil && !errors.Is(err, ErrNoParent) {
 			return err
 		}
@@ -321,7 +321,7 @@ func idOf(m *overlay.Member) string {
 
 // memberShape renders everything about a member the two worlds must agree on.
 func memberShape(m *overlay.Member) string {
-	s := fmt.Sprintf("%d@%d depth %d attached %v reconn %d kids", m.ID, m.LevelPos(), m.Depth(), m.Attached(), m.Reconnections)
+	s := fmt.Sprintf("%d@%d depth %d attached %v reconn %d kids", m.ID, m.LevelPos(), m.Depth(), m.Attached(), m.Reconnections())
 	for _, c := range m.Children() {
 		s = fmt.Sprintf("%s %d", s, c.ID)
 	}
@@ -336,7 +336,7 @@ func memberShape(m *overlay.Member) string {
 // in the same Level(d).
 func sameShape(a, b *overlay.Member, kidsA, kidsB []*overlay.Member) bool {
 	if a.ID != b.ID || a.LevelPos() != b.LevelPos() || a.Depth() != b.Depth() || a.Attached() != b.Attached() ||
-		a.Reconnections != b.Reconnections || (a.Parent() == nil) != (b.Parent() == nil) || len(kidsA) != len(kidsB) {
+		a.Reconnections() != b.Reconnections() || (a.Parent() == nil) != (b.Parent() == nil) || len(kidsA) != len(kidsB) {
 		return false
 	}
 	for i := range kidsA {
@@ -518,10 +518,10 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 	arrive := func(bw float64, joined time.Duration) {
 		t.Helper()
 		at := attach(rng)
-		a, b := ref.tree.NewMember(at, bw, now), idx.tree.NewMember(at, bw, now)
-		a.JoinTime, b.JoinTime = joined, joined
-		live = append(live, a.ID)
-		joinBoth(a.ID)
+		id := ref.tree.NewMember(at, bw, joined).ID
+		idx.tree.NewMember(at, bw, joined)
+		live = append(live, id)
+		joinBoth(id)
 	}
 
 	for ; step < 6000; step++ {
@@ -567,7 +567,7 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 		t.Fatal(err)
 	}
 	evictions := 0
-	ref.tree.VisitMembers(func(m *overlay.Member) { evictions += m.Reconnections })
+	ref.tree.VisitMembers(func(m *overlay.Member) { evictions += m.Reconnections() })
 	t.Logf("%d live members, depth %d, %d Delay calls, %d evictions among the living, %d saturated joins",
 		ref.tree.Size(), ref.tree.MaxDepth(), ref.calls, evictions, saturated)
 	if evictions < 500 || ref.tree.MaxDepth() < 4 {
@@ -609,7 +609,7 @@ func TestEvictionCascadeIsBounded(t *testing.T) {
 		if !m.Attached() {
 			t.Fatalf("path member %d left detached", i)
 		}
-		evicted += m.Reconnections
+		evicted += m.Reconnections()
 	}
 	if evicted != maxEvictionCascade {
 		t.Fatalf("%d evictions, want the cascade to stop at %d", evicted, maxEvictionCascade)

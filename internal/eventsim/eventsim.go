@@ -260,16 +260,37 @@ func (l *Lane) Schedule(handler Handler) {
 		return
 	}
 	if l.n == len(l.ring) {
-		grown := make([]event, max(16, 2*len(l.ring)))
-		for i := range l.n {
-			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
-		}
-		l.ring, l.head = grown, 0
+		l.resize(max(16, 2*len(l.ring)))
 	}
 	l.ring[(l.head+l.n)&(len(l.ring)-1)] = s.newEvent(at, handler)
 	l.n++
 	s.laneLen++
 	s.noteDepth()
+}
+
+// Grow reserves room in the lane for n pending events, rounded up to a power
+// of two, so a lane that knows how many events it will hold at once fills
+// without regrowing: Simulator.Grow for a lane. It changes no event and no
+// firing order; a lane that outgrows n doubles as before.
+func (l *Lane) Grow(n int) {
+	if n <= len(l.ring) {
+		return
+	}
+	size := max(16, len(l.ring))
+	for size < n {
+		size *= 2
+	}
+	l.resize(size)
+}
+
+// resize moves the lane's events, oldest first, into a ring of size slots, a
+// power of two no smaller than the events held.
+func (l *Lane) resize(size int) {
+	grown := make([]event, size)
+	for i := range l.n {
+		grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = grown, 0
 }
 
 // pop removes the lane's head; the caller has copied it out.

@@ -119,3 +119,52 @@ func TestGrowReservesTheHeap(t *testing.T) {
 		t.Fatalf("fired %d events, want %d", sim.Processed(), n+1)
 	}
 }
+
+// TestLaneGrowReserves pins Lane.Grow: a lane reserved for n events holds a
+// power-of-two ring of at least n, fills it without moving it, keeps the
+// events it already held oldest first even when they wrap the ring, and only
+// the event past the ring doubles it; a smaller reservation changes nothing.
+func TestLaneGrowReserves(t *testing.T) {
+	sim := New()
+	lane := sim.Lane(time.Second)
+	var fired []int
+	next := 0
+	schedule := func(n int) {
+		for range n {
+			i := next
+			lane.Schedule(func(*Simulator) { fired = append(fired, i) })
+			next++
+		}
+	}
+	schedule(12) // a ring of 16
+	if err := sim.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	schedule(10) // from slot 12 round to slot 5: the lane wraps its ring
+	const n = 1000
+	lane.Grow(n)
+	if got := len(lane.ring); got != 1024 {
+		t.Fatalf("a lane reserved for %d events has a ring of %d, want 1024", n, got)
+	}
+	reserved := &lane.ring[0]
+	lane.Grow(10) // smaller: no-op
+	schedule(n - 10)
+	if &lane.ring[0] != reserved || len(lane.ring) != 1024 {
+		t.Fatalf("filling a lane reserved for %d events moved its ring (now %d slots)", n, len(lane.ring))
+	}
+	schedule(1024 - n + 1) // one past the ring
+	if len(lane.ring) != 2048 {
+		t.Fatalf("the event past the ring grew it to %d, want 2048", len(lane.ring))
+	}
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != next {
+		t.Fatalf("fired %d events, want %d", len(fired), next)
+	}
+	for k, i := range fired {
+		if i != k {
+			t.Fatalf("event %d fired %d-th: a reservation reordered the lane", i, k)
+		}
+	}
+}

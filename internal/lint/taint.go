@@ -177,6 +177,24 @@ func (a *taintAnalysis) sourceCall(call *ast.CallExpr) (desc string, raw, ok boo
 	return "", false, false
 }
 
+// decodeInto returns the variable a decode source fills through its first
+// argument, &env, when the call returns nothing but its error; nil for a
+// decode that returns what it parsed.
+func (a *taintAnalysis) decodeInto(call *ast.CallExpr) types.Object {
+	sig, ok := a.pkg.Info.TypeOf(call.Fun).(*types.Signature)
+	if !ok || sig.Results().Len() != 1 || len(call.Args) == 0 {
+		return nil
+	}
+	u, ok := call.Args[0].(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return nil
+	}
+	if id, ok := u.X.(*ast.Ident); ok {
+		return a.pkg.Info.ObjectOf(id)
+	}
+	return nil
+}
+
 // sanitizerKind classifies wire.Valid* calls: "err" for Validate* returning
 // error, "bool" for Valid* predicates returning bool.
 func (a *taintAnalysis) sanitizerKind(call *ast.CallExpr) string {
@@ -456,15 +474,24 @@ func (a *taintAnalysis) bind(st taintState, lhs, rhs []ast.Expr) {
 func (a *taintAnalysis) bindCall(st taintState, lhs []ast.Expr, call *ast.CallExpr) {
 	if desc, raw, isSrc := a.sourceCall(call); isSrc {
 		v := &taintVal{desc: desc, paramIdx: -1}
-		if !raw && len(lhs) == 2 {
-			if errID, ok := lhs[1].(*ast.Ident); ok {
+		// A decode into the caller's value, err := wire.DecodeX(&env, ...),
+		// taints env and returns only the error.
+		into := a.decodeInto(call)
+		rest := lhs[1:]
+		if into != nil {
+			rest = lhs
+		}
+		if !raw && len(rest) == 1 {
+			if errID, ok := rest[0].(*ast.Ident); ok {
 				v.errObj = a.pkg.Info.ObjectOf(errID)
 			}
 		}
-		if id, ok := lhs[0].(*ast.Ident); ok {
+		if into != nil {
+			st[into] = v
+		} else if id, ok := lhs[0].(*ast.Ident); ok {
 			a.bindIdent(st, id, v)
 		}
-		for _, l := range lhs[1:] {
+		for _, l := range rest {
 			if id, ok := l.(*ast.Ident); ok && a.pkg.Info.ObjectOf(id) != v.errObj {
 				a.bindIdent(st, id, nil)
 			}

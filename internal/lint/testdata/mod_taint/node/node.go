@@ -81,6 +81,24 @@ func (n *Node) okChecked(data []byte) {
 	n.parent = env.From
 }
 
+// badInto uses the envelope a decode filled before observing its error.
+func (n *Node) badInto(data []byte) {
+	var env wire.Envelope
+	err := wire.DecodeInto(&env, data)
+	n.parent = env.From // want `wire-taint: unvalidated wire input \(wire\.DecodeInto result used before its error is checked\) stored into shared protocol state`
+	_ = err
+}
+
+// okInto observes, in the if statement's init, the error of a decode into
+// the caller's own envelope, as the live node does.
+func (n *Node) okInto(data []byte) {
+	var env wire.Envelope
+	if err := wire.DecodeInto(&env, data); err != nil {
+		return
+	}
+	n.membership[env.From] = true
+}
+
 // okPredicate sanitizes raw data with the boolean predicate; the || shape
 // with a terminating then-branch must clear the taint on fallthrough.
 func (n *Node) okPredicate(data []byte) {

@@ -40,6 +40,16 @@ func Decode(data []byte) (*Envelope, error) {
 	return env, nil
 }
 
+// DecodeInto is Decode into the caller's envelope: the envelope it fills is
+// trusted once the returned error has been observed.
+func DecodeInto(env *Envelope, data []byte) error {
+	dec, err := Decode(data)
+	if dec != nil {
+		*env = *dec
+	}
+	return err
+}
+
 // Validate is the error-returning sanitizer.
 func Validate(env *Envelope) error {
 	if env == nil || !ValidAddr(env.From) {

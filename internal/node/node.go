@@ -1799,8 +1799,8 @@ func (n *Node) onDatagram(data []byte) {
 	}
 	n.met.rxDatagrams.Inc()
 	n.met.rxBytes.Add(int64(len(data)))
-	env, err := wire.DecodeBinaryWith(data, n.senders)
-	if err != nil {
+	var env wire.Envelope
+	if err := wire.DecodeBinaryWith(&env, data, n.senders); err != nil {
 		// Malformed or semantically invalid: drop, count by reason, and —
 		// when the envelope parsed far enough to name a sender — charge the
 		// claimed sender's misbehavior score.

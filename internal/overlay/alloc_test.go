@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"omcast/internal/topology"
 	"omcast/internal/xrand"
@@ -112,5 +113,70 @@ func TestCheckInvariantsAllocCeiling(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("CheckInvariantsFull allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestMemberHandleIsIdentity pins the member handle at identity only: ID,
+// router, tree and slot, 24 bytes, so a member's arrival on a tree whose
+// arrays Grow reserved costs one allocation of one handle. The statistics
+// live in slot arrays that Remove resets, so a member recycling a departed
+// one's slot starts from zero.
+func TestMemberHandleIsIdentity(t *testing.T) {
+	if size := unsafe.Sizeof(Member{}); size > 24 {
+		t.Fatalf("Member is %d bytes, want at most 24", size)
+	}
+	tree, err := NewTree(0, 100, testDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4096
+	tree.Grow(n)
+	i := 0
+	newMember := func() {
+		i++
+		tree.NewMember(topology.NodeID(i%7), 2.5, time.Duration(i))
+	}
+	if got := testing.AllocsPerRun(n/2, newMember); got != 1 {
+		t.Fatalf("NewMember on a grown tree allocates %v times, want 1", got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n / 4 {
+		newMember()
+	}
+	runtime.ReadMemStats(&after)
+	if perMember := (after.TotalAlloc - before.TotalAlloc) / (n / 4); perMember > 24 {
+		t.Fatalf("NewMember on a grown tree allocates %d bytes per member, want at most 24", perMember)
+	}
+
+	// A departed member's counters do not pass to the next one in its slot.
+	a := tree.NewMember(1, 3, 0)
+	b := tree.NewMember(2, 1, 0)
+	if err := tree.Attach(a, tree.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Attach(b, a); err != nil {
+		t.Fatal(err)
+	}
+	tree.RecordFailure(a)
+	tree.RecordReconnection(b)
+	slot := b.Slot()
+	if _, err := tree.Remove(b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Disruptions() != 0 || b.Reconnections() != 0 || b.Bandwidth() != 0 || b.Attach() != 2 {
+		t.Fatalf("removed member reads disruptions %d, reconnections %d, bandwidth %g, router %d; want zeros and its router",
+			b.Disruptions(), b.Reconnections(), b.Bandwidth(), b.Attach())
+	}
+	c := tree.NewMember(3, 0.5, time.Minute)
+	if c.Slot() != slot {
+		t.Fatalf("new member in slot %d, want the recycled slot %d", c.Slot(), slot)
+	}
+	if c.Disruptions() != 0 || c.Reconnections() != 0 || c.Bandwidth() != 0.5 || c.JoinTime() != time.Minute {
+		t.Fatalf("recycled slot reads disruptions %d, reconnections %d, bandwidth %g, join %v; want 0, 0, 0.5, 1m0s",
+			c.Disruptions(), c.Reconnections(), c.Bandwidth(), c.JoinTime())
+	}
+	if err := tree.CheckInvariantsFull(); err != nil {
+		t.Fatal(err)
 	}
 }

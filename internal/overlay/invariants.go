@@ -8,11 +8,11 @@ import "fmt"
 // in the level and order indexes.
 func (t *Tree) checkLocal(i int32) error {
 	m := t.handle[i]
-	if t.outDeg[i] != int32(m.OutDegree()) {
-		return fmt.Errorf("overlay: member %d Bandwidth changed after NewMember (degree %d, cached %d)", m.ID, m.OutDegree(), t.outDeg[i])
+	if want := outDegree(t.bandwidth[i]); t.outDeg[i] != want {
+		return fmt.Errorf("overlay: member %d degree %d disagrees with its bandwidth %g (degree %d)", m.ID, t.outDeg[i], t.bandwidth[i], want)
 	}
-	if t.attach[i] != m.Attach {
-		return fmt.Errorf("overlay: member %d Attach changed after NewMember (router %d, cached %d)", m.ID, m.Attach, t.attach[i])
+	if t.attach[i] != m.attach {
+		return fmt.Errorf("overlay: member %d router %d disagrees with its slot's copy %d", m.ID, m.attach, t.attach[i])
 	}
 	if t.kidCount[i] > t.outDeg[i] {
 		return fmt.Errorf("overlay: member %d has %d children, degree %d", m.ID, t.kidCount[i], t.outDeg[i])
@@ -75,7 +75,7 @@ func (t *Tree) checkLocal(i int32) error {
 	if x := t.lx; x != nil && int(i) < len(x.heapPos) {
 		hp, sp := x.heapPos[i], x.sparePos[i]
 		inHeap, inSpare := attached && t.parent[i] != none, attached && t.kidCount[i] < t.outDeg[i]
-		if (hp != none) != inHeap || inHeap && !holds(x.heaps[t.depth[i]], hp, m) {
+		if (hp != none) != inHeap || inHeap && !holds(x.heaps[t.depth[i]], hp, i) {
 			return fmt.Errorf("overlay: level index heap slot %d wrong for member %d", hp, m.ID)
 		}
 		if (sp != none) != inSpare || inSpare && !holds(x.spare[x.bucket(i)], sp, m) {
@@ -90,9 +90,9 @@ func (t *Tree) checkLocal(i int32) error {
 	return nil
 }
 
-// holds reports whether list records m at position pos.
-func holds(list []*Member, pos int32, m *Member) bool {
-	return pos >= 0 && int(pos) < len(list) && list[pos] == m
+// holds reports whether list records e at position pos.
+func holds[E comparable](list []E, pos int32, e E) bool {
+	return pos >= 0 && int(pos) < len(list) && list[pos] == e
 }
 
 // CheckInvariantsFull verifies every structural invariant with a complete
@@ -139,7 +139,14 @@ func (t *Tree) CheckInvariantsFull() error {
 	}
 	attachedCount := 0
 	for i, m := range t.handle {
-		if m != nil && t.depth[i] >= 0 {
+		if m == nil {
+			// A free slot holds nothing its next member could inherit.
+			if t.bandwidth[i] != 0 || t.joinTime[i] != 0 || t.disruptions[i] != 0 || t.reconnections[i] != 0 || t.lockOwner[i] != 0 {
+				return fmt.Errorf("overlay: free slot %d holds stale member state", i)
+			}
+			continue
+		}
+		if t.depth[i] >= 0 {
 			attachedCount++
 		}
 	}
@@ -194,7 +201,7 @@ func (t *Tree) checkLevels(attachedCount int) error {
 				continue
 			}
 			ranked++
-			if weakest == nil || x.order.Outranks(weakest, m) {
+			if weakest == nil || x.order.outranks(t, weakest.idx, m.idx) {
 				weakest = m
 			}
 		}
@@ -208,9 +215,9 @@ func (t *Tree) checkLevels(attachedCount int) error {
 		if x.Weakest(d) != weakest {
 			return fmt.Errorf("overlay: level index weakest at depth %d is not the scan's", d)
 		}
-		for k, m := range x.heaps[d] {
-			if k > 0 && x.weaker(m, x.heaps[d][(k-1)/2]) {
-				return fmt.Errorf("overlay: level index heap order broken at depth %d (member %d)", d, m.ID)
+		for k, n := range x.heaps[d] {
+			if k > 0 && x.weaker(n, x.heaps[d][(k-1)/2]) {
+				return fmt.Errorf("overlay: level index heap order broken at depth %d (slot %d)", d, n)
 			}
 		}
 	}

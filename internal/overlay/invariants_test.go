@@ -55,31 +55,46 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		corrupt func(tree *Tree, a, b *Member)
 	}{
 		{name: "bandwidth-changed", corrupt: func(tree *Tree, a, b *Member) {
-			b.Bandwidth = 0.5
+			tree.bandwidth[b.idx] = 0.5
+		}},
+		{name: "bandwidth-array-vs-outdeg", corrupt: func(tree *Tree, a, b *Member) {
+			tree.outDeg[b.idx] = 3 // b's one child still fits: only its bandwidth, 4, disagrees
+		}},
+		{name: "stale-counter-on-recycled-slot", corrupt: func(tree *Tree, a, b *Member) {
+			c := tree.handle[tree.firstKid[b.idx]]
+			tree.RecordFailure(b)
+			i := c.idx
+			if _, err := tree.Remove(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.CheckInvariantsFull(); err != nil {
+				t.Fatalf("after removing a disrupted member: %v", err)
+			}
+			tree.disruptions[i] = 1 // as if Remove had not reset the slot the next arrival recycles
 		}},
 		{name: "index-heap-slot", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			tree.lx.heapPos[b.idx] = none
 		}},
 		{name: "index-heap-stale-occupant", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
-			tree.lx.heaps[2][0] = a
+			tree.lx.heaps[2][0] = a.idx
 		}},
 		{name: "index-spare-missing", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			tree.lx.spare[2], tree.lx.sparePos[b.idx] = nil, none
 		}},
 		{name: "index-spare-full-member", order: ByJoinTime, corrupt: func(tree *Tree, a, b *Member) {
-			tree.outDeg[b.idx], b.Bandwidth = 1, 1 // b has one child: full now, yet still listed
+			tree.outDeg[b.idx], tree.bandwidth[b.idx] = 1, 1 // b has one child: full now, yet still listed
 		}},
 		{name: "index-heap-order", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
 			x := tree.lx
 			h := x.heaps[1]
 			h[0], h[1] = h[1], h[0]
-			x.heapPos[h[0].idx], x.heapPos[h[1].idx] = 0, 1
+			x.heapPos[h[0]], x.heapPos[h[1]] = 0, 1
 		}},
 		{name: "join-time-changed-while-attached", order: ByJoinTime, corrupt: func(tree *Tree, a, b *Member) {
-			a.JoinTime = -time.Second // older than its sibling now, but still the heap's "weakest"
+			tree.joinTime[a.idx] = -time.Second // older than its sibling now, but still the heap's "weakest"
 		}},
 		{name: "bandwidth-changed-within-degree", order: ByBandwidth, corrupt: func(tree *Tree, a, b *Member) {
-			a.Bandwidth = 4.9 // same degree, but now outranks its sibling
+			tree.bandwidth[a.idx] = 4.9 // same degree, but now outranks its sibling
 		}},
 		{name: "depth", corrupt: func(tree *Tree, a, b *Member) {
 			tree.depth[b.idx] += 3
@@ -106,7 +121,7 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 			tree.levelCount++
 		}},
 		{name: "attach-changed", corrupt: func(tree *Tree, a, b *Member) {
-			b.Attach = 9
+			b.attach = 9
 		}},
 		{name: "depth-detaches", corrupt: func(tree *Tree, a, b *Member) {
 			tree.depth[tree.firstKid[b.idx]] = -1 // c reads detached; only attachedCount knows better

@@ -14,13 +14,18 @@ const (
 	ByJoinTime
 )
 
-// Outranks reports whether a ranks strictly above b: a strict weak order, which
-// is what makes a level's weakest occupant the only eviction candidate.
-func (o LevelOrder) Outranks(a, b *Member) bool {
+// Outranks reports whether a ranks strictly above b, two live members of one
+// tree: a strict weak order, which is what makes a level's weakest occupant
+// the only eviction candidate.
+func (o LevelOrder) Outranks(a, b *Member) bool { return o.outranks(a.tree, a.idx, b.idx) }
+
+// outranks is Outranks on slots a and b of t: it reads the keys from the
+// slot arrays.
+func (o LevelOrder) outranks(t *Tree, a, b int32) bool {
 	if o == ByBandwidth {
-		return a.Bandwidth > b.Bandwidth
+		return t.bandwidth[a] > t.bandwidth[b]
 	}
-	return a.JoinTime < b.JoinTime
+	return t.joinTime[a] < t.joinTime[b]
 }
 
 // LevelIndex summarises each level list for the top-down eviction scan: the
@@ -36,13 +41,15 @@ type LevelIndex struct {
 	// buckets is the number of home buckets per level: the underlay's transit
 	// routers, or one without an underlay.
 	buckets int
-	// heaps[d] is a binary heap over level d's occupants (the source excluded:
-	// it cannot be evicted) whose top is the weakest and, among equals, the one
-	// earliest in Level(d). spare[d*buckets+h] holds level d's occupants with
+	// heaps[d] is a binary heap over the slots of level d's occupants (the
+	// source excluded: it cannot be evicted) whose top is the weakest and,
+	// among equals, the one earliest in Level(d); its compares read the rank
+	// keys by slot. spare[d*buckets+h] holds level d's occupants with
 	// kidCount < outDeg whose home is h, unordered; spareN[d] counts them over
 	// every bucket. heapPos/sparePos give a slot's position in its heap and its
 	// bucket, or none.
-	heaps, spare      [][]*Member
+	heaps             [][]int32
+	spare             [][]*Member
 	spareN            []int
 	heapPos, sparePos []int32
 }
@@ -87,7 +94,7 @@ func (x *LevelIndex) Weakest(d int) *Member {
 	if d >= len(x.heaps) || len(x.heaps[d]) == 0 {
 		return nil
 	}
-	return x.heaps[d][0]
+	return x.t.handle[x.heaps[d][0]]
 }
 
 // SpareCount returns how many of level d's occupants can accept one more
@@ -141,7 +148,7 @@ func (x *LevelIndex) insert(n int32) {
 	}
 	if t.parent[n] != none {
 		x.heapPos[n] = int32(len(x.heaps[d]))
-		x.heaps[d] = append(x.heaps[d], t.handle[n])
+		x.heaps[d] = append(x.heaps[d], n)
 		x.up(x.heaps[d], x.heapPos[n])
 	}
 	x.spareSync(n, t.kidCount[n] < t.outDeg[n])
@@ -156,8 +163,7 @@ func (x *LevelIndex) remove(n int32) {
 		h := x.heaps[d]
 		last := int32(len(h) - 1)
 		h[k] = h[last]
-		x.heapPos[h[k].idx] = k
-		h[last] = nil
+		x.heapPos[h[k]] = k
 		x.heaps[d], x.heapPos[n] = h[:last], none
 		if k < last {
 			x.up(h[:last], k)
@@ -194,27 +200,28 @@ func (x *LevelIndex) spareSync(n int32, want bool) {
 	x.spareN[d]--
 }
 
-// weaker is the heap order: lower rank first, then earlier level position.
-func (x *LevelIndex) weaker(a, b *Member) bool {
-	if x.order.Outranks(b, a) {
+// weaker is the heap order over slots: lower rank first, then earlier level
+// position.
+func (x *LevelIndex) weaker(a, b int32) bool {
+	if x.order.outranks(x.t, b, a) {
 		return true
 	}
-	return !x.order.Outranks(a, b) && x.t.levelIdx[a.idx] < x.t.levelIdx[b.idx]
+	return !x.order.outranks(x.t, a, b) && x.t.levelIdx[a] < x.t.levelIdx[b]
 }
 
-func (x *LevelIndex) up(h []*Member, k int32) {
+func (x *LevelIndex) up(h []int32, k int32) {
 	for k > 0 {
 		p := (k - 1) / 2
 		if !x.weaker(h[k], h[p]) {
 			return
 		}
 		h[k], h[p] = h[p], h[k]
-		x.heapPos[h[k].idx], x.heapPos[h[p].idx] = k, p
+		x.heapPos[h[k]], x.heapPos[h[p]] = k, p
 		k = p
 	}
 }
 
-func (x *LevelIndex) down(h []*Member, k int32) {
+func (x *LevelIndex) down(h []int32, k int32) {
 	for {
 		c := 2*k + 1
 		if int(c) >= len(h) {
@@ -227,7 +234,7 @@ func (x *LevelIndex) down(h []*Member, k int32) {
 			return
 		}
 		h[k], h[c] = h[c], h[k]
-		x.heapPos[h[k].idx], x.heapPos[h[c].idx] = k, c
+		x.heapPos[h[k]], x.heapPos[h[c]] = k, c
 		k = c
 	}
 }

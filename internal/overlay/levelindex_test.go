@@ -32,7 +32,7 @@ func TestLevelIndexRebuildsOnOrderChange(t *testing.T) {
 	// Under an underlay the same order files spare members by home instead.
 	underlay := testUnderlay(t)
 	x := tree.LevelIndex(ByBandwidth, underlay)
-	if x.SpareCount(1) != 3 || len(x.Spare(1, underlay.Home(oldWeak.Attach))) == 0 {
+	if x.SpareCount(1) != 3 || len(x.Spare(1, underlay.Home(oldWeak.Attach()))) == 0 {
 		t.Fatalf("level 1 under the underlay: %d spare, none under member %d's home", x.SpareCount(1), oldWeak.ID)
 	}
 	checkInv(t, tree)

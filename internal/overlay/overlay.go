@@ -15,13 +15,18 @@
 // Member state is stored struct-of-arrays: Tree keeps parallel slices
 // (parent, first-child/next-sibling links, depth (-1 when detached), degree,
 // path delay, underlay router, lock owners) indexed by a dense int32 index
-// allocated from a free list. The exported *Member is a small stable handle
-// carrying only identity and statistics fields plus the dense index; all
-// structural accessors delegate to the arrays. MemberID remains the stable
-// external name, mapped through one dense idToIdx table (IDs are sequential
-// and never reused, so the table is a flat slice, not a map). This keeps a member's
-// hot structural state at ~100 contiguous bytes and removes per-member
-// children slices, which is what lets a single run hold 10^6 members.
+// allocated from a free list. The exported *Member is a 24-byte stable
+// handle carrying only identity (ID, underlay router, tree and dense index);
+// the structural accessors and the per-member statistics (bandwidth, join
+// time, disruption and reconnection counters) delegate to the arrays, so a
+// failure charging a whole subtree touches one counter array and no handle.
+// Tree.Grow reserves every array once, and per-member tables kept outside
+// the tree size themselves from the same reservation (Tree.Reserved).
+// MemberID remains the stable external name, mapped through one dense
+// idToIdx table (IDs are sequential and never reused, so the table is a flat
+// slice, not a map). This keeps a member's state at ~100 contiguous bytes
+// and removes per-member children slices, which is what lets a single run
+// hold 10^6 members.
 //
 // The child lists are intrusive doubly linked lists (firstKid/lastKid,
 // prevSib/nextSib). Their mutation rules replicate the previous
@@ -59,39 +64,66 @@ var (
 )
 
 // Member is one overlay node: a stable handle into the tree's
-// struct-of-arrays state. The exported identity and statistics fields live on
-// the handle; structural state (parent, children, depth, ...) lives in the
-// Tree's parallel slices and is reached through the accessor methods. After
-// the member is removed from the tree the structural accessors return
-// zero values (nil parent, no children, depth -1, not attached).
+// struct-of-arrays state, holding only identity. Everything else — structure
+// (parent, children, depth, ...), the rank keys (Bandwidth, JoinTime) and
+// the evaluation's counters (Disruptions, Reconnections) — lives in the
+// Tree's parallel slices and is reached through the accessor methods. The
+// keys are fixed by NewMember and nothing can write them afterwards. After
+// the member is removed from the tree every accessor but Attach returns a
+// zero value (nil parent, no children, depth -1, not attached, zero
+// bandwidth and counters).
 type Member struct {
 	ID MemberID
-	// Attach is the stub router the member sits on. It must not change once
-	// the member exists: the tree keeps a copy per slot for its walks.
-	Attach topology.NodeID
-	// Bandwidth is the outbound access bandwidth in units of the stream
-	// rate. The member can feed floor(Bandwidth) children. It must not change
-	// once the member exists: the tree caches the degree at NewMember and a
-	// level index ranks attached members by it.
-	Bandwidth float64
-	// JoinTime is the virtual time the member entered the overlay. Like
-	// Bandwidth it is a level-index key, so it may be assigned only while the
-	// member is unattached (churn's pre-population back-dates it between
-	// NewMember and the first join).
-	JoinTime time.Duration
-
-	// Disruptions counts streaming disruptions experienced (one per failed
-	// ancestor, per the paper's reliability metric).
-	Disruptions int
-	// Reconnections counts optimizer-induced parent changes (switch
-	// operations and evictions); failure rejoins are not counted, matching
-	// the paper's protocol-overhead metric.
-	Reconnections int
-
-	// tree/idx locate the member's structural state. idx is -1 once the
-	// member has been removed from the tree.
+	// tree/idx locate the member's state. idx is -1 once the member has been
+	// removed from the tree.
 	tree *Tree
-	idx  int32
+	// attach is the stub router the member sits on, fixed at NewMember.
+	attach topology.NodeID
+	idx    int32
+}
+
+// Attach returns the stub router the member sits on.
+func (m *Member) Attach() topology.NodeID { return m.attach }
+
+// Bandwidth returns the outbound access bandwidth in units of the stream
+// rate: the member can feed floor(Bandwidth) children. It is fixed at
+// NewMember, because the tree caches the degree and a level index ranks
+// attached members by it.
+func (m *Member) Bandwidth() float64 {
+	if m.tree == nil || m.idx < 0 {
+		return 0
+	}
+	return m.tree.bandwidth[m.idx]
+}
+
+// JoinTime returns the virtual time the member entered the overlay, fixed at
+// NewMember (churn's pre-population passes a back-dated one). Like Bandwidth
+// it is a level-index key.
+func (m *Member) JoinTime() time.Duration {
+	if m.tree == nil || m.idx < 0 {
+		return 0
+	}
+	return m.tree.joinTime[m.idx]
+}
+
+// Disruptions returns the streaming disruptions the member has experienced:
+// one per failed ancestor (Tree.RecordFailure), the paper's reliability
+// metric.
+func (m *Member) Disruptions() int {
+	if m.tree == nil || m.idx < 0 {
+		return 0
+	}
+	return int(m.tree.disruptions[m.idx])
+}
+
+// Reconnections returns the optimizer-induced parent changes charged to the
+// member (Tree.RecordReconnection: switch operations and evictions); failure
+// rejoins are not counted, matching the paper's protocol-overhead metric.
+func (m *Member) Reconnections() int {
+	if m.tree == nil || m.idx < 0 {
+		return 0
+	}
+	return int(m.tree.reconnections[m.idx])
 }
 
 // Parent returns the current parent, or nil for the root (and for detached
@@ -175,12 +207,20 @@ func (m *Member) Attached() bool {
 }
 
 // OutDegree returns the member's out-degree constraint: the number of
-// full-rate children its outbound bandwidth supports.
+// full-rate children its outbound bandwidth supports, or 0 once removed.
 func (m *Member) OutDegree() int {
-	if m.Bandwidth < 0 {
+	if m.tree == nil || m.idx < 0 {
 		return 0
 	}
-	return int(m.Bandwidth)
+	return int(m.tree.outDeg[m.idx])
+}
+
+// outDegree is floor(bandwidth), the degree a member of that bandwidth gets.
+func outDegree(bandwidth float64) int32 {
+	if bandwidth < 0 {
+		return 0
+	}
+	return int32(bandwidth)
 }
 
 // SpareDegree returns how many more children the member can accept: the
@@ -197,17 +237,20 @@ func (m *Member) SpareDegree() int {
 func (m *Member) HasSpare() bool { return m.SpareDegree() > 0 }
 
 // Age returns the member's age at virtual time now.
-func (m *Member) Age(now time.Duration) time.Duration {
-	if now < m.JoinTime {
-		return 0
-	}
-	return now - m.JoinTime
-}
+func (m *Member) Age(now time.Duration) time.Duration { return age(m.JoinTime(), now) }
 
 // BTP returns the member's bandwidth-time product at virtual time now:
 // outbound bandwidth x age in seconds (the ROST switching metric).
 func (m *Member) BTP(now time.Duration) float64 {
-	return m.Bandwidth * m.Age(now).Seconds()
+	return m.Bandwidth() * m.Age(now).Seconds()
+}
+
+// age is a member's age at now given its join time: never negative.
+func age(joined, now time.Duration) time.Duration {
+	if now < joined {
+		return 0
+	}
+	return now - joined
 }
 
 // Slot returns the member's dense index in its tree's slot space, or -1 once
@@ -252,6 +295,13 @@ type Tree struct {
 	depth     []int32 // -1 when detached
 	pathDelay []time.Duration
 	attach    []topology.NodeID // Member.Attach, fixed at NewMember
+	// bandwidth and joinTime are the rank keys, fixed at NewMember;
+	// disruptions and reconnections are the evaluation's counters. Remove
+	// zeroes all four, so a free slot holds nothing a recycled one inherits.
+	bandwidth     []float64
+	joinTime      []time.Duration
+	disruptions   []int32
+	reconnections []int32
 	// lockOwner is the ID of the in-flight switching operation holding the
 	// member, or zero when unlocked (ROST locking protocol).
 	lockOwner []int64
@@ -325,13 +375,7 @@ func NewTree(rootAttach topology.NodeID, rootBandwidth float64, delayFn func(a, 
 // newMemberAt allocates a dense slot (recycling from the free list when
 // possible), resets all of its per-slot state and registers the ID mapping.
 func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.Duration) *Member {
-	m := &Member{
-		ID:        t.nextID,
-		Attach:    attach,
-		Bandwidth: bandwidth,
-		JoinTime:  now,
-		tree:      t,
-	}
+	m := &Member{ID: t.nextID, tree: t, attach: attach}
 	t.nextID++
 	var i int32
 	if n := len(t.free); n > 0 {
@@ -344,10 +388,12 @@ func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.D
 		t.prevSib[i] = none
 		t.nextSib[i] = none
 		t.kidCount[i] = 0
-		t.outDeg[i] = int32(m.OutDegree())
+		t.outDeg[i] = outDegree(bandwidth)
 		t.depth[i] = -1
 		t.pathDelay[i] = 0
 		t.attach[i] = attach
+		t.bandwidth[i] = bandwidth
+		t.joinTime[i] = now
 		t.lockOwner[i] = 0
 		t.orderIdx[i] = none
 	} else {
@@ -359,10 +405,14 @@ func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.D
 		t.prevSib = append(t.prevSib, none)
 		t.nextSib = append(t.nextSib, none)
 		t.kidCount = append(t.kidCount, 0)
-		t.outDeg = append(t.outDeg, int32(m.OutDegree()))
+		t.outDeg = append(t.outDeg, outDegree(bandwidth))
 		t.depth = append(t.depth, -1)
 		t.pathDelay = append(t.pathDelay, 0)
 		t.attach = append(t.attach, attach)
+		t.bandwidth = append(t.bandwidth, bandwidth)
+		t.joinTime = append(t.joinTime, now)
+		t.disruptions = append(t.disruptions, 0)
+		t.reconnections = append(t.reconnections, 0)
 		t.lockOwner = append(t.lockOwner, 0)
 		t.orderIdx = append(t.orderIdx, none)
 		if t.lx != nil {
@@ -377,13 +427,15 @@ func (t *Tree) newMemberAt(attach topology.NodeID, bandwidth float64, now time.D
 
 // Grow reserves room for n slots, so a tree expected to hold up to n live
 // members fills its per-slot arrays and its sampling order without
-// regrowing them as members arrive. It changes no member, slot or draw; a
-// tree that outgrows n grows as before.
+// regrowing them as members arrive, and its ID table for the next n
+// arrivals. It changes no member, slot or draw; a tree that outgrows n
+// grows as before.
 func (t *Tree) Grow(n int) {
 	if n <= len(t.handle) {
 		return
 	}
 	k := n - len(t.handle)
+	t.idToIdx = slices.Grow(t.idToIdx, n)
 	t.handle = slices.Grow(t.handle, k)
 	t.parent = slices.Grow(t.parent, k)
 	t.firstKid = slices.Grow(t.firstKid, k)
@@ -395,6 +447,10 @@ func (t *Tree) Grow(n int) {
 	t.depth = slices.Grow(t.depth, k)
 	t.pathDelay = slices.Grow(t.pathDelay, k)
 	t.attach = slices.Grow(t.attach, k)
+	t.bandwidth = slices.Grow(t.bandwidth, k)
+	t.joinTime = slices.Grow(t.joinTime, k)
+	t.disruptions = slices.Grow(t.disruptions, k)
+	t.reconnections = slices.Grow(t.reconnections, k)
 	t.lockOwner = slices.Grow(t.lockOwner, k)
 	t.orderIdx = slices.Grow(t.orderIdx, k)
 	if t.lx != nil {
@@ -402,6 +458,12 @@ func (t *Tree) Grow(n int) {
 	}
 	t.order = slices.Grow(t.order, n-len(t.order))
 }
+
+// Reserved returns how many slots the tree holds without regrowing its
+// arrays: Grow's reservation, or the capacity the arrays have grown to since.
+// Per-member tables kept outside the tree size themselves from it, so one
+// reservation covers every such table of a run.
+func (t *Tree) Reserved() int { return cap(t.handle) }
 
 // Root returns the source member.
 func (t *Tree) Root() *Member { return t.root }
@@ -427,13 +489,19 @@ type SlotView struct {
 	outDeg    []int32
 	pathDelay []time.Duration
 	attach    []topology.NodeID
+	bandwidth []float64
+	joinTime  []time.Duration
+	disrupt   []int32
+	reconnect []int32
 	handle    []*Member
 }
 
 // SlotView returns a view of the tree's current slot arrays.
 func (t *Tree) SlotView() SlotView {
 	return SlotView{parent: t.parent, firstKid: t.firstKid, nextSib: t.nextSib, depth: t.depth,
-		kidCount: t.kidCount, outDeg: t.outDeg, pathDelay: t.pathDelay, attach: t.attach, handle: t.handle}
+		kidCount: t.kidCount, outDeg: t.outDeg, pathDelay: t.pathDelay, attach: t.attach,
+		bandwidth: t.bandwidth, joinTime: t.joinTime, disrupt: t.disruptions, reconnect: t.reconnections,
+		handle: t.handle}
 }
 
 // Parent returns the slot of i's parent, or -1 for the root and detached
@@ -451,6 +519,27 @@ func (v *SlotView) PathDelay(i int32) time.Duration { return v.pathDelay[i] }
 
 // Attach returns the router slot i sits on: Member.Attach without the handle.
 func (v *SlotView) Attach(i int32) topology.NodeID { return v.attach[i] }
+
+// Bandwidth returns slot i's outbound bandwidth: Member.Bandwidth without the
+// handle.
+func (v *SlotView) Bandwidth(i int32) float64 { return v.bandwidth[i] }
+
+// JoinTime returns slot i's join time: Member.JoinTime without the handle.
+func (v *SlotView) JoinTime(i int32) time.Duration { return v.joinTime[i] }
+
+// BTP returns slot i's bandwidth-time product at now: Member.BTP without the
+// handle.
+func (v *SlotView) BTP(i int32, now time.Duration) float64 {
+	return v.bandwidth[i] * age(v.joinTime[i], now).Seconds()
+}
+
+// Disruptions returns slot i's disruption count: Member.Disruptions without
+// the handle.
+func (v *SlotView) Disruptions(i int32) int { return int(v.disrupt[i]) }
+
+// Reconnections returns slot i's reconnection count: Member.Reconnections
+// without the handle.
+func (v *SlotView) Reconnections(i int32) int { return int(v.reconnect[i]) }
 
 // Next returns the slot after n in the pre-order walk of top's subtree, the
 // order VisitSubtree visits, or -1 once the walk is done. The walk starts at
@@ -611,6 +700,8 @@ func (t *Tree) Remove(m *Member) ([]*Member, error) {
 	t.idToIdx[m.ID] = none
 	t.handle[i] = nil
 	t.lockOwner[i] = 0
+	t.bandwidth[i], t.joinTime[i] = 0, 0
+	t.disruptions[i], t.reconnections[i] = 0, 0
 	t.free = append(t.free, i)
 	t.liveCount--
 	m.idx = -1
@@ -619,6 +710,8 @@ func (t *Tree) Remove(m *Member) ([]*Member, error) {
 
 // VisitMembers calls fn for every live member, attached or not, in
 // unspecified order (the source included).
+//
+//lint:ignore test-only-export reason: construct's reference test compares two trees member by member through it, and churn's alloc test picks its victims with it
 func (t *Tree) VisitMembers(fn func(*Member)) {
 	fn(t.root)
 	for _, r := range t.order {
@@ -778,10 +871,24 @@ func (t *Tree) RecordFailure(failed *Member) int {
 	}
 	count := 0
 	for n := t.next(failed.idx, failed.idx); n != none; n = t.next(n, failed.idx) {
-		t.handle[n].Disruptions++
+		t.disruptions[n]++
 		count++
 	}
 	return count
+}
+
+// RecordReconnection charges one optimizer-induced parent change (a switch
+// or an eviction) to the live member m.
+func (t *Tree) RecordReconnection(m *Member) {
+	if t.byHandle(m) {
+		t.reconnections[m.idx]++
+	}
+}
+
+// ResetCounters zeroes every member's disruption and reconnection counts.
+func (t *Tree) ResetCounters() {
+	clear(t.disruptions)
+	clear(t.reconnections)
 }
 
 // Lock attempts to acquire the ROST switching lock on all given members on

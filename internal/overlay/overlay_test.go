@@ -115,8 +115,9 @@ func TestOutDegreeFromBandwidth(t *testing.T) {
 	}{
 		{0.5, 0}, {0.99, 0}, {1, 1}, {2.7, 2}, {100, 100}, {-1, 0},
 	}
+	tree := newTestTree(t)
 	for _, c := range cases {
-		m := &Member{Bandwidth: c.bw}
+		m := tree.NewMember(1, c.bw, 0)
 		if got := m.OutDegree(); got != c.want {
 			t.Errorf("OutDegree(bw=%g) = %d, want %d", c.bw, got, c.want)
 		}
@@ -228,7 +229,7 @@ func TestAttachAsksDelayOnce(t *testing.T) {
 		want time.Duration
 	}{{b, 25}, {c, 30}, {d, 60}, {e, 65}} {
 		if got := tc.m.PathDelay(); got != tc.want*time.Millisecond {
-			t.Errorf("member on router %d: path delay %v, want %v", tc.m.Attach, got, tc.want*time.Millisecond)
+			t.Errorf("member on router %d: path delay %v, want %v", tc.m.Attach(), got, tc.want*time.Millisecond)
 		}
 	}
 	checkInv(t, tree)
@@ -365,7 +366,7 @@ func TestLevelsAndMaxDepth(t *testing.T) {
 }
 
 func TestBTPAndAge(t *testing.T) {
-	m := &Member{Bandwidth: 4, JoinTime: 10 * time.Second}
+	m := newTestTree(t).NewMember(1, 4, 10*time.Second)
 	if got := m.Age(30 * time.Second); got != 20*time.Second {
 		t.Fatalf("Age = %v", got)
 	}
@@ -387,11 +388,11 @@ func TestRecordFailure(t *testing.T) {
 		t.Fatalf("RecordFailure = %d, want 3", got)
 	}
 	for _, m := range []*Member{b, c, d} {
-		if m.Disruptions != 1 {
-			t.Fatalf("member %d disruptions = %d, want 1", m.ID, m.Disruptions)
+		if m.Disruptions() != 1 {
+			t.Fatalf("member %d disruptions = %d, want 1", m.ID, m.Disruptions())
 		}
 	}
-	if a.Disruptions != 0 {
+	if a.Disruptions() != 0 {
 		t.Fatal("failed member counted as disrupted")
 	}
 }
@@ -407,12 +408,12 @@ func TestRecordFailureChargesDetachedSubtree(t *testing.T) {
 	if err := tree.Detach(a); err != nil {
 		t.Fatal(err)
 	}
-	b.Disruptions, c.Disruptions = 4, 0
+	tree.disruptions[b.idx], tree.disruptions[c.idx] = 4, 0
 	if got := tree.RecordFailure(a); got != 2 {
 		t.Fatalf("RecordFailure of a detached member = %d, want 2", got)
 	}
-	if b.Disruptions != 5 || c.Disruptions != 1 {
-		t.Fatalf("descendant disruptions = %d, %d; want 5, 1 (one more each)", b.Disruptions, c.Disruptions)
+	if b.Disruptions() != 5 || c.Disruptions() != 1 {
+		t.Fatalf("descendant disruptions = %d, %d; want 5, 1 (one more each)", b.Disruptions(), c.Disruptions())
 	}
 }
 

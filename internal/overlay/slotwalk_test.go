@@ -118,7 +118,7 @@ func TestSlotWalkMatchesVisitSubtree(t *testing.T) {
 	var want, got []visit
 	st := churnDetached(t, tree, 21, 4000, func(step int, m *Member) {
 		want, got = want[:0], got[:0]
-		tree.VisitSubtree(m, func(c *Member) { want = append(want, visit{c.PathDelay(), c.Attach}) })
+		tree.VisitSubtree(m, func(c *Member) { want = append(want, visit{c.PathDelay(), c.Attach()}) })
 		v, top := tree.SlotView(), int32(m.Slot())
 		for i := top; i >= 0; i = v.Next(i, top) {
 			got = append(got, visit{v.PathDelay(i), v.Attach(i)})

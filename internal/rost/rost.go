@@ -142,12 +142,16 @@ func (p *Protocol) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration
 // here, once per member, and every later check of m re-arms the same one.
 // Both delays it is armed with (the switch interval and the lock back-off)
 // are per-session constants, so the timer rides the kernel's FIFO lane for
-// that delay: one periodic timer per member is most of a large run's queue.
+// that delay: one periodic timer per member is most of a large run's queue,
+// so the switch-interval lane is reserved for the tree's reservation
+// (Tree.Reserved) and fills without regrowing.
 func (p *Protocol) Start(sim *eventsim.Simulator, m *overlay.Member) {
 	id := m.ID
 	var check eventsim.Handler
 	check = func(s *eventsim.Simulator) { p.check(s, id, check) }
-	sim.Lane(p.cfg.SwitchInterval).Schedule(check)
+	lane := sim.Lane(p.cfg.SwitchInterval)
+	lane.Grow(p.tree.Reserved())
+	lane.Schedule(check)
 }
 
 // check runs one switching-interval comparison for the member with the given
@@ -178,21 +182,23 @@ const (
 	switchStarted
 )
 
-// shouldSwitch evaluates the BTP switching condition for m against its
-// current parent: BTP(m) > BTP(parent) and bandwidth(m) >= bandwidth(parent).
-// The source is never displaced (it holds an infinite BTP by definition).
+// shouldSwitch evaluates the BTP switching condition for the live member m
+// against its current parent: BTP(m) > BTP(parent) and bandwidth(m) >=
+// bandwidth(parent). The source is never displaced (it holds an infinite BTP
+// by definition). Both members' keys are read off the slot arrays.
 func (p *Protocol) shouldSwitch(m *overlay.Member, now time.Duration) bool {
-	parent := m.Parent()
-	if parent == nil || parent == p.tree.Root() || !m.Attached() {
+	v, i := p.tree.SlotView(), int32(m.Slot())
+	parent := v.Parent(i)
+	if parent < 0 || parent == int32(p.tree.Root().Slot()) || !v.Attached(i) {
 		return false
 	}
-	if !p.cfg.DisableBandwidthGuard && m.Bandwidth < parent.Bandwidth {
+	if !p.cfg.DisableBandwidthGuard && v.Bandwidth(i) < v.Bandwidth(parent) {
 		// Comparing bandwidths first avoids useless switches: a
 		// lower-bandwidth child would eventually be overtaken and demoted
 		// again.
 		return false
 	}
-	return m.BTP(now) > parent.BTP(now)
+	return v.BTP(i, now) > v.BTP(parent, now)
 }
 
 // tryInitiateSwitch checks the switching condition and, when met, locks the
@@ -307,12 +313,12 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 	if err := p.tree.Attach(m, grand); err != nil {
 		return fmt.Errorf("promote initiator: %w", err)
 	}
-	m.Reconnections++
+	p.tree.RecordReconnection(m)
 	rehome := make([]*overlay.Member, 0, 1+len(siblings))
 	rehome = append(rehome, parent)
 	rehome = append(rehome, siblings...)
 	for _, n := range rehome {
-		n.Reconnections++
+		p.tree.RecordReconnection(n)
 		if m.HasSpare() {
 			if err := p.tree.Attach(n, m); err != nil {
 				return fmt.Errorf("re-adopt %d under promoted node: %w", n.ID, err)
@@ -330,7 +336,7 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 		return childrenOfM[i].BTP(now) < childrenOfM[j].BTP(now)
 	})
 	for _, c := range childrenOfM {
-		c.Reconnections++
+		p.tree.RecordReconnection(c)
 		target := parent
 		if !target.Attached() || !target.HasSpare() {
 			target = m

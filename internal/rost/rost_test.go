@@ -109,7 +109,7 @@ func TestSwitchPromotesHigherBTP(t *testing.T) {
 	if f.p.Switches != 1 {
 		t.Fatalf("Switches = %d, want 1", f.p.Switches)
 	}
-	if child.Reconnections == 0 || parent.Reconnections == 0 {
+	if child.Reconnections() == 0 || parent.Reconnections() == 0 {
 		t.Fatal("switch did not charge reconnections")
 	}
 }
@@ -124,8 +124,7 @@ func TestNoSwitchWhenBandwidthSmaller(t *testing.T) {
 	// exceeds the parent's anyway (same growth form), but even a
 	// hand-crafted BTP lead must not trigger a switch; emulate the lead by
 	// giving the child an earlier join time via direct construction:
-	child := f.tree.NewMember(2, 1.9, 0)
-	child.JoinTime = -1000 * time.Second // enormous age, BTP >> parent's
+	child := f.tree.NewMember(2, 1.9, -1000*time.Second) // enormous age, BTP >> parent's
 	if err := f.tree.Attach(child, parent); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +361,7 @@ func TestBTPOrderingTendency(t *testing.T) {
 		edges++
 		// A stable edge has either parent BTP >= child BTP or a
 		// lower-bandwidth child (which the guard keeps below on purpose).
-		if m.BTP(now) > parent.BTP(now) && m.Bandwidth >= parent.Bandwidth {
+		if m.BTP(now) > parent.BTP(now) && m.Bandwidth() >= parent.Bandwidth() {
 			violations++
 		}
 	})
@@ -401,8 +400,7 @@ func TestGuardDisabledFreeRiderExchange(t *testing.T) {
 		t.Fatalf("setup: rescue under %d", rescue.Parent().ID)
 	}
 	// Manually crafted ancient free-rider and sibling under parent.
-	fr := f.tree.NewMember(2, 0.9, 0)
-	fr.JoinTime = -100000 * time.Second
+	fr := f.tree.NewMember(2, 0.9, -100000*time.Second)
 	if err := f.tree.Attach(fr, parent); err != nil {
 		t.Fatal(err)
 	}
@@ -445,22 +443,23 @@ func TestContributorPriorityWiring(t *testing.T) {
 	_, _ = a, b
 }
 
-// TestSwitchConditionRevalidatedAtCompletion: if the BTP condition holds at
-// initiation but fails at completion (the member was orphaned and rejoined
-// elsewhere in between), the switch aborts.
+// TestSwitchAbortsWhenConditionEvaporates: if the switching condition holds
+// at initiation but fails at completion, with the neighbourhood unchanged,
+// the switch aborts.
 func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
-	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second})
+	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second, DisableBandwidthGuard: true})
 	f.p.switchLatency = 5 * time.Second
 	parent := f.joinAt(t, 0, 1, 2)
-	child := f.joinAt(t, 10*time.Second, 2, 6)
-	if child.Parent() != parent {
-		t.Fatalf("setup: child under %d", child.Parent().ID)
+	child := f.tree.NewMember(2, 1.9, -1000*time.Second) // BTP 1.9*1100 > 2*100 at the first check
+	if err := f.tree.Attach(child, parent); err != nil {
+		t.Fatal(err)
 	}
-	// Initiation fires at 110s; at 112s (inside the latency window) the
-	// parent's age jumps, so the BTP condition no longer holds at
-	// completion time.
-	f.sim.Schedule(112*time.Second, func(*eventsim.Simulator) {
-		parent.JoinTime = -1000000 * time.Second
+	f.p.Start(f.sim, child)
+	// Initiation fires at 100s with the bandwidth guard off; at 102s (inside
+	// the latency window) the guard comes on, and the child's bandwidth is
+	// below its parent's, so the condition no longer holds at completion.
+	f.sim.Schedule(102*time.Second, func(*eventsim.Simulator) {
+		f.p.cfg.DisableBandwidthGuard = false
 	})
 	f.runUntil(t, 300*time.Second)
 	if f.p.Aborted == 0 {
@@ -478,9 +477,8 @@ func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
 // first retry after a slot frees.
 func TestDisplacedMemberRetriesSaturatedTree(t *testing.T) {
 	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second, DisableBandwidthGuard: true})
-	parent := f.joinAt(t, 0, 1, 1) // the root's only child, one slot
-	rider := f.tree.NewMember(2, 0.5, 0)
-	rider.JoinTime = -1000 * time.Second // BTP 0.5*1100 > 1*100 at the first check
+	parent := f.joinAt(t, 0, 1, 1)                       // the root's only child, one slot
+	rider := f.tree.NewMember(2, 0.5, -1000*time.Second) // BTP 0.5*1100 > 1*100 at the first check
 	if err := f.tree.Attach(rider, parent); err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (m *Model) runEpisodeReference(c *overlay.Member, failedAt, outageEnd time.
 		}
 		hop := time.Duration(0)
 		if d != c {
-			hop = m.delay(c.Attach, d.Attach)
+			hop = m.delay(c.Attach(), d.Attach())
 		}
 		// Walk the same uncovered ranges the interval path accounts, so the
 		// two paths charge identical packet sets.

@@ -59,6 +59,9 @@ const (
 	DefaultMinViewTime = 30 * time.Second
 )
 
+// none marks an ID with no present member in the model's slot table.
+const none int32 = -1
+
 // lostSlack marks a packet with no repair arrival in the slack array; it
 // compares below every real hop distance.
 const lostSlack = time.Duration(math.MinInt64)
@@ -96,10 +99,9 @@ func (c Config) withDefaults() Config {
 
 // state is the per-member playback bookkeeping. States live in one flat
 // slice with a slot per present member, so there are no per-member heap
-// objects and the slice grows with the live membership, not with arrivals.
+// objects, and the slice is reserved once, for the live membership the tree
+// reserved its own slots for, not for the arrivals.
 type state struct {
-	// id is the member the slot holds, or zero for a free slot.
-	id        overlay.MemberID
 	viewStart time.Duration
 	// residual is the bandwidth (packets per second) this member donates to
 	// others' recovery.
@@ -123,11 +125,16 @@ type Model struct {
 	rng      *xrand.Source
 
 	// states holds one slot per present member; a departed member's slot
-	// goes on free for the next arrival, keeping its span storage. slotOf
-	// maps a present member's ID to its slot.
+	// goes on free for the next arrival, keeping its span storage. The first
+	// Register reserves both for the tree's reservation (Tree.Reserved),
+	// which bounds the live membership. slotOf is indexed by member ID and
+	// holds the member's slot, or none when it is not present: IDs are
+	// sequential and never reused, so a flat table serves where a map would.
+	// It cannot be the tree's own ID table, because Depart runs after the
+	// member has left the tree.
 	states []state
 	free   []int32
-	slotOf map[overlay.MemberID]int32
+	slotOf []int32
 	ratios []float64
 
 	// Reusable episode scratch: repair arrivals, per-packet slacks, the
@@ -178,7 +185,6 @@ func NewModel(tree *overlay.Tree, delay func(a, b topology.NodeID) time.Duration
 		delay:    delay,
 		selector: selector,
 		rng:      rng,
-		slotOf:   make(map[overlay.MemberID]int32),
 	}
 }
 
@@ -196,11 +202,19 @@ func (m *Model) packetAfter(t time.Duration) int64 {
 	return n
 }
 
+// slot returns the present member id's state slot, or none.
+func (m *Model) slot(id overlay.MemberID) int32 {
+	if id <= 0 || int64(id) >= int64(len(m.slotOf)) {
+		return none
+	}
+	return m.slotOf[id]
+}
+
 // stateOf returns the live state for id, or nil. The pointer is valid until
 // the next Register.
 func (m *Model) stateOf(id overlay.MemberID) *state {
-	i, ok := m.slotOf[id]
-	if !ok {
+	i := m.slot(id)
+	if i == none {
 		return nil
 	}
 	return &m.states[i]
@@ -208,20 +222,26 @@ func (m *Model) stateOf(id overlay.MemberID) *state {
 
 // Register starts playback tracking for a member (call on join).
 func (m *Model) Register(member *overlay.Member, now time.Duration) {
-	if _, ok := m.slotOf[member.ID]; ok {
+	if m.slot(member.ID) != none {
 		return
+	}
+	for int64(len(m.slotOf)) <= int64(member.ID) {
+		m.slotOf = append(m.slotOf, none)
 	}
 	var i int32
 	if n := len(m.free); n > 0 {
 		i = m.free[n-1]
 		m.free = m.free[:n-1]
 	} else {
+		if m.states == nil {
+			m.states = make([]state, 0, m.tree.Reserved())
+			m.free = make([]int32, 0, m.tree.Reserved())
+		}
 		i = int32(len(m.states))
 		m.states = append(m.states, state{})
 	}
 	m.slotOf[member.ID] = i
 	m.states[i] = state{
-		id:        member.ID,
 		viewStart: now,
 		residual:  m.rng.Float64() * DefaultResidualMax,
 		acc:       spanSet{watermark: -1, spans: m.states[i].acc.spans[:0]},
@@ -231,29 +251,23 @@ func (m *Model) Register(member *overlay.Member, now time.Duration) {
 // Depart finalises a member's starving ratio (call when it leaves) and
 // frees its slot.
 func (m *Model) Depart(id overlay.MemberID, now time.Duration) {
-	i, ok := m.slotOf[id]
-	if !ok {
+	i := m.slot(id)
+	if i == none {
 		return
 	}
 	m.finalize(&m.states[i], now)
-	m.states[i].id = 0
-	delete(m.slotOf, id)
+	m.slotOf[id] = none
 	m.free = append(m.free, i)
 }
 
 // Finish finalises every still-present member at the end of a run, in
-// ascending ID order: the ratios it appends feed the reported mean and CDF,
-// so neither slot order nor map order may leak into results.
+// ascending ID order, the order slotOf is indexed in: the ratios it appends
+// feed the reported mean and CDF, so slot order may not leak into results.
 func (m *Model) Finish(now time.Duration) {
-	ids := make([]overlay.MemberID, 0, len(m.slotOf))
-	for _, st := range m.states {
-		if st.id != 0 {
-			ids = append(ids, st.id)
+	for id, i := range m.slotOf {
+		if i != none {
+			m.Depart(overlay.MemberID(id), now)
 		}
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		m.Depart(id, now)
 	}
 }
 
@@ -365,7 +379,7 @@ func (m *Model) runEpisode(c *overlay.Member, failedAt, outageEnd time.Duration)
 		}
 		hop := time.Duration(0)
 		if d != c {
-			hop = m.delay(c.Attach, d.Attach)
+			hop = m.delay(c.Attach(), d.Attach())
 		}
 		m.uncovBuf = st.acc.appendUncovered(m.uncovBuf[:0], first, last+1)
 		missed, total := 0, int64(0)

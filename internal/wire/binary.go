@@ -444,16 +444,27 @@ func (r *binReader) members(t Type) []MemberInfo {
 // internal/node keys its misbehavior scores on this); on a framing failure
 // before the header parsed, the envelope is zero. Classify errors with
 // Reason. The returned envelope's Payload aliases b.
-func DecodeBinary(b []byte) (Envelope, error) { return DecodeBinaryWith(b, nil) }
-
-// DecodeBinaryWith is DecodeBinary with the From address supplied by in (nil
-// converts it fresh, exactly as DecodeBinary does). Every other field, every
-// error and its reason are the same whatever the interner.
-func DecodeBinaryWith(b []byte, in Interner) (env Envelope, err error) {
-	// Decoded and validated in the result itself: an Envelope is a few
-	// hundred bytes, and a local would be copied out on return.
-	if err = decodeRaw(&env, b, in); err == nil {
-		err = Validate(&env)
-	}
+func DecodeBinary(b []byte) (env Envelope, err error) {
+	err = DecodeBinaryWith(&env, b, nil)
 	return env, err
+}
+
+// DecodeBinaryWith is DecodeBinary into the caller's envelope, which it
+// overwrites, with the From address supplied by in (nil converts it fresh,
+// exactly as DecodeBinary does). Every field, every error and its reason are
+// the same whatever the interner. An Envelope is a few hundred bytes: a
+// receiver that decodes into its own saves the copies a returned one costs.
+func DecodeBinaryWith(env *Envelope, b []byte, in Interner) error {
+	// Small enough to inline, so the caller's own zeroing of a fresh
+	// envelope and this one fold into one.
+	*env = Envelope{}
+	return decodeValidated(env, b, in)
+}
+
+// decodeValidated is decodeRaw, then Validate on success.
+func decodeValidated(env *Envelope, b []byte, in Interner) error {
+	if err := decodeRaw(env, b, in); err != nil {
+		return err
+	}
+	return Validate(env)
 }

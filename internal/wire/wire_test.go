@@ -137,8 +137,8 @@ func TestInternerSuppliesOnlyFrom(t *testing.T) {
 	env := Envelope{Type: TypeSwitchCommit, From: "sender", Chain: []Addr{"old"}, NewParent: "np", Ctrl: 11}
 	b := mustEncode(t, env)
 	in := &recordingInterner{out: "sender"}
-	got, err := DecodeBinaryWith(b, in)
-	if err != nil {
+	var got Envelope
+	if err := DecodeBinaryWith(&got, b, in); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in.calls, []string{"sender"}) {
@@ -148,10 +148,10 @@ func TestInternerSuppliesOnlyFrom(t *testing.T) {
 		t.Fatalf("decoded %+v, want %+v", got, env)
 	}
 	in = &recordingInterner{out: "interned"}
-	if got, err = DecodeBinaryWith(b, in); err != nil || got.From != "interned" {
+	if err := DecodeBinaryWith(&got, b, in); err != nil || got.From != "interned" {
 		t.Fatalf("From = %q (err %v), want the interner's answer", got.From, err)
 	}
-	if _, err := DecodeBinaryWith(mustEncode(t, Envelope{Type: TypeJoin, Bandwidth: 1}), in); Reason(err) != ReasonSender {
+	if err := DecodeBinaryWith(&got, mustEncode(t, Envelope{Type: TypeJoin, Bandwidth: 1}), in); Reason(err) != ReasonSender {
 		t.Fatalf("missing sender: %v, want reason %q", err, ReasonSender)
 	}
 	if len(in.calls) != 1 {
