@@ -471,10 +471,6 @@ func (t *Tree) Root() *Member { return t.root }
 // Size returns the number of live members including the source.
 func (t *Tree) Size() int { return t.liveCount }
 
-// Slots returns the size of the dense slot space: every live member's Slot is
-// below it. It only grows, by one per member that finds no recycled slot.
-func (t *Tree) Slots() int { return len(t.handle) }
-
 // SlotView is a read-only window onto the tree's structural arrays, indexed
 // by slot (Member.Slot), for callers that walk many members per call and
 // would otherwise chase a *Member handle at every step. It is valid until the
@@ -503,6 +499,14 @@ func (t *Tree) SlotView() SlotView {
 		bandwidth: t.bandwidth, joinTime: t.joinTime, disrupt: t.disruptions, reconnect: t.reconnections,
 		handle: t.handle}
 }
+
+// Shape returns the slot arrays SlotView.Parent and SlotView.Depth read: per
+// slot, the parent's slot (-1 at the root and when detached) and the depth
+// (-1 when detached). They are valid, like a SlotView, until the tree's next
+// mutation, and their capacity is the tree's reservation of them. Callers
+// read them and never write: cer's Algorithm 1 runs on them as it runs on the
+// live node's view.
+func (t *Tree) Shape() (parent, depth []int32) { return t.parent, t.depth }
 
 // Parent returns the slot of i's parent, or -1 for the root and detached
 // members.

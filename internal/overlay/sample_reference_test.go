@@ -64,7 +64,7 @@ func TestSampleSlotsMatchesReference(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		switch op := ops.Float64(); {
 		case len(live) < 5 || len(live) < 400 && op < 0.45:
-			slots := tree.Slots()
+			slots := len(tree.handle)
 			m := tree.NewMember(topology.NodeID(ops.Intn(50)), float64(ops.Intn(4)), time.Duration(step))
 			if m.Slot() < slots {
 				recycled++

@@ -44,7 +44,7 @@ func churnDetached(t *testing.T, tree *Tree, seed int64, steps int, check func(s
 	for step := 0; step < steps; step++ {
 		switch op := rng.Float64(); {
 		case len(live) < 8 || len(live) < 300 && op < 0.45:
-			slots := tree.Slots()
+			slots := len(tree.handle)
 			m := tree.NewMember(topology.NodeID(rng.Intn(1000)), float64(rng.Intn(4)), time.Duration(step))
 			if m.Slot() < slots {
 				st.recycled++
