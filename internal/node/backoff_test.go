@@ -120,8 +120,8 @@ func TestRecoveryGroupExcludesStaleMembers(t *testing.T) {
 		}
 	}
 	// Sanity: staleness is what kept it out — heard from again, the same
-	// member is eligible (alphabetical tiebreak puts "stale" after "fresh*",
-	// so widen K).
+	// member is eligible (K widens to all five usable members, so whatever
+	// Algorithm 1 draws, the group holds every one of them).
 	nd.mu.Lock()
 	nd.peers["stale"].seen = w.clock.Now()
 	nd.cfg.RecoveryGroup = 5

@@ -56,9 +56,7 @@ func (n *Node) sendReliable(to wire.Addr, env wire.Envelope) bool {
 	}
 	p.nextSeq++
 	seq := p.nextSeq
-	if seq > n.ctrlHigh {
-		n.ctrlHigh = seq
-	}
+	n.ctrlHigh = max(n.ctrlHigh, seq)
 	env.Ctrl = seq
 	data, err := wire.EncodeBinary(env)
 	if err != nil {
