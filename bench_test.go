@@ -270,12 +270,12 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			}
 			remaining := events
 			var tick eventsim.Handler
-			tick = func(s *eventsim.Simulator) {
+			tick = func(s *eventsim.Simulator, _ int64) {
 				if remaining--; remaining > 0 {
-					s.ScheduleAfter(time.Millisecond, tick)
+					s.ScheduleAfter(time.Millisecond, tick, 0)
 				}
 			}
-			sim.Schedule(0, tick)
+			sim.Schedule(0, tick, 0)
 			if err := sim.Run(eventsim.MaxHorizon); err != nil {
 				b.Fatal(err)
 			}

@@ -44,13 +44,13 @@ func Suite(quick bool) []Case {
 func benchScheduleFire(b *testing.B) {
 	sim := eventsim.New()
 	for i := 0; i < 10000; i++ {
-		sim.Schedule(time.Duration(i)*time.Millisecond, func(*eventsim.Simulator) {})
+		sim.Schedule(time.Duration(i)*time.Millisecond, func(*eventsim.Simulator, int64) {}, 0)
 	}
 	at := 10 * time.Second
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Schedule(at, func(*eventsim.Simulator) {})
+		sim.Schedule(at, func(*eventsim.Simulator, int64) {}, 0)
 		at += time.Millisecond
 		if err := sim.Run(time.Duration(i) * time.Millisecond); err != nil {
 			b.Fatal(err)

@@ -44,7 +44,8 @@ const DefaultKnowledge = 100
 // Selector picks recovery groups for a member.
 type Selector interface {
 	// Select returns up to k recovery members for self, best candidates
-	// first (callers contact them in the returned order).
+	// first (callers contact them in the returned order). The group may be
+	// the selector's own buffer, valid until its next Select.
 	Select(self *overlay.Member, k int) []*overlay.Member
 }
 
@@ -66,12 +67,14 @@ type MLCSelector struct {
 	mlc    MLC
 	sample []int32
 	delays []time.Duration
+	group  []*overlay.Member
 }
 
 var _ Selector = (*MLCSelector)(nil)
 
 // Select implements Selector: MLC.Group over the tree's slot arrays for one
-// membership sample, drawn first. It allocates only the returned group.
+// membership sample, drawn first. Warm, it allocates nothing: the group is
+// the selector's buffer.
 func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if k <= 0 {
 		return nil
@@ -83,10 +86,11 @@ func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	s.mlc.excl.onTree(s.Tree, self, s.Banned)
 	s.mlc.pt.root = int32(s.Tree.Root().Slot())
 	v := s.Tree.SlotView()
-	group := make([]*overlay.Member, 0, k)
+	group := s.group[:0]
 	for _, c := range s.mlc.Group(s.sample, k, s.Rng) {
 		group = append(group, v.Member(c))
 	}
+	s.group = group
 	s.delays = orderByDistance(self, group, s.Delay, s.delays)
 	return group
 }
@@ -105,6 +109,7 @@ type RandomSelector struct {
 	excl   exclusion
 	sample []int32
 	delays []time.Duration
+	group  []*overlay.Member
 }
 
 var _ Selector = (*RandomSelector)(nil)
@@ -118,7 +123,7 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	s.excl.onTree(s.Tree, self, s.Banned)
 	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
 	v := s.Tree.SlotView()
-	group := make([]*overlay.Member, 0, k)
+	group := s.group[:0]
 	for _, c := range s.sample {
 		if !s.excl.usable(c) {
 			continue
@@ -128,6 +133,7 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 			break
 		}
 	}
+	s.group = group
 	s.delays = orderByDistance(self, group, s.Delay, s.delays)
 	return group
 }

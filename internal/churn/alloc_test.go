@@ -10,10 +10,10 @@ import (
 	"omcast/internal/xrand"
 )
 
-// TestDepartureAllocs pins a warmed departure with orphans at one allocation,
-// the orphan list Tree.Remove returns: the ancestor path goes into the
-// driver's reused buffer, the orphans are sorted without allocating, and
-// each orphan re-attaches under a surviving ancestor.
+// TestDepartureAllocs pins a warmed departure with orphans at zero
+// allocations: Tree.Remove returns the orphans in the tree's buffer, the
+// ancestor path goes into the driver's reused buffer, the orphans are sorted
+// without allocating, and each orphan re-attaches under a surviving ancestor.
 func TestDepartureAllocs(t *testing.T) {
 	const seed = 5
 	topo := smallTopo(t, seed)
@@ -53,9 +53,9 @@ func TestDepartureAllocs(t *testing.T) {
 		orphans += victim.NumChildren()
 		d.depart(sim, victim.ID)
 	}
-	depart() // warm the ancestor buffer
-	if got := testing.AllocsPerRun(50, depart); got > 1 {
-		t.Errorf("a departure with orphans allocates %v times, ceiling 1", got)
+	depart() // warm the ancestor and orphan buffers
+	if got := testing.AllocsPerRun(50, depart); got > 0 {
+		t.Errorf("a departure with orphans allocates %v times, want 0", got)
 	}
 	if orphans < 51 {
 		t.Fatalf("%d orphans over 51 departures; the departures were not interior", orphans)

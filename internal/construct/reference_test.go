@@ -237,7 +237,7 @@ func (a *refRelaxed) Join(tree *overlay.Tree, m *overlay.Member, now time.Durati
 
 func (a *refRelaxed) replace(tree *overlay.Tree, m, victim *overlay.Member, now time.Duration) error {
 	parent := victim.Parent()
-	children := victim.Children()
+	children := victim.AppendChildren(nil)
 	for _, c := range children {
 		if err := tree.Detach(c); err != nil {
 			return err
@@ -322,7 +322,7 @@ func idOf(m *overlay.Member) string {
 // memberShape renders everything about a member the two worlds must agree on.
 func memberShape(m *overlay.Member) string {
 	s := fmt.Sprintf("%d@%d depth %d attached %v reconn %d kids", m.ID, m.LevelPos(), m.Depth(), m.Attached(), m.Reconnections())
-	for _, c := range m.Children() {
+	for _, c := range m.AppendChildren(nil) {
 		s = fmt.Sprintf("%s %d", s, c.ID)
 	}
 	if p := m.Parent(); p != nil {

@@ -29,17 +29,23 @@ import (
 )
 
 // Handler is the callback invoked when an event fires. The current simulator
-// is passed in so handlers can schedule follow-up events.
-type Handler func(sim *Simulator)
+// is passed in so handlers can schedule follow-up events, and arg is the
+// value the event was scheduled with. A timer kind binds its handler once and
+// carries what it is for (a member ID, a record index) in arg, so arming a
+// timer allocates nothing; a handler with nothing to carry is scheduled
+// with 0.
+type Handler func(sim *Simulator, arg int64)
 
-// event is a single queued callback, held by value in the heap or in a lane.
-// There is no cancellation: a timer that may become moot checks, when it
-// fires, whether what it was for still holds, and returns if not.
+// event is a single queued callback and its argument, held by value in the
+// heap or in a lane. There is no cancellation: a timer that may become moot
+// checks, when it fires, whether what it was for still holds, and returns if
+// not.
 type event struct {
 	at      time.Duration
 	schedAt time.Duration // when Schedule was called (queue-residence metric)
 	seq     uint64        // tie-break: FIFO among equal timestamps
 	handler Handler
+	arg     int64
 }
 
 // less orders events by (at, seq) — a strict total order because seq is
@@ -186,9 +192,9 @@ func (s *Simulator) pop() {
 	}
 }
 
-// Schedule registers handler to fire at absolute virtual time at. Times in
-// the past (before Now) are clamped to Now, so the event fires next.
-func (s *Simulator) Schedule(at time.Duration, handler Handler) {
+// Schedule registers handler to fire with arg at absolute virtual time at.
+// Times in the past (before Now) are clamped to Now, so the event fires next.
+func (s *Simulator) Schedule(at time.Duration, handler Handler, arg int64) {
 	if at < s.now {
 		at = s.now
 	}
@@ -197,7 +203,7 @@ func (s *Simulator) Schedule(at time.Duration, handler Handler) {
 		s.Grow(max(16, 2*n))
 	}
 	s.queue = s.queue[:n+1]
-	s.queue[n] = s.newEvent(at, handler)
+	s.queue[n] = s.newEvent(at, handler, arg)
 	s.siftUp(n)
 	s.noteDepth()
 }
@@ -214,12 +220,13 @@ func (s *Simulator) Grow(n int) {
 	}
 }
 
-// newEvent returns the event for handler at time at with the next seq.
-func (s *Simulator) newEvent(at time.Duration, handler Handler) event {
+// newEvent returns the event for handler and arg at time at with the next
+// seq.
+func (s *Simulator) newEvent(at time.Duration, handler Handler, arg int64) event {
 	if handler == nil {
 		panic("eventsim: Schedule called with nil handler")
 	}
-	ev := event{at: at, schedAt: s.now, seq: s.seq, handler: handler}
+	ev := event{at: at, schedAt: s.now, seq: s.seq, handler: handler, arg: arg}
 	s.seq++
 	return ev
 }
@@ -246,23 +253,23 @@ func (s *Simulator) Lane(delay time.Duration) *Lane {
 	return l
 }
 
-// Schedule registers handler to fire the lane's delay after the current time:
-// ScheduleAfter with the lane's delay, firing in the same (at, seq) order,
-// without the heap's O(log n) sift.
-func (l *Lane) Schedule(handler Handler) {
+// Schedule registers handler to fire with arg the lane's delay after the
+// current time: ScheduleAfter with the lane's delay, firing in the same
+// (at, seq) order, without the heap's O(log n) sift.
+func (l *Lane) Schedule(handler Handler, arg int64) {
 	s := l.s
 	at := s.now + l.delay
 	if at < s.now || l.n > 0 && l.ring[(l.head+l.n-1)&(len(l.ring)-1)].at > at {
 		// The delay overflowed, or Run(horizon) set the clock back below an
 		// earlier Schedule: the lane would fall out of order, so the heap
 		// takes the event.
-		s.Schedule(at, handler)
+		s.Schedule(at, handler, arg)
 		return
 	}
 	if l.n == len(l.ring) {
 		l.resize(max(16, 2*len(l.ring)))
 	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = s.newEvent(at, handler)
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = s.newEvent(at, handler, arg)
 	l.n++
 	s.laneLen++
 	s.noteDepth()
@@ -319,13 +326,13 @@ func (s *Simulator) next() (*event, *Lane) {
 	return next, from
 }
 
-// ScheduleAfter registers handler to fire delay after the current time.
-// Negative delays are clamped to zero.
-func (s *Simulator) ScheduleAfter(delay time.Duration, handler Handler) {
+// ScheduleAfter registers handler to fire with arg delay after the current
+// time. Negative delays are clamped to zero.
+func (s *Simulator) ScheduleAfter(delay time.Duration, handler Handler, arg int64) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.Schedule(s.now+delay, handler)
+	s.Schedule(s.now+delay, handler, arg)
 }
 
 // Run processes events in timestamp order until the queue is empty or the
@@ -345,14 +352,14 @@ func (s *Simulator) Run(horizon time.Duration) error {
 		}
 		// Copy out before popping: the pop overwrites the cell next points
 		// at, and the handler's own Schedule calls may reuse it.
-		h, at, schedAt := next.handler, next.at, next.schedAt
+		h, arg, at, schedAt := next.handler, next.arg, next.at, next.schedAt
 		if lane != nil {
 			lane.pop()
 		} else {
 			s.pop()
 		}
 		s.now = at
-		h(s)
+		h(s, arg)
 		s.processed++
 		// float64(d)*1e-9 instead of Seconds(): one multiply, not a divmod
 		// decomposition — this runs once per fired event.

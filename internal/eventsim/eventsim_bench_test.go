@@ -12,12 +12,12 @@ import (
 func BenchmarkScheduleFire(b *testing.B) {
 	sim := New()
 	for i := 0; i < 10000; i++ {
-		sim.Schedule(time.Duration(i)*time.Millisecond, func(*Simulator) {})
+		sim.Schedule(time.Duration(i)*time.Millisecond, func(*Simulator, int64) {}, 0)
 	}
 	at := 10 * time.Second
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Schedule(at, func(*Simulator) {})
+		sim.Schedule(at, func(*Simulator, int64) {}, 0)
 		at += time.Millisecond
 		// Fire exactly the one standing event due at i ms.
 		if err := sim.Run(time.Duration(i) * time.Millisecond); err != nil {
@@ -36,7 +36,7 @@ func BenchmarkRunDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := New()
 		for j := 0; j < 1_000_000; j++ {
-			sim.Schedule(time.Duration(j%1000)*time.Millisecond, func(*Simulator) {})
+			sim.Schedule(time.Duration(j%1000)*time.Millisecond, func(*Simulator, int64) {}, 0)
 		}
 		if err := sim.Run(MaxHorizon); err != nil {
 			b.Fatal(err)
@@ -53,15 +53,15 @@ func BenchmarkPeriodicTimers(b *testing.B) {
 		name string
 		arm  func(*Simulator, Handler)
 	}{
-		{"heap", func(s *Simulator, h Handler) { s.ScheduleAfter(10*time.Second, h) }},
-		{"lane", func(s *Simulator, h Handler) { s.Lane(10 * time.Second).Schedule(h) }},
+		{"heap", func(s *Simulator, h Handler) { s.ScheduleAfter(10*time.Second, h, 0) }},
+		{"lane", func(s *Simulator, h Handler) { s.Lane(10*time.Second).Schedule(h, 0) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			sim := New()
 			var rearm Handler
-			rearm = func(s *Simulator) { tc.arm(s, rearm) }
+			rearm = func(s *Simulator, _ int64) { tc.arm(s, rearm) }
 			for i := 0; i < 10000; i++ {
-				sim.Schedule(time.Duration(i)*time.Millisecond, rearm)
+				sim.Schedule(time.Duration(i)*time.Millisecond, rearm, 0)
 			}
 			at := 10 * time.Second // every timer has re-armed once
 			if err := sim.Run(at); err != nil {

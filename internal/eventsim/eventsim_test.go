@@ -9,9 +9,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	sim := New()
 	var got []int
-	sim.Schedule(3*time.Second, func(*Simulator) { got = append(got, 3) })
-	sim.Schedule(1*time.Second, func(*Simulator) { got = append(got, 1) })
-	sim.Schedule(2*time.Second, func(*Simulator) { got = append(got, 2) })
+	sim.Schedule(3*time.Second, func(*Simulator, int64) { got = append(got, 3) }, 0)
+	sim.Schedule(1*time.Second, func(*Simulator, int64) { got = append(got, 1) }, 0)
+	sim.Schedule(2*time.Second, func(*Simulator, int64) { got = append(got, 2) }, 0)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -28,7 +28,7 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		sim.Schedule(time.Second, func(*Simulator) { got = append(got, i) })
+		sim.Schedule(time.Second, func(*Simulator, int64) { got = append(got, i) }, 0)
 	}
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -43,7 +43,7 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 func TestClockAdvances(t *testing.T) {
 	sim := New()
 	var at time.Duration
-	sim.Schedule(5*time.Second, func(s *Simulator) { at = s.Now() })
+	sim.Schedule(5*time.Second, func(s *Simulator, _ int64) { at = s.Now() }, 0)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -58,9 +58,9 @@ func TestClockAdvances(t *testing.T) {
 func TestScheduleAfter(t *testing.T) {
 	sim := New()
 	var second time.Duration
-	sim.Schedule(2*time.Second, func(s *Simulator) {
-		s.ScheduleAfter(3*time.Second, func(s2 *Simulator) { second = s2.Now() })
-	})
+	sim.Schedule(2*time.Second, func(s *Simulator, _ int64) {
+		s.ScheduleAfter(3*time.Second, func(s2 *Simulator, _ int64) { second = s2.Now() }, 0)
+	}, 0)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -72,9 +72,9 @@ func TestScheduleAfter(t *testing.T) {
 func TestScheduleInPastClamps(t *testing.T) {
 	sim := New()
 	fired := false
-	sim.Schedule(10*time.Second, func(s *Simulator) {
-		s.Schedule(1*time.Second, func(*Simulator) { fired = true })
-	})
+	sim.Schedule(10*time.Second, func(s *Simulator, _ int64) {
+		s.Schedule(1*time.Second, func(*Simulator, int64) { fired = true }, 0)
+	}, 0)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestScheduleInPastClamps(t *testing.T) {
 func TestNegativeDelayClamps(t *testing.T) {
 	sim := New()
 	fired := false
-	sim.ScheduleAfter(-time.Second, func(*Simulator) { fired = true })
+	sim.ScheduleAfter(-time.Second, func(*Simulator, int64) { fired = true }, 0)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestHorizonLeavesFutureEvents(t *testing.T) {
 	var got []time.Duration
 	for _, at := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
 		at := at
-		sim.Schedule(at, func(s *Simulator) { got = append(got, s.Now()) })
+		sim.Schedule(at, func(s *Simulator, _ int64) { got = append(got, s.Now()) }, 0)
 	}
 	if err := sim.Run(2 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -135,7 +135,7 @@ func TestHorizonAdvancesIdleClock(t *testing.T) {
 func TestProcessedAndPending(t *testing.T) {
 	sim := New()
 	for i := 0; i < 4; i++ {
-		sim.Schedule(time.Duration(i)*time.Second, func(*Simulator) {})
+		sim.Schedule(time.Duration(i)*time.Second, func(*Simulator, int64) {}, 0)
 	}
 	if sim.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", sim.Pending())
@@ -157,7 +157,7 @@ func TestNilHandlerPanics(t *testing.T) {
 			t.Fatal("Schedule(nil) did not panic")
 		}
 	}()
-	New().Schedule(time.Second, nil)
+	New().Schedule(time.Second, nil, 0)
 }
 
 func TestManyEventsStressOrdering(t *testing.T) {
@@ -170,12 +170,12 @@ func TestManyEventsStressOrdering(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		at := time.Duration(x%1000) * time.Millisecond
-		sim.Schedule(at, func(s *Simulator) {
+		sim.Schedule(at, func(s *Simulator, _ int64) {
 			if s.Now() < last {
 				ok = false
 			}
 			last = s.Now()
-		})
+		}, 0)
 	}
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -199,13 +199,13 @@ func TestQuickScheduleOrdering(t *testing.T) {
 		ordered := true
 		for i, raw := range times {
 			at := time.Duration(raw) * time.Millisecond
-			sim.Schedule(at, func(s *Simulator) {
+			sim.Schedule(at, func(s *Simulator, _ int64) {
 				fired++
 				if s.Now() < lastAt || s.Now() == lastAt && i < lastSeq {
 					ordered = false
 				}
 				lastAt, lastSeq = s.Now(), i
-			})
+			}, 0)
 		}
 		if err := sim.Run(MaxHorizon); err != nil {
 			return false

@@ -23,9 +23,9 @@ func TestInstrumentCounts(t *testing.T) {
 	sim.Instrument(reg)
 
 	fired := 0
-	handler := func(s *Simulator) { fired++ }
-	sim.Schedule(1*time.Second, handler)
-	sim.Schedule(2*time.Second, handler)
+	handler := func(s *Simulator, _ int64) { fired++ }
+	sim.Schedule(1*time.Second, handler, 0)
+	sim.Schedule(2*time.Second, handler, 0)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestInstrumentCounts(t *testing.T) {
 func TestUninstrumentedKernelUnchanged(t *testing.T) {
 	sim := New()
 	fired := 0
-	sim.Schedule(time.Second, func(s *Simulator) { fired++ })
-	sim.Lane(time.Second).Schedule(func(s *Simulator) { fired++ })
+	sim.Schedule(time.Second, func(s *Simulator, _ int64) { fired++ }, 0)
+	sim.Lane(time.Second).Schedule(func(s *Simulator, _ int64) { fired++ }, 0)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestQueueDepthCountsLanes(t *testing.T) {
 	reg := metrics.NewRegistry()
 	sim := New()
 	sim.Instrument(reg)
-	noop := func(*Simulator) {}
+	noop := func(*Simulator, int64) {}
 	depth := func() (pending int, gauge, high float64) {
 		snap := reg.Snapshot(sim.Now().Seconds())
 		return sim.Pending(), findMetric(snap, "omcast_sim_queue_depth").Value,
@@ -97,18 +97,18 @@ func TestQueueDepthCountsLanes(t *testing.T) {
 			t.Fatalf("Pending %d, depth gauge %v, high water %v; want %d, %d, %v", p, g, h, wantPending, wantPending, wantHigh)
 		}
 	}
-	sim.Schedule(3*time.Second, noop)
-	sim.Lane(time.Second).Schedule(noop)
-	sim.Lane(time.Second).Schedule(noop)
-	sim.Lane(2 * time.Second).Schedule(noop)
+	sim.Schedule(3*time.Second, noop, 0)
+	sim.Lane(time.Second).Schedule(noop, 0)
+	sim.Lane(time.Second).Schedule(noop, 0)
+	sim.Lane(2*time.Second).Schedule(noop, 0)
 	check(4, 4)
 	if err := sim.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	check(2, 4) // the 1 s lane drained
-	sim.Lane(time.Second).Schedule(noop)
-	sim.Lane(time.Second).Schedule(noop)
-	sim.Lane(time.Second).Schedule(noop)
+	sim.Lane(time.Second).Schedule(noop, 0)
+	sim.Lane(time.Second).Schedule(noop, 0)
+	sim.Lane(time.Second).Schedule(noop, 0)
 	check(5, 5)
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package eventsim
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -12,10 +14,10 @@ import (
 // here fails go test, not just the bench report.
 func TestScheduleFireAllocFree(t *testing.T) {
 	sim := New()
-	noop := Handler(func(*Simulator) {})
+	noop := Handler(func(*Simulator, int64) {})
 	// Warm the queue's backing array.
 	for i := 0; i < 1000; i++ {
-		sim.Schedule(time.Duration(i)*time.Millisecond, noop)
+		sim.Schedule(time.Duration(i)*time.Millisecond, noop, 0)
 	}
 	if err := sim.Run(MaxHorizon); err != nil {
 		t.Fatal(err)
@@ -23,13 +25,53 @@ func TestScheduleFireAllocFree(t *testing.T) {
 	at := sim.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
 		at += time.Millisecond
-		sim.Schedule(at, noop)
+		sim.Schedule(at, noop, 0)
 		if err := sim.Run(at); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
 		t.Fatalf("schedule+fire allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestEventCarriesArgument pins the event's shape, a handler and its int64
+// argument beside (at, schedAt, seq) in 40 bytes, and that every event fires
+// with the argument it was scheduled with: from the heap, from a lane, and
+// from the heap when a lane hands an out-of-order event over to it.
+func TestEventCarriesArgument(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("an event is %d bytes, want 40", got)
+	}
+	sim := New()
+	var got []int64
+	h := Handler(func(_ *Simulator, arg int64) { got = append(got, arg) })
+	lane := sim.Lane(10 * time.Second)
+	sim.Schedule(3*time.Second, h, -7)
+	sim.ScheduleAfter(time.Second, h, math.MaxInt64)
+	lane.Schedule(h, 42)               // fires at 10 s
+	sim.Schedule(20*time.Second, h, 0) // keeps the queue non-empty
+	// Run to a horizon and back behind the clock: the lane keeps an event at
+	// or after its tail and hands one before it to the heap.
+	for _, horizon := range []time.Duration{5 * time.Second, time.Second} {
+		if err := sim.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lane.Schedule(h, math.MinInt64) // at 11 s, after the tail
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	lane.Schedule(h, 9) // at 10 s, with 42's seq before it
+	if lane.n != 2 {
+		t.Fatalf("the lane holds %d events, want 2: 9 belongs to the heap", lane.n)
+	}
+	if err := sim.Run(MaxHorizon); err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{math.MaxInt64, -7, 42, 9, math.MinInt64, 0}
+	if !slices.Equal(got, want) {
+		t.Fatalf("handlers fired with %v, want %v", got, want)
 	}
 }
 
@@ -46,9 +88,9 @@ func TestLaneReuseAndRing(t *testing.T) {
 		t.Fatal("a negative delay is not the zero-delay lane")
 	}
 	var rearm Handler
-	rearm = func(s *Simulator) { lane.Schedule(rearm) }
+	rearm = func(s *Simulator, _ int64) { lane.Schedule(rearm, 0) }
 	for i := 0; i < 100; i++ {
-		sim.Schedule(time.Duration(i)*time.Millisecond, rearm)
+		sim.Schedule(time.Duration(i)*time.Millisecond, rearm, 0)
 	}
 	if err := sim.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -73,12 +115,12 @@ func TestLaneReuseAndRing(t *testing.T) {
 // would allocate about five times it.
 func TestQueueGrowsByDoubling(t *testing.T) {
 	const n = 100_000
-	noop := Handler(func(*Simulator) {})
+	noop := Handler(func(*Simulator, int64) {})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sim := New()
 	for i := 0; i < n; i++ {
-		sim.Schedule(time.Duration(n-i)*time.Millisecond, noop)
+		sim.Schedule(time.Duration(n-i)*time.Millisecond, noop, 0)
 	}
 	runtime.ReadMemStats(&after)
 	const want = 1 << 17 // the least power of two from 16 up that holds n
@@ -98,17 +140,17 @@ func TestQueueGrowsByDoubling(t *testing.T) {
 // in the one array Grow made, and only the event after it doubles the heap.
 func TestGrowReservesTheHeap(t *testing.T) {
 	const n = 10_000
-	noop := Handler(func(*Simulator) {})
+	noop := Handler(func(*Simulator, int64) {})
 	sim := New()
 	sim.Grow(n)
 	reserved := &sim.queue[:1][0]
 	for i := 0; i < n; i++ {
-		sim.Schedule(time.Duration(i)*time.Millisecond, noop)
+		sim.Schedule(time.Duration(i)*time.Millisecond, noop, 0)
 	}
 	if cap(sim.queue) != n || &sim.queue[0] != reserved {
 		t.Fatalf("filling a heap reserved for %d events moved it to a new array of %d", n, cap(sim.queue))
 	}
-	sim.Schedule(0, noop)
+	sim.Schedule(0, noop, 0)
 	if cap(sim.queue) != 2*n {
 		t.Fatalf("the event past the reservation grew the heap to %d, want %d", cap(sim.queue), 2*n)
 	}
@@ -129,10 +171,10 @@ func TestLaneGrowReserves(t *testing.T) {
 	lane := sim.Lane(time.Second)
 	var fired []int
 	next := 0
+	record := Handler(func(_ *Simulator, i int64) { fired = append(fired, int(i)) })
 	schedule := func(n int) {
 		for range n {
-			i := next
-			lane.Schedule(func(*Simulator) { fired = append(fired, i) })
+			lane.Schedule(record, int64(next))
 			next++
 		}
 	}

@@ -145,10 +145,11 @@ func (p *kernelProgram) fire(label int) {
 func newLaneProgram() *kernelProgram {
 	s := New()
 	p := &kernelProgram{}
-	h := func(label int) Handler { return func(*Simulator) { p.fire(label) } }
-	p.schedule = func(at time.Duration, label int) { s.Schedule(at, h(label)) }
-	p.after = func(d time.Duration, label int) { s.ScheduleAfter(d, h(label)) }
-	p.lane = func(d time.Duration, label int) { s.Lane(d).Schedule(h(label)) }
+	// One handler for every event: the label rides in the event's argument.
+	h := Handler(func(_ *Simulator, label int64) { p.fire(int(label)) })
+	p.schedule = func(at time.Duration, label int) { s.Schedule(at, h, int64(label)) }
+	p.after = func(d time.Duration, label int) { s.ScheduleAfter(d, h, int64(label)) }
+	p.lane = func(d time.Duration, label int) { s.Lane(d).Schedule(h, int64(label)) }
 	p.run = s.Run
 	p.now = s.Now
 	p.counts = func() (uint64, int) { return s.Processed(), s.Pending() }

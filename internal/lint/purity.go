@@ -75,9 +75,9 @@ var handlerAdvice = map[atomKind]string{
 // non-seeded entropy draw breaks determinism no matter how many calls deep
 // it hides. The rule walks the module call graph from every handler root
 // (declared functions and function literals whose signature is
-// func(*eventsim.Simulator)) and reports each impurity atom reachable from
-// one, with the call path that reaches it. Atoms in a root itself get the
-// direct message.
+// func(*eventsim.Simulator, int64)) and reports each impurity atom reachable
+// from one, with the call path that reaches it. Atoms in a root itself get
+// the direct message.
 //
 // Approximations (see DESIGN.md §13): non-handler function literals fold
 // into their enclosing function; interface method calls fan out to every
@@ -139,14 +139,18 @@ func callPath(fn *fnNode, pred map[*fnNode]*fnNode) string {
 }
 
 // isHandlerSig reports whether t is the eventsim.Handler shape:
-// func(*eventsim.Simulator) with no results. Matching is by package name so
-// the rule holds for any kernel named eventsim (including test fixtures).
+// func(*eventsim.Simulator, int64) with no results. Matching is by package
+// name so the rule holds for any kernel named eventsim (including test
+// fixtures).
 func isHandlerSig(t types.Type) bool {
 	if t == nil {
 		return false
 	}
 	sig, ok := t.Underlying().(*types.Signature)
-	if !ok || sig.Variadic() || sig.Results().Len() != 0 || sig.Params().Len() != 1 {
+	if !ok || sig.Variadic() || sig.Results().Len() != 0 || sig.Params().Len() != 2 {
+		return false
+	}
+	if arg, ok := sig.Params().At(1).Type().(*types.Basic); !ok || arg.Kind() != types.Int64 {
 		return false
 	}
 	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)

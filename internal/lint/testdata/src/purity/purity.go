@@ -16,15 +16,15 @@ import (
 type Simulator struct{}
 
 // Handler mirrors the kernel callback type.
-type Handler func(*Simulator)
+type Handler func(*Simulator, int64)
 
 // Schedule mirrors the kernel's registration surface.
-func (s *Simulator) Schedule(at time.Duration, h Handler) {}
+func (s *Simulator) Schedule(at time.Duration, h Handler, arg int64) {}
 
 // onTick is a handler root: everything reachable from it must be pure.
-func onTick(sim *Simulator) {
+func onTick(sim *Simulator, _ int64) {
 	relayDepthOne()
-	sim.Schedule(time.Second, nil)
+	sim.Schedule(time.Second, nil, 0)
 }
 
 // relayDepthOne is one call below the handler; its own violation and the
@@ -44,7 +44,7 @@ func fanout() {}
 
 // onJitter reaches global entropy through a method call: the edge resolves
 // through the concrete receiver.
-func onJitter(sim *Simulator) {
+func onJitter(sim *Simulator, _ int64) {
 	var p picker
 	_ = p.pick()
 }
@@ -57,7 +57,7 @@ func (p picker) pick() int {
 
 // onQuiet shows the negative: helpers that only touch pure computation are
 // reachable and clean.
-func onQuiet(sim *Simulator) {
+func onQuiet(sim *Simulator, _ int64) {
 	_ = sum(1, 2)
 }
 
@@ -72,7 +72,7 @@ func offPath() time.Time {
 
 // onSuppressed shows a justified suppression of a transitive finding at the
 // atom site.
-func onSuppressed(sim *Simulator) {
+func onSuppressed(sim *Simulator, _ int64) {
 	relaySuppressed()
 }
 

@@ -65,12 +65,12 @@ func (c virtualClock) Now() time.Time { return virtualEpoch.Add(c.sim.Now()) }
 
 func (c virtualClock) AfterFunc(d time.Duration, f func()) Timer {
 	t := new(simTimer)
-	c.sim.ScheduleAfter(d, func(*eventsim.Simulator) {
+	c.sim.ScheduleAfter(d, func(*eventsim.Simulator, int64) {
 		if !t.done {
 			t.done = true
 			f()
 		}
-	})
+	}, 0)
 	return t
 }
 

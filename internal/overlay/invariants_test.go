@@ -203,7 +203,7 @@ func checkChildOrder(t *testing.T, reserve int) {
 	compare := func(step int) {
 		t.Helper()
 		check := func(m *Member) {
-			got := m.Children()
+			got := m.AppendChildren(nil)
 			want := ref[m.ID]
 			if len(got) != len(want) {
 				t.Fatalf("step %d: member %d has %d children, reference %d", step, m.ID, len(got), len(want))

@@ -17,8 +17,9 @@
 package rost
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"omcast/internal/construct"
@@ -81,6 +82,18 @@ type Protocol struct {
 
 	nextOp int64
 
+	// onCheck, onComplete and onRetry are the protocol's three timer
+	// handlers, bound once in New. A switching check (and its lock back-off)
+	// and a displaced member's join retry carry the member's ID in the
+	// event's argument, a switch completion the index of its record in ops.
+	onCheck, onComplete, onRetry eventsim.Handler
+	// ops holds the switches in flight; a finished record's index goes on
+	// freeOps for the next switch, which reuses its lock-set buffer.
+	ops     []switchOp
+	freeOps []int32
+	// siblings, children and rehome are performExchange's scratch.
+	siblings, children, rehome []*overlay.Member
+
 	// Switches counts completed switch operations.
 	Switches int
 	// Aborted counts switches abandoned because the neighbourhood changed
@@ -117,12 +130,24 @@ func New(tree *overlay.Tree, env *construct.Env, cfg Config) *Protocol {
 	if cfg.ContributorPriority {
 		join = &construct.ContributorPriority{Env: env, Inner: join}
 	}
-	return &Protocol{
+	p := &Protocol{
 		cfg:           cfg.withDefaults(),
 		tree:          tree,
 		join:          join,
 		switchLatency: DefaultSwitchLatency,
 	}
+	p.onCheck, p.onComplete, p.onRetry = p.check, p.completeSwitch, p.retry
+	return p
+}
+
+// switchOp is one switch in flight, from initiation to completion: its lock
+// operation, the initiator's and its parent's IDs, its span (nil untraced)
+// and the members it holds locked.
+type switchOp struct {
+	op        int64
+	m, parent overlay.MemberID
+	span      *tracing.SpanBuilder
+	lockSet   []*overlay.Member
 }
 
 // Name returns the algorithm's display name.
@@ -138,39 +163,37 @@ func (p *Protocol) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration
 }
 
 // Start schedules the first switching check for member m. The churn driver
-// calls this right after a successful join. The check's handler is built
-// here, once per member, and every later check of m re-arms the same one.
-// Both delays it is armed with (the switch interval and the lock back-off)
-// are per-session constants, so the timer rides the kernel's FIFO lane for
-// that delay: one periodic timer per member is most of a large run's queue,
-// so the switch-interval lane is reserved for the tree's reservation
-// (Tree.Reserved) and fills without regrowing.
+// calls this right after a successful join. Every check of every member is
+// the protocol's one check handler with the member's ID as its argument, so
+// arming it allocates nothing. Both delays it is armed with (the switch
+// interval and the lock back-off) are per-session constants, so the timer
+// rides the kernel's FIFO lane for that delay: one periodic timer per member
+// is most of a large run's queue, so the switch-interval lane is reserved for
+// the tree's reservation (Tree.Reserved) and fills without regrowing.
 func (p *Protocol) Start(sim *eventsim.Simulator, m *overlay.Member) {
-	id := m.ID
-	var check eventsim.Handler
-	check = func(s *eventsim.Simulator) { p.check(s, id, check) }
 	lane := sim.Lane(p.cfg.SwitchInterval)
 	lane.Grow(p.tree.Reserved())
-	lane.Schedule(check)
+	lane.Schedule(p.onCheck, int64(m.ID))
 }
 
-// check runs one switching-interval comparison for the member with the given
-// ID, if it is still alive; again is the member's check handler.
-func (p *Protocol) check(sim *eventsim.Simulator, id overlay.MemberID, again eventsim.Handler) {
-	m := p.tree.Member(id)
+// check runs one switching-interval comparison for the member whose ID is
+// arg, if it is still alive. IDs are never reused, so a departed member's
+// check finds no member and its timer chain dies.
+func (p *Protocol) check(sim *eventsim.Simulator, arg int64) {
+	m := p.tree.Member(overlay.MemberID(arg))
 	if m == nil {
-		return // departed; let the timer chain die
+		return
 	}
-	switch p.tryInitiateSwitch(sim, m, again) {
+	switch p.tryInitiateSwitch(sim, m) {
 	case switchStarted:
 		// The completion handler reschedules the periodic check.
 	case switchBlocked:
 		// Locked neighbourhood: back off and re-check the condition, per
 		// Section 3.3.
 		p.LockFailures++
-		sim.Lane(DefaultLockBackoff).Schedule(again)
+		sim.Lane(DefaultLockBackoff).Schedule(p.onCheck, arg)
 	case switchNotNeeded:
-		sim.Lane(p.cfg.SwitchInterval).Schedule(again)
+		sim.Lane(p.cfg.SwitchInterval).Schedule(p.onCheck, arg)
 	}
 }
 
@@ -208,9 +231,9 @@ func (p *Protocol) shouldSwitch(m *overlay.Member, now time.Duration) bool {
 }
 
 // tryInitiateSwitch checks the switching condition and, when met, locks the
-// relevant node set and schedules the actual exchange after the switch
-// latency. again is m's check handler, which the completion re-arms.
-func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member, again eventsim.Handler) switchOutcome {
+// relevant node set into a switch record and schedules the actual exchange,
+// the record's index its argument, after the switch latency.
+func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member) switchOutcome {
 	now := sim.Now()
 	if !p.shouldSwitch(m, now) {
 		return switchNotNeeded
@@ -220,29 +243,50 @@ func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member,
 	if grand == nil {
 		return switchNotNeeded // parent is the root; nothing to do
 	}
-	lockSet := p.lockSet(m, parent, grand)
+	i := p.newOp()
+	op := &p.ops[i]
+	op.lockSet = appendLockSet(op.lockSet, m, parent, grand)
 	p.nextOp++
-	op := p.nextOp
-	if !p.tree.Lock(op, lockSet...) {
+	if !p.tree.Lock(p.nextOp, op.lockSet...) {
+		p.freeOp(i)
 		p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
 			AttrInt("parent", int64(parent.ID)).End(now, "lock-backoff")
 		return switchBlocked
 	}
-	mID, parentID := m.ID, parent.ID
-	sp := p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
-		AttrInt("parent", int64(parentID)).AttrInt("depth", int64(m.Depth()))
-	sim.Lane(p.switchLatency).Schedule(func(s *eventsim.Simulator) {
-		p.completeSwitch(s, op, mID, parentID, lockSet, sp, again)
-	})
+	op.op, op.m, op.parent = p.nextOp, m.ID, parent.ID
+	op.span = p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
+		AttrInt("parent", int64(parent.ID)).AttrInt("depth", int64(m.Depth()))
+	sim.Lane(p.switchLatency).Schedule(p.onComplete, int64(i))
 	return switchStarted
 }
 
-// lockSet gathers the nodes a switch must hold: the initiator, its parent,
-// grandparent, all of its children and all of its siblings.
-func (p *Protocol) lockSet(m, parent, grand *overlay.Member) []*overlay.Member {
-	set := make([]*overlay.Member, 0, 3+m.NumChildren()+parent.NumChildren())
-	set = append(set, m, parent, grand)
-	m.VisitChildren(func(c *overlay.Member) { set = append(set, c) })
+// newOp returns the index of an unused switch record: a finished one if any,
+// else a new one.
+func (p *Protocol) newOp() int32 {
+	if n := len(p.freeOps); n > 0 {
+		i := p.freeOps[n-1]
+		p.freeOps = p.freeOps[:n-1]
+		return i
+	}
+	p.ops = append(p.ops, switchOp{})
+	return int32(len(p.ops) - 1)
+}
+
+// freeOp returns switch record i for reuse. Its lock-set buffer is kept,
+// emptied, and cleared so it pins no departed member's handle.
+func (p *Protocol) freeOp(i int32) {
+	op := &p.ops[i]
+	clear(op.lockSet)
+	op.lockSet, op.span = op.lockSet[:0], nil
+	p.freeOps = append(p.freeOps, i)
+}
+
+// appendLockSet empties set and gathers into it the nodes a switch must hold:
+// the initiator, its parent, grandparent, all of its children and all of its
+// siblings.
+func appendLockSet(set []*overlay.Member, m, parent, grand *overlay.Member) []*overlay.Member {
+	set = append(set[:0], m, parent, grand)
+	set = m.AppendChildren(set)
 	parent.VisitChildren(func(s *overlay.Member) {
 		if s != m {
 			set = append(set, s)
@@ -251,23 +295,30 @@ func (p *Protocol) lockSet(m, parent, grand *overlay.Member) []*overlay.Member {
 	return set
 }
 
-// completeSwitch performs the structural exchange once the coordination
-// latency has elapsed, re-validating that the locked neighbourhood is still
-// what the initiator saw (members may have failed in the meantime).
-func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parentID overlay.MemberID, lockSet []*overlay.Member, sp *tracing.SpanBuilder, again eventsim.Handler) {
-	defer p.tree.Unlock(op, lockSet...)
-	m := p.tree.Member(mID)
-	parent := p.tree.Member(parentID)
+// completeSwitch performs the structural exchange of the switch whose record
+// index is arg once the coordination latency has elapsed, re-validating that
+// the locked neighbourhood is still what the initiator saw (members may have
+// failed in the meantime).
+func (p *Protocol) completeSwitch(sim *eventsim.Simulator, arg int64) {
+	i := int32(arg)
+	op := p.ops[i]
+	defer func() {
+		p.tree.Unlock(op.op, op.lockSet...)
+		p.freeOp(i)
+	}()
+	m := p.tree.Member(op.m)
+	parent := p.tree.Member(op.parent)
 	valid := m != nil && parent != nil && m.Attached() && parent.Attached() &&
 		m.Parent() == parent && parent.Parent() != nil
 	if valid && !p.shouldSwitch(m, sim.Now()) {
 		valid = false // condition evaporated (e.g. ages shifted after a rejoin)
 	}
+	sp := op.span
 	if !valid {
 		p.Aborted++
 		sp.End(sim.Now(), "aborted")
 		if m != nil {
-			sim.Lane(p.cfg.SwitchInterval).Schedule(again)
+			sim.Lane(p.cfg.SwitchInterval).Schedule(p.onCheck, int64(op.m))
 		}
 		return
 	}
@@ -279,20 +330,17 @@ func (p *Protocol) completeSwitch(sim *eventsim.Simulator, op int64, mID, parent
 	p.Switches++
 	p.promDepth.Observe(float64(m.Depth()))
 	sp.End(sim.Now(), "switched")
-	sim.Lane(p.cfg.SwitchInterval).Schedule(again)
+	sim.Lane(p.cfg.SwitchInterval).Schedule(p.onCheck, int64(op.m))
 }
 
-// performExchange swaps m with its parent following Figure 2.
+// performExchange swaps m with its parent following Figure 2, over the
+// protocol's scratch.
 func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.Member) error {
 	now := sim.Now()
 	grand := parent.Parent()
-	siblings := make([]*overlay.Member, 0, parent.NumChildren()-1)
-	parent.VisitChildren(func(s *overlay.Member) {
-		if s != m {
-			siblings = append(siblings, s)
-		}
-	})
-	childrenOfM := m.Children()
+	p.siblings = slices.DeleteFunc(parent.AppendChildren(p.siblings[:0]), func(s *overlay.Member) bool { return s == m })
+	p.children = m.AppendChildren(p.children[:0])
+	siblings, childrenOfM := p.siblings, p.children
 
 	// Dismantle the neighbourhood. Detached members keep their subtrees.
 	for _, c := range childrenOfM {
@@ -320,10 +368,8 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 		return fmt.Errorf("promote initiator: %w", err)
 	}
 	p.tree.RecordReconnection(m)
-	rehome := make([]*overlay.Member, 0, 1+len(siblings))
-	rehome = append(rehome, parent)
-	rehome = append(rehome, siblings...)
-	for _, n := range rehome {
+	p.rehome = append(append(p.rehome[:0], parent), siblings...)
+	for _, n := range p.rehome {
 		p.tree.RecordReconnection(n)
 		if m.HasSpare() {
 			if err := p.tree.Attach(n, m); err != nil {
@@ -338,9 +384,9 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 	// m's former children go to the demoted parent, smallest BTP first; the
 	// largest-BTP overflow reconnects up to m (Figure 2 keeps f, the largest
 	// BTP, on the promoted node). Anyone who fits nowhere rejoins normally.
-	sort.Slice(childrenOfM, func(i, j int) bool {
-		return childrenOfM[i].BTP(now) < childrenOfM[j].BTP(now)
-	})
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so equal BTPs
+	// keep the order they always had.
+	slices.SortFunc(childrenOfM, func(a, b *overlay.Member) int { return cmp.Compare(a.BTP(now), b.BTP(now)) })
 	for _, c := range childrenOfM {
 		p.tree.RecordReconnection(c)
 		target := parent
@@ -365,13 +411,16 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 // retryJoin re-attempts, every construct.DefaultRejoinRetry, the join of a
 // member a switch displaced into a saturated overlay.
 func (p *Protocol) retryJoin(sim *eventsim.Simulator, id overlay.MemberID) {
-	sim.Lane(construct.DefaultRejoinRetry).Schedule(func(s *eventsim.Simulator) {
-		m := p.tree.Member(id)
-		if m == nil || m.Attached() {
-			return
-		}
-		if err := p.join.Join(p.tree, m, s.Now()); err != nil {
-			p.retryJoin(s, id)
-		}
-	})
+	sim.Lane(construct.DefaultRejoinRetry).Schedule(p.onRetry, int64(id))
+}
+
+// retry is retryJoin's handler: arg is the displaced member's ID.
+func (p *Protocol) retry(sim *eventsim.Simulator, arg int64) {
+	m := p.tree.Member(overlay.MemberID(arg))
+	if m == nil || m.Attached() {
+		return
+	}
+	if err := p.join.Join(p.tree, m, sim.Now()); err != nil {
+		p.retryJoin(sim, m.ID)
+	}
 }

@@ -51,14 +51,14 @@ func newFixture(t *testing.T, rootDegree float64, cfg Config) *fixture {
 func (f *fixture) joinAt(t *testing.T, at time.Duration, attach topology.NodeID, bw float64) *overlay.Member {
 	t.Helper()
 	var m *overlay.Member
-	f.sim.Schedule(at, func(s *eventsim.Simulator) {
+	f.sim.Schedule(at, func(s *eventsim.Simulator, _ int64) {
 		m = f.tree.NewMember(attach, bw, s.Now())
 		if err := f.p.Join(f.tree, m, s.Now()); err != nil {
 			t.Errorf("join at %v: %v", at, err)
 			return
 		}
 		f.p.Start(s, m)
-	})
+	}, 0)
 	if err := f.sim.Run(at); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -232,7 +232,7 @@ func TestSwitchAbortsWhenParentFails(t *testing.T) {
 	}
 	// The check fires at 110 s; kill the parent at 112 s, inside the latency
 	// window (completion at 115 s).
-	f.sim.Schedule(112*time.Second, func(*eventsim.Simulator) {
+	f.sim.Schedule(112*time.Second, func(*eventsim.Simulator, int64) {
 		orphans, err := f.tree.Remove(parent)
 		if err != nil {
 			t.Errorf("Remove: %v", err)
@@ -242,7 +242,7 @@ func TestSwitchAbortsWhenParentFails(t *testing.T) {
 				t.Errorf("orphan rejoin: %v", err)
 			}
 		}
-	})
+	}, 0)
 	f.runUntil(t, 300*time.Second)
 	if f.p.Aborted == 0 {
 		t.Fatal("switch was not aborted")
@@ -300,12 +300,12 @@ func TestSwitchIntervalControlsOverhead(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			at := time.Duration(i) * 5 * time.Second
 			bw := bwDist.Sample(bwRng)
-			sim.Schedule(at, func(s *eventsim.Simulator) {
+			sim.Schedule(at, func(s *eventsim.Simulator, _ int64) {
 				m := tree.NewMember(topology.NodeID(i), bw, s.Now())
 				if err := p.Join(tree, m, s.Now()); err == nil {
 					p.Start(s, m)
 				}
-			})
+			}, 0)
 		}
 		if err := sim.Run(2 * time.Hour); err != nil {
 			t.Fatal(err)
@@ -341,12 +341,12 @@ func TestBTPOrderingTendency(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := time.Duration(i) * 2 * time.Second
 		bw := bwDist.Sample(bwRng)
-		sim.Schedule(at, func(s *eventsim.Simulator) {
+		sim.Schedule(at, func(s *eventsim.Simulator, _ int64) {
 			m := tree.NewMember(topology.NodeID(i), bw, s.Now())
 			if err := p.Join(tree, m, s.Now()); err == nil {
 				p.Start(s, m)
 			}
-		})
+		}, 0)
 	}
 	if err := sim.Run(6 * time.Hour); err != nil {
 		t.Fatal(err)
@@ -458,9 +458,9 @@ func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
 	// Initiation fires at 100s with the bandwidth guard off; at 102s (inside
 	// the latency window) the guard comes on, and the child's bandwidth is
 	// below its parent's, so the condition no longer holds at completion.
-	f.sim.Schedule(102*time.Second, func(*eventsim.Simulator) {
+	f.sim.Schedule(102*time.Second, func(*eventsim.Simulator, int64) {
 		f.p.cfg.DisableBandwidthGuard = false
-	})
+	}, 0)
 	f.runUntil(t, 300*time.Second)
 	if f.p.Aborted == 0 {
 		t.Fatal("switch not aborted after the neighbourhood changed")
@@ -493,11 +493,11 @@ func TestDisplacedMemberRetriesSaturatedTree(t *testing.T) {
 	}
 	// Free the source's slot between two retries.
 	freed := switched + construct.DefaultRejoinRetry + construct.DefaultRejoinRetry/2
-	f.sim.Schedule(freed, func(*eventsim.Simulator) {
+	f.sim.Schedule(freed, func(*eventsim.Simulator, int64) {
 		if _, err := f.tree.Remove(rider); err != nil {
 			t.Error(err)
 		}
-	})
+	}, 0)
 	nextRetry := switched + 2*construct.DefaultRejoinRetry
 	f.runUntil(t, nextRetry-1)
 	if parent.Attached() {

@@ -81,12 +81,12 @@ func attachSampler(s *session, tw *tracing.Writer, opts TraceOptions) {
 	}
 	reg := s.cfg.Metrics
 	var sample eventsim.Handler
-	sample = func(sim *eventsim.Simulator) {
+	sample = func(sim *eventsim.Simulator, _ int64) {
 		snap := reg.Snapshot(sim.Now().Seconds())
 		tw.Emit(TraceEvent{T: snap.T, Event: "sample", Metrics: snap.Metrics})
-		sim.ScheduleAfter(opts.SampleEvery, sample)
+		sim.ScheduleAfter(opts.SampleEvery, sample, 0)
 	}
-	s.sim.Schedule(0, sample)
+	s.sim.Schedule(0, sample, 0)
 }
 
 // RunStreamingWithTrace executes a packet-level run like RunStreaming while
