@@ -9,7 +9,7 @@ import (
 // designLineBudget caps DESIGN.md. The document should read by layer and
 // stay small enough to read whole, so a change that documents something new
 // makes room by tightening what is already there.
-const designLineBudget = 1501
+const designLineBudget = 1500
 
 // TestDesignLineBudget holds DESIGN.md to designLineBudget lines.
 func TestDesignLineBudget(t *testing.T) {

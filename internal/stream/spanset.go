@@ -5,118 +5,22 @@ type span struct{ from, to int64 }
 
 // spanSet tracks which sequence numbers of a member's stream have already
 // been accounted by an outage episode, so overlapping episodes are never
-// double-counted. The representation is a watermark (every n <= watermark is
-// accounted) plus a small sorted list of disjoint spans strictly above
-// watermark+1. Because episodes arrive with non-decreasing [first,last]
-// windows in virtual time, the list is empty in steady state and the
-// structure degenerates to the plain watermark — per-member loss state stays
-// O(1), never per-packet.
+// double-counted. Episodes arrive with non-decreasing windows in virtual
+// time, so accounting a window may also forget everything below it: the set
+// is always the prefix up to watermark (every n <= watermark is accounted),
+// and per-member loss state is one int64, never per-packet.
 type spanSet struct {
 	watermark int64
-	spans     []span
 }
 
-// appendUncovered appends to dst the sub-ranges of [from, to) that are not
-// yet accounted, in ascending order, and returns the extended slice.
-func (s *spanSet) appendUncovered(dst []span, from, to int64) []span {
-	if from <= s.watermark {
-		from = s.watermark + 1
-	}
-	if from >= to {
-		return dst
-	}
-	for _, sp := range s.spans {
-		if sp.to <= from {
-			continue
-		}
-		if sp.from >= to {
-			break
-		}
-		if from < sp.from {
-			dst = append(dst, span{from, sp.from})
-		}
-		if sp.to > from {
-			from = sp.to
-		}
-		if from >= to {
-			return dst
-		}
-	}
-	if from < to {
-		dst = append(dst, span{from, to})
-	}
-	return dst
+// uncovered returns the part of [from, to) not yet accounted: from clipped
+// to the watermark. It is empty (from == to) when the whole range is.
+func (s *spanSet) uncovered(from, to int64) span {
+	return span{min(max(from, s.watermark+1), to), to}
 }
 
-// add marks [from, to) accounted and renormalizes: ranges reaching down to
-// the watermark extend it, and any spans the new watermark swallows are
-// folded in. Zero-length ranges are no-ops.
-func (s *spanSet) add(from, to int64) {
-	if from >= to {
-		return
-	}
-	if from <= s.watermark+1 {
-		if to-1 > s.watermark {
-			s.watermark = to - 1
-		}
-		s.absorb()
-		return
-	}
-	// Insert [from,to) into the sorted disjoint list, merging overlaps and
-	// adjacencies in place. spans[i:j] is the run of mergeable neighbours
-	// (overlapping or adjacent); it collapses into one widened span. The list
-	// is tiny (one blob per disjoint outage cluster), so the linear scan and
-	// the occasional shift are cheap.
-	i := 0
-	for i < len(s.spans) && s.spans[i].to < from {
-		i++
-	}
-	j := i
-	for j < len(s.spans) && s.spans[j].from <= to {
-		if s.spans[j].from < from {
-			from = s.spans[j].from
-		}
-		if s.spans[j].to > to {
-			to = s.spans[j].to
-		}
-		j++
-	}
-	if i == j {
-		// No neighbour to merge with: open a slot at i.
-		s.spans = append(s.spans, span{})
-		copy(s.spans[i+1:], s.spans[i:])
-		s.spans[i] = span{from, to}
-	} else {
-		s.spans[i] = span{from, to}
-		s.spans = append(s.spans[:i+1], s.spans[j:]...)
-	}
-	s.absorb()
-}
-
-// seal declares that no future add or appendUncovered call will reference
-// sequences below upTo, letting the structure forget them: the watermark
-// jumps to at least upTo-1 and any spans it swallows fold in. The streaming
-// model calls this after each episode (failure times are non-decreasing, so
-// episode windows are too), which is what keeps per-member loss state at a
-// bare watermark — O(1) — in the steady regime, with the span list only ever
-// holding transient fragments inside one episode window.
-func (s *spanSet) seal(upTo int64) {
-	if upTo-1 > s.watermark {
-		s.watermark = upTo - 1
-	}
-	s.absorb()
-}
-
-// absorb folds spans contiguous with the watermark into it.
-func (s *spanSet) absorb() {
-	i := 0
-	for i < len(s.spans) && s.spans[i].from <= s.watermark+1 {
-		if s.spans[i].to-1 > s.watermark {
-			s.watermark = s.spans[i].to - 1
-		}
-		i++
-	}
-	if i > 0 {
-		s.spans = append(s.spans[:0], s.spans[i:]...)
-	}
+// add accounts every sequence number below to: an episode's window and,
+// since no later window reaches back, everything before it.
+func (s *spanSet) add(to int64) {
+	s.watermark = max(s.watermark, to-1)
 }

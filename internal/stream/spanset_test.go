@@ -8,156 +8,108 @@ import (
 
 func freshSet() spanSet { return spanSet{watermark: -1} }
 
-func wantSpans(t *testing.T, s *spanSet, watermark int64, spans ...span) {
+func wantWatermark(t *testing.T, s *spanSet, watermark int64) {
 	t.Helper()
 	if s.watermark != watermark {
-		t.Fatalf("watermark = %d, want %d (spans %v)", s.watermark, watermark, s.spans)
+		t.Fatalf("watermark = %d, want %d", s.watermark, watermark)
 	}
-	if len(s.spans) != len(spans) {
-		t.Fatalf("spans = %v, want %v", s.spans, spans)
-	}
-	for i := range spans {
-		if s.spans[i] != spans[i] {
-			t.Fatalf("spans = %v, want %v", s.spans, spans)
-		}
+}
+
+func wantUncovered(t *testing.T, s *spanSet, from, to int64, want span) {
+	t.Helper()
+	if got := s.uncovered(from, to); got != want {
+		t.Fatalf("uncovered(%d,%d) = %v, want %v (watermark %d)", from, to, got, want, s.watermark)
 	}
 }
 
 func TestSpanSetZeroLengthIsNoOp(t *testing.T) {
 	s := freshSet()
-	s.add(5, 5)
-	s.add(7, 3)
-	wantSpans(t, &s, -1)
-	if got := s.appendUncovered(nil, 5, 5); len(got) != 0 {
-		t.Fatalf("zero-length query returned %v", got)
-	}
+	s.add(0) // nothing below 0
+	wantWatermark(t, &s, -1)
+	wantUncovered(t, &s, 5, 5, span{5, 5})
+	wantUncovered(t, &s, 7, 3, span{3, 3})
 }
 
 func TestSpanSetWatermarkExtension(t *testing.T) {
 	s := freshSet()
-	s.add(0, 10)
-	wantSpans(t, &s, 9)
-	s.add(10, 20) // adjacent to the watermark: extends it
-	wantSpans(t, &s, 19)
-	s.add(5, 15) // entirely at or below: no change
-	wantSpans(t, &s, 19)
+	s.add(10)
+	wantWatermark(t, &s, 9)
+	s.add(20) // a later window extends it
+	wantWatermark(t, &s, 19)
+	s.add(15) // entirely at or below: no change
+	wantWatermark(t, &s, 19)
 }
 
+// TestSpanSetMergeAndAbsorb: a window that overlaps the accounted prefix
+// contributes only its tail, and accounting it folds it into the prefix.
 func TestSpanSetMergeAndAbsorb(t *testing.T) {
 	s := freshSet()
-	s.add(10, 20)
-	wantSpans(t, &s, -1, span{10, 20})
-	s.add(30, 40)
-	wantSpans(t, &s, -1, span{10, 20}, span{30, 40})
-	s.add(18, 32) // bridges the two spans
-	wantSpans(t, &s, -1, span{10, 40})
-	s.add(0, 10) // reaches the watermark: span absorbed, pure watermark again
-	wantSpans(t, &s, 39)
+	wantUncovered(t, &s, 10, 20, span{10, 20})
+	s.add(20)
+	wantUncovered(t, &s, 18, 32, span{20, 32})
+	s.add(32)
+	wantWatermark(t, &s, 31)
+	wantUncovered(t, &s, 25, 32, span{32, 32})
 }
 
 func TestSpanSetAppendUncovered(t *testing.T) {
-	s := spanSet{watermark: 9, spans: []span{{20, 30}}}
+	s := spanSet{watermark: 9}
 	cases := []struct {
 		from, to int64
-		want     []span
+		want     span
 	}{
-		{0, 40, []span{{10, 20}, {30, 40}}}, // clip + split around the span
-		{22, 28, nil},                       // fully inside the span
-		{15, 25, []span{{15, 20}}},          // straddles the span's left edge
-		{25, 35, []span{{30, 35}}},          // straddles the right edge
-		{0, 5, nil},                         // fully below the watermark
-		{0, 10, nil},                        // ends exactly at watermark+1
+		{0, 40, span{10, 40}},  // clipped at the watermark
+		{9, 11, span{10, 11}},  // straddles it by one
+		{12, 20, span{12, 20}}, // wholly above it
+		{0, 5, span{5, 5}},     // fully below the watermark
+		{0, 10, span{10, 10}},  // ends exactly at watermark+1
 	}
 	for _, tc := range cases {
-		got := s.appendUncovered(nil, tc.from, tc.to)
-		if len(got) != len(tc.want) {
-			t.Fatalf("uncovered(%d,%d) = %v, want %v", tc.from, tc.to, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("uncovered(%d,%d) = %v, want %v", tc.from, tc.to, got, tc.want)
-			}
-		}
+		wantUncovered(t, &s, tc.from, tc.to, tc.want)
 	}
 }
 
+// TestSpanSetSeal: accounting a window forgets everything below it, so a
+// disjoint later window is wholly uncovered and leaves no residue.
 func TestSpanSetSeal(t *testing.T) {
 	s := freshSet()
-	s.add(1000, 1150)
-	wantSpans(t, &s, -1, span{1000, 1150})
-	s.seal(1000) // monotone-episode forgetting: back to a bare watermark
-	wantSpans(t, &s, 1149)
-	s.add(1100, 1250) // overlapping later episode
-	s.seal(1100)
-	wantSpans(t, &s, 1249)
-	s.add(5000, 5100) // disjoint later episode: still no span residue
-	s.seal(5000)
-	wantSpans(t, &s, 5099)
+	wantUncovered(t, &s, 1000, 1150, span{1000, 1150})
+	s.add(1150)
+	wantWatermark(t, &s, 1149)
+	wantUncovered(t, &s, 1100, 1250, span{1150, 1250}) // overlapping later episode
+	s.add(1250)
+	wantUncovered(t, &s, 5000, 5100, span{5000, 5100}) // disjoint later episode
+	s.add(5100)
+	wantWatermark(t, &s, 5099)
 }
 
-// TestSpanSetMatchesNaive is the span-merge property test: random adds —
-// including zero-length, adjacent, overlapping and out-of-order ranges —
-// must leave the compact representation equivalent to a naive per-packet
-// boolean model, and structurally normalized (sorted, disjoint,
-// non-adjacent, strictly above the watermark).
+// TestSpanSetMatchesNaive is the property test behind the watermark: for
+// episode windows whose starts never decrease — as failure times never do —
+// including zero-length, adjacent, overlapping and disjoint windows, the
+// uncovered range of each window must be exactly the packets a naive
+// per-packet boolean model has not yet accounted.
 func TestSpanSetMatchesNaive(t *testing.T) {
 	const domain = 240
 	rng := xrand.New(7)
 	for trial := 0; trial < 50; trial++ {
 		s := freshSet()
 		naive := make([]bool, domain)
+		from := int64(0)
 		for op := 0; op < 60; op++ {
-			from := int64(rng.Intn(domain))
-			to := from + int64(rng.Intn(domain/4)) // zero-length allowed
-			if to > domain {
-				to = domain
+			from = min(from+int64(rng.Intn(domain/16)), domain)
+			to := min(from+int64(rng.Intn(domain/4)), domain) // zero-length allowed
+			u := s.uncovered(from, to)
+			if u.from < from || u.from > u.to || u.to != to {
+				t.Fatalf("trial %d op %d: uncovered(%d,%d) = %v outside the window", trial, op, from, to, u)
 			}
-			s.add(from, to)
+			for n := from; n < to; n++ {
+				if inU := n >= u.from; inU == naive[n] {
+					t.Fatalf("trial %d op %d: seq %d uncovered=%v but naive accounted=%v", trial, op, n, inU, naive[n])
+				}
+			}
+			s.add(to)
 			for n := from; n < to; n++ {
 				naive[n] = true
-			}
-			// Structural normalization.
-			prevTo := s.watermark + 1
-			for _, sp := range s.spans {
-				if sp.from >= sp.to {
-					t.Fatalf("trial %d: empty span %v", trial, sp)
-				}
-				if sp.from <= prevTo {
-					t.Fatalf("trial %d: span %v not strictly above %d (spans %v, watermark %d)",
-						trial, sp, prevTo, s.spans, s.watermark)
-				}
-				prevTo = sp.to
-			}
-			// Point-wise equivalence via covered = domain minus uncovered.
-			covered := make([]bool, domain)
-			for n := int64(0); n <= s.watermark && n < domain; n++ {
-				covered[n] = true
-			}
-			for _, sp := range s.spans {
-				for n := sp.from; n < sp.to && n < domain; n++ {
-					covered[n] = true
-				}
-			}
-			for n := 0; n < domain; n++ {
-				if covered[n] != naive[n] {
-					t.Fatalf("trial %d op %d: seq %d covered=%v naive=%v", trial, op, n, covered[n], naive[n])
-				}
-			}
-			// appendUncovered must report exactly the naive gaps.
-			gaps := s.appendUncovered(nil, 0, domain)
-			fromGaps := make([]bool, domain)
-			for n := range fromGaps {
-				fromGaps[n] = true
-			}
-			for _, g := range gaps {
-				for n := g.from; n < g.to; n++ {
-					fromGaps[n] = false
-				}
-			}
-			for n := 0; n < domain; n++ {
-				if fromGaps[n] != naive[n] {
-					t.Fatalf("trial %d op %d: uncovered disagrees at seq %d", trial, op, n)
-				}
 			}
 		}
 	}
