@@ -1,15 +1,19 @@
 package omcast_test
 
 import (
-	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"omcast"
+	"omcast/internal/golden"
 	"omcast/internal/xrand"
 )
 
@@ -238,28 +242,22 @@ func TestSpanStreamingTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamingTraceGolden pins the full JSONL of two traced packet-level
-// runs across commits. The byte-identity tests above compare a build with
-// itself; these hashes fail if the spans an operator reads (IDs, creation
-// order on a member's track, fetch shares, stall windows, outcomes) ever
-// drift from what the build that took them emitted. The first configuration
-// is CI's traced smoke run (`omcast trace -seed 1 -size 300 -small -warmup
-// 10m -measure 20m -sample 5m -stream`: 750 join, 413 depart, 184 repair,
-// 489 fetch, 168 stall spans, all fully striped); the second drops sampling
-// and runs groups of one, which forces striped + backlog fetches and
-// partial and abandoned outcomes. The hashes were re-taken when spans
-// became the simulator's only trace: each trace is its predecessor's
-// sample lines and spans, with the six point-event kinds gone and a join
-// and a depart span per member added, which moves the span IDs minted
-// after them on the same member's track. When the simulator stopped
-// modelling BTP cheaters, sampled-group3's hash was re-taken again: its
-// sample lines lost only the always-zero omcast_rost_rejected_claims_total
-// series.
+// TestStreamingTraceGolden pins the JSONL of two traced packet-level runs
+// across commits, one testdata/trace/<name>.golden each (traceDigest). The
+// byte-identity tests above compare a build with itself; these fail if the
+// spans an operator reads (IDs, creation order on a member's track, fetch
+// shares, stall windows, outcomes) ever drift. The first configuration is
+// CI's traced smoke run (`omcast trace -seed 1 -size 300 -small -warmup 10m
+// -measure 20m -sample 5m -stream`: 750 join, 413 depart, 184 repair, 489
+// fetch, 168 stall spans, all fully striped); the second drops sampling and
+// runs groups of one, which forces striped + backlog fetches and partial and
+// abandoned outcomes. `go test -run TestStreamingTraceGolden -update`
+// rewrites the files.
 func TestStreamingTraceGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Arrival times are float arithmetic; architectures on which the
 		// compiler fuses multiply-add round differently.
-		t.Skipf("golden hashes were taken on amd64, not %s", runtime.GOARCH)
+		t.Skipf("the goldens were taken on amd64, not %s", runtime.GOARCH)
 	}
 	cfg := omcast.Config{
 		Seed:       1,
@@ -270,24 +268,18 @@ func TestStreamingTraceGolden(t *testing.T) {
 		Measure:    20 * time.Minute,
 	}
 	for _, tc := range []struct {
-		name   string
-		scfg   omcast.StreamConfig
-		opts   omcast.TraceOptions
-		sha256 string
-		lines  int
+		name string
+		scfg omcast.StreamConfig
+		opts omcast.TraceOptions
 	}{
 		{
-			name:   "sampled-group3",
-			scfg:   omcast.StreamConfig{GroupSize: 3},
-			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute},
-			sha256: "f978ec428eb7b2c7f9449d0470827a464378caa2d0fce5f92ae8a6ed50b45494",
-			lines:  2414,
+			name: "sampled-group3",
+			scfg: omcast.StreamConfig{GroupSize: 3},
+			opts: omcast.TraceOptions{SampleEvery: 5 * time.Minute},
 		},
 		{
-			name:   "group1",
-			scfg:   omcast.StreamConfig{GroupSize: 1},
-			sha256: "2749539cc918ec48f02c1a3db313f66d6bb2131c09aec4770c4ada7c58d241e0",
-			lines:  2262,
+			name: "group1",
+			scfg: omcast.StreamConfig{GroupSize: 1},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,50 +287,36 @@ func TestStreamingTraceGolden(t *testing.T) {
 			if _, err := omcast.RunStreamingWithTrace(cfg, tc.scfg, &buf, tc.opts); err != nil {
 				t.Fatal(err)
 			}
-			got := fmt.Sprintf("%x", sha256.Sum256([]byte(buf.String())))
-			if got != tc.sha256 {
-				t.Fatalf("trace sha256 = %s (%d lines), want %s (%d lines)",
-					got, strings.Count(buf.String(), "\n"), tc.sha256, tc.lines)
-			}
+			golden.Check(t, traceGolden(tc.name), traceDigest(t, buf.String()), nil)
 		})
 	}
 }
 
-// TestTreeTraceGolden pins the full JSONL of two traced tree-level runs: the
-// ROST quick configuration with sampling (24 switch spans, 170 rejoin
-// spans) and TestTraceSaturatedAttemptSpans' bandwidth-starved
-// minimum-depth overlay (99 saturated attempt spans). The hashes were
-// re-taken like TestStreamingTraceGolden's when spans became the
-// simulator's only trace, and rost-sampled's again, like sampled-group3's,
-// when the always-zero omcast_rost_rejected_claims_total series left its
-// sample lines.
+// TestTreeTraceGolden pins the JSONL of two traced tree-level runs like
+// TestStreamingTraceGolden: the ROST quick configuration with sampling (24
+// switch spans, 170 rejoin spans) and TestTraceSaturatedAttemptSpans'
+// bandwidth-starved minimum-depth overlay (99 saturated attempt spans).
 func TestTreeTraceGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden hashes were taken on amd64, not %s", runtime.GOARCH)
+		t.Skipf("the goldens were taken on amd64, not %s", runtime.GOARCH)
 	}
 	saturated := quickConfig(1, omcast.MinimumDepth)
 	saturated.Warmup, saturated.Measure = 10*time.Minute, 20*time.Minute
 	saturated.RootBandwidth = 20
 	saturated.Bandwidth = xrand.BoundedPareto{Shape: 1.2, Lo: 0.5, Hi: 2.2}
 	for _, tc := range []struct {
-		name   string
-		cfg    omcast.Config
-		opts   omcast.TraceOptions
-		sha256 string
-		lines  int
+		name string
+		cfg  omcast.Config
+		opts omcast.TraceOptions
 	}{
 		{
-			name:   "rost-sampled",
-			cfg:    quickConfig(40, omcast.ROST),
-			opts:   omcast.TraceOptions{SampleEvery: 5 * time.Minute},
-			sha256: "ddf00b38764f777fa27074a0fc1444815482430002a050a2fa715c9e0a6681d7",
-			lines:  1607,
+			name: "rost-sampled",
+			cfg:  quickConfig(40, omcast.ROST),
+			opts: omcast.TraceOptions{SampleEvery: 5 * time.Minute},
 		},
 		{
-			name:   "saturated-min-depth",
-			cfg:    saturated,
-			sha256: "02d3a28bcfc57de213242e6bca25185c96a44b8e7a01403e4486e28700ede890",
-			lines:  552,
+			name: "saturated-min-depth",
+			cfg:  saturated,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -346,10 +324,84 @@ func TestTreeTraceGolden(t *testing.T) {
 			if _, err := omcast.RunWithTrace(tc.cfg, &buf, tc.opts); err != nil {
 				t.Fatal(err)
 			}
-			got, lines := fmt.Sprintf("%x", sha256.Sum256([]byte(buf.String()))), strings.Count(buf.String(), "\n")
-			if got != tc.sha256 || lines != tc.lines {
-				t.Fatalf("trace sha256 = %s (%d lines), want %s (%d lines)", got, lines, tc.sha256, tc.lines)
-			}
+			golden.Check(t, traceGolden(tc.name), traceDigest(t, buf.String()), nil)
 		})
+	}
+}
+
+// traceGolden is the golden file of the trace named name.
+func traceGolden(name string) string {
+	return filepath.Join("testdata", "trace", name+".golden")
+}
+
+// traceDigest renders a JSONL trace, too long to commit, as its golden: one
+// golden.Digest line per line group, "sample" and then "span <kind>" for
+// each span kind in name order, over the group's lines in stream order;
+// then an "all" line over the whole stream, which also pins how the groups
+// interleave.
+func traceDigest(t *testing.T, jsonl string) string {
+	t.Helper()
+	groups := map[string]string{}
+	var names []string
+	for _, line := range strings.SplitAfter(jsonl, "\n") {
+		if line == "" {
+			continue
+		}
+		var ev struct {
+			Event string
+			Span  *struct{ Kind string }
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		group := ev.Event
+		if ev.Span != nil {
+			group += " " + ev.Span.Kind
+		}
+		if _, ok := groups[group]; !ok {
+			names = append(names, group)
+		}
+		groups[group] += line
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, group := range names {
+		b.WriteString(golden.Digest(group, groups[group]))
+	}
+	b.WriteString(golden.Digest("all", jsonl))
+	return b.String()
+}
+
+// TestTraceGoldenReportNamesTheKind: a trace that differs in one span line
+// is reported as that kind's line and the "all" line, and one whose two
+// adjacent lines of different kinds swapped places as the "all" line alone.
+func TestTraceGoldenReportNamesTheKind(t *testing.T) {
+	trace := []string{
+		`{"v":1,"t":60,"event":"sample","metrics":[{"name":"omcast_churn_members","kind":"gauge","value":3}]}`,
+		`{"v":1,"t":61,"event":"span","member":2,"span":{"id":"a1","kind":"join","member":2,"start":61,"end":61,"outcome":"ok"}}`,
+		`{"v":1,"t":65,"event":"span","member":3,"span":{"id":"b1","kind":"repair","member":3,"start":62,"end":65,"outcome":"full"}}`,
+		`{"v":1,"t":66,"event":"span","member":4,"span":{"id":"c1","kind":"join","member":4,"start":66,"end":66,"outcome":"ok"}}`,
+	}
+	render := func(lines ...string) string { return traceDigest(t, strings.Join(lines, "\n")+"\n") }
+	want := render(trace...)
+	changed := render(trace[0], trace[1], strings.Replace(trace[2], `"full"`, `"partial"`, 1), trace[3])
+	swapped := render(trace[0], trace[2], trace[1], trace[3])
+	for _, tc := range []struct {
+		name, got string
+		groups    []string
+	}{
+		{"one span line", changed, []string{"span repair", "all"}},
+		{"adjacent kinds swapped", swapped, []string{"all"}},
+	} {
+		var reported []string
+		for _, line := range strings.Split(strings.TrimSuffix(golden.Diff(want, tc.got, nil), "\n"), "\n") {
+			if digest, ok := strings.CutPrefix(line, "+ "); ok {
+				f := strings.Fields(digest) // group name, count, sha256
+				reported = append(reported, strings.Join(f[:len(f)-2], " "))
+			}
+		}
+		if !slices.Equal(reported, tc.groups) {
+			t.Errorf("%s: report names %q, want %q", tc.name, reported, tc.groups)
+		}
 	}
 }

@@ -59,10 +59,6 @@ type MLCSelector struct {
 	Delay func(a, b topology.NodeID) time.Duration
 	// Knowledge bounds the membership sample; 0 means DefaultKnowledge.
 	Knowledge int
-	// Banned excludes members from recovery groups regardless of tree
-	// position — the simulation analogue of the live node's quarantine list
-	// (peers convicted of misbehavior must not become repair sources).
-	Banned map[overlay.MemberID]bool
 
 	mlc    MLC
 	sample []int32
@@ -83,7 +79,7 @@ func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if len(s.sample) == 0 {
 		return nil
 	}
-	s.mlc.excl.onTree(s.Tree, self, s.Banned)
+	s.mlc.excl.onTree(s.Tree, self)
 	s.mlc.pt.root = int32(s.Tree.Root().Slot())
 	v := s.Tree.SlotView()
 	group := s.group[:0]
@@ -103,8 +99,6 @@ type RandomSelector struct {
 	Rng       *xrand.Source
 	Delay     func(a, b topology.NodeID) time.Duration
 	Knowledge int
-	// Banned mirrors MLCSelector.Banned: the quarantine-analogue exclusion.
-	Banned map[overlay.MemberID]bool
 
 	excl   exclusion
 	sample []int32
@@ -120,7 +114,7 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if k <= 0 {
 		return nil
 	}
-	s.excl.onTree(s.Tree, self, s.Banned)
+	s.excl.onTree(s.Tree, self)
 	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
 	v := s.Tree.SlotView()
 	group := s.group[:0]
@@ -257,16 +251,10 @@ func (x *exclusion) reset(parent, depth []int32, self int32, reserve int) {
 
 func (x *exclusion) ban(i int32) { x.out[i] = x.epoch }
 
-// onTree readies x for self over tree's slot arrays, stamping the members
-// in banned (the simulator's quarantine analogue) beside self's path.
-func (x *exclusion) onTree(tree *overlay.Tree, self *overlay.Member, banned map[overlay.MemberID]bool) {
+// onTree readies x for self over tree's slot arrays.
+func (x *exclusion) onTree(tree *overlay.Tree, self *overlay.Member) {
 	parent, depth := tree.Shape()
 	x.reset(parent, depth, int32(self.Slot()), tree.Reserved())
-	for id := range banned {
-		if m := tree.Member(id); m != nil {
-			x.ban(int32(m.Slot()))
-		}
-	}
 }
 
 // usable reports whether index c may serve self. Self is on its own path, so

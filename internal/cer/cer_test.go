@@ -112,10 +112,10 @@ func TestMLCSelectSpansSubtrees(t *testing.T) {
 	}
 }
 
+// TestBannedExcludedFromGroups: the quarantine path. Members banned through
+// MLC.Ban, as the live node bans its quarantined peers, never appear in a
+// recovery group, even when the exclusion leaves barely enough candidates.
 func TestBannedExcludedFromGroups(t *testing.T) {
-	// The quarantine analogue: banned members never appear in a recovery
-	// group, whichever selector builds it, even when the exclusion leaves
-	// barely enough candidates.
 	tree, all := buildTree(t, 4, 3)
 	self := all[0][2]
 	banned := map[overlay.MemberID]bool{}
@@ -124,21 +124,43 @@ func TestBannedExcludedFromGroups(t *testing.T) {
 			banned[m.ID] = true
 		}
 	}
-	selectors := []Selector{
-		&MLCSelector{Tree: tree, Rng: xrand.New(7), Delay: delayFn, Banned: banned},
-		&RandomSelector{Tree: tree, Rng: xrand.New(7), Delay: delayFn, Banned: banned},
+	sel := &MLCSelector{Tree: tree, Rng: xrand.New(7), Delay: delayFn}
+	group := selectBanned(sel, self, 3, banned)
+	if len(group) == 0 {
+		t.Fatal("empty group despite branch 3 being clean")
 	}
-	for _, sel := range selectors {
-		group := sel.Select(self, 3)
-		if len(group) == 0 {
-			t.Fatalf("%T: empty group despite branch 3 being clean", sel)
-		}
-		for _, g := range group {
-			if banned[g.ID] {
-				t.Fatalf("%T: banned member %d chosen as recovery node", sel, g.ID)
-			}
+	for _, g := range group {
+		if banned[g.ID] {
+			t.Fatalf("banned member %d chosen as recovery node", g.ID)
 		}
 	}
+}
+
+// selectBanned is s.Select with the members in banned excluded through
+// MLC.Ban, the path the live node runs: Reset over the tree's slot arrays,
+// one Ban per banned member, then Group over one membership sample.
+func selectBanned(s *MLCSelector, self *overlay.Member, k int, banned map[overlay.MemberID]bool) []*overlay.Member {
+	if k <= 0 {
+		return nil
+	}
+	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
+	if len(s.sample) == 0 {
+		return nil
+	}
+	parent, depth := s.Tree.Shape()
+	s.mlc.Reset(parent, depth, int32(s.Tree.Root().Slot()), int32(self.Slot()))
+	for id := range banned {
+		if m := s.Tree.Member(id); m != nil {
+			s.mlc.Ban(int32(m.Slot()))
+		}
+	}
+	v := s.Tree.SlotView()
+	s.group = s.group[:0]
+	for _, c := range s.mlc.Group(s.sample, k, s.Rng) {
+		s.group = append(s.group, v.Member(c))
+	}
+	s.delays = orderByDistance(self, s.group, s.Delay, s.delays)
+	return s.group
 }
 
 func TestMLCBeatsRandomOnCorrelation(t *testing.T) {

@@ -124,7 +124,8 @@ func (c *churnedTree) pickSelf() *overlay.Member {
 // map-based reference in reference_test.go: over 560 seeded trees, with one
 // long-lived selector per tree and churn between calls, every group must be
 // element-wise identical and the two RNG streams must stay in step — the
-// rewrite may not add, drop or reorder a single draw.
+// rewrite may not add, drop or reorder a single draw. On every other tree,
+// MLC selects with a tenth of the members banned through MLC.Ban.
 func TestMLCSelectMatchesReference(t *testing.T) {
 	const trials, rounds = 560, 6
 	ks := []int{1, 3, 8, 1000}
@@ -143,10 +144,10 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 			}
 		}
 		know := []int{0, 10, 30}[trial/shapes%3]
-		mlc := &MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know, Banned: banned}
-		ref := &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know, Banned: banned}}
-		rnd := &RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know, Banned: banned}
-		refRnd := &refRandomSelector{RandomSelector: RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know, Banned: banned}}
+		mlc := &MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}
+		ref := &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}, banned: banned}
+		rnd := &RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know}
+		refRnd := &refRandomSelector{RandomSelector: RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know}}
 		for round := 0; round < rounds; round++ {
 			self, k := c.pickSelf(), ks[c.rng.Intn(len(ks))]
 			if !self.Attached() {
@@ -154,7 +155,13 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 			}
 			calls++
 			where := fmt.Sprintf("trial %d round %d (shape %d, self %d, k %d)", trial, round, shape, self.ID, k)
-			if got, want := mlc.Select(self, k), ref.Select(self, k); !slices.Equal(got, want) {
+			var got []*overlay.Member
+			if banned != nil {
+				got = selectBanned(mlc, self, k, banned)
+			} else {
+				got = mlc.Select(self, k)
+			}
+			if want := ref.Select(self, k); !slices.Equal(got, want) {
 				t.Fatalf("%s: MLC group %v, reference %v", where, ids(got), ids(want))
 			}
 			if a, b := mlc.Rng.Int63(), ref.Rng.Int63(); a != b {

@@ -13,11 +13,13 @@ import (
 // groups and the same RNG draw sequence. Only the type holding it is new.
 
 // refMLCSelector is MLCSelector's former Select over the reference partial
-// tree. widest and topUps count the calls that took Algorithm 1's two
-// fallback branches, and deepLi the calls whose bracketing level Li is below
-// the root, so the match test can show it reached them.
+// tree, with banned excluded as MLC.Ban excludes it. widest and topUps count
+// the calls that took Algorithm 1's two fallback branches, and deepLi the
+// calls whose bracketing level Li is below the root, so the match test can
+// show it reached them.
 type refMLCSelector struct {
 	MLCSelector
+	banned                 map[overlay.MemberID]bool
 	widest, deepLi, topUps int
 }
 
@@ -29,7 +31,7 @@ func (s *refMLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if know <= 0 {
 		know = DefaultKnowledge
 	}
-	pt := buildPartialTree(s.Tree, s.Rng, self, know, s.Banned)
+	pt := buildPartialTree(s.Tree, s.Rng, self, know, s.banned)
 	if pt == nil {
 		return nil
 	}
@@ -90,7 +92,7 @@ func (s *refRandomSelector) Select(self *overlay.Member, k int) []*overlay.Membe
 	if know <= 0 {
 		know = DefaultKnowledge
 	}
-	banned := rootPathSet(self, s.Banned)
+	banned := rootPathSet(self, nil)
 	sample := s.Tree.Sample(s.Rng, know, self)
 	group := make([]*overlay.Member, 0, k)
 	for _, c := range sample {
@@ -111,7 +113,7 @@ func (s *refRandomSelector) Select(self *overlay.Member, k int) []*overlay.Membe
 }
 
 // rootPathSet returns self's strict ancestors plus self, merged with any
-// extra exclusions (the selector's Banned set).
+// extra exclusions (refMLCSelector's banned set).
 func rootPathSet(self *overlay.Member, extra map[overlay.MemberID]bool) map[overlay.MemberID]bool {
 	banned := map[overlay.MemberID]bool{self.ID: true}
 	for p := self.Parent(); p != nil; p = p.Parent() {

@@ -2,15 +2,17 @@ package experiments
 
 import (
 	"cmp"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"omcast/internal/golden"
 	"omcast/internal/metrics"
 )
 
@@ -22,7 +24,7 @@ type figureRun struct {
 }
 
 // runSuite runs ids in order on one Runner built from opts and returns each
-// Run's output plus the final metrics snapshot as JSON.
+// Run's output plus the final metrics snapshot, one metric per line.
 func runSuite(t *testing.T, opts Options, ids []string) ([]figureRun, string, *Runner) {
 	t.Helper()
 	var lines []string
@@ -39,36 +41,31 @@ func runSuite(t *testing.T, opts Options, ids []string) ([]figureRun, string, *R
 		runs[i] = figureRun{tab.Format(), lines}
 		lines = nil
 	}
-	snap, err := json.Marshal(opts.Metrics.Snapshot(0))
-	if err != nil {
-		t.Fatal(err)
+	var snap strings.Builder
+	for _, m := range opts.Metrics.Snapshot(0).Metrics {
+		line, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Write(append(line, '\n'))
 	}
-	return runs, string(snap), r
+	return runs, snap.String(), r
 }
 
-// TestFigureSuiteGolden pins the whole suite's output: every table, every
-// progress line and the final metrics snapshot of one Runner over every
-// experiment; any change to a table, to the progress stream or to the order
-// registries are merged in shows up here. When the fleet figure and then the
-// multiple-tree extension were retired, the hash was re-taken each time from
-// the previous engine over the suite without the retired table, so every
-// remaining table, progress line and metrics series is unchanged; only the
-// retired tables, their progress lines and their series left. When the
-// kernel lost event cancellation the hash was re-taken the same way: the
-// previous engine's output minus its always-zero
-// omcast_sim_events_canceled_total record, and again, when the simulator
-// stopped modelling BTP cheaters, minus the always-zero
-// omcast_rost_rejected_claims_total record.
+// suiteGolden is the suite's golden file.
+var suiteGolden = filepath.Join("testdata", "suite.golden")
+
+// TestFigureSuiteGolden pins the whole suite's output in testdata/suite.golden:
+// every progress line and table of one Runner over every experiment, then its
+// final metrics snapshot, one metric per line; any change to a table, to the
+// progress stream or to the order registries are merged in shows up there.
+// `go test -run TestFigureSuiteGolden -update` rewrites it.
 func TestFigureSuiteGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Arrival times are float arithmetic; architectures on which the
 		// compiler fuses multiply-add round differently.
-		t.Skipf("golden hash was taken on amd64, not %s", runtime.GOARCH)
+		t.Skipf("the golden was taken on amd64, not %s", runtime.GOARCH)
 	}
-	const (
-		wantSHA   = "1492567b3d451b7e8297849329ae03eb1e47dec20865183afccb69067ce3d30d"
-		wantLines = 178
-	)
 	runs, snap, _ := runSuite(t, tinyOptions(2), IDs())
 	var b strings.Builder
 	for _, run := range runs {
@@ -77,10 +74,70 @@ func TestFigureSuiteGolden(t *testing.T) {
 		}
 		b.WriteString(run.table)
 	}
-	b.WriteString(snap + "\n")
-	got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
-	if lines := strings.Count(b.String(), "\n"); got != wantSHA || lines != wantLines {
-		t.Fatalf("suite sha256 = %s (%d lines), want %s (%d lines)", got, lines, wantSHA, wantLines)
+	b.WriteString(snap)
+	golden.Check(t, suiteGolden, b.String(), suiteSections)
+}
+
+// suiteSections splits a suite rendering into one section per table, named
+// by its "== id: title ==" line and holding the progress lines emitted
+// before it, and one per metric, named by the metric.
+func suiteSections(text string) []golden.Section {
+	var out []golden.Section
+	progress := ""
+	for _, line := range strings.SplitAfter(text, "\n") {
+		var m struct{ Name string }
+		switch {
+		case strings.HasPrefix(line, "progress: "):
+			progress += line
+		case strings.HasPrefix(line, "== "):
+			out = append(out, golden.Section{Name: strings.TrimSuffix(line, "\n"), Text: progress + line})
+			progress = ""
+		case strings.HasPrefix(line, "{") && json.Unmarshal([]byte(line), &m) == nil:
+			out = append(out, golden.Section{Name: m.Name, Text: line})
+		case len(out) > 0:
+			out[len(out)-1].Text += line
+		}
+	}
+	return out
+}
+
+// TestSuiteGoldenReportNamesOneTable: a rendering that differs from the
+// golden in one table cell is reported as that table alone, and one that
+// differs in one metric as that metric alone.
+func TestSuiteGoldenReportNamesOneTable(t *testing.T) {
+	raw, err := os.ReadFile(suiteGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(raw)
+	secs := suiteSections(want)
+	join := func(edit int, text string) string {
+		var b strings.Builder
+		for i, s := range secs {
+			if i == edit {
+				s.Text = text
+			}
+			b.WriteString(s.Text)
+		}
+		return b.String()
+	}
+	if join(-1, "") != want {
+		t.Fatalf("%s is not exactly its sections", suiteGolden)
+	}
+	rows := strings.SplitAfter(secs[3].Text, "\n")
+	rows[len(rows)-2] = "9" + rows[len(rows)-2] // a cell of the table's last row
+	last := len(secs) - 1
+	for _, tc := range []struct {
+		i    int
+		text string
+	}{
+		{3, strings.Join(rows, "")},
+		{last, strings.Replace(secs[last].Text, `"value":`, `"value":1`, 1)},
+	} {
+		report := golden.Diff(want, join(tc.i, tc.text), suiteSections)
+		if first, _, _ := strings.Cut(report, "\n"); first != secs[tc.i].Name || strings.Count(report, "\n") != 3 {
+			t.Errorf("one changed line in %s reported as:\n%s", secs[tc.i].Name, report)
+		}
 	}
 }
 

@@ -1,10 +1,7 @@
 package live
 
 import (
-	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -12,6 +9,7 @@ import (
 	"time"
 
 	"omcast/internal/faultnet"
+	"omcast/internal/golden"
 	"omcast/internal/tracing"
 )
 
@@ -243,19 +241,10 @@ func TestByzantinePlanReproducible(t *testing.T) {
 	}
 }
 
-// updateGolden rewrites testdata/chaos.golden from the current code.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/chaos.golden")
-
-// goldenSection is one block of a rendered report as one golden line: its
-// name, its line count and the sha256 of its text.
-func goldenSection(name, text string) string {
-	return fmt.Sprintf("%s %d %x\n", name, strings.Count(text, "\n"), sha256.Sum256([]byte(text)))
-}
-
 // TestChaosReportReproducible runs four scenarios twice at one seed and
 // compares both reports with testdata/chaos.golden: the verdict line and
 // every node's Stats verbatim, the fault log, the link stats and the span
-// JSONL as one count-and-sha256 line each. The whole overlay runs on one
+// JSONL as one golden.Digest line each. The whole overlay runs on one
 // virtual clock, so a seed fixes every delivery order and every timer, and
 // a change that keeps the protocol's behaviour leaves the file untouched.
 // `go test -run TestChaosReportReproducible -update` rewrites it.
@@ -274,63 +263,34 @@ func TestChaosReportReproducible(t *testing.T) {
 		if err := tracing.WriteJSONL(&spans, rep.Spans); err != nil {
 			t.Fatal(err)
 		}
-		b.WriteString(goldenSection("fault-log", rep.FaultLog))
-		b.WriteString(goldenSection("link-stats", rep.FaultStats))
-		b.WriteString(goldenSection("spans", spans.String()))
+		b.WriteString(golden.Digest("fault-log", rep.FaultLog))
+		b.WriteString(golden.Digest("link-stats", rep.FaultStats))
+		b.WriteString(golden.Digest("spans", spans.String()))
 		return b.String()
-	}
-	path := filepath.Join("testdata", "chaos.golden")
-	var raw []byte
-	want := map[string]string{}
-	if !*updateGolden {
-		var err error
-		if raw, err = os.ReadFile(path); err != nil {
-			t.Fatalf("reading the golden (`go test -run TestChaosReportReproducible -update` writes it): %v", err)
-		}
-		var name string
-		for _, line := range strings.SplitAfter(string(raw), "\n") {
-			if n, ok := strings.CutPrefix(line, "=== "); ok {
-				name = strings.TrimSuffix(n, "\n")
-			}
-			want[name] += line
-		}
 	}
 	var got strings.Builder
 	for _, name := range []string{"parent-crash", "lossy-10", "source-kill", "byzantine-64"} {
 		t.Run(name, func(t *testing.T) {
 			scn := ScenarioByName(name)
 			first, second := render(t, *scn), render(t, *scn)
-			if first != second {
-				t.Errorf("same-seed runs diverge at %s", firstDiff(first, second))
+			if d := golden.Diff(first, second, nil); d != "" {
+				t.Errorf("same-seed runs diverge:\n%s", d)
 			}
 			got.WriteString(first)
-			if !*updateGolden && first != want[name] {
-				t.Errorf("report differs from %s at %s", path, firstDiff(want[name], first))
-			}
 		})
 	}
-	if !*updateGolden {
-		if !t.Failed() && got.String() != string(raw) {
-			t.Fatalf("reports differ from %s at %s", path, firstDiff(string(raw), got.String()))
-		}
-		return
-	}
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	golden.Check(t, filepath.Join("testdata", "chaos.golden"), got.String(), scenarioSections)
 }
 
-// firstDiff names the first line where two texts differ, with both
-// versions of it.
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := range min(len(al), len(bl)) {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n want: %s\n got:  %s", i+1, al[i], bl[i])
+// scenarioSections splits a chaos report into its scenarios, each opening
+// at its "=== name" line.
+func scenarioSections(text string) []golden.Section {
+	var out []golden.Section
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if name, ok := strings.CutPrefix(line, "=== "); ok || len(out) == 0 {
+			out = append(out, golden.Section{Name: strings.TrimSuffix(name, "\n")})
 		}
+		out[len(out)-1].Text += line
 	}
-	return fmt.Sprintf("the end: %d lines vs %d", len(al), len(bl))
+	return out
 }

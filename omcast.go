@@ -453,6 +453,9 @@ func RunScale(cfg Config) (ScaleResult, error) {
 		return ScaleResult{}, fmt.Errorf("omcast: building underlay: %w", err)
 	}
 	var before, after runtime.MemStats
+	// Twice: what the first collection leaves for the next one would
+	// otherwise be freed inside the window and read as a smaller heap.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	s, err := newSession(cfg, churn.Hooks{}, nil)
