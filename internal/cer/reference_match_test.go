@@ -124,28 +124,33 @@ func (c *churnedTree) pickSelf() *overlay.Member {
 // map-based reference in reference_test.go: over 560 seeded trees, with one
 // long-lived selector per tree and churn between calls, every group must be
 // element-wise identical and the two RNG streams must stay in step — the
-// rewrite may not add, drop or reorder a single draw. On every other tree,
-// MLC selects with a tenth of the members banned through MLC.Ban.
+// rewrite may not add, drop or reorder a single draw. On every other run of
+// twelve trees (each shape at each knowledge), a second MLC pair selects too,
+// with a tenth of the members banned through MLC.Ban, as the live node bans.
 func TestMLCSelectMatchesReference(t *testing.T) {
 	const trials, rounds = 560, 6
 	ks := []int{1, 3, 8, 1000}
-	var widest, deepLi, topUps, detachedSelf, calls int
+	var widest, deepLi, topUps, detachedSelf, calls, bannedCalls int
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(trial + 1)
 		shape := trial % shapes
 		c := newChurnedTree(t, seed, shape)
+		know := []int{0, 10, 30}[trial/shapes%3]
+		mlc := &MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}
+		ref := &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}}
+		var banMLC *MLCSelector
+		var banRef *refMLCSelector
 		var banned map[overlay.MemberID]bool
-		if trial%2 == 0 {
+		if trial/(shapes*3)%2 == 0 {
 			banned = map[overlay.MemberID]bool{}
 			for _, m := range c.live {
 				if c.rng.Intn(10) == 0 {
 					banned[m.ID] = true
 				}
 			}
+			banMLC = &MLCSelector{Tree: c.tree, Rng: xrand.New(^seed), Delay: delayFn, Knowledge: know}
+			banRef = &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(^seed), Delay: delayFn, Knowledge: know}, banned: banned}
 		}
-		know := []int{0, 10, 30}[trial/shapes%3]
-		mlc := &MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}
-		ref := &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}, banned: banned}
 		rnd := &RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know}
 		refRnd := &refRandomSelector{RandomSelector: RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know}}
 		for round := 0; round < rounds; round++ {
@@ -155,17 +160,20 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 			}
 			calls++
 			where := fmt.Sprintf("trial %d round %d (shape %d, self %d, k %d)", trial, round, shape, self.ID, k)
-			var got []*overlay.Member
-			if banned != nil {
-				got = selectBanned(mlc, self, k, banned)
-			} else {
-				got = mlc.Select(self, k)
-			}
-			if want := ref.Select(self, k); !slices.Equal(got, want) {
+			if got, want := mlc.Select(self, k), ref.Select(self, k); !slices.Equal(got, want) {
 				t.Fatalf("%s: MLC group %v, reference %v", where, ids(got), ids(want))
 			}
 			if a, b := mlc.Rng.Int63(), ref.Rng.Int63(); a != b {
 				t.Fatalf("%s: MLC drew a different RNG sequence than the reference", where)
+			}
+			if banMLC != nil {
+				bannedCalls++
+				if got, want := selectBanned(banMLC, self, k, banned), banRef.Select(self, k); !slices.Equal(got, want) {
+					t.Fatalf("%s: MLC group with bans %v, reference %v", where, ids(got), ids(want))
+				}
+				if a, b := banMLC.Rng.Int63(), banRef.Rng.Int63(); a != b {
+					t.Fatalf("%s: MLC with bans drew a different RNG sequence than the reference", where)
+				}
 			}
 			if got, want := rnd.Select(self, k), refRnd.Select(self, k); !slices.Equal(got, want) {
 				t.Fatalf("%s: random group %v, reference %v", where, ids(got), ids(want))
@@ -182,12 +190,12 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 	// The trial mix must reach every branch of Algorithm 1, or the equality
 	// above proves less than it says. A bracket below level 0 is what makes
 	// the production code list levels past the root's children.
-	if widest < calls/20 || topUps < calls/20 || widest > calls*19/20 || detachedSelf < calls/40 || deepLi < calls/40 {
-		t.Fatalf("branch coverage too thin over %d calls: %d widest-level, %d bracketed at Li >= 1, %d top-ups, %d detached selves",
-			calls, widest, deepLi, topUps, detachedSelf)
+	if widest < calls/20 || topUps < calls/20 || widest > calls*19/20 || detachedSelf < calls/40 || deepLi < calls/40 || bannedCalls < calls/3 {
+		t.Fatalf("branch coverage too thin over %d calls: %d widest-level, %d bracketed at Li >= 1, %d top-ups, %d detached selves, %d with bans",
+			calls, widest, deepLi, topUps, detachedSelf, bannedCalls)
 	}
-	t.Logf("%d calls: %d took the widest-level branch, %d bracketed K at Li >= 1, %d needed the top-up, %d had a detached self",
-		calls, widest, deepLi, topUps, detachedSelf)
+	t.Logf("%d calls: %d took the widest-level branch, %d bracketed K at Li >= 1, %d needed the top-up, %d had a detached self; %d repeated with bans",
+		calls, widest, deepLi, topUps, detachedSelf, bannedCalls)
 }
 
 func ids(ms []*overlay.Member) []overlay.MemberID {

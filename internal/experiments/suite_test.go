@@ -24,7 +24,7 @@ type figureRun struct {
 }
 
 // runSuite runs ids in order on one Runner built from opts and returns each
-// Run's output plus the final metrics snapshot, one metric per line.
+// Run's output plus the final metrics snapshot as snapshotLines renders it.
 func runSuite(t *testing.T, opts Options, ids []string) ([]figureRun, string, *Runner) {
 	t.Helper()
 	var lines []string
@@ -41,15 +41,36 @@ func runSuite(t *testing.T, opts Options, ids []string) ([]figureRun, string, *R
 		runs[i] = figureRun{tab.Format(), lines}
 		lines = nil
 	}
-	var snap strings.Builder
-	for _, m := range opts.Metrics.Snapshot(0).Metrics {
+	return runs, snapshotLines(t, opts.Metrics.Snapshot(0)), r
+}
+
+// snapshotLines renders snap's JSON encoding with a line break after its
+// opening bracket, after each metric and before its closing bracket, so each
+// metric is a line of its own; deleting the line breaks gives json.Marshal's
+// bytes back.
+func snapshotLines(t *testing.T, snap metrics.Snapshot) string {
+	t.Helper()
+	whole, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope, err := json.Marshal(metrics.Snapshot{T: snap.T, Metrics: []metrics.Metric{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail, _ := strings.Cut(string(envelope), "[]")
+	ms := make([]string, len(snap.Metrics))
+	for i, m := range snap.Metrics {
 		line, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Write(append(line, '\n'))
+		ms[i] = string(line)
 	}
-	return runs, snap.String(), r
+	if head+"["+strings.Join(ms, ",")+"]"+tail != string(whole) {
+		t.Fatal("the snapshot's JSON is not its envelope around its metrics")
+	}
+	return head + "[\n" + strings.Join(ms, ",\n") + "\n]" + tail + "\n"
 }
 
 // suiteGolden is the suite's golden file.
@@ -57,8 +78,9 @@ var suiteGolden = filepath.Join("testdata", "suite.golden")
 
 // TestFigureSuiteGolden pins the whole suite's output in testdata/suite.golden:
 // every progress line and table of one Runner over every experiment, then its
-// final metrics snapshot, one metric per line; any change to a table, to the
-// progress stream or to the order registries are merged in shows up there.
+// final metrics snapshot's JSON, one metric per line; any change to a table,
+// to the progress stream or to the order registries are merged in shows up
+// there.
 // `go test -run TestFigureSuiteGolden -update` rewrites it.
 func TestFigureSuiteGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -80,20 +102,26 @@ func TestFigureSuiteGolden(t *testing.T) {
 
 // suiteSections splits a suite rendering into one section per table, named
 // by its "== id: title ==" line and holding the progress lines emitted
-// before it, and one per metric, named by the metric.
+// before it, then one per line of the snapshot, which begins at the first
+// line opening with "{": a metric's line is named by the metric, the
+// envelope's by itself.
 func suiteSections(text string) []golden.Section {
 	var out []golden.Section
-	progress := ""
+	progress, snapshot := "", false
 	for _, line := range strings.SplitAfter(text, "\n") {
 		var m struct{ Name string }
+		snapshot = snapshot || strings.HasPrefix(line, "{")
 		switch {
+		case line == "":
+		case snapshot && json.Unmarshal([]byte(strings.TrimSuffix(line, ",\n")), &m) == nil && m.Name != "":
+			out = append(out, golden.Section{Name: m.Name, Text: line})
+		case snapshot:
+			out = append(out, golden.Section{Name: strings.TrimSuffix(line, "\n"), Text: line})
 		case strings.HasPrefix(line, "progress: "):
 			progress += line
 		case strings.HasPrefix(line, "== "):
 			out = append(out, golden.Section{Name: strings.TrimSuffix(line, "\n"), Text: progress + line})
 			progress = ""
-		case strings.HasPrefix(line, "{") && json.Unmarshal([]byte(line), &m) == nil:
-			out = append(out, golden.Section{Name: m.Name, Text: line})
 		case len(out) > 0:
 			out[len(out)-1].Text += line
 		}
@@ -102,8 +130,9 @@ func suiteSections(text string) []golden.Section {
 }
 
 // TestSuiteGoldenReportNamesOneTable: a rendering that differs from the
-// golden in one table cell is reported as that table alone, and one that
-// differs in one metric as that metric alone.
+// golden in one table cell is reported as that table alone, one that
+// differs in one metric as that metric alone, and one that renames a field
+// of the snapshot's envelope as that envelope line.
 func TestSuiteGoldenReportNamesOneTable(t *testing.T) {
 	raw, err := os.ReadFile(suiteGolden)
 	if err != nil {
@@ -126,18 +155,24 @@ func TestSuiteGoldenReportNamesOneTable(t *testing.T) {
 	}
 	rows := strings.SplitAfter(secs[3].Text, "\n")
 	rows[len(rows)-2] = "9" + rows[len(rows)-2] // a cell of the table's last row
-	last := len(secs) - 1
+	// The last metric's line comes just before the envelope's closing one.
+	metric := len(secs) - 2
 	for _, tc := range []struct {
 		i    int
 		text string
 	}{
 		{3, strings.Join(rows, "")},
-		{last, strings.Replace(secs[last].Text, `"value":`, `"value":1`, 1)},
+		{metric, strings.Replace(secs[metric].Text, `"value":`, `"value":1`, 1)},
 	} {
 		report := golden.Diff(want, join(tc.i, tc.text), suiteSections)
 		if first, _, _ := strings.Cut(report, "\n"); first != secs[tc.i].Name || strings.Count(report, "\n") != 3 {
 			t.Errorf("one changed line in %s reported as:\n%s", secs[tc.i].Name, report)
 		}
+	}
+	open := slices.IndexFunc(secs, func(s golden.Section) bool { return strings.HasPrefix(s.Text, "{") })
+	renamed := strings.Replace(secs[open].Text, `"metrics"`, `"metric"`, 1)
+	if report := golden.Diff(want, join(open, renamed), suiteSections); report != "- "+secs[open].Text+"+ "+renamed {
+		t.Errorf("a renamed snapshot field reported as:\n%s", report)
 	}
 }
 

@@ -28,7 +28,7 @@ type Section struct {
 // instead. split divides a text into sections; nil makes every line its own
 // section.
 //
-//lint:ignore test-only-export reason: the golden tests of the root package, experiments, lint and the chaos suite compare their output through it
+//lint:ignore test-only-export reason: the golden tests of the root package, experiments, lint, metrics and the chaos suite compare their output through it
 func Check(t testing.TB, path, got string, split func(string) []Section) {
 	t.Helper()
 	if *update {

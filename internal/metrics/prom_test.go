@@ -2,14 +2,12 @@ package metrics
 
 import (
 	"bytes"
-	"flag"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+	"omcast/internal/golden"
+)
 
 // goldenSnapshot builds one snapshot exercising every encoder path: a labeled
 // counter family with two series, a gauge whose label value needs escaping, a
@@ -28,33 +26,12 @@ func goldenSnapshot() Snapshot {
 	return reg.Snapshot(0)
 }
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden (run `go test -run Golden -update ./internal/metrics` to regenerate): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-	}
-}
-
 func TestWritePromGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProm(&buf, goldenSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "prom.golden", buf.Bytes())
+	golden.Check(t, filepath.Join("testdata", "prom.golden"), buf.String(), nil)
 }
 
 func TestWritePromDeterministic(t *testing.T) {
