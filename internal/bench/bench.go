@@ -67,10 +67,11 @@ func benchSample(b *testing.B) {
 		tree.NewMember(topology.NodeID(i), 0.5, time.Duration(i))
 	}
 	rng := xrand.New(1)
+	var got []int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := tree.Sample(rng, 100, nil); len(got) != 100 {
+		if got = tree.SampleSlots(rng, 100, -1, got[:0]); len(got) != 100 {
 			b.Fatal("short sample")
 		}
 	}
@@ -87,17 +88,17 @@ func benchAttachDetachDense(b *testing.B) {
 		b.Fatal(err)
 	}
 	const nParents, nLeaves = 2000, 1000
-	parents := make([]*overlay.Member, 0, nParents)
+	parents := make([]int32, 0, nParents)
 	for i := 0; i < nParents; i++ {
-		m := tree.NewMember(topology.NodeID(i), 8, time.Duration(i))
-		if err := tree.Attach(m, tree.Root()); err != nil {
+		m := tree.NewMember(topology.NodeID(i), 8, time.Duration(i)).Slot()
+		if err := tree.Attach(m, tree.Root().Slot()); err != nil {
 			b.Fatal(err)
 		}
 		parents = append(parents, m)
 	}
-	leaves := make([]*overlay.Member, 0, nLeaves)
+	leaves := make([]int32, 0, nLeaves)
 	for i := 0; i < nLeaves; i++ {
-		m := tree.NewMember(topology.NodeID(nParents+i), 1, time.Duration(i))
+		m := tree.NewMember(topology.NodeID(nParents+i), 1, time.Duration(i)).Slot()
 		if err := tree.Attach(m, parents[i%nParents]); err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func benchAttachDetachDense(b *testing.B) {
 			if _, err := tree.Remove(l); err != nil {
 				b.Fatal(err)
 			}
-			m := tree.NewMember(topology.NodeID(nParents+i%nLeaves), 1, time.Duration(i))
+			m := tree.NewMember(topology.NodeID(nParents+i%nLeaves), 1, time.Duration(i)).Slot()
 			if err := tree.Attach(m, parents[(i*7)%nParents]); err != nil {
 				b.Fatal(err)
 			}
@@ -152,7 +153,7 @@ func benchIntervalAccount(b *testing.B) {
 	mk := func(parent *overlay.Member, bw float64) *overlay.Member {
 		m := tree.NewMember(attach, bw, 0)
 		attach++
-		if err := tree.Attach(m, parent); err != nil {
+		if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 			b.Fatal(err)
 		}
 		return m

@@ -57,8 +57,6 @@ type MLCSelector struct {
 	Rng  *xrand.Source
 	// Delay orders the resulting group by network distance.
 	Delay func(a, b topology.NodeID) time.Duration
-	// Knowledge bounds the membership sample; 0 means DefaultKnowledge.
-	Knowledge int
 
 	mlc    MLC
 	sample []int32
@@ -75,12 +73,12 @@ func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if k <= 0 {
 		return nil
 	}
-	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
+	s.sample = s.Tree.SampleSlots(s.Rng, DefaultKnowledge, self.Slot(), s.sample[:0])
 	if len(s.sample) == 0 {
 		return nil
 	}
 	s.mlc.excl.onTree(s.Tree, self)
-	s.mlc.pt.root = int32(s.Tree.Root().Slot())
+	s.mlc.pt.root = s.Tree.Root().Slot()
 	v := s.Tree.SlotView()
 	group := s.group[:0]
 	for _, c := range s.mlc.Group(s.sample, k, s.Rng) {
@@ -95,10 +93,9 @@ func (s *MLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 // with the same exclusions but no loss-correlation awareness. It is the
 // selection baseline (ablation) and the Figure 14 baseline's recovery list.
 type RandomSelector struct {
-	Tree      *overlay.Tree
-	Rng       *xrand.Source
-	Delay     func(a, b topology.NodeID) time.Duration
-	Knowledge int
+	Tree  *overlay.Tree
+	Rng   *xrand.Source
+	Delay func(a, b topology.NodeID) time.Duration
 
 	excl   exclusion
 	sample []int32
@@ -115,7 +112,7 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 		return nil
 	}
 	s.excl.onTree(s.Tree, self)
-	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
+	s.sample = s.Tree.SampleSlots(s.Rng, DefaultKnowledge, self.Slot(), s.sample[:0])
 	v := s.Tree.SlotView()
 	group := s.group[:0]
 	for _, c := range s.sample {
@@ -130,13 +127,6 @@ func (s *RandomSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	s.group = group
 	s.delays = orderByDistance(self, group, s.Delay, s.delays)
 	return group
-}
-
-func knowledge(n int) int {
-	if n <= 0 {
-		return DefaultKnowledge
-	}
-	return n
 }
 
 // orderByDistance sorts group by network distance from self, nearest first,
@@ -254,7 +244,7 @@ func (x *exclusion) ban(i int32) { x.out[i] = x.epoch }
 // onTree readies x for self over tree's slot arrays.
 func (x *exclusion) onTree(tree *overlay.Tree, self *overlay.Member) {
 	parent, depth := tree.Shape()
-	x.reset(parent, depth, int32(self.Slot()), tree.Reserved())
+	x.reset(parent, depth, self.Slot(), tree.Reserved())
 }
 
 // usable reports whether index c may serve self. Self is on its own path, so

@@ -39,23 +39,23 @@ func buildBenchTree(tb testing.TB, n int, shallowest bool) (*overlay.Tree, *over
 	var last *overlay.Member
 	for i := 0; i < n; i++ {
 		m := tree.NewMember(topology.NodeID(i+1), bw.Sample(rng), time.Duration(i)*time.Second)
-		parent := tree.Root()
-		for _, c := range tree.Sample(rng, 30, m) {
-			if !c.Attached() || !c.HasSpare() {
+		v, parent := tree.SlotView(), tree.Root().Slot()
+		for _, c := range tree.SampleSlots(rng, 30, m.Slot(), nil) {
+			if !v.Attached(c) || !v.HasSpare(c) {
 				continue
 			}
 			if !shallowest {
 				parent = c
 				break
 			}
-			if !parent.HasSpare() || c.Depth() < parent.Depth() {
+			if !v.HasSpare(parent) || v.Depth(c) < v.Depth(parent) {
 				parent = c
 			}
 		}
-		if !parent.HasSpare() {
+		if !v.HasSpare(parent) {
 			continue
 		}
-		if err := tree.Attach(m, parent); err != nil {
+		if err := tree.Attach(m.Slot(), parent); err != nil {
 			tb.Fatal(err)
 		}
 		last = m

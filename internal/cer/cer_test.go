@@ -37,7 +37,7 @@ func buildTree(t *testing.T, branches, depth int) (*overlay.Tree, [][]*overlay.M
 		for d := 0; d < depth; d++ {
 			m := tree.NewMember(attach, 4, time.Duration(b*depth+d)*time.Second)
 			attach++
-			if err := tree.Attach(m, parent); err != nil {
+			if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 				t.Fatalf("attach: %v", err)
 			}
 			all[b] = append(all[b], m)
@@ -119,13 +119,15 @@ func TestBannedExcludedFromGroups(t *testing.T) {
 	tree, all := buildTree(t, 4, 3)
 	self := all[0][2]
 	banned := map[overlay.MemberID]bool{}
+	var list []*overlay.Member
 	for _, b := range []int{1, 2} {
 		for _, m := range all[b] {
 			banned[m.ID] = true
+			list = append(list, m)
 		}
 	}
 	sel := &MLCSelector{Tree: tree, Rng: xrand.New(7), Delay: delayFn}
-	group := selectBanned(sel, self, 3, banned)
+	group := selectBanned(sel, self, 3, list)
 	if len(group) == 0 {
 		t.Fatal("empty group despite branch 3 being clean")
 	}
@@ -138,20 +140,21 @@ func TestBannedExcludedFromGroups(t *testing.T) {
 
 // selectBanned is s.Select with the members in banned excluded through
 // MLC.Ban, the path the live node runs: Reset over the tree's slot arrays,
-// one Ban per banned member, then Group over one membership sample.
-func selectBanned(s *MLCSelector, self *overlay.Member, k int, banned map[overlay.MemberID]bool) []*overlay.Member {
+// one Ban per banned member still in the tree, then Group over one
+// membership sample.
+func selectBanned(s *MLCSelector, self *overlay.Member, k int, banned []*overlay.Member) []*overlay.Member {
 	if k <= 0 {
 		return nil
 	}
-	s.sample = s.Tree.SampleSlots(s.Rng, knowledge(s.Knowledge), int32(self.Slot()), s.sample[:0])
+	s.sample = s.Tree.SampleSlots(s.Rng, DefaultKnowledge, self.Slot(), s.sample[:0])
 	if len(s.sample) == 0 {
 		return nil
 	}
 	parent, depth := s.Tree.Shape()
-	s.mlc.Reset(parent, depth, int32(s.Tree.Root().Slot()), int32(self.Slot()))
-	for id := range banned {
-		if m := s.Tree.Member(id); m != nil {
-			s.mlc.Ban(int32(m.Slot()))
+	s.mlc.Reset(parent, depth, s.Tree.Root().Slot(), self.Slot())
+	for _, m := range banned {
+		if i := m.Slot(); i >= 0 {
+			s.mlc.Ban(i)
 		}
 	}
 	v := s.Tree.SlotView()
@@ -171,7 +174,7 @@ func TestMLCBeatsRandomOnCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	heavy := tree.NewMember(1, 50, 0)
-	if err := tree.Attach(heavy, tree.Root()); err != nil {
+	if err := tree.Attach(heavy.Slot(), tree.Root().Slot()); err != nil {
 		t.Fatal(err)
 	}
 	var members []*overlay.Member
@@ -182,7 +185,7 @@ func TestMLCBeatsRandomOnCorrelation(t *testing.T) {
 		for d := 0; d < 4; d++ {
 			m := tree.NewMember(attach, 3, 0)
 			attach++
-			if err := tree.Attach(m, parent); err != nil {
+			if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 				t.Fatal(err)
 			}
 			members = append(members, m)
@@ -193,7 +196,7 @@ func TestMLCBeatsRandomOnCorrelation(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		m := tree.NewMember(attach, 3, 0)
 		attach++
-		if err := tree.Attach(m, tree.Root()); err != nil {
+		if err := tree.Attach(m.Slot(), tree.Root().Slot()); err != nil {
 			t.Fatal(err)
 		}
 		members = append(members, m)
@@ -253,7 +256,7 @@ func TestSelectDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	lone := tree.NewMember(1, 2, 0)
-	if err := tree.Attach(lone, tree.Root()); err != nil {
+	if err := tree.Attach(lone.Slot(), tree.Root().Slot()); err != nil {
 		t.Fatal(err)
 	}
 	sel := &MLCSelector{Tree: tree, Rng: xrand.New(5), Delay: delayFn}

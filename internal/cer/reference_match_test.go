@@ -28,18 +28,19 @@ const shapes = 4
 
 // newChurnedTree builds one of four shapes: wide (the source feeds up to 100
 // children, so some level pair brackets any small K), narrow (out-degree at
-// most 2 from the source down, so no level pair brackets K = 8 and Algorithm
-// 1 falls to the widest level), shallow (a handful of members, fewer usable
-// than K, so the group needs the top-up), and deep (thousands of members with
-// out-degree 1-3 below a source of degree 2-3, at least 12 levels, so K is
-// bracketed below level 0 and the widest level lies deep).
+// most 2 from the source down, so the top levels stay below K = 8 and
+// Algorithm 1 often falls to the widest level), shallow (a handful of
+// members, fewer usable than K, so the group needs the top-up), and deep
+// (thousands of members with out-degree 1-3 below a source of degree 2-3, at
+// least 12 levels, so K is bracketed below level 0 and the widest level lies
+// deep).
 func newChurnedTree(t *testing.T, seed int64, shape int) *churnedTree {
 	t.Helper()
 	rng := xrand.New(seed)
 	rootBW, bws, n := 100.0, []float64{0.5, 0.5, 1, 2, 4, 8}, 200+rng.Intn(300)
 	switch shape {
 	case 1:
-		rootBW, bws, n = float64(1+rng.Intn(2)), []float64{1, 1, 2}, 40+rng.Intn(80)
+		rootBW, bws, n = float64(1+rng.Intn(2)), []float64{1, 1, 2}, 120+rng.Intn(120)
 	case 2:
 		bws, n = []float64{0.5, 1, 3}, 2+rng.Intn(10)
 	case 3:
@@ -65,8 +66,8 @@ func (c *churnedTree) place(m *overlay.Member) {
 		if try > 0 && len(c.live) > 0 {
 			p = c.live[c.rng.Intn(len(c.live))]
 		}
-		if p != m && p.Attached() && p.HasSpare() {
-			if err := c.tree.Attach(m, p); err != nil {
+		if p != m && p.Depth() >= 0 && p.HasSpare() {
+			if err := c.tree.Attach(m.Slot(), p.Slot()); err != nil {
 				c.t.Fatalf("attach: %v", err)
 			}
 			return
@@ -91,15 +92,16 @@ func (c *churnedTree) grow(n int) {
 func (c *churnedTree) churn() {
 	for i := c.rng.Intn(4); i > 0 && len(c.live) > 1; i-- {
 		j := c.rng.Intn(len(c.live))
-		orphans, err := c.tree.Remove(c.live[j])
+		orphans, err := c.tree.Remove(c.live[j].Slot())
 		if err != nil {
 			c.t.Fatalf("remove: %v", err)
 		}
 		c.live[j] = c.live[len(c.live)-1]
 		c.live = c.live[:len(c.live)-1]
+		v := c.tree.SlotView()
 		for _, o := range orphans {
 			if c.rng.Intn(2) == 0 {
-				c.place(o)
+				c.place(v.Member(o))
 			}
 		}
 	}
@@ -112,7 +114,7 @@ func (c *churnedTree) pickSelf() *overlay.Member {
 	self := c.live[c.rng.Intn(len(c.live))]
 	if c.rng.Intn(5) == 0 {
 		for _, m := range c.live {
-			if !m.Attached() {
+			if m.Depth() < 0 {
 				return m
 			}
 		}
@@ -124,39 +126,45 @@ func (c *churnedTree) pickSelf() *overlay.Member {
 // map-based reference in reference_test.go: over 560 seeded trees, with one
 // long-lived selector per tree and churn between calls, every group must be
 // element-wise identical and the two RNG streams must stay in step — the
-// rewrite may not add, drop or reorder a single draw. On every other run of
-// twelve trees (each shape at each knowledge), a second MLC pair selects too,
-// with a tenth of the members banned through MLC.Ban, as the live node bans.
+// rewrite may not add, drop or reorder a single draw. Every shape but the
+// shallow one holds more members than DefaultKnowledge, so those selections
+// work from a partial view. On every other run of twelve trees, a second MLC
+// pair selects too, with a tenth of the members banned through MLC.Ban, as the
+// live node bans.
 func TestMLCSelectMatchesReference(t *testing.T) {
 	const trials, rounds = 560, 6
 	ks := []int{1, 3, 8, 1000}
-	var widest, deepLi, topUps, detachedSelf, calls, bannedCalls int
+	var widest, deepLi, topUps, detachedSelf, partial, calls, bannedCalls int
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(trial + 1)
 		shape := trial % shapes
 		c := newChurnedTree(t, seed, shape)
-		know := []int{0, 10, 30}[trial/shapes%3]
-		mlc := &MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}
-		ref := &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn, Knowledge: know}}
+		mlc := &MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn}
+		ref := &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(seed), Delay: delayFn}}
 		var banMLC *MLCSelector
 		var banRef *refMLCSelector
 		var banned map[overlay.MemberID]bool
+		var bannedList []*overlay.Member
 		if trial/(shapes*3)%2 == 0 {
 			banned = map[overlay.MemberID]bool{}
 			for _, m := range c.live {
 				if c.rng.Intn(10) == 0 {
 					banned[m.ID] = true
+					bannedList = append(bannedList, m)
 				}
 			}
-			banMLC = &MLCSelector{Tree: c.tree, Rng: xrand.New(^seed), Delay: delayFn, Knowledge: know}
-			banRef = &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(^seed), Delay: delayFn, Knowledge: know}, banned: banned}
+			banMLC = &MLCSelector{Tree: c.tree, Rng: xrand.New(^seed), Delay: delayFn}
+			banRef = &refMLCSelector{MLCSelector: MLCSelector{Tree: c.tree, Rng: xrand.New(^seed), Delay: delayFn}, banned: banned}
 		}
-		rnd := &RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know}
-		refRnd := &refRandomSelector{RandomSelector: RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn, Knowledge: know}}
+		rnd := &RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn}
+		refRnd := &refRandomSelector{RandomSelector: RandomSelector{Tree: c.tree, Rng: xrand.New(-seed), Delay: delayFn}}
 		for round := 0; round < rounds; round++ {
 			self, k := c.pickSelf(), ks[c.rng.Intn(len(ks))]
-			if !self.Attached() {
+			if self.Depth() < 0 {
 				detachedSelf++
+			}
+			if c.tree.Size()-1 > DefaultKnowledge {
+				partial++
 			}
 			calls++
 			where := fmt.Sprintf("trial %d round %d (shape %d, self %d, k %d)", trial, round, shape, self.ID, k)
@@ -168,7 +176,7 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 			}
 			if banMLC != nil {
 				bannedCalls++
-				if got, want := selectBanned(banMLC, self, k, banned), banRef.Select(self, k); !slices.Equal(got, want) {
+				if got, want := selectBanned(banMLC, self, k, bannedList), banRef.Select(self, k); !slices.Equal(got, want) {
 					t.Fatalf("%s: MLC group with bans %v, reference %v", where, ids(got), ids(want))
 				}
 				if a, b := banMLC.Rng.Int63(), banRef.Rng.Int63(); a != b {
@@ -190,12 +198,13 @@ func TestMLCSelectMatchesReference(t *testing.T) {
 	// The trial mix must reach every branch of Algorithm 1, or the equality
 	// above proves less than it says. A bracket below level 0 is what makes
 	// the production code list levels past the root's children.
-	if widest < calls/20 || topUps < calls/20 || widest > calls*19/20 || detachedSelf < calls/40 || deepLi < calls/40 || bannedCalls < calls/3 {
-		t.Fatalf("branch coverage too thin over %d calls: %d widest-level, %d bracketed at Li >= 1, %d top-ups, %d detached selves, %d with bans",
-			calls, widest, deepLi, topUps, detachedSelf, bannedCalls)
+	if widest < calls/20 || topUps < calls/20 || widest > calls*19/20 || detachedSelf < calls/40 || deepLi < calls/40 ||
+		partial < calls*2/3 || bannedCalls < calls/3 {
+		t.Fatalf("branch coverage too thin over %d calls: %d widest-level, %d bracketed at Li >= 1, %d top-ups, %d detached selves, %d from a partial view, %d with bans",
+			calls, widest, deepLi, topUps, detachedSelf, partial, bannedCalls)
 	}
-	t.Logf("%d calls: %d took the widest-level branch, %d bracketed K at Li >= 1, %d needed the top-up, %d had a detached self; %d repeated with bans",
-		calls, widest, deepLi, topUps, detachedSelf, bannedCalls)
+	t.Logf("%d calls: %d took the widest-level branch, %d bracketed K at Li >= 1, %d needed the top-up, %d had a detached self, %d worked from a partial view; %d repeated with bans",
+		calls, widest, deepLi, topUps, detachedSelf, partial, bannedCalls)
 }
 
 func ids(ms []*overlay.Member) []overlay.MemberID {

@@ -27,11 +27,7 @@ func (s *refMLCSelector) Select(self *overlay.Member, k int) []*overlay.Member {
 	if k <= 0 {
 		return nil
 	}
-	know := s.Knowledge
-	if know <= 0 {
-		know = DefaultKnowledge
-	}
-	pt := buildPartialTree(s.Tree, s.Rng, self, know, s.banned)
+	pt := buildPartialTree(s.Tree, s.Rng, self, DefaultKnowledge, s.banned)
 	if pt == nil {
 		return nil
 	}
@@ -88,12 +84,8 @@ func (s *refRandomSelector) Select(self *overlay.Member, k int) []*overlay.Membe
 	if k <= 0 {
 		return nil
 	}
-	know := s.Knowledge
-	if know <= 0 {
-		know = DefaultKnowledge
-	}
 	banned := rootPathSet(self, nil)
-	sample := s.Tree.Sample(s.Rng, know, self)
+	sample := sampleMembers(s.Tree, s.Rng, DefaultKnowledge, self)
 	group := make([]*overlay.Member, 0, k)
 	for _, c := range sample {
 		if !usableRecoveryNode(c, self, banned) {
@@ -110,6 +102,16 @@ func (s *refRandomSelector) Select(self *overlay.Member, k int) []*overlay.Membe
 		})
 	}
 	return group
+}
+
+// sampleMembers is tree.SampleSlots as the handles the reference reads.
+func sampleMembers(tree *overlay.Tree, rng *xrand.Source, n int, self *overlay.Member) []*overlay.Member {
+	v := tree.SlotView()
+	var out []*overlay.Member
+	for _, i := range tree.SampleSlots(rng, n, self.Slot(), nil) {
+		out = append(out, v.Member(i))
+	}
+	return out
 }
 
 // rootPathSet returns self's strict ancestors plus self, merged with any
@@ -129,7 +131,7 @@ func rootPathSet(self *overlay.Member, extra map[overlay.MemberID]bool) map[over
 // correlated with self: self's ancestors (they fail with self's path) and
 // self's descendants (they receive the stream through self).
 func usableRecoveryNode(c, self *overlay.Member, bannedPath map[overlay.MemberID]bool) bool {
-	if c == nil || c == self || !c.Attached() {
+	if c == nil || c == self || c.Depth() < 0 {
 		return false
 	}
 	if bannedPath[c.ID] {
@@ -157,7 +159,7 @@ type refPartialTree struct {
 
 // buildPartialTree samples `know` members and assembles their root paths.
 func buildPartialTree(tree *overlay.Tree, rng *xrand.Source, self *overlay.Member, know int, extraBanned map[overlay.MemberID]bool) *refPartialTree {
-	sample := tree.Sample(rng, know, self)
+	sample := sampleMembers(tree, rng, know, self)
 	if len(sample) == 0 {
 		return nil
 	}
@@ -170,7 +172,7 @@ func buildPartialTree(tree *overlay.Tree, rng *xrand.Source, self *overlay.Membe
 	}
 	seenEdge := make(map[[2]overlay.MemberID]bool)
 	addPath := func(m *overlay.Member) {
-		if !m.Attached() {
+		if m.Depth() < 0 {
 			return
 		}
 		for cur := m; cur != nil; {

@@ -51,7 +51,7 @@ func TestDepartureAllocs(t *testing.T) {
 			t.Fatal("no interior member left to depart")
 		}
 		orphans += victim.NumChildren()
-		d.depart(sim, victim.ID)
+		d.depart(sim, tree.Ref(victim.Slot()))
 	}
 	depart() // warm the ancestor and orphan buffers
 	if got := testing.AllocsPerRun(50, depart); got > 0 {

@@ -167,16 +167,18 @@ type Driver struct {
 	// nextArrival and sampleTree are the driver's two recurring timers, and
 	// departAt, joinRetry and rejoinRetry its per-member ones: a lifetime
 	// departure, a first join's and an orphan's retry on a saturated
-	// overlay, each carrying the member's ID in the event's argument.
+	// overlay, each carrying the member's Ref in the event's argument.
 	// trackSample samples the tracked member whose index in tracked is its
 	// argument. All are bound once, so arming them allocates nothing.
 	nextArrival, sampleTree          eventsim.Handler
 	departAt, joinRetry, rejoinRetry eventsim.Handler
 	trackSample                      eventsim.Handler
 	tracked                          []*Tracked
-	// ancestorBuf holds a departing member's ancestor path for its
-	// orphans, reused across departures.
-	ancestorBuf []*overlay.Member
+	// ancestorBuf holds a departing member's ancestor path, as Refs, for its
+	// orphans; kids holds its children while their episodes open. Both are
+	// reused across departures.
+	ancestorBuf []int64
+	kids        []int32
 
 	// exposureSum accumulates the observed lifetime (seconds) of departed
 	// members; disruption and reconnection sums over it give unbiased
@@ -243,25 +245,28 @@ type rejoinEpisode struct {
 	span     *tracing.SpanBuilder
 }
 
-// openEpisodes opens a rejoin episode for each child of failed. It runs
-// before OnFailure, so each orphan's span ID precedes any a failure hook
-// mints on the same member's track.
-func (d *Driver) openEpisodes(now time.Duration, failed *overlay.Member) {
+// openEpisodes opens a rejoin episode for each child of the member in slot
+// failed. It runs before OnFailure, so each orphan's span ID precedes any a
+// failure hook mints on the same member's track.
+func (d *Driver) openEpisodes(now time.Duration, v *overlay.SlotView, failed int32) {
 	if d.episodes == nil {
 		return
 	}
-	failed.VisitChildren(func(c *overlay.Member) {
-		d.episodes[c.ID] = rejoinEpisode{
+	d.kids = v.AppendChildren(d.kids[:0], failed)
+	for _, c := range d.kids {
+		id := v.Member(c).ID
+		d.episodes[id] = rejoinEpisode{
 			failedAt: now,
-			span:     d.cfg.Trace.Start(tracing.KindRejoin, int64(c.ID), now).AttrInt("failed_parent", int64(failed.ID)),
+			span:     d.cfg.Trace.Start(tracing.KindRejoin, int64(id), now).AttrInt("failed_parent", int64(v.Member(failed).ID)),
 		}
-	})
+	}
 }
 
-// rejoined reports an orphan's reattachment, then closes its episode: the
-// span line follows the OnRejoin hook's output.
-func (d *Driver) rejoined(sim *eventsim.Simulator, m *overlay.Member) {
+// rejoined reports the reattachment of the orphan in slot i, then closes its
+// episode: the span line follows the OnRejoin hook's output.
+func (d *Driver) rejoined(sim *eventsim.Simulator, v *overlay.SlotView, i int32) {
 	d.met.rejoins.Inc()
+	m := v.Member(i)
 	if d.hooks.OnRejoin != nil {
 		d.hooks.OnRejoin(sim, m)
 	}
@@ -272,9 +277,9 @@ func (d *Driver) rejoined(sim *eventsim.Simulator, m *overlay.Member) {
 	delete(d.episodes, m.ID)
 	now := sim.Now()
 	d.met.rejoinLat.Observe((now - ep.failedAt).Seconds())
-	ep.span.AttrInt("depth", int64(m.Depth()))
-	if p := m.Parent(); p != nil {
-		ep.span.AttrInt("parent", int64(p.ID))
+	ep.span.AttrInt("depth", int64(v.Depth(i)))
+	if p := v.Parent(i); p >= 0 {
+		ep.span.AttrInt("parent", int64(v.Member(p).ID))
 	}
 	ep.span.End(now, "reattached")
 }
@@ -325,9 +330,7 @@ func NewDriver(sim *eventsim.Simulator, tree *overlay.Tree, topo *topology.Topol
 		d.scheduleNextArrival()
 	}
 	d.sampleTree = func(s *eventsim.Simulator, _ int64) { d.sampleTreeMetrics(s) }
-	d.departAt = func(s *eventsim.Simulator, id int64) { d.depart(s, overlay.MemberID(id)) }
-	d.joinRetry = func(s *eventsim.Simulator, id int64) { d.tryFirstJoin(s, overlay.MemberID(id)) }
-	d.rejoinRetry = func(s *eventsim.Simulator, id int64) { d.rejoin(s, overlay.MemberID(id)) }
+	d.departAt, d.joinRetry, d.rejoinRetry = d.depart, d.tryFirstJoin, d.rejoin
 	d.trackSample = d.sampleTracked
 	if cfg.Trace != nil {
 		d.episodes = make(map[overlay.MemberID]rejoinEpisode)
@@ -406,9 +409,9 @@ func (d *Driver) prePopulate(sim *eventsim.Simulator) {
 	// equal ages keep the order they always had.
 	slices.SortFunc(entries, func(a, b seedEntry) int { return cmp.Compare(b.age, a.age) })
 	for _, e := range entries {
-		id := d.tree.NewMember(e.attach, e.bw, -e.age).ID
-		sim.ScheduleAfter(e.residual, d.departAt, int64(id))
-		d.tryFirstJoin(sim, id)
+		ref := d.tree.Ref(d.tree.NewMember(e.attach, e.bw, -e.age).Slot())
+		sim.ScheduleAfter(e.residual, d.departAt, ref)
+		d.tryFirstJoin(sim, ref)
 	}
 }
 
@@ -421,54 +424,60 @@ func (d *Driver) arrive(sim *eventsim.Simulator) {
 	bw := d.cfg.Bandwidth.Sample(d.bwRng)
 	attach := d.topo.RandomStub(d.placeRng)
 	lifetime := time.Duration(DefaultLifetime.Sample(d.lifetimeRng) * float64(time.Second))
-	id := d.tree.NewMember(attach, bw, sim.Now()).ID
-	sim.ScheduleAfter(lifetime, d.departAt, int64(id))
-	d.tryFirstJoin(sim, id)
+	ref := d.tree.Ref(d.tree.NewMember(attach, bw, sim.Now()).Slot())
+	sim.ScheduleAfter(lifetime, d.departAt, ref)
+	d.tryFirstJoin(sim, ref)
 }
 
-// tryFirstJoin attaches a new arrival, retrying while the overlay is
-// saturated.
-func (d *Driver) tryFirstJoin(sim *eventsim.Simulator, id overlay.MemberID) {
-	m := d.tree.Member(id)
-	if m == nil || m.Attached() {
+// tryFirstJoin attaches the new arrival ref refers to, retrying while the
+// overlay is saturated.
+func (d *Driver) tryFirstJoin(sim *eventsim.Simulator, ref int64) {
+	i := d.tree.Resolve(ref)
+	if i < 0 {
 		return
 	}
+	v := d.tree.SlotView()
+	if v.Attached(i) {
+		return
+	}
+	m := v.Member(i)
 	err := d.strategy.Join(d.tree, m, sim.Now())
 	switch {
 	case err == nil:
 		d.met.joins.Inc()
 		d.met.members.Set(float64(d.tree.Size()))
-		d.cfg.Trace.Start(tracing.KindJoin, int64(id), sim.Now()).
-			AttrInt("parent", int64(m.Parent().ID)).
-			AttrInt("depth", int64(m.Depth())).
-			AttrFloat("bandwidth", m.Bandwidth()).
+		d.cfg.Trace.Start(tracing.KindJoin, int64(m.ID), sim.Now()).
+			AttrInt("parent", int64(v.Member(v.Parent(i)).ID)).
+			AttrInt("depth", int64(v.Depth(i))).
+			AttrFloat("bandwidth", v.Bandwidth(i)).
 			End(sim.Now(), "attached")
 		if d.hooks.OnJoin != nil {
 			d.hooks.OnJoin(sim, m)
 		}
 	case errors.Is(err, construct.ErrNoParent):
 		d.JoinFailures++
-		sim.Lane(construct.DefaultRejoinRetry).Schedule(d.joinRetry, int64(id))
+		sim.Lane(construct.DefaultRejoinRetry).Schedule(d.joinRetry, ref)
 	default:
 		panic(fmt.Sprintf("churn: join failed structurally: %v", err))
 	}
 }
 
-// depart handles an abrupt member departure: disruption accounting, removal,
-// and orphan rejoins.
-func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
-	m := d.tree.Member(id)
-	if m == nil {
+// depart handles the abrupt departure of the member ref refers to:
+// disruption accounting, removal, and orphan rejoins.
+func (d *Driver) depart(sim *eventsim.Simulator, ref int64) {
+	i := d.tree.Resolve(ref)
+	if i < 0 {
 		return
 	}
-	now := sim.Now()
-	d.openEpisodes(now, m)
+	now, v := sim.Now(), d.tree.SlotView()
+	id := v.Member(i).ID
+	d.openEpisodes(now, &v, i)
 	if d.hooks.OnFailure != nil {
-		d.hooks.OnFailure(sim, m)
+		d.hooks.OnFailure(sim, v.Member(i))
 	}
 	// Abrupt departure: every descendant is disrupted (Section 6's
 	// "most uncooperative and dynamic environment").
-	disrupted := d.tree.RecordFailure(m)
+	disrupted := d.tree.RecordFailure(i)
 	d.met.disruptions.Add(float64(disrupted))
 	d.cfg.Trace.Start(tracing.KindDepart, int64(id), now).
 		AttrInt("disrupted", int64(disrupted)).End(now, "failed")
@@ -476,18 +485,18 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 		// Exposure: how long this member accumulated counters — from the
 		// start of the measurement window (counters are reset there) or its
 		// join, whichever is later.
-		start := m.JoinTime()
+		start := v.JoinTime(i)
 		if start < d.measureFrom {
 			start = d.measureFrom
 		}
 		d.exposureSum += (now - start).Seconds()
-		d.disruptionSum += float64(m.Disruptions())
-		d.reconnectsSum += float64(m.Reconnections())
+		d.disruptionSum += float64(v.Disruptions(i))
+		d.reconnectsSum += float64(v.Reconnections(i))
 		d.MeasuredDepartures++
 	}
 	d.Departures++
-	d.ancestorBuf = d.tree.AppendAncestors(d.ancestorBuf[:0], m) // the orphans' surviving ancestor path
-	orphans, err := d.tree.Remove(m)
+	d.ancestorBuf = d.tree.AppendAncestors(d.ancestorBuf[:0], i) // the orphans' surviving ancestor path
+	orphans, err := d.tree.Remove(i)
 	if err != nil {
 		panic(fmt.Sprintf("churn: removing departed member: %v", err))
 	}
@@ -503,49 +512,57 @@ func (d *Driver) depart(sim *eventsim.Simulator, id overlay.MemberID) {
 	}
 	// Orphans contend for the freed position; the largest-BTP child wins
 	// (the same priority Figure 2 gives the strongest node at overflow).
-	slices.SortFunc(orphans, func(a, b *overlay.Member) int {
-		return cmp.Compare(b.BTP(now), a.BTP(now))
+	slices.SortFunc(orphans, func(a, b int32) int {
+		return cmp.Compare(v.BTP(b, now), v.BTP(a, now))
 	})
 	for _, o := range orphans {
-		if d.cfg.AncestorRejoin && d.ancestorRejoin(sim, o, d.ancestorBuf) {
+		if d.cfg.AncestorRejoin && d.ancestorRejoin(sim, &v, o, d.ancestorBuf) {
 			continue
 		}
-		d.rejoin(sim, o.ID)
+		d.rejoin(sim, d.tree.Ref(o))
 	}
 }
 
-// ancestorRejoin re-attaches an orphan under its nearest surviving ancestor
-// with spare capacity. It reports whether a position was found.
-func (d *Driver) ancestorRejoin(sim *eventsim.Simulator, o *overlay.Member, ancestors []*overlay.Member) bool {
-	for _, a := range ancestors {
-		if d.tree.Member(a.ID) != a || !a.Attached() || !a.HasSpare() {
+// ancestorRejoin re-attaches the orphan in slot o under its nearest surviving
+// ancestor with spare capacity: an ancestor's Ref resolves only while that
+// member lives. It reports whether a position was found.
+func (d *Driver) ancestorRejoin(sim *eventsim.Simulator, v *overlay.SlotView, o int32, ancestors []int64) bool {
+	for _, ref := range ancestors {
+		a := d.tree.Resolve(ref)
+		if a < 0 || !v.Attached(a) || !v.HasSpare(a) {
 			continue
 		}
 		if err := d.tree.Attach(o, a); err != nil {
 			continue
 		}
-		d.rejoined(sim, o)
+		d.rejoined(sim, v, o)
 		return true
 	}
 	return false
 }
 
-// rejoin re-attaches an orphan (or retries later when saturated).
-func (d *Driver) rejoin(sim *eventsim.Simulator, id overlay.MemberID) {
-	m := d.tree.Member(id)
-	if m == nil || m.Attached() {
+// rejoin re-attaches the orphan ref refers to (or retries later when
+// saturated).
+func (d *Driver) rejoin(sim *eventsim.Simulator, ref int64) {
+	i := d.tree.Resolve(ref)
+	if i < 0 {
 		return
 	}
+	v := d.tree.SlotView()
+	if v.Attached(i) {
+		return
+	}
+	m := v.Member(i)
 	err := d.strategy.Join(d.tree, m, sim.Now())
 	switch {
 	case err == nil:
-		d.rejoined(sim, m)
+		d.rejoined(sim, &v, i)
 	case errors.Is(err, construct.ErrNoParent):
 		d.JoinFailures++
-		if ep, ok := d.episodes[id]; ok {
-			ep.span.Child(tracing.KindAttempt, int64(id), sim.Now()).End(sim.Now(), "saturated")
+		if ep, ok := d.episodes[m.ID]; ok {
+			ep.span.Child(tracing.KindAttempt, int64(m.ID), sim.Now()).End(sim.Now(), "saturated")
 		}
-		sim.Lane(construct.DefaultRejoinRetry).Schedule(d.rejoinRetry, int64(id))
+		sim.Lane(construct.DefaultRejoinRetry).Schedule(d.rejoinRetry, ref)
 	default:
 		panic(fmt.Sprintf("churn: rejoin failed structurally: %v", err))
 	}
@@ -559,7 +576,7 @@ func (d *Driver) Track(at time.Duration, bw float64) *Tracked {
 	d.tracked = append(d.tracked, tr)
 	d.sim.Schedule(at, func(sim *eventsim.Simulator, i int64) {
 		tr.Member = d.tree.NewMember(d.topo.RandomStub(d.placeRng), bw, sim.Now())
-		d.tryFirstJoin(sim, tr.Member.ID)
+		d.tryFirstJoin(sim, d.tree.Ref(tr.Member.Slot()))
 		d.sampleTracked(sim, i)
 	}, int64(len(d.tracked)-1))
 	return tr
@@ -569,11 +586,11 @@ func (d *Driver) Track(at time.Duration, bw float64) *Tracked {
 // then re-arms itself a minute later.
 func (d *Driver) sampleTracked(sim *eventsim.Simulator, arg int64) {
 	tr := d.tracked[arg]
-	m := tr.Member
+	v, i := d.tree.SlotView(), tr.Member.Slot() // a tracked member never departs
 	tr.Times = append(tr.Times, sim.Now())
-	tr.Disruptions = append(tr.Disruptions, m.Disruptions())
-	delay := m.PathDelay()
-	if !m.Attached() {
+	tr.Disruptions = append(tr.Disruptions, v.Disruptions(i))
+	delay := v.PathDelay(i)
+	if !v.Attached(i) {
 		delay = 0 // rejoining; no live path
 	}
 	tr.DelayMS = append(tr.DelayMS, float64(delay)/float64(time.Millisecond))
@@ -593,7 +610,7 @@ func (d *Driver) sampleTreeMetrics(sim *eventsim.Simulator) {
 	n := 0
 	// The slot walk visits the attached members in VisitSubtree's pre-order,
 	// so the float sums add in the same order.
-	v, top := d.tree.SlotView(), int32(root.Slot())
+	v, top := d.tree.SlotView(), root.Slot()
 	for i := v.Next(top, top); i >= 0; i = v.Next(i, top) {
 		n++
 		pd := v.PathDelay(i)
@@ -659,7 +676,7 @@ func (d *Driver) Result() Result {
 	// are read off the slot arrays, and counts is sized for every live member.
 	counts := make([]float64, 0, d.tree.Size()-1)
 	var disrSum, reconnSum float64
-	v, top := d.tree.SlotView(), int32(d.tree.Root().Slot())
+	v, top := d.tree.SlotView(), d.tree.Root().Slot()
 	for i := v.Next(top, top); i >= 0; i = v.Next(i, top) {
 		counts = append(counts, float64(v.Disruptions(i)))
 		disrSum += float64(v.Disruptions(i))

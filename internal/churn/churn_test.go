@@ -187,7 +187,7 @@ func TestTrackedMember(t *testing.T) {
 		t.Fatal("sample series lengths diverge")
 	}
 	// The tracked member never departs.
-	if w.tree.Member(tr.Member.ID) == nil {
+	if v := w.tree.SlotView(); tr.Member.Slot() < 0 || v.Member(tr.Member.Slot()) != tr.Member {
 		t.Fatal("tracked member departed")
 	}
 }
@@ -205,8 +205,9 @@ func TestPrePopulateEquilibrium(t *testing.T) {
 		t.Fatalf("size %d right after pre-population, want >= 200", size)
 	}
 	agedMembers := 0
+	v := w.tree.SlotView()
 	w.tree.VisitSubtree(w.tree.Root(), func(m *overlay.Member) {
-		if m.Age(0) > 0 {
+		if v.JoinTime(m.Slot()) < 0 {
 			agedMembers++
 		}
 	})

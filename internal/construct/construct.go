@@ -103,27 +103,28 @@ func (k parentKey) of(v *overlay.SlotView, c int32) int64 {
 // candidates samples the joining member's partial view of the overlay, as
 // slots, and always includes the source (the bootstrap mechanism guarantees
 // at least one active contact, and the source is every session's first),
-// mirroring the paper's join procedure. The list is built in an Env-owned
-// buffer and is valid until the next call or tree mutation.
-func (e *Env) candidates(tree *overlay.Tree, m *overlay.Member) []int32 {
-	e.cands = tree.SampleSlots(e.Rng, e.candidateCount(), int32(m.Slot()), e.cands[:0])
-	e.cands = append(e.cands, int32(tree.Root().Slot()))
+// mirroring the paper's join procedure. m is the joining member's slot. The
+// list is built in an Env-owned buffer and is valid until the next call or
+// tree mutation.
+func (e *Env) candidates(tree *overlay.Tree, m int32) []int32 {
+	e.cands = tree.SampleSlots(e.Rng, e.candidateCount(), m, e.cands[:0])
+	e.cands = append(e.cands, tree.Root().Slot())
 	return e.cands
 }
 
-// pickParent runs the paper's distributed join step over m's candidates: the
-// usable one — attached, with spare degree — of least key; among those, the
-// first nearest to m. It returns nil when none is usable. m itself is never a
-// candidate: the sample excludes it, and a detached m is not the source.
+// pickParent runs the paper's distributed join step over the candidates of
+// the member in slot m: the usable one — attached, with spare degree — of
+// least key; among those, the first nearest to m. It returns that parent's
+// slot, or -1 when none is usable. m itself is never a candidate: the sample
+// excludes it, and a detached m is not the source.
 //
 // The first pass keeps the usable candidates and their keys in place, in
 // sample order; the second asks Delay only about those at the least key. That
 // is the parent a single pass keeping the first strictly better (key, delay)
 // would pick, because the first candidate at the least key always displaces
 // whatever came before it, but with no Delay call for a candidate that is
-// later outranked. Only the winner's and the tied candidates' handles are
-// read: usability, depth and spare degree come from one SlotView.
-func (e *Env) pickParent(tree *overlay.Tree, m *overlay.Member, key parentKey) *overlay.Member {
+// later outranked.
+func (e *Env) pickParent(tree *overlay.Tree, m int32, key parentKey) int32 {
 	cands, v := e.candidates(tree, m), tree.SlotView()
 	usable, keys := cands[:0], e.keys[:0]
 	var least int64
@@ -138,15 +139,14 @@ func (e *Env) pickParent(tree *overlay.Tree, m *overlay.Member, key parentKey) *
 		usable, keys = append(usable, c), append(keys, k)
 	}
 	e.keys = keys
-	var best *overlay.Member
+	best := int32(-1)
 	var bestDelay time.Duration
 	for i, c := range usable {
 		if keys[i] != least {
 			continue
 		}
-		cm := v.Member(c)
-		if d := e.Delay(m.Attach(), cm.Attach()); best == nil || d < bestDelay {
-			best, bestDelay = cm, d
+		if d := e.Delay(v.Attach(m), v.Attach(c)); best < 0 || d < bestDelay {
+			best, bestDelay = c, d
 		}
 	}
 	return best
@@ -154,11 +154,11 @@ func (e *Env) pickParent(tree *overlay.Tree, m *overlay.Member, key parentKey) *
 
 // join attaches m under pickParent's choice, or returns ErrNoParent.
 func (e *Env) join(tree *overlay.Tree, m *overlay.Member, key parentKey) error {
-	parent := e.pickParent(tree, m, key)
-	if parent == nil {
+	parent := e.pickParent(tree, m.Slot(), key)
+	if parent < 0 {
 		return ErrNoParent
 	}
-	return tree.Attach(m, parent)
+	return tree.Attach(m.Slot(), parent)
 }
 
 // MinDepth is the minimum-depth algorithm.
@@ -259,7 +259,7 @@ func (a *relaxedOrdered) Join(tree *overlay.Tree, m *overlay.Member, now time.Du
 			return a.replace(tree, m, victim, now)
 		}
 		if parent := nearestSpare(a.env, lx, d-1, m); parent != nil {
-			return tree.Attach(m, parent)
+			return tree.Attach(m.Slot(), parent.Slot())
 		}
 	}
 	return ErrNoParent
@@ -287,14 +287,14 @@ func (a *relaxedOrdered) replace(tree *overlay.Tree, m, victim *overlay.Member, 
 func (a *relaxedOrdered) replaceWith(tree *overlay.Tree, m, victim *overlay.Member, children []*overlay.Member, now time.Duration) error {
 	parent := victim.Parent()
 	for _, c := range children {
-		if err := tree.Detach(c); err != nil {
+		if err := tree.Detach(c.Slot()); err != nil {
 			return fmt.Errorf("construct: detaching child %d of victim: %w", c.ID, err)
 		}
 	}
-	if err := tree.Detach(victim); err != nil {
+	if err := tree.Detach(victim.Slot()); err != nil {
 		return fmt.Errorf("construct: detaching victim %d: %w", victim.ID, err)
 	}
-	if err := tree.Attach(m, parent); err != nil {
+	if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 		return fmt.Errorf("construct: attaching replacement %d: %w", m.ID, err)
 	}
 	// Keep the strongest children in place; the order matters only when m
@@ -304,19 +304,19 @@ func (a *relaxedOrdered) replaceWith(tree *overlay.Tree, m, victim *overlay.Memb
 	}
 	adopted := 0
 	for ; adopted < len(children) && m.HasSpare(); adopted++ {
-		if err := tree.Attach(children[adopted], m); err != nil {
+		if err := tree.Attach(children[adopted].Slot(), m.Slot()); err != nil {
 			return fmt.Errorf("construct: re-adopting child %d: %w", children[adopted].ID, err)
 		}
 	}
 	// The victim (now childless) rejoins, then leftover children with their
 	// subtrees. Rejoin failures leave them detached; the churn driver will
 	// retry them like any other orphan, so saturation here is not fatal.
-	tree.RecordReconnection(victim)
+	tree.RecordReconnection(victim.Slot())
 	if err := a.Join(tree, victim, now); err != nil && !errors.Is(err, ErrNoParent) {
 		return fmt.Errorf("construct: rejoining victim %d: %w", victim.ID, err)
 	}
 	for _, c := range children[adopted:] {
-		tree.RecordReconnection(c)
+		tree.RecordReconnection(c.Slot())
 		if err := a.Join(tree, c, now); err != nil && !errors.Is(err, ErrNoParent) {
 			return fmt.Errorf("construct: rejoining leftover child %d: %w", c.ID, err)
 		}

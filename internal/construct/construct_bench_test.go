@@ -78,12 +78,13 @@ func benchRelaxedJoin(b *testing.B, root topology.NodeID, delay func(a, c topolo
 	for i := 0; i < b.N; i++ {
 		oldest := ring[i%members]
 		ring[i%members] = arrive()
-		orphans, err := tree.Remove(oldest)
+		orphans, err := tree.Remove(oldest.Slot())
 		if err != nil {
 			b.Fatal(err)
 		}
+		v := tree.SlotView()
 		for _, o := range orphans {
-			if err := s.Join(tree, o, now); err != nil {
+			if err := s.Join(tree, v.Member(o), now); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,7 +117,7 @@ func ladderTree(b *testing.B, size int) (*overlay.Tree, *overlay.Member) {
 			continue
 		}
 		k := rng.Intn(len(open))
-		if err := tree.Attach(m, open[k]); err != nil {
+		if err := tree.Attach(m.Slot(), open[k].Slot()); err != nil {
 			b.Fatal(err)
 		}
 		if !open[k].HasSpare() {
@@ -167,7 +168,7 @@ func BenchmarkSampleSlots(b *testing.B) {
 }
 
 // pickedParent keeps BenchmarkPickParent's result live.
-var pickedParent *overlay.Member
+var pickedParent int32
 
 // BenchmarkPickParent is the distributed join step, sample and choice, for
 // the ladder's detached joiner. The joiner is not attached, so every op ranks
@@ -176,7 +177,7 @@ func BenchmarkPickParent(b *testing.B) {
 	benchLadder(b, func(b *testing.B, tree *overlay.Tree, joiner *overlay.Member) {
 		env := &Env{Rng: xrand.New(1), Delay: ladderDelay}
 		for i := 0; i < b.N; i++ {
-			pickedParent = env.pickParent(tree, joiner, shallowest)
+			pickedParent = env.pickParent(tree, joiner.Slot(), shallowest)
 		}
 	})
 }

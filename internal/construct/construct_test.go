@@ -29,6 +29,12 @@ func testEnv(seed int64) *Env {
 	}
 }
 
+// view returns a fresh SlotView of tree.
+func view(tree *overlay.Tree) *overlay.SlotView {
+	v := tree.SlotView()
+	return &v
+}
+
 func newTree(t *testing.T) *overlay.Tree {
 	t.Helper()
 	env := testEnv(0)
@@ -133,7 +139,7 @@ func TestLongestFirstPicksOldest(t *testing.T) {
 	m := join(t, s, tree, 5, 0.5, 40*time.Second)
 	if m.Parent() != old {
 		t.Fatalf("joined under member with join time %v, want oldest (%v)",
-			m.Parent().JoinTime(), old.JoinTime())
+			view(tree).JoinTime(m.Parent().Slot()), view(tree).JoinTime(old.Slot()))
 	}
 }
 
@@ -152,15 +158,15 @@ func TestRelaxedBOEvictsWeaker(t *testing.T) {
 	if strong.Depth() != 1 {
 		t.Fatalf("strong joiner at depth %d, want 1", strong.Depth())
 	}
-	if weak.Depth() <= 1 || !weak.Attached() {
-		t.Fatalf("weak node depth %d attached=%v, want evicted below layer 1", weak.Depth(), weak.Attached())
+	if weak.Depth() <= 1 || !view(tree).Attached(weak.Slot()) {
+		t.Fatalf("weak node depth %d attached=%v, want evicted below layer 1", weak.Depth(), view(tree).Attached(weak.Slot()))
 	}
 	// Eviction-first semantics can cascade (the rejoining weak node may in
 	// turn displace the even weaker kid), but every hop must be charged.
-	if weak.Reconnections() < 1 {
-		t.Fatalf("evicted node reconnections = %d, want >= 1", weak.Reconnections())
+	if view(tree).Reconnections(weak.Slot()) < 1 {
+		t.Fatalf("evicted node reconnections = %d, want >= 1", view(tree).Reconnections(weak.Slot()))
 	}
-	if !kid.Attached() {
+	if !view(tree).Attached(kid.Slot()) {
 		t.Fatal("cascade left the weakest node detached")
 	}
 }
@@ -189,7 +195,7 @@ func TestRelaxedBOAdoptsChildren(t *testing.T) {
 	if victim.Parent() != strong {
 		t.Fatalf("victim rejoined under %d, want %d", victim.Parent().ID, strong.ID)
 	}
-	if victim.Reconnections() < 1 {
+	if view(tree).Reconnections(victim.Slot()) < 1 {
 		t.Fatal("victim not charged for its eviction")
 	}
 	if err := tree.CheckInvariantsFull(); err != nil {
@@ -222,9 +228,9 @@ func TestRelaxedBOOrderingInvariant(t *testing.T) {
 		if p == nil || p == tree.Root() {
 			return
 		}
-		if m.Bandwidth() > p.Bandwidth() {
+		if view(tree).Bandwidth(m.Slot()) > view(tree).Bandwidth(p.Slot()) {
 			t.Fatalf("bandwidth ordering violated: child %g over parent %g",
-				m.Bandwidth(), p.Bandwidth())
+				view(tree).Bandwidth(m.Slot()), view(tree).Bandwidth(p.Slot()))
 		}
 	})
 }
@@ -271,7 +277,7 @@ func TestRelaxedTOLeftoverChildrenRejoin(t *testing.T) {
 	var kids []*overlay.Member
 	for i := 0; i < 3; i++ {
 		k := tree.NewMember(topology.NodeID(10+i), 2, time.Duration(200+i)*time.Second)
-		if err := s.Join(tree, k, k.JoinTime()); err != nil {
+		if err := s.Join(tree, k, view(tree).JoinTime(k.Slot())); err != nil {
 			t.Fatal(err)
 		}
 		kids = append(kids, k)
@@ -289,12 +295,12 @@ func TestRelaxedTOLeftoverChildrenRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everyone still attached.
-	reconns := victim.Reconnections()
+	reconns := view(tree).Reconnections(victim.Slot())
 	for _, k := range kids {
-		if !k.Attached() {
+		if !view(tree).Attached(k.Slot()) {
 			t.Fatalf("child %d left detached", k.ID)
 		}
-		reconns += k.Reconnections()
+		reconns += view(tree).Reconnections(k.Slot())
 	}
 	if reconns < 3 { // victim + 2 leftover children
 		t.Fatalf("total reconnections = %d, want >= 3", reconns)
@@ -322,12 +328,12 @@ func TestRelaxedTOOrderingInvariant(t *testing.T) {
 			m := live[idx]
 			live[idx] = live[len(live)-1]
 			live = live[:len(live)-1]
-			orphans, err := tree.Remove(m)
+			orphans, err := tree.Remove(m.Slot())
 			if err != nil {
 				t.Fatalf("remove: %v", err)
 			}
 			for _, o := range orphans {
-				if err := s.Join(tree, o, now); err != nil {
+				if err := s.Join(tree, view(tree).Member(o), now); err != nil {
 					t.Fatalf("orphan rejoin: %v", err)
 				}
 			}
@@ -348,9 +354,9 @@ func TestRelaxedTOOrderingInvariant(t *testing.T) {
 		if p == nil || p == tree.Root() {
 			return
 		}
-		if m.JoinTime() < p.JoinTime() {
+		if view(tree).JoinTime(m.Slot()) < view(tree).JoinTime(p.Slot()) {
 			t.Fatalf("time ordering violated: child joined %v, parent %v",
-				m.JoinTime(), p.JoinTime())
+				view(tree).JoinTime(m.Slot()), view(tree).JoinTime(p.Slot()))
 		}
 	})
 }
@@ -486,7 +492,7 @@ func TestMinDepthExcludesDetachedCandidates(t *testing.T) {
 	}
 	s := &MinDepth{Env: env}
 	a := join(t, s, tree, 1, 5, 0)
-	if err := tree.Detach(a); err != nil {
+	if err := tree.Detach(a.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	// a has plenty of spare degree but is detached; the joiner must not
@@ -516,8 +522,8 @@ func TestCandidatesAllocCeiling(t *testing.T) {
 			}
 		}
 	}
-	m := tree.NewMember(0, 2, 0)
-	root := int32(tree.Root().Slot())
+	m := tree.NewMember(0, 2, 0).Slot()
+	root := tree.Root().Slot()
 	if got := env.candidates(tree, m); len(got) != 101 || got[100] != root {
 		t.Fatalf("warm candidate list has %d members, source last: %v", len(got), got[len(got)-1] == root)
 	}
@@ -525,7 +531,7 @@ func TestCandidatesAllocCeiling(t *testing.T) {
 		if got := env.candidates(tree, m); len(got) != 101 || got[100] != root {
 			t.Fatal("candidate list changed shape")
 		}
-		if env.pickParent(tree, m, shallowest) == nil {
+		if env.pickParent(tree, m, shallowest) < 0 {
 			t.Fatal("no parent in a tree with spare degree")
 		}
 	})

@@ -19,7 +19,7 @@ import (
 
 // usableParent reports whether c can accept m as a child right now.
 func usableParent(c, m *overlay.Member) bool {
-	return c != m && c.Attached() && c.HasSpare()
+	return c != m && c.Depth() >= 0 && c.HasSpare()
 }
 
 // refPick is the single-pass candidate loop MinDepth, LongestFirst and
@@ -27,8 +27,13 @@ func usableParent(c, m *overlay.Member) bool {
 // the usable candidate of least key, replacing it on a strictly smaller key
 // or, at an equal key, a strictly smaller delay. It asks Delay about every
 // candidate that becomes or ties the best so far.
-func refPick(env *Env, tree *overlay.Tree, m *overlay.Member, key func(*overlay.Member) int64) *overlay.Member {
-	cands := append(append([]*overlay.Member(nil), tree.Sample(env.Rng, env.candidateCount(), m)...), tree.Root())
+func refPick(env *Env, tree *overlay.Tree, m *overlay.Member, key func(*overlay.SlotView, *overlay.Member) int64) *overlay.Member {
+	v := tree.SlotView()
+	var cands []*overlay.Member
+	for _, c := range tree.SampleSlots(env.Rng, env.candidateCount(), m.Slot(), nil) {
+		cands = append(cands, v.Member(c))
+	}
+	cands = append(cands, tree.Root())
 	var best *overlay.Member
 	var bestDelay time.Duration
 	for _, c := range cands {
@@ -36,10 +41,10 @@ func refPick(env *Env, tree *overlay.Tree, m *overlay.Member, key func(*overlay.
 			continue
 		}
 		switch {
-		case best == nil, key(c) < key(best):
+		case best == nil, key(&v, c) < key(&v, best):
 			best = c
 			bestDelay = env.Delay(m.Attach(), c.Attach())
-		case key(c) == key(best):
+		case key(&v, c) == key(&v, best):
 			if d := env.Delay(m.Attach(), c.Attach()); d < bestDelay {
 				best = c
 				bestDelay = d
@@ -50,10 +55,10 @@ func refPick(env *Env, tree *overlay.Tree, m *overlay.Member, key func(*overlay.
 }
 
 // refKeys are the three strategies' keys as the handle loops read them.
-var refKeys = map[parentKey]func(*overlay.Member) int64{
-	shallowest: func(c *overlay.Member) int64 { return int64(c.Depth()) },
-	oldest:     func(c *overlay.Member) int64 { return int64(c.JoinTime()) },
-	deepest:    func(c *overlay.Member) int64 { return -int64(c.Depth()) },
+var refKeys = map[parentKey]func(*overlay.SlotView, *overlay.Member) int64{
+	shallowest: func(_ *overlay.SlotView, c *overlay.Member) int64 { return int64(c.Depth()) },
+	oldest:     func(v *overlay.SlotView, c *overlay.Member) int64 { return int64(v.JoinTime(c.Slot())) },
+	deepest:    func(_ *overlay.SlotView, c *overlay.Member) int64 { return -int64(c.Depth()) },
 }
 
 // TestPickParentMatchesReferenceLoop drives the same churn into two trees,
@@ -80,7 +85,7 @@ func TestPickParentMatchesReferenceLoop(t *testing.T) {
 					if p == nil {
 						return ErrNoParent
 					}
-					return tree.Attach(m, p)
+					return tree.Attach(m.Slot(), p.Slot())
 				}
 			})
 			cur := newMatchWorld(t, tiedDelay, func(env *Env) func(*overlay.Tree, *overlay.Member, time.Duration) error {
@@ -96,7 +101,7 @@ func TestPickParentMatchesReferenceLoop(t *testing.T) {
 			saturated, savedCalls := 0, 0
 			joinBoth := func(step int, id overlay.MemberID) {
 				t.Helper()
-				a, b := ref.tree.Member(id), cur.tree.Member(id)
+				a, b := ref.member(id), cur.member(id)
 				c0, c1 := ref.calls, cur.calls
 				errRef, errCur := ref.join(ref.tree, a, now), cur.join(cur.tree, b, now)
 				if !errors.Is(errCur, errRef) || errRef != nil && !errors.Is(errRef, ErrNoParent) {
@@ -122,7 +127,7 @@ func TestPickParentMatchesReferenceLoop(t *testing.T) {
 					now += time.Second
 				}
 				for _, id := range live {
-					if m := ref.tree.Member(id); !m.Attached() && m.Parent() == nil {
+					if m := ref.member(id); m.Depth() < 0 && m.Parent() == nil {
 						joinBoth(step, id)
 					}
 				}
@@ -132,8 +137,8 @@ func TestPickParentMatchesReferenceLoop(t *testing.T) {
 					if len(live) > 150 && op < 0.06 {
 						bw = 0 // a run of free-riders: the tree saturates
 					}
-					id := ref.tree.NewMember(attach, bw, now).ID
-					cur.tree.NewMember(attach, bw, now)
+					id := ref.newMember(attach, bw, now)
+					cur.newMember(attach, bw, now)
 					live = append(live, id)
 					joinBoth(step, id)
 				case op < 0.85:
@@ -141,23 +146,18 @@ func TestPickParentMatchesReferenceLoop(t *testing.T) {
 					id := live[k]
 					live[k] = live[len(live)-1]
 					live = live[:len(live)-1]
-					orphans, err := ref.tree.Remove(ref.tree.Member(id))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := cur.tree.Remove(cur.tree.Member(id)); err != nil {
-						t.Fatal(err)
-					}
+					orphans := ref.remove(t, id)
+					cur.remove(t, id)
 					for _, o := range orphans {
-						joinBoth(step, o.ID)
+						joinBoth(step, o)
 					}
 				default:
 					id := live[rng.Intn(len(live))]
-					if a := ref.tree.Member(id); a.Attached() {
-						if err := ref.tree.Detach(a); err != nil {
+					if a := ref.member(id); a.Depth() >= 0 {
+						if err := ref.tree.Detach(a.Slot()); err != nil {
 							t.Fatal(err)
 						}
-						if err := cur.tree.Detach(cur.tree.Member(id)); err != nil {
+						if err := cur.tree.Detach(cur.member(id).Slot()); err != nil {
 							t.Fatal(err)
 						}
 						joinBoth(step, id)
@@ -229,7 +229,7 @@ func (a *refRelaxed) Join(tree *overlay.Tree, m *overlay.Member, now time.Durati
 			}
 		}
 		if parent := refNearestSpare(a.env, tree.Level(d-1), m); parent != nil {
-			return tree.Attach(m, parent)
+			return tree.Attach(m.Slot(), parent.Slot())
 		}
 	}
 	return ErrNoParent
@@ -239,14 +239,14 @@ func (a *refRelaxed) replace(tree *overlay.Tree, m, victim *overlay.Member, now 
 	parent := victim.Parent()
 	children := victim.AppendChildren(nil)
 	for _, c := range children {
-		if err := tree.Detach(c); err != nil {
+		if err := tree.Detach(c.Slot()); err != nil {
 			return err
 		}
 	}
-	if err := tree.Detach(victim); err != nil {
+	if err := tree.Detach(victim.Slot()); err != nil {
 		return err
 	}
-	if err := tree.Attach(m, parent); err != nil {
+	if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 		return err
 	}
 	if !a.adoptAll {
@@ -255,7 +255,7 @@ func (a *refRelaxed) replace(tree *overlay.Tree, m, victim *overlay.Member, now 
 	var leftovers []*overlay.Member
 	for _, c := range children {
 		if m.HasSpare() {
-			if err := tree.Attach(c, m); err != nil {
+			if err := tree.Attach(c.Slot(), m.Slot()); err != nil {
 				return err
 			}
 			continue
@@ -264,12 +264,12 @@ func (a *refRelaxed) replace(tree *overlay.Tree, m, victim *overlay.Member, now 
 	}
 	a.evicting++
 	defer func() { a.evicting-- }()
-	tree.RecordReconnection(victim)
+	tree.RecordReconnection(victim.Slot())
 	if err := a.Join(tree, victim, now); err != nil && !errors.Is(err, ErrNoParent) {
 		return err
 	}
 	for _, c := range leftovers {
-		tree.RecordReconnection(c)
+		tree.RecordReconnection(c.Slot())
 		if err := a.Join(tree, c, now); err != nil && !errors.Is(err, ErrNoParent) {
 			return err
 		}
@@ -277,13 +277,41 @@ func (a *refRelaxed) replace(tree *overlay.Tree, m, victim *overlay.Member, now 
 	return nil
 }
 
-// matchWorld is one side of the element-wise match: a tree, the strategy
-// joining into it and the number of Delay calls the strategy has made.
+// matchWorld is one side of the element-wise match: a tree, its live members
+// by ID, the strategy joining into it and the number of Delay calls the
+// strategy has made.
 type matchWorld struct {
-	tree  *overlay.Tree
-	env   *Env
-	join  func(*overlay.Tree, *overlay.Member, time.Duration) error
-	calls int
+	tree    *overlay.Tree
+	members map[overlay.MemberID]*overlay.Member
+	env     *Env
+	join    func(*overlay.Tree, *overlay.Member, time.Duration) error
+	calls   int
+}
+
+// newMember adds a detached member and returns its ID.
+func (w *matchWorld) newMember(attach topology.NodeID, bw float64, joined time.Duration) overlay.MemberID {
+	m := w.tree.NewMember(attach, bw, joined)
+	w.members[m.ID] = m
+	return m.ID
+}
+
+// member returns the live member with the given ID.
+func (w *matchWorld) member(id overlay.MemberID) *overlay.Member { return w.members[id] }
+
+// remove removes the member with the given ID and returns its orphans' IDs.
+func (w *matchWorld) remove(t *testing.T, id overlay.MemberID) []overlay.MemberID {
+	t.Helper()
+	orphans, err := w.tree.Remove(w.members[id].Slot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(w.members, id)
+	v := w.tree.SlotView()
+	ids := make([]overlay.MemberID, len(orphans))
+	for k, o := range orphans {
+		ids[k] = v.Member(o).ID
+	}
+	return ids
 }
 
 // tiedDelay maps six stub routers onto four distinct delays, so equal delays
@@ -299,7 +327,7 @@ func tiedDelay(a, b topology.NodeID) time.Duration {
 // calls counted and its source on router 0.
 func newMatchWorld(t *testing.T, delay func(a, b topology.NodeID) time.Duration, mk func(*Env) func(*overlay.Tree, *overlay.Member, time.Duration) error) *matchWorld {
 	t.Helper()
-	w := &matchWorld{}
+	w := &matchWorld{members: map[overlay.MemberID]*overlay.Member{}}
 	w.env = &Env{Rng: xrand.New(1), Delay: func(a, b topology.NodeID) time.Duration {
 		w.calls++
 		return delay(a, b)
@@ -320,8 +348,8 @@ func idOf(m *overlay.Member) string {
 }
 
 // memberShape renders everything about a member the two worlds must agree on.
-func memberShape(m *overlay.Member) string {
-	s := fmt.Sprintf("%d@%d depth %d attached %v reconn %d kids", m.ID, m.LevelPos(), m.Depth(), m.Attached(), m.Reconnections())
+func memberShape(v *overlay.SlotView, m *overlay.Member) string {
+	s := fmt.Sprintf("%d@%d depth %d reconn %d kids", m.ID, m.LevelPos(), m.Depth(), v.Reconnections(m.Slot()))
 	for _, c := range m.AppendChildren(nil) {
 		s = fmt.Sprintf("%s %d", s, c.ID)
 	}
@@ -331,12 +359,12 @@ func memberShape(m *overlay.Member) string {
 	return s
 }
 
-// sameShape reports whether a and b, the same member in the two worlds, have
-// the same parent, the same children in the same order and the same position
-// in the same Level(d).
-func sameShape(a, b *overlay.Member, kidsA, kidsB []*overlay.Member) bool {
-	if a.ID != b.ID || a.LevelPos() != b.LevelPos() || a.Depth() != b.Depth() || a.Attached() != b.Attached() ||
-		a.Reconnections() != b.Reconnections() || (a.Parent() == nil) != (b.Parent() == nil) || len(kidsA) != len(kidsB) {
+// sameShape reports whether a and b, the same member in the two worlds whose
+// views are va and vb, have the same parent, the same children in the same
+// order, the same position in the same Level(d) and the same reconnections.
+func sameShape(va, vb *overlay.SlotView, a, b *overlay.Member, kidsA, kidsB []*overlay.Member) bool {
+	if a.ID != b.ID || a.LevelPos() != b.LevelPos() || a.Depth() != b.Depth() ||
+		va.Reconnections(a.Slot()) != vb.Reconnections(b.Slot()) || (a.Parent() == nil) != (b.Parent() == nil) || len(kidsA) != len(kidsB) {
 		return false
 	}
 	for i := range kidsA {
@@ -356,10 +384,11 @@ func requireSameTrees(t *testing.T, step int, ref, idx *overlay.Tree) {
 	if len(a) != len(b) {
 		t.Fatalf("step %d: %d members under the reference scans, %d under the index", step, len(a), len(b))
 	}
+	va, vb := ref.SlotView(), idx.SlotView()
 	for i := range a {
 		kidsA, kidsB = a[i].AppendChildren(kidsA[:0]), b[i].AppendChildren(kidsB[:0])
-		if !sameShape(a[i], b[i], kidsA, kidsB) {
-			t.Fatalf("step %d: trees diverge:\n reference %s\n index     %s", step, memberShape(a[i]), memberShape(b[i]))
+		if !sameShape(&va, &vb, a[i], b[i], kidsA, kidsB) {
+			t.Fatalf("step %d: trees diverge:\n reference %s\n index     %s", step, memberShape(&va, a[i]), memberShape(&vb, b[i]))
 		}
 	}
 }
@@ -495,10 +524,10 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 
 	joinBoth := func(id overlay.MemberID) {
 		t.Helper()
-		requireSameAnswers(t, step, idx, order, idx.tree.Member(id), pruned)
+		requireSameAnswers(t, step, idx, order, idx.member(id), pruned)
 		c0, c1 := ref.calls, idx.calls
-		errRef := ref.join(ref.tree, ref.tree.Member(id), now)
-		errIdx := idx.join(idx.tree, idx.tree.Member(id), now)
+		errRef := ref.join(ref.tree, ref.member(id), now)
+		errIdx := idx.join(idx.tree, idx.member(id), now)
 		if errRef != nil && !errors.Is(errRef, ErrNoParent) || !errors.Is(errIdx, errRef) {
 			t.Fatalf("step %d: join of %d: reference %v, index %v", step, id, errRef, errIdx)
 		}
@@ -518,8 +547,8 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 	arrive := func(bw float64, joined time.Duration) {
 		t.Helper()
 		at := attach(rng)
-		id := ref.tree.NewMember(at, bw, joined).ID
-		idx.tree.NewMember(at, bw, joined)
+		id := ref.newMember(at, bw, joined)
+		idx.newMember(at, bw, joined)
 		live = append(live, id)
 		joinBoth(id)
 	}
@@ -531,7 +560,7 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 		// Members a saturated tree turned away (or whose cascade ran
 		// dry) retry first, as the churn driver would have them do.
 		for _, id := range live {
-			if m := ref.tree.Member(id); !m.Attached() && m.Parent() == nil {
+			if m := ref.member(id); m.Depth() < 0 && m.Parent() == nil {
 				joinBoth(id)
 			}
 		}
@@ -545,16 +574,11 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 			id := live[k]
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
-			orphans, err := ref.tree.Remove(ref.tree.Member(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := idx.tree.Remove(idx.tree.Member(id)); err != nil {
-				t.Fatal(err)
-			}
+			orphans := ref.remove(t, id)
+			idx.remove(t, id)
 			requireSameTrees(t, step, ref.tree, idx.tree)
 			for _, o := range orphans {
-				joinBoth(o.ID)
+				joinBoth(o)
 			}
 		}
 		if step%250 == 0 {
@@ -567,7 +591,8 @@ func driveRelaxed(t *testing.T, order overlay.LevelOrder, ref, idx *matchWorld, 
 		t.Fatal(err)
 	}
 	evictions := 0
-	ref.tree.VisitMembers(func(m *overlay.Member) { evictions += m.Reconnections() })
+	v := ref.tree.SlotView()
+	ref.tree.VisitMembers(func(m *overlay.Member) { evictions += v.Reconnections(m.Slot()) })
 	t.Logf("%d live members, depth %d, %d Delay calls, %d evictions among the living, %d saturated joins",
 		ref.tree.Size(), ref.tree.MaxDepth(), ref.calls, evictions, saturated)
 	if evictions < 500 || ref.tree.MaxDepth() < 4 {
@@ -604,12 +629,12 @@ func TestEvictionCascadeIsBounded(t *testing.T) {
 	if top.Depth() != 1 {
 		t.Fatalf("the strongest member sits at depth %d, want 1", top.Depth())
 	}
-	evicted := 0
+	evicted, v := 0, tree.SlotView()
 	for i, m := range path {
-		if !m.Attached() {
+		if m.Depth() < 0 {
 			t.Fatalf("path member %d left detached", i)
 		}
-		evicted += m.Reconnections()
+		evicted += v.Reconnections(m.Slot())
 	}
 	if evicted != maxEvictionCascade {
 		t.Fatalf("%d evictions, want the cascade to stop at %d", evicted, maxEvictionCascade)

@@ -37,7 +37,7 @@ func randomTree(t *testing.T, rng *xrand.Source) (*overlay.Tree, []*overlay.Memb
 	for n := 20 + rng.Intn(41); len(members) <= n; {
 		if p := members[rng.Intn(len(members))]; p.HasSpare() {
 			m := tree.NewMember(topology.NodeID(len(members)), float64(1+rng.Intn(3)), 0)
-			if err := tree.Attach(m, p); err != nil {
+			if err := tree.Attach(m.Slot(), p.Slot()); err != nil {
 				t.Fatal(err)
 			}
 			members = append(members, m)
@@ -57,7 +57,7 @@ func TestRecoveryGroupIsAlgorithm1(t *testing.T) {
 		rng := xrand.New(seed)
 		tree, members := randomTree(t, rng)
 		self := members[1+rng.Intn(len(members)-1)]
-		sample := tree.SampleSlots(rng, 8+rng.Intn(40), int32(self.Slot()), nil)
+		sample := tree.SampleSlots(rng, 8+rng.Intn(40), self.Slot(), nil)
 		k := 1 + rng.Intn(4)
 
 		cfg := fast
@@ -75,10 +75,10 @@ func TestRecoveryGroupIsAlgorithm1(t *testing.T) {
 
 		var mlc cer.MLC
 		parent, depth := tree.Shape()
-		mlc.Reset(parent, depth, int32(tree.Root().Slot()), int32(self.Slot()))
+		mlc.Reset(parent, depth, tree.Root().Slot(), self.Slot())
 		for _, m := range members {
-			if !slices.Contains(sample, int32(m.Slot())) {
-				mlc.Ban(int32(m.Slot()))
+			if !slices.Contains(sample, m.Slot()) {
+				mlc.Ban(m.Slot())
 			}
 		}
 		var want []wire.Addr

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -10,10 +11,10 @@ import (
 	"omcast/internal/xrand"
 )
 
-// TestSampleAllocCeiling pins Sample's allocation budget on a tree that is
-// not growing: zero. The dedup stamps live in the order records, and the
-// batch of draws and the result slice are tree-owned reusable buffers. The
-// growing-tree budget, which this test cannot see, is
+// TestSampleAllocCeiling pins SampleSlots' allocation budget on a tree that
+// is not growing: zero. The dedup stamps live in the order records, the batch
+// of draws is a tree-owned reusable buffer, and the slots go into the
+// caller's. The growing-tree budget, which this test cannot see, is
 // TestSampleGrowingTreeAmortised's.
 func TestSampleAllocCeiling(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
@@ -25,26 +26,27 @@ func TestSampleAllocCeiling(t *testing.T) {
 	}
 	rng := xrand.New(1)
 	// One warm call sizes the scratch buffers.
-	if got := tree.Sample(rng, 100, nil); len(got) != 100 {
+	got := tree.SampleSlots(rng, 100, -1, nil)
+	if len(got) != 100 {
 		t.Fatalf("warm sample returned %d members", len(got))
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if got := tree.Sample(rng, 100, nil); len(got) != 100 {
+		if got = tree.SampleSlots(rng, 100, -1, got[:0]); len(got) != 100 {
 			t.Fatal("short sample")
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("Sample allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("SampleSlots allocates %.1f times per call, want 0", allocs)
 	}
 }
 
 // TestSampleGrowingTreeAmortised pins what a join pays while the tree grows:
-// one Sample after every new member, as pre-population does. Every byte the
-// growth allocates must be O(M) in total — the member handles, the per-slot
-// arrays and the sampling order, each grown geometrically. Scratch sized to
-// exactly the membership and re-made on every join (as the dedup stamps once
-// were, 4 bytes x M per join) is quadratic over a seeding phase: ~800 MB for
-// these 20 000 members, ~2 TB for 10^6.
+// one SampleSlots after every new member, as pre-population does. Every byte
+// the growth allocates must be O(M) in total — the member handles, the
+// per-slot arrays and the sampling order, each grown geometrically. Scratch
+// sized to exactly the membership and re-made on every join (as the dedup
+// stamps once were, 4 bytes x M per join) is quadratic over a seeding phase:
+// ~800 MB for these 20 000 members, ~2 TB for 10^6.
 func TestSampleGrowingTreeAmortised(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
 	if err != nil {
@@ -52,21 +54,22 @@ func TestSampleGrowingTreeAmortised(t *testing.T) {
 	}
 	const n = 20000
 	rng := xrand.New(3)
+	var slots []int32
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		m := tree.NewMember(topology.NodeID(i), 0.5, time.Duration(i))
-		tree.Sample(rng, 100, m)
+		slots = tree.SampleSlots(rng, 100, m.Slot(), slots[:0])
 	}
 	runtime.ReadMemStats(&after)
 	if perMember := (after.TotalAlloc - before.TotalAlloc) / n; perMember > 1024 {
-		t.Fatalf("growing to %d members one Sample at a time allocated %d bytes per member, want O(1)", n, perMember)
+		t.Fatalf("growing to %d members one SampleSlots at a time allocated %d bytes per member, want O(1)", n, perMember)
 	}
 }
 
-// TestSampleResultAppendSafe pins the scratch-buffer contract: the returned
-// slice has capacity == length, so a caller appending to it gets a private
-// copy instead of scribbling into the tree's scratch.
+// TestSampleResultAppendSafe pins the ownership contract: SampleSlots writes
+// only into the dst it is given, past its length, so a caller's earlier
+// result survives later calls into other buffers.
 func TestSampleResultAppendSafe(t *testing.T) {
 	tree, err := NewTree(0, 100, func(a, b topology.NodeID) time.Duration { return time.Millisecond })
 	if err != nil {
@@ -76,16 +79,14 @@ func TestSampleResultAppendSafe(t *testing.T) {
 		tree.NewMember(topology.NodeID(i), 0.5, time.Duration(i))
 	}
 	rng := xrand.New(2)
-	got := tree.Sample(rng, 50, nil)
-	if cap(got) != len(got) {
-		t.Fatalf("Sample returned cap %d != len %d; caller appends would alias the scratch", cap(got), len(got))
+	got := tree.SampleSlots(rng, 50, -1, make([]int32, 0, 64))
+	kept := slices.Clone(got)
+	extended := append(got, tree.Root().Slot())
+	tree.SampleSlots(rng, 50, -1, nil)
+	tree.SampleSlots(rng, 50, -1, extended[:len(extended):len(extended)])
+	if !slices.Equal(got, kept) || extended[len(extended)-1] != tree.Root().Slot() {
+		t.Fatal("a later SampleSlots call wrote into an earlier result")
 	}
-	extended := append(got, tree.Root())
-	again := tree.Sample(rng, 50, nil)
-	if extended[len(extended)-1] != tree.Root() {
-		t.Fatal("append result clobbered by the next Sample call")
-	}
-	_ = again
 }
 
 // TestCheckInvariantsAllocCeiling pins the invariant checker at zero
@@ -98,7 +99,7 @@ func TestCheckInvariantsAllocCeiling(t *testing.T) {
 	parents := []*Member{tree.Root()}
 	for i := 0; i < 2000; i++ {
 		m := tree.NewMember(topology.NodeID(i), 2, time.Duration(i))
-		if err := tree.Attach(m, parents[i%len(parents)]); err == nil {
+		if err := tree.Attach(m.Slot(), parents[i%len(parents)].Slot()); err == nil {
 			parents = append(parents, m)
 		}
 	}
@@ -152,29 +153,30 @@ func TestMemberHandleIsIdentity(t *testing.T) {
 	// A departed member's counters do not pass to the next one in its slot.
 	a := tree.NewMember(1, 3, 0)
 	b := tree.NewMember(2, 1, 0)
-	if err := tree.Attach(a, tree.Root()); err != nil {
+	if err := tree.Attach(a.Slot(), tree.Root().Slot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Attach(b, a); err != nil {
+	if err := tree.Attach(b.Slot(), a.Slot()); err != nil {
 		t.Fatal(err)
 	}
-	tree.RecordFailure(a)
-	tree.RecordReconnection(b)
+	tree.RecordFailure(a.Slot())
+	tree.RecordReconnection(b.Slot())
 	slot := b.Slot()
-	if _, err := tree.Remove(b); err != nil {
+	if _, err := tree.Remove(slot); err != nil {
 		t.Fatal(err)
 	}
-	if b.Disruptions() != 0 || b.Reconnections() != 0 || b.Bandwidth() != 0 || b.Attach() != 2 {
-		t.Fatalf("removed member reads disruptions %d, reconnections %d, bandwidth %g, router %d; want zeros and its router",
-			b.Disruptions(), b.Reconnections(), b.Bandwidth(), b.Attach())
+	v := view(tree)
+	if v.Disruptions(slot) != 0 || v.Reconnections(slot) != 0 || v.Bandwidth(slot) != 0 || b.Attach() != 2 {
+		t.Fatalf("freed slot reads disruptions %d, reconnections %d, bandwidth %g, and the removed handle router %d; want zeros and its router",
+			v.Disruptions(slot), v.Reconnections(slot), v.Bandwidth(slot), b.Attach())
 	}
 	c := tree.NewMember(3, 0.5, time.Minute)
 	if c.Slot() != slot {
 		t.Fatalf("new member in slot %d, want the recycled slot %d", c.Slot(), slot)
 	}
-	if c.Disruptions() != 0 || c.Reconnections() != 0 || c.Bandwidth() != 0.5 || c.JoinTime() != time.Minute {
+	if v.Disruptions(slot) != 0 || v.Reconnections(slot) != 0 || v.Bandwidth(slot) != 0.5 || v.JoinTime(slot) != time.Minute {
 		t.Fatalf("recycled slot reads disruptions %d, reconnections %d, bandwidth %g, join %v; want 0, 0, 0.5, 1m0s",
-			c.Disruptions(), c.Reconnections(), c.Bandwidth(), c.JoinTime())
+			v.Disruptions(slot), v.Reconnections(slot), v.Bandwidth(slot), v.JoinTime(slot))
 	}
 	if err := tree.CheckInvariantsFull(); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		c := tree.NewMember(3, 4, 0)
 		e := tree.NewMember(4, 4.5, 0) // a's sibling: level 1's heap is [a, e] under either order
 		for _, pair := range [][2]*Member{{a, tree.Root()}, {b, a}, {c, b}, {e, tree.Root()}} {
-			if err := tree.Attach(pair[0], pair[1]); err != nil {
+			if err := tree.Attach(pair[0].Slot(), pair[1].Slot()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -41,7 +41,7 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 	// orphan detaches b, whose subtree (c) stays with it, checks that the
 	// checker accepts the detached subtree, and returns c.
 	orphan := func(tree *Tree, b *Member) int32 {
-		if err := tree.Detach(b); err != nil {
+		if err := tree.Detach(b.Slot()); err != nil {
 			t.Fatal(err)
 		}
 		if err := tree.CheckInvariantsFull(); err != nil {
@@ -62,9 +62,9 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		}},
 		{name: "stale-counter-on-recycled-slot", corrupt: func(tree *Tree, a, b *Member) {
 			c := tree.handle[tree.firstKid[b.idx]]
-			tree.RecordFailure(b)
+			tree.RecordFailure(b.Slot())
 			i := c.idx
-			if _, err := tree.Remove(c); err != nil {
+			if _, err := tree.Remove(c.Slot()); err != nil {
 				t.Fatal(err)
 			}
 			if err := tree.CheckInvariantsFull(); err != nil {
@@ -131,6 +131,9 @@ func TestInvariantCheckersCatchCorruption(t *testing.T) {
 		}},
 		{name: "order-slot", corrupt: func(tree *Tree, a, b *Member) {
 			tree.orderIdx[b.idx] = tree.orderIdx[a.idx]
+		}},
+		{name: "free-list-holds-live-slot", corrupt: func(tree *Tree, a, b *Member) {
+			tree.free = append(tree.free, b.idx) // NewMember would hand b's slot out again
 		}},
 		{name: "attached-counter", corrupt: func(tree *Tree, a, b *Member) {
 			tree.attachedCount++
@@ -227,9 +230,9 @@ func checkChildOrder(t *testing.T, reserve int) {
 			if len(live) > 0 && rng.Intn(3) > 0 {
 				parent = live[rng.Intn(len(live))]
 			}
-			if err := tree.Attach(m, parent); err != nil {
+			if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 				parent = tree.Root()
-				if err := tree.Attach(m, parent); err != nil {
+				if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 					parent = nil // tree is full here; member stays detached
 				}
 			}
@@ -244,7 +247,7 @@ func checkChildOrder(t *testing.T, reserve int) {
 			if rng.Intn(2) == 0 {
 				np = live[rng.Intn(len(live))]
 			}
-			if !m.Attached() || !np.Attached() {
+			if !view(tree).Attached(m.Slot()) || !view(tree).Attached(np.Slot()) {
 				continue
 			}
 			if err := moveSubtree(tree, m, np); err == nil {
@@ -255,25 +258,27 @@ func checkChildOrder(t *testing.T, reserve int) {
 		default: // remove, orphans rejoin at the root
 			k := rng.Intn(len(live))
 			m := live[k]
-			orphans, err := tree.Remove(m)
+			orphans, err := tree.Remove(m.Slot())
 			if err != nil {
 				t.Fatalf("remove: %v", err)
 			}
 			if p, ok := parentOf[m.ID]; ok {
 				ref.detach(p, m.ID)
 			}
+			v := view(tree)
 			for _, o := range orphans {
-				ref.detach(m.ID, o.ID)
+				ref.detach(m.ID, v.Member(o).ID)
 			}
 			delete(ref, m.ID)
 			delete(parentOf, m.ID)
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 			for _, o := range orphans {
-				delete(parentOf, o.ID)
-				if err := tree.Attach(o, tree.Root()); err == nil {
-					ref.attach(tree.Root().ID, o.ID)
-					parentOf[o.ID] = tree.Root().ID
+				id := v.Member(o).ID
+				delete(parentOf, id)
+				if err := tree.Attach(o, tree.Root().Slot()); err == nil {
+					ref.attach(tree.Root().ID, id)
+					parentOf[id] = tree.Root().ID
 				}
 			}
 		}

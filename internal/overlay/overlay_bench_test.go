@@ -15,16 +15,16 @@ func BenchmarkAttachDetach(b *testing.B) {
 		b.Fatal(err)
 	}
 	parent := tree.NewMember(1, 50, 0)
-	if err := tree.Attach(parent, tree.Root()); err != nil {
+	if err := tree.Attach(parent.Slot(), tree.Root().Slot()); err != nil {
 		b.Fatal(err)
 	}
 	m := tree.NewMember(2, 1, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tree.Attach(m, parent); err != nil {
+		if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 			b.Fatal(err)
 		}
-		if err := tree.Detach(m); err != nil {
+		if err := tree.Detach(m.Slot()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,15 +39,15 @@ func BenchmarkMoveSubtree(b *testing.B) {
 	}
 	a := tree.NewMember(1, 100, 0)
 	c := tree.NewMember(2, 100, 0)
-	if err := tree.Attach(a, tree.Root()); err != nil {
+	if err := tree.Attach(a.Slot(), tree.Root().Slot()); err != nil {
 		b.Fatal(err)
 	}
-	if err := tree.Attach(c, tree.Root()); err != nil {
+	if err := tree.Attach(c.Slot(), tree.Root().Slot()); err != nil {
 		b.Fatal(err)
 	}
 	// A 3-level subtree of 64 members under `sub`.
 	sub := tree.NewMember(3, 4, 0)
-	if err := tree.Attach(sub, a); err != nil {
+	if err := tree.Attach(sub.Slot(), a.Slot()); err != nil {
 		b.Fatal(err)
 	}
 	frontier := []*Member{sub}
@@ -58,7 +58,7 @@ func BenchmarkMoveSubtree(b *testing.B) {
 		for i := 0; i < 4 && size < 64; i, size = i+1, size+1 {
 			child := tree.NewMember(id, 4, 0)
 			id++
-			if err := tree.Attach(child, next); err != nil {
+			if err := tree.Attach(child.Slot(), next.Slot()); err != nil {
 				b.Fatal(err)
 			}
 			frontier = append(frontier, child)
@@ -84,20 +84,22 @@ func BenchmarkSample(b *testing.B) {
 		_ = m
 	}
 	rng := xrand.New(1)
+	var got []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := tree.Sample(rng, 100, nil); len(got) != 100 {
+		if got = tree.SampleSlots(rng, 100, -1, got[:0]); len(got) != 100 {
 			b.Fatal("short sample")
 		}
 	}
 }
 
 // BenchmarkSampleGrowing is the seeding regime BenchmarkSample cannot see:
-// the tree grows by one member between Sample calls, as it does while a run
+// the tree grows by one member between SampleSlots calls, as it does while a run
 // pre-populates, so any scratch sized to the exact membership is re-made on
 // every join. One op seeds 10 000 members.
 func BenchmarkSampleGrowing(b *testing.B) {
 	rng := xrand.New(1)
+	var got []int32
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tree, err := NewTree(0, 100, func(a, c topology.NodeID) time.Duration { return time.Millisecond })
@@ -106,7 +108,7 @@ func BenchmarkSampleGrowing(b *testing.B) {
 		}
 		for j := 0; j < 10000; j++ {
 			m := tree.NewMember(topology.NodeID(j), 0.5, time.Duration(j))
-			if got := tree.Sample(rng, 100, m); j > 100 && len(got) != 100 {
+			if got = tree.SampleSlots(rng, 100, m.Slot(), got[:0]); j > 100 && len(got) != 100 {
 				b.Fatal("short sample")
 			}
 		}
@@ -121,7 +123,7 @@ func BenchmarkRecordFailure(b *testing.B) {
 		b.Fatal(err)
 	}
 	top := tree.NewMember(1, 100, 0)
-	if err := tree.Attach(top, tree.Root()); err != nil {
+	if err := tree.Attach(top.Slot(), tree.Root().Slot()); err != nil {
 		b.Fatal(err)
 	}
 	frontier := []*Member{top}
@@ -133,7 +135,7 @@ func BenchmarkRecordFailure(b *testing.B) {
 		for i := 0; i < 10 && total < 1000; i++ {
 			child := tree.NewMember(id, 10, 0)
 			id++
-			if err := tree.Attach(child, next); err != nil {
+			if err := tree.Attach(child.Slot(), next.Slot()); err != nil {
 				b.Fatal(err)
 			}
 			frontier = append(frontier, child)
@@ -142,7 +144,7 @@ func BenchmarkRecordFailure(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := tree.RecordFailure(top); n == 0 {
+		if n := tree.RecordFailure(top.Slot()); n == 0 {
 			b.Fatal("no descendants")
 		}
 	}

@@ -25,10 +25,10 @@ func moveSubtree(tree *Tree, m, p *Member) error {
 	if !p.HasSpare() {
 		return ErrFull
 	}
-	if err := tree.Detach(m); err != nil {
+	if err := tree.Detach(m.Slot()); err != nil {
 		return err
 	}
-	return tree.Attach(m, p)
+	return tree.Attach(m.Slot(), p.Slot())
 }
 
 // constDelay is a trivial underlay: 1 ms between any two distinct routers.
@@ -52,10 +52,17 @@ func newTestTree(t *testing.T) *Tree {
 func mustJoin(t *testing.T, tree *Tree, parent *Member, attach topology.NodeID, bw float64, now time.Duration) *Member {
 	t.Helper()
 	m := tree.NewMember(attach, bw, now)
-	if err := tree.Attach(m, parent); err != nil {
+	if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 		t.Fatalf("Attach member %d under %d: %v", m.ID, parent.ID, err)
 	}
 	return m
+}
+
+// view returns a fresh SlotView of tree: the tests read member state by slot
+// through it, as the simulator's cores do.
+func view(tree *Tree) *SlotView {
+	v := tree.SlotView()
+	return &v
 }
 
 func checkInv(t *testing.T, tree *Tree) {
@@ -68,7 +75,7 @@ func checkInv(t *testing.T, tree *Tree) {
 func TestNewTree(t *testing.T) {
 	tree := newTestTree(t)
 	root := tree.Root()
-	if root == nil || root.Depth() != 0 || !root.Attached() {
+	if root == nil || root.Depth() != 0 || !view(tree).Attached(root.Slot()) {
 		t.Fatal("root malformed")
 	}
 	if root.OutDegree() != 100 {
@@ -99,7 +106,7 @@ func TestAttachBasics(t *testing.T) {
 	if b.Parent() != a || a.Parent() != tree.Root() {
 		t.Fatal("parent links wrong")
 	}
-	if got := b.PathDelay(); got != 2*time.Millisecond {
+	if got := view(tree).PathDelay(b.Slot()); got != 2*time.Millisecond {
 		t.Fatalf("path delay = %v, want 2ms", got)
 	}
 	if len(tree.Root().AppendChildren(nil)) != 1 {
@@ -130,7 +137,7 @@ func TestAttachRespectsDegree(t *testing.T) {
 	mustJoin(t, tree, p, 2, 0.5, 0)
 	mustJoin(t, tree, p, 3, 0.5, 0)
 	extra := tree.NewMember(4, 0.5, 0)
-	if err := tree.Attach(extra, p); !errors.Is(err, ErrFull) {
+	if err := tree.Attach(extra.Slot(), p.Slot()); !errors.Is(err, ErrFull) {
 		t.Fatalf("overfull attach error = %v, want ErrFull", err)
 	}
 	checkInv(t, tree)
@@ -140,7 +147,7 @@ func TestFreeRiderCannotParent(t *testing.T) {
 	tree := newTestTree(t)
 	fr := mustJoin(t, tree, tree.Root(), 1, 0.7, 0)
 	kid := tree.NewMember(2, 1, 0)
-	if err := tree.Attach(kid, fr); !errors.Is(err, ErrFull) {
+	if err := tree.Attach(kid.Slot(), fr.Slot()); !errors.Is(err, ErrFull) {
 		t.Fatalf("attach under free-rider = %v, want ErrFull", err)
 	}
 }
@@ -148,22 +155,48 @@ func TestFreeRiderCannotParent(t *testing.T) {
 func TestAttachErrors(t *testing.T) {
 	tree := newTestTree(t)
 	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
-	if err := tree.Attach(a, tree.Root()); !errors.Is(err, ErrHasParent) {
+	if err := tree.Attach(a.Slot(), tree.Root().Slot()); !errors.Is(err, ErrHasParent) {
 		t.Fatalf("double attach = %v, want ErrHasParent", err)
 	}
-	if err := tree.Attach(nil, a); !errors.Is(err, ErrNotMember) {
-		t.Fatalf("nil attach = %v, want ErrNotMember", err)
+	// A freed slot, -1 and a slot past the arrays name no member.
+	gone := mustJoin(t, tree, tree.Root(), 9, 1, 0)
+	free := gone.Slot()
+	if _, err := tree.Remove(free); err != nil {
+		t.Fatal(err)
 	}
+	for _, bad := range []int32{free, -1, 1 << 20} {
+		if err := tree.Attach(bad, a.Slot()); !errors.Is(err, ErrNotMember) {
+			t.Fatalf("attach of slot %d = %v, want ErrNotMember", bad, err)
+		}
+		if err := tree.Attach(a.Slot(), bad); !errors.Is(err, ErrNotMember) {
+			t.Fatalf("attach under slot %d = %v, want ErrNotMember", bad, err)
+		}
+		if err := tree.Detach(bad); !errors.Is(err, ErrNotMember) {
+			t.Fatalf("detach of slot %d = %v, want ErrNotMember", bad, err)
+		}
+		if _, err := tree.Remove(bad); !errors.Is(err, ErrNotMember) {
+			t.Fatalf("remove of slot %d = %v, want ErrNotMember", bad, err)
+		}
+		if n := tree.RecordFailure(bad); n != 0 {
+			t.Fatalf("failure of slot %d charged %d members", bad, n)
+		}
+		tree.RecordReconnection(bad)
+		if !tree.Lock(5, bad) {
+			t.Fatalf("locking slot %d blocked", bad)
+		}
+		tree.Unlock(5, bad)
+	}
+	checkInv(t, tree) // the free slot took no counter and no lock
 	m := tree.NewMember(2, 1, 0)
-	if err := tree.Attach(m, m); !errors.Is(err, ErrSelfAttach) {
+	if err := tree.Attach(m.Slot(), m.Slot()); !errors.Is(err, ErrSelfAttach) {
 		t.Fatalf("self attach = %v, want ErrSelfAttach", err)
 	}
 	// Attaching under a detached parent must fail.
 	b := mustJoin(t, tree, a, 3, 2, 0)
-	if err := tree.Detach(b); err != nil {
+	if err := tree.Detach(b.Slot()); err != nil {
 		t.Fatalf("Detach: %v", err)
 	}
-	if err := tree.Attach(m, b); !errors.Is(err, ErrNotAttached) {
+	if err := tree.Attach(m.Slot(), b.Slot()); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("attach under detached = %v, want ErrNotAttached", err)
 	}
 }
@@ -173,10 +206,10 @@ func TestDetachKeepsSubtree(t *testing.T) {
 	a := mustJoin(t, tree, tree.Root(), 1, 3, 0)
 	b := mustJoin(t, tree, a, 2, 2, 0)
 	c := mustJoin(t, tree, b, 3, 1, 0)
-	if err := tree.Detach(b); err != nil {
+	if err := tree.Detach(b.Slot()); err != nil {
 		t.Fatalf("Detach: %v", err)
 	}
-	if b.Attached() || c.Attached() {
+	if view(tree).Attached(b.Slot()) || view(tree).Attached(c.Slot()) {
 		t.Fatal("detached subtree still marked attached")
 	}
 	if b.Parent() != nil {
@@ -187,10 +220,10 @@ func TestDetachKeepsSubtree(t *testing.T) {
 	}
 	checkInv(t, tree)
 	// Re-attach elsewhere: subtree placed with fresh depths.
-	if err := tree.Attach(b, tree.Root()); err != nil {
+	if err := tree.Attach(b.Slot(), tree.Root().Slot()); err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
-	if b.Depth() != 1 || c.Depth() != 2 || !c.Attached() {
+	if b.Depth() != 1 || c.Depth() != 2 || !view(tree).Attached(c.Slot()) {
 		t.Fatal("re-attach did not recompute subtree placement")
 	}
 	checkInv(t, tree)
@@ -214,11 +247,11 @@ func TestAttachAsksDelayOnce(t *testing.T) {
 	c := mustJoin(t, tree, b, 30, 1, 0)
 	d := mustJoin(t, tree, b, 60, 2, 0)
 	e := mustJoin(t, tree, d, 55, 1, 0)
-	if err := tree.Detach(b); err != nil {
+	if err := tree.Detach(b.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	calls = 0
-	if err := tree.Attach(b, tree.Root()); err != nil {
+	if err := tree.Attach(b.Slot(), tree.Root().Slot()); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -228,7 +261,7 @@ func TestAttachAsksDelayOnce(t *testing.T) {
 		m    *Member
 		want time.Duration
 	}{{b, 25}, {c, 30}, {d, 60}, {e, 65}} {
-		if got := tc.m.PathDelay(); got != tc.want*time.Millisecond {
+		if got := view(tree).PathDelay(tc.m.Slot()); got != tc.want*time.Millisecond {
 			t.Errorf("member on router %d: path delay %v, want %v", tc.m.Attach(), got, tc.want*time.Millisecond)
 		}
 	}
@@ -241,25 +274,27 @@ func TestRemoveReturnsOrphans(t *testing.T) {
 	b := mustJoin(t, tree, a, 2, 2, 0)
 	c := mustJoin(t, tree, a, 3, 2, 0)
 	d := mustJoin(t, tree, b, 4, 1, 0)
-	orphans, err := tree.Remove(a)
+	slotA, refA := a.Slot(), tree.Ref(a.Slot())
+	orphans, err := tree.Remove(slotA)
 	if err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	if len(orphans) != 2 {
 		t.Fatalf("orphans = %d, want 2", len(orphans))
 	}
+	v := view(tree)
 	for _, o := range orphans {
-		if o != b && o != c {
-			t.Fatalf("unexpected orphan %d", o.ID)
+		if o != b.Slot() && o != c.Slot() {
+			t.Fatalf("unexpected orphan in slot %d", o)
 		}
-		if o.Attached() || o.Parent() != nil {
+		if v.Attached(o) || v.Parent(o) >= 0 {
 			t.Fatal("orphan still attached")
 		}
 	}
 	if d.Parent() != b {
 		t.Fatal("orphan lost its own subtree")
 	}
-	if tree.Member(a.ID) != nil {
+	if a.Slot() != -1 || v.Member(slotA) != nil || tree.Resolve(refA) >= 0 {
 		t.Fatal("removed member still live")
 	}
 	if tree.Size() != 4 { // root, b, c, d
@@ -273,10 +308,10 @@ func TestRemoveReturnsOrphans(t *testing.T) {
 
 func TestRemoveRootRefused(t *testing.T) {
 	tree := newTestTree(t)
-	if _, err := tree.Remove(tree.Root()); !errors.Is(err, ErrRootLeave) {
+	if _, err := tree.Remove(tree.Root().Slot()); !errors.Is(err, ErrRootLeave) {
 		t.Fatalf("Remove(root) = %v, want ErrRootLeave", err)
 	}
-	if err := tree.Detach(tree.Root()); !errors.Is(err, ErrRootLeave) {
+	if err := tree.Detach(tree.Root().Slot()); !errors.Is(err, ErrRootLeave) {
 		t.Fatalf("Detach(root) = %v, want ErrRootLeave", err)
 	}
 }
@@ -285,13 +320,14 @@ func TestRemoveDetachedMember(t *testing.T) {
 	tree := newTestTree(t)
 	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
 	b := mustJoin(t, tree, a, 2, 1, 0)
-	if err := tree.Detach(b); err != nil {
+	if err := tree.Detach(b.Slot()); err != nil {
 		t.Fatalf("Detach: %v", err)
 	}
-	if _, err := tree.Remove(b); err != nil {
+	slot := b.Slot()
+	if _, err := tree.Remove(slot); err != nil {
 		t.Fatalf("Remove of detached member: %v", err)
 	}
-	if tree.Member(b.ID) != nil {
+	if view(tree).Member(slot) != nil {
 		t.Fatal("member still live after removal")
 	}
 	checkInv(t, tree)
@@ -321,15 +357,15 @@ func TestAncestors(t *testing.T) {
 	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
 	b := mustJoin(t, tree, a, 2, 2, 0)
 	c := mustJoin(t, tree, b, 3, 1, 0)
-	buf := make([]*Member, 0, 4)
-	anc := tree.AppendAncestors(buf, c)
-	if len(anc) != 3 || anc[0] != b || anc[1] != a || anc[2] != tree.Root() {
+	buf := make([]int64, 0, 4)
+	anc := tree.AppendAncestors(buf, c.Slot())
+	if len(anc) != 3 || tree.Resolve(anc[0]) != b.Slot() || tree.Resolve(anc[1]) != a.Slot() || tree.Resolve(anc[2]) != tree.Root().Slot() {
 		t.Fatalf("AppendAncestors wrong: %v", anc)
 	}
 	if &anc[0] != &buf[:1][0] {
 		t.Fatal("AppendAncestors did not append into the buffer it was given")
 	}
-	if got := tree.AppendAncestors(anc, tree.Root()); len(got) != 3 {
+	if got := tree.AppendAncestors(anc, tree.Root().Slot()); len(got) != 3 {
 		t.Fatal("root has ancestors")
 	}
 }
@@ -359,7 +395,7 @@ func TestLevelsAndMaxDepth(t *testing.T) {
 			t.Fatal("out-of-range levels should be nil")
 		}
 		// Remove the chain; MaxDepth shrinks.
-		if _, err := tree.Remove(b); err != nil {
+		if _, err := tree.Remove(b.Slot()); err != nil {
 			t.Fatalf("Remove: %v", err)
 		}
 		if tree.MaxDepth() != 1 {
@@ -369,15 +405,19 @@ func TestLevelsAndMaxDepth(t *testing.T) {
 }
 
 func TestBTPAndAge(t *testing.T) {
-	m := newTestTree(t).NewMember(1, 4, 10*time.Second)
-	if got := m.Age(30 * time.Second); got != 20*time.Second {
-		t.Fatalf("Age = %v", got)
+	if got := age(10*time.Second, 30*time.Second); got != 20*time.Second {
+		t.Fatalf("age = %v", got)
 	}
-	if got := m.Age(5 * time.Second); got != 0 {
-		t.Fatalf("Age before join = %v, want 0", got)
+	if got := age(10*time.Second, 5*time.Second); got != 0 {
+		t.Fatalf("age before join = %v, want 0", got)
 	}
-	if got := m.BTP(30 * time.Second); got != 80 {
+	tree := newTestTree(t)
+	m := tree.NewMember(1, 4, 10*time.Second)
+	if got := view(tree).BTP(m.Slot(), 30*time.Second); got != 80 {
 		t.Fatalf("BTP = %g, want 80", got)
+	}
+	if got := view(tree).BTP(m.Slot(), 5*time.Second); got != 0 {
+		t.Fatalf("BTP before join = %g, want 0", got)
 	}
 }
 
@@ -387,15 +427,15 @@ func TestRecordFailure(t *testing.T) {
 	b := mustJoin(t, tree, a, 2, 2, 0)
 	c := mustJoin(t, tree, b, 3, 1, 0)
 	d := mustJoin(t, tree, a, 4, 1, 0)
-	if got := tree.RecordFailure(a); got != 3 {
+	if got := tree.RecordFailure(a.Slot()); got != 3 {
 		t.Fatalf("RecordFailure = %d, want 3", got)
 	}
 	for _, m := range []*Member{b, c, d} {
-		if m.Disruptions() != 1 {
-			t.Fatalf("member %d disruptions = %d, want 1", m.ID, m.Disruptions())
+		if view(tree).Disruptions(m.Slot()) != 1 {
+			t.Fatalf("member %d disruptions = %d, want 1", m.ID, view(tree).Disruptions(m.Slot()))
 		}
 	}
-	if a.Disruptions() != 0 {
+	if view(tree).Disruptions(a.Slot()) != 0 {
 		t.Fatal("failed member counted as disrupted")
 	}
 }
@@ -408,15 +448,15 @@ func TestRecordFailureChargesDetachedSubtree(t *testing.T) {
 	a := mustJoin(t, tree, tree.Root(), 1, 3, 0)
 	b := mustJoin(t, tree, a, 2, 2, 0)
 	c := mustJoin(t, tree, b, 3, 1, 0)
-	if err := tree.Detach(a); err != nil {
+	if err := tree.Detach(a.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	tree.disruptions[b.idx], tree.disruptions[c.idx] = 4, 0
-	if got := tree.RecordFailure(a); got != 2 {
+	if got := tree.RecordFailure(a.Slot()); got != 2 {
 		t.Fatalf("RecordFailure of a detached member = %d, want 2", got)
 	}
-	if b.Disruptions() != 5 || c.Disruptions() != 1 {
-		t.Fatalf("descendant disruptions = %d, %d; want 5, 1 (one more each)", b.Disruptions(), c.Disruptions())
+	if view(tree).Disruptions(b.Slot()) != 5 || view(tree).Disruptions(c.Slot()) != 1 {
+		t.Fatalf("descendant disruptions = %d, %d; want 5, 1 (one more each)", view(tree).Disruptions(b.Slot()), view(tree).Disruptions(c.Slot()))
 	}
 }
 
@@ -427,35 +467,35 @@ func TestSample(t *testing.T) {
 		members = append(members, mustJoin(t, tree, tree.Root(), topology.NodeID(i), 0.5, 0))
 	}
 	rng := xrand.New(1)
-	got := tree.Sample(rng, 10, nil)
+	got := tree.SampleSlots(rng, 10, -1, nil)
 	if len(got) != 10 {
-		t.Fatalf("Sample returned %d, want 10", len(got))
+		t.Fatalf("SampleSlots returned %d, want 10", len(got))
 	}
-	seen := make(map[MemberID]bool)
-	for _, m := range got {
-		if seen[m.ID] {
-			t.Fatal("Sample returned duplicates")
+	seen := make(map[int32]bool)
+	for _, i := range got {
+		if seen[i] {
+			t.Fatal("SampleSlots returned duplicates")
 		}
-		seen[m.ID] = true
-		if m == tree.Root() {
-			t.Fatal("Sample returned the root")
+		seen[i] = true
+		if i == tree.Root().Slot() {
+			t.Fatal("SampleSlots returned the root")
 		}
 	}
 	// Excluding a member works.
 	for i := 0; i < 20; i++ {
-		for _, m := range tree.Sample(rng, 49, members[0]) {
-			if m == members[0] {
-				t.Fatal("Sample returned excluded member")
+		for _, s := range tree.SampleSlots(rng, 49, members[0].Slot(), got[:0]) {
+			if s == members[0].Slot() {
+				t.Fatal("SampleSlots returned the excluded member")
 			}
 		}
 	}
 	// Asking for more than available returns all.
-	all := tree.Sample(rng, 1000, nil)
+	all := tree.SampleSlots(rng, 1000, -1, nil)
 	if len(all) != 50 {
-		t.Fatalf("oversized Sample returned %d, want 50", len(all))
+		t.Fatalf("oversized SampleSlots returned %d, want 50", len(all))
 	}
-	if tree.Sample(rng, 0, nil) != nil {
-		t.Fatal("Sample(0) should be nil")
+	if got := tree.SampleSlots(rng, 0, -1, all[:3]); len(got) != 3 {
+		t.Fatalf("SampleSlots(0) appended %d slots", len(got)-3)
 	}
 }
 
@@ -463,24 +503,25 @@ func TestLocking(t *testing.T) {
 	tree := newTestTree(t)
 	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
 	b := mustJoin(t, tree, a, 2, 2, 0)
-	if !tree.Lock(1, a, b) {
+	locked := func(m *Member) bool { return tree.lockOwner[m.idx] != 0 }
+	if !tree.Lock(1, a.Slot(), b.Slot()) {
 		t.Fatal("initial lock failed")
 	}
-	if !a.Locked() || !b.Locked() {
+	if !locked(a) || !locked(b) {
 		t.Fatal("members not marked locked")
 	}
-	if tree.Lock(2, b) {
+	if tree.Lock(2, b.Slot()) {
 		t.Fatal("conflicting lock succeeded")
 	}
 	// Re-locking by the same op succeeds (idempotent).
-	if !tree.Lock(1, a) {
+	if !tree.Lock(1, a.Slot()) {
 		t.Fatal("re-lock by holder failed")
 	}
-	tree.Unlock(1, a, b)
-	if a.Locked() || b.Locked() {
+	tree.Unlock(1, a.Slot(), b.Slot())
+	if locked(a) || locked(b) {
 		t.Fatal("unlock did not release")
 	}
-	if tree.Lock(0, a) {
+	if tree.Lock(0, a.Slot()) {
 		t.Fatal("op 0 must not lock")
 	}
 }
@@ -490,13 +531,13 @@ func TestLockAllOrNothing(t *testing.T) {
 	a := mustJoin(t, tree, tree.Root(), 1, 2, 0)
 	b := mustJoin(t, tree, a, 2, 2, 0)
 	c := mustJoin(t, tree, b, 3, 1, 0)
-	if !tree.Lock(7, b) {
+	if !tree.Lock(7, b.Slot()) {
 		t.Fatal("lock b failed")
 	}
-	if tree.Lock(8, a, b, c) {
+	if tree.Lock(8, a.Slot(), b.Slot(), c.Slot()) {
 		t.Fatal("partial-conflict lock succeeded")
 	}
-	if a.Locked() || c.Locked() {
+	if tree.lockOwner[a.idx] != 0 || tree.lockOwner[c.idx] != 0 {
 		t.Fatal("failed lock left residue")
 	}
 }
@@ -546,22 +587,21 @@ func churnInvariants(t *testing.T, order LevelOrder, underlay *topology.Topology
 			// ranks mostly ties and leans on level position to break them.
 			m := tree.NewMember(topology.NodeID(rng.Intn(1000)), bw, time.Duration(step/64)*time.Minute)
 			// Find any parent with spare degree.
-			parent := tree.Root()
-			cands := tree.Sample(rng, 20, m)
-			for _, c := range cands {
-				if c.Attached() && c.HasSpare() {
+			v, parent := view(tree), tree.Root().Slot()
+			for _, c := range tree.SampleSlots(rng, 20, m.Slot(), nil) {
+				if v.Attached(c) && v.HasSpare(c) {
 					parent = c
 					break
 				}
 			}
-			if !parent.HasSpare() {
+			if !v.HasSpare(parent) {
 				// Root full and no candidate: drop the member again.
-				if _, err := tree.Remove(m); err != nil {
+				if _, err := tree.Remove(m.Slot()); err != nil {
 					t.Fatalf("step %d: removing unattachable member: %v", step, err)
 				}
 				continue
 			}
-			if err := tree.Attach(m, parent); err != nil {
+			if err := tree.Attach(m.Slot(), parent); err != nil {
 				t.Fatalf("step %d: attach: %v", step, err)
 			}
 			live = append(live, m)
@@ -570,24 +610,25 @@ func churnInvariants(t *testing.T, order LevelOrder, underlay *topology.Topology
 			m := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			tree.RecordFailure(m)
-			orphans, err := tree.Remove(m)
+			tree.RecordFailure(m.Slot())
+			orphans, err := tree.Remove(m.Slot())
 			if err != nil {
 				t.Fatalf("step %d: remove: %v", step, err)
 			}
 			// Rejoin orphans under the root (always has capacity 100...
 			// unless full, then under any member with spare degree).
+			v := view(tree)
 			for _, o := range orphans {
-				target := tree.Root()
-				if !target.HasSpare() {
-					for _, c := range tree.Sample(rng, 50, o) {
-						if c.Attached() && c.HasSpare() {
+				target := tree.Root().Slot()
+				if !v.HasSpare(target) {
+					for _, c := range tree.SampleSlots(rng, 50, o, nil) {
+						if v.Attached(c) && v.HasSpare(c) {
 							target = c
 							break
 						}
 					}
 				}
-				if target.HasSpare() {
+				if v.HasSpare(target) {
 					if err := tree.Attach(o, target); err != nil {
 						t.Fatalf("step %d: orphan rejoin: %v", step, err)
 					}
@@ -599,7 +640,7 @@ func churnInvariants(t *testing.T, order LevelOrder, underlay *topology.Topology
 			}
 			m := live[rng.Intn(len(live))]
 			p := live[rng.Intn(len(live))]
-			if m == p || !m.Attached() || !p.Attached() || !p.HasSpare() {
+			if m == p || !view(tree).Attached(m.Slot()) || !view(tree).Attached(p.Slot()) || !p.HasSpare() {
 				continue
 			}
 			err := moveSubtree(tree, m, p)
@@ -647,16 +688,16 @@ func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 				bw := 0.5 + float64(op%40)/8
 				m := tree.NewMember(topology.NodeID(op%500), bw, time.Duration(step)*time.Second)
 				parent := tree.Root()
-				if p := pick(1); p != nil && p.Attached() && p.HasSpare() {
+				if p := pick(1); p != nil && view(tree).Attached(p.Slot()) && p.HasSpare() {
 					parent = p
 				}
 				if !parent.HasSpare() {
-					if _, err := tree.Remove(m); err != nil {
+					if _, err := tree.Remove(m.Slot()); err != nil {
 						return false
 					}
 					continue
 				}
-				if err := tree.Attach(m, parent); err != nil {
+				if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 					return false
 				}
 				live = append(live, m)
@@ -672,26 +713,26 @@ func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 						break
 					}
 				}
-				orphans, err := tree.Remove(m)
+				orphans, err := tree.Remove(m.Slot())
 				if err != nil {
 					return false
 				}
 				for _, o := range orphans {
 					target := tree.Root()
-					if p := pick(3); p != nil && p != o && p.Attached() && p.HasSpare() {
+					if p := pick(3); p != nil && p.Slot() != o && view(tree).Attached(p.Slot()) && p.HasSpare() {
 						target = p
 					}
 					if target.HasSpare() {
 						// Guard against attaching under o's own subtree.
 						under := false
 						for a := target; a != nil; a = a.Parent() {
-							if a == o {
+							if a.Slot() == o {
 								under = true
 								break
 							}
 						}
 						if !under {
-							if err := tree.Attach(o, target); err != nil {
+							if err := tree.Attach(o, target.Slot()); err != nil {
 								return false
 							}
 						}
@@ -699,7 +740,7 @@ func quickRandomOpSequences(t *testing.T, order LevelOrder) {
 				}
 			case 2: // move
 				m, p := pick(4), pick(5)
-				if m == nil || p == nil || m == p || !m.Attached() || !p.Attached() || !p.HasSpare() {
+				if m == nil || p == nil || m == p || !view(tree).Attached(m.Slot()) || !view(tree).Attached(p.Slot()) || !p.HasSpare() {
 					continue
 				}
 				if err := moveSubtree(tree, m, p); err != nil && !errors.Is(err, errCycle) {

@@ -27,7 +27,7 @@ func churnDetached(t *testing.T, tree *Tree, seed int64, steps int, check func(s
 	// parentFor returns a random attached member with a spare slot, or nil.
 	parentFor := func(m *Member) *Member {
 		for k := 0; k < 8 && len(live) > 0; k++ {
-			if p := live[rng.Intn(len(live))]; p != m && p.Attached() && p.HasSpare() {
+			if p := live[rng.Intn(len(live))]; p != m && view(tree).Attached(p.Slot()) && p.HasSpare() {
 				return p
 			}
 		}
@@ -37,14 +37,14 @@ func churnDetached(t *testing.T, tree *Tree, seed int64, steps int, check func(s
 		return nil
 	}
 	attach := func(step int, m, p *Member) {
-		if err := tree.Attach(m, p); err != nil {
+		if err := tree.Attach(m.Slot(), p.Slot()); err != nil {
 			t.Fatalf("step %d: attach %d under %d: %v", step, m.ID, p.ID, err)
 		}
 	}
 	for step := 0; step < steps; step++ {
 		switch op := rng.Float64(); {
 		case len(live) < 8 || len(live) < 300 && op < 0.45:
-			slots := len(tree.handle)
+			slots := int32(len(tree.handle))
 			m := tree.NewMember(topology.NodeID(rng.Intn(1000)), float64(rng.Intn(4)), time.Duration(step))
 			if m.Slot() < slots {
 				st.recycled++
@@ -58,23 +58,24 @@ func churnDetached(t *testing.T, tree *Tree, seed int64, steps int, check func(s
 			m := live[k]
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
-			orphans, err := tree.Remove(m)
+			orphans, err := tree.Remove(m.Slot())
 			if err != nil {
 				t.Fatalf("step %d: remove: %v", step, err)
 			}
 			for _, o := range orphans {
-				if p := parentFor(o); p != nil && rng.Float64() < 0.5 {
-					attach(step, o, p)
+				om := view(tree).Member(o)
+				if p := parentFor(om); p != nil && rng.Float64() < 0.5 {
+					attach(step, om, p)
 				}
 			}
 		case op < 0.85:
 			if m := live[rng.Intn(len(live))]; m.Parent() != nil {
-				if err := tree.Detach(m); err != nil {
+				if err := tree.Detach(m.Slot()); err != nil {
 					t.Fatalf("step %d: detach: %v", step, err)
 				}
 			}
 		default:
-			if m := live[rng.Intn(len(live))]; m.Parent() == nil && !m.Attached() {
+			if m := live[rng.Intn(len(live))]; m.Parent() == nil && !view(tree).Attached(m.Slot()) {
 				if p := parentFor(m); p != nil {
 					for a := p; a != nil; a = a.Parent() {
 						if a == m {
@@ -92,7 +93,7 @@ func churnDetached(t *testing.T, tree *Tree, seed int64, steps int, check func(s
 		if len(live) > 0 && rng.Intn(2) == 0 {
 			m = live[rng.Intn(len(live))]
 		}
-		if !m.Attached() && m.NumChildren() > 0 {
+		if !view(tree).Attached(m.Slot()) && m.NumChildren() > 0 {
 			st.detachedWalks++
 		}
 		check(step, m)
@@ -102,7 +103,8 @@ func churnDetached(t *testing.T, tree *Tree, seed int64, steps int, check func(s
 
 // TestSlotWalkMatchesVisitSubtree holds the slot walk the tree sample uses —
 // SlotView.Next with SlotView.PathDelay and SlotView.Attach — to
-// VisitSubtree's pre-order of (PathDelay, Attach) through the handles, from
+// VisitSubtree's pre-order of (path delay, Member.Attach) through the
+// handles, from
 // the source and from random members, detached subtrees included, over a tree
 // whose slots are recycled throughout. A recycled slot that kept its previous
 // occupant's router fails here.
@@ -118,8 +120,8 @@ func TestSlotWalkMatchesVisitSubtree(t *testing.T) {
 	var want, got []visit
 	st := churnDetached(t, tree, 21, 4000, func(step int, m *Member) {
 		want, got = want[:0], got[:0]
-		tree.VisitSubtree(m, func(c *Member) { want = append(want, visit{c.PathDelay(), c.Attach()}) })
-		v, top := tree.SlotView(), int32(m.Slot())
+		tree.VisitSubtree(m, func(c *Member) { want = append(want, visit{view(tree).PathDelay(c.Slot()), c.Attach()}) })
+		v, top := tree.SlotView(), m.Slot()
 		for i := top; i >= 0; i = v.Next(i, top) {
 			got = append(got, visit{v.PathDelay(i), v.Attach(i)})
 		}

@@ -12,7 +12,7 @@ import (
 
 // TestPeriodicCheckAllocs pins a warmed periodic switching check that finds
 // no switch at zero allocations: every check is the protocol's one check
-// handler, re-armed with the member's ID as its argument.
+// handler, re-armed with the member's Ref as its argument.
 func TestPeriodicCheckAllocs(t *testing.T) {
 	f := newFixture(t, 2, Config{SwitchInterval: time.Minute})
 	f.joinAt(t, 0, 1, 4)
@@ -50,7 +50,7 @@ func TestSwitchPathAllocs(t *testing.T) {
 	f := newFixture(t, 2, Config{SwitchInterval: 100 * time.Second})
 	attach := func(bw float64, joined time.Duration, parent *overlay.Member) *overlay.Member {
 		m := f.tree.NewMember(topology.NodeID(f.tree.Size()), bw, joined)
-		if err := f.tree.Attach(m, parent); err != nil {
+		if err := f.tree.Attach(m.Slot(), parent.Slot()); err != nil {
 			t.Fatal(err)
 		}
 		return m

@@ -81,10 +81,12 @@ type Protocol struct {
 	switchLatency time.Duration
 
 	nextOp int64
+	// root is the source's slot.
+	root int32
 
 	// onCheck, onComplete and onRetry are the protocol's three timer
 	// handlers, bound once in New. A switching check (and its lock back-off)
-	// and a displaced member's join retry carry the member's ID in the
+	// and a displaced member's join retry carry the member's Ref in the
 	// event's argument, a switch completion the index of its record in ops.
 	onCheck, onComplete, onRetry eventsim.Handler
 	// ops holds the switches in flight; a finished record's index goes on
@@ -92,7 +94,7 @@ type Protocol struct {
 	ops     []switchOp
 	freeOps []int32
 	// siblings, children and rehome are performExchange's scratch.
-	siblings, children, rehome []*overlay.Member
+	siblings, children, rehome []int32
 
 	// Switches counts completed switch operations.
 	Switches int
@@ -135,19 +137,20 @@ func New(tree *overlay.Tree, env *construct.Env, cfg Config) *Protocol {
 		tree:          tree,
 		join:          join,
 		switchLatency: DefaultSwitchLatency,
+		root:          tree.Root().Slot(),
 	}
 	p.onCheck, p.onComplete, p.onRetry = p.check, p.completeSwitch, p.retry
 	return p
 }
 
 // switchOp is one switch in flight, from initiation to completion: its lock
-// operation, the initiator's and its parent's IDs, its span (nil untraced)
-// and the members it holds locked.
+// operation, the initiator's and its parent's Refs, its span (nil untraced)
+// and the slots it holds locked.
 type switchOp struct {
 	op        int64
-	m, parent overlay.MemberID
+	m, parent int64
 	span      *tracing.SpanBuilder
-	lockSet   []*overlay.Member
+	lockSet   []int32
 }
 
 // Name returns the algorithm's display name.
@@ -164,7 +167,7 @@ func (p *Protocol) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration
 
 // Start schedules the first switching check for member m. The churn driver
 // calls this right after a successful join. Every check of every member is
-// the protocol's one check handler with the member's ID as its argument, so
+// the protocol's one check handler with the member's Ref as its argument, so
 // arming it allocates nothing. Both delays it is armed with (the switch
 // interval and the lock back-off) are per-session constants, so the timer
 // rides the kernel's FIFO lane for that delay: one periodic timer per member
@@ -173,18 +176,18 @@ func (p *Protocol) Join(tree *overlay.Tree, m *overlay.Member, now time.Duration
 func (p *Protocol) Start(sim *eventsim.Simulator, m *overlay.Member) {
 	lane := sim.Lane(p.cfg.SwitchInterval)
 	lane.Grow(p.tree.Reserved())
-	lane.Schedule(p.onCheck, int64(m.ID))
+	lane.Schedule(p.onCheck, p.tree.Ref(m.Slot()))
 }
 
-// check runs one switching-interval comparison for the member whose ID is
-// arg, if it is still alive. IDs are never reused, so a departed member's
-// check finds no member and its timer chain dies.
+// check runs one switching-interval comparison for the member arg refers to,
+// if it is still alive. A departed member's Ref no longer resolves, even once
+// a new member holds its slot, so its timer chain dies.
 func (p *Protocol) check(sim *eventsim.Simulator, arg int64) {
-	m := p.tree.Member(overlay.MemberID(arg))
-	if m == nil {
+	i := p.tree.Resolve(arg)
+	if i < 0 {
 		return
 	}
-	switch p.tryInitiateSwitch(sim, m) {
+	switch p.tryInitiateSwitch(sim, i, arg) {
 	case switchStarted:
 		// The completion handler reschedules the periodic check.
 	case switchBlocked:
@@ -213,14 +216,13 @@ func ShouldSwitch(bw, btp, parentBW, parentBTP float64) bool {
 	return bw >= parentBW && btp > parentBTP
 }
 
-// shouldSwitch evaluates ShouldSwitch for the live member m against its
-// parent off the slot arrays. The source is never displaced (its BTP is
-// infinite by definition); the no-bandwidth-guard ablation compares m's
-// bandwidth with itself.
-func (p *Protocol) shouldSwitch(m *overlay.Member, now time.Duration) bool {
-	v, i := p.tree.SlotView(), int32(m.Slot())
+// shouldSwitch evaluates ShouldSwitch for the live member in slot i against
+// its parent. The source is never displaced (its BTP is infinite by
+// definition), so a member whose parent is the source never switches; the
+// no-bandwidth-guard ablation compares i's bandwidth with itself.
+func (p *Protocol) shouldSwitch(v *overlay.SlotView, i int32, now time.Duration) bool {
 	parent := v.Parent(i)
-	if parent < 0 || parent == int32(p.tree.Root().Slot()) || !v.Attached(i) {
+	if parent < 0 || parent == p.root || !v.Attached(i) {
 		return false
 	}
 	bw, parentBW := v.Bandwidth(i), v.Bandwidth(parent)
@@ -230,33 +232,30 @@ func (p *Protocol) shouldSwitch(m *overlay.Member, now time.Duration) bool {
 	return ShouldSwitch(bw, v.BTP(i, now), parentBW, v.BTP(parent, now))
 }
 
-// tryInitiateSwitch checks the switching condition and, when met, locks the
-// relevant node set into a switch record and schedules the actual exchange,
-// the record's index its argument, after the switch latency.
-func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, m *overlay.Member) switchOutcome {
-	now := sim.Now()
-	if !p.shouldSwitch(m, now) {
+// tryInitiateSwitch checks the switching condition for the member in slot i,
+// whose Ref is ref, and, when met, locks the relevant node set into a switch
+// record and schedules the actual exchange, the record's index its argument,
+// after the switch latency.
+func (p *Protocol) tryInitiateSwitch(sim *eventsim.Simulator, i int32, ref int64) switchOutcome {
+	now, v := sim.Now(), p.tree.SlotView()
+	if !p.shouldSwitch(&v, i, now) {
 		return switchNotNeeded
 	}
-	parent := m.Parent()
-	grand := parent.Parent()
-	if grand == nil {
-		return switchNotNeeded // parent is the root; nothing to do
-	}
-	i := p.newOp()
-	op := &p.ops[i]
-	op.lockSet = appendLockSet(op.lockSet, m, parent, grand)
+	parent := v.Parent(i)
+	k := p.newOp()
+	op := &p.ops[k]
+	op.lockSet = appendLockSet(&v, op.lockSet, i, parent)
 	p.nextOp++
 	if !p.tree.Lock(p.nextOp, op.lockSet...) {
-		p.freeOp(i)
-		p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
-			AttrInt("parent", int64(parent.ID)).End(now, "lock-backoff")
+		p.freeOp(k)
+		p.cfg.Trace.Start(tracing.KindSwitch, int64(v.Member(i).ID), now).
+			AttrInt("parent", int64(v.Member(parent).ID)).End(now, "lock-backoff")
 		return switchBlocked
 	}
-	op.op, op.m, op.parent = p.nextOp, m.ID, parent.ID
-	op.span = p.cfg.Trace.Start(tracing.KindSwitch, int64(m.ID), now).
-		AttrInt("parent", int64(parent.ID)).AttrInt("depth", int64(m.Depth()))
-	sim.Lane(p.switchLatency).Schedule(p.onComplete, int64(i))
+	op.op, op.m, op.parent = p.nextOp, ref, p.tree.Ref(parent)
+	op.span = p.cfg.Trace.Start(tracing.KindSwitch, int64(v.Member(i).ID), now).
+		AttrInt("parent", int64(v.Member(parent).ID)).AttrInt("depth", int64(v.Depth(i)))
+	sim.Lane(p.switchLatency).Schedule(p.onComplete, int64(k))
 	return switchStarted
 }
 
@@ -272,85 +271,79 @@ func (p *Protocol) newOp() int32 {
 	return int32(len(p.ops) - 1)
 }
 
-// freeOp returns switch record i for reuse. Its lock-set buffer is kept,
-// emptied, and cleared so it pins no departed member's handle.
+// freeOp returns switch record i for reuse, keeping its lock-set buffer.
 func (p *Protocol) freeOp(i int32) {
 	op := &p.ops[i]
-	clear(op.lockSet)
 	op.lockSet, op.span = op.lockSet[:0], nil
 	p.freeOps = append(p.freeOps, i)
 }
 
-// appendLockSet empties set and gathers into it the nodes a switch must hold:
-// the initiator, its parent, grandparent, all of its children and all of its
-// siblings.
-func appendLockSet(set []*overlay.Member, m, parent, grand *overlay.Member) []*overlay.Member {
-	set = append(set[:0], m, parent, grand)
-	set = m.AppendChildren(set)
-	parent.VisitChildren(func(s *overlay.Member) {
-		if s != m {
-			set = append(set, s)
-		}
-	})
-	return set
+// appendLockSet empties set and gathers into it the slots a switch must hold:
+// the initiator m and its siblings (all of parent's children), the parent,
+// the grandparent and all of m's children. Lock and Unlock treat the set as a
+// set, so its order is immaterial.
+func appendLockSet(v *overlay.SlotView, set []int32, m, parent int32) []int32 {
+	set = append(v.AppendChildren(set[:0], parent), parent, v.Parent(parent))
+	return v.AppendChildren(set, m)
 }
 
 // completeSwitch performs the structural exchange of the switch whose record
 // index is arg once the coordination latency has elapsed, re-validating that
 // the locked neighbourhood is still what the initiator saw (members may have
-// failed in the meantime).
+// failed in the meantime, and new ones taken their slots).
 func (p *Protocol) completeSwitch(sim *eventsim.Simulator, arg int64) {
-	i := int32(arg)
-	op := p.ops[i]
+	k := int32(arg)
+	op := p.ops[k]
 	defer func() {
 		p.tree.Unlock(op.op, op.lockSet...)
-		p.freeOp(i)
+		p.freeOp(k)
 	}()
-	m := p.tree.Member(op.m)
-	parent := p.tree.Member(op.parent)
-	valid := m != nil && parent != nil && m.Attached() && parent.Attached() &&
-		m.Parent() == parent && parent.Parent() != nil
-	if valid && !p.shouldSwitch(m, sim.Now()) {
+	m, parent := p.tree.Resolve(op.m), p.tree.Resolve(op.parent)
+	v := p.tree.SlotView()
+	valid := m >= 0 && parent >= 0 && v.Attached(m) && v.Attached(parent) &&
+		v.Parent(m) == parent && v.Parent(parent) >= 0
+	if valid && !p.shouldSwitch(&v, m, sim.Now()) {
 		valid = false // condition evaporated (e.g. ages shifted after a rejoin)
 	}
 	sp := op.span
 	if !valid {
 		p.Aborted++
 		sp.End(sim.Now(), "aborted")
-		if m != nil {
-			sim.Lane(p.cfg.SwitchInterval).Schedule(p.onCheck, int64(op.m))
+		if m >= 0 {
+			sim.Lane(p.cfg.SwitchInterval).Schedule(p.onCheck, op.m)
 		}
 		return
 	}
-	if err := p.performExchange(sim, m, parent); err != nil {
+	if err := p.performExchange(sim, &v, m, parent); err != nil {
 		// The pre-validated exchange cannot fail structurally; if it does,
 		// surface loudly in development but keep the overlay consistent.
 		panic(fmt.Sprintf("rost: exchange invariant broken: %v", err))
 	}
 	p.Switches++
-	p.promDepth.Observe(float64(m.Depth()))
+	p.promDepth.Observe(float64(v.Depth(m)))
 	sp.End(sim.Now(), "switched")
-	sim.Lane(p.cfg.SwitchInterval).Schedule(p.onCheck, int64(op.m))
+	sim.Lane(p.cfg.SwitchInterval).Schedule(p.onCheck, op.m)
 }
 
-// performExchange swaps m with its parent following Figure 2, over the
-// protocol's scratch.
-func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.Member) error {
+// performExchange swaps the member in slot m with its parent following
+// Figure 2, over the protocol's scratch. Joins neither add nor grow slots, so
+// v stays valid throughout.
+func (p *Protocol) performExchange(sim *eventsim.Simulator, v *overlay.SlotView, m, parent int32) error {
 	now := sim.Now()
-	grand := parent.Parent()
-	p.siblings = slices.DeleteFunc(parent.AppendChildren(p.siblings[:0]), func(s *overlay.Member) bool { return s == m })
-	p.children = m.AppendChildren(p.children[:0])
+	grand := v.Parent(parent)
+	p.siblings = slices.DeleteFunc(v.AppendChildren(p.siblings[:0], parent), func(s int32) bool { return s == m })
+	p.children = v.AppendChildren(p.children[:0], m)
 	siblings, childrenOfM := p.siblings, p.children
 
 	// Dismantle the neighbourhood. Detached members keep their subtrees.
 	for _, c := range childrenOfM {
 		if err := p.tree.Detach(c); err != nil {
-			return fmt.Errorf("detach child %d: %w", c.ID, err)
+			return fmt.Errorf("detach child in slot %d: %w", c, err)
 		}
 	}
 	for _, s := range siblings {
 		if err := p.tree.Detach(s); err != nil {
-			return fmt.Errorf("detach sibling %d: %w", s.ID, err)
+			return fmt.Errorf("detach sibling in slot %d: %w", s, err)
 		}
 	}
 	if err := p.tree.Detach(m); err != nil {
@@ -371,14 +364,14 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 	p.rehome = append(append(p.rehome[:0], parent), siblings...)
 	for _, n := range p.rehome {
 		p.tree.RecordReconnection(n)
-		if m.HasSpare() {
+		if v.HasSpare(m) {
 			if err := p.tree.Attach(n, m); err != nil {
-				return fmt.Errorf("re-adopt %d under promoted node: %w", n.ID, err)
+				return fmt.Errorf("re-adopt slot %d under promoted node: %w", n, err)
 			}
 			continue
 		}
-		if err := p.join.Join(p.tree, n, now); err != nil {
-			p.retryJoin(sim, n.ID)
+		if err := p.join.Join(p.tree, v.Member(n), now); err != nil {
+			p.retryJoin(sim, n)
 		}
 	}
 	// m's former children go to the demoted parent, smallest BTP first; the
@@ -386,41 +379,45 @@ func (p *Protocol) performExchange(sim *eventsim.Simulator, m, parent *overlay.M
 	// BTP, on the promoted node). Anyone who fits nowhere rejoins normally.
 	// slices.SortFunc runs the same pdqsort as sort.Slice, so equal BTPs
 	// keep the order they always had.
-	slices.SortFunc(childrenOfM, func(a, b *overlay.Member) int { return cmp.Compare(a.BTP(now), b.BTP(now)) })
+	slices.SortFunc(childrenOfM, func(a, b int32) int { return cmp.Compare(v.BTP(a, now), v.BTP(b, now)) })
 	for _, c := range childrenOfM {
 		p.tree.RecordReconnection(c)
 		target := parent
-		if !target.Attached() || !target.HasSpare() {
+		if !v.Attached(target) || !v.HasSpare(target) {
 			target = m
 		}
-		if target.Attached() && target.HasSpare() {
+		if v.Attached(target) && v.HasSpare(target) {
 			if err := p.tree.Attach(c, target); err != nil {
-				return fmt.Errorf("re-adopt child %d: %w", c.ID, err)
+				return fmt.Errorf("re-adopt child in slot %d: %w", c, err)
 			}
 			continue
 		}
-		if err := p.join.Join(p.tree, c, now); err != nil {
+		if err := p.join.Join(p.tree, v.Member(c), now); err != nil {
 			// Saturated overlay (vanishingly rare): retry until a slot opens.
-			p.retryJoin(sim, c.ID)
+			p.retryJoin(sim, c)
 			continue
 		}
 	}
 	return nil
 }
 
-// retryJoin re-attempts, every construct.DefaultRejoinRetry, the join of a
-// member a switch displaced into a saturated overlay.
-func (p *Protocol) retryJoin(sim *eventsim.Simulator, id overlay.MemberID) {
-	sim.Lane(construct.DefaultRejoinRetry).Schedule(p.onRetry, int64(id))
+// retryJoin re-attempts, every construct.DefaultRejoinRetry, the join of the
+// member in slot i, which a switch displaced into a saturated overlay.
+func (p *Protocol) retryJoin(sim *eventsim.Simulator, i int32) {
+	sim.Lane(construct.DefaultRejoinRetry).Schedule(p.onRetry, p.tree.Ref(i))
 }
 
-// retry is retryJoin's handler: arg is the displaced member's ID.
+// retry is retryJoin's handler: arg is the displaced member's Ref.
 func (p *Protocol) retry(sim *eventsim.Simulator, arg int64) {
-	m := p.tree.Member(overlay.MemberID(arg))
-	if m == nil || m.Attached() {
+	i := p.tree.Resolve(arg)
+	if i < 0 {
 		return
 	}
-	if err := p.join.Join(p.tree, m, sim.Now()); err != nil {
-		p.retryJoin(sim, m.ID)
+	v := p.tree.SlotView()
+	if v.Attached(i) {
+		return
+	}
+	if err := p.join.Join(p.tree, v.Member(i), sim.Now()); err != nil {
+		p.retryJoin(sim, i)
 	}
 }

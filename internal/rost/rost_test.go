@@ -65,6 +65,23 @@ func (f *fixture) joinAt(t *testing.T, at time.Duration, attach topology.NodeID,
 	return m
 }
 
+// view returns a fresh SlotView of the fixture's tree.
+func (f *fixture) view() *overlay.SlotView {
+	v := f.tree.SlotView()
+	return &v
+}
+
+// locked reports whether a switch holds m's lock: an operation no switch
+// uses can lock m only if nobody holds it.
+func (f *fixture) locked(m *overlay.Member) bool {
+	const probe = -1
+	if !f.tree.Lock(probe, m.Slot()) {
+		return true
+	}
+	f.tree.Unlock(probe, m.Slot())
+	return false
+}
+
 func (f *fixture) runUntil(t *testing.T, at time.Duration) {
 	t.Helper()
 	if err := f.sim.Run(at); err != nil {
@@ -109,7 +126,7 @@ func TestSwitchPromotesHigherBTP(t *testing.T) {
 	if f.p.Switches != 1 {
 		t.Fatalf("Switches = %d, want 1", f.p.Switches)
 	}
-	if child.Reconnections() == 0 || parent.Reconnections() == 0 {
+	if f.view().Reconnections(child.Slot()) == 0 || f.view().Reconnections(parent.Slot()) == 0 {
 		t.Fatal("switch did not charge reconnections")
 	}
 }
@@ -125,7 +142,7 @@ func TestNoSwitchWhenBandwidthSmaller(t *testing.T) {
 	// hand-crafted BTP lead must not trigger a switch; emulate the lead by
 	// giving the child an earlier join time via direct construction:
 	child := f.tree.NewMember(2, 1.9, -1000*time.Second) // enormous age, BTP >> parent's
-	if err := f.tree.Attach(child, parent); err != nil {
+	if err := f.tree.Attach(child.Slot(), parent.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	f.p.Start(f.sim, child)
@@ -204,7 +221,7 @@ func TestLockBackoff(t *testing.T) {
 	parent := f.joinAt(t, 0, 1, 2)
 	child := f.joinAt(t, 10*time.Second, 2, 6)
 	// Hold a conflicting lock on the parent across the child's first check.
-	f.tree.Lock(999, parent)
+	f.tree.Lock(999, parent.Slot())
 	f.runUntil(t, 120*time.Second)
 	if f.p.LockFailures == 0 {
 		t.Fatal("no lock backoff recorded")
@@ -213,7 +230,7 @@ func TestLockBackoff(t *testing.T) {
 		t.Fatal("switch proceeded despite conflicting lock")
 	}
 	// Release: the backed-off check retries and the switch completes.
-	f.tree.Unlock(999, parent)
+	f.tree.Unlock(999, parent.Slot())
 	f.runUntil(t, 200*time.Second)
 	if child.Parent() != f.tree.Root() {
 		t.Fatal("switch did not complete after lock release")
@@ -233,12 +250,12 @@ func TestSwitchAbortsWhenParentFails(t *testing.T) {
 	// The check fires at 110 s; kill the parent at 112 s, inside the latency
 	// window (completion at 115 s).
 	f.sim.Schedule(112*time.Second, func(*eventsim.Simulator, int64) {
-		orphans, err := f.tree.Remove(parent)
+		orphans, err := f.tree.Remove(parent.Slot())
 		if err != nil {
 			t.Errorf("Remove: %v", err)
 		}
 		for _, o := range orphans {
-			if err := f.p.Join(f.tree, o, f.sim.Now()); err != nil {
+			if err := f.p.Join(f.tree, f.view().Member(o), f.sim.Now()); err != nil {
 				t.Errorf("orphan rejoin: %v", err)
 			}
 		}
@@ -247,10 +264,10 @@ func TestSwitchAbortsWhenParentFails(t *testing.T) {
 	if f.p.Aborted == 0 {
 		t.Fatal("switch was not aborted")
 	}
-	if !child.Attached() {
+	if !f.view().Attached(child.Slot()) {
 		t.Fatal("child left detached after aborted switch")
 	}
-	if child.Locked() {
+	if f.locked(child) {
 		t.Fatal("aborted switch leaked a lock")
 	}
 }
@@ -361,7 +378,8 @@ func TestBTPOrderingTendency(t *testing.T) {
 		edges++
 		// A stable edge has either parent BTP >= child BTP or a
 		// lower-bandwidth child (which the guard keeps below on purpose).
-		if m.BTP(now) > parent.BTP(now) && m.Bandwidth() >= parent.Bandwidth() {
+		v := tree.SlotView()
+		if v.BTP(m.Slot(), now) > v.BTP(parent.Slot(), now) && v.Bandwidth(m.Slot()) >= v.Bandwidth(parent.Slot()) {
 			violations++
 		}
 	})
@@ -401,11 +419,11 @@ func TestGuardDisabledFreeRiderExchange(t *testing.T) {
 	}
 	// Manually crafted ancient free-rider and sibling under parent.
 	fr := f.tree.NewMember(2, 0.9, -100000*time.Second)
-	if err := f.tree.Attach(fr, parent); err != nil {
+	if err := f.tree.Attach(fr.Slot(), parent.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	sibling := f.tree.NewMember(3, 0.5, time.Second)
-	if err := f.tree.Attach(sibling, parent); err != nil {
+	if err := f.tree.Attach(sibling.Slot(), parent.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	f.p.Start(f.sim, fr)
@@ -415,7 +433,7 @@ func TestGuardDisabledFreeRiderExchange(t *testing.T) {
 	}
 	// Parent and sibling cannot live under the degree-0 free-rider: they
 	// must have been re-homed somewhere valid.
-	if !parent.Attached() || !sibling.Attached() {
+	if !f.view().Attached(parent.Slot()) || !f.view().Attached(sibling.Slot()) {
 		t.Fatal("displaced members left detached")
 	}
 	if parent.Parent() == fr || sibling.Parent() == fr {
@@ -451,7 +469,7 @@ func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
 	f.p.switchLatency = 5 * time.Second
 	parent := f.joinAt(t, 0, 1, 2)
 	child := f.tree.NewMember(2, 1.9, -1000*time.Second) // BTP 1.9*1100 > 2*100 at the first check
-	if err := f.tree.Attach(child, parent); err != nil {
+	if err := f.tree.Attach(child.Slot(), parent.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	f.p.Start(f.sim, child)
@@ -465,7 +483,7 @@ func TestSwitchAbortsWhenConditionEvaporates(t *testing.T) {
 	if f.p.Aborted == 0 {
 		t.Fatal("switch not aborted after the neighbourhood changed")
 	}
-	if child.Locked() || parent.Locked() {
+	if f.locked(child) || f.locked(parent) {
 		t.Fatal("abort leaked locks")
 	}
 }
@@ -479,7 +497,7 @@ func TestDisplacedMemberRetriesSaturatedTree(t *testing.T) {
 	f := newFixture(t, 1, Config{SwitchInterval: 100 * time.Second, DisableBandwidthGuard: true})
 	parent := f.joinAt(t, 0, 1, 1)                       // the root's only child, one slot
 	rider := f.tree.NewMember(2, 0.5, -1000*time.Second) // BTP 0.5*1100 > 1*100 at the first check
-	if err := f.tree.Attach(rider, parent); err != nil {
+	if err := f.tree.Attach(rider.Slot(), parent.Slot()); err != nil {
 		t.Fatal(err)
 	}
 	f.p.Start(f.sim, rider)
@@ -488,19 +506,19 @@ func TestDisplacedMemberRetriesSaturatedTree(t *testing.T) {
 	if f.p.Switches != 1 || rider.Parent() != f.tree.Root() {
 		t.Fatalf("setup: %d switches, rider under %v; want the rider promoted under the source", f.p.Switches, rider.Parent())
 	}
-	if parent.Attached() {
+	if f.view().Attached(parent.Slot()) {
 		t.Fatalf("demoted parent attached under %d in a tree with no spare slot", parent.Parent().ID)
 	}
 	// Free the source's slot between two retries.
 	freed := switched + construct.DefaultRejoinRetry + construct.DefaultRejoinRetry/2
 	f.sim.Schedule(freed, func(*eventsim.Simulator, int64) {
-		if _, err := f.tree.Remove(rider); err != nil {
+		if _, err := f.tree.Remove(rider.Slot()); err != nil {
 			t.Error(err)
 		}
 	}, 0)
 	nextRetry := switched + 2*construct.DefaultRejoinRetry
 	f.runUntil(t, nextRetry-1)
-	if parent.Attached() {
+	if f.view().Attached(parent.Slot()) {
 		t.Fatal("displaced parent attached before its next retry")
 	}
 	f.runUntil(t, nextRetry)

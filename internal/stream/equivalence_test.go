@@ -143,7 +143,7 @@ func TestIntervalPathMatchesTracedPath(t *testing.T) {
 			mk := func(parent *overlay.Member, bw float64) *overlay.Member {
 				m := tree.NewMember(attach, bw, 0)
 				attach++
-				if err := tree.Attach(m, parent); err != nil {
+				if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 					t.Fatal(err)
 				}
 				return m

@@ -49,7 +49,7 @@ func buildWorld(t *testing.T, nHelpers int) *world {
 	mk := func(parent *overlay.Member, bw float64) *overlay.Member {
 		m := tree.NewMember(attach, bw, 0)
 		attach++
-		if err := tree.Attach(m, parent); err != nil {
+		if err := tree.Attach(m.Slot(), parent.Slot()); err != nil {
 			t.Fatal(err)
 		}
 		return m
@@ -282,7 +282,7 @@ func TestConcurrentSiblingOutage(t *testing.T) {
 	}
 	mk := func(parent *overlay.Member, attach topology.NodeID) *overlay.Member {
 		mem := tree.NewMember(attach, 4, 0)
-		if err := tree.Attach(mem, parent); err != nil {
+		if err := tree.Attach(mem.Slot(), parent.Slot()); err != nil {
 			t.Fatal(err)
 		}
 		return mem
