@@ -69,10 +69,12 @@ func TestNodeMetrics(t *testing.T) {
 }
 
 // TestNodeMetricsRejoin checks the failure-path counters: killing a parent
-// must surface as a parent timeout and a rejoin on its child's registry.
+// must surface as a parent timeout and a rejoin on its child's registry. The
+// source has bandwidth 1, so it takes one child and every other member
+// attaches below a member: the tree always has an interior node.
 func TestNodeMetricsRejoin(t *testing.T) {
 	regs := make(map[int]*live.Registry)
-	c := newCluster(t, 8, func(i int, cfg *Config) {
+	c := newClusterSrc(t, 8, 1, func(i int, cfg *Config) {
 		regs[i] = live.NewRegistry()
 		cfg.Metrics = regs[i]
 	})
@@ -93,7 +95,7 @@ func TestNodeMetricsRejoin(t *testing.T) {
 		}
 	}
 	if victim < 0 {
-		t.Skip("no interior node formed; tree is a star")
+		t.Fatal("no interior node formed under a source of bandwidth 1")
 	}
 	c.nodes[victim].Kill()
 

@@ -101,16 +101,20 @@ func checkLayoutMatchesReference(t *testing.T, cfg Config, sampled int) (seen [p
 			t.Fatalf("Degree(%d) = %d, reference %d", u, topo.Degree(id), ref.Degree(id))
 		}
 		for i, e := range topo.linksOf(id) {
-			if e != ref.adj[u][i] {
+			if (refEdge{e.to, time.Duration(e.delay)}) != ref.adj[u][i] {
 				t.Fatalf("router %d link %d = %+v, reference %+v", u, i, e, ref.adj[u][i])
 			}
 		}
 	}
-	var want []link
-	ref.VisitLinks(func(a, b NodeID, d time.Duration) { want = append(want, link{a, b, d}) })
+	type visit struct {
+		a, b NodeID
+		d    time.Duration
+	}
+	var want []visit
+	ref.VisitLinks(func(a, b NodeID, d time.Duration) { want = append(want, visit{a, b, d}) })
 	i := 0
 	topo.VisitLinks(func(a, b NodeID, d time.Duration) {
-		if i >= len(want) || want[i] != (link{a, b, d}) {
+		if i >= len(want) || want[i] != (visit{a, b, d}) {
 			t.Fatalf("VisitLinks call %d = (%d,%d,%v), reference sequence differs", i, a, b, d)
 		}
 		i++

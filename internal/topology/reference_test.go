@@ -12,8 +12,15 @@ import (
 // transit Dijkstra that walks past every gateway edge and records its settle
 // order on its own copy of the binary heap, so a production queue that broke
 // ties differently would show, and the five-case Delay that walks the
-// stubDomain structs. It is kept verbatim (types renamed ref*) as the oracle
-// TestLayoutMatchesReference compares the production build against.
+// stubDomain structs. It is kept verbatim (types renamed ref*, delays still
+// int64 nanoseconds) as the oracle TestLayoutMatchesReference compares the
+// production build against.
+
+// refEdge is one undirected adjacency entry.
+type refEdge struct {
+	to    NodeID
+	delay time.Duration
+}
 
 // refStubDomain holds the hierarchical routing state of one stub domain.
 type refStubDomain struct {
@@ -36,7 +43,7 @@ func (d *refStubDomain) intra(u, v NodeID) time.Duration {
 
 type refTopology struct {
 	cfg     Config
-	adj     [][]edge
+	adj     [][]refEdge
 	kinds   []Kind
 	domain  []int32 // stub router -> stub domain index; -1 for transit
 	domains []refStubDomain
@@ -58,7 +65,7 @@ func newReference(cfg Config) (*refTopology, error) {
 
 	t := &refTopology{
 		cfg:      cfg,
-		adj:      make([][]edge, total),
+		adj:      make([][]refEdge, total),
 		kinds:    make([]Kind, total),
 		domain:   make([]int32, total),
 		transitN: tn,
@@ -81,8 +88,8 @@ func newReference(cfg Config) (*refTopology, error) {
 
 // addEdge inserts an undirected link.
 func (t *refTopology) addEdge(u, v NodeID, delay time.Duration) {
-	t.adj[u] = append(t.adj[u], edge{to: v, delay: delay})
-	t.adj[v] = append(t.adj[v], edge{to: u, delay: delay})
+	t.adj[u] = append(t.adj[u], refEdge{to: v, delay: delay})
+	t.adj[v] = append(t.adj[v], refEdge{to: u, delay: delay})
 }
 
 func (t *refTopology) wireTransitCore(rng *xrand.Source) {
@@ -189,7 +196,7 @@ func (t *refTopology) buildTransitAPSP() {
 }
 
 // linksOf returns router u's adjacency row.
-func (t *refTopology) linksOf(u NodeID) []edge { return t.adj[u] }
+func (t *refTopology) linksOf(u NodeID) []refEdge { return t.adj[u] }
 
 // dijkstraTransit fills dist (length transitN) with shortest delays from src
 // using only transit-transit edges, and order with the routers in the order

@@ -23,15 +23,17 @@
 // Config, and a build costs milliseconds where a query costs nanoseconds.
 // Shared therefore hands every session that asks for one Config the same
 // Topology; New is the uncached build underneath it. Everything is laid out
-// flat — one adjacency array, one 16-byte record per router, the transit
-// tables — so a build makes a dozen allocations whatever the router count and
-// Delay across domains is three reads (DESIGN.md §17, "Underlay: built once,
-// read flat").
+// flat at the width the delays have, int32 nanoseconds — one adjacency array
+// of 8-byte entries, one 12-byte record per router, the transit tables — so a
+// build makes a dozen allocations whatever the router count and Delay across
+// domains is three reads (DESIGN.md §17, "Underlay: built once, read flat").
 package topology
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"omcast/internal/parallel"
@@ -135,6 +137,9 @@ func (c Config) Validate() error {
 		if r[0] <= 0 || r[1] < r[0] {
 			return fmt.Errorf("topology: delay range %v invalid", r)
 		}
+		if r[1] > maxDelay {
+			return fmt.Errorf("topology: delay range %v exceeds %v, the widest delay the tables hold", r, maxDelay)
+		}
 	}
 	// Written so that NaN fails: a NaN probability would wire no chords
 	// silently and make the Config unequal to itself as a Shared key.
@@ -157,37 +162,57 @@ func (c Config) StubCount() int {
 	return c.TransitCount() * c.StubDomainsPerTransit * c.StubNodesPerDomain
 }
 
-// linkEstimate is the expected number of links with a margin, so the wiring
-// pass appends to its list without regrowing it on all but freak draws.
-func (c Config) linkEstimate() int {
-	ringAndChords := func(n int, p float64) float64 {
-		return float64(n) + p*float64(n)*float64(n-1)/2
+// maxDelay is the widest delay the build stores: links, transit-core
+// distances and up delays are int32 nanoseconds, up to about 2.1 s, seven
+// times the widest transit path (308 ms) of paper-scale seeds 0-19.
+const maxDelay = time.Duration(math.MaxInt32)
+
+// ringAndChords returns the mean and variance of the number of links in
+// domains domains of n routers each: a ring, then a chord with probability p
+// per pair at least two apart that is not the ring's closing pair.
+func ringAndChords(domains, n int, p float64) (mean, variance float64) {
+	if n < 2 {
+		return 0, 0
 	}
-	transit := float64(c.TransitDomains)*(ringAndChords(c.TransitNodesPerDomain, c.TransitChordProbability)+1) +
-		float64(c.ExtraInterDomainEdges)
-	stub := float64(c.TransitCount()*c.StubDomainsPerTransit) *
-		(ringAndChords(c.StubNodesPerDomain, c.StubChordProbability) + 1)
-	return int(1.1*(transit+stub)) + 64
+	pairs := max(0, float64(n-1)*float64(n-2)/2-1)
+	return float64(domains) * (float64(n) + p*pairs), float64(domains) * p * (1 - p) * pairs
 }
 
-// link is one undirected link, in the order the wiring drew it.
+// coreLinkEstimate is the expected number of transit-core links plus four
+// standard deviations of the chord draws, and halfEdgeEstimate the same for
+// the whole graph's adjacency entries: the build appends to both without
+// regrowing them on all but freak draws.
+func (c Config) coreLinkEstimate() int {
+	mean, variance := ringAndChords(c.TransitDomains, c.TransitNodesPerDomain, c.TransitChordProbability)
+	return int(mean+4*math.Sqrt(variance)) + c.TransitDomains + c.ExtraInterDomainEdges + 16
+}
+
+func (c Config) halfEdgeEstimate() int {
+	domains := c.TransitCount() * c.StubDomainsPerTransit
+	mean, variance := ringAndChords(domains, c.StubNodesPerDomain, c.StubChordProbability)
+	return 2 * (c.coreLinkEstimate() + int(mean+4*math.Sqrt(variance)) + domains)
+}
+
+// link is one undirected link of the wiring's scratch, in the order it was
+// drawn.
 type link struct {
 	u, v  NodeID
-	delay time.Duration
+	delay int32 // nanoseconds
 }
 
-// edge is one undirected adjacency entry.
+// edge is one adjacency entry.
 type edge struct {
 	to    NodeID
-	delay time.Duration
+	delay int32 // nanoseconds
 }
 
 // router is everything Delay needs to know about one endpoint, packed into
-// 16 bytes so a query touches one record per router.
+// 12 bytes so a query touches one record per router.
 type router struct {
-	// up is the delay to home: the intra-domain path to the gateway plus
-	// the gateway edge for a stub router, 0 for a transit router.
-	up time.Duration
+	// up is the delay to home in nanoseconds: the intra-domain path to the
+	// gateway plus the gateway edge for a stub router, 0 for a transit
+	// router.
+	up int32
 	// home is the router's own transit router: the one its stub domain
 	// hangs off, or the router itself.
 	home int32
@@ -203,17 +228,22 @@ type Topology struct {
 	routers  []router
 	// Adjacency in compressed rows: router u's links are
 	// edges[adjStart[u]:adjStart[u+1]], in the order the wiring drew them.
+	// The transit rows come first, each ending in one slot per stub domain
+	// it hosts; each stub domain's rows follow in router order.
 	adjStart []int32
 	edges    []edge
-	// transitDist is the all-pairs delay table over transit routers.
-	transitDist []time.Duration // T x T, row-major
+	// transitDist is the all-pairs delay table over transit routers, in
+	// nanoseconds.
+	transitDist []int32 // T x T, row-major
 	// homeOrder's row h lists every transit router in the order the
 	// Dijkstra from h settled it: nondecreasing delay from h, h first.
 	homeOrder []NodeID // T x T, row-major
 }
 
 // New generates a topology from cfg. Generation is deterministic in
-// cfg.Seed.
+// cfg.Seed. It fails if cfg is invalid or if a transit-core distance or a
+// stub router's delay up to its transit router exceeds the int32
+// nanoseconds the tables store.
 func New(cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -225,24 +255,30 @@ func New(cfg Config) (*Topology, error) {
 		transitN: tn,
 		stubN:    cfg.StubNodesPerDomain,
 		routers:  make([]router, tn+cfg.StubCount()),
+		adjStart: make([]int32, tn+cfg.StubCount()+1),
+		edges:    make([]edge, 0, cfg.halfEdgeEstimate()),
 	}
 	for i := 0; i < tn; i++ {
 		t.routers[i] = router{home: int32(i), domain: -1}
 	}
 
-	links := make([]link, 0, cfg.linkEstimate())
-	links = wireTransitCore(cfg, rng, links)
-	links, gateways := t.wireStubDomains(rng, links)
-	t.layOutAdjacency(links)
-	t.buildTransitAPSP()
-	t.upDelays(gateways)
+	core := wireTransitCore(cfg, rng, make([]link, 0, cfg.coreLinkEstimate()))
+	t.appendRows(0, tn, cfg.StubDomainsPerTransit, core)
+	if err := t.wireStubDomains(rng, core[:0]); err != nil {
+		return nil, err
+	}
+	// Last: a transit walk stops at its row's first gateway link, so every
+	// reserved slot must hold one by now.
+	if err := t.buildTransitAPSP(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // sharedCapacity is how many underlays Shared retains: enough for every seed
 // of a replicated figure (experiments' default Replicas is 5) to stay
 // resident while its units interleave, small enough that a long seed sweep
-// holds a few tens of megabytes at paper scale and no more.
+// holds about ten megabytes at paper scale and no more.
 const sharedCapacity = 8
 
 var shared = parallel.NewMemo(sharedCapacity, New)
@@ -262,8 +298,8 @@ func Shared(cfg Config) (*Topology, error) {
 
 // wireTransitCore appends the transit-transit links to links.
 func wireTransitCore(c Config, rng *xrand.Source, links []link) []link {
-	ttDelay := func() time.Duration {
-		return rng.UniformDuration(c.TransitTransitDelay[0], c.TransitTransitDelay[1])
+	ttDelay := func() int32 {
+		return int32(rng.UniformDuration(c.TransitTransitDelay[0], c.TransitTransitDelay[1]))
 	}
 	// Intra-domain: a ring guarantees connectivity, random chords add mesh.
 	for d := 0; d < c.TransitDomains; d++ {
@@ -307,75 +343,108 @@ func wireTransitCore(c Config, rng *xrand.Source, links []link) []link {
 	return links
 }
 
-// wireStubDomains appends every stub domain's links to links, records each
-// stub router's domain and home, and returns the gateway links (stub end
-// first) indexed by domain.
-func (t *Topology) wireStubDomains(rng *xrand.Source, links []link) (all, gateways []link) {
+// wireStubDomains wires one stub domain after another through links, a
+// scratch reused by each: it draws the domain's gateway and links, appends
+// the domain's rows, puts the gateway's transit half-edge in its reserved
+// slot of the transit router's row, and fills each router's record with the
+// delay up from the domain's search. It fails if an up delay exceeds
+// maxDelay.
+func (t *Topology) wireStubDomains(rng *xrand.Source, links []link) error {
 	c := t.cfg
-	n := t.stubN
-	ssDelay := func() time.Duration {
-		return rng.UniformDuration(c.StubStubDelay[0], c.StubStubDelay[1])
+	n, perTransit := t.stubN, c.StubDomainsPerTransit
+	ssDelay := func() int32 {
+		return int32(rng.UniformDuration(c.StubStubDelay[0], c.StubStubDelay[1]))
 	}
-	next := NodeID(t.transitN)
-	gateways = make([]link, 0, t.transitN*c.StubDomainsPerTransit)
+	dist, open := make([]time.Duration, n), make([]uint64, (n+63)/64)
+	first := NodeID(t.transitN)
 	for tr := 0; tr < t.transitN; tr++ {
-		for s := 0; s < c.StubDomainsPerTransit; s++ {
+		for s := 0; s < perTransit; s++ {
 			gateway := link{
-				u:     next + NodeID(rng.Intn(n)),
+				u:     first + NodeID(rng.Intn(n)),
 				v:     NodeID(tr),
-				delay: rng.UniformDuration(c.TransitStubDelay[0], c.TransitStubDelay[1]),
+				delay: int32(rng.UniformDuration(c.TransitStubDelay[0], c.TransitStubDelay[1])),
 			}
 			// Intra-domain ring + chords with stub-stub delays.
+			links = links[:0]
 			if n > 1 {
 				for i := 0; i < n; i++ {
-					links = append(links, link{next + NodeID(i), next + NodeID((i+1)%n), ssDelay()})
+					links = append(links, link{first + NodeID(i), first + NodeID((i+1)%n), ssDelay()})
 				}
 			}
 			for i := 0; i < n; i++ {
-				t.routers[next+NodeID(i)] = router{home: int32(tr), domain: int32(len(gateways))}
 				for j := i + 2; j < n; j++ {
 					if i == 0 && j == n-1 {
 						continue
 					}
 					if rng.Float64() < c.StubChordProbability {
-						links = append(links, link{next + NodeID(i), next + NodeID(j), ssDelay()})
+						links = append(links, link{first + NodeID(i), first + NodeID(j), ssDelay()})
 					}
 				}
 			}
 			// Single gateway edge keeps the domain single-homed, which is
-			// what makes the hierarchical oracle exact.
+			// what makes the hierarchical oracle exact. Its transit end
+			// lies outside the domain's rows.
 			links = append(links, gateway)
-			gateways = append(gateways, gateway)
-			next += NodeID(n)
+			t.appendRows(first, n, 0, links)
+			t.edges[t.adjStart[tr+1]-int32(perTransit-s)] = edge{to: gateway.u, delay: gateway.delay}
+
+			// Delays are symmetric: the search from the gateway is every
+			// router's way up to it.
+			t.domainSearch(gateway.u, None, dist, open)
+			domain := int32(tr*perTransit + s)
+			for i, d := range dist {
+				up := d + time.Duration(gateway.delay)
+				if up > maxDelay {
+					return fmt.Errorf("topology: stub router %d is %v from its transit router, beyond the %v a delay table holds",
+						first+NodeID(i), up, maxDelay)
+				}
+				t.routers[first+NodeID(i)] = router{up: int32(up), home: int32(tr), domain: domain}
+			}
+			first += NodeID(n)
 		}
 	}
-	return links, gateways
+	return nil
 }
 
-// layOutAdjacency turns the link list into compressed adjacency rows with a
-// stable counting pass: count degrees, prefix-sum them into row starts, then
-// drop both directions of every link at its endpoints' cursors in list
-// order. Each router therefore sees its links in wiring order, exactly as
-// appending to a slice per router would have left them.
-func (t *Topology) layOutAdjacency(links []link) {
-	total := len(t.routers)
-	t.adjStart = make([]int32, total+1)
+// appendRows appends the adjacency rows of the n routers from first on to
+// edges and sets their adjStart entries: each router's half-edges of links,
+// in list order, then reserve empty slots. A link end outside the n routers
+// is the caller's to place. adjStart[first] must equal len(edges).
+func (t *Topology) appendRows(first NodeID, n, reserve int, links []link) {
+	start := t.adjStart[first : int(first)+n+1]
+	base := start[0]
+	for i := 1; i <= n; i++ {
+		start[i] = int32(reserve)
+	}
 	for _, l := range links {
-		t.adjStart[l.u+1]++
-		t.adjStart[l.v+1]++
+		if i := int(l.u - first); uint(i) < uint(n) {
+			start[i+1]++
+		}
+		if i := int(l.v - first); uint(i) < uint(n) {
+			start[i+1]++
+		}
 	}
-	for i := 0; i < total; i++ {
-		t.adjStart[i+1] += t.adjStart[i]
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
 	}
-	cursor := make([]int32, total)
-	copy(cursor, t.adjStart)
-	t.edges = make([]edge, 2*len(links))
+	t.edges = slices.Grow(t.edges, int(start[n]-base))[:start[n]]
+	// start[i] serves as router i's cursor; afterwards it stands reserve
+	// slots short of row i+1, and shifting the entries back up restores
+	// the row starts.
 	for _, l := range links {
-		t.edges[cursor[l.u]] = edge{to: l.v, delay: l.delay}
-		cursor[l.u]++
-		t.edges[cursor[l.v]] = edge{to: l.u, delay: l.delay}
-		cursor[l.v]++
+		if i := int(l.u - first); uint(i) < uint(n) {
+			t.edges[start[i]] = edge{to: l.v, delay: l.delay}
+			start[i]++
+		}
+		if i := int(l.v - first); uint(i) < uint(n) {
+			t.edges[start[i]] = edge{to: l.u, delay: l.delay}
+			start[i]++
+		}
 	}
+	for i := n; i > 0; i-- {
+		start[i] = start[i-1] + int32(reserve)
+	}
+	start[0] = base
 }
 
 // linksOf returns router u's adjacency row.
@@ -387,15 +456,25 @@ func (t *Topology) linksOf(u NodeID) []edge {
 const inf = time.Duration(1) << 60
 
 // buildTransitAPSP runs Dijkstra from every transit router over the transit
-// core only (stub domains cannot carry through traffic).
-func (t *Topology) buildTransitAPSP() {
+// core only (stub domains cannot carry through traffic), summing in int64
+// scratch. It fails if a distance exceeds maxDelay.
+func (t *Topology) buildTransitAPSP() error {
 	n := t.transitN
-	t.transitDist = make([]time.Duration, n*n)
+	t.transitDist = make([]int32, n*n)
 	t.homeOrder = make([]NodeID, n*n)
+	dist := make([]time.Duration, n)
 	pq := newDelayHeap(n)
 	for src := 0; src < n; src++ {
-		t.dijkstra(NodeID(src), t.transitDist[src*n:(src+1)*n], t.homeOrder[src*n:(src+1)*n], pq)
+		t.dijkstra(NodeID(src), dist, t.homeOrder[src*n:(src+1)*n], pq)
+		for v, d := range dist {
+			if d > maxDelay {
+				return fmt.Errorf("topology: transit routers %d and %d are %v apart, beyond the %v a delay table holds",
+					src, v, d, maxDelay)
+			}
+			t.transitDist[src*n+v] = int32(d)
+		}
 	}
+	return nil
 }
 
 // dijkstra fills dist with shortest delays from src over the routers below
@@ -427,23 +506,10 @@ func (t *Topology) dijkstra(src NodeID, dist []time.Duration, order []NodeID, pq
 			if int(e.to) >= len(dist) {
 				break // the rest of a transit router's row is gateway links
 			}
-			if nd := du + e.delay; nd < dist[e.to] {
+			if nd := du + time.Duration(e.delay); nd < dist[e.to] {
 				dist[e.to] = nd
 				pq.push(e.to, nd)
 			}
-		}
-	}
-}
-
-// upDelays sets every stub router's up delay: its domain's search from the
-// gateway (delays are symmetric) plus the gateway edge.
-func (t *Topology) upDelays(gateways []link) {
-	dist, open := make([]time.Duration, t.stubN), make([]uint64, (t.stubN+63)/64)
-	for _, gateway := range gateways {
-		t.domainSearch(gateway.u, None, dist, open)
-		first := t.domainFirst(gateway.u)
-		for i, d := range dist {
-			t.routers[first+NodeID(i)].up = d + gateway.delay
 		}
 	}
 }
@@ -504,7 +570,7 @@ func (t *Topology) domainSearch(src, stop NodeID, dist []time.Duration, open []u
 			if uint(j) >= uint(len(dist)) {
 				continue // the gateway edge leaves the domain
 			}
-			if d := dn + e.delay; d < dist[j] {
+			if d := dn + time.Duration(e.delay); d < dist[j] {
 				dist[j] = d
 				open[j/64] |= 1 << (j % 64)
 			}
@@ -543,7 +609,7 @@ func (t *Topology) VisitLinks(fn func(a, b NodeID, delay time.Duration)) {
 	for u := range t.routers {
 		for _, e := range t.linksOf(NodeID(u)) {
 			if NodeID(u) < e.to {
-				fn(NodeID(u), e.to, e.delay)
+				fn(NodeID(u), e.to, time.Duration(e.delay))
 			}
 		}
 	}
@@ -565,7 +631,7 @@ func (t *Topology) Delay(u, v NodeID) time.Duration {
 	if ru.domain == rv.domain && ru.domain >= 0 {
 		return t.intraDomain(u, v)
 	}
-	return ru.up + t.transitDist[int(ru.home)*t.transitN+int(rv.home)] + rv.up
+	return time.Duration(ru.up) + time.Duration(t.transitDist[int(ru.home)*t.transitN+int(rv.home)]) + time.Duration(rv.up)
 }
 
 // Home returns the transit router v's stub domain hangs off, or v itself when

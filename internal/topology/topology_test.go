@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,56 @@ func TestValidate(t *testing.T) {
 		}
 		if key := cfg; key != cfg {
 			t.Errorf("%s: a valid config does not equal its own copy, so it cannot key Shared", ok.name)
+		}
+	}
+}
+
+// TestDelayWidthBounds holds the build to the width it stores delays at,
+// int32 nanoseconds: Validate refuses a link bound past it, and New refuses
+// a transit-core distance or a stub router's way up to its transit router
+// that would not fit, never narrowing one silently.
+func TestDelayWidthBounds(t *testing.T) {
+	tiers := []struct {
+		name string
+		tier func(*Config) *[2]time.Duration
+	}{
+		{"transit-transit", func(c *Config) *[2]time.Duration { return &c.TransitTransitDelay }},
+		{"transit-stub", func(c *Config) *[2]time.Duration { return &c.TransitStubDelay }},
+		{"stub-stub", func(c *Config) *[2]time.Duration { return &c.StubStubDelay }},
+	}
+	for _, tier := range tiers {
+		cfg := DefaultConfig(1)
+		tier.tier(&cfg)[1] = math.MaxInt32
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s bound of 2^31-1 ns: %v", tier.name, err)
+		}
+		tier.tier(&cfg)[1] = math.MaxInt32 + 1
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s bound of 2^31 ns passed validation", tier.name)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s bound of 2^31 ns: New built it", tier.name)
+		}
+	}
+
+	// Links that fit but paths that do not: the SmallTopology shape, every
+	// router at least two hops from some other.
+	for _, tc := range []struct {
+		name, want string
+		tier       func(*Config) *[2]time.Duration
+	}{
+		{"transit core", "transit routers", tiers[0].tier},
+		{"stub up", "stub router", tiers[2].tier},
+	} {
+		for seed := int64(0); seed < 5; seed++ {
+			cfg := DefaultConfig(seed)
+			cfg.TransitDomains, cfg.TransitNodesPerDomain = 3, 8
+			cfg.StubDomainsPerTransit, cfg.StubNodesPerDomain = 4, 8
+			*tc.tier(&cfg) = [2]time.Duration{1500 * time.Millisecond, 2 * time.Second}
+			topo, err := New(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, seed %d: New = %v, %v; want an error naming %q", tc.name, seed, topo, err, tc.want)
+			}
 		}
 	}
 }
@@ -253,9 +304,9 @@ func TestDelayRangesRespectConfig(t *testing.T) {
 			default:
 				lo, hi = cfg.TransitStubDelay[0], cfg.TransitStubDelay[1]
 			}
-			if e.delay < lo || e.delay >= hi {
+			if d := time.Duration(e.delay); d < lo || d >= hi {
 				t.Fatalf("link %d(%v)-%d(%v) delay %v outside [%v,%v)",
-					u, ku, e.to, kv, e.delay, lo, hi)
+					u, ku, e.to, kv, d, lo, hi)
 			}
 		}
 	}
