@@ -40,9 +40,13 @@ func TestDelayAllocCeiling(t *testing.T) {
 // allocations — the tables, the adjacency rows, the wiring and search
 // scratch — independent of the router count: wiring that appends to a slice
 // per router and a table per stub domain was 51 862 of them and a quarter of
-// the build's time. It bounds the bytes too, about 10 % above the 1.27 MB
-// the int32-nanosecond tables and rows take: int64 delays, a whole-graph
-// link list or a table per stub domain would each break it.
+// the build's time. It bounds the bytes too, about 6 % above the 1.32 MB
+// the int32-nanosecond tables and rows and the core searches' scratch take:
+// int64 delays, a whole-graph link list or a table per stub domain would
+// each break it. It pins the pool's sequential path: at GOMAXPROCS 1
+// parallel.Run calls the wiring unit, then each core-search chunk, on the
+// caller's goroutine, so what it counts is the build's own, not the
+// goroutines and error slice of the concurrent path.
 func TestGenerateAllocCeiling(t *testing.T) {
 	cfg := DefaultConfig(1)
 	const runs = 3

@@ -27,9 +27,16 @@
 // of 8-byte entries, one 12-byte record per router, the transit tables — so a
 // build makes a dozen allocations whatever the router count and Delay across
 // domains is three reads (DESIGN.md §17, "Underlay: built once, read flat").
+//
+// A build wires the transit core, then runs two phases side by side as units
+// of internal/parallel's worker pool: one unit wires the stub domains on the
+// build's single RNG stream, the others search the core, each from its own
+// range of sources into its own rows of the tables. Neither phase reads what
+// the other writes, so every table is the same at any GOMAXPROCS.
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -264,16 +271,40 @@ func New(cfg Config) (*Topology, error) {
 
 	core := wireTransitCore(cfg, rng, make([]link, 0, cfg.coreLinkEstimate()))
 	t.appendRows(0, tn, cfg.StubDomainsPerTransit, core)
-	if err := t.wireStubDomains(rng, core[:0]); err != nil {
-		return nil, err
-	}
-	// Last: a transit walk stops at its row's first gateway link, so every
-	// reserved slot must hold one by now.
-	if err := t.buildTransitAPSP(); err != nil {
-		return nil, err
+	t.transitDist = make([]int32, tn*tn)
+	t.homeOrder = make([]NodeID, tn*tn)
+
+	// The core is complete: only its rows' reserved gateway slots are left,
+	// and only the stub wiring writes them. So unit 0 wires the stub domains
+	// on the one RNG stream while the other units search the core, each over
+	// a contiguous range of sources into its own rows of the tables, through
+	// a view of the core taken now.
+	g := t.coreRows()
+	chunks, n := min(coreChunks, tn), t.stubN
+	// Every unit's distances in one array, the wiring's first; every
+	// chunk's heap in another.
+	dist, items := make([]time.Duration, n+chunks*tn), make([]heapItem, chunks*tn)
+	_, err := parallel.Run(0, 1+chunks, func(i int) (struct{}, error) {
+		if i == 0 {
+			return struct{}{}, t.wireStubDomains(rng, core[:0], dist[:n:n])
+		}
+		c := i - 1
+		pq := delayHeap{items: items[c*tn : c*tn : (c+1)*tn]}
+		own := dist[n+c*tn : n+(c+1)*tn]
+		return struct{}{}, t.searchCore(g, c*tn/chunks, (c+1)*tn/chunks, own, &pq)
+	})
+	if err != nil {
+		// The lowest failing unit's own error, without Run's "unit i:": the
+		// wiring's first, then the first source in order, as sequentially.
+		return nil, errors.Unwrap(err)
 	}
 	return t, nil
 }
+
+// coreChunks is how many units the transit-core searches are split into, so
+// that a few workers balance them against the stub wiring, a third of the
+// build's CPU. Every table is the same whatever the split and worker count.
+const coreChunks = 8
 
 // sharedCapacity is how many underlays Shared retains: enough for every seed
 // of a replicated figure (experiments' default Replicas is 5) to stay
@@ -343,19 +374,19 @@ func wireTransitCore(c Config, rng *xrand.Source, links []link) []link {
 	return links
 }
 
-// wireStubDomains wires one stub domain after another through links, a
-// scratch reused by each: it draws the domain's gateway and links, appends
-// the domain's rows, puts the gateway's transit half-edge in its reserved
-// slot of the transit router's row, and fills each router's record with the
-// delay up from the domain's search. It fails if an up delay exceeds
-// maxDelay.
-func (t *Topology) wireStubDomains(rng *xrand.Source, links []link) error {
+// wireStubDomains wires one stub domain after another through links and
+// dist (one entry per router of a domain), scratch reused by each: it draws
+// the domain's gateway and links, appends the domain's rows, puts the
+// gateway's transit half-edge in its reserved slot of the transit router's
+// row, and fills each router's record with the delay up from the domain's
+// search. It fails if an up delay exceeds maxDelay.
+func (t *Topology) wireStubDomains(rng *xrand.Source, links []link, dist []time.Duration) error {
 	c := t.cfg
 	n, perTransit := t.stubN, c.StubDomainsPerTransit
 	ssDelay := func() int32 {
 		return int32(rng.UniformDuration(c.StubStubDelay[0], c.StubStubDelay[1]))
 	}
-	dist, open := make([]time.Duration, n), make([]uint64, (n+63)/64)
+	open := make([]uint64, (n+63)/64)
 	first := NodeID(t.transitN)
 	for tr := 0; tr < t.transitN; tr++ {
 		for s := 0; s < perTransit; s++ {
@@ -452,20 +483,47 @@ func (t *Topology) linksOf(u NodeID) []edge {
 	return t.edges[t.adjStart[u]:t.adjStart[u+1]]
 }
 
+// rows views adjacency rows 0..len(start)-1 for a search: row u is
+// edges[start[u] : next-trim], next being start[u+1], or end for the last row.
+type rows struct {
+	edges     []edge
+	start     []int32
+	end, trim int32
+}
+
+func (g *rows) of(u NodeID) []edge {
+	next := g.end
+	if int(u)+1 < len(g.start) {
+		next = g.start[u+1]
+	}
+	return g.edges[g.start[u] : next-g.trim]
+}
+
+// coreRows views the transit rows without their reserved gateway slots. Taken
+// before the stub wiring starts, it holds its own copies of the edges header,
+// which the wiring may regrow, and of the last row's end, adjStart[transitN],
+// which the wiring's first domain rewrites; a search through it reads
+// neither, nor any slot the wiring fills.
+func (t *Topology) coreRows() rows {
+	return rows{
+		edges: t.edges,
+		start: t.adjStart[:t.transitN],
+		end:   t.adjStart[t.transitN],
+		trim:  int32(t.cfg.StubDomainsPerTransit),
+	}
+}
+
 // inf is an unreachable-distance sentinel; inf+inf does not overflow.
 const inf = time.Duration(1) << 60
 
-// buildTransitAPSP runs Dijkstra from every transit router over the transit
-// core only (stub domains cannot carry through traffic), summing in int64
-// scratch. It fails if a distance exceeds maxDelay.
-func (t *Topology) buildTransitAPSP() error {
+// searchCore fills rows lo..hi-1 of transitDist and homeOrder with one
+// Dijkstra from each source over the transit core g (stub domains cannot
+// carry through traffic), summing in int64 scratch. It fails if a distance
+// exceeds maxDelay.
+func (t *Topology) searchCore(g rows, lo, hi int, dist []time.Duration, pq *delayHeap) error {
 	n := t.transitN
-	t.transitDist = make([]int32, n*n)
-	t.homeOrder = make([]NodeID, n*n)
-	dist := make([]time.Duration, n)
-	pq := newDelayHeap(n)
-	for src := 0; src < n; src++ {
-		t.dijkstra(NodeID(src), dist, t.homeOrder[src*n:(src+1)*n], pq)
+	for src := lo; src < hi; src++ {
+		g.dijkstra(NodeID(src), dist, t.homeOrder[src*n:(src+1)*n], pq)
 		for v, d := range dist {
 			if d > maxDelay {
 				return fmt.Errorf("topology: transit routers %d and %d are %v apart, beyond the %v a delay table holds",
@@ -477,16 +535,14 @@ func (t *Topology) buildTransitAPSP() error {
 	return nil
 }
 
-// dijkstra fills dist with shortest delays from src over the routers below
-// len(dist) — the transit core at transitN, the whole graph at Size() — and
-// order, unless nil, with the routers in the order they settle. The core is
-// wired first, so a transit router's row lists its core links before its
-// gateway links and a walk of the core stops at the first link out of it.
-// The core is connected by construction (a ring per domain, a ring over
-// domains), so every router settles exactly once: an entry is pushed only on
-// a strict improvement, so only a router's last entry is not stale. pq must
-// be empty and is left empty.
-func (t *Topology) dijkstra(src NodeID, dist []time.Duration, order []NodeID, pq *delayHeap) {
+// dijkstra fills dist with shortest delays from src over g's rows — the
+// transit core, or the whole graph — and order, unless nil, with the routers
+// in the order they settle. Every router g reaches must be below len(dist).
+// The graph is connected by construction (a ring per domain, a ring over
+// domains, a gateway per stub domain), so every router settles exactly once:
+// an entry is pushed only on a strict improvement, so only a router's last
+// entry is not stale. pq must be empty and is left empty.
+func (g *rows) dijkstra(src NodeID, dist []time.Duration, order []NodeID, pq *delayHeap) {
 	for i := range dist {
 		dist[i] = inf
 	}
@@ -502,10 +558,7 @@ func (t *Topology) dijkstra(src NodeID, dist []time.Duration, order []NodeID, pq
 			order[settled] = u
 			settled++
 		}
-		for _, e := range t.linksOf(u) {
-			if int(e.to) >= len(dist) {
-				break // the rest of a transit router's row is gateway links
-			}
+		for _, e := range g.of(u) {
 			if nd := du + time.Duration(e.delay); nd < dist[e.to] {
 				dist[e.to] = nd
 				pq.push(e.to, nd)
@@ -659,8 +712,10 @@ func (t *Topology) HomesByDelay(h NodeID) []NodeID {
 // graph. It exists for validation and for the distance-oracle ablation bench;
 // hot paths use Delay.
 func (t *Topology) DijkstraFrom(src NodeID) []time.Duration {
-	dist := make([]time.Duration, len(t.routers))
-	t.dijkstra(src, dist, nil, newDelayHeap(len(t.routers)))
+	n := len(t.routers)
+	g := rows{edges: t.edges, start: t.adjStart[:n], end: t.adjStart[n]}
+	dist := make([]time.Duration, n)
+	g.dijkstra(src, dist, nil, &delayHeap{items: make([]heapItem, 0, n)})
 	return dist
 }
 
@@ -674,10 +729,6 @@ type delayHeap struct {
 type heapItem struct {
 	delay time.Duration
 	id    NodeID
-}
-
-func newDelayHeap(capacity int) *delayHeap {
-	return &delayHeap{items: make([]heapItem, 0, capacity)}
 }
 
 func (h *delayHeap) len() int { return len(h.items) }

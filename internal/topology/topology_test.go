@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -208,6 +210,84 @@ func TestDeterminism(t *testing.T) {
 		if a.Delay(u, v) != b.Delay(u, v) {
 			t.Fatalf("same seed produced different delays for (%d,%d)", u, v)
 		}
+	}
+}
+
+// TestBuildIndependentOfWorkers holds New to one result at any GOMAXPROCS:
+// the stub wiring and the transit-core searches run as units of the worker
+// pool, sequentially at 1 and side by side above it, and every table — ties
+// in HomesByDelay's settle order included — and every error must be the
+// same. The errors are the wiring's and the core's own, the wiring's first
+// when both fail, never the pool's "unit i:" wrapping.
+func TestBuildIndependentOfWorkers(t *testing.T) {
+	small := func(c *Config) {
+		c.TransitDomains, c.TransitNodesPerDomain = 3, 8
+		c.StubDomainsPerTransit, c.StubNodesPerDomain = 4, 8
+	}
+	wide := [2]time.Duration{1500 * time.Millisecond, 2 * time.Second}
+	for _, tc := range []struct {
+		name, wantErr string
+		mutate        func(*Config)
+	}{
+		{"paper shape", "", func(*Config) {}},
+		{"equal delays", "", func(c *Config) {
+			small(c)
+			c.TransitTransitDelay = [2]time.Duration{20 * time.Millisecond, 20 * time.Millisecond}
+			c.TransitStubDelay = [2]time.Duration{7 * time.Millisecond, 7 * time.Millisecond}
+			c.StubStubDelay = [2]time.Duration{3 * time.Millisecond, 3 * time.Millisecond}
+		}},
+		{"core past maxDelay", "transit routers", func(c *Config) { small(c); c.TransitTransitDelay = wide }},
+		{"up past maxDelay", "stub router", func(c *Config) { small(c); c.StubStubDelay = wide }},
+		{"both past maxDelay", "stub router", func(c *Config) {
+			small(c)
+			c.TransitTransitDelay, c.StubStubDelay = wide, wide
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				cfg := DefaultConfig(seed)
+				tc.mutate(&cfg)
+				var first *Topology
+				var firstErr string
+				for _, procs := range []int{1, 2, 5} {
+					prev := runtime.GOMAXPROCS(procs)
+					topo, err := New(cfg)
+					runtime.GOMAXPROCS(prev)
+					if tc.wantErr != "" {
+						if err == nil || !strings.Contains(err.Error(), tc.wantErr) || strings.Contains(err.Error(), "unit ") {
+							t.Fatalf("seed %d, GOMAXPROCS %d: New = %v; want the build's own error naming %q", seed, procs, err, tc.wantErr)
+						}
+						if firstErr == "" {
+							firstErr = err.Error()
+						} else if err.Error() != firstErr {
+							t.Errorf("seed %d, GOMAXPROCS %d: error %q, at 1: %q", seed, procs, err, firstErr)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("seed %d, GOMAXPROCS %d: %v", seed, procs, err)
+					}
+					if first == nil {
+						first = topo
+						continue
+					}
+					for _, diff := range []struct {
+						table string
+						equal bool
+					}{
+						{"edges", slices.Equal(topo.edges, first.edges)},
+						{"adjStart", slices.Equal(topo.adjStart, first.adjStart)},
+						{"routers", slices.Equal(topo.routers, first.routers)},
+						{"transitDist", slices.Equal(topo.transitDist, first.transitDist)},
+						{"homeOrder", slices.Equal(topo.homeOrder, first.homeOrder)},
+					} {
+						if !diff.equal {
+							t.Errorf("seed %d, GOMAXPROCS %d: %s differs from GOMAXPROCS 1's", seed, procs, diff.table)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
