@@ -14,7 +14,9 @@ import (
 // rejoin timers for a member X, removes X while the timer is pending and lets
 // a new member Y take X's slot. X's departure must not depart Y, and X's
 // rejoin retry must not join Y once a slot frees: Y stays as it was, and no
-// hook fires for it.
+// hook fires for it. Timers carry the member's Tree.Ref, a (generation, slot)
+// pair, instead of its ID: a Resolve that ignored the generation would hand
+// X's timers to Y and fail here.
 func TestStaleTimerSparesSlotSuccessor(t *testing.T) {
 	// newDriver returns a driver over a tree whose source feeds rootBW
 	// children, counting the joins and rejoins its hooks report.

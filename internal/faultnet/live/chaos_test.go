@@ -15,7 +15,10 @@ import (
 
 // TestChaosScenarios runs the whole resilience suite. Each subtest is one
 // table entry from Scenarios; a failure prints the fault log and per-node
-// stats so the seed reproduces the exact run.
+// stats so the seed reproduces the exact run. Every scenario runs on one
+// virtual clock, so -race slows it without changing a byte of its outcome,
+// and one race-enabled run of the suite checks every scenario, byzantine-64
+// included; a repeated run replays the same schedule.
 func TestChaosScenarios(t *testing.T) {
 	for _, scn := range Scenarios {
 		scn := scn
@@ -246,7 +249,8 @@ func TestByzantinePlanReproducible(t *testing.T) {
 // every node's Stats verbatim, the fault log, the link stats and the span
 // JSONL as one golden.Digest line each. The whole overlay runs on one
 // virtual clock, so a seed fixes every delivery order and every timer, and
-// a change that keeps the protocol's behaviour leaves the file untouched.
+// a change that keeps the protocol's behaviour leaves the file untouched,
+// and a repeated run, under -race or not, replays the same schedule.
 // `go test -run TestChaosReportReproducible -update` rewrites it.
 func TestChaosReportReproducible(t *testing.T) {
 	render := func(t *testing.T, scn Scenario) string {

@@ -3,10 +3,12 @@ package lint
 import (
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"omcast/internal/golden"
@@ -95,57 +97,85 @@ nextDiag:
 	}
 }
 
-// TestFixtures checks the analyzer over every standalone fixture package
-// under testdata/src.
-func TestFixtures(t *testing.T) {
-	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+// fixture is one testdata fixture after its one load and analysis: a package
+// under testdata/src, or a multi-package module testdata/mod_* with its own
+// go.mod.
+type fixture struct {
+	dir   string // relative to testdata: src/<name> or mod_<name>
+	pkgs  []*Package
+	diags []Diagnostic
+	err   error // the load's
+}
+
+// fixtures loads and analyses every fixture once per test binary.
+// TestFixtures and TestModuleFixtures check the fixtures' // want
+// expectations and TestFixtureDiagnosticsGolden pins their diagnostics, all
+// three from this one pass of about two seconds, which loading per test
+// paid twice.
+var fixtures = sync.OnceValues(func() ([]fixture, error) {
+	testdata, err := filepath.Abs("testdata")
 	if err != nil {
-		t.Fatalf("reading fixtures: %v", err)
+		return nil, err
 	}
-	if len(entries) == 0 {
-		t.Fatal("no fixture packages found")
+	srcs, _ := filepath.Glob(filepath.Join(testdata, "src", "*"))
+	mods, _ := filepath.Glob(filepath.Join(testdata, "mod_*"))
+	if len(srcs) == 0 || len(mods) == 0 {
+		return nil, fmt.Errorf("found %d fixture packages and %d fixture modules", len(srcs), len(mods))
 	}
-	for _, e := range entries {
-		if !e.IsDir() {
+	var fs []fixture
+	for _, dir := range append(srcs, mods...) {
+		rel, _ := filepath.Rel(testdata, dir)
+		f := fixture{dir: filepath.ToSlash(rel)}
+		if strings.HasPrefix(f.dir, "mod_") {
+			f.pkgs, f.err = Load(dir)
+		} else {
+			var pkg *Package
+			if pkg, f.err = LoadDir(dir); f.err == nil {
+				f.pkgs = []*Package{pkg}
+			}
+		}
+		if f.err == nil {
+			f.diags = Run(f.pkgs).Diags
+		}
+		fs = append(fs, f)
+	}
+	return fs, nil
+})
+
+// checkFixtures runs one subtest per fixture whose directory matches glob
+// (relative to testdata), checking its // want expectations.
+func checkFixtures(t *testing.T, glob string) {
+	fs, err := fixtures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	for _, f := range fs {
+		if ok, _ := path.Match(glob, f.dir); !ok {
 			continue
 		}
-		t.Run(e.Name(), func(t *testing.T) {
-			pkg, err := LoadDir(filepath.Join("testdata", "src", e.Name()))
-			if err != nil {
-				t.Fatalf("loading fixture: %v", err)
+		ran = true
+		t.Run(path.Base(f.dir), func(t *testing.T) {
+			if f.err != nil {
+				t.Fatalf("loading fixture: %v", f.err)
 			}
-			checkExpectations(t, []*Package{pkg}, Run([]*Package{pkg}).Diags)
+			checkExpectations(t, f.pkgs, f.diags)
 		})
 	}
+	if !ran {
+		t.Fatalf("no fixtures match testdata/%s", glob)
+	}
 }
+
+// TestFixtures checks the analyzer over every standalone fixture package
+// under testdata/src.
+func TestFixtures(t *testing.T) { checkFixtures(t, "src/*") }
 
 // TestModuleFixtures checks the analyzer over every multi-package fixture
 // MODULE under testdata (directories named mod_*, each with its own go.mod).
 // These exercise the interprocedural rules across package boundaries:
 // cross-package taint flow, derived sources, and protocol-package sinks.
-func TestModuleFixtures(t *testing.T) {
-	entries, err := os.ReadDir("testdata")
-	if err != nil {
-		t.Fatalf("reading testdata: %v", err)
-	}
-	ran := false
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "mod_") {
-			continue
-		}
-		ran = true
-		t.Run(e.Name(), func(t *testing.T) {
-			pkgs, err := Load(filepath.Join("testdata", e.Name()))
-			if err != nil {
-				t.Fatalf("loading fixture module: %v", err)
-			}
-			checkExpectations(t, pkgs, Run(pkgs).Diags)
-		})
-	}
-	if !ran {
-		t.Fatal("no fixture modules found")
-	}
-}
+func TestModuleFixtures(t *testing.T) { checkFixtures(t, "mod_*") }
 
 // TestFixtureDiagnosticsGolden pins the diagnostics of every testdata/src
 // package and testdata/mod_* module in testdata/diagnostics.golden, one
@@ -159,9 +189,16 @@ func TestFixtureDiagnosticsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs, err := fixtures()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lines []string
-	collect := func(pkgs []*Package) {
-		for _, d := range Run(pkgs).Diags {
+	for _, f := range fs {
+		if f.err != nil {
+			t.Fatal(f.err)
+		}
+		for _, d := range f.diags {
 			rel, err := filepath.Rel(testdata, d.Pos.Filename)
 			if err != nil {
 				t.Fatal(err)
@@ -171,25 +208,6 @@ func TestFixtureDiagnosticsGolden(t *testing.T) {
 			}
 			lines = append(lines, fmt.Sprintf("%s:%d:%d: %s: %s", rel, d.Pos.Line, d.Pos.Column, d.Rule, d.Message))
 		}
-	}
-	srcs, _ := filepath.Glob(filepath.Join(testdata, "src", "*"))
-	for _, dir := range srcs {
-		pkg, err := LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collect([]*Package{pkg})
-	}
-	mods, _ := filepath.Glob(filepath.Join(testdata, "mod_*"))
-	for _, dir := range mods {
-		pkgs, err := Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collect(pkgs)
-	}
-	if len(srcs) == 0 || len(mods) == 0 {
-		t.Fatalf("found %d fixture packages and %d fixture modules", len(srcs), len(mods))
 	}
 	sort.Strings(lines)
 	golden.Check(t, filepath.Join("testdata", "diagnostics.golden"), strings.Join(lines, "\n")+"\n", nil)
@@ -275,8 +293,9 @@ func TestMatchPackage(t *testing.T) {
 	}
 }
 
-// TestModuleIsClean loads the real module and asserts the tree lints clean —
-// the same gate CI applies via `omcast lint`.
+// TestModuleIsClean loads the real module and asserts the tree lints clean,
+// the gate `omcast lint ./...` applies, so a finding fails `go test ./...`
+// too; it also pins how many findings each rule's directives suppress.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module load in -short mode")

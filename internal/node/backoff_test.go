@@ -74,7 +74,10 @@ func TestJoinBackoffGrows(t *testing.T) {
 }
 
 // TestJoinBackoffResetsOnAttach: once accepted, the streak clears so a later
-// detachment retries at base cadence.
+// detachment retries at base cadence. It flaked under -race while the
+// cluster ran on the wall clock, where an Accept could land mid-duty; on
+// newCluster's virtual clock every run is the same schedule, so it never
+// repeats.
 func TestJoinBackoffResetsOnAttach(t *testing.T) {
 	c := newCluster(t, 3, nil)
 	c.eventually(5*time.Second, "all attached", c.allAttached)

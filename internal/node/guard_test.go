@@ -52,7 +52,8 @@ func (s *sinkTransport) sentTo(to wire.Addr) []wire.Envelope {
 }
 
 // newGuardNode builds an unstarted node over a sink transport: handlers can
-// be driven directly without any background loops running.
+// be driven directly without any background loops running. A test on it is
+// one goroutine, like a virtual-world test, so it never repeats.
 func newGuardNode(mutate func(cfg *Config)) (*Node, *sinkTransport) {
 	cfg := Config{Bandwidth: 3}
 	if mutate != nil {

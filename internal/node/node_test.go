@@ -710,7 +710,9 @@ func (c *countingTransport) Send(to wire.Addr, data []byte) error {
 // TestStopAndKillEndTheNode is the lifetime contract, on both clocks: once
 // Stop or Kill returns, no duty of the node runs — the source's packet clock
 // stops — and the node transmits nothing, not a heartbeat, a retransmit or
-// the answer to a datagram that still reaches its handler.
+// the answer to a datagram that still reaches its handler. The wall-clock
+// half runs every timer on a goroutine of its own, so it repeats raceRepeats
+// times; the virtual half is one schedule and runs once.
 func TestStopAndKillEndTheNode(t *testing.T) {
 	t.Run("virtual", func(t *testing.T) {
 		w := newWorld(t)
@@ -718,10 +720,12 @@ func TestStopAndKillEndTheNode(t *testing.T) {
 			func(what string, cond func() bool) { w.eventually(5*time.Second, what, cond) })
 	})
 	t.Run("wall", func(t *testing.T) {
-		network := NewMemNetwork(nil, nil)
-		defer network.Close()
-		stopAndKillEndTheNode(t, network, wallFast(), nil, time.Sleep,
-			func(what string, cond func() bool) { wallEventually(t, 5*time.Second, what, cond) })
+		for range raceRepeats {
+			network := NewMemNetwork(nil, nil)
+			t.Cleanup(network.Close)
+			stopAndKillEndTheNode(t, network, wallFast(), nil, time.Sleep,
+				func(what string, cond func() bool) { wallEventually(t, 5*time.Second, what, cond) })
+		}
 	})
 }
 
@@ -788,12 +792,15 @@ func (l *lateTransport) Close() error {
 // TestKillDoesNotWaitOnItsOwnLock: Kill and Stop mark the node stopped under
 // its lock and close the transport only after releasing it, so a datagram
 // the transport delivers while closing finds the node stopped and is
-// dropped, instead of waiting forever on the lock its own Kill holds.
+// dropped, instead of waiting forever on the lock its own Kill holds. Kill
+// and Stop run on a goroutine of their own, raceRepeats times each.
 func TestKillDoesNotWaitOnItsOwnLock(t *testing.T) {
-	for _, end := range []struct {
+	ends := []struct {
 		name string
 		f    func(*Node)
-	}{{"Kill", (*Node).Kill}, {"Stop", (*Node).Stop}} {
+	}{{"Kill", (*Node).Kill}, {"Stop", (*Node).Stop}}
+	for i := range raceRepeats * len(ends) {
+		end := ends[i%len(ends)]
 		tr := &lateTransport{last: envBytes(t, wire.Envelope{Type: wire.TypeJoin, From: "late", Bandwidth: 1, Ctrl: 1})}
 		n := New(Config{Bandwidth: 2}, tr)
 		done := make(chan struct{})

@@ -3,3 +3,5 @@
 package node
 
 const raceEnabled = false
+
+const raceRepeats = 1

@@ -16,8 +16,16 @@ import (
 // duties and the retransmits of its replies — fire on goroutines of their
 // own. Every datagram is admitted and handled once, and each one's ack goes
 // back to its own sender, so its From was interned right. Every entry point
-// holds the node's lock, so under -race this is race-clean.
+// holds the node's lock, so under -race this is race-clean: the race
+// detector, run raceRepeats times, is the canary for the node's one lock at
+// its boundary.
 func TestHandlerAdmitsConcurrentSenders(t *testing.T) {
+	for range raceRepeats {
+		admitConcurrentSenders(t)
+	}
+}
+
+func admitConcurrentSenders(t *testing.T) {
 	const senders, rounds, workers = 2 * senderSlots, 8, 4
 	tr := &sinkTransport{addr: "self"}
 	n := New(wallFast(), tr)

@@ -34,9 +34,20 @@ func (m *Memo[K, V]) retained() int {
 	return len(m.entries)
 }
 
+// memoRepeats is how often each memo test repeats itself. Work units meet
+// at the memo from goroutines of their own, so under -race each repetition
+// is one more schedule for the detector to check.
+const memoRepeats = 4
+
 // TestMemoOncePerKey is the sharing contract: however many goroutines ask,
 // each key is built once and everyone holds the same value.
 func TestMemoOncePerKey(t *testing.T) {
+	for range memoRepeats {
+		memoOncePerKey(t)
+	}
+}
+
+func memoOncePerKey(t *testing.T) {
 	const goroutines, gets, keys = 8, 100, 3
 	m, builds := countingMemo(4)
 	got := make([][keys]*int, goroutines)
@@ -79,6 +90,12 @@ func TestMemoOncePerKey(t *testing.T) {
 // TestMemoBounded: the table holds the capacity most recently requested keys
 // and nothing more; the one pushed out is rebuilt on demand.
 func TestMemoBounded(t *testing.T) {
+	for range memoRepeats {
+		memoBounded(t)
+	}
+}
+
+func memoBounded(t *testing.T) {
 	const capacity = 4
 	m, builds := countingMemo(capacity)
 	get := func(key int) *int {
@@ -124,6 +141,12 @@ func TestMemoBounded(t *testing.T) {
 // hold under any schedule: a waiter that only reaches Get after the failure
 // was forgotten legitimately shares the second, successful build instead.
 func TestMemoFailedBuildNotRetained(t *testing.T) {
+	for range memoRepeats {
+		memoFailedBuildNotRetained(t)
+	}
+}
+
+func memoFailedBuildNotRetained(t *testing.T) {
 	const waiters = 6
 	boom := errors.New("boom")
 	var attempts atomic.Int64
@@ -184,6 +207,12 @@ func TestMemoFailedBuildNotRetained(t *testing.T) {
 // TestMemoPanickingBuildReleasesWaiters: a build that panics must not leave
 // later callers blocked or holding a zero value with a nil error.
 func TestMemoPanickingBuildReleasesWaiters(t *testing.T) {
+	for range memoRepeats {
+		memoPanickingBuildReleasesWaiters(t)
+	}
+}
+
+func memoPanickingBuildReleasesWaiters(t *testing.T) {
 	calls := 0
 	m := NewMemo(2, func(key int) (*int, error) {
 		calls++

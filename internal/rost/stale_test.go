@@ -13,7 +13,8 @@ import (
 // take X's slot, placed so that the timer would act if it reached Y: Y out-
 // earns its parent (a check or a completion would switch it) or waits
 // detached with a slot free (a retry would join it). Every timer must find
-// X gone and leave Y as it was.
+// X gone and leave Y as it was: a Tree.Resolve that ignored the generation
+// in the timer's Ref would hand X's timers to Y and fail here.
 func TestStaleTimerSparesSlotSuccessor(t *testing.T) {
 	// replace removes x at the fixture's current time and returns y, the new
 	// member in x's slot, attached under parent unless parent is nil.

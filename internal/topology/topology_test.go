@@ -218,8 +218,18 @@ func TestDeterminism(t *testing.T) {
 // pool, sequentially at 1 and side by side above it, and every table — ties
 // in HomesByDelay's settle order included — and every error must be the
 // same. The errors are the wiring's and the core's own, the wiring's first
-// when both fail, never the pool's "unit i:" wrapping.
+// when both fail, never the pool's "unit i:" wrapping. Under -race it is the
+// check that the two phases share nothing they write: only the race detector
+// sees a core search read a row start (adjStart[transitN]) or an edges
+// header the wiring rewrites. It runs twice, for two schedules per
+// `go test -race`.
 func TestBuildIndependentOfWorkers(t *testing.T) {
+	for range 2 {
+		buildIndependentOfWorkers(t)
+	}
+}
+
+func buildIndependentOfWorkers(t *testing.T) {
 	small := func(c *Config) {
 		c.TransitDomains, c.TransitNodesPerDomain = 3, 8
 		c.StubDomainsPerTransit, c.StubNodesPerDomain = 4, 8

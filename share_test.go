@@ -20,9 +20,21 @@ func shareConfig(seed int64, alg Algorithm) Config {
 	}
 }
 
+// shareRepeats is how often each TestShareUnderlay* test repeats itself, on
+// seeds of its own each time, so every repetition meets a cold underlay whose
+// build runs on the worker pool: under -race, each is one more schedule of
+// the build's units and of the sessions that read its result.
+const shareRepeats = 4
+
 // TestShareUnderlayAcrossSessions: sessions whose underlay config is equal
 // hold one Topology; a different seed or shape gets its own.
 func TestShareUnderlayAcrossSessions(t *testing.T) {
+	for rep := range int64(shareRepeats) {
+		shareUnderlayAcrossSessions(t, 31+1000*rep)
+	}
+}
+
+func shareUnderlayAcrossSessions(t *testing.T, seed int64) {
 	open := func(cfg Config) *session {
 		t.Helper()
 		s, err := newSession(cfg, churn.Hooks{}, nil)
@@ -31,21 +43,21 @@ func TestShareUnderlayAcrossSessions(t *testing.T) {
 		}
 		return s
 	}
-	a := open(shareConfig(31, MinimumDepth))
-	b := open(shareConfig(31, ROST))
+	a := open(shareConfig(seed, MinimumDepth))
+	b := open(shareConfig(seed, ROST))
 	if a.topo != b.topo {
 		t.Fatal("two sessions with the same seed and underlay options built two topologies")
 	}
-	if c := open(shareConfig(32, MinimumDepth)); c.topo == a.topo {
+	if c := open(shareConfig(seed+1, MinimumDepth)); c.topo == a.topo {
 		t.Fatal("sessions with different seeds share a topology")
 	}
-	reshaped := shareConfig(31, MinimumDepth)
+	reshaped := shareConfig(seed, MinimumDepth)
 	reshaped.Topology.StubNodesPerDomain++
 	if c := open(reshaped); c.topo == a.topo {
 		t.Fatal("sessions with different TopologyOptions share a topology")
 	}
 	// The paper-scale default is a config like any other.
-	paper := shareConfig(31, MinimumDepth)
+	paper := shareConfig(seed, MinimumDepth)
 	paper.Topology = TopologyOptions{}
 	if c, d := open(paper), open(paper); c.topo != d.topo || c.topo == a.topo {
 		t.Fatal("paper-scale sessions of one seed must share their own topology")
@@ -56,8 +68,14 @@ func TestShareUnderlayAcrossSessions(t *testing.T) {
 // goroutines (as the experiment engine's work units do) read it without
 // racing and produce what they produce one after another.
 func TestShareUnderlayConcurrentRuns(t *testing.T) {
+	for rep := range int64(shareRepeats) {
+		shareUnderlayConcurrentRuns(t, 33+1000*rep)
+	}
+}
+
+func shareUnderlayConcurrentRuns(t *testing.T, seed int64) {
 	algs := []Algorithm{MinimumDepth, RelaxedBandwidthOrdered, LongestFirst, ROST}
-	run := func(i int) (TreeResult, error) { return Run(shareConfig(33, algs[i])) }
+	run := func(i int) (TreeResult, error) { return Run(shareConfig(seed, algs[i])) }
 	// Concurrent first, so the four units meet at a cold underlay build.
 	concurrent, err := parallel.Run(len(algs), len(algs), run)
 	if err != nil {
